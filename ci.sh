@@ -49,6 +49,9 @@ REPRO_BENCH_SMOKE=1 python -m pytest -q \
     benchmarks/bench_sim_latency.py \
     benchmarks/bench_match_scale.py \
     benchmarks/bench_topology_scale.py
+# The repository benchmark's own harness at --smoke size: exact declared
+# metric names, failed == 0, and same-seed runs agreeing on every count.
+python -m pytest -q experiments/e2e/test_harness.py
 
 echo "== metrics / exposition smoke =="
 # The observability layer end to end: a seeded tree scenario must produce

@@ -291,33 +291,47 @@ def decompose_rectangle(universe: Universe, rect: Rectangle) -> List[StandardCub
     pairwise disjoint and any other standard-cube partition refines them, so
     this partition is minimum — the same optimum the paper's greedy algorithm
     (Lemma 3.3) attains.
+
+    The recursion works on integer intervals: per dimension each half of a
+    straddling cube is classified once as disjoint from, partially inside or
+    fully inside the rectangle's range, children with a disjoint half are
+    never visited, and a :class:`StandardCube` is built only for the cubes
+    that are emitted.
     """
     if rect.dims != universe.dims:
         raise ValueError(
             f"rectangle has {rect.dims} dimensions but the universe has {universe.dims}"
         )
-    universe.validate_point(rect.low)
-    universe.validate_point(rect.high)
+    bounds = list(
+        zip(universe.validate_point(rect.low), universe.validate_point(rect.high))
+    )
+    emitted: List[Tuple[int, Tuple[int, ...]]] = []
 
-    result: List[StandardCube] = []
+    def split(low: Tuple[int, ...], side: int) -> None:
+        """Visit the children of a cube that meets the rectangle without lying inside it."""
+        half = side >> 1
+        # Per dimension, the (child low, fully inside) pairs of the halves
+        # that meet the rectangle's range; a unit half that meets it is inside.
+        halves = []
+        for x, (lo, hi) in zip(low, bounds):
+            mid = x + half
+            options = []
+            if lo < mid:
+                options.append((x, lo <= x and mid - 1 <= hi))
+            if hi >= mid:
+                options.append((mid, lo <= mid and mid + half - 1 <= hi))
+            halves.append(options)
+        for child in itertools.product(*halves):
+            child_low = tuple([x for x, _ in child])
+            if all([inside for _, inside in child]):
+                emitted.append((-half, child_low))
+            else:
+                split(child_low, half)
 
-    def recurse(low: Tuple[int, ...], side: int) -> None:
-        cube = Rectangle(low, tuple(x + side - 1 for x in low))
-        if not rect.intersects(cube):
-            return
-        if rect.contains_rectangle(cube):
-            result.append(StandardCube(universe, low, side))
-            return
-        half = side // 2
-        if half == 0:
-            # A unit cube that intersects the rectangle is inside it, so this
-            # branch is unreachable; guard against it anyway.
-            result.append(StandardCube(universe, low, 1))
-            return
-        for offsets in itertools.product((0, half), repeat=universe.dims):
-            child_low = tuple(x + o for x, o in zip(low, offsets))
-            recurse(child_low, half)
-
-    recurse((0,) * universe.dims, universe.side)
-    result.sort(key=lambda c: (-c.side, c.low))
-    return result
+    origin = (0,) * universe.dims
+    if all(lo == 0 and hi == universe.max_coordinate for lo, hi in bounds):
+        emitted.append((-universe.side, origin))
+    else:
+        split(origin, universe.side)
+    emitted.sort()
+    return [StandardCube(universe, low, -neg_side) for neg_side, low in emitted]

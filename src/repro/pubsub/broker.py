@@ -103,12 +103,14 @@ class Broker:
         When True (default) each stored subscription's covering geometry —
         validated ranges, dominance point, probe plan — is computed once in
         the broker's :class:`SubscriptionStore` and shared by every link's
-        covering checks (and by promotion re-checks).  False restores the
-        legacy per-check recomputation; forwarding decisions are identical
-        either way.
+        covering checks (and by promotion re-checks), and its match-index key
+        runs are read from the profile cache.  False restores the legacy
+        per-check / per-insert recomputation; forwarding decisions and match
+        answers are identical either way.
     profile_cache:
         Optional shared :class:`ProfileCache` (the network passes one cache
-        to all its brokers so a subscription is profiled once network-wide).
+        to all its brokers so a subscription is profiled, and decomposed for
+        matching, once network-wide).
     trace:
         Optional shared :class:`~repro.obs.trace.TraceLog` (the network hands
         its brokers the same log it records transport hops into).  When set,
@@ -159,7 +161,6 @@ class Broker:
         self.cube_budget = config.cube_budget
         self.run_budget = config.run_budget
         self.curve = config.curve
-        self.routing_table = self._fresh_routing_table()
         if self.profile_cache is None:
             profiler = (
                 CoveringProfiler(
@@ -171,6 +172,8 @@ class Broker:
                 else None
             )
             self.profile_cache = ProfileCache(profiler)
+        # After the cache: the routing table's match indexes share it.
+        self.routing_table = self._fresh_routing_table()
         self._store = SubscriptionStore(self.profile_cache)
         self._neighbors: List[Hashable] = []
         self._forwarded: Dict[Hashable, CoveringStrategy] = {}
@@ -197,12 +200,18 @@ class Broker:
 
     # ------------------------------------------------------------------ wiring
     def _fresh_routing_table(self) -> RoutingTable:
-        """Build an empty routing table from this broker's configuration."""
+        """Build an empty routing table from this broker's configuration.
+
+        Its match indexes read and fill the broker's profile cache; the
+        ``profile_sharing=False`` legacy arm receives no cache and decomposes
+        per insert.
+        """
         return RoutingTable(
             schema=self.schema,
             matching=self.matching,
             seed=self.seed,
             config=self.config,
+            run_cache=self.profile_cache if self.profile_sharing else None,
         )
 
     def _fresh_link_state(self, neighbor_id: Hashable) -> None:
@@ -441,7 +450,8 @@ class Broker:
         survive; everything learnt from the network — interface tables,
         per-link covering strategies, forwarded/suppressed bookkeeping — is
         rebuilt from scratch because messages lost while the broker was down
-        make the old state untrustworthy.
+        make the old state untrustworthy.  The profile cache is kept: what it
+        memoises is pure geometry, valid whatever was lost.
         """
         self.routing_table = self._fresh_routing_table()
         self._store.clear()

@@ -49,7 +49,17 @@ per-event cost is one ordered-map probe plus the candidates of one segment.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    FrozenSet,
+    Hashable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ..core.decomposition import decompose_rectangle
 from ..geometry.bits import spread_bits
@@ -71,6 +81,9 @@ from ..sfc.base import KeyRange
 from ..sfc.factory import make_curve
 from ..sfc.runs import merge_key_ranges
 from .schema import AttributeSchema
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .subscription_store import ProfileCache
 
 __all__ = [
     "MatchIndex",
@@ -150,6 +163,13 @@ class MatchIndex:
         A full :class:`~repro.index.config.IndexConfig`; the individual
         keyword arguments above are sugar layered on top of it (an explicit
         keyword overrides the corresponding config field).
+    run_cache:
+        Optional :class:`~repro.pubsub.subscription_store.ProfileCache`
+        memoising each snapped rectangle's key runs.  A rectangle's runs are
+        pure geometry, so every index handed the same cache (the brokers of a
+        network share one) decomposes a rectangle once between them and
+        stores the same immutable run tuple.  Answers, stored state and
+        :attr:`stats` are identical with and without it.
     """
 
     def __init__(
@@ -161,6 +181,7 @@ class MatchIndex:
         curve: Optional[str] = None,
         seed: Optional[int] = None,
         config: Optional[IndexConfig] = None,
+        run_cache: Optional["ProfileCache"] = None,
     ) -> None:
         config = resolve_index_config(
             config,
@@ -182,17 +203,17 @@ class MatchIndex:
         self.run_budget = config.run_budget
         self.precision_bits = config.effective_precision_bits(self.universe.dims)
         backend = config.backend
-        precision_bits = self.precision_bits
-        # Precision-snapped rectangles are unions of cells of a coarser grid;
-        # decomposing on that coarse universe directly (and scaling the cubes
-        # back up) skips the top ``order - precision`` recursion levels the
-        # full-universe quadtree would walk for every subscription.
-        effective = min(precision_bits, self.universe.order)
+        effective = min(self.precision_bits, self.universe.order)
         self._snap = 1 << (self.universe.order - effective)
-        self._coarse_universe = (
-            Universe(dims=self.universe.dims, order=effective)
-            if self._snap > 1
-            else self.universe
+        self._run_cache = run_cache
+        # Everything a snapped rectangle's stored runs depend on besides the
+        # rectangle itself; namespaces this index's entries in the run cache.
+        self._run_key = (
+            self.curve.kind,
+            self.universe.dims,
+            self.universe.order,
+            effective,
+            self.run_budget,
         )
         self.backend_name = backend
         if backend == "flat":
@@ -270,33 +291,60 @@ class MatchIndex:
     def _decompose_signature(
         self, signature: Tuple[Tuple[int, int], ...]
     ) -> List[StandardCube]:
-        """Standard-cube partition (in the full universe) of a snapped rectangle."""
-        coarse_rect = Rectangle(
-            tuple(lo for lo, _ in signature), tuple(hi for _, hi in signature)
-        )
-        cubes = decompose_rectangle(self._coarse_universe, coarse_rect)
-        snap = self._snap
-        if snap == 1:
-            return cubes
-        # A level-l cube of the coarse universe scales to the level-l cube of
-        # the full universe covering the same region; any exact standard-cube
-        # partition yields the same merged runs, so correctness is unaffected.
-        return [
-            StandardCube(
-                self.universe,
-                tuple(x * snap for x in cube.low),
-                cube.side * snap,
-            )
-            for cube in cubes
-        ]
+        """Standard-cube partition (in the full universe) of a snapped rectangle.
 
-    def _runs_for(self, rect_ranges: Tuple[Tuple[int, int], ...]) -> List[KeyRange]:
-        cubes = self._decompose_signature(self._snap_signature(rect_ranges))
-        runs = merge_key_ranges(self.curve.cube_key_ranges(cubes))
-        return self._coarsen(runs)
+        The snapped rectangle is aligned to the precision grid, so the
+        quadtree recursion stops at cubes of side ``snap``: ``precision_bits``
+        levels whatever the schema order.
+        """
+        snap = self._snap
+        rect = Rectangle(
+            tuple([lo * snap for lo, _ in signature]),
+            tuple([(hi + 1) * snap - 1 for _, hi in signature]),
+        )
+        return decompose_rectangle(self.universe, rect)
+
+    def _runs_for(
+        self, signatures: Sequence[Tuple[Tuple[int, int], ...]]
+    ) -> List[Tuple[Tuple[KeyRange, ...], bool]]:
+        """``(stored runs, was coarsened)`` per snapped rectangle, through the run cache.
+
+        Rectangles the cache does not hold are decomposed here and their
+        cubes keyed through one :meth:`SpaceFillingCurve.cube_key_ranges`
+        call; the results are memoised for every index sharing the cache.
+        """
+        cache = self._run_cache
+        run_key = self._run_key
+        if cache is not None:
+            entries = [cache.match_runs((run_key, signature)) for signature in signatures]
+            missing = [i for i, entry in enumerate(entries) if entry is None]
+        else:
+            entries = [None] * len(signatures)
+            missing = range(len(signatures))
+        if not missing:
+            return entries
+        all_cubes: List[StandardCube] = []
+        cube_counts: List[int] = []
+        for i in missing:
+            cubes = self._decompose_signature(signatures[i])
+            all_cubes.extend(cubes)
+            cube_counts.append(len(cubes))
+        key_ranges = self.curve.cube_key_ranges(all_cubes)
+        pos = 0
+        for i, count in zip(missing, cube_counts):
+            entries[i] = entry = self._coarsen(
+                merge_key_ranges(key_ranges[pos : pos + count])
+            )
+            pos += count
+            if cache is not None:
+                cache.store_match_runs((run_key, signatures[i]), entry)
+        return entries
 
     def _store(
-        self, sub_id: Hashable, rect_ranges: Tuple[Tuple[int, int], ...], runs: List[KeyRange]
+        self,
+        sub_id: Hashable,
+        rect_ranges: Tuple[Tuple[int, int], ...],
+        runs: Tuple[KeyRange, ...],
     ) -> Optional[int]:
         """Record a subscription; returns its slot under the flat backend."""
         self._rects[sub_id] = rect_ranges
@@ -308,7 +356,7 @@ class MatchIndex:
             self._id_of[slot] = sub_id
             self._rect_of_slot[slot] = rect_ranges
         else:
-            self._ranges[sub_id] = tuple(runs)
+            self._ranges[sub_id] = runs
             for lo, hi in runs:
                 self._insert_range(lo, hi, sub_id)
         self.stats.inserts += 1
@@ -324,7 +372,8 @@ class MatchIndex:
         rect_ranges = self._validate_ranges(ranges)
         if sub_id in self._rects:
             self.remove(sub_id)
-        runs = self._runs_for(rect_ranges)
+        [(runs, coarsened)] = self._runs_for([self._snap_signature(rect_ranges)])
+        self.stats.coarsened_subscriptions += coarsened
         slot = self._store(sub_id, rect_ranges, runs)
         if slot is not None:
             self._flat.add(slot, runs)
@@ -342,7 +391,8 @@ class MatchIndex:
         Semantics are identical to calling :meth:`add` per item in order
         (later duplicates replace earlier ones); the batch wins three times
         on cost: subscriptions sharing a snapped rectangle are decomposed
-        once, each chunk keys all its decomposition cubes through one
+        once (not at all when the run cache already holds the rectangle),
+        each chunk keys all its decomposition cubes through one
         :meth:`SpaceFillingCurve.cube_key_ranges` call, and under the flat
         backend the whole batch is flattened by a single merge-rebuild
         instead of per-subscription segment splicing.
@@ -394,20 +444,12 @@ class MatchIndex:
             rect_of_slot = self._rect_of_slot
             next_slot = self._next_slot
         runs_stored = 0
-        bulk: List[Tuple[int, List[KeyRange]]] = []
+        bulk: List[Tuple[int, Tuple[KeyRange, ...]]] = []
         for start in range(0, len(signatures), self.BATCH_CHUNK):
             chunk = signatures[start : start + self.BATCH_CHUNK]
-            all_cubes: List[StandardCube] = []
-            cube_counts: List[int] = []
-            for signature in chunk:
-                cubes = self._decompose_signature(signature)
-                all_cubes.extend(cubes)
-                cube_counts.append(len(cubes))
-            key_ranges = self.curve.cube_key_ranges(all_cubes)
-            pos = 0
-            for signature, count in zip(chunk, cube_counts):
-                runs = self._coarsen(merge_key_ranges(key_ranges[pos : pos + count]))
-                pos += count
+            entries = self._runs_for(chunk)
+            for signature, (runs, coarsened) in zip(chunk, entries):
+                self.stats.coarsened_subscriptions += coarsened
                 num_runs = len(runs)
                 if flat is not None:
                     # Inlined flat-path _store: the per-call overhead would
@@ -453,15 +495,17 @@ class MatchIndex:
         self.stats.runs_stored -= len(runs)
         return True
 
-    def _coarsen(self, runs: List[KeyRange]) -> List[KeyRange]:
+    def _coarsen(self, runs: List[KeyRange]) -> Tuple[Tuple[KeyRange, ...], bool]:
         """Over-approximate ``runs`` down to at most ``run_budget`` ranges.
 
         Closes the smallest gaps first, so the number of spurious keys added —
         and with it the false-positive rate the fallback check must absorb —
-        is minimal for the chosen budget.
+        is minimal for the chosen budget.  Returns the runs as an immutable
+        tuple (it may be shared through the run cache) and whether the budget
+        forced any gap closed.
         """
         if len(runs) <= self.run_budget:
-            return runs
+            return tuple(runs), False
         gaps = sorted(
             range(len(runs) - 1), key=lambda i: runs[i + 1][0] - runs[i][1]
         )
@@ -475,8 +519,7 @@ class MatchIndex:
                 coarsened.append((current_lo, current_hi))
                 current_lo, current_hi = runs[i]
         coarsened.append((current_lo, current_hi))
-        self.stats.coarsened_subscriptions += 1
-        return coarsened
+        return tuple(coarsened), True
 
     # ----------------------------------------------------- segment maintenance
     def _overlapping(self, lo: int, hi: int) -> List[Tuple[int, _Segment]]:

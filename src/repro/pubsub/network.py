@@ -145,7 +145,8 @@ class BrokerNetwork:
     profile_sharing:
         When True (default) the network builds one shared
         :class:`~repro.pubsub.subscription_store.ProfileCache` so each
-        subscription's covering geometry is computed once network-wide.
+        subscription's covering geometry and match-index key runs are
+        computed once network-wide.
     metrics:
         Optional :class:`~repro.obs.registry.MetricsRegistry` the network
         publishes its counters into at scrape time (:meth:`scrape`,
@@ -863,6 +864,9 @@ class BrokerNetwork:
             phase_timings=self.phase_timings(),
             profile_cache_hits=self.profile_cache.hits,
             profile_cache_misses=self.profile_cache.misses,
+            match_run_cache_hits=self.profile_cache.run_hits,
+            match_run_cache_misses=self.profile_cache.run_misses,
+            match_run_cache_evictions=self.profile_cache.run_evictions,
         )
         for broker_id, event in events:
             self.publish_and_audit(broker_id, event)

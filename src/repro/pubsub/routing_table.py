@@ -33,7 +33,7 @@ from typing import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .subscription_store import SubscriptionProfile
+    from .subscription_store import ProfileCache, SubscriptionProfile
 
 from ..baselines.linear_scan import LinearScanCoveringDetector
 from ..baselines.probabilistic import ProbabilisticCoveringDetector
@@ -321,6 +321,7 @@ class InterfaceTable:
         shards: Optional[int] = None,
         config: Optional[IndexConfig] = None,
         routing_curve_kind: Optional[str] = None,
+        run_cache: Optional["ProfileCache"] = None,
     ) -> None:
         config = resolve_index_config(
             config, backend=backend, run_budget=run_budget, curve=curve, shards=shards
@@ -336,6 +337,9 @@ class InterfaceTable:
         self.schema = schema
         self.config = config
         self._seed = seed
+        # Shared by the live index and every staged rebuild (entries are
+        # namespaced by config, so a swap to another curve gets its own runs).
+        self._run_cache = run_cache
         self._subscriptions: Dict[Hashable, Subscription] = {}
         #: Bumped on every committed rebuild swap.
         self.generation = 0
@@ -364,9 +368,15 @@ class InterfaceTable:
     def _make_index(self, config: IndexConfig):
         if config.backend == "sharded":
             return ShardedMatchIndex(
-                self.schema, workers="inline", seed=self._seed, config=config
+                self.schema,
+                workers="inline",
+                seed=self._seed,
+                config=config,
+                run_cache=self._run_cache,
             )
-        return MatchIndex(self.schema, seed=self._seed, config=config)
+        return MatchIndex(
+            self.schema, seed=self._seed, config=config, run_cache=self._run_cache
+        )
 
     @property
     def match_index(self):
@@ -537,7 +547,9 @@ class RoutingTable:
     When built with ``matching="sfc"`` every interface table carries a
     :class:`MatchIndex` and event routing computes each event's curve key
     once, sharing it across all interface probes (and, via
-    :meth:`event_keys`, across the events of a batch).
+    :meth:`event_keys`, across the events of a batch).  ``run_cache`` is
+    handed to every index so a rectangle stored on several interfaces — or,
+    with a network-wide cache, at several brokers — is decomposed once.
     """
 
     def __init__(
@@ -550,6 +562,7 @@ class RoutingTable:
         seed: Optional[int] = None,
         shards: Optional[int] = None,
         config: Optional[IndexConfig] = None,
+        run_cache: Optional["ProfileCache"] = None,
     ) -> None:
         config = resolve_index_config(
             config, backend=backend, run_budget=run_budget, curve=curve, shards=shards
@@ -563,6 +576,7 @@ class RoutingTable:
         self.schema = schema
         self.matching_kind = matching
         self.config = config
+        self._run_cache = run_cache
         self._backend_name = config.backend
         self._run_budget = config.run_budget
         self._curve_kind = config.curve
@@ -588,6 +602,7 @@ class RoutingTable:
                 seed=self._seed,
                 config=self.config,
                 routing_curve_kind=self._curve_kind,
+                run_cache=self._run_cache,
             )
         return self._tables[interface_id]
 

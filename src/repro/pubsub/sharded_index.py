@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import multiprocessing
 from dataclasses import astuple, fields
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..geometry.universe import Universe
 from ..index.config import DEFAULT_SHARDS, IndexConfig, resolve_index_config
@@ -40,6 +40,9 @@ from ..obs.profiler import profiled
 from ..sfc.factory import make_curve
 from .match_index import MatchIndex, MatchIndexStats
 from .schema import AttributeSchema
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .subscription_store import ProfileCache
 
 __all__ = ["ShardedMatchIndex", "DEFAULT_SHARDS", "WORKER_KINDS"]
 
@@ -88,7 +91,9 @@ class ShardedMatchIndex:
     Exposes the same update/query surface as :class:`MatchIndex` (the routing
     stack selects it with ``backend="sharded"``), with identical answers: the
     shards partition the subscription set, so the union of per-shard matches
-    is exactly the unsharded match set.
+    is exactly the unsharded match set.  ``run_cache`` is shared by the
+    inline shards (see :class:`MatchIndex`); process workers live in their
+    own address space and decompose for themselves.
     """
 
     backend_name = "sharded"
@@ -103,6 +108,7 @@ class ShardedMatchIndex:
         curve: Optional[str] = None,
         seed: Optional[int] = None,
         config: Optional[IndexConfig] = None,
+        run_cache: Optional["ProfileCache"] = None,
     ) -> None:
         config = resolve_index_config(
             config,
@@ -134,7 +140,7 @@ class ShardedMatchIndex:
         self._next_shard = 0
         if workers == "inline":
             self._indexes: Optional[List[MatchIndex]] = [
-                MatchIndex(schema, seed=seed, config=shard_config)
+                MatchIndex(schema, seed=seed, config=shard_config, run_cache=run_cache)
                 for _ in range(shards)
             ]
             self._conns = None

@@ -82,6 +82,10 @@ class NetworkStats:
         Shared :class:`~repro.pubsub.subscription_store.ProfileCache`
         counters: a hit means a subscription's covering geometry was reused
         instead of recomputed.
+    match_run_cache_hits / match_run_cache_misses / match_run_cache_evictions:
+        The same cache's match-run counters: a hit means a match index was
+        handed a rectangle's key runs instead of decomposing it again; an
+        eviction means the LRU bound dropped a rectangle's runs.
     """
 
     per_broker: Dict[Hashable, BrokerStats] = field(default_factory=dict)
@@ -96,6 +100,9 @@ class NetworkStats:
     phase_timings: Dict[str, float] = field(default_factory=dict)
     profile_cache_hits: int = 0
     profile_cache_misses: int = 0
+    match_run_cache_hits: int = 0
+    match_run_cache_misses: int = 0
+    match_run_cache_evictions: int = 0
 
     @property
     def total_covering_checks(self) -> int:
@@ -153,6 +160,9 @@ class NetworkStats:
             "phase_timings": dict(sorted(self.phase_timings.items())),
             "profile_cache_hits": self.profile_cache_hits,
             "profile_cache_misses": self.profile_cache_misses,
+            "match_run_cache_hits": self.match_run_cache_hits,
+            "match_run_cache_misses": self.match_run_cache_misses,
+            "match_run_cache_evictions": self.match_run_cache_evictions,
         }
 
     def publish_to(self, registry: "MetricsRegistry") -> None:
@@ -196,6 +206,9 @@ class NetworkStats:
             "duplicate_deliveries",
             "profile_cache_hits",
             "profile_cache_misses",
+            "match_run_cache_hits",
+            "match_run_cache_misses",
+            "match_run_cache_evictions",
         ):
             network_counters.set_total(
                 getattr(self, counter_name), counter=counter_name

@@ -1,19 +1,23 @@
-"""Per-broker subscription profiles: compute the covering geometry once, share everywhere.
+"""Per-broker subscription profiles: compute a subscription's geometry once, share everywhere.
 
 Every subscription that arrives at a broker is considered for forwarding on
 each of its other links, and every such covering check runs the same geometry:
 validate the quantised ranges, transform them into a dominance point, and
 decompose that point's dominance region into a Z-order probe schedule.  The
 legacy path re-derived all of it per link — and again on every withdrawal
-re-check.  This module hoists the shared half out:
+re-check.  Storing the subscription for event matching runs a second piece of
+pure geometry at every broker it reaches: the rectangle's decomposition into
+curve key runs (Fact 2.1).  This module hoists both shared halves out:
 
 * :class:`SubscriptionProfile` — one subscription's validated ranges plus (for
   approximate covering) its :class:`~repro.core.covering.CoveringProfile`
   (dominance point + lazily-materialised probe plan).
 * :class:`ProfileCache` — builds profiles and memoises them by quantised
-  ranges with LRU eviction.  A single cache can be shared by every broker of a
-  network: a subscription propagating along a path of ``h`` brokers then costs
-  **one** decomposition instead of ``h × degree`` of them.
+  ranges with LRU eviction, and memoises the match index's key runs by
+  snapped rectangle the same way.  A single cache can be shared by every
+  broker of a network: a subscription propagating along a path of ``h``
+  brokers then costs **one** covering decomposition instead of ``h × degree``
+  of them, and **one** match-run decomposition instead of ``h``.
 * :class:`SubscriptionStore` — the per-broker view: reference-counted
   profiles keyed by subscription id, following the routing table's contents
   (acquired when a subscription is stored, released when it is removed, wiped
@@ -32,12 +36,18 @@ from dataclasses import dataclass
 from typing import Dict, Hashable, Optional, Tuple
 
 from ..core.covering import CoveringProfile, CoveringProfiler
+from ..sfc.base import KeyRange
 from .subscription import Subscription
 
 __all__ = ["ProfileCache", "SubscriptionProfile", "SubscriptionStore"]
 
-#: Default cap on distinct range vectors a :class:`ProfileCache` memoises.
+#: Default cap on distinct range vectors a :class:`ProfileCache` memoises
+#: (covering profiles and match runs are each bounded by it).
 DEFAULT_CACHE_ENTRIES = 100_000
+
+#: What the match index stores per snapped rectangle: its (coarsened) key
+#: runs and whether the run budget forced the coarsening.
+MatchRuns = Tuple[Tuple[KeyRange, ...], bool]
 
 
 @dataclass(frozen=True)
@@ -64,6 +74,14 @@ class ProfileCache:
     which includes the curve kind, ε and cube budget — so the same rectangle
     profiled under two different curves (or detector configs) never shares a
     cached plan: a plan's probe key ranges are curve-specific.
+
+    The cache also holds the match index's key runs (:meth:`match_runs` /
+    :meth:`store_match_runs`).  The caller builds the key from everything the
+    runs depend on — curve kind, universe, precision, run budget and the
+    snapped rectangle — so indexes that differ in any of them (a tuner swap
+    stages one) never read each other's runs.  Run entries have their own LRU
+    order and their own ``run_*`` counters; ``hits`` / ``misses`` /
+    ``evictions`` keep counting covering profiles only.
     """
 
     def __init__(
@@ -76,9 +94,13 @@ class ProfileCache:
         self.profiler = profiler
         self.max_entries = max_entries
         self._profiles: "OrderedDict[Tuple, CoveringProfile]" = OrderedDict()
+        self._runs: "OrderedDict[Tuple, MatchRuns]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+        self.run_hits = 0
+        self.run_misses = 0
+        self.run_evictions = 0
 
     def __len__(self) -> int:
         return len(self._profiles)
@@ -110,6 +132,28 @@ class ProfileCache:
             self._profiles.popitem(last=False)
             self.evictions += 1
         return profile
+
+    def match_runs(self, key: Tuple) -> Optional[MatchRuns]:
+        """Return the memoised match runs stored under ``key``, or ``None``.
+
+        A miss is counted here; the caller computes the runs and hands them
+        to :meth:`store_match_runs` (two steps so a bulk load can key the
+        cubes of all its misses in one vectorised pass).
+        """
+        cached = self._runs.get(key)
+        if cached is None:
+            self.run_misses += 1
+            return None
+        self.run_hits += 1
+        self._runs.move_to_end(key)
+        return cached
+
+    def store_match_runs(self, key: Tuple, entry: MatchRuns) -> None:
+        """Memoise freshly computed match runs (immutable; shared by identity)."""
+        self._runs[key] = entry
+        if len(self._runs) > self.max_entries:
+            self._runs.popitem(last=False)
+            self.run_evictions += 1
 
     def profile(
         self,

@@ -19,13 +19,37 @@ from repro.core.decomposition import (
     zorder_key_ranges_in_class,
 )
 from repro.geometry.bits import bit_at, bit_length
-from repro.geometry.rect import ExtremalRectangle, Rectangle
+from repro.geometry.rect import ExtremalRectangle, Rectangle, StandardCube
 from repro.geometry.universe import Universe
 from repro.sfc.zorder import ZOrderCurve
 
 
 def random_lengths(rng, universe):
     return tuple(rng.randint(1, universe.side) for _ in range(universe.dims))
+
+
+def reference_decompose_rectangle(universe, rect):
+    """The previous ``decompose_rectangle`` body, kept as the test oracle.
+
+    One ``Rectangle`` per visited quadtree node, every child visited; the
+    production kernel must return the same cubes in the same order.
+    """
+    result = []
+
+    def recurse(low, side):
+        cube = Rectangle(low, tuple(x + side - 1 for x in low))
+        if not rect.intersects(cube):
+            return
+        if rect.contains_rectangle(cube):
+            result.append(StandardCube(universe, low, side))
+            return
+        half = side // 2
+        for offsets in itertools.product((0, half), repeat=universe.dims):
+            recurse(tuple(x + o for x, o in zip(low, offsets)), half)
+
+    recurse((0,) * universe.dims, universe.side)
+    result.sort(key=lambda c: (-c.side, c.low))
+    return result
 
 
 class TestTruncationBits:
@@ -245,3 +269,26 @@ class TestDecomposeRectangle:
         greedy = {(c.low, c.side) for c in greedy_decomposition(region)}
         quadtree = {(c.low, c.side) for c in decompose_rectangle(universe, region.as_rectangle())}
         assert greedy == quadtree
+
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_property_same_cubes_in_same_order_as_reference(self, data):
+        """The interval kernel ≡ the node-per-Rectangle recursion it replaced."""
+        dims = data.draw(st.integers(2, 4))
+        order = data.draw(st.integers(1, 4 if dims < 4 else 3))
+        universe = Universe(dims, order)
+        low = tuple(
+            data.draw(st.integers(0, universe.max_coordinate)) for _ in range(dims)
+        )
+        high = tuple(
+            data.draw(st.integers(lo, universe.max_coordinate)) for lo in low
+        )
+        rect = Rectangle(low, high)
+        assert decompose_rectangle(universe, rect) == reference_decompose_rectangle(
+            universe, rect
+        )
+
+    def test_out_of_universe_corner_rejected(self):
+        universe = Universe(dims=2, order=3)
+        with pytest.raises(ValueError):
+            decompose_rectangle(universe, Rectangle((0, 0), (7, 8)))
