@@ -18,8 +18,9 @@ import pytest
 
 from repro.geometry.universe import Universe
 from repro.index.backends import BACKEND_NAMES
+from repro.index.config import MATCH_BACKEND_NAMES, IndexConfig
 from repro.index.sfc_array import SFCArray
-from repro.pubsub.match_index import MATCH_BACKEND_NAMES, MatchIndex
+from repro.pubsub.match_index import MatchIndex
 from repro.pubsub.schema import Attribute, AttributeSchema
 from repro.pubsub.sharded_index import ShardedMatchIndex
 from repro.sfc.zorder import ZOrderCurve
@@ -83,9 +84,9 @@ def test_match_index_mixed_workload(benchmark, backend):
 
     def workload():
         if backend == "sharded":
-            index = ShardedMatchIndex(schema, shards=4, workers="inline")
+            index = ShardedMatchIndex(schema, config=IndexConfig(shards=4), workers="inline")
         else:
-            index = MatchIndex(schema, backend=backend)
+            index = MatchIndex(schema, config=IndexConfig(backend=backend))
         index.add_batch(subs[: len(subs) // 2])
         matches = 0
         for sid, ranges in subs[len(subs) // 2 :]:

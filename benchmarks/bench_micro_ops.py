@@ -17,6 +17,7 @@ from repro.core.covering import ApproximateCoveringDetector
 from repro.core.decomposition import greedy_decomposition, level_census
 from repro.geometry.rect import ExtremalRectangle
 from repro.geometry.universe import Universe
+from repro.index.config import IndexConfig
 from repro.index.sfc_array import SFCArray
 from repro.sfc.hilbert import HilbertCurve
 from repro.sfc.zorder import ZOrderCurve
@@ -106,7 +107,7 @@ def test_level_census_4d(benchmark, universe_4d):
 
 def test_single_covering_query(benchmark):
     detector = ApproximateCoveringDetector(
-        attributes=2, attribute_order=10, epsilon=0.1, cube_budget=20_000
+        attributes=2, attribute_order=10, config=IndexConfig(epsilon=0.1, cube_budget=20_000)
     )
     rng = random.Random(5)
     for i in range(2_000):

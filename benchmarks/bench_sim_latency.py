@@ -20,6 +20,7 @@ import os
 
 from repro.analysis.experiments import run_sim_latency_experiment
 from repro.analysis.reporting import ResultTable
+from repro.index.config import IndexConfig
 from repro.pubsub import BrokerNetwork, chain_topology, star_topology, tree_topology
 from repro.sim import SimTransport, UniformJitterLatency
 from repro.workloads.dynamics import rolling_failures_script, run_dynamic_scenario
@@ -75,7 +76,7 @@ def test_sim_rolling_failures_audit_clean(run_once, record_table):
                 scenario.schema,
                 topology,
                 covering="approximate",
-                epsilon=0.2,
+                config=IndexConfig(epsilon=0.2),
                 transport=transport,
             )
             script = rolling_failures_script(

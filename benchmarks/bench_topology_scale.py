@@ -21,6 +21,7 @@ import os
 
 from repro.analysis.experiments import run_topology_scale_experiment
 from repro.analysis.reporting import ResultTable
+from repro.index.config import IndexConfig
 from repro.pubsub import BrokerNetwork
 from repro.sim import SimTransport
 from repro.workloads.dynamics import region_netsplit_script, run_dynamic_scenario
@@ -73,7 +74,7 @@ def test_topology_netsplit_heal_audit_clean(run_once, record_table):
                 scenario.schema,
                 topology.overlay,
                 covering="approximate",
-                epsilon=0.2,
+                config=IndexConfig(epsilon=0.2),
                 transport=transport,
                 nodes=topology.broker_ids,
             )

@@ -24,9 +24,9 @@ echo "== tier-1 tests (hypothesis profile: ${HYPOTHESIS_PROFILE:-ci}) =="
 HYPOTHESIS_PROFILE="${HYPOTHESIS_PROFILE:-ci}" python -m pytest -x -q tests
 
 echo "== benchmark smoke (tiny sizes) =="
-# bench_subscription_churn's smoke pass *asserts* the batch subscribe/withdraw
-# APIs leave byte-identical routing state to a sequential replay — any
-# divergence fails CI here.
+# bench_subscription_churn times the batch subscribe/withdraw APIs against
+# sequential calls on the one engine; the driver raises unless the two leave
+# byte-identical routing state — any divergence fails CI here.
 # bench_curve_ablation's smoke pass asserts the per-event delivery sets are
 # identical under every curve (the driver raises on any divergence) and that
 # Hilbert needs fewer key runs than Z on the Fig. 1-style rectangle family.
@@ -138,7 +138,8 @@ echo "== numpy-free fallback tier-1 (REPRO_NO_NUMPY=1) =="
 REPRO_NO_NUMPY=1 HYPOTHESIS_PROFILE=smoke python -m pytest -x -q tests
 
 echo "== example smoke (tiny sizes) =="
-REPRO_BENCH_SMOKE=1 python examples/broker_network_simulation.py > /dev/null
-REPRO_BENCH_SMOKE=1 python examples/sim_latency_churn.py > /dev/null
+for example in examples/*.py; do
+    REPRO_BENCH_SMOKE=1 python "$example" > /dev/null
+done
 
 echo "ci.sh: all checks passed"

@@ -26,6 +26,7 @@ import os
 import random
 
 from repro.analysis.reporting import format_bar_chart, format_table
+from repro.index.config import IndexConfig
 from repro.pubsub import BrokerNetwork, Event, Subscription, tree_topology
 from repro.sim import SyncTransport
 from repro.workloads.scenarios import sensor_network_scenario
@@ -40,8 +41,7 @@ def run_strategy(scenario, covering: str, placements, publish_at) -> dict:
         scenario.schema,
         tree_topology(NUM_BROKERS),
         covering=covering,
-        epsilon=0.25,
-        cube_budget=3_000,
+        config=IndexConfig(epsilon=0.25, cube_budget=3_000),
         samples=6,
         seed=42,
         transport=SyncTransport(),

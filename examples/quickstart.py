@@ -17,13 +17,16 @@ Run with:  python examples/quickstart.py
 from __future__ import annotations
 
 from repro import ApproximateCoveringDetector
+from repro.core.covering import OFFLINE_CONFIG
 
 
 def main() -> None:
     # Subscriptions have 2 numeric attributes, each quantised to 10 bits
     # (values 0..1023).  ε = 0.05 means each covering query searches at least
     # 95% of the volume of the region where covering subscriptions can live.
-    detector = ApproximateCoveringDetector(attributes=2, attribute_order=10, epsilon=0.05)
+    detector = ApproximateCoveringDetector(
+        attributes=2, attribute_order=10, config=OFFLINE_CONFIG.replace(epsilon=0.05)
+    )
 
     # A broad "market watcher" subscription and some narrower ones.
     detector.add_subscription("market-watcher", [(0, 900), (100, 1000)])

@@ -23,6 +23,7 @@ from __future__ import annotations
 import os
 
 from repro.analysis.reporting import format_table
+from repro.index.config import IndexConfig
 from repro.pubsub import BrokerNetwork, tree_topology
 from repro.sim import (
     FixedLatency,
@@ -48,7 +49,7 @@ def fresh_network(scenario, transport):
         scenario.schema,
         tree_topology(NUM_BROKERS),
         covering="approximate",
-        epsilon=0.2,
+        config=IndexConfig(epsilon=0.2),
         transport=transport,
     )
 

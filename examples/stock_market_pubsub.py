@@ -17,6 +17,7 @@ from __future__ import annotations
 import random
 
 from repro.analysis.reporting import format_table
+from repro.index.config import IndexConfig
 from repro.pubsub import (
     BrokerNetwork,
     Event,
@@ -34,7 +35,8 @@ def motivating_example() -> None:
     schema = scenario.schema
 
     network = BrokerNetwork.from_topology(
-        schema, tree_topology(5), covering="approximate", epsilon=0.05, cube_budget=5_000
+        schema, tree_topology(5), covering="approximate",
+        config=IndexConfig(epsilon=0.05, cube_budget=5_000)
     )
     trader = Subscriber(network, broker_id=4, client_id="ibm-trader")
     trader.subscribe({"volume": (500.0, 1_000_000.0), "price": (0.0, 95.0)})
@@ -62,8 +64,7 @@ def trader_workload() -> None:
             scenario.schema,
             tree_topology(9),
             covering=covering,
-            epsilon=0.25,
-            cube_budget=4_000,
+            config=IndexConfig(epsilon=0.25, cube_budget=4_000),
             seed=1,
         )
         for i, constraints in enumerate(scenario.subscriptions):

@@ -22,8 +22,11 @@ covering (ICDCS 2007 / JPDC 2012).  The package is layered bottom-up:
 Quickstart::
 
     from repro import ApproximateCoveringDetector
+    from repro.core.covering import OFFLINE_CONFIG
 
-    detector = ApproximateCoveringDetector(attributes=2, attribute_order=10, epsilon=0.05)
+    detector = ApproximateCoveringDetector(
+        attributes=2, attribute_order=10, config=OFFLINE_CONFIG.replace(epsilon=0.05)
+    )
     detector.add_subscription("wide", [(0, 900), (100, 800)])
     result = detector.find_covering([(10, 500), (200, 700)])
     assert result.covered and result.covering_id == "wide"

@@ -19,7 +19,9 @@ import pathlib
 import sys
 from typing import Callable, Dict, Optional
 
+from ..index.config import IndexConfig
 from ..obs.exposition import validate_prometheus_text, write_bench_json
+from ..pubsub.routing_table import COVERING_KINDS
 from ..sfc.factory import CURVE_KINDS
 from . import experiments
 
@@ -151,10 +153,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--host", default="127.0.0.1", help="interface to bind (default: loopback)"
     )
-    serve.add_argument(
-        "--covering", choices=("none", "exact", "approximate", "probabilistic"),
-        default="approximate",
-    )
+    serve.add_argument("--covering", choices=COVERING_KINDS, default="approximate")
     serve.add_argument("--curve", choices=CURVE_KINDS, default="zorder")
     serve.add_argument("--seed", type=int, default=7)
     metrics = subparsers.add_parser(
@@ -235,7 +234,7 @@ def _run_serve(
         schema,
         builders[topology](brokers),
         covering=covering,
-        curve=curve,
+        config=IndexConfig(curve=curve),
         seed=seed,
         transport=NetTransport(host=host),
         metrics=MetricsRegistry(enabled=True),

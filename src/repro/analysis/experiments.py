@@ -34,6 +34,7 @@ from ..core.decomposition import (
 )
 from ..geometry.rect import ExtremalRectangle, Rectangle
 from ..geometry.universe import Universe
+from ..index.config import IndexConfig
 from ..index.kdtree import KDTree
 from ..index.range_tree import RangeTree
 from ..obs.exposition import snapshot as metrics_snapshot
@@ -266,7 +267,9 @@ def run_approx_vs_exhaustive_experiment(
     queries = workload.generate(num_queries, prefix="query")
 
     detector = ApproximateCoveringDetector(
-        attributes=attributes, attribute_order=order, epsilon=0.05, cube_budget=200_000
+        attributes=attributes,
+        attribute_order=order,
+        config=IndexConfig(epsilon=0.05, cube_budget=200_000),
     )
     linear = LinearScanCoveringDetector(attributes, order)
     for spec in stored:
@@ -389,7 +392,9 @@ def run_recall_experiment(
         linear = LinearScanCoveringDetector(attributes, order)
         probabilistic = ProbabilisticCoveringDetector(attributes, order, samples=8, seed=seed)
         detector = ApproximateCoveringDetector(
-            attributes=attributes, attribute_order=order, epsilon=0.05, cube_budget=cube_budget
+            attributes=attributes,
+            attribute_order=order,
+            config=IndexConfig(epsilon=0.05, cube_budget=cube_budget),
         )
         for spec in stored:
             linear.add_subscription(spec.sub_id, spec.ranges)
@@ -517,11 +522,9 @@ def run_pubsub_experiment(
             schema,
             tree_topology(num_brokers),
             covering=strategy,
-            epsilon=epsilon,
+            config=IndexConfig(epsilon=epsilon, cube_budget=cube_budget, curve=curve),
             seed=seed,
-            cube_budget=cube_budget,
             matching=matching,
-            curve=curve,
         )
         start = time.perf_counter()
         for spec, broker_id in zip(specs, placements):
@@ -625,10 +628,9 @@ def run_metrics_scenario(
         schema,
         tree_topology(num_brokers),
         covering="approximate",
-        epsilon=epsilon,
+        config=IndexConfig(epsilon=epsilon, curve=curve),
         seed=seed,
         matching=matching,
-        curve=curve,
         transport=SimTransport(seed=seed),
         metrics=MetricsRegistry(),
         tracing=TraceLog(capacity=trace_capacity, seed=seed),
@@ -692,36 +694,24 @@ def run_subscription_churn_experiment(
     transports: Sequence[str] = ("sync", "sim"),
     curve: str = "zorder",
     seed: int = 11,
-    verify_state: bool = False,
 ) -> ResultTable:
-    """E-SUB-CHURN: batched subscription churn vs the per-subscription baseline.
+    """E-SUB-CHURN: batched subscription churn vs sequential calls.
 
     Two row kinds:
 
     * ``phase="churn"`` — for each size, the same wide/narrow workload is
       subscribed and then partially withdrawn (a slice of broad covers plus a
       slice of narrow subscriptions, so the withdrawal-promotion path runs
-      hard; ``max_cover_withdrawals`` bounds the *baseline's* rescan blow-up,
-      which is quadratic in practice — 300 cover withdrawals at 50k
-      subscriptions put the legacy engine beyond an hour) on
-      a broker tree, once through the legacy per-subscription path
-      (``promotion="rescan"``, ``profile_sharing=False`` — the pre-fast-path
-      broker, which re-derives each covering query's geometry per link and
-      re-checks the whole suppressed set per withdrawal) and once through
-      ``subscribe_batch`` / ``unsubscribe_batch`` with profile sharing and
-      incremental promotion.  The row reports both phase timings and the
-      combined speedup.
-    * ``phase="audit"`` — the fast path's post-churn delivery audit on every
+      hard) on a broker tree, once through per-subscription ``subscribe`` /
+      ``unsubscribe`` calls and once through ``subscribe_batch`` /
+      ``unsubscribe_batch``.  The row reports both arms' phase timings; the
+      two runs must leave byte-identical normalised routing state — the
+      batch API is pinned to be a pure amortisation — or the driver raises.
+    * ``phase="audit"`` — the post-churn delivery audit on every
       (topology × transport) pair: after the batch churn settles, probe
       events published across the overlay must reach exactly the surviving
-      matching subscribers (``missed`` must be 0 everywhere; the fast path
-      may only ever *suppress more*, never lose).
-
-    With ``verify_state=True`` (the CI smoke pass) every churn comparison
-    additionally replays the batch workload through sequential
-    ``subscribe`` / ``unsubscribe`` calls under identical flags and asserts
-    the two runs leave byte-identical normalised routing state — the batch
-    API is pinned to be a pure amortisation.
+      matching subscribers (``missed`` must be 0 everywhere; covering may
+      only ever *suppress more*, never lose).
     """
     import random as _random
 
@@ -733,7 +723,7 @@ def run_subscription_churn_experiment(
         "chain": chain_topology,
         "star": star_topology,
     }
-    table = ResultTable("E-SUB-CHURN: subscription churn, batch fast path vs baseline")
+    table = ResultTable("E-SUB-CHURN: subscription churn, batch vs sequential calls")
     schema = _default_schema(order)
 
     def build_workload(size: int):
@@ -752,7 +742,7 @@ def run_subscription_churn_experiment(
         placement = {
             sub.sub_id: rng.randrange(num_brokers) for sub in subscriptions
         }
-        # Per-broker batches in arrival order; the sequential baseline replays
+        # Per-broker batches in arrival order; the sequential arm replays
         # the same flattened order so covering decisions see identical
         # arrival sequences.
         batches: Dict[int, List[Tuple[str, Subscription]]] = {}
@@ -773,7 +763,7 @@ def run_subscription_churn_experiment(
         kills = [pair for group in kill_groups.values() for pair in group]
         return batches, kills
 
-    def make_network(topology: str, transport: str, promotion: str, sharing: bool):
+    def make_network(topology: str, transport: str):
         if transport == "sim":
             transport_obj = SimTransport(
                 make_latency_model("fixed", delay=0.01), seed=seed
@@ -784,11 +774,7 @@ def run_subscription_churn_experiment(
             schema,
             topology_builders[topology](num_brokers),
             covering="approximate",
-            epsilon=epsilon,
-            cube_budget=cube_budget,
-            curve=curve,
-            promotion=promotion,
-            profile_sharing=sharing,
+            config=IndexConfig(epsilon=epsilon, cube_budget=cube_budget, curve=curve),
             transport=transport_obj,
         )
 
@@ -819,35 +805,25 @@ def run_subscription_churn_experiment(
     # ------------------------------------------------------- churn comparison
     for size in sizes:
         batches, kills = build_workload(size)
-        legacy = make_network("tree", "sync", promotion="rescan", sharing=False)
-        legacy_subscribe, legacy_withdraw = run_sequential(legacy, batches, kills)
-        fast = make_network("tree", "sync", promotion="incremental", sharing=True)
-        fast_subscribe, fast_withdraw = run_batch(fast, batches, kills)
-        if verify_state:
-            replay = make_network("tree", "sync", promotion="incremental", sharing=True)
-            run_sequential(replay, batches, kills)
-            if replay.routing_state() != fast.routing_state():
-                raise AssertionError(
-                    "batch subscribe/withdraw diverged from sequential replay "
-                    f"at size {size}"
-                )
-        stats = fast.collect_stats()
-        legacy_total = legacy_subscribe + legacy_withdraw
-        fast_total = fast_subscribe + fast_withdraw
+        sequential = make_network("tree", "sync")
+        sequential_subscribe, sequential_withdraw = run_sequential(sequential, batches, kills)
+        batch = make_network("tree", "sync")
+        batch_subscribe, batch_withdraw = run_batch(batch, batches, kills)
+        if sequential.routing_state() != batch.routing_state():
+            raise AssertionError(
+                f"batch subscribe/withdraw diverged from sequential calls at size {size}"
+            )
+        stats = batch.collect_stats()
         table.add(
             phase="churn",
             subscriptions=size,
             topology="tree",
             transport="sync",
             withdrawals=len(kills),
-            legacy_subscribe_s=round(legacy_subscribe, 3),
-            legacy_withdraw_s=round(legacy_withdraw, 3),
-            fast_subscribe_s=round(fast_subscribe, 3),
-            fast_withdraw_s=round(fast_withdraw, 3),
-            speedup=round(legacy_total / fast_total, 2) if fast_total else 0.0,
-            withdraw_speedup=(
-                round(legacy_withdraw / fast_withdraw, 2) if fast_withdraw else 0.0
-            ),
+            sequential_subscribe_s=round(sequential_subscribe, 3),
+            sequential_withdraw_s=round(sequential_withdraw, 3),
+            batch_subscribe_s=round(batch_subscribe, 3),
+            batch_withdraw_s=round(batch_withdraw, 3),
             promotions=stats.total_promotions,
             batch_covering_checks=stats.total_batch_covering_checks,
             profile_cache_hits=stats.profile_cache_hits,
@@ -872,7 +848,7 @@ def run_subscription_churn_experiment(
     rng = _random.Random(seed + 4)
     for topology in topologies:
         for transport in transports:
-            network = make_network(topology, transport, "incremental", True)
+            network = make_network(topology, transport)
             run_batch(network, batches, kills)
             missed_total = extra_total = 0
             for event in events:
@@ -944,9 +920,7 @@ def run_event_matching_experiment(
             "bench",
             schema=schema,
             matching="sfc",
-            backend=backend,
-            run_budget=run_budget,
-            curve=curve,
+            config=IndexConfig(backend=backend, run_budget=run_budget, curve=curve),
         )
         subscriptions = _spec_subscriptions(schema, specs)
         for subscription in subscriptions:
@@ -1082,10 +1056,8 @@ def run_curve_ablation_experiment(
                 schema,
                 tree_topology(num_brokers),
                 covering="approximate",
-                epsilon=epsilon,
-                cube_budget=cube_budget,
+                config=IndexConfig(epsilon=epsilon, cube_budget=cube_budget, curve=curve),
                 matching="sfc",
-                curve=curve,
             )
             start = time.perf_counter()
             for broker_id, items in batches.items():
@@ -1214,8 +1186,7 @@ def run_dimensionality_experiment(
             detector = ApproximateCoveringDetector(
                 attributes=attributes,
                 attribute_order=order,
-                epsilon=epsilon,
-                cube_budget=25_000,
+                config=IndexConfig(epsilon=epsilon, cube_budget=25_000),
             )
             for spec in stored:
                 detector.add_subscription(spec.sub_id, spec.ranges)
@@ -1279,9 +1250,7 @@ def run_throughput_experiment(
         approx = ApproximateCoveringDetector(
             attributes=attributes,
             attribute_order=order,
-            epsilon=epsilon,
-            cube_budget=20_000,
-            backend=backend,
+            config=IndexConfig(epsilon=epsilon, cube_budget=20_000, backend=backend),
         )
         linear = LinearScanCoveringDetector(attributes, order)
         kdtree = KDTree(dims=dims)
@@ -1383,9 +1352,8 @@ def run_sim_latency_experiment(
                 scenario.schema,
                 topology_builders[topo_kind](num_brokers),
                 covering="approximate",
-                epsilon=epsilon,
+                config=IndexConfig(epsilon=epsilon, curve=curve),
                 matching=matching,
-                curve=curve,
                 transport=transport,
             )
             report = run_dynamic_scenario(
@@ -1459,9 +1427,8 @@ def run_topology_scale_experiment(
             scenario.schema,
             topology.overlay,
             covering="approximate",
-            epsilon=epsilon,
+            config=IndexConfig(epsilon=epsilon, curve=curve),
             matching=matching,
-            curve=curve,
             transport=transport,
             nodes=topology.broker_ids,
         )
@@ -1580,11 +1547,17 @@ def run_match_scale_experiment(
         for backend in backends:
             if backend == "sharded":
                 index = ShardedMatchIndex(
-                    schema, shards=shards, curve=curve, precision_bits=precision_bits
+                    schema,
+                    config=IndexConfig(
+                        shards=shards, curve=curve, precision_bits=precision_bits
+                    ),
                 )
             else:
                 index = MatchIndex(
-                    schema, backend=backend, curve=curve, precision_bits=precision_bits
+                    schema,
+                    config=IndexConfig(
+                        backend=backend, curve=curve, precision_bits=precision_bits
+                    ),
                 )
             index.add_batch(parity_items)
             got = [sorted(ids) for ids in index.matching_ids_batch(parity_cells)]
@@ -1606,7 +1579,9 @@ def run_match_scale_experiment(
 
     # -------------------------------------------------------------- baseline
     baseline_items = _scale_subscriptions(baseline_population, order, seed)
-    baseline = MatchIndex(schema, backend="avl", precision_bits=precision_bits)
+    baseline = MatchIndex(
+        schema, config=IndexConfig(backend="avl", precision_bits=precision_bits)
+    )
     start = time.perf_counter()
     for sub_id, ranges in baseline_items:
         baseline.add(sub_id, ranges)
@@ -1632,10 +1607,11 @@ def run_match_scale_experiment(
         ]
         for backend in ("flat", "sharded"):
             if backend == "flat":
-                index = MatchIndex(schema, backend="flat", precision_bits=precision_bits)
+                index = MatchIndex(schema, config=IndexConfig(precision_bits=precision_bits))
             else:
                 index = ShardedMatchIndex(
-                    schema, shards=shards, precision_bits=precision_bits
+                    schema,
+                    config=IndexConfig(shards=shards, precision_bits=precision_bits),
                 )
             start = time.perf_counter()
             index.add_batch(items)
@@ -1732,7 +1708,6 @@ def run_auto_tuning_experiment(
     """
     import random as _random
 
-    from ..index.config import IndexConfig
     from ..workloads.scenarios import (
         auction_scenario,
         sensor_network_scenario,
@@ -1774,15 +1749,16 @@ def run_auto_tuning_experiment(
             )
         origins = [rng.randrange(num_brokers) for _ in events]
 
-        def run_one(config: IndexConfig, tuned: bool):
+        def run_one(curve: str, tuned: bool):
             network = BrokerNetwork.from_topology(
                 schema,
                 tree_topology(num_brokers),
                 covering="approximate",
-                epsilon=epsilon,
                 matching="sfc",
                 seed=seed,
-                config=config,
+                config=IndexConfig(
+                    curve=curve, run_budget=start_run_budget, epsilon=epsilon
+                ),
             )
             tuner = (
                 network.attach_tuner(
@@ -1825,9 +1801,8 @@ def run_auto_tuning_experiment(
         measured = num_events - warmup_events
         deliveries: Dict[str, Dict[Hashable, frozenset]] = {}
         for curve in static_curves:
-            config = IndexConfig(curve=curve, run_budget=start_run_budget)
             _, _, delivered, candidates, fps, segments, seconds = run_one(
-                config, tuned=False
+                curve, tuned=False
             )
             deliveries[f"static:{curve}"] = delivered
             table.add(
@@ -1843,9 +1818,8 @@ def run_auto_tuning_experiment(
                 seconds=round(seconds, 4),
             )
 
-        config = IndexConfig(curve=static_curves[0], run_budget=start_run_budget)
         _, tuner, delivered, candidates, fps, segments, seconds = run_one(
-            config, tuned=True
+            static_curves[0], tuned=True
         )
         deliveries["tuned"] = delivered
         counters = tuner.counters()

@@ -31,7 +31,6 @@ from typing import Hashable, Iterator, List, Optional, Sequence, Tuple
 
 from ..geometry.rect import ExtremalRectangle
 from ..geometry.universe import Universe
-from ..index.config import IndexConfig
 from ..index.sfc_array import SFCArray, StoredItem
 from ..sfc.base import KeyRange, SpaceFillingCurve
 from ..sfc.runs import merge_key_ranges
@@ -154,7 +153,6 @@ class DominancePlan:
         aspect_ratio: int,
         producer: Iterator[PlanStep],
         curve_kind: str,
-        config: Optional[IndexConfig] = None,
     ) -> None:
         self.universe = universe
         self.point = point
@@ -163,10 +161,6 @@ class DominancePlan:
         self.region_volume = region_volume
         self.aspect_ratio = aspect_ratio
         self.curve_kind = curve_kind
-        #: The :class:`~repro.index.config.IndexConfig` the plan was built
-        #: under, when the caller tracks one; plans compare compatible when
-        #: their configs share a covering key.
-        self.config = config
         self._steps: List[PlanStep] = []
         self._producer: Optional[Iterator[PlanStep]] = producer
         #: Termination reason when an execution exhausts every step without a
@@ -203,7 +197,6 @@ def build_dominance_plan(
     cube_budget: int,
     curve: Optional[SpaceFillingCurve] = None,
     merge_adjacent_runs: bool = True,
-    config: Optional[IndexConfig] = None,
 ) -> DominancePlan:
     """Build the probe schedule of an ε-approximate dominance query.
 
@@ -240,7 +233,6 @@ def build_dominance_plan(
         aspect_ratio=region.aspect_ratio,
         producer=iter(()),  # replaced below; needs `plan` in scope
         curve_kind=curve.kind,
-        config=config,
     )
 
     def produce() -> Iterator[PlanStep]:
@@ -339,7 +331,6 @@ class ApproximateDominanceIndex:
     merge_adjacent_runs: bool = True
     cube_budget: int = 1_000_000
     seed: Optional[int] = None
-    config: Optional[IndexConfig] = None
     array: SFCArray = field(init=False)
 
     def __post_init__(self) -> None:
@@ -406,7 +397,6 @@ class ApproximateDominanceIndex:
             cube_budget=self.cube_budget,
             curve=self.curve,
             merge_adjacent_runs=self.merge_adjacent_runs,
-            config=self.config,
         )
 
     def execute_plan(self, plan: DominancePlan) -> DominanceQueryResult:

@@ -26,7 +26,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..geometry.transform import DominanceTransform, Range
 from ..index.backends import ordered_map_backend_name
-from ..index.config import IndexConfig, resolve_index_config
+from ..index.config import IndexConfig
 from ..sfc.factory import make_curve
 from .approx_dominance import (
     ApproximateDominanceIndex,
@@ -36,11 +36,18 @@ from .approx_dominance import (
 )
 
 __all__ = [
+    "OFFLINE_CONFIG",
     "ApproximateCoveringDetector",
     "CoveringProfile",
     "CoveringProfiler",
     "CoveringResult",
 ]
+
+#: Configuration of a detector or profiler built without one (the paper-figure
+#: experiments): the ε-cube budget is far larger than the routing default
+#: because an offline query runs once, not once per covering probe on the
+#: forwarding path.
+OFFLINE_CONFIG = IndexConfig(cube_budget=1_000_000)
 
 
 @dataclass
@@ -90,31 +97,15 @@ class CoveringProfiler:
     handed to any of them.
     """
 
-    #: Offline default ε-cube budget of a broker-level profiler; far larger
-    #: than the routing default because the profiler runs once per stored
-    #: subscription, not once per covering probe.
-    DEFAULT_PROFILER_CUBE_BUDGET = 1_000_000
-
     def __init__(
         self,
         attributes: int,
         attribute_order: int,
-        epsilon: Optional[float] = None,
-        cube_budget: Optional[int] = None,
-        curve: Optional[str] = None,
         config: Optional[IndexConfig] = None,
     ) -> None:
-        if config is None and cube_budget is None:
-            cube_budget = self.DEFAULT_PROFILER_CUBE_BUDGET
-        config = resolve_index_config(
-            config, epsilon=epsilon, cube_budget=cube_budget, curve=curve
-        )
-        self.config = config
+        self.config = config = config or OFFLINE_CONFIG
         self.attributes = attributes
         self.attribute_order = attribute_order
-        self.epsilon = config.epsilon
-        self.cube_budget = config.cube_budget
-        self.curve = config.curve
         self.transform = DominanceTransform(attributes, attribute_order)
         self._curve = make_curve(config.curve, self.transform.universe)
 
@@ -143,10 +134,9 @@ class CoveringProfiler:
         plan = build_dominance_plan(
             self.transform.universe,
             point,
-            epsilon=self.epsilon,
-            cube_budget=self.cube_budget,
+            epsilon=self.config.epsilon,
+            cube_budget=self.config.cube_budget,
             curve=self._curve,
-            config=self.config,
         )
         return CoveringProfile(ranges=validated, point=point, plan=plan)
 
@@ -161,56 +151,35 @@ class ApproximateCoveringDetector:
         Number of numeric attributes β in every subscription.
     attribute_order:
         Bits per attribute; attribute values lie in ``[0, 2^k − 1]``.
-    epsilon:
-        Default approximation parameter (0 = exhaustive search).
-    backend:
-        SFC-array backend name (``"flat"``, ``"avl"``, ``"skiplist"``,
-        ``"sortedlist"``).  Defaults to the flattened sorted-array store.
-    cube_budget:
-        Per-query cap on examined standard cubes (passed to the dominance index).
-    curve:
-        Space-filling-curve kind keying the dominance index
-        (:data:`~repro.sfc.factory.CURVE_KINDS`); any recursive-partitioning
-        curve gives the same answers, only the probe key ranges differ.
+    config:
+        The :class:`~repro.index.config.IndexConfig` supplying the default
+        approximation parameter ε (0 = exhaustive search), the per-query cap
+        on examined standard cubes, the curve keying the dominance index (any
+        recursive-partitioning curve gives the same answers, only the probe
+        key ranges differ) and the SFC-array backend.  Defaults to
+        :data:`OFFLINE_CONFIG`.
     """
 
     attributes: int
     attribute_order: int
-    epsilon: Optional[float] = None
-    backend: Optional[str] = None
-    cube_budget: Optional[int] = None
-    curve: Optional[str] = None
     seed: Optional[int] = None
     config: Optional[IndexConfig] = None
     transform: DominanceTransform = field(init=False)
     index: ApproximateDominanceIndex = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.config is None and self.cube_budget is None:
-            self.cube_budget = CoveringProfiler.DEFAULT_PROFILER_CUBE_BUDGET
-        config = resolve_index_config(
-            self.config,
-            epsilon=self.epsilon,
-            backend=self.backend,
-            cube_budget=self.cube_budget,
-            curve=self.curve,
-        )
-        self.config = config
-        self.epsilon = config.epsilon
-        # The dominance index needs an ordered map; the composite "sharded"
-        # matching backend maps to the flat store its shards are built on.
-        self.backend = ordered_map_backend_name(config.backend)
-        self.cube_budget = config.cube_budget
-        self.curve = config.curve
+        self.config = config = self.config or OFFLINE_CONFIG
         self.transform = DominanceTransform(self.attributes, self.attribute_order)
         self.index = ApproximateDominanceIndex(
             universe=self.transform.universe,
-            epsilon=self.epsilon,
-            curve=make_curve(self.curve, self.transform.universe),
-            backend=self.backend,
-            cube_budget=self.cube_budget,
+            epsilon=config.epsilon,
+            curve=make_curve(config.curve, self.transform.universe),
+            # The dominance index needs an ordered map; the composite
+            # "sharded" matching backend maps to the flat store its shards
+            # are built on.
+            backend=ordered_map_backend_name(config.backend),
+            cube_budget=config.cube_budget,
             seed=self.seed,
-            config=config,
         )
         self._subscriptions: Dict[Hashable, Tuple[Range, ...]] = {}
 
@@ -286,8 +255,8 @@ class ApproximateCoveringDetector:
         return (
             profile.plan.universe == self.transform.universe
             and profile.plan.curve_kind == self.index.curve.kind
-            and profile.plan.epsilon == self.epsilon
-            and profile.plan.cube_budget == self.cube_budget
+            and profile.plan.epsilon == self.config.epsilon
+            and profile.plan.cube_budget == self.config.cube_budget
         )
 
     def add_subscription_profile(self, sub_id: Hashable, profile: CoveringProfile) -> None:

@@ -12,7 +12,6 @@ from .config import (
     MATCH_BACKEND_NAMES,
     PRECISION_BIT_BUDGET,
     IndexConfig,
-    resolve_index_config,
 )
 from .backends import (
     BACKEND_NAMES,
@@ -35,7 +34,6 @@ __all__ = [
     "AVLTree",
     "SkipList",
     "IndexConfig",
-    "resolve_index_config",
     "INDEX_BACKEND_NAMES",
     "MATCH_BACKEND_NAMES",
     "DEFAULT_MATCH_BACKEND",

@@ -11,8 +11,9 @@ hashable value so any layer can describe, compare, cache-key, or atomically
 swap a configuration — the capability the online self-tuner
 (:mod:`repro.tuning`) is built on.
 
-Only this module defines the knob defaults; ``pubsub/match_index.py`` and
-friends re-export them for backward compatibility.
+``config=IndexConfig(...)`` is the only channel through which a knob reaches
+a constructor of the stack, and only this module defines the knob names and
+defaults; importers take them from here.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ __all__ = [
     "MATCH_BACKEND_NAMES",
     "PRECISION_BIT_BUDGET",
     "IndexConfig",
-    "resolve_index_config",
 ]
 
 #: Ordered-map backends a :class:`~repro.pubsub.match_index.MatchIndex` can
@@ -136,20 +136,6 @@ class IndexConfig:
         return min(DEFAULT_PRECISION_BITS, derived)
 
     # -------------------------------------------------------------- keying
-    def cache_key(self) -> Tuple[Any, ...]:
-        """Canonical tuple identifying this configuration for cache namespacing."""
-        return (
-            "index-config",
-            self.curve,
-            self.precision_bits,
-            self.precision_bit_budget,
-            self.run_budget,
-            self.cube_budget,
-            self.epsilon,
-            self.backend,
-            self.shards,
-        )
-
     def covering_key(self) -> Tuple[Any, ...]:
         """The subset of knobs that shape dominance plans / covering profiles.
 
@@ -175,20 +161,3 @@ class IndexConfig:
         )
         return f"IndexConfig({fields})"
 
-
-def resolve_index_config(
-    config: Optional[IndexConfig] = None, **overrides: Any
-) -> IndexConfig:
-    """Merge keyword sugar into a base config.
-
-    Every constructor in the stack keeps its historical keyword arguments
-    (``curve=``, ``backend=``, ``run_budget=`` …) as sugar over
-    :class:`IndexConfig`; they funnel through here. ``None`` overrides mean
-    "not specified" and leave the base value alone — except
-    ``precision_bits``, where ``None`` is itself the meaningful
-    derive-from-budget default and is therefore only applied when the caller
-    passed the keyword at all (callers simply omit it from ``overrides``).
-    """
-    base = config if config is not None else IndexConfig()
-    applied = {k: v for k, v in overrides.items() if v is not None}
-    return base.replace(**applied) if applied else base

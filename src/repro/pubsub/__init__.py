@@ -1,6 +1,6 @@
 """Content-based publish/subscribe substrate: schema, subscriptions, brokers, network."""
 
-from .broker import LOCAL_INTERFACE, PROMOTION_KINDS, Broker, ForwardDecision
+from .broker import LOCAL_INTERFACE, Broker, ForwardDecision
 from .client import Publisher, Subscriber
 from .network import (
     BrokerNetwork,
@@ -10,17 +10,10 @@ from .network import (
     star_topology,
     tree_topology,
 )
-from .match_index import (
-    DEFAULT_MATCH_BACKEND,
-    DEFAULT_RUN_BUDGET,
-    MATCH_BACKEND_NAMES,
-    IndexConfig,
-    MatchIndex,
-    MatchIndexStats,
-)
-from .sharded_index import DEFAULT_SHARDS, ShardedMatchIndex
+from .match_index import MatchIndex, MatchIndexStats
+from .sharded_index import ShardedMatchIndex
 from .routing_table import (
-    DEFAULT_CUBE_BUDGET,
+    COVERING_KINDS,
     MATCHING_KINDS,
     ApproximateCoveringStrategy,
     CoveringStrategy,
@@ -38,7 +31,6 @@ from .subscription_store import ProfileCache, SubscriptionProfile, SubscriptionS
 
 __all__ = [
     "LOCAL_INTERFACE",
-    "PROMOTION_KINDS",
     "Broker",
     "ForwardDecision",
     "Publisher",
@@ -49,15 +41,10 @@ __all__ = [
     "chain_topology",
     "star_topology",
     "tree_topology",
-    "DEFAULT_CUBE_BUDGET",
-    "DEFAULT_RUN_BUDGET",
-    "IndexConfig",
+    "COVERING_KINDS",
     "MATCHING_KINDS",
     "MatchIndex",
     "MatchIndexStats",
-    "MATCH_BACKEND_NAMES",
-    "DEFAULT_MATCH_BACKEND",
-    "DEFAULT_SHARDS",
     "ShardedMatchIndex",
     "ApproximateCoveringStrategy",
     "CoveringStrategy",

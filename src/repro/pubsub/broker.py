@@ -29,12 +29,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from ..core.covering import CoveringProfiler
-from ..index.config import IndexConfig, resolve_index_config
+from ..index.config import IndexConfig
 from ..obs.profiler import profiled
 from ..obs.trace import Span, TraceLog, make_detail
 from .routing_table import (
     CoveringStrategy,
     RoutingTable,
+    check_covering_kind,
     make_covering_strategy,
 )
 from .schema import AttributeSchema
@@ -42,16 +43,10 @@ from .stats import BrokerStats
 from .subscription import Event, Subscription
 from .subscription_store import ProfileCache, SubscriptionProfile, SubscriptionStore
 
-__all__ = ["Broker", "ForwardDecision", "LOCAL_INTERFACE", "PROMOTION_KINDS"]
+__all__ = ["Broker", "ForwardDecision", "LOCAL_INTERFACE"]
 
 #: Pseudo-interface identifier for subscriptions registered by local clients.
 LOCAL_INTERFACE = "__local__"
-
-#: Withdrawal-promotion engines: ``incremental`` re-checks only the suppressed
-#: subscriptions whose recorded cover was withdrawn (one dependents-map pop);
-#: ``rescan`` is the legacy engine that re-checks every suppressed
-#: subscription on the link after any forwarded withdrawal.
-PROMOTION_KINDS = ("incremental", "rescan")
 
 
 @dataclass(frozen=True)
@@ -75,42 +70,32 @@ class Broker:
     schema:
         Message schema shared by the whole network.
     covering:
-        Covering strategy kind (``"none"``, ``"exact"``, ``"approximate"``,
-        ``"probabilistic"``) applied independently per outgoing interface.
-    epsilon:
-        Approximation parameter for the ``"approximate"`` strategy.
-    backend:
-        Match-index backend (``"flat"`` — the default flattened segment
-        store — ``"avl"``, ``"skiplist"``, ``"sortedlist"`` or ``"sharded"``).
-        The approximate covering strategy uses the corresponding ordered-map
-        backend (``"sharded"`` maps to the flat store its shards are built on).
-    shards:
-        Shard count of the ``"sharded"`` match backend (ignored otherwise).
+        Covering strategy kind (:data:`~repro.pubsub.routing_table.COVERING_KINDS`)
+        applied independently per outgoing interface.
+    samples, seed:
+        Sample count of the ``"probabilistic"`` strategy, and the seed of
+        every randomised component (that strategy, skip-list backends).
     matching:
         Event-matching implementation per interface table: ``"linear"`` scans
         stored subscriptions, ``"sfc"`` routes events through the SFC match
         index (identical answers, indexed cost).
-    run_budget:
-        Per-subscription cap on key ranges stored by the ``"sfc"`` match index.
-    curve:
-        Space-filling-curve kind (:data:`~repro.sfc.factory.CURVE_KINDS`) used
-        by both the ``"sfc"`` match index and the ``"approximate"`` covering
-        strategy.  Curves change run/segment statistics, never semantics:
-        delivery and audit results are identical under every kind.
-    promotion:
-        Withdrawal-promotion engine (see :data:`PROMOTION_KINDS`).
-    profile_sharing:
-        When True (default) each stored subscription's covering geometry —
-        validated ranges, dominance point, probe plan — is computed once in
-        the broker's :class:`SubscriptionStore` and shared by every link's
-        covering checks (and by promotion re-checks), and its match-index key
-        runs are read from the profile cache.  False restores the legacy
-        per-check / per-insert recomputation; forwarding decisions and match
-        answers are identical either way.
+    config:
+        The one :class:`~repro.index.config.IndexConfig` of this broker
+        (defaults to ``IndexConfig()``): ``curve`` keys both the ``"sfc"``
+        match index and the ``"approximate"`` covering strategy (curves
+        change run/segment statistics, never semantics), ``epsilon`` and
+        ``cube_budget`` shape that strategy's checks, ``backend`` /
+        ``shards`` / ``run_budget`` / ``precision_bits`` the match index
+        (the covering strategy uses the ordered-map backend corresponding to
+        ``backend``; ``"sharded"`` maps to the flat store).
     profile_cache:
         Optional shared :class:`ProfileCache` (the network passes one cache
         to all its brokers so a subscription is profiled, and decomposed for
-        matching, once network-wide).
+        matching, once network-wide).  Each stored subscription's covering
+        geometry — validated ranges, dominance point, probe plan — is read
+        from it once into the broker's :class:`SubscriptionStore` and shared
+        by every link's covering checks and promotion re-checks; the match
+        indexes read their key runs from the same cache.
     trace:
         Optional shared :class:`~repro.obs.trace.TraceLog` (the network hands
         its brokers the same log it records transport hops into).  When set,
@@ -122,51 +107,24 @@ class Broker:
     broker_id: Hashable
     schema: AttributeSchema
     covering: str = "approximate"
-    epsilon: Optional[float] = None
-    backend: Optional[str] = None
-    shards: Optional[int] = None
     samples: int = 8
     seed: Optional[int] = None
-    cube_budget: Optional[int] = None
     matching: str = "linear"
-    run_budget: Optional[int] = None
-    curve: Optional[str] = None
-    promotion: str = "incremental"
-    profile_sharing: bool = True
     profile_cache: Optional[ProfileCache] = None
     trace: Optional[TraceLog] = None
     config: Optional[IndexConfig] = None
     stats: BrokerStats = field(default_factory=BrokerStats)
 
     def __post_init__(self) -> None:
-        if self.promotion not in PROMOTION_KINDS:
-            raise ValueError(
-                f"unknown promotion kind {self.promotion!r}; expected one of {PROMOTION_KINDS}"
-            )
-        # The keyword knobs are sugar over one IndexConfig; resolution also
-        # validates them (unknown curve kinds raise here).
-        config = resolve_index_config(
-            self.config,
-            epsilon=self.epsilon,
-            backend=self.backend,
-            shards=self.shards,
-            cube_budget=self.cube_budget,
-            run_budget=self.run_budget,
-            curve=self.curve,
-        )
-        self.config = config
-        self.epsilon = config.epsilon
-        self.backend = config.backend
-        self.shards = config.shards
-        self.cube_budget = config.cube_budget
-        self.run_budget = config.run_budget
-        self.curve = config.curve
+        check_covering_kind(self.covering)
+        if self.config is None:
+            self.config = IndexConfig()
         if self.profile_cache is None:
             profiler = (
                 CoveringProfiler(
                     self.schema.num_attributes,
                     self.schema.order,
-                    config=config,
+                    config=self.config,
                 )
                 if self.covering == "approximate"
                 else None
@@ -183,9 +141,9 @@ class Broker:
         self._forwarded_ids: Dict[Hashable, Dict[Hashable, Subscription]] = {}
         self._suppressed: Dict[Hashable, Dict[Hashable, Subscription]] = {}
         # Per neighbour: which forwarded subscription each suppressed one was
-        # last found covered by, plus the reverse map.  The incremental
-        # promotion engine pops the withdrawn cover's dependants instead of
-        # re-checking the whole suppressed set.  Inner dicts preserve
+        # last found covered by, plus the reverse map.  Promotion pops the
+        # withdrawn cover's dependants instead of re-checking the whole
+        # suppressed set.  Inner dicts preserve
         # insertion order so promotion re-checks run deterministically.
         self._cover_of: Dict[Hashable, Dict[Hashable, Hashable]] = {}
         self._dependents: Dict[Hashable, Dict[Hashable, Dict[Hashable, None]]] = {}
@@ -202,16 +160,14 @@ class Broker:
     def _fresh_routing_table(self) -> RoutingTable:
         """Build an empty routing table from this broker's configuration.
 
-        Its match indexes read and fill the broker's profile cache; the
-        ``profile_sharing=False`` legacy arm receives no cache and decomposes
-        per insert.
+        Its match indexes read and fill the broker's profile cache.
         """
         return RoutingTable(
             schema=self.schema,
             matching=self.matching,
             seed=self.seed,
             config=self.config,
-            run_cache=self.profile_cache if self.profile_sharing else None,
+            run_cache=self.profile_cache,
         )
 
     def _fresh_link_state(self, neighbor_id: Hashable) -> None:
@@ -296,7 +252,7 @@ class Broker:
         """
         self._in_batch = True
         try:
-            entries: List[Tuple[Subscription, Optional[SubscriptionProfile]]] = []
+            entries: List[Tuple[Subscription, SubscriptionProfile]] = []
             for subscription in subscriptions:
                 self.stats.subscriptions_received += 1
                 entries.append(
@@ -312,33 +268,33 @@ class Broker:
 
     def _store_subscription(
         self, from_interface: Hashable, subscription: Subscription
-    ) -> Optional[SubscriptionProfile]:
-        """Store an arrival in the interface table; return its shared profile."""
+    ) -> SubscriptionProfile:
+        """Store an arrival in the interface table; return its shared profile.
+
+        The store mirrors the tables (acquired here, released on removal), so
+        every subscription a table or a link's suppressed set holds has a
+        profile.
+        """
         table = self.routing_table.table(from_interface)
         already_stored = subscription.sub_id in table
         table.add(subscription)
-        if not already_stored:
-            self.stats.subscriptions_stored += 1
-            if self.profile_sharing:
-                return self._store.acquire(subscription)
-        return self._store.get(subscription.sub_id) if self.profile_sharing else None
+        if already_stored:
+            return self._store.get(subscription.sub_id)
+        self.stats.subscriptions_stored += 1
+        return self._store.acquire(subscription)
 
     @profiled("broker.covering_check")
     def _covering_check(
         self,
         strategy: CoveringStrategy,
-        subscription: Subscription,
-        profile: Optional[SubscriptionProfile],
+        profile: SubscriptionProfile,
     ) -> Optional[Hashable]:
         """One covering query against a link's forwarded set, with accounting."""
         self.stats.covering_checks += 1
         if self._in_batch:
             self.stats.batch_covering_checks += 1
         before = strategy.work_units()
-        if profile is not None:
-            covered_by = strategy.find_covering_profile(profile)
-        else:
-            covered_by = strategy.find_covering(subscription.ranges)
+        covered_by = strategy.find_covering_profile(profile)
         self.stats.covering_check_runs += strategy.work_units() - before
         return covered_by
 
@@ -378,13 +334,10 @@ class Broker:
         neighbor_id: Hashable,
         strategy: CoveringStrategy,
         subscription: Subscription,
-        profile: Optional[SubscriptionProfile],
+        profile: SubscriptionProfile,
     ) -> None:
         """Add a subscription to a link's forwarded set and send it."""
-        if profile is not None:
-            strategy.add_profile(subscription.sub_id, profile)
-        else:
-            strategy.add(subscription.sub_id, subscription.ranges)
+        strategy.add_profile(subscription.sub_id, profile)
         self._forwarded_ids[neighbor_id][subscription.sub_id] = subscription
         self.stats.subscriptions_forwarded += 1
         self._decision_log.append(ForwardDecision(subscription.sub_id, neighbor_id, True, None))
@@ -399,7 +352,7 @@ class Broker:
         self,
         neighbor_id: Hashable,
         subscription: Subscription,
-        profile: Optional[SubscriptionProfile] = None,
+        profile: SubscriptionProfile,
     ) -> None:
         if subscription.sub_id in self._forwarded_ids[neighbor_id]:
             # Duplicate arrival of a subscription already forwarded on this
@@ -408,7 +361,7 @@ class Broker:
             # after a single withdrawal.
             return
         strategy = self._forwarded[neighbor_id]
-        covered_by = self._covering_check(strategy, subscription, profile)
+        covered_by = self._covering_check(strategy, profile)
         if self.trace is not None:
             self.trace.record(
                 Span(
@@ -522,10 +475,9 @@ class Broker:
                 if subscription.sub_id in seen:
                     continue
                 seen.add(subscription.sub_id)
-                profile = (
-                    self._store.get(subscription.sub_id) if self.profile_sharing else None
+                self._consider_forwarding(
+                    neighbor_id, subscription, self._store.get(subscription.sub_id)
                 )
-                self._consider_forwarding(neighbor_id, subscription, profile)
         return len(seen)
 
     # --------------------------------------------------------- unsubscriptions
@@ -575,7 +527,7 @@ class Broker:
             if neighbor_id == from_interface:
                 continue
             self._withdraw_from_neighbor(neighbor_id, sub_id)
-        if removed and self.profile_sharing:
+        if removed:
             self._store.release(sub_id)
 
     def receive_unsubscription_batch(
@@ -596,9 +548,8 @@ class Broker:
                     continue
                 for sub_id in sub_ids:
                     self._withdraw_from_neighbor(neighbor_id, sub_id)
-            if self.profile_sharing:
-                for sub_id in removed:
-                    self._store.release(sub_id)
+            for sub_id in removed:
+                self._store.release(sub_id)
         finally:
             self._in_batch = False
 
@@ -617,28 +568,16 @@ class Broker:
             self._send_unsubscription(self.broker_id, neighbor_id, sub_id)
         # Subscriptions previously suppressed on this link may have lost their
         # cover; re-run the forwarding decision so downstream brokers keep
-        # receiving the events those subscribers still need.  The incremental
-        # engine re-checks only the withdrawn subscription's recorded
-        # dependants — any other suppressed subscription still has its
-        # recorded cover in the forwarded set, so its suppression stays sound.
-        if self.promotion == "incremental":
-            dependents = self._dependents[neighbor_id].pop(sub_id, None)
-            if not dependents:
-                return
-            candidates = [
-                (pending_id, suppressed[pending_id])
-                for pending_id in dependents
-                if pending_id in suppressed
-            ]
-        else:
-            candidates = list(suppressed.items())
-        for pending_id, pending in candidates:
-            if pending_id not in suppressed:
-                # Promoted earlier in this very pass (it covered a later
-                # candidate's re-check instead).
+        # receiving the events those subscribers still need.  Only the
+        # withdrawn subscription's recorded dependants are re-checked — any
+        # other suppressed subscription still has its recorded cover in the
+        # forwarded set, so its suppression stays sound.
+        for pending_id in self._dependents[neighbor_id].pop(sub_id, None) or ():
+            pending = suppressed.get(pending_id)
+            if pending is None:
                 continue
-            profile = self._store.get(pending_id) if self.profile_sharing else None
-            covered_by = self._covering_check(strategy, pending, profile)
+            profile = self._store.get(pending_id)
+            covered_by = self._covering_check(strategy, profile)
             if covered_by is not None:
                 # Still covered — by a different survivor; re-home it so the
                 # dependants map stays exact.

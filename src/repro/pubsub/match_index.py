@@ -62,19 +62,10 @@ from typing import (
 )
 
 from ..core.decomposition import decompose_rectangle
-from ..geometry.bits import spread_bits
 from ..geometry.rect import Rectangle, StandardCube
 from ..geometry.universe import Universe
 from ..index.backends import make_backend
-from ..index.config import (
-    DEFAULT_MATCH_BACKEND,
-    DEFAULT_PRECISION_BITS,
-    DEFAULT_RUN_BUDGET,
-    MATCH_BACKEND_NAMES,
-    PRECISION_BIT_BUDGET,
-    IndexConfig,
-    resolve_index_config,
-)
+from ..index.config import MATCH_BACKEND_NAMES, IndexConfig
 from ..index.sfc_array import FlatSegmentStore
 from ..obs.profiler import profiled
 from ..sfc.base import KeyRange
@@ -85,22 +76,7 @@ from .schema import AttributeSchema
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .subscription_store import ProfileCache
 
-__all__ = [
-    "MatchIndex",
-    "MatchIndexStats",
-    "IndexConfig",
-    "MATCH_BACKEND_NAMES",
-    "DEFAULT_MATCH_BACKEND",
-    "DEFAULT_RUN_BUDGET",
-    "DEFAULT_PRECISION_BITS",
-    "PRECISION_BIT_BUDGET",
-    "spread_bits",
-]
-
-# The knob constants (MATCH_BACKEND_NAMES, DEFAULT_MATCH_BACKEND,
-# DEFAULT_RUN_BUDGET, DEFAULT_PRECISION_BITS, PRECISION_BIT_BUDGET) are
-# defined once in :mod:`repro.index.config` and re-exported here for
-# backward compatibility.
+__all__ = ["MatchIndex", "MatchIndexStats"]
 
 
 @dataclass
@@ -139,30 +115,27 @@ class MatchIndex:
     schema:
         Attribute schema shared with the routing layer; fixes the grid
         (``d = num_attributes`` dimensions, ``2^order`` cells per side).
-    backend:
-        Segment-store backend (:data:`MATCH_BACKEND_NAMES`).  ``"flat"`` (the
-        default) keeps the disjoint segments in parallel sorted arrays probed
-        by ``bisect``, with bulk-load construction, a pending-run buffer and
-        amortised merge-rebuilds (:class:`~repro.index.sfc_array.FlatSegmentStore`);
-        the ordered-map names (``"avl"``, ``"skiplist"``, ``"sortedlist"``)
-        store one node per segment and remain selectable for the ablation.
-    run_budget:
-        Per-subscription cap on stored key ranges (see module docstring).
-    precision_bits:
-        Grid resolution (bits per dimension) at which rectangles are
-        decomposed; schemas with a larger order have their rectangles snapped
-        outward to this grid first (see module docstring).  When omitted the
-        default scales down with dimensionality so the total decomposition
-        work stays within :data:`PRECISION_BIT_BUDGET`; an explicit value is
-        used as given.
-    curve:
-        Space-filling-curve kind (:data:`~repro.sfc.factory.CURVE_KINDS`)
-        keying the segments.  Curves differ in run counts — and therefore in
-        segment counts and false-positive rates — never in match answers.
     config:
-        A full :class:`~repro.index.config.IndexConfig`; the individual
-        keyword arguments above are sugar layered on top of it (an explicit
-        keyword overrides the corresponding config field).
+        The :class:`~repro.index.config.IndexConfig` (defaults to
+        ``IndexConfig()``).  The index reads four of its fields.  ``backend``
+        names the segment store (:data:`~repro.index.config.MATCH_BACKEND_NAMES`):
+        ``"flat"`` (the default) keeps the disjoint segments in parallel sorted
+        arrays probed by ``bisect``, with bulk-load construction, a pending-run
+        buffer and amortised merge-rebuilds
+        (:class:`~repro.index.sfc_array.FlatSegmentStore`); the ordered-map
+        names (``"avl"``, ``"skiplist"``, ``"sortedlist"``) store one node per
+        segment and remain selectable for the ablation.  ``run_budget`` caps
+        the key ranges stored per subscription (see module docstring).
+        ``precision_bits`` is the grid resolution (bits per dimension) at
+        which rectangles are decomposed; schemas with a larger order have
+        their rectangles snapped outward to this grid first, and ``None``
+        scales the default down with dimensionality so the total
+        decomposition work stays within ``precision_bit_budget``.  ``curve``
+        names the space-filling curve (:data:`~repro.sfc.factory.CURVE_KINDS`)
+        keying the segments; curves differ in run counts — and therefore in
+        segment counts and false-positive rates — never in match answers.
+    seed:
+        Seed of the randomised ordered-map backends (the skip list).
     run_cache:
         Optional :class:`~repro.pubsub.subscription_store.ProfileCache`
         memoising each snapped rectangle's key runs.  A rectangle's runs are
@@ -175,21 +148,11 @@ class MatchIndex:
     def __init__(
         self,
         schema: AttributeSchema,
-        backend: Optional[str] = None,
-        run_budget: Optional[int] = None,
-        precision_bits: Optional[int] = None,
-        curve: Optional[str] = None,
         seed: Optional[int] = None,
         config: Optional[IndexConfig] = None,
         run_cache: Optional["ProfileCache"] = None,
     ) -> None:
-        config = resolve_index_config(
-            config,
-            backend=backend,
-            run_budget=run_budget,
-            precision_bits=precision_bits,
-            curve=curve,
-        )
+        config = config or IndexConfig()
         if config.backend not in MATCH_BACKEND_NAMES:
             raise ValueError(
                 f"MatchIndex backend must be one of {MATCH_BACKEND_NAMES}, got "

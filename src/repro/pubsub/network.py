@@ -32,12 +32,13 @@ from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tupl
 import networkx as nx
 
 from ..core.covering import CoveringProfiler
-from ..index.config import IndexConfig, resolve_index_config
+from ..index.config import IndexConfig
 from ..obs.exposition import render_prometheus, snapshot
 from ..obs.registry import MetricsRegistry
 from ..obs.trace import Span, TraceLog, make_detail
 from ..sim.transport import Message, SyncTransport, Transport
 from .broker import LOCAL_INTERFACE, Broker
+from .routing_table import check_covering_kind
 from .schema import AttributeSchema
 from .stats import NetworkStats
 from .subscription import Event, Subscription
@@ -126,27 +127,24 @@ class BrokerNetwork:
     schema:
         Shared message schema.
     covering:
-        Covering strategy used by every broker (``"none"``, ``"exact"``,
-        ``"approximate"``, ``"probabilistic"``).
-    epsilon:
-        Approximation parameter for the approximate strategy.
+        Covering strategy used by every broker
+        (:data:`~repro.pubsub.routing_table.COVERING_KINDS`).
+    samples, seed, matching:
+        Passed to every :class:`~repro.pubsub.broker.Broker`.
     transport:
         Message transport between brokers; defaults to a fresh
         :class:`~repro.sim.transport.SyncTransport` (immediate inline
         delivery).  Pass a :class:`~repro.sim.transport.SimTransport` for
         latency, queueing and churn.
-    curve:
-        Space-filling-curve kind every broker uses for SFC matching and
-        approximate covering (:data:`~repro.sfc.factory.CURVE_KINDS`).
-        Curves change run/segment statistics, never delivery semantics.
-    promotion:
-        Withdrawal-promotion engine every broker uses
-        (:data:`~repro.pubsub.broker.PROMOTION_KINDS`).
-    profile_sharing:
-        When True (default) the network builds one shared
-        :class:`~repro.pubsub.subscription_store.ProfileCache` so each
-        subscription's covering geometry and match-index key runs are
-        computed once network-wide.
+    config:
+        The one :class:`~repro.index.config.IndexConfig` every broker is
+        built with (defaults to ``IndexConfig()``): curve, ε, cube and run
+        budgets, precision, match backend and shard count.  Curves and
+        backends change run/segment statistics, never delivery semantics.
+        The network builds one
+        :class:`~repro.pubsub.subscription_store.ProfileCache` under it and
+        hands it to every broker, so each subscription's covering geometry
+        and match-index key runs are computed once network-wide.
     metrics:
         Optional :class:`~repro.obs.registry.MetricsRegistry` the network
         publishes its counters into at scrape time (:meth:`scrape`,
@@ -164,17 +162,9 @@ class BrokerNetwork:
 
     schema: AttributeSchema
     covering: str = "approximate"
-    epsilon: Optional[float] = None
-    backend: Optional[str] = None
-    shards: Optional[int] = None
     samples: int = 8
     seed: Optional[int] = None
-    cube_budget: Optional[int] = None
     matching: str = "linear"
-    run_budget: Optional[int] = None
-    curve: Optional[str] = None
-    promotion: str = "incremental"
-    profile_sharing: bool = True
     transport: Optional[Transport] = None
     metrics: Optional[MetricsRegistry] = None
     tracing: Optional[TraceLog] = None
@@ -182,25 +172,9 @@ class BrokerNetwork:
     brokers: Dict[Hashable, Broker] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        # One IndexConfig for the whole network: the per-knob keyword sugar
-        # overrides the (optional) explicit config, and resolution validates
-        # everything up front (unknown curve kinds raise here).  The sugar
-        # fields are back-filled so existing readers keep working.
-        self.config = resolve_index_config(
-            self.config,
-            epsilon=self.epsilon,
-            backend=self.backend,
-            shards=self.shards,
-            cube_budget=self.cube_budget,
-            run_budget=self.run_budget,
-            curve=self.curve,
-        )
-        self.epsilon = self.config.epsilon
-        self.backend = self.config.backend
-        self.shards = self.config.shards
-        self.cube_budget = self.config.cube_budget
-        self.run_budget = self.config.run_budget
-        self.curve = self.config.curve
+        check_covering_kind(self.covering)
+        if self.config is None:
+            self.config = IndexConfig()
         if self.transport is None:
             self.transport = SyncTransport()
         self.transport.bind(self)
@@ -231,7 +205,7 @@ class BrokerNetwork:
                 self.schema.order,
                 config=self.config,
             )
-            if self.covering == "approximate" and self.profile_sharing
+            if self.covering == "approximate"
             else None
         )
         self._tuner = None
@@ -261,8 +235,6 @@ class BrokerNetwork:
             samples=self.samples,
             seed=self.seed,
             matching=self.matching,
-            promotion=self.promotion,
-            profile_sharing=self.profile_sharing,
             profile_cache=self.profile_cache,
             trace=self.tracing if self.tracing.enabled else None,
             config=self.config,
@@ -307,17 +279,9 @@ class BrokerNetwork:
         schema: AttributeSchema,
         edges: Iterable[Tuple[Hashable, Hashable]],
         covering: str = "approximate",
-        epsilon: Optional[float] = None,
-        backend: Optional[str] = None,
-        shards: Optional[int] = None,
         samples: int = 8,
         seed: Optional[int] = None,
-        cube_budget: Optional[int] = None,
         matching: str = "linear",
-        run_budget: Optional[int] = None,
-        curve: Optional[str] = None,
-        promotion: str = "incremental",
-        profile_sharing: bool = True,
         transport: Optional[Transport] = None,
         metrics: Optional[MetricsRegistry] = None,
         tracing: Optional[TraceLog] = None,
@@ -336,17 +300,9 @@ class BrokerNetwork:
         network = cls(
             schema=schema,
             covering=covering,
-            epsilon=epsilon,
-            backend=backend,
-            shards=shards,
             samples=samples,
             seed=seed,
-            cube_budget=cube_budget,
             matching=matching,
-            run_budget=run_budget,
-            curve=curve,
-            promotion=promotion,
-            profile_sharing=profile_sharing,
             transport=transport,
             metrics=metrics,
             tracing=tracing,

@@ -39,12 +39,7 @@ from ..baselines.linear_scan import LinearScanCoveringDetector
 from ..baselines.probabilistic import ProbabilisticCoveringDetector
 from ..core.covering import ApproximateCoveringDetector
 from ..geometry.universe import Universe
-from ..index.config import (
-    DEFAULT_CUBE_BUDGET,
-    INDEX_BACKEND_NAMES,
-    IndexConfig,
-    resolve_index_config,
-)
+from ..index.config import IndexConfig
 from ..sfc.base import SpaceFillingCurve
 from ..sfc.factory import make_curve
 from .match_index import MatchIndex, MatchIndexStats
@@ -61,22 +56,24 @@ __all__ = [
     "make_covering_strategy",
     "InterfaceTable",
     "RoutingTable",
-    "DEFAULT_CUBE_BUDGET",
+    "COVERING_KINDS",
     "MATCHING_KINDS",
-    "ROUTING_BACKEND_NAMES",
+    "check_covering_kind",
 ]
 
-# DEFAULT_CUBE_BUDGET — the per-check work bound of the approximate covering
-# strategy — is defined in :mod:`repro.index.config` (one source of truth for
-# index knobs) and re-exported here for backward compatibility.
+#: Covering strategies :func:`make_covering_strategy` can build.
+COVERING_KINDS = ("none", "exact", "approximate", "probabilistic")
 
 #: Event-matching implementations an interface table can use.
 MATCHING_KINDS = ("linear", "sfc")
 
-#: Match-index backends the routing layer accepts: the :class:`MatchIndex`
-#: segment stores plus ``"sharded"`` (subscription set partitioned across
-#: inline flat-backend shards, see :mod:`repro.pubsub.sharded_index`).
-ROUTING_BACKEND_NAMES = INDEX_BACKEND_NAMES
+
+def check_covering_kind(kind: str) -> None:
+    """Raise ``ValueError`` unless ``kind`` names a covering strategy."""
+    if kind not in COVERING_KINDS:
+        raise ValueError(
+            f"unknown covering strategy {kind!r}; expected one of {COVERING_KINDS}"
+        )
 
 
 class CoveringStrategy(Protocol):
@@ -171,18 +168,10 @@ class ApproximateCoveringStrategy:
         self,
         attributes: int,
         attribute_order: int,
-        epsilon: Optional[float] = None,
-        backend: Optional[str] = None,
-        cube_budget: Optional[int] = None,
-        curve: Optional[str] = None,
         config: Optional[IndexConfig] = None,
     ) -> None:
-        config = resolve_index_config(
-            config, epsilon=epsilon, backend=backend, cube_budget=cube_budget, curve=curve
-        )
-        self.config = config
+        self.config = config = config or IndexConfig()
         self.name = f"approx(ε={config.epsilon})"
-        self.epsilon = config.epsilon
         self._detector = ApproximateCoveringDetector(
             attributes=attributes,
             attribute_order=attribute_order,
@@ -251,42 +240,29 @@ class ProbabilisticCoveringStrategy:
 def make_covering_strategy(
     kind: str,
     schema: AttributeSchema,
-    epsilon: Optional[float] = None,
-    backend: Optional[str] = None,
     samples: int = 8,
     seed: Optional[int] = None,
-    cube_budget: Optional[int] = None,
-    curve: Optional[str] = None,
     config: Optional[IndexConfig] = None,
 ) -> CoveringStrategy:
-    """Build a covering strategy by name: ``none``, ``exact``, ``approximate`` or ``probabilistic``.
+    """Build a covering strategy by name (:data:`COVERING_KINDS`).
 
-    ``cube_budget`` bounds the per-check work of the approximate strategy; a
-    router would enforce such a bound in practice so a single subscription
-    arrival cannot stall the forwarding path.  ``curve`` selects the
-    space-filling curve of the approximate strategy's index (the other
-    strategies do not use one).  ``backend`` may be any routing-layer backend
-    name; composite matching backends (``"sharded"``) map to the ordered-map
-    backend their shards are built on.  ``config`` supplies all of the above
-    at once; explicit keywords override its fields.
+    ``config`` shapes the approximate strategy only (the others use no
+    index): ``cube_budget`` bounds the per-check work — a router would
+    enforce such a bound in practice so a single subscription arrival cannot
+    stall the forwarding path — ``curve`` keys its dominance index, and
+    ``backend`` may be any routing-layer name; the composite ``"sharded"``
+    matching backend maps to the ordered-map backend its shards are built on.
     """
+    check_covering_kind(kind)
     attributes = schema.num_attributes
     order = schema.order
-    config = resolve_index_config(
-        config, epsilon=epsilon, backend=backend, cube_budget=cube_budget, curve=curve
-    )
     if kind == "none":
         return NoCoveringStrategy()
     if kind == "exact":
         return ExactCoveringStrategy(attributes, order)
     if kind == "approximate":
         return ApproximateCoveringStrategy(attributes, order, config=config)
-    if kind == "probabilistic":
-        return ProbabilisticCoveringStrategy(attributes, order, samples=samples, seed=seed)
-    raise ValueError(
-        f"unknown covering strategy {kind!r}; expected 'none', 'exact', 'approximate' "
-        "or 'probabilistic'"
-    )
+    return ProbabilisticCoveringStrategy(attributes, order, samples=samples, seed=seed)
 
 
 class InterfaceTable:
@@ -314,18 +290,11 @@ class InterfaceTable:
         interface_id: Hashable,
         schema: Optional[AttributeSchema] = None,
         matching: str = "linear",
-        backend: Optional[str] = None,
-        run_budget: Optional[int] = None,
-        curve: Optional[str] = None,
         seed: Optional[int] = None,
-        shards: Optional[int] = None,
         config: Optional[IndexConfig] = None,
-        routing_curve_kind: Optional[str] = None,
         run_cache: Optional["ProfileCache"] = None,
     ) -> None:
-        config = resolve_index_config(
-            config, backend=backend, run_budget=run_budget, curve=curve, shards=shards
-        )
+        config = config or IndexConfig()
         if matching not in MATCHING_KINDS:
             raise ValueError(
                 f"unknown matching kind {matching!r}; expected one of {MATCHING_KINDS}"
@@ -349,13 +318,12 @@ class InterfaceTable:
         self._staged = None
         self._staged_config: Optional[IndexConfig] = None
         self._probe_log: Optional[Deque[Tuple[int, ...]]] = None
-        # The curve the *routing table* precomputes event keys with.  A swap
-        # may leave this table's index on a different curve; the key-compat
-        # flag below makes the table recompute its own keys then, so a
-        # precomputed foreign-curve key can never cause a false negative.
-        self._routing_curve_kind = (
-            routing_curve_kind if routing_curve_kind is not None else config.curve
-        )
+        # The curve the *routing table* precomputes event keys with: the one
+        # this table was built under.  A swap may leave the index on a
+        # different curve; the key-compat flag below makes the table recompute
+        # its own keys then, so a precomputed foreign-curve key can never
+        # cause a false negative.
+        self._routing_curve_kind = config.curve
         if matching == "sfc" and schema is not None:
             self._index = self._make_index(config)
         else:
@@ -556,17 +524,11 @@ class RoutingTable:
         self,
         schema: Optional[AttributeSchema] = None,
         matching: str = "linear",
-        backend: Optional[str] = None,
-        run_budget: Optional[int] = None,
-        curve: Optional[str] = None,
         seed: Optional[int] = None,
-        shards: Optional[int] = None,
         config: Optional[IndexConfig] = None,
         run_cache: Optional["ProfileCache"] = None,
     ) -> None:
-        config = resolve_index_config(
-            config, backend=backend, run_budget=run_budget, curve=curve, shards=shards
-        )
+        config = config or IndexConfig()
         if matching not in MATCHING_KINDS:
             raise ValueError(
                 f"unknown matching kind {matching!r}; expected one of {MATCHING_KINDS}"
@@ -577,11 +539,7 @@ class RoutingTable:
         self.matching_kind = matching
         self.config = config
         self._run_cache = run_cache
-        self._backend_name = config.backend
-        self._run_budget = config.run_budget
-        self._curve_kind = config.curve
         self._seed = seed
-        self._shards = config.shards
         self._tables: Dict[Hashable, InterfaceTable] = {}
         self._curve: Optional[SpaceFillingCurve] = (
             make_curve(
@@ -601,7 +559,6 @@ class RoutingTable:
                 matching=self.matching_kind,
                 seed=self._seed,
                 config=self.config,
-                routing_curve_kind=self._curve_kind,
                 run_cache=self._run_cache,
             )
         return self._tables[interface_id]

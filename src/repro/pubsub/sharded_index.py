@@ -35,7 +35,7 @@ from dataclasses import astuple, fields
 from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..geometry.universe import Universe
-from ..index.config import DEFAULT_SHARDS, IndexConfig, resolve_index_config
+from ..index.config import IndexConfig
 from ..obs.profiler import profiled
 from ..sfc.factory import make_curve
 from .match_index import MatchIndex, MatchIndexStats
@@ -44,25 +44,15 @@ from .schema import AttributeSchema
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .subscription_store import ProfileCache
 
-__all__ = ["ShardedMatchIndex", "DEFAULT_SHARDS", "WORKER_KINDS"]
-
-# DEFAULT_SHARDS is defined in :mod:`repro.index.config` (one source of
-# truth for index knobs) and re-exported here for backward compatibility.
+__all__ = ["ShardedMatchIndex", "WORKER_KINDS"]
 
 #: Worker modes of the sharded index.
 WORKER_KINDS = ("inline", "process")
 
 
-def _shard_worker(conn, schema, run_budget, precision_bits, curve, seed) -> None:
+def _shard_worker(conn, schema, config, seed) -> None:
     """Worker loop of one process shard: apply mutations, answer query batches."""
-    index = MatchIndex(
-        schema,
-        backend="flat",
-        run_budget=run_budget,
-        precision_bits=precision_bits,
-        curve=curve,
-        seed=seed,
-    )
+    index = MatchIndex(schema, seed=seed, config=config)
     while True:
         msg = conn.recv()
         op = msg[0]
@@ -91,8 +81,10 @@ class ShardedMatchIndex:
     Exposes the same update/query surface as :class:`MatchIndex` (the routing
     stack selects it with ``backend="sharded"``), with identical answers: the
     shards partition the subscription set, so the union of per-shard matches
-    is exactly the unsharded match set.  ``run_cache`` is shared by the
-    inline shards (see :class:`MatchIndex`); process workers live in their
+    is exactly the unsharded match set.  ``config`` supplies the shard count
+    (``shards``) and the per-shard ``run_budget`` / ``precision_bits`` /
+    ``curve``; its ``backend`` is ignored (the shards are flat-backend
+    indexes).  ``run_cache`` is shared by the inline shards (see :class:`MatchIndex`); process workers live in their
     own address space and decompose for themselves.
     """
 
@@ -101,22 +93,12 @@ class ShardedMatchIndex:
     def __init__(
         self,
         schema: AttributeSchema,
-        shards: Optional[int] = None,
         workers: str = "inline",
-        run_budget: Optional[int] = None,
-        precision_bits: Optional[int] = None,
-        curve: Optional[str] = None,
         seed: Optional[int] = None,
         config: Optional[IndexConfig] = None,
         run_cache: Optional["ProfileCache"] = None,
     ) -> None:
-        config = resolve_index_config(
-            config,
-            shards=shards,
-            run_budget=run_budget,
-            precision_bits=precision_bits,
-            curve=curve,
-        ).replace(backend="sharded")
+        config = (config or IndexConfig()).replace(backend="sharded")
         if workers not in WORKER_KINDS:
             raise ValueError(
                 f"unknown worker kind {workers!r}; expected one of {WORKER_KINDS}"
@@ -130,10 +112,6 @@ class ShardedMatchIndex:
         self.run_budget = config.run_budget
         self.universe = Universe(dims=schema.num_attributes, order=schema.order)
         self.curve = make_curve(config.curve, self.universe)
-        precision_bits = config.effective_precision_bits(self.universe.dims)
-        run_budget = config.run_budget
-        curve = config.curve
-        shards = config.shards
         # Shard 0's index doubles as the parent-side validator in process
         # mode; the keyer above serves both modes.
         self._shard_of: Dict[Hashable, int] = {}
@@ -141,7 +119,7 @@ class ShardedMatchIndex:
         if workers == "inline":
             self._indexes: Optional[List[MatchIndex]] = [
                 MatchIndex(schema, seed=seed, config=shard_config, run_cache=run_cache)
-                for _ in range(shards)
+                for _ in range(self.shards)
             ]
             self._conns = None
             self._procs = None
@@ -156,11 +134,11 @@ class ShardedMatchIndex:
             self._conns = []
             self._procs = []
             self._validator = MatchIndex(schema, seed=seed, config=shard_config)
-            for _ in range(shards):
+            for _ in range(self.shards):
                 parent_conn, child_conn = ctx.Pipe()
                 proc = ctx.Process(
                     target=_shard_worker,
-                    args=(child_conn, schema, run_budget, precision_bits, curve, seed),
+                    args=(child_conn, schema, shard_config, seed),
                     daemon=True,
                 )
                 proc.start()

@@ -3,11 +3,12 @@
 Every subscription that arrives at a broker is considered for forwarding on
 each of its other links, and every such covering check runs the same geometry:
 validate the quantised ranges, transform them into a dominance point, and
-decompose that point's dominance region into a Z-order probe schedule.  The
-legacy path re-derived all of it per link — and again on every withdrawal
-re-check.  Storing the subscription for event matching runs a second piece of
-pure geometry at every broker it reaches: the rectangle's decomposition into
-curve key runs (Fact 2.1).  This module hoists both shared halves out:
+decompose that point's dominance region into a Z-order probe schedule.
+Re-deriving it per link — and again on every withdrawal re-check — would
+multiply that work by the broker's degree.  Storing the subscription for
+event matching runs a second piece of pure geometry at every broker it
+reaches: the rectangle's decomposition into curve key runs (Fact 2.1).  This
+module hoists both shared halves out:
 
 * :class:`SubscriptionProfile` — one subscription's validated ranges plus (for
   approximate covering) its :class:`~repro.core.covering.CoveringProfile`
@@ -25,8 +26,8 @@ curve key runs (Fact 2.1).  This module hoists both shared halves out:
 
 Profiles are an optimisation, never a semantic change: a profile-driven
 covering check replays the exact probe schedule the interleaved search would
-run, so forwarding decisions are identical with and without sharing (pinned
-by the batch-equivalence tests).
+run (pinned by ``test_profile_path_replays_classic_search``), so forwarding
+decisions are those of per-check recomputation.
 """
 
 from __future__ import annotations

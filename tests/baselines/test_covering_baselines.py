@@ -10,6 +10,7 @@ from repro.baselines.exhaustive_sfc import ExhaustiveSFCCoveringDetector
 from repro.baselines.linear_scan import LinearScanCoveringDetector
 from repro.baselines.probabilistic import ProbabilisticCoveringDetector
 from repro.core.covering import ApproximateCoveringDetector
+from repro.index.config import IndexConfig
 
 
 def random_subscription(rng, attributes, max_value, max_width=None):
@@ -180,7 +181,8 @@ class TestCrossDetectorAgreement:
         linear = LinearScanCoveringDetector(attributes, order)
         sfc_exhaustive = ExhaustiveSFCCoveringDetector(attributes, order, cube_budget=500_000)
         approx = ApproximateCoveringDetector(
-            attributes=attributes, attribute_order=order, epsilon=0.1, cube_budget=500_000
+            attributes=attributes, attribute_order=order,
+            config=IndexConfig(epsilon=0.1, cube_budget=500_000)
         )
         for i in range(120):
             ranges = random_subscription(rng, attributes, 63)

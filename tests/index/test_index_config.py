@@ -16,7 +16,6 @@ from repro.index.config import (
     MATCH_BACKEND_NAMES,
     PRECISION_BIT_BUDGET,
     IndexConfig,
-    resolve_index_config,
 )
 from repro.pubsub.schema import Attribute, AttributeSchema
 from repro.pubsub.match_index import MatchIndex
@@ -97,37 +96,60 @@ class TestPrecisionBits:
 
     def test_match_index_explicit_precision_escape_hatch(self):
         dims = PRECISION_BIT_BUDGET + 1
-        index = MatchIndex(_schema(num_attributes=dims, order=4), precision_bits=1)
+        index = MatchIndex(
+            _schema(num_attributes=dims, order=4), config=IndexConfig(precision_bits=1)
+        )
         assert index.precision_bits == 1
 
 
-class TestResolution:
-    def test_none_overrides_are_skipped(self):
-        base = IndexConfig(curve="hilbert", run_budget=8)
-        assert resolve_index_config(base, curve=None, run_budget=None) == base
+def _constructors():
+    """The ten constructors of the stack that take index knobs, minimally applied."""
+    from repro.core.covering import ApproximateCoveringDetector, CoveringProfiler
+    from repro.pubsub.broker import Broker
+    from repro.pubsub.network import BrokerNetwork
+    from repro.pubsub.routing_table import (
+        ApproximateCoveringStrategy,
+        InterfaceTable,
+        RoutingTable,
+        make_covering_strategy,
+    )
+    from repro.pubsub.sharded_index import ShardedMatchIndex
 
-    def test_overrides_apply(self):
-        resolved = resolve_index_config(None, curve="gray", epsilon=0.25)
-        assert resolved.curve == "gray"
-        assert resolved.epsilon == 0.25
-        assert resolved.run_budget == DEFAULT_RUN_BUDGET
+    schema = _schema()
+    return {
+        "MatchIndex": lambda **kw: MatchIndex(schema, **kw),
+        "ShardedMatchIndex": lambda **kw: ShardedMatchIndex(schema, **kw),
+        "ApproximateCoveringStrategy": lambda **kw: ApproximateCoveringStrategy(2, 6, **kw),
+        "make_covering_strategy": lambda **kw: make_covering_strategy(
+            "approximate", schema, **kw
+        ),
+        "InterfaceTable": lambda **kw: InterfaceTable("i", schema=schema, matching="sfc", **kw),
+        "RoutingTable": lambda **kw: RoutingTable(schema=schema, matching="sfc", **kw),
+        "Broker": lambda **kw: Broker(broker_id=0, schema=schema, **kw),
+        "BrokerNetwork": lambda **kw: BrokerNetwork(schema=schema, **kw),
+        "BrokerNetwork.from_topology": lambda **kw: BrokerNetwork.from_topology(
+            schema, [(0, 1)], **kw
+        ),
+        "CoveringProfiler": lambda **kw: CoveringProfiler(2, 6, **kw),
+        "ApproximateCoveringDetector": lambda **kw: ApproximateCoveringDetector(2, 6, **kw),
+    }
 
-    def test_config_passthrough_identity(self):
-        base = IndexConfig(curve="hilbert")
-        assert resolve_index_config(base) is base
 
-    def test_sugar_equivalent_to_explicit_config(self):
-        schema = _schema()
-        sugared = MatchIndex(schema, curve="hilbert", run_budget=8)
-        explicit = MatchIndex(
-            schema, config=IndexConfig(curve="hilbert", run_budget=8)
-        )
-        assert sugared.config == explicit.config
-        assert sugared.config.cache_key() == explicit.config.cache_key()
+class TestConfigIsTheOnlyChannel:
+    @pytest.mark.parametrize("name", sorted(_constructors()))
+    @pytest.mark.parametrize(
+        "knob", [{"curve": "hilbert"}, {"epsilon": 0.2}, {"run_budget": 8}, {"backend": "avl"}]
+    )
+    def test_knob_keywords_are_rejected(self, name, knob):
+        """No constructor takes a knob beside ``config=``: the keyword is a TypeError."""
+        build = _constructors()[name]
+        build(config=IndexConfig(**knob))
+        with pytest.raises(TypeError):
+            build(**knob)
 
 
 class TestKeys:
-    def test_cache_key_distinguishes_every_knob(self):
+    def test_config_is_its_own_key_distinguishing_every_knob(self):
         base = IndexConfig()
         variants = [
             IndexConfig(curve="hilbert"),
@@ -139,8 +161,8 @@ class TestKeys:
             IndexConfig(backend="avl"),
             IndexConfig(shards=2),
         ]
-        keys = {base.cache_key()} | {v.cache_key() for v in variants}
-        assert len(keys) == len(variants) + 1
+        assert len({base, *variants}) == len(variants) + 1
+        assert IndexConfig(run_budget=8) in {v: None for v in variants}
 
     def test_covering_key_ignores_storage_knobs(self):
         a = IndexConfig(backend="flat", run_budget=8, shards=2)
@@ -162,28 +184,3 @@ class TestKeys:
         assert config.curve == "zorder"
         with pytest.raises(ValueError, match="unknown curve kind"):
             config.replace(curve="peano")
-
-
-class TestReExports:
-    def test_match_index_module_reexports_the_same_objects(self):
-        from repro.pubsub import match_index
-
-        assert match_index.IndexConfig is IndexConfig
-        assert match_index.MATCH_BACKEND_NAMES is MATCH_BACKEND_NAMES
-        assert match_index.DEFAULT_RUN_BUDGET == DEFAULT_RUN_BUDGET
-        assert match_index.PRECISION_BIT_BUDGET == PRECISION_BIT_BUDGET
-
-    def test_package_level_exports(self):
-        import repro.index as index_pkg
-        import repro.pubsub as pubsub_pkg
-
-        assert index_pkg.IndexConfig is IndexConfig
-        assert pubsub_pkg.IndexConfig is IndexConfig
-        assert index_pkg.resolve_index_config is resolve_index_config
-
-    def test_routing_and_sharded_reexports(self):
-        from repro.pubsub.routing_table import DEFAULT_CUBE_BUDGET as rt_budget
-        from repro.pubsub.sharded_index import DEFAULT_SHARDS as si_shards
-
-        assert rt_budget == DEFAULT_CUBE_BUDGET
-        assert si_shards == DEFAULT_SHARDS

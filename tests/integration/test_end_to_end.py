@@ -13,7 +13,8 @@ import random
 import pytest
 
 from repro.baselines.linear_scan import LinearScanCoveringDetector
-from repro.core.covering import ApproximateCoveringDetector
+from repro.core.covering import OFFLINE_CONFIG, ApproximateCoveringDetector
+from repro.index.config import IndexConfig
 from repro.pubsub.client import Publisher, Subscriber
 from repro.pubsub.network import BrokerNetwork, tree_topology
 from repro.pubsub.subscription import Event, Subscription
@@ -36,8 +37,7 @@ class TestScenarioPipelines:
             scenario.schema,
             tree_topology(5),
             covering=covering,
-            epsilon=0.2,
-            cube_budget=5_000,
+            config=IndexConfig(epsilon=0.2, cube_budget=5_000),
             seed=1,
         )
         rng = random.Random(11)
@@ -58,8 +58,7 @@ class TestScenarioPipelines:
                 scenario.schema,
                 tree_topology(7),
                 covering=covering,
-                epsilon=0.25,
-                cube_budget=4_000,
+                config=IndexConfig(epsilon=0.25, cube_budget=4_000),
                 seed=1,
             )
             rng = random.Random(5)
@@ -76,7 +75,7 @@ class TestCoveringChainEndToEnd:
     def test_chain_detection_through_all_detectors(self):
         chain = covering_chain(attributes=2, attribute_order=10, depth=10, seed=4)
         approx = ApproximateCoveringDetector(
-            attributes=2, attribute_order=10, epsilon=0.05, cube_budget=200_000
+            attributes=2, attribute_order=10, config=IndexConfig(epsilon=0.05, cube_budget=200_000)
         )
         linear = LinearScanCoveringDetector(attributes=2, attribute_order=10)
         # Insert all but the innermost subscription.
@@ -91,7 +90,9 @@ class TestCoveringChainEndToEnd:
 
     def test_only_root_is_uncovered(self):
         chain = covering_chain(attributes=1, attribute_order=10, depth=8, seed=6)
-        approx = ApproximateCoveringDetector(attributes=1, attribute_order=10, epsilon=0.01)
+        approx = ApproximateCoveringDetector(
+            attributes=1, attribute_order=10, config=OFFLINE_CONFIG.replace(epsilon=0.01)
+        )
         for spec in chain:
             approx.add_subscription(spec.sub_id, spec.ranges)
         root = chain[0]
@@ -106,7 +107,9 @@ class TestCoveringChainEndToEnd:
 class TestDynamicSubscriptionChurn:
     def test_unsubscribe_reopens_forwarding_in_detector(self):
         """Removing the covering subscription makes previously-covered ones visible again."""
-        det = ApproximateCoveringDetector(attributes=2, attribute_order=8, epsilon=0.05)
+        det = ApproximateCoveringDetector(
+            attributes=2, attribute_order=8, config=OFFLINE_CONFIG.replace(epsilon=0.05)
+        )
         det.add_subscription("wide", [(0, 250), (0, 250)])
         det.add_subscription("mid", [(20, 200), (20, 200)])
         query = [(50, 100), (50, 100)]
@@ -122,7 +125,7 @@ class TestDynamicSubscriptionChurn:
     def test_interleaved_adds_removes_match_linear_scan(self):
         rng = random.Random(2)
         approx = ApproximateCoveringDetector(
-            attributes=2, attribute_order=7, epsilon=0.0, cube_budget=500_000
+            attributes=2, attribute_order=7, config=IndexConfig(epsilon=0.0, cube_budget=500_000)
         )
         linear = LinearScanCoveringDetector(attributes=2, attribute_order=7)
         live = {}
@@ -157,7 +160,8 @@ class TestClientLevelScenario:
         scenario = stock_market_scenario(num_subscriptions=0, num_events=0, order=9)
         schema = scenario.schema
         network = BrokerNetwork.from_topology(
-            schema, tree_topology(3), covering="approximate", epsilon=0.1, cube_budget=5_000
+            schema, tree_topology(3), covering="approximate",
+            config=IndexConfig(epsilon=0.1, cube_budget=5_000)
         )
         trader = Subscriber(network, broker_id=2, client_id="trader")
         trader.subscribe({"price": (0.0, 95.0), "volume": (500.0, 1_000_000.0)})

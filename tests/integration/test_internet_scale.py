@@ -19,6 +19,7 @@ import json
 
 import pytest
 
+from repro.index.config import IndexConfig
 from repro.pubsub import BrokerNetwork
 from repro.sim import SimTransport
 from repro.workloads.dynamics import region_netsplit_script, run_dynamic_scenario
@@ -44,7 +45,7 @@ def run_netsplit(kind):
         scenario.schema,
         topology.overlay,
         covering="approximate",
-        epsilon=0.2,
+        config=IndexConfig(epsilon=0.2),
         transport=transport,
         nodes=topology.broker_ids,
     )

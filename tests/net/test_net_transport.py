@@ -16,6 +16,7 @@ import random
 
 import pytest
 
+from repro.index.config import IndexConfig
 from repro.net import NetTransport
 from repro.pubsub.network import (
     BrokerNetwork,
@@ -60,8 +61,7 @@ def make_network(scenario, topology, transport_kind):
         scenario.schema,
         TOPOLOGIES[topology](NUM_BROKERS),
         covering="approximate",
-        epsilon=0.2,
-        cube_budget=5_000,
+        config=IndexConfig(epsilon=0.2, cube_budget=5_000),
         transport=transport,
     )
 

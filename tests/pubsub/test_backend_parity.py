@@ -18,7 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.pubsub.match_index import MATCH_BACKEND_NAMES, MatchIndex
+from repro.index.config import MATCH_BACKEND_NAMES, IndexConfig
+from repro.pubsub.match_index import MatchIndex
 from repro.pubsub.network import BrokerNetwork, tree_topology
 from repro.pubsub.schema import Attribute, AttributeSchema
 from repro.pubsub.sharded_index import ShardedMatchIndex
@@ -33,8 +34,8 @@ def _schema(order=5):
 
 
 def _make_indexes(schema):
-    indexes = [MatchIndex(schema, backend=name) for name in MATCH_BACKEND_NAMES]
-    indexes.append(ShardedMatchIndex(schema, shards=3, workers="inline"))
+    indexes = [MatchIndex(schema, config=IndexConfig(backend=name)) for name in MATCH_BACKEND_NAMES]
+    indexes.append(ShardedMatchIndex(schema, config=IndexConfig(shards=3), workers="inline"))
     return indexes
 
 
@@ -124,12 +125,12 @@ def test_add_batch_equals_sequential_adds():
                 ),
             )
         )
-    sequential = MatchIndex(schema, backend="flat")
+    sequential = MatchIndex(schema, config=IndexConfig(backend="flat"))
     for sid, ranges in items:
         sequential.add(sid, ranges)
-    batched = MatchIndex(schema, backend="flat")
+    batched = MatchIndex(schema, config=IndexConfig(backend="flat"))
     batched.add_batch(items)
-    sharded = ShardedMatchIndex(schema, shards=4)
+    sharded = ShardedMatchIndex(schema, config=IndexConfig(shards=4))
     sharded.add_batch(items)
     for _ in range(200):
         cells = (rng.randrange(32), rng.randrange(32))
@@ -150,10 +151,8 @@ def _network_state(backend: str):
         scenario.schema,
         tree_topology(7),
         covering="approximate",
-        epsilon=0.2,
-        cube_budget=500,
+        config=IndexConfig(epsilon=0.2, cube_budget=500, backend=backend),
         matching="sfc",
-        backend=backend,
     )
     script = subscription_churn_script(scenario, list(range(7)), seed=3)
     run_scripted_lockstep(network, script)
@@ -189,9 +188,9 @@ def test_sharded_process_workers_smoke():
                 ),
             )
         )
-    inline = ShardedMatchIndex(schema, shards=2, workers="inline")
+    inline = ShardedMatchIndex(schema, config=IndexConfig(shards=2), workers="inline")
     inline.add_batch(items)
-    with ShardedMatchIndex(schema, shards=2, workers="process") as procs:
+    with ShardedMatchIndex(schema, config=IndexConfig(shards=2), workers="process") as procs:
         procs.add_batch(items)
         events = [(rng.randrange(32), rng.randrange(32)) for _ in range(40)]
         assert [
@@ -208,7 +207,7 @@ def test_sharded_process_workers_smoke():
 def test_sharded_rejects_bad_config():
     schema = _schema()
     with pytest.raises(ValueError):
-        ShardedMatchIndex(schema, shards=0)
+        ShardedMatchIndex(schema, config=IndexConfig(shards=0))
     with pytest.raises(ValueError):
         ShardedMatchIndex(schema, workers="threads")
 
@@ -228,7 +227,7 @@ def test_sharded_process_stats_survive_close():
     ]
     events = [(rng.randrange(32), rng.randrange(32)) for _ in range(25)]
 
-    index = ShardedMatchIndex(schema, shards=2, workers="process")
+    index = ShardedMatchIndex(schema, config=IndexConfig(shards=2), workers="process")
     try:
         index.add_batch(items)
         index.matching_ids_batch(events)

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from repro.index.config import IndexConfig
 from repro.pubsub.broker import Broker
 from repro.pubsub.client import Publisher, Subscriber
 from repro.pubsub.network import (
@@ -27,7 +28,8 @@ def schema():
 
 def make_network(schema, covering="exact", num_brokers=5, epsilon=0.1):
     return BrokerNetwork.from_topology(
-        schema, chain_topology(num_brokers), covering=covering, epsilon=epsilon, seed=1
+        schema, chain_topology(num_brokers), covering=covering,
+        config=IndexConfig(epsilon=epsilon), seed=1
     )
 
 
@@ -121,6 +123,26 @@ class TestNetworkConstruction:
         assert network.unsubscribe("solo", "s") is True
         assert network.publish(0, Event(schema, {"x": 10.0, "y": 0.0}, event_id="e3")) == set()
 
+    @pytest.mark.parametrize("edges", [[], [(0, 1)]], ids=["1-broker", "2-broker"])
+    def test_unknown_covering_kind_rejected_up_front(self, schema, edges):
+        # Regression: with one broker no covering strategy is ever built, so
+        # "bogus" used to subscribe and deliver; with two the ValueError
+        # surfaced from connect() *after* graph.add_edge.
+        with pytest.raises(ValueError, match="unknown covering strategy 'bogus'"):
+            BrokerNetwork.from_topology(schema, edges, covering="bogus")
+        with pytest.raises(ValueError, match="unknown covering strategy 'bogus'"):
+            Broker(broker_id=0, schema=schema, covering="bogus")
+
+    def test_rejected_broker_leaves_the_graph_unchanged(self, schema):
+        network = BrokerNetwork.from_topology(schema, [(0, 1)])
+        network.covering = "bogus"  # reaches Broker() through add_broker
+        with pytest.raises(ValueError, match="unknown covering strategy"):
+            network.join_broker(2, attach_to=0)
+        assert set(network.brokers) == {0, 1}
+        assert sorted(network.graph.nodes) == [0, 1]
+        assert list(network.graph.edges) == [(0, 1)]
+        assert network.brokers[0].neighbors == [1]
+
     def test_explicit_nodes_precreate_brokers(self, schema):
         network = BrokerNetwork.from_topology(schema, [("a", "b")], nodes=["z", "a"])
         assert set(network.brokers) == {"a", "b", "z"}
@@ -192,7 +214,8 @@ class TestSubscriptionPropagation:
         sizes = {}
         for covering in ("none", "exact", "approximate"):
             network = BrokerNetwork.from_topology(
-                schema, tree_topology(5), covering=covering, epsilon=0.1, cube_budget=50_000
+                schema, tree_topology(5), covering=covering,
+                config=IndexConfig(epsilon=0.1, cube_budget=50_000)
             )
             for i, sub in enumerate(subs):
                 fresh = Subscription(schema, sub.constraints, sub_id=sub.sub_id)
@@ -239,7 +262,8 @@ class TestEventDelivery:
         rng = random.Random(7)
         for covering in ("none", "exact", "approximate"):
             network = BrokerNetwork.from_topology(
-                schema, tree_topology(7), covering=covering, epsilon=0.2, cube_budget=20_000
+                schema, tree_topology(7), covering=covering,
+                config=IndexConfig(epsilon=0.2, cube_budget=20_000)
             )
             for i in range(30):
                 lo_x, lo_y = rng.uniform(0, 60), rng.uniform(0, 60)
@@ -314,8 +338,7 @@ class TestPublishBatchRegression:
                 schema,
                 tree_topology(7),
                 covering="approximate",
-                epsilon=0.2,
-                cube_budget=20_000,
+                config=IndexConfig(epsilon=0.2, cube_budget=20_000),
                 matching=matching,
                 seed=5,
             )

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.index.config import IndexConfig
 from repro.pubsub import (
     BrokerNetwork,
     Event,
@@ -77,8 +78,7 @@ class TestCrashRecoverLeaf:
             schema,
             TOPOLOGIES[topology](NUM_BROKERS),
             covering="approximate",
-            epsilon=0.2,
-            cube_budget=20_000,
+            config=IndexConfig(epsilon=0.2, cube_budget=20_000),
             transport=make_transport(transport_kind),
         )
         populate(network)
@@ -115,8 +115,7 @@ class TestCrashRecoverLeaf:
             schema,
             TOPOLOGIES[topology](NUM_BROKERS),
             covering="approximate",
-            epsilon=0.2,
-            cube_budget=20_000,
+            config=IndexConfig(epsilon=0.2, cube_budget=20_000),
             transport=make_transport("sim"),
         )
         populate(network, num_subs=7)
@@ -208,8 +207,7 @@ class TestJoin:
             schema,
             tree_topology(5),
             covering="approximate",
-            epsilon=0.2,
-            cube_budget=20_000,
+            config=IndexConfig(epsilon=0.2, cube_budget=20_000),
             transport=make_transport(transport_kind),
         )
         populate(network, num_subs=10, num_brokers=5)

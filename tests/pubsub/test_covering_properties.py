@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 from repro.core.covering import CoveringProfiler
 from repro.geometry.transform import ranges_cover
+from repro.index.config import IndexConfig
 from repro.pubsub.network import BrokerNetwork, tree_topology
 from repro.pubsub.routing_table import make_covering_strategy
 from repro.pubsub.schema import Attribute, AttributeSchema
@@ -71,7 +72,7 @@ class TestCoveringSoundness:
         """Any witness a strategy returns really covers the query rectangle."""
         for kind in ("exact", "approximate"):
             strategy = make_covering_strategy(
-                kind, SCHEMA, epsilon=epsilon, cube_budget=5_000
+                kind, SCHEMA, config=IndexConfig(epsilon=epsilon, cube_budget=5_000)
             )
             stored = {}
             for i, ranges in enumerate(rects):
@@ -90,10 +91,14 @@ class TestCoveringSoundness:
     def test_profile_path_replays_classic_search(self, rects):
         """find_covering_profile is a pure amortisation: same witness-or-None."""
         profiler = CoveringProfiler(
-            SCHEMA.num_attributes, SCHEMA.order, epsilon=0.05, cube_budget=5_000
+            SCHEMA.num_attributes, SCHEMA.order, config=IndexConfig(epsilon=0.05, cube_budget=5_000)
         )
-        classic = make_covering_strategy("approximate", SCHEMA, epsilon=0.05, cube_budget=5_000)
-        fast = make_covering_strategy("approximate", SCHEMA, epsilon=0.05, cube_budget=5_000)
+        classic = make_covering_strategy(
+            "approximate", SCHEMA, config=IndexConfig(epsilon=0.05, cube_budget=5_000)
+        )
+        fast = make_covering_strategy(
+            "approximate", SCHEMA, config=IndexConfig(epsilon=0.05, cube_budget=5_000)
+        )
         for i, ranges in enumerate(rects[:-1]):
             profile = profiler.profile(ranges)
             classic.add(f"s{i}", ranges)
@@ -173,8 +178,7 @@ class TestLifecycleDeliveryOracle:
             SCHEMA,
             tree_topology(NUM_BROKERS),
             covering=covering,
-            epsilon=0.2,
-            cube_budget=5_000,
+            config=IndexConfig(epsilon=0.2, cube_budget=5_000),
         )
         live = {}
         for op, payload in ops:

@@ -34,9 +34,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.approx_dominance import ApproximateDominanceIndex, build_dominance_plan
-from repro.core.covering import ApproximateCoveringDetector, CoveringProfiler
+from repro.core.covering import (
+    OFFLINE_CONFIG,
+    ApproximateCoveringDetector,
+    CoveringProfiler,
+)
 from repro.geometry.transform import ranges_cover
 from repro.geometry.universe import Universe
+from repro.index.config import IndexConfig
 from repro.pubsub.match_index import MatchIndex
 from repro.pubsub.network import (
     BrokerNetwork,
@@ -75,10 +80,8 @@ def make_network(schema, topology, transport_kind, curve, covering="approximate"
         schema,
         TOPOLOGIES[topology](NUM_BROKERS),
         covering=covering,
-        epsilon=0.2,
-        cube_budget=500,
+        config=IndexConfig(epsilon=0.2, cube_budget=500, curve=curve),
         matching="sfc",
-        curve=curve,
         transport=transport,
     )
 
@@ -150,10 +153,8 @@ class TestScriptedLockstepDifferential:
                 scenario.schema,
                 TOPOLOGIES[topology](NUM_BROKERS),
                 covering=covering,
-                epsilon=0.2,
-                cube_budget=500,
+                config=IndexConfig(epsilon=0.2, cube_budget=500, curve=curve),
                 matching=matching,
-                curve=curve,
                 transport=transport,
             )
             run_scripted_lockstep(network, script)
@@ -263,10 +264,8 @@ class TestHypothesisDifferential:
                 _SCHEMA6,
                 tree_topology(4),
                 covering="approximate",
-                epsilon=0.2,
-                cube_budget=300,
+                config=IndexConfig(epsilon=0.2, cube_budget=300, curve=curve),
                 matching="sfc",
-                curve=curve,
             )
             for i, subscription in enumerate(subscriptions):
                 network.subscribe(placements[i], f"c{i}", subscription)
@@ -306,7 +305,7 @@ class TestHypothesisDifferential:
         each rectangle contains — no false negatives from decomposition, no
         false positives surviving the rectangle check."""
         for curve in CURVE_KINDS:
-            index = MatchIndex(_SCHEMA6, run_budget=run_budget, curve=curve)
+            index = MatchIndex(_SCHEMA6, config=IndexConfig(run_budget=run_budget, curve=curve))
             for i, rect in enumerate(rects):
                 index.add(f"s{i}", rect)
             for cell in probes:
@@ -324,12 +323,12 @@ class TestCurveConfigurationErrors:
     def test_unknown_curve_kind_rejected_everywhere(self):
         schema = _grid_schema(5)
         with pytest.raises(ValueError, match="unknown curve kind"):
-            MatchIndex(schema, curve="peano")
+            MatchIndex(schema, config=IndexConfig(curve="peano"))
         with pytest.raises(ValueError, match="unknown curve kind"):
-            make_covering_strategy("approximate", schema, curve="peano")
+            make_covering_strategy("approximate", schema, config=IndexConfig(curve="peano"))
         with pytest.raises(ValueError, match="unknown curve kind"):
             BrokerNetwork.from_topology(
-                schema, tree_topology(2), covering="approximate", curve="peano"
+                schema, tree_topology(2), covering="approximate", config=IndexConfig(curve="peano")
             )
 
     def test_plan_rejects_curve_over_wrong_universe(self):
@@ -363,10 +362,14 @@ class TestCurveConfigurationErrors:
         """A profile built under another curve is incompatible; the detector
         must fall back to the classic search and still answer correctly."""
         detector = ApproximateCoveringDetector(
-            attributes=1, attribute_order=6, epsilon=0.1, curve="zorder"
+            attributes=1,
+            attribute_order=6,
+            config=OFFLINE_CONFIG.replace(epsilon=0.1, curve="zorder"),
         )
         detector.add_subscription("wide", [(0, 60)])
-        profiler = CoveringProfiler(1, 6, epsilon=0.1, curve="hilbert")
+        profiler = CoveringProfiler(
+            1, 6, config=OFFLINE_CONFIG.replace(epsilon=0.1, curve="hilbert")
+        )
         profile = profiler.profile([(10, 20)])
         assert not detector.compatible_profile(profile)
         result = detector.find_covering_profile(profile)
@@ -374,9 +377,9 @@ class TestCurveConfigurationErrors:
 
     def test_matched_curve_profile_is_compatible(self):
         detector = ApproximateCoveringDetector(
-            attributes=1, attribute_order=6, epsilon=0.1, curve="hilbert"
+            attributes=1,
+            attribute_order=6,
+            config=OFFLINE_CONFIG.replace(epsilon=0.1, curve="hilbert"),
         )
-        profiler = CoveringProfiler(
-            1, 6, epsilon=0.1, cube_budget=detector.cube_budget, curve="hilbert"
-        )
+        profiler = CoveringProfiler(1, 6, config=detector.config)
         assert detector.compatible_profile(profiler.profile([(10, 20)]))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.index.config import IndexConfig
 from repro.pubsub.broker import LOCAL_INTERFACE
 from repro.pubsub.network import (
     BrokerNetwork,
@@ -37,7 +38,7 @@ def schema():
 
 def make_network(schema, topology, covering="exact"):
     return BrokerNetwork.from_topology(
-        schema, TOPOLOGIES[topology](5), covering=covering, epsilon=0.1
+        schema, TOPOLOGIES[topology](5), covering=covering, config=IndexConfig(epsilon=0.1)
     )
 
 

@@ -14,7 +14,9 @@ import random
 
 import pytest
 
-from repro.pubsub.match_index import MatchIndex, spread_bits
+from repro.geometry.bits import spread_bits
+from repro.index.config import IndexConfig
+from repro.pubsub.match_index import MatchIndex
 from repro.pubsub.network import (
     BrokerNetwork,
     chain_topology,
@@ -90,7 +92,7 @@ class TestMatchIndexUnit:
         """Tiny run budgets force heavy over-approximation; the rectangle
         fallback check must keep answers exact regardless."""
         rng = random.Random(run_budget)
-        index = MatchIndex(schema, run_budget=run_budget)
+        index = MatchIndex(schema, config=IndexConfig(run_budget=run_budget))
         subs = {}
         for i in range(40):
             sub = random_subscription(schema, rng, f"s{i}")
@@ -106,7 +108,7 @@ class TestMatchIndexUnit:
             assert index.any_match(event.cells) == bool(expected)
 
     def test_coarsening_records_stats(self, schema):
-        index = MatchIndex(schema, run_budget=1)
+        index = MatchIndex(schema, config=IndexConfig(run_budget=1))
         # A thin full-width strip decomposes into many runs at order 6.
         strip = Subscription(schema, {"y": (50.0, 51.0)}, sub_id="strip")
         index.add("strip", strip.ranges)
@@ -126,7 +128,7 @@ class TestMatchIndexUnit:
             [Attribute("x", 0.0, 100.0), Attribute("y", 0.0, 100.0)], order=9
         )
         rng = random.Random(precision_bits)
-        index = MatchIndex(schema9, precision_bits=precision_bits)
+        index = MatchIndex(schema9, config=IndexConfig(precision_bits=precision_bits))
         subs = {}
         for i in range(25):
             sub = random_subscription(schema9, rng, f"s{i}")
@@ -157,7 +159,7 @@ class TestMatchIndexUnit:
 
     def test_rejects_bad_run_budget(self, schema):
         with pytest.raises(ValueError):
-            MatchIndex(schema, run_budget=0)
+            MatchIndex(schema, config=IndexConfig(run_budget=0))
 
     def test_spread_bits_matches_curve_key(self, schema):
         index = MatchIndex(schema)
@@ -192,7 +194,7 @@ class TestInterfaceTableSfc:
     def test_linear_and_sfc_agree_under_churn(self, schema):
         rng = random.Random(23)
         linear = InterfaceTable("i", schema=schema, matching="linear")
-        sfc = InterfaceTable("i", schema=schema, matching="sfc", run_budget=4)
+        sfc = InterfaceTable("i", schema=schema, matching="sfc", config=IndexConfig(run_budget=4))
         live = []
         for step in range(120):
             if rng.random() < 0.7 or not live:
@@ -265,8 +267,7 @@ class TestNetworkSfcMatching:
             schema,
             TOPOLOGIES[topology],
             covering=covering,
-            epsilon=0.2,
-            cube_budget=10_000,
+            config=IndexConfig(epsilon=0.2, cube_budget=10_000),
             matching="sfc",
         )
         num_brokers = len(network.brokers)

@@ -115,9 +115,9 @@ def test_cached_index_equals_uncached_index(schema, backend):
 
 def test_sharded_index_shares_the_cache_across_shards(schema):
     cache = ProfileCache()
-    uncached = run_script(ShardedMatchIndex(schema, shards=3, run_budget=2))
+    uncached = run_script(ShardedMatchIndex(schema, config=IndexConfig(shards=3, run_budget=2)))
     cached = run_script(
-        ShardedMatchIndex(schema, shards=3, run_budget=2, run_cache=cache)
+        ShardedMatchIndex(schema, config=IndexConfig(shards=3, run_budget=2), run_cache=cache)
     )
     assert cache.run_misses == 5 and cache.run_hits > 0
     assert cached.stats == uncached.stats
@@ -205,11 +205,6 @@ def test_standalone_broker_shares_its_own_cache(schema):
     broker.reset_routing_state()
     broker.receive_subscription("left", subscription)
     assert (cache.run_hits, cache.run_misses) == (2, 1)
-
-    legacy = Broker(broker_id=0, schema=schema, matching="sfc", profile_sharing=False)
-    legacy.receive_subscription("left", subscription)
-    legacy.receive_subscription("right", subscription)
-    assert (legacy.profile_cache.run_hits, legacy.profile_cache.run_misses) == (0, 0)
 
 
 def test_crash_recover_relearns_from_the_cache(schema, monkeypatch):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.index.config import IndexConfig
 from repro.pubsub.network import BrokerNetwork, chain_topology, star_topology
 from repro.pubsub.schema import Attribute, AttributeSchema
 from repro.pubsub.subscription import Event, Subscription
@@ -38,7 +39,7 @@ def build(schema, topology, kind):
         schema,
         topology,
         covering="approximate",
-        epsilon=0.1,
+        config=IndexConfig(epsilon=0.1),
         seed=1,
         transport=make_transport(kind),
     )

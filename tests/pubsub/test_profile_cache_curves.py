@@ -10,6 +10,7 @@ detector configurations) never alias to one plan.
 from __future__ import annotations
 
 from repro.core.covering import CoveringProfiler
+from repro.index.config import IndexConfig
 from repro.pubsub.network import BrokerNetwork, tree_topology
 from repro.pubsub.schema import Attribute, AttributeSchema
 from repro.pubsub.subscription import Subscription
@@ -19,7 +20,7 @@ RANGES = ((5, 20), (8, 30))
 
 
 def make_profiler(curve: str) -> CoveringProfiler:
-    return CoveringProfiler(2, 6, epsilon=0.1, cube_budget=500, curve=curve)
+    return CoveringProfiler(2, 6, config=IndexConfig(epsilon=0.1, cube_budget=500, curve=curve))
 
 
 class TestProfileCacheCurveKeying:
@@ -49,8 +50,12 @@ class TestProfileCacheCurveKeying:
     def test_epsilon_and_budget_also_namespace_entries(self):
         cache = ProfileCache()
         base = make_profiler("zorder")
-        other_eps = CoveringProfiler(2, 6, epsilon=0.3, cube_budget=500, curve="zorder")
-        other_budget = CoveringProfiler(2, 6, epsilon=0.1, cube_budget=50, curve="zorder")
+        other_eps = CoveringProfiler(
+            2, 6, config=IndexConfig(epsilon=0.3, cube_budget=500, curve="zorder")
+        )
+        other_budget = CoveringProfiler(
+            2, 6, config=IndexConfig(epsilon=0.1, cube_budget=50, curve="zorder")
+        )
         cache.covering_profile(RANGES, profiler=base)
         cache.covering_profile(RANGES, profiler=other_eps)
         cache.covering_profile(RANGES, profiler=other_budget)
@@ -84,13 +89,11 @@ class TestProfileCacheCurveKeying:
                 schema,
                 tree_topology(3),
                 covering="approximate",
-                epsilon=0.2,
-                cube_budget=300,
-                curve=curve,
+                config=IndexConfig(epsilon=0.2, cube_budget=300, curve=curve),
             )
             network.subscribe(0, "c0", subscription)
             cache = network.profile_cache
-            assert cache.profiler is not None and cache.profiler.curve == curve
+            assert cache.profiler is not None and cache.profiler.config.curve == curve
             # One rectangle network-wide: exactly one plan built, the other
             # brokers' acquisitions hit the shared entry.
             assert cache.misses == 1

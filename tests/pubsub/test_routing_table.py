@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.index.config import IndexConfig
 from repro.pubsub.routing_table import (
     ApproximateCoveringStrategy,
     ExactCoveringStrategy,
@@ -49,7 +50,7 @@ class TestCoveringStrategies:
 
     @pytest.mark.parametrize("kind", ["exact", "approximate", "probabilistic"])
     def test_wide_subscription_suppresses_narrow(self, schema, kind):
-        strategy = make_covering_strategy(kind, schema, epsilon=0.05, seed=1)
+        strategy = make_covering_strategy(kind, schema, config=IndexConfig(epsilon=0.05), seed=1)
         strategy.add("wide", ((0, 250), (0, 250)))
         found = strategy.find_covering(((40, 60), (40, 60)))
         assert found == "wide"
@@ -57,7 +58,7 @@ class TestCoveringStrategies:
 
     @pytest.mark.parametrize("kind", ["exact", "approximate"])
     def test_sound_strategies_do_not_invent_covers(self, schema, kind):
-        strategy = make_covering_strategy(kind, schema, epsilon=0.05)
+        strategy = make_covering_strategy(kind, schema, config=IndexConfig(epsilon=0.05))
         strategy.add("narrow", ((40, 60), (40, 60)))
         assert strategy.find_covering(((0, 200), (0, 200))) is None
 
@@ -69,7 +70,9 @@ class TestCoveringStrategies:
         assert strategy.find_covering(((10, 20), (10, 20))) is None
 
     def test_approximate_tracks_runs(self, schema):
-        strategy = make_covering_strategy("approximate", schema, epsilon=0.2, cube_budget=500)
+        strategy = make_covering_strategy(
+            "approximate", schema, config=IndexConfig(epsilon=0.2, cube_budget=500)
+        )
         strategy.add("wide", ((0, 250), (0, 250)))
         strategy.find_covering(((10, 20), (10, 20)))
         assert strategy.work_units() >= 1

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.index.config import IndexConfig
 from repro.pubsub.network import BrokerNetwork, chain_topology, star_topology, tree_topology
 from repro.sim.latency import UniformJitterLatency
 from repro.sim.transport import SimTransport
@@ -49,8 +50,7 @@ def make_network(scenario, topology, transport_kind):
         scenario.schema,
         TOPOLOGIES[topology](NUM_BROKERS),
         covering="approximate",
-        epsilon=0.2,
-        cube_budget=5_000,
+        config=IndexConfig(epsilon=0.2, cube_budget=5_000),
         transport=transport,
     )
 

@@ -133,10 +133,10 @@ def test_mixed_curve_swap_keeps_deliveries_exact():
     """
     schema = _schema()
     swapped = BrokerNetwork.from_topology(
-        schema, tree_topology(3), matching="sfc", curve="zorder", seed=2
+        schema, tree_topology(3), matching="sfc", config=IndexConfig(curve="zorder"), seed=2
     )
     control = BrokerNetwork.from_topology(
-        schema, tree_topology(3), matching="sfc", curve="zorder", seed=2
+        schema, tree_topology(3), matching="sfc", config=IndexConfig(curve="zorder"), seed=2
     )
     rng = random.Random(9)
     for i in range(40):
@@ -263,10 +263,8 @@ def test_tuned_network_digest_pin():
             scenario.schema,
             tree_topology(7),
             covering="approximate",
-            epsilon=0.2,
-            cube_budget=500,
+            config=IndexConfig(epsilon=0.2, cube_budget=500, run_budget=1),
             matching="sfc",
-            run_budget=1,
             seed=5,
         )
         tuner = network.attach_tuner(

@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from repro.index.config import IndexConfig
 from repro.pubsub.broker import LOCAL_INTERFACE
 from repro.pubsub.client import Publisher, Subscriber
 from repro.pubsub.network import BrokerNetwork, chain_topology, tree_topology
@@ -27,7 +28,8 @@ def schema():
 
 def make_network(schema, covering="exact", brokers=4):
     return BrokerNetwork.from_topology(
-        schema, chain_topology(brokers), covering=covering, epsilon=0.1, cube_budget=20_000
+        schema, chain_topology(brokers), covering=covering,
+        config=IndexConfig(epsilon=0.1, cube_budget=20_000)
     )
 
 
@@ -184,7 +186,8 @@ class TestCoveringAwareWithdrawal:
         """Randomised subscribe/unsubscribe churn with delivery audit after every step."""
         rng = random.Random(31)
         network = BrokerNetwork.from_topology(
-            schema, tree_topology(5), covering=covering, epsilon=0.2, cube_budget=10_000
+            schema, tree_topology(5), covering=covering,
+            config=IndexConfig(epsilon=0.2, cube_budget=10_000)
         )
         live: dict[str, Subscription] = {}
         counter = 0

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.index.config import IndexConfig
 from repro.pubsub import BrokerNetwork, Event, Subscription, tree_topology
 from repro.pubsub.schema import Attribute, AttributeSchema
 from repro.sim import (
@@ -25,8 +26,7 @@ def schema():
 
 def build_network(schema, transport, num_brokers=7, **kwargs):
     kwargs.setdefault("covering", "approximate")
-    kwargs.setdefault("epsilon", 0.2)
-    kwargs.setdefault("cube_budget", 20_000)
+    kwargs.setdefault("config", IndexConfig(epsilon=0.2, cube_budget=20_000))
     return BrokerNetwork.from_topology(
         schema, tree_topology(num_brokers), transport=transport, **kwargs
     )
@@ -346,8 +346,7 @@ class TestCrashLifecycleRegressions:
             scenario.schema,
             tree_topology(7),
             covering="approximate",
-            epsilon=0.2,
-            cube_budget=5_000,
+            config=IndexConfig(epsilon=0.2, cube_budget=5_000),
             transport=transport,
         )
         script = rolling_failures_script(

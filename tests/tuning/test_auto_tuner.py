@@ -48,9 +48,9 @@ def _drive(network, seed=7, subs=50, events=120, brokers=4):
     return out
 
 
-def _sfc_network(**kwargs):
+def _sfc_network(**knobs):
     return BrokerNetwork.from_topology(
-        _schema(), tree_topology(4), matching="sfc", seed=11, **kwargs
+        _schema(), tree_topology(4), matching="sfc", seed=11, config=IndexConfig(**knobs)
     )
 
 

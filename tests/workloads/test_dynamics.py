@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.index.config import IndexConfig
 from repro.pubsub import BrokerNetwork, tree_topology
 from repro.sim import SimTransport, UniformJitterLatency
 from repro.workloads.dynamics import (
@@ -31,8 +32,7 @@ def make_network(scenario, seed=9):
         scenario.schema,
         tree_topology(NUM_BROKERS),
         covering="approximate",
-        epsilon=0.2,
-        cube_budget=20_000,
+        config=IndexConfig(epsilon=0.2, cube_budget=20_000),
         transport=SimTransport(
             UniformJitterLatency(0.2, 0.4), inbox_capacity=8, service_time=0.02, seed=seed
         ),

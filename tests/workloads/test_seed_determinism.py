@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 
+from repro.index.config import IndexConfig
 from repro.pubsub.network import BrokerNetwork, tree_topology
 from repro.workloads.dynamics import (
     flash_crowd_script,
@@ -166,10 +167,8 @@ class TestScriptDigests:
                 scenario.schema,
                 tree_topology(7),
                 covering="approximate",
-                epsilon=0.2,
-                cube_budget=500,
+                config=IndexConfig(epsilon=0.2, cube_budget=500, curve="hilbert"),
                 matching="sfc",
-                curve="hilbert",
             )
             script = subscription_churn_script(scenario, BROKER_IDS, seed=3)
             run_scripted_lockstep(network, script)
