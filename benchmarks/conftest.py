@@ -5,11 +5,13 @@ experiment index) by calling the corresponding driver in
 ``repro.analysis.experiments`` exactly once under pytest-benchmark timing, and
 writes the resulting table to ``benchmarks/results/<experiment>.txt`` so the
 numbers quoted in EXPERIMENTS.md can be re-derived from a single
-``pytest benchmarks/ --benchmark-only`` run.
+``pytest benchmarks/ --benchmark-only`` run (a ``REPRO_BENCH_SMOKE=1`` pass
+writes its tiny-size tables to a temporary directory instead).
 """
 
 from __future__ import annotations
 
+import os
 import pathlib
 
 import pytest
@@ -18,8 +20,15 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
 @pytest.fixture(scope="session")
-def results_dir() -> pathlib.Path:
-    """Directory where benchmark-generated tables are stored."""
+def results_dir(tmp_path_factory) -> pathlib.Path:
+    """Directory where benchmark-generated tables are stored.
+
+    A smoke pass (``REPRO_BENCH_SMOKE=1``, what ``ci.sh`` runs) produces
+    tiny-size tables that must not replace the tracked full-size ones, so it
+    writes to a temporary directory instead.
+    """
+    if os.environ.get("REPRO_BENCH_SMOKE"):
+        return tmp_path_factory.mktemp("bench-results")
     RESULTS_DIR.mkdir(exist_ok=True)
     return RESULTS_DIR
 

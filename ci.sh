@@ -40,6 +40,11 @@ echo "== benchmark smoke (tiny sizes) =="
 # bench_auto_tuning's smoke pass asserts the self-tuning index beats the best
 # static config on matching work for at least 2 of the 3 scenarios, and the
 # driver raises on any tuned-vs-static delivery divergence.
+# A smoke pass writes its tables to a temporary directory
+# (benchmarks/conftest.py): the tracked full-size tables must come out of it
+# byte-identical, whether or not they carry uncommitted re-recordings.
+results_listing() { find benchmarks/results -type f -exec cksum {} + | sort -k3; }
+RESULTS_BEFORE=$(results_listing)
 REPRO_BENCH_SMOKE=1 python -m pytest -q \
     benchmarks/bench_pubsub_propagation.py \
     benchmarks/bench_event_matching.py \
@@ -49,6 +54,10 @@ REPRO_BENCH_SMOKE=1 python -m pytest -q \
     benchmarks/bench_sim_latency.py \
     benchmarks/bench_match_scale.py \
     benchmarks/bench_topology_scale.py
+if [ "$RESULTS_BEFORE" != "$(results_listing)" ]; then
+    echo "ci.sh: the benchmark smoke pass rewrote files under benchmarks/results/" >&2
+    exit 1
+fi
 # The repository benchmark's own harness at --smoke size: exact declared
 # metric names, failed == 0, and same-seed runs agreeing on every count.
 python -m pytest -q experiments/e2e/test_harness.py

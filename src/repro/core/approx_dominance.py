@@ -22,27 +22,37 @@ Algorithm (Section 5 of the paper):
 Setting ``ε = 0`` turns the same machinery into the exhaustive search used as
 the paper's lower-bound comparison (Theorem 4.1); a cube budget protects
 callers from accidentally launching an astronomically large exhaustive probe.
+
+Steps 1–2 depend on the query alone and are captured as a
+:class:`DominancePlan`; step 3 is :meth:`ApproximateDominanceIndex.execute_plan`,
+the one search implementation.  The paper prices step 3 in runs probed; a
+broker link holds tens of subscriptions against schedules of a thousand runs,
+so execution joins the two from whichever side is smaller and *reports* the
+runs a probe loop would have issued.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Hashable, Iterator, List, Optional, Sequence, Tuple
 
 from ..geometry.rect import ExtremalRectangle
 from ..geometry.universe import Universe
 from ..index.sfc_array import SFCArray, StoredItem
-from ..sfc.base import KeyRange, SpaceFillingCurve
-from ..sfc.runs import merge_key_ranges
+from ..sfc.base import SpaceFillingCurve
 from ..sfc.zorder import ZOrderCurve
-from .decomposition import cubes_in_class, level_census, zorder_key_ranges_in_class
+from .decomposition import cubes_in_class, level_census, zorder_class_keys
 
 __all__ = [
     "ApproximateDominanceIndex",
     "DominanceQueryResult",
     "TerminationReason",
     "DominancePlan",
-    "PlanStep",
+    "ClassTable",
     "build_dominance_plan",
 ]
 
@@ -106,23 +116,52 @@ class DominanceQueryResult:
         return self.searched_volume / self.region_volume
 
 
-@dataclass
-class PlanStep:
-    """One probe batch of a :class:`DominancePlan`.
+#: Cubes per probe batch: adjacent cubes of a batch merge into single runs,
+#: and the accounting of a hit is that of the batch its probe belongs to.
+BATCH_CUBES = 64
 
-    ``ranges`` are the (merged) key ranges to probe, in search order; the
-    remaining fields are *cumulative* accounting snapshots taken after the
-    batch's cubes were enumerated, so executing a plan reproduces the exact
-    counters of the interleaved search.  ``stop`` carries a termination
-    reason when the search must end after this batch even without a witness
-    (cube budget or coverage target hit mid-class).
+
+class ClassTable:
+    """The probes of one level class of a plan, as a table sorted by key.
+
+    Row ``r`` is the inclusive key range ``[los[r], his[r]]``; a plan's
+    ranges are pairwise disjoint (its cubes partition the region), so a key
+    lies in at most one row and ``bisect`` on ``his`` finds it.
+    ``probe_of_row[r]`` is the row's position in the class's search order,
+    ``row_of_probe`` the inverse.  Batch ``b`` holds the probes up to
+    ``batch_ends[b]``; its cumulative accounting follows from the cubes the
+    class had taken by then.  ``stop`` belongs to the last batch.
     """
 
-    ranges: Tuple[KeyRange, ...]
-    cubes: int
-    volume: int
-    classes: int
-    stop: Optional[str] = None
+    def __init__(
+        self,
+        probe_los: List[int],
+        probe_his: List[int],
+        batch_sizes: List[int],
+        cubes_before: int,
+        cubes: int,
+        volume_before: int,
+        cube_volume: int,
+        classes: int,
+        stop: Optional[str],
+    ) -> None:
+        by_key = sorted(range(len(probe_los)), key=probe_los.__getitem__)
+        self.los = [probe_los[probe] for probe in by_key]
+        self.his = [probe_his[probe] for probe in by_key]
+        self.probe_of_row = array("l", by_key)
+        self.row_of_probe = array("l", sorted(range(len(by_key)), key=by_key.__getitem__))
+        self.batch_ends = array("l", itertools.accumulate(batch_sizes))
+        self.cubes_before = cubes_before
+        self.cubes = cubes
+        self.volume_before = volume_before
+        self.cube_volume = cube_volume
+        self.classes = classes
+        self.stop = stop
+
+    def accounting(self, batch: int) -> Tuple[int, int]:
+        """Cumulative ``(cubes, volume)`` of the plan after batch ``batch`` of this class."""
+        taken = min((batch + 1) * BATCH_CUBES, self.cubes)
+        return self.cubes_before + taken, self.volume_before + taken * self.cube_volume
 
 
 class DominancePlan:
@@ -137,10 +176,11 @@ class DominancePlan:
     records the curve it was built for and can only be executed against an
     index using the same curve.
 
-    Steps are materialised lazily: the underlying enumeration is pulled only
-    as far as an execution needs it, so a query that finds a witness in the
-    first batch pays no more decomposition work than the interleaved search
-    would — and later executions reuse the already-materialised prefix.
+    The schedule is held as one key-sorted table per level class
+    (:class:`ClassTable`) and nothing else.  Classes are materialised lazily,
+    largest cubes first: an execution that finds its witness in an early
+    class never builds the later ones — with a six-digit cube budget that is
+    nearly the whole schedule — and later executions reuse what is there.
     """
 
     def __init__(
@@ -151,7 +191,6 @@ class DominancePlan:
         cube_budget: int,
         region_volume: int,
         aspect_ratio: int,
-        producer: Iterator[PlanStep],
         curve_kind: str,
     ) -> None:
         self.universe = universe
@@ -161,32 +200,64 @@ class DominancePlan:
         self.region_volume = region_volume
         self.aspect_ratio = aspect_ratio
         self.curve_kind = curve_kind
-        self._steps: List[PlanStep] = []
-        self._producer: Optional[Iterator[PlanStep]] = producer
-        #: Termination reason when an execution exhausts every step without a
-        #: witness and no step carried an explicit ``stop``.  Set by the
-        #: producer when it runs dry.
+        self._tables: List[ClassTable] = []
+        #: Generator of the classes not built yet (set by the builder).
+        self._producer: Optional[Iterator[ClassTable]] = None
+        #: Termination reason of an execution that exhausts every class
+        #: without a witness; the producer sets it with the last class.
         self.final_termination: str = TerminationReason.REGION_EXHAUSTED
 
-    def steps(self) -> Iterator[PlanStep]:
-        """Yield the plan's probe batches, materialising them on demand."""
+    def tables(self) -> Iterator[ClassTable]:
+        """Yield the per-class probe tables in search order, materialising on demand."""
         index = 0
         while True:
-            while index < len(self._steps):
-                yield self._steps[index]
+            while index < len(self._tables):
+                yield self._tables[index]
                 index += 1
             if self._producer is None:
                 return
             try:
-                step = next(self._producer)
+                table = next(self._producer)
             except StopIteration:
                 self._producer = None
                 return
-            self._steps.append(step)
+            self._tables.append(table)
 
     def materialised_steps(self) -> int:
         """Number of probe batches enumerated so far (test/benchmark hook)."""
-        return len(self._steps)
+        return sum(len(table.batch_ends) for table in self._tables)
+
+
+def _batched_ranges(
+    keys: List[int], span: int, merge: bool
+) -> Tuple[List[int], List[int], List[int]]:
+    """Probe-ordered ``(los, his, ranges per batch)`` of equal-span cube ranges.
+
+    With ``merge`` the ranges of a batch are sorted and joined wherever one
+    starts right after the previous ends — what ``merge_key_ranges`` returns
+    for them, since cubes of one class never overlap.
+    """
+    batch_starts = range(0, len(keys), BATCH_CUBES)
+    if not merge:
+        return (
+            keys,
+            [lo + span - 1 for lo in keys],
+            [min(BATCH_CUBES, len(keys) - start) for start in batch_starts],
+        )
+    los: List[int] = []
+    for start in batch_starts:
+        los += sorted(keys[start : start + BATCH_CUBES])
+    # A range starts at every batch boundary and wherever two neighbours of
+    # a sorted batch are not adjacent; it ends right before the next start.
+    starts = [True] + [lo - prev != span for prev, lo in zip(los, los[1:])]
+    for start in batch_starts:
+        starts[start] = True
+    ends = starts[1:] + [True]
+    return (
+        list(itertools.compress(los, starts)),
+        [lo + span - 1 for lo in itertools.compress(los, ends)],
+        [sum(starts[start : start + BATCH_CUBES]) for start in batch_starts],
+    )
 
 
 def build_dominance_plan(
@@ -200,10 +271,12 @@ def build_dominance_plan(
 ) -> DominancePlan:
     """Build the probe schedule of an ε-approximate dominance query.
 
-    The schedule is exactly the one :meth:`ApproximateDominanceIndex.query`
-    follows — same class order, same batch boundaries, same budget and
-    coverage cut-offs — so executing the plan returns the identical witness
-    and termination the interleaved search would.
+    The schedule follows Section 5: level classes largest cubes first, the
+    cubes of a class in grid order in batches of :data:`BATCH_CUBES`, ended
+    by the cube budget or, for ``ε > 0``, as soon as the enumerated volume
+    reaches ``(1 − ε)`` of the region.  How many cubes a class contributes
+    follows from Lemma 3.5's count, the budget left and the coverage target
+    *before* anything is enumerated, so only cubes the plan probes are built.
     """
     if not 0 <= epsilon < 1:
         raise ValueError(f"epsilon must lie in [0, 1), got {epsilon}")
@@ -221,8 +294,9 @@ def build_dominance_plan(
         )
     region = ExtremalRectangle.from_query_point(universe, point)
     region_volume = region.volume
-    target_volume = (1.0 - epsilon) * region_volume
-    batch_limit = 64
+    # The searched volume is an integer, so it reaches the (float) coverage
+    # target exactly when it reaches the target's ceiling.
+    target_volume = math.ceil((1.0 - epsilon) * region_volume) if epsilon > 0 else None
 
     plan = DominancePlan(
         universe=universe,
@@ -231,65 +305,47 @@ def build_dominance_plan(
         cube_budget=cube_budget,
         region_volume=region_volume,
         aspect_ratio=region.aspect_ratio,
-        producer=iter(()),  # replaced below; needs `plan` in scope
         curve_kind=curve.kind,
     )
 
-    def produce() -> Iterator[PlanStep]:
+    def produce() -> Iterator[ClassTable]:
         searched = 0
         cubes = 0
-        classes_examined = 0
-        for level_class in level_census(region):
-            if searched >= target_volume and epsilon > 0:
-                plan.final_termination = TerminationReason.COVERAGE_REACHED
-                return
-            classes_examined += 1
+        for classes_examined, level_class in enumerate(level_census(region), start=1):
+            if target_volume is not None and searched >= target_volume:
+                break
             cube_volume = level_class.cube_volume
-            if isinstance(curve, ZOrderCurve):
-                key_ranges = zorder_key_ranges_in_class(region, level_class.bit_index)
-            else:
-                key_ranges = (
-                    curve.cube_key_range(cube)
-                    for cube in cubes_in_class(region, level_class.bit_index)
-                )
-            pending: List[KeyRange] = []
-            stop: Optional[str] = None
-            for key_range in key_ranges:
-                if cubes >= cube_budget:
-                    stop = TerminationReason.CUBE_BUDGET
-                    break
-                cubes += 1
-                searched += cube_volume
-                pending.append(key_range)
-                if len(pending) >= batch_limit:
-                    yield PlanStep(
-                        ranges=tuple(
-                            merge_key_ranges(pending)
-                            if merge_adjacent_runs
-                            else pending
-                        ),
-                        cubes=cubes,
-                        volume=searched,
-                        classes=classes_examined,
-                    )
-                    pending.clear()
-                if epsilon > 0 and searched >= target_volume:
+            take = min(level_class.num_cubes, cube_budget - cubes)
+            stop = TerminationReason.CUBE_BUDGET if take < level_class.num_cubes else None
+            if target_volume is not None:
+                # Coverage is checked after each cube, before the next budget check.
+                enough = -((searched - target_volume) // cube_volume)
+                if enough <= take:
+                    take = enough
                     stop = TerminationReason.COVERAGE_REACHED
-                    break
-            if pending or stop is not None:
-                yield PlanStep(
-                    ranges=tuple(
-                        merge_key_ranges(pending) if merge_adjacent_runs else pending
-                    ),
-                    cubes=cubes,
-                    volume=searched,
-                    classes=classes_examined,
-                    stop=stop,
-                )
+            if isinstance(curve, ZOrderCurve):
+                keys = zorder_class_keys(region, level_class.bit_index, take)
+            else:
+                keys = [
+                    curve.cube_key_range(cube)[0]
+                    for cube in itertools.islice(
+                        cubes_in_class(region, level_class.bit_index), take
+                    )
+                ]
+            # A cube spans as many keys as it has cells.
+            los, his, batch_sizes = _batched_ranges(keys, cube_volume, merge_adjacent_runs)
             if stop is not None:
                 plan.final_termination = stop
+                if take % BATCH_CUBES == 0:
+                    batch_sizes.append(0)  # the cut-off fell on a batch boundary
+            yield ClassTable(
+                los, his, batch_sizes, cubes, take, searched, cube_volume, classes_examined, stop
+            )
+            if stop is not None:
                 return
-        if searched >= target_volume and epsilon > 0:
+            cubes += take
+            searched += take * cube_volume
+        if target_volume is not None and searched >= target_volume:
             plan.final_termination = TerminationReason.COVERAGE_REACHED
 
     plan._producer = produce()
@@ -311,8 +367,8 @@ class ApproximateDominanceIndex:
         The space filling curve; defaults to the Z-order curve analysed in the
         paper.  Any recursive-partitioning curve works.
     backend:
-        Ordered-map backend for the SFC array (``"avl"``, ``"skiplist"`` or
-        ``"sortedlist"``).
+        Ordered-map backend for the SFC array
+        (:data:`~repro.index.backends.BACKEND_NAMES`).
     merge_adjacent_runs:
         When True, key ranges of cubes belonging to the same level class are
         merged before probing, so adjacent cubes cost a single probe
@@ -370,11 +426,7 @@ class ApproximateDominanceIndex:
         point is a valid witness).  With ``epsilon=0`` the search is
         exhaustive up to the cube budget.
         """
-        eps = self.epsilon if epsilon is None else epsilon
-        if not 0 <= eps < 1:
-            raise ValueError(f"epsilon must lie in [0, 1), got {eps}")
-        region = ExtremalRectangle.from_query_point(self.universe, point)
-        return self._search_region(region, eps)
+        return self.execute_plan(self.plan(point, epsilon))
 
     def exhaustive_query(self, point: Sequence[int]) -> DominanceQueryResult:
         """Answer an exhaustive dominance query (ε = 0), subject to the cube budget."""
@@ -400,13 +452,15 @@ class ApproximateDominanceIndex:
         )
 
     def execute_plan(self, plan: DominancePlan) -> DominanceQueryResult:
-        """Probe this index along a prebuilt plan.
+        """Search this index along a plan: the first probe, in schedule order, that hits.
 
-        Returns exactly what :meth:`query` would for the plan's point and ε:
-        the plan replays the same probe order, batch boundaries and budget /
-        coverage cut-offs, only the decomposition work is skipped.  The plan
-        must have been built for this index's universe *and* curve — a plan's
-        key ranges are curve-specific.
+        Level class by level class (materialising each on first use),
+        :meth:`SFCArray.first_probe_hit` joins the class's table against the
+        stored keys from whichever side is smaller.  The witness and every
+        counter of the result are those of a probe-by-probe walk of the
+        schedule, whichever side drove the join.  The plan must have been
+        built for this index's universe *and* curve — a plan's key ranges
+        are curve-specific.
         """
         if plan.universe != self.universe:
             raise ValueError("plan universe does not match the index universe")
@@ -421,25 +475,18 @@ class ApproximateDominanceIndex:
         volume = 0
         classes = 0
         witness: Optional[StoredItem] = None
-        termination: Optional[str] = None
-        for step in plan.steps():
-            cubes = step.cubes
-            volume = step.volume
-            classes = step.classes
-            for key_range in step.ranges:
-                runs_probed += 1
-                hit = self.array.first_in_key_range(key_range)
-                if hit is not None:
-                    witness = hit
-                    termination = TerminationReason.FOUND
-                    break
-            if witness is not None:
+        for table in plan.tables():
+            classes = table.classes
+            hit = self.array.first_probe_hit(
+                table.los, table.his, table.probe_of_row, table.row_of_probe
+            )
+            if hit is not None:
+                probe, witness = hit
+                runs_probed += probe + 1
+                cubes, volume = table.accounting(bisect_right(table.batch_ends, probe))
                 break
-            if step.stop is not None:
-                termination = step.stop
-                break
-        if termination is None:
-            termination = plan.final_termination
+            runs_probed += len(table.los)
+            cubes, volume = table.accounting(len(table.batch_ends) - 1)
         return DominanceQueryResult(
             item=witness,
             epsilon=plan.epsilon,
@@ -449,120 +496,7 @@ class ApproximateDominanceIndex:
             cubes_examined=cubes,
             classes_examined=classes,
             aspect_ratio=plan.aspect_ratio,
-            termination=termination,
+            termination=(
+                TerminationReason.FOUND if witness is not None else plan.final_termination
+            ),
         )
-
-    # -------------------------------------------------------------- internals
-    def _search_region(self, region: ExtremalRectangle, epsilon: float) -> DominanceQueryResult:
-        region_volume = region.volume
-        target_volume = (1.0 - epsilon) * region_volume
-        classes = level_census(region)
-
-        searched_volume = 0
-        runs_probed = 0
-        cubes_examined = 0
-        classes_examined = 0
-        witness: Optional[StoredItem] = None
-        termination = TerminationReason.REGION_EXHAUSTED
-
-        for level_class in classes:
-            if searched_volume >= target_volume and epsilon > 0:
-                termination = TerminationReason.COVERAGE_REACHED
-                break
-            classes_examined += 1
-            witness, probes, examined, volume, stopped = self._search_class(
-                region, level_class.bit_index, level_class.cube_volume,
-                cubes_examined, target_volume, searched_volume, epsilon,
-            )
-            runs_probed += probes
-            cubes_examined += examined
-            searched_volume += volume
-            if witness is not None:
-                termination = TerminationReason.FOUND
-                break
-            if stopped is not None:
-                termination = stopped
-                break
-        else:
-            if searched_volume >= target_volume and epsilon > 0:
-                termination = TerminationReason.COVERAGE_REACHED
-
-        return DominanceQueryResult(
-            item=witness,
-            epsilon=epsilon,
-            region_volume=region_volume,
-            searched_volume=searched_volume,
-            runs_probed=runs_probed,
-            cubes_examined=cubes_examined,
-            classes_examined=classes_examined,
-            aspect_ratio=region.aspect_ratio,
-            termination=termination,
-        )
-
-    def _search_class(
-        self,
-        region: ExtremalRectangle,
-        bit_index: int,
-        cube_volume: int,
-        cubes_so_far: int,
-        target_volume: float,
-        volume_so_far: int,
-        epsilon: float,
-    ) -> Tuple[Optional[StoredItem], int, int, int, Optional[str]]:
-        """Probe the cubes of one level class; returns (witness, probes, cubes, volume, stop)."""
-        assert self.curve is not None
-        probes = 0
-        examined = 0
-        volume = 0
-        pending_ranges: List[Tuple[int, int]] = []
-
-        def flush() -> Optional[StoredItem]:
-            nonlocal probes
-            if not pending_ranges:
-                return None
-            ranges = (
-                merge_key_ranges(pending_ranges)
-                if self.merge_adjacent_runs
-                else list(pending_ranges)
-            )
-            pending_ranges.clear()
-            for key_range in ranges:
-                probes += 1
-                hit = self.array.first_in_key_range(key_range)
-                if hit is not None:
-                    return hit
-            return None
-
-        # The Z curve has a dedicated key-range enumerator that avoids building
-        # cube objects; other recursive curves go through the generic path.
-        if isinstance(self.curve, ZOrderCurve):
-            key_ranges = zorder_key_ranges_in_class(region, bit_index)
-        else:
-            curve = self.curve
-            key_ranges = (
-                curve.cube_key_range(cube) for cube in cubes_in_class(region, bit_index)
-            )
-
-        # Batch probes so that adjacent cubes can be merged into single runs,
-        # but flush periodically to preserve the early-exit behaviour.
-        batch_limit = 64
-        for key_range in key_ranges:
-            if cubes_so_far + examined >= self.cube_budget:
-                witness = flush()
-                return witness, probes, examined, volume, (
-                    None if witness is not None else TerminationReason.CUBE_BUDGET
-                )
-            examined += 1
-            volume += cube_volume
-            pending_ranges.append(key_range)
-            if len(pending_ranges) >= batch_limit:
-                witness = flush()
-                if witness is not None:
-                    return witness, probes, examined, volume, None
-            if epsilon > 0 and volume_so_far + volume >= target_volume:
-                witness = flush()
-                return witness, probes, examined, volume, (
-                    None if witness is not None else TerminationReason.COVERAGE_REACHED
-                )
-        witness = flush()
-        return witness, probes, examined, volume, None

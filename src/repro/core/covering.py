@@ -268,9 +268,9 @@ class ApproximateCoveringDetector:
         """Covering query along a precomputed probe schedule.
 
         Identical answer to :meth:`find_covering` on the profile's ranges at
-        the detector's default ε — the plan replays the exact same search.  A
-        profile built under different parameters (paranoia guard; brokers
-        share one config) falls back to the classic interleaved search.
+        the detector's default ε — same plan, here not rebuilt.  A profile
+        built under different parameters (paranoia guard; brokers share one
+        config) is answered from its ranges under this detector's own.
         """
         if not self.compatible_profile(profile):
             return self.find_covering(profile.ranges)

@@ -29,9 +29,16 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
-from ..geometry.bits import bit_at, bit_length, ceil_log2, suffix_from, suffix_vector
+from ..geometry.bits import (
+    bit_at,
+    bit_length,
+    ceil_log2,
+    spread_bits,
+    suffix_from,
+    suffix_vector,
+)
 from ..geometry.rect import ExtremalRectangle, Rectangle, StandardCube
 from ..geometry.universe import Universe
 
@@ -41,7 +48,7 @@ __all__ = [
     "level_census",
     "count_cubes_extremal",
     "cubes_in_class",
-    "zorder_key_ranges_in_class",
+    "zorder_class_keys",
     "greedy_decomposition",
     "decompose_rectangle",
     "cumulative_volume_at_level",
@@ -184,78 +191,70 @@ def cubes_in_class(extremal: ExtremalRectangle, bit_index: int) -> Iterator[Stan
             yield StandardCube(universe, low_corner, cube_side)
 
 
-def zorder_key_ranges_in_class(
-    extremal: ExtremalRectangle, bit_index: int
-) -> Iterator[Tuple[int, int]]:
-    """Yield the Z-curve key range of every cube of class ``D_i``, without building cubes.
+def zorder_class_keys(extremal: ExtremalRectangle, bit_index: int, count: int) -> List[int]:
+    """Lowest Z-curve key of each of the first ``count`` cubes of class ``D_i``.
 
-    Equivalent to ``curve.cube_key_range(cube) for cube in cubes_in_class(...)``
-    with a :class:`~repro.sfc.zorder.ZOrderCurve`, but avoids per-cube object
-    construction and recomputes shared bit-interleavings at most once per
-    coordinate value.  This is the hot path of the approximate dominance
-    query; the slower generic path remains available for other curves and is
-    what the equivalence tests compare against.
+    The cubes come in :func:`cubes_in_class` order and each spans
+    ``2^{d·i}`` keys, so ``(key, key + 2^{d·i} − 1)`` is its
+    ``ZOrderCurve.cube_key_range``.  Only the requested prefix of the class's
+    cube grid is generated: per box, each dimension contributes just as many
+    cube coordinates as ``count`` can reach (a bit-dilated counter steps
+    through them already in key position) and list comprehensions OR the
+    dimensions together.  The hot path of building a dominance plan; other
+    curves take the generic cube path the equivalence tests compare against.
     """
-    universe = extremal.universe
     lengths = extremal.lengths
     dims = extremal.dims
-    side = universe.side
+    side = extremal.universe.side
     low_bits = dims * bit_index  # key bits spanned by the cells inside one cube
-    cube_span = 1 << low_bits
+    # One bit per level of the cube grid, ``dims`` apart: where the bits of a
+    # single cube coordinate land in a key prefix.
+    dilated = sum(1 << (level * dims) for level in range(extremal.universe.order - bit_index))
 
-    def spread(value: int, shift: int, cache: Dict[int, int]) -> int:
-        """Interleave-ready form of ``value``: bit ``j`` moved to ``j*dims + shift``."""
-        cached = cache.get(value)
-        if cached is None:
-            cached = 0
-            v = value
-            j = 0
-            while v:
-                if v & 1:
-                    cached |= 1 << (j * dims + shift)
-                v >>= 1
-                j += 1
-            cache[value] = cached
-        return cached
-
+    keys: List[int] = []
     for pivot in range(dims):
+        want = count - len(keys)
+        if want <= 0:
+            break
         if not bit_at(lengths[pivot], bit_index):
             continue
-        # Per-dimension list of cube coordinates (at the cube grid of this level).
-        coord_lists: List[List[int]] = []
-        empty = False
+        # Extent of the box along each dimension, as (first cube coordinate,
+        # length in cubes) at the cube grid of this level.
+        box: List[Tuple[int, int]] = []
         for dim in range(dims):
             if dim == pivot:
-                extent_low = side - suffix_from(lengths[dim], bit_index)
-                coords = [extent_low >> bit_index]
-            elif dim < pivot:
-                extent = suffix_from(lengths[dim], bit_index + 1)
-                if extent == 0:
-                    empty = True
-                    break
-                first = (side - extent) >> bit_index
-                coords = list(range(first, first + (extent >> bit_index)))
+                box.append(((side - suffix_from(lengths[dim], bit_index)) >> bit_index, 1))
             else:
-                extent = suffix_from(lengths[dim], bit_index)
-                first = (side - extent) >> bit_index
-                coords = list(range(first, first + (extent >> bit_index)))
-            coord_lists.append(coords)
-        if empty:
+                extent = suffix_from(lengths[dim], bit_index + 1 if dim < pivot else bit_index)
+                box.append(((side - extent) >> bit_index, extent >> bit_index))
+        if any(cubes == 0 for _, cubes in box):
             continue
-        # Pre-spread each dimension's coordinate values once.  Within each key
-        # bit group dimension 0 occupies the most significant position, hence
-        # the (dims − 1 − dim) shift.
-        caches: List[Dict[int, int]] = [{} for _ in range(dims)]
-        spread_lists = [
-            [spread(c, dims - 1 - dim, caches[dim]) for c in coord_lists[dim]]
-            for dim in range(dims)
-        ]
-        for parts in itertools.product(*spread_lists):
-            prefix = 0
-            for part in parts:
-                prefix |= part
-            lo = prefix << low_bits
-            yield (lo, lo + cube_span - 1)
+        # Grid order varies the last dimension fastest, so a prefix of ``want``
+        # cubes uses, per dimension from the last, only as many coordinates
+        # as the dimensions after it leave room for.
+        used: List[int] = []
+        size = 1
+        for _, cubes in reversed(box):
+            used.append(min(cubes, -(-want // size)))
+            size *= used[-1]
+        used.reverse()
+        # Dimensions pinned to their first coordinate fold into one prefix
+        # before the others multiply the list out.
+        pinned = [dim for dim in range(dims) if used[dim] == 1]
+        combined = [0]
+        for dim in pinned + [dim for dim in reversed(range(dims)) if used[dim] > 1]:
+            # Within each key bit group dimension 0 occupies the most
+            # significant position, hence the (dims − 1 − dim) shift.
+            shift = low_bits + dims - 1 - dim
+            mask = dilated << shift
+            part = spread_bits(box[dim][0], dims, shift)
+            parts = []
+            for _ in range(used[dim]):
+                parts.append(part)
+                part = ((part | ~mask) + 1) & mask  # dilated increment
+            combined = [part | rest for part in parts for rest in combined]
+        keys.extend(combined[:want])
+    return keys
 
 
 def greedy_decomposition(

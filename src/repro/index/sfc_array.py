@@ -151,6 +151,51 @@ class SFCArray:
         # Buckets are never left empty, so next(iter(...)) is safe.
         return next(iter(bucket.items.values()))
 
+    def first_probe_hit(
+        self,
+        los: Sequence[int],
+        his: Sequence[int],
+        probe_of_row: Sequence[int],
+        row_of_probe: Sequence[int],
+    ) -> Optional[Tuple[int, StoredItem]]:
+        """First hit of a whole probe schedule: ``(probe index, item)`` or ``None``.
+
+        The schedule is a table of pairwise disjoint inclusive key ranges
+        sorted by key (row ``r`` is ``[los[r], his[r]]``) plus the search
+        order over its rows (``probe_of_row`` and its inverse).  The answer,
+        and the advance of ``stats.range_probes``, are those of calling
+        :meth:`first_in_key_range` on the rows in search order up to the first
+        hit.  It is computed as a join from the smaller side: an array with
+        no more items than the table has rows bisects each stored key into
+        the table and keeps the hit with the smallest probe index, then the
+        smallest key (what that probe returns); otherwise the rows are probed
+        in order.  Stored keys come from the item map, so the backend's
+        pending and tombstoned keys never matter.
+        """
+        rows = len(los)
+        if len(self._key_of_item) <= rows:
+            probe, key = rows, -1
+            for stored_key in self._key_of_item.values():
+                row = bisect.bisect_left(his, stored_key)
+                if row < rows and los[row] <= stored_key:
+                    candidate = probe_of_row[row]
+                    if candidate < probe or (candidate == probe and stored_key < key):
+                        probe, key = candidate, stored_key
+            bucket = self._backend.get(key) if probe < rows else None
+        else:
+            first_in_range = self._backend.first_in_range
+            bucket = None
+            for probe, row in enumerate(row_of_probe):
+                hit = first_in_range(los[row], his[row])
+                if hit is not None:
+                    bucket = hit[1]
+                    break
+        if bucket is None:
+            self.stats.range_probes += rows
+            return None
+        self.stats.range_probes += probe + 1
+        return probe, next(iter(bucket.items.values()))
+
     def items_in_key_range(self, key_range: KeyRange) -> Iterator[StoredItem]:
         """Yield every item whose key lies in the inclusive range, in key order."""
         low, high = key_range
@@ -192,30 +237,43 @@ class FlatSegmentStore:
     boundary sweep over every live run.  A stab is then a single ``bisect``
     on the upper-bound array.
 
-    Updates are staged, LSM-style:
+    Updates are staged, LSM-style, one entry per *slot*:
 
-    * **inserts** append their runs to a pending buffer that stabs scan
-      linearly; once the buffer outgrows a fraction of the flattened
-      structure, a *merge-rebuild* re-sweeps all live runs into fresh arrays
-      (amortised: the buffer bound grows with the structure, so rebuild work
-      per insert stays logarithmic until the segment count saturates);
+    * **inserts** park the slot's (immutable, sorted) run tuple in a pending
+      buffer; a stab bisects each pending slot's runs, so a pending slot
+      costs one ``bisect`` however many runs it has.  Once more than
+      :data:`PENDING_SLOTS` + 1/:data:`PENDING_SHARE` of the flattened slots
+      are pending, a *merge-rebuild* re-sweeps all live runs into fresh
+      arrays (the buffer bound grows with the structure, so the rebuild work
+      per insert stays bounded);
     * **removals** of flattened slots only tombstone the slot (stabs filter
-      against the tombstone set); compaction rebuilds once tombstones exceed
-      a quarter of the live population.  Removals of still-pending slots
-      rewrite only the buffer.
+      against the tombstone set); compaction rebuilds once the tombstones
+      outnumber the flattened slots still alive, i.e. once more than half of
+      what the arrays hold is garbage.  Removals of still-pending slots drop
+      the buffer entry and leave no garbage at all.
+
+    Both thresholds are sized from measured costs (README, "Event-matching
+    fast path"): a rebuild costs ~100 µs per 64-run slot at every size, a
+    pending slot adds ~0.3 µs to every stab, so with at most ``P`` slots
+    pending an add pays ``100·n/P`` µs and a stab ``0.15·P`` µs on average —
+    balanced at ``P`` ≈ 15–40 for 10–30-slot tables read 6–100 times per write.
 
     Bulk loading (:meth:`add_bulk`) stages every subscription and performs a
     single sweep, which is how a million-subscription index is built in one
     pass.
     """
 
+    #: Pending slots a store of any size may hold before it rebuilds, and the
+    #: share of the flattened slots that may be pending beside them.
+    PENDING_SLOTS = 16
+    PENDING_SHARE = 8
+
     def __init__(self) -> None:
         self._runs: Dict[int, Tuple[KeyRange, ...]] = {}
         self._los: List[int] = []
         self._his: List[int] = []
         self._members: List[array] = []
-        self._pending: List[Tuple[int, int, int]] = []
-        self._pending_slots: set = set()
+        self._pending: Dict[int, Tuple[KeyRange, ...]] = {}
         self._dead: set = set()
         self.rebuilds = 0
         self.member_entries = 0
@@ -230,15 +288,17 @@ class FlatSegmentStore:
     def runs_of(self, slot: int) -> Tuple[KeyRange, ...]:
         return self._runs[slot]
 
-    def _pending_cap(self) -> int:
-        return 64 + len(self._los) // 8
+    def _flattened_slots(self) -> int:
+        """Slots the flattened arrays hold, tombstoned ones included."""
+        return len(self._runs) - len(self._pending) + len(self._dead)
 
     @staticmethod
     def _normalize_runs(runs: Sequence[KeyRange]) -> Tuple[KeyRange, ...]:
-        """Disjoint sorted runs: the boundary sweep and the pending-buffer scan
-        both assume a slot's own runs never overlap (overlaps would drop the
-        slot early / yield it twice).  The match index always hands over
-        already-merged runs, so the common case is a cheap monotonicity check.
+        """Disjoint sorted runs: the boundary sweep assumes a slot's own runs
+        never overlap (overlaps would drop the slot early) and the pending
+        buffer bisects them.  The match index always hands over
+        already-merged run tuples, so the common case is a cheap monotonicity
+        check that returns the very tuple it was given.
         """
         prev_hi = -1
         for lo, hi in runs:
@@ -251,12 +311,11 @@ class FlatSegmentStore:
         """Stage a slot's runs; the caller guarantees the slot is not present."""
         if slot in self._runs:
             raise ValueError(f"slot {slot} is already stored; remove it first")
-        runs = self._normalize_runs(runs)
-        self._runs[slot] = runs
-        self._pending_slots.add(slot)
-        for lo, hi in runs:
-            self._pending.append((lo, hi, slot))
-        if len(self._pending) > self._pending_cap():
+        self._runs[slot] = self._pending[slot] = self._normalize_runs(runs)
+        if (
+            len(self._pending)
+            > self.PENDING_SLOTS + self._flattened_slots() // self.PENDING_SHARE
+        ):
             self.rebuild()
 
     def add_bulk(self, items: Iterable[Tuple[int, Sequence[KeyRange]]]) -> None:
@@ -286,12 +345,9 @@ class FlatSegmentStore:
         runs = self._runs.pop(slot, None)
         if runs is None:
             return 0
-        if slot in self._pending_slots:
-            self._pending_slots.discard(slot)
-            self._pending = [run for run in self._pending if run[2] != slot]
-        else:
+        if self._pending.pop(slot, None) is None:
             self._dead.add(slot)
-            if len(self._dead) * 4 > len(self._runs):
+            if len(self._dead) * 2 > self._flattened_slots():
                 self.rebuild()
         return len(runs)
 
@@ -304,7 +360,7 @@ class FlatSegmentStore:
         a Python-level event loop.  The stable sort keeps members in slot
         insertion order, so the result is deterministic.  Returns ``False``
         (caller falls back to the Python sweep) when numpy is unavailable,
-        the store is small, or keys overflow 64 bits.
+        the store is small, or an exclusive run end does not fit 64 bits.
         """
         np = vectorized.np
         if np is None or len(self._runs) < 512:
@@ -317,11 +373,12 @@ class FlatSegmentStore:
                 los_l.append(lo)
                 his_l.append(hi)
                 slots_l.append(slot)
-        try:
-            lo_arr = np.asarray(los_l, dtype=np.uint64)
-            hi_arr = np.asarray(his_l, dtype=np.uint64) + 1  # exclusive ends
-        except OverflowError:
+        # The sweep works on exclusive ends; for a run reaching the top of a
+        # 64-bit key space uint64 arithmetic would wrap that end to 0, silently.
+        if max(his_l, default=0) >= (1 << 64) - 1:
             return False
+        lo_arr = np.asarray(los_l, dtype=np.uint64)
+        hi_arr = np.asarray(his_l, dtype=np.uint64) + 1  # exclusive ends
         slot_arr = np.asarray(slots_l, dtype=np.int64)
         bounds = np.unique(np.concatenate((lo_arr, hi_arr)))
         starts = np.searchsorted(bounds, lo_arr)
@@ -387,8 +444,7 @@ class FlatSegmentStore:
                     i += 1
                 prev = pos
             self._los, self._his, self._members = los, his, members
-        self._pending = []
-        self._pending_slots.clear()
+        self._pending = {}
         self._dead.clear()
         self.member_entries = sum(len(m) for m in self._members)
         self.rebuilds += 1
@@ -398,9 +454,9 @@ class FlatSegmentStore:
         """Yield the live slots whose stored runs contain ``key``.
 
         One ``bisect`` on the flattened arrays (tombstones filtered lazily)
-        plus a linear pass over the bounded pending buffer.  Lazy so that
-        early-exiting callers (``any_match``) stop paying per candidate as
-        soon as they confirm a hit.
+        plus one ``bisect`` per slot of the bounded pending buffer.  Lazy so
+        that early-exiting callers (``any_match``) stop paying per candidate
+        as soon as they confirm a hit.
         """
         his = self._his
         idx = bisect.bisect_left(his, key)
@@ -412,13 +468,16 @@ class FlatSegmentStore:
                         yield slot
             else:
                 yield from self._members[idx]
-        for lo, hi, slot in self._pending:
-            if lo <= key <= hi:
-                yield slot
+        if self._pending:
+            after = (key + 1,)  # sorts right after every run starting at or before ``key``
+            for slot, runs in self._pending.items():
+                idx = bisect.bisect_left(runs, after)
+                if idx and runs[idx - 1][1] >= key:
+                    yield slot
 
     def segment_count(self) -> int:
         """Structure size: flattened segments plus still-pending runs."""
-        return len(self._his) + len(self._pending)
+        return len(self._his) + sum(len(runs) for runs in self._pending.values())
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -25,9 +25,9 @@ module hoists both shared halves out:
   on crash recovery).
 
 Profiles are an optimisation, never a semantic change: a profile-driven
-covering check replays the exact probe schedule the interleaved search would
-run (pinned by ``test_profile_path_replays_classic_search``), so forwarding
-decisions are those of per-check recomputation.
+covering check executes the very plan a stand-alone ``find_covering`` would
+build for itself (pinned by ``test_profile_path_replays_classic_search``), so
+forwarding decisions are those of per-check recomputation.
 """
 
 from __future__ import annotations
@@ -75,6 +75,12 @@ class ProfileCache:
     which includes the curve kind, ε and cube budget — so the same rectangle
     profiled under two different curves (or detector configs) never shares a
     cached plan: a plan's probe key ranges are curve-specific.
+
+    Memory: a cached profile is dominated by its plan, ~96 bytes per probe
+    range once checks have materialised it — 75–192 KB per plan at the
+    default ``cube_budget`` of 2,000 over a 6-dimensional dominance universe
+    (measured).  Worst case ``max_entries`` × 192 KB, 19 GB at the default
+    100,000: size ``max_entries`` to the distinct rectangles in flight.
 
     The cache also holds the match index's key runs (:meth:`match_runs` /
     :meth:`store_match_runs`).  The caller builds the key from everything the

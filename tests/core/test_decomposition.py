@@ -16,7 +16,7 @@ from repro.core.decomposition import (
     greedy_decomposition,
     level_census,
     truncation_bits,
-    zorder_key_ranges_in_class,
+    zorder_class_keys,
 )
 from repro.geometry.bits import bit_at, bit_length
 from repro.geometry.rect import ExtremalRectangle, Rectangle, StandardCube
@@ -155,18 +155,24 @@ class TestCubesInClass:
         for a, b in itertools.combinations(all_cubes, 2):
             assert not a.as_rectangle().intersects(b.as_rectangle())
 
-    def test_zorder_fast_path_matches_generic(self):
-        universe = Universe(dims=3, order=4)
+    @pytest.mark.parametrize("dims, order", [(2, 6), (3, 4), (4, 3), (6, 2)])
+    def test_zorder_fast_path_matches_generic(self, dims, order):
+        """Same cubes in the same grid order, for the whole class and every prefix length
+        around a batch boundary."""
+        universe = Universe(dims=dims, order=order)
         curve = ZOrderCurve(universe)
         rng = random.Random(13)
         for _ in range(20):
             region = ExtremalRectangle(universe, random_lengths(rng, universe))
             for cls in level_census(region):
-                generic = sorted(
+                generic = [
                     curve.cube_key_range(c) for c in cubes_in_class(region, cls.bit_index)
-                )
-                fast = sorted(zorder_key_ranges_in_class(region, cls.bit_index))
-                assert generic == fast
+                ]
+                span = cls.cube_volume
+                for count in {1, 63, 64, 65, cls.num_cubes // 2, cls.num_cubes}:
+                    count = min(count, cls.num_cubes)
+                    fast = zorder_class_keys(region, cls.bit_index, count)
+                    assert [(lo, lo + span - 1) for lo in fast] == generic[:count]
 
 
 class TestGreedyDecomposition:

@@ -126,6 +126,54 @@ class TestSFCArrayQueries:
         assert len(keys) == 2
 
 
+class TestFirstProbeHit:
+    """The whole-schedule probe against its definition: first_in_key_range per
+    row in search order, stopping at the first hit."""
+
+    @staticmethod
+    def schedule(rng, max_key, rows):
+        """``rows`` disjoint key ranges sorted by key, and a shuffled search order."""
+        cuts = sorted(rng.sample(range(max_key + 1), 2 * rows))
+        los, his = cuts[0::2], cuts[1::2]
+        probe_of_row = list(range(rows))
+        rng.shuffle(probe_of_row)
+        row_of_probe = [0] * rows
+        for row, probe in enumerate(probe_of_row):
+            row_of_probe[probe] = row
+        return los, his, probe_of_row, row_of_probe
+
+    @pytest.mark.parametrize("items", [0, 1, 7, 8, 9, 40])
+    def test_matches_the_probe_loop_in_both_join_directions(self, array, items):
+        """Eight rows against 0–40 items: fewer items than rows walks the stored
+        keys, more walks the rows; the answer and the probe count never differ."""
+        rng = random.Random(items)
+        max_key = array.universe.max_key
+        for i in range(items):
+            array.add(i, (rng.randint(0, 31), rng.randint(0, 31)))
+        for i in range(0, items, 4):
+            array.remove(i)
+        for i in range(0, items, 8):
+            array.add(i, array.point_of(i + 1) or (5, 5))  # shares a cell
+        for _ in range(60):
+            los, his, probe_of_row, row_of_probe = self.schedule(rng, max_key, 8)
+            before = array.stats.range_probes
+            expected = None
+            for probe, row in enumerate(row_of_probe):
+                item = array.first_in_key_range((los[row], his[row]))
+                if item is not None:
+                    expected = (probe, item)
+                    break
+            probes = array.stats.range_probes - before
+            assert array.first_probe_hit(los, his, probe_of_row, row_of_probe) == expected
+            assert array.stats.range_probes - before == 2 * probes
+
+    def test_empty_schedule_and_empty_array(self, array):
+        assert array.first_probe_hit([], [], [], []) is None
+        array.add("a", (1, 1))
+        assert array.first_probe_hit([], [], [], []) is None
+        assert array.stats.range_probes == 0
+
+
 class TestSFCArrayConsistencyAcrossBackends:
     def test_same_results_for_all_backends(self):
         universe = Universe(dims=2, order=6)

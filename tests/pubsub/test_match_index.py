@@ -139,6 +139,39 @@ class TestMatchIndexUnit:
             expected = {sid for sid, sub in subs.items() if sub.matches(event)}
             assert set(index.matching_ids(event.cells)) == expected
 
+    @pytest.mark.parametrize("attributes, order", [(4, 16), (8, 8)])
+    def test_unconstrained_subscription_survives_a_bulk_load_at_64_bit_keys(
+        self, attributes, order
+    ):
+        """An all-range subscription is the single run ``(0, 2**64 - 1)`` here, and
+        a bulk load of 512+ takes the numpy sweep, whose exclusive run ends
+        used to wrap to 0 and drop it: every answer against the rectangle oracle."""
+        schema = AttributeSchema(
+            [Attribute(f"a{i}", 0.0, 1.0) for i in range(attributes)], order=order
+        )
+        top = (1 << order) - 1
+        rng = random.Random(attributes)
+        rects = {"everything": ((0, top),) * attributes}
+        # One that reaches the top of the key space without starting at 0.
+        rects["upper-half"] = ((top // 2 + 1, top),) * attributes
+        for i in range(600):
+            corners = [sorted((rng.randint(0, top), rng.randint(0, top))) for _ in range(attributes)]
+            rects[i] = tuple((lo, hi) for lo, hi in corners)
+        index = MatchIndex(schema)
+        index.add_batch(list(rects.items()))
+        probes = [(top,) * attributes, (0,) * attributes, (top // 2 + 1,) * attributes]
+        probes += [tuple(rng.randint(0, top) for _ in range(attributes)) for _ in range(40)]
+        probes += [tuple(rng.randint(lo, hi) for lo, hi in rects[i]) for i in range(20)]
+        for cells in probes:
+            expected = {
+                sub_id
+                for sub_id, rect in rects.items()
+                if all(lo <= cell <= hi for (lo, hi), cell in zip(rect, cells))
+            }
+            assert "everything" in expected
+            assert set(index.matching_ids(cells)) == expected
+            assert index.any_match(cells)
+
     def test_rejects_wrong_arity(self, schema):
         index = MatchIndex(schema)
         with pytest.raises(ValueError):
