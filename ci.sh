@@ -17,13 +17,31 @@ cleanup() {
 }
 trap cleanup EXIT
 
-echo "== tier-1 tests (hypothesis profile: ${HYPOTHESIS_PROFILE:-ci}) =="
+# Wall-clock per stage: `stage NAME` closes the stage before it (bash's
+# SECONDS at its start and end) and opens the next; the table at the end is
+# what an argument about dropping or merging a pass (ROADMAP 4(f)) starts from.
+STAGE_NAMES=()
+STAGE_TIMES=()
+STAGE_NAME=""
+stage() {
+    if [ -n "$STAGE_NAME" ]; then
+        local took=$((SECONDS - STAGE_START))
+        STAGE_NAMES+=("$STAGE_NAME")
+        STAGE_TIMES+=("$took")
+        echo "-- ${STAGE_NAME}: ${took} s"
+    fi
+    STAGE_NAME="$1"
+    STAGE_START=$SECONDS
+    if [ -n "$1" ]; then echo "== $1 =="; fi
+}
+
+stage "tier-1 tests (hypothesis profile: ${HYPOTHESIS_PROFILE:-ci})"
 # Includes the cross-curve differential suite
 # (tests/pubsub/test_curve_differential.py): identical scripted workloads
 # under zorder/hilbert/gray must match the linear-scan flat oracle.
 HYPOTHESIS_PROFILE="${HYPOTHESIS_PROFILE:-ci}" python -m pytest -x -q tests
 
-echo "== benchmark smoke (tiny sizes) =="
+stage "benchmark smoke (tiny sizes)"
 # bench_subscription_churn times the batch subscribe/withdraw APIs against
 # sequential calls on the one engine; the driver raises unless the two leave
 # byte-identical routing state — any divergence fails CI here.
@@ -62,7 +80,7 @@ fi
 # metric names, failed == 0, and same-seed runs agreeing on every count.
 python -m pytest -q experiments/e2e/test_harness.py
 
-echo "== metrics / exposition smoke =="
+stage "metrics / exposition smoke"
 # The observability layer end to end: a seeded tree scenario must produce
 # Prometheus text that the structural validator accepts (the CLI validates
 # before printing and exits non-zero otherwise) plus a metrics.prom /
@@ -81,7 +99,7 @@ assert "repro_hop_latency_seconds_bucket" in samples, "missing hop latency bucke
 json.loads((out / "BENCH_metrics.json").read_text())
 PY
 
-echo "== networked loopback smoke (serve + wire protocol + /metrics) =="
+stage "networked loopback smoke (serve + wire protocol + /metrics)"
 # Boot a 3-broker tree on ephemeral loopback ports, run the full lifecycle
 # through the client library (subscribe, publish, scrape, withdraw), validate
 # the Prometheus text structurally, then shut down gracefully: the serve
@@ -122,13 +140,13 @@ PY
 wait "$SERVE_PID"   # graceful shutdown: serve exits 0 or this line fails CI
 SERVE_PID=""
 
-echo "== profiled tier-1 (REPRO_PROF=1) =="
+stage "profiled tier-1 (REPRO_PROF=1)"
 # Hot-path profiling hooks must be behaviour-neutral: the whole tier-1 suite
 # runs once with the profiler collecting (smoke hypothesis profile — this
 # pass is about the instrumented code paths, not new counterexamples).
 REPRO_PROF=1 HYPOTHESIS_PROFILE=smoke python -m pytest -x -q tests
 
-echo "== auto-tuned tier-1 (REPRO_AUTOTUNE=1) =="
+stage "auto-tuned tier-1 (REPRO_AUTOTUNE=1)"
 # The online tuner must be delivery-invisible under the whole tier-1 suite:
 # REPRO_AUTOTUNE=1 attaches an aggressive tuner (zero drift threshold, no
 # cooldown headroom) to every SFC-matching network the tests build, so every
@@ -138,7 +156,7 @@ echo "== auto-tuned tier-1 (REPRO_AUTOTUNE=1) =="
 # counterexamples).
 REPRO_AUTOTUNE=1 HYPOTHESIS_PROFILE=smoke python -m pytest -x -q tests
 
-echo "== numpy-free fallback tier-1 (REPRO_NO_NUMPY=1) =="
+stage "numpy-free fallback tier-1 (REPRO_NO_NUMPY=1)"
 # The vectorized keying and flat-store sweep paths must stay bit-identical to
 # their pure-python fallbacks; pin the fallbacks by running tier-1 once with
 # numpy deliberately unavailable (smoke hypothesis profile — the deep
@@ -146,9 +164,15 @@ echo "== numpy-free fallback tier-1 (REPRO_NO_NUMPY=1) =="
 # paths, not about finding new counterexamples).
 REPRO_NO_NUMPY=1 HYPOTHESIS_PROFILE=smoke python -m pytest -x -q tests
 
-echo "== example smoke (tiny sizes) =="
+stage "example smoke (tiny sizes)"
 for example in examples/*.py; do
     REPRO_BENCH_SMOKE=1 python "$example" > /dev/null
 done
 
+stage ""
+echo "== wall-clock per stage =="
+for i in "${!STAGE_NAMES[@]}"; do
+    printf '%6d s  %s\n' "${STAGE_TIMES[$i]}" "${STAGE_NAMES[$i]}"
+done
+printf '%6d s  %s\n' "$SECONDS" "total"
 echo "ci.sh: all checks passed"

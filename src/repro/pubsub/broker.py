@@ -9,7 +9,11 @@ Each broker maintains:
   subscriptions already forwarded out of that interface, indexed so that
   "has something covering this already been forwarded?" is answerable
   quickly.  The strategy is the pluggable piece: none / exact linear scan /
-  ε-approximate SFC / probabilistic.
+  ε-approximate SFC / probabilistic;
+* an owner map for the subscriptions of its own clients.  The routing table
+  holds them under :data:`LOCAL_INTERFACE` like any other interface's, and
+  local delivery is one probe of that table followed by a lookup of who owns
+  each matching id — the same point query (Fact 2.1) that decides forwarding.
 
 Subscription propagation follows the standard covering optimisation: when a
 subscription arrives on interface ``I`` it is stored in the table for ``I``
@@ -147,7 +151,14 @@ class Broker:
         # insertion order so promotion re-checks run deterministically.
         self._cover_of: Dict[Hashable, Dict[Hashable, Hashable]] = {}
         self._dependents: Dict[Hashable, Dict[Hashable, Dict[Hashable, None]]] = {}
-        self._local_subscribers: Dict[Hashable, List[Subscription]] = {}
+        # Local clients' subscriptions by id: (client ordinal, arrival
+        # sequence, client id, subscription).  Clients are numbered in
+        # first-registration order and keep their number for good; together
+        # with the arrival sequence that is the order local delivery reports
+        # in.  Survives reset_routing_state (the clients are still attached).
+        self._owned: Dict[Hashable, Tuple[int, int, Hashable, Subscription]] = {}
+        self._client_ordinal: Dict[Hashable, int] = {}
+        self._arrivals = 0
         self._decision_log: List[ForwardDecision] = []
         self._in_batch = False
         # Set by the network: called as send_subscription(from, to, subscription)
@@ -212,10 +223,47 @@ class Broker:
         return list(self._decision_log)
 
     # ----------------------------------------------------------- subscriptions
+    def _admit(
+        self, items: Sequence[Tuple[Hashable, Subscription]]
+    ) -> List[Tuple[Hashable, Subscription]]:
+        """Check ``items`` against the live local ids; register and return the new ones.
+
+        A live id is one client's one rectangle — the local table, the
+        profile store and every link's forwarded set key on it — so an id
+        arriving again under another client or with other ranges raises
+        ``ValueError`` before anything is registered, whether the first holder
+        is live already or earlier in ``items``; an exact repeat is dropped.
+        """
+        fresh: Dict[Hashable, Tuple[Hashable, Subscription]] = {}
+        for client_id, subscription in items:
+            sub_id = subscription.sub_id
+            owner = self._owned.get(sub_id)
+            holder, held = (
+                owner[2:]
+                if owner is not None
+                else fresh.setdefault(sub_id, (client_id, subscription))
+            )
+            if holder != client_id or held.ranges != subscription.ranges:
+                raise ValueError(
+                    f"subscription id {sub_id!r} is already live at broker "
+                    f"{self.broker_id!r} for client {holder!r}; withdraw it before "
+                    f"reusing the id for another client or other ranges"
+                )
+        for client_id, subscription in fresh.values():
+            ordinal = self._client_ordinal.setdefault(client_id, len(self._client_ordinal))
+            self._owned[subscription.sub_id] = (ordinal, self._arrivals, client_id, subscription)
+            self._arrivals += 1
+        return list(fresh.values())
+
     def subscribe_local(self, client_id: Hashable, subscription: Subscription) -> None:
-        """Register a subscription from a locally attached client and propagate it."""
-        self._local_subscribers.setdefault(client_id, []).append(subscription)
-        self.receive_subscription(LOCAL_INTERFACE, subscription)
+        """Register a subscription from a locally attached client and propagate it.
+
+        Repeating a live subscription exactly (same client, id and ranges) is
+        a no-op; reusing a live id any other way raises ``ValueError`` with
+        nothing changed.
+        """
+        if self._admit([(client_id, subscription)]):
+            self.receive_subscription(LOCAL_INTERFACE, subscription)
 
     def subscribe_batch(self, items: Sequence[Tuple[Hashable, Subscription]]) -> None:
         """Register a batch of ``(client_id, subscription)`` pairs and propagate them.
@@ -224,11 +272,12 @@ class Broker:
         processing order, forwarding decisions and message sequences are
         identical — but the per-subscription profile work is amortised over
         the batch and the per-link covering state stays hot while the batch
-        sweeps each neighbour.
+        sweeps each neighbour, and the whole batch is checked against the
+        live ids (and against itself) before any of it is registered.
         """
-        for client_id, subscription in items:
-            self._local_subscribers.setdefault(client_id, []).append(subscription)
-        self.receive_subscription_batch(LOCAL_INTERFACE, [sub for _, sub in items])
+        self.receive_subscription_batch(
+            LOCAL_INTERFACE, [subscription for _, subscription in self._admit(items)]
+        )
 
     def receive_subscription(self, from_interface: Hashable, subscription: Subscription) -> None:
         """Handle a subscription arriving from ``from_interface`` (neighbour or local client)."""
@@ -490,13 +539,18 @@ class Broker:
         now be (re)forwarded there or downstream brokers would stop routing
         the events they still need.
         """
-        subscriptions = self._local_subscribers.get(client_id, [])
-        for subscription in subscriptions:
-            if subscription.sub_id == sub_id:
-                subscriptions.remove(subscription)
-                self.receive_unsubscription(LOCAL_INTERFACE, sub_id)
-                return True
-        return False
+        if not self._disown(client_id, sub_id):
+            return False
+        self.receive_unsubscription(LOCAL_INTERFACE, sub_id)
+        return True
+
+    def _disown(self, client_id: Hashable, sub_id: Hashable) -> bool:
+        """Forget ``client_id``'s subscription ``sub_id``; False when it holds none."""
+        owner = self._owned.get(sub_id)
+        if owner is None or owner[2] != client_id:
+            return False
+        del self._owned[sub_id]
+        return True
 
     def unsubscribe_batch(self, items: Sequence[Tuple[Hashable, Hashable]]) -> List[bool]:
         """Withdraw a batch of ``(client_id, sub_id)`` pairs in one pass.
@@ -506,18 +560,11 @@ class Broker:
         each link's covering state hot and the promotion engine amortises its
         profile lookups.  Returns one found-flag per pair.
         """
-        removed_flags: List[bool] = []
-        to_withdraw: List[Hashable] = []
-        for client_id, sub_id in items:
-            subscriptions = self._local_subscribers.get(client_id, [])
-            found = next((s for s in subscriptions if s.sub_id == sub_id), None)
-            if found is not None:
-                subscriptions.remove(found)
-                to_withdraw.append(sub_id)
-                removed_flags.append(True)
-            else:
-                removed_flags.append(False)
-        self.receive_unsubscription_batch(LOCAL_INTERFACE, to_withdraw)
+        removed_flags = [self._disown(client_id, sub_id) for client_id, sub_id in items]
+        self.receive_unsubscription_batch(
+            LOCAL_INTERFACE,
+            [sub_id for (_, sub_id), removed in zip(items, removed_flags) if removed],
+        )
         return removed_flags
 
     def receive_unsubscription(self, from_interface: Hashable, sub_id: Hashable) -> None:
@@ -621,15 +668,16 @@ class Broker:
         """Deliver an event locally and forward it along matching interfaces.
 
         ``key`` optionally carries the event's precomputed SFC key (from
-        :meth:`publish_batch`); when absent and SFC matching is active the key
-        is computed once here and shared across all interface probes.
+        :meth:`publish_batch`); when absent and SFC matching is active it is
+        read off the event — or computed, once per ``Event`` object — and
+        shared by the local-delivery probe and every neighbour probe.
         """
         self.stats.events_received += 1
-        delivered = self._deliver_locally(event)
         if key is None:
             key = self.routing_table.event_key(event)
-        # Probe only neighbour tables: the local-client table is handled by
-        # _deliver_locally above, so matching it here would be wasted work.
+        delivered = self._deliver_locally(event, key)
+        # Neighbour tables only need "does anything match?"; the local-client
+        # table was just asked the fuller question by _deliver_locally.
         forwarded_to: List[Hashable] = []
         for interface_id in self.routing_table.matching_interfaces(
             event, exclude=from_interface, key=key, among=self._neighbors
@@ -671,17 +719,37 @@ class Broker:
             self.stats.match_index_false_positives,
         ) = self.routing_table.match_work()
 
-    def _deliver_locally(self, event: Event) -> int:
+    def _deliver_locally(self, event: Event, key: Optional[int]) -> int:
+        """Hand ``event`` to every local client with a matching subscription.
+
+        One probe of the local-client table (its match index under SFC
+        matching) finds the matching ids; the owner map turns them into
+        deliveries: one per client per event, carrying the client's
+        earliest-registered matching subscription, clients in
+        first-registration order.  A table entry no client owns (one that
+        arrived through :meth:`receive_subscription` alone) delivers nothing.
+        """
+        # .get, not .table(): a broker without local clients keeps no local table.
+        table = self.routing_table.interface_tables().get(LOCAL_INTERFACE)
+        if table is None:
+            return 0
+        matched, tests = table.matching_ids(event, key)
+        self.stats.match_tests += tests
+        if not matched:
+            return 0
+        owned = self._owned
+        # (ordinal, arrival) is unique, so the sort never looks further.
+        hits = sorted([owned[sub_id] for sub_id in matched if sub_id in owned])
         delivered = 0
-        for client_id, subscriptions in self._local_subscribers.items():
-            for subscription in subscriptions:
-                self.stats.match_tests += 1
-                if subscription.matches(event):
-                    self.stats.events_delivered_locally += 1
-                    delivered += 1
-                    if self._deliver is not None:
-                        self._deliver(client_id, subscription.sub_id, event)
-                    break  # one delivery per client per event
+        last_ordinal = -1
+        for ordinal, _, client_id, subscription in hits:
+            if ordinal == last_ordinal:
+                continue  # one delivery per client per event
+            last_ordinal = ordinal
+            delivered += 1
+            if self._deliver is not None:
+                self._deliver(client_id, subscription.sub_id, event)
+        self.stats.events_delivered_locally += delivered
         return delivered
 
     # -------------------------------------------------------------- accounting
@@ -723,7 +791,6 @@ class Broker:
     def local_subscriptions(self) -> List[Tuple[Hashable, Subscription]]:
         """Return ``(client_id, subscription)`` pairs registered locally."""
         return [
-            (client_id, sub)
-            for client_id, subs in self._local_subscribers.items()
-            for sub in subs
+            (client_id, subscription)
+            for _, _, client_id, subscription in sorted(self._owned.values())
         ]

@@ -197,6 +197,9 @@ class BrokerNetwork:
         self.deliveries: List[DeliveryRecord] = []
         self._client_home: Dict[Hashable, Hashable] = {}
         self._client_subscriptions: Dict[Hashable, List[Subscription]] = {}
+        # Every live subscription id -> (client, home broker, ranges): an id
+        # names one client's one rectangle network-wide (see _admit).
+        self._live_ids: Dict[Hashable, Tuple[Hashable, Hashable, tuple]] = {}
         self._publish_times: Dict[Hashable, float] = {}
         self._phase_seconds: Dict[str, float] = {}
         self.profile_cache = ProfileCache(
@@ -483,14 +486,59 @@ class BrokerNetwork:
         """Accumulated wall-clock seconds per lifecycle phase."""
         return dict(self._phase_seconds)
 
-    def subscribe(self, broker_id: Hashable, client_id: Hashable, subscription: Subscription) -> None:
-        """Register a client subscription at ``broker_id`` and propagate it network-wide."""
+    def _admit(
+        self, broker_id: Hashable, items: Sequence[Tuple[Hashable, Subscription]]
+    ) -> List[Tuple[Hashable, Subscription]]:
+        """Check ``items`` against the live subscription ids; return the new ones.
+
+        Brokers key tables, profiles and forwarded sets on the subscription
+        id, so a live id is one client's one rectangle at one broker: an id
+        arriving again under another client, at another broker or with other
+        ranges raises ``ValueError`` before anything is registered (the
+        second rectangle would otherwise be routed by the first one's
+        geometry and lose deliveries); an exact repeat is dropped, so one
+        withdrawal still removes the subscription.  Withdrawing frees the id.
+        """
         if broker_id not in self.brokers:
             raise ValueError(f"unknown broker {broker_id!r}")
         if not self.transport.is_up(broker_id):
             raise ValueError(f"broker {broker_id!r} is down")
-        self._client_home[client_id] = broker_id
-        self._client_subscriptions.setdefault(client_id, []).append(subscription)
+        fresh: Dict[Hashable, Tuple[Hashable, Subscription]] = {}
+        for client_id, subscription in items:
+            sub_id = subscription.sub_id
+            held = self._live_ids.get(sub_id)
+            if held is None:
+                holder, first = fresh.setdefault(sub_id, (client_id, subscription))
+                held = (holder, broker_id, first.ranges)
+            if held != (client_id, broker_id, subscription.ranges):
+                raise ValueError(
+                    f"subscription id {sub_id!r} is already live for client "
+                    f"{held[0]!r} at broker {held[1]!r}; withdraw it before reusing "
+                    f"the id for another client, broker or ranges"
+                )
+        for sub_id, (client_id, subscription) in fresh.items():
+            self._live_ids[sub_id] = (client_id, broker_id, subscription.ranges)
+            self._client_home[client_id] = broker_id
+            self._client_subscriptions.setdefault(client_id, []).append(subscription)
+        return list(fresh.values())
+
+    def _retire(self, client_id: Hashable, sub_id: Hashable) -> None:
+        """Forget a withdrawn subscription (the counterpart of :meth:`_admit`)."""
+        self._live_ids.pop(sub_id, None)
+        self._client_subscriptions[client_id] = [
+            sub
+            for sub in self._client_subscriptions.get(client_id, [])
+            if sub.sub_id != sub_id
+        ]
+
+    def subscribe(self, broker_id: Hashable, client_id: Hashable, subscription: Subscription) -> None:
+        """Register a client subscription at ``broker_id`` and propagate it network-wide.
+
+        Repeating a live subscription exactly is a no-op; reusing a live id
+        any other way raises ``ValueError`` (see :meth:`_admit`).
+        """
+        if not self._admit(broker_id, [(client_id, subscription)]):
+            return
         with self._timed_phase("subscribe"):
             self.brokers[broker_id].subscribe_local(client_id, subscription)
 
@@ -504,15 +552,7 @@ class BrokerNetwork:
         arrive.  Safe to call from inside a kernel callback, where a nested
         flush would re-enter the event loop.
         """
-        if broker_id not in self.brokers:
-            raise ValueError(f"unknown broker {broker_id!r}")
-        if not self.transport.is_up(broker_id):
-            raise ValueError(f"broker {broker_id!r} is down")
-        items = list(items)
-        for client_id, subscription in items:
-            self._client_home[client_id] = broker_id
-            self._client_subscriptions.setdefault(client_id, []).append(subscription)
-        self.brokers[broker_id].subscribe_batch(items)
+        self.brokers[broker_id].subscribe_batch(self._admit(broker_id, items))
 
     def subscribe_batch(
         self, broker_id: Hashable, items: Sequence[Tuple[Hashable, Subscription]]
@@ -544,10 +584,7 @@ class BrokerNetwork:
         with self._timed_phase("unsubscribe"):
             removed = self.brokers[broker_id].unsubscribe_local(client_id, sub_id)
         if removed:
-            subscriptions = self._client_subscriptions.get(client_id, [])
-            self._client_subscriptions[client_id] = [
-                sub for sub in subscriptions if sub.sub_id != sub_id
-            ]
+            self._retire(client_id, sub_id)
         return removed
 
     def unsubscribe_batch_async(
@@ -571,10 +608,7 @@ class BrokerNetwork:
             for (position, client_id, sub_id), found in zip(group, removed):
                 flags[position] = found
                 if found:
-                    subscriptions = self._client_subscriptions.get(client_id, [])
-                    self._client_subscriptions[client_id] = [
-                        sub for sub in subscriptions if sub.sub_id != sub_id
-                    ]
+                    self._retire(client_id, sub_id)
         return flags
 
     def unsubscribe_batch(self, items: Sequence[Tuple[Hashable, Hashable]]) -> List[bool]:

@@ -479,24 +479,37 @@ class InterfaceTable:
         return self._probe_log
 
     # --------------------------------------------------------------- queries
-    def matching(self, event: Event, key: Optional[int] = None) -> List[Subscription]:
-        """Return the stored subscriptions matching ``event``.
+    def matching_ids(
+        self, event: Event, key: Optional[int] = None
+    ) -> Tuple[List[Hashable], int]:
+        """Ids of the stored subscriptions matching ``event``, and what finding them cost.
 
-        ``key`` optionally supplies the event's precomputed SFC key (ignored
-        under linear matching, and recomputed locally when this table's index
-        was swapped onto a different curve).  Result order is insertion order
-        for linear matching and unspecified for SFC matching.
+        The second item is the number of rectangle tests made: every stored
+        subscription under linear matching, the candidates of one index probe
+        under SFC matching.  ``key`` optionally supplies the event's
+        precomputed SFC key (ignored under linear matching, and recomputed
+        locally when this table's index was swapped onto a different curve).
+        Result order is insertion order for linear matching and unspecified
+        for SFC matching.
         """
-        if self._index is not None:
-            if self._probe_log is not None:
-                self._probe_log.append(tuple(event.cells))
-            return [
-                self._subscriptions[sub_id]
-                for sub_id in self._index.matching_ids(
-                    event.cells, key=key if self._key_ok else None
-                )
+        index = self._index
+        if index is None:
+            matched = [
+                sub_id
+                for sub_id, sub in self._subscriptions.items()
+                if sub.matches(event)
             ]
-        return [sub for sub in self._subscriptions.values() if sub.matches(event)]
+            return matched, len(self._subscriptions)
+        if self._probe_log is not None:
+            self._probe_log.append(tuple(event.cells))
+        checked = index.stats.candidates_checked
+        matched = index.matching_ids(event.cells, key=key if self._key_ok else None)
+        return matched, index.stats.candidates_checked - checked
+
+    def matching(self, event: Event, key: Optional[int] = None) -> List[Subscription]:
+        """Return the stored subscriptions matching ``event`` (see :meth:`matching_ids`)."""
+        subscriptions = self._subscriptions
+        return [subscriptions[sub_id] for sub_id in self.matching_ids(event, key)[0]]
 
     def any_match(self, event: Event, key: Optional[int] = None) -> bool:
         """Return True when at least one stored subscription matches ``event``."""
@@ -514,7 +527,8 @@ class RoutingTable:
 
     When built with ``matching="sfc"`` every interface table carries a
     :class:`MatchIndex` and event routing computes each event's curve key
-    once, sharing it across all interface probes (and, via
+    once — per ``Event`` object, not per broker: :meth:`event_key` remembers
+    it on the event — sharing it across all interface probes (and, via
     :meth:`event_keys`, across the events of a batch).  ``run_cache`` is
     handed to every index so a rectangle stored on several interfaces — or,
     with a network-wide cache, at several brokers — is decomposed once.
@@ -549,6 +563,13 @@ class RoutingTable:
             if matching == "sfc" and schema is not None
             else None
         )
+        # Everything an event's key depends on besides its cells: what the
+        # key an Event remembers is tagged with (see event_key).
+        self._key_tag = (
+            (config.curve, schema.num_attributes, schema.order)
+            if self._curve is not None
+            else None
+        )
 
     def table(self, interface_id: Hashable) -> InterfaceTable:
         """Return (creating on demand) the table for ``interface_id``."""
@@ -575,10 +596,20 @@ class RoutingTable:
         return sum(len(table) for table in self._tables.values())
 
     def event_key(self, event: Event) -> Optional[int]:
-        """SFC key of ``event`` under SFC matching, ``None`` under linear."""
+        """SFC key of ``event`` under SFC matching, ``None`` under linear.
+
+        The key is remembered on the event, tagged with this table's curve
+        kind, dimensions and order: the next broker the same ``Event`` object
+        reaches (every hop of an in-process transport) reads it back instead
+        of re-keying, and a table under another curve computes its own.
+        """
         if self._curve is None:
             return None
-        return self._curve.key(event.cells)
+        key = event.curve_key(self._key_tag)
+        if key is None:
+            key = self._curve.key(event.cells)
+            event.remember_curve_key(self._key_tag, key)
+        return key
 
     def event_keys(self, events: Sequence[Event]) -> List[Optional[int]]:
         """SFC keys for a batch of events, amortising shared work where the curve can.
@@ -587,11 +618,16 @@ class RoutingTable:
         distinct coordinate value at most once per dimension across the whole
         batch — batches with recurring attribute values (hot topics, repeated
         prices) pay far less than per-event key construction — while other
-        curves fall back to per-event keying.
+        curves fall back to per-event keying.  The keys are remembered on the
+        events exactly as :meth:`event_key` would.
         """
         if self._curve is None:
             return [None] * len(events)
-        return list(self._curve.keys([event.cells for event in events]))
+        tag = self._key_tag
+        keys = list(self._curve.keys([event.cells for event in events]))
+        for event, key in zip(events, keys):
+            event.remember_curve_key(tag, key)
+        return keys
 
     def matching_interfaces(
         self,
@@ -603,11 +639,11 @@ class RoutingTable:
         """Interfaces (≠ ``exclude``) holding at least one subscription matching ``event``.
 
         ``among`` restricts the probe to the given interfaces (the broker
-        passes its neighbour list so the local-client table is never probed —
-        local delivery has its own path and the match work would be wasted).
+        passes its neighbour list: the local-client table is asked for *which*
+        subscriptions match, by local delivery, not merely whether any does).
         """
-        if key is None and self._curve is not None:
-            key = self._curve.key(event.cells)
+        if key is None:
+            key = self.event_key(event)
         if among is None:
             candidates = self._tables.items()
         else:

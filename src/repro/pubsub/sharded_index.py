@@ -31,7 +31,7 @@ and across hash randomisation.
 from __future__ import annotations
 
 import multiprocessing
-from dataclasses import astuple, fields
+from dataclasses import astuple
 from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..geometry.universe import Universe
@@ -181,7 +181,9 @@ class ShardedMatchIndex:
         stats after teardown returns the totals instead of undercounting.
         """
         if self._indexes is not None:
-            shard_stats = [astuple(index.stats) for index in self._indexes]
+            # Read on every local-delivery probe (InterfaceTable.matching_ids):
+            # the counters are plain ints, so skip astuple's deep copy.
+            shard_stats = [vars(index.stats).values() for index in self._indexes]
         elif self._final_stats is not None:
             shard_stats = [astuple(self._final_stats)]
         else:
@@ -189,7 +191,7 @@ class ShardedMatchIndex:
                 conn.send(("stats",))
             shard_stats = [conn.recv() for conn in self._conns]
         totals = [sum(column) for column in zip(*shard_stats)]
-        return MatchIndexStats(**dict(zip([f.name for f in fields(MatchIndexStats)], totals)))
+        return MatchIndexStats(*totals)
 
     # ----------------------------------------------------------------- updates
     def _target_shard(self, sub_id: Hashable) -> int:

@@ -38,6 +38,9 @@ class BrokerStats:
     events_received: int = 0
     events_forwarded: int = 0
     events_delivered_locally: int = 0
+    #: Rectangle tests local delivery made: per event reaching the broker,
+    #: every local subscription under ``matching="linear"``, the candidates of
+    #: one probe of the local table's match index under ``"sfc"``.
     match_tests: int = 0
     match_index_lookups: int = 0
     match_index_candidates: int = 0

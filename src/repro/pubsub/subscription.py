@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Hashable, Mapping, Optional, Tuple
+from typing import Dict, Hashable, Mapping, Optional, Tuple
 
 from ..geometry.transform import ranges_cover
 from .schema import AttributeSchema
@@ -36,12 +36,22 @@ class Event:
         Unique identifier (auto-assigned when omitted).
     cells:
         Quantised values, one cell per schema attribute (derived).
+
+    An event also remembers its space-filling-curve key once a routing table
+    has computed it (:meth:`curve_key` / :meth:`remember_curve_key`), so the
+    brokers an in-process transport hands the same object to key it once
+    between them.  The memo is a cache, not state: it is not a field, so
+    ``==``, ``hash`` and ``repr`` ignore it, pickling and copying drop it, and
+    the wire codec never sees it (a decoded event starts without one).
     """
 
     schema: AttributeSchema
     values: Mapping[str, float]
     event_id: Hashable = field(default_factory=lambda: f"event-{next(_event_counter)}")
     cells: Tuple[int, ...] = field(init=False)
+
+    # ``(curve tag, key)`` of the last keying; unannotated, so not a field.
+    _key_memo = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", dict(self.values))
@@ -50,6 +60,27 @@ class Event:
     def value(self, name: str) -> float:
         """Return the event's value for attribute ``name``."""
         return self.values[name]
+
+    def curve_key(self, tag: Hashable) -> Optional[int]:
+        """The key remembered under ``tag``, or ``None``.
+
+        ``tag`` names everything the key depends on besides the cells (curve
+        kind, dimensions, order), so a table keyed by another curve can never
+        read a foreign key.
+        """
+        memo = self._key_memo
+        if memo is not None and memo[0] == tag:
+            return memo[1]
+        return None
+
+    def remember_curve_key(self, tag: Hashable, key: int) -> None:
+        """Remember ``key`` as this event's key under ``tag`` (replacing any other)."""
+        object.__setattr__(self, "_key_memo", (tag, key))
+
+    def __getstate__(self) -> Dict[str, object]:
+        state = dict(self.__dict__)
+        state.pop("_key_memo", None)
+        return state
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         body = ", ".join(f"{k}={v}" for k, v in self.values.items())

@@ -34,9 +34,20 @@ class ZOrderCurve(SpaceFillingCurve):
 
     # ------------------------------------------------------------- bijection
     def key(self, point: Sequence[int]) -> int:
-        """Key of a cell: bit-interleaving of its coordinates."""
-        pt = self.universe.validate_point(point)
-        return interleave_bits(pt, self.universe.order)
+        """Key of a cell: bit-interleaving of its coordinates.
+
+        The point is checked once: its length here, and each coordinate's
+        range by :func:`interleave_bits` (``ValueError`` for a negative one or
+        one that does not fit ``order`` bits).
+        """
+        universe = self.universe
+        pt = [int(x) for x in point]
+        if len(pt) != universe.dims:
+            raise ValueError(
+                f"point {tuple(pt)} has {len(pt)} coordinates but the universe "
+                f"has {universe.dims} dimensions"
+            )
+        return interleave_bits(pt, universe.order)
 
     def point(self, key: int) -> Tuple[int, ...]:
         """Inverse of :meth:`key`."""

@@ -116,3 +116,107 @@ class TestLifecycleIdempotence:
         assert self._unsubscribe(network, api, "w", "wide") is True
         delivered = network.publish(4, Event(schema, {"x": 15.0, "y": 5.0}))
         assert delivered == {"n"}
+
+
+@pytest.mark.parametrize("matching", ["linear", "sfc"])
+@pytest.mark.parametrize("api", ["legacy", "batch"])
+class TestLiveIdIsOneClientsOneRectangle:
+    """A live subscription id names one client's one rectangle at one broker.
+
+    Tables, profiles and forwarded sets all key on the id.  Before the check
+    in ``BrokerNetwork._admit`` a reused id silently replaced the first
+    rectangle in the local table while the links kept routing by it (bob
+    missed his events), and a repeated subscribe left a second entry that one
+    withdrawal did not remove (alice kept receiving hers).
+    """
+
+    def _network(self, schema, matching):
+        return BrokerNetwork.from_topology(
+            schema, chain_topology(3), covering="approximate", matching=matching
+        )
+
+    def _subscribe(self, network, api, broker_id, client_id, subscription):
+        if api == "batch":
+            network.subscribe_batch(broker_id, [(client_id, subscription)])
+        else:
+            network.subscribe(broker_id, client_id, subscription)
+
+    def test_reused_live_id_is_rejected_with_nothing_changed(self, schema, matching, api):
+        network = self._network(schema, matching)
+        first = Subscription(schema, {"x": (0.0, 50.0)}, sub_id="same")
+        self._subscribe(network, api, 0, "alice", first)
+        state, messages = network.routing_state(), network.subscription_messages
+        other_ranges = Subscription(schema, {"x": (60.0, 90.0)}, sub_id="same")
+        for broker_id, client_id, subscription in (
+            (0, "bob", other_ranges),  # another client
+            (0, "alice", other_ranges),  # other ranges
+            (2, "alice", first),  # another broker
+        ):
+            with pytest.raises(ValueError, match="already live"):
+                self._subscribe(network, api, broker_id, client_id, subscription)
+        assert network.routing_state() == state
+        assert network.subscription_messages == messages
+        assert network.client_home("bob") is None and network.client_home("alice") == 0
+        inside_first = Event(schema, {"x": 10.0, "y": 5.0})
+        inside_other = Event(schema, {"x": 70.0, "y": 5.0})
+        assert network.publish_and_audit(2, inside_first) == (set(), set())
+        assert network.publish_and_audit(2, inside_other) == (set(), set())
+        assert network.publish(2, inside_first) == {"alice"}
+        # Withdrawing frees the id: bob's rectangle is then routed by its own geometry.
+        assert network.unsubscribe("alice", "same") is True
+        self._subscribe(network, api, 0, "bob", other_ranges)
+        assert network.publish_and_audit(2, inside_other) == (set(), set())
+        assert network.publish(2, inside_other) == {"bob"}
+        assert network.publish(2, inside_first) == set()
+
+    def test_repeated_subscribe_leaves_no_ghost(self, schema, matching, api):
+        network = self._network(schema, matching)
+        sub = Subscription(schema, {"x": (0.0, 50.0)}, sub_id="dup")
+        self._subscribe(network, api, 0, "alice", sub)
+        state, messages = network.routing_state(), network.subscription_messages
+        self._subscribe(network, api, 0, "alice", sub)
+        # An equal rectangle under the same id is the same subscription too.
+        self._subscribe(network, api, 0, "alice", Subscription(schema, {"x": (0.0, 50.0)}, sub_id="dup"))
+        assert network.routing_state() == state
+        assert network.subscription_messages == messages
+        inside = Event(schema, {"x": 10.0, "y": 5.0})
+        assert network.publish(1, inside) == {"alice"}
+        assert [record.client_id for record in network.deliveries] == ["alice"]
+        assert network.unsubscribe("alice", "dup") is True
+        for origin in (0, 1, 2):
+            assert network.publish_and_audit(origin, Event(schema, {"x": 10.0, "y": 5.0})) == (
+                set(), set()
+            )
+        assert network.routing_table_entries() == 0
+        assert network.unsubscribe("alice", "dup") is False
+
+    def test_a_batch_is_checked_whole_before_anything_registers(self, schema, matching, api):
+        network = self._network(schema, matching)
+        network.subscribe(0, "alice", Subscription(schema, {"x": (0.0, 50.0)}, sub_id="same"))
+        state = network.routing_state()
+        fine = Subscription(schema, {"x": (20.0, 30.0)}, sub_id="fine")
+        clash = Subscription(schema, {"x": (60.0, 90.0)}, sub_id="same")
+        twice = Subscription(schema, {"x": (1.0, 2.0)}, sub_id="fine")
+        for items in (
+            [("carol", fine), ("bob", clash)],  # clashes with a live id
+            [("carol", fine), ("dave", twice)],  # clashes inside the batch
+        ):
+            with pytest.raises(ValueError):
+                network.subscribe_batch(0, items)
+            assert network.routing_state() == state
+            assert network.client_home("carol") is None
+        # The same checks guard a broker driven directly.
+        broker = network.brokers[0]
+        with pytest.raises(ValueError, match="already live"):
+            broker.subscribe_local("bob", clash)
+        with pytest.raises(ValueError):
+            broker.subscribe_batch([("carol", fine), ("bob", clash)])
+        with pytest.raises(ValueError, match="already live"):
+            broker.subscribe_batch([("carol", fine), ("dave", twice)])
+        assert network.routing_state() == state
+        assert [client for client, _ in broker.local_subscriptions()] == ["alice"]
+        # A repeat inside a batch is dropped, the rest goes through.
+        network.subscribe_batch(0, [("carol", fine), ("carol", fine)])
+        assert [client for client, _ in broker.local_subscriptions()] == ["alice", "carol"]
+        assert network.unsubscribe("carol", "fine") is True
+        assert network.routing_state() == state
