@@ -3,7 +3,9 @@
 Paper reference: the motivation of Section 1 — covering shrinks routing tables
 and subscription traffic, and approximate covering retains much of that
 benefit while never losing events (missed covers only cost extra forwarding;
-they cannot suppress a needed subscription).
+they cannot suppress a needed subscription).  Links no larger than a probe
+schedule are compared directly, so at this benchmark's sizes approximate
+covering retains all of it.
 
 A second pass repeats the experiment with ``matching="sfc"`` so the delivery
 audit also certifies the event-matching fast path: routing events through the
@@ -38,7 +40,11 @@ def test_pubsub_propagation(run_once, record_table):
     none_row = rows["none"]
     exact_row = rows["exact"]
     approx_row = next(v for k, v in rows.items() if str(k).startswith("approximate"))
-    # Covering shrinks routing state; approximate covering keeps part of the benefit.
+    # Covering shrinks routing state; approximate covering keeps the benefit
+    # in full wherever a link is compared rather than probed.  At these sizes
+    # (150 subscriptions against plans of up to 4,000 cubes) every link is, so
+    # the exact and approximate rows coincide by design; they part only once a
+    # link outgrows its plans.
     assert exact_row["routing_table_entries"] < none_row["routing_table_entries"]
     assert approx_row["routing_table_entries"] < none_row["routing_table_entries"]
     assert approx_row["routing_table_entries"] >= exact_row["routing_table_entries"]

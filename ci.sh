@@ -58,6 +58,10 @@ stage "benchmark smoke (tiny sizes)"
 # bench_auto_tuning's smoke pass asserts the self-tuning index beats the best
 # static config on matching work for at least 2 of the 3 scenarios, and the
 # driver raises on any tuned-vs-static delivery divergence.
+# bench_recall_vs_epsilon is the first paper-figure bench under CI (it has no
+# smoke size; its full size takes seconds): the ε-search must stay sound, and
+# at the product budget the routing entry point must find every cover of a
+# link it compares and never fewer than the plan alone where it probes.
 # A smoke pass writes its tables to a temporary directory
 # (benchmarks/conftest.py): the tracked full-size tables must come out of it
 # byte-identical, whether or not they carry uncommitted re-recordings.
@@ -71,7 +75,8 @@ REPRO_BENCH_SMOKE=1 python -m pytest -q \
     benchmarks/bench_auto_tuning.py \
     benchmarks/bench_sim_latency.py \
     benchmarks/bench_match_scale.py \
-    benchmarks/bench_topology_scale.py
+    benchmarks/bench_topology_scale.py \
+    benchmarks/bench_recall_vs_epsilon.py
 if [ "$RESULTS_BEFORE" != "$(results_listing)" ]; then
     echo "ci.sh: the benchmark smoke pass rewrote files under benchmarks/results/" >&2
     exit 1

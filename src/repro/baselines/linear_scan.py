@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
-from ..geometry.transform import DominanceTransform, Range
+from ..geometry.transform import DominanceTransform, Range, first_covering
 
 __all__ = ["LinearScanCoveringDetector", "LinearScanStats"]
 
@@ -72,13 +72,9 @@ class LinearScanCoveringDetector:
         """Return the id of any stored subscription covering ``ranges``, or ``None``."""
         query = self.transform.validate_ranges(ranges)
         self.stats.queries += 1
-        for sub_id, stored in self._subscriptions.items():
-            if sub_id == exclude:
-                continue
-            self.stats.comparisons += 1
-            if self.transform.covers(stored, query):
-                return sub_id
-        return None
+        covering_id, compared = first_covering(self._subscriptions, query, exclude)
+        self.stats.comparisons += compared
+        return covering_id
 
     def is_covered(self, ranges: Sequence[Range]) -> bool:
         """Return True when some stored subscription covers ``ranges``."""

@@ -25,10 +25,16 @@ callers from accidentally launching an astronomically large exhaustive probe.
 
 Steps 1–2 depend on the query alone and are captured as a
 :class:`DominancePlan`; step 3 is :meth:`ApproximateDominanceIndex.execute_plan`,
-the one search implementation.  The paper prices step 3 in runs probed; a
-broker link holds tens of subscriptions against schedules of a thousand runs,
-so execution joins the two from whichever side is smaller and *reports* the
-runs a probe loop would have issued.
+the one search implementation.  The paper prices step 3 in runs probed against
+``n`` stored points, a trade that pays when ``n`` is large against the
+schedule.  A plan therefore knows its size — :attr:`DominancePlan.cubes`, from
+the census alone — before any cube is built, and the routing layer
+(:meth:`repro.core.covering.ApproximateCoveringDetector.find_covering_profile`)
+executes it only against a link holding more subscriptions than that; smaller
+links are compared directly and never materialise a schedule.  The entry
+points here serve the paper's own experiments at any size: execution joins
+schedule and stored keys from whichever side is smaller and *reports* the runs
+a probe loop would have issued.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ from ..geometry.universe import Universe
 from ..index.sfc_array import SFCArray, StoredItem
 from ..sfc.base import SpaceFillingCurve
 from ..sfc.zorder import ZOrderCurve
-from .decomposition import cubes_in_class, level_census, zorder_class_keys
+from .decomposition import LevelClass, cubes_in_class, level_census, zorder_class_keys
 
 __all__ = [
     "ApproximateDominanceIndex",
@@ -192,6 +198,8 @@ class DominancePlan:
         region_volume: int,
         aspect_ratio: int,
         curve_kind: str,
+        cubes: int,
+        final_termination: str,
     ) -> None:
         self.universe = universe
         self.point = point
@@ -200,12 +208,15 @@ class DominancePlan:
         self.region_volume = region_volume
         self.aspect_ratio = aspect_ratio
         self.curve_kind = curve_kind
+        #: Cubes the whole schedule takes (``cubes_examined`` of an execution
+        #: that finds nothing), known from the census before any is built.
+        self.cubes = cubes
+        #: Termination reason of an execution that exhausts every class
+        #: without a witness.
+        self.final_termination = final_termination
         self._tables: List[ClassTable] = []
         #: Generator of the classes not built yet (set by the builder).
         self._producer: Optional[Iterator[ClassTable]] = None
-        #: Termination reason of an execution that exhausts every class
-        #: without a witness; the producer sets it with the last class.
-        self.final_termination: str = TerminationReason.REGION_EXHAUSTED
 
     def tables(self) -> Iterator[ClassTable]:
         """Yield the per-class probe tables in search order, materialising on demand."""
@@ -260,6 +271,41 @@ def _batched_ranges(
     )
 
 
+def _class_schedule(
+    region: ExtremalRectangle, target_volume: Optional[int], cube_budget: int
+) -> Tuple[List[Tuple[LevelClass, int, Optional[str]]], str]:
+    """What a plan takes from each level class, from the census alone.
+
+    ``(class, cubes taken, reason the schedule stops inside it or None)`` for
+    the classes the search reaches, largest cubes first, and the termination
+    of an execution that exhausts them: Lemma 3.5's count per class, cut by
+    the budget left and by the cubes the coverage target still needs.
+    """
+    schedule: List[Tuple[LevelClass, int, Optional[str]]] = []
+    searched = 0
+    cubes = 0
+    for level_class in level_census(region):
+        if target_volume is not None and searched >= target_volume:
+            break
+        cube_volume = level_class.cube_volume
+        take = min(level_class.num_cubes, cube_budget - cubes)
+        stop = TerminationReason.CUBE_BUDGET if take < level_class.num_cubes else None
+        if target_volume is not None:
+            # Coverage is checked after each cube, before the next budget check.
+            enough = -((searched - target_volume) // cube_volume)
+            if enough <= take:
+                take = enough
+                stop = TerminationReason.COVERAGE_REACHED
+        schedule.append((level_class, take, stop))
+        if stop is not None:
+            return schedule, stop
+        cubes += take
+        searched += take * cube_volume
+    if target_volume is not None and searched >= target_volume:
+        return schedule, TerminationReason.COVERAGE_REACHED
+    return schedule, TerminationReason.REGION_EXHAUSTED
+
+
 def build_dominance_plan(
     universe: Universe,
     point: Sequence[int],
@@ -276,7 +322,8 @@ def build_dominance_plan(
     by the cube budget or, for ``ε > 0``, as soon as the enumerated volume
     reaches ``(1 − ε)`` of the region.  How many cubes a class contributes
     follows from Lemma 3.5's count, the budget left and the coverage target
-    *before* anything is enumerated, so only cubes the plan probes are built.
+    *before* anything is enumerated, so the plan knows its size at once
+    (:attr:`DominancePlan.cubes`) and only cubes it probes are ever built.
     """
     if not 0 <= epsilon < 1:
         raise ValueError(f"epsilon must lie in [0, 1), got {epsilon}")
@@ -297,6 +344,7 @@ def build_dominance_plan(
     # The searched volume is an integer, so it reaches the (float) coverage
     # target exactly when it reaches the target's ceiling.
     target_volume = math.ceil((1.0 - epsilon) * region_volume) if epsilon > 0 else None
+    schedule, final_termination = _class_schedule(region, target_volume, cube_budget)
 
     plan = DominancePlan(
         universe=universe,
@@ -306,23 +354,15 @@ def build_dominance_plan(
         region_volume=region_volume,
         aspect_ratio=region.aspect_ratio,
         curve_kind=curve.kind,
+        cubes=sum(take for _, take, _ in schedule),
+        final_termination=final_termination,
     )
 
     def produce() -> Iterator[ClassTable]:
         searched = 0
         cubes = 0
-        for classes_examined, level_class in enumerate(level_census(region), start=1):
-            if target_volume is not None and searched >= target_volume:
-                break
+        for classes_examined, (level_class, take, stop) in enumerate(schedule, start=1):
             cube_volume = level_class.cube_volume
-            take = min(level_class.num_cubes, cube_budget - cubes)
-            stop = TerminationReason.CUBE_BUDGET if take < level_class.num_cubes else None
-            if target_volume is not None:
-                # Coverage is checked after each cube, before the next budget check.
-                enough = -((searched - target_volume) // cube_volume)
-                if enough <= take:
-                    take = enough
-                    stop = TerminationReason.COVERAGE_REACHED
             if isinstance(curve, ZOrderCurve):
                 keys = zorder_class_keys(region, level_class.bit_index, take)
             else:
@@ -334,19 +374,13 @@ def build_dominance_plan(
                 ]
             # A cube spans as many keys as it has cells.
             los, his, batch_sizes = _batched_ranges(keys, cube_volume, merge_adjacent_runs)
-            if stop is not None:
-                plan.final_termination = stop
-                if take % BATCH_CUBES == 0:
-                    batch_sizes.append(0)  # the cut-off fell on a batch boundary
+            if stop is not None and take % BATCH_CUBES == 0:
+                batch_sizes.append(0)  # the cut-off fell on a batch boundary
             yield ClassTable(
                 los, his, batch_sizes, cubes, take, searched, cube_volume, classes_examined, stop
             )
-            if stop is not None:
-                return
             cubes += take
             searched += take * cube_volume
-        if target_volume is not None and searched >= target_volume:
-            plan.final_termination = TerminationReason.COVERAGE_REACHED
 
     plan._producer = produce()
     return plan
@@ -458,9 +492,12 @@ class ApproximateDominanceIndex:
         :meth:`SFCArray.first_probe_hit` joins the class's table against the
         stored keys from whichever side is smaller.  The witness and every
         counter of the result are those of a probe-by-probe walk of the
-        schedule, whichever side drove the join.  The plan must have been
-        built for this index's universe *and* curve — a plan's key ranges
-        are curve-specific.
+        schedule, whichever side drove the join.  Routing calls this only
+        with more stored points than the plan has cubes, hence always on the
+        probe-in-schedule-order side; the keyed side serves offline queries,
+        whose 10^5–10^6-cube schedules dwarf any stored set.  The plan must
+        have been built for this index's universe *and* curve — a plan's key
+        ranges are curve-specific.
         """
         if plan.universe != self.universe:
             raise ValueError("plan universe does not match the index universe")

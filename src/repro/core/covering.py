@@ -17,6 +17,11 @@ Guarantees mirror Problem 2 of the paper:
   subscription is missed only when every one of them hides in the remaining
   sliver.  Missed covers never break a publish/subscribe system; they only
   cost an extra forwarded subscription.
+
+The routing entry point, ``find_covering_profile``, is "at least
+ε-approximate": a stored set smaller than the query's probe schedule is
+compared with the query directly — complete, and cheaper than building the
+schedule — and only a larger one is searched along it.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
-from ..geometry.transform import DominanceTransform, Range
+from ..geometry.transform import DominanceTransform, Range, first_covering
 from ..index.backends import ordered_map_backend_name
 from ..index.config import IndexConfig
 from ..sfc.factory import make_curve
@@ -58,18 +63,29 @@ class CoveringResult:
     ----------
     covering_id:
         Identifier of a stored subscription that covers the query, or ``None``
-        when the (approximate) search found none.
+        when the search found none.
     query:
-        The dominance-query accounting behind this covering check.
+        The dominance-query accounting behind this covering check; ``None``
+        when the stored subscriptions were compared directly and no dominance
+        query ran (:meth:`ApproximateCoveringDetector.find_covering_profile`).
+    comparisons:
+        Stored subscriptions compared with the query directly (0 when the
+        plan was executed).
     """
 
     covering_id: Optional[Hashable]
-    query: DominanceQueryResult
+    query: Optional[DominanceQueryResult]
+    comparisons: int = 0
 
     @property
     def covered(self) -> bool:
         """True when a covering subscription was found."""
         return self.covering_id is not None
+
+    @property
+    def work_units(self) -> int:
+        """Runs probed plus subscriptions compared: what this check cost."""
+        return self.comparisons + (self.query.runs_probed if self.query is not None else 0)
 
 
 @dataclass(frozen=True)
@@ -264,16 +280,33 @@ class ApproximateCoveringDetector:
         self._subscriptions[sub_id] = profile.ranges
         self.index.insert(sub_id, profile.point)
 
-    def find_covering_profile(self, profile: CoveringProfile) -> CoveringResult:
-        """Covering query along a precomputed probe schedule.
+    def profile(self, ranges: Sequence[Range]) -> CoveringProfile:
+        """Validate ``ranges`` and build their point + probe schedule for this detector."""
+        validated = self.transform.validate_ranges(ranges)
+        point = self.transform.to_point(validated)
+        return CoveringProfile(ranges=validated, point=point, plan=self.index.plan(point))
 
-        Identical answer to :meth:`find_covering` on the profile's ranges at
-        the detector's default ε — same plan, here not rebuilt.  A profile
-        built under different parameters (paranoia guard; brokers share one
-        config) is answered from its ranges under this detector's own.
+    def find_covering_profile(self, profile: CoveringProfile) -> CoveringResult:
+        """The routing covering check: a join that picks its side before building anything.
+
+        The profile's plan knows from the census how many cubes its schedule
+        takes.  A detector holding no more subscriptions than that compares
+        each stored subscription's ranges with the profile's — first cover in
+        insertion order, the choice of the ``exact`` strategy; no plan class
+        is materialised, no key computed, and the answer is complete where
+        the ε-search is bound by its budget.  A fuller detector executes the
+        plan, as :meth:`find_covering` at the default ε would (same plan,
+        here not rebuilt).  Sound on both sides: a cover is reported only
+        after its ranges were compared or its point found inside the
+        dominance region.  A profile built under different parameters
+        (paranoia guard; brokers share one config) is answered from its
+        ranges under this detector's own.
         """
         if not self.compatible_profile(profile):
             return self.find_covering(profile.ranges)
+        if len(self._subscriptions) <= profile.plan.cubes:
+            covering_id, compared = first_covering(self._subscriptions, profile.ranges)
+            return CoveringResult(covering_id=covering_id, query=None, comparisons=compared)
         result = self.index.execute_plan(profile.plan)
         covering_id = result.item.item_id if result.item is not None else None
         return CoveringResult(covering_id=covering_id, query=result)

@@ -272,6 +272,22 @@ class StandardCube:
                     f"standard cube low corner {low} is not aligned to side {self.side}"
                 )
 
+    @classmethod
+    def _trusted(cls, universe: Universe, low: Tuple[int, ...], side: int) -> "StandardCube":
+        """Build a cube without validating it.
+
+        For producers whose construction already guarantees what
+        ``__post_init__`` checks — a power-of-two side within the universe
+        and an aligned integer low corner inside it (the quadtree recursion
+        of :func:`~repro.core.decomposition.decompose_rectangle`).  Anything
+        built from outside input goes through ``StandardCube(...)``.
+        """
+        cube = object.__new__(cls)
+        object.__setattr__(cube, "universe", universe)
+        object.__setattr__(cube, "low", low)
+        object.__setattr__(cube, "side", side)
+        return cube
+
     @property
     def dims(self) -> int:
         return self.universe.dims

@@ -23,7 +23,7 @@ subscription machinery, while :mod:`repro.pubsub.subscription` builds on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Hashable, Mapping, Optional, Sequence, Tuple
 
 from .rect import ExtremalRectangle
 from .universe import Universe
@@ -32,6 +32,7 @@ __all__ = [
     "DominanceTransform",
     "dominates",
     "ranges_cover",
+    "first_covering",
 ]
 
 Range = Tuple[int, int]
@@ -67,6 +68,40 @@ def ranges_cover(outer: Sequence[Range], inner: Sequence[Range]) -> bool:
             f"subscriptions have different numbers of attributes: {len(outer)} vs {len(inner)}"
         )
     return all(olo <= ilo and ihi <= ohi for (olo, ohi), (ilo, ihi) in zip(outer, inner))
+
+
+def first_covering(
+    stored: Mapping[Hashable, Sequence[Range]],
+    query: Sequence[Range],
+    exclude: Optional[Hashable] = None,
+) -> Tuple[Optional[Hashable], int]:
+    """First stored id, in insertion order, whose ranges contain ``query``'s, and how many were compared.
+
+    The one comparison loop of the covering layer: the ``exact`` strategy's
+    scan and the compare side of the approximate detector.  Both sides must
+    already be validated range tuples over the same attributes — nothing is
+    re-checked per comparison.  ``exclude`` is skipped and not counted.
+
+    >>> first_covering({"a": ((3, 4),), "b": ((0, 9),), "c": ((0, 9),)}, ((2, 5),))
+    ('b', 2)
+    """
+    first_lo, first_hi = query[0]
+    compared = 0
+    for sub_id, ranges in stored.items():
+        if sub_id == exclude:
+            continue
+        compared += 1
+        # Most candidates already fail on one attribute; rejecting on the
+        # first without setting up the pairwise walk is 3–4× cheaper per miss.
+        lo, hi = ranges[0]
+        if lo > first_lo or first_hi > hi:
+            continue
+        for (olo, ohi), (ilo, ihi) in zip(ranges, query):
+            if olo > ilo or ihi > ohi:
+                break
+        else:
+            return sub_id, compared
+    return None, compared
 
 
 @dataclass(frozen=True)

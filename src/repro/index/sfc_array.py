@@ -170,7 +170,10 @@ class SFCArray:
         the table and keeps the hit with the smallest probe index, then the
         smallest key (what that probe returns); otherwise the rows are probed
         in order.  Stored keys come from the item map, so the backend's
-        pending and tombstoned keys never matter.
+        pending and tombstoned keys never matter.  The keyed half is what
+        lets an offline query over a 10^5–10^6-cube schedule finish in
+        milliseconds; routing no longer reaches it (a link holding no more
+        subscriptions than a plan has cubes is compared without a plan).
         """
         rows = len(los)
         if len(self._key_of_item) <= rows:

@@ -28,7 +28,11 @@ Three refinements keep the structure bounded and sound:
   snapped outward to a grid of side ``2^{order - precision_bits}``, so the
   quadtree recursion bottoms out after ``precision_bits`` levels instead of
   descending to unit cells whose runs the coarsening below would discard
-  anyway.  Snapping outward only ever *adds* cells.
+  anyway.  Snapping outward only ever *adds* cells.  On a grid within the
+  default precision budget (4,096 cubes) the runs are not decomposed at all
+  but read off a :class:`~repro.sfc.runs.GridRunTable` — the same runs at a
+  tenth of the cost, so a rectangle the run cache has not seen costs an
+  insert about what a cached one does.
 * **Run-budget coarsening.**  Thin rectangles can decompose into many runs
   (the aspect-ratio lower bound of Theorem 4.1), so per subscription the run
   list is over-approximated down to at most ``run_budget`` ranges by closing
@@ -48,6 +52,7 @@ per-event cost is one ordered-map probe plus the candidates of one segment.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -65,18 +70,24 @@ from ..core.decomposition import decompose_rectangle
 from ..geometry.rect import Rectangle, StandardCube
 from ..geometry.universe import Universe
 from ..index.backends import make_backend
-from ..index.config import MATCH_BACKEND_NAMES, IndexConfig
+from ..index.config import MATCH_BACKEND_NAMES, PRECISION_BIT_BUDGET, IndexConfig
 from ..index.sfc_array import FlatSegmentStore
 from ..obs.profiler import profiled
 from ..sfc.base import KeyRange
 from ..sfc.factory import make_curve
-from ..sfc.runs import merge_key_ranges
+from ..sfc.runs import GridRunTable, merge_key_ranges
 from .schema import AttributeSchema
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .subscription_store import ProfileCache
 
 __all__ = ["MatchIndex", "MatchIndexStats"]
+
+
+@functools.lru_cache(maxsize=32)
+def _grid_run_table(kind: str, dims: int, order: int, bits: int) -> GridRunTable:
+    """The process-wide run table of one (curve, universe, precision grid)."""
+    return GridRunTable(make_curve(kind, Universe(dims=dims, order=order)), bits)
 
 
 @dataclass
@@ -178,6 +189,11 @@ class MatchIndex:
             effective,
             self.run_budget,
         )
+        # Grids of at most 2^PRECISION_BIT_BUDGET cubes (every derived
+        # precision; an explicit ``precision_bits`` may exceed it) read runs
+        # off the shared table, fetched on the first uncached rectangle.
+        self._tabulated = self.universe.dims * effective <= PRECISION_BIT_BUDGET
+        self._grid_runs: Optional[GridRunTable] = None
         self.backend_name = backend
         if backend == "flat":
             self._flat: Optional[FlatSegmentStore] = FlatSegmentStore()
@@ -272,9 +288,11 @@ class MatchIndex:
     ) -> List[Tuple[Tuple[KeyRange, ...], bool]]:
         """``(stored runs, was coarsened)`` per snapped rectangle, through the run cache.
 
-        Rectangles the cache does not hold are decomposed here and their
-        cubes keyed through one :meth:`SpaceFillingCurve.cube_key_ranges`
-        call; the results are memoised for every index sharing the cache.
+        Rectangles the cache does not hold get their runs here — from the
+        grid run table where the precision grid is small enough to have one,
+        otherwise by decomposing them and keying all their cubes through one
+        :meth:`SpaceFillingCurve.cube_key_ranges` call — and the results are
+        memoised for every index sharing the cache.
         """
         cache = self._run_cache
         run_key = self._run_key
@@ -285,6 +303,15 @@ class MatchIndex:
             entries = [None] * len(signatures)
             missing = range(len(signatures))
         if not missing:
+            return entries
+        if self._tabulated:
+            table = self._grid_runs
+            if table is None:
+                table = self._grid_runs = _grid_run_table(*self._run_key[:4])
+            for i in missing:
+                entries[i] = entry = self._coarsen(table.runs(signatures[i]))
+                if cache is not None:
+                    cache.store_match_runs((run_key, signatures[i]), entry)
             return entries
         all_cubes: List[StandardCube] = []
         cube_counts: List[int] = []

@@ -10,8 +10,9 @@ Covering enters when deciding whether an incoming subscription needs to be
 neighbour covers the new one, forwarding is redundant.  The covering check is
 delegated to a :class:`CoveringStrategy`, of which three are provided —
 ``none`` (always forward), ``exact`` (linear scan), and ``approximate`` (the
-paper's ε-approximate SFC detector).  The strategy factory keeps the broker
-code independent of which detector is in use.
+paper's ε-approximate SFC detector above the size of its own probe schedule,
+the same scan below it).  The strategy factory keeps the broker code
+independent of which detector is in use.
 """
 
 from __future__ import annotations
@@ -107,7 +108,11 @@ class CoveringStrategy(Protocol):
         """Covering check through a precomputed profile (same answer as above)."""
 
     def work_units(self) -> int:
-        """Return an abstract work counter (comparisons or runs probed) for reporting."""
+        """Return an abstract work counter for reporting.
+
+        Subscriptions compared (``exact``), runs probed plus subscriptions
+        compared (``approximate``) or sample points tested (``probabilistic``).
+        """
 
 
 @dataclass
@@ -162,7 +167,15 @@ class ExactCoveringStrategy:
 
 
 class ApproximateCoveringStrategy:
-    """The paper's ε-approximate covering detector backed by an SFC index."""
+    """The paper's ε-approximate covering detector on a broker link.
+
+    Every check goes through the detector's one routing entry point,
+    :meth:`~repro.core.covering.ApproximateCoveringDetector.find_covering_profile`:
+    while the link holds no more forwarded subscriptions than the query's
+    probe schedule has cubes they are compared directly (the ``exact``
+    strategy's answer), above that the schedule is executed against the SFC
+    index.  The crossover is the plan's own size, so ``cube_budget`` bounds it.
+    """
 
     def __init__(
         self,
@@ -177,7 +190,7 @@ class ApproximateCoveringStrategy:
             attribute_order=attribute_order,
             config=config,
         )
-        self._runs_probed = 0
+        self._work_units = 0
 
     def add(self, sub_id: Hashable, ranges: Tuple[Tuple[int, int], ...]) -> None:
         self._detector.add_subscription(sub_id, ranges)
@@ -192,19 +205,19 @@ class ApproximateCoveringStrategy:
         return self._detector.remove_subscription(sub_id)
 
     def find_covering(self, ranges: Tuple[Tuple[int, int], ...]) -> Optional[Hashable]:
-        result = self._detector.find_covering(ranges)
-        self._runs_probed += result.query.runs_probed
+        result = self._detector.find_covering_profile(self._detector.profile(ranges))
+        self._work_units += result.work_units
         return result.covering_id
 
     def find_covering_profile(self, profile) -> Optional[Hashable]:
         if profile.covering is None:
             return self.find_covering(profile.ranges)
         result = self._detector.find_covering_profile(profile.covering)
-        self._runs_probed += result.query.runs_probed
+        self._work_units += result.work_units
         return result.covering_id
 
     def work_units(self) -> int:
-        return self._runs_probed
+        return self._work_units
 
 
 class ProbabilisticCoveringStrategy:
@@ -249,7 +262,9 @@ def make_covering_strategy(
     ``config`` shapes the approximate strategy only (the others use no
     index): ``cube_budget`` bounds the per-check work — a router would
     enforce such a bound in practice so a single subscription arrival cannot
-    stall the forwarding path — ``curve`` keys its dominance index, and
+    stall the forwarding path — and with it the size of a link's forwarded
+    set up to which that set is compared directly instead of probed,
+    ``curve`` keys its dominance index, and
     ``backend`` may be any routing-layer name; the composite ``"sharded"``
     matching backend maps to the ordered-map backend its shards are built on.
     """

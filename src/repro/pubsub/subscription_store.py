@@ -25,8 +25,8 @@ module hoists both shared halves out:
   on crash recovery).
 
 Profiles are an optimisation, never a semantic change: a profile-driven
-covering check executes the very plan a stand-alone ``find_covering`` would
-build for itself (pinned by ``test_profile_path_replays_classic_search``), so
+covering check gives the answer the strategy's ``find_covering`` gives from
+the plain ranges (pinned by ``test_profile_path_replays_classic_search``), so
 forwarding decisions are those of per-check recomputation.
 """
 
@@ -77,10 +77,14 @@ class ProfileCache:
     cached plan: a plan's probe key ranges are curve-specific.
 
     Memory: a cached profile is dominated by its plan, ~96 bytes per probe
-    range once checks have materialised it — 75–192 KB per plan at the
+    range once a check has materialised it — 75–192 KB per plan at the
     default ``cube_budget`` of 2,000 over a 6-dimensional dominance universe
-    (measured).  Worst case ``max_entries`` × 192 KB, 19 GB at the default
-    100,000: size ``max_entries`` to the distinct rectangles in flight.
+    (measured).  Only a check against a link holding more subscriptions than
+    the plan has cubes materialises it; below that crossover a profile is its
+    ranges, its point and a few hundred bytes of census.  The worst case of
+    ``max_entries`` × 192 KB (19 GB at the default 100,000) therefore holds
+    only for networks whose links exceed the crossover: size ``max_entries``
+    to the distinct rectangles in flight there.
 
     The cache also holds the match index's key runs (:meth:`match_runs` /
     :meth:`store_match_runs`).  The caller builds the key from everything the

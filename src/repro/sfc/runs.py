@@ -12,17 +12,22 @@ to key ranges and merging ranges that touch.  The number of merged ranges is
 exactly the number of maximal contiguous key segments of ``T`` — independent
 of which exact cube partition was used — because the union of the ranges is
 precisely the key set of ``T``.
+
+For rectangles aligned to a coarse grid small enough to tabulate,
+:class:`GridRunTable` reads the same runs off one bit per grid cell without
+building a partition at all.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple
 
 from ..geometry.rect import Rectangle, StandardCube
 from .base import KeyRange, SpaceFillingCurve
 
-__all__ = ["merge_key_ranges", "cube_key_ranges", "count_runs", "RunProfile"]
+__all__ = ["merge_key_ranges", "cube_key_ranges", "count_runs", "RunProfile", "GridRunTable"]
 
 
 def merge_key_ranges(ranges: Iterable[KeyRange]) -> List[KeyRange]:
@@ -59,6 +64,74 @@ def cube_key_ranges(curve: SpaceFillingCurve, cubes: Sequence[StandardCube]) -> 
 def count_runs(curve: SpaceFillingCurve, cubes: Sequence[StandardCube]) -> int:
     """Return ``runs(T)`` for the region partitioned exactly by ``cubes``."""
     return len(merge_key_ranges(cube_key_ranges(curve, cubes)))
+
+
+class GridRunTable:
+    """Exact key runs of grid-aligned rectangles, read off per-axis bit masks.
+
+    The universe is cut into a grid of ``2^bits`` standard cubes per side.
+    Each grid cube is one key range (Fact 2.1) and the ranges of all of them
+    tile the key space in order of their common key prefix, so a set of grid
+    cubes is an integer with one bit per cube, at the position of its prefix,
+    and the runs of the set are the runs of 1-bits.  The table keeps, per
+    axis, the mask of the cubes whose coordinate is below each value; a
+    rectangle is then the AND of one mask difference per axis — no cube is
+    enumerated, nothing is sorted or merged.  The result equals
+    ``merge_key_ranges`` over the key ranges of ``decompose_rectangle``'s
+    partition of the same rectangle, for every curve whose standard cubes are
+    key prefixes (all of :data:`~repro.sfc.factory.CURVE_KINDS`).
+
+    Building the table keys every grid cube once (``2^(bits·d)`` of them), so
+    it is meant for the few-thousand-cube grids the match index snaps to.
+    """
+
+    def __init__(self, curve: SpaceFillingCurve, bits: int) -> None:
+        universe = curve.universe
+        if not 0 <= bits <= universe.order:
+            raise ValueError(f"bits must lie in [0, {universe.order}], got {bits}")
+        side = 1 << bits
+        cube_side = 1 << (universe.order - bits)
+        self.bits = bits
+        self._shift = shift = universe.dims * (universe.order - bits)
+        cubes = list(itertools.product(range(side), repeat=universe.dims))
+        anchors = curve.keys([tuple([c * cube_side for c in cube]) for cube in cubes])
+        at_value = [[0] * side for _ in range(universe.dims)]
+        for cube, anchor in zip(cubes, anchors):
+            bit = 1 << (anchor >> shift)
+            for axis, value in enumerate(cube):
+                at_value[axis][value] |= bit
+        # _below[axis][v]: the grid cubes whose coordinate on ``axis`` is < v.
+        self._below: List[List[int]] = []
+        for masks in at_value:
+            below = [0]
+            for mask in masks:
+                below.append(below[-1] | mask)
+            self._below.append(below)
+
+    def runs(self, grid_ranges: Sequence[Tuple[int, int]]) -> List[KeyRange]:
+        """Maximal key runs, in key order, of the rectangle ``grid_ranges`` spans.
+
+        ``grid_ranges`` are inclusive per-axis ranges in grid-cube coordinates
+        (``0 <= lo <= hi < 2^bits``, one per dimension; not re-checked).
+        """
+        cubes = -1
+        for below, (lo, hi) in zip(self._below, grid_ranges):
+            cubes &= below[hi + 1] ^ below[lo]
+        starts = cubes & ~(cubes << 1)
+        ends = cubes & ~(cubes >> 1)
+        shift = self._shift
+        tail = (1 << shift) - 1
+        runs: List[KeyRange] = []
+        while starts:
+            # Lowest set bit of each: the next run's first and last grid cube.
+            first = starts & -starts
+            last = ends & -ends
+            starts ^= first
+            ends ^= last
+            runs.append(
+                ((first.bit_length() - 1) << shift, ((last.bit_length() - 1) << shift) | tail)
+            )
+        return runs
 
 
 @dataclass(frozen=True)

@@ -139,6 +139,28 @@ class TestMatchIndexUnit:
             expected = {sid for sid, sub in subs.items() if sub.matches(event)}
             assert set(index.matching_ids(event.cells)) == expected
 
+    @pytest.mark.parametrize("curve", ["zorder", "hilbert", "gray"])
+    def test_tabulated_runs_equal_decomposed_runs(self, curve):
+        """Grids within the precision budget read their runs off the shared
+        table; the stored runs are those the decomposition would give."""
+        schema3 = AttributeSchema(
+            [Attribute(name, 0.0, 100.0) for name in "xyz"], order=10
+        )
+        rng = random.Random(7)
+        tabulated = MatchIndex(schema3, config=IndexConfig(curve=curve))
+        decomposed = MatchIndex(schema3, config=IndexConfig(curve=curve))
+        assert tabulated._tabulated
+        decomposed._tabulated = False
+        for _ in range(30):
+            ranges = []
+            for _ in range(3):
+                lo = rng.randint(0, 1023)
+                ranges.append((lo, rng.randint(lo, 1023)))
+            signature = tabulated._snap_signature(tuple(ranges))
+            assert tabulated._runs_for([signature]) == decomposed._runs_for([signature])
+        # An explicit precision beyond the budget keeps the decomposition.
+        assert not MatchIndex(schema3, config=IndexConfig(precision_bits=6))._tabulated
+
     @pytest.mark.parametrize("attributes, order", [(4, 16), (8, 8)])
     def test_unconstrained_subscription_survives_a_bulk_load_at_64_bit_keys(
         self, attributes, order

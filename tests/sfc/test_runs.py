@@ -13,6 +13,7 @@ from repro.geometry.universe import Universe
 from repro.sfc.gray import GrayCodeCurve
 from repro.sfc.hilbert import HilbertCurve
 from repro.sfc.runs import (
+    GridRunTable,
     RunProfile,
     brute_force_run_profile,
     count_runs,
@@ -149,3 +150,37 @@ class TestLemma31:
         rect = Rectangle((x0, y0), (x1, y1))
         cubes = decompose_rectangle(universe, rect)
         assert count_runs(curve, cubes) <= len(cubes)
+
+
+class TestGridRunTable:
+    """The table's runs are those of the decomposed rectangle, curve by curve."""
+
+    @pytest.mark.parametrize("curve_cls", [ZOrderCurve, HilbertCurve, GrayCodeCurve])
+    @pytest.mark.parametrize("dims, order, bits", [(1, 5, 5), (2, 6, 4), (3, 10, 4), (4, 5, 3), (2, 3, 0)])
+    def test_runs_equal_merged_cube_ranges(self, curve_cls, dims, order, bits):
+        universe = Universe(dims=dims, order=order)
+        curve = curve_cls(universe)
+        table = GridRunTable(curve, bits)
+        rng = random.Random(dims * 100 + order)
+        cube_side = 1 << (order - bits)
+        top = (1 << bits) - 1
+        samples = [tuple((0, top) for _ in range(dims)), tuple((top, top) for _ in range(dims))]
+        for _ in range(40):
+            lows = [rng.randint(0, top) for _ in range(dims)]
+            samples.append(tuple((lo, rng.randint(lo, top)) for lo in lows))
+        for grid_ranges in samples:
+            rect = Rectangle(
+                tuple(lo * cube_side for lo, _ in grid_ranges),
+                tuple((hi + 1) * cube_side - 1 for _, hi in grid_ranges),
+            )
+            expected = merge_key_ranges(curve.cube_key_ranges(decompose_rectangle(universe, rect)))
+            assert table.runs(grid_ranges) == expected
+
+    def test_whole_universe_is_one_run(self):
+        universe = Universe(dims=3, order=4)
+        table = GridRunTable(HilbertCurve(universe), 2)
+        assert table.runs(((0, 3), (0, 3), (0, 3))) == [(0, universe.max_key)]
+
+    def test_rejects_bits_beyond_the_order(self):
+        with pytest.raises(ValueError):
+            GridRunTable(ZOrderCurve(Universe(dims=2, order=3)), 4)
