@@ -81,6 +81,9 @@ if [ "$RESULTS_BEFORE" != "$(results_listing)" ]; then
     echo "ci.sh: the benchmark smoke pass rewrote files under benchmarks/results/" >&2
     exit 1
 fi
+# The flat store's cost table (what its staging thresholds are sized from) at
+# its smallest size: the script must keep running against the store's API.
+python experiments/flat_store_costs.py --slots 4 --repeat 1 > /dev/null
 # The repository benchmark's own harness at --smoke size: exact declared
 # metric names, failed == 0, and same-seed runs agreeing on every count.
 python -m pytest -q experiments/e2e/test_harness.py

@@ -22,6 +22,7 @@ from __future__ import annotations
 import bisect
 from array import array
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..obs.profiler import profiled
@@ -31,6 +32,13 @@ from ..sfc.runs import merge_key_ranges
 from .backends import OrderedMapBackend, make_backend
 
 __all__ = ["SFCArray", "SFCArrayStats", "StoredItem", "FlatSegmentStore"]
+
+#: What a sweep of :class:`FlatSegmentStore` produces: segment lower bounds,
+#: segment upper bounds, cuts and members (see the class docstring).
+_Layout = Tuple[List[int], List[int], List[int], array]
+
+#: The largest key whose exclusive end still fits the array sweep's ``uint64``.
+_MAX_SWEEP_KEY = (1 << 64) - 2
 
 
 @dataclass(frozen=True)
@@ -235,10 +243,12 @@ class FlatSegmentStore:
     The store maps integer *slots* (interned subscription ids) to sets of
     inclusive key runs and answers stabbing queries: "which slots have a run
     containing key ``k``?".  Instead of one ordered-map node per segment it
-    keeps three parallel arrays — segment lower bounds, segment upper bounds,
-    and per-segment member arrays (``array('l')`` of slots) — built in one
-    boundary sweep over every live run.  A stab is then a single ``bisect``
-    on the upper-bound array.
+    keeps the segments' lower and upper bounds in two parallel sorted lists
+    and all their members in one typed array (``array('q')`` of slots) with a
+    cut list beside it — segment ``i`` holds ``members[cuts[i]:cuts[i + 1]]``,
+    slots in insertion order — built in one boundary sweep over every live
+    run.  A stab is then a single ``bisect`` on the upper bounds and one
+    slice.
 
     Updates are staged, LSM-style, one entry per *slot*:
 
@@ -246,8 +256,8 @@ class FlatSegmentStore:
       buffer; a stab bisects each pending slot's runs, so a pending slot
       costs one ``bisect`` however many runs it has.  Once more than
       :data:`PENDING_SLOTS` + 1/:data:`PENDING_SHARE` of the flattened slots
-      are pending, a *merge-rebuild* re-sweeps all live runs into fresh
-      arrays (the buffer bound grows with the structure, so the rebuild work
+      are pending, a *merge-rebuild* re-sweeps all live runs into a fresh
+      layout (the buffer bound grows with the structure, so the rebuild work
       per insert stays bounded);
     * **removals** of flattened slots only tombstone the slot (stabs filter
       against the tombstone set); compaction rebuilds once the tombstones
@@ -255,11 +265,18 @@ class FlatSegmentStore:
       what the arrays hold is garbage.  Removals of still-pending slots drop
       the buffer entry and leave no garbage at all.
 
-    Both thresholds are sized from measured costs (README, "Event-matching
-    fast path"): a rebuild costs ~100 µs per 64-run slot at every size, a
-    pending slot adds ~0.3 µs to every stab, so with at most ``P`` slots
-    pending an add pays ``100·n/P`` µs and a stab ``0.15·P`` µs on average —
-    balanced at ``P`` ≈ 15–40 for 10–30-slot tables read 6–100 times per write.
+    The sweep runs on numpy arrays at every table size (:meth:`_sweep_numpy`;
+    the Python event loop :meth:`_sweep_python` is its fallback and gives the
+    identical layout).  Both thresholds are sized from measured costs (README,
+    "Event-matching fast path"; ``experiments/flat_store_costs.py`` prints
+    them): a rebuild costs 0.25–0.4 µs per run, ~20 µs per 64-run slot, a
+    pending slot adds ~0.28 µs to every stab, so with at most ``P`` slots
+    pending an add pays ``20·n/P`` µs and a stab ``0.14·P`` µs on average —
+    balanced at ``P = √(143·n/r)`` ≈ 4–27 for 10–30-slot tables stabbed
+    ``r`` = 6–100 times per write.  The cap of 17–20 slots those tables get
+    was sized when a rebuild cost five times as much (balance at 9–60) and is
+    still inside that range, where the sum is within a quarter of its
+    minimum; it was left alone.
 
     Bulk loading (:meth:`add_bulk`) stages every subscription and performs a
     single sweep, which is how a million-subscription index is built in one
@@ -275,7 +292,8 @@ class FlatSegmentStore:
         self._runs: Dict[int, Tuple[KeyRange, ...]] = {}
         self._los: List[int] = []
         self._his: List[int] = []
-        self._members: List[array] = []
+        self._cuts: List[int] = [0]
+        self._members = array("q")
         self._pending: Dict[int, Tuple[KeyRange, ...]] = {}
         self._dead: set = set()
         self.rebuilds = 0
@@ -354,102 +372,129 @@ class FlatSegmentStore:
                 self.rebuild()
         return len(runs)
 
-    def _rebuild_vectorized(self) -> bool:
-        """Numpy sweep: segment boundaries via ``unique``/``searchsorted``.
+    def _sweep_numpy(self) -> Optional[_Layout]:
+        """The boundary sweep on arrays, or ``None`` when it cannot run.
 
-        Each run covers the segments between its endpoints' positions in the
-        sorted boundary array; expanding ``(run, span)`` pairs with ``repeat``
-        and a stable sort by segment index groups members per segment without
-        a Python-level event loop.  The stable sort keeps members in slot
-        insertion order, so the result is deterministic.  Returns ``False``
-        (caller falls back to the Python sweep) when numpy is unavailable,
-        the store is small, or an exclusive run end does not fit 64 bits.
+        Every run endpoint goes into one ``uint64`` array (``fromiter`` over
+        the chained run tuples: no Python-level step per run).  The distinct
+        sorted endpoints are the segment boundaries; a run covers the segments
+        between its two endpoints' positions among them, so expanding each run
+        into its segment indices (``repeat`` + ``arange``) and sorting the
+        expansion stably by segment groups the members per segment.  Runs are
+        expanded in slot insertion order and the sort is stable, so that is
+        the member order.  ``None`` (the caller sweeps in Python) when numpy
+        is unavailable, a key is wider than 64 bits, or a run ends at
+        ``2**64 - 1``: the sweep works on exclusive ends, and ``uint64``
+        arithmetic would silently wrap that one to 0.
         """
         np = vectorized.np
-        if np is None or len(self._runs) < 512:
-            return False
-        los_l: List[int] = []
-        his_l: List[int] = []
-        slots_l: List[int] = []
-        for slot, runs in self._runs.items():
-            for lo, hi in runs:
-                los_l.append(lo)
-                his_l.append(hi)
-                slots_l.append(slot)
-        # The sweep works on exclusive ends; for a run reaching the top of a
-        # 64-bit key space uint64 arithmetic would wrap that end to 0, silently.
-        if max(his_l, default=0) >= (1 << 64) - 1:
-            return False
-        lo_arr = np.asarray(los_l, dtype=np.uint64)
-        hi_arr = np.asarray(his_l, dtype=np.uint64) + 1  # exclusive ends
-        slot_arr = np.asarray(slots_l, dtype=np.int64)
-        bounds = np.unique(np.concatenate((lo_arr, hi_arr)))
-        starts = np.searchsorted(bounds, lo_arr)
-        spans = np.searchsorted(bounds, hi_arr) - starts
+        if np is None:
+            return None
+        stored = self._runs
+        counts = np.fromiter(map(len, stored.values()), dtype=np.int64, count=len(stored))
+        try:
+            # lo, hi, lo, hi, ... of every run, slot by slot.
+            ends = np.fromiter(
+                chain.from_iterable(chain.from_iterable(stored.values())),
+                dtype=np.uint64,
+                count=2 * int(counts.sum()),
+            )
+        except OverflowError:
+            return None
+        if not ends.size:
+            return [], [], [0], array("q")
+        exclusive = ends[1::2]
+        if exclusive.max() > _MAX_SWEEP_KEY:
+            return None
+        exclusive += 1
+        bounds = np.sort(ends)
+        distinct = np.empty(bounds.size, dtype=bool)
+        distinct[0] = True
+        np.not_equal(bounds[1:], bounds[:-1], out=distinct[1:])
+        bounds = bounds[distinct]
+        positions = bounds.searchsorted(ends)
+        starts = positions[0::2]
+        spans = positions[1::2] - starts
         total = int(spans.sum())
-        offsets = np.cumsum(spans) - spans
-        seg_idx = np.repeat(starts - offsets, spans) + np.arange(total, dtype=np.int64)
+        seg_idx = np.repeat(starts - (np.cumsum(spans) - spans), spans)
+        seg_idx += np.arange(total, dtype=seg_idx.dtype)
         order = np.argsort(seg_idx, kind="stable")
-        member_slots = np.repeat(slot_arr, spans)[order].tolist()
-        covered, first = np.unique(seg_idx[order], return_index=True)
-        cuts = first.tolist() + [total]
-        self._los = bounds[covered].tolist()
-        self._his = (bounds[covered + 1] - 1).tolist()
-        self._members = [
-            array("l", member_slots[a:b]) for a, b in zip(cuts, cuts[1:])
-        ]
-        return True
+        slots = np.fromiter(stored, dtype=np.int64, count=len(stored))
+        members = np.repeat(np.repeat(slots, counts), spans)[order]
+        sizes = np.bincount(seg_idx, minlength=bounds.size - 1)
+        covered = np.flatnonzero(sizes)
+        cuts = [0]
+        cuts += np.cumsum(sizes[covered]).tolist()
+        return (
+            bounds[covered].tolist(),
+            (bounds[covered + 1] - 1).tolist(),
+            cuts,
+            array("q", members.tobytes()),
+        )
+
+    def _sweep_python(self) -> _Layout:
+        """The same sweep as an event loop over Python integers (any key width).
+
+        Events are encoded as single integers
+        ``(pos << (rank_bits+1)) | (flag << rank_bits) | rank`` so sorting is
+        an int sort instead of a tuple sort; ``rank`` is the slot's place in
+        insertion order.  ``flag`` is 0 for run ends and 1 for run starts,
+        making ends at a position apply before starts (a slot whose runs abut
+        would otherwise flicker).  A segment's members are its active ranks in
+        ascending order: slot insertion order, as the numpy sweep emits them.
+        """
+        order = list(self._runs)
+        rank_bits = max(1, len(order).bit_length())
+        pos_shift = rank_bits + 1
+        rank_mask = (1 << rank_bits) - 1
+        start_bit = 1 << rank_bits
+        events: List[int] = []
+        for rank, runs in enumerate(self._runs.values()):
+            for lo, hi in runs:
+                events.append((lo << pos_shift) | start_bit | rank)
+                events.append((hi + 1) << pos_shift | rank)
+        events.sort()
+        los: List[int] = []
+        his: List[int] = []
+        cuts = [0]
+        ranks: List[int] = []
+        active: set = set()
+        prev = 0
+        i, n = 0, len(events)
+        while i < n:
+            pos = events[i] >> pos_shift
+            if active and prev < pos:
+                los.append(prev)
+                his.append(pos - 1)
+                ranks += sorted(active)
+                cuts.append(len(ranks))
+            while i < n and (events[i] >> pos_shift) == pos:
+                event = events[i]
+                if event & start_bit:
+                    active.add(event & rank_mask)
+                else:
+                    active.discard(event & rank_mask)
+                i += 1
+            prev = pos
+        return los, his, cuts, array("q", map(order.__getitem__, ranks))
 
     @profiled("flat_store.rebuild")
     def rebuild(self) -> None:
-        """Flatten every live run into fresh parallel arrays (boundary sweep).
+        """Flatten every live run into a fresh layout (one boundary sweep).
 
-        Events are encoded as single integers
-        ``(pos << (slot_bits+1)) | (flag << slot_bits) | slot`` so sorting is
-        an int sort instead of a tuple sort.  ``flag`` is 0
-        for run ends and 1 for run starts, making ends at a position apply
-        before starts (a slot whose runs abut would otherwise flicker).  The
-        active set is an insertion-ordered dict, so member order — and with it
-        every downstream iteration — is deterministic under hash
-        randomisation.
+        The array sweep does it whatever the table size; the Python sweep is
+        its fallback and produces the identical layout, members of a segment
+        in slot insertion order — so every downstream iteration is
+        deterministic under hash randomisation and the same with and without
+        numpy.
         """
-        if not self._runs:
-            self._los, self._his, self._members = [], [], []
-        elif not self._rebuild_vectorized():
-            slot_bits = max(1, max(self._runs).bit_length())
-            pos_shift = slot_bits + 1
-            slot_mask = (1 << slot_bits) - 1
-            start_bit = 1 << slot_bits
-            events: List[int] = []
-            for slot, runs in self._runs.items():
-                for lo, hi in runs:
-                    events.append((lo << pos_shift) | start_bit | slot)
-                    events.append((hi + 1) << pos_shift | slot)
-            events.sort()
-            los: List[int] = []
-            his: List[int] = []
-            members: List[array] = []
-            active: Dict[int, None] = {}
-            prev: Optional[int] = None
-            i, n = 0, len(events)
-            while i < n:
-                pos = events[i] >> pos_shift
-                if active and prev is not None and prev < pos:
-                    los.append(prev)
-                    his.append(pos - 1)
-                    members.append(array("l", active))
-                while i < n and (events[i] >> pos_shift) == pos:
-                    event = events[i]
-                    if event & start_bit:
-                        active[event & slot_mask] = None
-                    else:
-                        active.pop(event & slot_mask, None)
-                    i += 1
-                prev = pos
-            self._los, self._his, self._members = los, his, members
+        layout = self._sweep_numpy()
+        if layout is None:
+            layout = self._sweep_python()
+        self._los, self._his, self._cuts, self._members = layout
         self._pending = {}
         self._dead.clear()
-        self.member_entries = sum(len(m) for m in self._members)
+        self.member_entries = len(self._members)
         self.rebuilds += 1
 
     # ---------------------------------------------------------------- queries
@@ -464,13 +509,15 @@ class FlatSegmentStore:
         his = self._his
         idx = bisect.bisect_left(his, key)
         if idx < len(his) and self._los[idx] <= key:
+            cuts = self._cuts
+            members = self._members[cuts[idx] : cuts[idx + 1]]
             dead = self._dead
             if dead:
-                for slot in self._members[idx]:
+                for slot in members:
                     if slot not in dead:
                         yield slot
             else:
-                yield from self._members[idx]
+                yield from members
         if self._pending:
             after = (key + 1,)  # sorts right after every run starting at or before ``key``
             for slot, runs in self._pending.items():

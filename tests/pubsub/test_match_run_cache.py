@@ -106,7 +106,7 @@ def test_cached_index_equals_uncached_index(schema, backend):
         assert all_candidates(cached) == expected
     if backend == "flat":
         for cached in (filling, hitting):
-            for attr in ("_runs", "_los", "_his", "_members", "_pending"):
+            for attr in ("_runs", "_los", "_his", "_cuts", "_members", "_pending"):
                 assert getattr(cached._flat, attr) == getattr(uncached._flat, attr)
         # One immutable tuple per rectangle, held by identity in both stores.
         for slot in filling._id_of:
