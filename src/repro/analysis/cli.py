@@ -51,10 +51,10 @@ def _topology_scale_cli_sized(curve: str = "zorder") -> object:
 
 
 def _auto_tuning_cli_sized(curve: Optional[str] = None) -> object:
-    """E-TUNE: self-tuning index vs static configs (CLI-sized)."""
+    """E-TUNE: recommended index config vs static configs (CLI-sized)."""
     return experiments.run_auto_tuning_experiment(
         # The experiment sweeps every static curve by default; --curve both
-        # narrows the static field and sets the tuned run's starting curve.
+        # narrows the static field and sets the recommendation's start curve.
         static_curves=("zorder", "hilbert", "gray") if curve is None else (curve,),
         num_subscriptions=120,
         num_events=180,

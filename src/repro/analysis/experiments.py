@@ -46,6 +46,7 @@ from ..pubsub.subscription import Event, Subscription
 from ..sfc.hilbert import HilbertCurve
 from ..sfc.runs import RunProfile
 from ..sfc.zorder import ZOrderCurve
+from ..tuning import recommend_config
 from ..workloads.generators import EventWorkload, SubscriptionSpec, SubscriptionWorkload
 from .reporting import ResultTable, format_critical_path, format_trace_tree
 
@@ -1675,36 +1676,29 @@ def run_auto_tuning_experiment(
     order: int = 9,
     epsilon: float = 0.2,
     start_run_budget: int = 1,
-    drift_threshold: float = 0.05,
-    min_lookups: int = 4,
-    cooldown: int = 1,
-    sample_subscriptions: int = 24,
-    probe_log_capacity: int = 32,
     seed: int = 31,
 ) -> ResultTable:
-    """E-TUNE: the online self-tuning index vs every static configuration.
+    """E-TUNE: a config recommended offline vs every static configuration.
 
-    Models a *drifted deployment*: every network starts from the same
-    initial :class:`~repro.index.config.IndexConfig` (``start_run_budget``
-    coarsens each subscription's decomposition down hard, the kind of config
-    an operator might pin for a sparse install-time workload), then serves an
-    application scenario that punishes it with false positives.  The static
-    networks — one per curve, all on the initial run budget — are stuck with
-    their config; the tuned network starts *identically* to the first static
-    one but carries an :class:`~repro.tuning.AutoTuner` that re-curves /
-    re-decomposes each drifting interface online via staged rebuild + atomic
-    generation swap.
+    Models a *drifted deployment*: the static networks — one per curve —
+    run on a start :class:`~repro.index.config.IndexConfig` whose
+    ``start_run_budget`` coarsens each subscription's decomposition down hard
+    (the kind of config an operator might pin for a sparse install-time
+    workload), on an application scenario that punishes it with false
+    positives.  The recommended network is a static network too, built on
+    what :func:`~repro.tuning.recommend_config` returns when it walks from
+    the first static config, scoring with the scenario's subscriptions and
+    the warm-up wave's event cells; ``recommend_s`` is what choosing took.
 
-    Protocol per scenario: batch-subscribe everything, publish a warm-up wave
-    (the tuner adapts during it), snapshot the deterministic work counters,
-    publish the measurement wave, and report the *measurement-window* work —
-    candidates checked per event, the backend-independent unit every other
-    matching experiment uses.  Wall-clock throughput is reported alongside
-    but the acceptance comparison is on work units.
+    Protocol per network: batch-subscribe everything, publish the warm-up
+    wave, snapshot the deterministic work counters, publish the measurement
+    wave, and report the *measurement-window* work — candidates checked per
+    event, the backend-independent unit every other matching experiment uses
+    — beside its wall-clock ``seconds``.
 
-    The driver asserts the tuned ≡ static differential inline: per-event
-    delivery sets must be identical across every configuration, tuned or not
-    — tuning may change work, never semantics.
+    The driver asserts the recommended ≡ static differential inline: per-event
+    delivery sets must be identical across every configuration — a config
+    may change work, never semantics.
     """
     import random as _random
 
@@ -1723,7 +1717,7 @@ def run_auto_tuning_experiment(
         "sensor": sensor_network_scenario,
         "auction": auction_scenario,
     }
-    table = ResultTable("E-TUNE: self-tuning index vs static configs (drifted start)")
+    table = ResultTable("E-TUNE: recommended index config vs static configs (drifted start)")
 
     for scenario_name in scenario_names:
         scenario = scenario_factories[scenario_name](
@@ -1748,28 +1742,17 @@ def run_auto_tuning_experiment(
                 (f"client-{sub.sub_id}", sub)
             )
         origins = [rng.randrange(num_brokers) for _ in events]
+        measured = num_events - warmup_events
+        deliveries: Dict[str, Dict[Hashable, frozenset]] = {}
 
-        def run_one(curve: str, tuned: bool):
+        def run_one(config: IndexConfig, name: str, recommend_s: float = 0.0) -> None:
             network = BrokerNetwork.from_topology(
                 schema,
                 tree_topology(num_brokers),
                 covering="approximate",
                 matching="sfc",
                 seed=seed,
-                config=IndexConfig(
-                    curve=curve, run_budget=start_run_budget, epsilon=epsilon
-                ),
-            )
-            tuner = (
-                network.attach_tuner(
-                    drift_threshold=drift_threshold,
-                    min_lookups=min_lookups,
-                    cooldown=cooldown,
-                    sample_subscriptions=sample_subscriptions,
-                    probe_log_capacity=probe_log_capacity,
-                )
-                if tuned
-                else None
+                config=config,
             )
             for broker_id, items in batches.items():
                 network.subscribe_batch(broker_id, items)
@@ -1796,45 +1779,36 @@ def run_auto_tuning_experiment(
                 broker.routing_table.match_segments()
                 for broker in network.brokers.values()
             )
-            return network, tuner, delivered, candidates, false_positives, segments, seconds
-
-        measured = num_events - warmup_events
-        deliveries: Dict[str, Dict[Hashable, frozenset]] = {}
-        for curve in static_curves:
-            _, _, delivered, candidates, fps, segments, seconds = run_one(
-                curve, tuned=False
-            )
-            deliveries[f"static:{curve}"] = delivered
+            deliveries[name] = delivered
             table.add(
                 scenario=scenario_name,
-                config=f"static:{curve}",
+                config=name,
+                curve=config.curve,
+                run_budget=config.run_budget,
                 events=measured,
                 candidates_checked=candidates,
-                false_positives=fps,
+                false_positives=false_positives,
                 work_per_event=round(candidates / measured, 2),
                 segments=segments,
-                rebuilds=0,
-                swaps=0,
                 seconds=round(seconds, 4),
+                recommend_s=round(recommend_s, 4),
             )
 
-        _, tuner, delivered, candidates, fps, segments, seconds = run_one(
-            static_curves[0], tuned=True
+        start_configs = {
+            curve: IndexConfig(curve=curve, run_budget=start_run_budget, epsilon=epsilon)
+            for curve in static_curves
+        }
+        for curve, config in start_configs.items():
+            run_one(config, f"static:{curve}")
+
+        start = time.perf_counter()
+        recommended = recommend_config(
+            schema,
+            start_configs[static_curves[0]],
+            [(sub.sub_id, sub.ranges) for sub in subscriptions],
+            [event.cells for event in events[:warmup_events]],
         )
-        deliveries["tuned"] = delivered
-        counters = tuner.counters()
-        table.add(
-            scenario=scenario_name,
-            config="tuned",
-            events=measured,
-            candidates_checked=candidates,
-            false_positives=fps,
-            work_per_event=round(candidates / measured, 2),
-            segments=segments,
-            rebuilds=counters["rebuilds"],
-            swaps=counters["swaps"],
-            seconds=round(seconds, 4),
-        )
+        run_one(recommended, "recommended", time.perf_counter() - start)
 
         baseline_name = f"static:{static_curves[0]}"
         baseline = deliveries[baseline_name]
@@ -1847,7 +1821,7 @@ def run_auto_tuning_experiment(
                 ]
                 raise AssertionError(
                     f"delivery sets differ between {baseline_name!r} and {name!r} on "
-                    f"{scenario_name} for events {differing[:5]} — tuning must "
+                    f"{scenario_name} for events {differing[:5]} — a config must "
                     "never change semantics"
                 )
     return table

@@ -7,9 +7,9 @@ may occupy, how many ε-cubes a dominance plan may spend, which ordered-map
 backend stores the runs, and how many shards a composite index spreads over.
 Historically those knobs travelled as loose keyword arguments and duplicated
 module constants; :class:`IndexConfig` gathers them into one validated,
-hashable value so any layer can describe, compare, cache-key, or atomically
-swap a configuration — the capability the online self-tuner
-(:mod:`repro.tuning`) is built on.
+hashable value so any layer can describe, compare or cache-key a
+configuration, and an offline search (:func:`repro.tuning.recommend_config`)
+can walk from one to its neighbours.
 
 ``config=IndexConfig(...)`` is the only channel through which a knob reaches
 a constructor of the stack, and only this module defines the knob names and

@@ -23,7 +23,6 @@ publishing broker through up brokers.
 
 from __future__ import annotations
 
-import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -211,20 +210,6 @@ class BrokerNetwork:
             if self.covering == "approximate"
             else None
         )
-        self._tuner = None
-        # Opt-in environment hook: REPRO_AUTOTUNE=1 attaches an aggressive
-        # self-tuning loop to every SFC-matching network (used by the CI pass
-        # that re-runs the tier-1 suite with the tuner active everywhere).
-        # Zero drift threshold + tiny trial sizes: swaps fire constantly, and
-        # the per-decision replay stays cheap enough to bolt onto every test.
-        if self.matching == "sfc" and os.environ.get("REPRO_AUTOTUNE"):
-            self.attach_tuner(
-                drift_threshold=0.0,
-                min_lookups=1,
-                cooldown=1,
-                sample_subscriptions=8,
-                probe_log_capacity=8,
-            )
 
     # ---------------------------------------------------------------- topology
     def add_broker(self, broker_id: Hashable) -> Broker:
@@ -713,47 +698,10 @@ class BrokerNetwork:
         publish-time bookkeeping behind latency measurement is dropped — the
         table cannot grow without bound, and a later reuse of an event id
         measures its own propagation, not the gap since the first run.
-        An attached :class:`~repro.tuning.AutoTuner` is polled at the
-        quiescent point — tuning decisions only ever happen between message
-        waves, never while events are in flight.
         """
         steps = self.transport.flush()
         self._publish_times.clear()
-        if self._tuner is not None:
-            self._tuner.poll()
         return steps
-
-    # ------------------------------------------------------------------ tuning
-    @property
-    def tuner(self):
-        """The attached :class:`~repro.tuning.AutoTuner`, or ``None``."""
-        return self._tuner
-
-    def attach_tuner(self, tuner=None, **kwargs):
-        """Attach an online self-tuning loop to this network.
-
-        With no arguments an :class:`~repro.tuning.AutoTuner` with default
-        policy is built; keyword arguments are forwarded to its constructor
-        (``drift_threshold``, ``min_lookups``, ``cooldown``, ``candidates``,
-        …).  Pass a pre-built tuner to share one across harnesses.  The tuner
-        is polled from :meth:`flush`, i.e. at every quiescent point.  Only
-        meaningful under ``matching="sfc"``; attaching on a linear-matching
-        network raises.
-        """
-        if self.matching != "sfc":
-            raise ValueError(
-                f"auto-tuning requires matching='sfc', this network uses "
-                f"matching={self.matching!r}"
-            )
-        if tuner is None:
-            # Local import: repro.tuning imports this module's classes.
-            from ..tuning import AutoTuner
-
-            tuner = AutoTuner(self, seed=self.seed, **kwargs)
-        elif kwargs:
-            raise ValueError("pass either a pre-built tuner or keyword options, not both")
-        self._tuner = tuner
-        return tuner
 
     # ---------------------------------------------------------------- auditing
     def expected_recipients(self, event: Event, origin: Optional[Hashable] = None) -> Set[Hashable]:
@@ -892,12 +840,11 @@ class BrokerNetwork:
         return stats
 
     def _publish_interface_metrics(self) -> None:
-        """Publish per-interface match-index signals (and tuner counters).
+        """Publish per-interface match-index signals.
 
         Only SFC-matching interfaces carry an index; linear-matching networks
-        publish nothing here.  Counters are lifetime totals across index
-        generations (:meth:`InterfaceTable.match_stats` folds retired
-        generations in), so a tuner swap never makes a series go backwards.
+        publish nothing here.  An interface keeps one index for life, so its
+        counters are that index's running totals.
         """
         interface_counters = None
         interface_gauges = None
@@ -910,18 +857,16 @@ class BrokerNetwork:
                 if interface_counters is None:
                     interface_counters = self.metrics.counter(
                         "match_interface_total",
-                        "Per-interface match-index counters, lifetime across "
-                        "index generations (tuner swaps fold retired stats in).",
+                        "Per-interface match-index counters.",
                         labelnames=("broker", "interface", "counter"),
                     )
                     interface_gauges = self.metrics.gauge(
                         "match_interface",
-                        "Per-interface match-index structure gauges "
-                        "(current index generation).",
+                        "Per-interface match-index structure gauges.",
                         labelnames=("broker", "interface", "gauge"),
                     )
                 labels = {"broker": str(broker_id), "interface": str(interface_id)}
-                stats = table.match_stats()
+                stats = index.stats
                 for counter_name in (
                     "inserts",
                     "removals",
@@ -933,19 +878,8 @@ class BrokerNetwork:
                     interface_counters.set_total(
                         getattr(stats, counter_name), counter=counter_name, **labels
                     )
-                interface_counters.set_total(table.rebuilds, counter="rebuilds", **labels)
-                interface_counters.set_total(table.swaps, counter="swaps", **labels)
                 interface_gauges.set(index.segment_count(), gauge="segments", **labels)
                 interface_gauges.set(len(table), gauge="subscriptions", **labels)
-                interface_gauges.set(table.generation, gauge="generation", **labels)
-        if self._tuner is not None:
-            tuner_counters = self.metrics.counter(
-                "autotuner_total",
-                "Self-tuning loop counters, by counter name.",
-                labelnames=("counter",),
-            )
-            for counter_name, value in self._tuner.counters().items():
-                tuner_counters.set_total(value, counter=counter_name)
 
     def scrape(self) -> str:
         """Publish current counters and render the Prometheus text exposition."""

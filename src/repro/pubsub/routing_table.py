@@ -17,12 +17,9 @@ independent of which detector is in use.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import astuple, dataclass
-from dataclasses import fields as dataclass_fields
+from dataclasses import dataclass, replace
 from typing import (
     TYPE_CHECKING,
-    Deque,
     Dict,
     Hashable,
     Iterable,
@@ -290,14 +287,11 @@ class InterfaceTable:
     Both give identical answers; the audit in :class:`BrokerNetwork` can be
     run under either to compare them.
 
-    The table also owns the *rebuild-swap* machinery the online tuner
-    (:mod:`repro.tuning`) drives: :meth:`begin_rebuild` stages a fresh index
-    under a different :class:`~repro.index.config.IndexConfig` (bulk-loaded
-    from the stored subscriptions in one merge-rebuild sweep), mutations
-    write through to both live and staged index, and :meth:`commit_rebuild`
-    atomically swaps the staged index in, bumping :attr:`generation`.  Any
-    config gives identical match answers (the rectangle fallback check
-    restores exactness), so a swap is invisible to delivery.
+    The index is built once, under the routing table's
+    :class:`~repro.index.config.IndexConfig`, and kept for the table's life:
+    its curve is the routing table's curve, so the event key the routing table
+    computes once per event is passed straight to the probe.  A config is
+    chosen for a workload offline, before the network is built.
     """
 
     def __init__(
@@ -320,46 +314,15 @@ class InterfaceTable:
         self.matching_kind = matching
         self.schema = schema
         self.config = config
-        self._seed = seed
-        # Shared by the live index and every staged rebuild (entries are
-        # namespaced by config, so a swap to another curve gets its own runs).
-        self._run_cache = run_cache
         self._subscriptions: Dict[Hashable, Subscription] = {}
-        #: Bumped on every committed rebuild swap.
-        self.generation = 0
-        self.rebuilds = 0
-        self.swaps = 0
-        self._retired_stats = MatchIndexStats()
-        self._staged = None
-        self._staged_config: Optional[IndexConfig] = None
-        self._probe_log: Optional[Deque[Tuple[int, ...]]] = None
-        # The curve the *routing table* precomputes event keys with: the one
-        # this table was built under.  A swap may leave the index on a
-        # different curve; the key-compat flag below makes the table recompute
-        # its own keys then, so a precomputed foreign-curve key can never
-        # cause a false negative.
-        self._routing_curve_kind = config.curve
-        if matching == "sfc" and schema is not None:
-            self._index = self._make_index(config)
-        else:
+        if matching != "sfc":
             self._index = None
-        self._key_ok = (
-            self._index is not None
-            and self._index.curve.kind == self._routing_curve_kind
-        )
-
-    def _make_index(self, config: IndexConfig):
-        if config.backend == "sharded":
-            return ShardedMatchIndex(
-                self.schema,
-                workers="inline",
-                seed=self._seed,
-                config=config,
-                run_cache=self._run_cache,
+        elif config.backend == "sharded":
+            self._index = ShardedMatchIndex(
+                schema, workers="inline", seed=seed, config=config, run_cache=run_cache
             )
-        return MatchIndex(
-            self.schema, seed=self._seed, config=config, run_cache=self._run_cache
-        )
+        else:
+            self._index = MatchIndex(schema, seed=seed, config=config, run_cache=run_cache)
 
     @property
     def match_index(self):
@@ -377,121 +340,22 @@ class InterfaceTable:
         # subscription leaves table and index consistent.
         if self._index is not None:
             self._index.add(subscription.sub_id, subscription.ranges)
-            if self._staged is not None:
-                self._staged.add(subscription.sub_id, subscription.ranges)
         self._subscriptions[subscription.sub_id] = subscription
 
     def remove(self, sub_id: Hashable) -> bool:
         removed = self._subscriptions.pop(sub_id, None) is not None
         if removed and self._index is not None:
             self._index.remove(sub_id)
-            if self._staged is not None:
-                self._staged.remove(sub_id)
         return removed
 
     def subscriptions(self) -> List[Subscription]:
         return list(self._subscriptions.values())
 
-    # -------------------------------------------------------- rebuild / swap
-    def begin_rebuild(self, config: IndexConfig):
-        """Stage a fresh index under ``config``, bulk-loaded from this table.
-
-        The staged index receives every subsequent mutation alongside the
-        live one, so at :meth:`commit_rebuild` time it answers identically
-        for the then-current subscription set.  One staged rebuild at a time.
-        """
-        if self._index is None:
-            raise ValueError("rebuild requires matching='sfc'")
-        if self._staged is not None:
-            raise ValueError("a rebuild is already staged; commit or abort it first")
-        staged = self._make_index(config)
-        items = [
-            (sub.sub_id, sub.ranges) for sub in self._subscriptions.values()
-        ]
-        if items:
-            staged.add_batch(items)
-        self._staged = staged
-        self._staged_config = config
-        self.rebuilds += 1
-        return staged
-
-    def commit_rebuild(self) -> None:
-        """Atomically swap the staged index in for the live one.
-
-        The outgoing generation's counters are folded into a retirement
-        accumulator so :meth:`match_stats` stays monotone across swaps
-        (``runs_stored`` is a structure gauge, not a counter, and is always
-        reported from the live index).
-        """
-        if self._staged is None:
-            raise ValueError("no staged rebuild to commit")
-        old = self._index
-        stats = old.stats
-        retired = self._retired_stats
-        retired.inserts += stats.inserts
-        retired.removals += stats.removals
-        retired.coarsened_subscriptions += stats.coarsened_subscriptions
-        retired.lookups += stats.lookups
-        retired.candidates_checked += stats.candidates_checked
-        retired.false_positives += stats.false_positives
-        close = getattr(old, "close", None)
-        if close is not None:
-            close()
-        self._index = self._staged
-        self.config = self._staged_config
-        self._staged = None
-        self._staged_config = None
-        self.generation += 1
-        self.swaps += 1
-        self._key_ok = self._index.curve.kind == self._routing_curve_kind
-
-    def abort_rebuild(self) -> bool:
-        """Discard a staged rebuild; return True when one was staged."""
-        staged = self._staged
-        self._staged = None
-        self._staged_config = None
-        if staged is None:
-            return False
-        close = getattr(staged, "close", None)
-        if close is not None:
-            close()
-        return True
-
-    @property
-    def staged_config(self) -> Optional[IndexConfig]:
-        """Config of the currently staged rebuild, or ``None``."""
-        return self._staged_config
-
     def match_stats(self) -> MatchIndexStats:
-        """Lifetime match counters: live index plus every retired generation.
-
-        ``inserts`` counts insert *operations* across generations, so a
-        rebuild's bulk reload counts again — it is real work performed.
-        """
-        totals = list(astuple(self._retired_stats))
-        if self._index is not None:
-            for i, value in enumerate(astuple(self._index.stats)):
-                totals[i] += value
-        return MatchIndexStats(
-            **{
-                f.name: v
-                for f, v in zip(dataclass_fields(MatchIndexStats), totals)
-            }
-        )
-
-    # ------------------------------------------------------------- probe log
-    def enable_probe_log(self, capacity: int) -> None:
-        """Record the most recent ``capacity`` probed event cells.
-
-        The tuner's cost model replays this log against candidate configs;
-        bounded so an idle network never accumulates unbounded history.
-        """
-        if self._probe_log is None or self._probe_log.maxlen != capacity:
-            self._probe_log = deque(self._probe_log or (), maxlen=capacity)
-
-    @property
-    def probe_log(self) -> Optional[Deque[Tuple[int, ...]]]:
-        return self._probe_log
+        """A snapshot of the index's match counters (all zero under linear matching)."""
+        if self._index is None:
+            return MatchIndexStats()
+        return replace(self._index.stats)
 
     # --------------------------------------------------------------- queries
     def matching_ids(
@@ -502,8 +366,7 @@ class InterfaceTable:
         The second item is the number of rectangle tests made: every stored
         subscription under linear matching, the candidates of one index probe
         under SFC matching.  ``key`` optionally supplies the event's
-        precomputed SFC key (ignored under linear matching, and recomputed
-        locally when this table's index was swapped onto a different curve).
+        precomputed SFC key (ignored under linear matching).
         Result order is insertion order for linear matching and unspecified
         for SFC matching.
         """
@@ -515,10 +378,8 @@ class InterfaceTable:
                 if sub.matches(event)
             ]
             return matched, len(self._subscriptions)
-        if self._probe_log is not None:
-            self._probe_log.append(tuple(event.cells))
         checked = index.stats.candidates_checked
-        matched = index.matching_ids(event.cells, key=key if self._key_ok else None)
+        matched = index.matching_ids(event.cells, key=key)
         return matched, index.stats.candidates_checked - checked
 
     def matching(self, event: Event, key: Optional[int] = None) -> List[Subscription]:
@@ -529,11 +390,7 @@ class InterfaceTable:
     def any_match(self, event: Event, key: Optional[int] = None) -> bool:
         """Return True when at least one stored subscription matches ``event``."""
         if self._index is not None:
-            if self._probe_log is not None:
-                self._probe_log.append(tuple(event.cells))
-            return self._index.any_match(
-                event.cells, key=key if self._key_ok else None
-            )
+            return self._index.any_match(event.cells, key=key)
         return any(sub.matches(event) for sub in self._subscriptions.values())
 
 
@@ -603,7 +460,7 @@ class RoutingTable:
         return self._tables.keys()
 
     def interface_tables(self) -> Dict[Hashable, InterfaceTable]:
-        """Live view of the interface tables, in creation order (tuner hook)."""
+        """Live view of the interface tables, in creation order."""
         return self._tables
 
     def total_entries(self) -> int:
@@ -688,15 +545,11 @@ class RoutingTable:
         )
 
     def match_work(self) -> Tuple[int, int, int]:
-        """Aggregate ``(lookups, candidates_checked, false_positives)`` over all match indexes.
-
-        Reads :meth:`InterfaceTable.match_stats`, so totals include retired
-        index generations and stay monotone across tuner swaps.
-        """
+        """Aggregate ``(lookups, candidates_checked, false_positives)`` over all match indexes."""
         lookups = candidates = false_positives = 0
         for table in self._tables.values():
             if table.match_index is not None:
-                stats = table.match_stats()
+                stats = table.match_index.stats
                 lookups += stats.lookups
                 candidates += stats.candidates_checked
                 false_positives += stats.false_positives

@@ -89,8 +89,8 @@ class ProfileCache:
     The cache also holds the match index's key runs (:meth:`match_runs` /
     :meth:`store_match_runs`).  The caller builds the key from everything the
     runs depend on — curve kind, universe, precision, run budget and the
-    snapped rectangle — so indexes that differ in any of them (a tuner swap
-    stages one) never read each other's runs.  Run entries have their own LRU
+    snapped rectangle — so indexes built on one cache under configs that
+    differ in any of them never read each other's runs.  Run entries have their own LRU
     order and their own ``run_*`` counters; ``hits`` / ``misses`` /
     ``evictions`` keep counting covering profiles only.
     """

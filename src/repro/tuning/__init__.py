@@ -1,15 +1,13 @@
-"""Online self-tuning of the SFC match indexes.
+"""Offline choice of an index configuration.
 
-The tuner watches each interface's :class:`~repro.pubsub.match_index.MatchIndexStats`
-drift (false-positive rate over a recent window), scores candidate
-:class:`~repro.index.config.IndexConfig` variants by replaying the interface's
-recent probe log against a trial index, and — when a candidate strictly beats
-the current config — re-curves or re-decomposes that one interface via the
-routing table's staged rebuild + atomic generation swap.  All decisions are
-counter-seeded: two same-seed runs tune identically.
+:func:`recommend_config` scores :class:`~repro.index.config.IndexConfig`
+variants by replaying a workload's event cells against a trial index loaded
+with its subscriptions (:class:`CostModel`) and walks greedily to the config
+that does the least work.  A network is then built on the recommended config
+and keeps it: nothing here runs on the live path.
 """
 
-from .auto_tuner import AutoTuner, default_candidates
 from .cost_model import CostModel
+from .recommend import MAX_STEPS, MIN_GAIN, default_candidates, recommend_config
 
-__all__ = ["AutoTuner", "CostModel", "default_candidates"]
+__all__ = ["CostModel", "MAX_STEPS", "MIN_GAIN", "default_candidates", "recommend_config"]

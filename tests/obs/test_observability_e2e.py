@@ -9,18 +9,24 @@ The ISSUE's acceptance criteria, pinned:
   *is* the route;
 * two same-seed runs are byte-identical (exposition text, trace-id
   sequences, counter values), and instrumentation that is switched off stays
-  within a small factor of the bare code path.
+  within a small factor of the bare code path;
+* an SFC-matching network's scrape carries the per-interface match-index
+  counters and gauges.
 """
 
 from __future__ import annotations
 
 import os
+import re
 
 import pytest
 
 from repro.analysis.experiments import run_metrics_scenario
 from repro.obs.exposition import validate_prometheus_text
 from repro.obs.profiler import PROFILER
+from repro.obs.registry import MetricsRegistry
+from repro.pubsub import BrokerNetwork, make_event, make_subscription, tree_topology
+from repro.pubsub.schema import Attribute, AttributeSchema
 
 
 def _tree_path_edges(origin: int, target: int, branching: int = 2):
@@ -144,6 +150,72 @@ class TestDeterminism:
     def test_different_seed_changes_trace_ids(self, scenario):
         other = run_metrics_scenario(seed=18)
         assert other.network.tracing.trace_ids() != scenario.network.tracing.trace_ids()
+
+
+def test_scrape_reports_per_interface_series():
+    schema = AttributeSchema(
+        [Attribute("x", 0.0, 32.0), Attribute("y", 0.0, 32.0)], order=5
+    )
+    network = BrokerNetwork.from_topology(
+        schema,
+        tree_topology(3),
+        matching="sfc",
+        seed=4,
+        metrics=MetricsRegistry(),
+    )
+    network.subscribe(
+        0, "c0", make_subscription(schema, "s0", x=(1.0, 9.0), y=(1.0, 9.0))
+    )
+    network.publish(2, make_event(schema, "e0", x=4.0, y=4.0))
+    scrape = network.scrape()
+    assert "match_interface_total" in scrape
+    assert 'gauge="segments"' in scrape
+    assert 'counter="false_positives"' in scrape
+
+
+def _small_sfc_network_scrape():
+    schema = AttributeSchema(
+        [Attribute("x", 0.0, 32.0), Attribute("y", 0.0, 32.0)], order=5
+    )
+    network = BrokerNetwork.from_topology(
+        schema,
+        tree_topology(3),
+        matching="sfc",
+        seed=4,
+        metrics=MetricsRegistry(),
+    )
+    for i in range(4):
+        network.subscribe(
+            i % 3,
+            f"c{i}",
+            make_subscription(schema, f"s{i}", x=(i * 4.0, i * 4.0 + 9.0), y=(1.0, 20.0)),
+        )
+    for j in range(6):
+        network.publish(j % 3, make_event(schema, f"e{j}", x=j * 3.0, y=5.0))
+    return network.scrape()
+
+
+def test_per_interface_series_are_the_live_index_counters_only():
+    scrape = _small_sfc_network_scrape()
+    counters = set(re.findall(r'repro_match_interface_total\{[^}]*counter="(\w+)"', scrape))
+    gauges = set(re.findall(r'repro_match_interface\{[^}]*gauge="(\w+)"', scrape))
+    assert counters == {
+        "inserts",
+        "removals",
+        "coarsened_subscriptions",
+        "lookups",
+        "candidates_checked",
+        "false_positives",
+    }
+    assert gauges == {"segments", "subscriptions"}
+    assert "autotuner_total" not in scrape
+
+
+def test_autotune_env_var_changes_nothing(monkeypatch):
+    monkeypatch.delenv("REPRO_AUTOTUNE", raising=False)
+    plain = _small_sfc_network_scrape()
+    monkeypatch.setenv("REPRO_AUTOTUNE", "1")
+    assert _small_sfc_network_scrape() == plain
 
 
 @pytest.mark.skipif(

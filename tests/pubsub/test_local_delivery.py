@@ -8,8 +8,7 @@ brokers that see the same object.  Three things are pinned here:
 * the ``network.deliveries`` sequence equals what the client-by-client scan
   the broker used to run would have produced (:class:`ScanModel` is a
   test-local copy of it), under both matching kinds and every curve, while
-  local tables grow and shrink, brokers crash and recover, and a local table
-  is swapped onto another curve;
+  local tables grow and shrink and brokers crash and recover;
 * counts, never timings: one publish keys its event once, and a broker
   holding 64 local subscriptions tests fewer than 64 rectangles;
 * the key memo is invisible: equality, hash, pickling, wire bytes and a
@@ -132,7 +131,6 @@ _ops = st.lists(
         ),
         st.tuples(st.just("crash"), st.integers(0, BROKERS - 1)),
         st.tuples(st.just("recover"), st.integers(0, BROKERS - 1)),
-        st.tuples(st.just("swap"), st.integers(0, BROKERS - 1), st.sampled_from(CURVE_KINDS)),
     ),
     min_size=5,
     max_size=40,
@@ -202,11 +200,6 @@ def test_delivery_records_equal_the_scan(ops, matching, curve):
         elif kind == "recover":
             if not network.transport.is_up(op[1]):
                 network.recover_broker(op[1])
-        elif kind == "swap" and matching == "sfc":
-            table = network.brokers[op[1]].routing_table.interface_tables().get(LOCAL_INTERFACE)
-            if table is not None and table.staged_config is None:
-                table.begin_rebuild(IndexConfig(curve=op[2], run_budget=4))
-                table.commit_rebuild()
     for broker in sorted(set(network.brokers) - network.live_brokers()):
         network.recover_broker(broker)
     for origin in range(BROKERS):
@@ -220,8 +213,7 @@ def test_delivery_records_equal_the_scan_from_empty_to_forty_and_back(matching, 
     """One broker's local table walks 0 → 40 → 0 entries, probed at every size.
 
     Forty crosses every regime of the flat store (all pending, first rebuild,
-    tombstones, compaction); broker 2 swaps its local table onto another curve
-    half-way up, so its probes re-key under their own curve from there on.
+    tombstones, compaction).
     """
     schema = _schema()
     network = BrokerNetwork.from_topology(
@@ -250,12 +242,6 @@ def test_delivery_records_equal_the_scan_from_empty_to_forty_and_back(matching, 
         model.subscribe(2, client, subscription)
         live.append((client, subscription.sub_id))
         network.subscribe(2, client, subscription)
-        if i == 20 and matching == "sfc":
-            table = network.brokers[2].routing_table.table(LOCAL_INTERFACE)
-            if table.staged_config is None:
-                other = CURVE_KINDS[(CURVE_KINDS.index(curve) + 1) % len(CURVE_KINDS)]
-                table.begin_rebuild(IndexConfig(curve=other))
-                table.commit_rebuild()
         delivered += probe()
     assert model.entries(2) == 40 and delivered > 0
     rng.shuffle(live)
@@ -285,9 +271,7 @@ class TestCounts:
     """Work done per publish, as counts (no timings)."""
 
     @pytest.fixture
-    def tree(self, monkeypatch):
-        # A tuner-swapped table re-keys under its own curve by design.
-        monkeypatch.delenv("REPRO_AUTOTUNE", raising=False)
+    def tree(self):
         schema = _schema()
         network = BrokerNetwork.from_topology(schema, tree_topology(7), matching="sfc", seed=1)
         for broker in range(7):

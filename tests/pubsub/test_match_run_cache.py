@@ -168,33 +168,6 @@ def test_evicted_runs_are_recomputed_equal(schema):
     assert (cache.hits, cache.misses, cache.evictions) == (0, 0, 0)
 
 
-def test_swap_to_another_curve_under_autotune_keeps_the_audit_clean(schema, monkeypatch):
-    monkeypatch.setenv("REPRO_AUTOTUNE", "1")
-    network = BrokerNetwork.from_topology(
-        schema, tree_topology(3), covering="approximate", matching="sfc", seed=3
-    )
-    for i in range(12):
-        lo = float((i * 5) % 20)
-        network.subscribe(
-            i % 3,
-            f"c{i}",
-            make_subscription(schema, f"s{i}", x=(lo, lo + 9.0), y=(2.0, 20.0 + i)),
-        )
-    cache = network.profile_cache
-    table = network.brokers[0].routing_table.table(1)
-    assert len(table) > 0
-    table.abort_rebuild()  # the aggressive tuner may have one staged already
-    misses = cache.run_misses
-    table.begin_rebuild(IndexConfig(curve="gray", run_budget=3))
-    # Nothing the live indexes cached can serve the staged curve.
-    assert cache.run_misses > misses
-    table.commit_rebuild()
-    assert table.match_index.curve.kind == "gray"
-    for j in range(40):
-        event = make_event(schema, f"e{j}", x=(j * 7) % 32, y=(j * 11) % 32)
-        assert network.publish_and_audit(j % 3, event) == (set(), set())
-
-
 def test_standalone_broker_shares_its_own_cache(schema):
     subscription = make_subscription(schema, "s", x=(2.0, 9.0), y=(2.0, 9.0))
     broker = Broker(broker_id=0, schema=schema, matching="sfc")
@@ -207,9 +180,7 @@ def test_standalone_broker_shares_its_own_cache(schema):
     assert (cache.run_hits, cache.run_misses) == (2, 1)
 
 
-def test_crash_recover_relearns_from_the_cache(schema, monkeypatch):
-    # A tuner staging rebuilds under other configs would add misses of its own.
-    monkeypatch.delenv("REPRO_AUTOTUNE", raising=False)
+def test_crash_recover_relearns_from_the_cache(schema):
     network = BrokerNetwork.from_topology(
         schema,
         tree_topology(7),

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.index.config import IndexConfig
+from repro.pubsub.match_index import MatchIndexStats
 from repro.pubsub.routing_table import (
     ApproximateCoveringStrategy,
     ExactCoveringStrategy,
@@ -16,6 +19,7 @@ from repro.pubsub.routing_table import (
 )
 from repro.pubsub.schema import Attribute, AttributeSchema
 from repro.pubsub.subscription import Event, Subscription
+from repro.sfc.factory import CURVE_KINDS
 
 
 @pytest.fixture
@@ -99,6 +103,37 @@ class TestInterfaceTable:
         table.add(Subscription(schema, {}, sub_id="b"))
         assert {s.sub_id for s in table.subscriptions()} == {"a", "b"}
 
+    def test_sfc_table_keeps_one_index_for_life(self, schema):
+        config = IndexConfig(curve="hilbert", run_budget=4)
+        table = InterfaceTable("i", schema=schema, matching="sfc", config=config)
+        index = table.match_index
+        for i in range(6):
+            table.add(Subscription(schema, {"x": (10.0 * i, 10.0 * i + 15.0)}, sub_id=f"s{i}"))
+        table.matching(Event(schema, {"x": 12.0, "y": 1.0}))
+        assert table.remove("s1") and table.remove("s4")
+        table.add(Subscription(schema, {"y": (0.0, 5.0)}, sub_id="s6"))
+        assert table.match_index is index
+        assert table.config == config and index.curve.kind == "hilbert"
+        assert {s.sub_id for s in table.matching(Event(schema, {"x": 12.0, "y": 1.0}))} == {
+            "s0",
+            "s6",
+        }
+
+    def test_match_stats_snapshot_the_live_index(self, schema):
+        assert InterfaceTable("i").match_stats() == MatchIndexStats()
+        table = InterfaceTable("i", schema=schema, matching="sfc")
+        table.add(Subscription(schema, {"x": (0.0, 50.0)}, sub_id="s0"))
+        before = table.match_stats()
+        for value in (10.0, 20.0, 80.0):
+            table.matching(Event(schema, {"x": value, "y": 1.0}))
+        after = table.match_stats()
+        assert after.lookups == before.lookups + 3
+        assert after.inserts == before.inserts == 1
+        assert after == table.match_index.stats
+        assert after is not table.match_index.stats
+        table.matching(Event(schema, {"x": 30.0, "y": 1.0}))
+        assert after.lookups == before.lookups + 3
+
 
 class TestRoutingTable:
     def test_tables_created_on_demand(self, schema):
@@ -122,3 +157,30 @@ class TestRoutingTable:
         routing.table("west").add(Subscription(schema, {"x": (90.0, 100.0)}, sub_id="b"))
         event = Event(schema, {"x": 5.0, "y": 5.0})
         assert routing.matching_interfaces(event) == ["east"]
+
+    @pytest.mark.parametrize("kind", CURVE_KINDS)
+    def test_routing_key_passes_straight_to_every_interface(self, schema, kind):
+        """An interface's index is keyed under the routing table's curve, so the
+        key the routing table computes once per event answers every probe."""
+        routing = RoutingTable(schema, matching="sfc", config=IndexConfig(curve=kind))
+        rng = random.Random(5)
+        for i in range(30):
+            lo_x, lo_y = rng.uniform(0, 80), rng.uniform(0, 80)
+            routing.table(i % 3).add(
+                Subscription(
+                    schema,
+                    {"x": (lo_x, lo_x + rng.uniform(1, 20)), "y": (lo_y, lo_y + rng.uniform(1, 20))},
+                    sub_id=f"s{i}",
+                )
+            )
+        matched_any = False
+        for _ in range(60):
+            event = Event(schema, {"x": rng.uniform(0, 100), "y": rng.uniform(0, 100)})
+            key = routing.event_key(event)
+            for table in routing.interface_tables().values():
+                assert table.match_index.curve.kind == kind
+                expected = {s.sub_id for s in table.subscriptions() if s.matches(event)}
+                assert set(table.matching_ids(event, key=key)[0]) == expected
+                assert table.any_match(event, key=key) == bool(expected)
+                matched_any = matched_any or bool(expected)
+        assert matched_any
