@@ -95,6 +95,10 @@ fi
 # The flat store's cost table (what its staging thresholds are sized from) at
 # its smallest size: the script must keep running against the store's API.
 python experiments/flat_store_costs.py --slots 4 --repeat 1 > /dev/null
+# The in-process soak at its smallest size: the warm-up alone wraps the
+# delivery log several times; audits must stay clean, every per-operation log
+# within RETENTION and the traced heap flat (exits non-zero otherwise).
+python experiments/soak.py --deliveries 20000 > /dev/null
 # The repository benchmark's own harness at --smoke size: exact declared
 # metric names, failed == 0, and same-seed runs agreeing on every count.
 python -m pytest -q experiments/e2e/test_harness.py

@@ -4,6 +4,7 @@ from .broker import LOCAL_INTERFACE, Broker, ForwardDecision
 from .client import Publisher, Subscriber
 from .network import (
     BrokerNetwork,
+    DeliveryLog,
     DeliveryRecord,
     PartitionAudit,
     chain_topology,
@@ -36,6 +37,7 @@ __all__ = [
     "Publisher",
     "Subscriber",
     "BrokerNetwork",
+    "DeliveryLog",
     "DeliveryRecord",
     "PartitionAudit",
     "chain_topology",

@@ -30,12 +30,13 @@ drives it by calling :meth:`receive_subscription` and :meth:`receive_event`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Deque, Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from ..core.covering import CoveringProfiler
 from ..index.config import IndexConfig
 from ..obs.profiler import profiled
 from ..obs.trace import Span, TraceLog, make_detail
+from ..sim.transport import recent_window
 from .routing_table import (
     CoveringStrategy,
     RoutingTable,
@@ -159,7 +160,8 @@ class Broker:
         self._owned: Dict[Hashable, Tuple[int, int, Hashable, Subscription]] = {}
         self._client_ordinal: Dict[Hashable, int] = {}
         self._arrivals = 0
-        self._decision_log: List[ForwardDecision] = []
+        # The most recent forwarding decisions (RETENTION of them).
+        self._decision_log: Deque[ForwardDecision] = recent_window()
         self._in_batch = False
         # Set by the network: called as send_subscription(from, to, subscription)
         self._send_subscription: Optional[Callable[[Hashable, Hashable, Subscription], None]] = None

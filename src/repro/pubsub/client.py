@@ -44,7 +44,11 @@ class Subscriber:
         return removed
 
     def received_events(self) -> List[Hashable]:
-        """Return the ids of events delivered to this client, in delivery order."""
+        """Return the ids of events delivered to this client among the retained deliveries.
+
+        In delivery order; the network's :class:`~repro.pubsub.network.DeliveryLog`
+        keeps the most recent :data:`~repro.sim.transport.RETENTION` deliveries.
+        """
         return [
             record.event_id
             for record in self.network.deliveries

@@ -611,10 +611,14 @@ class MatchIndex:
         return frozenset(self._stab(key))
 
     def _rect_contains(self, sub_id: Hashable, cells: Sequence[int]) -> bool:
-        return all(
-            lo <= cell <= hi for (lo, hi), cell in zip(self._rects[sub_id], cells)
-        )
+        for (lo, hi), cell in zip(self._rects[sub_id], cells):
+            if not lo <= cell <= hi:
+                return False
+        return True
 
+    # The flat paths below inline the rectangle test as an early-exit
+    # ``for ... else`` loop: it runs once per candidate, and ``all()`` over a
+    # generator costs about twice as much.
     @profiled("match_index.any_match")
     def any_match(self, cells: Sequence[int], key: Optional[int] = None) -> bool:
         """True when at least one indexed subscription matches the event cells."""
@@ -625,13 +629,13 @@ class MatchIndex:
             rect_of_slot = self._rect_of_slot
             for slot in self._flat.stab(key):
                 stats.candidates_checked += 1
-                if all(
-                    lo <= cell <= hi
-                    for (lo, hi), cell in zip(rect_of_slot[slot], cells)
-                ):
+                for (lo, hi), cell in zip(rect_of_slot[slot], cells):
+                    if not lo <= cell <= hi:
+                        stats.false_positives += 1
+                        break
+                else:
                     stats.lookups += 1
                     return True
-                stats.false_positives += 1
             stats.lookups += 1
             return False
         for sub_id in self._stab(key):
@@ -653,13 +657,12 @@ class MatchIndex:
             id_of = self._id_of
             for slot in self._flat.stab(key):
                 stats.candidates_checked += 1
-                if all(
-                    lo <= cell <= hi
-                    for (lo, hi), cell in zip(rect_of_slot[slot], cells)
-                ):
-                    matched.append(id_of[slot])
+                for (lo, hi), cell in zip(rect_of_slot[slot], cells):
+                    if not lo <= cell <= hi:
+                        stats.false_positives += 1
+                        break
                 else:
-                    stats.false_positives += 1
+                    matched.append(id_of[slot])
             stats.lookups += 1
             return matched
         for sub_id in self._stab(key):

@@ -26,7 +26,19 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Deque,
+    Dict,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import networkx as nx
 
@@ -35,7 +47,7 @@ from ..index.config import IndexConfig
 from ..obs.exposition import render_prometheus, snapshot
 from ..obs.registry import MetricsRegistry
 from ..obs.trace import Span, TraceLog, make_detail
-from ..sim.transport import Message, SyncTransport, Transport
+from ..sim.transport import Message, SyncTransport, Transport, recent_window
 from .broker import LOCAL_INTERFACE, Broker
 from .routing_table import check_covering_kind
 from .schema import AttributeSchema
@@ -45,6 +57,7 @@ from .subscription_store import ProfileCache
 
 __all__ = [
     "BrokerNetwork",
+    "DeliveryLog",
     "DeliveryRecord",
     "PartitionAudit",
     "tree_topology",
@@ -82,18 +95,75 @@ def star_topology(num_brokers: int) -> List[Tuple[int, int]]:
     return [(0, i) for i in range(1, num_brokers)]
 
 
-@dataclass(frozen=True)
-class DeliveryRecord:
+class DeliveryRecord(NamedTuple):
     """One delivery of an event to a local subscriber.
 
     ``time`` is the simulated delivery time (always 0.0 under the synchronous
-    transport).
+    transport).  A plain named tuple: one is built per delivery, and it
+    carries no instance dict.
     """
 
     client_id: Hashable
     subscription_id: Hashable
     event_id: Hashable
     time: float = 0.0
+
+
+class DeliveryLog:
+    """Every delivery a network made, of which the most recent are kept.
+
+    ``len`` counts every delivery ever recorded; the log retains the last
+    :data:`~repro.sim.transport.RETENTION` records.  Integer and slice
+    indices are absolute positions in the full history (negative ones count
+    back from its end): a retained position returns its record, a dropped
+    one raises ``IndexError`` — a slice reaching back past the retained
+    records raises too, rather than coming back shorter.  Iteration yields
+    the retained records, oldest first.
+    """
+
+    __slots__ = ("_records", "_total")
+
+    def __init__(self) -> None:
+        self._records: Deque[DeliveryRecord] = recent_window()
+        self._total = 0
+
+    def append(self, record: DeliveryRecord) -> None:
+        self._total += 1
+        self._records.append(record)
+
+    def __len__(self) -> int:
+        return self._total
+
+    def __iter__(self) -> Iterator[DeliveryRecord]:
+        return iter(self._records)
+
+    def __getitem__(self, position):
+        first = self._total - len(self._records)
+        if isinstance(position, slice):
+            positions = range(*position.indices(self._total))
+            if positions and min(positions) < first:
+                raise IndexError(
+                    f"delivery log positions before {first} have been dropped"
+                )
+            retained = list(self._records) if positions else []
+            return [retained[at - first] for at in positions]
+        at = position + self._total if position < 0 else position
+        if not first <= at < self._total:
+            raise IndexError(
+                f"delivery log position {position} is not retained "
+                f"(retained: {first}..{self._total - 1})"
+            )
+        return self._records[at - first]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DeliveryLog):
+            return NotImplemented
+        return self._total == other._total and self._records == other._records
+
+    __hash__ = None  # mutable
+
+    def __repr__(self) -> str:
+        return f"DeliveryLog(total={self._total}, retained={list(self._records)!r})"
 
 
 @dataclass(frozen=True)
@@ -157,6 +227,16 @@ class BrokerNetwork:
         root span plus one ``hop`` span per transport arrival; brokers add
         ``route`` and ``covering`` decision spans.  Defaults to a disabled
         log (brokers then skip instrumentation entirely).
+
+    Attributes
+    ----------
+    deliveries:
+        The :class:`DeliveryLog` of every local delivery: ``len`` counts all
+        of them, indexing is by absolute position, and the most recent
+        :data:`~repro.sim.transport.RETENTION` records are retained, so a
+        long run holds bounded memory.  :meth:`publish`,
+        :meth:`publish_batch` and the scenario runner read their results
+        through :meth:`collect_recipients`, never from the log.
     """
 
     schema: AttributeSchema
@@ -193,7 +273,10 @@ class BrokerNetwork:
         self.audited_delivered = 0
         self.audited_missed = 0
         self.audited_duplicates = 0
-        self.deliveries: List[DeliveryRecord] = []
+        self.deliveries = DeliveryLog()
+        # Event id -> the clients it has reached, for the ids a caller is
+        # collecting (see collect_recipients).
+        self._collecting: Dict[Hashable, Set[Hashable]] = {}
         self._client_home: Dict[Hashable, Hashable] = {}
         self._client_subscriptions: Dict[Hashable, List[Subscription]] = {}
         # Every live subscription id -> (client, home broker, ranges): an id
@@ -359,9 +442,42 @@ class BrokerNetwork:
 
     def _record_delivery(self, client_id: Hashable, subscription_id: Hashable, event: Event) -> None:
         now = self.transport.now
-        published = self._publish_times.get(event.event_id, now)
-        self.transport.record_delivery_latency(now - published)
-        self.deliveries.append(DeliveryRecord(client_id, subscription_id, event.event_id, time=now))
+        event_id = event.event_id
+        self.transport.record_delivery_latency(now - self._publish_times.get(event_id, now))
+        self.deliveries.append(DeliveryRecord(client_id, subscription_id, event_id, now))
+        recipients = self._collecting.get(event_id)
+        if recipients is not None:
+            recipients.add(client_id)
+
+    @contextmanager
+    def collect_recipients(self, event_ids: Iterable[Hashable]):
+        """Collect, per event id, the clients delivered to while the block runs.
+
+        Yields ``{event_id: set of client ids}``, filled in as deliveries
+        land; what the block sees never depends on how many records
+        :attr:`deliveries` retains.  A block nested in another that collects
+        the same id gets a set of its own, merged into the outer one on
+        exit, so each block sees exactly the deliveries made during it.
+        """
+        collecting = self._collecting
+        mine = {event_id: set() for event_id in event_ids}
+        outer = {event_id: collecting.get(event_id) for event_id in mine}
+        collecting.update(mine)
+        try:
+            yield mine
+        finally:
+            for event_id, recipients in mine.items():
+                self._stop_collecting(event_id, recipients, outer[event_id])
+
+    def _stop_collecting(
+        self, event_id: Hashable, recipients: Set[Hashable], outer: Optional[Set[Hashable]]
+    ) -> None:
+        """End one collection of ``event_id``, handing ``recipients`` to the enclosing one."""
+        if outer is None:
+            del self._collecting[event_id]
+        else:
+            outer |= recipients
+            self._collecting[event_id] = outer
 
     # ------------------------------------------------------------------- churn
     def crash_broker(self, broker_id: Hashable) -> None:
@@ -643,16 +759,18 @@ class BrokerNetwork:
         Blocks (in simulated time) until the network is quiescent, so the
         returned set is complete even under a latency/queueing transport.
         """
-        before = len(self.deliveries)
-        self.publish_async(broker_id, event)
-        self.flush()
-        # Filter by event id: the flush also drains deliveries of any events
-        # still in flight from earlier publish_async calls.
-        return {
-            record.client_id
-            for record in self.deliveries[before:]
-            if record.event_id == event.event_id
-        }
+        # collect_recipients for one id, spelled out: this is the hot path.
+        # By event id: the flush also drains deliveries of any events still in
+        # flight from earlier publish_async calls.
+        event_id = event.event_id
+        outer = self._collecting.get(event_id)
+        recipients = self._collecting[event_id] = set()
+        try:
+            self.publish_async(broker_id, event)
+            self.flush()
+        finally:
+            self._stop_collecting(event_id, recipients, outer)
+        return recipients
 
     def publish_batch(self, broker_id: Hashable, events: Sequence[Event]) -> List[Set[Hashable]]:
         """Publish a batch of events at ``broker_id``; return per-event delivery sets.
@@ -666,7 +784,6 @@ class BrokerNetwork:
         if not self.transport.is_up(broker_id):
             raise ValueError(f"broker {broker_id!r} is down")
         events = list(events)
-        before = len(self.deliveries)
         now = self.transport.now
         for event in events:
             self._publish_times.setdefault(event.event_id, now)
@@ -681,14 +798,11 @@ class BrokerNetwork:
                         detail=make_detail(origin=str(broker_id)),
                     )
                 )
-        self.brokers[broker_id].publish_batch(events)
-        self.flush()
-        delivered: Dict[Hashable, Set[Hashable]] = {event.event_id: set() for event in events}
-        for record in self.deliveries[before:]:
-            # Deliveries of events that were already in flight before this
-            # batch drain in the same flush; they are not part of the result.
-            if record.event_id in delivered:
-                delivered[record.event_id].add(record.client_id)
+        # Deliveries of other events already in flight drain in the same
+        # flush; collecting by event id leaves them out of the result.
+        with self.collect_recipients(event.event_id for event in events) as delivered:
+            self.brokers[broker_id].publish_batch(events)
+            self.flush()
         return [delivered[event.event_id] for event in events]
 
     def flush(self) -> int:

@@ -119,7 +119,12 @@ class Subscription:
         """Return True when the event satisfies every constraint (on the quantised grid)."""
         if event.schema is not self.schema and event.schema.names != self.schema.names:
             raise ValueError("event and subscription use different schemas")
-        return all(lo <= cell <= hi for (lo, hi), cell in zip(self.ranges, event.cells))
+        # An early-exit loop, not all() over a generator: this is the linear
+        # matcher's and the delivery audit's per-subscription test.
+        for (lo, hi), cell in zip(self.ranges, event.cells):
+            if not lo <= cell <= hi:
+                return False
+        return True
 
     def covers(self, other: "Subscription") -> bool:
         """Ground-truth covering test: does this subscription match every event ``other`` matches?

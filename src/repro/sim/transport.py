@@ -22,7 +22,9 @@ subscription, unsubscription and event message between brokers through a
 
 Both transports share :class:`TransportStats`: message counters, per-broker
 queue depth high-water marks, end-to-end delivery latencies and per-message
-hop counts, with percentile helpers for reporting.
+hop counts, with percentile helpers for reporting.  The latency and hop
+samples are windows of the most recent :data:`RETENTION`, so a network that
+runs for a day holds no more of them than one that ran for a minute.
 """
 
 from __future__ import annotations
@@ -31,23 +33,35 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Hashable, List, Optional, Sequence, Tuple, Union
+from typing import Deque, Dict, Hashable, Optional, Sequence, Tuple, Union
 
 from .kernel import EventKernel
 from .latency import FixedLatency, LatencyModel
 
 __all__ = [
     "MESSAGE_KINDS",
+    "RETENTION",
     "Message",
     "Transport",
     "SyncTransport",
     "SimTransport",
     "TransportStats",
     "percentile",
+    "recent_window",
 ]
 
 #: Message kinds a transport carries between brokers.
 MESSAGE_KINDS = ("subscription", "unsubscription", "event")
+
+#: How many of the most recent items every per-operation log keeps: the
+#: network's delivery log, the transport's latency and hop windows and each
+#: broker's decision log.  Their counters still count every item.
+RETENTION = 2 ** 16
+
+
+def recent_window() -> Deque:
+    """An empty deque that keeps the most recent :data:`RETENTION` items."""
+    return deque(maxlen=RETENTION)
 
 
 def _rank_in(ordered: Sequence[float], q: float) -> float:
@@ -96,7 +110,10 @@ class TransportStats:
     ``delivery_latencies`` holds end-to-end publish→subscriber latencies (one
     entry per local delivery, recorded by the network); ``hop_counts`` holds
     the overlay hop distance of every *event message* at the moment it is
-    handed to the receiving broker.
+    handed to the receiving broker.  These two and ``hop_latencies`` are
+    windows of the most recent :data:`RETENTION` samples, and the
+    percentiles and histograms built from them describe that window;
+    ``deliveries`` counts every delivery ever recorded.
     """
 
     messages_sent: int = 0
@@ -106,10 +123,11 @@ class TransportStats:
     max_queue_depth: int = 0
     queue_depth_high_water: Dict[Hashable, int] = field(default_factory=dict)
     backpressure_per_broker: Dict[Hashable, int] = field(default_factory=dict)
-    delivery_latencies: List[float] = field(default_factory=list)
-    hop_counts: List[int] = field(default_factory=list)
+    delivery_latencies: Deque[float] = field(default_factory=recent_window)
+    hop_counts: Deque[int] = field(default_factory=recent_window)
     #: Per-hop latency (send→arrival, including queue wait) of event messages.
-    hop_latencies: List[float] = field(default_factory=list)
+    hop_latencies: Deque[float] = field(default_factory=recent_window)
+    deliveries: int = field(default=0, init=False)
 
     def latency_percentiles(self, qs: Sequence[float] = (50, 90, 99)) -> Dict[str, float]:
         """Return ``{"p50": ..., ...}`` over the recorded delivery latencies."""
@@ -131,7 +149,7 @@ class TransportStats:
             "messages_dropped": self.messages_dropped,
             "backpressure_retries": self.backpressure_retries,
             "max_queue_depth": self.max_queue_depth,
-            "deliveries": len(self.delivery_latencies),
+            "deliveries": self.deliveries,
         }
         for name, value in self.latency_percentiles().items():
             row[f"latency_{name}"] = value
@@ -196,7 +214,9 @@ class Transport:
 
     def record_delivery_latency(self, latency: float) -> None:
         """Record one end-to-end publish→subscriber latency (called by the network)."""
-        self.stats.delivery_latencies.append(latency)
+        stats = self.stats
+        stats.deliveries += 1
+        stats.delivery_latencies.append(latency)
 
     # ------------------------------------------------------------ hop tracking
     def _hops_for(self, kind: str, payload: object, sender: Hashable, receiver: Hashable) -> int:

@@ -706,7 +706,9 @@ def run_dynamic_scenario(
         )
     audits: List[AuditEntry] = []
     counters = {"run": 0, "skipped": 0, "published": 0}
-    delivery_start = len(network.deliveries)
+    audited_ids = [
+        action.event.event_id for action in actions if action.kind == "publish" and action.audit
+    ]
     tracing = network.tracing
     scenario_trace = tracing.trace_id_for("scenario", name) if tracing.enabled else None
 
@@ -744,7 +746,8 @@ def run_dynamic_scenario(
     start = kernel.now
     for action in actions:
         kernel.schedule_at(start + action.time, lambda action=action: execute(action))
-    network.flush()
+    with network.collect_recipients(audited_ids) as delivered_by_event:
+        network.flush()
     if scenario_trace is not None:
         # One scenario-level span covering the whole simulated run.
         tracing.record(
@@ -761,11 +764,8 @@ def run_dynamic_scenario(
             )
         )
 
-    delivered_by_event: Dict[Hashable, Set[Hashable]] = {}
-    for record in network.deliveries[delivery_start:]:
-        delivered_by_event.setdefault(record.event_id, set()).add(record.client_id)
     for entry in audits:
-        entry.delivered = delivered_by_event.get(entry.event_id, set())
+        entry.delivered = delivered_by_event[entry.event_id]
     return DynamicReport(
         name=name,
         actions_run=counters["run"],

@@ -13,6 +13,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.geometry.bits import spread_bits
 from repro.index.config import IndexConfig
@@ -426,3 +428,48 @@ class TestNetworkSfcMatching:
         later = Subscription(schema, {"x": (12.0, 15.0)}, sub_id="later")
         network.subscribe(0, "l", later)
         assert broker0.has_forwarded(1, "later")
+
+
+# Point-in-rectangle tests: ``Subscription.matches``, the flat match paths and
+# ``MatchIndex._rect_contains`` (ordered-map backends) are early-exit loops;
+# each must answer exactly what ``all(lo <= c <= hi ...)`` answers.
+_ORDER = 4
+_MAX_CELL = (1 << _ORDER) - 1
+
+
+@st.composite
+def rectangle_and_point(draw):
+    """Per-axis ``(lo, hi)`` cell ranges and a point often on or beside a boundary."""
+    dims = draw(st.integers(1, 3))
+    ranges, cells = [], []
+    for _ in range(dims):
+        lo = draw(st.integers(0, _MAX_CELL))
+        hi = draw(st.integers(lo, _MAX_CELL))
+        near = [max(lo - 1, 0), lo, hi, min(hi + 1, _MAX_CELL)]
+        cells.append(draw(st.sampled_from(near) | st.integers(0, _MAX_CELL)))
+        ranges.append((lo, hi))
+    return tuple(ranges), tuple(cells)
+
+
+@given(rectangle_and_point())
+def test_rectangle_checks_equal_all_of_the_axis_tests(case):
+    ranges, cells = case
+    expected = all(lo <= c <= hi for (lo, hi), c in zip(ranges, cells))
+    # An attribute spanning [0, max cell] quantises every integer to itself.
+    schema = AttributeSchema(
+        [Attribute(f"a{axis}", 0.0, float(_MAX_CELL)) for axis in range(len(ranges))],
+        order=_ORDER,
+    )
+    names = schema.names
+    subscription = Subscription(
+        schema, {name: (float(lo), float(hi)) for name, (lo, hi) in zip(names, ranges)}
+    )
+    event = Event(schema, {name: float(c) for name, c in zip(names, cells)})
+    assert subscription.ranges == ranges and event.cells == cells
+    assert subscription.matches(event) is expected
+    for backend in ("flat", "avl"):
+        index = MatchIndex(schema, config=IndexConfig(backend=backend))
+        index.add("s", ranges)
+        assert index._rect_contains("s", cells) is expected
+        assert index.any_match(cells) is expected
+        assert index.matching_ids(cells) == (["s"] if expected else [])
