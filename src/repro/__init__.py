@@ -45,6 +45,10 @@ from .sfc.factory import CURVE_KINDS, make_curve
 from .sfc.gray import GrayCodeCurve
 from .sfc.hilbert import HilbertCurve
 from .sfc.zorder import ZOrderCurve
+from .obs.profiler import PROFILER, profiling_requested
+
+if profiling_requested():
+    PROFILER.enable()
 
 __version__ = "1.0.0"
 

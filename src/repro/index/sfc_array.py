@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from ..obs.profiler import profiled
 from ..sfc import vectorized
 from ..sfc.base import KeyRange, SpaceFillingCurve
 from ..sfc.runs import merge_key_ranges
@@ -478,7 +477,6 @@ class FlatSegmentStore:
             prev = pos
         return los, his, cuts, array("q", map(order.__getitem__, ranks))
 
-    @profiled("flat_store.rebuild")
     def rebuild(self) -> None:
         """Flatten every live run into a fresh layout (one boundary sweep).
 

@@ -15,8 +15,8 @@ hop-by-hop.  This package is that substrate:
   :class:`~repro.obs.trace.TraceLog`;
 * :mod:`repro.obs.exposition` — Prometheus text-format rendering plus a JSON
   snapshot writer compatible with the ``BENCH_*.json`` convention;
-* :mod:`repro.obs.profiler` — env-gated (``REPRO_PROF=1``) timing hooks
-  around the hot paths, with near-zero overhead when off.
+* :mod:`repro.obs.profiler` — timing wrappers installed around a table of
+  hot paths while profiling is on (``REPRO_PROF=1``), absent when it is off.
 """
 
 from .registry import (
@@ -35,7 +35,7 @@ from .exposition import (
     validate_prometheus_text,
     write_bench_json,
 )
-from .profiler import PROFILER, PROF_ENV, HotPathProfiler, profiled
+from .profiler import HOT_PATHS, PROFILER, PROF_ENV, HotPathProfiler
 
 __all__ = [
     "Counter",
@@ -55,5 +55,5 @@ __all__ = [
     "PROFILER",
     "PROF_ENV",
     "HotPathProfiler",
-    "profiled",
+    "HOT_PATHS",
 ]

@@ -1,34 +1,75 @@
-"""Env-gated hot-path profiling hooks (``REPRO_PROF=1``).
+"""Hot-path profiling, wrapped around the broker stack from outside.
 
-The broker stack's hot paths — match-index probes, flat-store merge-rebuild
-and compaction, covering checks, sharded scatter/gather — are wrapped with
-:func:`profiled`.  The wrapper checks the module-global
-:data:`PROFILER`'s ``enabled`` flag *at call time*; when profiling is off
-(the default) a wrapped call costs one attribute load and one branch over the
-bare function, which the instrumentation-overhead guard test pins.  Set
-``REPRO_PROF=1`` in the environment (read once at import) or flip
-``PROFILER.enabled`` at runtime to start collecting.
+The hot paths — match-index probes, the flat store's merge-rebuild, covering
+checks, sharded scatter/gather — are named once, in :data:`HOT_PATHS`, as
+``(span name, owner, attribute)``.  Nothing in the stack is decorated:
+:meth:`HotPathProfiler.enable` replaces each attribute on its class with a
+timing wrapper (the way the benchmark's span tracer wraps its targets) and
+:meth:`HotPathProfiler.disable` puts the original functions back, so with
+profiling off — the default — a probe is the plain function and pays nothing.
+``PROFILER.enabled = True`` / ``False`` does the same, and ``REPRO_PROF=1`` in
+the environment enables the process-global :data:`PROFILER` when ``repro`` is
+imported.
 
 Collected data is per-name aggregates (call count, total/min/max seconds),
-snapshotted via :meth:`HotPathProfiler.summary` and renderable as a
-:class:`~repro.analysis.reporting.ResultTable`-friendly row list.  Wall-clock
-timings are inherently non-deterministic, so the profiler is never part of
-the byte-identical exposition surface — it reports through its own summary.
+snapshotted via :meth:`HotPathProfiler.summary`.  Wall-clock timings are
+inherently non-deterministic, so the default scrape never carries them: a
+network's ``publish_metrics`` exports ``hot_path_calls_total`` /
+``hot_path_seconds_total`` only while :data:`PROFILER` is enabled.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib
 import os
 import time
-from typing import Callable, Dict, List, Optional, TypeVar
+from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
-__all__ = ["PROFILER", "PROF_ENV", "HotPathProfiler", "profiled"]
+__all__ = [
+    "HOT_PATHS",
+    "HotPath",
+    "PROFILER",
+    "PROF_ENV",
+    "HotPathProfiler",
+    "profiling_requested",
+]
 
 #: Environment variable that turns the hot-path profiler on at import time.
 PROF_ENV = "REPRO_PROF"
 
-F = TypeVar("F", bound=Callable)
+
+class HotPath(NamedTuple):
+    """One profiled entry point: ``owner`` is ``"module.Class"``, ``attr`` a method."""
+
+    name: str
+    owner: str
+    attr: str
+
+
+_MATCH_INDEX = "repro.pubsub.match_index.MatchIndex"
+_SHARDED = "repro.pubsub.sharded_index.ShardedMatchIndex"
+
+#: The hot paths :data:`PROFILER` times, by the names :meth:`summary` reports.
+HOT_PATHS: Tuple[HotPath, ...] = (
+    HotPath("match_index.any_match", _MATCH_INDEX, "any_match"),
+    HotPath("match_index.matching_ids", _MATCH_INDEX, "matching_ids"),
+    HotPath("broker.covering_check", "repro.pubsub.broker.Broker", "_covering_check"),
+    HotPath("flat_store.rebuild", "repro.index.sfc_array.FlatSegmentStore", "rebuild"),
+    HotPath("sharded.add_batch", _SHARDED, "add_batch"),
+    HotPath("sharded.any_match_batch", _SHARDED, "any_match_batch"),
+    HotPath("sharded.matching_ids_batch", _SHARDED, "matching_ids_batch"),
+)
+
+
+def profiling_requested() -> bool:
+    """True when ``REPRO_PROF`` asks for profiling (set and not ``0``)."""
+    return os.environ.get(PROF_ENV, "") not in ("", "0")
+
+
+def _resolve(owner: str) -> type:
+    module, _, name = owner.rpartition(".")
+    return getattr(importlib.import_module(module), name)
 
 
 class _TimingAgg:
@@ -50,13 +91,65 @@ class _TimingAgg:
 
 
 class HotPathProfiler:
-    """Per-name timing aggregates behind a single ``enabled`` flag."""
+    """Per-name timing aggregates of a table of hot paths, wrapped while enabled."""
 
-    def __init__(self, enabled: bool = False, clock: Callable[[], float] = time.perf_counter) -> None:
-        self.enabled = enabled
+    def __init__(
+        self,
+        hot_paths: Sequence[HotPath] = (),
+        clock: Callable[[], float] = time.perf_counter,
+    ) -> None:
+        self.hot_paths = tuple(hot_paths)
         self._clock = clock
         self._timings: Dict[str, _TimingAgg] = {}
+        # (owner class, attribute, original function) of every installed wrapper.
+        self._installed: List[Tuple[type, str, Callable]] = []
+        self._enabled = False
 
+    # ------------------------------------------------------------- switching
+    @property
+    def enabled(self) -> bool:
+        return self._enabled
+
+    @enabled.setter
+    def enabled(self, value: bool) -> None:
+        if value:
+            self.enable()
+        else:
+            self.disable()
+
+    def enable(self) -> None:
+        """Wrap every hot path with a timer (idempotent)."""
+        if self._enabled:
+            return
+        for path in self.hot_paths:
+            owner = _resolve(path.owner)
+            original = vars(owner)[path.attr]
+            setattr(owner, path.attr, self._timed(path.name, original))
+            self._installed.append((owner, path.attr, original))
+        self._enabled = True
+
+    def disable(self) -> None:
+        """Put every original function back (idempotent); the timings are kept."""
+        while self._installed:
+            owner, attr, original = self._installed.pop()
+            setattr(owner, attr, original)
+        self._enabled = False
+
+    def _timed(self, name: str, fn: Callable) -> Callable:
+        clock = self._clock
+        record = self.record
+
+        @functools.wraps(fn)
+        def timed(*args, **kwargs):
+            start = clock()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                record(name, clock() - start)
+
+        return timed
+
+    # ------------------------------------------------------------ aggregates
     def record(self, name: str, elapsed: float) -> None:
         agg = self._timings.get(name)
         if agg is None:
@@ -90,37 +183,10 @@ class HotPathProfiler:
         return len(self._timings)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        state = "enabled" if self.enabled else "disabled"
+        state = "enabled" if self._enabled else "disabled"
         return f"HotPathProfiler({state}, hot_paths={len(self._timings)})"
 
 
-#: Process-global profiler; ``REPRO_PROF=1`` in the environment enables it at
-#: import time, ``PROFILER.enabled = True`` at any later point.
-PROFILER = HotPathProfiler(enabled=os.environ.get(PROF_ENV, "") not in ("", "0"))
-
-
-def profiled(name: str, profiler: Optional[HotPathProfiler] = None) -> Callable[[F], F]:
-    """Wrap a hot-path function with call-time-gated timing.
-
-    The gate is read on every call, so flipping ``PROFILER.enabled`` affects
-    already-decorated functions.  ``functools.wraps`` keeps the original
-    callable reachable as ``__wrapped__`` (the overhead guard test compares
-    the two directly).
-    """
-
-    def decorate(fn: F) -> F:
-        prof = profiler if profiler is not None else PROFILER
-
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            if not prof.enabled:
-                return fn(*args, **kwargs)
-            start = prof._clock()
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                prof.record(name, prof._clock() - start)
-
-        return wrapper  # type: ignore[return-value]
-
-    return decorate
+#: Process-global profiler over :data:`HOT_PATHS`; ``REPRO_PROF=1`` enables it
+#: when ``repro`` is imported, ``PROFILER.enabled = True`` at any later point.
+PROFILER = HotPathProfiler(HOT_PATHS)

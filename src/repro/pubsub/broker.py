@@ -34,7 +34,6 @@ from typing import Callable, Deque, Dict, Hashable, List, Optional, Sequence, Se
 
 from ..core.covering import CoveringProfiler
 from ..index.config import IndexConfig
-from ..obs.profiler import profiled
 from ..obs.trace import Span, TraceLog, make_detail
 from ..sim.transport import recent_window
 from .routing_table import (
@@ -334,7 +333,6 @@ class Broker:
         self.stats.subscriptions_stored += 1
         return self._store.acquire(subscription)
 
-    @profiled("broker.covering_check")
     def _covering_check(
         self,
         strategy: CoveringStrategy,

@@ -72,7 +72,6 @@ from ..geometry.universe import Universe
 from ..index.backends import make_backend
 from ..index.config import MATCH_BACKEND_NAMES, PRECISION_BIT_BUDGET, IndexConfig
 from ..index.sfc_array import FlatSegmentStore
-from ..obs.profiler import profiled
 from ..sfc.base import KeyRange
 from ..sfc.factory import make_curve
 from ..sfc.runs import GridRunTable, merge_key_ranges
@@ -619,7 +618,6 @@ class MatchIndex:
     # The flat paths below inline the rectangle test as an early-exit
     # ``for ... else`` loop: it runs once per candidate, and ``all()`` over a
     # generator costs about twice as much.
-    @profiled("match_index.any_match")
     def any_match(self, cells: Sequence[int], key: Optional[int] = None) -> bool:
         """True when at least one indexed subscription matches the event cells."""
         if key is None:
@@ -645,7 +643,6 @@ class MatchIndex:
             stats.false_positives += 1
         return False
 
-    @profiled("match_index.matching_ids")
     def matching_ids(self, cells: Sequence[int], key: Optional[int] = None) -> List[Hashable]:
         """All indexed subscriptions matching the event cells (order unspecified)."""
         if key is None:

@@ -45,6 +45,7 @@ import networkx as nx
 from ..core.covering import CoveringProfiler
 from ..index.config import IndexConfig
 from ..obs.exposition import render_prometheus, snapshot
+from ..obs.profiler import PROFILER
 from ..obs.registry import MetricsRegistry
 from ..obs.trace import Span, TraceLog, make_detail
 from ..sim.transport import Message, SyncTransport, Transport, recent_window
@@ -441,9 +442,13 @@ class BrokerNetwork:
         )
 
     def _record_delivery(self, client_id: Hashable, subscription_id: Hashable, event: Event) -> None:
-        now = self.transport.now
+        transport = self.transport
+        now = transport.now
         event_id = event.event_id
-        self.transport.record_delivery_latency(now - self._publish_times.get(event_id, now))
+        # The end-to-end publish→subscriber latency, into the transport's stats.
+        stats = transport.stats
+        stats.deliveries += 1
+        stats.delivery_latencies.append(now - self._publish_times.get(event_id, now))
         self.deliveries.append(DeliveryRecord(client_id, subscription_id, event_id, now))
         recipients = self._collecting.get(event_id)
         if recipients is not None:
@@ -777,13 +782,28 @@ class BrokerNetwork:
 
         Equivalent to calling :meth:`publish` per event, but under SFC
         matching the events' curve keys are computed in one amortised pass at
-        the publishing broker before routing starts.
+        the publishing broker before routing starts.  Recipients are collected
+        by event id, so a batch repeating an id is cut into chunks at each
+        repeat: each chunk is keyed in one pass and flushed before the next,
+        and every position gets the clients its own event reached.
         """
         if broker_id not in self.brokers:
             raise ValueError(f"unknown broker {broker_id!r}")
         if not self.transport.is_up(broker_id):
             raise ValueError(f"broker {broker_id!r} is down")
-        events = list(events)
+        results: List[Set[Hashable]] = []
+        chunk: List[Event] = []
+        chunk_ids: Set[Hashable] = set()
+        for event in events:
+            if event.event_id in chunk_ids:
+                results += self._publish_chunk(broker_id, chunk)
+                chunk, chunk_ids = [], set()
+            chunk.append(event)
+            chunk_ids.add(event.event_id)
+        return results + self._publish_chunk(broker_id, chunk)
+
+    def _publish_chunk(self, broker_id: Hashable, events: List[Event]) -> List[Set[Hashable]]:
+        """Publish events with distinct ids as one batch and flush; per-event recipients."""
         now = self.transport.now
         for event in events:
             self._publish_times.setdefault(event.event_id, now)
@@ -950,8 +970,26 @@ class BrokerNetwork:
             )
             trace_gauge.set(len(self.tracing), state="stored")
             trace_gauge.set(self.tracing.dropped, state="dropped")
+        if PROFILER.enabled:
+            self._publish_hot_path_metrics()
         self._publish_interface_metrics()
         return stats
+
+    def _publish_hot_path_metrics(self) -> None:
+        """Publish the process-wide profiler's per-hot-path call counts and seconds."""
+        calls = self.metrics.counter(
+            "hot_path_calls_total",
+            "Calls of each profiled hot path (process-wide, while profiling is on).",
+            labelnames=("path",),
+        )
+        seconds = self.metrics.counter(
+            "hot_path_seconds_total",
+            "Wall-clock seconds spent in each profiled hot path.",
+            labelnames=("path",),
+        )
+        for path, timing in PROFILER.summary().items():
+            calls.set_total(timing["calls"], path=path)
+            seconds.set_total(timing["total_s"], path=path)
 
     def _publish_interface_metrics(self) -> None:
         """Publish per-interface match-index signals.

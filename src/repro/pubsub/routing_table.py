@@ -513,22 +513,24 @@ class RoutingTable:
         ``among`` restricts the probe to the given interfaces (the broker
         passes its neighbour list: the local-client table is asked for *which*
         subscriptions match, by local delivery, not merely whether any does).
+        Under SFC matching each table's index is probed directly with the
+        shared key: this runs once per event per broker.
         """
         if key is None:
             key = self.event_key(event)
-        if among is None:
-            candidates = self._tables.items()
-        else:
-            candidates = [
-                (interface_id, self._tables[interface_id])
-                for interface_id in among
-                if interface_id in self._tables
-            ]
-        return [
-            interface_id
-            for interface_id, table in candidates
-            if interface_id != exclude and table.any_match(event, key=key)
-        ]
+        tables = self._tables
+        cells = event.cells
+        matched: List[Hashable] = []
+        for interface_id in tables if among is None else among:
+            if interface_id == exclude:
+                continue
+            table = tables.get(interface_id)
+            if table is None:
+                continue
+            index = table._index
+            if index.any_match(cells, key) if index is not None else table.any_match(event):
+                matched.append(interface_id)
+        return matched
 
     def match_segments(self) -> int:
         """Total disjoint key segments stored across all match indexes (0 under linear).

@@ -36,7 +36,6 @@ from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Sequence, Tupl
 
 from ..geometry.universe import Universe
 from ..index.config import IndexConfig
-from ..obs.profiler import profiled
 from ..sfc.factory import make_curve
 from .match_index import MatchIndex, MatchIndexStats
 from .schema import AttributeSchema
@@ -215,7 +214,6 @@ class ShardedMatchIndex:
             self._conns[shard].send(("add", sub_id, tuple(ranges)))
         self._commit_assignment(sub_id, shard)
 
-    @profiled("sharded.add_batch")
     def add_batch(
         self, items: Sequence[Tuple[Hashable, Sequence[Tuple[int, int]]]]
     ) -> None:
@@ -272,7 +270,6 @@ class ShardedMatchIndex:
             return matched
         return self.matching_ids_batch([cells], keys=[key])[0]
 
-    @profiled("sharded.any_match_batch")
     def any_match_batch(
         self,
         cells_batch: Sequence[Sequence[int]],
@@ -296,7 +293,6 @@ class ShardedMatchIndex:
                     results[i] = True
         return results
 
-    @profiled("sharded.matching_ids_batch")
     def matching_ids_batch(
         self,
         cells_batch: Sequence[Sequence[int]],

@@ -18,15 +18,21 @@ from __future__ import annotations
 
 import heapq
 import random
-from typing import Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 __all__ = ["EventKernel"]
 
-Action = Callable[[], None]
+Action = Callable[..., None]
 
 
 class EventKernel:
     """A seeded, deterministic discrete-event scheduler.
+
+    A heap entry is ``(time, tie-break draw, sequence, callable, args)``:
+    scheduling draws exactly one tie-break value per action, in scheduling
+    order, and running calls ``callable(*args)``, so a caller schedules a
+    bound method and its arguments instead of building a closure per action.
+    :meth:`run` pops and calls entries in one local loop.
 
     Parameters
     ----------
@@ -37,26 +43,32 @@ class EventKernel:
 
     def __init__(self, seed: Optional[int] = 0) -> None:
         self._rng = random.Random(seed)
-        self._heap: List[Tuple[float, float, int, Action]] = []
+        self._heap: List[Tuple[float, float, int, Action, Tuple[Any, ...]]] = []
         self._seq = 0
         self.now = 0.0
         self.executed = 0
 
     # ------------------------------------------------------------- scheduling
-    def schedule_at(self, time: float, action: Action) -> None:
-        """Schedule ``action`` to run at absolute simulated time ``time``."""
+    def schedule_at(self, time: float, action: Action, *args: Any) -> None:
+        """Schedule ``action(*args)`` to run at absolute simulated time ``time``."""
         if time < self.now:
             raise ValueError(
                 f"cannot schedule at t={time} in the past (now={self.now})"
             )
         self._seq += 1
-        heapq.heappush(self._heap, (time, self._rng.random(), self._seq, action))
+        heapq.heappush(self._heap, (time, self._rng.random(), self._seq, action, args))
 
-    def schedule(self, delay: float, action: Action) -> None:
-        """Schedule ``action`` to run ``delay`` time units from now."""
+    def schedule(self, delay: float, action: Action, *args: Any) -> None:
+        """Schedule ``action(*args)`` to run ``delay`` time units from now."""
         if delay < 0:
             raise ValueError(f"delay must be non-negative, got {delay}")
-        self.schedule_at(self.now + delay, action)
+        # schedule_at inlined (a non-negative delay cannot land in the past):
+        # every simulated inbox step schedules through here, and the extra
+        # call and argument repacking cost about 0.25 µs a time.
+        self._seq += 1
+        heapq.heappush(
+            self._heap, (self.now + delay, self._rng.random(), self._seq, action, args)
+        )
 
     @property
     def pending(self) -> int:
@@ -68,10 +80,10 @@ class EventKernel:
         """Execute the earliest pending action; return False when none is left."""
         if not self._heap:
             return False
-        time, _tie, _seq, action = heapq.heappop(self._heap)
+        time, _tie, _seq, action, args = heapq.heappop(self._heap)
         self.now = time
         self.executed += 1
-        action()
+        action(*args)
         return True
 
     def run(self, until: Optional[float] = None, max_steps: Optional[int] = None) -> int:
@@ -81,13 +93,18 @@ class EventKernel:
         the clock still advances to ``until`` when earlier actions ran out, so
         repeated bounded runs observe a monotonic clock.
         """
+        heap = self._heap
+        pop = heapq.heappop
         steps = 0
-        while self._heap:
-            if until is not None and self._heap[0][0] > until:
+        while heap:
+            if until is not None and heap[0][0] > until:
                 break
             if max_steps is not None and steps >= max_steps:
                 break
-            self.step()
+            time, _tie, _seq, action, args = pop(heap)
+            self.now = time
+            self.executed += 1
+            action(*args)
             steps += 1
         if until is not None and self.now < until:
             self.now = until

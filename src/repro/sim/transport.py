@@ -33,7 +33,7 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Hashable, Optional, Sequence, Tuple, Union
+from typing import Callable, Deque, Dict, Hashable, Optional, Sequence, Tuple, Union
 
 from .kernel import EventKernel
 from .latency import FixedLatency, LatencyModel
@@ -85,7 +85,7 @@ def _percentiles(values: Sequence[float], qs: Sequence[float]) -> Dict[str, floa
     return {f"p{q:g}": _rank_in(ordered, q) if ordered else 0.0 for q in qs}
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     """One inter-broker message in flight.
 
@@ -178,6 +178,8 @@ class Transport:
         self._down: set = set()
         # Per event id: overlay hop distance of each broker that has seen it.
         self._event_depth: Dict[Hashable, Dict[Hashable, int]] = {}
+        # The network's per-arrival observer (hop spans), resolved by bind().
+        self._observe_arrival: Optional[Callable[[Message, float], None]] = None
 
     # --------------------------------------------------------------- lifecycle
     def bind(self, network) -> None:
@@ -185,11 +187,12 @@ class Transport:
         if self.network is not None and self.network is not network:
             raise RuntimeError("transport is already bound to another network")
         self.network = network
+        self._observe_arrival = getattr(network, "_observe_arrival", None)
 
-    @property
-    def now(self) -> float:
-        """Current simulated time (always 0.0 for the synchronous transport)."""
-        return 0.0
+    #: Current simulated time: frozen at 0.0 on the synchronous transport, a
+    #: plain class attribute so reading it costs no call; the simulated and
+    #: networked transports override it with a property.
+    now: float = 0.0
 
     # ---------------------------------------------------------------- liveness
     def is_up(self, broker_id: Hashable) -> bool:
@@ -212,12 +215,6 @@ class Transport:
         self._event_depth.clear()
         return 0
 
-    def record_delivery_latency(self, latency: float) -> None:
-        """Record one end-to-end publish→subscriber latency (called by the network)."""
-        stats = self.stats
-        stats.deliveries += 1
-        stats.delivery_latencies.append(latency)
-
     # ------------------------------------------------------------ hop tracking
     def _hops_for(self, kind: str, payload: object, sender: Hashable, receiver: Hashable) -> int:
         """Hop distance of this message from its publisher (event messages only)."""
@@ -239,12 +236,13 @@ class Transport:
         return hops
 
     def _record_arrival(self, message: Message) -> None:
-        self.stats.messages_delivered += 1
+        stats = self.stats
+        stats.messages_delivered += 1
         latency = self.now - message.sent_at
         if message.kind == "event":
-            self.stats.hop_counts.append(message.hops)
-            self.stats.hop_latencies.append(latency)
-        observe = getattr(self.network, "_observe_arrival", None)
+            stats.hop_counts.append(message.hops)
+            stats.hop_latencies.append(latency)
+        observe = self._observe_arrival
         if observe is not None:
             observe(message, latency)
 
@@ -349,7 +347,7 @@ class SimTransport(Transport):
         if floor is not None and arrival <= floor:
             arrival = math.nextafter(floor, math.inf)
         self._link_clock[link] = arrival
-        self.kernel.schedule_at(arrival, lambda: self._arrive(message))
+        self.kernel.schedule_at(arrival, self._arrive, message)
 
     def _arrive(self, message: Message) -> None:
         if not self.is_up(message.receiver):
@@ -369,9 +367,7 @@ class SimTransport(Transport):
 
     def _schedule_retry(self, link: Tuple[Hashable, Hashable]) -> None:
         generation = self._retry_generation.get(link, 0)
-        self.kernel.schedule(
-            self.backpressure_delay, lambda: self._retry_link(link, generation)
-        )
+        self.kernel.schedule(self.backpressure_delay, self._retry_link, link, generation)
 
     def _retry_link(self, link: Tuple[Hashable, Hashable], generation: int) -> None:
         if generation != self._retry_generation.get(link, 0):
@@ -419,7 +415,7 @@ class SimTransport(Transport):
 
     def _schedule_process(self, broker_id: Hashable) -> None:
         generation = self._drain_generation.get(broker_id, 0)
-        self.kernel.schedule(self.service_time, lambda: self._process(broker_id, generation))
+        self.kernel.schedule(self.service_time, self._process, broker_id, generation)
 
     def _process(self, broker_id: Hashable, generation: int) -> None:
         if generation != self._drain_generation.get(broker_id, 0):

@@ -745,7 +745,7 @@ def run_dynamic_scenario(
     # can run on the same network after the first has drained.
     start = kernel.now
     for action in actions:
-        kernel.schedule_at(start + action.time, lambda action=action: execute(action))
+        kernel.schedule_at(start + action.time, execute, action)
     with network.collect_recipients(audited_ids) as delivered_by_event:
         network.flush()
     if scenario_trace is not None:

@@ -25,6 +25,20 @@ from repro.geometry.bits import (
 )
 
 
+def reference_interleave_bits(coords, bits):
+    """The bit-at-a-time interleave the table-driven one replaced (the oracle)."""
+    if bits < 0:
+        raise ValueError(f"bits must be non-negative, got {bits}")
+    key = 0
+    for x in coords:
+        if x < 0 or x.bit_length() > bits:
+            raise ValueError(f"coordinate {x} does not fit in {bits} bits")
+    for level in range(bits - 1, -1, -1):
+        for x in coords:
+            key = (key << 1) | ((x >> level) & 1)
+    return key
+
+
 class TestBitLength:
     def test_paper_example(self):
         # The paper: b(9) = 4.
@@ -186,6 +200,43 @@ class TestInterleave:
         low = interleave_bits((3, 3), 3)  # both high bits 0
         high = interleave_bits((4, 4), 3)  # both high bits 1
         assert high > low
+
+    @given(
+        st.integers(min_value=1, max_value=5),
+        st.integers(min_value=0, max_value=70),
+        st.data(),
+    )
+    def test_equals_bit_loop_reference(self, dims, bits, data):
+        # Byte boundaries, empty coordinates and keys wider than 64 bits.
+        coords = tuple(
+            data.draw(st.integers(min_value=0, max_value=(1 << bits) - 1)) for _ in range(dims)
+        )
+        assert interleave_bits(coords, bits) == reference_interleave_bits(coords, bits)
+        assert interleave_bits(list(coords), bits) == reference_interleave_bits(coords, bits)
+
+    def test_equals_reference_at_full_width(self):
+        for dims in range(1, 6):
+            for bits in (7, 8, 9, 16, 17, 21, 64, 70):
+                top = (1 << bits) - 1
+                for coords in ((top,) * dims, tuple(top >> i for i in range(dims))):
+                    expected = reference_interleave_bits(coords, bits)
+                    assert interleave_bits(coords, bits) == expected
+        assert interleave_bits((), 5) == reference_interleave_bits((), 5) == 0
+
+    @pytest.mark.parametrize(
+        "coords,bits",
+        [((-1,), 3), ((8,), 3), ((0, 9), 3), ((1 << 70,), 70), ((3, -2, 1 << 9), 8), ((1,), 0)],
+    )
+    def test_errors_are_the_reference_errors(self, coords, bits):
+        with pytest.raises(ValueError) as expected:
+            reference_interleave_bits(coords, bits)
+        with pytest.raises(ValueError) as got:
+            interleave_bits(coords, bits)
+        assert str(got.value) == str(expected.value)
+
+    def test_negative_bits_rejected(self):
+        with pytest.raises(ValueError, match="bits must be non-negative, got -1"):
+            interleave_bits((0,), -1)
 
     def test_deinterleave_rejects_oversized_key(self):
         with pytest.raises(ValueError):

@@ -8,15 +8,14 @@ The ISSUE's acceptance criteria, pinned:
   publishing broker to the brokers the delivery audit expects — the trace
   *is* the route;
 * two same-seed runs are byte-identical (exposition text, trace-id
-  sequences, counter values), and instrumentation that is switched off stays
-  within a small factor of the bare code path;
+  sequences, counter values), and instrumentation that is switched off is
+  the bare code path;
 * an SFC-matching network's scrape carries the per-interface match-index
   counters and gauges.
 """
 
 from __future__ import annotations
 
-import os
 import re
 
 import pytest
@@ -44,6 +43,17 @@ def _tree_path_edges(origin: int, target: int, branching: int = 2):
     path = up_origin[: up_origin.index(meet) + 1]
     path += list(reversed(up_target[: up_target.index(meet)]))
     return list(zip(path, path[1:]))
+
+
+@pytest.fixture(scope="module", autouse=True)
+def default_scrape():
+    """These tests pin the default scrape, which the profiler's series are not in
+    (they appear only while it is enabled, e.g. under ``REPRO_PROF=1``)."""
+    was_enabled = PROFILER.enabled
+    PROFILER.disable()
+    yield
+    if was_enabled:
+        PROFILER.enable()
 
 
 @pytest.fixture(scope="module")
@@ -218,41 +228,23 @@ def test_autotune_env_var_changes_nothing(monkeypatch):
     assert _small_sfc_network_scrape() == plain
 
 
-@pytest.mark.skipif(
-    os.environ.get("REPRO_PROF", "") not in ("", "0"),
-    reason="overhead guard measures the disabled-profiler path",
-)
 class TestInstrumentationOverhead:
-    """Disabled instrumentation must stay within a small factor of bare code."""
+    """Disabled instrumentation costs nothing over the bare code path."""
 
-    def test_noprof_match_path_overhead_bounded(self):
-        import timeit
-
+    def test_noprof_match_path_is_the_plain_function(self):
         from repro.pubsub.match_index import MatchIndex
-        from repro.pubsub.schema import Attribute, AttributeSchema
 
-        schema = AttributeSchema(
-            [Attribute("x", 0.0, 100.0), Attribute("y", 0.0, 100.0)], order=6
-        )
-        index = MatchIndex(schema)
-        for sid in range(200):
-            lo = (sid * 7) % 50
-            index.add(sid, ((lo, lo + 8), (lo, lo + 8)))
-        cells = (25, 25)
-
-        assert not PROFILER.enabled
-        wrapped = MatchIndex.any_match
-        bare = wrapped.__wrapped__
-
-        def time_fn(fn):
-            return min(
-                timeit.repeat(lambda: fn(index, cells), repeat=5, number=300)
-            )
-
-        # Warm both paths, then compare best-of runs; the wrapper adds one
-        # attribute load and one branch, so 2.5x is a generous flake margin.
-        time_fn(bare), time_fn(wrapped)
-        assert time_fn(wrapped) <= 2.5 * time_fn(bare) + 1e-4
+        # Off (see default_scrape), the probe on the class is the function
+        # defined there: no wrapper, so no overhead to bound.
+        plain = MatchIndex.__dict__["any_match"]
+        assert not hasattr(plain, "__wrapped__")
+        assert plain.__qualname__ == "MatchIndex.any_match"
+        PROFILER.enable()
+        try:
+            assert MatchIndex.__dict__["any_match"].__wrapped__ is plain
+        finally:
+            PROFILER.disable()
+        assert MatchIndex.__dict__["any_match"] is plain
 
     def test_disabled_registry_publish_is_cheap_noop(self):
         from repro.obs.registry import MetricsRegistry

@@ -1,15 +1,98 @@
-"""Env-gated hot-path profiler: gating, aggregation, decorator transparency."""
+"""Hot-path profiler: aggregation, outside wrapping, behaviour neutrality."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from repro.obs.profiler import PROF_ENV, PROFILER, HotPathProfiler, profiled
+from repro.index.config import IndexConfig
+from repro.obs.profiler import (
+    HOT_PATHS,
+    PROF_ENV,
+    PROFILER,
+    HotPath,
+    HotPathProfiler,
+    _resolve,
+    profiling_requested,
+)
+from repro.obs.registry import MetricsRegistry
+from repro.pubsub.network import BrokerNetwork, tree_topology
+from repro.pubsub.sharded_index import ShardedMatchIndex
+from repro.pubsub.subscription import Event, Subscription
+from repro.sim.latency import UniformJitterLatency
+from repro.sim.transport import SimTransport
+from repro.workloads.dynamics import run_scripted_lockstep, subscription_churn_script
+from repro.workloads.scenarios import stock_market_scenario
+
+SEVEN = {
+    "match_index.any_match",
+    "match_index.matching_ids",
+    "broker.covering_check",
+    "flat_store.rebuild",
+    "sharded.add_batch",
+    "sharded.any_match_batch",
+    "sharded.matching_ids_batch",
+}
+
+
+class _Work:
+    def add(self, a, b):
+        return a + b
+
+    def boom(self):
+        raise RuntimeError("x")
+
+
+_PLAIN_ADD = _Work.__dict__["add"]
+_WORK_PATHS = (
+    HotPath("work.add", f"{__name__}._Work", "add"),
+    HotPath("work.boom", f"{__name__}._Work", "boom"),
+)
+
+
+def _owner_attrs():
+    """``(owner class, attribute, function stored on it now)`` per global hot path."""
+    out = []
+    for path in HOT_PATHS:
+        owner = _resolve(path.owner)
+        out.append((owner, path.attr, owner.__dict__[path.attr]))
+    return out
+
+
+@pytest.fixture
+def global_profiler():
+    """The process-wide profiler, enabled and cleared; put back as found."""
+    was_enabled = PROFILER.enabled
+    PROFILER.disable()
+    PROFILER.clear()
+    PROFILER.enable()
+    try:
+        yield PROFILER
+    finally:
+        PROFILER.disable()
+        PROFILER.clear()
+        if was_enabled:
+            PROFILER.enable()
+
+
+@pytest.fixture
+def profiler_off():
+    was_enabled = PROFILER.enabled
+    PROFILER.disable()
+    try:
+        yield PROFILER
+    finally:
+        if was_enabled:
+            PROFILER.enable()
 
 
 class TestHotPathProfiler:
     def test_aggregates_per_name(self):
-        prof = HotPathProfiler(enabled=True)
+        prof = HotPathProfiler()
         prof.record("x", 0.2)
         prof.record("x", 0.4)
         prof.record("y", 1.0)
@@ -22,80 +105,219 @@ class TestHotPathProfiler:
         assert summary["x"]["max_s"] == 0.4
 
     def test_rows_mirror_summary(self):
-        prof = HotPathProfiler(enabled=True)
+        prof = HotPathProfiler()
         prof.record("x", 1.0)
         (row,) = prof.rows()
         assert row["hot_path"] == "x" and row["calls"] == 1
 
     def test_clear(self):
-        prof = HotPathProfiler(enabled=True)
+        prof = HotPathProfiler()
         prof.record("x", 1.0)
         prof.clear()
         assert len(prof) == 0
 
 
-class TestProfiledDecorator:
+class TestOutsideWrapping:
     def test_disabled_profiler_records_nothing(self):
-        prof = HotPathProfiler(enabled=False)
-
-        @profiled("work", profiler=prof)
-        def work(a, b):
-            return a + b
-
-        assert work(1, 2) == 3
+        prof = HotPathProfiler(_WORK_PATHS)
+        assert _Work().add(1, 2) == 3
         assert len(prof) == 0
+        assert _Work.__dict__["add"] is _PLAIN_ADD
 
     def test_enabled_profiler_times_calls(self):
         clock_values = iter([0.0, 0.25, 1.0, 1.5])
-        prof = HotPathProfiler(enabled=True, clock=lambda: next(clock_values))
-
-        @profiled("work", profiler=prof)
-        def work():
-            return "ok"
-
-        assert work() == "ok"
-        assert work() == "ok"
-        summary = prof.summary()["work"]
+        prof = HotPathProfiler(_WORK_PATHS, clock=lambda: next(clock_values))
+        prof.enable()
+        try:
+            assert _Work().add(1, 2) == 3
+            assert _Work().add(2, 2) == 4
+        finally:
+            prof.disable()
+        summary = prof.summary()["work.add"]
         assert summary["calls"] == 2
         assert summary["total_s"] == 0.75
 
-    def test_gate_read_at_call_time(self):
-        prof = HotPathProfiler(enabled=False)
-
-        @profiled("work", profiler=prof)
-        def work():
-            return 1
-
-        work()
-        prof.enabled = True  # flipping the flag affects already-decorated functions
-        work()
-        assert prof.summary()["work"]["calls"] == 1
+    def test_enabled_flag_switches_wrapping(self):
+        prof = HotPathProfiler(_WORK_PATHS)
+        _Work().add(1, 1)
+        prof.enabled = True
+        try:
+            assert prof.enabled
+            _Work().add(1, 1)
+        finally:
+            prof.enabled = False
+        _Work().add(1, 1)
+        assert not prof.enabled
+        # Only the call made while enabled was timed; disabling keeps timings.
+        assert prof.summary()["work.add"]["calls"] == 1
 
     def test_exceptions_still_recorded(self):
-        prof = HotPathProfiler(enabled=True)
-
-        @profiled("boom", profiler=prof)
-        def boom():
-            raise RuntimeError("x")
-
+        prof = HotPathProfiler(_WORK_PATHS)
+        prof.enable()
         try:
-            boom()
-        except RuntimeError:
-            pass
-        assert prof.summary()["boom"]["calls"] == 1
+            with pytest.raises(RuntimeError):
+                _Work().boom()
+        finally:
+            prof.disable()
+        assert prof.summary()["work.boom"]["calls"] == 1
 
-    def test_wrapped_exposes_original(self):
-        def work():
-            return 7
+    def test_disable_restores_the_plain_function(self):
+        prof = HotPathProfiler(_WORK_PATHS)
+        prof.enable()
+        try:
+            wrapped = _Work.__dict__["add"]
+            assert wrapped is not _PLAIN_ADD
+            assert wrapped.__wrapped__ is _PLAIN_ADD
+            assert wrapped.__name__ == "add"
+        finally:
+            prof.disable()
+        assert _Work.__dict__["add"] is _PLAIN_ADD
 
-        wrapped = profiled("work")(work)
-        assert wrapped.__wrapped__ is work
-        assert wrapped.__name__ == "work"
+    def test_enable_and_disable_are_idempotent(self):
+        prof = HotPathProfiler(_WORK_PATHS)
+        prof.enable()
+        prof.enable()
+        try:
+            _Work().add(1, 1)
+        finally:
+            prof.disable()
+        prof.disable()
+        assert _Work.__dict__["add"] is _PLAIN_ADD
+        assert prof.summary()["work.add"]["calls"] == 1
+
+
+def _summary_workload():
+    """Touch every hot path at least once: an SFC network plus a sharded index."""
+    scenario = stock_market_scenario(num_subscriptions=24, num_events=6, order=6, seed=3)
+    schema = scenario.schema
+    subscriptions = [
+        Subscription(schema, constraints, sub_id=f"s{i}")
+        for i, constraints in enumerate(scenario.subscriptions)
+    ]
+    events = [Event(schema, values, event_id=f"e{i}") for i, values in enumerate(scenario.events)]
+    network = BrokerNetwork.from_topology(
+        schema, tree_topology(3), covering="approximate", matching="sfc", seed=1,
+        metrics=MetricsRegistry(),
+    )
+    for i, subscription in enumerate(subscriptions):
+        network.subscribe(i % 3, f"c{i}", subscription)
+    for i, event in enumerate(events):
+        network.publish(i % 3, event)
+    sharded = ShardedMatchIndex(schema, workers="inline", config=IndexConfig(shards=2))
+    sharded.add_batch([(sub.sub_id, sub.ranges) for sub in subscriptions])
+    cells = [event.cells for event in events]
+    sharded.any_match_batch(cells)
+    sharded.matching_ids_batch(cells)
+    return network
 
 
 class TestGlobalProfiler:
     def test_env_gate_matches_import_state(self):
-        # The module-global reads REPRO_PROF once at import; the object itself
-        # is runtime-togglable (the gate is checked per call).
         assert isinstance(PROFILER, HotPathProfiler)
         assert PROF_ENV == "REPRO_PROF"
+        assert PROFILER.hot_paths == HOT_PATHS
+
+    def test_hot_path_table_names_the_seven(self):
+        assert {path.name for path in HOT_PATHS} == SEVEN
+        assert len(HOT_PATHS) == len(SEVEN)
+
+    def test_off_every_hot_path_is_the_plain_function(self, profiler_off):
+        for owner, attr, stored in _owner_attrs():
+            assert not hasattr(stored, "__wrapped__"), (owner, attr)
+            assert stored.__qualname__ == f"{owner.__name__}.{attr}"
+
+    def test_disable_restores_plain_functions_by_identity(self, profiler_off):
+        plain = _owner_attrs()
+        PROFILER.enable()
+        try:
+            for (owner, attr, original), (_, _, now) in zip(plain, _owner_attrs()):
+                assert now is not original and now.__wrapped__ is original, attr
+        finally:
+            PROFILER.disable()
+        for (_, attr, original), (_, _, now) in zip(plain, _owner_attrs()):
+            assert now is original, attr
+
+    def test_summary_holds_the_seven_names(self, global_profiler):
+        _summary_workload()
+        summary = global_profiler.summary()
+        assert set(summary) == SEVEN
+        assert all(row["calls"] > 0 for row in summary.values())
+
+    def test_repro_prof_env_enables_at_import(self):
+        src = Path(__file__).resolve().parents[2] / "src"
+        code = (
+            "import repro\n"
+            "from repro.obs.profiler import PROFILER\n"
+            "from repro.pubsub.match_index import MatchIndex\n"
+            "print(PROFILER.enabled, hasattr(MatchIndex.any_match, '__wrapped__'))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(src), PROF_ENV: "1"}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.split() == ["True", "True"]
+        env[PROF_ENV] = "0"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.split() == ["False", "False"]
+
+    def test_profiling_requested_reads_the_env(self, monkeypatch):
+        monkeypatch.setenv(PROF_ENV, "1")
+        assert profiling_requested()
+        monkeypatch.setenv(PROF_ENV, "0")
+        assert not profiling_requested()
+        monkeypatch.delenv(PROF_ENV)
+        assert not profiling_requested()
+
+
+def _lockstep(transport_kind):
+    """A scripted churn storm on an SFC tree; what it delivered and left behind."""
+    scenario = stock_market_scenario(num_subscriptions=40, num_events=16, order=8, seed=7)
+    script = subscription_churn_script(scenario, list(range(7)), seed=3)
+    transport = (
+        SimTransport(UniformJitterLatency(0.05, 0.2), seed=5)
+        if transport_kind == "sim"
+        else None
+    )
+    network = BrokerNetwork.from_topology(
+        scenario.schema,
+        tree_topology(7),
+        covering="approximate",
+        matching="sfc",
+        config=IndexConfig(),
+        transport=transport,
+        seed=2,
+    )
+    run_scripted_lockstep(network, script)
+    return list(network.deliveries), network.routing_state(), network.transport.stats.as_dict()
+
+
+class TestBehaviourNeutral:
+    @pytest.mark.parametrize("transport_kind", ["sync", "sim"])
+    def test_profiled_lockstep_equals_unprofiled(self, transport_kind, profiler_off):
+        plain = _lockstep(transport_kind)
+        PROFILER.enable()
+        try:
+            profiled_run = _lockstep(transport_kind)
+            assert PROFILER.summary()["match_index.any_match"]["calls"] > 0
+        finally:
+            PROFILER.disable()
+            PROFILER.clear()
+        assert plain[0], "the script must deliver something"
+        assert profiled_run == plain
+
+
+class TestHotPathScrape:
+    def test_disabled_profiler_adds_no_series(self, profiler_off):
+        assert "hot_path" not in _summary_workload().scrape()
+
+    def test_enabled_profiler_exports_summary(self, global_profiler):
+        network = _summary_workload()
+        text = network.scrape()
+        summary = global_profiler.summary()
+        for path in SEVEN:
+            assert f'repro_hot_path_calls_total{{path="{path}"}}' in text
+            assert f'repro_hot_path_seconds_total{{path="{path}"}}' in text
+        calls = network.metrics.get("hot_path_calls_total")
+        assert calls.value(path="broker.covering_check") == summary["broker.covering_check"]["calls"]

@@ -17,6 +17,9 @@ from repro.pubsub.network import (
 )
 from repro.pubsub.schema import Attribute, AttributeSchema
 from repro.pubsub.subscription import Event, Subscription
+from repro.sim.latency import UniformJitterLatency
+from repro.sim.transport import SimTransport
+from repro.workloads.scenarios import stock_market_scenario
 
 
 @pytest.fixture
@@ -364,6 +367,38 @@ class TestPublishBatchRegression:
         batch_stats = batch_net.collect_stats()
         seq_stats = seq_net.collect_stats()
         assert batch_stats.summary_rows() == seq_stats.summary_rows()
+
+    @pytest.mark.parametrize("transport_kind", ["sync", "sim"])
+    def test_repeated_event_id_gets_each_events_own_recipients(self, transport_kind):
+        # Recipients are collected by event id: a batch whose events all share
+        # one id once handed every position the union of all of them.
+        scenario = stock_market_scenario(num_subscriptions=40, num_events=4, seed=1)
+        events = [Event(scenario.schema, values, event_id="same") for values in scenario.events]
+
+        def build():
+            transport = (
+                SimTransport(UniformJitterLatency(0.05, 0.2), seed=3)
+                if transport_kind == "sim"
+                else None
+            )
+            network = BrokerNetwork.from_topology(
+                scenario.schema, chain_topology(3), covering="approximate",
+                matching="sfc", seed=1, transport=transport,
+            )
+            for i, constraints in enumerate(scenario.subscriptions):
+                network.subscribe(
+                    i % 3, f"c{i}", Subscription(scenario.schema, constraints, sub_id=f"s{i}")
+                )
+            return network
+
+        seq_net = build()
+        sequential =[seq_net.publish(0, event) for event in events]
+        batch_net = build()
+        batched = batch_net.publish_batch(0, events)
+        assert batched == sequential
+        assert len({frozenset(r) for r in sequential}) > 1, "the events must differ"
+        assert batch_net.deliveries == seq_net.deliveries
+        assert batch_net.routing_state() == seq_net.routing_state()
 
 
 class TestClients:

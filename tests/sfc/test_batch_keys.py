@@ -63,6 +63,22 @@ def test_batch_keys_without_numpy(kind, monkeypatch):
 
 
 @pytest.mark.parametrize("kind", CURVE_KINDS)
+@pytest.mark.parametrize("numpy_available", [True, False])
+@pytest.mark.parametrize(
+    "dims,order", [(1, 17), (2, 8), (2, 9), (3, 10), (3, 21), (5, 12), (2, 40)]
+)
+def test_scalar_key_equals_batch_keys(kind, numpy_available, dims, order, monkeypatch):
+    # The scalar key is the table-driven interleave at every byte boundary and
+    # past 64 bits; the batch path is numpy's kernels or the Python fallback.
+    universe = Universe(dims=dims, order=order)
+    curve = make_curve(kind, universe)
+    pts = _sample_points(universe, 60, seed=dims * 1000 + order)
+    if not numpy_available:
+        monkeypatch.setattr(vectorized, "np", None)
+    assert [curve.key(p) for p in pts] == curve.keys(pts)
+
+
+@pytest.mark.parametrize("kind", CURVE_KINDS)
 def test_batch_keys_validate_like_scalar(kind):
     universe = Universe(dims=2, order=4)
     curve = make_curve(kind, universe)
