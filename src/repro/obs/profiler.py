@@ -24,7 +24,7 @@ import functools
 import importlib
 import os
 import time
-from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Tuple
 
 __all__ = [
     "HOT_PATHS",
@@ -91,14 +91,12 @@ class _TimingAgg:
 
 
 class HotPathProfiler:
-    """Per-name timing aggregates of a table of hot paths, wrapped while enabled."""
+    """Per-name timing aggregates of :attr:`hot_paths`, wrapped while enabled."""
 
-    def __init__(
-        self,
-        hot_paths: Sequence[HotPath] = (),
-        clock: Callable[[], float] = time.perf_counter,
-    ) -> None:
-        self.hot_paths = tuple(hot_paths)
+    #: The table :meth:`enable` wraps; a subclass may name other paths.
+    hot_paths: Tuple[HotPath, ...] = HOT_PATHS
+
+    def __init__(self, clock: Callable[[], float] = time.perf_counter) -> None:
         self._clock = clock
         self._timings: Dict[str, _TimingAgg] = {}
         # (owner class, attribute, original function) of every installed wrapper.
@@ -177,6 +175,8 @@ class HotPathProfiler:
         ]
 
     def clear(self) -> None:
+        """Drop every timing: the scrape's ``hot_path_*`` totals restart from 0
+        (a counter reset, as after a process restart)."""
         self._timings.clear()
 
     def __len__(self) -> int:
@@ -189,4 +189,4 @@ class HotPathProfiler:
 
 #: Process-global profiler over :data:`HOT_PATHS`; ``REPRO_PROF=1`` enables it
 #: when ``repro`` is imported, ``PROFILER.enabled = True`` at any later point.
-PROFILER = HotPathProfiler(HOT_PATHS)
+PROFILER = HotPathProfiler()

@@ -300,6 +300,10 @@ class MetricsRegistry:
     def get(self, name: str) -> Optional[_Metric]:
         return self._metrics.get(name)
 
+    def remove(self, name: str) -> None:
+        """Drop the metric ``name``, if registered, with all its series."""
+        self._metrics.pop(name, None)
+
     def collect(self) -> List[_Metric]:
         """Every registered metric, sorted by name (exposition order)."""
         return [self._metrics[name] for name in sorted(self._metrics)]

@@ -970,13 +970,22 @@ class BrokerNetwork:
             )
             trace_gauge.set(len(self.tracing), state="stored")
             trace_gauge.set(self.tracing.dropped, state="dropped")
-        if PROFILER.enabled:
-            self._publish_hot_path_metrics()
+        self._publish_hot_path_metrics()
         self._publish_interface_metrics()
         return stats
 
     def _publish_hot_path_metrics(self) -> None:
-        """Publish the process-wide profiler's per-hot-path call counts and seconds."""
+        """Publish the process-wide profiler's per-hot-path call counts and seconds.
+
+        The two series are rebuilt from :meth:`HotPathProfiler.summary` on
+        every scrape while :data:`PROFILER` is enabled and are absent
+        otherwise, so a scrape never carries timings frozen by ``disable()``
+        or paths dropped by ``clear()``.
+        """
+        self.metrics.remove("hot_path_calls_total")
+        self.metrics.remove("hot_path_seconds_total")
+        if not PROFILER.enabled:
+            return
         calls = self.metrics.counter(
             "hot_path_calls_total",
             "Calls of each profiled hot path (process-wide, while profiling is on).",

@@ -390,7 +390,7 @@ class InterfaceTable:
     def any_match(self, event: Event, key: Optional[int] = None) -> bool:
         """Return True when at least one stored subscription matches ``event``."""
         if self._index is not None:
-            return self._index.any_match(event.cells, key=key)
+            return self._index.any_match(event.cells, key)
         return any(sub.matches(event) for sub in self._subscriptions.values())
 
 
@@ -513,22 +513,19 @@ class RoutingTable:
         ``among`` restricts the probe to the given interfaces (the broker
         passes its neighbour list: the local-client table is asked for *which*
         subscriptions match, by local delivery, not merely whether any does).
-        Under SFC matching each table's index is probed directly with the
-        shared key: this runs once per event per broker.
+        Every table is asked through :meth:`InterfaceTable.any_match` with the
+        shared key, in one loop with no candidate list: this runs once per
+        event per broker.
         """
         if key is None:
             key = self.event_key(event)
         tables = self._tables
-        cells = event.cells
         matched: List[Hashable] = []
         for interface_id in tables if among is None else among:
             if interface_id == exclude:
                 continue
             table = tables.get(interface_id)
-            if table is None:
-                continue
-            index = table._index
-            if index.any_match(cells, key) if index is not None else table.any_match(event):
+            if table is not None and table.any_match(event, key):
                 matched.append(interface_id)
         return matched
 

@@ -64,7 +64,8 @@ class EventKernel:
             raise ValueError(f"delay must be non-negative, got {delay}")
         # schedule_at inlined (a non-negative delay cannot land in the past):
         # every simulated inbox step schedules through here, and the extra
-        # call and argument repacking cost about 0.25 µs a time.
+        # call and argument repacking cost about 0.25 µs a time.  The entry
+        # must stay the one schedule_at pushes (test_kernel.py pins it).
         self._seq += 1
         heapq.heappush(
             self._heap, (self.now + delay, self._rng.random(), self._seq, action, args)
@@ -76,16 +77,6 @@ class EventKernel:
         return len(self._heap)
 
     # -------------------------------------------------------------- execution
-    def step(self) -> bool:
-        """Execute the earliest pending action; return False when none is left."""
-        if not self._heap:
-            return False
-        time, _tie, _seq, action, args = heapq.heappop(self._heap)
-        self.now = time
-        self.executed += 1
-        action(*args)
-        return True
-
     def run(self, until: Optional[float] = None, max_steps: Optional[int] = None) -> int:
         """Run until the queue is empty (or ``until``/``max_steps`` is reached).
 

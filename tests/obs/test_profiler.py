@@ -48,10 +48,15 @@ class _Work:
 
 
 _PLAIN_ADD = _Work.__dict__["add"]
-_WORK_PATHS = (
-    HotPath("work.add", f"{__name__}._Work", "add"),
-    HotPath("work.boom", f"{__name__}._Work", "boom"),
-)
+
+
+class _WorkProfiler(HotPathProfiler):
+    """A profiler over ``_Work`` instead of the stack's hot paths."""
+
+    hot_paths = (
+        HotPath("work.add", f"{__name__}._Work", "add"),
+        HotPath("work.boom", f"{__name__}._Work", "boom"),
+    )
 
 
 def _owner_attrs():
@@ -119,14 +124,14 @@ class TestHotPathProfiler:
 
 class TestOutsideWrapping:
     def test_disabled_profiler_records_nothing(self):
-        prof = HotPathProfiler(_WORK_PATHS)
+        prof = _WorkProfiler()
         assert _Work().add(1, 2) == 3
         assert len(prof) == 0
         assert _Work.__dict__["add"] is _PLAIN_ADD
 
     def test_enabled_profiler_times_calls(self):
         clock_values = iter([0.0, 0.25, 1.0, 1.5])
-        prof = HotPathProfiler(_WORK_PATHS, clock=lambda: next(clock_values))
+        prof = _WorkProfiler(clock=lambda: next(clock_values))
         prof.enable()
         try:
             assert _Work().add(1, 2) == 3
@@ -138,7 +143,7 @@ class TestOutsideWrapping:
         assert summary["total_s"] == 0.75
 
     def test_enabled_flag_switches_wrapping(self):
-        prof = HotPathProfiler(_WORK_PATHS)
+        prof = _WorkProfiler()
         _Work().add(1, 1)
         prof.enabled = True
         try:
@@ -152,7 +157,7 @@ class TestOutsideWrapping:
         assert prof.summary()["work.add"]["calls"] == 1
 
     def test_exceptions_still_recorded(self):
-        prof = HotPathProfiler(_WORK_PATHS)
+        prof = _WorkProfiler()
         prof.enable()
         try:
             with pytest.raises(RuntimeError):
@@ -162,7 +167,7 @@ class TestOutsideWrapping:
         assert prof.summary()["work.boom"]["calls"] == 1
 
     def test_disable_restores_the_plain_function(self):
-        prof = HotPathProfiler(_WORK_PATHS)
+        prof = _WorkProfiler()
         prof.enable()
         try:
             wrapped = _Work.__dict__["add"]
@@ -174,7 +179,7 @@ class TestOutsideWrapping:
         assert _Work.__dict__["add"] is _PLAIN_ADD
 
     def test_enable_and_disable_are_idempotent(self):
-        prof = HotPathProfiler(_WORK_PATHS)
+        prof = _WorkProfiler()
         prof.enable()
         prof.enable()
         try:
@@ -321,3 +326,26 @@ class TestHotPathScrape:
             assert f'repro_hot_path_seconds_total{{path="{path}"}}' in text
         calls = network.metrics.get("hot_path_calls_total")
         assert calls.value(path="broker.covering_check") == summary["broker.covering_check"]["calls"]
+
+    def test_series_leave_the_scrape_when_the_profiler_is_disabled(self, global_profiler):
+        network = _summary_workload()
+        assert "hot_path" in network.scrape()
+        global_profiler.disable()
+        assert "hot_path" not in network.scrape()
+        assert network.metrics.get("hot_path_calls_total") is None
+        global_profiler.enable()
+        assert "hot_path" in network.scrape()
+
+    def test_cleared_paths_leave_the_scrape(self, global_profiler):
+        network = _summary_workload()
+        network.scrape()
+        global_profiler.clear()
+        values = stock_market_scenario(num_subscriptions=1, num_events=1, order=6, seed=3).events[0]
+        network.publish(0, Event(network.schema, values, event_id="after-clear"))
+        text = network.scrape()
+        assert 'path="flat_store.rebuild"' not in text
+        assert 'path="sharded.add_batch"' not in text
+        calls = network.metrics.get("hot_path_calls_total")
+        assert calls.value(path="match_index.any_match") == (
+            global_profiler.summary()["match_index.any_match"]["calls"]
+        )

@@ -140,3 +140,12 @@ class TestMetricsRegistry:
         reg.counter("events_total").inc()
         reg.reset()
         assert len(reg) == 0
+
+    def test_remove_drops_one_metric(self):
+        reg = MetricsRegistry()
+        reg.counter("events_total").inc(3)
+        reg.gauge("depth").set(1)
+        reg.remove("events_total")
+        reg.remove("never_registered")
+        assert [metric.name for metric in reg.collect()] == ["depth"]
+        assert reg.counter("events_total").value() == 0.0

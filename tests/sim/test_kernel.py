@@ -64,6 +64,25 @@ class TestDeterminism:
     def test_same_seed_same_tie_breaking(self):
         assert self._tie_order(42) == self._tie_order(42)
 
+    def test_schedule_equals_schedule_at_now_plus_delay(self):
+        # schedule() pushes its own heap entry rather than calling
+        # schedule_at(); both must draw the same tie-breaks in the same order.
+        def run(relative):
+            kernel = EventKernel(seed=11)
+            order = []
+            kernel.schedule_at(0.5, lambda: None)
+            kernel.run()
+            delays = [1.0, 0.0, 1.0, 2.5, 0.0, 1.0, 2.5, 1.0] * 3
+            for i, delay in enumerate(delays):
+                if relative:
+                    kernel.schedule(delay, order.append, i)
+                else:
+                    kernel.schedule_at(kernel.now + delay, order.append, i)
+            kernel.run()
+            return order, kernel.now, kernel.executed
+
+        assert run(relative=True) == run(relative=False)
+
     def test_different_seed_can_reorder_ties(self):
         # Seeded tie-breaking means simultaneous actions are not FIFO-biased:
         # across seeds the order of identical timestamps varies.
