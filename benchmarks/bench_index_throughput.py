@@ -6,21 +6,14 @@ the linear scan used by deployed systems), while the worst-case-optimal range
 tree pays for its speed with super-linear storage.  The bench reports
 queries/second for the approximate SFC detector, the linear scan, a k-d tree
 and a static range tree, plus the range tree's storage blow-up.
-
-The SFC detector runs once per ordered-map backend (the flattened sorted
-array that is now the default, and the AVL tree it replaced) so the backend
-swap shows up as an axis in the recorded tables.
 """
 
 from __future__ import annotations
 
-import pytest
-
 from repro.analysis.experiments import run_throughput_experiment
 
 
-@pytest.mark.parametrize("backend", ["flat", "avl"])
-def test_index_throughput(run_once, record_table, backend):
+def test_index_throughput(run_once, record_table):
     table = run_once(
         run_throughput_experiment,
         attributes=2,
@@ -28,9 +21,8 @@ def test_index_throughput(run_once, record_table, backend):
         sizes=(500, 1_000, 2_000),
         num_queries=60,
         epsilon=0.1,
-        backend=backend,
     )
-    record_table(f"index_throughput_{backend}", table)
+    record_table("index_throughput", table)
     rows = table.rows
     # Linear-scan throughput decays as the table grows.
     assert rows[-1]["linear_qps"] < rows[0]["linear_qps"]

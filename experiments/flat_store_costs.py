@@ -2,9 +2,10 @@
 
 The numbers the staging thresholds of
 :class:`repro.index.sfc_array.FlatSegmentStore` are sized from (README,
-"Event-matching fast path"): a merge-rebuild with and without numpy, the same
-per stored run, and a stab of a clean table, of one carrying as many
-tombstones as compaction allows, and per slot waiting in the pending buffer.
+"Event-matching fast path"): a merge-rebuild on the numpy sweep and on the
+Python one (what keys wider than 64 bits take), the same per stored run, and
+a stab of a clean table, of one carrying as many tombstones as compaction
+allows, and per slot waiting in the pending buffer.
 Slots hold the key runs the product configuration stores for stock-scenario
 subscriptions (at most 64 each).
 
@@ -35,7 +36,6 @@ from repro.analysis.reporting import format_table  # noqa: E402
 from repro.index.sfc_array import FlatSegmentStore  # noqa: E402
 from repro.pubsub.match_index import MatchIndex  # noqa: E402
 from repro.pubsub.subscription import Subscription  # noqa: E402
-from repro.sfc import vectorized  # noqa: E402
 from repro.workloads.scenarios import stock_market_scenario  # noqa: E402
 
 SIZES = (4, 8, 20, 32, 128, 1024, 4096)
@@ -88,11 +88,11 @@ def measure(slots: int, seed: int, repeat: int) -> Dict[str, float]:
     store.add_bulk(enumerate(runs))
     total_runs = sum(len(slot_runs) for slot_runs in runs)
     rebuild_s = best_of(repeat, store.rebuild)
-    saved, vectorized.np = vectorized.np, None
+    store._sweep_numpy = lambda: None  # the instance attribute shadows the method
     try:
         fallback_s = best_of(repeat, store.rebuild)
     finally:
-        vectorized.np = saved
+        del store._sweep_numpy
     store.rebuild()
     clean = stab_ns(store, keys, repeat)
 
@@ -137,10 +137,7 @@ def main(argv: Sequence[str] | None = None) -> None:
     parser.add_argument("--out", type=pathlib.Path, default=ROOT / "experiments" / "out" / "flat_store_costs.txt")
     args = parser.parse_args(argv)
     rows = [measure(slots, args.seed, args.repeat) for slots in args.slots]
-    title = (
-        f"flat store costs: stock-scenario runs, seed {args.seed}, best of {args.repeat}, "
-        f"numpy {'on' if vectorized.np is not None else 'off'}"
-    )
+    title = f"flat store costs: stock-scenario runs, seed {args.seed}, best of {args.repeat}"
     table = format_table(rows, title=title, precision=6) + "\n"
     print(table, end="")
     args.out.parent.mkdir(parents=True, exist_ok=True)

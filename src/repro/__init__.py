@@ -7,8 +7,8 @@ covering (ICDCS 2007 / JPDC 2012).  The package is layered bottom-up:
   Edelsbrunner–Overmars rectangle-enclosure ⇄ point-dominance transform.
 * :mod:`repro.sfc` — space filling curves (Z-order, Hilbert, Gray-code) and
   run analysis.
-* :mod:`repro.index` — the SFC array with pluggable ordered-map backends,
-  plus k-d tree and range-tree baselines.
+* :mod:`repro.index` — the SFC array and the flat segment store, plus k-d
+  tree and range-tree baselines.
 * :mod:`repro.core` — the paper's contribution: greedy standard-cube
   decomposition, ε-approximate point dominance, approximate covering
   detection, and the analytic bounds (Theorems 3.1 and 4.1).

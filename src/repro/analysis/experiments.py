@@ -876,7 +876,6 @@ def run_event_matching_experiment(
     num_events: int = 400,
     order: int = 8,
     seed: int = 17,
-    backend: str = "avl",
     run_budget: int = 64,
     curve: str = "zorder",
 ) -> ResultTable:
@@ -885,9 +884,9 @@ def run_event_matching_experiment(
     Builds one interface table per matching mode with the same stored
     subscriptions (mostly narrow, a few broad — the per-interface shape a
     loaded broker sees), verifies the two modes agree on every event, then
-    times ``any_match`` over the event stream.  The crossover the tentpole
-    targets: at ≥ 1,000 stored subscriptions the single ordered-map probe of
-    the index beats scanning the table, and the gap widens with table size.
+    times ``any_match`` over the event stream.  The crossover: at ≥ 1,000
+    stored subscriptions the single sorted-array probe of the index beats
+    scanning the table, and the gap widens with table size.
     """
     from ..pubsub.routing_table import InterfaceTable
 
@@ -921,7 +920,7 @@ def run_event_matching_experiment(
             "bench",
             schema=schema,
             matching="sfc",
-            config=IndexConfig(backend=backend, run_budget=run_budget, curve=curve),
+            config=IndexConfig(run_budget=run_budget, curve=curve),
         )
         subscriptions = _spec_subscriptions(schema, specs)
         for subscription in subscriptions:
@@ -1216,19 +1215,9 @@ def run_throughput_experiment(
     num_queries: int = 60,
     epsilon: float = 0.1,
     seed: int = 23,
-    backend: str = "flat",
 ) -> ResultTable:
-    """E-THROUGHPUT: queries/second vs table size for each covering index.
-
-    ``backend`` selects the SFC-array ordered-map store behind the
-    approximate detector (``"flat"``, ``"avl"``, ``"skiplist"``,
-    ``"sortedlist"``) so backend choice can be ablated on the same workload;
-    answers are backend-independent, only the timings move.
-    """
-    table = ResultTable(
-        "E-THROUGHPUT: covering-check throughput vs stored subscriptions "
-        f"(sfc backend: {backend})"
-    )
+    """E-THROUGHPUT: queries/second vs table size for each covering index."""
+    table = ResultTable("E-THROUGHPUT: covering-check throughput vs stored subscriptions")
     dims = 2 * attributes
     query_workload = SubscriptionWorkload(
         attributes=attributes, attribute_order=order, width_fraction=0.1, seed=seed + 5
@@ -1251,7 +1240,7 @@ def run_throughput_experiment(
         approx = ApproximateCoveringDetector(
             attributes=attributes,
             attribute_order=order,
-            config=IndexConfig(epsilon=epsilon, cube_budget=20_000, backend=backend),
+            config=IndexConfig(epsilon=epsilon, cube_budget=20_000),
         )
         linear = LinearScanCoveringDetector(attributes, order)
         kdtree = KDTree(dims=dims)
@@ -1489,7 +1478,6 @@ def _scale_subscriptions(
 
 def run_match_scale_experiment(
     populations: Sequence[int] = (100_000, 1_000_000),
-    baseline_population: int = 20_000,
     num_events: int = 20_000,
     num_delivery_events: int = 200,
     order: int = 10,
@@ -1498,24 +1486,18 @@ def run_match_scale_experiment(
     parity_subscriptions: int = 400,
     parity_events: int = 300,
     seed: int = 31,
-    min_speedup: float = 0.0,
 ) -> ResultTable:
-    """E-MATCH-SCALE: million-subscription matching on the flattened backends.
+    """E-MATCH-SCALE: million-subscription matching on the flat and sharded stores.
 
-    Three phases, one row each:
+    Two phases:
 
-    * **parity** — every backend (including ``"sharded"``) under every curve
-      must produce delivery sets identical to a brute-force rectangle scan;
-      any disagreement raises instead of producing a row.
-    * **baseline** — per-subscription insert throughput of the ordered-map
-      default of the previous generation (``"avl"``), measured at a size it
-      can sustain.
+    * **parity** — both stores (``"flat"`` and ``"sharded"``) under every
+      curve must produce delivery sets identical to a brute-force rectangle
+      scan; any disagreement raises instead of producing a row.
     * **scale** — for each population: bulk ``add_batch`` build throughput and
       publish throughput (``any_match_batch`` over ``num_events`` events plus
-      ``matching_ids_batch`` over ``num_delivery_events``) for the ``"flat"``
-      and ``"sharded"`` backends, with segment counts, flattened member
-      entries and peak RSS.  ``min_speedup`` (when > 0) asserts the flat bulk
-      build rate is at least that multiple of the baseline insert rate.
+      ``matching_ids_batch`` over ``num_delivery_events``) on both stores,
+      with segment counts, flattened member entries and peak RSS.
     """
     import random
     import resource
@@ -1527,6 +1509,12 @@ def run_match_scale_experiment(
     table = ResultTable("E-MATCH-SCALE: million-subscription matching, flat + sharded backends")
     schema = _default_schema(order)
     side = 1 << order
+
+    def make_index(backend: str, **knobs):
+        config = IndexConfig(precision_bits=precision_bits, shards=shards, **knobs)
+        if backend == "sharded":
+            return ShardedMatchIndex(schema, config=config)
+        return MatchIndex(schema, config=config)
 
     # ---------------------------------------------------------------- parity
     parity_items = _scale_subscriptions(parity_subscriptions, order, seed + 1)
@@ -1542,24 +1530,11 @@ def run_match_scale_experiment(
         )
         for cells in parity_cells
     ]
-    backends = ("flat", "avl", "skiplist", "sortedlist", "sharded")
+    backends = ("flat", "sharded")
     combos = 0
     for curve in CURVE_KINDS:
         for backend in backends:
-            if backend == "sharded":
-                index = ShardedMatchIndex(
-                    schema,
-                    config=IndexConfig(
-                        shards=shards, curve=curve, precision_bits=precision_bits
-                    ),
-                )
-            else:
-                index = MatchIndex(
-                    schema,
-                    config=IndexConfig(
-                        backend=backend, curve=curve, precision_bits=precision_bits
-                    ),
-                )
+            index = make_index(backend, curve=curve)
             index.add_batch(parity_items)
             got = [sorted(ids) for ids in index.matching_ids_batch(parity_cells)]
             if got != oracle:
@@ -1578,26 +1553,6 @@ def run_match_scale_experiment(
         combos_verified=combos,
     )
 
-    # -------------------------------------------------------------- baseline
-    baseline_items = _scale_subscriptions(baseline_population, order, seed)
-    baseline = MatchIndex(
-        schema, config=IndexConfig(backend="avl", precision_bits=precision_bits)
-    )
-    start = time.perf_counter()
-    for sub_id, ranges in baseline_items:
-        baseline.add(sub_id, ranges)
-    baseline_seconds = time.perf_counter() - start
-    baseline_rate = baseline_population / baseline_seconds
-    table.add(
-        phase="baseline",
-        backend="avl",
-        curve="zorder",
-        subscriptions=baseline_population,
-        build_seconds=round(baseline_seconds, 3),
-        inserts_per_second=round(baseline_rate, 1),
-        segments=baseline.segment_count(),
-    )
-
     # ----------------------------------------------------------------- scale
     for population in populations:
         items = _scale_subscriptions(population, order, seed)
@@ -1606,14 +1561,8 @@ def run_match_scale_experiment(
             (event_rng.randrange(side), event_rng.randrange(side))
             for _ in range(num_events)
         ]
-        for backend in ("flat", "sharded"):
-            if backend == "flat":
-                index = MatchIndex(schema, config=IndexConfig(precision_bits=precision_bits))
-            else:
-                index = ShardedMatchIndex(
-                    schema,
-                    config=IndexConfig(shards=shards, precision_bits=precision_bits),
-                )
+        for backend in backends:
+            index = make_index(backend)
             start = time.perf_counter()
             index.add_batch(items)
             build_seconds = time.perf_counter() - start
@@ -1627,20 +1576,9 @@ def run_match_scale_experiment(
             deliveries = index.matching_ids_batch(events[:num_delivery_events])
             delivery_seconds = time.perf_counter() - start
 
-            if backend == "flat":
-                member_entries = index._flat.member_entries
-                rebuilds = index._flat.rebuilds
-                if min_speedup and build_rate < min_speedup * baseline_rate:
-                    raise AssertionError(
-                        f"flat bulk build at {population} subscriptions reached only "
-                        f"{build_rate:.0f}/s vs baseline {baseline_rate:.0f}/s "
-                        f"({build_rate / baseline_rate:.1f}x < {min_speedup}x)"
-                    )
-            else:
-                member_entries = sum(
-                    shard._flat.member_entries for shard in index._indexes
-                )
-                rebuilds = sum(shard._flat.rebuilds for shard in index._indexes)
+            stores = [
+                shard._flat for shard in (index._indexes if backend == "sharded" else [index])
+            ]
             table.add(
                 phase="scale",
                 backend=backend,
@@ -1648,7 +1586,6 @@ def run_match_scale_experiment(
                 subscriptions=population,
                 build_seconds=round(build_seconds, 3),
                 inserts_per_second=round(build_rate, 1),
-                speedup_vs_baseline=round(build_rate / baseline_rate, 2),
                 any_match_events_per_second=round(num_events / any_seconds, 1),
                 matching_hit_rate=round(sum(any_results) / num_events, 4),
                 delivery_events_per_second=round(
@@ -1656,8 +1593,8 @@ def run_match_scale_experiment(
                 ),
                 delivered_matches=sum(len(ids) for ids in deliveries),
                 segments=index.segment_count(),
-                member_entries=member_entries,
-                rebuilds=rebuilds,
+                member_entries=sum(store.member_entries for store in stores),
+                rebuilds=sum(store.rebuilds for store in stores),
                 peak_rss_mb=round(
                     resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1
                 ),

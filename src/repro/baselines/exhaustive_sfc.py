@@ -29,18 +29,14 @@ class ExhaustiveSFCCoveringDetector:
 
     attributes: int
     attribute_order: int
-    backend: str = "avl"
     cube_budget: int = 1_000_000
-    seed: Optional[int] = None
 
     def __post_init__(self) -> None:
         self.transform = DominanceTransform(self.attributes, self.attribute_order)
         self.index = ApproximateDominanceIndex(
             universe=self.transform.universe,
             epsilon=0.0,
-            backend=self.backend,
             cube_budget=self.cube_budget,
-            seed=self.seed,
         )
         self._subscriptions: Dict[Hashable, Tuple[Range, ...]] = {}
 

@@ -400,9 +400,6 @@ class ApproximateDominanceIndex:
     curve:
         The space filling curve; defaults to the Z-order curve analysed in the
         paper.  Any recursive-partitioning curve works.
-    backend:
-        Ordered-map backend for the SFC array
-        (:data:`~repro.index.backends.BACKEND_NAMES`).
     merge_adjacent_runs:
         When True, key ranges of cubes belonging to the same level class are
         merged before probing, so adjacent cubes cost a single probe
@@ -417,10 +414,8 @@ class ApproximateDominanceIndex:
     universe: Universe
     epsilon: float = 0.05
     curve: Optional[SpaceFillingCurve] = None
-    backend: str = "avl"
     merge_adjacent_runs: bool = True
     cube_budget: int = 1_000_000
-    seed: Optional[int] = None
     array: SFCArray = field(init=False)
 
     def __post_init__(self) -> None:
@@ -432,7 +427,7 @@ class ApproximateDominanceIndex:
             self.curve = ZOrderCurve(self.universe)
         elif self.curve.universe != self.universe:
             raise ValueError("curve universe does not match the index universe")
-        self.array = SFCArray(self.curve, backend=self.backend, seed=self.seed)
+        self.array = SFCArray(self.curve)
 
     # ---------------------------------------------------------------- updates
     def __len__(self) -> int:

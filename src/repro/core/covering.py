@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..geometry.transform import DominanceTransform, Range, first_covering
-from ..index.backends import ordered_map_backend_name
 from ..index.config import IndexConfig
 from ..sfc.factory import make_curve
 from .approx_dominance import (
@@ -172,13 +171,11 @@ class ApproximateCoveringDetector:
         approximation parameter ε (0 = exhaustive search), the per-query cap
         on examined standard cubes, the curve keying the dominance index (any
         recursive-partitioning curve gives the same answers, only the probe
-        key ranges differ) and the SFC-array backend.  Defaults to
-        :data:`OFFLINE_CONFIG`.
+        key ranges differ).  Defaults to :data:`OFFLINE_CONFIG`.
     """
 
     attributes: int
     attribute_order: int
-    seed: Optional[int] = None
     config: Optional[IndexConfig] = None
     transform: DominanceTransform = field(init=False)
     index: ApproximateDominanceIndex = field(init=False)
@@ -190,12 +187,7 @@ class ApproximateCoveringDetector:
             universe=self.transform.universe,
             epsilon=config.epsilon,
             curve=make_curve(config.curve, self.transform.universe),
-            # The dominance index needs an ordered map; the composite
-            # "sharded" matching backend maps to the flat store its shards
-            # are built on.
-            backend=ordered_map_backend_name(config.backend),
             cube_budget=config.cube_budget,
-            seed=self.seed,
         )
         self._subscriptions: Dict[Hashable, Tuple[Range, ...]] = {}
 

@@ -1,6 +1,5 @@
-"""Index structures: the SFC array and its backends, plus spatial baselines."""
+"""Index structures: the SFC array and the flat segment store, plus spatial baselines."""
 
-from .avl import AVLTree
 from .config import (
     DEFAULT_CUBE_BUDGET,
     DEFAULT_EPSILON,
@@ -9,33 +8,17 @@ from .config import (
     DEFAULT_RUN_BUDGET,
     DEFAULT_SHARDS,
     INDEX_BACKEND_NAMES,
-    MATCH_BACKEND_NAMES,
     PRECISION_BIT_BUDGET,
     IndexConfig,
-)
-from .backends import (
-    BACKEND_NAMES,
-    DEFAULT_BACKEND,
-    AVLBackend,
-    FlatBackend,
-    OrderedMapBackend,
-    SkipListBackend,
-    SortedListBackend,
-    make_backend,
-    ordered_map_backend_name,
 )
 from .kdtree import KDTree, KDTreeStats
 from .range_tree import RangeTree, RangeTreeStats
 from .rtree import RTree, RTreeStats
-from .sfc_array import FlatSegmentStore, SFCArray, SFCArrayStats, StoredItem
-from .skiplist import SkipList
+from .sfc_array import FlatBackend, FlatSegmentStore, SFCArray, SFCArrayStats, StoredItem
 
 __all__ = [
-    "AVLTree",
-    "SkipList",
     "IndexConfig",
     "INDEX_BACKEND_NAMES",
-    "MATCH_BACKEND_NAMES",
     "DEFAULT_MATCH_BACKEND",
     "DEFAULT_RUN_BUDGET",
     "DEFAULT_PRECISION_BITS",
@@ -43,15 +26,7 @@ __all__ = [
     "DEFAULT_CUBE_BUDGET",
     "DEFAULT_EPSILON",
     "DEFAULT_SHARDS",
-    "BACKEND_NAMES",
-    "DEFAULT_BACKEND",
-    "AVLBackend",
     "FlatBackend",
-    "OrderedMapBackend",
-    "SkipListBackend",
-    "SortedListBackend",
-    "make_backend",
-    "ordered_map_backend_name",
     "KDTree",
     "KDTreeStats",
     "RangeTree",

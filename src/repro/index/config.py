@@ -3,8 +3,9 @@
 The paper's matching machinery trades false positives for probe speed through
 a handful of knobs: which space-filling curve keys the space, how many
 precision bits the decomposition snaps to, how many key runs a subscription
-may occupy, how many ε-cubes a dominance plan may spend, which ordered-map
-backend stores the runs, and how many shards a composite index spreads over.
+may occupy, how many ε-cubes a dominance plan may spend, whether the runs sit
+in one flat store or are sharded, and how many shards a composite index
+spreads over.
 Historically those knobs travelled as loose keyword arguments and duplicated
 module constants; :class:`IndexConfig` gathers them into one validated,
 hashable value so any layer can describe, compare or cache-key a
@@ -32,20 +33,16 @@ __all__ = [
     "DEFAULT_RUN_BUDGET",
     "DEFAULT_SHARDS",
     "INDEX_BACKEND_NAMES",
-    "MATCH_BACKEND_NAMES",
     "PRECISION_BIT_BUDGET",
     "IndexConfig",
 ]
 
-#: Ordered-map backends a :class:`~repro.pubsub.match_index.MatchIndex` can
-#: store its key runs in.
-MATCH_BACKEND_NAMES = ("flat", "avl", "skiplist", "sortedlist")
+#: Match stores an interface table can hold: one
+#: :class:`~repro.pubsub.match_index.MatchIndex` over a flat segment store, or
+#: the composite shard-parallel index of several.
+INDEX_BACKEND_NAMES = ("flat", "sharded")
 
-#: Everything :data:`MATCH_BACKEND_NAMES` accepts plus the composite
-#: shard-parallel index (routing-table level only).
-INDEX_BACKEND_NAMES = MATCH_BACKEND_NAMES + ("sharded",)
-
-#: Default ordered-map backend — the cache-friendly flattened array.
+#: Default match store — a single flat segment store.
 DEFAULT_MATCH_BACKEND = "flat"
 
 #: Cap on key runs stored per subscription (Sec. 3.2 coarsening).

@@ -8,13 +8,15 @@ number of runs touched rather than the volume covered.
 
 :class:`SFCArray` stores ``(item_id, point)`` pairs under their curve keys.
 Multiple items may share a cell (identical subscriptions map to the same
-point), so each key holds a small bucket.  The ordered-map backend is
-pluggable (skip list / AVL tree / sorted list) via
-:mod:`repro.index.backends`.
+point), so each key holds a small bucket.  The buckets live in a
+:class:`FlatBackend`, a flattened sorted key array probed by ``bisect``.
 
 Instrumentation: the array counts range probes and items scanned so that
 benchmarks can report the work done by approximate vs exhaustive queries in
-backend-independent units.
+structure-independent units.
+
+:class:`FlatSegmentStore` is the match side's store: disjoint key segments
+labelled with the subscriptions whose runs cover them.
 """
 
 from __future__ import annotations
@@ -23,14 +25,15 @@ import bisect
 from array import array
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from math import isqrt
+from typing import Any, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from ..sfc import vectorized
+import numpy as np
+
 from ..sfc.base import KeyRange, SpaceFillingCurve
 from ..sfc.runs import merge_key_ranges
-from .backends import OrderedMapBackend, make_backend
 
-__all__ = ["SFCArray", "SFCArrayStats", "StoredItem", "FlatSegmentStore"]
+__all__ = ["FlatBackend", "SFCArray", "SFCArrayStats", "StoredItem", "FlatSegmentStore"]
 
 #: What a sweep of :class:`FlatSegmentStore` produces: segment lower bounds,
 #: segment upper bounds, cuts and members (see the class docstring).
@@ -73,23 +76,139 @@ class _Bucket:
     items: Dict[Hashable, StoredItem] = field(default_factory=dict)
 
 
-class SFCArray:
-    """Points indexed in SFC key order with pluggable ordered-map backend."""
+class FlatBackend:
+    """Flattened sorted-array ordered map with amortised updates.
 
-    def __init__(
-        self,
-        curve: SpaceFillingCurve,
-        backend: str | OrderedMapBackend = "avl",
-        seed: Optional[int] = None,
-    ) -> None:
+    Three parallel structures hold the map:
+
+    * ``_main`` — a sorted key array probed by ``bisect`` (may contain
+      tombstoned keys awaiting compaction);
+    * ``_pending`` — a small sorted insert buffer, merged into ``_main`` when
+      it outgrows ``O(√n)`` (the classic logarithmic-method bound: total merge
+      work stays ``O(n√n)`` element moves, all at C speed via ``list.sort``'s
+      run detection);
+    * ``_dead`` — tombstoned keys still physically present in ``_main``;
+      compaction rewrites ``_main`` once tombstones exceed a quarter of it.
+
+    Probes consult both sorted arrays with two binary searches, skipping
+    tombstones, so queries never pay a Python-level linear scan.
+    """
+
+    def __init__(self) -> None:
+        self._main: List[int] = []
+        self._pending: List[int] = []
+        self._values: Dict[int, Any] = {}
+        self._dead: Set[int] = set()
+        self.merges = 0
+
+    def _pending_cap(self) -> int:
+        return 64 + isqrt(len(self._main))
+
+    def _merge(self) -> None:
+        main = self._main
+        if self._dead:
+            dead = self._dead
+            main = [key for key in main if key not in dead]
+            dead.clear()
+        main.extend(self._pending)
+        # Timsort detects the two pre-sorted runs, so this is a C-speed merge.
+        main.sort()
+        self._main = main
+        self._pending.clear()
+        self.merges += 1
+
+    def insert(self, key: int, value: Any) -> None:
+        if key in self._values:
+            self._values[key] = value
+            return
+        self._values[key] = value
+        if key in self._dead:
+            # The key is still physically in _main; resurrect it in place.
+            self._dead.discard(key)
+            return
+        bisect.insort(self._pending, key)
+        if len(self._pending) > self._pending_cap():
+            self._merge()
+
+    def delete(self, key: int) -> bool:
+        if key not in self._values:
+            return False
+        del self._values[key]
+        idx = bisect.bisect_left(self._pending, key)
+        if idx < len(self._pending) and self._pending[idx] == key:
+            self._pending.pop(idx)
+            return True
+        self._dead.add(key)
+        if len(self._dead) * 4 > len(self._main):
+            self._merge()
+        return True
+
+    def get(self, key: int, default: Any = None) -> Any:
+        return self._values.get(key, default)
+
+    def first_in_range(self, low: int, high: int) -> Optional[Tuple[int, Any]]:
+        best: Optional[int] = None
+        main, dead = self._main, self._dead
+        idx = bisect.bisect_left(main, low)
+        while idx < len(main):
+            key = main[idx]
+            if key > high:
+                break
+            if key not in dead:
+                best = key
+                break
+            idx += 1
+        pending = self._pending
+        idx = bisect.bisect_left(pending, low)
+        if idx < len(pending):
+            key = pending[idx]
+            if key <= high and (best is None or key < best):
+                best = key
+        if best is None:
+            return None
+        return (best, self._values[best])
+
+    def items_in_range(self, low: int, high: int) -> Iterator[Tuple[int, Any]]:
+        main, pending, dead = self._main, self._pending, self._dead
+        i = bisect.bisect_left(main, low)
+        j = bisect.bisect_left(pending, low)
+        while True:
+            while i < len(main) and main[i] in dead:
+                i += 1
+            a = main[i] if i < len(main) else None
+            b = pending[j] if j < len(pending) else None
+            if a is None and b is None:
+                return
+            if b is None or (a is not None and a < b):
+                key = a
+                i += 1
+            else:
+                key = b
+                j += 1
+            if key > high:
+                return
+            yield (key, self._values[key])
+
+    def items(self) -> Iterator[Tuple[int, Any]]:
+        if not self._values:
+            return iter(())
+        low = self._main[0] if self._main else self._pending[0]
+        if self._pending and (not self._main or self._pending[0] < low):
+            low = self._pending[0]
+        return self.items_in_range(low, max(self._main[-1] if self._main else low,
+                                            self._pending[-1] if self._pending else low))
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+
+class SFCArray:
+    """Points indexed in SFC key order, buckets kept in a :class:`FlatBackend`."""
+
+    def __init__(self, curve: SpaceFillingCurve) -> None:
         self.curve = curve
         self.universe = curve.universe
-        if isinstance(backend, str):
-            self._backend: OrderedMapBackend = make_backend(backend, seed=seed)
-            self.backend_name = backend
-        else:
-            self._backend = backend
-            self.backend_name = type(backend).__name__
+        self._backend = FlatBackend()
         self._key_of_item: Dict[Hashable, int] = {}
         self.stats = SFCArrayStats()
 
@@ -230,10 +349,7 @@ class SFCArray:
             yield key
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"SFCArray(curve={self.curve.name}, backend={self.backend_name}, "
-            f"items={len(self)})"
-        )
+        return f"SFCArray(curve={self.curve.name}, items={len(self)})"
 
 
 class FlatSegmentStore:
@@ -241,7 +357,7 @@ class FlatSegmentStore:
 
     The store maps integer *slots* (interned subscription ids) to sets of
     inclusive key runs and answers stabbing queries: "which slots have a run
-    containing key ``k``?".  Instead of one ordered-map node per segment it
+    containing key ``k``?".  Instead of one map node per segment it
     keeps the segments' lower and upper bounds in two parallel sorted lists
     and all their members in one typed array (``array('q')`` of slots) with a
     cut list beside it — segment ``i`` holds ``members[cuts[i]:cuts[i + 1]]``,
@@ -265,8 +381,8 @@ class FlatSegmentStore:
       the buffer entry and leave no garbage at all.
 
     The sweep runs on numpy arrays at every table size (:meth:`_sweep_numpy`;
-    the Python event loop :meth:`_sweep_python` is its fallback and gives the
-    identical layout).  Both thresholds are sized from measured costs (README,
+    the Python event loop :meth:`_sweep_python` takes the keys numpy cannot
+    hold and gives the identical layout).  Both thresholds are sized from measured costs (README,
     "Event-matching fast path"; ``experiments/flat_store_costs.py`` prints
     them): a rebuild costs 0.25–0.4 µs per run, ~20 µs per 64-run slot, a
     pending slot adds ~0.28 µs to every stab, so with at most ``P`` slots
@@ -381,14 +497,11 @@ class FlatSegmentStore:
         into its segment indices (``repeat`` + ``arange``) and sorting the
         expansion stably by segment groups the members per segment.  Runs are
         expanded in slot insertion order and the sort is stable, so that is
-        the member order.  ``None`` (the caller sweeps in Python) when numpy
-        is unavailable, a key is wider than 64 bits, or a run ends at
-        ``2**64 - 1``: the sweep works on exclusive ends, and ``uint64``
-        arithmetic would silently wrap that one to 0.
+        the member order.  ``None`` (the caller sweeps in Python) when a key
+        is wider than 64 bits or a run ends at ``2**64 - 1``: the sweep works
+        on exclusive ends, and ``uint64`` arithmetic would silently wrap that
+        one to 0.
         """
-        np = vectorized.np
-        if np is None:
-            return None
         stored = self._runs
         counts = np.fromiter(map(len, stored.values()), dtype=np.int64, count=len(stored))
         try:
@@ -480,11 +593,11 @@ class FlatSegmentStore:
     def rebuild(self) -> None:
         """Flatten every live run into a fresh layout (one boundary sweep).
 
-        The array sweep does it whatever the table size; the Python sweep is
-        its fallback and produces the identical layout, members of a segment
-        in slot insertion order — so every downstream iteration is
-        deterministic under hash randomisation and the same with and without
-        numpy.
+        The array sweep does it whatever the table size; the Python sweep
+        takes the keys it declines and produces the identical layout, members
+        of a segment in slot insertion order — so every downstream iteration
+        is deterministic under hash randomisation and the same on either
+        sweep.
         """
         layout = self._sweep_numpy()
         if layout is None:

@@ -77,8 +77,7 @@ class Broker:
         Covering strategy kind (:data:`~repro.pubsub.routing_table.COVERING_KINDS`)
         applied independently per outgoing interface.
     samples, seed:
-        Sample count of the ``"probabilistic"`` strategy, and the seed of
-        every randomised component (that strategy, skip-list backends).
+        Sample count and seed of the ``"probabilistic"`` strategy.
     matching:
         Event-matching implementation per interface table: ``"linear"`` scans
         stored subscriptions, ``"sfc"`` routes events through the SFC match
@@ -89,9 +88,7 @@ class Broker:
         match index and the ``"approximate"`` covering strategy (curves
         change run/segment statistics, never semantics), ``epsilon`` and
         ``cube_budget`` shape that strategy's checks, ``backend`` /
-        ``shards`` / ``run_budget`` / ``precision_bits`` the match index
-        (the covering strategy uses the ordered-map backend corresponding to
-        ``backend``; ``"sharded"`` maps to the flat store).
+        ``shards`` / ``run_budget`` / ``precision_bits`` the match index.
     profile_cache:
         Optional shared :class:`ProfileCache` (the network passes one cache
         to all its brokers so a subscription is profiled, and decomposed for
@@ -177,7 +174,6 @@ class Broker:
         return RoutingTable(
             schema=self.schema,
             matching=self.matching,
-            seed=self.seed,
             config=self.config,
             run_cache=self.profile_cache,
         )

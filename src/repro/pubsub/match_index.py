@@ -1,4 +1,4 @@
-"""SFC-keyed forwarding-match index: event matching as a single ordered-map probe.
+"""SFC-keyed forwarding-match index: event matching as a single sorted-array probe.
 
 Brokers answer "does any subscription stored on this interface match event
 ``p``?" for every event on every interface — the dominant cost of event
@@ -15,12 +15,12 @@ single cell, i.e. a single key.  "Event matches subscription" is exactly
 "``key(p)`` lies inside one of the subscription's runs".  The index
 therefore stores the runs of every
 subscription, flattened into *disjoint* key segments each labelled with the
-set of subscriptions whose runs cover it.  Because the segments are disjoint,
-the segment containing ``key(p)`` — if any — is found by one
-``first_in_range(key(p), max_key)`` probe on an ordered-map backend from
-:mod:`repro.index.backends` (the segment with the smallest upper endpoint
-``>= key(p)``; the point is inside it iff the segment's lower endpoint is
-``<= key(p)``).
+set of subscriptions whose runs cover it
+(:class:`~repro.index.sfc_array.FlatSegmentStore`).  Because the segments are
+disjoint, the segment containing ``key(p)`` — if any — is found by one
+``bisect`` on the segments' upper endpoints (the segment with the smallest
+upper endpoint ``>= key(p)``; the point is inside it iff the segment's lower
+endpoint is ``<= key(p)``).
 
 Three refinements keep the structure bounded and sound:
 
@@ -47,30 +47,19 @@ Three refinements keep the structure bounded and sound:
 Together: no false negatives (exact runs cover every matching key and
 coarsening only widens them), no false positives (the rectangle check rejects
 them) — the index is behaviourally identical to the linear scan while the
-per-event cost is one ordered-map probe plus the candidates of one segment.
+per-event cost is one ``bisect`` plus the candidates of one segment.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    FrozenSet,
-    Hashable,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, FrozenSet, Hashable, List, Optional, Sequence, Tuple
 
 from ..core.decomposition import decompose_rectangle
 from ..geometry.rect import Rectangle, StandardCube
 from ..geometry.universe import Universe
-from ..index.backends import make_backend
-from ..index.config import MATCH_BACKEND_NAMES, PRECISION_BIT_BUDGET, IndexConfig
+from ..index.config import PRECISION_BIT_BUDGET, IndexConfig
 from ..index.sfc_array import FlatSegmentStore
 from ..sfc.base import KeyRange
 from ..sfc.factory import make_curve
@@ -91,7 +80,7 @@ def _grid_run_table(kind: str, dims: int, order: int, bits: int) -> GridRunTable
 
 @dataclass
 class MatchIndexStats:
-    """Operation counters (backend-independent work units for benchmarks)."""
+    """Operation counters (store-independent work units for benchmarks)."""
 
     inserts: int = 0
     removals: int = 0
@@ -100,21 +89,6 @@ class MatchIndexStats:
     lookups: int = 0
     candidates_checked: int = 0
     false_positives: int = 0
-
-
-@dataclass
-class _Segment:
-    """One maximal key interval covered by a fixed set of subscriptions.
-
-    Stored in the ordered-map backend under the segment's inclusive *upper*
-    endpoint; ``lo`` is the inclusive lower endpoint.  Segments are pairwise
-    disjoint and non-adjacent segments never share an identical ``subs`` set
-    for long (removal re-coalesces), so the backend size stays proportional to
-    the stored run count.
-    """
-
-    lo: int
-    subs: Set[Hashable] = field(default_factory=set)
 
 
 class MatchIndex:
@@ -127,15 +101,14 @@ class MatchIndex:
         (``d = num_attributes`` dimensions, ``2^order`` cells per side).
     config:
         The :class:`~repro.index.config.IndexConfig` (defaults to
-        ``IndexConfig()``).  The index reads four of its fields.  ``backend``
-        names the segment store (:data:`~repro.index.config.MATCH_BACKEND_NAMES`):
-        ``"flat"`` (the default) keeps the disjoint segments in parallel sorted
-        arrays probed by ``bisect``, with bulk-load construction, a pending-run
-        buffer and amortised merge-rebuilds
-        (:class:`~repro.index.sfc_array.FlatSegmentStore`); the ordered-map
-        names (``"avl"``, ``"skiplist"``, ``"sortedlist"``) store one node per
-        segment and remain selectable for the ablation.  ``run_budget`` caps
-        the key ranges stored per subscription (see module docstring).
+        ``IndexConfig()``).  The index reads four of its fields; ``backend``
+        is not one of them (the disjoint segments always live in one
+        :class:`~repro.index.sfc_array.FlatSegmentStore`: parallel sorted
+        arrays probed by ``bisect``, with bulk-load construction, a
+        pending-run buffer and amortised merge-rebuilds; ``"sharded"`` is
+        :class:`~repro.pubsub.sharded_index.ShardedMatchIndex` over several
+        of these).  ``run_budget`` caps the key ranges stored per
+        subscription (see module docstring).
         ``precision_bits`` is the grid resolution (bits per dimension) at
         which rectangles are decomposed; schemas with a larger order have
         their rectangles snapped outward to this grid first, and ``None``
@@ -144,8 +117,6 @@ class MatchIndex:
         names the space-filling curve (:data:`~repro.sfc.factory.CURVE_KINDS`)
         keying the segments; curves differ in run counts — and therefore in
         segment counts and false-positive rates — never in match answers.
-    seed:
-        Seed of the randomised ordered-map backends (the skip list).
     run_cache:
         Optional :class:`~repro.pubsub.subscription_store.ProfileCache`
         memoising each snapped rectangle's key runs.  A rectangle's runs are
@@ -158,24 +129,16 @@ class MatchIndex:
     def __init__(
         self,
         schema: AttributeSchema,
-        seed: Optional[int] = None,
         config: Optional[IndexConfig] = None,
         run_cache: Optional["ProfileCache"] = None,
     ) -> None:
         config = config or IndexConfig()
-        if config.backend not in MATCH_BACKEND_NAMES:
-            raise ValueError(
-                f"MatchIndex backend must be one of {MATCH_BACKEND_NAMES}, got "
-                f"{config.backend!r} (the composite 'sharded' backend lives in "
-                f"ShardedMatchIndex)"
-            )
         self.config = config
         self.schema = schema
         self.universe = Universe(dims=schema.num_attributes, order=schema.order)
         self.curve = make_curve(config.curve, self.universe)
         self.run_budget = config.run_budget
         self.precision_bits = config.effective_precision_bits(self.universe.dims)
-        backend = config.backend
         effective = min(self.precision_bits, self.universe.order)
         self._snap = 1 << (self.universe.order - effective)
         self._run_cache = run_cache
@@ -193,36 +156,26 @@ class MatchIndex:
         # off the shared table, fetched on the first uncached rectangle.
         self._tabulated = self.universe.dims * effective <= PRECISION_BIT_BUDGET
         self._grid_runs: Optional[GridRunTable] = None
-        self.backend_name = backend
-        if backend == "flat":
-            self._flat: Optional[FlatSegmentStore] = FlatSegmentStore()
-            self._segments = None
-            # Subscription-id interning: the flat store works on integer
-            # slots so its member arrays are machine-word arrays rather than
-            # object tuples.  Slots are never reused.
-            self._slot_of: Dict[Hashable, int] = {}
-            self._id_of: Dict[int, Hashable] = {}
-            self._rect_of_slot: Dict[int, Tuple[Tuple[int, int], ...]] = {}
-            self._next_slot = 0
-        else:
-            self._flat = None
-            self._segments = make_backend(backend, seed=seed)
-        self._ranges: Dict[Hashable, Tuple[KeyRange, ...]] = {}
-        self._rects: Dict[Hashable, Tuple[Tuple[int, int], ...]] = {}
+        self._flat = FlatSegmentStore()
+        # Subscription-id interning: the flat store works on integer slots so
+        # its member arrays are machine-word arrays rather than object
+        # tuples.  Slots are never reused.
+        self._slot_of: Dict[Hashable, int] = {}
+        self._id_of: Dict[int, Hashable] = {}
+        self._rect_of_slot: Dict[int, Tuple[Tuple[int, int], ...]] = {}
+        self._next_slot = 0
         self.stats = MatchIndexStats()
 
     # ------------------------------------------------------------------ basics
     def __len__(self) -> int:
-        return len(self._rects)
+        return len(self._slot_of)
 
     def __contains__(self, sub_id: Hashable) -> bool:
-        return sub_id in self._rects
+        return sub_id in self._slot_of
 
     def segment_count(self) -> int:
         """Number of disjoint key segments currently stored (structure size)."""
-        if self._flat is not None:
-            return self._flat.segment_count()
-        return len(self._segments)
+        return self._flat.segment_count()
 
     def event_key(self, cells: Sequence[int]) -> int:
         """Curve key of an event's quantised cell vector."""
@@ -329,29 +282,6 @@ class MatchIndex:
                 cache.store_match_runs((run_key, signatures[i]), entry)
         return entries
 
-    def _store(
-        self,
-        sub_id: Hashable,
-        rect_ranges: Tuple[Tuple[int, int], ...],
-        runs: Tuple[KeyRange, ...],
-    ) -> Optional[int]:
-        """Record a subscription; returns its slot under the flat backend."""
-        self._rects[sub_id] = rect_ranges
-        slot: Optional[int] = None
-        if self._flat is not None:
-            slot = self._next_slot
-            self._next_slot = slot + 1
-            self._slot_of[sub_id] = slot
-            self._id_of[slot] = sub_id
-            self._rect_of_slot[slot] = rect_ranges
-        else:
-            self._ranges[sub_id] = runs
-            for lo, hi in runs:
-                self._insert_range(lo, hi, sub_id)
-        self.stats.inserts += 1
-        self.stats.runs_stored += len(runs)
-        return slot
-
     def add(self, sub_id: Hashable, ranges: Sequence[Tuple[int, int]]) -> None:
         """Index a subscription's quantised per-attribute ranges (replacing any previous).
 
@@ -359,13 +289,19 @@ class MatchIndex:
         the previously stored entry intact.
         """
         rect_ranges = self._validate_ranges(ranges)
-        if sub_id in self._rects:
+        if sub_id in self._slot_of:
             self.remove(sub_id)
         [(runs, coarsened)] = self._runs_for([self._snap_signature(rect_ranges)])
-        self.stats.coarsened_subscriptions += coarsened
-        slot = self._store(sub_id, rect_ranges, runs)
-        if slot is not None:
-            self._flat.add(slot, runs)
+        stats = self.stats
+        stats.coarsened_subscriptions += coarsened
+        slot = self._next_slot
+        self._next_slot = slot + 1
+        self._slot_of[sub_id] = slot
+        self._id_of[slot] = sub_id
+        self._rect_of_slot[slot] = rect_ranges
+        stats.inserts += 1
+        stats.runs_stored += len(runs)
+        self._flat.add(slot, runs)
 
     #: Distinct snapped rectangles decomposed per chunk of :meth:`add_batch`,
     #: bounding the number of standard cubes held in memory at once while
@@ -382,9 +318,8 @@ class MatchIndex:
         on cost: subscriptions sharing a snapped rectangle are decomposed
         once (not at all when the run cache already holds the rectangle),
         each chunk keys all its decomposition cubes through one
-        :meth:`SpaceFillingCurve.cube_key_ranges` call, and under the flat
-        backend the whole batch is flattened by a single merge-rebuild
-        instead of per-subscription segment splicing.
+        :meth:`SpaceFillingCurve.cube_key_ranges` call, and the whole batch
+        is flattened by a single merge-rebuild.
         """
         # One fused validate + dedup pass (the body mirrors _validate_ranges;
         # a million-subscription batch cannot afford a function call per item).
@@ -408,8 +343,9 @@ class MatchIndex:
                     )
                 out.append((lo, hi))
             deduped[sub_id] = tuple(out)
+        slot_of = self._slot_of
         for sub_id in deduped:
-            if sub_id in self._rects:
+            if sub_id in slot_of:
                 self.remove(sub_id)
         # Group subscriptions by snapped rectangle: each distinct signature is
         # decomposed once for the whole batch.
@@ -425,13 +361,9 @@ class MatchIndex:
                 groups[signature] = members = []
             members.append((sub_id, rect_ranges))
         signatures = list(groups)
-        flat = self._flat
-        rects = self._rects
-        if flat is not None:
-            slot_of = self._slot_of
-            id_of = self._id_of
-            rect_of_slot = self._rect_of_slot
-            next_slot = self._next_slot
+        id_of = self._id_of
+        rect_of_slot = self._rect_of_slot
+        next_slot = self._next_slot
         runs_stored = 0
         bulk: List[Tuple[int, Tuple[KeyRange, ...]]] = []
         for start in range(0, len(signatures), self.BATCH_CHUNK):
@@ -440,48 +372,31 @@ class MatchIndex:
             for signature, (runs, coarsened) in zip(chunk, entries):
                 self.stats.coarsened_subscriptions += coarsened
                 num_runs = len(runs)
-                if flat is not None:
-                    # Inlined flat-path _store: the per-call overhead would
-                    # dominate a bulk load.
-                    for sub_id, rect_ranges in groups[signature]:
-                        rects[sub_id] = rect_ranges
-                        slot_of[sub_id] = next_slot
-                        id_of[next_slot] = sub_id
-                        rect_of_slot[next_slot] = rect_ranges
-                        bulk.append((next_slot, runs))
-                        next_slot += 1
-                        runs_stored += num_runs
-                else:
-                    for sub_id, rect_ranges in groups[signature]:
-                        self._store(sub_id, rect_ranges, runs)
-        if flat is not None:
-            self.stats.inserts += next_slot - self._next_slot
-            self.stats.runs_stored += runs_stored
-            self._next_slot = next_slot
-            if bulk:
-                flat.add_bulk(bulk)
+                # Inlined slot assignment (the body of add): the per-call
+                # overhead would dominate a bulk load.
+                for sub_id, rect_ranges in groups[signature]:
+                    slot_of[sub_id] = next_slot
+                    id_of[next_slot] = sub_id
+                    rect_of_slot[next_slot] = rect_ranges
+                    bulk.append((next_slot, runs))
+                    next_slot += 1
+                    runs_stored += num_runs
+        self.stats.inserts += next_slot - self._next_slot
+        self.stats.runs_stored += runs_stored
+        self._next_slot = next_slot
+        if bulk:
+            self._flat.add_bulk(bulk)
 
     def remove(self, sub_id: Hashable) -> bool:
         """Drop a subscription from the index; return True when it was present."""
-        if self._flat is not None:
-            slot = self._slot_of.pop(sub_id, None)
-            if slot is None:
-                return False
-            del self._rects[sub_id]
-            del self._id_of[slot]
-            del self._rect_of_slot[slot]
-            removed_runs = self._flat.remove(slot)
-            self.stats.removals += 1
-            self.stats.runs_stored -= removed_runs
-            return True
-        runs = self._ranges.pop(sub_id, None)
-        if runs is None:
+        slot = self._slot_of.pop(sub_id, None)
+        if slot is None:
             return False
-        del self._rects[sub_id]
-        for lo, hi in runs:
-            self._remove_range(lo, hi, sub_id)
+        del self._id_of[slot]
+        del self._rect_of_slot[slot]
+        removed_runs = self._flat.remove(slot)
         self.stats.removals += 1
-        self.stats.runs_stored -= len(runs)
+        self.stats.runs_stored -= removed_runs
         return True
 
     def _coarsen(self, runs: List[KeyRange]) -> Tuple[Tuple[KeyRange, ...], bool]:
@@ -510,112 +425,14 @@ class MatchIndex:
         coarsened.append((current_lo, current_hi))
         return tuple(coarsened), True
 
-    # ----------------------------------------------------- segment maintenance
-    def _overlapping(self, lo: int, hi: int) -> List[Tuple[int, _Segment]]:
-        """Return the stored segments intersecting ``[lo, hi]`` in key order."""
-        overlapping: List[Tuple[int, _Segment]] = []
-        for seg_hi, segment in self._segments.items_in_range(lo, self.universe.max_key):
-            if segment.lo > hi:
-                break
-            overlapping.append((seg_hi, segment))
-        return overlapping
-
-    def _insert_range(self, lo: int, hi: int, sub_id: Hashable) -> None:
-        overlapping = self._overlapping(lo, hi)
-        # Segments fully inside the range only gain a member: mutate their
-        # sets in place.  Backend deletes/inserts are needed only for the at
-        # most two segments straddling the range endpoints and for the gap
-        # segments the range newly populates, keeping structural ordered-map
-        # work O(gaps + 2) instead of O(overlapping segments).
-        to_delete: List[int] = []
-        rebuilt: List[Tuple[int, int, Set[Hashable]]] = []
-        cursor = lo
-        for seg_hi, segment in overlapping:
-            mid_lo = max(segment.lo, lo)
-            if cursor < mid_lo:
-                # Gap between covered segments belongs to the new range alone.
-                rebuilt.append((cursor, mid_lo - 1, {sub_id}))
-            mid_hi = min(seg_hi, hi)
-            if segment.lo >= lo and seg_hi <= hi:
-                segment.subs.add(sub_id)
-            else:
-                to_delete.append(seg_hi)
-                if segment.lo < lo:
-                    rebuilt.append((segment.lo, lo - 1, set(segment.subs)))
-                rebuilt.append((mid_lo, mid_hi, set(segment.subs) | {sub_id}))
-                if seg_hi > hi:
-                    rebuilt.append((hi + 1, seg_hi, set(segment.subs)))
-            cursor = mid_hi + 1
-        if cursor <= hi:
-            rebuilt.append((cursor, hi, {sub_id}))
-        for seg_hi in to_delete:
-            self._segments.delete(seg_hi)
-        for seg_lo, seg_hi, subs in rebuilt:
-            self._segments.insert(seg_hi, _Segment(seg_lo, subs))
-
-    def _remove_range(self, lo: int, hi: int, sub_id: Hashable) -> None:
-        # Segments were split at this range's endpoints on insertion and later
-        # operations only split further, so any segment containing sub_id lies
-        # fully inside [lo, hi]; straddling segments belong to other
-        # subscriptions and pass through untouched.
-        survivors: List[Tuple[int, int, _Segment]] = []
-        for seg_hi, segment in self._overlapping(lo, hi):
-            if segment.lo >= lo and seg_hi <= hi:
-                segment.subs.discard(sub_id)
-                if not segment.subs:
-                    self._segments.delete(seg_hi)
-                    continue
-            survivors.append((segment.lo, seg_hi, segment))
-        # Re-coalesce adjacent fragments left identical by the removal so
-        # churn does not permanently fragment the key space.
-        index = 0
-        while index + 1 < len(survivors):
-            lo_a, hi_a, seg_a = survivors[index]
-            lo_b, hi_b, seg_b = survivors[index + 1]
-            if hi_a + 1 == lo_b and seg_a.subs == seg_b.subs:
-                self._segments.delete(hi_a)
-                self._segments.delete(hi_b)
-                merged = _Segment(lo_a, seg_a.subs)
-                self._segments.insert(hi_b, merged)
-                survivors[index + 1] = (lo_a, hi_b, merged)
-            index += 1
-
     # ----------------------------------------------------------------- queries
-    _EMPTY: FrozenSet[Hashable] = frozenset()
-
-    def _stab(self, key: int):
-        """Candidates of the segment containing ``key``.
-
-        Flat backend: one ``bisect`` in the parallel arrays, yielding interned
-        slots.  Ordered-map backends: one ``first_in_range`` probe — segments
-        are disjoint, so the segment with the smallest upper endpoint
-        ``>= key`` is the only one that can contain ``key``; yields
-        subscription ids.  Callers must not mutate the returned collection.
-        """
-        self.stats.lookups += 1
-        if self._flat is not None:
-            return self._flat.stab(key)
-        hit = self._segments.first_in_range(key, self.universe.max_key)
-        if hit is None:
-            return self._EMPTY
-        _, segment = hit
-        if segment.lo > key:
-            return self._EMPTY
-        return segment.subs
-
     def candidates(self, key: int) -> FrozenSet[Hashable]:
         """Subscriptions whose stored (possibly coarsened) runs contain ``key``."""
-        if self._flat is not None:
-            return frozenset(self._id_of[slot] for slot in self._stab(key))
-        return frozenset(self._stab(key))
+        self.stats.lookups += 1
+        id_of = self._id_of
+        return frozenset([id_of[slot] for slot in self._flat.stab(key)])
 
-    def _rect_contains(self, sub_id: Hashable, cells: Sequence[int]) -> bool:
-        for (lo, hi), cell in zip(self._rects[sub_id], cells):
-            if not lo <= cell <= hi:
-                return False
-        return True
-
-    # The flat paths below inline the rectangle test as an early-exit
+    # The queries below inline the rectangle test as an early-exit
     # ``for ... else`` loop: it runs once per candidate, and ``all()`` over a
     # generator costs about twice as much.
     def any_match(self, cells: Sequence[int], key: Optional[int] = None) -> bool:
@@ -623,24 +440,17 @@ class MatchIndex:
         if key is None:
             key = self.curve.key(cells)
         stats = self.stats
-        if self._flat is not None:
-            rect_of_slot = self._rect_of_slot
-            for slot in self._flat.stab(key):
-                stats.candidates_checked += 1
-                for (lo, hi), cell in zip(rect_of_slot[slot], cells):
-                    if not lo <= cell <= hi:
-                        stats.false_positives += 1
-                        break
-                else:
-                    stats.lookups += 1
-                    return True
-            stats.lookups += 1
-            return False
-        for sub_id in self._stab(key):
+        rect_of_slot = self._rect_of_slot
+        for slot in self._flat.stab(key):
             stats.candidates_checked += 1
-            if self._rect_contains(sub_id, cells):
+            for (lo, hi), cell in zip(rect_of_slot[slot], cells):
+                if not lo <= cell <= hi:
+                    stats.false_positives += 1
+                    break
+            else:
+                stats.lookups += 1
                 return True
-            stats.false_positives += 1
+        stats.lookups += 1
         return False
 
     def matching_ids(self, cells: Sequence[int], key: Optional[int] = None) -> List[Hashable]:
@@ -649,25 +459,17 @@ class MatchIndex:
             key = self.curve.key(cells)
         matched: List[Hashable] = []
         stats = self.stats
-        if self._flat is not None:
-            rect_of_slot = self._rect_of_slot
-            id_of = self._id_of
-            for slot in self._flat.stab(key):
-                stats.candidates_checked += 1
-                for (lo, hi), cell in zip(rect_of_slot[slot], cells):
-                    if not lo <= cell <= hi:
-                        stats.false_positives += 1
-                        break
-                else:
-                    matched.append(id_of[slot])
-            stats.lookups += 1
-            return matched
-        for sub_id in self._stab(key):
+        rect_of_slot = self._rect_of_slot
+        id_of = self._id_of
+        for slot in self._flat.stab(key):
             stats.candidates_checked += 1
-            if self._rect_contains(sub_id, cells):
-                matched.append(sub_id)
+            for (lo, hi), cell in zip(rect_of_slot[slot], cells):
+                if not lo <= cell <= hi:
+                    stats.false_positives += 1
+                    break
             else:
-                stats.false_positives += 1
+                matched.append(id_of[slot])
+        stats.lookups += 1
         return matched
 
     # ------------------------------------------------------------ batch queries

@@ -261,9 +261,7 @@ def make_covering_strategy(
     enforce such a bound in practice so a single subscription arrival cannot
     stall the forwarding path — and with it the size of a link's forwarded
     set up to which that set is compared directly instead of probed,
-    ``curve`` keys its dominance index, and
-    ``backend`` may be any routing-layer name; the composite ``"sharded"``
-    matching backend maps to the ordered-map backend its shards are built on.
+    and ``curve`` keys its dominance index.
     """
     check_covering_kind(kind)
     attributes = schema.num_attributes
@@ -283,7 +281,7 @@ class InterfaceTable:
     Event matching is pluggable: ``matching="linear"`` scans the stored
     subscriptions per event (the baseline), ``matching="sfc"`` maintains a
     :class:`~repro.pubsub.match_index.MatchIndex` so that "does anything here
-    match?" is a single ordered-map probe plus a handful of rectangle checks.
+    match?" is a single sorted-array probe plus a handful of rectangle checks.
     Both give identical answers; the audit in :class:`BrokerNetwork` can be
     run under either to compare them.
 
@@ -299,7 +297,6 @@ class InterfaceTable:
         interface_id: Hashable,
         schema: Optional[AttributeSchema] = None,
         matching: str = "linear",
-        seed: Optional[int] = None,
         config: Optional[IndexConfig] = None,
         run_cache: Optional["ProfileCache"] = None,
     ) -> None:
@@ -319,10 +316,10 @@ class InterfaceTable:
             self._index = None
         elif config.backend == "sharded":
             self._index = ShardedMatchIndex(
-                schema, workers="inline", seed=seed, config=config, run_cache=run_cache
+                schema, workers="inline", config=config, run_cache=run_cache
             )
         else:
-            self._index = MatchIndex(schema, seed=seed, config=config, run_cache=run_cache)
+            self._index = MatchIndex(schema, config=config, run_cache=run_cache)
 
     @property
     def match_index(self):
@@ -410,7 +407,6 @@ class RoutingTable:
         self,
         schema: Optional[AttributeSchema] = None,
         matching: str = "linear",
-        seed: Optional[int] = None,
         config: Optional[IndexConfig] = None,
         run_cache: Optional["ProfileCache"] = None,
     ) -> None:
@@ -425,7 +421,6 @@ class RoutingTable:
         self.matching_kind = matching
         self.config = config
         self._run_cache = run_cache
-        self._seed = seed
         self._tables: Dict[Hashable, InterfaceTable] = {}
         self._curve: Optional[SpaceFillingCurve] = (
             make_curve(
@@ -450,7 +445,6 @@ class RoutingTable:
                 interface_id,
                 schema=self.schema,
                 matching=self.matching_kind,
-                seed=self._seed,
                 config=self.config,
                 run_cache=self._run_cache,
             )

@@ -4,7 +4,7 @@ One :class:`~repro.pubsub.match_index.MatchIndex` holds every subscription of
 an interface in a single flattened store.  At millions of subscriptions two
 costs concentrate there: merge-rebuilds touch every live run, and a publish
 batch probes one structure serially.  :class:`ShardedMatchIndex` splits the
-subscription set round-robin across ``shards`` independent flat-backend
+subscription set round-robin across ``shards`` independent match
 indexes, so rebuild work per shard shrinks by the shard count and a publish
 batch becomes a scatter/gather: every shard answers the whole batch against
 its own (disjoint) slice, and the union of the answers is exact because
@@ -49,9 +49,9 @@ __all__ = ["ShardedMatchIndex", "WORKER_KINDS"]
 WORKER_KINDS = ("inline", "process")
 
 
-def _shard_worker(conn, schema, config, seed) -> None:
+def _shard_worker(conn, schema, config) -> None:
     """Worker loop of one process shard: apply mutations, answer query batches."""
-    index = MatchIndex(schema, seed=seed, config=config)
+    index = MatchIndex(schema, config=config)
     while True:
         msg = conn.recv()
         op = msg[0]
@@ -75,15 +75,14 @@ def _shard_worker(conn, schema, config, seed) -> None:
 
 
 class ShardedMatchIndex:
-    """A :class:`MatchIndex` façade over ``shards`` disjoint flat-backend shards.
+    """A :class:`MatchIndex` façade over ``shards`` disjoint shards.
 
     Exposes the same update/query surface as :class:`MatchIndex` (the routing
     stack selects it with ``backend="sharded"``), with identical answers: the
     shards partition the subscription set, so the union of per-shard matches
     is exactly the unsharded match set.  ``config`` supplies the shard count
     (``shards``) and the per-shard ``run_budget`` / ``precision_bits`` /
-    ``curve``; its ``backend`` is ignored (the shards are flat-backend
-    indexes).  ``run_cache`` is shared by the inline shards (see :class:`MatchIndex`); process workers live in their
+    ``curve``.  ``run_cache`` is shared by the inline shards (see :class:`MatchIndex`); process workers live in their
     own address space and decompose for themselves.
     """
 
@@ -93,7 +92,6 @@ class ShardedMatchIndex:
         self,
         schema: AttributeSchema,
         workers: str = "inline",
-        seed: Optional[int] = None,
         config: Optional[IndexConfig] = None,
         run_cache: Optional["ProfileCache"] = None,
     ) -> None:
@@ -103,8 +101,6 @@ class ShardedMatchIndex:
                 f"unknown worker kind {workers!r}; expected one of {WORKER_KINDS}"
             )
         self.config = config
-        # The shards themselves are plain flat-backend MatchIndexes.
-        shard_config = config.replace(backend="flat")
         self.schema = schema
         self.shards = config.shards
         self.workers = workers
@@ -117,7 +113,7 @@ class ShardedMatchIndex:
         self._next_shard = 0
         if workers == "inline":
             self._indexes: Optional[List[MatchIndex]] = [
-                MatchIndex(schema, seed=seed, config=shard_config, run_cache=run_cache)
+                MatchIndex(schema, config=config, run_cache=run_cache)
                 for _ in range(self.shards)
             ]
             self._conns = None
@@ -132,12 +128,12 @@ class ShardedMatchIndex:
             self._indexes = None
             self._conns = []
             self._procs = []
-            self._validator = MatchIndex(schema, seed=seed, config=shard_config)
+            self._validator = MatchIndex(schema, config=config)
             for _ in range(self.shards):
                 parent_conn, child_conn = ctx.Pipe()
                 proc = ctx.Process(
                     target=_shard_worker,
-                    args=(child_conn, schema, shard_config, seed),
+                    args=(child_conn, schema, config),
                     daemon=True,
                 )
                 proc.start()

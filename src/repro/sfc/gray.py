@@ -56,7 +56,7 @@ class GrayCodeCurve(SpaceFillingCurve):
     def keys(self, points: Sequence[Sequence[int]]) -> List[int]:
         """Keys of a batch of cells; identical to ``[self.key(p) for p in points]``.
 
-        When numpy is available and keys fit a machine word the batch is
+        When keys fit a machine word the batch is
         interleaved and Gray-decoded by the vector kernels
         (:func:`repro.sfc.vectorized.gray_keys`).  The pure-Python fallback
         reuses the Z curve's trick — each distinct coordinate value is

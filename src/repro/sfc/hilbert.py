@@ -47,7 +47,7 @@ class HilbertCurve(SpaceFillingCurve):
     def keys(self, points: Sequence[Sequence[int]]) -> List[int]:
         """Keys of a batch of cells; identical to ``[self.key(p) for p in points]``.
 
-        When numpy is available and keys fit a machine word, Skilling's
+        When keys fit a machine word, Skilling's
         transpose runs column-wise over the whole batch
         (:func:`repro.sfc.vectorized.hilbert_keys`).  The pure-Python fallback
         memoises the transpose per distinct cell, so batches with recurring

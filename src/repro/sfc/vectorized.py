@@ -23,39 +23,24 @@ scalar path.  They apply only when every key fits a ``uint64``
 (``dims · order ≤ 63``); wider universes, non-integer input, or coordinates
 outside the universe make the kernels return ``None`` so callers fall back to
 the scalar path (which performs the canonical validation and raises the
-canonical errors).
-
-numpy is optional.  When it is not installed — or when the environment
-variable ``REPRO_NO_NUMPY`` is set, which CI uses to pin the fallback path —
-every kernel returns ``None`` and the per-curve pure-Python batch
-implementations take over.
+canonical errors).  The per-curve pure-Python batch implementations take
+those inputs, and are the reference the kernels are tested against.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..geometry.bits import spread_bits
 
 __all__ = [
-    "HAVE_NUMPY",
     "MAX_VECTOR_KEY_BITS",
     "zorder_keys",
     "hilbert_keys",
     "gray_keys",
 ]
-
-if os.environ.get("REPRO_NO_NUMPY"):
-    np = None
-else:
-    try:
-        import numpy as np
-    except ImportError:  # pragma: no cover - depends on environment
-        np = None
-
-#: True when the numpy kernels are importable and not disabled.
-HAVE_NUMPY = np is not None
 
 #: Keys wider than this cannot be vectorized (they must fit a ``uint64``
 #: with all intermediate shifts well-defined).
@@ -119,7 +104,7 @@ def zorder_keys(
     points: Sequence[Sequence[int]], dims: int, order: int, max_coordinate: int
 ) -> Optional[List[int]]:
     """Batch Z-order keys, or ``None`` when the batch must take the scalar path."""
-    if np is None or dims * order > MAX_VECTOR_KEY_BITS:
+    if dims * order > MAX_VECTOR_KEY_BITS:
         return None
     coords = _coords(points, dims, max_coordinate)
     if coords is None:
@@ -131,7 +116,7 @@ def hilbert_keys(
     points: Sequence[Sequence[int]], dims: int, order: int, max_coordinate: int
 ) -> Optional[List[int]]:
     """Batch Hilbert keys (vectorized Skilling transpose), or ``None``."""
-    if np is None or dims * order > MAX_VECTOR_KEY_BITS:
+    if dims * order > MAX_VECTOR_KEY_BITS:
         return None
     coords = _coords(points, dims, max_coordinate)
     if coords is None:
@@ -168,7 +153,7 @@ def gray_keys(
     points: Sequence[Sequence[int]], dims: int, order: int, max_coordinate: int
 ) -> Optional[List[int]]:
     """Batch Gray-code keys (interleave + vectorized Gray decode), or ``None``."""
-    if np is None or dims * order > MAX_VECTOR_KEY_BITS:
+    if dims * order > MAX_VECTOR_KEY_BITS:
         return None
     coords = _coords(points, dims, max_coordinate)
     if coords is None:

@@ -58,7 +58,7 @@ class ZOrderCurve(SpaceFillingCurve):
     def keys(self, points: Sequence[Sequence[int]]) -> List[int]:
         """Keys of a batch of cells, amortising the bit-interleaving work.
 
-        When numpy is available and every key fits a machine word the whole
+        When every key fits a machine word the whole
         batch is interleaved through the table-driven kernel in
         :mod:`repro.sfc.vectorized`.  Otherwise each distinct coordinate value
         is Morton-spread at most once per dimension across the batch, so

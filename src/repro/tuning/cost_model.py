@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Sequence, Tuple
 
-from ..index.config import MATCH_BACKEND_NAMES, IndexConfig
+from ..index.config import IndexConfig
 from ..pubsub.match_index import MatchIndex
 
 __all__ = ["CostModel"]
@@ -54,17 +54,12 @@ class CostModel:
     ) -> float:
         """Trial-replay score of ``config`` (lower is better).
 
-        Builds a fresh index under ``config``, bulk-loads the subscriptions
-        and replays every probe.  The composite ``"sharded"`` backend is
-        scored through the flat store its shards are built on — candidate
-        sets are backend-independent, so the score carries over.
+        Builds a fresh :class:`MatchIndex` under ``config``, bulk-loads the
+        subscriptions and replays every probe.  A ``"sharded"`` config is
+        scored on one unsharded index — candidate sets do not depend on how
+        the subscriptions are partitioned, so the score carries over.
         """
-        trial_config = (
-            config
-            if config.backend in MATCH_BACKEND_NAMES
-            else config.replace(backend="flat")
-        )
-        index = MatchIndex(schema, config=trial_config)
+        index = MatchIndex(schema, config=config)
         if subscriptions:
             index.add_batch(list(subscriptions))
         for cells in probes:

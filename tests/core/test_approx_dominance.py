@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.approx_dominance import ApproximateDominanceIndex, TerminationReason
 from repro.geometry.transform import dominates
 from repro.geometry.universe import Universe
-from repro.index.backends import BACKEND_NAMES
+from repro.sfc.factory import CURVE_KINDS, make_curve
 from repro.sfc.hilbert import HilbertCurve
 
 
@@ -65,12 +65,12 @@ class TestUpdates:
 
 
 class TestSoundness:
-    """Any returned witness truly dominates the query — for every ε and backend."""
+    """Any returned witness truly dominates the query — for every ε and curve."""
 
-    @pytest.mark.parametrize("backend", BACKEND_NAMES)
-    def test_witness_always_dominates(self, backend):
+    @pytest.mark.parametrize("kind", CURVE_KINDS)
+    def test_witness_always_dominates(self, kind):
         universe = Universe(3, 5)
-        index = ApproximateDominanceIndex(universe, backend=backend, seed=5)
+        index = ApproximateDominanceIndex(universe, curve=make_curve(kind, universe))
         rng = random.Random(1)
         points = {}
         for i in range(300):

@@ -24,7 +24,6 @@ from repro.core.approx_dominance import (
     build_dominance_plan,
 )
 from repro.geometry.universe import Universe
-from repro.index.backends import BACKEND_NAMES
 from repro.index.config import IndexConfig
 from repro.sfc.factory import CURVE_KINDS, make_curve
 
@@ -89,17 +88,14 @@ def test_unmerged_plan_keeps_grid_order():
 def populate(index, points, shared_cell):
     """Leave ``index`` holding every kind of entry a join must see through.
 
-    Under the flat backend: merged keys, tombstones (removed after a merge),
-    a resurrected key (removed, then re-inserted while still physically
-    present), pending keys (inserted after the merge) and several items in
-    one cell; the other backends see the same inserts and removes.
+    Merged keys, tombstones (removed after a merge), a resurrected key
+    (removed, then re-inserted while still physically present), pending keys
+    (inserted after the merge) and several items in one cell.
     """
     first, second = points[: len(points) // 2], points[len(points) // 2 :]
     for i, point in enumerate(first):
         index.insert(("a", i), point)
-    merge = getattr(index.array._backend, "_merge", None)
-    if merge is not None:
-        merge()
+    index.array._backend._merge()
     for i in range(0, len(first), 3):
         index.remove(("a", i))
     if first:
@@ -127,11 +123,10 @@ def populated_query(draw):
     )
 
 
-@pytest.mark.parametrize("backend", BACKEND_NAMES)
 @pytest.mark.parametrize("kind", CURVE_KINDS)
 @settings(deadline=None)
 @given(case=populated_query())
-def test_query_equals_the_interleaved_search(backend, kind, case):
+def test_query_equals_the_interleaved_search(kind, case):
     """``query()`` — plan tables joined against the stored keys — returns the
     interleaved search's whole result, and counts the same range probes.
 
@@ -141,9 +136,7 @@ def test_query_equals_the_interleaved_search(backend, kind, case):
     """
     universe, points, shared_cell, query, epsilon, budget = case
     curve = make_curve(kind, universe)
-    index = ApproximateDominanceIndex(
-        universe, curve=curve, backend=backend, cube_budget=budget, seed=3
-    )
+    index = ApproximateDominanceIndex(universe, curve=curve, cube_budget=budget)
     populate(index, points, shared_cell)
 
     stats = index.array.stats

@@ -1,4 +1,4 @@
-"""Model-based tests for the flattened stores behind the default backend.
+"""Model-based tests for the flattened stores: the SFC array's and the match index's.
 
 :class:`FlatBackend` is differential-tested against a dict + sorted list
 model through random operation sequences, and :class:`FlatSegmentStore`
@@ -16,9 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.index import sfc_array
-from repro.index.backends import FlatBackend, make_backend
-from repro.index.sfc_array import FlatSegmentStore
-from repro.sfc import vectorized
+from repro.index.sfc_array import FlatBackend, FlatSegmentStore
 from repro.sfc.runs import merge_key_ranges
 
 # ------------------------------------------------------------- FlatBackend
@@ -71,10 +69,6 @@ def test_flat_backend_merges_and_compacts():
     backend.insert(1, "back")
     assert backend.get(1) == "back"
     assert backend.first_in_range(0, 2) == (1, "back")
-
-
-def test_make_backend_builds_flat():
-    assert isinstance(make_backend("flat"), FlatBackend)
 
 
 # --------------------------------------------------------- FlatSegmentStore
@@ -314,7 +308,7 @@ def _assert_sweeps_agree(store, vectorised):
     expected = _oracle_layout(store)
     assert _split(store._sweep_python()) == expected
     swept = store._sweep_numpy()
-    if vectorised and vectorized.np is not None:
+    if vectorised:
         assert _split(swept) == expected
     else:
         assert swept is None
@@ -397,9 +391,8 @@ def test_rebuild_of_a_small_store_runs_the_array_sweep(monkeypatch):
         return array(*args)
 
     monkeypatch.setattr(sfc_array, "array", counting_array)
-    if vectorized.np is not None:
-        assert store._sweep_numpy() is not None
-        constructed.clear()
+    assert store._sweep_numpy() is not None
+    constructed.clear()
     store.rebuild()
     assert constructed == ["q"]
     assert isinstance(store._members, array)
@@ -451,8 +444,9 @@ def test_stab_matches_oracle_across_both_thresholds_in_both_directions():
 
 def test_match_index_counts_the_same_work_with_and_without_numpy(monkeypatch):
     """One seeded script against the product index, once with the array sweep
-    and once with the fallback: same answers and — because members come out in
-    the same order, so ``any_match`` stops at the same candidate — the same
+    and once with every rebuild forced onto the Python sweep (what keys wider
+    than 64 bits take): same answers and — because members come out in the
+    same order, so ``any_match`` stops at the same candidate — the same
     ``candidates_checked`` and ``false_positives``."""
     from repro.pubsub.match_index import MatchIndex
     from repro.pubsub.subscription import Subscription
@@ -478,6 +472,6 @@ def test_match_index_counts_the_same_work_with_and_without_numpy(monkeypatch):
         return answers, index.stats, index._flat.rebuilds
 
     with_numpy = run_script()
-    monkeypatch.setattr(vectorized, "np", None)
+    monkeypatch.setattr(FlatSegmentStore, "_sweep_numpy", lambda self: None)
     assert run_script() == with_numpy
     assert with_numpy[2] > 3

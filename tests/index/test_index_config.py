@@ -13,7 +13,6 @@ from repro.index.config import (
     DEFAULT_RUN_BUDGET,
     DEFAULT_SHARDS,
     INDEX_BACKEND_NAMES,
-    MATCH_BACKEND_NAMES,
     PRECISION_BIT_BUDGET,
     IndexConfig,
 )
@@ -40,13 +39,13 @@ class TestValidation:
         with pytest.raises(ValueError, match="unknown curve kind"):
             IndexConfig(curve="peano")
 
-    def test_unknown_backend(self):
+    @pytest.mark.parametrize("backend", ["btree", "avl"])
+    def test_unknown_backend(self, backend):
         with pytest.raises(ValueError, match="backend"):
-            IndexConfig(backend="btree")
+            IndexConfig(backend=backend)
 
-    def test_sharded_is_a_valid_index_backend(self):
-        assert "sharded" in INDEX_BACKEND_NAMES
-        assert "sharded" not in MATCH_BACKEND_NAMES
+    def test_flat_and_sharded_are_the_only_backends(self):
+        assert INDEX_BACKEND_NAMES == ("flat", "sharded")
         assert IndexConfig(backend="sharded").backend == "sharded"
 
     @pytest.mark.parametrize(
@@ -138,7 +137,7 @@ def _constructors():
 class TestConfigIsTheOnlyChannel:
     @pytest.mark.parametrize("name", sorted(_constructors()))
     @pytest.mark.parametrize(
-        "knob", [{"curve": "hilbert"}, {"epsilon": 0.2}, {"run_budget": 8}, {"backend": "avl"}]
+        "knob", [{"curve": "hilbert"}, {"epsilon": 0.2}, {"run_budget": 8}, {"backend": "sharded"}]
     )
     def test_knob_keywords_are_rejected(self, name, knob):
         """No constructor takes a knob beside ``config=``: the keyword is a TypeError."""
@@ -146,6 +145,42 @@ class TestConfigIsTheOnlyChannel:
         build(config=IndexConfig(**knob))
         with pytest.raises(TypeError):
             build(**knob)
+
+
+def _index_layer_constructors():
+    """Every constructor below the broker that builds or wraps an ordered store."""
+    from repro.baselines.exhaustive_sfc import ExhaustiveSFCCoveringDetector
+    from repro.core.approx_dominance import ApproximateDominanceIndex
+    from repro.core.covering import ApproximateCoveringDetector
+    from repro.geometry.universe import Universe
+    from repro.index.sfc_array import SFCArray
+    from repro.pubsub.routing_table import InterfaceTable, RoutingTable
+    from repro.pubsub.sharded_index import ShardedMatchIndex
+    from repro.sfc.zorder import ZOrderCurve
+
+    schema = _schema()
+    universe = Universe(2, 6)
+    return {
+        "SFCArray": lambda **kw: SFCArray(ZOrderCurve(universe), **kw),
+        "ApproximateDominanceIndex": lambda **kw: ApproximateDominanceIndex(universe, **kw),
+        "ApproximateCoveringDetector": lambda **kw: ApproximateCoveringDetector(2, 6, **kw),
+        "ExhaustiveSFCCoveringDetector": lambda **kw: ExhaustiveSFCCoveringDetector(2, 6, **kw),
+        "MatchIndex": lambda **kw: MatchIndex(schema, **kw),
+        "ShardedMatchIndex": lambda **kw: ShardedMatchIndex(schema, **kw),
+        "InterfaceTable": lambda **kw: InterfaceTable("i", schema=schema, matching="sfc", **kw),
+        "RoutingTable": lambda **kw: RoutingTable(schema=schema, matching="sfc", **kw),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_index_layer_constructors()))
+@pytest.mark.parametrize("knob", ["seed", "backend"])
+def test_index_layer_takes_no_seed_and_no_backend_keyword(name, knob):
+    """One ordered store, nothing randomised: neither keyword exists below the
+    broker (``backend`` reaches the match layer only through ``config=``)."""
+    build = _index_layer_constructors()[name]
+    build()
+    with pytest.raises(TypeError):
+        build(**{knob: 1})
 
 
 class TestKeys:
@@ -158,7 +193,7 @@ class TestKeys:
             IndexConfig(run_budget=8),
             IndexConfig(cube_budget=99),
             IndexConfig(epsilon=0.2),
-            IndexConfig(backend="avl"),
+            IndexConfig(backend="sharded"),
             IndexConfig(shards=2),
         ]
         assert len({base, *variants}) == len(variants) + 1
@@ -166,7 +201,7 @@ class TestKeys:
 
     def test_covering_key_ignores_storage_knobs(self):
         a = IndexConfig(backend="flat", run_budget=8, shards=2)
-        b = IndexConfig(backend="avl", run_budget=64, shards=8)
+        b = IndexConfig(backend="sharded", run_budget=64, shards=8)
         assert a.covering_key() == b.covering_key()
         assert (
             a.covering_key()

@@ -1,4 +1,4 @@
-"""Tests for the SFC array (repro.index.sfc_array) across all backends."""
+"""Tests for the SFC array (repro.index.sfc_array)."""
 
 from __future__ import annotations
 
@@ -7,34 +7,24 @@ import random
 import pytest
 
 from repro.geometry.universe import Universe
-from repro.index.backends import BACKEND_NAMES, make_backend
 from repro.index.sfc_array import SFCArray
-from repro.sfc.zorder import ZOrderCurve
+from repro.sfc.factory import CURVE_KINDS, make_curve
 
 
-@pytest.fixture(params=BACKEND_NAMES)
-def array(request):
-    universe = Universe(dims=2, order=5)
-    return SFCArray(ZOrderCurve(universe), backend=request.param, seed=1)
+@pytest.fixture(params=["pending", "merged"])
+def layout(request):
+    """Where the store keeps its keys: ``pending`` leaves these small arrays
+    in the sorted insert buffer; ``merged`` merges every insert into the main
+    array at once, so removals leave tombstones there for queries to skip."""
+    return request.param
 
 
-class TestBackendFactory:
-    def test_all_names_construct(self):
-        for name in BACKEND_NAMES:
-            backend = make_backend(name)
-            backend.insert(3, "x")
-            assert backend.get(3) == "x"
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError):
-            make_backend("btree")
-
-    def test_backend_instance_passthrough(self):
-        universe = Universe(dims=2, order=3)
-        backend = make_backend("sortedlist")
-        array = SFCArray(ZOrderCurve(universe), backend=backend)
-        array.add("a", (1, 1))
-        assert len(array) == 1
+@pytest.fixture(params=CURVE_KINDS)
+def array(request, layout):
+    array = SFCArray(make_curve(request.param, Universe(dims=2, order=5)))
+    if layout == "merged":
+        array._backend._pending_cap = lambda: 0
+    return array
 
 
 class TestSFCArrayUpdates:
@@ -174,26 +164,24 @@ class TestFirstProbeHit:
         assert array.stats.range_probes == 0
 
 
-class TestSFCArrayConsistencyAcrossBackends:
-    def test_same_results_for_all_backends(self):
-        universe = Universe(dims=2, order=6)
-        curve = ZOrderCurve(universe)
-        rng = random.Random(11)
-        points = [(rng.randint(0, 63), rng.randint(0, 63)) for _ in range(200)]
-        ranges = [
-            tuple(sorted((rng.randint(0, universe.max_key), rng.randint(0, universe.max_key))))
-            for _ in range(50)
-        ]
-        results = []
-        for backend in BACKEND_NAMES:
-            array = SFCArray(curve, backend=backend, seed=2)
-            for i, p in enumerate(points):
-                array.add(i, p)
-            for i in range(0, 200, 3):
-                array.remove(i)
-            answer = []
-            for key_range in ranges:
-                items = sorted(item.item_id for item in array.items_in_key_range(key_range))
-                answer.append(items)
-            results.append(answer)
-        assert results[0] == results[1] == results[2]
+@pytest.mark.parametrize("kind", CURVE_KINDS)
+def test_range_scans_equal_a_brute_force_scan(kind):
+    """200 adds and 67 removes (enough to merge the pending buffer and leave
+    tombstones), then 50 range scans against a scan of every live point."""
+    universe = Universe(dims=2, order=6)
+    curve = make_curve(kind, universe)
+    rng = random.Random(11)
+    points = [(rng.randint(0, 63), rng.randint(0, 63)) for _ in range(200)]
+    ranges = [
+        tuple(sorted((rng.randint(0, universe.max_key), rng.randint(0, universe.max_key))))
+        for _ in range(50)
+    ]
+    array = SFCArray(curve)
+    for i, p in enumerate(points):
+        array.add(i, p)
+    for i in range(0, 200, 3):
+        array.remove(i)
+    live = {i: curve.key(p) for i, p in enumerate(points) if i % 3}
+    for lo, hi in ranges:
+        found = sorted(item.item_id for item in array.items_in_key_range((lo, hi)))
+        assert found == sorted(i for i, key in live.items() if lo <= key <= hi)

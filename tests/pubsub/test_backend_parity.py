@@ -1,11 +1,11 @@
-"""Backend parity: every match backend must give byte-identical answers.
+"""Backend parity: both match stores must give byte-identical answers.
 
-The flattened segment store is the default and ``"sharded"`` partitions it
-across workers, but backends are pure performance ablation — a differential
-lifecycle test drives every backend (plus the sharded composite) through the
-same random subscribe/replace/withdraw/publish history against a linear-scan
-oracle, and whole-network runs must produce identical ``routing_state()``
-under every backend, pinned to a recorded digest for the default.
+The flat segment store is the default and ``"sharded"`` partitions the
+subscriptions across several of them; the choice is pure performance — a
+differential lifecycle test drives both through the same random
+subscribe/replace/withdraw/publish history against a linear-scan oracle, and
+whole-network runs must produce identical ``routing_state()`` under both,
+pinned to a recorded digest.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.index.config import MATCH_BACKEND_NAMES, IndexConfig
+from repro.index.config import IndexConfig
 from repro.pubsub.match_index import MatchIndex
 from repro.pubsub.network import BrokerNetwork, tree_topology
 from repro.pubsub.schema import Attribute, AttributeSchema
@@ -34,9 +34,10 @@ def _schema(order=5):
 
 
 def _make_indexes(schema):
-    indexes = [MatchIndex(schema, config=IndexConfig(backend=name)) for name in MATCH_BACKEND_NAMES]
-    indexes.append(ShardedMatchIndex(schema, config=IndexConfig(shards=3), workers="inline"))
-    return indexes
+    return [
+        MatchIndex(schema),
+        ShardedMatchIndex(schema, config=IndexConfig(shards=3), workers="inline"),
+    ]
 
 
 _lifecycle = st.lists(
@@ -125,10 +126,10 @@ def test_add_batch_equals_sequential_adds():
                 ),
             )
         )
-    sequential = MatchIndex(schema, config=IndexConfig(backend="flat"))
+    sequential = MatchIndex(schema)
     for sid, ranges in items:
         sequential.add(sid, ranges)
-    batched = MatchIndex(schema, config=IndexConfig(backend="flat"))
+    batched = MatchIndex(schema)
     batched.add_batch(items)
     sharded = ShardedMatchIndex(schema, config=IndexConfig(shards=4))
     sharded.add_batch(items)
@@ -165,8 +166,8 @@ def test_routing_state_identical_across_backends():
     If the pin moves, routing behaviour changed (not just performance);
     re-pin only with an explanation in the same commit.
     """
-    states = {name: _network_state(name) for name in ("flat", "avl", "sharded")}
-    assert states["flat"] == states["avl"] == states["sharded"]
+    states = {name: _network_state(name) for name in ("flat", "sharded")}
+    assert states["flat"] == states["sharded"]
     # Same digest as the Hilbert-curve pin in test_seed_determinism: routing
     # state depends on neither curve nor backend, only on forwarding decisions.
     # Every link of this script holds fewer forwarded subscriptions than a

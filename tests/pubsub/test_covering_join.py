@@ -287,7 +287,7 @@ def test_census_count_is_what_an_exhausted_execution_examines(curve_kind):
     points += [(0,) * universe.dims, (universe.side - 1,) * universe.dims]
     for budget in (1, 64, 65, 2_000):
         empty = ApproximateDominanceIndex(
-            universe=universe, curve=curve, backend="flat", cube_budget=budget
+            universe=universe, curve=curve, cube_budget=budget
         )
         for epsilon in (0.0, 0.05, 0.3):
             for point in points:

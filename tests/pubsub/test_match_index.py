@@ -430,9 +430,9 @@ class TestNetworkSfcMatching:
         assert broker0.has_forwarded(1, "later")
 
 
-# Point-in-rectangle tests: ``Subscription.matches``, the flat match paths and
-# ``MatchIndex._rect_contains`` (ordered-map backends) are early-exit loops;
-# each must answer exactly what ``all(lo <= c <= hi ...)`` answers.
+# Point-in-rectangle tests: ``Subscription.matches`` and the match index's
+# queries are early-exit loops; each must answer exactly what
+# ``all(lo <= c <= hi ...)`` answers.
 _ORDER = 4
 _MAX_CELL = (1 << _ORDER) - 1
 
@@ -467,9 +467,7 @@ def test_rectangle_checks_equal_all_of_the_axis_tests(case):
     event = Event(schema, {name: float(c) for name, c in zip(names, cells)})
     assert subscription.ranges == ranges and event.cells == cells
     assert subscription.matches(event) is expected
-    for backend in ("flat", "avl"):
-        index = MatchIndex(schema, config=IndexConfig(backend=backend))
-        index.add("s", ranges)
-        assert index._rect_contains("s", cells) is expected
-        assert index.any_match(cells) is expected
-        assert index.matching_ids(cells) == (["s"] if expected else [])
+    index = MatchIndex(schema)
+    index.add("s", ranges)
+    assert index.any_match(cells) is expected
+    assert index.matching_ids(cells) == (["s"] if expected else [])

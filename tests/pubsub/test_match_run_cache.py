@@ -84,9 +84,8 @@ def all_candidates(index):
     return [index.candidates(key) for key in range(index.universe.max_key + 1)]
 
 
-@pytest.mark.parametrize("backend", ["flat", "avl"])
-def test_cached_index_equals_uncached_index(schema, backend):
-    config = IndexConfig(backend=backend, run_budget=2)
+def test_cached_index_equals_uncached_index(schema):
+    config = IndexConfig(run_budget=2)
     cache = ProfileCache()
     uncached = run_script(MatchIndex(schema, config=config))
     filling = run_script(MatchIndex(schema, config=config, run_cache=cache))
@@ -104,13 +103,12 @@ def test_cached_index_equals_uncached_index(schema, backend):
     expected = all_candidates(uncached)
     for cached in (filling, hitting):
         assert all_candidates(cached) == expected
-    if backend == "flat":
-        for cached in (filling, hitting):
-            for attr in ("_runs", "_los", "_his", "_cuts", "_members", "_pending"):
-                assert getattr(cached._flat, attr) == getattr(uncached._flat, attr)
-        # One immutable tuple per rectangle, held by identity in both stores.
-        for slot in filling._id_of:
-            assert filling._flat.runs_of(slot) is hitting._flat.runs_of(slot)
+    for cached in (filling, hitting):
+        for attr in ("_runs", "_los", "_his", "_cuts", "_members", "_pending"):
+            assert getattr(cached._flat, attr) == getattr(uncached._flat, attr)
+    # One immutable tuple per rectangle, held by identity in both stores.
+    for slot in filling._id_of:
+        assert filling._flat.runs_of(slot) is hitting._flat.runs_of(slot)
 
 
 def test_sharded_index_shares_the_cache_across_shards(schema):

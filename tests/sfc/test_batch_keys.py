@@ -2,8 +2,8 @@
 
 The vectorized kernels in :mod:`repro.sfc.vectorized` are pure speed — every
 curve's batch entry point must agree bit-for-bit with its scalar bijection,
-fall back to pure Python when numpy is unavailable, and reject invalid points
-with the same errors as the scalar path.
+fall back to pure Python when a kernel declines a batch, and reject invalid
+points with the same errors as the scalar path.
 """
 
 from __future__ import annotations
@@ -28,6 +28,13 @@ def _sample_points(universe: Universe, count: int, seed: int):
     pts.append((0,) * universe.dims)
     pts.append((side - 1,) * universe.dims)
     return pts
+
+
+def _decline_every_kernel(monkeypatch):
+    """Send every batch down the pure-Python keying, as a kernel that cannot
+    vectorise a batch does."""
+    for kernel in ("zorder_keys", "hilbert_keys", "gray_keys"):
+        monkeypatch.setattr(vectorized, kernel, lambda *args: None)
 
 
 @pytest.mark.parametrize("kind", CURVE_KINDS)
@@ -58,7 +65,7 @@ def test_batch_keys_without_numpy(kind, monkeypatch):
     curve = make_curve(kind, universe)
     pts = _sample_points(universe, 100, seed=3)
     expected = [curve.key(p) for p in pts]
-    monkeypatch.setattr(vectorized, "np", None)
+    _decline_every_kernel(monkeypatch)
     assert curve.keys(pts) == expected
 
 
@@ -74,7 +81,7 @@ def test_scalar_key_equals_batch_keys(kind, numpy_available, dims, order, monkey
     curve = make_curve(kind, universe)
     pts = _sample_points(universe, 60, seed=dims * 1000 + order)
     if not numpy_available:
-        monkeypatch.setattr(vectorized, "np", None)
+        _decline_every_kernel(monkeypatch)
     assert [curve.key(p) for p in pts] == curve.keys(pts)
 
 

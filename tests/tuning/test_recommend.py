@@ -178,7 +178,7 @@ class TestCandidates:
 
     def test_candidates_keep_the_other_knobs(self):
         config = IndexConfig(
-            curve="gray", run_budget=4, epsilon=0.3, cube_budget=123, backend="avl"
+            curve="gray", run_budget=4, epsilon=0.3, cube_budget=123, backend="sharded"
         )
         for candidate in default_candidates(config):
             assert candidate.replace(curve="gray", run_budget=4) == config
