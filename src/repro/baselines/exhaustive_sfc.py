@@ -75,17 +75,11 @@ class ExhaustiveSFCCoveringDetector:
     def find_covering_with_stats(
         self, ranges: Sequence[Range], exclude: Optional[Hashable] = None
     ) -> Tuple[Optional[Hashable], DominanceQueryResult]:
-        """Like :meth:`find_covering` but also return the dominance-query accounting."""
-        point = self.transform.to_point(ranges)
-        removed_point = None
-        if exclude is not None and exclude in self._subscriptions:
-            removed_point = self.transform.to_point(self._subscriptions[exclude])
-            self.index.remove(exclude)
-        try:
-            result = self.index.exhaustive_query(point)
-        finally:
-            if removed_point is not None:
-                self.index.insert(exclude, removed_point)
+        """Like :meth:`find_covering` but also return the dominance-query accounting.
+
+        The search skips ``exclude`` without touching the index.
+        """
+        result = self.index.query(self.transform.to_point(ranges), 0.0, exclude)
         covering_id = result.item.item_id if result.item is not None else None
         return covering_id, result
 

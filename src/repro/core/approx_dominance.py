@@ -446,16 +446,20 @@ class ApproximateDominanceIndex:
 
     # ---------------------------------------------------------------- queries
     def query(
-        self, point: Sequence[int], epsilon: Optional[float] = None
+        self,
+        point: Sequence[int],
+        epsilon: Optional[float] = None,
+        exclude: Optional[Hashable] = None,
     ) -> DominanceQueryResult:
         """Answer an ε-approximate dominance query for ``point``.
 
         Searches at least a ``(1 − ε)`` volume fraction of the dominance
         region and returns the first stored point found inside it (any such
         point is a valid witness).  With ``epsilon=0`` the search is
-        exhaustive up to the cube budget.
+        exhaustive up to the cube budget.  ``exclude`` is as in
+        :meth:`execute_plan`.
         """
-        return self.execute_plan(self.plan(point, epsilon))
+        return self.execute_plan(self.plan(point, epsilon), exclude)
 
     def exhaustive_query(self, point: Sequence[int]) -> DominanceQueryResult:
         """Answer an exhaustive dominance query (ε = 0), subject to the cube budget."""
@@ -480,7 +484,9 @@ class ApproximateDominanceIndex:
             merge_adjacent_runs=self.merge_adjacent_runs,
         )
 
-    def execute_plan(self, plan: DominancePlan) -> DominanceQueryResult:
+    def execute_plan(
+        self, plan: DominancePlan, exclude: Optional[Hashable] = None
+    ) -> DominanceQueryResult:
         """Search this index along a plan: the first probe, in schedule order, that hits.
 
         Level class by level class (materialising each on first use),
@@ -492,7 +498,8 @@ class ApproximateDominanceIndex:
         probe-in-schedule-order side; the keyed side serves offline queries,
         whose 10^5–10^6-cube schedules dwarf any stored set.  The plan must
         have been built for this index's universe *and* curve — a plan's key
-        ranges are curve-specific.
+        ranges are curve-specific.  The item ``exclude`` names is skipped as
+        if it were not stored; the index is not modified.
         """
         if plan.universe != self.universe:
             raise ValueError("plan universe does not match the index universe")
@@ -510,7 +517,7 @@ class ApproximateDominanceIndex:
         for table in plan.tables():
             classes = table.classes
             hit = self.array.first_probe_hit(
-                table.los, table.his, table.probe_of_row, table.row_of_probe
+                table.los, table.his, table.probe_of_row, table.row_of_probe, exclude
             )
             if hit is not None:
                 probe, witness = hit

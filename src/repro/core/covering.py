@@ -122,7 +122,7 @@ class CoveringProfiler:
         self.attributes = attributes
         self.attribute_order = attribute_order
         self.transform = DominanceTransform(attributes, attribute_order)
-        self._curve = make_curve(config.curve, self.transform.universe)
+        self.curve = make_curve(config.curve, self.transform.universe)
 
     @property
     def cache_key(self) -> Tuple:
@@ -151,7 +151,7 @@ class CoveringProfiler:
             point,
             epsilon=self.config.epsilon,
             cube_budget=self.config.cube_budget,
-            curve=self._curve,
+            curve=self.curve,
         )
         return CoveringProfile(ranges=validated, point=point, plan=plan)
 
@@ -172,24 +172,48 @@ class ApproximateCoveringDetector:
         on examined standard cubes, the curve keying the dominance index (any
         recursive-partitioning curve gives the same answers, only the probe
         key ranges differ).  Defaults to :data:`OFFLINE_CONFIG`.
+
+    The dominance index behind the ε-search (:attr:`index`) is built the
+    first time something reads it and kept up from then on.  Until then a
+    store or a withdrawal touches only the stored ranges: a routing link that
+    never outgrows its plans, and so only ever compares, keys nothing.
     """
 
     attributes: int
     attribute_order: int
     config: Optional[IndexConfig] = None
     transform: DominanceTransform = field(init=False)
-    index: ApproximateDominanceIndex = field(init=False)
 
     def __post_init__(self) -> None:
-        self.config = config = self.config or OFFLINE_CONFIG
-        self.transform = DominanceTransform(self.attributes, self.attribute_order)
-        self.index = ApproximateDominanceIndex(
-            universe=self.transform.universe,
-            epsilon=config.epsilon,
-            curve=make_curve(config.curve, self.transform.universe),
-            cube_budget=config.cube_budget,
-        )
+        self._profiler = CoveringProfiler(self.attributes, self.attribute_order, self.config)
+        self.config = self._profiler.config
+        self.transform = self._profiler.transform
         self._subscriptions: Dict[Hashable, Tuple[Range, ...]] = {}
+        self._index: Optional[ApproximateDominanceIndex] = None
+
+    @property
+    def index(self) -> ApproximateDominanceIndex:
+        """The dominance index over the stored points, built on first read.
+
+        The build loads every stored subscription in one pass (batch keys,
+        one sort) in storage order, which is the order an index kept up from
+        the start received them, so both report the same witnesses.
+        """
+        index = self._index
+        if index is None:
+            config = self.config
+            index = ApproximateDominanceIndex(
+                universe=self.transform.universe,
+                epsilon=config.epsilon,
+                curve=self._profiler.curve,
+                cube_budget=config.cube_budget,
+            )
+            to_point = self.transform.to_point
+            index.array.load(
+                [(sub_id, to_point(ranges)) for sub_id, ranges in self._subscriptions.items()]
+            )
+            self._index = index
+        return index
 
     # ---------------------------------------------------------------- updates
     def __len__(self) -> int:
@@ -201,15 +225,23 @@ class ApproximateCoveringDetector:
     def add_subscription(self, sub_id: Hashable, ranges: Sequence[Range]) -> None:
         """Store a subscription under ``sub_id`` (replacing any previous one)."""
         validated = self.transform.validate_ranges(ranges)
-        self._subscriptions[sub_id] = validated
-        self.index.insert(sub_id, self.transform.to_point(validated))
+        self._store(sub_id, validated)
+        if self._index is not None:
+            self._index.insert(sub_id, self.transform.to_point(validated))
+
+    def _store(self, sub_id: Hashable, ranges: Tuple[Range, ...]) -> None:
+        # A replaced id moves to the end, as the index moves it to the end of
+        # its key bucket: an index built later from this order is the same.
+        subscriptions = self._subscriptions
+        subscriptions.pop(sub_id, None)
+        subscriptions[sub_id] = ranges
 
     def remove_subscription(self, sub_id: Hashable) -> bool:
         """Remove a subscription; return True when it was present."""
-        if sub_id not in self._subscriptions:
+        if self._subscriptions.pop(sub_id, None) is None:
             return False
-        del self._subscriptions[sub_id]
-        self.index.remove(sub_id)
+        if self._index is not None:
+            self._index.remove(sub_id)
         return True
 
     def subscription(self, sub_id: Hashable) -> Optional[Tuple[Range, ...]]:
@@ -231,19 +263,10 @@ class ApproximateCoveringDetector:
 
         ``exclude`` allows a router to ask "is this subscription covered by a
         *different* one?" when the query subscription itself is already
-        stored; the excluded entry is temporarily removed from the index for
-        the duration of the query.
+        stored; the search skips the excluded entry and leaves the index as
+        it was.
         """
-        point = self.transform.to_point(ranges)
-        removed_point = None
-        if exclude is not None and exclude in self._subscriptions:
-            removed_point = self.transform.to_point(self._subscriptions[exclude])
-            self.index.remove(exclude)
-        try:
-            result = self.index.query(point, epsilon=epsilon)
-        finally:
-            if removed_point is not None:
-                self.index.insert(exclude, removed_point)
+        result = self.index.query(self.transform.to_point(ranges), epsilon, exclude)
         covering_id = result.item.item_id if result.item is not None else None
         return CoveringResult(covering_id=covering_id, query=result)
 
@@ -259,24 +282,24 @@ class ApproximateCoveringDetector:
         and the cube budget (the plan bakes its key ranges and budget cut-off
         in at build time; ranges from a different curve do not apply).
         """
-        assert self.index.curve is not None
+        plan = profile.plan
+        config = self.config
         return (
-            profile.plan.universe == self.transform.universe
-            and profile.plan.curve_kind == self.index.curve.kind
-            and profile.plan.epsilon == self.config.epsilon
-            and profile.plan.cube_budget == self.config.cube_budget
+            plan.universe == self.transform.universe
+            and plan.curve_kind == config.curve
+            and plan.epsilon == config.epsilon
+            and plan.cube_budget == config.cube_budget
         )
 
     def add_subscription_profile(self, sub_id: Hashable, profile: CoveringProfile) -> None:
         """Store a subscription from its precomputed profile (no re-validation)."""
-        self._subscriptions[sub_id] = profile.ranges
-        self.index.insert(sub_id, profile.point)
+        self._store(sub_id, profile.ranges)
+        if self._index is not None:
+            self._index.insert(sub_id, profile.point)
 
     def profile(self, ranges: Sequence[Range]) -> CoveringProfile:
         """Validate ``ranges`` and build their point + probe schedule for this detector."""
-        validated = self.transform.validate_ranges(ranges)
-        point = self.transform.to_point(validated)
-        return CoveringProfile(ranges=validated, point=point, plan=self.index.plan(point))
+        return self._profiler.profile(ranges)
 
     def find_covering_profile(self, profile: CoveringProfile) -> CoveringResult:
         """The routing covering check: a join that picks its side before building anything.
@@ -285,10 +308,11 @@ class ApproximateCoveringDetector:
         takes.  A detector holding no more subscriptions than that compares
         each stored subscription's ranges with the profile's — first cover in
         insertion order, the choice of the ``exact`` strategy; no plan class
-        is materialised, no key computed, and the answer is complete where
-        the ε-search is bound by its budget.  A fuller detector executes the
-        plan, as :meth:`find_covering` at the default ε would (same plan,
-        here not rebuilt).  Sound on both sides: a cover is reported only
+        is materialised, no key computed, no index built, and the answer is
+        complete where the ε-search is bound by its budget.  A fuller
+        detector executes the plan, as :meth:`find_covering` at the default ε
+        would (same plan, here not rebuilt), against :attr:`index`, built
+        by the first such check.  Sound on both sides: a cover is reported only
         after its ranges were compared or its point found inside the
         dominance region.  A profile built under different parameters
         (paranoia guard; brokers share one config) is answered from its

@@ -117,6 +117,11 @@ class FlatBackend:
         self._pending.clear()
         self.merges += 1
 
+    def load(self, values: Dict[int, Any]) -> None:
+        """Fill an empty map from ``key -> value`` in one sort, nothing pending."""
+        self._values = values
+        self._main = sorted(values)
+
     def insert(self, key: int, value: Any) -> None:
         if key in self._values:
             self._values[key] = value
@@ -237,6 +242,31 @@ class SFCArray:
         self.stats.inserts += 1
         return key
 
+    def load(self, items: Sequence[Tuple[Hashable, Tuple[int, ...]]]) -> None:
+        """Fill an empty array with ``(item_id, point)`` pairs in one pass.
+
+        The points are keyed as one batch (:meth:`SpaceFillingCurve.keys`,
+        which also rejects a point outside the universe) and the distinct keys
+        sorted once.  The result equals :meth:`add` of the pairs in order,
+        bucket order included, so the ids must be distinct.
+        """
+        if self._key_of_item:
+            raise ValueError("load fills an empty array only")
+        keys = self.curve.keys([point for _, point in items])
+        buckets: Dict[int, _Bucket] = {}
+        key_of_item = self._key_of_item
+        for (item_id, point), key in zip(items, keys):
+            bucket = buckets.get(key)
+            if bucket is None:
+                bucket = buckets[key] = _Bucket()
+            bucket.items[item_id] = StoredItem(item_id, point)
+            key_of_item[item_id] = key
+        if len(key_of_item) != len(items):
+            key_of_item.clear()
+            raise ValueError("load needs distinct item ids")
+        self._backend.load(buckets)
+        self.stats.inserts += len(items)
+
     def remove(self, item_id: Hashable) -> bool:
         """Remove an item by id; return True when it was present."""
         key = self._key_of_item.pop(item_id, None)
@@ -283,6 +313,7 @@ class SFCArray:
         his: Sequence[int],
         probe_of_row: Sequence[int],
         row_of_probe: Sequence[int],
+        exclude: Optional[Hashable] = None,
     ) -> Optional[Tuple[int, StoredItem]]:
         """First hit of a whole probe schedule: ``(probe index, item)`` or ``None``.
 
@@ -300,11 +331,27 @@ class SFCArray:
         lets an offline query over a 10^5–10^6-cube schedule finish in
         milliseconds; routing no longer reaches it (a link holding no more
         subscriptions than a plan has cubes is compared without a plan).
+
+        ``exclude`` names a stored item the join treats as absent: the answer
+        is that of the array without it, and the array is left untouched (a
+        removal and re-insertion would move the item to the end of its
+        bucket, changing which of two identical points later probes report).
         """
         rows = len(los)
-        if len(self._key_of_item) <= rows:
+        stored = len(self._key_of_item)
+        # A key whose bucket holds nothing but the excluded item: no probe hits it.
+        hidden = -1
+        excluded_key = self._key_of_item.get(exclude) if exclude is not None else None
+        if excluded_key is not None:
+            stored -= 1
+            if len(self._backend.get(excluded_key).items) == 1:
+                hidden = excluded_key
+        if stored <= rows:
+            stored_keys: Iterable[int] = self._key_of_item.values()
+            if hidden >= 0:
+                stored_keys = [stored_key for stored_key in stored_keys if stored_key != hidden]
             probe, key = rows, -1
-            for stored_key in self._key_of_item.values():
+            for stored_key in stored_keys:
                 row = bisect.bisect_left(his, stored_key)
                 if row < rows and los[row] <= stored_key:
                     candidate = probe_of_row[row]
@@ -317,13 +364,21 @@ class SFCArray:
             for probe, row in enumerate(row_of_probe):
                 hit = first_in_range(los[row], his[row])
                 if hit is not None:
+                    if hit[0] == hidden:
+                        hit = first_in_range(hidden + 1, his[row])
+                        if hit is None:
+                            continue
                     bucket = hit[1]
                     break
         if bucket is None:
             self.stats.range_probes += rows
             return None
         self.stats.range_probes += probe + 1
-        return probe, next(iter(bucket.items.values()))
+        items = iter(bucket.items.values())
+        witness = next(items)
+        if excluded_key is not None and witness.item_id == exclude:
+            witness = next(items)
+        return probe, witness
 
     def items_in_key_range(self, key_range: KeyRange) -> Iterator[StoredItem]:
         """Yield every item whose key lies in the inclusive range, in key order."""

@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.baselines.exhaustive_sfc import ExhaustiveSFCCoveringDetector
 from repro.core.covering import OFFLINE_CONFIG, ApproximateCoveringDetector
 from repro.geometry.transform import ranges_cover
 from repro.index.config import IndexConfig
@@ -82,6 +83,30 @@ class TestExclusion:
         result = det.find_covering([(12, 18)], exclude="a")
         assert result.covering_id == "b"
         assert det.find_covering([(30, 40)]).covering_id == "a"
+
+    @pytest.mark.parametrize("search", ["find_covering", "find_covering_exhaustive"])
+    def test_excluding_a_query_does_not_reorder_identical_covers(self, search):
+        """Two identical rectangles share a key bucket; a query excluding the
+        first must not move it behind the second for later queries."""
+        det = ApproximateCoveringDetector(attributes=2, attribute_order=6)
+        det.add_subscription("a", [(0, 40), (0, 40)])
+        det.add_subscription("b", [(0, 40), (0, 40)])
+        query = [(10, 20), (10, 20)]
+        find = getattr(det, search)
+        assert find(query).covering_id == "a"
+        assert find(query, exclude="a").covering_id == "b"
+        assert find(query).covering_id == "a"
+        assert find(query, exclude="b").covering_id == "a"
+        assert find(query).work_units == find(query, exclude="b").work_units
+
+    def test_exhaustive_baseline_excludes_without_reordering(self):
+        det = ExhaustiveSFCCoveringDetector(attributes=2, attribute_order=6)
+        det.add_subscription("a", [(0, 40), (0, 40)])
+        det.add_subscription("b", [(0, 40), (0, 40)])
+        query = [(10, 20), (10, 20)]
+        assert det.find_covering(query) == "a"
+        assert det.find_covering_with_stats(query, exclude="a")[0] == "b"
+        assert det.find_covering(query) == "a"
 
 
 class TestSoundnessAndRecall:

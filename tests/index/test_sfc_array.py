@@ -74,6 +74,34 @@ class TestSFCArrayUpdates:
         array.stats.reset()
         assert array.stats.inserts == 0
 
+    def test_load_equals_adds_in_order(self, array):
+        """A one-pass load leaves what adds in the same order leave, shared
+        cells' bucket order included."""
+        rng = random.Random(8)
+        pairs = [(i, (rng.randint(0, 7), rng.randint(0, 7))) for i in range(60)]
+        added = SFCArray(array.curve)
+        for item_id, point in pairs:
+            added.add(item_id, point)
+        array.load(pairs)
+        assert list(array.items()) == list(added.items())
+        assert list(array.keys()) == list(added.keys())
+        assert array.stats.inserts == len(pairs)
+        array.add("late", (1, 1))
+        array.remove(0)
+        added.add("late", (1, 1))
+        added.remove(0)
+        assert list(array.items()) == list(added.items())
+
+    def test_load_rejects_a_filled_array_and_repeated_ids(self, array):
+        with pytest.raises(ValueError):
+            array.load([("a", (1, 1)), ("a", (2, 2))])
+        assert len(array) == 0
+        array.add("a", (1, 1))
+        with pytest.raises(ValueError):
+            array.load([("b", (2, 2))])
+        with pytest.raises(ValueError):
+            SFCArray(array.curve).load([("b", (99, 0))])
+
 
 class TestSFCArrayQueries:
     def test_first_in_key_range_hits_and_misses(self, array):
@@ -156,6 +184,36 @@ class TestFirstProbeHit:
             probes = array.stats.range_probes - before
             assert array.first_probe_hit(los, his, probe_of_row, row_of_probe) == expected
             assert array.stats.range_probes - before == 2 * probes
+
+    @pytest.mark.parametrize("items", [1, 7, 9, 40])
+    def test_exclude_answers_as_the_array_without_the_item(self, array, items):
+        """Excluding an item gives the hit and probe count of a copy that never
+        held it, whether the item shares its cell or not, and leaves the
+        array's item order alone."""
+        rng = random.Random(items)
+        max_key = array.universe.max_key
+        for i in range(items):
+            array.add(i, (rng.randint(0, 31), rng.randint(0, 31)))
+        for i in range(0, items, 3):
+            array.add(("twin", i), array.point_of(i))
+        before = list(array.items())
+        for excluded in [None, "absent", *(item.item_id for item in before)]:
+            without = SFCArray(array.curve)
+            for item in before:
+                if item.item_id != excluded:
+                    without.add(item.item_id, item.point)
+            for _ in range(10):
+                los, his, probe_of_row, row_of_probe = self.schedule(rng, max_key, 8)
+                start, start_without = array.stats.range_probes, without.stats.range_probes
+                expected = without.first_probe_hit(los, his, probe_of_row, row_of_probe)
+                assert array.first_probe_hit(
+                    los, his, probe_of_row, row_of_probe, exclude=excluded
+                ) == expected
+                assert (
+                    array.stats.range_probes - start
+                    == without.stats.range_probes - start_without
+                )
+        assert list(array.items()) == before
 
     def test_empty_schedule_and_empty_array(self, array):
         assert array.first_probe_hit([], [], [], []) is None

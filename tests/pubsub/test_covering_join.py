@@ -16,10 +16,15 @@ Pinned here:
 * **Count guards** — a subscribe into small links builds no schedule at all,
   and the size a plan announces from the census is the number of cubes an
   exhausted execution examines.
+* **Lazy index** — on a sync tree and a simulated grid, through churn with
+  promotions: below the crossover a forward or withdrawal keys nothing and
+  no link builds its dominance index; with an 8-cube budget each link that
+  crosses over builds it exactly once, and only those links do.
 """
 
 from __future__ import annotations
 
+import collections
 import random
 
 import pytest
@@ -27,17 +32,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.approx_dominance import ApproximateDominanceIndex, build_dominance_plan
-from repro.core.covering import CoveringProfiler
+from repro.core.covering import ApproximateCoveringDetector, CoveringProfiler
 from repro.geometry.transform import ranges_cover
 from repro.geometry.universe import Universe
 from repro.index.config import IndexConfig
 from repro.pubsub.network import BrokerNetwork, tree_topology
 from repro.pubsub.subscription import Event, Subscription
-from repro.sfc.factory import CURVE_KINDS, make_curve
+from repro.sfc.factory import CURVE_KINDS, curve_class, make_curve
 from repro.sim.latency import FixedLatency
 from repro.sim.transport import SimTransport
 from repro.workloads.dynamics import Action, run_scripted_lockstep
 from repro.workloads.scenarios import stock_market_scenario
+from repro.workloads.topologies import grid_cluster_topology
 from test_covering_properties import (
     MAX_CELL,
     SCHEMA,
@@ -299,3 +305,121 @@ def test_census_count_is_what_an_exhausted_execution_examines(curve_kind):
                 result = empty.execute_plan(plan)
                 assert result.cubes_examined == plan.cubes
                 assert result.termination == plan.final_termination
+
+
+# ------------------------------------------- (iv) a link's index is built on first probe
+def lazy_index_network(transport_kind, config):
+    """A sync 7-broker tree or a simulated 12-broker grid of clusters."""
+    if transport_kind == "sync":
+        return BrokerNetwork.from_topology(
+            SCHEMA, tree_topology(NUM_BROKERS), covering="approximate",
+            matching="sfc", config=config,
+        )
+    topology = grid_cluster_topology(2, 2, 3)
+    return BrokerNetwork.from_topology(
+        SCHEMA, topology.overlay, covering="approximate", matching="sfc", config=config,
+        transport=SimTransport(topology.latency_model(), seed=3), nodes=topology.broker_ids,
+    )
+
+
+def run_promoting_churn(network, seed, on_write):
+    """Narrow subscriptions under wide ones, the wide ones withdrawn first.
+
+    Each subscribe or withdrawal runs to quiescence inside ``on_write``; an
+    audited publish follows it.  Returns the promotions the run caused.
+    """
+    rng = random.Random(seed)
+    brokers = sorted(network.brokers, key=str)
+    for i in range(48):
+        if i % 6 == 0:
+            lo_x, lo_y = rng.randrange(8), rng.randrange(8)
+            ranges = ((lo_x, lo_x + 40 + rng.randrange(16)), (lo_y, lo_y + 40 + rng.randrange(16)))
+        else:
+            lo_x, lo_y = rng.randrange(10, 40), rng.randrange(10, 40)
+            ranges = ((lo_x, lo_x + rng.randrange(1, 8)), (lo_y, lo_y + rng.randrange(1, 8)))
+        on_write(network.subscribe, rng.choice(brokers), f"c{i}", rect_subscription(ranges, f"s{i}"))
+    # Wide subscriptions go first, so the narrow ones they covered are promoted.
+    for i in sorted(range(48), key=lambda i: (i % 6 != 0, rng.random()))[:30]:
+        on_write(network.unsubscribe, f"c{i}", f"s{i}")
+        event = Event(
+            SCHEMA, {"x": float(rng.randrange(MAX_CELL)), "y": float(rng.randrange(MAX_CELL))},
+            event_id=f"e{i}",
+        )
+        assert network.publish_and_audit(rng.choice(brokers), event) == (set(), set())
+    return sum(broker.stats.promotions for broker in network.brokers.values())
+
+
+def link_detectors(network):
+    return [
+        strategy._detector
+        for broker in network.brokers.values()
+        for strategy in broker._forwarded.values()
+    ]
+
+
+@pytest.mark.parametrize("transport_kind", ["sync", "sim"])
+def test_forwards_and_withdrawals_key_nothing_below_the_crossover(monkeypatch, transport_kind):
+    """At the default budget no link outgrows a plan: subscribe and unsubscribe
+    compute no curve key, and no link's detector builds its index."""
+    network = lazy_index_network(transport_kind, IndexConfig())
+    # The match side keys its grid run table once per process, on first use.
+    network.subscribe(0, "warm-up", rect_subscription(((0, 1), (0, 1)), "warm-up"))
+    network.unsubscribe("warm-up", "warm-up")
+    network.flush()
+    keyed = []
+
+    def counting(method):
+        def wrapper(*args, **kwargs):
+            keyed.append(method.__name__)
+            return method(*args, **kwargs)
+        return wrapper
+
+    for cls in map(curve_class, CURVE_KINDS):
+        for name in ("key", "keys"):
+            monkeypatch.setattr(cls, name, counting(getattr(cls, name)))
+    during_writes = []
+
+    def on_write(operation, *args):
+        before = len(keyed)
+        operation(*args)
+        network.flush()
+        during_writes.append(len(keyed) - before)
+
+    assert run_promoting_churn(network, 5, on_write) > 0
+    assert len(during_writes) == 78 and not any(during_writes)
+    assert keyed  # publishes still key their events
+    detectors = link_detectors(network)
+    assert detectors and all(detector._index is None for detector in detectors)
+
+
+@pytest.mark.parametrize("transport_kind", ["sync", "sim"])
+def test_each_link_that_crosses_over_builds_its_index_once(monkeypatch, transport_kind):
+    builds = collections.Counter()
+    crossed = set()
+    index = ApproximateCoveringDetector.index
+    check = ApproximateCoveringDetector.find_covering_profile
+
+    def counting_index(detector):
+        if detector._index is None:
+            builds[id(detector)] += 1
+        return index.fget(detector)
+
+    def noting_check(detector, profile):
+        if len(detector) > profile.plan.cubes:
+            crossed.add(id(detector))
+        return check(detector, profile)
+
+    monkeypatch.setattr(ApproximateCoveringDetector, "index", property(counting_index))
+    monkeypatch.setattr(ApproximateCoveringDetector, "find_covering_profile", noting_check)
+    network = lazy_index_network(transport_kind, CROSSOVER_CONFIG)
+
+    def on_write(operation, *args):
+        operation(*args)
+        network.flush()
+
+    assert run_promoting_churn(network, 5, on_write) > 0
+    assert crossed and set(builds) == crossed
+    assert set(builds.values()) == {1}
+    for detector in link_detectors(network):
+        assert (detector._index is not None) == (id(detector) in crossed)
+    assert len(crossed) < len(link_detectors(network))  # some links never crossed
