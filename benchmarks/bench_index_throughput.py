@@ -10,7 +10,8 @@ and a static range tree, plus the range tree's storage blow-up.
 On this workload every query has a cover, and the scan stops at the first
 one.  Its work per query (``linear_comparisons_per_query``) is therefore set
 by where that cover lands in each size's arrival order, not by the table
-size alone: it is larger at 2,000 stored than at 500, but largest at 1,000.
+size, and does not grow with it.  Neither that column nor ``linear_qps`` (one
+timed pass of 60 queries) is asserted on; both are reported.
 """
 
 from __future__ import annotations
@@ -29,10 +30,6 @@ def test_index_throughput(run_once, record_table):
     )
     record_table("index_throughput", table)
     rows = table.rows
-    # The linear scan does more work per query on the largest table than on
-    # the smallest.  A count, not its qps column: one timed pass of 60
-    # queries cannot order the sizes reliably.
-    assert rows[-1]["linear_comparisons_per_query"] > rows[0]["linear_comparisons_per_query"]
     # The SFC detector's throughput does not collapse with table size
     # (allow generous noise margins on a single-shot measurement).
     assert rows[-1]["approx_qps"] > 0.4 * rows[0]["approx_qps"]

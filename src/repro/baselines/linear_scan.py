@@ -54,8 +54,13 @@ class LinearScanCoveringDetector:
         return sub_id in self._subscriptions
 
     def add_subscription(self, sub_id: Hashable, ranges: Sequence[Range]) -> None:
-        """Store a subscription under ``sub_id`` (replacing any previous one)."""
-        self._subscriptions[sub_id] = self.transform.validate_ranges(ranges)
+        """Store a subscription under ``sub_id`` (replacing any previous one).
+
+        A replaced id counts as newly inserted: the scan reaches it last.
+        """
+        validated = self.transform.validate_ranges(ranges)
+        self._subscriptions.pop(sub_id, None)
+        self._subscriptions[sub_id] = validated
 
     def remove_subscription(self, sub_id: Hashable) -> bool:
         """Remove a subscription; return True when it was present."""

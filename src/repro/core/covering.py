@@ -195,9 +195,9 @@ class ApproximateCoveringDetector:
     def index(self) -> ApproximateDominanceIndex:
         """The dominance index over the stored points, built on first read.
 
-        The build loads every stored subscription in one pass (batch keys,
-        one sort) in storage order, which is the order an index kept up from
-        the start received them, so both report the same witnesses.
+        The build inserts every stored subscription in storage order, which
+        is the order an index kept up from the start received them, so both
+        report the same witnesses.
         """
         index = self._index
         if index is None:
@@ -209,9 +209,8 @@ class ApproximateCoveringDetector:
                 cube_budget=config.cube_budget,
             )
             to_point = self.transform.to_point
-            index.array.load(
-                [(sub_id, to_point(ranges)) for sub_id, ranges in self._subscriptions.items()]
-            )
+            for sub_id, ranges in self._subscriptions.items():
+                index.insert(sub_id, to_point(ranges))
             self._index = index
         return index
 
@@ -307,9 +306,10 @@ class ApproximateCoveringDetector:
         The profile's plan knows from the census how many cubes its schedule
         takes.  A detector holding no more subscriptions than that compares
         each stored subscription's ranges with the profile's — first cover in
-        insertion order, the choice of the ``exact`` strategy; no plan class
-        is materialised, no key computed, no index built, and the answer is
-        complete where the ε-search is bound by its budget.  A fuller
+        insertion order (a replaced id counts as newly inserted), the choice
+        of the ``exact`` strategy; no plan class is materialised, no key
+        computed, no index built, and the answer is complete where the
+        ε-search is bound by its budget.  A fuller
         detector executes the plan, as :meth:`find_covering` at the default ε
         would (same plan, here not rebuilt), against :attr:`index`, built
         by the first such check.  Sound on both sides: a cover is reported only

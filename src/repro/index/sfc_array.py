@@ -117,11 +117,6 @@ class FlatBackend:
         self._pending.clear()
         self.merges += 1
 
-    def load(self, values: Dict[int, Any]) -> None:
-        """Fill an empty map from ``key -> value`` in one sort, nothing pending."""
-        self._values = values
-        self._main = sorted(values)
-
     def insert(self, key: int, value: Any) -> None:
         if key in self._values:
             self._values[key] = value
@@ -241,31 +236,6 @@ class SFCArray:
         self._key_of_item[item_id] = key
         self.stats.inserts += 1
         return key
-
-    def load(self, items: Sequence[Tuple[Hashable, Tuple[int, ...]]]) -> None:
-        """Fill an empty array with ``(item_id, point)`` pairs in one pass.
-
-        The points are keyed as one batch (:meth:`SpaceFillingCurve.keys`,
-        which also rejects a point outside the universe) and the distinct keys
-        sorted once.  The result equals :meth:`add` of the pairs in order,
-        bucket order included, so the ids must be distinct.
-        """
-        if self._key_of_item:
-            raise ValueError("load fills an empty array only")
-        keys = self.curve.keys([point for _, point in items])
-        buckets: Dict[int, _Bucket] = {}
-        key_of_item = self._key_of_item
-        for (item_id, point), key in zip(items, keys):
-            bucket = buckets.get(key)
-            if bucket is None:
-                bucket = buckets[key] = _Bucket()
-            bucket.items[item_id] = StoredItem(item_id, point)
-            key_of_item[item_id] = key
-        if len(key_of_item) != len(items):
-            key_of_item.clear()
-            raise ValueError("load needs distinct item ids")
-        self._backend.load(buckets)
-        self.stats.inserts += len(items)
 
     def remove(self, item_id: Hashable) -> bool:
         """Remove an item by id; return True when it was present."""

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.baselines.exhaustive_sfc import ExhaustiveSFCCoveringDetector
+from repro.baselines.linear_scan import LinearScanCoveringDetector
 from repro.core.covering import OFFLINE_CONFIG, ApproximateCoveringDetector
 from repro.geometry.transform import ranges_cover
 from repro.index.config import IndexConfig
@@ -54,6 +55,20 @@ class TestBasicAPI:
         det.add_subscription("s", [(100, 110)])
         assert len(det) == 1
         assert not det.is_covered([(0, 200)])
+
+    def test_a_replaced_id_counts_as_newly_inserted(self):
+        """Compare side, ε-search and the exact strategy's scan all report the
+        cover stored before a replaced one."""
+        det = ApproximateCoveringDetector(attributes=2, attribute_order=6)
+        linear = LinearScanCoveringDetector(attributes=2, attribute_order=6)
+        for sub_id in ("a", "b", "a"):
+            det.add_subscription(sub_id, [(0, 40), (0, 40)])
+            linear.add_subscription(sub_id, [(0, 40), (0, 40)])
+        query = [(10, 20), (10, 20)]
+        compared = det.find_covering_profile(det.profile(query))
+        assert compared.query is None and compared.covering_id == "b"
+        assert det.find_covering(query).covering_id == "b"
+        assert linear.find_covering(query) == "b"
 
     def test_validation_errors(self):
         det = ApproximateCoveringDetector(attributes=2, attribute_order=6)

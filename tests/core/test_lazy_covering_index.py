@@ -2,8 +2,8 @@
 
 ``ApproximateCoveringDetector`` keeps only the stored ranges until something
 reads its ε-search index (``find_covering``, ``find_covering_exhaustive``,
-``find_covering_profile`` above the crossover, or ``.index``), then loads them
-in one pass and maintains the index from there.  Here a detector is driven
+``find_covering_profile`` above the crossover, or ``.index``), then inserts
+them in storage order and maintains the index from there.  Here a detector is driven
 through random add / replace / remove / query sequences beside an
 ``ApproximateDominanceIndex`` updated on every step, and every check must
 report the same witness and the same cost on both.  A query that excludes an

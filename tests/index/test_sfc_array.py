@@ -74,34 +74,6 @@ class TestSFCArrayUpdates:
         array.stats.reset()
         assert array.stats.inserts == 0
 
-    def test_load_equals_adds_in_order(self, array):
-        """A one-pass load leaves what adds in the same order leave, shared
-        cells' bucket order included."""
-        rng = random.Random(8)
-        pairs = [(i, (rng.randint(0, 7), rng.randint(0, 7))) for i in range(60)]
-        added = SFCArray(array.curve)
-        for item_id, point in pairs:
-            added.add(item_id, point)
-        array.load(pairs)
-        assert list(array.items()) == list(added.items())
-        assert list(array.keys()) == list(added.keys())
-        assert array.stats.inserts == len(pairs)
-        array.add("late", (1, 1))
-        array.remove(0)
-        added.add("late", (1, 1))
-        added.remove(0)
-        assert list(array.items()) == list(added.items())
-
-    def test_load_rejects_a_filled_array_and_repeated_ids(self, array):
-        with pytest.raises(ValueError):
-            array.load([("a", (1, 1)), ("a", (2, 2))])
-        assert len(array) == 0
-        array.add("a", (1, 1))
-        with pytest.raises(ValueError):
-            array.load([("b", (2, 2))])
-        with pytest.raises(ValueError):
-            SFCArray(array.curve).load([("b", (99, 0))])
-
 
 class TestSFCArrayQueries:
     def test_first_in_key_range_hits_and_misses(self, array):
