@@ -3,9 +3,13 @@
 The numbers the staging thresholds of
 :class:`repro.index.sfc_array.FlatSegmentStore` are sized from (README,
 "Event-matching fast path"): a merge-rebuild on the numpy sweep and on the
-Python one (what keys wider than 64 bits take), the same per stored run, and
-a stab of a clean table, of one carrying as many tombstones as compaction
-allows, and per slot waiting in the pending buffer.
+Python one (what keys wider than 64 bits take), the same per stored run, a
+stab of a clean table and of one carrying as many tombstones as compaction
+allows, and what each slot waiting in the pending buffer adds to a probe.
+A stab does not see staged slots (the match index tests each of them by its
+rectangle), so that last column times ``MatchIndex.matching_ids`` on stock
+events with and without the staged slots, and checks that the probe with
+them returns every staged subscription an event matches.
 Slots hold the key runs the product configuration stores for stock-scenario
 subscriptions (at most 64 each).
 
@@ -39,20 +43,16 @@ from repro.pubsub.subscription import Subscription  # noqa: E402
 from repro.workloads.scenarios import stock_market_scenario  # noqa: E402
 
 SIZES = (4, 8, 20, 32, 128, 1024, 4096)
-Runs = Tuple[Tuple[int, int], ...]
+Ranges = Tuple[Tuple[int, int], ...]
+#: Stock events each probe sweep runs through ``MatchIndex.matching_ids``.
+EVENTS = 2000
 
 
-def stock_runs(slots: int, seed: int) -> List[Runs]:
-    """The run tuple the product match index stores for each of ``slots`` stock subscriptions."""
-    scenario = stock_market_scenario(num_subscriptions=slots, num_events=0, seed=seed)
-    index = MatchIndex(scenario.schema)
-    index.add_batch(
-        [
-            (number, Subscription(scenario.schema, constraints).ranges)
-            for number, constraints in enumerate(scenario.subscriptions)
-        ]
-    )
-    return [index._flat.runs_of(index._slot_of[number]) for number in range(slots)]
+def stock_subscriptions(count: int, seed: int) -> List[Ranges]:
+    """The quantised rectangles of ``count`` stock-scenario subscriptions."""
+    scenario = stock_market_scenario(num_subscriptions=count, num_events=0, seed=seed)
+    schema = scenario.schema
+    return [Subscription(schema, constraints).ranges for constraints in scenario.subscriptions]
 
 
 def best_of(repeat: int, action: Callable[[], object]) -> float:
@@ -75,17 +75,33 @@ def stab_ns(store: FlatSegmentStore, keys: Sequence[int], repeat: int) -> float:
     return best_of(repeat, sweep) / len(keys) * 1e9
 
 
+def probe_ns(index: MatchIndex, events: Sequence[Tuple[Sequence[int], int]], repeat: int) -> float:
+    def sweep() -> None:
+        matching_ids = index.matching_ids
+        for cells, key in events:
+            matching_ids(cells, key)
+
+    return best_of(repeat, sweep) / len(events) * 1e9
+
+
 def measure(slots: int, seed: int, repeat: int) -> Dict[str, float]:
-    runs = stock_runs(slots, seed)
-    spare = stock_runs(FlatSegmentStore.PENDING_SLOTS, seed + 1)
+    scenario = stock_market_scenario(num_subscriptions=0, num_events=EVENTS, seed=seed)
+    schema = scenario.schema
+    index = MatchIndex(schema)
+    index.add_batch(list(enumerate(stock_subscriptions(slots, seed))))
+    store = index._flat
+    runs = [store.runs_of(index._slot_of[number]) for number in range(slots)]
+    spare = stock_subscriptions(FlatSegmentStore.PENDING_SLOTS, seed + 1)
     rng = random.Random(seed)
     top = max(hi for slot_runs in runs for _, hi in slot_runs)
-    # Half the probes start a stored run (a hit), half fall anywhere.
+    # Half the stab keys start a stored run (a hit), half fall anywhere.
     keys = [rng.choice(rng.choice(runs))[0] for _ in range(1000)]
     keys += [rng.randrange(top + 1) for _ in range(1000)]
+    events = []
+    for event in scenario.events:
+        cells = schema.quantize_event(event)
+        events.append((cells, index.event_key(cells)))
 
-    store = FlatSegmentStore()
-    store.add_bulk(enumerate(runs))
     total_runs = sum(len(slot_runs) for slot_runs in runs)
     rebuild_s = best_of(repeat, store.rebuild)
     store._sweep_numpy = lambda: None  # the instance attribute shadows the method
@@ -95,21 +111,35 @@ def measure(slots: int, seed: int, repeat: int) -> Dict[str, float]:
         del store._sweep_numpy
     store.rebuild()
     clean = stab_ns(store, keys, repeat)
+    probe_clean = probe_ns(index, events, repeat)
 
-    # As many pending slots as any table may hold without rebuilding.
+    # As many staged slots as any table may hold without rebuilding.
     pending = min(
         len(spare), FlatSegmentStore.PENDING_SLOTS + slots // FlatSegmentStore.PENDING_SHARE
     )
     rebuilds = store.rebuilds
-    for number in range(pending):
-        store.add(slots + number, spare[number])
-    with_pending = stab_ns(store, keys, repeat)
-    for number in range(pending):
-        store.remove(slots + number)
+    staged = {("spare", number): spare[number] for number in range(pending)}
+    for sub_id, ranges in staged.items():
+        index.add(sub_id, ranges)
+    assert len(store.staged) == pending, "the spare subscriptions must all be staged"
+    probe_staged = probe_ns(index, events, repeat)
+    staged_matches = 0
+    for cells, key in events:
+        expected = [
+            sub_id
+            for sub_id, ranges in staged.items()
+            if all(lo <= cell <= hi for (lo, hi), cell in zip(ranges, cells))
+        ]
+        found = [sub_id for sub_id in index.matching_ids(cells, key) if sub_id in staged]
+        assert found == expected, "the probe must return every staged match"
+        staged_matches += len(found)
+    assert staged_matches, "no stock event matched a staged subscription"
+    for sub_id in staged:
+        index.remove(sub_id)
 
     # As many tombstones as compaction tolerates: half the flattened slots.
-    for slot in range(slots // 2):
-        store.remove(slot)
+    for number in range(slots // 2):
+        index.remove(number)
     assert store.rebuilds == rebuilds, "the probe states must not trigger a rebuild"
     tombstoned = stab_ns(store, keys, repeat)
     timings = {
@@ -119,7 +149,8 @@ def measure(slots: int, seed: int, repeat: int) -> Dict[str, float]:
         "per_run_fallback_us": fallback_s * 1e6 / total_runs,
         "stab_clean_ns": clean,
         "stab_tombstoned_ns": tombstoned,
-        "per_pending_slot_ns": (with_pending - clean) / pending,
+        "probe_clean_ns": probe_clean,
+        "per_pending_slot_ns": (probe_staged - probe_clean) / pending,
     }
     return {
         "slots": slots,

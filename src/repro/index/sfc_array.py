@@ -387,36 +387,38 @@ class FlatSegmentStore:
     and all their members in one typed array (``array('q')`` of slots) with a
     cut list beside it — segment ``i`` holds ``members[cuts[i]:cuts[i + 1]]``,
     slots in insertion order — built in one boundary sweep over every live
-    run.  A stab is then a single ``bisect`` on the upper bounds and one
-    slice.
+    run.  A stab (:meth:`stab`) is then a single ``bisect`` on the upper
+    bounds and one slice; it answers for the flattened slots only.
 
     Updates are staged, LSM-style, one entry per *slot*:
 
     * **inserts** park the slot's (immutable, sorted) run tuple in a pending
-      buffer; a stab bisects each pending slot's runs, so a pending slot
-      costs one ``bisect`` however many runs it has.  Once more than
-      :data:`PENDING_SLOTS` + 1/:data:`PENDING_SHARE` of the flattened slots
-      are pending, a *merge-rebuild* re-sweeps all live runs into a fresh
-      layout (the buffer bound grows with the structure, so the rebuild work
-      per insert stays bounded);
-    * **removals** of flattened slots only tombstone the slot (stabs filter
-      against the tombstone set); compaction rebuilds once the tombstones
-      outnumber the flattened slots still alive, i.e. once more than half of
-      what the arrays hold is garbage.  Removals of still-pending slots drop
-      the buffer entry and leave no garbage at all.
+      buffer (:attr:`staged`), which a stab does not look at: the match
+      index tests every staged slot with the rectangle test it gives each
+      stab candidate anyway.  Once more than :data:`PENDING_SLOTS` +
+      1/:data:`PENDING_SHARE` of the flattened slots are pending, a
+      *merge-rebuild* re-sweeps all live runs into a fresh layout (the buffer
+      bound grows with the structure, so the rebuild work per insert stays
+      bounded);
+    * **removals** of flattened slots only tombstone the slot (a stab still
+      lists it; the match index skips it because the slot has no rectangle
+      left); compaction rebuilds once the tombstones outnumber the flattened
+      slots still alive, i.e. once more than half of what the arrays hold is
+      garbage.  Removals of still-pending slots drop the buffer entry and
+      leave no garbage at all.
 
     The sweep runs on numpy arrays at every table size (:meth:`_sweep_numpy`;
     the Python event loop :meth:`_sweep_python` takes the keys numpy cannot
     hold and gives the identical layout).  Both thresholds are sized from measured costs (README,
     "Event-matching fast path"; ``experiments/flat_store_costs.py`` prints
-    them): a rebuild costs 0.25–0.4 µs per run, ~20 µs per 64-run slot, a
-    pending slot adds ~0.28 µs to every stab, so with at most ``P`` slots
-    pending an add pays ``20·n/P`` µs and a stab ``0.14·P`` µs on average —
-    balanced at ``P = √(143·n/r)`` ≈ 4–27 for 10–30-slot tables stabbed
-    ``r`` = 6–100 times per write.  The cap of 17–20 slots those tables get
-    was sized when a rebuild cost five times as much (balance at 9–60) and is
-    still inside that range, where the sum is within a quarter of its
-    minimum; it was left alone.
+    them): a rebuild costs 0.3–0.5 µs per run, ~20 µs per 52-run slot, a
+    staged slot adds one rectangle test, ~0.5 µs on stock events, to every
+    probe of the match index, so with at most ``P`` slots staged an add pays
+    ``20·n/P`` µs and a probe ``0.25·P`` µs on average — balanced at
+    ``P = √(80·n/r)`` ≈ 3–20 for 10–30-slot tables probed ``r`` = 6–100
+    times per write.  The cap of 17–20 slots those tables get sits at the
+    write-heavy end; a cap of 8 was measured to move the cost onto
+    subscribes (README), so it was left alone.
 
     Bulk loading (:meth:`add_bulk`) stages every subscription and performs a
     single sweep, which is how a million-subscription index is built in one
@@ -434,7 +436,9 @@ class FlatSegmentStore:
         self._his: List[int] = []
         self._cuts: List[int] = [0]
         self._members = array("q")
-        self._pending: Dict[int, Tuple[KeyRange, ...]] = {}
+        #: Slots in the pending buffer with their runs, in insertion order
+        #: (read-only for callers; a rebuild empties it).
+        self.staged: Dict[int, Tuple[KeyRange, ...]] = {}
         self._dead: set = set()
         self.rebuilds = 0
         self.member_entries = 0
@@ -451,15 +455,14 @@ class FlatSegmentStore:
 
     def _flattened_slots(self) -> int:
         """Slots the flattened arrays hold, tombstoned ones included."""
-        return len(self._runs) - len(self._pending) + len(self._dead)
+        return len(self._runs) - len(self.staged) + len(self._dead)
 
     @staticmethod
     def _normalize_runs(runs: Sequence[KeyRange]) -> Tuple[KeyRange, ...]:
         """Disjoint sorted runs: the boundary sweep assumes a slot's own runs
-        never overlap (overlaps would drop the slot early) and the pending
-        buffer bisects them.  The match index always hands over
-        already-merged run tuples, so the common case is a cheap monotonicity
-        check that returns the very tuple it was given.
+        never overlap (overlaps would drop the slot early).  The match index
+        always hands over already-merged run tuples, so the common case is a
+        cheap monotonicity check that returns the very tuple it was given.
         """
         prev_hi = -1
         for lo, hi in runs:
@@ -472,9 +475,9 @@ class FlatSegmentStore:
         """Stage a slot's runs; the caller guarantees the slot is not present."""
         if slot in self._runs:
             raise ValueError(f"slot {slot} is already stored; remove it first")
-        self._runs[slot] = self._pending[slot] = self._normalize_runs(runs)
+        self._runs[slot] = self.staged[slot] = self._normalize_runs(runs)
         if (
-            len(self._pending)
+            len(self.staged)
             > self.PENDING_SLOTS + self._flattened_slots() // self.PENDING_SHARE
         ):
             self.rebuild()
@@ -506,7 +509,7 @@ class FlatSegmentStore:
         runs = self._runs.pop(slot, None)
         if runs is None:
             return 0
-        if self._pending.pop(slot, None) is None:
+        if self.staged.pop(slot, None) is None:
             self._dead.add(slot)
             if len(self._dead) * 2 > self._flattened_slots():
                 self.rebuild()
@@ -628,45 +631,36 @@ class FlatSegmentStore:
         if layout is None:
             layout = self._sweep_python()
         self._los, self._his, self._cuts, self._members = layout
-        self._pending = {}
+        self.staged = {}
         self._dead.clear()
         self.member_entries = len(self._members)
         self.rebuilds += 1
 
     # ---------------------------------------------------------------- queries
-    def stab(self, key: int) -> Iterator[int]:
-        """Yield the live slots whose stored runs contain ``key``.
+    def stab(self, key: int) -> Sequence[int]:
+        """The flattened slots whose runs contain ``key``, in slot insertion order.
 
-        One ``bisect`` on the flattened arrays (tombstones filtered lazily)
-        plus one ``bisect`` per slot of the bounded pending buffer.  Lazy so
-        that early-exiting callers (``any_match``) stop paying per candidate
-        as soon as they confirm a hit.
+        One ``bisect`` on the upper bounds and one slice of the member array.
+        The slice still lists tombstoned slots, and the slots in
+        :attr:`staged` are not in it: the live slots whose runs hold ``key``
+        are the slice minus the tombstones plus the staged slots whose runs
+        hold it.  The match index needs neither filter, because it tests
+        every slot it is handed against that slot's rectangle, and a removed
+        slot has no rectangle left.
         """
         his = self._his
         idx = bisect.bisect_left(his, key)
         if idx < len(his) and self._los[idx] <= key:
             cuts = self._cuts
-            members = self._members[cuts[idx] : cuts[idx + 1]]
-            dead = self._dead
-            if dead:
-                for slot in members:
-                    if slot not in dead:
-                        yield slot
-            else:
-                yield from members
-        if self._pending:
-            after = (key + 1,)  # sorts right after every run starting at or before ``key``
-            for slot, runs in self._pending.items():
-                idx = bisect.bisect_left(runs, after)
-                if idx and runs[idx - 1][1] >= key:
-                    yield slot
+            return self._members[cuts[idx] : cuts[idx + 1]]
+        return ()
 
     def segment_count(self) -> int:
         """Structure size: flattened segments plus still-pending runs."""
-        return len(self._his) + sum(len(runs) for runs in self._pending.values())
+        return len(self._his) + sum(len(runs) for runs in self.staged.values())
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"FlatSegmentStore(slots={len(self._runs)}, segments={len(self._his)}, "
-            f"pending={len(self._pending)}, rebuilds={self.rebuilds})"
+            f"pending={len(self.staged)}, rebuilds={self.rebuilds})"
         )

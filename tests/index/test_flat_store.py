@@ -77,6 +77,21 @@ def _oracle_stab(runs_of, key):
     return {slot for slot, runs in runs_of.items() if any(lo <= key <= hi for lo, hi in runs)}
 
 
+def _live_stab(store, key):
+    """The live slots whose runs hold ``key``, by the store's contract: the
+    flattened slice of ``stab`` minus the tombstoned slots, plus the staged
+    slots whose runs hold it.  The slice never lists a staged slot, and each
+    slot comes up once."""
+    flattened = list(store.stab(key))
+    staged = [
+        slot for slot, runs in store.staged.items() if any(lo <= key <= hi for lo, hi in runs)
+    ]
+    assert not set(flattened) & set(store.staged)
+    hits = [slot for slot in flattened if slot not in store._dead] + staged
+    assert len(hits) == len(set(hits))
+    return set(hits)
+
+
 def _chained_runs(start, steps):
     """Disjoint sorted runs from ``(gap, length)`` steps; a zero gap makes two abut."""
     runs = []
@@ -120,7 +135,8 @@ _store_ops = st.lists(
 def test_flat_segment_store_matches_oracle(ops, probes):
     """Adds, bulk loads, removes and rebuilds interleave freely, so a removal
     meets slots that are still pending as well as flattened ones; every probe
-    is checked after every write, not only at the end."""
+    is checked after every write, not only at the end, against the store's
+    contract (see ``_live_stab``)."""
     store = FlatSegmentStore()
     model = {}
     next_slot = 100  # distinct from the op slot space so re-adds get new slots
@@ -156,7 +172,7 @@ def test_flat_segment_store_matches_oracle(ops, probes):
             store.rebuild()
         assert len(store) == len(model)
         for key in probes:
-            assert set(store.stab(key)) == _oracle_stab(model, key)
+            assert _live_stab(store, key) == _oracle_stab(model, key)
 
 
 def test_flat_segment_store_bulk_equals_incremental():
@@ -168,7 +184,7 @@ def test_flat_segment_store_bulk_equals_incremental():
         incremental.add(slot, runs)
     incremental.rebuild()
     for key in range(0, 650, 7):
-        assert set(bulk.stab(key)) == set(incremental.stab(key))
+        assert _live_stab(bulk, key) == _live_stab(incremental, key)
     assert bulk.rebuilds == 1
     assert bulk.member_entries == incremental.member_entries
 
@@ -191,15 +207,16 @@ def test_flat_segment_store_tombstone_compaction():
     assert store.rebuilds == 1
     for slot in range(0, 100, 2):
         store.remove(slot)
-    # Exactly half garbage: still tombstones, filtered at stab time.
+    # Exactly half garbage: still tombstones, which a stab still lists.
     assert store.rebuilds == 1
-    assert set(store.stab(5)) == {3, 5}  # covered by 3,4,5; 4 removed
+    assert list(store.stab(5)) == [3, 4, 5]  # covered by 3,4,5; 4 removed
+    assert _live_stab(store, 5) == {3, 5}
     segments = store.segment_count()
     store.remove(1)
     assert store.rebuilds == 2
     assert store.segment_count() < segments
-    assert set(store.stab(5)) == {3, 5}
-    assert set(store.stab(2)) == set()
+    assert list(store.stab(5)) == [3, 5]
+    assert list(store.stab(2)) == []
 
 
 def test_flat_segment_store_pending_slot_removal_leaves_no_garbage():
@@ -207,10 +224,29 @@ def test_flat_segment_store_pending_slot_removal_leaves_no_garbage():
     store.add_bulk([(slot, [(slot * 10, slot * 10 + 5)]) for slot in range(4)])
     for round_ in range(200):
         store.add(1000 + round_, [(3, 4), (13, 14)])
-        assert set(store.stab(13)) == {1, 1000 + round_}
+        assert list(store.stab(13)) == [1]  # the staged slot is not in the arrays
+        assert _live_stab(store, 13) == {1, 1000 + round_}
         assert store.remove(1000 + round_) == 2
     assert store.rebuilds == 1
-    assert set(store.stab(13)) == {1}
+    assert not store._dead and not store.staged
+    assert list(store.stab(13)) == [1]
+
+
+@pytest.mark.parametrize("runs", [[(3, 4), (13, 14)], []])
+def test_removing_a_staged_slot_never_tombstones_it(runs):
+    """``remove`` tells a staged slot from a flattened one by whether the
+    pending buffer held an entry for it, not by what the entry holds: a
+    staged slot with no runs (an empty, falsy tuple) is dropped outright too.
+    Tombstoning a staged slot would leave garbage that only a rebuild clears
+    and count against the compaction share."""
+    store = FlatSegmentStore()
+    store.add_bulk([(slot, [(slot * 10, slot * 10 + 5)]) for slot in range(4)])
+    store.add(9, runs)
+    assert 9 in store.staged
+    assert store.remove(9) == len(runs)
+    assert 9 not in store and 9 not in store.staged and 9 not in store._dead
+    assert store._flattened_slots() == 4
+    assert store.rebuilds == 1
 
 
 def test_flat_segment_store_rebuilds_once_per_many_writes():
@@ -220,8 +256,8 @@ def test_flat_segment_store_rebuilds_once_per_many_writes():
     with the withdrawal of the oldest slot.  The pending cap is counted in
     slots and compaction waits for a constant share of garbage, so rebuilds
     come at most once per 16 writes (29 here; the cap counted in runs
-    rebuilt 83 times), and every stab along the way agrees with the
-    scan-everything oracle.
+    rebuilt 83 times), and every stab along the way, with the staged slots
+    whose runs hold the key, agrees with the scan-everything oracle.
     """
     rng = random.Random(7)
 
@@ -246,7 +282,7 @@ def test_flat_segment_store_rebuilds_once_per_many_writes():
             assert store.remove(oldest) == len(model.pop(oldest))
         slot = rng.choice(list(model))
         for key in (rng.choice(model[slot])[0], rng.randrange(1 << 21)):
-            assert set(store.stab(key)) == _oracle_stab(model, key)
+            assert _live_stab(store, key) == _oracle_stab(model, key)
     assert store.rebuilds - rebuilds <= 1_000 // 16
 
 
@@ -268,8 +304,8 @@ def test_flat_segment_store_keeps_runs_reaching_the_top_of_a_64_bit_key_space():
         store = FlatSegmentStore()
         store.add_bulk(model.items())
         for key in (1 << 63, (1 << 63) + 5, top, model[17][0][0]):
-            assert set(store.stab(key)) == _oracle_stab(model, key)
-        assert 600 in set(store.stab(top))
+            assert _live_stab(store, key) == _oracle_stab(model, key)
+        assert 600 in _live_stab(store, top)
 
 
 # ------------------------------------------ the sweep: numpy ≡ Python ≡ oracle
@@ -403,7 +439,8 @@ def test_stab_matches_oracle_across_both_thresholds_in_both_directions():
     """A seeded walk that grows a store from nothing to ~70 slots and empties
     it again, twice, through ``add``, ``add_bulk`` and ``remove``: the pending
     cap and the tombstone share are each crossed on the way up and on the way
-    down, and every stab after every step is the brute-force answer."""
+    down, and every stab after every step, less its tombstones and with the
+    staged slots whose runs hold the key, is the brute-force answer."""
     rng = random.Random(5)
     store = FlatSegmentStore()
     model = {}
@@ -438,7 +475,7 @@ def test_stab_matches_oracle_across_both_thresholds_in_both_directions():
             rebuilt_by[op] += store.rebuilds - before
             assert len(store) == len(model)
             for key in range(0, 110, 3):
-                assert set(store.stab(key)) == _oracle_stab(model, key)
+                assert _live_stab(store, key) == _oracle_stab(model, key)
     assert all(count > 2 for count in rebuilt_by.values()), rebuilt_by
 
 

@@ -111,16 +111,28 @@ class TestMatchIndexUnit:
 
     def test_coarsening_records_stats(self, schema):
         index = MatchIndex(schema, config=IndexConfig(run_budget=1))
-        # A thin full-width strip decomposes into many runs at order 6.
+        # A thin full-width strip decomposes into many runs at order 6.  A
+        # bulk load flattens it, so a probe reaches it through its one run.
         strip = Subscription(schema, {"y": (50.0, 51.0)}, sub_id="strip")
-        index.add("strip", strip.ranges)
+        index.add_batch([("strip", strip.ranges)])
         assert index.stats.coarsened_subscriptions == 1
         assert index.stats.runs_stored == 1
         # Coarsening to one run over-approximates; probes off the strip must
         # still be rejected by the rectangle check.
         miss = Event(schema, {"x": 50.0, "y": 10.0})
+        key = index.event_key(miss.cells)
+        assert index.candidates(key) == {"strip"}
         assert not index.any_match(miss.cells)
-        assert index.stats.false_positives >= 1
+        assert (index.stats.candidates_checked, index.stats.false_positives) == (1, 1)
+        # A staged subscription gets the rectangle test on every probe, even
+        # one its runs miss: one more test made, one more rejection counted.
+        corner = Subscription(schema, {"x": (0.0, 5.0), "y": (90.0, 95.0)}, sub_id="corner")
+        index.add("corner", corner.ranges)
+        assert index._slot_of["corner"] in index._flat.staged
+        assert "corner" not in index.candidates(key)
+        assert not index.any_match(miss.cells)
+        assert index.matching_ids(miss.cells) == []
+        assert (index.stats.candidates_checked, index.stats.false_positives) == (5, 5)
 
     @pytest.mark.parametrize("precision_bits", [2, 4, 8])
     def test_precision_bounded_decomposition_stays_exact(self, precision_bits):
@@ -235,6 +247,79 @@ class TestMatchIndexUnit:
         assert index.curve.keys(points) == [index.curve.key(p) for p in points]
         with pytest.raises(ValueError):
             index.curve.keys([(0, index.universe.side)])
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("curve, run_budget", [("zorder", 64), ("hilbert", 2)])
+    def test_queries_equal_a_scan_with_staged_and_tombstoned_slots(
+        self, schema, seed, curve, run_budget
+    ):
+        """A seeded walk of ``add`` / ``add_batch`` / ``remove`` (re-adds and
+        in-batch replacements included) with probes after every write.  The
+        queries test staged slots by rectangle alone and skip tombstoned ones
+        by their missing rectangle, so the walk must reach states holding
+        both at once, below either threshold, and in every state
+        ``matching_ids`` is the linear scan in insertion order, ``any_match``
+        its truth value, and ``candidates`` exactly the live subscriptions
+        whose stored runs hold the key (every match among them)."""
+        rng = random.Random(seed)
+        index = MatchIndex(schema, config=IndexConfig(curve=curve, run_budget=run_budget))
+        side = index.universe.side
+        model = {}  # sub_id -> cell ranges, in insertion order
+
+        def rect():
+            corner = [rng.randrange(side) for _ in range(2)]
+            return tuple((lo, min(side - 1, lo + rng.randrange(side // 2))) for lo in corner)
+
+        def place(sub_id, ranges):
+            model.pop(sub_id, None)
+            model[sub_id] = ranges
+
+        seed_items = [(f"s{i}", rect()) for i in range(40)]
+        index.add_batch(seed_items)
+        for sub_id, ranges in seed_items:
+            place(sub_id, ranges)
+        names = [f"s{i}" for i in range(80)]
+        mixed_states = 0
+        for _ in range(400):
+            draw = rng.random()
+            if draw < 0.45:
+                sub_id = rng.choice(names)
+                ranges = rect()
+                index.add(sub_id, ranges)
+                place(sub_id, ranges)
+            elif draw < 0.5:
+                # Distinct ids and rectangles, some already stored: item order
+                # is insertion order, and a re-added id moves to the end.
+                items = {rng.choice(names): rect() for _ in range(rng.randrange(1, 4))}
+                index.add_batch(list(items.items()))
+                for sub_id, ranges in items.items():
+                    place(sub_id, ranges)
+            elif model:
+                sub_id = rng.choice(list(model))
+                assert index.remove(sub_id)
+                del model[sub_id]
+            flat = index._flat
+            mixed_states += bool(flat.staged) and bool(flat._dead)
+            probes = [tuple(rng.randrange(side) for _ in range(2)) for _ in range(6)]
+            stored = rng.sample(list(model.values()), min(3, len(model)))
+            probes += [tuple(lo for lo, _ in ranges) for ranges in stored]
+            for cells in probes:
+                expected = [
+                    sub_id
+                    for sub_id, ranges in model.items()
+                    if all(lo <= cell <= hi for (lo, hi), cell in zip(ranges, cells))
+                ]
+                assert index.matching_ids(cells) == expected
+                assert index.any_match(cells) is bool(expected)
+                key = index.event_key(cells)
+                holding = {
+                    sub_id
+                    for sub_id in model
+                    if any(lo <= key <= hi for lo, hi in flat.runs_of(index._slot_of[sub_id]))
+                }
+                assert index.candidates(key) == holding >= set(expected)
+        assert mixed_states > 20, mixed_states
+        assert len(index) == len(model)
 
 
 class TestInterfaceTableSfc:

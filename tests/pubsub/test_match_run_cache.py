@@ -104,7 +104,7 @@ def test_cached_index_equals_uncached_index(schema):
     for cached in (filling, hitting):
         assert all_candidates(cached) == expected
     for cached in (filling, hitting):
-        for attr in ("_runs", "_los", "_his", "_cuts", "_members", "_pending"):
+        for attr in ("_runs", "_los", "_his", "_cuts", "_members", "staged"):
             assert getattr(cached._flat, attr) == getattr(uncached._flat, attr)
     # One immutable tuple per rectangle, held by identity in both stores.
     for slot in filling._id_of:
