@@ -31,7 +31,7 @@ def test_event_matching_crossover(run_once, record_table):
     )
     record_table("event_matching", table)
     rows = {row["subscriptions"]: row for row in table.rows}
-    # The driver already verified linear and SFC matching agree on every event.
+    # The experiment already verified the scan and the index agree on every event.
     assert all(row["false_positives"] <= row["candidates_checked"] for row in table.rows)
     if not _SMOKE:
         # Acceptance: the index beats the scan at >= 1,000 stored

@@ -1,7 +1,7 @@
 """Does a long run hold bounded memory?  An in-process soak of the publish path.
 
 A 3-broker synchronous chain on the product configuration (approximate
-covering, SFC matching, ``IndexConfig()``) carries the stock scenario in
+covering, ``IndexConfig()``) carries the stock scenario in
 rounds shaped like the ``pub-chain3-sync`` benchmark workload: 80 preloaded
 subscriptions, then per round 12 subscribes, 12 withdrawals of the oldest
 live subscriptions and 1,200 publishes, clients drawn from a fixed pool.
@@ -70,7 +70,6 @@ class Soak:
             self.schema,
             chain_topology(BROKERS),
             covering="approximate",
-            matching="sfc",
             config=IndexConfig(),
             seed=seed,
         )

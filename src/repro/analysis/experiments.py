@@ -485,7 +485,6 @@ def run_pubsub_experiment(
     strategies: Sequence[str] = ("none", "exact", "approximate"),
     seed: int = 9,
     cube_budget: int = 4_000,
-    matching: str = "linear",
     curve: str = "zorder",
 ) -> ResultTable:
     """E-PUBSUB: routing-table size and propagation traffic per covering strategy.
@@ -493,10 +492,9 @@ def run_pubsub_experiment(
     The workload mixes narrow subscriptions with a share of broad ones (the
     regime covering is designed for); the per-check work of the approximate
     strategy is bounded by ``cube_budget`` like a real router would bound it.
-    ``matching`` selects the event-matching implementation of every broker
-    (``"linear"`` scan or the ``"sfc"`` match index) and ``curve`` the
-    space-filling curve behind both the match index and the approximate
-    strategy; the delivery audit runs identically under every combination.
+    ``curve`` is the space-filling curve behind both the match indexes and
+    the approximate strategy; the delivery audit runs identically under
+    every curve.
     """
     import random as _random
 
@@ -526,7 +524,6 @@ def run_pubsub_experiment(
             covering=strategy,
             config=IndexConfig(epsilon=epsilon, cube_budget=cube_budget, curve=curve),
             seed=seed,
-            matching=matching,
         )
         start = time.perf_counter()
         for spec, broker_id in zip(specs, placements):
@@ -551,7 +548,6 @@ def run_pubsub_experiment(
         covering_work = sum(b.covering_check_runs for b in stats.per_broker.values())
         table.add(
             strategy=strategy if strategy != "approximate" else f"approximate(ε={epsilon})",
-            matching=matching,
             curve=curve,
             routing_table_entries=stats.routing_table_entries,
             subscription_messages=stats.subscription_messages,
@@ -594,7 +590,6 @@ def run_metrics_scenario(
     num_events: int = 20,
     order: int = 8,
     epsilon: float = 0.3,
-    matching: str = "sfc",
     curve: str = "zorder",
     seed: int = 17,
     trace_capacity: int = 4096,
@@ -632,7 +627,6 @@ def run_metrics_scenario(
         covering="approximate",
         config=IndexConfig(epsilon=epsilon, curve=curve),
         seed=seed,
-        matching=matching,
         transport=SimTransport(seed=seed),
         metrics=MetricsRegistry(),
         tracing=TraceLog(capacity=trace_capacity, seed=seed),
@@ -882,12 +876,14 @@ def run_event_matching_experiment(
 ) -> ResultTable:
     """E-MATCH: per-interface event matching, linear scan vs the SFC match index.
 
-    Builds one interface table per matching mode with the same stored
-    subscriptions (mostly narrow, a few broad — the per-interface shape a
-    loaded broker sees), verifies the two modes agree on every event, then
-    times ``any_match`` over the event stream.  The crossover: at ≥ 1,000
-    stored subscriptions the single sorted-array probe of the index beats
-    scanning the table, and the gap widens with table size.
+    Fills one interface table with the stored subscriptions (mostly narrow, a
+    few broad — the per-interface shape a loaded broker sees); every size
+    measured is past the table's scan limit, so it has built its match index.
+    The baseline scans the same subscriptions with
+    :meth:`Subscription.matches`.  The two must agree on every event; then
+    ``any_match`` is timed over the event stream.  The crossover:
+    at ≥ 1,000 stored subscriptions the single sorted-array probe of the
+    index beats scanning the table, and the gap widens with table size.
     """
     from ..pubsub.routing_table import InterfaceTable
 
@@ -916,23 +912,24 @@ def run_event_matching_experiment(
             seed=seed,
             prefix=f"match-{size}",
         )
-        linear = InterfaceTable("bench", schema=schema, matching="linear")
         sfc = InterfaceTable(
-            "bench",
-            schema=schema,
-            matching="sfc",
-            config=IndexConfig(run_budget=run_budget, curve=curve),
+            "bench", schema, config=IndexConfig(run_budget=run_budget, curve=curve)
         )
         subscriptions = _spec_subscriptions(schema, specs)
-        for subscription in subscriptions:
-            linear.add(subscription)
+
+        def linear_any_match(event: Event) -> bool:
+            for subscription in subscriptions:
+                if subscription.matches(event):
+                    return True
+            return False
+
         build_start = time.perf_counter()
         for subscription in subscriptions:
             sfc.add(subscription)
         build_seconds = time.perf_counter() - build_start
 
         disagreements = sum(
-            1 for event in events if linear.any_match(event) != sfc.any_match(event)
+            1 for event in events if linear_any_match(event) != sfc.any_match(event)
         )
         if disagreements:
             raise AssertionError(
@@ -941,10 +938,14 @@ def run_event_matching_experiment(
 
         start = time.perf_counter()
         for event in events:
-            linear.any_match(event)
+            linear_any_match(event)
         linear_seconds = time.perf_counter() - start
         index = sfc.match_index
-        assert index is not None
+        if index is None:
+            raise ValueError(
+                f"a table of {size} subscriptions still scans; "
+                f"sizes must exceed InterfaceTable.SCAN_LIMIT ({sfc.SCAN_LIMIT})"
+            )
         index.stats.candidates_checked = 0
         index.stats.false_positives = 0
         start = time.perf_counter()
@@ -988,7 +989,7 @@ def run_curve_ablation_experiment(
     Two row kinds:
 
     * ``phase="routing"`` — for each application scenario × curve, a broker
-      tree runs the full lifecycle with SFC matching and approximate covering
+      tree runs the full lifecycle with match indexes and approximate covering
       keyed by that curve: batch subscribe (covering path), batch publish
       (matching path), batch withdrawal (churn/promotion path), then a
       delivery audit.  Rows report per-phase throughput plus the structure
@@ -1058,7 +1059,6 @@ def run_curve_ablation_experiment(
                 tree_topology(num_brokers),
                 covering="approximate",
                 config=IndexConfig(epsilon=epsilon, cube_budget=cube_budget, curve=curve),
-                matching="sfc",
             )
             start = time.perf_counter()
             for broker_id, items in batches.items():
@@ -1297,7 +1297,6 @@ def run_sim_latency_experiment(
     inbox_capacity: int = 8,
     service_time: float = 0.02,
     epsilon: float = 0.2,
-    matching: str = "linear",
     curve: str = "zorder",
     seed: int = 29,
 ) -> ResultTable:
@@ -1346,7 +1345,6 @@ def run_sim_latency_experiment(
                 topology_builders[topo_kind](num_brokers),
                 covering="approximate",
                 config=IndexConfig(epsilon=epsilon, curve=curve),
-                matching=matching,
                 transport=transport,
             )
             report = run_dynamic_scenario(
@@ -1383,7 +1381,6 @@ def run_topology_scale_experiment(
     inbox_capacity: int = 64,
     service_time: float = 0.002,
     epsilon: float = 0.2,
-    matching: str = "linear",
     curve: str = "zorder",
     seed: int = 29,
 ) -> ResultTable:
@@ -1421,7 +1418,6 @@ def run_topology_scale_experiment(
             topology.overlay,
             covering="approximate",
             config=IndexConfig(epsilon=epsilon, curve=curve),
-            matching=matching,
             transport=transport,
             nodes=topology.broker_ids,
         )
@@ -1690,7 +1686,6 @@ def run_auto_tuning_experiment(
                 schema,
                 tree_topology(num_brokers),
                 covering="approximate",
-                matching="sfc",
                 seed=seed,
                 config=config,
             )

@@ -15,7 +15,6 @@ from .match_index import MatchIndex, MatchIndexStats
 from .sharded_index import ShardedMatchIndex
 from .routing_table import (
     COVERING_KINDS,
-    MATCHING_KINDS,
     ApproximateCoveringStrategy,
     CoveringStrategy,
     ExactCoveringStrategy,
@@ -44,7 +43,6 @@ __all__ = [
     "star_topology",
     "tree_topology",
     "COVERING_KINDS",
-    "MATCHING_KINDS",
     "MatchIndex",
     "MatchIndexStats",
     "ShardedMatchIndex",

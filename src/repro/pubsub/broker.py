@@ -78,15 +78,11 @@ class Broker:
         applied independently per outgoing interface.
     samples, seed:
         Sample count and seed of the ``"probabilistic"`` strategy.
-    matching:
-        Event-matching implementation per interface table: ``"linear"`` scans
-        stored subscriptions, ``"sfc"`` routes events through the SFC match
-        index (identical answers, indexed cost).
     config:
         The one :class:`~repro.index.config.IndexConfig` of this broker
-        (defaults to ``IndexConfig()``): ``curve`` keys both the ``"sfc"``
-        match index and the ``"approximate"`` covering strategy (curves
-        change run/segment statistics, never semantics), ``epsilon`` and
+        (defaults to ``IndexConfig()``): ``curve`` keys both the interface
+        tables' match indexes and the ``"approximate"`` covering strategy
+        (curves change run/segment statistics, never semantics), ``epsilon`` and
         ``cube_budget`` shape that strategy's checks, ``backend`` /
         ``shards`` / ``run_budget`` / ``precision_bits`` the match index.
     profile_cache:
@@ -110,7 +106,6 @@ class Broker:
     covering: str = "approximate"
     samples: int = 8
     seed: Optional[int] = None
-    matching: str = "linear"
     profile_cache: Optional[ProfileCache] = None
     trace: Optional[TraceLog] = None
     config: Optional[IndexConfig] = None
@@ -172,8 +167,7 @@ class Broker:
         Its match indexes read and fill the broker's profile cache.
         """
         return RoutingTable(
-            schema=self.schema,
-            matching=self.matching,
+            self.schema,
             config=self.config,
             run_cache=self.profile_cache,
         )
@@ -638,10 +632,10 @@ class Broker:
     def publish_batch(self, events: Sequence[Event]) -> None:
         """Inject a batch of locally published events.
 
-        Under SFC matching the events' curve keys are computed in one pass
-        (sharing per-coordinate spreading work across the batch) and threaded
-        through routing, so each key is built once instead of once per
-        interface probe.
+        The events' curve keys are computed in one pass (sharing
+        per-coordinate spreading work across the batch) and threaded through
+        routing, so each key is built once instead of once per interface
+        probe.
         """
         for _ in self.publish_batch_iter(events):
             pass
@@ -664,9 +658,9 @@ class Broker:
         """Deliver an event locally and forward it along matching interfaces.
 
         ``key`` optionally carries the event's precomputed SFC key (from
-        :meth:`publish_batch`); when absent and SFC matching is active it is
-        read off the event — or computed, once per ``Event`` object — and
-        shared by the local-delivery probe and every neighbour probe.
+        :meth:`publish_batch`); when absent it is read off the event — or
+        computed, once per ``Event`` object — and shared by the local-delivery
+        probe and every neighbour probe.
         """
         self.stats.events_received += 1
         if key is None:
@@ -718,9 +712,9 @@ class Broker:
     def _deliver_locally(self, event: Event, key: Optional[int]) -> int:
         """Hand ``event`` to every local client with a matching subscription.
 
-        One probe of the local-client table (its match index under SFC
-        matching) finds the matching ids; the owner map turns them into
-        deliveries: one per client per event, carrying the client's
+        One probe of the local-client table (a scan while the table is small,
+        its match index after) finds the matching ids; the owner map turns
+        them into deliveries: one per client per event, carrying the client's
         earliest-registered matching subscription, clients in
         first-registration order.  A table entry no client owns (one that
         arrived through :meth:`receive_subscription` alone) delivers nothing.

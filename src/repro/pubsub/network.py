@@ -199,7 +199,7 @@ class BrokerNetwork:
     covering:
         Covering strategy used by every broker
         (:data:`~repro.pubsub.routing_table.COVERING_KINDS`).
-    samples, seed, matching:
+    samples, seed:
         Passed to every :class:`~repro.pubsub.broker.Broker`.
     transport:
         Message transport between brokers; defaults to a fresh
@@ -244,7 +244,6 @@ class BrokerNetwork:
     covering: str = "approximate"
     samples: int = 8
     seed: Optional[int] = None
-    matching: str = "linear"
     transport: Optional[Transport] = None
     metrics: Optional[MetricsRegistry] = None
     tracing: Optional[TraceLog] = None
@@ -306,7 +305,6 @@ class BrokerNetwork:
             covering=self.covering,
             samples=self.samples,
             seed=self.seed,
-            matching=self.matching,
             profile_cache=self.profile_cache,
             trace=self.tracing if self.tracing.enabled else None,
             config=self.config,
@@ -353,7 +351,7 @@ class BrokerNetwork:
         covering: str = "approximate",
         samples: int = 8,
         seed: Optional[int] = None,
-        matching: str = "linear",
+        matching: str = "sfc",
         transport: Optional[Transport] = None,
         metrics: Optional[MetricsRegistry] = None,
         tracing: Optional[TraceLog] = None,
@@ -368,13 +366,17 @@ class BrokerNetwork:
         builds the canonical single-broker network (broker ``0``), matching
         what ``tree_topology(1)`` / ``chain_topology(1)`` / ``star_topology(1)``
         denote.
+
+        ``matching`` is accepted for callers that pass ``"sfc"``; there is no
+        other matcher (see :class:`~repro.pubsub.routing_table.InterfaceTable`).
         """
+        if matching != "sfc":
+            raise ValueError(f"unknown matching kind {matching!r}; only 'sfc' is accepted")
         network = cls(
             schema=schema,
             covering=covering,
             samples=samples,
             seed=seed,
-            matching=matching,
             transport=transport,
             metrics=metrics,
             tracing=tracing,
@@ -780,8 +782,8 @@ class BrokerNetwork:
     def publish_batch(self, broker_id: Hashable, events: Sequence[Event]) -> List[Set[Hashable]]:
         """Publish a batch of events at ``broker_id``; return per-event delivery sets.
 
-        Equivalent to calling :meth:`publish` per event, but under SFC
-        matching the events' curve keys are computed in one amortised pass at
+        Equivalent to calling :meth:`publish` per event, but the events'
+        curve keys are computed in one amortised pass at
         the publishing broker before routing starts.  Recipients are collected
         by event id, so a batch repeating an id is cut into chunks at each
         repeat: each chunk is keyed in one pass and flushed before the next,
@@ -1003,9 +1005,9 @@ class BrokerNetwork:
     def _publish_interface_metrics(self) -> None:
         """Publish per-interface match-index signals.
 
-        Only SFC-matching interfaces carry an index; linear-matching networks
-        publish nothing here.  An interface keeps one index for life, so its
-        counters are that index's running totals.
+        Only interfaces that have outgrown their scan carry an index; a
+        network of small tables publishes nothing here.  An interface keeps
+        its index for life, so its counters are that index's running totals.
         """
         interface_counters = None
         interface_gauges = None

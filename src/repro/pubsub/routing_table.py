@@ -17,7 +17,7 @@ independent of which detector is in use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -38,6 +38,7 @@ from ..baselines.probabilistic import ProbabilisticCoveringDetector
 from ..core.covering import ApproximateCoveringDetector
 from ..geometry.universe import Universe
 from ..index.config import IndexConfig
+from ..index.sfc_array import FlatSegmentStore
 from ..sfc.base import SpaceFillingCurve
 from ..sfc.factory import make_curve
 from .match_index import MatchIndex, MatchIndexStats
@@ -55,15 +56,11 @@ __all__ = [
     "InterfaceTable",
     "RoutingTable",
     "COVERING_KINDS",
-    "MATCHING_KINDS",
     "check_covering_kind",
 ]
 
 #: Covering strategies :func:`make_covering_strategy` can build.
 COVERING_KINDS = ("none", "exact", "approximate", "probabilistic")
-
-#: Event-matching implementations an interface table can use.
-MATCHING_KINDS = ("linear", "sfc")
 
 
 def check_covering_kind(kind: str) -> None:
@@ -278,52 +275,42 @@ def make_covering_strategy(
 class InterfaceTable:
     """Subscriptions learnt through a single interface.
 
-    Event matching is pluggable: ``matching="linear"`` scans the stored
-    subscriptions per event (the baseline), ``matching="sfc"`` maintains a
-    :class:`~repro.pubsub.match_index.MatchIndex` so that "does anything here
-    match?" is a single sorted-array probe plus a handful of rectangle checks.
-    Both give identical answers; the audit in :class:`BrokerNetwork` can be
-    run under either to compare them.
-
-    The index is built once, under the routing table's
-    :class:`~repro.index.config.IndexConfig`, and kept for the table's life:
-    its curve is the routing table's curve, so the event key the routing table
-    computes once per event is passed straight to the probe.  A config is
-    chosen for a workload offline, before the network is built.
+    While the table holds at most :attr:`SCAN_LIMIT` subscriptions it answers
+    :meth:`any_match` / :meth:`matching_ids` by scanning them with the
+    rectangle test; the add that takes it past builds a
+    :class:`~repro.pubsub.match_index.MatchIndex` over all of them in one
+    bulk load, kept for the table's life.  The limit is the flat store's
+    staging buffer: an index that small holds every subscription staged and
+    tests each by rectangle on every probe, so the scan makes the same tests
+    without the index's work on every write and probe.  The index is built
+    under the routing table's :class:`~repro.index.config.IndexConfig`, so
+    the event key the routing table computes once per event goes straight to
+    its probe.
     """
+
+    #: Subscriptions a table scans before it builds its index.
+    SCAN_LIMIT = FlatSegmentStore.PENDING_SLOTS
 
     def __init__(
         self,
         interface_id: Hashable,
-        schema: Optional[AttributeSchema] = None,
-        matching: str = "linear",
+        schema: AttributeSchema,
         config: Optional[IndexConfig] = None,
         run_cache: Optional["ProfileCache"] = None,
     ) -> None:
-        config = config or IndexConfig()
-        if matching not in MATCHING_KINDS:
-            raise ValueError(
-                f"unknown matching kind {matching!r}; expected one of {MATCHING_KINDS}"
-            )
-        if matching == "sfc" and schema is None:
-            raise ValueError("matching='sfc' requires the attribute schema")
         self.interface_id = interface_id
-        self.matching_kind = matching
         self.schema = schema
-        self.config = config
+        self.config = config or IndexConfig()
+        self._run_cache = run_cache
         self._subscriptions: Dict[Hashable, Subscription] = {}
-        if matching != "sfc":
-            self._index = None
-        elif config.backend == "sharded":
-            self._index = ShardedMatchIndex(
-                schema, workers="inline", config=config, run_cache=run_cache
-            )
-        else:
-            self._index = MatchIndex(schema, config=config, run_cache=run_cache)
+        self._index = None
+        # What the scan has done: counted as the index counts its probes, so
+        # match_stats covers the table's whole life.
+        self._scan_stats = MatchIndexStats()
 
     @property
     def match_index(self):
-        """The SFC match index (plain or sharded), or ``None`` under linear matching."""
+        """The SFC match index (plain or sharded), or ``None`` while the table scans."""
         return self._index
 
     def __len__(self) -> int:
@@ -333,11 +320,38 @@ class InterfaceTable:
         return sub_id in self._subscriptions
 
     def add(self, subscription: Subscription) -> None:
-        # Index first: MatchIndex.add validates before mutating, so a rejected
-        # subscription leaves table and index consistent.
+        # Index first: MatchIndex.add and add_batch validate before mutating,
+        # so a rejected subscription leaves table and index consistent.  The
+        # schema check keeps the scan from storing what the build would reject.
+        sub_id = subscription.sub_id
+        subscriptions = self._subscriptions
         if self._index is not None:
-            self._index.add(subscription.sub_id, subscription.ranges)
-        self._subscriptions[subscription.sub_id] = subscription
+            self._index.add(sub_id, subscription.ranges)
+        elif (
+            subscription.schema is not self.schema
+            and subscription.schema.names != self.schema.names
+        ):
+            raise ValueError(
+                f"subscription {sub_id!r} is on another schema than interface "
+                f"{self.interface_id!r}"
+            )
+        elif len(subscriptions) >= self.SCAN_LIMIT and sub_id not in subscriptions:
+            self._build_index(subscription)
+        subscriptions[sub_id] = subscription
+
+    def _build_index(self, arriving: Subscription) -> None:
+        """Index every stored subscription plus ``arriving``, in table order, in one bulk load."""
+        config = self.config
+        if config.backend == "sharded":
+            index = ShardedMatchIndex(
+                self.schema, workers="inline", config=config, run_cache=self._run_cache
+            )
+        else:
+            index = MatchIndex(self.schema, config=config, run_cache=self._run_cache)
+        items = [(sub_id, sub.ranges) for sub_id, sub in self._subscriptions.items()]
+        items.append((arriving.sub_id, arriving.ranges))
+        index.add_batch(items)
+        self._index = index
 
     def remove(self, sub_id: Hashable) -> bool:
         removed = self._subscriptions.pop(sub_id, None) is not None
@@ -349,32 +363,44 @@ class InterfaceTable:
         return list(self._subscriptions.values())
 
     def match_stats(self) -> MatchIndexStats:
-        """A snapshot of the index's match counters (all zero under linear matching)."""
-        if self._index is None:
-            return MatchIndexStats()
-        return replace(self._index.stats)
+        """A snapshot of the match counters: the scan's plus, once built, the index's."""
+        stats = replace(self._scan_stats)
+        if self._index is not None:
+            for name, value in asdict(self._index.stats).items():
+                setattr(stats, name, getattr(stats, name) + value)
+        return stats
 
     # --------------------------------------------------------------- queries
+    # The scan makes the tests an index of SCAN_LIMIT staged slots makes, in
+    # the same order, and counts them the same way: every test in
+    # ``candidates_checked``, every rejection in ``false_positives``.
     def matching_ids(
         self, event: Event, key: Optional[int] = None
     ) -> Tuple[List[Hashable], int]:
         """Ids of the stored subscriptions matching ``event``, and what finding them cost.
 
         The second item is the number of rectangle tests made: every stored
-        subscription under linear matching, the candidates of one index probe
-        under SFC matching.  ``key`` optionally supplies the event's
-        precomputed SFC key (ignored under linear matching).
-        Result order is insertion order for linear matching and unspecified
-        for SFC matching.
+        subscription while the table scans, the candidates of one index
+        probe once it has an index.  ``key`` optionally supplies the event's
+        precomputed SFC key (the scan needs none).  Matches come in table
+        order while the table scans and in the index's slot order after.
         """
         index = self._index
         if index is None:
-            matched = [
-                sub_id
-                for sub_id, sub in self._subscriptions.items()
-                if sub.matches(event)
-            ]
-            return matched, len(self._subscriptions)
+            cells = event.cells
+            matched: List[Hashable] = []
+            for sub_id, sub in self._subscriptions.items():
+                for (lo, hi), cell in zip(sub.ranges, cells):
+                    if not lo <= cell <= hi:
+                        break
+                else:
+                    matched.append(sub_id)
+            tested = len(self._subscriptions)
+            stats = self._scan_stats
+            stats.lookups += 1
+            stats.candidates_checked += tested
+            stats.false_positives += tested - len(matched)
+            return matched, tested
         checked = index.stats.candidates_checked
         matched = index.matching_ids(event.cells, key=key)
         return matched, index.stats.candidates_checked - checked
@@ -388,63 +414,60 @@ class InterfaceTable:
         """Return True when at least one stored subscription matches ``event``."""
         if self._index is not None:
             return self._index.any_match(event.cells, key)
-        return any(sub.matches(event) for sub in self._subscriptions.values())
+        cells = event.cells
+        tested = 0
+        found = False
+        for sub in self._subscriptions.values():
+            tested += 1
+            for (lo, hi), cell in zip(sub.ranges, cells):
+                if not lo <= cell <= hi:
+                    break
+            else:
+                found = True
+                break
+        stats = self._scan_stats
+        stats.lookups += 1
+        stats.candidates_checked += tested
+        stats.false_positives += tested - found
+        return found
 
 
 class RoutingTable:
     """All interface tables of one broker.
 
-    When built with ``matching="sfc"`` every interface table carries a
-    :class:`MatchIndex` and event routing computes each event's curve key
-    once — per ``Event`` object, not per broker: :meth:`event_key` remembers
-    it on the event — sharing it across all interface probes (and, via
-    :meth:`event_keys`, across the events of a batch).  ``run_cache`` is
-    handed to every index so a rectangle stored on several interfaces — or,
-    with a network-wide cache, at several brokers — is decomposed once.
+    Event routing computes each event's curve key once — per ``Event``
+    object, not per broker: :meth:`event_key` remembers it on the event — and
+    shares it across all interface probes (and, via :meth:`event_keys`,
+    across the events of a batch); a table that still scans ignores it.
+    ``run_cache`` is handed to every index so a rectangle stored on several
+    interfaces — or, with a network-wide cache, at several brokers — is
+    decomposed once.
     """
 
     def __init__(
         self,
-        schema: Optional[AttributeSchema] = None,
-        matching: str = "linear",
+        schema: AttributeSchema,
         config: Optional[IndexConfig] = None,
         run_cache: Optional["ProfileCache"] = None,
     ) -> None:
         config = config or IndexConfig()
-        if matching not in MATCHING_KINDS:
-            raise ValueError(
-                f"unknown matching kind {matching!r}; expected one of {MATCHING_KINDS}"
-            )
-        if matching == "sfc" and schema is None:
-            raise ValueError("matching='sfc' requires the attribute schema")
         self.schema = schema
-        self.matching_kind = matching
         self.config = config
         self._run_cache = run_cache
         self._tables: Dict[Hashable, InterfaceTable] = {}
-        self._curve: Optional[SpaceFillingCurve] = (
-            make_curve(
-                config.curve,
-                Universe(dims=schema.num_attributes, order=schema.order),
-            )
-            if matching == "sfc" and schema is not None
-            else None
+        self._curve: SpaceFillingCurve = make_curve(
+            config.curve, Universe(dims=schema.num_attributes, order=schema.order)
         )
         # Everything an event's key depends on besides its cells: what the
         # key an Event remembers is tagged with (see event_key).
-        self._key_tag = (
-            (config.curve, schema.num_attributes, schema.order)
-            if self._curve is not None
-            else None
-        )
+        self._key_tag = (config.curve, schema.num_attributes, schema.order)
 
     def table(self, interface_id: Hashable) -> InterfaceTable:
         """Return (creating on demand) the table for ``interface_id``."""
         if interface_id not in self._tables:
             self._tables[interface_id] = InterfaceTable(
                 interface_id,
-                schema=self.schema,
-                matching=self.matching_kind,
+                self.schema,
                 config=self.config,
                 run_cache=self._run_cache,
             )
@@ -461,23 +484,21 @@ class RoutingTable:
         """Total number of subscription entries across all interfaces."""
         return sum(len(table) for table in self._tables.values())
 
-    def event_key(self, event: Event) -> Optional[int]:
-        """SFC key of ``event`` under SFC matching, ``None`` under linear.
+    def event_key(self, event: Event) -> int:
+        """SFC key of ``event`` under this table's curve.
 
         The key is remembered on the event, tagged with this table's curve
         kind, dimensions and order: the next broker the same ``Event`` object
         reaches (every hop of an in-process transport) reads it back instead
         of re-keying, and a table under another curve computes its own.
         """
-        if self._curve is None:
-            return None
         key = event.curve_key(self._key_tag)
         if key is None:
             key = self._curve.key(event.cells)
             event.remember_curve_key(self._key_tag, key)
         return key
 
-    def event_keys(self, events: Sequence[Event]) -> List[Optional[int]]:
+    def event_keys(self, events: Sequence[Event]) -> List[int]:
         """SFC keys for a batch of events, amortising shared work where the curve can.
 
         Delegates to :meth:`SpaceFillingCurve.keys`; the Z curve spreads each
@@ -487,8 +508,6 @@ class RoutingTable:
         curves fall back to per-event keying.  The keys are remembered on the
         events exactly as :meth:`event_key` would.
         """
-        if self._curve is None:
-            return [None] * len(events)
         tag = self._key_tag
         keys = list(self._curve.keys([event.cells for event in events]))
         for event, key in zip(events, keys):
@@ -524,7 +543,7 @@ class RoutingTable:
         return matched
 
     def match_segments(self) -> int:
-        """Total disjoint key segments stored across all match indexes (0 under linear).
+        """Total disjoint key segments stored across all match indexes (0 in a scanning table).
 
         The structure-size counterpart of :meth:`match_work`: segment counts
         are where the choice of curve shows up (fewer runs per rectangle →
@@ -538,12 +557,14 @@ class RoutingTable:
         )
 
     def match_work(self) -> Tuple[int, int, int]:
-        """Aggregate ``(lookups, candidates_checked, false_positives)`` over all match indexes."""
+        """Aggregate ``(lookups, candidates_checked, false_positives)`` over all tables.
+
+        Scans and index probes count alike (see :meth:`InterfaceTable.match_stats`).
+        """
         lookups = candidates = false_positives = 0
         for table in self._tables.values():
-            if table.match_index is not None:
-                stats = table.match_index.stats
-                lookups += stats.lookups
-                candidates += stats.candidates_checked
-                false_positives += stats.false_positives
+            stats = table.match_stats()
+            lookups += stats.lookups
+            candidates += stats.candidates_checked
+            false_positives += stats.false_positives
         return lookups, candidates, false_positives

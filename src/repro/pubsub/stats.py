@@ -39,8 +39,8 @@ class BrokerStats:
     events_forwarded: int = 0
     events_delivered_locally: int = 0
     #: Rectangle tests local delivery made: per event reaching the broker,
-    #: every local subscription under ``matching="linear"``, the candidates of
-    #: one probe of the local table's match index under ``"sfc"``.
+    #: every local subscription while the local table scans, the candidates
+    #: of one probe of its match index once it has one.
     match_tests: int = 0
     match_index_lookups: int = 0
     match_index_candidates: int = 0

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from repro.geometry.universe import Universe
+from repro.pubsub.routing_table import InterfaceTable
 
 # Hypothesis effort profiles: "dev" is the default interactive run, "ci" digs
 # deeper (ci.sh tier-1 pass), "smoke" keeps property tests near-instant for
@@ -55,3 +56,21 @@ def any_curve_2d(request, small_universe_2d):
         "gray": GrayCodeCurve,
     }
     return curves[request.param](small_universe_2d)
+
+
+@pytest.fixture(params=["scan", "index"])
+def table_path(request, monkeypatch):
+    """Each matching path of an interface table, whatever the table's size.
+
+    ``"scan"`` keeps every table scanning; ``"index"`` builds a table's match
+    index on its first subscription.  Both must answer exactly alike.
+    """
+    limit = 0 if request.param == "index" else 1 << 62
+    monkeypatch.setattr(InterfaceTable, "SCAN_LIMIT", limit)
+    return request.param
+
+
+@pytest.fixture
+def indexed_tables(monkeypatch):
+    """Every interface table builds its match index on its first subscription."""
+    monkeypatch.setattr(InterfaceTable, "SCAN_LIMIT", 0)

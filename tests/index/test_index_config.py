@@ -122,8 +122,8 @@ def _constructors():
         "make_covering_strategy": lambda **kw: make_covering_strategy(
             "approximate", schema, **kw
         ),
-        "InterfaceTable": lambda **kw: InterfaceTable("i", schema=schema, matching="sfc", **kw),
-        "RoutingTable": lambda **kw: RoutingTable(schema=schema, matching="sfc", **kw),
+        "InterfaceTable": lambda **kw: InterfaceTable("i", schema, **kw),
+        "RoutingTable": lambda **kw: RoutingTable(schema, **kw),
         "Broker": lambda **kw: Broker(broker_id=0, schema=schema, **kw),
         "BrokerNetwork": lambda **kw: BrokerNetwork(schema=schema, **kw),
         "BrokerNetwork.from_topology": lambda **kw: BrokerNetwork.from_topology(
@@ -167,8 +167,8 @@ def _index_layer_constructors():
         "ExhaustiveSFCCoveringDetector": lambda **kw: ExhaustiveSFCCoveringDetector(2, 6, **kw),
         "MatchIndex": lambda **kw: MatchIndex(schema, **kw),
         "ShardedMatchIndex": lambda **kw: ShardedMatchIndex(schema, **kw),
-        "InterfaceTable": lambda **kw: InterfaceTable("i", schema=schema, matching="sfc", **kw),
-        "RoutingTable": lambda **kw: RoutingTable(schema=schema, matching="sfc", **kw),
+        "InterfaceTable": lambda **kw: InterfaceTable("i", schema, **kw),
+        "RoutingTable": lambda **kw: RoutingTable(schema, **kw),
     }
 
 

@@ -10,13 +10,15 @@ The ISSUE's acceptance criteria, pinned:
 * two same-seed runs are byte-identical (exposition text, trace-id
   sequences, counter values), and instrumentation that is switched off is
   the bare code path;
-* an SFC-matching network's scrape carries the per-interface match-index
-  counters and gauges.
+* an interface that has built its match index carries the per-interface
+  match-index counters and gauges in the scrape; one still scanning carries
+  none.
 """
 
 from __future__ import annotations
 
 import re
+from unittest.mock import patch
 
 import pytest
 
@@ -25,6 +27,7 @@ from repro.obs.exposition import validate_prometheus_text
 from repro.obs.profiler import PROFILER
 from repro.obs.registry import MetricsRegistry
 from repro.pubsub import BrokerNetwork, make_event, make_subscription, tree_topology
+from repro.pubsub.routing_table import InterfaceTable
 from repro.pubsub.schema import Attribute, AttributeSchema
 
 
@@ -162,14 +165,16 @@ class TestDeterminism:
         assert other.network.tracing.trace_ids() != scenario.network.tracing.trace_ids()
 
 
-def test_scrape_reports_per_interface_series():
+@pytest.mark.parametrize("scan_limit", [0, InterfaceTable.SCAN_LIMIT])
+def test_scrape_reports_per_interface_series(scan_limit, monkeypatch):
+    """Only a table that has built its index reports per-interface series."""
+    monkeypatch.setattr(InterfaceTable, "SCAN_LIMIT", scan_limit)
     schema = AttributeSchema(
         [Attribute("x", 0.0, 32.0), Attribute("y", 0.0, 32.0)], order=5
     )
     network = BrokerNetwork.from_topology(
         schema,
         tree_topology(3),
-        matching="sfc",
         seed=4,
         metrics=MetricsRegistry(),
     )
@@ -178,9 +183,10 @@ def test_scrape_reports_per_interface_series():
     )
     network.publish(2, make_event(schema, "e0", x=4.0, y=4.0))
     scrape = network.scrape()
-    assert "match_interface_total" in scrape
-    assert 'gauge="segments"' in scrape
-    assert 'counter="false_positives"' in scrape
+    indexed = scan_limit == 0
+    assert ("match_interface_total" in scrape) is indexed
+    assert ('gauge="segments"' in scrape) is indexed
+    assert ('counter="false_positives"' in scrape) is indexed
 
 
 def _small_sfc_network_scrape():
@@ -190,16 +196,16 @@ def _small_sfc_network_scrape():
     network = BrokerNetwork.from_topology(
         schema,
         tree_topology(3),
-        matching="sfc",
         seed=4,
         metrics=MetricsRegistry(),
     )
-    for i in range(4):
-        network.subscribe(
-            i % 3,
-            f"c{i}",
-            make_subscription(schema, f"s{i}", x=(i * 4.0, i * 4.0 + 9.0), y=(1.0, 20.0)),
-        )
+    with patch.object(InterfaceTable, "SCAN_LIMIT", 0):
+        for i in range(4):
+            network.subscribe(
+                i % 3,
+                f"c{i}",
+                make_subscription(schema, f"s{i}", x=(i * 4.0, i * 4.0 + 9.0), y=(1.0, 20.0)),
+            )
     for j in range(6):
         network.publish(j % 3, make_event(schema, f"e{j}", x=j * 3.0, y=5.0))
     return network.scrape()

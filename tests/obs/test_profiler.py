@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 
@@ -21,6 +22,7 @@ from repro.obs.profiler import (
 )
 from repro.obs.registry import MetricsRegistry
 from repro.pubsub.network import BrokerNetwork, tree_topology
+from repro.pubsub.routing_table import InterfaceTable
 from repro.pubsub.sharded_index import ShardedMatchIndex
 from repro.pubsub.subscription import Event, Subscription
 from repro.sim.latency import UniformJitterLatency
@@ -192,7 +194,7 @@ class TestOutsideWrapping:
 
 
 def _summary_workload():
-    """Touch every hot path at least once: an SFC network plus a sharded index."""
+    """Touch every hot path at least once: an indexed network plus a sharded index."""
     scenario = stock_market_scenario(num_subscriptions=24, num_events=6, order=6, seed=3)
     schema = scenario.schema
     subscriptions = [
@@ -201,11 +203,13 @@ def _summary_workload():
     ]
     events = [Event(schema, values, event_id=f"e{i}") for i, values in enumerate(scenario.events)]
     network = BrokerNetwork.from_topology(
-        schema, tree_topology(3), covering="approximate", matching="sfc", seed=1,
+        schema, tree_topology(3), covering="approximate", seed=1,
         metrics=MetricsRegistry(),
     )
-    for i, subscription in enumerate(subscriptions):
-        network.subscribe(i % 3, f"c{i}", subscription)
+    # Every table indexes from its first subscription, so a probe reaches the index.
+    with patch.object(InterfaceTable, "SCAN_LIMIT", 0):
+        for i, subscription in enumerate(subscriptions):
+            network.subscribe(i % 3, f"c{i}", subscription)
     for i, event in enumerate(events):
         network.publish(i % 3, event)
     sharded = ShardedMatchIndex(schema, workers="inline", config=IndexConfig(shards=2))
@@ -277,7 +281,7 @@ class TestGlobalProfiler:
 
 
 def _lockstep(transport_kind):
-    """A scripted churn storm on an SFC tree; what it delivered and left behind."""
+    """A scripted churn storm on an indexed tree; what it delivered and left behind."""
     scenario = stock_market_scenario(num_subscriptions=40, num_events=16, order=8, seed=7)
     script = subscription_churn_script(scenario, list(range(7)), seed=3)
     transport = (
@@ -289,12 +293,12 @@ def _lockstep(transport_kind):
         scenario.schema,
         tree_topology(7),
         covering="approximate",
-        matching="sfc",
         config=IndexConfig(),
         transport=transport,
         seed=2,
     )
-    run_scripted_lockstep(network, script)
+    with patch.object(InterfaceTable, "SCAN_LIMIT", 0):
+        run_scripted_lockstep(network, script)
     return list(network.deliveries), network.routing_state(), network.transport.stats.as_dict()
 
 

@@ -153,7 +153,6 @@ def _network_state(backend: str, covering: str = "approximate"):
         tree_topology(7),
         covering=covering,
         config=IndexConfig(epsilon=0.2, cube_budget=500, backend=backend),
-        matching="sfc",
     )
     script = subscription_churn_script(scenario, list(range(7)), seed=3)
     run_scripted_lockstep(network, script)

@@ -334,15 +334,13 @@ class TestPublishBatchRegression:
             for j in range(15)
         ]
 
-    @pytest.mark.parametrize("matching", ["linear", "sfc"])
-    def test_batch_matches_sequential_deliveries_and_stats(self, schema, matching):
+    def test_batch_matches_sequential_deliveries_and_stats(self, schema, table_path):
         def build():
             return BrokerNetwork.from_topology(
                 schema,
                 tree_topology(7),
                 covering="approximate",
                 config=IndexConfig(epsilon=0.2, cube_budget=20_000),
-                matching=matching,
                 seed=5,
             )
 
@@ -383,7 +381,7 @@ class TestPublishBatchRegression:
             )
             network = BrokerNetwork.from_topology(
                 scenario.schema, chain_topology(3), covering="approximate",
-                matching="sfc", seed=1, transport=transport,
+                seed=1, transport=transport,
             )
             for i, constraints in enumerate(scenario.subscriptions):
                 network.subscribe(

@@ -147,7 +147,6 @@ def test_small_links_decide_as_exact_covering(curve, transport_kind):
                 tree_topology(NUM_BROKERS),
                 covering=covering,
                 config=config,
-                matching="sfc",
                 transport=(
                     SimTransport(FixedLatency(0.05), seed=5)
                     if transport_kind == "sim"
@@ -216,7 +215,6 @@ def run_churn(steps, sides):
         tree_topology(3),
         covering="approximate",
         config=CROSSOVER_CONFIG,
-        matching="sfc",
     )
     for number, step in enumerate(steps):
         if step[0] == "subscribe":
@@ -266,7 +264,7 @@ def test_links_cross_the_plan_size_in_both_directions():
 def test_subscribe_into_small_links_builds_no_schedule():
     scenario = stock_market_scenario(num_subscriptions=60, num_events=1, seed=1)
     network = BrokerNetwork.from_topology(
-        scenario.schema, tree_topology(NUM_BROKERS), covering="approximate", matching="sfc"
+        scenario.schema, tree_topology(NUM_BROKERS), covering="approximate"
     )
     for i, constraints in enumerate(scenario.subscriptions):
         network.subscribe(
@@ -313,11 +311,11 @@ def lazy_index_network(transport_kind, config):
     if transport_kind == "sync":
         return BrokerNetwork.from_topology(
             SCHEMA, tree_topology(NUM_BROKERS), covering="approximate",
-            matching="sfc", config=config,
+            config=config,
         )
     topology = grid_cluster_topology(2, 2, 3)
     return BrokerNetwork.from_topology(
-        SCHEMA, topology.overlay, covering="approximate", matching="sfc", config=config,
+        SCHEMA, topology.overlay, covering="approximate", config=config,
         transport=SimTransport(topology.latency_model(), seed=3), nodes=topology.broker_ids,
     )
 

@@ -12,13 +12,17 @@ This suite pins that claim end to end:
 
 * identical scripted workloads (``run_scripted_lockstep``) on tree/chain/star
   × sync/sim leave every curve with the same per-event delivery sets as the
-  linear-scan/flat oracle, and clean audits;
+  flat oracle (every table scanning, exact covering), and clean audits;
 * with exact covering, the learnt routing state is byte-identical across
   curves (the curve then only touches event matching, which is exact);
 * suppression decisions are sound under every curve — each recorded cover
   really covers its dependant (``ranges_cover`` oracle);
 * a hypothesis harness drives random subscribe/publish/withdraw interleavings
   through all three curves against the flat oracle;
+
+every curve arm builds each interface table's match index on its first
+subscription (``SCAN_LIMIT`` 0), so the curve keys every probe however small
+the tables are;
 * the per-curve match index stabs exactly the points each rectangle contains
   even under run-budget coarsening (rectangle-fallback soundness);
 * mis-configuration fails loudly: unknown curve kinds, curves over the wrong
@@ -28,6 +32,7 @@ This suite pins that claim end to end:
 from __future__ import annotations
 
 import random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -49,7 +54,7 @@ from repro.pubsub.network import (
     star_topology,
     tree_topology,
 )
-from repro.pubsub.routing_table import make_covering_strategy
+from repro.pubsub.routing_table import InterfaceTable, make_covering_strategy
 from repro.pubsub.schema import Attribute, AttributeSchema
 from repro.pubsub.subscription import Event, Subscription
 from repro.sfc.factory import CURVE_KINDS, make_curve
@@ -72,6 +77,15 @@ def small_scenario():
     return stock_market_scenario(num_subscriptions=30, num_events=16, order=7, seed=7)
 
 
+def scan_limit(limit):
+    """Every interface table scans up to ``limit`` subscriptions (0: indexes from the first)."""
+    return patch.object(InterfaceTable, "SCAN_LIMIT", limit)
+
+
+#: Tables that never outgrow their scan.
+NEVER = 1 << 62
+
+
 def make_network(schema, topology, transport_kind, curve, covering="approximate"):
     transport = (
         SimTransport(FixedLatency(0.05), seed=5) if transport_kind == "sim" else None
@@ -81,7 +95,6 @@ def make_network(schema, topology, transport_kind, curve, covering="approximate"
         TOPOLOGIES[topology](NUM_BROKERS),
         covering=covering,
         config=IndexConfig(epsilon=0.2, cube_budget=500, curve=curve),
-        matching="sfc",
         transport=transport,
     )
 
@@ -139,10 +152,10 @@ class TestScriptedLockstepDifferential:
         ]
 
         results = {}
-        # The flat oracle: linear-scan matching, exact (linear) covering.
-        for label, curve, covering, matching in [
-            ("oracle", "zorder", "exact", "linear"),
-            *[(kind, kind, "approximate", "sfc") for kind in CURVE_KINDS],
+        # The flat oracle: every table scanning, exact (linear) covering.
+        for label, curve, covering, limit in [
+            ("oracle", "zorder", "exact", NEVER),
+            *[(kind, kind, "approximate", 0) for kind in CURVE_KINDS],
         ]:
             transport = (
                 SimTransport(FixedLatency(0.05), seed=5)
@@ -154,17 +167,23 @@ class TestScriptedLockstepDifferential:
                 TOPOLOGIES[topology](NUM_BROKERS),
                 covering=covering,
                 config=IndexConfig(epsilon=0.2, cube_budget=500, curve=curve),
-                matching=matching,
                 transport=transport,
             )
-            run_scripted_lockstep(network, script)
-            delivered = deliveries_by_event(network)
-            for event, origin in probes:
-                missed, extra = network.publish_and_audit(origin, event)
-                assert missed == set() and extra == set(), (label, event.event_id)
-                delivered[event.event_id] = frozenset(
-                    network.expected_recipients(event, origin=origin)
-                )
+            with scan_limit(limit):
+                run_scripted_lockstep(network, script)
+                delivered = deliveries_by_event(network)
+                for event, origin in probes:
+                    missed, extra = network.publish_and_audit(origin, event)
+                    assert missed == set() and extra == set(), (label, event.event_id)
+                    delivered[event.event_id] = frozenset(
+                        network.expected_recipients(event, origin=origin)
+                    )
+            indexed = any(
+                table.match_index is not None
+                for broker in network.brokers.values()
+                for table in broker.routing_table.interface_tables().values()
+            )
+            assert indexed is (limit == 0), label
             assert_suppression_sound(network)
             results[label] = delivered
 
@@ -185,7 +204,8 @@ class TestScriptedLockstepDifferential:
             network = make_network(
                 scenario.schema, topology, "sync", curve, covering="exact"
             )
-            run_scripted_lockstep(network, script)
+            with scan_limit(0):
+                run_scripted_lockstep(network, script)
             states[curve] = network.routing_state()
         assert states["hilbert"] == states["zorder"]
         assert states["gray"] == states["zorder"]
@@ -265,28 +285,31 @@ class TestHypothesisDifferential:
                 tree_topology(4),
                 covering="approximate",
                 config=IndexConfig(epsilon=0.2, cube_budget=300, curve=curve),
-                matching="sfc",
             )
-            for i, subscription in enumerate(subscriptions):
-                network.subscribe(placements[i], f"c{i}", subscription)
-            log = []
-            for j, event in enumerate(events):
-                origin = placements[len(subscriptions) + j]
-                missed, extra = network.publish_and_audit(origin, event)
-                assert missed == set() and extra == set(), (curve, event.event_id)
-                log.append(frozenset(network.expected_recipients(event, origin=origin)))
-            for i, withdrawn in enumerate(withdraw_mask):
-                if withdrawn:
-                    network.unsubscribe(f"c{i}", f"s{i}")
-            for j, event in enumerate(events):
-                origin = placements[len(subscriptions) + j]
-                missed, extra = network.publish_and_audit(origin, event)
-                assert missed == set() and extra == set(), (curve, "post", event.event_id)
-                log.append(frozenset(network.expected_recipients(event, origin=origin)))
+            with scan_limit(0):
+                log = self._lifecycle(network, subscriptions, events, withdraw_mask, placements)
             assert_suppression_sound(network)
             deliveries[curve] = log
         assert deliveries["hilbert"] == deliveries["zorder"]
         assert deliveries["gray"] == deliveries["zorder"]
+
+    @staticmethod
+    def _lifecycle(network, subscriptions, events, withdraw_mask, placements):
+        """Subscribe all, publish, withdraw the masked ones, publish: the audited recipients."""
+        for i, subscription in enumerate(subscriptions):
+            network.subscribe(placements[i], f"c{i}", subscription)
+        log = []
+        for phase in ("pre", "post"):
+            if phase == "post":
+                for i, withdrawn in enumerate(withdraw_mask):
+                    if withdrawn:
+                        network.unsubscribe(f"c{i}", f"s{i}")
+            for j, event in enumerate(events):
+                origin = placements[len(subscriptions) + j]
+                missed, extra = network.publish_and_audit(origin, event)
+                assert missed == set() and extra == set(), (phase, event.event_id)
+                log.append(frozenset(network.expected_recipients(event, origin=origin)))
+        return log
 
     @given(
         rects=st.lists(_rect_strategy(), min_size=1, max_size=10),

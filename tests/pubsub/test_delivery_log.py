@@ -108,7 +108,7 @@ def make_sync_network(seed=5):
         [Attribute("x", 0.0, 100.0), Attribute("y", 0.0, 100.0)], order=6
     )
     network = BrokerNetwork.from_topology(
-        schema, tree_topology(7), matching="sfc", seed=seed
+        schema, tree_topology(7), seed=seed
     )
     rng = random.Random(seed)
     for number in range(40):

@@ -118,7 +118,7 @@ class TestLifecycleIdempotence:
         assert delivered == {"n"}
 
 
-@pytest.mark.parametrize("matching", ["linear", "sfc"])
+@pytest.mark.usefixtures("table_path")
 @pytest.mark.parametrize("api", ["legacy", "batch"])
 class TestLiveIdIsOneClientsOneRectangle:
     """A live subscription id names one client's one rectangle at one broker.
@@ -130,10 +130,8 @@ class TestLiveIdIsOneClientsOneRectangle:
     withdrawal did not remove (alice kept receiving hers).
     """
 
-    def _network(self, schema, matching):
-        return BrokerNetwork.from_topology(
-            schema, chain_topology(3), covering="approximate", matching=matching
-        )
+    def _network(self, schema):
+        return BrokerNetwork.from_topology(schema, chain_topology(3), covering="approximate")
 
     def _subscribe(self, network, api, broker_id, client_id, subscription):
         if api == "batch":
@@ -141,8 +139,8 @@ class TestLiveIdIsOneClientsOneRectangle:
         else:
             network.subscribe(broker_id, client_id, subscription)
 
-    def test_reused_live_id_is_rejected_with_nothing_changed(self, schema, matching, api):
-        network = self._network(schema, matching)
+    def test_reused_live_id_is_rejected_with_nothing_changed(self, schema, api):
+        network = self._network(schema)
         first = Subscription(schema, {"x": (0.0, 50.0)}, sub_id="same")
         self._subscribe(network, api, 0, "alice", first)
         state, messages = network.routing_state(), network.subscription_messages
@@ -169,8 +167,8 @@ class TestLiveIdIsOneClientsOneRectangle:
         assert network.publish(2, inside_other) == {"bob"}
         assert network.publish(2, inside_first) == set()
 
-    def test_repeated_subscribe_leaves_no_ghost(self, schema, matching, api):
-        network = self._network(schema, matching)
+    def test_repeated_subscribe_leaves_no_ghost(self, schema, api):
+        network = self._network(schema)
         sub = Subscription(schema, {"x": (0.0, 50.0)}, sub_id="dup")
         self._subscribe(network, api, 0, "alice", sub)
         state, messages = network.routing_state(), network.subscription_messages
@@ -190,8 +188,8 @@ class TestLiveIdIsOneClientsOneRectangle:
         assert network.routing_table_entries() == 0
         assert network.unsubscribe("alice", "dup") is False
 
-    def test_a_batch_is_checked_whole_before_anything_registers(self, schema, matching, api):
-        network = self._network(schema, matching)
+    def test_a_batch_is_checked_whole_before_anything_registers(self, schema, api):
+        network = self._network(schema)
         network.subscribe(0, "alice", Subscription(schema, {"x": (0.0, 50.0)}, sub_id="same"))
         state = network.routing_state()
         fine = Subscription(schema, {"x": (20.0, 30.0)}, sub_id="fine")

@@ -1,14 +1,15 @@
 """Local delivery through the local table: same records, fewer tests, one key.
 
 A broker hands an event to its clients by probing the ``LOCAL_INTERFACE``
-table (its match index under ``matching="sfc"``) and mapping the matched ids
-to their owners, and an :class:`Event` remembers its curve key between the
+table (a scan while it is small, its match index after) and mapping the
+matched ids to their owners, and an :class:`Event` remembers its curve key between the
 brokers that see the same object.  Three things are pinned here:
 
 * the ``network.deliveries`` sequence equals what the client-by-client scan
   the broker used to run would have produced (:class:`ScanModel` is a
-  test-local copy of it), under both matching kinds and every curve, while
-  local tables grow and shrink and brokers crash and recover;
+  test-local copy of it), on both matching paths and across the build
+  between them, under every curve, while local tables grow and shrink and
+  brokers crash and recover;
 * counts, never timings: one publish keys its event once, and a broker
   holding 64 local subscriptions tests fewer than 64 rectangles;
 * the key memo is invisible: equality, hash, pickling, wire bytes and a
@@ -21,6 +22,7 @@ import itertools
 import pickle
 import random
 from typing import Dict, Hashable, List, Tuple
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given
@@ -31,6 +33,7 @@ from repro.net.protocol import encode_event
 from repro.pubsub import BrokerNetwork, Event, Subscription
 from repro.pubsub.broker import LOCAL_INTERFACE
 from repro.pubsub.network import chain_topology, tree_topology
+from repro.pubsub.routing_table import InterfaceTable
 from repro.pubsub.schema import Attribute, AttributeSchema
 from repro.sfc.factory import CURVE_KINDS, curve_class
 
@@ -139,13 +142,19 @@ _ops = st.lists(
 
 @given(
     ops=_ops,
-    matching=st.sampled_from(["linear", "sfc"]),
+    # Index from the first subscription, build after four, never build.
+    scan_limit=st.sampled_from([0, 4, 1 << 62]),
     curve=st.sampled_from(CURVE_KINDS),
 )
-def test_delivery_records_equal_the_scan(ops, matching, curve):
+def test_delivery_records_equal_the_scan(ops, scan_limit, curve):
+    with patch.object(InterfaceTable, "SCAN_LIMIT", scan_limit):
+        _delivery_records_equal_the_scan(ops, curve)
+
+
+def _delivery_records_equal_the_scan(ops, curve):
     schema = _schema()
     network = BrokerNetwork.from_topology(
-        schema, chain_topology(BROKERS), matching=matching, config=IndexConfig(curve=curve), seed=3
+        schema, chain_topology(BROKERS), config=IndexConfig(curve=curve), seed=3
     )
     model = ScanModel()
     live: List[Tuple[Hashable, Hashable, Hashable]] = []  # (broker, client, sub_id)
@@ -208,16 +217,22 @@ def test_delivery_records_equal_the_scan(ops, matching, curve):
 
 
 @pytest.mark.parametrize("curve", CURVE_KINDS)
-@pytest.mark.parametrize("matching", ["linear", "sfc"])
-def test_delivery_records_equal_the_scan_from_empty_to_forty_and_back(matching, curve):
+@pytest.mark.parametrize(
+    "scan_limit", [InterfaceTable.SCAN_LIMIT, 0], ids=["scan-then-index", "index"]
+)
+def test_delivery_records_equal_the_scan_from_empty_to_forty_and_back(
+    scan_limit, curve, monkeypatch
+):
     """One broker's local table walks 0 → 40 → 0 entries, probed at every size.
 
-    Forty crosses every regime of the flat store (all pending, first rebuild,
+    Forty crosses the build from scan to index at the default limit, and
+    every regime of the flat store either way (all pending, first rebuild,
     tombstones, compaction).
     """
+    monkeypatch.setattr(InterfaceTable, "SCAN_LIMIT", scan_limit)
     schema = _schema()
     network = BrokerNetwork.from_topology(
-        schema, chain_topology(BROKERS), matching=matching, config=IndexConfig(curve=curve), seed=3
+        schema, chain_topology(BROKERS), config=IndexConfig(curve=curve), seed=3
     )
     model = ScanModel()
     rng = random.Random(40)
@@ -253,18 +268,17 @@ def test_delivery_records_equal_the_scan_from_empty_to_forty_and_back(matching, 
     assert network.routing_table_entries() == 0
 
 
-def test_unowned_local_table_entry_delivers_nothing():
+def test_unowned_local_table_entry_delivers_nothing(table_path):
     """A subscription injected on the local interface has no client to go to."""
     schema = _schema()
-    for matching in ("linear", "sfc"):
-        network = BrokerNetwork.from_topology(schema, chain_topology(2), matching=matching)
-        network.brokers[0].receive_subscription(
-            LOCAL_INTERFACE, _subscription(schema, "orphan", 0, 32, 0, 32)
-        )
-        network.subscribe(0, "alice", _subscription(schema, "a", 0, 16, 0, 16))
-        assert network.publish(1, _event(schema, "e1", 20, 20)) == set()
-        assert network.publish(1, _event(schema, "e2", 5, 5)) == {"alice"}
-        assert [record.subscription_id for record in network.deliveries] == ["a"]
+    network = BrokerNetwork.from_topology(schema, chain_topology(2))
+    network.brokers[0].receive_subscription(
+        LOCAL_INTERFACE, _subscription(schema, "orphan", 0, 32, 0, 32)
+    )
+    network.subscribe(0, "alice", _subscription(schema, "a", 0, 16, 0, 16))
+    assert network.publish(1, _event(schema, "e1", 20, 20)) == set()
+    assert network.publish(1, _event(schema, "e2", 5, 5)) == {"alice"}
+    assert [record.subscription_id for record in network.deliveries] == ["a"]
 
 
 class TestCounts:
@@ -273,7 +287,7 @@ class TestCounts:
     @pytest.fixture
     def tree(self):
         schema = _schema()
-        network = BrokerNetwork.from_topology(schema, tree_topology(7), matching="sfc", seed=1)
+        network = BrokerNetwork.from_topology(schema, tree_topology(7), seed=1)
         for broker in range(7):
             network.subscribe(broker, f"all{broker}", _subscription(schema, f"all{broker}", 0, 32, 0, 32))
         # 63 more at broker 3: an 8 × 8 grid of 4 × 4 tiles (minus one corner).
@@ -310,11 +324,13 @@ class TestCounts:
 
 
 class TestKeyMemoIsInvisible:
-    def _networks(self, schema):
+    def _networks(self, schema, monkeypatch):
+        # Every table indexes, so every probe reads the event's key.
+        monkeypatch.setattr(InterfaceTable, "SCAN_LIMIT", 0)
         networks = {}
         for curve in ("zorder", "hilbert"):
             network = BrokerNetwork.from_topology(
-                schema, chain_topology(3), matching="sfc", config=IndexConfig(curve=curve)
+                schema, chain_topology(3), config=IndexConfig(curve=curve)
             )
             rng = random.Random(11)
             for i in range(30):
@@ -326,10 +342,10 @@ class TestKeyMemoIsInvisible:
             networks[curve] = network
         return networks
 
-    def test_one_event_object_through_two_curves(self):
+    def test_one_event_object_through_two_curves(self, monkeypatch):
         """Z and Hilbert keys of a cell differ; each network must read its own."""
         schema = _schema()
-        networks = self._networks(schema)
+        networks = self._networks(schema, monkeypatch)
         rng = random.Random(5)
         delivered = 0
         for i in range(60):
@@ -340,9 +356,9 @@ class TestKeyMemoIsInvisible:
             delivered += len(networks["hilbert"].expected_recipients(event))
         assert delivered > 0
 
-    def test_equality_hash_pickle_and_wire_bytes_ignore_the_memo(self):
+    def test_equality_hash_pickle_and_wire_bytes_ignore_the_memo(self, monkeypatch):
         schema = _schema()
-        network = self._networks(schema)["zorder"]
+        network = self._networks(schema, monkeypatch)["zorder"]
         event = _event(schema, "e", 7, 21)
         twin = _event(schema, "e", 7, 21)
 
@@ -370,9 +386,9 @@ class TestKeyMemoIsInvisible:
         assert restored.curve_key(("zorder", 2, ORDER)) is None
         assert network.publish(2, restored) == expected
 
-    def test_batch_keying_fills_the_same_memo(self):
+    def test_batch_keying_fills_the_same_memo(self, monkeypatch):
         schema = _schema()
-        network = self._networks(schema)["hilbert"]
+        network = self._networks(schema, monkeypatch)["hilbert"]
         events = [_event(schema, f"e{i}", i, 31 - i) for i in range(8)]
         delivered = network.publish_batch(1, events)
         tag = ("hilbert", 2, ORDER)

@@ -1,9 +1,9 @@
 """Tests for the SFC-keyed forwarding-match index and its routing integration.
 
-The contract under test: ``matching="sfc"`` must be behaviourally identical to
-the linear scan — same ``any_match`` answers, same matched subscription sets,
-same network deliveries — while answering each event with a single ordered-map
-probe.  Soundness must survive the run-budget over-approximation (the
+The contract under test: an interface table's match index must be
+behaviourally identical to the linear scan the table runs while it is small —
+same ``any_match`` answers, same matched subscription sets, same network
+deliveries — while answering each event with a single ordered-map probe.  Soundness must survive the run-budget over-approximation (the
 rectangle fallback check) and arbitrary add/remove churn (segment splitting
 and re-coalescing).
 """
@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.geometry.bits import spread_bits
 from repro.index.config import IndexConfig
+from repro.pubsub.broker import Broker
 from repro.pubsub.match_index import MatchIndex
 from repro.pubsub.network import (
     BrokerNetwork,
@@ -322,40 +323,61 @@ class TestMatchIndexUnit:
         assert len(index) == len(model)
 
 
-class TestInterfaceTableSfc:
-    def test_requires_schema(self):
-        with pytest.raises(ValueError):
-            InterfaceTable("i", matching="sfc")
+class TestInterfaceTableMatching:
+    def test_no_matching_keyword_below_the_network(self, schema):
+        """Every table scans while small and indexes after: no constructor
+        takes a choice, and ``from_topology`` accepts only the one spelling
+        callers already pass."""
+        for build in (
+            lambda **kw: InterfaceTable("i", schema, **kw),
+            lambda **kw: RoutingTable(schema, **kw),
+            lambda **kw: Broker(broker_id=0, schema=schema, **kw),
+            lambda **kw: BrokerNetwork(schema=schema, **kw),
+        ):
+            build()
+            with pytest.raises(TypeError):
+                build(matching="sfc")
+        BrokerNetwork.from_topology(schema, chain_topology(2), matching="sfc")
+        with pytest.raises(ValueError, match="matching"):
+            BrokerNetwork.from_topology(schema, chain_topology(2), matching="linear")
 
-    def test_rejects_unknown_matching(self, schema):
-        with pytest.raises(ValueError):
-            InterfaceTable("i", schema=schema, matching="hash")
-        with pytest.raises(ValueError):
-            RoutingTable(schema=schema, matching="hash")
-
-    def test_linear_and_sfc_agree_under_churn(self, schema):
-        rng = random.Random(23)
-        linear = InterfaceTable("i", schema=schema, matching="linear")
-        sfc = InterfaceTable("i", schema=schema, matching="sfc", config=IndexConfig(run_budget=4))
-        live = []
-        for step in range(120):
-            if rng.random() < 0.7 or not live:
-                sub = random_subscription(schema, rng, f"s{step}")
-                live.append(sub.sub_id)
-                linear.add(sub)
-                sfc.add(sub)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_scan_and_index_equal_a_linear_scan_across_the_build(self, schema, seed):
+        """A seeded walk of adds, re-adds and removals through the build and
+        back down: a table kept scanning, a table crossing the limit and the
+        model's scan give the same matches, the scanning ones in table order,
+        and the cost reported is every stored subscription while scanning."""
+        rng = random.Random(seed)
+        scanning = InterfaceTable("i", schema)
+        scanning.SCAN_LIMIT = 1 << 62
+        crossing = InterfaceTable("i", schema, config=IndexConfig(run_budget=4))
+        model = {}  # sub_id -> Subscription, in table order
+        largest = 0
+        names = [f"s{i}" for i in range(40)]
+        phases = [0.85] * 120 + [0.25] * 120  # grow past the limit, then shrink
+        for grow in phases:
+            if rng.random() < grow or not model:
+                sub = random_subscription(schema, rng, rng.choice(names))
+                scanning.add(sub)
+                crossing.add(sub)
+                model[sub.sub_id] = sub
             else:
-                sub_id = live.pop(rng.randrange(len(live)))
-                assert linear.remove(sub_id)
-                assert sfc.remove(sub_id)
-            event = random_event(schema, rng)
-            assert linear.any_match(event) == sfc.any_match(event)
-            assert {s.sub_id for s in linear.matching(event)} == {
-                s.sub_id for s in sfc.matching(event)
-            }
+                sub_id = rng.choice(list(model))
+                assert scanning.remove(sub_id) and crossing.remove(sub_id)
+                del model[sub_id]
+            largest = max(largest, len(model))
+            assert (crossing.match_index is not None) is (largest > InterfaceTable.SCAN_LIMIT)
+            for _ in range(3):
+                event = random_event(schema, rng)
+                expected = [sub_id for sub_id, sub in model.items() if sub.matches(event)]
+                assert scanning.matching_ids(event) == (expected, len(model))
+                assert sorted(crossing.matching_ids(event)[0]) == sorted(expected)
+                assert scanning.any_match(event) is crossing.any_match(event) is bool(expected)
+        assert crossing.match_index is not None and scanning.match_index is None
+        assert len(crossing.match_index) == len(crossing) == len(model)
 
     def test_routing_table_threads_precomputed_key(self, schema):
-        routing = RoutingTable(schema=schema, matching="sfc")
+        routing = RoutingTable(schema)
         sub = Subscription(schema, {"x": (0.0, 50.0)}, sub_id="s")
         routing.table("east").add(sub)
         event = Event(schema, {"x": 10.0, "y": 10.0})
@@ -365,7 +387,7 @@ class TestInterfaceTableSfc:
         assert routing.matching_interfaces(event) == ["east"]
 
     def test_matching_interfaces_among_restricts_probes(self, schema):
-        routing = RoutingTable(schema=schema, matching="sfc")
+        routing = RoutingTable(schema)
         sub = Subscription(schema, {"x": (0.0, 50.0)}, sub_id="s")
         routing.table("east").add(sub)
         routing.table("__local__").add(Subscription(schema, {"x": (0.0, 50.0)}, sub_id="l"))
@@ -378,16 +400,16 @@ class TestInterfaceTableSfc:
         assert routing.match_work()[0] == lookups_before + 1
 
     def test_event_keys_batch_matches_per_event_keys(self, schema):
-        routing = RoutingTable(schema=schema, matching="sfc")
+        routing = RoutingTable(schema)
         rng = random.Random(9)
         events = [random_event(schema, rng) for _ in range(30)]
         assert routing.event_keys(events) == [routing.event_key(e) for e in events]
 
-    def test_linear_routing_table_has_no_keys(self, schema):
-        routing = RoutingTable(schema=schema, matching="linear")
+    def test_a_fresh_routing_table_keys_events_and_has_done_no_work(self, schema):
+        routing = RoutingTable(schema)
         event = Event(schema, {"x": 1.0, "y": 1.0})
-        assert routing.event_key(event) is None
-        assert routing.event_keys([event]) == [None]
+        assert routing.event_key(event) == routing._curve.key(event.cells)
+        assert routing.event_keys([event]) == [routing.event_key(event)]
         assert routing.match_work() == (0, 0, 0)
 
 
@@ -398,19 +420,20 @@ TOPOLOGIES = {
 }
 
 
-class TestNetworkSfcMatching:
+class TestNetworkMatching:
     @pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
     @pytest.mark.parametrize("covering", ["exact", "approximate"])
-    def test_delivery_audit_clean_on_all_topologies(self, schema, topology, covering):
-        """Acceptance: zero missed and zero spurious deliveries with
-        matching='sfc' on tree, chain and star overlays."""
+    def test_delivery_audit_clean_on_all_topologies(
+        self, schema, topology, covering, table_path
+    ):
+        """Acceptance: zero missed and zero spurious deliveries on tree,
+        chain and star overlays, every table scanning or every one indexed."""
         rng = random.Random(42)
         network = BrokerNetwork.from_topology(
             schema,
             TOPOLOGIES[topology],
             covering=covering,
             config=IndexConfig(epsilon=0.2, cube_budget=10_000),
-            matching="sfc",
         )
         num_brokers = len(network.brokers)
         for i in range(60):
@@ -426,11 +449,9 @@ class TestNetworkSfcMatching:
             assert missed == set()
             assert extra == set()
 
-    def test_audit_clean_under_unsubscription_churn(self, schema):
+    def test_audit_clean_under_unsubscription_churn(self, schema, table_path):
         rng = random.Random(77)
-        network = BrokerNetwork.from_topology(
-            schema, tree_topology(5), covering="exact", matching="sfc"
-        )
+        network = BrokerNetwork.from_topology(schema, tree_topology(5), covering="exact")
         live = {}
         for step in range(80):
             if rng.random() < 0.6 or not live:
@@ -451,9 +472,7 @@ class TestNetworkSfcMatching:
 
     def test_publish_batch_equals_sequential_publish(self, schema):
         rng = random.Random(13)
-        network = BrokerNetwork.from_topology(
-            schema, tree_topology(7), covering="approximate", matching="sfc"
-        )
+        network = BrokerNetwork.from_topology(schema, tree_topology(7), covering="approximate")
         for i in range(40):
             network.subscribe(
                 rng.randrange(7), f"c{i}", random_subscription(schema, rng, f"s{i}")
@@ -462,10 +481,8 @@ class TestNetworkSfcMatching:
         batch_deliveries = network.publish_batch(0, events)
         assert batch_deliveries == [network.expected_recipients(e) for e in events]
 
-    def test_publish_batch_works_under_linear_matching(self, schema):
-        network = BrokerNetwork.from_topology(
-            schema, chain_topology(3), covering="none", matching="linear"
-        )
+    def test_publish_batch_works_while_tables_scan(self, schema):
+        network = BrokerNetwork.from_topology(schema, chain_topology(3), covering="none")
         sub = Subscription(schema, {"x": (0.0, 50.0)}, sub_id="s")
         network.subscribe(2, "alice", sub)
         hit = Event(schema, {"x": 10.0, "y": 10.0})
@@ -473,9 +490,7 @@ class TestNetworkSfcMatching:
         assert network.publish_batch(0, [hit, miss]) == [{"alice"}, set()]
 
     def test_match_index_counters_reported(self, schema):
-        network = BrokerNetwork.from_topology(
-            schema, chain_topology(3), covering="none", matching="sfc"
-        )
+        network = BrokerNetwork.from_topology(schema, chain_topology(3), covering="none")
         network.subscribe(2, "alice", Subscription(schema, {"x": (0.0, 50.0)}, sub_id="s"))
         network.publish(0, Event(schema, {"x": 10.0, "y": 10.0}))
         stats = network.collect_stats()

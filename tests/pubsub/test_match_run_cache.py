@@ -166,9 +166,10 @@ def test_evicted_runs_are_recomputed_equal(schema):
     assert (cache.hits, cache.misses, cache.evictions) == (0, 0, 0)
 
 
+@pytest.mark.usefixtures("indexed_tables")
 def test_standalone_broker_shares_its_own_cache(schema):
     subscription = make_subscription(schema, "s", x=(2.0, 9.0), y=(2.0, 9.0))
-    broker = Broker(broker_id=0, schema=schema, matching="sfc")
+    broker = Broker(broker_id=0, schema=schema)
     broker.receive_subscription("left", subscription)
     broker.receive_subscription("right", subscription)
     cache = broker.profile_cache
@@ -178,12 +179,12 @@ def test_standalone_broker_shares_its_own_cache(schema):
     assert (cache.run_hits, cache.run_misses) == (2, 1)
 
 
+@pytest.mark.usefixtures("indexed_tables")
 def test_crash_recover_relearns_from_the_cache(schema):
     network = BrokerNetwork.from_topology(
         schema,
         tree_topology(7),
         covering="approximate",
-        matching="sfc",
         transport=SimTransport(FixedLatency(0.3), seed=11),
         seed=2,
         metrics=MetricsRegistry(),

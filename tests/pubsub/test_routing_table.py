@@ -7,6 +7,7 @@ import random
 import pytest
 
 from repro.index.config import IndexConfig
+from repro.index.sfc_array import FlatSegmentStore
 from repro.pubsub.match_index import MatchIndexStats
 from repro.pubsub.routing_table import (
     ApproximateCoveringStrategy,
@@ -82,9 +83,13 @@ class TestCoveringStrategies:
         assert strategy.work_units() >= 1
 
 
+def strip(schema, i, sub_id=None):
+    return Subscription(schema, {"x": (10.0 * (i % 9), 10.0 * (i % 9) + 15.0)}, sub_id=sub_id or f"s{i}")
+
+
 class TestInterfaceTable:
     def test_add_remove_match(self, schema):
-        table = InterfaceTable("north")
+        table = InterfaceTable("north", schema)
         sub = Subscription(schema, {"x": (0.0, 50.0)}, sub_id="s1")
         table.add(sub)
         assert len(table) == 1 and "s1" in table
@@ -98,53 +103,86 @@ class TestInterfaceTable:
         assert not table.any_match(inside)
 
     def test_subscriptions_listing(self, schema):
-        table = InterfaceTable("i")
+        table = InterfaceTable("i", schema)
         table.add(Subscription(schema, {}, sub_id="a"))
         table.add(Subscription(schema, {}, sub_id="b"))
         assert {s.sub_id for s in table.subscriptions()} == {"a", "b"}
 
-    def test_sfc_table_keeps_one_index_for_life(self, schema):
+    def test_scans_up_to_the_limit_then_builds_one_index_for_life(self, schema):
+        """The table scans while it holds SCAN_LIMIT subscriptions or fewer
+        (a re-add included); the add past the limit builds the index in one
+        bulk load, and the table keeps it however small it gets again."""
         config = IndexConfig(curve="hilbert", run_budget=4)
-        table = InterfaceTable("i", schema=schema, matching="sfc", config=config)
+        table = InterfaceTable("i", schema, config=config)
+        limit = InterfaceTable.SCAN_LIMIT
+        assert limit == FlatSegmentStore.PENDING_SLOTS
+        for i in range(limit):
+            table.add(strip(schema, i))
+        table.add(strip(schema, 3, sub_id="s0"))  # a replacement is no arrival
+        assert len(table) == limit and table.match_index is None
+        table.add(strip(schema, limit))
         index = table.match_index
-        for i in range(6):
-            table.add(Subscription(schema, {"x": (10.0 * i, 10.0 * i + 15.0)}, sub_id=f"s{i}"))
-        table.matching(Event(schema, {"x": 12.0, "y": 1.0}))
-        assert table.remove("s1") and table.remove("s4")
-        table.add(Subscription(schema, {"y": (0.0, 5.0)}, sub_id="s6"))
-        assert table.match_index is index
+        assert index is not None and len(index) == limit + 1
+        # One sweep flattened the whole table: nothing is staged.
+        assert index._flat.rebuilds == 1 and not index._flat.staged
         assert table.config == config and index.curve.kind == "hilbert"
-        assert {s.sub_id for s in table.matching(Event(schema, {"x": 12.0, "y": 1.0}))} == {
-            "s0",
-            "s6",
-        }
+        for i in range(2, limit + 1):
+            assert table.remove(f"s{i}")
+        table.add(Subscription(schema, {"y": (0.0, 5.0)}, sub_id="late"))
+        assert table.match_index is index
+        event = Event(schema, {"x": 12.0, "y": 1.0})
+        # s0 was re-added as strip 3 (x 30–45): it no longer holds x = 12.
+        assert {s.sub_id for s in table.matching(event)} == {"s1", "late"}
 
-    def test_match_stats_snapshot_the_live_index(self, schema):
-        assert InterfaceTable("i").match_stats() == MatchIndexStats()
-        table = InterfaceTable("i", schema=schema, matching="sfc")
+    def test_a_rejected_arrival_leaves_the_table_scanning(self, schema):
+        table = InterfaceTable("i", schema)
+        for i in range(InterfaceTable.SCAN_LIMIT):
+            table.add(strip(schema, i))
+        other = AttributeSchema([Attribute("x", 0.0, 100.0)], order=8)
+        with pytest.raises(ValueError):
+            table.add(Subscription(other, {"x": (0.0, 5.0)}, sub_id="bad"))
+        assert table.match_index is None and "bad" not in table
+        table.add(strip(schema, 99))
+        assert table.match_index is not None and len(table.match_index) == len(table)
+
+    def test_match_stats_count_the_scan_then_the_index(self, schema):
+        table = InterfaceTable("i", schema)
+        assert table.match_stats() == MatchIndexStats()
         table.add(Subscription(schema, {"x": (0.0, 50.0)}, sub_id="s0"))
-        before = table.match_stats()
+        table.add(Subscription(schema, {"x": (60.0, 70.0)}, sub_id="s1"))
         for value in (10.0, 20.0, 80.0):
             table.matching(Event(schema, {"x": value, "y": 1.0}))
-        after = table.match_stats()
-        assert after.lookups == before.lookups + 3
-        assert after.inserts == before.inserts == 1
-        assert after == table.match_index.stats
-        assert after is not table.match_index.stats
+        # Every stored subscription tested per probe, every rejection counted.
+        assert table.match_stats() == MatchIndexStats(
+            lookups=3, candidates_checked=6, false_positives=4
+        )
+        # any_match stops at the first hit: one test for x = 10, two for a miss.
+        assert table.any_match(Event(schema, {"x": 10.0, "y": 1.0}))
+        assert not table.any_match(Event(schema, {"x": 90.0, "y": 1.0}))
+        scanned = table.match_stats()
+        assert (scanned.lookups, scanned.candidates_checked, scanned.false_positives) == (5, 9, 6)
+        for i in range(InterfaceTable.SCAN_LIMIT):
+            table.add(strip(schema, i, sub_id=f"t{i}"))
+        index = table.match_index
+        assert index is not None
         table.matching(Event(schema, {"x": 30.0, "y": 1.0}))
-        assert after.lookups == before.lookups + 3
+        after = table.match_stats()
+        assert after.lookups == scanned.lookups + 1 == 6
+        assert after.inserts == index.stats.inserts == InterfaceTable.SCAN_LIMIT + 2
+        assert after.candidates_checked == scanned.candidates_checked + index.stats.candidates_checked
+        assert after is not table.match_stats()
 
 
 class TestRoutingTable:
     def test_tables_created_on_demand(self, schema):
-        routing = RoutingTable()
+        routing = RoutingTable(schema)
         routing.table("east").add(Subscription(schema, {}, sub_id="a"))
         routing.table("west").add(Subscription(schema, {"x": (0.0, 10.0)}, sub_id="b"))
         assert set(routing.interfaces()) == {"east", "west"}
         assert routing.total_entries() == 2
 
     def test_matching_interfaces_excludes_source(self, schema):
-        routing = RoutingTable()
+        routing = RoutingTable(schema)
         routing.table("east").add(Subscription(schema, {}, sub_id="a"))
         routing.table("west").add(Subscription(schema, {}, sub_id="b"))
         event = Event(schema, {"x": 5.0, "y": 5.0})
@@ -152,7 +190,7 @@ class TestRoutingTable:
         assert set(routing.matching_interfaces(event, exclude="east")) == {"west"}
 
     def test_non_matching_interface_not_selected(self, schema):
-        routing = RoutingTable()
+        routing = RoutingTable(schema)
         routing.table("east").add(Subscription(schema, {"x": (0.0, 10.0)}, sub_id="a"))
         routing.table("west").add(Subscription(schema, {"x": (90.0, 100.0)}, sub_id="b"))
         event = Event(schema, {"x": 5.0, "y": 5.0})
@@ -162,9 +200,10 @@ class TestRoutingTable:
     def test_routing_key_passes_straight_to_every_interface(self, schema, kind):
         """An interface's index is keyed under the routing table's curve, so the
         key the routing table computes once per event answers every probe."""
-        routing = RoutingTable(schema, matching="sfc", config=IndexConfig(curve=kind))
+        routing = RoutingTable(schema, config=IndexConfig(curve=kind))
         rng = random.Random(5)
-        for i in range(30):
+        # Past the scan limit on every table, so each one has built its index.
+        for i in range(3 * (InterfaceTable.SCAN_LIMIT + 4)):
             lo_x, lo_y = rng.uniform(0, 80), rng.uniform(0, 80)
             routing.table(i % 3).add(
                 Subscription(

@@ -70,7 +70,7 @@ def _recommend(schema, start, subscriptions, events, cost_model=None):
 def _drive(config, subscriptions, events, brokers=4):
     """Subscribe everything, publish everything; returns the delivery sets."""
     network = BrokerNetwork.from_topology(
-        _schema(), tree_topology(brokers), matching="sfc", seed=11, config=config
+        _schema(), tree_topology(brokers), seed=11, config=config
     )
     for i, sub in enumerate(subscriptions):
         network.subscribe(i % brokers, f"c{i}", sub)
@@ -82,7 +82,7 @@ def _drive(config, subscriptions, events, brokers=4):
 def _match_work(config, subscriptions, events, brokers=4):
     """Candidates checked network-wide while ``_drive`` runs under ``config``."""
     network = BrokerNetwork.from_topology(
-        _schema(), tree_topology(brokers), matching="sfc", seed=11, config=config
+        _schema(), tree_topology(brokers), seed=11, config=config
     )
     for i, sub in enumerate(subscriptions):
         network.subscribe(i % brokers, f"c{i}", sub)
@@ -300,7 +300,6 @@ class TestRecommendConfig:
             tree_topology(7),
             covering=covering,
             config=recommended,
-            matching="sfc",
             seed=5,
         )
         script = subscription_churn_script(scenario, list(range(7)), seed=3)

@@ -154,7 +154,7 @@ class TestScriptDigests:
 
         The curve-pluggable stack promises determinism under every curve, not
         just the Z default: a churn-storm script run in lockstep on a Hilbert
-        network (SFC matching + approximate covering) pins its normalised
+        network (match indexes + approximate covering) pins its normalised
         routing state to a recorded digest, so drift anywhere along the
         Hilbert keying path fails loudly.
         """
@@ -168,7 +168,6 @@ class TestScriptDigests:
                 tree_topology(7),
                 covering=covering,
                 config=IndexConfig(epsilon=0.2, cube_budget=500, curve="hilbert"),
-                matching="sfc",
             )
             script = subscription_churn_script(scenario, BROKER_IDS, seed=3)
             run_scripted_lockstep(network, script)
