@@ -31,7 +31,9 @@ schedule.  A plan therefore knows its size — :attr:`DominancePlan.cubes`, from
 the census alone — before any cube is built, and the routing layer
 (:meth:`repro.core.covering.ApproximateCoveringDetector.find_covering_profile`)
 executes it only against a link holding more subscriptions than that; smaller
-links are compared directly and never materialise a schedule.  The entry
+links are compared directly and never materialise a schedule.  Below
+:func:`plan_cubes_floor`, a bound on that size read off the region's sides,
+they never run the census either.  The entry
 points here serve the paper's own experiments at any size: execution joins
 schedule and stored keys from whichever side is smaller and *reports* the runs
 a probe loop would have issued.
@@ -60,6 +62,7 @@ __all__ = [
     "DominancePlan",
     "ClassTable",
     "build_dominance_plan",
+    "plan_cubes_floor",
 ]
 
 
@@ -306,6 +309,35 @@ def _class_schedule(
     return schedule, TerminationReason.REGION_EXHAUSTED
 
 
+def _coverage_target(region_volume: int, epsilon: float) -> int:
+    """The volume a schedule searches before coverage ends it: ``⌈(1 − ε) · vol⌉``.
+
+    The searched volume is an integer, so it reaches the (float) coverage
+    target exactly when it reaches the target's ceiling.
+    """
+    return math.ceil((1.0 - epsilon) * region_volume)
+
+
+def plan_cubes_floor(lengths: Sequence[int], *, epsilon: float, cube_budget: int) -> int:
+    """A lower bound on the cubes of the plan for a region of side ``lengths``, without a census.
+
+    No standard cube inside the region is wider than the largest power of two
+    that fits its narrowest side, ``2^(b − 1)`` for a side of ``b`` bits, so
+    the schedule cannot reach its coverage target — the whole volume at
+    ``ε = 0`` — in fewer than ``⌈target / 2^((b − 1)·d)⌉`` cubes, and stops
+    at the budget if it gets there first.
+
+    >>> plan_cubes_floor((4, 4), epsilon=0.0, cube_budget=100)
+    1
+    >>> plan_cubes_floor((5, 3), epsilon=0.0, cube_budget=100)
+    4
+    """
+    volume = math.prod(lengths)
+    target = _coverage_target(volume, epsilon) if epsilon > 0 else volume
+    largest_cube_bits = (min(lengths).bit_length() - 1) * len(lengths)
+    return min(cube_budget, -(-target >> largest_cube_bits))
+
+
 def build_dominance_plan(
     universe: Universe,
     point: Sequence[int],
@@ -341,9 +373,7 @@ def build_dominance_plan(
         )
     region = ExtremalRectangle.from_query_point(universe, point)
     region_volume = region.volume
-    # The searched volume is an integer, so it reaches the (float) coverage
-    # target exactly when it reaches the target's ceiling.
-    target_volume = math.ceil((1.0 - epsilon) * region_volume) if epsilon > 0 else None
+    target_volume = _coverage_target(region_volume, epsilon) if epsilon > 0 else None
     schedule, final_termination = _class_schedule(region, target_volume, cube_budget)
 
     plan = DominancePlan(

@@ -21,12 +21,16 @@ Guarantees mirror Problem 2 of the paper:
 The routing entry point, ``find_covering_profile``, is "at least
 ε-approximate": a stored set smaller than the query's probe schedule is
 compared with the query directly — complete, and cheaper than building the
-schedule — and only a larger one is searched along it.
+schedule — and only a larger one is searched along it.  A profile carries a
+lower bound on the schedule's size that needs no census
+(:attr:`CoveringProfile.cubes_floor`), so a link holding no more
+subscriptions than that is compared without the schedule's size being counted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..geometry.transform import DominanceTransform, Range, first_covering
@@ -37,6 +41,7 @@ from .approx_dominance import (
     DominanceQueryResult,
     DominancePlan,
     build_dominance_plan,
+    plan_cubes_floor,
 )
 
 __all__ = [
@@ -96,11 +101,30 @@ class CoveringProfile:
     a dominance point, decompose the point's dominance region into a probe
     schedule.  A profile captures all three so that every neighbour strategy
     — and every later promotion re-check — shares one computation.
+
+    It is built as its validated ranges plus :attr:`cubes_floor`, a lower
+    bound on the schedule's size read off the dominance region's sides.  The
+    :attr:`point` and the :attr:`plan` (census included) are built the first
+    time they are read, under the profiler's curve, ε and cube budget, and
+    kept: every link that reads them shares one plan.  A link holding no more
+    subscriptions than the floor is compared without reading either.
     """
 
     ranges: Tuple[Range, ...]
-    point: Tuple[int, ...]
-    plan: DominancePlan
+    #: A lower bound on ``plan.cubes`` known without the census
+    #: (:func:`~repro.core.approx_dominance.plan_cubes_floor`).
+    cubes_floor: int
+    profiler: "CoveringProfiler" = field(repr=False)
+
+    @cached_property
+    def point(self) -> Tuple[int, ...]:
+        """The dominance point of :attr:`ranges`, computed on first read."""
+        return self.profiler.transform.to_point(self.ranges)
+
+    @cached_property
+    def plan(self) -> DominancePlan:
+        """The probe schedule of :attr:`point`, its census run on first read."""
+        return self.profiler.plan(self.point)
 
 
 class CoveringProfiler:
@@ -109,7 +133,8 @@ class CoveringProfiler:
     One profiler per broker: it mirrors the parameters every per-link
     :class:`ApproximateCoveringDetector` of that broker was built with
     (attribute count/order, ε, cube budget, curve), so its profiles can be
-    handed to any of them.
+    handed to any of them.  :attr:`plans_built` counts the plans its profiles
+    have built, each the first time one was read.
     """
 
     def __init__(
@@ -123,6 +148,8 @@ class CoveringProfiler:
         self.attribute_order = attribute_order
         self.transform = DominanceTransform(attributes, attribute_order)
         self.curve = make_curve(config.curve, self.transform.universe)
+        self.plans_built = 0
+        self._cache_key = (config.covering_key(), attributes, attribute_order)
 
     @property
     def cache_key(self) -> Tuple:
@@ -136,24 +163,33 @@ class CoveringProfiler:
         built from configs differing only in storage knobs (backend, run
         budget, shards) share a namespace — their profiles are identical.
         """
-        return (
-            self.config.covering_key(),
-            self.attributes,
-            self.attribute_order,
-        )
+        return self._cache_key
 
     def profile(self, ranges: Sequence[Range]) -> CoveringProfile:
-        """Validate ``ranges`` and build their point + probe schedule."""
+        """Validate ``ranges`` and bound their probe schedule's size from below.
+
+        The dominance region of ``([ℓ_1, r_1], ...)`` has sides ``ℓ_i + 1``
+        and ``M − r_i + 1``; :func:`~repro.core.approx_dominance.plan_cubes_floor`
+        turns them into :attr:`CoveringProfile.cubes_floor`.  No point, census
+        or plan is built here (see :class:`CoveringProfile`).
+        """
         validated = self.transform.validate_ranges(ranges)
-        point = self.transform.to_point(validated)
-        plan = build_dominance_plan(
+        top = self.transform.max_value
+        lengths = [side for lo, hi in validated for side in (lo + 1, top - hi + 1)]
+        config = self.config
+        floor = plan_cubes_floor(lengths, epsilon=config.epsilon, cube_budget=config.cube_budget)
+        return CoveringProfile(ranges=validated, cubes_floor=floor, profiler=self)
+
+    def plan(self, point: Tuple[int, ...]) -> DominancePlan:
+        """Build the probe schedule of ``point`` under this profiler's parameters."""
+        self.plans_built += 1
+        return build_dominance_plan(
             self.transform.universe,
             point,
             epsilon=self.config.epsilon,
             cube_budget=self.config.cube_budget,
             curve=self.curve,
         )
-        return CoveringProfile(ranges=validated, point=point, plan=plan)
 
 
 @dataclass
@@ -277,18 +313,13 @@ class ApproximateCoveringDetector:
     def compatible_profile(self, profile: CoveringProfile) -> bool:
         """True when ``profile`` was built with this detector's parameters.
 
-        All four answer-affecting parameters must match — universe, curve, ε
-        and the cube budget (the plan bakes its key ranges and budget cut-off
-        in at build time; ranges from a different curve do not apply).
+        Every answer-affecting parameter must match — attribute count and
+        order (the universe), curve, ε and the cube budget (a plan bakes its
+        key ranges and budget cut-off in at build time; ranges from a
+        different curve do not apply): the profilers' cache keys are equal.
+        The profile's plan is not read.
         """
-        plan = profile.plan
-        config = self.config
-        return (
-            plan.universe == self.transform.universe
-            and plan.curve_kind == config.curve
-            and plan.epsilon == config.epsilon
-            and plan.cube_budget == config.cube_budget
-        )
+        return profile.profiler.cache_key == self._profiler.cache_key
 
     def add_subscription_profile(self, sub_id: Hashable, profile: CoveringProfile) -> None:
         """Store a subscription from its precomputed profile (no re-validation)."""
@@ -297,7 +328,7 @@ class ApproximateCoveringDetector:
             self._index.insert(sub_id, profile.point)
 
     def profile(self, ranges: Sequence[Range]) -> CoveringProfile:
-        """Validate ``ranges`` and build their point + probe schedule for this detector."""
+        """Validate ``ranges`` and profile them for this detector (plan built on first read)."""
         return self._profiler.profile(ranges)
 
     def find_covering_profile(self, profile: CoveringProfile) -> CoveringResult:
@@ -309,7 +340,9 @@ class ApproximateCoveringDetector:
         insertion order (a replaced id counts as newly inserted), the choice
         of the ``exact`` strategy; no plan class is materialised, no key
         computed, no index built, and the answer is complete where the
-        ε-search is bound by its budget.  A fuller
+        ε-search is bound by its budget.  The census is run only for a
+        detector holding more than the profile's :attr:`~CoveringProfile.cubes_floor`,
+        a bound on the plan's size known without it.  A fuller
         detector executes the plan, as :meth:`find_covering` at the default ε
         would (same plan, here not rebuilt), against :attr:`index`, built
         by the first such check.  Sound on both sides: a cover is reported only
@@ -320,7 +353,8 @@ class ApproximateCoveringDetector:
         """
         if not self.compatible_profile(profile):
             return self.find_covering(profile.ranges)
-        if len(self._subscriptions) <= profile.plan.cubes:
+        stored = len(self._subscriptions)
+        if stored <= profile.cubes_floor or stored <= profile.plan.cubes:
             covering_id, compared = first_covering(self._subscriptions, profile.ranges)
             return CoveringResult(covering_id=covering_id, query=None, comparisons=compared)
         result = self.index.execute_plan(profile.plan)

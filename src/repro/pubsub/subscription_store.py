@@ -12,7 +12,8 @@ module hoists both shared halves out:
 
 * :class:`SubscriptionProfile` — one subscription's validated ranges plus (for
   approximate covering) its :class:`~repro.core.covering.CoveringProfile`
-  (dominance point + lazily-materialised probe plan).
+  (a census-free bound on its plan's size; dominance point and probe plan
+  built on first read).
 * :class:`ProfileCache` — builds profiles and memoises them by quantised
   ranges with LRU eviction, and memoises the match index's key runs by
   snapped rectangle the same way.  A single cache can be shared by every
@@ -79,12 +80,14 @@ class ProfileCache:
     Memory: a cached profile is dominated by its plan, ~96 bytes per probe
     range once a check has materialised it — 75–192 KB per plan at the
     default ``cube_budget`` of 2,000 over a 6-dimensional dominance universe
-    (measured).  Only a check against a link holding more subscriptions than
-    the plan has cubes materialises it; below that crossover a profile is its
-    ranges, its point and a few hundred bytes of census.  The worst case of
-    ``max_entries`` × 192 KB (19 GB at the default 100,000) therefore holds
-    only for networks whose links exceed the crossover: size ``max_entries``
-    to the distinct rectangles in flight there.
+    (measured).  Until a check meets a link holding more subscriptions than
+    the profile's ``cubes_floor``, a profile is its ranges and that one int,
+    ~350 bytes (3 attributes, measured); such a check adds the point and the
+    census, ~2.4 KB, and only a link holding more subscriptions than the plan
+    has cubes materialises its tables.  The worst case of ``max_entries`` ×
+    192 KB (19 GB at the default 100,000) therefore holds only for networks
+    whose links exceed the crossover: size ``max_entries`` to the distinct
+    rectangles in flight there.
 
     The cache also holds the match index's key runs (:meth:`match_runs` /
     :meth:`store_match_runs`).  The caller builds the key from everything the
