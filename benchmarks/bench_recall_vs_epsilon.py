@@ -6,7 +6,8 @@ only over queries that truly have a cover (ground truth from a linear scan),
 for two workload regimes: covers much wider than the query (the regime the
 optimisation targets) and covers barely wider than the query (the worst case
 for a volume-based approximation).  The probabilistic baseline's false
-positives — suppressions that would lose events — are reported alongside.
+positives — suppressions that would lose events, which is why no broker
+routes with it — are reported alongside.
 
 A second table reports what the same search delivers at the *product* budget
 (``IndexConfig()``: ε = 0.05, 2,000 cubes) on the stock and sensor scenarios:

@@ -3,13 +3,13 @@
 
 Builds a 15-broker tree carrying the sensor-network scenario (temperature /
 humidity / battery alerts), replays the same subscription and event stream
-under four covering strategies — none, exact linear scan, the paper's
-ε-approximate SFC detector, and the probabilistic baseline — and reports:
+under every covering strategy a broker offers — none, exact linear scan and
+the paper's ε-approximate SFC detector — and reports:
 
 * routing-table entries and subscription messages (what covering saves),
 * covering-check work units (what covering costs),
-* missed event deliveries (zero for sound strategies; possibly non-zero for
-  the probabilistic baseline, which can suppress a subscription it shouldn't).
+* missed event deliveries, which must be zero: every strategy is sound, and
+  the script exits non-zero if one loses a delivery.
 
 Inter-broker messages travel through an explicit transport: the synchronous
 :class:`~repro.sim.transport.SyncTransport` here (immediate inline delivery —
@@ -27,13 +27,12 @@ import random
 
 from repro.analysis.reporting import format_bar_chart, format_table
 from repro.index.config import IndexConfig
-from repro.pubsub import BrokerNetwork, Event, Subscription, tree_topology
+from repro.pubsub import COVERING_KINDS, BrokerNetwork, Event, Subscription, tree_topology
 from repro.sim import SyncTransport
 from repro.workloads.scenarios import sensor_network_scenario
 
 _SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 NUM_BROKERS = 7 if _SMOKE else 15
-STRATEGIES = ("none", "exact", "approximate", "probabilistic")
 
 
 def run_strategy(scenario, covering: str, placements, publish_at) -> dict:
@@ -42,8 +41,6 @@ def run_strategy(scenario, covering: str, placements, publish_at) -> dict:
         tree_topology(NUM_BROKERS),
         covering=covering,
         config=IndexConfig(epsilon=0.25, cube_budget=3_000),
-        samples=6,
-        seed=42,
         transport=SyncTransport(),
     )
     for i, constraints in enumerate(scenario.subscriptions):
@@ -83,7 +80,7 @@ def main() -> None:
     placements = [rng.randrange(NUM_BROKERS) for _ in scenario.subscriptions]
     publish_at = [rng.randrange(NUM_BROKERS) for _ in scenario.events]
 
-    rows = [run_strategy(scenario, covering, placements, publish_at) for covering in STRATEGIES]
+    rows = [run_strategy(scenario, covering, placements, publish_at) for covering in COVERING_KINDS]
 
     print(format_table(rows, title="Sensor-network workload on a 15-broker tree"))
     print()
@@ -95,14 +92,10 @@ def main() -> None:
         )
     )
     print()
-    if any(row["events_missed"] > 0 for row in rows):
-        print(
-            "Note: the probabilistic strategy suppressed a subscription it should have\n"
-            "forwarded, so some deliveries were lost — the failure mode a sound\n"
-            "approximate detector (the paper's) cannot exhibit."
-        )
-    else:
-        print("No strategy lost any event delivery in this run.")
+    lossy = [row["covering"] for row in rows if row["events_missed"] > 0]
+    if lossy:
+        raise SystemExit(f"covering {lossy} lost event deliveries; every strategy must be sound")
+    print("No strategy lost any event delivery in this run.")
 
 
 if __name__ == "__main__":

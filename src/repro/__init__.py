@@ -13,9 +13,10 @@ covering (ICDCS 2007 / JPDC 2012).  The package is layered bottom-up:
   decomposition, ε-approximate point dominance, approximate covering
   detection, and the analytic bounds (Theorems 3.1 and 4.1).
 * :mod:`repro.baselines` — linear-scan, exhaustive-SFC and probabilistic
-  covering detectors.
+  covering detectors (the linear scan is also the ``exact`` routing
+  strategy; the probabilistic one is a recall comparison only).
 * :mod:`repro.pubsub` — a content-based publish/subscribe broker network that
-  uses covering to prune subscription propagation.
+  uses sound covering to prune subscription propagation.
 * :mod:`repro.workloads` / :mod:`repro.analysis` — synthetic workloads,
   experiment drivers and reporting.
 

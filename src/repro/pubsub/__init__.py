@@ -20,7 +20,6 @@ from .routing_table import (
     ExactCoveringStrategy,
     InterfaceTable,
     NoCoveringStrategy,
-    ProbabilisticCoveringStrategy,
     RoutingTable,
     make_covering_strategy,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "ExactCoveringStrategy",
     "InterfaceTable",
     "NoCoveringStrategy",
-    "ProbabilisticCoveringStrategy",
     "RoutingTable",
     "make_covering_strategy",
     "Attribute",

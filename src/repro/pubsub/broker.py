@@ -9,7 +9,7 @@ Each broker maintains:
   subscriptions already forwarded out of that interface, indexed so that
   "has something covering this already been forwarded?" is answerable
   quickly.  The strategy is the pluggable piece: none / exact linear scan /
-  ε-approximate SFC / probabilistic;
+  ε-approximate SFC, all sound;
 * an owner map for the subscriptions of its own clients.  The routing table
   holds them under :data:`LOCAL_INTERFACE` like any other interface's, and
   local delivery is one probe of that table followed by a lookup of who owns
@@ -32,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
-from ..core.covering import CoveringProfiler
 from ..index.config import IndexConfig
 from ..obs.trace import Span, TraceLog, make_detail
 from ..sim.transport import recent_window
@@ -41,6 +40,7 @@ from .routing_table import (
     RoutingTable,
     check_covering_kind,
     make_covering_strategy,
+    make_profile_cache,
 )
 from .schema import AttributeSchema
 from .stats import BrokerStats
@@ -76,8 +76,6 @@ class Broker:
     covering:
         Covering strategy kind (:data:`~repro.pubsub.routing_table.COVERING_KINDS`)
         applied independently per outgoing interface.
-    samples, seed:
-        Sample count and seed of the ``"probabilistic"`` strategy.
     config:
         The one :class:`~repro.index.config.IndexConfig` of this broker
         (defaults to ``IndexConfig()``): ``curve`` keys both the interface
@@ -104,8 +102,6 @@ class Broker:
     broker_id: Hashable
     schema: AttributeSchema
     covering: str = "approximate"
-    samples: int = 8
-    seed: Optional[int] = None
     profile_cache: Optional[ProfileCache] = None
     trace: Optional[TraceLog] = None
     config: Optional[IndexConfig] = None
@@ -116,16 +112,7 @@ class Broker:
         if self.config is None:
             self.config = IndexConfig()
         if self.profile_cache is None:
-            profiler = (
-                CoveringProfiler(
-                    self.schema.num_attributes,
-                    self.schema.order,
-                    config=self.config,
-                )
-                if self.covering == "approximate"
-                else None
-            )
-            self.profile_cache = ProfileCache(profiler)
+            self.profile_cache = make_profile_cache(self.covering, self.schema, self.config)
         # After the cache: the routing table's match indexes share it.
         self.routing_table = self._fresh_routing_table()
         self._store = SubscriptionStore(self.profile_cache)
@@ -175,11 +162,7 @@ class Broker:
     def _fresh_link_state(self, neighbor_id: Hashable) -> None:
         """(Re)initialise the per-link covering strategy and bookkeeping."""
         self._forwarded[neighbor_id] = make_covering_strategy(
-            self.covering,
-            self.schema,
-            samples=self.samples,
-            seed=self.seed,
-            config=self.config,
+            self.covering, self.schema, config=self.config
         )
         self._forwarded_ids[neighbor_id] = {}
         self._suppressed[neighbor_id] = {}
@@ -333,7 +316,7 @@ class Broker:
         if self._in_batch:
             self.stats.batch_covering_checks += 1
         before = strategy.work_units()
-        covered_by = strategy.find_covering_profile(profile)
+        covered_by = strategy.find_covering(profile)
         self.stats.covering_check_runs += strategy.work_units() - before
         return covered_by
 
@@ -376,7 +359,7 @@ class Broker:
         profile: SubscriptionProfile,
     ) -> None:
         """Add a subscription to a link's forwarded set and send it."""
-        strategy.add_profile(subscription.sub_id, profile)
+        strategy.add(subscription.sub_id, profile)
         self._forwarded_ids[neighbor_id][subscription.sub_id] = subscription
         self.stats.subscriptions_forwarded += 1
         self._decision_log.append(ForwardDecision(subscription.sub_id, neighbor_id, True, None))

@@ -14,8 +14,7 @@ inboxes and broker churn (crash / recover / join).
 Beyond simulation the network audits correctness: for every published event it
 computes the ground-truth set of subscribers whose subscriptions match and
 compares it with the deliveries that actually happened, so experiments can
-verify the paper's safety claim — approximate covering never loses events —
-and observe that an *unsound* strategy (the probabilistic baseline) can.
+verify the paper's safety claim: approximate covering never loses events.
 Under churn the ground truth is restricted to *surviving, reachable*
 subscribers: clients homed at brokers that are up and connected to the
 publishing broker through up brokers.
@@ -42,7 +41,6 @@ from typing import (
 
 import networkx as nx
 
-from ..core.covering import CoveringProfiler
 from ..index.config import IndexConfig
 from ..obs.exposition import render_prometheus, snapshot
 from ..obs.profiler import PROFILER
@@ -50,11 +48,10 @@ from ..obs.registry import MetricsRegistry
 from ..obs.trace import Span, TraceLog, make_detail
 from ..sim.transport import Message, SyncTransport, Transport, recent_window
 from .broker import LOCAL_INTERFACE, Broker
-from .routing_table import check_covering_kind
+from .routing_table import make_profile_cache
 from .schema import AttributeSchema
 from .stats import NetworkStats
 from .subscription import Event, Subscription
-from .subscription_store import ProfileCache
 
 __all__ = [
     "BrokerNetwork",
@@ -199,8 +196,8 @@ class BrokerNetwork:
     covering:
         Covering strategy used by every broker
         (:data:`~repro.pubsub.routing_table.COVERING_KINDS`).
-    samples, seed:
-        Passed to every :class:`~repro.pubsub.broker.Broker`.
+    seed:
+        Seed of the default trace log, built when ``tracing`` is not given.
     transport:
         Message transport between brokers; defaults to a fresh
         :class:`~repro.sim.transport.SyncTransport` (immediate inline
@@ -242,7 +239,6 @@ class BrokerNetwork:
 
     schema: AttributeSchema
     covering: str = "approximate"
-    samples: int = 8
     seed: Optional[int] = None
     transport: Optional[Transport] = None
     metrics: Optional[MetricsRegistry] = None
@@ -251,9 +247,10 @@ class BrokerNetwork:
     brokers: Dict[Hashable, Broker] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        check_covering_kind(self.covering)
         if self.config is None:
             self.config = IndexConfig()
+        # One cache for every broker; building it checks the covering kind.
+        self.profile_cache = make_profile_cache(self.covering, self.schema, self.config)
         if self.transport is None:
             self.transport = SyncTransport()
         self.transport.bind(self)
@@ -284,15 +281,6 @@ class BrokerNetwork:
         self._live_ids: Dict[Hashable, Tuple[Hashable, Hashable, tuple]] = {}
         self._publish_times: Dict[Hashable, float] = {}
         self._phase_seconds: Dict[str, float] = {}
-        self.profile_cache = ProfileCache(
-            CoveringProfiler(
-                self.schema.num_attributes,
-                self.schema.order,
-                config=self.config,
-            )
-            if self.covering == "approximate"
-            else None
-        )
 
     # ---------------------------------------------------------------- topology
     def add_broker(self, broker_id: Hashable) -> Broker:
@@ -303,8 +291,6 @@ class BrokerNetwork:
             broker_id=broker_id,
             schema=self.schema,
             covering=self.covering,
-            samples=self.samples,
-            seed=self.seed,
             profile_cache=self.profile_cache,
             trace=self.tracing if self.tracing.enabled else None,
             config=self.config,
@@ -349,7 +335,6 @@ class BrokerNetwork:
         schema: AttributeSchema,
         edges: Iterable[Tuple[Hashable, Hashable]],
         covering: str = "approximate",
-        samples: int = 8,
         seed: Optional[int] = None,
         matching: str = "sfc",
         transport: Optional[Transport] = None,
@@ -375,7 +360,6 @@ class BrokerNetwork:
         network = cls(
             schema=schema,
             covering=covering,
-            samples=samples,
             seed=seed,
             transport=transport,
             metrics=metrics,

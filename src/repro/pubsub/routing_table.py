@@ -11,8 +11,11 @@ neighbour covers the new one, forwarding is redundant.  The covering check is
 delegated to a :class:`CoveringStrategy`, of which three are provided —
 ``none`` (always forward), ``exact`` (linear scan), and ``approximate`` (the
 paper's ε-approximate SFC detector above the size of its own probe schedule,
-the same scan below it).  The strategy factory keeps the broker code
-independent of which detector is in use.
+the same scan below it).  All three are sound: a reported cover really
+covers, so suppression never costs a delivery.  A strategy has one entry
+point per operation, each taking the subscription's shared profile, and
+:func:`make_covering_strategy` / :func:`make_profile_cache` keep the broker
+code independent of which detector is in use.
 """
 
 from __future__ import annotations
@@ -31,11 +34,10 @@ from typing import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .subscription_store import ProfileCache, SubscriptionProfile
+    from .subscription_store import SubscriptionProfile
 
 from ..baselines.linear_scan import LinearScanCoveringDetector
-from ..baselines.probabilistic import ProbabilisticCoveringDetector
-from ..core.covering import ApproximateCoveringDetector
+from ..core.covering import ApproximateCoveringDetector, CoveringProfiler
 from ..geometry.universe import Universe
 from ..index.config import IndexConfig
 from ..index.sfc_array import FlatSegmentStore
@@ -45,14 +47,15 @@ from .match_index import MatchIndex, MatchIndexStats
 from .schema import AttributeSchema
 from .sharded_index import ShardedMatchIndex
 from .subscription import Event, Subscription
+from .subscription_store import ProfileCache
 
 __all__ = [
     "CoveringStrategy",
     "NoCoveringStrategy",
     "ExactCoveringStrategy",
     "ApproximateCoveringStrategy",
-    "ProbabilisticCoveringStrategy",
     "make_covering_strategy",
+    "make_profile_cache",
     "InterfaceTable",
     "RoutingTable",
     "COVERING_KINDS",
@@ -60,7 +63,7 @@ __all__ = [
 ]
 
 #: Covering strategies :func:`make_covering_strategy` can build.
-COVERING_KINDS = ("none", "exact", "approximate", "probabilistic")
+COVERING_KINDS = ("none", "exact", "approximate")
 
 
 def check_covering_kind(kind: str) -> None:
@@ -74,38 +77,30 @@ def check_covering_kind(kind: str) -> None:
 class CoveringStrategy(Protocol):
     """Minimal covering-detector contract the routing layer needs.
 
-    The ``*_profile`` variants accept a
-    :class:`~repro.pubsub.subscription_store.SubscriptionProfile` so the
+    Every operation takes a subscription's
+    :class:`~repro.pubsub.subscription_store.SubscriptionProfile`, so the
     per-subscription geometry (validation, dominance transform, probe plan)
-    computed once by the broker's store is shared by every link; strategies
-    without shareable precomputation simply fall back to the profile's plain
-    ranges, and every strategy must give identical answers through both
-    entry points.
+    computed once by the broker's store is shared by every link; a strategy
+    without shareable precomputation reads the profile's plain ranges.
     """
 
     #: Human-readable strategy name used in experiment reports.
     name: str
 
-    def add(self, sub_id: Hashable, ranges: Tuple[Tuple[int, int], ...]) -> None:
+    def add(self, sub_id: Hashable, profile: "SubscriptionProfile") -> None:
         """Register a subscription that has been forwarded."""
-
-    def add_profile(self, sub_id: Hashable, profile: "SubscriptionProfile") -> None:
-        """Register a forwarded subscription from its precomputed profile."""
 
     def remove(self, sub_id: Hashable) -> bool:
         """Unregister a subscription."""
 
-    def find_covering(self, ranges: Tuple[Tuple[int, int], ...]) -> Optional[Hashable]:
-        """Return a registered subscription covering ``ranges``, or ``None``."""
-
-    def find_covering_profile(self, profile: "SubscriptionProfile") -> Optional[Hashable]:
-        """Covering check through a precomputed profile (same answer as above)."""
+    def find_covering(self, profile: "SubscriptionProfile") -> Optional[Hashable]:
+        """Return a registered subscription covering the profile's ranges, or ``None``."""
 
     def work_units(self) -> int:
         """Return an abstract work counter for reporting.
 
-        Subscriptions compared (``exact``), runs probed plus subscriptions
-        compared (``approximate``) or sample points tested (``probabilistic``).
+        Subscriptions compared (``exact``), or runs probed plus subscriptions
+        compared (``approximate``).
         """
 
 
@@ -115,19 +110,13 @@ class NoCoveringStrategy:
 
     name: str = "none"
 
-    def add(self, sub_id: Hashable, ranges: Tuple[Tuple[int, int], ...]) -> None:
-        return None
-
-    def add_profile(self, sub_id: Hashable, profile) -> None:
+    def add(self, sub_id: Hashable, profile: "SubscriptionProfile") -> None:
         return None
 
     def remove(self, sub_id: Hashable) -> bool:
         return False
 
-    def find_covering(self, ranges: Tuple[Tuple[int, int], ...]) -> Optional[Hashable]:
-        return None
-
-    def find_covering_profile(self, profile) -> Optional[Hashable]:
+    def find_covering(self, profile: "SubscriptionProfile") -> Optional[Hashable]:
         return None
 
     def work_units(self) -> int:
@@ -141,20 +130,14 @@ class ExactCoveringStrategy:
         self.name = "exact"
         self._detector = LinearScanCoveringDetector(attributes, attribute_order)
 
-    def add(self, sub_id: Hashable, ranges: Tuple[Tuple[int, int], ...]) -> None:
-        self._detector.add_subscription(sub_id, ranges)
-
-    def add_profile(self, sub_id: Hashable, profile) -> None:
-        self.add(sub_id, profile.ranges)
+    def add(self, sub_id: Hashable, profile: "SubscriptionProfile") -> None:
+        self._detector.add_subscription(sub_id, profile.ranges)
 
     def remove(self, sub_id: Hashable) -> bool:
         return self._detector.remove_subscription(sub_id)
 
-    def find_covering(self, ranges: Tuple[Tuple[int, int], ...]) -> Optional[Hashable]:
-        return self._detector.find_covering(ranges)
-
-    def find_covering_profile(self, profile) -> Optional[Hashable]:
-        return self.find_covering(profile.ranges)
+    def find_covering(self, profile: "SubscriptionProfile") -> Optional[Hashable]:
+        return self._detector.find_covering(profile.ranges)
 
     def work_units(self) -> int:
         return self._detector.stats.comparisons
@@ -169,6 +152,8 @@ class ApproximateCoveringStrategy:
     probe schedule has cubes they are compared directly (the ``exact``
     strategy's answer), above that the schedule is executed against the SFC
     index.  The crossover is the plan's own size, so ``cube_budget`` bounds it.
+    A profile without a covering half (built by a cache with no profiler) is
+    profiled by the link's detector.
     """
 
     def __init__(
@@ -186,27 +171,20 @@ class ApproximateCoveringStrategy:
         )
         self._work_units = 0
 
-    def add(self, sub_id: Hashable, ranges: Tuple[Tuple[int, int], ...]) -> None:
-        self._detector.add_subscription(sub_id, ranges)
-
-    def add_profile(self, sub_id: Hashable, profile) -> None:
-        if profile.covering is not None:
-            self._detector.add_subscription_profile(sub_id, profile.covering)
-        else:
-            self.add(sub_id, profile.ranges)
+    def add(self, sub_id: Hashable, profile: "SubscriptionProfile") -> None:
+        detector = self._detector
+        detector.add_subscription_profile(
+            sub_id, profile.covering or detector.profile(profile.ranges)
+        )
 
     def remove(self, sub_id: Hashable) -> bool:
         return self._detector.remove_subscription(sub_id)
 
-    def find_covering(self, ranges: Tuple[Tuple[int, int], ...]) -> Optional[Hashable]:
-        result = self._detector.find_covering_profile(self._detector.profile(ranges))
-        self._work_units += result.work_units
-        return result.covering_id
-
-    def find_covering_profile(self, profile) -> Optional[Hashable]:
-        if profile.covering is None:
-            return self.find_covering(profile.ranges)
-        result = self._detector.find_covering_profile(profile.covering)
+    def find_covering(self, profile: "SubscriptionProfile") -> Optional[Hashable]:
+        detector = self._detector
+        result = detector.find_covering_profile(
+            profile.covering or detector.profile(profile.ranges)
+        )
         self._work_units += result.work_units
         return result.covering_id
 
@@ -214,41 +192,9 @@ class ApproximateCoveringStrategy:
         return self._work_units
 
 
-class ProbabilisticCoveringStrategy:
-    """Monte-Carlo covering (Ouksel et al. style); may produce unsound suppressions."""
-
-    def __init__(
-        self, attributes: int, attribute_order: int, samples: int = 8, seed: Optional[int] = None
-    ) -> None:
-        self.name = f"probabilistic(samples={samples})"
-        self._detector = ProbabilisticCoveringDetector(
-            attributes, attribute_order, samples=samples, seed=seed
-        )
-
-    def add(self, sub_id: Hashable, ranges: Tuple[Tuple[int, int], ...]) -> None:
-        self._detector.add_subscription(sub_id, ranges)
-
-    def add_profile(self, sub_id: Hashable, profile) -> None:
-        self.add(sub_id, profile.ranges)
-
-    def remove(self, sub_id: Hashable) -> bool:
-        return self._detector.remove_subscription(sub_id)
-
-    def find_covering(self, ranges: Tuple[Tuple[int, int], ...]) -> Optional[Hashable]:
-        return self._detector.find_covering(ranges)
-
-    def find_covering_profile(self, profile) -> Optional[Hashable]:
-        return self.find_covering(profile.ranges)
-
-    def work_units(self) -> int:
-        return self._detector.stats.candidate_checks
-
-
 def make_covering_strategy(
     kind: str,
     schema: AttributeSchema,
-    samples: int = 8,
-    seed: Optional[int] = None,
     config: Optional[IndexConfig] = None,
 ) -> CoveringStrategy:
     """Build a covering strategy by name (:data:`COVERING_KINDS`).
@@ -261,15 +207,28 @@ def make_covering_strategy(
     and ``curve`` keys its dominance index.
     """
     check_covering_kind(kind)
-    attributes = schema.num_attributes
-    order = schema.order
     if kind == "none":
         return NoCoveringStrategy()
     if kind == "exact":
-        return ExactCoveringStrategy(attributes, order)
-    if kind == "approximate":
-        return ApproximateCoveringStrategy(attributes, order, config=config)
-    return ProbabilisticCoveringStrategy(attributes, order, samples=samples, seed=seed)
+        return ExactCoveringStrategy(schema.num_attributes, schema.order)
+    return ApproximateCoveringStrategy(schema.num_attributes, schema.order, config=config)
+
+
+def make_profile_cache(
+    kind: str, schema: AttributeSchema, config: Optional[IndexConfig] = None
+) -> ProfileCache:
+    """The :class:`ProfileCache` the links of covering strategy ``kind`` share.
+
+    Only the approximate strategy reads a covering profile, so only its
+    cache carries a :class:`~repro.core.covering.CoveringProfiler` (built
+    under ``config``); the others get a cache that holds match runs alone.
+    """
+    check_covering_kind(kind)
+    if kind != "approximate":
+        return ProfileCache(None)
+    return ProfileCache(
+        CoveringProfiler(schema.num_attributes, schema.order, config=config or IndexConfig())
+    )
 
 
 class InterfaceTable:
@@ -296,7 +255,7 @@ class InterfaceTable:
         interface_id: Hashable,
         schema: AttributeSchema,
         config: Optional[IndexConfig] = None,
-        run_cache: Optional["ProfileCache"] = None,
+        run_cache: Optional[ProfileCache] = None,
     ) -> None:
         self.interface_id = interface_id
         self.schema = schema
@@ -448,7 +407,7 @@ class RoutingTable:
         self,
         schema: AttributeSchema,
         config: Optional[IndexConfig] = None,
-        run_cache: Optional["ProfileCache"] = None,
+        run_cache: Optional[ProfileCache] = None,
     ) -> None:
         config = config or IndexConfig()
         self.schema = schema

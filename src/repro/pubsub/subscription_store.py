@@ -25,9 +25,9 @@ module hoists both shared halves out:
   (acquired when a subscription is stored, released when it is removed, wiped
   on crash recovery).
 
-Profiles are an optimisation, never a semantic change: a profile-driven
-covering check gives the answer the strategy's ``find_covering`` gives from
-the plain ranges (pinned by ``test_profile_path_replays_classic_search``), so
+Profiles are an optimisation, never a semantic change: a check through a
+shared covering profile gives the answer a link gets by profiling the plain
+ranges itself (pinned by ``test_shared_profile_replays_own_profile``), so
 forwarding decisions are those of per-check recomputation.
 """
 
@@ -57,8 +57,8 @@ class SubscriptionProfile:
     """Everything the forwarding path needs to know about one subscription.
 
     ``covering`` is ``None`` when the broker's covering strategy has no
-    shareable precomputation (``none`` / ``exact`` / ``probabilistic``);
-    strategies then fall back to the plain ``ranges``.
+    shareable precomputation (``none`` / ``exact``); strategies then read
+    the plain ``ranges``.
     """
 
     subscription: Subscription

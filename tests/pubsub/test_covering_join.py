@@ -11,8 +11,8 @@ Pinned here:
   on random subscribe / batch / withdraw / crash / recover scripts.
 * **Across the crossover** — with an 8-cube budget links move between the two
   sides in both directions during churn; suppressions stay sound, audits stay
-  clean, both strategy entry points agree, and the join never finds fewer
-  covers than the plan executed on its own.
+  clean, the link strategy answers as its detector, and the join never finds
+  fewer covers than the plan executed on its own.
 * **Count guards** — a subscribe into small links builds no schedule at all,
   and the size a plan announces from the census is the number of cubes an
   exhausted execution examines.
@@ -38,6 +38,7 @@ from repro.geometry.universe import Universe
 from repro.index.config import IndexConfig
 from repro.pubsub.network import BrokerNetwork, tree_topology
 from repro.pubsub.subscription import Event, Subscription
+from repro.pubsub.subscription_store import SubscriptionProfile
 from repro.sfc.factory import CURVE_KINDS, curve_class, make_curve
 from repro.sim.latency import FixedLatency
 from repro.sim.transport import SimTransport
@@ -47,7 +48,6 @@ from repro.workloads.topologies import grid_cluster_topology
 from test_covering_properties import (
     MAX_CELL,
     SCHEMA,
-    _wrap,
     quantised_rect,
     rect_subscription,
 )
@@ -200,9 +200,10 @@ def check_links(network, probe_ranges, sides):
             result = detector.find_covering_profile(covering)
             sides.add(result.query is None)
             assert (result.query is None) == (len(detector) <= covering.plan.cubes)
-            through_ranges = strategy.find_covering(probe_ranges)
-            through_profile = strategy.find_covering_profile(_wrap(covering, probe_ranges))
-            assert through_ranges == through_profile == result.covering_id
+            through_profile = strategy.find_covering(
+                SubscriptionProfile(None, probe_ranges, covering)
+            )
+            assert through_profile == result.covering_id
             if result.covered:
                 assert ranges_cover(detector.subscription(result.covering_id), probe_ranges)
             if detector.find_covering(probe_ranges).covered:

@@ -3,12 +3,13 @@
 Two families of randomized invariants:
 
 * **Soundness** — on random rectangle workloads, no covering strategy the
-  broker can be configured with (``exact`` or ``approximate``; the
-  probabilistic baseline is unsound by design and excluded) ever reports a
-  witness that does not geometrically cover the query.  The oracle is the
-  exact per-attribute containment check (``ranges_cover``) — the same
-  predicate the linear-scan detector uses.  The profile-driven fast path is
-  additionally pinned to return *exactly* the classic search's answer.
+  broker can be configured with (every kind in ``COVERING_KINDS``) ever
+  reports a witness that does not geometrically cover the query.  The oracle
+  is the exact per-attribute containment check (``ranges_cover``) — the same
+  predicate the linear-scan detector uses.  A check through a shared
+  covering profile is additionally pinned to return *exactly* what a link
+  finds by profiling the plain ranges itself, and an unsound kind
+  (``probabilistic``) is pinned to be no kind at all.
 
 * **Lifecycle vs flat oracle** — after any random subscribe/withdraw
   interleaving on a broker tree, each published event must reach exactly the
@@ -19,16 +20,23 @@ Two families of randomized invariants:
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.covering import CoveringProfiler
+from repro.analysis.cli import main as cli_main
 from repro.geometry.transform import ranges_cover
 from repro.index.config import IndexConfig
+from repro.pubsub.broker import Broker
 from repro.pubsub.network import BrokerNetwork, tree_topology
-from repro.pubsub.routing_table import make_covering_strategy
+from repro.pubsub.routing_table import (
+    COVERING_KINDS,
+    make_covering_strategy,
+    make_profile_cache,
+)
 from repro.pubsub.schema import Attribute, AttributeSchema
 from repro.pubsub.subscription import Event, Subscription
+from repro.pubsub.subscription_store import SubscriptionProfile
 
 ORDER = 6
 MAX_CELL = (1 << ORDER) - 1
@@ -65,71 +73,95 @@ def rect_subscription(ranges, sub_id):
     return subscription
 
 
+def profile_of(cache, ranges):
+    """The profile a broker on ``cache`` hands its links for ``ranges``."""
+    return SubscriptionProfile(None, ranges, cache.covering_profile(ranges))
+
+
 class TestCoveringSoundness:
     @settings(deadline=None)
-    @given(rects=st.lists(quantised_rect(), min_size=1, max_size=20), epsilon=st.sampled_from([0.0, 0.05, 0.3]))
-    def test_no_unsound_witness_exact_and_approximate(self, rects, epsilon):
-        """Any witness a strategy returns really covers the query rectangle."""
-        for kind in ("exact", "approximate"):
-            strategy = make_covering_strategy(
-                kind, SCHEMA, config=IndexConfig(epsilon=epsilon, cube_budget=5_000)
-            )
-            stored = {}
-            for i, ranges in enumerate(rects):
-                witness = strategy.find_covering(ranges)
-                if witness is not None:
-                    assert witness in stored
-                    assert ranges_cover(stored[witness], ranges), (
-                        f"{kind} returned witness {witness} = {stored[witness]} "
-                        f"which does not cover {ranges}"
-                    )
-                stored[f"s{i}"] = ranges
-                strategy.add(f"s{i}", ranges)
+    @given(
+        rects=st.lists(quantised_rect(), min_size=1, max_size=20),
+        epsilon=st.sampled_from([0.0, 0.05, 0.3]),
+        kind=st.sampled_from(COVERING_KINDS),
+    )
+    def test_no_unsound_witness(self, rects, epsilon, kind):
+        """Any witness a routable strategy returns really covers the query rectangle."""
+        config = IndexConfig(epsilon=epsilon, cube_budget=5_000)
+        cache = make_profile_cache(kind, SCHEMA, config)
+        strategy = make_covering_strategy(kind, SCHEMA, config=config)
+        stored = {}
+        for i, ranges in enumerate(rects):
+            witness = strategy.find_covering(profile_of(cache, ranges))
+            if witness is not None:
+                assert witness in stored
+                assert ranges_cover(stored[witness], ranges), (
+                    f"{kind} returned witness {witness} = {stored[witness]} "
+                    f"which does not cover {ranges}"
+                )
+            stored[f"s{i}"] = ranges
+            strategy.add(f"s{i}", profile_of(cache, ranges))
 
     @settings(deadline=None)
     @given(rects=st.lists(quantised_rect(), min_size=2, max_size=15))
-    def test_profile_path_replays_classic_search(self, rects):
-        """find_covering_profile is a pure amortisation: same witness-or-None."""
-        profiler = CoveringProfiler(
-            SCHEMA.num_attributes, SCHEMA.order, config=IndexConfig(epsilon=0.05, cube_budget=5_000)
-        )
-        classic = make_covering_strategy(
-            "approximate", SCHEMA, config=IndexConfig(epsilon=0.05, cube_budget=5_000)
-        )
-        fast = make_covering_strategy(
-            "approximate", SCHEMA, config=IndexConfig(epsilon=0.05, cube_budget=5_000)
-        )
+    def test_shared_profile_replays_own_profile(self, rects):
+        """A shared covering profile is a pure amortisation: the witness-or-None
+        a link finds when it profiles the plain ranges itself."""
+        config = IndexConfig(epsilon=0.05, cube_budget=5_000)
+        shared = make_profile_cache("approximate", SCHEMA, config)
+        bare = make_profile_cache("exact", SCHEMA)
+        own = make_covering_strategy("approximate", SCHEMA, config=config)
+        fast = make_covering_strategy("approximate", SCHEMA, config=config)
         for i, ranges in enumerate(rects[:-1]):
-            profile = profiler.profile(ranges)
-            classic.add(f"s{i}", ranges)
-            fast.add_profile(f"s{i}", _wrap(profile, ranges))
+            own.add(f"s{i}", profile_of(bare, ranges))
+            fast.add(f"s{i}", profile_of(shared, ranges))
         query = rects[-1]
-        profile = profiler.profile(query)
-        assert classic.find_covering(query) == fast.find_covering_profile(
-            _wrap(profile, query)
+        assert own.find_covering(profile_of(bare, query)) == fast.find_covering(
+            profile_of(shared, query)
         )
 
     @settings(deadline=None)
     @given(rects=st.lists(quantised_rect(), min_size=1, max_size=12))
     def test_exact_strategy_complete_against_oracle(self, rects):
         """The exact strategy finds a cover whenever the oracle says one exists."""
+        cache = make_profile_cache("exact", SCHEMA)
         strategy = make_covering_strategy("exact", SCHEMA)
         stored = {}
         for i, ranges in enumerate(rects):
-            witness = strategy.find_covering(ranges)
+            witness = strategy.find_covering(profile_of(cache, ranges))
             oracle_has_cover = any(
                 ranges_cover(other, ranges) for other in stored.values()
             )
             assert (witness is not None) == oracle_has_cover
             stored[f"s{i}"] = ranges
-            strategy.add(f"s{i}", ranges)
+            strategy.add(f"s{i}", profile_of(cache, ranges))
 
 
-def _wrap(covering_profile, ranges):
-    """Minimal SubscriptionProfile stand-in for strategy-level tests."""
-    from repro.pubsub.subscription_store import SubscriptionProfile
-
-    return SubscriptionProfile(subscription=None, ranges=tuple(ranges), covering=covering_profile)
+def test_only_sound_covering_is_routable():
+    """``probabilistic`` is no covering kind, and its knobs are no parameters."""
+    assert COVERING_KINDS == ("none", "exact", "approximate")
+    builders = {
+        "Broker": lambda **kw: Broker(broker_id=0, schema=SCHEMA, **kw),
+        "BrokerNetwork": lambda **kw: BrokerNetwork(SCHEMA, **kw),
+        "from_topology": lambda **kw: BrokerNetwork.from_topology(
+            SCHEMA, tree_topology(3), **kw
+        ),
+        "make_covering_strategy": lambda **kw: make_covering_strategy(
+            kw.pop("covering", "approximate"), SCHEMA, **kw
+        ),
+    }
+    for build in builders.values():
+        build()
+        with pytest.raises(ValueError, match="unknown covering strategy"):
+            build(covering="probabilistic")
+        with pytest.raises(TypeError):
+            build(samples=8)
+    for name in ("Broker", "make_covering_strategy"):
+        with pytest.raises(TypeError):
+            builders[name](seed=1)
+    assert BrokerNetwork(SCHEMA, seed=1).seed == 1  # the trace log's seed stays
+    with pytest.raises(SystemExit):
+        cli_main(["serve", "--covering", "probabilistic"])
 
 
 @st.composite
@@ -170,7 +202,7 @@ def lifecycle_script(draw):
 
 class TestLifecycleDeliveryOracle:
     @settings(deadline=None)
-    @given(script=lifecycle_script(), covering=st.sampled_from(["exact", "approximate"]))
+    @given(script=lifecycle_script(), covering=st.sampled_from(COVERING_KINDS))
     def test_delivery_matches_flat_oracle_after_interleaving(self, script, covering):
         """After any subscribe/withdraw interleaving, deliveries == flat oracle."""
         ops, events = script

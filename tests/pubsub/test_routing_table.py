@@ -14,13 +14,14 @@ from repro.pubsub.routing_table import (
     ExactCoveringStrategy,
     InterfaceTable,
     NoCoveringStrategy,
-    ProbabilisticCoveringStrategy,
     RoutingTable,
     make_covering_strategy,
+    make_profile_cache,
 )
 from repro.pubsub.schema import Attribute, AttributeSchema
 from repro.pubsub.subscription import Event, Subscription
 from repro.sfc.factory import CURVE_KINDS
+from test_covering_properties import profile_of
 
 
 @pytest.fixture
@@ -36,7 +37,6 @@ class TestCoveringStrategies:
             ("none", NoCoveringStrategy),
             ("exact", ExactCoveringStrategy),
             ("approximate", ApproximateCoveringStrategy),
-            ("probabilistic", ProbabilisticCoveringStrategy),
         ]:
             strategy = make_covering_strategy(kind, schema)
             assert isinstance(strategy, cls)
@@ -45,41 +45,49 @@ class TestCoveringStrategies:
     def test_factory_rejects_unknown(self, schema):
         with pytest.raises(ValueError):
             make_covering_strategy("magic", schema)
+        with pytest.raises(ValueError):
+            make_profile_cache("magic", schema)
 
     def test_none_strategy_never_suppresses(self, schema):
+        cache = make_profile_cache("none", schema)
         strategy = NoCoveringStrategy()
-        strategy.add("a", ((0, 255), (0, 255)))
-        assert strategy.find_covering(((10, 20), (10, 20))) is None
+        strategy.add("a", profile_of(cache, ((0, 255), (0, 255))))
+        assert strategy.find_covering(profile_of(cache, ((10, 20), (10, 20)))) is None
         assert strategy.work_units() == 0
         assert not strategy.remove("a")
 
-    @pytest.mark.parametrize("kind", ["exact", "approximate", "probabilistic"])
+    @pytest.mark.parametrize("kind", ["exact", "approximate"])
     def test_wide_subscription_suppresses_narrow(self, schema, kind):
-        strategy = make_covering_strategy(kind, schema, config=IndexConfig(epsilon=0.05), seed=1)
-        strategy.add("wide", ((0, 250), (0, 250)))
-        found = strategy.find_covering(((40, 60), (40, 60)))
+        config = IndexConfig(epsilon=0.05)
+        cache = make_profile_cache(kind, schema, config)
+        strategy = make_covering_strategy(kind, schema, config=config)
+        strategy.add("wide", profile_of(cache, ((0, 250), (0, 250))))
+        found = strategy.find_covering(profile_of(cache, ((40, 60), (40, 60))))
         assert found == "wide"
         assert strategy.work_units() >= 0
 
     @pytest.mark.parametrize("kind", ["exact", "approximate"])
     def test_sound_strategies_do_not_invent_covers(self, schema, kind):
-        strategy = make_covering_strategy(kind, schema, config=IndexConfig(epsilon=0.05))
-        strategy.add("narrow", ((40, 60), (40, 60)))
-        assert strategy.find_covering(((0, 200), (0, 200))) is None
+        config = IndexConfig(epsilon=0.05)
+        cache = make_profile_cache(kind, schema, config)
+        strategy = make_covering_strategy(kind, schema, config=config)
+        strategy.add("narrow", profile_of(cache, ((40, 60), (40, 60))))
+        assert strategy.find_covering(profile_of(cache, ((0, 200), (0, 200)))) is None
 
     def test_remove_reopens_forwarding(self, schema):
+        cache = make_profile_cache("exact", schema)
         strategy = make_covering_strategy("exact", schema)
-        strategy.add("wide", ((0, 250), (0, 250)))
-        assert strategy.find_covering(((10, 20), (10, 20))) == "wide"
+        strategy.add("wide", profile_of(cache, ((0, 250), (0, 250))))
+        assert strategy.find_covering(profile_of(cache, ((10, 20), (10, 20)))) == "wide"
         assert strategy.remove("wide")
-        assert strategy.find_covering(((10, 20), (10, 20))) is None
+        assert strategy.find_covering(profile_of(cache, ((10, 20), (10, 20)))) is None
 
     def test_approximate_tracks_runs(self, schema):
-        strategy = make_covering_strategy(
-            "approximate", schema, config=IndexConfig(epsilon=0.2, cube_budget=500)
-        )
-        strategy.add("wide", ((0, 250), (0, 250)))
-        strategy.find_covering(((10, 20), (10, 20)))
+        config = IndexConfig(epsilon=0.2, cube_budget=500)
+        cache = make_profile_cache("approximate", schema, config)
+        strategy = make_covering_strategy("approximate", schema, config=config)
+        strategy.add("wide", profile_of(cache, ((0, 250), (0, 250))))
+        strategy.find_covering(profile_of(cache, ((10, 20), (10, 20))))
         assert strategy.work_units() >= 1
 
 
