@@ -88,7 +88,7 @@ def test_sim_rolling_failures_audit_clean(run_once, record_table):
             report = run_dynamic_scenario(network, script, name=f"rolling/{name}")
             row = report.summary_row()
             row["resynced"] = sum(
-                stats.subscriptions_resynced for stats in report.stats.per_broker.values()
+                broker.stats.subscriptions_resynced for broker in network.brokers.values()
             )
             table.add(**row)
         return table

@@ -93,7 +93,7 @@ def test_topology_netsplit_heal_audit_clean(run_once, record_table):
             row["topology"] = kind
             row["split_components"] = len(components)
             row["resynced"] = sum(
-                stats.subscriptions_resynced for stats in report.stats.per_broker.values()
+                broker.stats.subscriptions_resynced for broker in network.brokers.values()
             )
             table.add(**row)
         return table

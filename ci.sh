@@ -110,7 +110,7 @@ stage "metrics / exposition smoke"
 # The observability layer end to end: a seeded tree scenario must produce
 # Prometheus text that the structural validator accepts (the CLI validates
 # before printing and exits non-zero otherwise) plus a metrics.prom /
-# BENCH_metrics.json pair.
+# BENCH_metrics.json pair carrying every counter family the scrape publishes.
 METRICS_DIR=$(mktemp -d)
 python -m repro.analysis.cli metrics --seed 17 --output "$METRICS_DIR" > /dev/null
 test -s "$METRICS_DIR/metrics.prom"
@@ -121,6 +121,8 @@ out = pathlib.Path(sys.argv[1])
 from repro.obs.exposition import validate_prometheus_text
 samples = validate_prometheus_text((out / "metrics.prom").read_text())
 assert "repro_network_counter_total" in samples, "missing delivery counters"
+assert "repro_broker_counter_total" in samples, "missing per-broker counters"
+assert "repro_transport_counter_total" in samples, "missing transport counters"
 assert "repro_hop_latency_seconds_bucket" in samples, "missing hop latency buckets"
 json.loads((out / "BENCH_metrics.json").read_text())
 PY

@@ -69,7 +69,7 @@ def act_one_latency_models(scenario) -> None:
         report = run_dynamic_scenario(
             network, flash_crowd_script(scenario, BROKER_IDS, seed=3), name=name
         )
-        summary = report.stats.transport_summary()
+        summary = report.transport.as_dict()
         rows.append(
             {
                 "latency_model": name,
@@ -93,7 +93,7 @@ def act_two_backpressure(scenario) -> None:
         flash_crowd_script(scenario, BROKER_IDS, burst_fraction=0.8, seed=3),
         name="pressure",
     )
-    summary = report.stats.transport_summary()
+    summary = report.transport.as_dict()
     print("Act 2 — flash crowd with 2-slot inboxes and slow brokers:")
     print(
         f"  backpressure retries: {summary['backpressure_retries']:.0f}, "
@@ -113,8 +113,8 @@ def act_three_churn(scenario) -> None:
         scenario, BROKER_IDS, crash_ids=[NUM_BROKERS - 1, NUM_BROKERS - 2], seed=5
     )
     report = run_dynamic_scenario(network, script, name="rolling-failures")
-    resynced = sum(s.subscriptions_resynced for s in report.stats.per_broker.values())
-    dropped = report.stats.transport.messages_dropped
+    resynced = sum(b.stats.subscriptions_resynced for b in network.brokers.values())
+    dropped = report.transport.messages_dropped
     print("Act 3 — rolling crash/recover of two brokers while publishing:")
     print(
         f"  audited events: {report.audited_events}, "

@@ -476,6 +476,11 @@ def _spec_subscriptions(
     return [_spec_subscription(schema, spec) for spec in specs]
 
 
+def _broker_total(network: BrokerNetwork, counter: str) -> int:
+    """One :class:`~repro.pubsub.broker.BrokerStats` counter summed over the brokers."""
+    return sum(getattr(broker.stats, counter) for broker in network.brokers.values())
+
+
 def run_pubsub_experiment(
     num_brokers: int = 7,
     num_subscriptions: int = 150,
@@ -531,30 +536,24 @@ def run_pubsub_experiment(
             network.subscribe(broker_id, f"client-{spec.sub_id}", subscription)
         propagation_time = time.perf_counter() - start
 
-        events = [
-            (
-                publish_at[i],
-                Event(
-                    schema,
-                    {
-                        name: schema.dequantize_value(name, cell)
-                        for name, cell in zip(schema.names, cells)
-                    },
-                ),
+        for i, cells in enumerate(event_cells):
+            event = Event(
+                schema,
+                {
+                    name: schema.dequantize_value(name, cell)
+                    for name, cell in zip(schema.names, cells)
+                },
             )
-            for i, cells in enumerate(event_cells)
-        ]
-        stats = network.collect_stats(events)
-        covering_work = sum(b.covering_check_runs for b in stats.per_broker.values())
+            network.publish_and_audit(publish_at[i], event)
         table.add(
             strategy=strategy if strategy != "approximate" else f"approximate(ε={epsilon})",
             curve=curve,
-            routing_table_entries=stats.routing_table_entries,
-            subscription_messages=stats.subscription_messages,
-            suppressed=stats.total_suppressed,
-            covering_work_units=covering_work,
+            routing_table_entries=network.routing_table_entries(),
+            subscription_messages=network.subscription_messages,
+            suppressed=_broker_total(network, "subscriptions_suppressed"),
+            covering_work_units=_broker_total(network, "covering_check_runs"),
             propagation_seconds=round(propagation_time, 4),
-            events_missed=stats.events_missed,
+            events_missed=network.audited_missed,
         )
     return table
 
@@ -809,7 +808,6 @@ def run_subscription_churn_experiment(
             raise AssertionError(
                 f"batch subscribe/withdraw diverged from sequential calls at size {size}"
             )
-        stats = batch.collect_stats()
         table.add(
             phase="churn",
             subscriptions=size,
@@ -820,10 +818,10 @@ def run_subscription_churn_experiment(
             sequential_withdraw_s=round(sequential_withdraw, 3),
             batch_subscribe_s=round(batch_subscribe, 3),
             batch_withdraw_s=round(batch_withdraw, 3),
-            promotions=stats.total_promotions,
-            batch_covering_checks=stats.total_batch_covering_checks,
-            profile_cache_hits=stats.profile_cache_hits,
-            profile_cache_misses=stats.profile_cache_misses,
+            promotions=_broker_total(batch, "promotions"),
+            batch_covering_checks=_broker_total(batch, "batch_covering_checks"),
+            profile_cache_hits=batch.profile_cache.hits,
+            profile_cache_misses=batch.profile_cache.misses,
         )
 
     # ------------------------------------------------------------ audit matrix
@@ -861,7 +859,7 @@ def run_subscription_churn_experiment(
                 withdrawals=len(kills),
                 missed=missed_total,
                 extra=extra_total,
-                promotions=network.collect_stats().total_promotions,
+                promotions=_broker_total(network, "promotions"),
             )
     return table
 
@@ -1088,10 +1086,10 @@ def run_curve_ablation_experiment(
                     f"{scenario_name} — curves must never change semantics"
                 )
 
-            stats = network.collect_stats()
-            covering_runs = sum(b.covering_check_runs for b in stats.per_broker.values())
+            covering_runs = _broker_total(network, "covering_check_runs")
             false_positives = sum(
-                b.match_index_false_positives for b in stats.per_broker.values()
+                broker.routing_table.match_work()[2]
+                for broker in network.brokers.values()
             )
             segments = sum(
                 broker.routing_table.match_segments()
@@ -1352,7 +1350,7 @@ def run_sim_latency_experiment(
                 flash_crowd_script(scenario, broker_ids, seed=seed + 1),
                 name=f"{model_kind}/{topo_kind}",
             )
-            summary = report.stats.transport_summary()
+            summary = report.transport.as_dict()
             table.add(
                 latency_model=model_kind,
                 topology=topo_kind,
@@ -1431,7 +1429,7 @@ def run_topology_scale_experiment(
             ),
             name=f"topo-scale/{kind}",
         )
-        summary = report.stats.transport_summary()
+        summary = report.transport.as_dict()
         table.add(
             topology=kind,
             brokers=topology.num_brokers,

@@ -20,8 +20,9 @@ paper:
 
 The enumeration in :func:`cubes_in_class` is equivalent to the paper's
 Appendix A pseudocode (``EnumRectangles`` + ``CompKeys``); a faithful
-transliteration of that pseudocode lives in :mod:`repro.core.appendix_a` and
-the test suite checks that both produce identical cube/key sets.
+transliteration of that pseudocode is the test suite's reference
+(``tests/core/appendix_a.py``), and ``tests/core/test_appendix_a.py`` checks
+that both produce identical cube/key sets.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """Content-based publish/subscribe substrate: schema, subscriptions, brokers, network."""
 
-from .broker import LOCAL_INTERFACE, Broker, ForwardDecision
+from ..sim.transport import TransportStats
+from .broker import LOCAL_INTERFACE, Broker, BrokerStats, ForwardDecision
 from .client import Publisher, Subscriber
 from .network import (
     BrokerNetwork,
@@ -24,7 +25,6 @@ from .routing_table import (
     make_covering_strategy,
 )
 from .schema import Attribute, AttributeSchema
-from .stats import BrokerStats, NetworkStats, TransportStats
 from .subscription import Event, Subscription, make_event, make_subscription
 from .subscription_store import ProfileCache, SubscriptionProfile, SubscriptionStore
 
@@ -55,7 +55,6 @@ __all__ = [
     "Attribute",
     "AttributeSchema",
     "BrokerStats",
-    "NetworkStats",
     "TransportStats",
     "Event",
     "Subscription",

@@ -25,11 +25,14 @@ breaks delivery; it can merely happen less often than with exact covering.
 
 The broker is a synchronous simulation object: the :class:`BrokerNetwork`
 drives it by calling :meth:`receive_subscription` and :meth:`receive_event`.
+It counts what it does in its :class:`BrokerStats` (plain attribute adds on
+the hot paths); the network's scrape reads those counters, plus the routing
+table's :meth:`~repro.pubsub.routing_table.RoutingTable.match_work`, in place.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Deque, Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from ..index.config import IndexConfig
@@ -43,14 +46,47 @@ from .routing_table import (
     make_profile_cache,
 )
 from .schema import AttributeSchema
-from .stats import BrokerStats
 from .subscription import Event, Subscription
 from .subscription_store import ProfileCache, SubscriptionProfile, SubscriptionStore
 
-__all__ = ["Broker", "ForwardDecision", "LOCAL_INTERFACE"]
+__all__ = ["Broker", "BrokerStats", "ForwardDecision", "LOCAL_INTERFACE"]
 
 #: Pseudo-interface identifier for subscriptions registered by local clients.
 LOCAL_INTERFACE = "__local__"
+
+
+@dataclass
+class BrokerStats:
+    """Per-broker counters, incremented in place on the hot paths.
+
+    The network's scrape reads them straight from here
+    (:meth:`~repro.pubsub.network.BrokerNetwork.publish_metrics`); the
+    match work the routing table's scans and indexes did is read from
+    :meth:`RoutingTable.match_work` at that moment, not copied here.
+    """
+
+    subscriptions_received: int = 0
+    subscriptions_stored: int = 0
+    subscriptions_forwarded: int = 0
+    subscriptions_suppressed: int = 0
+    subscriptions_resynced: int = 0
+    #: Suppressed subscriptions re-forwarded because their cover was withdrawn.
+    promotions: int = 0
+    covering_checks: int = 0
+    #: Covering checks issued from inside a batch subscribe/withdraw pass.
+    batch_covering_checks: int = 0
+    covering_check_runs: int = 0
+    events_received: int = 0
+    events_forwarded: int = 0
+    events_delivered_locally: int = 0
+    #: Rectangle tests local delivery made: per event reaching the broker,
+    #: every local subscription while the local table scans, the candidates
+    #: of one probe of its match index once it has one.
+    match_tests: int = 0
+
+    def as_dict(self) -> Dict[str, int]:
+        """The counters as a plain dictionary, one entry per field."""
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -678,19 +714,6 @@ class Broker:
                     ),
                 )
             )
-
-    def sync_match_stats(self) -> None:
-        """Pull the match-index work counters into :attr:`stats`.
-
-        The counters are running totals held by the per-interface indexes;
-        aggregating them per event would cost an interface sweep on the hot
-        path, so callers (stats collection, tests) sync on read instead.
-        """
-        (
-            self.stats.match_index_lookups,
-            self.stats.match_index_candidates,
-            self.stats.match_index_false_positives,
-        ) = self.routing_table.match_work()
 
     def _deliver_locally(self, event: Event, key: Optional[int]) -> int:
         """Hand ``event`` to every local client with a matching subscription.

@@ -44,13 +44,12 @@ import networkx as nx
 from ..index.config import IndexConfig
 from ..obs.exposition import render_prometheus, snapshot
 from ..obs.profiler import PROFILER
-from ..obs.registry import MetricsRegistry
+from ..obs.registry import HOP_BUCKETS, MetricsRegistry
 from ..obs.trace import Span, TraceLog, make_detail
 from ..sim.transport import Message, SyncTransport, Transport, recent_window
 from .broker import LOCAL_INTERFACE, Broker
 from .routing_table import make_profile_cache
 from .schema import AttributeSchema
-from .stats import NetworkStats
 from .subscription import Event, Subscription
 
 __all__ = [
@@ -213,11 +212,15 @@ class BrokerNetwork:
         hands it to every broker, so each subscription's covering geometry
         and match-index key runs are computed once network-wide.
     metrics:
-        Optional :class:`~repro.obs.registry.MetricsRegistry` the network
-        publishes its counters into at scrape time (:meth:`scrape`,
-        :meth:`publish_metrics`).  Defaults to a disabled registry: the hot
-        paths keep incrementing plain dataclass counters either way, so a
-        disabled registry costs nothing per event.
+        Optional :class:`~repro.obs.registry.MetricsRegistry`, the one
+        serialisation of the network's counters.  Every counter lives in
+        one place: each broker's ``stats`` and routing table, this
+        network's message counters and audit tallies, ``profile_cache`` and
+        ``transport.stats``.  :meth:`scrape` / :meth:`metrics_snapshot`
+        (through :meth:`publish_metrics`) copy them into the registry at
+        scrape time.  Defaults to a disabled registry: the hot paths keep
+        incrementing plain attributes either way, so a disabled registry
+        costs nothing per event.
     tracing:
         Optional :class:`~repro.obs.trace.TraceLog`.  When enabled, every
         published event gets a deterministic trace id (derived from the
@@ -903,53 +906,96 @@ class BrokerNetwork:
         """Total subscription entries stored across all brokers."""
         return sum(broker.routing_table_size() for broker in self.brokers.values())
 
-    def collect_stats(self, events: Sequence[Tuple[Hashable, Event]] = ()) -> NetworkStats:
-        """Aggregate broker counters into a :class:`NetworkStats` snapshot.
-
-        ``events`` optionally replays an audit: each ``(broker_id, event)``
-        pair is published and checked against the ground truth.  The
-        delivered/missed/duplicate counters are the network's *running* audit
-        tallies (every ``publish_and_audit`` call contributes), so a scrape
-        after a traced run reports the real delivery counts.
-        """
-        stats = NetworkStats(
-            per_broker={broker_id: broker.stats for broker_id, broker in self.brokers.items()},
-            routing_table_entries=self.routing_table_entries(),
-            subscription_messages=self.subscription_messages,
-            unsubscription_messages=self.unsubscription_messages,
-            event_messages=self.event_messages,
-            transport=self.transport.stats,
-            phase_timings=self.phase_timings(),
-            profile_cache_hits=self.profile_cache.hits,
-            profile_cache_misses=self.profile_cache.misses,
-            match_run_cache_hits=self.profile_cache.run_hits,
-            match_run_cache_misses=self.profile_cache.run_misses,
-            match_run_cache_evictions=self.profile_cache.run_evictions,
-        )
-        for broker_id, event in events:
-            self.publish_and_audit(broker_id, event)
-        stats.events_delivered = self.audited_delivered
-        stats.events_missed = self.audited_missed
-        stats.duplicate_deliveries = self.audited_duplicates
-        # The match-index work counters live in the per-interface indexes and
-        # are pulled into BrokerStats on read rather than per event.
-        for broker in self.brokers.values():
-            broker.sync_match_stats()
-        return stats
-
     # -------------------------------------------------------------------- obs
-    def publish_metrics(self) -> NetworkStats:
-        """Publish the current counters into the metrics registry.
+    def publish_metrics(self) -> None:
+        """Publish every counter into the metrics registry, collector-style.
 
-        Collector-style and idempotent: running totals are copied into the
-        registry (overwriting the previous scrape's values), so calling this
-        twice never double-counts.  Returns the :class:`NetworkStats`
-        snapshot the publication was taken from.
+        Each value is read where it is kept: the brokers' :class:`BrokerStats`
+        and their routing tables' match work, the network's message counters
+        and running audit tallies, the shared profile cache and the
+        transport's stats.  Idempotent: running totals overwrite the previous
+        scrape's values, so calling this twice never double-counts, and the
+        hot paths keep incrementing plain attributes at no registry cost.
+        Wall-clock :meth:`phase_timings` are deliberately *not* published:
+        the exposition must be byte-identical across same-seed runs, and wall
+        time is not.
         """
-        stats = self.collect_stats()
-        stats.publish_to(self.metrics)
+        registry = self.metrics
+        broker_counters = registry.counter(
+            "broker_counter_total",
+            "Per-broker pub/sub counters, by counter name.",
+            labelnames=("broker", "counter"),
+        )
+        for broker_id, broker in self.brokers.items():
+            counters = broker.stats.as_dict()
+            (
+                counters["match_index_lookups"],
+                counters["match_index_candidates"],
+                counters["match_index_false_positives"],
+            ) = broker.routing_table.match_work()
+            for counter_name, value in counters.items():
+                broker_counters.set_total(
+                    value, broker=str(broker_id), counter=counter_name
+                )
+        registry.gauge(
+            "routing_table_entries",
+            "Subscription entries stored across all routing tables "
+            "(the quantity covering shrinks).",
+        ).set(self.routing_table_entries())
+        network_counters = registry.counter(
+            "network_counter_total",
+            "Network-wide pub/sub counters, by counter name.",
+            labelnames=("counter",),
+        )
+        cache = self.profile_cache
+        for counter_name, value in (
+            ("subscription_messages", self.subscription_messages),
+            ("unsubscription_messages", self.unsubscription_messages),
+            ("event_messages", self.event_messages),
+            ("events_delivered", self.audited_delivered),
+            ("events_missed", self.audited_missed),
+            ("duplicate_deliveries", self.audited_duplicates),
+            ("profile_cache_hits", cache.hits),
+            ("profile_cache_misses", cache.misses),
+            ("match_run_cache_hits", cache.run_hits),
+            ("match_run_cache_misses", cache.run_misses),
+            ("match_run_cache_evictions", cache.run_evictions),
+        ):
+            network_counters.set_total(value, counter=counter_name)
+        transport = self.transport.stats
+        transport_counters = registry.counter(
+            "transport_counter_total",
+            "Transport message counters, by counter name.",
+            labelnames=("counter",),
+        )
+        for counter_name in (
+            "messages_sent",
+            "messages_delivered",
+            "messages_dropped",
+            "backpressure_retries",
+        ):
+            transport_counters.set_total(
+                getattr(transport, counter_name), counter=counter_name
+            )
+        registry.gauge(
+            "transport_max_queue_depth",
+            "Highest inbox depth any broker reached.",
+        ).set(transport.max_queue_depth)
+        registry.histogram(
+            "delivery_latency_seconds",
+            "End-to-end publish-to-subscriber latency (simulated seconds).",
+        ).set_from(transport.delivery_latencies)
+        registry.histogram(
+            "hop_latency_seconds",
+            "Per-hop transport latency of event messages (simulated seconds).",
+        ).set_from(transport.hop_latencies)
+        registry.histogram(
+            "event_hops",
+            "Overlay hop distance of event messages at arrival.",
+            buckets=HOP_BUCKETS,
+        ).set_from(float(h) for h in transport.hop_counts)
         if self.tracing.enabled:
-            trace_gauge = self.metrics.gauge(
+            trace_gauge = registry.gauge(
                 "trace_spans",
                 "Spans held by the bounded trace log, by disposition.",
                 labelnames=("state",),
@@ -958,7 +1004,6 @@ class BrokerNetwork:
             trace_gauge.set(self.tracing.dropped, state="dropped")
         self._publish_hot_path_metrics()
         self._publish_interface_metrics()
-        return stats
 
     def _publish_hot_path_metrics(self) -> None:
         """Publish the process-wide profiler's per-hot-path call counts and seconds.

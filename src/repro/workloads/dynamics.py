@@ -38,6 +38,11 @@ be lost.  Stabilisation is a timing precondition, not something the runner can
 enforce: each builder's ``settle`` window must exceed the overlay's worst-case
 propagation time (diameter × per-hop delay); the defaults cover the shipped
 sub-second latency models.
+
+A :class:`DynamicReport` carries the audit outcome plus the transport's live
+:class:`~repro.sim.transport.TransportStats`; it copies no counter.  Per-broker
+counters stay on the network the script ran on (``broker.stats``), and
+``network.scrape()`` serialises all of them.
 """
 
 from __future__ import annotations
@@ -48,8 +53,8 @@ from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from ..obs.trace import Span, make_detail
 from ..pubsub.network import BrokerNetwork
-from ..pubsub.stats import NetworkStats
 from ..pubsub.subscription import Event, Subscription
+from ..sim.transport import TransportStats
 from .scenarios import Scenario
 from .topologies import Topology
 
@@ -113,7 +118,12 @@ class AuditEntry:
 
 @dataclass
 class DynamicReport:
-    """Outcome of one dynamic scenario run."""
+    """Outcome of one dynamic scenario run.
+
+    ``transport`` is the network's live :class:`TransportStats`; per-broker
+    counters are read from the network the scenario ran on
+    (``broker.stats`` over ``network.brokers``).
+    """
 
     name: str
     actions_run: int
@@ -121,7 +131,7 @@ class DynamicReport:
     events_published: int
     audited_events: int
     audits: List[AuditEntry]
-    stats: NetworkStats
+    transport: TransportStats
 
     @property
     def missed_deliveries(self) -> int:
@@ -145,7 +155,7 @@ class DynamicReport:
             "missed_deliveries": self.missed_deliveries,
             "extra_deliveries": self.extra_deliveries,
         }
-        row.update(self.stats.transport_summary())
+        row.update(self.transport.as_dict())
         return row
 
 
@@ -773,7 +783,7 @@ def run_dynamic_scenario(
         events_published=counters["published"],
         audited_events=len(audits),
         audits=audits,
-        stats=network.collect_stats(),
+        transport=network.transport.stats,
     )
 
 

@@ -21,17 +21,17 @@ three routines:
   then interleave the bits of ``Q`` into a Z-curve key.
 
 The production search path uses the equivalent but vectorised enumeration in
-:mod:`repro.core.decomposition`; this module exists so that the reproduction
-contains the algorithm exactly as published and so the test suite can verify
-both produce identical key sets (``tests/core/test_appendix_a.py``).
+:mod:`repro.core.decomposition`; this module is the algorithm exactly as
+published, kept beside the tests as the reference that enumeration is
+checked against (``test_appendix_a.py``).
 """
 
 from __future__ import annotations
 
 from typing import Iterator, List, Set
 
-from ..geometry.bits import bit_at, bit_length, interleave_bits
-from ..geometry.rect import ExtremalRectangle
+from repro.geometry.bits import bit_at, bit_length, interleave_bits
+from repro.geometry.rect import ExtremalRectangle
 
 __all__ = ["enumerate_cube_keys", "enumerate_all_cube_keys"]
 

@@ -11,7 +11,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.appendix_a import enumerate_all_cube_keys, enumerate_cube_keys
+from appendix_a import enumerate_all_cube_keys, enumerate_cube_keys
 from repro.core.decomposition import cubes_in_class, level_census
 from repro.geometry.rect import ExtremalRectangle
 from repro.geometry.universe import Universe

@@ -8,8 +8,9 @@ The ISSUE's acceptance criteria, pinned:
   publishing broker to the brokers the delivery audit expects — the trace
   *is* the route;
 * two same-seed runs are byte-identical (exposition text, trace-id
-  sequences, counter values), and instrumentation that is switched off is
-  the bare code path;
+  sequences, counter values), the seed-17 text and JSON snapshot hash to
+  pinned digests, and instrumentation that is switched off is the bare
+  code path;
 * an interface that has built its match index carries the per-interface
   match-index counters and gauges in the scrape; one still scanning carries
   none.
@@ -17,13 +18,14 @@ The ISSUE's acceptance criteria, pinned:
 
 from __future__ import annotations
 
+import hashlib
 import re
 from unittest.mock import patch
 
 import pytest
 
 from repro.analysis.experiments import run_metrics_scenario
-from repro.obs.exposition import validate_prometheus_text
+from repro.obs.exposition import validate_prometheus_text, write_bench_json
 from repro.obs.profiler import PROFILER
 from repro.obs.registry import MetricsRegistry
 from repro.pubsub import BrokerNetwork, make_event, make_subscription, tree_topology
@@ -159,6 +161,18 @@ class TestDeterminism:
             (s.trace_id, s.kind, s.name, s.broker_id, s.parent, s.start, s.hop)
             for s in scenario.network.tracing.spans()
         ]
+
+    def test_seed_17_exposition_is_pinned(self, scenario, tmp_path):
+        # Both exposition forms, byte for byte, across processes and hash
+        # seeds.  A change that alters the scrape on purpose updates these.
+        text = scenario.prometheus_text.encode()
+        assert hashlib.sha256(text).hexdigest() == (
+            "f76d298fc80ccf6541a4e50e88e59b5bf2b0e5833cd94520893d1d272ce1ebe0"
+        )
+        written = write_bench_json(tmp_path / "BENCH_metrics.json", scenario.snapshot)
+        assert hashlib.sha256(written.read_bytes()).hexdigest() == (
+            "67a1db541f212e98def70eec4329ee588bfc6eba31cfd5a687586ae57d619a48"
+        )
 
     def test_different_seed_changes_trace_ids(self, scenario):
         other = run_metrics_scenario(seed=18)

@@ -123,9 +123,10 @@ class TestBatchEquivalence:
         triples = random_workload(schema, 30, seed=9, num_brokers=4)
         for broker, items in grouped(triples).items():
             network.subscribe_batch(broker, items)
-        stats = network.collect_stats()
-        assert stats.total_batch_covering_checks > 0
-        assert stats.total_batch_covering_checks <= stats.total_covering_checks
+        brokers = [broker.stats for broker in network.brokers.values()]
+        batch_checks = sum(stats.batch_covering_checks for stats in brokers)
+        assert batch_checks > 0
+        assert batch_checks <= sum(stats.covering_checks for stats in brokers)
         timings = network.phase_timings()
         assert timings.get("subscribe_batch", 0.0) > 0.0
 
@@ -150,10 +151,9 @@ class TestBatchEquivalence:
         for client, sub, _ in triples[::4]:
             network.unsubscribe(client, sub.sub_id)
         assert state_digest(network) == "d685f5d4cfb82b16"
-        stats = network.collect_stats()
-        assert stats.profile_cache_misses == 60
+        assert network.profile_cache.misses == 60
         # A subscription travelling several broker hops is profiled once.
-        assert stats.profile_cache_hits == 288
+        assert network.profile_cache.hits == 288
 
 
 class TestIncrementalPromotion:

@@ -289,16 +289,20 @@ class TestEventDelivery:
         event = Event(schema, {"x": 45.0, "y": 0.0})
         assert network.expected_recipients(event) == {"alice", "bob"}
 
-    def test_collect_stats_aggregates(self, schema):
+    def test_audit_tallies_and_broker_counters_accumulate(self, schema):
         network = make_network(schema)
         network.subscribe(0, "alice", Subscription(schema, {"x": (0.0, 50.0)}, sub_id="a"))
-        events = [(2, Event(schema, {"x": 25.0, "y": 1.0})), (4, Event(schema, {"x": 99.0, "y": 1.0}))]
-        stats = network.collect_stats(events)
-        assert stats.routing_table_entries >= 1
-        assert stats.events_delivered == 1
-        assert stats.events_missed == 0
-        assert len(stats.summary_rows()) == 5
-        assert stats.total_covering_checks >= 0
+        for broker_id, event in [
+            (2, Event(schema, {"x": 25.0, "y": 1.0})),
+            (4, Event(schema, {"x": 99.0, "y": 1.0})),
+        ]:
+            network.publish_and_audit(broker_id, event)
+        assert network.routing_table_entries() >= 1
+        assert network.audited_delivered == 1
+        assert network.audited_missed == 0
+        assert len(network.brokers) == 5
+        assert network.brokers[0].stats.events_delivered_locally == 1
+        assert sum(b.stats.events_received for b in network.brokers.values()) > 0
 
     def test_publish_unknown_broker_rejected(self, schema):
         network = make_network(schema)
@@ -362,9 +366,10 @@ class TestPublishBatchRegression:
         assert batch_net.deliveries == seq_net.deliveries
         assert batch_net.event_messages == seq_net.event_messages
         assert batch_net.subscription_messages == seq_net.subscription_messages
-        batch_stats = batch_net.collect_stats()
-        seq_stats = seq_net.collect_stats()
-        assert batch_stats.summary_rows() == seq_stats.summary_rows()
+        for broker_id, broker in batch_net.brokers.items():
+            other = seq_net.brokers[broker_id]
+            assert broker.stats.as_dict() == other.stats.as_dict()
+            assert broker.routing_table.match_work() == other.routing_table.match_work()
 
     @pytest.mark.parametrize("transport_kind", ["sync", "sim"])
     def test_repeated_event_id_gets_each_events_own_recipients(self, transport_kind):

@@ -493,8 +493,8 @@ class TestNetworkMatching:
         network = BrokerNetwork.from_topology(schema, chain_topology(3), covering="none")
         network.subscribe(2, "alice", Subscription(schema, {"x": (0.0, 50.0)}, sub_id="s"))
         network.publish(0, Event(schema, {"x": 10.0, "y": 10.0}))
-        stats = network.collect_stats()
-        assert stats.per_broker[0].match_index_lookups > 0
+        lookups, _candidates, _false_positives = network.brokers[0].routing_table.match_work()
+        assert lookups > 0
 
     def test_forwarding_after_suppression_clears_pending_entry(self, schema):
         """Regression: a duplicate arrival of a *suppressed* subscription that

@@ -213,10 +213,9 @@ def test_crash_recover_relearns_from_the_cache(schema):
         event = make_event(schema, f"e{j}", x=(j * 7) % 32, y=(j * 5) % 32)
         assert network.publish_and_audit(j % 7, event) == (set(), set())
 
-    stats = network.collect_stats().as_dict()
-    assert stats["match_run_cache_misses"] == misses
-    assert stats["match_run_cache_hits"] == cache.run_hits
-    assert stats["match_run_cache_evictions"] == 0
+    assert cache.run_misses == misses
+    assert cache.run_evictions == 0
     scrape = network.scrape()
     for name in ("hits", "misses", "evictions"):
-        assert f'counter="match_run_cache_{name}"' in scrape
+        value = getattr(cache, f"run_{name}")
+        assert f'counter="match_run_cache_{name}"}} {value}\n' in scrape

@@ -220,10 +220,16 @@ class TestDeterminism:
         )
         network = build_network(schema, transport)
         run_workload(network)
-        stats = network.collect_stats()
         delivery_log = repr(network.deliveries)
-        stats_text = repr(sorted(stats.transport_summary().items())) + repr(
-            stats.summary_rows()
+        stats_text = repr(sorted(network.transport.stats.as_dict().items())) + repr(
+            [
+                (
+                    str(broker_id),
+                    network.brokers[broker_id].stats.as_dict(),
+                    network.brokers[broker_id].routing_table.match_work(),
+                )
+                for broker_id in sorted(network.brokers, key=str)
+            ]
         )
         return delivery_log, stats_text
 

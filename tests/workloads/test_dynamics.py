@@ -121,7 +121,8 @@ class TestExecution:
         )
         assert report.clean and report.extra_deliveries == 0
         assert report.audited_events == len(scenario.events)
-        assert report.stats.transport.delivery_latencies
+        assert report.transport is network.transport.stats
+        assert report.transport.delivery_latencies
 
     def test_churn_storm_with_join_clean(self):
         scenario = small_scenario(stock_market_scenario)
@@ -141,7 +142,7 @@ class TestExecution:
         report = run_dynamic_scenario(network, script, name="rolling")
         assert report.clean
         resynced = sum(
-            stats.subscriptions_resynced for stats in report.stats.per_broker.values()
+            broker.stats.subscriptions_resynced for broker in network.brokers.values()
         )
         assert resynced > 0
 
