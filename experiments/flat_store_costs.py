@@ -11,7 +11,11 @@ rectangle), so that last column times ``MatchIndex.matching_ids`` on stock
 events with and without the staged slots, and checks that the probe with
 them returns every staged subscription an event matches.
 Slots hold the key runs the product configuration stores for stock-scenario
-subscriptions (at most 64 each).
+subscriptions (at most 64 each) on the grid an index of that many
+subscriptions decomposes on: ``bits`` per dimension, which grows with the
+table (``MatchIndex``), hence the ``runs/slot`` column.  The staged
+subscriptions stop short of the table's next grid step, which would
+re-derive and re-flatten every slot.
 
 An experiment, not a test: timings are best-of-``--repeat`` on whatever host
 runs it.  From the repository root::
@@ -84,11 +88,43 @@ def probe_ns(index: MatchIndex, events: Sequence[Tuple[Sequence[int], int]], rep
     return best_of(repeat, sweep) / len(events) * 1e9
 
 
-def measure(slots: int, seed: int, repeat: int) -> Dict[str, float]:
+def staged_probe_ns(
+    index: MatchIndex,
+    spare: Sequence[Ranges],
+    events: Sequence[Tuple[Sequence[int], int]],
+    repeat: int,
+) -> float:
+    """A probe's cost with ``spare`` staged, checking it returns their matches.
+
+    The spares are removed again afterwards.
+    """
+    staged = {("spare", number): ranges for number, ranges in enumerate(spare)}
+    for sub_id, ranges in staged.items():
+        index.add(sub_id, ranges)
+    assert len(index._flat.staged) == len(staged), "the spare subscriptions must all be staged"
+    probe = probe_ns(index, events, repeat)
+    staged_matches = 0
+    for cells, key in events:
+        expected = [
+            sub_id
+            for sub_id, ranges in staged.items()
+            if all(lo <= cell <= hi for (lo, hi), cell in zip(ranges, cells))
+        ]
+        found = [sub_id for sub_id in index.matching_ids(cells, key) if sub_id in staged]
+        assert found == expected, "the probe must return every staged match"
+        staged_matches += len(found)
+    assert staged_matches, "no stock event matched a staged subscription"
+    for sub_id in staged:
+        index.remove(sub_id)
+    return probe
+
+
+def measure(slots: int, seed: int, repeat: int) -> Dict[str, object]:
     scenario = stock_market_scenario(num_subscriptions=0, num_events=EVENTS, seed=seed)
     schema = scenario.schema
     index = MatchIndex(schema)
     index.add_batch(list(enumerate(stock_subscriptions(slots, seed))))
+    bits = index.precision_bits
     store = index._flat
     runs = [store.runs_of(index._slot_of[number]) for number in range(slots)]
     spare = stock_subscriptions(FlatSegmentStore.PENDING_SLOTS, seed + 1)
@@ -113,33 +149,25 @@ def measure(slots: int, seed: int, repeat: int) -> Dict[str, float]:
     clean = stab_ns(store, keys, repeat)
     probe_clean = probe_ns(index, events, repeat)
 
-    # As many staged slots as any table may hold without rebuilding.
+    # As many staged slots as any table may hold without rebuilding, and no
+    # more than fit below the table's next grid step: none for a table that
+    # sits on a step (its next add re-flattens it).
     pending = min(
-        len(spare), FlatSegmentStore.PENDING_SLOTS + slots // FlatSegmentStore.PENDING_SHARE
+        len(spare),
+        FlatSegmentStore.PENDING_SLOTS + slots // FlatSegmentStore.PENDING_SHARE,
+        index._grow_past - slots,
     )
     rebuilds = store.rebuilds
-    staged = {("spare", number): spare[number] for number in range(pending)}
-    for sub_id, ranges in staged.items():
-        index.add(sub_id, ranges)
-    assert len(store.staged) == pending, "the spare subscriptions must all be staged"
-    probe_staged = probe_ns(index, events, repeat)
-    staged_matches = 0
-    for cells, key in events:
-        expected = [
-            sub_id
-            for sub_id, ranges in staged.items()
-            if all(lo <= cell <= hi for (lo, hi), cell in zip(ranges, cells))
-        ]
-        found = [sub_id for sub_id in index.matching_ids(cells, key) if sub_id in staged]
-        assert found == expected, "the probe must return every staged match"
-        staged_matches += len(found)
-    assert staged_matches, "no stock event matched a staged subscription"
-    for sub_id in staged:
-        index.remove(sub_id)
+    per_pending: object = "-"
+    if pending:
+        probe_staged = staged_probe_ns(index, spare[:pending], events, repeat)
+        per_pending = round((probe_staged - probe_clean) / pending, 2)
+        assert index.precision_bits == bits, "staging must not step the grid"
 
     # As many tombstones as compaction tolerates: half the flattened slots.
     for number in range(slots // 2):
         index.remove(number)
+    store = index._flat
     assert store.rebuilds == rebuilds, "the probe states must not trigger a rebuild"
     tombstoned = stab_ns(store, keys, repeat)
     timings = {
@@ -150,13 +178,16 @@ def measure(slots: int, seed: int, repeat: int) -> Dict[str, float]:
         "stab_clean_ns": clean,
         "stab_tombstoned_ns": tombstoned,
         "probe_clean_ns": probe_clean,
-        "per_pending_slot_ns": (probe_staged - probe_clean) / pending,
     }
     return {
         "slots": slots,
+        "bits": bits,
         "runs": total_runs,
+        "runs/slot": round(total_runs / slots, 1),
         "segments": store.segment_count(),
         **{name: round(value, 2) for name, value in timings.items()},
+        "staged": pending,
+        "per_pending_slot_ns": per_pending,
     }
 
 

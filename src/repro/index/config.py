@@ -48,11 +48,11 @@ DEFAULT_MATCH_BACKEND = "flat"
 #: Cap on key runs stored per subscription (Sec. 3.2 coarsening).
 DEFAULT_RUN_BUDGET = 64
 
-#: Per-dimension snap grid for the precision-bounded decomposition.
+#: Finest per-dimension snap grid a derived precision may reach.
 DEFAULT_PRECISION_BITS = 6
 
-#: Total precision bits shared across dimensions: an index over ``d``
-#: dimensions defaults to ``min(DEFAULT_PRECISION_BITS,
+#: Total precision bits shared across dimensions: a match index over ``d``
+#: dimensions grows its grid up to ``min(DEFAULT_PRECISION_BITS,
 #: PRECISION_BIT_BUDGET // d)`` bits per dimension.
 PRECISION_BIT_BUDGET = 2 * DEFAULT_PRECISION_BITS
 
@@ -72,8 +72,8 @@ class IndexConfig:
     """Validated, immutable description of one index configuration.
 
     ``precision_bits=None`` means "derive from the budget":
-    :meth:`effective_precision_bits` resolves it per universe. All other
-    fields are concrete. Being frozen and hashable, an ``IndexConfig`` can
+    :meth:`effective_precision_bits` resolves it per universe to the finest
+    grid a match index may grow to. All other fields are concrete. Being frozen and hashable, an ``IndexConfig`` can
     namespace profile caches and serve as a dictionary key directly.
     """
 
@@ -115,8 +115,11 @@ class IndexConfig:
     def effective_precision_bits(self, dims: int) -> int:
         """Precision bits per dimension for a ``dims``-dimensional universe.
 
-        Explicit ``precision_bits`` wins. Otherwise the shared
-        ``precision_bit_budget`` is divided across dimensions; when that
+        Explicit ``precision_bits`` wins, and pins a match index's grid.
+        Otherwise this is the ceiling of a grid that grows with the index's
+        table (:class:`~repro.pubsub.match_index.MatchIndex` starts at one bit
+        per dimension and steps up as subscriptions arrive): the shared
+        ``precision_bit_budget`` divided across dimensions.  When that
         division yields zero bits (a high-dimensional universe), deriving a
         precision silently would snap every subscription to the whole
         universe, so this raises instead of clamping.

@@ -411,14 +411,18 @@ class FlatSegmentStore:
     the Python event loop :meth:`_sweep_python` takes the keys numpy cannot
     hold and gives the identical layout).  Both thresholds are sized from measured costs (README,
     "Event-matching fast path"; ``experiments/flat_store_costs.py`` prints
-    them): a rebuild costs 0.3–0.5 µs per run, ~20 µs per 52-run slot, a
-    staged slot adds one rectangle test, ~0.5 µs on stock events, to every
+    them): a rebuild costs a fixed ~50 µs plus 0.4–0.7 µs per run.  The
+    10–30-slot tables of a broker network sit on a 2-bit grid (the match
+    index's grid grows with its table), ~6 runs per slot, so a rebuild costs
+    ~5 µs per slot (it was ~20 µs per 52-run slot on the fixed 4-bit grid).
+    A staged slot adds one rectangle test, ~0.5 µs on stock events, to every
     probe of the match index, so with at most ``P`` slots staged an add pays
-    ``20·n/P`` µs and a probe ``0.25·P`` µs on average — balanced at
-    ``P = √(80·n/r)`` ≈ 3–20 for 10–30-slot tables probed ``r`` = 6–100
-    times per write.  The cap of 17–20 slots those tables get sits at the
-    write-heavy end; a cap of 8 was measured to move the cost onto
-    subscribes (README), so it was left alone.
+    ``5·n/P`` µs and a probe ``0.25·P`` µs on average — balanced at
+    ``P = √(20·n/r)`` ≈ 1–10 for 10–30-slot tables probed ``r`` = 6–100
+    times per write (``√(80·n/r)`` ≈ 3–20 on the 4-bit grid).  The cap of
+    17–20 slots those tables get sits past the write-heavy end; a cap of 8
+    was measured on the 4-bit grid to move the cost onto subscribes
+    (README), so it was left alone until measured again.
 
     Bulk loading (:meth:`add_bulk`) stages every subscription and performs a
     single sweep, which is how a million-subscription index is built in one
@@ -495,13 +499,27 @@ class FlatSegmentStore:
         for slot, runs in items:
             if slot in stored:
                 raise ValueError(f"slot {slot} is already stored; remove it first")
-            # Bulk loaders hand the same runs object to every slot of a group
-            # (subscriptions sharing a decomposition); normalise it once and
-            # share the tuple across those slots.
+            # Bulk loaders hand the same runs object to every slot sharing a
+            # decomposition; a run of such slots normalises it once and
+            # shares the tuple.
             if runs is not last_runs:
                 last_runs = runs
                 last_norm = normalize(runs)
             stored[slot] = last_norm
+        self.rebuild()
+
+    def reflatten(self, items: Iterable[Tuple[int, Sequence[KeyRange]]]) -> None:
+        """Give every stored slot new runs and flatten them all in one sweep.
+
+        ``items`` names each stored slot exactly once, in any order; the slots
+        keep their insertion order, and with it every segment its member
+        order.  Staged slots and tombstones are swept away with the rest.
+        """
+        fresh = dict(items)
+        if fresh.keys() != self._runs.keys():
+            raise ValueError("reflatten needs new runs for exactly the stored slots")
+        normalize = self._normalize_runs
+        self._runs = {slot: normalize(fresh[slot]) for slot in self._runs}
         self.rebuild()
 
     def remove(self, slot: int) -> int:

@@ -24,13 +24,32 @@ endpoint is ``<= key(p)``).
 
 Three refinements keep the structure bounded and sound:
 
-* **Precision-bounded decomposition.**  Before decomposing, the rectangle is
-  snapped outward to a grid of side ``2^{order - precision_bits}``, so the
-  quadtree recursion bottoms out after ``precision_bits`` levels instead of
-  descending to unit cells whose runs the coarsening below would discard
-  anyway.  Snapping outward only ever *adds* cells.  On a grid within the
-  default precision budget (4,096 cubes) the runs are not decomposed at all
-  but read off a :class:`~repro.sfc.runs.GridRunTable` — the same runs at a
+* **Precision-bounded decomposition, on a grid that grows with the table.**
+  Before decomposing, the rectangle is snapped outward to a grid of
+  ``precision_bits`` bits per dimension (cubes of side
+  ``2^{order - precision_bits}``), so the quadtree recursion bottoms out after
+  ``precision_bits`` levels instead of descending to unit cells.  Snapping
+  outward only ever *adds* cells.  Unless the config pins ``precision_bits``,
+  the grid is the coarsest giving each live subscription a cube of its own —
+  the fewest bits ``b >= 1`` with ``2^{d·b} >= n`` for ``n`` subscriptions —
+  capped at :meth:`~repro.index.config.IndexConfig.effective_precision_bits`
+  (and at the schema's order, past which a finer grid changes nothing).
+  The grid trades probe work for write work.  A coarser grid never changes
+  an answer (the rectangle test confirms every candidate) but lets more
+  candidates through: the tables of a broker network test about a third
+  more of them per probe at 2 bits than at 4.  A finer grid costs runs: by
+  Fact 2.1 a rectangle's run count grows about ``2^{d-1}``-fold per extra
+  bit, so those 10–30 subscription tables store ~6 runs per subscription at
+  2 bits where the 4-bit cap would store ~50, and every rebuild sweeps that
+  many fewer.  The rule sizes the grid by the table alone, not by how often
+  it is probed per write, so a table probed on every publish can pay more
+  for the extra candidates than it saves on rebuilds (publishes on a
+  3-broker chain run ~3 % slower).  The grid only steps up, one bit once
+  ``n`` passes ``2^{d·b}`` (a bulk load into an empty index picks it from
+  the batch size); a step re-derives every stored slot's runs and
+  re-flattens the store in one sweep.  On a grid within the default
+  precision budget (4,096 cubes) the runs are not decomposed at all but
+  read off a :class:`~repro.sfc.runs.GridRunTable` — the same runs at a
   tenth of the cost, so a rectangle the run cache has not seen costs an
   insert about what a cached one does.
 * **Run-budget coarsening.**  Thin rectangles can decompose into many runs
@@ -54,7 +73,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, FrozenSet, Hashable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.decomposition import decompose_rectangle
 from ..geometry.rect import Rectangle, StandardCube
@@ -72,7 +91,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["MatchIndex", "MatchIndexStats"]
 
 
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=64)
 def _grid_run_table(kind: str, dims: int, order: int, bits: int) -> GridRunTable:
     """The process-wide run table of one (curve, universe, precision grid)."""
     return GridRunTable(make_curve(kind, Universe(dims=dims, order=order)), bits)
@@ -80,7 +99,12 @@ def _grid_run_table(kind: str, dims: int, order: int, bits: int) -> GridRunTable
 
 @dataclass
 class MatchIndexStats:
-    """Operation counters (store-independent work units for benchmarks)."""
+    """Operation counters (store-independent work units for benchmarks).
+
+    ``runs_stored`` is the live total; ``coarsened_subscriptions`` counts
+    every time a subscription's runs were stored coarsened, at insert or
+    re-derived on a grid step.
+    """
 
     inserts: int = 0
     removals: int = 0
@@ -109,11 +133,13 @@ class MatchIndex:
         :class:`~repro.pubsub.sharded_index.ShardedMatchIndex` over several
         of these).  ``run_budget`` caps the key ranges stored per
         subscription (see module docstring).
-        ``precision_bits`` is the grid resolution (bits per dimension) at
+        ``precision_bits`` pins the grid resolution (bits per dimension) at
         which rectangles are decomposed; schemas with a larger order have
-        their rectangles snapped outward to this grid first, and ``None``
-        scales the default down with dimensionality so the total
-        decomposition work stays within ``precision_bit_budget``.  ``curve``
+        their rectangles snapped outward to this grid first.  ``None`` lets
+        the grid grow with the table (module docstring) up to the
+        budget-derived ceiling, which scales with dimensionality so the
+        total decomposition work stays within ``precision_bit_budget``; the
+        current grid is :attr:`precision_bits`.  ``curve``
         names the space-filling curve (:data:`~repro.sfc.factory.CURVE_KINDS`)
         keying the segments; curves differ in run counts — and therefore in
         segment counts and false-positive rates — never in match answers.
@@ -138,24 +164,16 @@ class MatchIndex:
         self.universe = Universe(dims=schema.num_attributes, order=schema.order)
         self.curve = make_curve(config.curve, self.universe)
         self.run_budget = config.run_budget
-        self.precision_bits = config.effective_precision_bits(self.universe.dims)
-        effective = min(self.precision_bits, self.universe.order)
-        self._snap = 1 << (self.universe.order - effective)
         self._run_cache = run_cache
-        # Everything a snapped rectangle's stored runs depend on besides the
-        # rectangle itself; namespaces this index's entries in the run cache.
-        self._run_key = (
-            self.curve.kind,
-            self.universe.dims,
-            self.universe.order,
-            effective,
-            self.run_budget,
-        )
-        # Grids of at most 2^PRECISION_BIT_BUDGET cubes (every derived
-        # precision; an explicit ``precision_bits`` may exceed it) read runs
-        # off the shared table, fetched on the first uncached rectangle.
-        self._tabulated = self.universe.dims * effective <= PRECISION_BIT_BUDGET
-        self._grid_runs: Optional[GridRunTable] = None
+        # An explicit precision pins the grid; a derived one starts at the
+        # coarsest grid and grows with the table up to the config's value
+        # (no finer than the schema's own grid).
+        self._ceiling = config.effective_precision_bits(self.universe.dims)
+        if config.precision_bits is None:
+            self._ceiling = min(self._ceiling, self.universe.order)
+            self._set_precision(1)
+        else:
+            self._set_precision(self._ceiling)
         self._flat = FlatSegmentStore()
         # Subscription-id interning: the flat store works on integer slots so
         # its member arrays are machine-word arrays rather than object
@@ -202,6 +220,85 @@ class MatchIndex:
                 )
             out.append((lo, hi))
         return tuple(out)
+
+    # --------------------------------------------------------------- precision
+    def _bits_for(self, live: int) -> int:
+        """The derived grid for ``live`` subscriptions, in bits per dimension.
+
+        The fewest bits ``b >= 1`` giving at least one grid cube per
+        subscription (``2^(d·b) >= live``), capped at the ceiling.
+        """
+        dims = self.universe.dims
+        bits = 1
+        while bits < self._ceiling and live > 1 << (dims * bits):
+            bits += 1
+        return bits
+
+    def _set_precision(self, bits: int) -> None:
+        """Decompose on a grid of ``bits`` bits per dimension from now on."""
+        self.precision_bits = bits
+        universe = self.universe
+        effective = min(bits, universe.order)
+        self._snap = 1 << (universe.order - effective)
+        # Everything a snapped rectangle's stored runs depend on besides the
+        # rectangle itself; namespaces this index's entries in the run cache.
+        self._run_key = (
+            self.curve.kind,
+            universe.dims,
+            universe.order,
+            effective,
+            self.run_budget,
+        )
+        # Grids of at most 2^PRECISION_BIT_BUDGET cubes (every derived
+        # precision; an explicit ``precision_bits`` may exceed it) read runs
+        # off the shared table, fetched on the first uncached rectangle.
+        self._tabulated = universe.dims * effective <= PRECISION_BIT_BUDGET
+        self._grid_runs: Optional[GridRunTable] = None
+        # The live count past which the grid steps up (never, once at the
+        # ceiling: a pinned grid starts there).
+        if bits < self._ceiling:
+            self._grow_past = 1 << (universe.dims * bits)
+        else:
+            self._grow_past = float("inf")
+
+    def _grow(self, live: int) -> None:
+        """Step the grid up to the one ``live`` subscriptions call for.
+
+        Every stored slot's runs are re-derived on the finer grid (through the
+        run cache; slots sharing a snapped rectangle share one derivation) and
+        the store is re-flattened in one sweep.  Slots keep their order.
+        """
+        self._set_precision(self._bits_for(live))
+        rects = self._rect_of_slot
+        if not rects:
+            return
+        entries = self._derive(rects.values())
+        self._flat.reflatten(zip(rects, [runs for runs, _ in entries]))
+        self.stats.runs_stored = sum([len(runs) for runs, _ in entries])
+        self.stats.coarsened_subscriptions += sum([coarsened for _, coarsened in entries])
+
+    def _derive(
+        self, rects: Iterable[Tuple[Tuple[int, int], ...]]
+    ) -> List[Tuple[Tuple[KeyRange, ...], bool]]:
+        """``(stored runs, was coarsened)`` per rectangle, on the current grid.
+
+        Rectangles sharing a snapped rectangle share one derivation (one
+        :meth:`_runs_for` entry, not at all when the run cache holds it), in
+        chunks of :attr:`BATCH_CHUNK` distinct snapped rectangles.
+        """
+        # The snap of _snap_signature, inlined: a million-subscription batch
+        # cannot afford a function call per item.
+        snap = self._snap
+        if snap == 1:
+            signatures = list(rects)
+        else:
+            signatures = [tuple([(lo // snap, hi // snap) for lo, hi in rect]) for rect in rects]
+        entry_of = dict.fromkeys(signatures)
+        distinct = list(entry_of)
+        for start in range(0, len(distinct), self.BATCH_CHUNK):
+            chunk = distinct[start : start + self.BATCH_CHUNK]
+            entry_of.update(zip(chunk, self._runs_for(chunk)))
+        return [entry_of[signature] for signature in signatures]
 
     def _snap_signature(
         self, rect_ranges: Tuple[Tuple[int, int], ...]
@@ -291,6 +388,8 @@ class MatchIndex:
         rect_ranges = self._validate_ranges(ranges)
         if sub_id in self._slot_of:
             self.remove(sub_id)
+        if len(self._slot_of) >= self._grow_past:
+            self._grow(len(self._slot_of) + 1)
         [(runs, coarsened)] = self._runs_for([self._snap_signature(rect_ranges)])
         stats = self.stats
         stats.coarsened_subscriptions += coarsened
@@ -342,47 +441,38 @@ class MatchIndex:
                         f"0 <= lo <= hi <= {max_cell}"
                     )
                 out.append((lo, hi))
+            # A later duplicate replaces an earlier one and, as a re-add
+            # would, takes its place at the end.
+            if sub_id in deduped:
+                del deduped[sub_id]
             deduped[sub_id] = tuple(out)
         slot_of = self._slot_of
         for sub_id in deduped:
             if sub_id in slot_of:
                 self.remove(sub_id)
-        # Group subscriptions by snapped rectangle: each distinct signature is
-        # decomposed once for the whole batch.
-        groups: Dict[Tuple[Tuple[int, int], ...], List] = {}
-        snap = self._snap
-        for sub_id, rect_ranges in deduped.items():
-            if snap == 1:
-                signature = rect_ranges
-            else:
-                signature = tuple([(lo // snap, hi // snap) for lo, hi in rect_ranges])
-            members = groups.get(signature)
-            if members is None:
-                groups[signature] = members = []
-            members.append((sub_id, rect_ranges))
-        signatures = list(groups)
+        if len(slot_of) + len(deduped) > self._grow_past:
+            self._grow(len(slot_of) + len(deduped))
+        # Slots in item order, as per-item adds would assign them (the body of
+        # add, inlined: the per-call overhead would dominate a bulk load).
+        stats = self.stats
         id_of = self._id_of
         rect_of_slot = self._rect_of_slot
         next_slot = self._next_slot
-        runs_stored = 0
+        runs_stored = coarsened_items = 0
         bulk: List[Tuple[int, Tuple[KeyRange, ...]]] = []
-        for start in range(0, len(signatures), self.BATCH_CHUNK):
-            chunk = signatures[start : start + self.BATCH_CHUNK]
-            entries = self._runs_for(chunk)
-            for signature, (runs, coarsened) in zip(chunk, entries):
-                self.stats.coarsened_subscriptions += coarsened
-                num_runs = len(runs)
-                # Inlined slot assignment (the body of add): the per-call
-                # overhead would dominate a bulk load.
-                for sub_id, rect_ranges in groups[signature]:
-                    slot_of[sub_id] = next_slot
-                    id_of[next_slot] = sub_id
-                    rect_of_slot[next_slot] = rect_ranges
-                    bulk.append((next_slot, runs))
-                    next_slot += 1
-                    runs_stored += num_runs
-        self.stats.inserts += next_slot - self._next_slot
-        self.stats.runs_stored += runs_stored
+        for (sub_id, rect_ranges), (runs, coarsened) in zip(
+            deduped.items(), self._derive(deduped.values())
+        ):
+            slot_of[sub_id] = next_slot
+            id_of[next_slot] = sub_id
+            rect_of_slot[next_slot] = rect_ranges
+            bulk.append((next_slot, runs))
+            next_slot += 1
+            runs_stored += len(runs)
+            coarsened_items += coarsened
+        stats.coarsened_subscriptions += coarsened_items
+        stats.inserts += next_slot - self._next_slot
+        stats.runs_stored += runs_stored
         self._next_slot = next_slot
         if bulk:
             self._flat.add_bulk(bulk)
@@ -548,5 +638,5 @@ class MatchIndex:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"MatchIndex(subscriptions={len(self)}, segments={self.segment_count()}, "
-            f"run_budget={self.run_budget})"
+            f"precision_bits={self.precision_bits}, run_budget={self.run_budget})"
         )

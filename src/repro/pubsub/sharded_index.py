@@ -82,7 +82,7 @@ class ShardedMatchIndex:
     shards partition the subscription set, so the union of per-shard matches
     is exactly the unsharded match set.  ``config`` supplies the shard count
     (``shards``) and the per-shard ``run_budget`` / ``precision_bits`` /
-    ``curve``.  ``run_cache`` is shared by the inline shards (see :class:`MatchIndex`); process workers live in their
+    ``curve`` (a derived grid grows with each shard's own table).  ``run_cache`` is shared by the inline shards (see :class:`MatchIndex`); process workers live in their
     own address space and decompose for themselves.
     """
 

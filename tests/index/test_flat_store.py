@@ -189,6 +189,28 @@ def test_flat_segment_store_bulk_equals_incremental():
     assert bulk.member_entries == incremental.member_entries
 
 
+def test_reflatten_gives_every_slot_new_runs_in_one_sweep():
+    """What a match index's grid step does to its store: new runs for every
+    stored slot, staged and tombstoned ones swept away in one rebuild, and
+    the slots (so every segment's members) keep their insertion order."""
+    store = FlatSegmentStore()
+    store.add_bulk([(slot, [(slot * 4, slot * 4 + 9)]) for slot in range(40)])
+    store.remove(3)
+    store.add(50, [(0, 200)])
+    assert store._dead and store.staged
+    rebuilds = store.rebuilds
+    fresh = {slot: [(slot, slot + 1), (300 + slot, 300 + slot)] for slot in reversed(list(store._runs))}
+    store.reflatten(fresh.items())
+    assert store.rebuilds == rebuilds + 1
+    assert not store._dead and not store.staged
+    assert list(store._runs) == [slot for slot in range(40) if slot != 3] + [50]
+    assert _split((store._los, store._his, store._cuts, store._members)) == _oracle_layout(store)
+    # New runs for other slots than the stored ones are refused untouched.
+    with pytest.raises(ValueError):
+        store.reflatten([(slot, [(0, 1)]) for slot in range(40)])
+    assert store.runs_of(50) == ((50, 51), (350, 350))
+
+
 def test_flat_segment_store_rejects_duplicate_slot():
     store = FlatSegmentStore()
     store.add(1, [(0, 5)])

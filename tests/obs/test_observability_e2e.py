@@ -167,11 +167,11 @@ class TestDeterminism:
         # seeds.  A change that alters the scrape on purpose updates these.
         text = scenario.prometheus_text.encode()
         assert hashlib.sha256(text).hexdigest() == (
-            "f76d298fc80ccf6541a4e50e88e59b5bf2b0e5833cd94520893d1d272ce1ebe0"
+            "b1e7de0231d79063be9c80b564b697d19e3015242cd3e69b88987472ba313c90"
         )
         written = write_bench_json(tmp_path / "BENCH_metrics.json", scenario.snapshot)
         assert hashlib.sha256(written.read_bytes()).hexdigest() == (
-            "67a1db541f212e98def70eec4329ee588bfc6eba31cfd5a687586ae57d619a48"
+            "55371712dac2cdc3cdeb0dd2a44fdd61d9d4bda46ad0ddef1d484eac9b2a0800"
         )
 
     def test_different_seed_changes_trace_ids(self, scenario):

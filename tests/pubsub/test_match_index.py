@@ -111,9 +111,11 @@ class TestMatchIndexUnit:
             assert index.any_match(event.cells) == bool(expected)
 
     def test_coarsening_records_stats(self, schema):
-        index = MatchIndex(schema, config=IndexConfig(run_budget=1))
-        # A thin full-width strip decomposes into many runs at order 6.  A
-        # bulk load flattens it, so a probe reaches it through its one run.
+        # On the schema's full 6-bit grid (pinned: a one-subscription index
+        # would otherwise decompose on its coarsest grid) a thin full-width
+        # strip decomposes into many runs.  A bulk load flattens it, so a
+        # probe reaches it through its one run.
+        index = MatchIndex(schema, config=IndexConfig(run_budget=1, precision_bits=6))
         strip = Subscription(schema, {"y": (50.0, 51.0)}, sub_id="strip")
         index.add_batch([("strip", strip.ranges)])
         assert index.stats.coarsened_subscriptions == 1

@@ -84,17 +84,31 @@ def all_candidates(index):
     return [index.candidates(key) for key in range(index.universe.max_key + 1)]
 
 
-def test_cached_index_equals_uncached_index(schema):
-    config = IndexConfig(run_budget=2)
+@pytest.mark.parametrize(
+    "config, distinct",
+    [
+        # On the schema's whole 5-bit grid the script's five distinct
+        # rectangles are decomposed once each.
+        (IndexConfig(run_budget=2, precision_bits=ORDER), 5),
+        # A derived grid starts at 1 bit per dimension (two distinct snapped
+        # rectangles) and steps to 2 bits when the batch brings the table to
+        # five subscriptions: "a", the one stored subscription the batch does
+        # not replace, is re-derived, and the batch's four rectangles are
+        # three distinct ones at that grid.
+        (IndexConfig(run_budget=2), 2 + 1 + 3),
+    ],
+    ids=["pinned", "derived"],
+)
+def test_cached_index_equals_uncached_index(schema, config, distinct):
     cache = ProfileCache()
     uncached = run_script(MatchIndex(schema, config=config))
     filling = run_script(MatchIndex(schema, config=config, run_cache=cache))
     misses = cache.run_misses
     hitting = run_script(MatchIndex(schema, config=config, run_cache=cache))
 
-    # The script's five distinct rectangles were decomposed once each; the
-    # second index found every one of them.
-    assert misses == 5 and cache.run_misses == misses
+    # Every distinct (grid, rectangle) pair was decomposed once; the second
+    # index found every one of them.
+    assert misses == distinct and cache.run_misses == misses
     assert cache.run_hits > 0
     assert uncached.stats.coarsened_subscriptions > 0
     for cached in (filling, hitting):
@@ -112,11 +126,12 @@ def test_cached_index_equals_uncached_index(schema):
 
 
 def test_sharded_index_shares_the_cache_across_shards(schema):
+    # Pinned to the schema's whole grid, where the script's five distinct
+    # rectangles are decomposed once between the shards.
+    config = IndexConfig(shards=3, run_budget=2, precision_bits=ORDER)
     cache = ProfileCache()
-    uncached = run_script(ShardedMatchIndex(schema, config=IndexConfig(shards=3, run_budget=2)))
-    cached = run_script(
-        ShardedMatchIndex(schema, config=IndexConfig(shards=3, run_budget=2), run_cache=cache)
-    )
+    uncached = run_script(ShardedMatchIndex(schema, config=config))
+    cached = run_script(ShardedMatchIndex(schema, config=config, run_cache=cache))
     assert cache.run_misses == 5 and cache.run_hits > 0
     assert cached.stats == uncached.stats
     for x in range(0, 32, 3):
@@ -189,17 +204,30 @@ def test_crash_recover_relearns_from_the_cache(schema):
         seed=2,
         metrics=MetricsRegistry(),
     )
+    subscriptions = []
     for i in range(21):
         lo = float((i * 3) % 20)
-        network.subscribe(
-            i % 7,
-            f"c{i}",
-            make_subscription(schema, f"s{i}", x=(lo, lo + 10.0), y=(1.0, 8.0 + i)),
-        )
+        subscription = make_subscription(schema, f"s{i}", x=(lo, lo + 10.0), y=(1.0, 8.0 + i))
+        subscriptions.append(subscription)
+        network.subscribe(i % 7, f"c{i}", subscription)
     network.flush()
     cache = network.profile_cache
     misses, hits = cache.run_misses, cache.run_hits
-    assert 0 < misses <= 21 and hits > 0
+    # The indexes grew their grids from 1 bit per dimension up to the finest
+    # one reached, and every rectangle reached a table on each of them: it
+    # was decomposed exactly once per grid, as the rectangle it snaps to
+    # there (a snapped rectangle shared by several is decomposed once).
+    finest = max(
+        table.match_index.precision_bits
+        for broker in network.brokers.values()
+        for table in broker.routing_table.interface_tables().values()
+    )
+    snapped = {
+        (bits, tuple((lo >> (ORDER - bits), hi >> (ORDER - bits)) for lo, hi in sub.ranges))
+        for sub in subscriptions
+        for bits in range(1, finest + 1)
+    }
+    assert misses == len(snapped) and hits > 0
 
     network.crash_broker(1)
     network.flush()
