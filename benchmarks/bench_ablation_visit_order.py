@@ -1,6 +1,7 @@
 """Ablation — cube visiting order and run merging inside the approximate query.
 
-DESIGN.md lists two algorithmic choices worth ablating:
+Two algorithmic choices inside the paper's approximate query are worth
+ablating:
 
 * *descending-volume order* (the paper's choice) versus the order in which the
   key-range enumerator happens to produce cubes — approximated here by

@@ -1,10 +1,10 @@
 """Shared helpers for the benchmark harness.
 
-Each benchmark regenerates one of the paper's figures/claims (see DESIGN.md's
-experiment index) by calling the corresponding driver in
-``repro.analysis.experiments`` exactly once under pytest-benchmark timing, and
-writes the resulting table to ``benchmarks/results/<experiment>.txt`` so the
-numbers quoted in EXPERIMENTS.md can be re-derived from a single
+Each benchmark regenerates one of the paper's figures/claims (see the
+README's "Tests and benchmarks" section) by calling the corresponding driver
+in ``repro.analysis.experiments`` exactly once under pytest-benchmark timing,
+and writes the resulting table to ``benchmarks/results/<experiment>.txt`` so
+the numbers quoted in the README can be re-derived from a single
 ``pytest benchmarks/ --benchmark-only`` run (a ``REPRO_BENCH_SMOKE=1`` pass
 writes its tiny-size tables to a temporary directory instead).
 """

@@ -44,7 +44,7 @@ stage "tier-1 tests (hypothesis profile: ${HYPOTHESIS_PROFILE:-ci})"
 # route exactly as without it, and disabling it restores the plain functions.
 HYPOTHESIS_PROFILE="${HYPOTHESIS_PROFILE:-ci}" python -m pytest -x -q tests
 
-stage "benchmark smoke (tiny sizes)"
+stage "benchmark smoke (tiny sizes) + full-size sim tables"
 # bench_subscription_churn times the batch subscribe/withdraw APIs against
 # sequential calls on the one engine; the driver raises unless the two leave
 # byte-identical routing state — any divergence fails CI here.
@@ -52,8 +52,9 @@ stage "benchmark smoke (tiny sizes)"
 # identical under every curve (the driver raises on any divergence) and that
 # Hilbert needs fewer key runs than Z on the Fig. 1-style rectangle family.
 # bench_match_scale's smoke pass still runs the full parity phase: both match
-# stores (flat and sharded) under every curve must agree with a brute-force
-# rectangle oracle before anything is timed.
+# stores (flat and sharded, whose shards are in-process flat indexes) under
+# every curve must agree with a brute-force rectangle oracle before anything
+# is timed.
 # bench_topology_scale's smoke pass runs the generated internet-scale
 # topology classes (skewed tree / scale-free / grid-of-clusters) at tiny node
 # counts, including the region netsplit -> per-partition traffic -> heal
@@ -72,6 +73,11 @@ stage "benchmark smoke (tiny sizes)"
 # A smoke pass writes its tables to a temporary directory
 # (benchmarks/conftest.py): the tracked full-size tables must come out of it
 # byte-identical, whether or not they carry uncommitted re-recordings.
+# The simulated-transport tables carry no timings, so their benches then run
+# at full size (a few seconds) and rewrite their tracked tables in place
+# (sim_latency, sim_rolling_failures, topology_scale, topology_netsplit and
+# their BENCH_*.json): the same check fails if any of them no longer
+# regenerates byte for byte.
 results_listing() { find benchmarks/results -type f -exec cksum {} + | sort -k3; }
 RESULTS_BEFORE=$(results_listing)
 REPRO_BENCH_SMOKE=1 python -m pytest -q \
@@ -91,8 +97,10 @@ REPRO_BENCH_SMOKE=1 python -m pytest -q \
     benchmarks/bench_dimensionality_aspect.py \
     benchmarks/bench_approx_vs_exhaustive.py \
     benchmarks/bench_recall_vs_epsilon.py
+python -m pytest -q benchmarks/bench_sim_latency.py benchmarks/bench_topology_scale.py
 if [ "$RESULTS_BEFORE" != "$(results_listing)" ]; then
-    echo "ci.sh: the benchmark smoke pass rewrote files under benchmarks/results/" >&2
+    echo "ci.sh: a benchmark pass changed files under benchmarks/results/" \
+        "(a smoke table leaked, or a full-size table no longer regenerates)" >&2
     exit 1
 fi
 # The flat store's cost table (what its staging thresholds are sized from) at

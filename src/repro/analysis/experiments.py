@@ -1,10 +1,11 @@
-"""Experiment drivers: the measurements behind every benchmark and EXPERIMENTS.md.
+"""Experiment drivers: the measurements behind every benchmark and README table.
 
-Each function here runs one of the experiments listed in DESIGN.md's
-experiment index and returns a :class:`repro.analysis.reporting.ResultTable`
-of rows.  The pytest-benchmark files in ``benchmarks/`` call these drivers (so
-that timings and the regenerated tables come from the same code), and the
-examples reuse them for human-readable output.
+Each function here runs one experiment and returns a
+:class:`repro.analysis.reporting.ResultTable` of rows (the README's "Tests and
+benchmarks" section says how to run them all; the tables they regenerate live
+in ``benchmarks/results/``).  The pytest-benchmark files in ``benchmarks/``
+call these drivers (so that timings and the regenerated tables come from the
+same code), and the examples reuse them for human-readable output.
 
 Every driver takes an explicit ``seed`` so results are reproducible, and keeps
 problem sizes laptop-scale by default; callers can pass larger sizes when more

@@ -14,7 +14,6 @@ from .bounds import (
     theorem41_lower_bound,
 )
 from .covering import ApproximateCoveringDetector, CoveringResult
-from .merging import GreedyMerger, MergedSubscription, MergeReport, bounding_ranges, merge_precision
 from .decomposition import (
     LevelClass,
     count_cubes_extremal,
@@ -38,11 +37,6 @@ __all__ = [
     "theorem41_lower_bound",
     "ApproximateCoveringDetector",
     "CoveringResult",
-    "GreedyMerger",
-    "MergedSubscription",
-    "MergeReport",
-    "bounding_ranges",
-    "merge_precision",
     "LevelClass",
     "count_cubes_extremal",
     "cubes_in_class",

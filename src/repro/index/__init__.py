@@ -13,7 +13,6 @@ from .config import (
 )
 from .kdtree import KDTree, KDTreeStats
 from .range_tree import RangeTree, RangeTreeStats
-from .rtree import RTree, RTreeStats
 from .sfc_array import FlatBackend, FlatSegmentStore, SFCArray, SFCArrayStats, StoredItem
 
 __all__ = [
@@ -31,8 +30,6 @@ __all__ = [
     "KDTreeStats",
     "RangeTree",
     "RangeTreeStats",
-    "RTree",
-    "RTreeStats",
     "FlatSegmentStore",
     "SFCArray",
     "SFCArrayStats",

@@ -1,15 +1,15 @@
 """Hot-path profiling, wrapped around the broker stack from outside.
 
 The hot paths — match-index probes, the flat store's merge-rebuild, covering
-checks, sharded scatter/gather — are named once, in :data:`HOT_PATHS`, as
-``(span name, owner, attribute)``.  Nothing in the stack is decorated:
-:meth:`HotPathProfiler.enable` replaces each attribute on its class with a
-timing wrapper (the way the benchmark's span tracer wraps its targets) and
-:meth:`HotPathProfiler.disable` puts the original functions back, so with
-profiling off — the default — a probe is the plain function and pays nothing.
-``PROFILER.enabled = True`` / ``False`` does the same, and ``REPRO_PROF=1`` in
-the environment enables the process-global :data:`PROFILER` when ``repro`` is
-imported.
+checks, the sharded index's batch calls — are named once, in
+:data:`HOT_PATHS`, as ``(span name, owner, attribute)``.  Nothing in the stack
+is decorated: :meth:`HotPathProfiler.enable` replaces each attribute on its
+class with a timing wrapper (the way the benchmark's span tracer wraps its
+targets) and :meth:`HotPathProfiler.disable` puts the original functions
+back, so with profiling off — the default — a probe is the plain function and
+pays nothing.  ``PROFILER.enabled = True`` / ``False`` does the same, and
+``REPRO_PROF=1`` in the environment enables the process-global
+:data:`PROFILER` when ``repro`` is imported.
 
 Collected data is per-name aggregates (call count, total/min/max seconds),
 snapshotted via :meth:`HotPathProfiler.summary`.  Wall-clock timings are

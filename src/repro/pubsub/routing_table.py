@@ -299,12 +299,14 @@ class InterfaceTable:
         subscriptions[sub_id] = subscription
 
     def _build_index(self, arriving: Subscription) -> None:
-        """Index every stored subscription plus ``arriving``, in table order, in one bulk load."""
+        """Index every stored subscription plus ``arriving``, in table order, in one bulk load.
+
+        The index is one :class:`MatchIndex`, or a :class:`ShardedMatchIndex`
+        of in-process shards under ``backend="sharded"``.
+        """
         config = self.config
         if config.backend == "sharded":
-            index = ShardedMatchIndex(
-                self.schema, workers="inline", config=config, run_cache=self._run_cache
-            )
+            index = ShardedMatchIndex(self.schema, config=config, run_cache=self._run_cache)
         else:
             index = MatchIndex(self.schema, config=config, run_cache=self._run_cache)
         items = [(sub_id, sub.ranges) for sub_id, sub in self._subscriptions.items()]

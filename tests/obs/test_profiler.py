@@ -212,7 +212,7 @@ def _summary_workload():
             network.subscribe(i % 3, f"c{i}", subscription)
     for i, event in enumerate(events):
         network.publish(i % 3, event)
-    sharded = ShardedMatchIndex(schema, workers="inline", config=IndexConfig(shards=2))
+    sharded = ShardedMatchIndex(schema, config=IndexConfig(shards=2))
     sharded.add_batch([(sub.sub_id, sub.ranges) for sub in subscriptions])
     cells = [event.cells for event in events]
     sharded.any_match_batch(cells)

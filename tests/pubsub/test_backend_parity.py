@@ -36,7 +36,7 @@ def _schema(order=5):
 def _make_indexes(schema):
     return [
         MatchIndex(schema),
-        ShardedMatchIndex(schema, config=IndexConfig(shards=3), workers="inline"),
+        ShardedMatchIndex(schema, config=IndexConfig(shards=3)),
     ]
 
 
@@ -138,6 +138,10 @@ def test_add_batch_equals_sequential_adds():
         expected = sorted(sequential.matching_ids(cells))
         assert sorted(batched.matching_ids(cells)) == expected
         assert sorted(sharded.matching_ids(cells)) == expected
+    # The sharded counters sum its shards': one insert per item, and every
+    # probe stabs each of the four shards once.
+    assert sharded.stats.inserts == batched.stats.inserts == len(items)
+    assert sharded.stats.lookups == 4 * batched.stats.lookups
 
 
 def _digest(payload) -> str:
@@ -176,75 +180,41 @@ def test_routing_state_identical_across_backends():
     assert states["flat"] == _network_state("flat", covering="exact")
 
 
-def test_sharded_process_workers_smoke():
-    """Fork-based shard workers answer exactly like inline shards, then shut down."""
-    schema = _schema()
-    rng = random.Random(5)
-    items = []
-    for sid in range(60):
-        lo_x, lo_y = rng.randrange(32), rng.randrange(32)
-        items.append(
-            (
-                sid,
-                (
-                    (lo_x, min(31, lo_x + rng.randrange(8))),
-                    (lo_y, min(31, lo_y + rng.randrange(8))),
-                ),
-            )
-        )
-    inline = ShardedMatchIndex(schema, config=IndexConfig(shards=2), workers="inline")
-    inline.add_batch(items)
-    with ShardedMatchIndex(schema, config=IndexConfig(shards=2), workers="process") as procs:
-        procs.add_batch(items)
-        events = [(rng.randrange(32), rng.randrange(32)) for _ in range(40)]
-        assert [
-            sorted(ids) for ids in procs.matching_ids_batch(events)
-        ] == [sorted(ids) for ids in inline.matching_ids_batch(events)]
-        assert procs.any_match_batch(events) == inline.any_match_batch(events)
-        assert procs.segment_count() == inline.segment_count()
-        # Invalid input is rejected in the parent; the workers stay alive.
-        with pytest.raises(ValueError):
-            procs.add("bad", ((0, 99),))
-        assert procs.any_match(events[0]) == inline.any_match(events[0])
-
-
 def test_sharded_rejects_bad_config():
     schema = _schema()
     with pytest.raises(ValueError):
         ShardedMatchIndex(schema, config=IndexConfig(shards=0))
-    with pytest.raises(ValueError):
-        ShardedMatchIndex(schema, workers="threads")
 
 
-def test_sharded_process_stats_survive_close():
-    """Closing process workers must drain their counters into the parent.
-
-    Regression: before the drain, reading ``stats`` / ``segment_count`` after
-    ``close()`` either hung on dead pipes or silently undercounted every
-    sharded interface torn down before stats collection.
-    """
+@pytest.mark.parametrize(
+    "bad",
+    [((0, 99), (0, 5)), ((0, 5),), ((7, 3), (0, 5)), ((-1, 3), (0, 5))],
+    ids=["past-the-grid", "too-few-ranges", "inverted", "negative"],
+)
+def test_sharded_rejects_bad_input_before_any_shard_changes(bad):
+    """A rejected ``add``, or a batch with one bad item among good ones, changes
+    nothing: not the size, not any answer, not the shard the next accepted id
+    lands on."""
     schema = _schema()
-    rng = random.Random(11)
-    items = [
-        (sid, ((lo, min(31, lo + 4)), (lo, min(31, lo + 4))))
-        for sid, lo in ((sid, rng.randrange(28)) for sid in range(40))
-    ]
-    events = [(rng.randrange(32), rng.randrange(32)) for _ in range(25)]
+    rng = random.Random(7)
+    items = []
+    for sid in range(10):
+        lo_x, lo_y = rng.randrange(32), rng.randrange(32)
+        items.append((sid, ((lo_x, min(31, lo_x + 9)), (lo_y, min(31, lo_y + 9)))))
+    index = ShardedMatchIndex(schema, config=IndexConfig(shards=3))
+    index.add_batch(items[:7])  # round-robin: the next new id goes to shard 1
+    cells = [(x, y) for x in range(32) for y in range(32)]
+    answers = [sorted(index.matching_ids(c)) for c in cells]
 
-    index = ShardedMatchIndex(schema, config=IndexConfig(shards=2), workers="process")
-    try:
-        index.add_batch(items)
-        index.matching_ids_batch(events)
-        index.any_match_batch(events)
-        live_stats = index.stats
-        live_segments = index.segment_count()
-    finally:
-        index.close()
+    with pytest.raises(ValueError):
+        index.add("bad", bad)
+    with pytest.raises(ValueError):
+        index.add(3, bad)  # a rejected replacement keeps the old rectangle
+    with pytest.raises(ValueError):
+        index.add_batch([items[7], ("bad", bad), items[8]])
 
-    assert live_stats.inserts == 40
-    assert live_stats.lookups > 0
-    # After close the drained totals answer instead of the dead workers.
-    assert index.stats == live_stats
-    assert index.segment_count() == live_segments
-    index.close()  # idempotent
-    assert index.stats == live_stats
+    assert len(index) == 7
+    assert "bad" not in index and 7 not in index and 8 not in index
+    assert [sorted(index.matching_ids(c)) for c in cells] == answers
+    index.add(*items[9])
+    assert [9 in shard for shard in index._indexes] == [False, True, False]
