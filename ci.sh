@@ -169,6 +169,8 @@ with NetClient(*addresses[1]) as sub, NetClient(*addresses[2]) as pub:
     for host, port in addresses.values():
         samples = validate_prometheus_text(fetch_metrics(host, port))
         assert "repro_transport_counter_total" in samples, "missing transport counters"
+        assert "repro_broker_counter_total" in samples, "missing per-broker counters"
+        assert "repro_routing_table_entries" in samples, "missing routing-table gauge"
     assert sub.unsubscribe("alice", "a1") is True
     assert pub.publish(event, event_id="e2") == set()
     sub.shutdown()

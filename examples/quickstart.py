@@ -17,7 +17,7 @@ Run with:  python examples/quickstart.py
 from __future__ import annotations
 
 from repro import ApproximateCoveringDetector
-from repro.core.covering import OFFLINE_CONFIG
+from repro.index.config import IndexConfig
 
 
 def main() -> None:
@@ -25,7 +25,7 @@ def main() -> None:
     # (values 0..1023).  ε = 0.05 means each covering query searches at least
     # 95% of the volume of the region where covering subscriptions can live.
     detector = ApproximateCoveringDetector(
-        attributes=2, attribute_order=10, config=OFFLINE_CONFIG.replace(epsilon=0.05)
+        attributes=2, attribute_order=10, config=IndexConfig(epsilon=0.05)
     )
 
     # A broad "market watcher" subscription and some narrower ones.

@@ -217,7 +217,6 @@ def _run_serve(
     client sends a ``shutdown`` command (see :class:`repro.net.NetClient`).
     """
     from ..net import NetTransport, serve_network
-    from ..obs.registry import MetricsRegistry
     from ..pubsub.network import (
         BrokerNetwork,
         chain_topology,
@@ -237,7 +236,6 @@ def _run_serve(
         config=IndexConfig(curve=curve),
         seed=seed,
         transport=NetTransport(host=host),
-        metrics=MetricsRegistry(enabled=True),
     )
 
     def on_ready(addresses: Dict[object, tuple]) -> None:

@@ -45,19 +45,11 @@ from .approx_dominance import (
 )
 
 __all__ = [
-    "OFFLINE_CONFIG",
     "ApproximateCoveringDetector",
     "CoveringProfile",
     "CoveringProfiler",
     "CoveringResult",
 ]
-
-#: Configuration of a detector or profiler built without one (the paper-figure
-#: experiments): the ε-cube budget is far larger than the routing default
-#: because an offline query runs once, not once per covering probe on the
-#: forwarding path.
-OFFLINE_CONFIG = IndexConfig(cube_budget=1_000_000)
-
 
 @dataclass
 class CoveringResult:
@@ -143,7 +135,7 @@ class CoveringProfiler:
         attribute_order: int,
         config: Optional[IndexConfig] = None,
     ) -> None:
-        self.config = config = config or OFFLINE_CONFIG
+        self.config = config = config or IndexConfig()
         self.attributes = attributes
         self.attribute_order = attribute_order
         self.transform = DominanceTransform(attributes, attribute_order)
@@ -156,12 +148,12 @@ class CoveringProfiler:
         """Everything that affects the profiles this profiler builds.
 
         Two profilers with equal cache keys produce interchangeable profiles;
-        :class:`~repro.pubsub.subscription_store.ProfileCache` namespaces its
-        entries by this key so that (in particular) the same subscription
-        profiled under two different curves never shares a cached plan.  The
-        plan-shaping knobs come from the config's covering key, so profilers
-        built from configs differing only in storage knobs (backend, run
-        budget, shards) share a namespace — their profiles are identical.
+        :meth:`ApproximateCoveringDetector.compatible_profile` compares them
+        so that (in particular) a profile built under another curve is never
+        executed against this one's index.  The plan-shaping knobs come from
+        the config's covering key, so profilers built from configs differing
+        only in storage knobs (backend, run budget, shards) share a key —
+        their profiles are identical.
         """
         return self._cache_key
 
@@ -207,7 +199,7 @@ class ApproximateCoveringDetector:
         approximation parameter ε (0 = exhaustive search), the per-query cap
         on examined standard cubes, the curve keying the dominance index (any
         recursive-partitioning curve gives the same answers, only the probe
-        key ranges differ).  Defaults to :data:`OFFLINE_CONFIG`.
+        key ranges differ).  Defaults to ``IndexConfig()``, the routing default.
 
     The dominance index behind the ε-search (:attr:`index`) is built the
     first time something reads it and kept up from then on.  Until then a

@@ -56,8 +56,8 @@ DEFAULT_PRECISION_BITS = 6
 #: PRECISION_BIT_BUDGET // d)`` bits per dimension.
 PRECISION_BIT_BUDGET = 2 * DEFAULT_PRECISION_BITS
 
-#: ε-cube budget for routing-table covering detectors (the profiler's
-#: offline default is far larger; see :class:`~repro.core.covering.CoveringProfiler`).
+#: ε-cube budget of every covering detector and profiler built without an
+#: explicit one; the paper-figure drivers state their larger offline budgets.
 DEFAULT_CUBE_BUDGET = 2_000
 
 #: Approximation slack ε of the covering detector (Sec. 4).
@@ -73,13 +73,13 @@ class IndexConfig:
 
     ``precision_bits=None`` means "derive from the budget":
     :meth:`effective_precision_bits` resolves it per universe to the finest
-    grid a match index may grow to. All other fields are concrete. Being frozen and hashable, an ``IndexConfig`` can
-    namespace profile caches and serve as a dictionary key directly.
+    grid a match index may grow to. All other fields are concrete. Being
+    frozen and hashable, an ``IndexConfig`` can key run caches and serve as a
+    dictionary key directly.
     """
 
     curve: str = DEFAULT_CURVE
     precision_bits: Optional[int] = None
-    precision_bit_budget: int = PRECISION_BIT_BUDGET
     run_budget: int = DEFAULT_RUN_BUDGET
     cube_budget: int = DEFAULT_CUBE_BUDGET
     epsilon: float = DEFAULT_EPSILON
@@ -100,10 +100,6 @@ class IndexConfig:
                 f"precision_bits must be >= 1 (or None to derive from the "
                 f"budget), got {self.precision_bits}"
             )
-        if self.precision_bit_budget < 1:
-            raise ValueError(
-                f"precision_bit_budget must be >= 1, got {self.precision_bit_budget}"
-            )
         if self.cube_budget < 1:
             raise ValueError(f"cube_budget must be >= 1, got {self.cube_budget}")
         if not 0.0 <= self.epsilon < 1.0:
@@ -119,19 +115,19 @@ class IndexConfig:
         Otherwise this is the ceiling of a grid that grows with the index's
         table (:class:`~repro.pubsub.match_index.MatchIndex` starts at one bit
         per dimension and steps up as subscriptions arrive): the shared
-        ``precision_bit_budget`` divided across dimensions.  When that
+        :data:`PRECISION_BIT_BUDGET` divided across dimensions.  When that
         division yields zero bits (a high-dimensional universe), deriving a
         precision silently would snap every subscription to the whole
         universe, so this raises instead of clamping.
         """
         if self.precision_bits is not None:
             return self.precision_bits
-        derived = self.precision_bit_budget // dims
+        derived = PRECISION_BIT_BUDGET // dims
         if derived < 1:
             raise ValueError(
-                f"precision bit budget {self.precision_bit_budget} yields 0 "
+                f"precision bit budget {PRECISION_BIT_BUDGET} yields 0 "
                 f"bits per dimension over a {dims}-dimensional universe; pass "
-                f"an explicit precision_bits >= 1 (or raise the budget)"
+                f"an explicit precision_bits >= 1"
             )
         return min(DEFAULT_PRECISION_BITS, derived)
 

@@ -6,12 +6,12 @@ sharded indexes) needs those counters *live*, uniform and explainable
 hop-by-hop.  This package is that substrate:
 
 * :mod:`repro.obs.registry` — a :class:`MetricsRegistry` of labeled
-  ``Counter`` / ``Gauge`` / ``Histogram`` metrics, injectable per
-  :class:`~repro.pubsub.network.BrokerNetwork` and cheap to no-op when
-  disabled;
+  ``Counter`` / ``Gauge`` / ``Histogram`` metrics, one per
+  :class:`~repro.pubsub.network.BrokerNetwork`, filled collector-style at
+  scrape time so the hot paths never call it;
 * :mod:`repro.obs.trace` — deterministic per-message trace contexts (trace
   ids derived from the workload seed) collected as one
-  :class:`~repro.obs.trace.Span` per hop in a bounded, sampling
+  :class:`~repro.obs.trace.Span` per hop in a bounded
   :class:`~repro.obs.trace.TraceLog`;
 * :mod:`repro.obs.exposition` — Prometheus text-format rendering plus a JSON
   snapshot writer compatible with the ``BENCH_*.json`` convention;

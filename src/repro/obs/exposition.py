@@ -25,7 +25,7 @@ import re
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .registry import Counter, Gauge, Histogram, MetricsRegistry
+from .registry import NAMESPACE, Counter, Gauge, Histogram, MetricsRegistry
 
 __all__ = [
     "render_prometheus",
@@ -70,15 +70,15 @@ def _label_str(labelnames: Sequence[str], labelvalues: Sequence[str], extra: str
     return "{" + ",".join(parts) + "}" if parts else ""
 
 
-def _qualify(namespace: str, name: str) -> str:
-    return f"{namespace}_{name}" if namespace else name
+def _qualify(name: str) -> str:
+    return f"{NAMESPACE}_{name}"
 
 
 def render_prometheus(registry: MetricsRegistry) -> str:
     """Render every registered metric in Prometheus text exposition format."""
     lines: List[str] = []
     for metric in registry.collect():
-        full = _qualify(registry.namespace, metric.name)
+        full = _qualify(metric.name)
         if not _NAME_RE.match(full):
             raise ValueError(f"invalid metric name for exposition: {full!r}")
         help_text = metric.help.replace("\\", "\\\\").replace("\n", "\\n")
@@ -202,7 +202,7 @@ def snapshot(registry: MetricsRegistry) -> Dict[str, object]:
     """JSON-serializable snapshot of every registered metric."""
     out: Dict[str, object] = {}
     for metric in registry.collect():
-        full = _qualify(registry.namespace, metric.name)
+        full = _qualify(metric.name)
         if isinstance(metric, Histogram):
             series = []
             for labelvalues, _state in metric.samples():

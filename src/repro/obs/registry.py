@@ -1,25 +1,24 @@
 """A small in-process metrics registry: labeled counters, gauges, histograms.
 
 The registry is deliberately tiny and dependency-free — the subset of the
-Prometheus data model the broker stack needs:
+Prometheus data model the broker stack needs.  It is written collector-style:
+the hot paths keep incrementing their own plain counters and a scrape copies
+each running value in, so no hot-path event pays a registry call, and each
+metric type has one writer:
 
-* **Counter** — a monotonically increasing total.  Besides the usual
-  :meth:`Counter.inc`, counters support :meth:`Counter.set_total` so that the
-  existing stats dataclasses (which keep incrementing their own fields on the
-  hot path) can *publish* their running totals into the registry at collect
-  time, collector-style, without paying a registry call per hot-path event.
-* **Gauge** — a value that goes up and down (queue depths, table sizes).
+* **Counter** — a monotonically increasing total, published whole with
+  :meth:`Counter.set_total`.
+* **Gauge** — a value that goes up and down (queue depths, table sizes),
+  published with :meth:`Gauge.set`.
 * **Histogram** — fixed-bucket distribution with cumulative bucket counts,
-  sum and count, rendered in Prometheus ``_bucket{le=...}`` form.  Latency
+  sum and count, rendered in Prometheus ``_bucket{le=...}`` form and rebuilt
+  from the retained observations with :meth:`Histogram.set_from`.  Latency
   histograms use the fixed log-spaced :data:`LATENCY_BUCKETS` so two runs
   bucket identically regardless of the observed values.
 
 Every metric takes its label *names* at registration; samples are keyed by
 the stringified label values, so exposition is deterministic (samples sort by
-label tuple).  A disabled registry (``MetricsRegistry(enabled=False)``)
-returns shared no-op metrics whose mutators do nothing — the hot-path cost of
-instrumentation when observability is off is one attribute load and a no-op
-method call.
+label tuple).  Every exposed name carries the :data:`NAMESPACE` prefix.
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
+    "NAMESPACE",
     "Counter",
     "Gauge",
     "Histogram",
@@ -60,7 +60,8 @@ LATENCY_BUCKETS = log_buckets(0.001, 2.0, 18)
 #: of the largest benchmark topologies).
 HOP_BUCKETS = (1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0)
 
-_METRIC_TYPES = ("counter", "gauge", "histogram")
+#: Prefix of every exposed metric name (``repro_<name>``).
+NAMESPACE = "repro"
 
 
 class _Metric:
@@ -90,12 +91,6 @@ class Counter(_Metric):
         super().__init__(name, help, labelnames)
         self._values: Dict[Tuple[str, ...], float] = {}
 
-    def inc(self, amount: float = 1.0, **labels: object) -> None:
-        if amount < 0:
-            raise ValueError(f"counter {self.name!r} cannot decrease (inc {amount})")
-        key = self._key(labels)
-        self._values[key] = self._values.get(key, 0.0) + amount
-
     def set_total(self, value: float, **labels: object) -> None:
         """Publish an externally maintained running total (collector sync)."""
         self._values[self._key(labels)] = float(value)
@@ -118,13 +113,6 @@ class Gauge(_Metric):
 
     def set(self, value: float, **labels: object) -> None:
         self._values[self._key(labels)] = float(value)
-
-    def inc(self, amount: float = 1.0, **labels: object) -> None:
-        key = self._key(labels)
-        self._values[key] = self._values.get(key, 0.0) + amount
-
-    def dec(self, amount: float = 1.0, **labels: object) -> None:
-        self.inc(-amount, **labels)
 
     def value(self, **labels: object) -> float:
         return self._values.get(self._key(labels), 0.0)
@@ -161,30 +149,16 @@ class Histogram(_Metric):
         self.buckets = bounds
         self._states: Dict[Tuple[str, ...], _HistogramState] = {}
 
-    def _state(self, labels: Mapping[str, object]) -> _HistogramState:
-        key = self._key(labels)
-        state = self._states.get(key)
-        if state is None:
-            state = self._states[key] = _HistogramState(len(self.buckets))
-        return state
-
-    def observe(self, value: float, **labels: object) -> None:
-        state = self._state(labels)
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                state.bucket_counts[i] += 1
-                break
-        state.total += value
-        state.count += 1
-
-    def observe_many(self, values: Iterable[float], **labels: object) -> None:
-        for value in values:
-            self.observe(value, **labels)
-
     def set_from(self, values: Iterable[float], **labels: object) -> None:
         """Rebuild one label set's distribution from scratch (collector sync)."""
-        self._states[self._key(labels)] = _HistogramState(len(self.buckets))
-        self.observe_many(values, **labels)
+        state = self._states[self._key(labels)] = _HistogramState(len(self.buckets))
+        for value in values:
+            for i, bound in enumerate(self.buckets):
+                if value <= bound:
+                    state.bucket_counts[i] += 1
+                    break
+            state.total += value
+            state.count += 1
 
     def bucket_counts(self, **labels: object) -> List[int]:
         """Cumulative per-bucket counts (the ``le`` semantics of exposition)."""
@@ -209,67 +183,18 @@ class Histogram(_Metric):
         return sorted(self._states.items())
 
 
-class _NullMetric:
-    """Shared do-nothing stand-in returned by a disabled registry.
-
-    Implements the union of the mutator/accessor surfaces so call sites never
-    branch on whether observability is on.
-    """
-
-    name = "<disabled>"
-    help = ""
-    labelnames: Tuple[str, ...] = ()
-    buckets: Tuple[float, ...] = ()
-
-    def inc(self, amount: float = 1.0, **labels: object) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0, **labels: object) -> None:
-        pass
-
-    def set(self, value: float, **labels: object) -> None:
-        pass
-
-    def set_total(self, value: float, **labels: object) -> None:
-        pass
-
-    def observe(self, value: float, **labels: object) -> None:
-        pass
-
-    def observe_many(self, values: Iterable[float], **labels: object) -> None:
-        pass
-
-    def set_from(self, values: Iterable[float], **labels: object) -> None:
-        pass
-
-    def value(self, **labels: object) -> float:
-        return 0.0
-
-    def samples(self) -> List:
-        return []
-
-
-_NULL_METRIC = _NullMetric()
-
-
 class MetricsRegistry:
     """Named metrics, registered once and shared by every instrumentation site.
 
     ``counter`` / ``gauge`` / ``histogram`` are get-or-create: the first call
     registers, later calls return the same object (re-registering under a
-    different type or label set raises, catching wiring mistakes early).  A
-    disabled registry hands out a shared no-op metric instead, so hot paths
-    pay one method call and nothing else when observability is off.
+    different type or label set raises, catching wiring mistakes early).
     """
 
-    def __init__(self, enabled: bool = True, namespace: str = "repro") -> None:
-        self.enabled = enabled
-        self.namespace = namespace
+    def __init__(self) -> None:
         self._metrics: Dict[str, _Metric] = {}
 
     def _register(self, cls, name: str, help: str, labelnames: Sequence[str], **kwargs):
-        if not self.enabled:
-            return _NULL_METRIC
         existing = self._metrics.get(name)
         if existing is not None:
             if type(existing) is not cls or existing.labelnames != tuple(labelnames):
@@ -316,5 +241,4 @@ class MetricsRegistry:
         return len(self._metrics)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        state = "enabled" if self.enabled else "disabled"
-        return f"MetricsRegistry({state}, metrics={len(self._metrics)})"
+        return f"MetricsRegistry(metrics={len(self._metrics)})"

@@ -1,4 +1,4 @@
-"""Deterministic per-message trace contexts and a bounded, sampling span log.
+"""Deterministic per-message trace contexts and a bounded span log.
 
 Every published event (and every subscription decision) can be traced through
 the broker overlay as a sequence of :class:`Span` records — one per hop —
@@ -9,10 +9,8 @@ byte-identical trace-id sequences (pinned by the determinism tests) and a
 trace can be looked up after the fact from nothing but the seed and the
 event id.
 
-The :class:`TraceLog` is bounded (spans beyond ``capacity`` are counted as
-dropped, never resized) and samples per *trace*: the keep/drop decision is a
-deterministic function of the trace id, so sampling never splits a trace and
-two runs sample identically.
+The :class:`TraceLog` keeps every span up to ``capacity``; spans beyond it
+are counted as dropped, never resized, so memory stays bounded.
 """
 
 from __future__ import annotations
@@ -71,17 +69,13 @@ def make_detail(**kv: object) -> Tuple[Tuple[str, object], ...]:
 
 
 class TraceLog:
-    """Bounded, deterministically sampling collector of :class:`Span` records.
+    """Bounded collector of :class:`Span` records.
 
     Parameters
     ----------
     capacity:
         Hard bound on stored spans; arrivals beyond it are counted in
         :attr:`dropped` instead of growing the log.
-    sample_rate:
-        Fraction of *traces* kept, decided per trace id by a deterministic
-        hash — a trace is recorded completely or not at all, and two
-        same-seed runs keep the same traces.
     seed:
         Workload seed the trace ids are derived from (see
         :func:`derive_trace_id`).
@@ -94,16 +88,12 @@ class TraceLog:
     def __init__(
         self,
         capacity: int = 4096,
-        sample_rate: float = 1.0,
         seed: Optional[int] = 0,
         enabled: bool = True,
     ) -> None:
         if capacity < 0:
             raise ValueError(f"capacity must be non-negative, got {capacity}")
-        if not 0.0 <= sample_rate <= 1.0:
-            raise ValueError(f"sample_rate must be in [0, 1], got {sample_rate}")
         self.capacity = capacity
-        self.sample_rate = sample_rate
         self.seed = seed
         self.enabled = enabled
         self.dropped = 0
@@ -122,19 +112,10 @@ class TraceLog:
         """Trace id of the given identifiers under this log's seed."""
         return derive_trace_id(self.seed, *parts)
 
-    # ----------------------------------------------------------------- sampling
-    def sampled(self, trace_id: str) -> bool:
-        """Deterministic keep/drop decision for a whole trace."""
-        if self.sample_rate >= 1.0:
-            return True
-        if self.sample_rate <= 0.0:
-            return False
-        return int(trace_id, 16) / float(1 << 64) < self.sample_rate
-
     # ---------------------------------------------------------------- recording
     def record(self, span: Span) -> bool:
         """Append a span; returns True when it was stored."""
-        if not self.enabled or not self.sampled(span.trace_id):
+        if not self.enabled:
             return False
         if len(self._spans) >= self.capacity:
             self.dropped += 1
@@ -181,5 +162,5 @@ class TraceLog:
         state = "enabled" if self.enabled else "disabled"
         return (
             f"TraceLog({state}, spans={len(self._spans)}/{self.capacity}, "
-            f"dropped={self.dropped}, sample_rate={self.sample_rate})"
+            f"dropped={self.dropped})"
         )

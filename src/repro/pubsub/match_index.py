@@ -138,7 +138,7 @@ class MatchIndex:
         their rectangles snapped outward to this grid first.  ``None`` lets
         the grid grow with the table (module docstring) up to the
         budget-derived ceiling, which scales with dimensionality so the
-        total decomposition work stays within ``precision_bit_budget``; the
+        total decomposition work stays within :data:`~repro.index.config.PRECISION_BIT_BUDGET`; the
         current grid is :attr:`precision_bits`.  ``curve``
         names the space-filling curve (:data:`~repro.sfc.factory.CURVE_KINDS`)
         keying the segments; curves differ in run counts — and therefore in

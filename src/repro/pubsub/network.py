@@ -212,15 +212,15 @@ class BrokerNetwork:
         hands it to every broker, so each subscription's covering geometry
         and match-index key runs are computed once network-wide.
     metrics:
-        Optional :class:`~repro.obs.registry.MetricsRegistry`, the one
-        serialisation of the network's counters.  Every counter lives in
-        one place: each broker's ``stats`` and routing table, this
-        network's message counters and audit tallies, ``profile_cache`` and
+        The :class:`~repro.obs.registry.MetricsRegistry` the network's
+        counters are serialised into (defaults to a fresh one, so every
+        network can be scraped).  Every counter lives in one place: each
+        broker's ``stats`` and routing table, this network's message
+        counters and audit tallies, ``profile_cache`` and
         ``transport.stats``.  :meth:`scrape` / :meth:`metrics_snapshot`
         (through :meth:`publish_metrics`) copy them into the registry at
-        scrape time.  Defaults to a disabled registry: the hot paths keep
-        incrementing plain attributes either way, so a disabled registry
-        costs nothing per event.
+        scrape time; the hot paths only increment plain attributes, so the
+        registry costs nothing per event.
     tracing:
         Optional :class:`~repro.obs.trace.TraceLog`.  When enabled, every
         published event gets a deterministic trace id (derived from the
@@ -258,7 +258,7 @@ class BrokerNetwork:
             self.transport = SyncTransport()
         self.transport.bind(self)
         if self.metrics is None:
-            self.metrics = MetricsRegistry(enabled=False)
+            self.metrics = MetricsRegistry()
         if self.tracing is None:
             self.tracing = TraceLog(enabled=False, seed=self.seed)
         # Span timestamps are simulated time, not wall clock — deterministic

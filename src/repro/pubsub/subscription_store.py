@@ -71,11 +71,9 @@ class ProfileCache:
 
     Keying by ranges rather than subscription id makes the cache safely
     shareable across brokers and resilient to id reuse: two subscriptions
-    with identical rectangles share one plan.  Entries are namespaced by the
-    profiler's :attr:`~repro.core.covering.CoveringProfiler.cache_key` —
-    which includes the curve kind, ε and cube budget — so the same rectangle
-    profiled under two different curves (or detector configs) never shares a
-    cached plan: a plan's probe key ranges are curve-specific.
+    with identical rectangles share one plan.  A cache profiles under its
+    one :attr:`profiler` (curve kind, ε and cube budget), so the ranges alone
+    key its profiles; a network builds one cache under its one config.
 
     Memory: a cached profile is dominated by its plan, ~96 bytes per probe
     range once a check has materialised it — 75–192 KB per plan at the
@@ -120,28 +118,19 @@ class ProfileCache:
         return len(self._profiles)
 
     def covering_profile(
-        self,
-        ranges: Tuple[Tuple[int, int], ...],
-        profiler: Optional[CoveringProfiler] = None,
+        self, ranges: Tuple[Tuple[int, int], ...]
     ) -> Optional[CoveringProfile]:
-        """Return the (cached) covering profile for ``ranges``, or ``None`` without a profiler.
-
-        ``profiler`` overrides the cache's default profiler for this lookup;
-        its cache key namespaces the entry, so callers with different curve /
-        ε / budget configurations can safely share one cache.
-        """
-        profiler = profiler if profiler is not None else self.profiler
-        if profiler is None:
+        """Return the (cached) covering profile for ``ranges``, or ``None`` without a profiler."""
+        if self.profiler is None:
             return None
-        key = (profiler.cache_key, ranges)
-        cached = self._profiles.get(key)
+        cached = self._profiles.get(ranges)
         if cached is not None:
             self.hits += 1
-            self._profiles.move_to_end(key)
+            self._profiles.move_to_end(ranges)
             return cached
         self.misses += 1
-        profile = profiler.profile(ranges)
-        self._profiles[key] = profile
+        profile = self.profiler.profile(ranges)
+        self._profiles[ranges] = profile
         if len(self._profiles) > self.max_entries:
             self._profiles.popitem(last=False)
             self.evictions += 1
@@ -169,16 +158,12 @@ class ProfileCache:
             self._runs.popitem(last=False)
             self.run_evictions += 1
 
-    def profile(
-        self,
-        subscription: Subscription,
-        profiler: Optional[CoveringProfiler] = None,
-    ) -> SubscriptionProfile:
+    def profile(self, subscription: Subscription) -> SubscriptionProfile:
         """Build the full per-subscription profile (covering half memoised)."""
         return SubscriptionProfile(
             subscription=subscription,
             ranges=subscription.ranges,
-            covering=self.covering_profile(subscription.ranges, profiler=profiler),
+            covering=self.covering_profile(subscription.ranges),
         )
 
 

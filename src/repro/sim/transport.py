@@ -270,13 +270,13 @@ class SimTransport(Transport):
         Per-link delay model (default: :class:`FixedLatency` of 1.0).
     inbox_capacity:
         Bound on each broker's inbox.  An arrival finding the inbox full backs
-        off for ``backpressure_delay`` and retries (counted, never dropped).
+        off for :attr:`retry_delay` and retries (counted, never dropped).
     service_time:
         Simulated time a broker spends handling one message; this is what
-        makes queues build up under bursts.
-    backpressure_delay:
-        Retry delay for arrivals rejected by a full inbox (default:
-        ``4 * service_time`` or 0.05, whichever is larger).
+        makes queues build up under bursts.  It also prices the back-off:
+        :attr:`retry_delay` is ``4 * service_time`` or 0.05, whichever is
+        larger, so it is always positive and a retry always waits for
+        simulated time to pass.
     seed:
         Seeds both the latency RNG and the kernel's tie-breaking RNG, making
         two identically seeded runs byte-identical.
@@ -288,7 +288,6 @@ class SimTransport(Transport):
         *,
         inbox_capacity: int = 64,
         service_time: float = 0.01,
-        backpressure_delay: Optional[float] = None,
         seed: Optional[int] = 0,
         kernel: Optional[EventKernel] = None,
     ) -> None:
@@ -300,11 +299,7 @@ class SimTransport(Transport):
         self.latency = latency if latency is not None else FixedLatency(1.0)
         self.inbox_capacity = inbox_capacity
         self.service_time = service_time
-        self.backpressure_delay = (
-            backpressure_delay
-            if backpressure_delay is not None
-            else max(4 * service_time, 0.05)
-        )
+        self.retry_delay = max(4 * service_time, 0.05)
         self.kernel = kernel if kernel is not None else EventKernel(seed=seed)
         self._rng = random.Random(seed)
         self._inboxes: Dict[Hashable, Deque[Message]] = {}
@@ -367,7 +362,7 @@ class SimTransport(Transport):
 
     def _schedule_retry(self, link: Tuple[Hashable, Hashable]) -> None:
         generation = self._retry_generation.get(link, 0)
-        self.kernel.schedule(self.backpressure_delay, self._retry_link, link, generation)
+        self.kernel.schedule(self.retry_delay, self._retry_link, link, generation)
 
     def _retry_link(self, link: Tuple[Hashable, Hashable], generation: int) -> None:
         if generation != self._retry_generation.get(link, 0):

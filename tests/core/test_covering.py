@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.baselines.exhaustive_sfc import ExhaustiveSFCCoveringDetector
 from repro.baselines.linear_scan import LinearScanCoveringDetector
-from repro.core.covering import OFFLINE_CONFIG, ApproximateCoveringDetector
+from repro.core.covering import ApproximateCoveringDetector
 from repro.geometry.transform import ranges_cover
 from repro.index.config import IndexConfig
 
@@ -128,7 +128,7 @@ class TestSoundnessAndRecall:
     def test_witness_is_always_a_true_cover(self):
         rng = random.Random(3)
         det = ApproximateCoveringDetector(
-            attributes=2, attribute_order=8, config=OFFLINE_CONFIG.replace(epsilon=0.1)
+            attributes=2, attribute_order=8, config=IndexConfig(cube_budget=1_000_000, epsilon=0.1)
         )
         stored = {}
         for i in range(200):
@@ -160,7 +160,7 @@ class TestSoundnessAndRecall:
     def test_wider_epsilon_never_finds_nonexistent_cover(self):
         rng = random.Random(17)
         det = ApproximateCoveringDetector(
-            attributes=2, attribute_order=6, config=OFFLINE_CONFIG.replace(epsilon=0.4)
+            attributes=2, attribute_order=6, config=IndexConfig(cube_budget=1_000_000, epsilon=0.4)
         )
         for i in range(100):
             det.add_subscription(i, random_subscription(rng, 2, 63))
@@ -209,7 +209,7 @@ class TestSoundnessAndRecall:
 class TestQueryAccounting:
     def test_runs_probed_reported(self):
         det = ApproximateCoveringDetector(
-            attributes=1, attribute_order=10, config=OFFLINE_CONFIG.replace(epsilon=0.05)
+            attributes=1, attribute_order=10, config=IndexConfig(cube_budget=1_000_000, epsilon=0.05)
         )
         det.add_subscription("wide", [(0, 1000)])
         result = det.find_covering([(100, 500)])
@@ -219,7 +219,7 @@ class TestQueryAccounting:
 
     def test_epsilon_override_per_query(self):
         det = ApproximateCoveringDetector(
-            attributes=1, attribute_order=10, config=OFFLINE_CONFIG.replace(epsilon=0.5)
+            attributes=1, attribute_order=10, config=IndexConfig(cube_budget=1_000_000, epsilon=0.5)
         )
         det.add_subscription("wide", [(0, 1000)])
         strict = det.find_covering([(100, 500)], epsilon=0.01)

@@ -35,6 +35,29 @@ class TestValidation:
         assert config.cube_budget == DEFAULT_CUBE_BUDGET
         assert config.shards == DEFAULT_SHARDS
 
+    def test_fields_are_pinned(self):
+        """A new knob is a deliberate edit here, not a silent addition."""
+        assert [f.name for f in dataclasses.fields(IndexConfig)] == [
+            "curve",
+            "precision_bits",
+            "run_budget",
+            "cube_budget",
+            "epsilon",
+            "backend",
+            "shards",
+        ]
+
+    def test_covering_stack_defaults_to_the_routing_config(self):
+        """No silent second budget: a detector or profiler built without a
+        config gets the one every other constructor of the stack gets."""
+        from repro.core.covering import ApproximateCoveringDetector, CoveringProfiler
+
+        assert (
+            ApproximateCoveringDetector(2, 6).config
+            == CoveringProfiler(2, 6).config
+            == IndexConfig()
+        )
+
     def test_unknown_curve_uses_canonical_message(self):
         with pytest.raises(ValueError, match="unknown curve kind"):
             IndexConfig(curve="peano")
@@ -53,7 +76,6 @@ class TestValidation:
         [
             {"run_budget": 0},
             {"precision_bits": 0},
-            {"precision_bit_budget": 0},
             {"cube_budget": 0},
             {"epsilon": -0.1},
             {"epsilon": 1.0},
@@ -189,7 +211,6 @@ class TestKeys:
         variants = [
             IndexConfig(curve="hilbert"),
             IndexConfig(precision_bits=3),
-            IndexConfig(precision_bit_budget=24),
             IndexConfig(run_budget=8),
             IndexConfig(cube_budget=99),
             IndexConfig(epsilon=0.2),

@@ -13,7 +13,7 @@ import random
 import pytest
 
 from repro.baselines.linear_scan import LinearScanCoveringDetector
-from repro.core.covering import OFFLINE_CONFIG, ApproximateCoveringDetector
+from repro.core.covering import ApproximateCoveringDetector
 from repro.index.config import IndexConfig
 from repro.pubsub.client import Publisher, Subscriber
 from repro.pubsub.network import BrokerNetwork, tree_topology
@@ -91,7 +91,7 @@ class TestCoveringChainEndToEnd:
     def test_only_root_is_uncovered(self):
         chain = covering_chain(attributes=1, attribute_order=10, depth=8, seed=6)
         approx = ApproximateCoveringDetector(
-            attributes=1, attribute_order=10, config=OFFLINE_CONFIG.replace(epsilon=0.01)
+            attributes=1, attribute_order=10, config=IndexConfig(cube_budget=1_000_000, epsilon=0.01)
         )
         for spec in chain:
             approx.add_subscription(spec.sub_id, spec.ranges)
@@ -108,7 +108,7 @@ class TestDynamicSubscriptionChurn:
     def test_unsubscribe_reopens_forwarding_in_detector(self):
         """Removing the covering subscription makes previously-covered ones visible again."""
         det = ApproximateCoveringDetector(
-            attributes=2, attribute_order=8, config=OFFLINE_CONFIG.replace(epsilon=0.05)
+            attributes=2, attribute_order=8, config=IndexConfig(cube_budget=1_000_000, epsilon=0.05)
         )
         det.add_subscription("wide", [(0, 250), (0, 250)])
         det.add_subscription("mid", [(20, 200), (20, 200)])
@@ -171,3 +171,12 @@ class TestClientLevelScenario:
         assert trader.received_events() == ["ibm"]
         assert trader.would_match(matching)
         assert not trader.would_match(non_matching)
+
+
+def test_package_quickstart_runs():
+    """The ``repro`` docstring's quickstart states its budget and finds the cover."""
+    import textwrap
+
+    import repro
+
+    exec(textwrap.dedent(repro.__doc__.split("Quickstart::", 1)[1]), {})

@@ -5,6 +5,7 @@ from __future__ import annotations
 import socket
 import struct
 import threading
+from contextlib import contextmanager
 
 import pytest
 
@@ -16,16 +17,12 @@ from repro.pubsub.network import BrokerNetwork, tree_topology
 from repro.workloads.scenarios import stock_market_scenario
 
 
-@pytest.fixture
-def served_network():
+@contextmanager
+def _served(**network_kwargs):
     """A 3-broker tree served over loopback TCP; yields (addresses, thread)."""
     schema = stock_market_scenario(num_subscriptions=0, num_events=0).schema
     network = BrokerNetwork.from_topology(
-        schema,
-        tree_topology(3),
-        seed=3,
-        transport=NetTransport(),
-        metrics=MetricsRegistry(enabled=True),
+        schema, tree_topology(3), seed=3, transport=NetTransport(), **network_kwargs
     )
     addresses = {}
     ready = threading.Event()
@@ -48,6 +45,12 @@ def served_network():
                 pass
             thread.join(timeout=10.0)
         assert not thread.is_alive()
+
+
+@pytest.fixture
+def served_network():
+    with _served(metrics=MetricsRegistry()) as served:
+        yield served
 
 
 def _raw_exchange(address, blobs, expect_reply=True):
@@ -144,6 +147,12 @@ class TestMetricsEndpoint:
             text = fetch_metrics(host, port)
             validate_prometheus_text(text)
             assert "repro_transport_counter_total" in text
+
+    def test_network_without_a_registry_serves_broker_counters(self):
+        with _served() as (addresses, _):
+            for host, port in addresses.values():
+                samples = validate_prometheus_text(fetch_metrics(host, port))
+                assert "repro_broker_counter_total" in samples
 
     def test_unknown_path_is_404(self, served_network):
         addresses, _ = served_network

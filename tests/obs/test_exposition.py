@@ -18,13 +18,13 @@ from repro.obs.registry import MetricsRegistry
 
 
 def _populated_registry() -> MetricsRegistry:
-    reg = MetricsRegistry(namespace="repro")
-    reg.counter("deliveries_total", help="events delivered", labelnames=("broker",)).inc(
+    reg = MetricsRegistry()
+    reg.counter("deliveries_total", help="events delivered", labelnames=("broker",)).set_total(
         3, broker=0
     )
     reg.gauge("routing_table_entries", help="stored entries").set(12)
     hist = reg.histogram("hop_latency_seconds", help="per-hop latency", buckets=(0.5, 1.0))
-    hist.observe_many([0.1, 0.7, 5.0])
+    hist.set_from([0.1, 0.7, 5.0])
     return reg
 
 
@@ -63,11 +63,11 @@ class TestRenderValidateRoundTrip:
 
     def test_empty_registry_renders_empty(self):
         assert render_prometheus(MetricsRegistry()) == ""
-        assert render_prometheus(MetricsRegistry(enabled=False)) == ""
+        assert snapshot(MetricsRegistry()) == {}
 
     def test_label_escaping_survives_validation(self):
         reg = MetricsRegistry()
-        reg.counter("odd_total", labelnames=("name",)).inc(name='a"b\\c')
+        reg.counter("odd_total", labelnames=("name",)).set_total(1, name='a"b\\c')
         samples = validate_prometheus_text(render_prometheus(reg))
         ((labels, value),) = samples["repro_odd_total"]
         assert value == 1.0

@@ -31,6 +31,7 @@ from repro.obs.registry import MetricsRegistry
 from repro.pubsub import BrokerNetwork, make_event, make_subscription, tree_topology
 from repro.pubsub.routing_table import InterfaceTable
 from repro.pubsub.schema import Attribute, AttributeSchema
+from repro.sim import FixedLatency, SimTransport
 
 
 def _tree_path_edges(origin: int, target: int, branching: int = 2):
@@ -248,6 +249,38 @@ def test_autotune_env_var_changes_nothing(monkeypatch):
     assert _small_sfc_network_scrape() == plain
 
 
+def _scripted_network(transport_kind, **network_kwargs):
+    schema = AttributeSchema(
+        [Attribute("x", 0.0, 32.0), Attribute("y", 0.0, 32.0)], order=5
+    )
+    transport = SimTransport(FixedLatency(0.1), seed=4) if transport_kind == "sim" else None
+    network = BrokerNetwork.from_topology(
+        schema, tree_topology(3), seed=4, transport=transport, **network_kwargs
+    )
+    for i in range(4):
+        network.subscribe(
+            i % 3,
+            f"c{i}",
+            make_subscription(schema, f"s{i}", x=(i * 4.0, i * 4.0 + 9.0), y=(1.0, 20.0)),
+        )
+    network.flush()
+    for j in range(6):
+        network.publish(j % 3, make_event(schema, f"e{j}", x=j * 3.0, y=5.0))
+    return network
+
+
+@pytest.mark.parametrize("transport_kind", ["sync", "sim"])
+def test_network_without_a_registry_scrapes_like_one_given_a_registry(transport_kind):
+    default = _scripted_network(transport_kind)
+    given = _scripted_network(transport_kind, metrics=MetricsRegistry())
+    text = default.scrape()
+    assert "repro_broker_counter_total" in validate_prometheus_text(text)
+    assert text == given.scrape()
+    snapshot = default.metrics_snapshot()
+    assert "repro_routing_table_entries" in snapshot
+    assert snapshot == given.metrics_snapshot()
+
+
 class TestInstrumentationOverhead:
     """Disabled instrumentation costs nothing over the bare code path."""
 
@@ -265,13 +298,3 @@ class TestInstrumentationOverhead:
         finally:
             PROFILER.disable()
         assert MatchIndex.__dict__["any_match"] is plain
-
-    def test_disabled_registry_publish_is_cheap_noop(self):
-        from repro.obs.registry import MetricsRegistry
-
-        reg = MetricsRegistry(enabled=False)
-        counter = reg.counter("x_total", labelnames=("broker",))
-        # A no-op metric must not accumulate state no matter the call volume.
-        for i in range(10_000):
-            counter.inc(broker=i % 7)
-        assert counter.samples() == []

@@ -33,9 +33,9 @@ class TestLogBuckets:
 class TestCounter:
     def test_inc_and_value(self):
         c = Counter("deliveries_total", labelnames=("broker",))
-        c.inc(broker=0)
-        c.inc(3, broker=0)
-        c.inc(broker=1)
+        c.set_total(1, broker=0)
+        c.set_total(4, broker=0)
+        c.set_total(1, broker=1)
         assert c.value(broker=0) == 4
         assert c.value(broker=1) == 1
         assert c.value(broker=99) == 0
@@ -46,38 +46,35 @@ class TestCounter:
         c.set_total(42)  # idempotent collector sync: later totals replace
         assert c.value() == 42
 
-    def test_negative_increment_rejected(self):
-        c = Counter("events_total")
-        with pytest.raises(ValueError):
-            c.inc(-1)
-
     def test_wrong_label_set_rejected(self):
         c = Counter("events_total", labelnames=("broker",))
         with pytest.raises(ValueError):
-            c.inc()
+            c.set_total(1)
         with pytest.raises(ValueError):
-            c.inc(broker=0, extra="x")
+            c.set_total(1, broker=0, extra="x")
 
     def test_samples_sorted_by_label_tuple(self):
         c = Counter("events_total", labelnames=("broker",))
         for broker in (2, 0, 1):
-            c.inc(broker=broker)
+            c.set_total(1, broker=broker)
         assert [labels for labels, _ in c.samples()] == [("0",), ("1",), ("2",)]
 
 
 class TestGauge:
     def test_set_inc_dec(self):
-        g = Gauge("queue_depth")
-        g.set(10)
-        g.inc(2)
-        g.dec(5)
-        assert g.value() == 7
+        g = Gauge("queue_depth", labelnames=("broker",))
+        g.set(10, broker=0)
+        g.set(12, broker=0)
+        g.set(7, broker=0)  # a gauge goes down as well as up
+        g.set(3, broker=1)
+        assert g.value(broker=0) == 7
+        assert g.value(broker=1) == 3
 
 
 class TestHistogram:
     def test_bucket_counts_are_cumulative(self):
         h = Histogram("latency", buckets=(1.0, 2.0, 4.0))
-        h.observe_many([0.5, 1.5, 1.7, 3.0, 100.0])
+        h.set_from([0.5, 1.5, 1.7, 3.0, 100.0])
         assert h.bucket_counts() == [1, 3, 4]  # 100.0 only lands in +Inf
         assert h.count_value() == 5
         assert h.sum_value() == pytest.approx(106.7)
@@ -123,27 +120,29 @@ class TestMetricsRegistry:
         reg.gauge("apple")
         assert [m.name for m in reg.collect()] == ["apple", "zebra"]
 
-    def test_disabled_registry_hands_out_shared_noop(self):
-        reg = MetricsRegistry(enabled=False)
-        c = reg.counter("events_total")
-        h = reg.histogram("latency")
-        assert c is h  # one shared null metric for everything
-        c.inc()
-        h.observe(1.0)
-        assert c.value() == 0.0
-        assert h.samples() == []
-        assert len(reg) == 0
-        assert reg.collect() == []
+    def test_write_surface_is_collector_style(self):
+        """A scrape copies running values in, so each metric has one writer
+        and nothing increments a registry metric on a hot path."""
+        reg = MetricsRegistry()
+        writers = {
+            reg.counter("c_total"): "set_total",
+            reg.gauge("g"): "set",
+            reg.histogram("h"): "set_from",
+        }
+        for metric, writer in writers.items():
+            assert hasattr(metric, writer)
+            for gone in ("inc", "dec", "observe", "observe_many"):
+                assert not hasattr(metric, gone)
 
     def test_reset_drops_everything(self):
         reg = MetricsRegistry()
-        reg.counter("events_total").inc()
+        reg.counter("events_total").set_total(1)
         reg.reset()
         assert len(reg) == 0
 
     def test_remove_drops_one_metric(self):
         reg = MetricsRegistry()
-        reg.counter("events_total").inc(3)
+        reg.counter("events_total").set_total(3)
         reg.gauge("depth").set(1)
         reg.remove("events_total")
         reg.remove("never_registered")

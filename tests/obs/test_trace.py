@@ -1,4 +1,4 @@
-"""Unit tests for trace-id derivation and the bounded, sampling span log."""
+"""Unit tests for trace-id derivation and the bounded span log."""
 
 from __future__ import annotations
 
@@ -65,23 +65,12 @@ class TestTraceLog:
         assert len(log) == 0
         assert log.dropped == 0
 
-    def test_sampling_is_per_trace_and_deterministic(self):
-        log_a = TraceLog(seed=3, sample_rate=0.5)
-        log_b = TraceLog(seed=3, sample_rate=0.5)
-        kept_a, kept_b = [], []
-        for i in range(200):
-            tid = log_a.trace_id_for("evt", i)
-            kept_a.append(log_a.record(self._span(tid)))
-            kept_b.append(log_b.record(self._span(tid)))
-        assert kept_a == kept_b  # same seed, same keep/drop sequence
-        assert any(kept_a) and not all(kept_a)  # rate actually bites
-        # A kept trace keeps every one of its spans.
-        tid = next(log_a.trace_id_for("evt", i) for i, k in enumerate(kept_a) if k)
-        assert log_a.record(self._span(tid, kind="route"))
-
-    def test_sample_rate_extremes(self):
-        assert TraceLog(sample_rate=1.0).sampled("f" * 16)
-        assert not TraceLog(sample_rate=0.0).sampled("0" * 16)
+    def test_every_trace_is_kept_up_to_capacity(self):
+        log = TraceLog(capacity=150, seed=3)
+        kept = [log.record(self._span(log.trace_id_for("evt", i))) for i in range(200)]
+        assert kept == [True] * 150 + [False] * 50
+        assert len(log.trace_ids()) == 150
+        assert log.dropped == 50
 
     def test_hop_spans_sorted_and_edges(self):
         log = TraceLog(seed=0)
@@ -108,5 +97,3 @@ class TestTraceLog:
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
             TraceLog(capacity=-1)
-        with pytest.raises(ValueError):
-            TraceLog(sample_rate=1.5)

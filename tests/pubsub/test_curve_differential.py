@@ -39,11 +39,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.approx_dominance import ApproximateDominanceIndex, build_dominance_plan
-from repro.core.covering import (
-    OFFLINE_CONFIG,
-    ApproximateCoveringDetector,
-    CoveringProfiler,
-)
+from repro.core.covering import ApproximateCoveringDetector, CoveringProfiler
 from repro.geometry.transform import ranges_cover
 from repro.geometry.universe import Universe
 from repro.index.config import IndexConfig
@@ -387,11 +383,11 @@ class TestCurveConfigurationErrors:
         detector = ApproximateCoveringDetector(
             attributes=1,
             attribute_order=6,
-            config=OFFLINE_CONFIG.replace(epsilon=0.1, curve="zorder"),
+            config=IndexConfig(cube_budget=1_000_000, epsilon=0.1, curve="zorder"),
         )
         detector.add_subscription("wide", [(0, 60)])
         profiler = CoveringProfiler(
-            1, 6, config=OFFLINE_CONFIG.replace(epsilon=0.1, curve="hilbert")
+            1, 6, config=IndexConfig(cube_budget=1_000_000, epsilon=0.1, curve="hilbert")
         )
         profile = profiler.profile([(10, 20)])
         assert not detector.compatible_profile(profile)
@@ -402,7 +398,7 @@ class TestCurveConfigurationErrors:
         detector = ApproximateCoveringDetector(
             attributes=1,
             attribute_order=6,
-            config=OFFLINE_CONFIG.replace(epsilon=0.1, curve="hilbert"),
+            config=IndexConfig(cube_budget=1_000_000, epsilon=0.1, curve="hilbert"),
         )
         profiler = CoveringProfiler(1, 6, config=detector.config)
         assert detector.compatible_profile(profiler.profile([(10, 20)]))

@@ -165,6 +165,29 @@ class TestBoundedQueues:
         network.publish_batch(0, events)
         assert transport.stats.queue_depth_high_water.get(1, 0) > 1
 
+    @pytest.mark.parametrize("service_time", [0.0, 0.01])
+    def test_burst_into_one_slot_inbox_drains(self, schema, service_time):
+        """A full inbox backs off for a positive delay, so a burst drains
+        (a zero delay would retry at the same instant forever)."""
+        transport = SimTransport(
+            FixedLatency(0.2), inbox_capacity=1, service_time=service_time, seed=3
+        )
+        assert transport.retry_delay > 0
+        network = build_network(schema, transport, num_brokers=3)
+        reference = build_network(schema, None, num_brokers=3)
+        for target in (network, reference):
+            for i in range(30):
+                target.subscribe(
+                    i % 3,
+                    f"c{i}",
+                    Subscription(schema, {"x": (i * 2.0, i * 2.0 + 40.0)}, sub_id=f"s{i}"),
+                )
+        transport.kernel.run(max_steps=10_000)
+        assert transport.kernel.pending == 0
+        assert transport.stats.backpressure_retries > 0
+        assert transport.stats.messages_dropped == 0
+        assert network.routing_state() == reference.routing_state()
+
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
             SimTransport(inbox_capacity=0)
