@@ -103,9 +103,10 @@ if [ "$RESULTS_BEFORE" != "$(results_listing)" ]; then
         "(a smoke table leaked, or a full-size table no longer regenerates)" >&2
     exit 1
 fi
-# The flat store's cost table (what its staging thresholds are sized from) at
-# its smallest size: the script must keep running against the store's API.
-python experiments/flat_store_costs.py --slots 4 --repeat 1 > /dev/null
+# The flat store's cost table and the cost model's unit costs, at two small
+# sizes: a 1-bit table and a 2-bit one (the gated tables' grid) with slots
+# staged, so the script keeps running against the store's API.
+python experiments/flat_store_costs.py --slots 4 32 --repeat 1 > /dev/null
 # The in-process soak at its smallest size: the warm-up alone wraps the
 # delivery log several times; audits must stay clean, every per-operation log
 # within RETENTION and the traced heap flat (exits non-zero otherwise).

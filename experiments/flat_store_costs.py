@@ -1,15 +1,26 @@
-"""What the flat segment store's operations cost, by table size.
+"""What the flat segment store's operations cost, by table size, and the cost model's unit costs.
 
-The numbers the staging thresholds of
-:class:`repro.index.sfc_array.FlatSegmentStore` are sized from (README,
+The numbers the cost model of :class:`repro.index.sfc_array.FlatSegmentStore`
+and :class:`repro.pubsub.match_index.MatchIndex` is sized from (README,
 "Event-matching fast path"): a merge-rebuild on the numpy sweep and on the
 Python one (what keys wider than 64 bits take), the same per stored run, a
 stab of a clean table and of one carrying as many tombstones as compaction
 allows, and what each slot waiting in the pending buffer adds to a probe.
 A stab does not see staged slots (the match index tests each of them by its
 rectangle), so that last column times ``MatchIndex.matching_ids`` on stock
-events with and without the staged slots, and checks that the probe with
-them returns every staged subscription an event matches.
+events with and without the staged slots (charging switched off, so the
+probes do not flatten them), and checks that the probe with them returns
+every staged subscription an event matches.  The two sweeps alternate, one
+pair per repeat, and the column is the median of the pairs' differences with
+their range beside it: a difference of two ~100 µs probes is noise-sized at
+a thousand slots, and a single best-of difference could print it with
+either sign.
+
+Below the table the script prints the unit costs: ``c_test``, the median
+cost of one staged slot to a probe; ``c_fix`` and ``c_run``, the intercept
+and slope of a least-squares line through the rows' (runs, rebuild) points;
+and their ratios ``c_fix / c_test`` and ``c_run / c_test``, which are
+``FlatSegmentStore.FLATTEN_TESTS`` and ``RUN_TESTS`` (printed beside them).
 Slots hold the key runs the product configuration stores for stock-scenario
 subscriptions (at most 64 each) on the grid an index of that many
 subscriptions decomposes on: ``bits`` per dimension, which grows with the
@@ -21,7 +32,7 @@ An experiment, not a test: timings are best-of-``--repeat`` on whatever host
 runs it.  From the repository root::
 
     python3 experiments/flat_store_costs.py                  # 4 ... 4,096 slots
-    python3 experiments/flat_store_costs.py --slots 4 --repeat 2
+    python3 experiments/flat_store_costs.py --slots 4 32 --repeat 2
 
 The table is printed and written to ``experiments/out/flat_store_costs.txt``
 (untracked) unless ``--out`` names another file.
@@ -32,9 +43,10 @@ from __future__ import annotations
 import argparse
 import pathlib
 import random
+import statistics
 import sys
 import time
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 if str(ROOT / "src") not in sys.path:
@@ -79,13 +91,13 @@ def stab_ns(store: FlatSegmentStore, keys: Sequence[int], repeat: int) -> float:
     return best_of(repeat, sweep) / len(keys) * 1e9
 
 
-def probe_ns(index: MatchIndex, events: Sequence[Tuple[Sequence[int], int]], repeat: int) -> float:
-    def sweep() -> None:
-        matching_ids = index.matching_ids
-        for cells, key in events:
-            matching_ids(cells, key)
-
-    return best_of(repeat, sweep) / len(events) * 1e9
+def sweep_s(index: MatchIndex, events: Sequence[Tuple[Sequence[int], int]]) -> float:
+    """Wall-clock of one ``matching_ids`` sweep over ``events``, in seconds."""
+    matching_ids = index.matching_ids
+    start = time.perf_counter()
+    for cells, key in events:
+        matching_ids(cells, key)
+    return time.perf_counter() - start
 
 
 def staged_probe_ns(
@@ -93,30 +105,54 @@ def staged_probe_ns(
     spare: Sequence[Ranges],
     events: Sequence[Tuple[Sequence[int], int]],
     repeat: int,
-) -> float:
-    """A probe's cost with ``spare`` staged, checking it returns their matches.
+) -> Tuple[float, List[float]]:
+    """A clean probe's cost and what the ``spare`` slots staged add to it, per pair.
 
-    The spares are removed again afterwards.
+    Each repeat times a clean sweep and a sweep with the spares staged, side
+    by side (which goes first alternates), and keeps their difference; the
+    result is the clean probe's best time and the per-pair differences, both
+    in ns per probe.  The staged probe must return every staged match, and
+    the spares are removed again afterwards.
     """
+    store = index._flat
+    store.charge = lambda tests: False  # the instance attribute shadows the method
     staged = {("spare", number): ranges for number, ranges in enumerate(spare)}
-    for sub_id, ranges in staged.items():
-        index.add(sub_id, ranges)
-    assert len(index._flat.staged) == len(staged), "the spare subscriptions must all be staged"
-    probe = probe_ns(index, events, repeat)
-    staged_matches = 0
-    for cells, key in events:
-        expected = [
-            sub_id
-            for sub_id, ranges in staged.items()
-            if all(lo <= cell <= hi for (lo, hi), cell in zip(ranges, cells))
-        ]
-        found = [sub_id for sub_id in index.matching_ids(cells, key) if sub_id in staged]
-        assert found == expected, "the probe must return every staged match"
-        staged_matches += len(found)
-    assert staged_matches, "no stock event matched a staged subscription"
-    for sub_id in staged:
-        index.remove(sub_id)
-    return probe
+    clean: List[float] = []
+    added: List[float] = []
+    try:
+        for turn in range(repeat):
+            pair = {}
+            for side in ("clean", "staged") if turn % 2 == 0 else ("staged", "clean"):
+                if side == "staged":
+                    for sub_id, ranges in staged.items():
+                        index.add(sub_id, ranges)
+                    assert len(store.staged) == len(staged), "the spares must all be staged"
+                pair[side] = sweep_s(index, events) / len(events) * 1e9
+                if side == "staged":
+                    for sub_id in staged:
+                        index.remove(sub_id)
+            clean.append(pair["clean"])
+            added.append(pair["staged"] - pair["clean"])
+        if not staged:
+            return min(clean), added
+        for sub_id, ranges in staged.items():
+            index.add(sub_id, ranges)
+        staged_matches = 0
+        for cells, key in events:
+            expected = [
+                sub_id
+                for sub_id, ranges in staged.items()
+                if all(lo <= cell <= hi for (lo, hi), cell in zip(ranges, cells))
+            ]
+            found = [sub_id for sub_id in index.matching_ids(cells, key) if sub_id in staged]
+            assert found == expected, "the probe must return every staged match"
+            staged_matches += len(found)
+        assert staged_matches, "no stock event matched a staged subscription"
+        for sub_id in staged:
+            index.remove(sub_id)
+    finally:
+        del store.charge
+    return min(clean), added
 
 
 def measure(slots: int, seed: int, repeat: int) -> Dict[str, object]:
@@ -147,7 +183,6 @@ def measure(slots: int, seed: int, repeat: int) -> Dict[str, object]:
         del store._sweep_numpy
     store.rebuild()
     clean = stab_ns(store, keys, repeat)
-    probe_clean = probe_ns(index, events, repeat)
 
     # As many staged slots as any table may hold without rebuilding, and no
     # more than fit below the table's next grid step: none for a table that
@@ -158,10 +193,13 @@ def measure(slots: int, seed: int, repeat: int) -> Dict[str, object]:
         index._grow_past - slots,
     )
     rebuilds = store.rebuilds
+    probe_clean, added = staged_probe_ns(index, spare[:pending], events, repeat)
     per_pending: object = "-"
+    spread: object = "-"
     if pending:
-        probe_staged = staged_probe_ns(index, spare[:pending], events, repeat)
-        per_pending = round((probe_staged - probe_clean) / pending, 2)
+        per_slot = [difference / pending for difference in added]
+        per_pending = round(statistics.median(per_slot), 2)
+        spread = f"{min(per_slot):.0f} to {max(per_slot):.0f}"
         assert index.precision_bits == bits, "staging must not step the grid"
 
     # As many tombstones as compaction tolerates: half the flattened slots.
@@ -188,7 +226,46 @@ def measure(slots: int, seed: int, repeat: int) -> Dict[str, object]:
         **{name: round(value, 2) for name, value in timings.items()},
         "staged": pending,
         "per_pending_slot_ns": per_pending,
+        "pairs_range_ns": spread,
     }
+
+
+def unit_costs(rows: Sequence[Dict[str, object]]) -> Dict[str, Optional[float]]:
+    """``c_test``, ``c_fix`` and ``c_run`` (µs) from the table's rows, and their ratios.
+
+    ``c_fix`` and ``c_run`` need two rows of different run counts, ``c_test``
+    one row with staged slots; what cannot be fitted is ``None``.
+    """
+    per_slot = [row["per_pending_slot_ns"] for row in rows if row["staged"]]
+    c_test = statistics.median(per_slot) / 1e3 if per_slot else None
+    c_fix = c_run = None
+    runs = [row["runs"] for row in rows]
+    if len(set(runs)) >= 2:
+        c_run, c_fix = statistics.linear_regression(runs, [row["rebuild_us"] for row in rows])
+
+    def ratio(cost: Optional[float]) -> Optional[float]:
+        return None if cost is None or not c_test or c_test <= 0 else cost / c_test
+
+    return {
+        "c_test_us": c_test,
+        "c_fix_us": c_fix,
+        "c_run_us": c_run,
+        "c_fix/c_test": ratio(c_fix),
+        "c_run/c_test": ratio(c_run),
+    }
+
+
+def format_unit_costs(costs: Dict[str, Optional[float]]) -> str:
+    constants = {
+        "c_fix/c_test": f"FlatSegmentStore.FLATTEN_TESTS = {FlatSegmentStore.FLATTEN_TESTS}",
+        "c_run/c_test": f"FlatSegmentStore.RUN_TESTS = {FlatSegmentStore.RUN_TESTS}",
+    }
+    lines = ["unit costs of the cost model:"]
+    for name, value in costs.items():
+        shown = "-" if value is None else f"{value:.3f}"
+        beside = f"   ({constants[name]})" if name in constants else ""
+        lines.append(f"  {name:13s} {shown}{beside}")
+    return "\n".join(lines) + "\n"
 
 
 def main(argv: Sequence[str] | None = None) -> None:
@@ -201,6 +278,7 @@ def main(argv: Sequence[str] | None = None) -> None:
     rows = [measure(slots, args.seed, args.repeat) for slots in args.slots]
     title = f"flat store costs: stock-scenario runs, seed {args.seed}, best of {args.repeat}"
     table = format_table(rows, title=title, precision=6) + "\n"
+    table += "\n" + format_unit_costs(unit_costs(rows))
     print(table, end="")
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(table)

@@ -25,7 +25,7 @@ import bisect
 from array import array
 from dataclasses import dataclass, field
 from itertools import chain
-from math import isqrt
+from math import isqrt, sqrt
 from typing import Any, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -395,11 +395,8 @@ class FlatSegmentStore:
     * **inserts** park the slot's (immutable, sorted) run tuple in a pending
       buffer (:attr:`staged`), which a stab does not look at: the match
       index tests every staged slot with the rectangle test it gives each
-      stab candidate anyway.  Once more than :data:`PENDING_SLOTS` +
-      1/:data:`PENDING_SHARE` of the flattened slots are pending, a
-      *merge-rebuild* re-sweeps all live runs into a fresh layout (the buffer
-      bound grows with the structure, so the rebuild work per insert stays
-      bounded);
+      stab candidate anyway.  A *merge-rebuild* re-sweeps all live runs into
+      a fresh layout when either side has paid for it (below);
     * **removals** of flattened slots only tombstone the slot (a stab still
       lists it; the match index skips it because the slot has no rectangle
       left); compaction rebuilds once the tombstones outnumber the flattened
@@ -407,32 +404,46 @@ class FlatSegmentStore:
       garbage.  Removals of still-pending slots drop the buffer entry and
       leave no garbage at all.
 
+    When to flatten is one cost model, counted in rectangle tests
+    (``experiments/flat_store_costs.py`` measures the unit costs and prints
+    the two constants below as their ratios).  A staged slot costs every
+    probe one test; a flatten of ``R`` stored runs costs
+    :meth:`flatten_price` = :data:`FLATTEN_TESTS` + :data:`RUN_TESTS` · ``R``
+    tests' worth of sweep.  Staging is rent-or-buy: each probe charges the
+    staged tests it made (:meth:`charge`), and the probe whose charge brings
+    the rent since the last flatten up to the price flattens (the caller
+    does: :meth:`rebuild`, or a re-flatten on a finer grid).  Each write
+    between probes stages one more slot, so for ``r`` probes per write the
+    rent reaches the price ``F`` after ``√(2·F/r)`` writes, and rent plus
+    sweep cost :meth:`staging_tests` = ``√(2·r·F)`` tests per write.
+    Writes keep a ceiling that does not wait for probes: once more than
+    :data:`PENDING_SLOTS` + 1/:data:`PENDING_SHARE` of the flattened slots
+    are pending, the add rebuilds (the buffer bound grows with the
+    structure, so the rebuild work per insert stays bounded).  A
+    write-heavy table (``r`` ≲ 2 on the gated workloads) reaches that
+    ceiling first and rebuilds where the ceiling alone did; a table probed
+    on every publish (``r`` ≈ 100) flattens after two or three writes, on a
+    publish instead of a subscribe.
+
     The sweep runs on numpy arrays at every table size (:meth:`_sweep_numpy`;
     the Python event loop :meth:`_sweep_python` takes the keys numpy cannot
-    hold and gives the identical layout).  Both thresholds are sized from measured costs (README,
-    "Event-matching fast path"; ``experiments/flat_store_costs.py`` prints
-    them): a rebuild costs a fixed ~50 µs plus 0.4–0.7 µs per run.  The
-    10–30-slot tables of a broker network sit on a 2-bit grid (the match
-    index's grid grows with its table), ~6 runs per slot, so a rebuild costs
-    ~5 µs per slot (it was ~20 µs per 52-run slot on the fixed 4-bit grid).
-    A staged slot adds one rectangle test, ~0.5 µs on stock events, to every
-    probe of the match index, so with at most ``P`` slots staged an add pays
-    ``5·n/P`` µs and a probe ``0.25·P`` µs on average — balanced at
-    ``P = √(20·n/r)`` ≈ 1–10 for 10–30-slot tables probed ``r`` = 6–100
-    times per write (``√(80·n/r)`` ≈ 3–20 on the 4-bit grid).  The cap of
-    17–20 slots those tables get sits past the write-heavy end; a cap of 8
-    was measured on the 4-bit grid to move the cost onto subscribes
-    (README), so it was left alone until measured again.
+    hold and gives the identical layout).
 
     Bulk loading (:meth:`add_bulk`) stages every subscription and performs a
     single sweep, which is how a million-subscription index is built in one
     pass.
     """
 
-    #: Pending slots a store of any size may hold before it rebuilds, and the
-    #: share of the flattened slots that may be pending beside them.
+    #: Pending slots a store of any size may hold before an add rebuilds, and
+    #: the share of the flattened slots that may be pending beside them: the
+    #: write-side ceiling of staging.
     PENDING_SLOTS = 16
     PENDING_SHARE = 8
+    #: The price of one flatten in rectangle tests on staged slots: a fixed
+    #: part, and a part per stored run (``c_fix / c_test`` and
+    #: ``c_run / c_test`` of ``experiments/flat_store_costs.py``).
+    FLATTEN_TESTS = 108
+    RUN_TESTS = 0.7
 
     def __init__(self) -> None:
         self._runs: Dict[int, Tuple[KeyRange, ...]] = {}
@@ -444,6 +455,10 @@ class FlatSegmentStore:
         #: (read-only for callers; a rebuild empties it).
         self.staged: Dict[int, Tuple[KeyRange, ...]] = {}
         self._dead: set = set()
+        #: Live runs stored, staged ones included (what a rebuild sweeps).
+        self.runs = 0
+        #: Staged tests charged since the last flatten.
+        self.rent = 0
         self.rebuilds = 0
         self.member_entries = 0
 
@@ -479,7 +494,8 @@ class FlatSegmentStore:
         """Stage a slot's runs; the caller guarantees the slot is not present."""
         if slot in self._runs:
             raise ValueError(f"slot {slot} is already stored; remove it first")
-        self._runs[slot] = self.staged[slot] = self._normalize_runs(runs)
+        self._runs[slot] = self.staged[slot] = stored = self._normalize_runs(runs)
+        self.runs += len(stored)
         if (
             len(self.staged)
             > self.PENDING_SLOTS + self._flattened_slots() // self.PENDING_SHARE
@@ -506,6 +522,7 @@ class FlatSegmentStore:
                 last_runs = runs
                 last_norm = normalize(runs)
             stored[slot] = last_norm
+        self.runs = sum(map(len, stored.values()))
         self.rebuild()
 
     def reflatten(self, items: Iterable[Tuple[int, Sequence[KeyRange]]]) -> None:
@@ -520,6 +537,7 @@ class FlatSegmentStore:
             raise ValueError("reflatten needs new runs for exactly the stored slots")
         normalize = self._normalize_runs
         self._runs = {slot: normalize(fresh[slot]) for slot in self._runs}
+        self.runs = sum(map(len, self._runs.values()))
         self.rebuild()
 
     def remove(self, slot: int) -> int:
@@ -527,6 +545,7 @@ class FlatSegmentStore:
         runs = self._runs.pop(slot, None)
         if runs is None:
             return 0
+        self.runs -= len(runs)
         if self.staged.pop(slot, None) is None:
             self._dead.add(slot)
             if len(self._dead) * 2 > self._flattened_slots():
@@ -651,8 +670,36 @@ class FlatSegmentStore:
         self._los, self._his, self._cuts, self._members = layout
         self.staged = {}
         self._dead.clear()
+        self.rent = 0
         self.member_entries = len(self._members)
         self.rebuilds += 1
+
+    # ------------------------------------------------------------ cost model
+    @classmethod
+    def flatten_price(cls, runs: int) -> float:
+        """What a flatten of ``runs`` stored runs costs, in rectangle tests."""
+        return cls.FLATTEN_TESTS + cls.RUN_TESTS * runs
+
+    @classmethod
+    def staging_tests(cls, runs: int, probes_per_write: float) -> float:
+        """Rectangle tests per write that rent-or-buy staging costs: ``√(2·r·F)``.
+
+        With ``r`` probes per write, the ``k``-th write since a flatten
+        leaves ``k`` slots staged for ``r`` probes, so the rent reaches the
+        price ``F`` of a flatten of ``runs`` runs after ``k = √(2·F/r)``
+        writes; rent plus price is ``2·F`` per ``k`` writes.
+        """
+        return sqrt(2.0 * probes_per_write * cls.flatten_price(runs))
+
+    def charge(self, tests: int) -> bool:
+        """Charge a probe's ``tests`` on staged slots; True once the rent pays a flatten.
+
+        The caller flattens on True (:meth:`rebuild`, which zeroes the rent,
+        or a re-flatten on a new grid).
+        """
+        # flatten_price, inlined: this runs on most probes of a busy table.
+        self.rent += tests
+        return self.rent >= self.FLATTEN_TESTS + self.RUN_TESTS * self.runs
 
     # ---------------------------------------------------------------- queries
     def stab(self, key: int) -> Sequence[int]:

@@ -24,29 +24,32 @@ endpoint is ``<= key(p)``).
 
 Three refinements keep the structure bounded and sound:
 
-* **Precision-bounded decomposition, on a grid that grows with the table.**
-  Before decomposing, the rectangle is snapped outward to a grid of
+* **Precision-bounded decomposition, on a grid its table's reads and writes
+  choose.**  Before decomposing, the rectangle is snapped outward to a grid of
   ``precision_bits`` bits per dimension (cubes of side
   ``2^{order - precision_bits}``), so the quadtree recursion bottoms out after
   ``precision_bits`` levels instead of descending to unit cells.  Snapping
-  outward only ever *adds* cells.  Unless the config pins ``precision_bits``,
-  the grid is the coarsest giving each live subscription a cube of its own —
-  the fewest bits ``b >= 1`` with ``2^{d·b} >= n`` for ``n`` subscriptions —
-  capped at :meth:`~repro.index.config.IndexConfig.effective_precision_bits`
-  (and at the schema's order, past which a finer grid changes nothing).
-  The grid trades probe work for write work.  A coarser grid never changes
-  an answer (the rectangle test confirms every candidate) but lets more
-  candidates through: the tables of a broker network test about a third
-  more of them per probe at 2 bits than at 4.  A finer grid costs runs: by
-  Fact 2.1 a rectangle's run count grows about ``2^{d-1}``-fold per extra
-  bit, so those 10–30 subscription tables store ~6 runs per subscription at
-  2 bits where the 4-bit cap would store ~50, and every rebuild sweeps that
-  many fewer.  The rule sizes the grid by the table alone, not by how often
-  it is probed per write, so a table probed on every publish can pay more
-  for the extra candidates than it saves on rebuilds (publishes on a
-  3-broker chain run ~3 % slower).  The grid only steps up, one bit once
-  ``n`` passes ``2^{d·b}`` (a bulk load into an empty index picks it from
-  the batch size); a step re-derives every stored slot's runs and
+  outward only ever *adds* cells.  A coarser grid never changes an answer
+  (the rectangle test confirms every candidate) but lets more candidates
+  through; a finer one costs runs: by Fact 2.1 a rectangle's run count grows
+  about ``2^{d-1}``-fold per extra bit (stock subscriptions store 1.0 / 5.9 /
+  19.1 / 51.0 runs at 1 / 2 / 3 / 4 bits), and every flatten sweeps them.
+  Unless the config pins ``precision_bits``, one cost model settles that
+  trade, counted in rectangle tests and capped at
+  :meth:`~repro.index.config.IndexConfig.effective_precision_bits` (and at
+  the schema's order, past which a finer grid changes nothing).  Its floor
+  is the size rule: the coarsest grid giving each live subscription a cube
+  of its own, the fewest bits ``b >= 1`` with ``2^{d·b} >= n`` for ``n``
+  subscriptions; the add that takes ``n`` past ``2^{d·b}`` steps up to it,
+  and a bulk load into an empty index picks it from the batch size.  Above
+  the floor the grid steps up one bit only on a flatten a probe has paid for
+  (staging's rent-or-buy, :class:`~repro.index.sfc_array.FlatSegmentStore`),
+  when :func:`finer_grid_pays` on the table's own counts — probes per write,
+  rejected stab candidates per probe on this grid, runs stored — says the
+  tests its probes save exceed what the finer grid's runs add to staging.
+  A table probed about once per write stays on the size rule; a local table
+  probed on every publish steps from 2 to 3 bits and stops there.  The grid
+  never steps down; a step re-derives every stored slot's runs and
   re-flattens the store in one sweep.  On a grid within the default
   precision budget (4,096 cubes) the runs are not decomposed at all but
   read off a :class:`~repro.sfc.runs.GridRunTable` — the same runs at a
@@ -88,7 +91,7 @@ from .schema import AttributeSchema
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .subscription_store import ProfileCache
 
-__all__ = ["MatchIndex", "MatchIndexStats"]
+__all__ = ["MatchIndex", "MatchIndexStats", "finer_grid_pays"]
 
 
 @functools.lru_cache(maxsize=64)
@@ -97,13 +100,42 @@ def _grid_run_table(kind: str, dims: int, order: int, bits: int) -> GridRunTable
     return GridRunTable(make_curve(kind, Universe(dims=dims, order=order)), bits)
 
 
+#: The share of a probe's rejected candidates one more grid bit is taken to
+#: save.  A rectangle snapped outward gains under one coarse cell per side
+#: and dimension; a finer bit halves that cell, and with it (to first order)
+#: the volume the snap adds.
+FINER_BIT_SAVES = 0.5
+
+
+def finer_grid_pays(
+    runs: int, finer_runs: int, reads_per_write: float, rejections_per_probe: float
+) -> bool:
+    """The grid half of the cost model: does one more bit per dimension pay?
+
+    A table probed ``r = reads_per_write`` times per write, whose probes
+    reject ``c = rejections_per_probe`` stab candidates each on the current
+    grid, stores ``runs`` runs there and ``finer_runs`` on the next one.
+    Per write, in rectangle tests, the finer bit saves ``FINER_BIT_SAVES ·
+    r · c`` tests of probing and makes staging dearer by the rise of
+    :meth:`~repro.index.sfc_array.FlatSegmentStore.staging_tests`,
+    ``√(2·r·F)``, with the price ``F`` of a flatten of more runs.  A table
+    probed about once per write never steps (its staging cost rises faster
+    than its probes save); one probed on every publish steps while its
+    rejections outweigh the runs.
+    """
+    staging = FlatSegmentStore.staging_tests
+    rise = staging(finer_runs, reads_per_write) - staging(runs, reads_per_write)
+    return FINER_BIT_SAVES * reads_per_write * rejections_per_probe > rise
+
+
 @dataclass
 class MatchIndexStats:
     """Operation counters (store-independent work units for benchmarks).
 
     ``runs_stored`` is the live total; ``coarsened_subscriptions`` counts
     every time a subscription's runs were stored coarsened, at insert or
-    re-derived on a grid step.
+    re-derived on a grid step.  ``probe_flattens`` counts the flattens a
+    probe paid for (staging's rent-or-buy), grid steps among them.
     """
 
     inserts: int = 0
@@ -113,6 +145,7 @@ class MatchIndexStats:
     lookups: int = 0
     candidates_checked: int = 0
     false_positives: int = 0
+    probe_flattens: int = 0
 
 
 class MatchIndex:
@@ -136,10 +169,11 @@ class MatchIndex:
         ``precision_bits`` pins the grid resolution (bits per dimension) at
         which rectangles are decomposed; schemas with a larger order have
         their rectangles snapped outward to this grid first.  ``None`` lets
-        the grid grow with the table (module docstring) up to the
+        the grid grow with the table and its probes (module docstring) up to the
         budget-derived ceiling, which scales with dimensionality so the
         total decomposition work stays within :data:`~repro.index.config.PRECISION_BIT_BUDGET`; the
-        current grid is :attr:`precision_bits`.  ``curve``
+        current grid is :attr:`precision_bits`, and the cost model that
+        moves it reads only :attr:`stats` and :attr:`staged_rejections`.  ``curve``
         names the space-filling curve (:data:`~repro.sfc.factory.CURVE_KINDS`)
         keying the segments; curves differ in run counts — and therefore in
         segment counts and false-positive rates — never in match answers.
@@ -165,6 +199,9 @@ class MatchIndex:
         self.curve = make_curve(config.curve, self.universe)
         self.run_budget = config.run_budget
         self._run_cache = run_cache
+        self.stats = MatchIndexStats()
+        #: Rectangle tests of staged slots that rejected, so far.
+        self.staged_rejections = 0
         # An explicit precision pins the grid; a derived one starts at the
         # coarsest grid and grows with the table up to the config's value
         # (no finer than the schema's own grid).
@@ -182,7 +219,6 @@ class MatchIndex:
         self._id_of: Dict[int, Hashable] = {}
         self._rect_of_slot: Dict[int, Tuple[Tuple[int, int], ...]] = {}
         self._next_slot = 0
-        self.stats = MatchIndexStats()
 
     # ------------------------------------------------------------------ basics
     def __len__(self) -> int:
@@ -223,10 +259,11 @@ class MatchIndex:
 
     # --------------------------------------------------------------- precision
     def _bits_for(self, live: int) -> int:
-        """The derived grid for ``live`` subscriptions, in bits per dimension.
+        """The size rule: the grid for ``live`` subscriptions, in bits per dimension.
 
         The fewest bits ``b >= 1`` giving at least one grid cube per
-        subscription (``2^(d·b) >= live``), capped at the ceiling.
+        subscription (``2^(d·b) >= live``), capped at the ceiling.  It is
+        the floor under the cost model's grid.
         """
         dims = self.universe.dims
         bits = 1
@@ -254,21 +291,24 @@ class MatchIndex:
         # off the shared table, fetched on the first uncached rectangle.
         self._tabulated = universe.dims * effective <= PRECISION_BIT_BUDGET
         self._grid_runs: Optional[GridRunTable] = None
-        # The live count past which the grid steps up (never, once at the
-        # ceiling: a pinned grid starts there).
+        # The live count past which the size rule steps the grid up (never,
+        # once at the ceiling: a pinned grid starts there).
         if bits < self._ceiling:
             self._grow_past = 1 << (universe.dims * bits)
         else:
             self._grow_past = float("inf")
+        # Where the counts the cost model reads about this grid start:
+        # (lookups, stab rejections) when it was set.
+        self._grid_mark = (self.stats.lookups, self.stab_rejections())
 
-    def _grow(self, live: int) -> None:
-        """Step the grid up to the one ``live`` subscriptions call for.
+    def _grow(self, bits: int) -> None:
+        """Step the grid up to ``bits`` bits per dimension.
 
         Every stored slot's runs are re-derived on the finer grid (through the
         run cache; slots sharing a snapped rectangle share one derivation) and
         the store is re-flattened in one sweep.  Slots keep their order.
         """
-        self._set_precision(self._bits_for(live))
+        self._set_precision(bits)
         rects = self._rect_of_slot
         if not rects:
             return
@@ -276,6 +316,37 @@ class MatchIndex:
         self._flat.reflatten(zip(rects, [runs for runs, _ in entries]))
         self.stats.runs_stored = sum([len(runs) for runs, _ in entries])
         self.stats.coarsened_subscriptions += sum([coarsened for _, coarsened in entries])
+
+    def stab_rejections(self) -> int:
+        """Rejected stab candidates so far: the rejections a finer grid can save
+        (``false_positives`` less those of staged slots, which every probe
+        tests whatever the grid)."""
+        return self.stats.false_positives - self.staged_rejections
+
+    def _flatten_paid(self) -> None:
+        """Flatten on the probe whose staged tests have paid for it.
+
+        This is where the grid may step up one bit (never more, never down),
+        when :func:`finer_grid_pays` says so for probes per write over the
+        index's life, stab rejections per probe since the grid was set, and
+        the runs stored now and on the next bit (``2^(d-1)`` times as many,
+        Fact 2.1, at most ``run_budget`` per subscription).  The step
+        re-flattens on the finer grid, so it is still one sweep.
+        """
+        stats = self.stats
+        stats.probe_flattens += 1
+        if self.precision_bits < self._ceiling:
+            lookups, stab_rejections = self._grid_mark
+            runs = stats.runs_stored
+            if finer_grid_pays(
+                runs,
+                min(runs << (self.universe.dims - 1), self.run_budget * len(self)),
+                stats.lookups / max(stats.inserts + stats.removals, 1),
+                (self.stab_rejections() - stab_rejections) / max(stats.lookups - lookups, 1),
+            ):
+                self._grow(self.precision_bits + 1)
+                return
+        self._flat.rebuild()
 
     def _derive(
         self, rects: Iterable[Tuple[Tuple[int, int], ...]]
@@ -389,7 +460,7 @@ class MatchIndex:
         if sub_id in self._slot_of:
             self.remove(sub_id)
         if len(self._slot_of) >= self._grow_past:
-            self._grow(len(self._slot_of) + 1)
+            self._grow(self._bits_for(len(self._slot_of) + 1))
         [(runs, coarsened)] = self._runs_for([self._snap_signature(rect_ranges)])
         stats = self.stats
         stats.coarsened_subscriptions += coarsened
@@ -451,7 +522,7 @@ class MatchIndex:
             if sub_id in slot_of:
                 self.remove(sub_id)
         if len(slot_of) + len(deduped) > self._grow_past:
-            self._grow(len(slot_of) + len(deduped))
+            self._grow(self._bits_for(len(slot_of) + len(deduped)))
         # Slots in item order, as per-item adds would assign them (the body of
         # add, inlined: the per-call overhead would dominate a bulk load).
         stats = self.stats
@@ -539,10 +610,14 @@ class MatchIndex:
     # the rectangle test is exact on its own (the runs cover the rectangle).
     # A tombstoned slot of the stab is skipped because it has no rectangle
     # left; a staged slot always has one.  Every test made counts
-    # in ``candidates_checked``, every rejection in ``false_positives``.  The
-    # test is inlined as an early-exit ``for ... else`` loop, once per loop:
-    # ``all()`` over a generator costs about twice as much, and chaining the
-    # two loops into one costs a tenth of a probe.
+    # in ``candidates_checked``, every rejection in ``false_positives``,
+    # tallied in locals and added once per loop.  The test is inlined as an
+    # early-exit ``for ... else`` loop, once per loop: ``all()`` over a
+    # generator costs about twice as much, and chaining the two loops into
+    # one costs a tenth of a probe.  The staged tests are then charged to
+    # the store (:meth:`FlatSegmentStore.charge`), their rejections counted
+    # apart (a finer grid cannot save them), and the probe that pays for a
+    # flatten makes it, after its answer is counted.
     def any_match(self, cells: Sequence[int], key: Optional[int] = None) -> bool:
         """True when at least one indexed subscription matches the event cells."""
         if key is None:
@@ -550,29 +625,39 @@ class MatchIndex:
         stats = self.stats
         rect_of_slot = self._rect_of_slot
         flat = self._flat
+        tested = 0
         for slot in flat.stab(key):
             rect = rect_of_slot.get(slot)
             if rect is None:
                 continue
-            stats.candidates_checked += 1
+            tested += 1
             for (lo, hi), cell in zip(rect, cells):
                 if not lo <= cell <= hi:
-                    stats.false_positives += 1
                     break
             else:
+                stats.candidates_checked += tested
+                stats.false_positives += tested - 1
                 stats.lookups += 1
                 return True
+        staged_tests = 0
+        found = False
         for slot in flat.staged:
-            stats.candidates_checked += 1
+            staged_tests += 1
             for (lo, hi), cell in zip(rect_of_slot[slot], cells):
                 if not lo <= cell <= hi:
-                    stats.false_positives += 1
                     break
             else:
-                stats.lookups += 1
-                return True
+                found = True
+                break
+        tested += staged_tests
+        stats.candidates_checked += tested
+        stats.false_positives += tested - found
         stats.lookups += 1
-        return False
+        if staged_tests:
+            self.staged_rejections += staged_tests - found
+            if flat.charge(staged_tests):
+                self._flatten_paid()
+        return found
 
     def matching_ids(self, cells: Sequence[int], key: Optional[int] = None) -> List[Hashable]:
         """All indexed subscriptions matching the event cells, in slot order.
@@ -588,26 +673,33 @@ class MatchIndex:
         rect_of_slot = self._rect_of_slot
         id_of = self._id_of
         flat = self._flat
+        tested = 0
         for slot in flat.stab(key):
             rect = rect_of_slot.get(slot)
             if rect is None:
                 continue
-            stats.candidates_checked += 1
+            tested += 1
             for (lo, hi), cell in zip(rect, cells):
                 if not lo <= cell <= hi:
-                    stats.false_positives += 1
                     break
             else:
                 matched.append(id_of[slot])
-        for slot in flat.staged:
-            stats.candidates_checked += 1
+        stab_matches = len(matched)
+        staged = flat.staged
+        for slot in staged:
             for (lo, hi), cell in zip(rect_of_slot[slot], cells):
                 if not lo <= cell <= hi:
-                    stats.false_positives += 1
                     break
             else:
                 matched.append(id_of[slot])
+        tested += len(staged)
+        stats.candidates_checked += tested
+        stats.false_positives += tested - len(matched)
         stats.lookups += 1
+        if staged:
+            self.staged_rejections += len(staged) - len(matched) + stab_matches
+            if flat.charge(len(staged)):
+                self._flatten_paid()
         return matched
 
     # ------------------------------------------------------------ batch queries

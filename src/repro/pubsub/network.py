@@ -1037,6 +1037,10 @@ class BrokerNetwork:
         Only interfaces that have outgrown their scan carry an index; a
         network of small tables publishes nothing here.  An interface keeps
         its index for life, so its counters are that index's running totals.
+        Why a table's grid is what it is reads off three series: the
+        ``precision_bits`` gauge, the ``subscriptions`` gauge (the size rule's
+        floor) and the ``probe_flattens`` counter (the flattens its probes
+        paid for, where the cost model may step the grid past that floor).
         """
         interface_counters = None
         interface_gauges = None
@@ -1066,12 +1070,14 @@ class BrokerNetwork:
                     "lookups",
                     "candidates_checked",
                     "false_positives",
+                    "probe_flattens",
                 ):
                     interface_counters.set_total(
                         getattr(stats, counter_name), counter=counter_name, **labels
                     )
                 interface_gauges.set(index.segment_count(), gauge="segments", **labels)
                 interface_gauges.set(len(table), gauge="subscriptions", **labels)
+                interface_gauges.set(index.precision_bits, gauge="precision_bits", **labels)
 
     def scrape(self) -> str:
         """Publish current counters and render the Prometheus text exposition."""

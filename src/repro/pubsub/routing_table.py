@@ -239,15 +239,21 @@ class InterfaceTable:
     rectangle test; the add that takes it past builds a
     :class:`~repro.pubsub.match_index.MatchIndex` over all of them in one
     bulk load, kept for the table's life.  The limit is the flat store's
-    staging buffer: an index that small holds every subscription staged and
-    tests each by rectangle on every probe, so the scan makes the same tests
-    without the index's work on every write and probe.  The index is built
+    write-side staging ceiling, :data:`FlatSegmentStore.PENDING_SLOTS`: an
+    index that small may hold every subscription staged, testing each by
+    rectangle on every probe, and the scan makes those tests in the same
+    order without the index's keying, interning and staging on every write.
+    An index flattens its staged slots once its probes have paid for the
+    sweep, which a small table probed on every publish would soon do; the
+    scan's limit is left where the ceiling is until that is measured on
+    tables this small (ROADMAP).  The index is built
     under the routing table's :class:`~repro.index.config.IndexConfig`, so
     the event key the routing table computes once per event goes straight to
     its probe.
     """
 
-    #: Subscriptions a table scans before it builds its index.
+    #: Subscriptions a table scans before it builds its index (the store's
+    #: write-side staging ceiling).
     SCAN_LIMIT = FlatSegmentStore.PENDING_SLOTS
 
     def __init__(

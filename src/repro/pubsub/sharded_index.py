@@ -39,7 +39,8 @@ class ShardedMatchIndex:
     shards partition the subscription set, so the union of per-shard matches
     is exactly the unsharded match set.  ``config`` supplies the shard count
     (``shards``) and the per-shard ``run_budget`` / ``precision_bits`` /
-    ``curve`` (a derived grid grows with each shard's own table).
+    ``curve`` (a derived grid follows each shard's own cost model: its
+    table's size, probes and writes).
     ``run_cache`` is shared by the shards (see :class:`MatchIndex`).
     """
 
@@ -77,6 +78,11 @@ class ShardedMatchIndex:
     def segment_count(self) -> int:
         """Total disjoint key segments across all shards."""
         return sum(index.segment_count() for index in self._indexes)
+
+    @property
+    def precision_bits(self) -> int:
+        """The finest grid among the shards (each picks its own)."""
+        return max(index.precision_bits for index in self._indexes)
 
     @property
     def stats(self) -> MatchIndexStats:

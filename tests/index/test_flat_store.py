@@ -534,3 +534,139 @@ def test_match_index_counts_the_same_work_with_and_without_numpy(monkeypatch):
     monkeypatch.setattr(FlatSegmentStore, "_sweep_numpy", lambda self: None)
     assert run_script() == with_numpy
     assert with_numpy[2] > 3
+
+
+# ------------------------------------------------- rent-or-buy staging
+
+def _staged_store(rng, flattened, staged):
+    """A store of ``flattened`` bulk-loaded slots with ``staged`` slots staged on top."""
+    store = FlatSegmentStore()
+    runs_of = {}
+    for slot in range(flattened + staged):
+        steps = [(rng.randrange(4), rng.randrange(3)) for _ in range(rng.randrange(1, 9))]
+        runs_of[slot] = _chained_runs(rng.randrange(60), steps)
+    store.add_bulk([(slot, runs_of[slot]) for slot in range(flattened)])
+    for slot in range(flattened, flattened + staged):
+        store.add(slot, runs_of[slot])
+    assert len(store.staged) == staged and store.rebuilds == 1
+    assert store.runs == sum(map(len, runs_of.values()))
+    return store, runs_of
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("tests_per_charge", [1, 3, 7])
+def test_charges_pay_for_a_flatten_exactly_at_its_price(seed, tests_per_charge):
+    """Charges return False while the rent is short of the price of a flatten
+    of every stored run, and True from the charge that reaches it; only a
+    rebuild zeroes the rent.  Stabs are the oracle's before and after."""
+    store, runs_of = _staged_store(random.Random(seed), 20, 5)
+    price = FlatSegmentStore.flatten_price(store.runs)
+    assert price == FlatSegmentStore.FLATTEN_TESTS + FlatSegmentStore.RUN_TESTS * store.runs
+    charged = 0
+    while charged + tests_per_charge < price:
+        assert not store.charge(tests_per_charge)
+        charged += tests_per_charge
+        assert store.rent == charged and store.staged and store.rebuilds == 1
+    assert store.charge(tests_per_charge)
+    for key in range(0, 110, 3):
+        assert _live_stab(store, key) == _oracle_stab(runs_of, key)
+    store.rebuild()
+    assert store.rent == 0 and not store.staged
+    for key in range(0, 110, 3):
+        assert set(store.stab(key)) == _oracle_stab(runs_of, key)
+
+
+def test_a_charge_landing_on_the_price_pays_it(monkeypatch):
+    """With whole-test unit costs, ten stored runs price a flatten at exactly
+    100 + 10 tests, and the charge that brings the rent to it pays."""
+    monkeypatch.setattr(FlatSegmentStore, "FLATTEN_TESTS", 100)
+    monkeypatch.setattr(FlatSegmentStore, "RUN_TESTS", 1)
+    store = FlatSegmentStore()
+    store.add(0, [(10 * i, 10 * i + 5) for i in range(10)])
+    assert store.flatten_price(store.runs) == 110
+    assert not store.charge(109)
+    assert store.charge(1)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("staged", [1, 4, 9])
+def test_probes_flatten_the_match_index_once_their_staged_tests_reach_the_price(seed, staged):
+    """A pinned match index (its grid cannot step) with slots staged: each
+    probe tests, and charges, every staged slot, and the probe whose charge
+    reaches the price of a flatten makes it, after answering like a scan."""
+    from repro.index.config import IndexConfig
+    from repro.pubsub.match_index import MatchIndex
+    from repro.pubsub.subscription import Subscription
+    from repro.workloads.scenarios import stock_market_scenario
+
+    scenario = stock_market_scenario(num_subscriptions=30 + staged, num_events=40, seed=seed)
+    schema = scenario.schema
+    ranges = [Subscription(schema, c).ranges for c in scenario.subscriptions]
+    index = MatchIndex(schema, config=IndexConfig(precision_bits=2))
+    index.add_batch(list(enumerate(ranges[:30])))
+    for number in range(30, 30 + staged):
+        index.add(number, ranges[number])
+    flat = index._flat
+    assert len(flat.staged) == staged and flat.rebuilds == 1
+    price = FlatSegmentStore.flatten_price(flat.runs)
+    paying_probe = -(-price // staged)  # the first probe whose charges reach it
+    events = [schema.quantize_event(event) for event in scenario.events]
+    for probe in range(1, int(paying_probe) + 1):
+        cells = events[probe % len(events)]
+        expected = [
+            number
+            for number, rect in enumerate(ranges)
+            if all(lo <= cell <= hi for (lo, hi), cell in zip(rect, cells))
+        ]
+        assert len(flat.staged) == staged
+        rejections = index.staged_rejections
+        assert index.matching_ids(cells) == expected
+        assert flat.rent == (0 if probe == paying_probe else probe * staged)
+        # The staged tests that rejected are counted apart from the stab's.
+        staged_matches = sum(number >= 30 for number in expected)
+        assert index.staged_rejections - rejections == staged - staged_matches
+    assert (flat.rebuilds, index.stats.probe_flattens, index.precision_bits) == (2, 1, 2)
+    assert not flat.staged
+    for cells in events:
+        expected = {
+            number
+            for number, rect in enumerate(ranges)
+            if all(lo <= cell <= hi for (lo, hi), cell in zip(rect, cells))
+        }
+        assert set(index.matching_ids(cells)) == expected
+
+
+def test_a_write_only_sequence_rebuilds_where_the_write_ceiling_does():
+    """Without probes nothing is charged, so a seeded walk of adds and removes
+    rebuilds exactly where the write-side rules say: an add once more than
+    ``PENDING_SLOTS`` + 1/``PENDING_SHARE`` of the flattened slots are
+    staged, a removal once tombstones outnumber the live flattened slots."""
+    rng = random.Random(9)
+    store = FlatSegmentStore()
+    live = {}
+    staged, flattened, dead = 0, 0, 0  # the ceiling's own bookkeeping
+    next_slot = 0
+    for _ in range(2_000):
+        before = store.rebuilds
+        if live and rng.random() < 0.4:
+            slot = rng.choice(list(live))
+            was_staged = slot in store.staged
+            store.remove(slot)
+            del live[slot]
+            if was_staged:
+                staged -= 1
+                rebuild = False
+            else:
+                dead += 1
+                rebuild = dead * 2 > flattened
+        else:
+            live[next_slot] = [(next_slot, next_slot + rng.randrange(5))]
+            store.add(next_slot, live[next_slot])
+            next_slot += 1
+            staged += 1
+            rebuild = staged > FlatSegmentStore.PENDING_SLOTS + flattened // FlatSegmentStore.PENDING_SHARE
+        if rebuild:
+            staged, flattened, dead = 0, len(live), 0
+        assert store.rebuilds - before == rebuild and len(store.staged) == staged
+        assert store.rent == 0
+    assert store.rebuilds > 20

@@ -168,11 +168,11 @@ class TestDeterminism:
         # seeds.  A change that alters the scrape on purpose updates these.
         text = scenario.prometheus_text.encode()
         assert hashlib.sha256(text).hexdigest() == (
-            "b1e7de0231d79063be9c80b564b697d19e3015242cd3e69b88987472ba313c90"
+            "9e8664f9e5d2d3785d5bade4fe26b5e9f285c1c5dbaecbd2933fb970c5b96b20"
         )
         written = write_bench_json(tmp_path / "BENCH_metrics.json", scenario.snapshot)
         assert hashlib.sha256(written.read_bytes()).hexdigest() == (
-            "55371712dac2cdc3cdeb0dd2a44fdd61d9d4bda46ad0ddef1d484eac9b2a0800"
+            "f6796f28293f4795af3603d9c1a1b0c452e39cf557f2604d5e4164450392412d"
         )
 
     def test_different_seed_changes_trace_ids(self, scenario):
@@ -237,8 +237,9 @@ def test_per_interface_series_are_the_live_index_counters_only():
         "lookups",
         "candidates_checked",
         "false_positives",
+        "probe_flattens",
     }
-    assert gauges == {"segments", "subscriptions"}
+    assert gauges == {"segments", "subscriptions", "precision_bits"}
     assert "autotuner_total" not in scrape
 
 
