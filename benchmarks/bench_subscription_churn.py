@@ -1,15 +1,15 @@
-"""E-SUB-CHURN — batched subscription churn vs sequential calls.
+"""E-SUB-CHURN — subscription churn through the batch and the per-call APIs.
 
 Paper connection: the covering optimisation's cost lives on the subscription
 path — every arrival runs a covering check per link, and every withdrawal of a
 covering subscription must promote the subscriptions it had been suppressing.
 The broker computes each subscription's dominance-region probe plan once
 (shared across links, brokers and promotion re-checks) and promotes via the
-dependents map; ``subscribe_batch`` / ``unsubscribe_batch`` amortise a batch
-over that one engine.  This benchmark times both APIs at 10k–50k
-subscriptions and checks the safety claim after churn on tree/chain/star
-under both transports.  The driver raises unless the batch API leaves
-byte-identical routing state to the sequential calls, at every size.
+dependents map; ``subscribe_batch`` / ``unsubscribe_batch`` are loops over the
+per-call path.  This benchmark times both APIs at 10k–50k subscriptions and
+checks the safety claim after churn on tree/chain/star under both transports.
+The driver raises unless the batch API leaves byte-identical routing state
+and identical broker counters to the sequential calls, at every size.
 
 ``results/subscription_churn_pr12_rescan_unshared.txt`` is the frozen PR 12
 measurement against the removed full-rescan + unshared-profile arm.

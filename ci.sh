@@ -45,9 +45,13 @@ stage "tier-1 tests (hypothesis profile: ${HYPOTHESIS_PROFILE:-ci})"
 HYPOTHESIS_PROFILE="${HYPOTHESIS_PROFILE:-ci}" python -m pytest -x -q tests
 
 stage "benchmark smoke (tiny sizes) + full-size sim tables"
-# bench_subscription_churn times the batch subscribe/withdraw APIs against
-# sequential calls on the one engine; the driver raises unless the two leave
-# byte-identical routing state — any divergence fails CI here.
+# bench_subscription_churn times the batch subscribe/withdraw APIs (loops
+# over the per-call path) against sequential calls; the driver raises unless
+# the two leave byte-identical routing state and equal broker counters — any
+# divergence fails CI here.
+# bench_ablation_visit_order and bench_index_throughput have no smoke size
+# (a few seconds each at full size) and run here so their drivers keep
+# running against the covering index's API.
 # bench_curve_ablation's smoke pass asserts the per-event delivery sets are
 # identical under every curve (the driver raises on any divergence) and that
 # Hilbert needs fewer key runs than Z on the Fig. 1-style rectangle family.
@@ -96,7 +100,9 @@ REPRO_BENCH_SMOKE=1 python -m pytest -q \
     benchmarks/bench_thm41_lower_bound.py \
     benchmarks/bench_dimensionality_aspect.py \
     benchmarks/bench_approx_vs_exhaustive.py \
-    benchmarks/bench_recall_vs_epsilon.py
+    benchmarks/bench_recall_vs_epsilon.py \
+    benchmarks/bench_ablation_visit_order.py \
+    benchmarks/bench_index_throughput.py
 python -m pytest -q benchmarks/bench_sim_latency.py benchmarks/bench_topology_scale.py
 if [ "$RESULTS_BEFORE" != "$(results_listing)" ]; then
     echo "ci.sh: a benchmark pass changed files under benchmarks/results/" \

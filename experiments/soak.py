@@ -139,9 +139,6 @@ class Soak:
             "log_retained": sum(1 for _ in self.network.deliveries),
             "latency_window": len(stats.delivery_latencies),
             "hop_window": min(len(stats.hop_counts), len(stats.hop_latencies)),
-            "decision_log_max": max(
-                len(broker.decision_log) for broker in self.network.brokers.values()
-            ),
         }
 
 
@@ -184,7 +181,7 @@ def soak(deliveries: int, seed: int) -> Tuple[List[Dict[str, object]], List[str]
             f"the transport counted {stats.deliveries} deliveries, "
             f"the log {len(run.network.deliveries)}"
         )
-    for name in ("log_retained", "latency_window", "hop_window", "decision_log_max"):
+    for name in ("log_retained", "latency_window", "hop_window"):
         if any(r[name] > RETENTION for r in rows):
             failures.append(f"{name} outgrew RETENTION ({RETENTION})")
     first, last = rows[1]["heap_mb"], rows[-1]["heap_mb"]

@@ -1,7 +1,7 @@
 """Content-based publish/subscribe substrate: schema, subscriptions, brokers, network."""
 
 from ..sim.transport import TransportStats
-from .broker import LOCAL_INTERFACE, Broker, BrokerStats, ForwardDecision
+from .broker import LOCAL_INTERFACE, Broker, BrokerStats
 from .client import Publisher, Subscriber
 from .network import (
     BrokerNetwork,
@@ -31,7 +31,6 @@ from .subscription_store import ProfileCache, SubscriptionProfile, SubscriptionS
 __all__ = [
     "LOCAL_INTERFACE",
     "Broker",
-    "ForwardDecision",
     "Publisher",
     "Subscriber",
     "BrokerNetwork",

@@ -33,11 +33,10 @@ table's :meth:`~repro.pubsub.routing_table.RoutingTable.match_work`, in place.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Deque, Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from ..index.config import IndexConfig
 from ..obs.trace import Span, TraceLog, make_detail
-from ..sim.transport import recent_window
 from .routing_table import (
     CoveringStrategy,
     RoutingTable,
@@ -49,7 +48,7 @@ from .schema import AttributeSchema
 from .subscription import Event, Subscription
 from .subscription_store import ProfileCache, SubscriptionProfile, SubscriptionStore
 
-__all__ = ["Broker", "BrokerStats", "ForwardDecision", "LOCAL_INTERFACE"]
+__all__ = ["Broker", "BrokerStats", "LOCAL_INTERFACE"]
 
 #: Pseudo-interface identifier for subscriptions registered by local clients.
 LOCAL_INTERFACE = "__local__"
@@ -73,8 +72,6 @@ class BrokerStats:
     #: Suppressed subscriptions re-forwarded because their cover was withdrawn.
     promotions: int = 0
     covering_checks: int = 0
-    #: Covering checks issued from inside a batch subscribe/withdraw pass.
-    batch_covering_checks: int = 0
     covering_check_runs: int = 0
     events_received: int = 0
     events_forwarded: int = 0
@@ -87,16 +84,6 @@ class BrokerStats:
     def as_dict(self) -> Dict[str, int]:
         """The counters as a plain dictionary, one entry per field."""
         return asdict(self)
-
-
-@dataclass(frozen=True)
-class ForwardDecision:
-    """Record of one propagation decision (useful for tests and traces)."""
-
-    subscription_id: Hashable
-    interface_id: Hashable
-    forwarded: bool
-    covered_by: Optional[Hashable]
 
 
 @dataclass
@@ -174,9 +161,6 @@ class Broker:
         self._owned: Dict[Hashable, Tuple[int, int, Hashable, Subscription]] = {}
         self._client_ordinal: Dict[Hashable, int] = {}
         self._arrivals = 0
-        # The most recent forwarding decisions (RETENTION of them).
-        self._decision_log: Deque[ForwardDecision] = recent_window()
-        self._in_batch = False
         # Set by the network: called as send_subscription(from, to, subscription)
         self._send_subscription: Optional[Callable[[Hashable, Hashable, Subscription], None]] = None
         self._send_unsubscription: Optional[Callable[[Hashable, Hashable, Hashable], None]] = None
@@ -228,10 +212,6 @@ class Broker:
     def neighbors(self) -> List[Hashable]:
         return list(self._neighbors)
 
-    @property
-    def decision_log(self) -> List[ForwardDecision]:
-        return list(self._decision_log)
-
     # ----------------------------------------------------------- subscriptions
     def _admit(
         self, items: Sequence[Tuple[Hashable, Subscription]]
@@ -278,12 +258,9 @@ class Broker:
     def subscribe_batch(self, items: Sequence[Tuple[Hashable, Subscription]]) -> None:
         """Register a batch of ``(client_id, subscription)`` pairs and propagate them.
 
-        Equivalent to calling :meth:`subscribe_local` per pair — per-link
-        processing order, forwarding decisions and message sequences are
-        identical — but the per-subscription profile work is amortised over
-        the batch and the per-link covering state stays hot while the batch
-        sweeps each neighbour, and the whole batch is checked against the
-        live ids (and against itself) before any of it is registered.
+        The whole batch is checked against the live ids (and against itself)
+        before any of it is registered; then each new subscription takes the
+        :meth:`subscribe_local` path in batch order.
         """
         self.receive_subscription_batch(
             LOCAL_INTERFACE, [subscription for _, subscription in self._admit(items)]
@@ -301,29 +278,9 @@ class Broker:
     def receive_subscription_batch(
         self, from_interface: Hashable, subscriptions: Sequence[Subscription]
     ) -> None:
-        """Handle a batch of subscriptions arriving together on one interface.
-
-        All subscriptions are stored (and profiled) first, then each outgoing
-        link is swept once.  Per link the subscriptions are considered in
-        batch order, so the covering decisions — including intra-batch
-        suppression of later subscriptions by earlier ones — are exactly
-        those of sequential arrival.
-        """
-        self._in_batch = True
-        try:
-            entries: List[Tuple[Subscription, SubscriptionProfile]] = []
-            for subscription in subscriptions:
-                self.stats.subscriptions_received += 1
-                entries.append(
-                    (subscription, self._store_subscription(from_interface, subscription))
-                )
-            for neighbor_id in self._neighbors:
-                if neighbor_id == from_interface:
-                    continue
-                for subscription, profile in entries:
-                    self._consider_forwarding(neighbor_id, subscription, profile)
-        finally:
-            self._in_batch = False
+        """Handle subscriptions arriving together on one interface, in order."""
+        for subscription in subscriptions:
+            self.receive_subscription(from_interface, subscription)
 
     def _store_subscription(
         self, from_interface: Hashable, subscription: Subscription
@@ -349,8 +306,6 @@ class Broker:
     ) -> Optional[Hashable]:
         """One covering query against a link's forwarded set, with accounting."""
         self.stats.covering_checks += 1
-        if self._in_batch:
-            self.stats.batch_covering_checks += 1
         before = strategy.work_units()
         covered_by = strategy.find_covering(profile)
         self.stats.covering_check_runs += strategy.work_units() - before
@@ -398,7 +353,6 @@ class Broker:
         strategy.add(subscription.sub_id, profile)
         self._forwarded_ids[neighbor_id][subscription.sub_id] = subscription
         self.stats.subscriptions_forwarded += 1
-        self._decision_log.append(ForwardDecision(subscription.sub_id, neighbor_id, True, None))
         if self._send_subscription is None:
             raise RuntimeError(
                 f"broker {self.broker_id} has no transport attached; "
@@ -437,9 +391,6 @@ class Broker:
             )
         if covered_by is not None:
             self._record_suppression(neighbor_id, subscription, covered_by)
-            self._decision_log.append(
-                ForwardDecision(subscription.sub_id, neighbor_id, False, covered_by)
-            )
             return
         # A duplicate arrival of a previously *suppressed* subscription can
         # reach this point when the (approximate) covering check misses the
@@ -562,12 +513,10 @@ class Broker:
         return True
 
     def unsubscribe_batch(self, items: Sequence[Tuple[Hashable, Hashable]]) -> List[bool]:
-        """Withdraw a batch of ``(client_id, sub_id)`` pairs in one pass.
+        """Withdraw a batch of ``(client_id, sub_id)`` pairs, in order.
 
-        Per-link withdrawal order and promotion decisions are identical to
-        calling :meth:`unsubscribe_local` per pair; the per-link sweep keeps
-        each link's covering state hot and the promotion engine amortises its
-        profile lookups.  Returns one found-flag per pair.
+        The same as calling :meth:`unsubscribe_local` per pair.  Returns one
+        found-flag per pair.
         """
         removed_flags = [self._disown(client_id, sub_id) for client_id, sub_id in items]
         self.receive_unsubscription_batch(
@@ -589,25 +538,9 @@ class Broker:
     def receive_unsubscription_batch(
         self, from_interface: Hashable, sub_ids: Sequence[Hashable]
     ) -> None:
-        """Handle a batch of withdrawals arriving together on one interface.
-
-        All ids leave the interface table first, then each outgoing link is
-        swept once; per link the withdrawals (and their promotions) run in
-        batch order, matching sequential arrival exactly.
-        """
-        self._in_batch = True
-        try:
-            table = self.routing_table.table(from_interface)
-            removed = [sub_id for sub_id in sub_ids if table.remove(sub_id)]
-            for neighbor_id in self._neighbors:
-                if neighbor_id == from_interface:
-                    continue
-                for sub_id in sub_ids:
-                    self._withdraw_from_neighbor(neighbor_id, sub_id)
-            for sub_id in removed:
-                self._store.release(sub_id)
-        finally:
-            self._in_batch = False
+        """Handle withdrawals arriving together on one interface, in order."""
+        for sub_id in sub_ids:
+            self.receive_unsubscription(from_interface, sub_id)
 
     def _withdraw_from_neighbor(self, neighbor_id: Hashable, sub_id: Hashable) -> None:
         suppressed = self._suppressed[neighbor_id]
@@ -656,20 +589,9 @@ class Broker:
         routing, so each key is built once instead of once per interface
         probe.
         """
-        for _ in self.publish_batch_iter(events):
-            pass
-
-    def publish_batch_iter(self, events: Sequence[Event]):
-        """Like :meth:`publish_batch`, yielding each event after it is routed.
-
-        Lets callers (the network's delivery-tracking wrapper) observe
-        per-event boundaries while sharing the amortised key computation.
-        """
         events = list(events)
-        keys = self.routing_table.event_keys(events)
-        for event, key in zip(events, keys):
+        for event, key in zip(events, self.routing_table.event_keys(events)):
             self.receive_event(LOCAL_INTERFACE, event, key=key)
-            yield event
 
     def receive_event(
         self, from_interface: Hashable, event: Event, key: Optional[int] = None

@@ -22,7 +22,6 @@ publishing broker through up brokers.
 
 from __future__ import annotations
 
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import (
@@ -277,13 +276,12 @@ class BrokerNetwork:
         # Event id -> the clients it has reached, for the ids a caller is
         # collecting (see collect_recipients).
         self._collecting: Dict[Hashable, Set[Hashable]] = {}
-        self._client_home: Dict[Hashable, Hashable] = {}
-        self._client_subscriptions: Dict[Hashable, List[Subscription]] = {}
-        # Every live subscription id -> (client, home broker, ranges): an id
-        # names one client's one rectangle network-wide (see _admit).
-        self._live_ids: Dict[Hashable, Tuple[Hashable, Hashable, tuple]] = {}
+        # Every live subscription id -> (client, home broker, subscription):
+        # an id names one client's one rectangle network-wide (see _admit).
+        # Withdrawals and the audit's ground truth read it, never the
+        # brokers' own maps.
+        self._live_ids: Dict[Hashable, Tuple[Hashable, Hashable, Subscription]] = {}
         self._publish_times: Dict[Hashable, float] = {}
-        self._phase_seconds: Dict[str, float] = {}
 
     # ---------------------------------------------------------------- topology
     def add_broker(self, broker_id: Hashable) -> Broker:
@@ -535,9 +533,10 @@ class BrokerNetwork:
         self.brokers[attach_to].announce_interface(broker_id)
         return broker
 
-    def client_home(self, client_id: Hashable) -> Optional[Hashable]:
-        """The broker a client subscribed through, or ``None`` if unknown."""
-        return self._client_home.get(client_id)
+    def subscription_home(self, sub_id: Hashable) -> Optional[Hashable]:
+        """The broker live subscription ``sub_id`` was registered at, or ``None``."""
+        held = self._live_ids.get(sub_id)
+        return None if held is None else held[1]
 
     def live_brokers(self) -> Set[Hashable]:
         """Brokers currently up."""
@@ -566,20 +565,12 @@ class BrokerNetwork:
         return sorted(components, key=lambda c: min(str(b) for b in c))
 
     # ------------------------------------------------------------------- usage
-    @contextmanager
-    def _timed_phase(self, phase: str):
-        """Accumulate wall-clock time for one subscription-lifecycle phase."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self._phase_seconds[phase] = self._phase_seconds.get(phase, 0.0) + (
-                time.perf_counter() - start
-            )
-
-    def phase_timings(self) -> Dict[str, float]:
-        """Accumulated wall-clock seconds per lifecycle phase."""
-        return dict(self._phase_seconds)
+    def _require_up(self, broker_id: Hashable) -> None:
+        """Raise ``ValueError`` unless ``broker_id`` exists and is up."""
+        if broker_id not in self.brokers:
+            raise ValueError(f"unknown broker {broker_id!r}")
+        if not self.transport.is_up(broker_id):
+            raise ValueError(f"broker {broker_id!r} is down")
 
     def _admit(
         self, broker_id: Hashable, items: Sequence[Tuple[Hashable, Subscription]]
@@ -594,47 +585,34 @@ class BrokerNetwork:
         geometry and lose deliveries); an exact repeat is dropped, so one
         withdrawal still removes the subscription.  Withdrawing frees the id.
         """
-        if broker_id not in self.brokers:
-            raise ValueError(f"unknown broker {broker_id!r}")
-        if not self.transport.is_up(broker_id):
-            raise ValueError(f"broker {broker_id!r} is down")
+        self._require_up(broker_id)
         fresh: Dict[Hashable, Tuple[Hashable, Subscription]] = {}
         for client_id, subscription in items:
             sub_id = subscription.sub_id
             held = self._live_ids.get(sub_id)
             if held is None:
                 holder, first = fresh.setdefault(sub_id, (client_id, subscription))
-                held = (holder, broker_id, first.ranges)
-            if held != (client_id, broker_id, subscription.ranges):
+                held = (holder, broker_id, first)
+            if (held[0], held[1], held[2].ranges) != (
+                client_id, broker_id, subscription.ranges
+            ):
                 raise ValueError(
                     f"subscription id {sub_id!r} is already live for client "
                     f"{held[0]!r} at broker {held[1]!r}; withdraw it before reusing "
                     f"the id for another client, broker or ranges"
                 )
         for sub_id, (client_id, subscription) in fresh.items():
-            self._live_ids[sub_id] = (client_id, broker_id, subscription.ranges)
-            self._client_home[client_id] = broker_id
-            self._client_subscriptions.setdefault(client_id, []).append(subscription)
+            self._live_ids[sub_id] = (client_id, broker_id, subscription)
         return list(fresh.values())
-
-    def _retire(self, client_id: Hashable, sub_id: Hashable) -> None:
-        """Forget a withdrawn subscription (the counterpart of :meth:`_admit`)."""
-        self._live_ids.pop(sub_id, None)
-        self._client_subscriptions[client_id] = [
-            sub
-            for sub in self._client_subscriptions.get(client_id, [])
-            if sub.sub_id != sub_id
-        ]
 
     def subscribe(self, broker_id: Hashable, client_id: Hashable, subscription: Subscription) -> None:
         """Register a client subscription at ``broker_id`` and propagate it network-wide.
 
         Repeating a live subscription exactly is a no-op; reusing a live id
-        any other way raises ``ValueError`` (see :meth:`_admit`).
+        any other way raises ``ValueError`` (see :meth:`_admit`).  A client
+        may hold subscriptions at several brokers.
         """
-        if not self._admit(broker_id, [(client_id, subscription)]):
-            return
-        with self._timed_phase("subscribe"):
+        if self._admit(broker_id, [(client_id, subscription)]):
             self.brokers[broker_id].subscribe_local(client_id, subscription)
 
     def subscribe_batch_async(
@@ -654,14 +632,25 @@ class BrokerNetwork:
     ) -> None:
         """Register a batch of ``(client_id, subscription)`` pairs at one broker.
 
-        Equivalent to calling :meth:`subscribe` per pair (identical final
-        routing state, pinned by the batch-equivalence tests), with the
-        per-subscription profile work amortised across the batch.  Under a
-        simulated transport the propagation is drained before returning.
+        The whole batch is checked against the live ids (and against itself)
+        before any of it is registered; then it is :meth:`subscribe` per pair,
+        in order.  Under a simulated transport the propagation is drained
+        before returning.
         """
-        with self._timed_phase("subscribe_batch"):
-            self.subscribe_batch_async(broker_id, items)
-            self.flush()
+        self.subscribe_batch_async(broker_id, items)
+        self.flush()
+
+    def _live_home(self, client_id: Hashable, sub_id: Hashable) -> Optional[Hashable]:
+        """The broker holding ``client_id``'s live ``sub_id``; ``None`` when it holds none.
+
+        Raises ``ValueError`` when that broker is down.
+        """
+        held = self._live_ids.get(sub_id)
+        if held is None or held[0] != client_id:
+            return None
+        if not self.transport.is_up(held[1]):
+            raise ValueError(f"broker {held[1]!r} is down")
+        return held[1]
 
     def unsubscribe(self, client_id: Hashable, sub_id: Hashable) -> bool:
         """Withdraw a previously registered client subscription network-wide.
@@ -671,15 +660,12 @@ class BrokerNetwork:
         subscriptions that were suppressed because this one covered them are
         re-forwarded where needed and no remaining subscriber loses events.
         """
-        broker_id = self._client_home.get(client_id)
+        broker_id = self._live_home(client_id, sub_id)
         if broker_id is None:
             return False
-        if not self.transport.is_up(broker_id):
-            raise ValueError(f"broker {broker_id!r} is down")
-        with self._timed_phase("unsubscribe"):
-            removed = self.brokers[broker_id].unsubscribe_local(client_id, sub_id)
+        removed = self.brokers[broker_id].unsubscribe_local(client_id, sub_id)
         if removed:
-            self._retire(client_id, sub_id)
+            del self._live_ids[sub_id]
         return removed
 
     def unsubscribe_batch_async(
@@ -690,35 +676,30 @@ class BrokerNetwork:
         groups: Dict[Hashable, List[Tuple[int, Hashable, Hashable]]] = {}
         flags: List[bool] = [False] * len(items)
         for position, (client_id, sub_id) in enumerate(items):
-            broker_id = self._client_home.get(client_id)
-            if broker_id is None:
-                continue
-            if not self.transport.is_up(broker_id):
-                raise ValueError(f"broker {broker_id!r} is down")
-            groups.setdefault(broker_id, []).append((position, client_id, sub_id))
+            broker_id = self._live_home(client_id, sub_id)
+            if broker_id is not None:
+                groups.setdefault(broker_id, []).append((position, client_id, sub_id))
         for broker_id, group in groups.items():
             removed = self.brokers[broker_id].unsubscribe_batch(
                 [(client_id, sub_id) for _, client_id, sub_id in group]
             )
-            for (position, client_id, sub_id), found in zip(group, removed):
+            for (position, _, sub_id), found in zip(group, removed):
                 flags[position] = found
                 if found:
-                    self._retire(client_id, sub_id)
+                    del self._live_ids[sub_id]
         return flags
 
     def unsubscribe_batch(self, items: Sequence[Tuple[Hashable, Hashable]]) -> List[bool]:
         """Withdraw a batch of ``(client_id, sub_id)`` pairs network-wide.
 
-        Pairs are grouped by the client's home broker (preserving order
-        within each group) and withdrawn through the broker's batch path;
-        the promotion engine runs per withdrawal exactly as it would under
-        sequential :meth:`unsubscribe` calls.  Unknown clients yield False;
-        a pair homed at a crashed broker raises like the sequential API.
-        Returns one found-flag per pair, in input order.
+        Pairs are grouped by each subscription's home broker (preserving
+        order within each group) and withdrawn there as :meth:`unsubscribe`
+        would, one after another.  A pair naming no live subscription of that
+        client yields False; a live one homed at a crashed broker raises like
+        the sequential API.  Returns one found-flag per pair, in input order.
         """
-        with self._timed_phase("unsubscribe_batch"):
-            flags = self.unsubscribe_batch_async(items)
-            self.flush()
+        flags = self.unsubscribe_batch_async(items)
+        self.flush()
         return flags
 
     def publish_async(self, broker_id: Hashable, event: Event) -> None:
@@ -729,11 +710,14 @@ class BrokerNetwork:
         arrive.  Under the synchronous transport this is equivalent to
         :meth:`publish` except for the return value.
         """
-        if broker_id not in self.brokers:
-            raise ValueError(f"unknown broker {broker_id!r}")
-        if not self.transport.is_up(broker_id):
-            raise ValueError(f"broker {broker_id!r} is down")
-        self._publish_times.setdefault(event.event_id, self.transport.now)
+        self._require_up(broker_id)
+        self._start_publish(broker_id, event)
+        self.brokers[broker_id].publish_local(event)
+
+    def _start_publish(self, broker_id: Hashable, event: Event) -> None:
+        """Stamp ``event``'s publish time and record its ``publish`` root span."""
+        now = self.transport.now
+        self._publish_times.setdefault(event.event_id, now)
         if self.tracing.enabled:
             self.tracing.record(
                 Span(
@@ -741,11 +725,10 @@ class BrokerNetwork:
                     kind="publish",
                     name=str(event.event_id),
                     broker_id=broker_id,
-                    start=self.transport.now,
+                    start=now,
                     detail=make_detail(origin=str(broker_id)),
                 )
             )
-        self.brokers[broker_id].publish_local(event)
 
     def publish(self, broker_id: Hashable, event: Event) -> Set[Hashable]:
         """Publish ``event`` at ``broker_id``; return the set of clients it was delivered to.
@@ -776,10 +759,7 @@ class BrokerNetwork:
         repeat: each chunk is keyed in one pass and flushed before the next,
         and every position gets the clients its own event reached.
         """
-        if broker_id not in self.brokers:
-            raise ValueError(f"unknown broker {broker_id!r}")
-        if not self.transport.is_up(broker_id):
-            raise ValueError(f"broker {broker_id!r} is down")
+        self._require_up(broker_id)
         results: List[Set[Hashable]] = []
         chunk: List[Event] = []
         chunk_ids: Set[Hashable] = set()
@@ -793,20 +773,8 @@ class BrokerNetwork:
 
     def _publish_chunk(self, broker_id: Hashable, events: List[Event]) -> List[Set[Hashable]]:
         """Publish events with distinct ids as one batch and flush; per-event recipients."""
-        now = self.transport.now
         for event in events:
-            self._publish_times.setdefault(event.event_id, now)
-            if self.tracing.enabled:
-                self.tracing.record(
-                    Span(
-                        trace_id=self.tracing.trace_id_for("evt", event.event_id),
-                        kind="publish",
-                        name=str(event.event_id),
-                        broker_id=broker_id,
-                        start=now,
-                        detail=make_detail(origin=str(broker_id)),
-                    )
-                )
+            self._start_publish(broker_id, event)
         # Deliveries of other events already in flight drain in the same
         # flush; collecting by event id leaves them out of the result.
         with self.collect_recipients(event.event_id for event in events) as delivered:
@@ -830,9 +798,12 @@ class BrokerNetwork:
     def expected_recipients(self, event: Event, origin: Optional[Hashable] = None) -> Set[Hashable]:
         """Ground truth: every live client with a subscription matching ``event``.
 
-        Clients homed at crashed brokers are excluded; with ``origin`` the set
-        is further restricted to clients reachable from the publishing broker
-        through live brokers (an event cannot cross a dead broker).
+        A subscription counts where it was registered: one homed at a crashed
+        broker is excluded; with ``origin`` the set is further restricted to
+        subscriptions reachable from the publishing broker through live
+        brokers (an event cannot cross a dead broker).  A client with
+        subscriptions at several brokers is expected wherever one of its
+        matching subscriptions is allowed.
         """
         if origin is not None:
             allowed = self.reachable_brokers(origin)
@@ -840,9 +811,8 @@ class BrokerNetwork:
             allowed = self.live_brokers()
         return {
             client_id
-            for client_id, subscriptions in self._client_subscriptions.items()
-            if self._client_home.get(client_id) in allowed
-            and any(sub.matches(event) for sub in subscriptions)
+            for client_id, home, subscription in self._live_ids.values()
+            if home in allowed and subscription.matches(event)
         }
 
     def publish_and_audit(self, broker_id: Hashable, event: Event) -> Tuple[Set[Hashable], Set[Hashable]]:
@@ -916,9 +886,6 @@ class BrokerNetwork:
         transport's stats.  Idempotent: running totals overwrite the previous
         scrape's values, so calling this twice never double-counts, and the
         hot paths keep incrementing plain attributes at no registry cost.
-        Wall-clock :meth:`phase_timings` are deliberately *not* published:
-        the exposition must be byte-identical across same-seed runs, and wall
-        time is not.
         """
         registry = self.metrics
         broker_counters = registry.counter(

@@ -639,10 +639,10 @@ def _action_skippable(network: BrokerNetwork, action: Action) -> bool:
     if action.kind in ("subscribe", "subscribe_batch", "publish"):
         return not _broker_usable(network, action.broker_id)
     if action.kind == "unsubscribe":
-        home = network.client_home(action.client_id)
+        home = network.subscription_home(action.sub_id)
         return home is not None and not network.transport.is_up(home)
     if action.kind == "unsubscribe_batch":
-        homes = [network.client_home(client_id) for client_id, _ in action.items or ()]
+        homes = [network.subscription_home(sub_id) for _, sub_id in action.items or ()]
         return all(
             home is not None and not network.transport.is_up(home) for home in homes
         )
@@ -676,7 +676,7 @@ def _apply_action(network: BrokerNetwork, action: Action) -> None:
         live = [
             (client_id, sub_id)
             for client_id, sub_id in action.items or ()
-            if (home := network.client_home(client_id)) is None
+            if (home := network.subscription_home(sub_id)) is None
             or network.transport.is_up(home)
         ]
         network.unsubscribe_batch_async(live)

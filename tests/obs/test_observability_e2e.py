@@ -100,12 +100,18 @@ class TestAcceptance:
             origin = row["origin"]
             event_id = row["event_id"]
             assert trace_id == network.tracing.trace_id_for("evt", event_id)
-            # The audit's expected recipients are clients; mapped to their
-            # home brokers, the trace's hop edges must be exactly the union
-            # of the tree paths that reach the remote ones.
+            # The audit's expected recipients are clients (reproducible: the
+            # subscriptions are still installed after the run); mapped to the
+            # brokers holding their matching subscriptions, the trace's hop
+            # edges must be exactly the union of the tree paths that reach
+            # the remote ones.
+            event = _rebuild_event(network, event_id)
+            expected = network.expected_recipients(event, origin=origin)
             expected_remote = {
-                network.client_home(client)
-                for client in _expected_for(network, scenario, event_id, origin)
+                broker_id
+                for broker_id, broker in network.brokers.items()
+                for client, subscription in broker.local_subscriptions()
+                if client in expected and subscription.matches(event)
             } - {origin}
             expected_edges = set()
             for target in expected_remote:
@@ -116,13 +122,6 @@ class TestAcceptance:
         assert "trace event-0" in scenario.trace_tree
         assert "publish @" in scenario.trace_tree
         assert "critical path:" in scenario.critical_path
-
-
-def _expected_for(network, scenario, event_id, origin):
-    # Recompute the audit set from the live network: the subscriptions are
-    # still installed after the run, so expected_recipients is reproducible.
-    event = _rebuild_event(network, event_id)
-    return network.expected_recipients(event, origin=origin)
 
 
 def _rebuild_event(network, event_id):
@@ -168,11 +167,11 @@ class TestDeterminism:
         # seeds.  A change that alters the scrape on purpose updates these.
         text = scenario.prometheus_text.encode()
         assert hashlib.sha256(text).hexdigest() == (
-            "9e8664f9e5d2d3785d5bade4fe26b5e9f285c1c5dbaecbd2933fb970c5b96b20"
+            "21b6916a298bec7e750d55d897c6ec9a8dcc5b76e894da65b785dbf14b4a5806"
         )
         written = write_bench_json(tmp_path / "BENCH_metrics.json", scenario.snapshot)
         assert hashlib.sha256(written.read_bytes()).hexdigest() == (
-            "f6796f28293f4795af3603d9c1a1b0c452e39cf557f2604d5e4164450392412d"
+            "81e65a8f77aa39fe23426fe3818c184f53c44a6341bf08ccfa9449a965414d10"
         )
 
     def test_different_seed_changes_trace_ids(self, scenario):

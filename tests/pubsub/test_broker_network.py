@@ -7,6 +7,7 @@ import random
 import pytest
 
 from repro.index.config import IndexConfig
+from repro.obs.trace import TraceLog
 from repro.pubsub.broker import Broker
 from repro.pubsub.client import Publisher, Subscriber
 from repro.pubsub.network import (
@@ -199,13 +200,24 @@ class TestSubscriptionPropagation:
         assert network.subscription_messages > before
         assert network.brokers[0].has_forwarded(1, "wide")
 
-    def test_decision_log_records_choices(self, schema):
-        network = make_network(schema, covering="exact", num_brokers=2)
+    def test_covering_spans_record_choices(self, schema):
+        network = BrokerNetwork.from_topology(
+            schema, chain_topology(2), covering="exact", tracing=TraceLog(seed=1)
+        )
         network.subscribe(0, "c1", Subscription(schema, {"x": (0.0, 90.0)}, sub_id="wide"))
         network.subscribe(0, "c2", Subscription(schema, {"x": (1.0, 2.0)}, sub_id="narrow"))
-        log = network.brokers[0].decision_log
-        assert any(d.forwarded and d.subscription_id == "wide" for d in log)
-        assert any(not d.forwarded and d.covered_by == "wide" for d in log)
+        decisions = [
+            (span.name, span.broker_id, span.parent,
+             span.detail_dict()["decision"], span.detail_dict()["covered_by"])
+            for span in network.tracing.spans(kind="covering")
+        ]
+        # Broker 1's only link is the one both arrived on: it decides nothing.
+        assert decisions == [
+            ("wide", 0, 1, "forwarded", ""),
+            ("narrow", 0, 1, "suppressed", "wide"),
+        ]
+        stats = network.brokers[0].stats
+        assert stats.subscriptions_forwarded == stats.subscriptions_suppressed == 1
 
     def test_routing_table_entries_shrink_with_covering(self, schema):
         rng = random.Random(3)

@@ -91,9 +91,7 @@ class TestCrashRecoverLeaf:
         # must still get everything (publish only from live brokers).
         live_origins = [b for b in range(NUM_BROKERS) if b != LEAF]
         audit_events(network, 6, "during-crash", origins=live_origins)
-        dead_clients = {
-            client for client, home in network._client_home.items() if home == LEAF
-        }
+        dead_clients = {client for client, _ in network.brokers[LEAF].local_subscriptions()}
         assert dead_clients
         event = Event(schema, {"x": 15.0, "y": 10.0}, event_id="no-dead-delivery")
         delivered = network.publish(0, event)

@@ -64,7 +64,6 @@ LIFECYCLE_COUNTERS = (
     "subscriptions_resynced",
     "promotions",
     "covering_checks",
-    "batch_covering_checks",
     "covering_check_runs",
 )
 

@@ -74,10 +74,10 @@ class TestLifecycleIdempotence:
         baseline = network.routing_state()
         assert self._unsubscribe(network, api, "ghost", "never") is False
         assert network.routing_state() == baseline
-        # A stray withdrawal arriving on a broker interface is also harmless.
+        # A stray withdrawal reaching a broker directly is also harmless.
         broker = network.brokers[0]
         if api == "batch":
-            broker.receive_unsubscription_batch(LOCAL_INTERFACE, ["never"])
+            assert broker.unsubscribe_batch([("ghost", "never")]) == [False]
         else:
             broker.receive_unsubscription(LOCAL_INTERFACE, "never")
         assert network.routing_state() == baseline
@@ -154,7 +154,8 @@ class TestLiveIdIsOneClientsOneRectangle:
                 self._subscribe(network, api, broker_id, client_id, subscription)
         assert network.routing_state() == state
         assert network.subscription_messages == messages
-        assert network.client_home("bob") is None and network.client_home("alice") == 0
+        assert network.subscription_home("same") == 0
+        assert [client for client, _ in network.brokers[0].local_subscriptions()] == ["alice"]
         inside_first = Event(schema, {"x": 10.0, "y": 5.0})
         inside_other = Event(schema, {"x": 70.0, "y": 5.0})
         assert network.publish_and_audit(2, inside_first) == (set(), set())
@@ -202,7 +203,7 @@ class TestLiveIdIsOneClientsOneRectangle:
             with pytest.raises(ValueError):
                 network.subscribe_batch(0, items)
             assert network.routing_state() == state
-            assert network.client_home("carol") is None
+            assert network.subscription_home("fine") is None
         # The same checks guard a broker driven directly.
         broker = network.brokers[0]
         with pytest.raises(ValueError, match="already live"):
@@ -218,3 +219,72 @@ class TestLiveIdIsOneClientsOneRectangle:
         assert [client for client, _ in broker.local_subscriptions()] == ["alice", "carol"]
         assert network.unsubscribe("carol", "fine") is True
         assert network.routing_state() == state
+
+
+@pytest.mark.parametrize("api", ["legacy", "batch"])
+class TestClientAtSeveralBrokers:
+    """A client may hold live subscriptions at several brokers at once.
+
+    Withdrawals and the audit's ground truth look each subscription up where
+    it was registered.  While the network kept one home broker per client,
+    the client's later subscribe moved that home: withdrawing the first
+    subscription went to the wrong broker and returned False (its events
+    kept arriving), and the ground truth placed every subscription of the
+    client at the last broker.
+    """
+
+    def _network(self, schema):
+        network = BrokerNetwork.from_topology(schema, chain_topology(3), covering="exact")
+        network.subscribe(0, "alice", Subscription(schema, {"x": (0.0, 30.0)}, sub_id="a"))
+        network.subscribe(2, "alice", Subscription(schema, {"x": (60.0, 90.0)}, sub_id="b"))
+        return network
+
+    def _unsubscribe(self, network, api, client_id, sub_id):
+        if api == "batch":
+            return network.unsubscribe_batch([(client_id, sub_id)])[0]
+        return network.unsubscribe(client_id, sub_id)
+
+    def test_first_subscription_can_be_withdrawn(self, schema, api):
+        network = self._network(schema)
+        in_a = Event(schema, {"x": 10.0, "y": 5.0})
+        in_b = Event(schema, {"x": 70.0, "y": 5.0})
+        assert network.publish(1, in_a) == network.publish(1, in_b) == {"alice"}
+        assert self._unsubscribe(network, api, "alice", "a") is True
+        assert network.publish(1, in_a) == set()
+        assert network.publish(1, in_b) == {"alice"}
+        assert network.subscription_home("a") is None
+        assert network.subscription_home("b") == 2
+        for origin in (0, 1, 2):
+            assert network.publish_and_audit(origin, in_a) == (set(), set())
+            assert network.publish_and_audit(origin, in_b) == (set(), set())
+        assert self._unsubscribe(network, api, "alice", "a") is False
+        assert self._unsubscribe(network, api, "alice", "b") is True
+        assert network.routing_table_entries() == 0
+
+    def test_ground_truth_places_each_subscription_at_its_broker(self, schema, api):
+        network = self._network(schema)
+        network.crash_broker(2)
+        in_a = Event(schema, {"x": 10.0, "y": 5.0})
+        in_b = Event(schema, {"x": 70.0, "y": 5.0})
+        assert network.expected_recipients(in_a, origin=0) == {"alice"}
+        assert network.expected_recipients(in_b, origin=0) == set()
+        assert network.publish_and_audit(0, in_a) == (set(), set())
+        assert network.publish_and_audit(0, in_b) == (set(), set())
+        # The live subscription is withdrawn at its own, live broker; the one
+        # at the crashed broker cannot be.
+        assert self._unsubscribe(network, api, "alice", "a") is True
+        with pytest.raises(ValueError, match="down"):
+            self._unsubscribe(network, api, "alice", "b")
+
+    def test_batch_withdrawal_groups_by_each_subscriptions_broker(self, schema, api):
+        network = self._network(schema)
+        network.subscribe(1, "bob", Subscription(schema, {"x": (40.0, 50.0)}, sub_id="c"))
+        pairs = [("alice", "b"), ("bob", "c"), ("alice", "a"), ("bob", "a")]
+        if api == "batch":
+            flags = network.unsubscribe_batch(pairs)
+        else:
+            flags = [network.unsubscribe(client, sub_id) for client, sub_id in pairs]
+        assert flags == [True, True, True, False]
+        assert network.routing_table_entries() == 0
+        for broker in network.brokers.values():
+            assert broker.local_subscriptions() == []

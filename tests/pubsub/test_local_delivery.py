@@ -101,7 +101,7 @@ def publish_and_compare(network, model, origin, event) -> int:
     network.publish(origin, event)
     records = network.deliveries[before:]
     assert all(record.event_id == event.event_id for record in records)
-    homes = [network.client_home(record.client_id) for record in records]
+    homes = [network.subscription_home(record.subscription_id) for record in records]
     # One broker's records are contiguous: it delivers in one receive_event.
     assert len([home for home, _ in itertools.groupby(homes)]) == len(set(homes))
     got: Dict[Hashable, list] = {}
