@@ -65,6 +65,10 @@ __all__ = ["NetTransport", "serve_network"]
 
 _CLOSE = object()
 
+#: Wall-clock bound on one :meth:`NetTransport.flush`: a quiescence wait
+#: exceeding it raises rather than hanging the control thread forever.
+FLUSH_TIMEOUT = 30.0
+
 #: One queued client command: (broker_id, frame, thread-safe reply callable).
 Command = Tuple[Hashable, Dict[str, object], Callable[[Dict[str, object]], None]]
 
@@ -77,15 +81,11 @@ class NetTransport(Transport):
     host:
         Interface every broker server binds (loopback by default; ports are
         always ephemeral and reported by :meth:`addresses`).
-    flush_timeout:
-        Wall-clock bound on one :meth:`flush`; a quiescence wait exceeding it
-        raises rather than hanging the control thread forever.
     """
 
-    def __init__(self, *, host: str = "127.0.0.1", flush_timeout: float = 30.0) -> None:
+    def __init__(self, *, host: str = "127.0.0.1") -> None:
         super().__init__()
         self.host = host
-        self.flush_timeout = flush_timeout
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
         self._servers: Dict[Hashable, BrokerServer] = {}
@@ -204,7 +204,7 @@ class NetTransport(Transport):
             kind,
             sender,
             receiver,
-            hops=self._hops_for(kind, payload, sender, receiver),
+            hops=self._next_hops(kind),
             sent_at=self.now,
             payload=encode_payload(kind, payload),
         )
@@ -320,10 +320,9 @@ class NetTransport(Transport):
         including frames triggered by the dispatches this flush performed.
         """
         if self._loop is None:
-            self._event_depth.clear()
             return 0
         dispatched = 0
-        deadline = time.monotonic() + self.flush_timeout
+        deadline = time.monotonic() + FLUSH_TIMEOUT
         while True:
             message: Optional[Message] = None
             with self._cond:
@@ -344,19 +343,13 @@ class NetTransport(Transport):
             if message is None:
                 break
             dispatched += 1
-            self._dispatch_message(message)
-        self._event_depth.clear()
+            if self.is_up(message.receiver):
+                self._deliver(message)
+            else:
+                # Crashed after the frame hit the socket: the arrival is lost
+                # exactly like the simulated transport's inbox wipe.
+                self.stats.messages_dropped += 1
         return dispatched
-
-    def _dispatch_message(self, message: Message) -> None:
-        """Control thread: hand one landed message to its broker."""
-        if not self.is_up(message.receiver):
-            # Crashed after the frame hit the socket: the arrival is lost
-            # exactly like the simulated transport's inbox wipe.
-            self.stats.messages_dropped += 1
-            return
-        self._record_arrival(message)
-        self.network._dispatch(message.kind, message.sender, message.receiver, message.payload)
 
 
 # ---------------------------------------------------------------- deployment

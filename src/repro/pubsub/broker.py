@@ -5,11 +5,12 @@ Each broker maintains:
 * a :class:`RoutingTable` — per-interface subscription sets used to decide
   where events are forwarded (reverse-path forwarding on the subscription
   flow);
-* one :class:`CoveringStrategy` per *outgoing* interface — the set of
-  subscriptions already forwarded out of that interface, indexed so that
-  "has something covering this already been forwarded?" is answerable
-  quickly.  The strategy is the pluggable piece: none / exact linear scan /
-  ε-approximate SFC, all sound;
+* one link record per neighbour (:class:`LinkState`): a
+  :class:`CoveringStrategy` over the subscriptions already forwarded on the
+  link, indexed so that "has something covering this already been
+  forwarded?" is answerable quickly, beside the forwarded and suppressed
+  subscriptions themselves.  The strategy is the pluggable piece: none /
+  exact linear scan / ε-approximate SFC, all sound;
 * an owner map for the subscriptions of its own clients.  The routing table
   holds them under :data:`LOCAL_INTERFACE` like any other interface's, and
   local delivery is one probe of that table followed by a lookup of who owns
@@ -24,7 +25,8 @@ strategy is *sound* — it only ever reports true covers — suppression never
 breaks delivery; it can merely happen less often than with exact covering.
 
 The broker is a synchronous simulation object: the :class:`BrokerNetwork`
-drives it by calling :meth:`receive_subscription` and :meth:`receive_event`.
+drives it by calling :meth:`receive_subscription` and :meth:`receive_event`,
+and it sends through the one callback the network attaches.
 It counts what it does in its :class:`BrokerStats` (plain attribute adds on
 the hot paths); the network's scrape reads those counters, plus the routing
 table's :meth:`~repro.pubsub.routing_table.RoutingTable.match_work`, in place.
@@ -86,6 +88,35 @@ class BrokerStats:
         return asdict(self)
 
 
+@dataclass(slots=True)
+class LinkState:
+    """What a broker knows about forwarding on one neighbour link.
+
+    ``forwarded`` holds the subscriptions sent on the link, by id, and
+    ``covering`` indexes the same ones for covering checks; the objects are
+    kept so the link can be re-synced after the neighbour loses state.
+    ``suppressed`` maps each subscription held back to ``(subscription,
+    cover)``, the forwarded subscription it was last found covered by, and
+    ``dependents`` is the reverse map, cover id -> suppressed ids.  A
+    withdrawn cover's dependants are re-checked in their insertion order
+    instead of the whole suppressed set.
+    """
+
+    covering: CoveringStrategy
+    forwarded: Dict[Hashable, Subscription] = field(default_factory=dict)
+    suppressed: Dict[Hashable, Tuple[Subscription, Hashable]] = field(default_factory=dict)
+    dependents: Dict[Hashable, Dict[Hashable, None]] = field(default_factory=dict)
+
+
+def _drop_dependent(link: LinkState, cover: Hashable, sub_id: Hashable) -> None:
+    """Take ``sub_id`` off ``cover``'s dependants on ``link`` (dropping an emptied entry)."""
+    dependents = link.dependents.get(cover)
+    if dependents is not None:
+        dependents.pop(sub_id, None)
+        if not dependents:
+            del link.dependents[cover]
+
+
 @dataclass
 class Broker:
     """One router of the publish/subscribe overlay.
@@ -120,6 +151,11 @@ class Broker:
         the broker records one ``route`` span per event it routes and one
         ``covering`` span per forwarding decision; when ``None`` (the
         default) instrumentation costs a single ``is not None`` test.
+
+    A broker sends and delivers through the two callbacks
+    :meth:`attach_transport` installs (the network does so when it adds the
+    broker).  Until then a send raises ``RuntimeError`` and a local delivery
+    is counted but goes nowhere.
     """
 
     broker_id: Hashable
@@ -139,20 +175,8 @@ class Broker:
         # After the cache: the routing table's match indexes share it.
         self.routing_table = self._fresh_routing_table()
         self._store = SubscriptionStore(self.profile_cache)
-        self._neighbors: List[Hashable] = []
-        self._forwarded: Dict[Hashable, CoveringStrategy] = {}
-        # Per neighbour: the subscriptions actually sent on the link, keyed by
-        # id.  The objects (not just ids) are kept so a link can be re-synced
-        # after the neighbour loses state (crash recovery).
-        self._forwarded_ids: Dict[Hashable, Dict[Hashable, Subscription]] = {}
-        self._suppressed: Dict[Hashable, Dict[Hashable, Subscription]] = {}
-        # Per neighbour: which forwarded subscription each suppressed one was
-        # last found covered by, plus the reverse map.  Promotion pops the
-        # withdrawn cover's dependants instead of re-checking the whole
-        # suppressed set.  Inner dicts preserve
-        # insertion order so promotion re-checks run deterministically.
-        self._cover_of: Dict[Hashable, Dict[Hashable, Hashable]] = {}
-        self._dependents: Dict[Hashable, Dict[Hashable, Dict[Hashable, None]]] = {}
+        # One record per neighbour, in connection order.
+        self._links: Dict[Hashable, LinkState] = {}
         # Local clients' subscriptions by id: (client ordinal, arrival
         # sequence, client id, subscription).  Clients are numbered in
         # first-registration order and keep their number for good; together
@@ -161,11 +185,6 @@ class Broker:
         self._owned: Dict[Hashable, Tuple[int, int, Hashable, Subscription]] = {}
         self._client_ordinal: Dict[Hashable, int] = {}
         self._arrivals = 0
-        # Set by the network: called as send_subscription(from, to, subscription)
-        self._send_subscription: Optional[Callable[[Hashable, Hashable, Subscription], None]] = None
-        self._send_unsubscription: Optional[Callable[[Hashable, Hashable, Hashable], None]] = None
-        self._send_event: Optional[Callable[[Hashable, Hashable, Event], None]] = None
-        self._deliver: Optional[Callable[[Hashable, Hashable, Event], None]] = None
 
     # ------------------------------------------------------------------ wiring
     def _fresh_routing_table(self) -> RoutingTable:
@@ -180,37 +199,52 @@ class Broker:
         )
 
     def _fresh_link_state(self, neighbor_id: Hashable) -> None:
-        """(Re)initialise the per-link covering strategy and bookkeeping."""
-        self._forwarded[neighbor_id] = make_covering_strategy(
-            self.covering, self.schema, config=self.config
+        """(Re)initialise the link record of ``neighbor_id``."""
+        self._links[neighbor_id] = LinkState(
+            make_covering_strategy(self.covering, self.schema, config=self.config)
         )
-        self._forwarded_ids[neighbor_id] = {}
-        self._suppressed[neighbor_id] = {}
-        self._cover_of[neighbor_id] = {}
-        self._dependents[neighbor_id] = {}
+
+    def _link(self, neighbor_id: Hashable) -> LinkState:
+        """The link record of ``neighbor_id``; ``ValueError`` for a non-neighbour."""
+        link = self._links.get(neighbor_id)
+        if link is None:
+            raise ValueError(f"{neighbor_id!r} is not a neighbour of broker {self.broker_id!r}")
+        return link
 
     def connect(self, neighbor_id: Hashable) -> None:
         """Register a neighbouring broker (called by the network while building the topology)."""
-        if neighbor_id not in self._neighbors:
-            self._neighbors.append(neighbor_id)
+        if neighbor_id not in self._links:
             self._fresh_link_state(neighbor_id)
 
     def attach_transport(
         self,
-        send_subscription: Callable[[Hashable, Hashable, Subscription], None],
-        send_event: Callable[[Hashable, Hashable, Event], None],
+        send: Callable[[str, Hashable, Hashable, object], None],
         deliver: Callable[[Hashable, Hashable, Event], None],
-        send_unsubscription: Optional[Callable[[Hashable, Hashable, Hashable], None]] = None,
     ) -> None:
-        """Attach the network's transport callbacks."""
-        self._send_subscription = send_subscription
-        self._send_unsubscription = send_unsubscription
-        self._send_event = send_event
+        """Attach the network's callbacks.
+
+        ``send(kind, sender, receiver, payload)`` carries every message to a
+        neighbour: a ``"subscription"`` (payload: the subscription), an
+        ``"unsubscription"`` (the withdrawn id) or an ``"event"``.
+        ``deliver(client_id, sub_id, event)`` hands an event to a local client.
+        Both shadow the methods of the same name on this instance.
+        """
+        self._send = send
         self._deliver = deliver
+
+    def _send(self, kind: str, sender: Hashable, receiver: Hashable, payload: object) -> None:
+        """Send callback of a broker outside any network."""
+        raise RuntimeError(
+            f"broker {self.broker_id} has no transport attached; "
+            f"add it to a BrokerNetwork before sending {kind} messages"
+        )
+
+    def _deliver(self, client_id: Hashable, sub_id: Hashable, event: Event) -> None:
+        """Delivery callback of a broker outside any network: the delivery goes nowhere."""
 
     @property
     def neighbors(self) -> List[Hashable]:
-        return list(self._neighbors)
+        return list(self._links)
 
     # ----------------------------------------------------------- subscriptions
     def _admit(
@@ -270,10 +304,10 @@ class Broker:
         """Handle a subscription arriving from ``from_interface`` (neighbour or local client)."""
         self.stats.subscriptions_received += 1
         profile = self._store_subscription(from_interface, subscription)
-        for neighbor_id in self._neighbors:
+        for neighbor_id, link in self._links.items():
             if neighbor_id == from_interface:
                 continue
-            self._consider_forwarding(neighbor_id, subscription, profile)
+            self._consider_forwarding(neighbor_id, link, subscription, profile)
 
     def receive_subscription_batch(
         self, from_interface: Hashable, subscriptions: Sequence[Subscription]
@@ -306,74 +340,56 @@ class Broker:
     ) -> Optional[Hashable]:
         """One covering query against a link's forwarded set, with accounting."""
         self.stats.covering_checks += 1
-        before = strategy.work_units()
-        covered_by = strategy.find_covering(profile)
-        self.stats.covering_check_runs += strategy.work_units() - before
+        covered_by, work = strategy.find_covering(profile)
+        self.stats.covering_check_runs += work
         return covered_by
 
     def _record_suppression(
-        self, neighbor_id: Hashable, subscription: Subscription, covered_by: Hashable
+        self, link: LinkState, subscription: Subscription, covered_by: Hashable
     ) -> None:
         """Mark a subscription suppressed on a link and index it under its cover."""
         sub_id = subscription.sub_id
-        suppressed = self._suppressed[neighbor_id]
-        if sub_id not in suppressed:
+        entry = link.suppressed.get(sub_id)
+        if entry is None:
             self.stats.subscriptions_suppressed += 1
-        else:
-            previous = self._cover_of[neighbor_id].get(sub_id)
-            if previous is not None and previous != covered_by:
-                dependents = self._dependents[neighbor_id].get(previous)
-                if dependents is not None:
-                    dependents.pop(sub_id, None)
-                    if not dependents:
-                        del self._dependents[neighbor_id][previous]
-        suppressed[sub_id] = subscription
-        self._cover_of[neighbor_id][sub_id] = covered_by
-        self._dependents[neighbor_id].setdefault(covered_by, {})[sub_id] = None
+        elif entry[1] != covered_by:
+            _drop_dependent(link, entry[1], sub_id)
+        link.suppressed[sub_id] = (subscription, covered_by)
+        link.dependents.setdefault(covered_by, {})[sub_id] = None
 
-    def _clear_suppression(self, neighbor_id: Hashable, sub_id: Hashable) -> None:
+    def _clear_suppression(self, link: LinkState, sub_id: Hashable) -> None:
         """Forget a link's suppression entry and its cover bookkeeping."""
-        self._suppressed[neighbor_id].pop(sub_id, None)
-        cover = self._cover_of[neighbor_id].pop(sub_id, None)
-        if cover is not None:
-            dependents = self._dependents[neighbor_id].get(cover)
-            if dependents is not None:
-                dependents.pop(sub_id, None)
-                if not dependents:
-                    del self._dependents[neighbor_id][cover]
+        entry = link.suppressed.pop(sub_id, None)
+        if entry is not None:
+            _drop_dependent(link, entry[1], sub_id)
 
     def _install_forward(
         self,
         neighbor_id: Hashable,
-        strategy: CoveringStrategy,
+        link: LinkState,
         subscription: Subscription,
         profile: SubscriptionProfile,
     ) -> None:
         """Add a subscription to a link's forwarded set and send it."""
-        strategy.add(subscription.sub_id, profile)
-        self._forwarded_ids[neighbor_id][subscription.sub_id] = subscription
+        link.covering.add(subscription.sub_id, profile)
+        link.forwarded[subscription.sub_id] = subscription
         self.stats.subscriptions_forwarded += 1
-        if self._send_subscription is None:
-            raise RuntimeError(
-                f"broker {self.broker_id} has no transport attached; "
-                "add it to a BrokerNetwork before sending subscriptions"
-            )
-        self._send_subscription(self.broker_id, neighbor_id, subscription)
+        self._send("subscription", self.broker_id, neighbor_id, subscription)
 
     def _consider_forwarding(
         self,
         neighbor_id: Hashable,
+        link: LinkState,
         subscription: Subscription,
         profile: SubscriptionProfile,
     ) -> None:
-        if subscription.sub_id in self._forwarded_ids[neighbor_id]:
+        if subscription.sub_id in link.forwarded:
             # Duplicate arrival of a subscription already forwarded on this
             # link: re-adding it to the strategy and re-sending it would
             # double-count state downstream and leave a ghost entry behind
             # after a single withdrawal.
             return
-        strategy = self._forwarded[neighbor_id]
-        covered_by = self._covering_check(strategy, profile)
+        covered_by = self._covering_check(link.covering, profile)
         if self.trace is not None:
             self.trace.record(
                 Span(
@@ -390,19 +406,20 @@ class Broker:
                 )
             )
         if covered_by is not None:
-            self._record_suppression(neighbor_id, subscription, covered_by)
+            self._record_suppression(link, subscription, covered_by)
             return
         # A duplicate arrival of a previously *suppressed* subscription can
         # reach this point when the (approximate) covering check misses the
         # cover it found the first time.  Forwarding is then correct, but the
         # pending entry must go, or a later withdrawal would take the
         # suppressed early-exit and leave a ghost entry in the strategy.
-        self._clear_suppression(neighbor_id, subscription.sub_id)
-        self._install_forward(neighbor_id, strategy, subscription, profile)
+        self._clear_suppression(link, subscription.sub_id)
+        self._install_forward(neighbor_id, link, subscription, profile)
 
     def has_forwarded(self, neighbor_id: Hashable, sub_id: Hashable) -> bool:
         """Return True when ``sub_id`` was forwarded to ``neighbor_id`` (test helper)."""
-        return sub_id in self._forwarded_ids.get(neighbor_id, {})
+        link = self._links.get(neighbor_id)
+        return link is not None and sub_id in link.forwarded
 
     # ------------------------------------------------------------------- churn
     def reset_routing_state(self) -> None:
@@ -417,7 +434,7 @@ class Broker:
         """
         self.routing_table = self._fresh_routing_table()
         self._store.clear()
-        for neighbor_id in self._neighbors:
+        for neighbor_id in self._links:
             self._fresh_link_state(neighbor_id)
 
     def flush_interface(self, neighbor_id: Hashable) -> int:
@@ -432,15 +449,10 @@ class Broker:
         state is left untouched — the caller resets it wholesale next.
         Returns the number of withdrawals sent.
         """
-        if neighbor_id not in self._forwarded_ids:
-            raise ValueError(f"{neighbor_id!r} is not a neighbour of broker {self.broker_id!r}")
-        if self._send_unsubscription is None:
-            return 0
-        flushed = 0
-        for sub_id in self._forwarded_ids[neighbor_id]:
-            self._send_unsubscription(self.broker_id, neighbor_id, sub_id)
-            flushed += 1
-        return flushed
+        forwarded = self._link(neighbor_id).forwarded
+        for sub_id in forwarded:
+            self._send("unsubscription", self.broker_id, neighbor_id, sub_id)
+        return len(forwarded)
 
     def resync_interface(self, neighbor_id: Hashable) -> int:
         """Replay every subscription forwarded on this link (neighbour lost state).
@@ -451,19 +463,11 @@ class Broker:
         suppressed subscriber needs — the covering optimisation carries over
         to recovery traffic.  Returns the number of subscriptions re-sent.
         """
-        if neighbor_id not in self._forwarded_ids:
-            raise ValueError(f"{neighbor_id!r} is not a neighbour of broker {self.broker_id!r}")
-        if self._send_subscription is None:
-            raise RuntimeError(
-                f"broker {self.broker_id} has no transport attached; "
-                "add it to a BrokerNetwork before resyncing"
-            )
-        resent = 0
-        for subscription in self._forwarded_ids[neighbor_id].values():
-            self._send_subscription(self.broker_id, neighbor_id, subscription)
-            resent += 1
-        self.stats.subscriptions_resynced += resent
-        return resent
+        forwarded = self._link(neighbor_id).forwarded
+        for subscription in forwarded.values():
+            self._send("subscription", self.broker_id, neighbor_id, subscription)
+        self.stats.subscriptions_resynced += len(forwarded)
+        return len(forwarded)
 
     def announce_interface(self, neighbor_id: Hashable) -> int:
         """Run the forwarding decision toward a newly attached neighbour.
@@ -474,8 +478,7 @@ class Broker:
         the events its side of the overlay needs.  Returns the number of
         subscriptions considered.
         """
-        if neighbor_id not in self._forwarded_ids:
-            raise ValueError(f"{neighbor_id!r} is not a neighbour of broker {self.broker_id!r}")
+        link = self._link(neighbor_id)
         seen: Set[Hashable] = set()
         for interface_id in list(self.routing_table.interfaces()):
             if interface_id == neighbor_id:
@@ -485,7 +488,7 @@ class Broker:
                     continue
                 seen.add(subscription.sub_id)
                 self._consider_forwarding(
-                    neighbor_id, subscription, self._store.get(subscription.sub_id)
+                    neighbor_id, link, subscription, self._store.get(subscription.sub_id)
                 )
         return len(seen)
 
@@ -528,10 +531,10 @@ class Broker:
     def receive_unsubscription(self, from_interface: Hashable, sub_id: Hashable) -> None:
         """Handle the withdrawal of ``sub_id`` announced on ``from_interface``."""
         removed = self.routing_table.table(from_interface).remove(sub_id)
-        for neighbor_id in self._neighbors:
+        for neighbor_id, link in self._links.items():
             if neighbor_id == from_interface:
                 continue
-            self._withdraw_from_neighbor(neighbor_id, sub_id)
+            self._withdraw_from_neighbor(neighbor_id, link, sub_id)
         if removed:
             self._store.release(sub_id)
 
@@ -542,38 +545,36 @@ class Broker:
         for sub_id in sub_ids:
             self.receive_unsubscription(from_interface, sub_id)
 
-    def _withdraw_from_neighbor(self, neighbor_id: Hashable, sub_id: Hashable) -> None:
-        suppressed = self._suppressed[neighbor_id]
+    def _withdraw_from_neighbor(
+        self, neighbor_id: Hashable, link: LinkState, sub_id: Hashable
+    ) -> None:
+        suppressed = link.suppressed
         if sub_id in suppressed:
             # Never forwarded there in the first place: just forget it.
-            self._clear_suppression(neighbor_id, sub_id)
+            self._clear_suppression(link, sub_id)
             return
-        if sub_id not in self._forwarded_ids[neighbor_id]:
+        if link.forwarded.pop(sub_id, None) is None:
             return
-        strategy = self._forwarded[neighbor_id]
+        strategy = link.covering
         strategy.remove(sub_id)
-        self._forwarded_ids[neighbor_id].pop(sub_id, None)
-        if self._send_unsubscription is not None:
-            self._send_unsubscription(self.broker_id, neighbor_id, sub_id)
+        self._send("unsubscription", self.broker_id, neighbor_id, sub_id)
         # Subscriptions previously suppressed on this link may have lost their
         # cover; re-run the forwarding decision so downstream brokers keep
         # receiving the events those subscribers still need.  Only the
         # withdrawn subscription's recorded dependants are re-checked — any
         # other suppressed subscription still has its recorded cover in the
         # forwarded set, so its suppression stays sound.
-        for pending_id in self._dependents[neighbor_id].pop(sub_id, None) or ():
-            pending = suppressed.get(pending_id)
-            if pending is None:
-                continue
+        for pending_id in link.dependents.pop(sub_id, None) or ():
+            pending = suppressed[pending_id][0]
             profile = self._store.get(pending_id)
             covered_by = self._covering_check(strategy, profile)
             if covered_by is not None:
                 # Still covered — by a different survivor; re-home it so the
                 # dependants map stays exact.
-                self._record_suppression(neighbor_id, pending, covered_by)
+                self._record_suppression(link, pending, covered_by)
                 continue
-            self._clear_suppression(neighbor_id, pending_id)
-            self._install_forward(neighbor_id, strategy, pending, profile)
+            self._clear_suppression(link, pending_id)
+            self._install_forward(neighbor_id, link, pending, profile)
             self.stats.promotions += 1
 
     # ------------------------------------------------------------------ events
@@ -611,16 +612,11 @@ class Broker:
         # table was just asked the fuller question by _deliver_locally.
         forwarded_to: List[Hashable] = []
         for interface_id in self.routing_table.matching_interfaces(
-            event, exclude=from_interface, key=key, among=self._neighbors
+            event, exclude=from_interface, key=key, among=self._links
         ):
             self.stats.events_forwarded += 1
-            if self._send_event is None:
-                raise RuntimeError(
-                    f"broker {self.broker_id} has no transport attached; "
-                    "add it to a BrokerNetwork before publishing events"
-                )
             forwarded_to.append(interface_id)
-            self._send_event(self.broker_id, interface_id, event)
+            self._send("event", self.broker_id, interface_id, event)
         if self.trace is not None:
             self.trace.record(
                 Span(
@@ -665,8 +661,7 @@ class Broker:
                 continue  # one delivery per client per event
             last_ordinal = ordinal
             delivered += 1
-            if self._deliver is not None:
-                self._deliver(client_id, subscription.sub_id, event)
+            self._deliver(client_id, subscription.sub_id, event)
         self.stats.events_delivered_locally += delivered
         return delivered
 
@@ -691,14 +686,14 @@ class Broker:
         return {
             "tables": {iface: subs for iface, subs in tables.items() if subs},
             "forwarded": {
-                str(neighbor_id): sorted(str(sub_id) for sub_id in forwarded)
-                for neighbor_id, forwarded in self._forwarded_ids.items()
-                if forwarded
+                str(neighbor_id): sorted(str(sub_id) for sub_id in link.forwarded)
+                for neighbor_id, link in self._links.items()
+                if link.forwarded
             },
             "suppressed": {
-                str(neighbor_id): sorted(str(sub_id) for sub_id in suppressed)
-                for neighbor_id, suppressed in self._suppressed.items()
-                if suppressed
+                str(neighbor_id): sorted(str(sub_id) for sub_id in link.suppressed)
+                for neighbor_id, link in self._links.items()
+                if link.suppressed
             },
         }
 

@@ -296,12 +296,7 @@ class BrokerNetwork:
             trace=self.tracing if self.tracing.enabled else None,
             config=self.config,
         )
-        broker.attach_transport(
-            self._transport_subscription,
-            self._transport_event,
-            self._record_delivery,
-            send_unsubscription=self._transport_unsubscription,
-        )
+        broker.attach_transport(self._send, self._record_delivery)
         self.brokers[broker_id] = broker
         self.graph.add_node(broker_id)
         # Transports that maintain per-broker infrastructure (the networked
@@ -381,17 +376,15 @@ class BrokerNetwork:
         return network
 
     # ---------------------------------------------------------------- transport
-    def _transport_subscription(self, sender: Hashable, receiver: Hashable, subscription: Subscription) -> None:
-        self.subscription_messages += 1
-        self.transport.send("subscription", sender, receiver, subscription)
-
-    def _transport_unsubscription(self, sender: Hashable, receiver: Hashable, sub_id: Hashable) -> None:
-        self.unsubscription_messages += 1
-        self.transport.send("unsubscription", sender, receiver, sub_id)
-
-    def _transport_event(self, sender: Hashable, receiver: Hashable, event: Event) -> None:
-        self.event_messages += 1
-        self.transport.send("event", sender, receiver, event)
+    def _send(self, kind: str, sender: Hashable, receiver: Hashable, payload: object) -> None:
+        """Every broker's send callback: count the message by kind, then hand it to the transport."""
+        if kind == "event":
+            self.event_messages += 1
+        elif kind == "subscription":
+            self.subscription_messages += 1
+        else:
+            self.unsubscription_messages += 1
+        self.transport.send(kind, sender, receiver, payload)
 
     def _dispatch(self, kind: str, sender: Hashable, receiver: Hashable, payload: object) -> None:
         """Hand a message that has arrived (in simulated time) to its broker."""

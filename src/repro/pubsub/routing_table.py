@@ -93,14 +93,11 @@ class CoveringStrategy(Protocol):
     def remove(self, sub_id: Hashable) -> bool:
         """Unregister a subscription."""
 
-    def find_covering(self, profile: "SubscriptionProfile") -> Optional[Hashable]:
-        """Return a registered subscription covering the profile's ranges, or ``None``."""
+    def find_covering(self, profile: "SubscriptionProfile") -> Tuple[Optional[Hashable], int]:
+        """A registered subscription covering the profile's ranges (or ``None``), and the check's cost.
 
-    def work_units(self) -> int:
-        """Return an abstract work counter for reporting.
-
-        Subscriptions compared (``exact``), or runs probed plus subscriptions
-        compared (``approximate``).
+        The cost is abstract work units: subscriptions compared (``exact``),
+        or runs probed plus subscriptions compared (``approximate``).
         """
 
 
@@ -116,11 +113,8 @@ class NoCoveringStrategy:
     def remove(self, sub_id: Hashable) -> bool:
         return False
 
-    def find_covering(self, profile: "SubscriptionProfile") -> Optional[Hashable]:
-        return None
-
-    def work_units(self) -> int:
-        return 0
+    def find_covering(self, profile: "SubscriptionProfile") -> Tuple[Optional[Hashable], int]:
+        return None, 0
 
 
 class ExactCoveringStrategy:
@@ -136,11 +130,11 @@ class ExactCoveringStrategy:
     def remove(self, sub_id: Hashable) -> bool:
         return self._detector.remove_subscription(sub_id)
 
-    def find_covering(self, profile: "SubscriptionProfile") -> Optional[Hashable]:
-        return self._detector.find_covering(profile.ranges)
-
-    def work_units(self) -> int:
-        return self._detector.stats.comparisons
+    def find_covering(self, profile: "SubscriptionProfile") -> Tuple[Optional[Hashable], int]:
+        stats = self._detector.stats
+        compared = stats.comparisons
+        covering_id = self._detector.find_covering(profile.ranges)
+        return covering_id, stats.comparisons - compared
 
 
 class ApproximateCoveringStrategy:
@@ -169,7 +163,6 @@ class ApproximateCoveringStrategy:
             attribute_order=attribute_order,
             config=config,
         )
-        self._work_units = 0
 
     def add(self, sub_id: Hashable, profile: "SubscriptionProfile") -> None:
         detector = self._detector
@@ -180,16 +173,12 @@ class ApproximateCoveringStrategy:
     def remove(self, sub_id: Hashable) -> bool:
         return self._detector.remove_subscription(sub_id)
 
-    def find_covering(self, profile: "SubscriptionProfile") -> Optional[Hashable]:
+    def find_covering(self, profile: "SubscriptionProfile") -> Tuple[Optional[Hashable], int]:
         detector = self._detector
         result = detector.find_covering_profile(
             profile.covering or detector.profile(profile.ranges)
         )
-        self._work_units += result.work_units
-        return result.covering_id
-
-    def work_units(self) -> int:
-        return self._work_units
+        return result.covering_id, result.work_units
 
 
 def make_covering_strategy(
@@ -285,14 +274,13 @@ class InterfaceTable:
         return sub_id in self._subscriptions
 
     def add(self, subscription: Subscription) -> None:
-        # Index first: MatchIndex.add and add_batch validate before mutating,
-        # so a rejected subscription leaves table and index consistent.  The
-        # schema check keeps the scan from storing what the build would reject.
+        # The schema check runs on every add: a match index validates only
+        # the number of ranges and their bounds.  Index next: MatchIndex.add
+        # and add_batch validate before mutating, so a rejected subscription
+        # leaves table and index consistent.
         sub_id = subscription.sub_id
         subscriptions = self._subscriptions
-        if self._index is not None:
-            self._index.add(sub_id, subscription.ranges)
-        elif (
+        if (
             subscription.schema is not self.schema
             and subscription.schema.names != self.schema.names
         ):
@@ -300,6 +288,8 @@ class InterfaceTable:
                 f"subscription {sub_id!r} is on another schema than interface "
                 f"{self.interface_id!r}"
             )
+        if self._index is not None:
+            self._index.add(sub_id, subscription.ranges)
         elif len(subscriptions) >= self.SCAN_LIMIT and sub_id not in subscriptions:
             self._build_index(subscription)
         subscriptions[sub_id] = subscription
@@ -486,12 +476,12 @@ class RoutingTable:
         event: Event,
         exclude: Optional[Hashable] = None,
         key: Optional[int] = None,
-        among: Optional[Sequence[Hashable]] = None,
+        among: Optional[Iterable[Hashable]] = None,
     ) -> List[Hashable]:
         """Interfaces (≠ ``exclude``) holding at least one subscription matching ``event``.
 
         ``among`` restricts the probe to the given interfaces (the broker
-        passes its neighbour list: the local-client table is asked for *which*
+        passes its neighbours: the local-client table is asked for *which*
         subscriptions match, by local delivery, not merely whether any does).
         Every table is asked through :meth:`InterfaceTable.any_match` with the
         shared key, in one loop with no candidate list: this runs once per

@@ -43,10 +43,6 @@ from .subscription import Subscription
 
 __all__ = ["ProfileCache", "SubscriptionProfile", "SubscriptionStore"]
 
-#: Default cap on distinct range vectors a :class:`ProfileCache` memoises
-#: (covering profiles and match runs are each bounded by it).
-DEFAULT_CACHE_ENTRIES = 100_000
-
 #: What the match index stores per snapped rectangle: its (coarsened) key
 #: runs and whether the run budget forced the coarsening.
 MatchRuns = Tuple[Tuple[KeyRange, ...], bool]
@@ -82,10 +78,10 @@ class ProfileCache:
     the profile's ``cubes_floor``, a profile is its ranges and that one int,
     ~350 bytes (3 attributes, measured); such a check adds the point and the
     census, ~2.4 KB, and only a link holding more subscriptions than the plan
-    has cubes materialises its tables.  The worst case of ``max_entries`` ×
-    192 KB (19 GB at the default 100,000) therefore holds only for networks
-    whose links exceed the crossover: size ``max_entries`` to the distinct
-    rectangles in flight there.
+    has cubes materialises its tables.  The worst case of :attr:`MAX_ENTRIES` ×
+    192 KB (19 GB at 100,000) therefore holds only for networks whose links
+    exceed the crossover: size :attr:`MAX_ENTRIES` to the distinct rectangles
+    in flight there.
 
     The cache also holds the match index's key runs (:meth:`match_runs` /
     :meth:`store_match_runs`).  The caller builds the key from everything the
@@ -96,15 +92,12 @@ class ProfileCache:
     ``evictions`` keep counting covering profiles only.
     """
 
-    def __init__(
-        self,
-        profiler: Optional[CoveringProfiler] = None,
-        max_entries: int = DEFAULT_CACHE_ENTRIES,
-    ) -> None:
-        if max_entries < 1:
-            raise ValueError(f"max_entries must be at least 1, got {max_entries}")
+    #: Cap on distinct range vectors memoised (covering profiles and match
+    #: runs are each bounded by it).
+    MAX_ENTRIES = 100_000
+
+    def __init__(self, profiler: Optional[CoveringProfiler] = None) -> None:
         self.profiler = profiler
-        self.max_entries = max_entries
         self._profiles: "OrderedDict[Tuple, CoveringProfile]" = OrderedDict()
         self._runs: "OrderedDict[Tuple, MatchRuns]" = OrderedDict()
         self.hits = 0
@@ -131,7 +124,7 @@ class ProfileCache:
         self.misses += 1
         profile = self.profiler.profile(ranges)
         self._profiles[ranges] = profile
-        if len(self._profiles) > self.max_entries:
+        if len(self._profiles) > self.MAX_ENTRIES:
             self._profiles.popitem(last=False)
             self.evictions += 1
         return profile
@@ -154,7 +147,7 @@ class ProfileCache:
     def store_match_runs(self, key: Tuple, entry: MatchRuns) -> None:
         """Memoise freshly computed match runs (immutable; shared by identity)."""
         self._runs[key] = entry
-        if len(self._runs) > self.max_entries:
+        if len(self._runs) > self.MAX_ENTRIES:
             self._runs.popitem(last=False)
             self.run_evictions += 1
 

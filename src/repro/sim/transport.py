@@ -25,6 +25,11 @@ queue depth high-water marks, end-to-end delivery latencies and per-message
 hop counts, with percentile helpers for reporting.  The latency and hop
 samples are windows of the most recent :data:`RETENTION`, so a network that
 runs for a day holds no more of them than one that ran for a minute.
+
+A message carries its own hop count.  :meth:`Transport._deliver` makes it
+the hop context while the receiving broker handles the message, so an event
+forwarded then is one hop further; a publish's first hop and every
+subscription or unsubscription message count 1.
 """
 
 from __future__ import annotations
@@ -54,8 +59,8 @@ __all__ = [
 MESSAGE_KINDS = ("subscription", "unsubscription", "event")
 
 #: How many of the most recent items every per-operation log keeps: the
-#: network's delivery log, the transport's latency and hop windows and each
-#: broker's decision log.  Their counters still count every item.
+#: network's delivery log and the transport's latency and hop windows.  Their
+#: counters still count every item.
 RETENTION = 2 ** 16
 
 
@@ -164,20 +169,20 @@ class TransportStats:
 
 
 class Transport:
-    """Base class: broker liveness, hop bookkeeping and the delivery seam.
+    """Base class: broker liveness, hop counting and the delivery seam.
 
     A transport is bound to exactly one network via :meth:`bind`; the network
-    calls :meth:`send` for every inter-broker message and the transport calls
-    back ``network._dispatch(kind, sender, receiver, payload)`` when (in
-    simulated time) the message reaches the receiving broker.
+    calls :meth:`send` for every inter-broker message and the transport hands
+    the message to :meth:`_deliver` when (in simulated time) it reaches the
+    receiving broker.
     """
 
     def __init__(self) -> None:
         self.network = None  # set by bind()
         self.stats = TransportStats()
         self._down: set = set()
-        # Per event id: overlay hop distance of each broker that has seen it.
-        self._event_depth: Dict[Hashable, Dict[Hashable, int]] = {}
+        # Hop count of the message being delivered; 0 outside any delivery.
+        self._hops = 0
         # The network's per-arrival observer (hop spans), resolved by bind().
         self._observe_arrival: Optional[Callable[[Message, float], None]] = None
 
@@ -212,30 +217,20 @@ class Transport:
 
     def flush(self) -> int:
         """Deliver everything in flight; return the number of kernel steps run."""
-        self._event_depth.clear()
         return 0
 
-    # ------------------------------------------------------------ hop tracking
-    def _hops_for(self, kind: str, payload: object, sender: Hashable, receiver: Hashable) -> int:
-        """Hop distance of this message from its publisher (event messages only)."""
-        if kind != "event":
-            return 1
-        event_id = getattr(payload, "event_id", None)
-        if event_id is None:
-            # Payloads without an event id must not share one depth table —
-            # distinct events would inherit each other's hop depths.  Key by
-            # object identity instead: stable for the payload's lifetime, and
-            # the table is cleared on every flush so a recycled id cannot
-            # resurrect a stale entry once the old payload is gone.
-            event_id = ("anon", id(payload))
-        depths = self._event_depth.setdefault(event_id, {})
-        hops = depths.get(sender, 0) + 1
-        # Reverse-path forwarding on an acyclic overlay delivers each event to
-        # a broker at most once per stabilised epoch; keep the first depth.
-        depths.setdefault(receiver, hops)
-        return hops
+    # ---------------------------------------------------------------- delivery
+    def _next_hops(self, kind: str) -> int:
+        """Hop count of a message sent now: one past the delivery being handled, for events."""
+        return self._hops + 1 if kind == "event" else 1
 
-    def _record_arrival(self, message: Message) -> None:
+    def _deliver(self, message: Message) -> None:
+        """Record ``message``'s arrival, then hand it to its broker.
+
+        While the broker handles it, ``message.hops`` is the hop context the
+        broker's own sends count from; the outer context comes back after,
+        because synchronous delivery nests.
+        """
         stats = self.stats
         stats.messages_delivered += 1
         latency = self.now - message.sent_at
@@ -245,6 +240,12 @@ class Transport:
         observe = self._observe_arrival
         if observe is not None:
             observe(message, latency)
+        outer = self._hops
+        self._hops = message.hops
+        try:
+            self.network._dispatch(message.kind, message.sender, message.receiver, message.payload)
+        finally:
+            self._hops = outer
 
 
 class SyncTransport(Transport):
@@ -255,10 +256,7 @@ class SyncTransport(Transport):
         if not self.is_up(receiver):
             self.stats.messages_dropped += 1
             return
-        message = Message(kind, sender, receiver, payload,
-                          hops=self._hops_for(kind, payload, sender, receiver))
-        self._record_arrival(message)
-        self.network._dispatch(kind, sender, receiver, payload)
+        self._deliver(Message(kind, sender, receiver, payload, hops=self._next_hops(kind)))
 
 
 class SimTransport(Transport):
@@ -280,6 +278,9 @@ class SimTransport(Transport):
     seed:
         Seeds both the latency RNG and the kernel's tie-breaking RNG, making
         two identically seeded runs byte-identical.
+
+    An arrival is delivered when its broker serves it, so an event's hop
+    count is one past that of the message whose handling forwarded it.
     """
 
     def __init__(
@@ -289,7 +290,6 @@ class SimTransport(Transport):
         inbox_capacity: int = 64,
         service_time: float = 0.01,
         seed: Optional[int] = 0,
-        kernel: Optional[EventKernel] = None,
     ) -> None:
         super().__init__()
         if inbox_capacity <= 0:
@@ -300,7 +300,7 @@ class SimTransport(Transport):
         self.inbox_capacity = inbox_capacity
         self.service_time = service_time
         self.retry_delay = max(4 * service_time, 0.05)
-        self.kernel = kernel if kernel is not None else EventKernel(seed=seed)
+        self.kernel = EventKernel(seed=seed)
         self._rng = random.Random(seed)
         self._inboxes: Dict[Hashable, Deque[Message]] = {}
         self._draining: set = set()
@@ -332,7 +332,7 @@ class SimTransport(Transport):
             sender,
             receiver,
             payload,
-            hops=self._hops_for(kind, payload, sender, receiver),
+            hops=self._next_hops(kind),
             sent_at=self.kernel.now,
         )
         delay = self.latency.sample(sender, receiver, self._rng)
@@ -422,9 +422,7 @@ class SimTransport(Transport):
         if not inbox or not self.is_up(broker_id):
             self._draining.discard(broker_id)
             return
-        message = inbox.popleft()
-        self._record_arrival(message)
-        self.network._dispatch(message.kind, message.sender, message.receiver, message.payload)
+        self._deliver(inbox.popleft())
         if inbox:
             self._schedule_process(broker_id)
         else:
@@ -432,9 +430,7 @@ class SimTransport(Transport):
 
     def flush(self) -> int:
         """Run the kernel until no message is in flight anywhere."""
-        steps = self.kernel.run()
-        self._event_depth.clear()
-        return steps
+        return self.kernel.run()
 
     # ---------------------------------------------------------------- liveness
     def mark_down(self, broker_id: Hashable) -> None:

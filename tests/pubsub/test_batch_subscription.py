@@ -190,7 +190,7 @@ class TestIncrementalPromotion:
         network.unsubscribe("cz", "solo")  # forwarded, but covers nothing
         # Incremental engine: zero promotion re-checks (no dependents).
         assert broker0.stats.covering_checks == checks_before
-        assert "narrow" in broker0._suppressed[1]
+        assert "narrow" in broker0._links[1].suppressed
 
     @pytest.mark.parametrize(
         "topology, pinned, promotions",

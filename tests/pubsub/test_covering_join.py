@@ -193,7 +193,8 @@ def check_links(network, probe_ranges, sides):
     """Soundness of every suppression, and the join against the plan alone, link by link."""
     assert_suppression_sound(network)
     for broker in network.brokers.values():
-        for strategy in broker._forwarded.values():
+        for link in broker._links.values():
+            strategy = link.covering
             detector = strategy._detector
             covering = detector.profile(probe_ranges)
             result = detector.find_covering_profile(covering)
@@ -202,7 +203,7 @@ def check_links(network, probe_ranges, sides):
             through_profile = strategy.find_covering(
                 SubscriptionProfile(None, probe_ranges, covering)
             )
-            assert through_profile == result.covering_id
+            assert through_profile == (result.covering_id, result.work_units)
             if result.covered:
                 assert ranges_cover(detector.subscription(result.covering_id), probe_ranges)
             if detector.find_covering(probe_ranges).covered:
@@ -251,7 +252,7 @@ def test_links_cross_the_plan_size_in_both_directions():
     grow_sides, drain_sides = set(), set()
     network = run_churn(steps, grow_sides)
     assert grow_sides == {True, False}
-    link = network.brokers[0]._forwarded[1]._detector
+    link = network.brokers[0]._links[1].covering._detector
     assert len(link) > CROSSOVER_CONFIG.cube_budget
     for i in range(30):
         network.unsubscribe(f"c{i}", f"s{i}")
@@ -272,7 +273,7 @@ def test_subscribe_into_small_links_builds_no_schedule():
         )
     profiles = 0
     for broker in network.brokers.values():
-        assert all(len(forwarded) <= 60 for forwarded in broker._forwarded_ids.values())
+        assert all(len(link.forwarded) <= 60 for link in broker._links.values())
         for i in range(len(scenario.subscriptions)):
             profile = broker._store.get(f"s{i}")
             if profile is not None:
@@ -349,9 +350,9 @@ def run_promoting_churn(network, seed, on_write):
 
 def link_detectors(network):
     return [
-        strategy._detector
+        link.covering._detector
         for broker in network.brokers.values()
-        for strategy in broker._forwarded.values()
+        for link in broker._links.values()
     ]
 
 

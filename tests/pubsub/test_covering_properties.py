@@ -92,7 +92,7 @@ class TestCoveringSoundness:
         strategy = make_covering_strategy(kind, SCHEMA, config=config)
         stored = {}
         for i, ranges in enumerate(rects):
-            witness = strategy.find_covering(profile_of(cache, ranges))
+            witness, _ = strategy.find_covering(profile_of(cache, ranges))
             if witness is not None:
                 assert witness in stored
                 assert ranges_cover(stored[witness], ranges), (
@@ -116,9 +116,9 @@ class TestCoveringSoundness:
             own.add(f"s{i}", profile_of(bare, ranges))
             fast.add(f"s{i}", profile_of(shared, ranges))
         query = rects[-1]
-        assert own.find_covering(profile_of(bare, query)) == fast.find_covering(
+        assert own.find_covering(profile_of(bare, query))[0] == fast.find_covering(
             profile_of(shared, query)
-        )
+        )[0]
 
     @settings(deadline=None)
     @given(rects=st.lists(quantised_rect(), min_size=1, max_size=12))
@@ -128,7 +128,7 @@ class TestCoveringSoundness:
         strategy = make_covering_strategy("exact", SCHEMA)
         stored = {}
         for i, ranges in enumerate(rects):
-            witness = strategy.find_covering(profile_of(cache, ranges))
+            witness, _ = strategy.find_covering(profile_of(cache, ranges))
             oracle_has_cover = any(
                 ranges_cover(other, ranges) for other in stored.values()
             )

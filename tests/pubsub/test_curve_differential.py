@@ -106,10 +106,9 @@ def deliveries_by_event(network):
 def assert_suppression_sound(network):
     """Every suppressed subscription's recorded cover must really cover it."""
     for broker in network.brokers.values():
-        for neighbor_id, suppressed in broker._suppressed.items():
-            for sub_id, subscription in suppressed.items():
-                cover_id = broker._cover_of[neighbor_id][sub_id]
-                cover = broker._forwarded_ids[neighbor_id].get(cover_id)
+        for neighbor_id, link in broker._links.items():
+            for sub_id, (subscription, cover_id) in link.suppressed.items():
+                cover = link.forwarded.get(cover_id)
                 assert cover is not None, (
                     f"broker {broker.broker_id}: {sub_id} suppressed behind "
                     f"{cover_id}, which was never forwarded on {neighbor_id}"

@@ -509,7 +509,7 @@ class TestNetworkMatching:
         narrow = Subscription(schema, {"x": (10.0, 20.0)}, sub_id="narrow")
         network.subscribe(0, "w", wide)
         network.subscribe(0, "n", narrow)
-        assert "narrow" in broker0._suppressed[1]
+        assert "narrow" in broker0._links[1].suppressed
         # Duplicate suppressed arrival while still covered: stays pending,
         # suppression counter is not double-incremented.
         broker0.receive_subscription("__local__", narrow)
@@ -518,11 +518,11 @@ class TestNetworkMatching:
         # duplicate: drop the cover from the strategy's view only, then let
         # the duplicate arrive.  It is forwarded — and must leave the
         # suppressed set as it goes.
-        broker0._forwarded[1].remove("wide")
-        broker0._forwarded_ids[1].pop("wide", None)
+        broker0._links[1].covering.remove("wide")
+        broker0._links[1].forwarded.pop("wide", None)
         broker0.receive_subscription("__local__", narrow)
         assert broker0.has_forwarded(1, "narrow")
-        assert "narrow" not in broker0._suppressed[1]
+        assert "narrow" not in broker0._links[1].suppressed
         # Withdrawal must now reach the strategy (no suppressed early-exit
         # hiding the forwarded state), so no ghost cover survives.
         network.unsubscribe("n", "narrow")

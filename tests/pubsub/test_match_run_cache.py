@@ -166,8 +166,9 @@ def test_indexes_whose_runs_differ_never_share_an_entry(schema, first, second):
     assert (cache.run_hits, cache.run_misses) == (1, 2)
 
 
-def test_evicted_runs_are_recomputed_equal(schema):
-    cache = ProfileCache(max_entries=2)
+def test_evicted_runs_are_recomputed_equal(schema, monkeypatch):
+    monkeypatch.setattr(ProfileCache, "MAX_ENTRIES", 2)
+    cache = ProfileCache()
     first = MatchIndex(schema, run_cache=cache)
     rectangles = [rect(3, 17, 2, 9), rect(0, 5, 0, 31), rect(20, 30, 20, 30)]
     for i, rectangle in enumerate(rectangles):

@@ -52,8 +52,7 @@ class TestCoveringStrategies:
         cache = make_profile_cache("none", schema)
         strategy = NoCoveringStrategy()
         strategy.add("a", profile_of(cache, ((0, 255), (0, 255))))
-        assert strategy.find_covering(profile_of(cache, ((10, 20), (10, 20)))) is None
-        assert strategy.work_units() == 0
+        assert strategy.find_covering(profile_of(cache, ((10, 20), (10, 20)))) == (None, 0)
         assert not strategy.remove("a")
 
     @pytest.mark.parametrize("kind", ["exact", "approximate"])
@@ -62,9 +61,9 @@ class TestCoveringStrategies:
         cache = make_profile_cache(kind, schema, config)
         strategy = make_covering_strategy(kind, schema, config=config)
         strategy.add("wide", profile_of(cache, ((0, 250), (0, 250))))
-        found = strategy.find_covering(profile_of(cache, ((40, 60), (40, 60))))
+        found, work = strategy.find_covering(profile_of(cache, ((40, 60), (40, 60))))
         assert found == "wide"
-        assert strategy.work_units() >= 0
+        assert work >= 0
 
     @pytest.mark.parametrize("kind", ["exact", "approximate"])
     def test_sound_strategies_do_not_invent_covers(self, schema, kind):
@@ -72,23 +71,23 @@ class TestCoveringStrategies:
         cache = make_profile_cache(kind, schema, config)
         strategy = make_covering_strategy(kind, schema, config=config)
         strategy.add("narrow", profile_of(cache, ((40, 60), (40, 60))))
-        assert strategy.find_covering(profile_of(cache, ((0, 200), (0, 200)))) is None
+        assert strategy.find_covering(profile_of(cache, ((0, 200), (0, 200))))[0] is None
 
     def test_remove_reopens_forwarding(self, schema):
         cache = make_profile_cache("exact", schema)
         strategy = make_covering_strategy("exact", schema)
         strategy.add("wide", profile_of(cache, ((0, 250), (0, 250))))
-        assert strategy.find_covering(profile_of(cache, ((10, 20), (10, 20)))) == "wide"
+        assert strategy.find_covering(profile_of(cache, ((10, 20), (10, 20))))[0] == "wide"
         assert strategy.remove("wide")
-        assert strategy.find_covering(profile_of(cache, ((10, 20), (10, 20)))) is None
+        assert strategy.find_covering(profile_of(cache, ((10, 20), (10, 20))))[0] is None
 
     def test_approximate_tracks_runs(self, schema):
         config = IndexConfig(epsilon=0.2, cube_budget=500)
         cache = make_profile_cache("approximate", schema, config)
         strategy = make_covering_strategy("approximate", schema, config=config)
         strategy.add("wide", profile_of(cache, ((0, 250), (0, 250))))
-        strategy.find_covering(profile_of(cache, ((10, 20), (10, 20))))
-        assert strategy.work_units() >= 1
+        _, work = strategy.find_covering(profile_of(cache, ((10, 20), (10, 20))))
+        assert work >= 1
 
 
 def strip(schema, i, sub_id=None):
@@ -152,6 +151,15 @@ class TestInterfaceTable:
         assert table.match_index is None and "bad" not in table
         table.add(strip(schema, 99))
         assert table.match_index is not None and len(table.match_index) == len(table)
+        # The indexed table refuses it too, and a subscription the index
+        # alone would take: as many ranges, in bounds, on other attributes.
+        renamed = AttributeSchema(
+            [Attribute("u", 0.0, 100.0), Attribute("v", 0.0, 100.0)], order=8
+        )
+        for foreign in (other, renamed):
+            with pytest.raises(ValueError):
+                table.add(Subscription(foreign, {}, sub_id="bad"))
+        assert "bad" not in table and len(table.match_index) == len(table)
 
     def test_match_stats_count_the_scan_then_the_index(self, schema):
         table = InterfaceTable("i", schema)

@@ -148,7 +148,7 @@ class TestCoveringAwareWithdrawal:
         network.subscribe(0, "n", Subscription(schema, {"x": (10.0, 20.0)}, sub_id="narrow"))
         assert broker0.stats.subscriptions_suppressed == 1
         assert broker0.stats.subscriptions_forwarded == 1
-        assert "narrow" in broker0._suppressed[1]
+        assert "narrow" in broker0._links[1].suppressed
 
         assert network.unsubscribe("w", "wide")
 
@@ -157,7 +157,7 @@ class TestCoveringAwareWithdrawal:
         # (it counts suppression events), and the pending set is drained.
         assert broker0.stats.subscriptions_forwarded == 2
         assert broker0.stats.subscriptions_suppressed == 1
-        assert broker0._suppressed[1] == {}
+        assert broker0._links[1].suppressed == {}
         assert broker0.has_forwarded(1, "narrow")
 
     def test_duplicate_subscription_arrival_is_idempotent(self, schema):

@@ -8,7 +8,6 @@ from repro.index.config import IndexConfig
 from repro.pubsub import BrokerNetwork, Event, Subscription, tree_topology
 from repro.pubsub.schema import Attribute, AttributeSchema
 from repro.sim import (
-    EventKernel,
     FixedLatency,
     SimTransport,
     SyncTransport,
@@ -129,6 +128,33 @@ class TestSimTransportDelivery:
         assert len(network.deliveries) == before  # still in flight
         network.flush()
         assert len(network.deliveries) == before + 1
+
+
+class TestHopCounts:
+    @pytest.mark.parametrize("kind", ["sync", "sim"])
+    def test_an_event_id_published_again_counts_hops_from_its_new_origin(self, schema, kind):
+        # Regression: hop depths were kept per event id until the next flush,
+        # so a second publish of the id at broker 2 started from the depth
+        # the first publish had reached there (2 -> 1 counted as 3 hops).
+        # A message's hop count is now one past the message being handled.
+        from repro.pubsub import chain_topology
+
+        transport = SyncTransport() if kind == "sync" else SimTransport(FixedLatency(0.1), seed=0)
+        network = BrokerNetwork.from_topology(schema, chain_topology(3), transport=transport)
+        for broker_id in (0, 2):
+            network.subscribe(
+                broker_id,
+                f"c{broker_id}",
+                Subscription(schema, {"x": (0.0, 100.0)}, sub_id=f"s{broker_id}"),
+            )
+        network.flush()
+        network.publish_async(0, Event(schema, {"x": 5.0, "y": 5.0}, event_id="e"))
+        if kind == "sim":
+            transport.kernel.run()  # the first publish lands everywhere, no flush
+        network.publish_async(2, Event(schema, {"x": 6.0, "y": 6.0}, event_id="e"))
+        network.flush()
+        assert list(transport.stats.hop_counts) == [1, 2, 1, 2]
+        assert [record.client_id for record in network.deliveries] == ["c0", "c2", "c2", "c0"]
 
 
 class TestBoundedQueues:
@@ -269,15 +295,6 @@ class TestDeterminism:
         b = self._run(schema, seed=43)
         assert a[0] != b[0]
 
-    def test_shared_kernel_can_be_injected(self, schema):
-        kernel = EventKernel(seed=0)
-        transport = SimTransport(FixedLatency(0.1), kernel=kernel, seed=0)
-        network = build_network(schema, transport)
-        network.subscribe(1, "c", Subscription(schema, {}, sub_id="s"))
-        assert kernel.pending > 0  # subscription propagation scheduled
-        network.flush()
-        assert kernel.pending == 0
-
 
 class TestCrashLifecycleRegressions:
     """Crash/recover must not leave stale callbacks or per-link state behind."""
@@ -314,22 +331,6 @@ class TestCrashLifecycleRegressions:
         assert len(times) == 4  # pre-crash events died with the inbox
         gaps = [b - a for a, b in zip(times, times[1:])]
         assert all(gap >= transport.service_time - 1e-9 for gap in gaps), gaps
-
-    def test_anonymous_payloads_do_not_share_hop_state(self):
-        # Regression: payloads without an event_id all shared the None key in
-        # the per-event depth table, so one anonymous message's hop depth
-        # leaked into every other anonymous message.
-        transport = SyncTransport()
-
-        class Anonymous:  # no event_id attribute at all
-            pass
-
-        first, second = Anonymous(), Anonymous()
-        assert transport._hops_for("event", first, "a", "b") == 1
-        assert transport._hops_for("event", first, "b", "c") == 2
-        # A different payload published *at* b must start from depth 0 there,
-        # not inherit first's depth-1 entry for b.
-        assert transport._hops_for("event", second, "b", "c") == 1
 
     def test_crash_purges_per_link_and_per_broker_state(self, schema):
         from repro.pubsub import chain_topology
