@@ -63,10 +63,6 @@ stage "benchmark smoke (tiny sizes) + full-size sim tables"
 # topology classes (skewed tree / scale-free / grid-of-clusters) at tiny node
 # counts, including the region netsplit -> per-partition traffic -> heal
 # scenario, and asserts the partition-aware audit is clean in every phase.
-# bench_auto_tuning's smoke pass asserts the offline config recommendation
-# does no more matching work than the best static config for at least 2 of
-# the 3 scenarios, and the driver raises on any recommended-vs-static
-# delivery divergence.
 # The paper-figure benches have no smoke size (each full size takes a few
 # seconds) and assert the paper's claims on what they measure: Fig. 1's run
 # counts, Fig. 2's query regions, Theorem 3.1's bound, Lemma 3.2's retained
@@ -89,7 +85,6 @@ REPRO_BENCH_SMOKE=1 python -m pytest -q \
     benchmarks/bench_event_matching.py \
     benchmarks/bench_subscription_churn.py \
     benchmarks/bench_curve_ablation.py \
-    benchmarks/bench_auto_tuning.py \
     benchmarks/bench_sim_latency.py \
     benchmarks/bench_match_scale.py \
     benchmarks/bench_topology_scale.py \

@@ -50,19 +50,6 @@ def _topology_scale_cli_sized(curve: str = "zorder") -> object:
     )
 
 
-def _auto_tuning_cli_sized(curve: Optional[str] = None) -> object:
-    """E-TUNE: recommended index config vs static configs (CLI-sized)."""
-    return experiments.run_auto_tuning_experiment(
-        # The experiment sweeps every static curve by default; --curve both
-        # narrows the static field and sets the recommendation's start curve.
-        static_curves=("zorder", "hilbert", "gray") if curve is None else (curve,),
-        num_subscriptions=120,
-        num_events=180,
-        warmup_events=60,
-        order=7,
-    )
-
-
 def _curve_ablation_cli_sized(curve: Optional[str] = None) -> object:
     """E-CURVE: Z-order vs Hilbert vs Gray through the full routing stack (CLI-sized)."""
     return experiments.run_curve_ablation_experiment(
@@ -91,8 +78,6 @@ EXPERIMENTS: Dict[str, Callable[..., object]] = {
     "churn": _churn_cli_sized,
     # The full-size sweep lives in benchmarks/bench_curve_ablation.py.
     "curve-ablation": _curve_ablation_cli_sized,
-    # The full-size sweep lives in benchmarks/bench_auto_tuning.py.
-    "auto-tuning": _auto_tuning_cli_sized,
     # The full-size sweep lives in benchmarks/bench_topology_scale.py.
     "topology-scale": _topology_scale_cli_sized,
     "dimensionality": experiments.run_dimensionality_experiment,

@@ -20,7 +20,6 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..baselines.linear_scan import LinearScanCoveringDetector
 from ..baselines.probabilistic import ProbabilisticCoveringDetector
-from ..core.approx_dominance import ApproximateDominanceIndex
 from ..core.bounds import (
     adversarial_rectangle,
     theorem31_run_bound,
@@ -47,7 +46,6 @@ from ..pubsub.subscription import Event, Subscription
 from ..sfc.hilbert import HilbertCurve
 from ..sfc.runs import RunProfile
 from ..sfc.zorder import ZOrderCurve
-from ..tuning import recommend_config
 from ..workloads.generators import EventWorkload, SubscriptionSpec, SubscriptionWorkload
 from .reporting import ResultTable, format_critical_path, format_trace_tree
 
@@ -68,7 +66,6 @@ __all__ = [
     "run_event_matching_experiment",
     "run_match_scale_experiment",
     "run_curve_ablation_experiment",
-    "run_auto_tuning_experiment",
     "run_dimensionality_experiment",
     "run_throughput_experiment",
 ]
@@ -1599,165 +1596,4 @@ def run_match_scale_experiment(
                     resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1
                 ),
             )
-    return table
-
-
-# ----------------------------------------------------------------- auto tuning
-def run_auto_tuning_experiment(
-    scenario_names: Sequence[str] = ("stock", "sensor", "auction"),
-    static_curves: Sequence[str] = ("zorder", "hilbert", "gray"),
-    num_brokers: int = 7,
-    num_subscriptions: int = 240,
-    num_events: int = 360,
-    warmup_events: int = 120,
-    order: int = 9,
-    epsilon: float = 0.2,
-    start_run_budget: int = 1,
-    seed: int = 31,
-) -> ResultTable:
-    """E-TUNE: a config recommended offline vs every static configuration.
-
-    Models a *drifted deployment*: the static networks — one per curve —
-    run on a start :class:`~repro.index.config.IndexConfig` whose
-    ``start_run_budget`` coarsens each subscription's decomposition down hard
-    (the kind of config an operator might pin for a sparse install-time
-    workload), on an application scenario that punishes it with false
-    positives.  The recommended network is a static network too, built on
-    what :func:`~repro.tuning.recommend_config` returns when it walks from
-    the first static config, scoring with the scenario's subscriptions and
-    the warm-up wave's event cells; ``recommend_s`` is what choosing took.
-
-    Protocol per network: batch-subscribe everything, publish the warm-up
-    wave, snapshot the deterministic work counters, publish the measurement
-    wave, and report the *measurement-window* work — candidates checked per
-    event, the backend-independent unit every other matching experiment uses
-    — beside its wall-clock ``seconds``.
-
-    The driver asserts the recommended ≡ static differential inline: per-event
-    delivery sets must be identical across every configuration — a config
-    may change work, never semantics.
-    """
-    import random as _random
-
-    from ..workloads.scenarios import (
-        auction_scenario,
-        sensor_network_scenario,
-        stock_market_scenario,
-    )
-
-    if not 0 < warmup_events < num_events:
-        raise ValueError(
-            f"warmup_events must lie in (0, num_events), got {warmup_events}/{num_events}"
-        )
-    scenario_factories = {
-        "stock": stock_market_scenario,
-        "sensor": sensor_network_scenario,
-        "auction": auction_scenario,
-    }
-    table = ResultTable("E-TUNE: recommended index config vs static configs (drifted start)")
-
-    for scenario_name in scenario_names:
-        scenario = scenario_factories[scenario_name](
-            num_subscriptions=num_subscriptions,
-            num_events=num_events,
-            order=order,
-            seed=seed,
-        )
-        schema = scenario.schema
-        subscriptions = [
-            Subscription(schema, constraints, sub_id=f"{scenario_name}-sub-{i}")
-            for i, constraints in enumerate(scenario.subscriptions)
-        ]
-        events = [
-            Event(schema, values, event_id=f"{scenario_name}-event-{i}")
-            for i, values in enumerate(scenario.events)
-        ]
-        rng = _random.Random(seed + 1)
-        batches: Dict[int, List[Tuple[str, Subscription]]] = {}
-        for sub in subscriptions:
-            batches.setdefault(rng.randrange(num_brokers), []).append(
-                (f"client-{sub.sub_id}", sub)
-            )
-        origins = [rng.randrange(num_brokers) for _ in events]
-        measured = num_events - warmup_events
-        deliveries: Dict[str, Dict[Hashable, frozenset]] = {}
-
-        def run_one(config: IndexConfig, name: str, recommend_s: float = 0.0) -> None:
-            network = BrokerNetwork.from_topology(
-                schema,
-                tree_topology(num_brokers),
-                covering="approximate",
-                seed=seed,
-                config=config,
-            )
-            for broker_id, items in batches.items():
-                network.subscribe_batch(broker_id, items)
-            delivered: Dict[Hashable, frozenset] = {}
-            for event, origin in zip(events[:warmup_events], origins):
-                delivered[event.event_id] = frozenset(network.publish(origin, event))
-            work_before = [
-                broker.routing_table.match_work()
-                for broker in network.brokers.values()
-            ]
-            start = time.perf_counter()
-            for event, origin in zip(
-                events[warmup_events:], origins[warmup_events:]
-            ):
-                delivered[event.event_id] = frozenset(network.publish(origin, event))
-            seconds = time.perf_counter() - start
-            work_after = [
-                broker.routing_table.match_work()
-                for broker in network.brokers.values()
-            ]
-            candidates = sum(a[1] - b[1] for a, b in zip(work_after, work_before))
-            false_positives = sum(a[2] - b[2] for a, b in zip(work_after, work_before))
-            segments = sum(
-                broker.routing_table.match_segments()
-                for broker in network.brokers.values()
-            )
-            deliveries[name] = delivered
-            table.add(
-                scenario=scenario_name,
-                config=name,
-                curve=config.curve,
-                run_budget=config.run_budget,
-                events=measured,
-                candidates_checked=candidates,
-                false_positives=false_positives,
-                work_per_event=round(candidates / measured, 2),
-                segments=segments,
-                seconds=round(seconds, 4),
-                recommend_s=round(recommend_s, 4),
-            )
-
-        start_configs = {
-            curve: IndexConfig(curve=curve, run_budget=start_run_budget, epsilon=epsilon)
-            for curve in static_curves
-        }
-        for curve, config in start_configs.items():
-            run_one(config, f"static:{curve}")
-
-        start = time.perf_counter()
-        recommended = recommend_config(
-            schema,
-            start_configs[static_curves[0]],
-            [(sub.sub_id, sub.ranges) for sub in subscriptions],
-            [event.cells for event in events[:warmup_events]],
-        )
-        run_one(recommended, "recommended", time.perf_counter() - start)
-
-        baseline_name = f"static:{static_curves[0]}"
-        baseline = deliveries[baseline_name]
-        for name, delivered in deliveries.items():
-            if delivered != baseline:
-                differing = [
-                    event_id
-                    for event_id in baseline
-                    if delivered.get(event_id) != baseline[event_id]
-                ]
-                raise AssertionError(
-                    f"delivery sets differ between {baseline_name!r} and {name!r} on "
-                    f"{scenario_name} for events {differing[:5]} — a config must "
-                    "never change semantics"
-                )
     return table

@@ -9,8 +9,7 @@ spreads over.
 Historically those knobs travelled as loose keyword arguments and duplicated
 module constants; :class:`IndexConfig` gathers them into one validated,
 hashable value so any layer can describe, compare or cache-key a
-configuration, and an offline search (:func:`repro.tuning.recommend_config`)
-can walk from one to its neighbours.
+configuration.
 
 ``config=IndexConfig(...)`` is the only channel through which a knob reaches
 a constructor of the stack, and only this module defines the knob names and
@@ -21,9 +20,9 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Optional, Tuple
 
-from ..sfc.factory import CURVE_KINDS, DEFAULT_CURVE, curve_class
+from ..sfc.factory import DEFAULT_CURVE, curve_class
 
 __all__ = [
     "DEFAULT_CUBE_BUDGET",
@@ -140,10 +139,6 @@ class IndexConfig:
         run budget and shard count only affect how runs are *stored*.
         """
         return ("covering", self.curve, self.epsilon, self.cube_budget)
-
-    def as_dict(self) -> Dict[str, Any]:
-        """Plain-dict form (JSON-friendly) for benchmarks and exposition."""
-        return dataclasses.asdict(self)
 
     def replace(self, **changes: Any) -> "IndexConfig":
         """Frozen-dataclass update: a new config with ``changes`` applied."""

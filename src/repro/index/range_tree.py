@@ -60,9 +60,6 @@ class _LastDimNode:
             return self.entries[idx]
         return None
 
-    def count_nodes(self) -> int:
-        return 1
-
     def storage_cells(self) -> int:
         return len(self.entries)
 

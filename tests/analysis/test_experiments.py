@@ -8,11 +8,8 @@ grows).
 
 from __future__ import annotations
 
-import pytest
-
 from repro.analysis.experiments import (
     run_approx_vs_exhaustive_experiment,
-    run_auto_tuning_experiment,
     run_dimensionality_experiment,
     run_fig1_experiment,
     run_fig2_experiment,
@@ -117,40 +114,3 @@ class TestSystemExperiments:
             assert row["linear_qps"] > 0
             assert row["approx_hits"] <= row["exact_hits"]
             assert row["rangetree_storage_cells"] > row["stored"]
-
-
-@pytest.fixture(scope="module")
-def auto_tuning_table():
-    return run_auto_tuning_experiment(
-        num_brokers=3, num_subscriptions=60, num_events=60, warmup_events=20, order=7
-    )
-
-
-class TestAutoTuningExperiment:
-    def test_rows_cover_every_static_curve_and_the_recommendation(self, auto_tuning_table):
-        by_scenario = {}
-        for row in auto_tuning_table.rows:
-            by_scenario.setdefault(row["scenario"], {})[row["config"]] = row
-        assert set(by_scenario) == {"stock", "sensor", "auction"}
-        for rows in by_scenario.values():
-            assert set(rows) == {"static:zorder", "static:hilbert", "static:gray", "recommended"}
-            assert all(row["events"] == 40 for row in rows.values())
-            assert all(
-                row["recommend_s"] == 0.0 for name, row in rows.items() if name != "recommended"
-            )
-            assert rows["recommended"]["recommend_s"] >= 0.0
-
-    def test_recommended_is_no_worse_than_its_start_config(self, auto_tuning_table):
-        rows = {(row["scenario"], row["config"]): row for row in auto_tuning_table.rows}
-        for scenario in ("stock", "sensor", "auction"):
-            recommended = rows[(scenario, "recommended")]["work_per_event"]
-            assert recommended <= rows[(scenario, "static:zorder")]["work_per_event"]
-        # The drifted start is worth leaving on at least one scenario.
-        assert rows[("sensor", "recommended")]["run_budget"] > 1
-
-    @pytest.mark.parametrize("warmup_events", [0, 30, 31])
-    def test_warmup_must_lie_inside_the_run(self, warmup_events):
-        with pytest.raises(ValueError, match="warmup_events"):
-            run_auto_tuning_experiment(
-                scenario_names=("stock",), num_events=30, warmup_events=warmup_events
-            )

@@ -1,4 +1,8 @@
-"""Tests for the baseline covering detectors (linear scan, exhaustive SFC, probabilistic)."""
+"""Tests for the baseline covering detectors (linear scan, exhaustive SFC, probabilistic).
+
+The exhaustive SFC baseline is the covering detector's ε = 0 search,
+:meth:`~repro.core.covering.ApproximateCoveringDetector.find_covering_exhaustive`.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +10,6 @@ import random
 
 import pytest
 
-from repro.baselines.exhaustive_sfc import ExhaustiveSFCCoveringDetector
 from repro.baselines.linear_scan import LinearScanCoveringDetector
 from repro.baselines.probabilistic import ProbabilisticCoveringDetector
 from repro.core.covering import ApproximateCoveringDetector
@@ -67,48 +70,17 @@ class TestLinearScan:
 
 
 class TestExhaustiveSFC:
-    def test_agrees_with_linear_scan(self):
-        rng = random.Random(5)
-        attributes, order = 2, 7
-        linear = LinearScanCoveringDetector(attributes, order)
-        sfc = ExhaustiveSFCCoveringDetector(attributes, order, cube_budget=500_000)
-        for i in range(150):
-            ranges = random_subscription(rng, attributes, 127)
-            linear.add_subscription(i, ranges)
-            sfc.add_subscription(i, ranges)
-        for _ in range(40):
-            query = random_subscription(rng, attributes, 127, max_width=30)
-            assert (linear.find_covering(query) is not None) == (
-                sfc.find_covering(query) is not None
-            )
-
-    def test_add_remove(self):
-        det = ExhaustiveSFCCoveringDetector(attributes=1, attribute_order=8)
-        det.add_subscription("a", [(0, 200)])
-        assert "a" in det and len(det) == 1
-        assert det.is_covered([(10, 100)])
-        assert det.remove_subscription("a")
-        assert not det.remove_subscription("a")
-        assert not det.is_covered([(10, 100)])
-
     def test_find_with_stats(self):
-        det = ExhaustiveSFCCoveringDetector(attributes=1, attribute_order=8)
+        # A budget no exhaustive search here reaches; the default 2,000
+        # cubes can cut one short.
+        det = ApproximateCoveringDetector(
+            attributes=1, attribute_order=8, config=IndexConfig(cube_budget=1_000_000)
+        )
         det.add_subscription("a", [(0, 200)])
-        covering_id, stats = det.find_covering_with_stats([(10, 100)])
-        assert covering_id == "a"
-        assert stats.runs_probed >= 1
-        assert stats.epsilon == 0.0
-
-    def test_exclude(self):
-        det = ExhaustiveSFCCoveringDetector(attributes=1, attribute_order=8)
-        det.add_subscription("self", [(0, 100)])
-        assert det.find_covering([(0, 100)], exclude="self") is None
-        assert det.find_covering([(0, 100)]) == "self"
-
-    def test_subscriptions_accessor(self):
-        det = ExhaustiveSFCCoveringDetector(attributes=1, attribute_order=6)
-        det.add_subscription("a", [(0, 5)])
-        assert det.subscriptions() == {"a": ((0, 5),)}
+        result = det.find_covering_exhaustive([(10, 100)])
+        assert result.covering_id == "a"
+        assert result.query.runs_probed >= 1
+        assert result.query.epsilon == 0.0
 
 
 class TestProbabilistic:
@@ -179,7 +151,6 @@ class TestCrossDetectorAgreement:
         rng = random.Random(21)
         attributes, order = 2, 6
         linear = LinearScanCoveringDetector(attributes, order)
-        sfc_exhaustive = ExhaustiveSFCCoveringDetector(attributes, order, cube_budget=500_000)
         approx = ApproximateCoveringDetector(
             attributes=attributes, attribute_order=order,
             config=IndexConfig(epsilon=0.1, cube_budget=500_000)
@@ -187,12 +158,11 @@ class TestCrossDetectorAgreement:
         for i in range(120):
             ranges = random_subscription(rng, attributes, 63)
             linear.add_subscription(i, ranges)
-            sfc_exhaustive.add_subscription(i, ranges)
             approx.add_subscription(i, ranges)
         for _ in range(50):
             query = random_subscription(rng, attributes, 63, max_width=20)
             exact_answer = linear.find_covering(query) is not None
-            assert (sfc_exhaustive.find_covering(query) is not None) == exact_answer
+            assert approx.find_covering_exhaustive(query).covered == exact_answer
             approx_result = approx.find_covering(query)
             if approx_result.covered:
                 assert exact_answer  # soundness: approx never invents a cover

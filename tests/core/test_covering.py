@@ -7,7 +7,6 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.baselines.exhaustive_sfc import ExhaustiveSFCCoveringDetector
 from repro.baselines.linear_scan import LinearScanCoveringDetector
 from repro.core.covering import ApproximateCoveringDetector
 from repro.geometry.transform import ranges_cover
@@ -113,15 +112,6 @@ class TestExclusion:
         assert find(query).covering_id == "a"
         assert find(query, exclude="b").covering_id == "a"
         assert find(query).work_units == find(query, exclude="b").work_units
-
-    def test_exhaustive_baseline_excludes_without_reordering(self):
-        det = ExhaustiveSFCCoveringDetector(attributes=2, attribute_order=6)
-        det.add_subscription("a", [(0, 40), (0, 40)])
-        det.add_subscription("b", [(0, 40), (0, 40)])
-        query = [(10, 20), (10, 20)]
-        assert det.find_covering(query) == "a"
-        assert det.find_covering_with_stats(query, exclude="a")[0] == "b"
-        assert det.find_covering(query) == "a"
 
 
 class TestSoundnessAndRecall:

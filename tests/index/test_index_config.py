@@ -124,7 +124,7 @@ class TestPrecisionBits:
 
 
 def _constructors():
-    """The ten constructors of the stack that take index knobs, minimally applied."""
+    """The eleven constructors and factories that take index knobs, minimally applied."""
     from repro.core.covering import ApproximateCoveringDetector, CoveringProfiler
     from repro.pubsub.broker import Broker
     from repro.pubsub.network import BrokerNetwork
@@ -171,7 +171,6 @@ class TestConfigIsTheOnlyChannel:
 
 def _index_layer_constructors():
     """Every constructor below the broker that builds or wraps an ordered store."""
-    from repro.baselines.exhaustive_sfc import ExhaustiveSFCCoveringDetector
     from repro.core.approx_dominance import ApproximateDominanceIndex
     from repro.core.covering import ApproximateCoveringDetector
     from repro.geometry.universe import Universe
@@ -186,7 +185,6 @@ def _index_layer_constructors():
         "SFCArray": lambda **kw: SFCArray(ZOrderCurve(universe), **kw),
         "ApproximateDominanceIndex": lambda **kw: ApproximateDominanceIndex(universe, **kw),
         "ApproximateCoveringDetector": lambda **kw: ApproximateCoveringDetector(2, 6, **kw),
-        "ExhaustiveSFCCoveringDetector": lambda **kw: ExhaustiveSFCCoveringDetector(2, 6, **kw),
         "MatchIndex": lambda **kw: MatchIndex(schema, **kw),
         "ShardedMatchIndex": lambda **kw: ShardedMatchIndex(schema, **kw),
         "InterfaceTable": lambda **kw: InterfaceTable("i", schema, **kw),
@@ -228,10 +226,6 @@ class TestKeys:
             a.covering_key()
             != IndexConfig(epsilon=0.3).covering_key()
         )
-
-    def test_as_dict_roundtrip(self):
-        config = IndexConfig(curve="gray", run_budget=16, epsilon=0.1)
-        assert IndexConfig(**config.as_dict()) == config
 
     def test_replace(self):
         config = IndexConfig()

@@ -5,7 +5,8 @@ subscriptions across several of them; the choice is pure performance — a
 differential lifecycle test drives both through the same random
 subscribe/replace/withdraw/publish history against a linear-scan oracle, and
 whole-network runs must produce identical ``routing_state()`` under both,
-pinned to a recorded digest.
+pinned to a recorded digest.  The run budget is pure performance too: it
+moves neither that digest nor a single delivery.
 """
 
 from __future__ import annotations
@@ -18,11 +19,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.index.config import IndexConfig
+from repro.index.config import DEFAULT_RUN_BUDGET, IndexConfig
 from repro.pubsub.match_index import MatchIndex
 from repro.pubsub.network import BrokerNetwork, tree_topology
 from repro.pubsub.schema import Attribute, AttributeSchema
 from repro.pubsub.sharded_index import ShardedMatchIndex
+from repro.pubsub.subscription import make_event, make_subscription
 from repro.workloads.dynamics import run_scripted_lockstep, subscription_churn_script
 from repro.workloads.scenarios import stock_market_scenario
 
@@ -150,13 +152,15 @@ def _digest(payload) -> str:
     ).hexdigest()[:16]
 
 
-def _network_state(backend: str, covering: str = "approximate"):
+def _network_state(backend: str, run_budget: int, covering: str = "approximate"):
     scenario = stock_market_scenario(num_subscriptions=25, num_events=10, order=7, seed=5)
     network = BrokerNetwork.from_topology(
         scenario.schema,
         tree_topology(7),
         covering=covering,
-        config=IndexConfig(epsilon=0.2, cube_budget=500, backend=backend),
+        config=IndexConfig(
+            epsilon=0.2, cube_budget=500, backend=backend, run_budget=run_budget
+        ),
     )
     script = subscription_churn_script(scenario, list(range(7)), seed=3)
     run_scripted_lockstep(network, script)
@@ -164,20 +168,68 @@ def _network_state(backend: str, covering: str = "approximate"):
 
 
 def test_routing_state_identical_across_backends():
-    """Backend choice is invisible in routing state — and the default is pinned.
+    """Backend and run budget are invisible in routing state — and it is pinned.
 
     If the pin moves, routing behaviour changed (not just performance);
     re-pin only with an explanation in the same commit.
     """
-    states = {name: _network_state(name) for name in ("flat", "sharded")}
-    assert states["flat"] == states["sharded"]
+    run_budgets = (4, DEFAULT_RUN_BUDGET)
+    states = {
+        (name, run_budget): _network_state(name, run_budget)
+        for name in ("flat", "sharded")
+        for run_budget in run_budgets
+    }
+    reference = states[("flat", DEFAULT_RUN_BUDGET)]
+    assert all(state == reference for state in states.values())
     # Same digest as the Hilbert-curve pin in test_seed_determinism: routing
-    # state depends on neither curve nor backend, only on forwarding decisions.
-    # Every link of this script holds fewer forwarded subscriptions than a
-    # probe schedule has cubes, so each check compares them directly and the
-    # decisions — hence the digest — are those of exact covering.
-    assert _digest(states["flat"]) == "c6ad33953fcabcc0"
-    assert states["flat"] == _network_state("flat", covering="exact")
+    # state depends on neither curve nor backend nor run budget, only on
+    # forwarding decisions. Every link of this script holds fewer forwarded
+    # subscriptions than a probe schedule has cubes, so each check compares
+    # them directly and the decisions — hence the digest — are those of
+    # exact covering.
+    assert _digest(reference) == "c6ad33953fcabcc0"
+    for run_budget in run_budgets:
+        assert _network_state("flat", run_budget, covering="exact") == reference
+
+
+def _drive(run_budget: int, brokers: int = 4):
+    """Subscribe 50 rectangles, publish 120 events; returns the delivery sets
+    and the key segments the network's match indexes store."""
+    schema = _schema(order=8)
+    rng = random.Random(7)
+    network = BrokerNetwork.from_topology(
+        schema, tree_topology(brokers), seed=11, config=IndexConfig(run_budget=run_budget)
+    )
+    for i in range(50):
+        lo_x, lo_y = rng.uniform(0, 70), rng.uniform(0, 70)
+        subscription = make_subscription(
+            schema,
+            f"s{i}",
+            x=(lo_x, lo_x + rng.uniform(1, 30)),
+            y=(lo_y, lo_y + rng.uniform(1, 30)),
+        )
+        network.subscribe(i % brokers, f"c{i}", subscription)
+    events = [
+        make_event(schema, f"e{j}", x=rng.uniform(0, 100), y=rng.uniform(0, 100))
+        for j in range(120)
+    ]
+    delivered = [
+        frozenset(network.publish(j % brokers, event)) for j, event in enumerate(events)
+    ]
+    segments = sum(
+        broker.routing_table.match_segments() for broker in network.brokers.values()
+    )
+    return delivered, segments
+
+
+def test_run_budget_never_changes_deliveries():
+    """A coarser decomposition stores fewer runs; it never changes a delivery."""
+    coarse, coarse_segments = _drive(run_budget=1)
+    finer, finer_segments = _drive(run_budget=4)
+    assert any(coarse)
+    # The budget reached the match indexes, so the comparison is not vacuous.
+    assert coarse_segments < finer_segments
+    assert finer == coarse
 
 
 def test_sharded_rejects_bad_config():
