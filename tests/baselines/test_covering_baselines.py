@@ -69,18 +69,45 @@ class TestLinearScan:
         assert det.subscriptions() == {"a": ((0, 5),)}
 
 
+def _exhaustive_detector(attributes, attribute_order):
+    # A budget no exhaustive search here reaches; the default 2,000 cubes can
+    # cut one short.
+    return ApproximateCoveringDetector(
+        attributes=attributes,
+        attribute_order=attribute_order,
+        config=IndexConfig(cube_budget=1_000_000),
+    )
+
+
 class TestExhaustiveSFC:
+    def test_add_remove(self):
+        det = _exhaustive_detector(attributes=1, attribute_order=8)
+        det.add_subscription("a", [(0, 200)])
+        assert "a" in det and len(det) == 1
+        assert det.find_covering_exhaustive([(10, 100)]).covering_id == "a"
+        assert det.remove_subscription("a")
+        assert not det.remove_subscription("a")
+        assert "a" not in det and len(det) == 0
+        assert not det.find_covering_exhaustive([(10, 100)]).covered
+
     def test_find_with_stats(self):
-        # A budget no exhaustive search here reaches; the default 2,000
-        # cubes can cut one short.
-        det = ApproximateCoveringDetector(
-            attributes=1, attribute_order=8, config=IndexConfig(cube_budget=1_000_000)
-        )
+        det = _exhaustive_detector(attributes=1, attribute_order=8)
         det.add_subscription("a", [(0, 200)])
         result = det.find_covering_exhaustive([(10, 100)])
         assert result.covering_id == "a"
         assert result.query.runs_probed >= 1
         assert result.query.epsilon == 0.0
+
+    def test_exclude(self):
+        det = _exhaustive_detector(attributes=1, attribute_order=8)
+        det.add_subscription("self", [(0, 100)])
+        assert not det.find_covering_exhaustive([(0, 100)], exclude="self").covered
+        assert det.find_covering_exhaustive([(0, 100)]).covering_id == "self"
+
+    def test_subscriptions_accessor(self):
+        det = _exhaustive_detector(attributes=1, attribute_order=6)
+        det.add_subscription("a", [(0, 5)])
+        assert det.subscriptions() == {"a": ((0, 5),)}
 
 
 class TestProbabilistic:

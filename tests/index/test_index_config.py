@@ -170,12 +170,17 @@ class TestConfigIsTheOnlyChannel:
 
 
 def _index_layer_constructors():
-    """Every constructor below the broker that builds or wraps an ordered store."""
+    """Every constructor below the broker that builds, wraps or plans probes
+    of an ordered store."""
     from repro.core.approx_dominance import ApproximateDominanceIndex
-    from repro.core.covering import ApproximateCoveringDetector
+    from repro.core.covering import ApproximateCoveringDetector, CoveringProfiler
     from repro.geometry.universe import Universe
     from repro.index.sfc_array import SFCArray
-    from repro.pubsub.routing_table import InterfaceTable, RoutingTable
+    from repro.pubsub.routing_table import (
+        ApproximateCoveringStrategy,
+        InterfaceTable,
+        RoutingTable,
+    )
     from repro.pubsub.sharded_index import ShardedMatchIndex
     from repro.sfc.zorder import ZOrderCurve
 
@@ -185,6 +190,8 @@ def _index_layer_constructors():
         "SFCArray": lambda **kw: SFCArray(ZOrderCurve(universe), **kw),
         "ApproximateDominanceIndex": lambda **kw: ApproximateDominanceIndex(universe, **kw),
         "ApproximateCoveringDetector": lambda **kw: ApproximateCoveringDetector(2, 6, **kw),
+        "CoveringProfiler": lambda **kw: CoveringProfiler(2, 6, **kw),
+        "ApproximateCoveringStrategy": lambda **kw: ApproximateCoveringStrategy(2, 6, **kw),
         "MatchIndex": lambda **kw: MatchIndex(schema, **kw),
         "ShardedMatchIndex": lambda **kw: ShardedMatchIndex(schema, **kw),
         "InterfaceTable": lambda **kw: InterfaceTable("i", schema, **kw),
@@ -234,3 +241,27 @@ class TestKeys:
         assert config.curve == "zorder"
         with pytest.raises(ValueError, match="unknown curve kind"):
             config.replace(curve="peano")
+
+    @pytest.mark.parametrize(
+        "knob",
+        [
+            {"curve": "hilbert"},
+            {"precision_bits": 3},
+            {"run_budget": 8},
+            {"cube_budget": 99},
+            {"epsilon": 0.2},
+            {"backend": "sharded"},
+            {"shards": 2},
+        ],
+        ids=lambda knob: next(iter(knob)),
+    )
+    def test_replace_changes_only_the_named_knob(self, knob):
+        config = IndexConfig(
+            curve="gray", precision_bits=5, run_budget=4, cube_budget=123,
+            epsilon=0.3, backend="flat", shards=3,
+        )
+        replaced = config.replace(**knob)
+        assert replaced != config
+        for field in dataclasses.fields(IndexConfig):
+            expected = knob.get(field.name, getattr(config, field.name))
+            assert getattr(replaced, field.name) == expected

@@ -25,6 +25,7 @@ from repro.pubsub.network import BrokerNetwork, tree_topology
 from repro.pubsub.schema import Attribute, AttributeSchema
 from repro.pubsub.sharded_index import ShardedMatchIndex
 from repro.pubsub.subscription import make_event, make_subscription
+from repro.sfc.factory import CURVE_KINDS
 from repro.workloads.dynamics import run_scripted_lockstep, subscription_churn_script
 from repro.workloads.scenarios import stock_market_scenario
 
@@ -192,13 +193,17 @@ def test_routing_state_identical_across_backends():
         assert _network_state("flat", run_budget, covering="exact") == reference
 
 
-def _drive(run_budget: int, brokers: int = 4):
-    """Subscribe 50 rectangles, publish 120 events; returns the delivery sets
-    and the key segments the network's match indexes store."""
+def _drive(run_budget: int, brokers: int = 4, curve: str = "zorder"):
+    """Subscribe 50 rectangles, publish 120 events; returns the delivery sets,
+    the key segments the network's match indexes store and the candidates
+    they checked."""
     schema = _schema(order=8)
     rng = random.Random(7)
     network = BrokerNetwork.from_topology(
-        schema, tree_topology(brokers), seed=11, config=IndexConfig(run_budget=run_budget)
+        schema,
+        tree_topology(brokers),
+        seed=11,
+        config=IndexConfig(run_budget=run_budget, curve=curve),
     )
     for i in range(50):
         lo_x, lo_y = rng.uniform(0, 70), rng.uniform(0, 70)
@@ -216,19 +221,29 @@ def _drive(run_budget: int, brokers: int = 4):
     delivered = [
         frozenset(network.publish(j % brokers, event)) for j, event in enumerate(events)
     ]
-    segments = sum(
-        broker.routing_table.match_segments() for broker in network.brokers.values()
-    )
-    return delivered, segments
+    tables = [broker.routing_table for broker in network.brokers.values()]
+    segments = sum(table.match_segments() for table in tables)
+    candidates = sum(table.match_work()[1] for table in tables)
+    return delivered, segments, candidates
 
 
 def test_run_budget_never_changes_deliveries():
     """A coarser decomposition stores fewer runs; it never changes a delivery."""
-    coarse, coarse_segments = _drive(run_budget=1)
-    finer, finer_segments = _drive(run_budget=4)
+    coarse, coarse_segments, _ = _drive(run_budget=1)
+    finer, finer_segments, _ = _drive(run_budget=4)
     assert any(coarse)
     # The budget reached the match indexes, so the comparison is not vacuous.
     assert coarse_segments < finer_segments
+    assert finer == coarse
+
+
+@pytest.mark.parametrize("curve", CURVE_KINDS)
+def test_a_finer_run_budget_checks_fewer_candidates_network_wide(curve):
+    """On every curve the finer decomposition prunes candidates the coarse
+    one leaves to the rectangle check, and delivers the same events."""
+    coarse, _, coarse_candidates = _drive(run_budget=1, curve=curve)
+    finer, _, finer_candidates = _drive(run_budget=4, curve=curve)
+    assert finer_candidates < coarse_candidates
     assert finer == coarse
 
 

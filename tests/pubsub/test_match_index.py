@@ -17,7 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.geometry.bits import spread_bits
-from repro.index.config import IndexConfig
+from repro.index.config import DEFAULT_RUN_BUDGET, INDEX_BACKEND_NAMES, IndexConfig
 from repro.pubsub.broker import Broker
 from repro.pubsub.match_index import MatchIndex
 from repro.pubsub.network import (
@@ -28,7 +28,9 @@ from repro.pubsub.network import (
 )
 from repro.pubsub.routing_table import InterfaceTable, RoutingTable
 from repro.pubsub.schema import Attribute, AttributeSchema
+from repro.pubsub.sharded_index import ShardedMatchIndex
 from repro.pubsub.subscription import Event, Subscription
+from repro.sfc.factory import CURVE_KINDS
 
 
 @pytest.fixture
@@ -323,6 +325,64 @@ class TestMatchIndexUnit:
                 assert index.candidates(key) == holding >= set(expected)
         assert mixed_states > 20, mixed_states
         assert len(index) == len(model)
+
+
+def _replay(schema, backend, curve, run_budget, seed=7):
+    """Bulk-load 50 subscriptions into a fresh index, probe 120 events.
+
+    Returns the index, the answers in probe order and the number of
+    (event, subscription) matches a scan finds.
+    """
+    rng = random.Random(seed)
+    subs = [random_subscription(schema, rng, f"s{i}") for i in range(50)]
+    events = [random_event(schema, rng) for _ in range(120)]
+    config = IndexConfig(backend=backend, curve=curve, run_budget=run_budget)
+    index = (ShardedMatchIndex if backend == "sharded" else MatchIndex)(schema, config=config)
+    index.add_batch([(sub.sub_id, sub.ranges) for sub in subs])
+    answers = [frozenset(index.matching_ids(event.cells)) for event in events]
+    scanned = sum(sub.matches(event) for event in events for sub in subs)
+    return index, answers, scanned
+
+
+@pytest.mark.parametrize("curve", CURVE_KINDS)
+@pytest.mark.parametrize("backend", INDEX_BACKEND_NAMES)
+class TestRunBudget:
+    """What the run budget trades: runs stored against candidates checked.
+
+    The budget never changes an answer, only how many false candidates the
+    rectangle check has to reject.
+    """
+
+    def test_a_budget_of_one_stores_one_run_per_subscription(self, schema, backend, curve):
+        index, _answers, _scanned = _replay(schema, backend, curve, run_budget=1)
+        assert index.stats.runs_stored == len(index) == 50
+
+    def test_a_finer_budget_stores_more_runs_and_checks_fewer_candidates(
+        self, schema, backend, curve
+    ):
+        coarse, coarse_answers, _ = _replay(schema, backend, curve, run_budget=1)
+        fine, fine_answers, _ = _replay(schema, backend, curve, run_budget=4)
+        assert fine.stats.runs_stored > coarse.stats.runs_stored
+        assert fine.stats.candidates_checked < coarse.stats.candidates_checked
+        assert fine.stats.false_positives < coarse.stats.false_positives
+        assert fine_answers == coarse_answers
+
+    def test_every_candidate_is_a_match_or_a_false_positive(self, schema, backend, curve):
+        for run_budget in (1, 4, DEFAULT_RUN_BUDGET):
+            index, answers, scanned = _replay(schema, backend, curve, run_budget)
+            assert scanned > 0
+            assert sum(map(len, answers)) == scanned
+            stats = index.stats
+            assert stats.candidates_checked - stats.false_positives == scanned
+            # Every shard of a sharded index answers every probe.
+            probed = index.config.shards if backend == "sharded" else 1
+            assert stats.lookups == probed * len(answers)
+
+    def test_replaying_a_workload_repeats_every_counter(self, schema, backend, curve):
+        first, first_answers, _ = _replay(schema, backend, curve, run_budget=4)
+        again, again_answers, _ = _replay(schema, backend, curve, run_budget=4)
+        assert again.stats == first.stats
+        assert again_answers == first_answers
 
 
 class TestInterfaceTableMatching:
