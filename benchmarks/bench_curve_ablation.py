@@ -34,7 +34,6 @@ def test_curve_ablation(run_once, record_table):
             num_subscriptions=60,
             num_events=30,
             order=7,
-            cube_budget=500,
             audit_events=6,
             fig1_rectangles=60,
         )
@@ -43,7 +42,6 @@ def test_curve_ablation(run_once, record_table):
             num_subscriptions=240,
             num_events=120,
             order=8,
-            cube_budget=1_000,
             audit_events=12,
             fig1_rectangles=250,
         )

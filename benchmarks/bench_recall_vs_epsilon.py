@@ -12,11 +12,12 @@ routes with it — are reported alongside.
 A second table reports what the same search delivers at the *product* budget
 (``IndexConfig()``: ε = 0.05, 2,000 cubes) on the stock and sensor scenarios:
 recall of the plan executed on its own, the ε it actually delivers when the
-budget ends it, and recall of the routing entry point
-(``find_covering_profile``) at 20 / 200 / 3,000 stored subscriptions — both
-sides of its compare / probe crossover.  ``median_cubes_floor`` is the
-profiles' census-free bound on a plan's size, and ``census_share`` the share
-of routed checks whose link outgrew it, so that the census ran.
+budget ends it, and recall of the detector's profile entry point
+(``find_covering_profile``, what a broker link ran before links moved to an
+exact scan) at 20 / 200 / 3,000 stored subscriptions — both sides of its
+compare / probe crossover.  ``median_cubes_floor`` is the profiles'
+census-free bound on a plan's size, and ``census_share`` the share of those
+checks whose store outgrew it, so that the census ran.
 """
 
 from __future__ import annotations

@@ -20,7 +20,6 @@ import os
 
 from repro.analysis.experiments import run_sim_latency_experiment
 from repro.analysis.reporting import ResultTable
-from repro.index.config import IndexConfig
 from repro.pubsub import BrokerNetwork, chain_topology, star_topology, tree_topology
 from repro.sim import SimTransport, UniformJitterLatency
 from repro.workloads.dynamics import rolling_failures_script, run_dynamic_scenario
@@ -35,7 +34,7 @@ _SIZES = dict(
 
 
 def test_sim_latency_flash_crowd(run_once, record_table):
-    table = run_once(run_sim_latency_experiment, epsilon=0.2, seed=29, **_SIZES)
+    table = run_once(run_sim_latency_experiment, seed=29, **_SIZES)
     record_table("sim_latency", table)
     assert len(table.rows) == 9  # 3 latency models x 3 topologies
     # Safety under load: bounded queues delay, they never drop.
@@ -76,7 +75,6 @@ def test_sim_rolling_failures_audit_clean(run_once, record_table):
                 scenario.schema,
                 topology,
                 covering="approximate",
-                config=IndexConfig(epsilon=0.2),
                 transport=transport,
             )
             script = rolling_failures_script(

@@ -68,8 +68,10 @@ stage "benchmark smoke (tiny sizes) + full-size sim tables"
 # counts, Fig. 2's query regions, Theorem 3.1's bound, Lemma 3.2's retained
 # volume, Theorem 4.1's lower bound, the dimensionality / aspect-ratio sweep,
 # approximate vs exhaustive cost, and recall: the ε-search must stay sound,
-# and at the product budget the routing entry point must find every cover of
-# a link it compares and never fewer than the plan alone where it probes.
+# and at the product budget the detector's profile entry point
+# (find_covering_profile, no longer on any broker's path: a link scans) must
+# find every cover of a store it compares and never fewer than the plan alone
+# where it probes.
 # A smoke pass writes its tables to a temporary directory
 # (benchmarks/conftest.py): the tracked full-size tables must come out of it
 # byte-identical, whether or not they carry uncommitted re-recordings.

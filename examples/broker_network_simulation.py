@@ -3,8 +3,8 @@
 
 Builds a 15-broker tree carrying the sensor-network scenario (temperature /
 humidity / battery alerts), replays the same subscription and event stream
-under every covering strategy a broker offers — none, exact linear scan and
-the paper's ε-approximate SFC detector — and reports:
+under every covering kind a broker offers — none, exact and approximate,
+the last two one exact scan of what a link forwarded — and reports:
 
 * routing-table entries and subscription messages (what covering saves),
 * covering-check work units (what covering costs),
@@ -26,7 +26,6 @@ import os
 import random
 
 from repro.analysis.reporting import format_bar_chart, format_table
-from repro.index.config import IndexConfig
 from repro.pubsub import COVERING_KINDS, BrokerNetwork, Event, Subscription, tree_topology
 from repro.sim import SyncTransport
 from repro.workloads.scenarios import sensor_network_scenario
@@ -40,7 +39,6 @@ def run_strategy(scenario, covering: str, placements, publish_at) -> dict:
         scenario.schema,
         tree_topology(NUM_BROKERS),
         covering=covering,
-        config=IndexConfig(epsilon=0.25, cube_budget=3_000),
         transport=SyncTransport(),
     )
     for i, constraints in enumerate(scenario.subscriptions):

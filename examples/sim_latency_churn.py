@@ -23,7 +23,6 @@ from __future__ import annotations
 import os
 
 from repro.analysis.reporting import format_table
-from repro.index.config import IndexConfig
 from repro.pubsub import BrokerNetwork, tree_topology
 from repro.sim import (
     FixedLatency,
@@ -49,7 +48,6 @@ def fresh_network(scenario, transport):
         scenario.schema,
         tree_topology(NUM_BROKERS),
         covering="approximate",
-        config=IndexConfig(epsilon=0.2),
         transport=transport,
     )
 

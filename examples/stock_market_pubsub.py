@@ -4,10 +4,9 @@
 The introduction's example — a subscriber interested in
 ``[stock = IBM, volume > 500, current < 95]`` receiving the event
 ``[stock = IBM, volume = 1000, current = 88]`` — is played out on a broker
-tree whose routers use ε-approximate covering to prune subscription
-propagation.  The example then replays a larger synthetic trader workload and
-reports how much routing state each covering strategy saves, and verifies
-that no events are lost.
+tree whose routers use covering to prune subscription propagation.  The
+example then replays a larger synthetic trader workload and reports how much
+routing state each covering kind saves, and verifies that no events are lost.
 
 Run with:  python examples/stock_market_pubsub.py
 """
@@ -17,7 +16,6 @@ from __future__ import annotations
 import random
 
 from repro.analysis.reporting import format_table
-from repro.index.config import IndexConfig
 from repro.pubsub import (
     BrokerNetwork,
     Event,
@@ -34,10 +32,7 @@ def motivating_example() -> None:
     scenario = stock_market_scenario(num_subscriptions=0, num_events=0)
     schema = scenario.schema
 
-    network = BrokerNetwork.from_topology(
-        schema, tree_topology(5), covering="approximate",
-        config=IndexConfig(epsilon=0.05, cube_budget=5_000)
-    )
+    network = BrokerNetwork.from_topology(schema, tree_topology(5), covering="approximate")
     trader = Subscriber(network, broker_id=4, client_id="ibm-trader")
     trader.subscribe({"volume": (500.0, 1_000_000.0), "price": (0.0, 95.0)})
 
@@ -64,7 +59,6 @@ def trader_workload() -> None:
             scenario.schema,
             tree_topology(9),
             covering=covering,
-            config=IndexConfig(epsilon=0.25, cube_budget=4_000),
             seed=1,
         )
         for i, constraints in enumerate(scenario.subscriptions):

@@ -58,7 +58,6 @@ def _curve_ablation_cli_sized(curve: Optional[str] = None) -> object:
         num_subscriptions=120,
         num_events=60,
         order=7,
-        cube_budget=500,
         audit_events=8,
         fig1_rectangles=120,
     )

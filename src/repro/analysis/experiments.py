@@ -484,20 +484,16 @@ def run_pubsub_experiment(
     num_subscriptions: int = 150,
     num_events: int = 40,
     order: int = 9,
-    epsilon: float = 0.3,
-    strategies: Sequence[str] = ("none", "exact", "approximate"),
+    strategies: Sequence[str] = ("none", "exact"),
     seed: int = 9,
-    cube_budget: int = 4_000,
     curve: str = "zorder",
 ) -> ResultTable:
-    """E-PUBSUB: routing-table size and propagation traffic per covering strategy.
+    """E-PUBSUB: routing-table size and propagation traffic per covering kind.
 
     The workload mixes narrow subscriptions with a share of broad ones (the
-    regime covering is designed for); the per-check work of the approximate
-    strategy is bounded by ``cube_budget`` like a real router would bound it.
-    ``curve`` is the space-filling curve behind both the match indexes and
-    the approximate strategy; the delivery audit runs identically under
-    every curve.
+    regime covering is designed for).  ``"approximate"`` runs the scan
+    ``"exact"`` runs, so it is no row of its own by default.  ``curve`` keys
+    the match indexes; the delivery audit runs identically under every curve.
     """
     import random as _random
 
@@ -525,7 +521,7 @@ def run_pubsub_experiment(
             schema,
             tree_topology(num_brokers),
             covering=strategy,
-            config=IndexConfig(epsilon=epsilon, cube_budget=cube_budget, curve=curve),
+            config=IndexConfig(curve=curve),
             seed=seed,
         )
         start = time.perf_counter()
@@ -544,7 +540,7 @@ def run_pubsub_experiment(
             )
             network.publish_and_audit(publish_at[i], event)
         table.add(
-            strategy=strategy if strategy != "approximate" else f"approximate(ε={epsilon})",
+            strategy=strategy,
             curve=curve,
             routing_table_entries=network.routing_table_entries(),
             subscription_messages=network.subscription_messages,
@@ -586,7 +582,6 @@ def run_metrics_scenario(
     num_subscriptions: int = 60,
     num_events: int = 20,
     order: int = 8,
-    epsilon: float = 0.3,
     curve: str = "zorder",
     seed: int = 17,
     trace_capacity: int = 4096,
@@ -622,7 +617,7 @@ def run_metrics_scenario(
         schema,
         tree_topology(num_brokers),
         covering="approximate",
-        config=IndexConfig(epsilon=epsilon, curve=curve),
+        config=IndexConfig(curve=curve),
         seed=seed,
         transport=SimTransport(seed=seed),
         metrics=MetricsRegistry(),
@@ -676,8 +671,6 @@ def run_subscription_churn_experiment(
     sizes: Sequence[int] = (10_000, 50_000),
     num_brokers: int = 15,
     order: int = 8,
-    epsilon: float = 0.3,
-    cube_budget: int = 200,
     wide_fraction: float = 0.04,
     max_cover_withdrawals: int = 40,
     narrow_withdrawals: int = 200,
@@ -768,7 +761,7 @@ def run_subscription_churn_experiment(
             schema,
             topology_builders[topology](num_brokers),
             covering="approximate",
-            config=IndexConfig(epsilon=epsilon, cube_budget=cube_budget, curve=curve),
+            config=IndexConfig(curve=curve),
             transport=transport_obj,
         )
 
@@ -820,8 +813,8 @@ def run_subscription_churn_experiment(
             batch_subscribe_s=round(batch_subscribe, 3),
             batch_withdraw_s=round(batch_withdraw, 3),
             promotions=_broker_total(batch, "promotions"),
-            profile_cache_hits=batch.profile_cache.hits,
-            profile_cache_misses=batch.profile_cache.misses,
+            run_cache_hits=batch.profile_cache.hits,
+            run_cache_misses=batch.profile_cache.misses,
         )
 
     # ------------------------------------------------------------ audit matrix
@@ -974,8 +967,6 @@ def run_curve_ablation_experiment(
     num_subscriptions: int = 240,
     num_events: int = 120,
     order: int = 9,
-    epsilon: float = 0.2,
-    cube_budget: int = 2_000,
     withdraw_fraction: float = 0.5,
     audit_events: int = 12,
     fig1_rectangles: int = 200,
@@ -987,12 +978,13 @@ def run_curve_ablation_experiment(
     Two row kinds:
 
     * ``phase="routing"`` — for each application scenario × curve, a broker
-      tree runs the full lifecycle with match indexes and approximate covering
-      keyed by that curve: batch subscribe (covering path), batch publish
-      (matching path), batch withdrawal (churn/promotion path), then a
-      delivery audit.  Rows report per-phase throughput plus the structure
-      stats where the curve choice shows up — total match-index segments,
-      match false positives, covering runs probed.  The driver *asserts* the
+      tree runs the full lifecycle with match indexes keyed by that curve:
+      batch subscribe (covering path), batch publish (matching path), batch
+      withdrawal (churn/promotion path), then a delivery audit.  Rows report
+      per-phase throughput plus the structure stats where the curve choice
+      shows up — total match-index segments and match false positives — and
+      the covering work (subscriptions compared; no curve reaches the
+      covering scan).  The driver *asserts* the
       cross-curve differential inline: per-event delivery sets must be
       identical under every curve (curves may change stats, never semantics),
       and no audited event may miss a subscriber.
@@ -1056,7 +1048,7 @@ def run_curve_ablation_experiment(
                 schema,
                 tree_topology(num_brokers),
                 covering="approximate",
-                config=IndexConfig(epsilon=epsilon, cube_budget=cube_budget, curve=curve),
+                config=IndexConfig(curve=curve),
             )
             start = time.perf_counter()
             for broker_id, items in batches.items():
@@ -1294,7 +1286,6 @@ def run_sim_latency_experiment(
     topologies: Sequence[str] = ("tree", "chain", "star"),
     inbox_capacity: int = 8,
     service_time: float = 0.02,
-    epsilon: float = 0.2,
     curve: str = "zorder",
     seed: int = 29,
 ) -> ResultTable:
@@ -1342,7 +1333,7 @@ def run_sim_latency_experiment(
                 scenario.schema,
                 topology_builders[topo_kind](num_brokers),
                 covering="approximate",
-                config=IndexConfig(epsilon=epsilon, curve=curve),
+                config=IndexConfig(curve=curve),
                 transport=transport,
             )
             report = run_dynamic_scenario(
@@ -1378,7 +1369,6 @@ def run_topology_scale_experiment(
     wan: float = 0.25,
     inbox_capacity: int = 64,
     service_time: float = 0.002,
-    epsilon: float = 0.2,
     curve: str = "zorder",
     seed: int = 29,
 ) -> ResultTable:
@@ -1415,7 +1405,7 @@ def run_topology_scale_experiment(
             scenario.schema,
             topology.overlay,
             covering="approximate",
-            config=IndexConfig(epsilon=epsilon, curve=curve),
+            config=IndexConfig(curve=curve),
             transport=transport,
             nodes=topology.broker_ids,
         )

@@ -77,7 +77,7 @@ class LinearScanCoveringDetector:
         """Return the id of any stored subscription covering ``ranges``, or ``None``."""
         query = self.transform.validate_ranges(ranges)
         self.stats.queries += 1
-        covering_id, compared = first_covering(self._subscriptions, query, exclude)
+        covering_id, compared = first_covering(self._subscriptions.items(), query, exclude)
         self.stats.comparisons += compared
         return covering_id
 

@@ -28,10 +28,10 @@ Steps 1–2 depend on the query alone and are captured as a
 the one search implementation.  The paper prices step 3 in runs probed against
 ``n`` stored points, a trade that pays when ``n`` is large against the
 schedule.  A plan therefore knows its size — :attr:`DominancePlan.cubes`, from
-the census alone — before any cube is built, and the routing layer
-(:meth:`repro.core.covering.ApproximateCoveringDetector.find_covering_profile`)
-executes it only against a link holding more subscriptions than that; smaller
-links are compared directly and never materialise a schedule.  Below
+the census alone — before any cube is built, and
+:meth:`repro.core.covering.ApproximateCoveringDetector.find_covering_profile`
+executes it only against a detector holding more subscriptions than that;
+smaller ones are compared directly and never materialise a schedule.  Below
 :func:`plan_cubes_floor`, a bound on that size read off the region's sides,
 they never run the census either.  The entry
 points here serve the paper's own experiments at any size: execution joins

@@ -18,13 +18,16 @@ Guarantees mirror Problem 2 of the paper:
   sliver.  Missed covers never break a publish/subscribe system; they only
   cost an extra forwarded subscription.
 
-The routing entry point, ``find_covering_profile``, is "at least
+The profile entry point, ``find_covering_profile``, is "at least
 ε-approximate": a stored set smaller than the query's probe schedule is
 compared with the query directly — complete, and cheaper than building the
 schedule — and only a larger one is searched along it.  A profile carries a
 lower bound on the schedule's size that needs no census
 (:attr:`CoveringProfile.cubes_floor`), so a link holding no more
 subscriptions than that is compared without the schedule's size being counted.
+It serves the paper-figure drivers (the recall benchmark among them); a
+broker link decides covering by an exact scan of its forwarded set and does
+not use this module.
 """
 
 from __future__ import annotations
@@ -89,17 +92,17 @@ class CoveringProfile:
     """The per-subscription half of a covering check, computed once.
 
     A covering query for a subscription runs the same geometry no matter
-    which link's detector answers it: validate the ranges, transform them to
-    a dominance point, decompose the point's dominance region into a probe
-    schedule.  A profile captures all three so that every neighbour strategy
-    — and every later promotion re-check — shares one computation.
+    which detector answers it: validate the ranges, transform them to a
+    dominance point, decompose the point's dominance region into a probe
+    schedule.  A profile captures all three so that every detector it is
+    handed to shares one computation.
 
     It is built as its validated ranges plus :attr:`cubes_floor`, a lower
     bound on the schedule's size read off the dominance region's sides.  The
     :attr:`point` and the :attr:`plan` (census included) are built the first
     time they are read, under the profiler's curve, ε and cube budget, and
-    kept: every link that reads them shares one plan.  A link holding no more
-    subscriptions than the floor is compared without reading either.
+    kept: every detector that reads them shares one plan.  A detector holding
+    no more subscriptions than the floor is compared without reading either.
     """
 
     ranges: Tuple[Range, ...]
@@ -122,11 +125,11 @@ class CoveringProfile:
 class CoveringProfiler:
     """Builds :class:`CoveringProfile` objects compatible with a detector config.
 
-    One profiler per broker: it mirrors the parameters every per-link
-    :class:`ApproximateCoveringDetector` of that broker was built with
-    (attribute count/order, ε, cube budget, curve), so its profiles can be
-    handed to any of them.  :attr:`plans_built` counts the plans its profiles
-    have built, each the first time one was read.
+    It mirrors the parameters the :class:`ApproximateCoveringDetector`
+    objects it serves were built with (attribute count/order, ε, cube
+    budget, curve), so its profiles can be handed to any of them.
+    :attr:`plans_built` counts the plans its profiles have built, each the
+    first time one was read.
     """
 
     def __init__(
@@ -199,11 +202,11 @@ class ApproximateCoveringDetector:
         approximation parameter ε (0 = exhaustive search), the per-query cap
         on examined standard cubes, the curve keying the dominance index (any
         recursive-partitioning curve gives the same answers, only the probe
-        key ranges differ).  Defaults to ``IndexConfig()``, the routing default.
+        key ranges differ).  Defaults to ``IndexConfig()``.
 
     The dominance index behind the ε-search (:attr:`index`) is built the
     first time something reads it and kept up from then on.  Until then a
-    store or a withdrawal touches only the stored ranges: a routing link that
+    store or a withdrawal touches only the stored ranges: a detector that
     never outgrows its plans, and so only ever compares, keys nothing.
     """
 
@@ -324,13 +327,13 @@ class ApproximateCoveringDetector:
         return self._profiler.profile(ranges)
 
     def find_covering_profile(self, profile: CoveringProfile) -> CoveringResult:
-        """The routing covering check: a join that picks its side before building anything.
+        """A covering check through a profile: a join that picks its side before building anything.
 
         The profile's plan knows from the census how many cubes its schedule
         takes.  A detector holding no more subscriptions than that compares
         each stored subscription's ranges with the profile's — first cover in
-        insertion order (a replaced id counts as newly inserted), the choice
-        of the ``exact`` strategy; no plan class is materialised, no key
+        insertion order (a replaced id counts as newly inserted), what a
+        broker link's scan returns; no plan class is materialised, no key
         computed, no index built, and the answer is complete where the
         ε-search is bound by its budget.  The census is run only for a
         detector holding more than the profile's :attr:`~CoveringProfile.cubes_floor`,
@@ -341,13 +344,14 @@ class ApproximateCoveringDetector:
         after its ranges were compared or its point found inside the
         dominance region.  A profile built under different parameters
         (paranoia guard; brokers share one config) is answered from its
-        ranges under this detector's own.
+        ranges under this detector's own.  The recall benchmark measures it;
+        no broker calls it.
         """
         if not self.compatible_profile(profile):
             return self.find_covering(profile.ranges)
         stored = len(self._subscriptions)
         if stored <= profile.cubes_floor or stored <= profile.plan.cubes:
-            covering_id, compared = first_covering(self._subscriptions, profile.ranges)
+            covering_id, compared = first_covering(self._subscriptions.items(), profile.ranges)
             return CoveringResult(covering_id=covering_id, query=None, comparisons=compared)
         result = self.index.execute_plan(profile.plan)
         covering_id = result.item.item_id if result.item is not None else None

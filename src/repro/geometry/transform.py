@@ -23,7 +23,7 @@ subscription machinery, while :mod:`repro.pubsub.subscription` builds on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Mapping, Optional, Sequence, Tuple
+from typing import Hashable, Iterable, Optional, Sequence, Tuple
 
 from .rect import ExtremalRectangle
 from .universe import Universe
@@ -71,23 +71,25 @@ def ranges_cover(outer: Sequence[Range], inner: Sequence[Range]) -> bool:
 
 
 def first_covering(
-    stored: Mapping[Hashable, Sequence[Range]],
+    stored: Iterable[Tuple[Hashable, Sequence[Range]]],
     query: Sequence[Range],
     exclude: Optional[Hashable] = None,
 ) -> Tuple[Optional[Hashable], int]:
-    """First stored id, in insertion order, whose ranges contain ``query``'s, and how many were compared.
+    """First stored id, in iteration order, whose ranges contain ``query``'s, and how many were compared.
 
-    The one comparison loop of the covering layer: the ``exact`` strategy's
-    scan and the compare side of the approximate detector.  Both sides must
-    already be validated range tuples over the same attributes — nothing is
-    re-checked per comparison.  ``exclude`` is skipped and not counted.
+    The one comparison loop of the covering layer: a broker link's check over
+    the subscriptions it has forwarded, the linear-scan detector and the
+    compare side of the approximate detector.  ``stored`` yields
+    ``(id, ranges)`` pairs.  Both sides must already be validated range
+    tuples over the same attributes — nothing is re-checked per comparison.
+    ``exclude`` is skipped and not counted.
 
-    >>> first_covering({"a": ((3, 4),), "b": ((0, 9),), "c": ((0, 9),)}, ((2, 5),))
+    >>> first_covering({"a": ((3, 4),), "b": ((0, 9),), "c": ((0, 9),)}.items(), ((2, 5),))
     ('b', 2)
     """
     first_lo, first_hi = query[0]
     compared = 0
-    for sub_id, ranges in stored.items():
+    for sub_id, ranges in stored:
         if sub_id == exclude:
             continue
         compared += 1

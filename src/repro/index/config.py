@@ -75,6 +75,10 @@ class IndexConfig:
     grid a match index may grow to. All other fields are concrete. Being
     frozen and hashable, an ``IndexConfig`` can key run caches and serve as a
     dictionary key directly.
+
+    ``epsilon`` and ``cube_budget`` are read by the paper's covering detector
+    only (:mod:`repro.core.covering`, the paper-figure drivers); a broker
+    decides covering by an exact scan and reads neither.
     """
 
     curve: str = DEFAULT_CURVE

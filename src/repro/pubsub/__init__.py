@@ -14,16 +14,7 @@ from .network import (
 )
 from .match_index import MatchIndex, MatchIndexStats
 from .sharded_index import ShardedMatchIndex
-from .routing_table import (
-    COVERING_KINDS,
-    ApproximateCoveringStrategy,
-    CoveringStrategy,
-    ExactCoveringStrategy,
-    InterfaceTable,
-    NoCoveringStrategy,
-    RoutingTable,
-    make_covering_strategy,
-)
+from .routing_table import COVERING_KINDS, InterfaceTable, RoutingTable
 from .schema import Attribute, AttributeSchema
 from .subscription import Event, Subscription, make_event, make_subscription
 from .subscription_store import ProfileCache, SubscriptionProfile, SubscriptionStore
@@ -44,13 +35,8 @@ __all__ = [
     "MatchIndex",
     "MatchIndexStats",
     "ShardedMatchIndex",
-    "ApproximateCoveringStrategy",
-    "CoveringStrategy",
-    "ExactCoveringStrategy",
     "InterfaceTable",
-    "NoCoveringStrategy",
     "RoutingTable",
-    "make_covering_strategy",
     "Attribute",
     "AttributeSchema",
     "BrokerStats",

@@ -5,12 +5,9 @@ Each broker maintains:
 * a :class:`RoutingTable` — per-interface subscription sets used to decide
   where events are forwarded (reverse-path forwarding on the subscription
   flow);
-* one link record per neighbour (:class:`LinkState`): a
-  :class:`CoveringStrategy` over the subscriptions already forwarded on the
-  link, indexed so that "has something covering this already been
-  forwarded?" is answerable quickly, beside the forwarded and suppressed
-  subscriptions themselves.  The strategy is the pluggable piece: none /
-  exact linear scan / ε-approximate SFC, all sound;
+* one link record per neighbour (:class:`LinkState`): the subscriptions
+  forwarded on the link, in forwarding order, and the ones held back there
+  with the cover each was found under;
 * an owner map for the subscriptions of its own clients.  The routing table
   holds them under :data:`LOCAL_INTERFACE` like any other interface's, and
   local delivery is one probe of that table followed by a lookup of who owns
@@ -19,10 +16,13 @@ Each broker maintains:
 Subscription propagation follows the standard covering optimisation: when a
 subscription arrives on interface ``I`` it is stored in the table for ``I``
 and considered for forwarding on every other interface ``J``.  It is actually
-forwarded on ``J`` only when no previously forwarded subscription covers it
-(according to the broker's covering strategy).  Because the SFC approximate
-strategy is *sound* — it only ever reports true covers — suppression never
-breaks delivery; it can merely happen less often than with exact covering.
+forwarded on ``J`` only when no previously forwarded subscription covers it.
+The check is one exact scan of ``J``'s forwarded set
+(:func:`~repro.geometry.transform.first_covering`), so its witness is the
+first forwarded cover in forwarding order.  An exact answer meets the paper's
+ε-approximate covering contract (Problem 2) for every ε: a reported cover
+really covers, and none is missed.  The paper's own detector
+(:mod:`repro.core.covering`) is not on this path.
 
 The broker is a synchronous simulation object: the :class:`BrokerNetwork`
 drives it by calling :meth:`receive_subscription` and :meth:`receive_event`,
@@ -37,18 +37,13 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
+from ..geometry.transform import Range, first_covering
 from ..index.config import IndexConfig
 from ..obs.trace import Span, TraceLog, make_detail
-from .routing_table import (
-    CoveringStrategy,
-    RoutingTable,
-    check_covering_kind,
-    make_covering_strategy,
-    make_profile_cache,
-)
+from .routing_table import RoutingTable, check_covering_kind
 from .schema import AttributeSchema
 from .subscription import Event, Subscription
-from .subscription_store import ProfileCache, SubscriptionProfile, SubscriptionStore
+from .subscription_store import ProfileCache, SubscriptionStore
 
 __all__ = ["Broker", "BrokerStats", "LOCAL_INTERFACE"]
 
@@ -92,9 +87,9 @@ class BrokerStats:
 class LinkState:
     """What a broker knows about forwarding on one neighbour link.
 
-    ``forwarded`` holds the subscriptions sent on the link, by id, and
-    ``covering`` indexes the same ones for covering checks; the objects are
-    kept so the link can be re-synced after the neighbour loses state.
+    ``forwarded`` holds the subscriptions sent on the link, by id, in
+    forwarding order: the covering check scans it, and the objects are kept
+    so the link can be re-synced after the neighbour loses state.
     ``suppressed`` maps each subscription held back to ``(subscription,
     cover)``, the forwarded subscription it was last found covered by, and
     ``dependents`` is the reverse map, cover id -> suppressed ids.  A
@@ -102,7 +97,6 @@ class LinkState:
     instead of the whole suppressed set.
     """
 
-    covering: CoveringStrategy
     forwarded: Dict[Hashable, Subscription] = field(default_factory=dict)
     suppressed: Dict[Hashable, Tuple[Subscription, Hashable]] = field(default_factory=dict)
     dependents: Dict[Hashable, Dict[Hashable, None]] = field(default_factory=dict)
@@ -128,23 +122,19 @@ class Broker:
     schema:
         Message schema shared by the whole network.
     covering:
-        Covering strategy kind (:data:`~repro.pubsub.routing_table.COVERING_KINDS`)
-        applied independently per outgoing interface.
+        Covering kind (:data:`~repro.pubsub.routing_table.COVERING_KINDS`)
+        applied independently per outgoing interface: ``"none"`` forwards
+        everything, ``"exact"`` and ``"approximate"`` run the same exact scan.
     config:
         The one :class:`~repro.index.config.IndexConfig` of this broker
-        (defaults to ``IndexConfig()``): ``curve`` keys both the interface
-        tables' match indexes and the ``"approximate"`` covering strategy
-        (curves change run/segment statistics, never semantics), ``epsilon`` and
-        ``cube_budget`` shape that strategy's checks, ``backend`` /
-        ``shards`` / ``run_budget`` / ``precision_bits`` the match index.
+        (defaults to ``IndexConfig()``), read by the interface tables' match
+        indexes: ``curve``, ``backend`` / ``shards``, ``run_budget`` and
+        ``precision_bits`` (curves change run/segment statistics, never
+        semantics).  No covering decision reads it.
     profile_cache:
         Optional shared :class:`ProfileCache` (the network passes one cache
-        to all its brokers so a subscription is profiled, and decomposed for
-        matching, once network-wide).  Each stored subscription's covering
-        geometry — validated ranges, dominance point, probe plan — is read
-        from it once into the broker's :class:`SubscriptionStore` and shared
-        by every link's covering checks and promotion re-checks; the match
-        indexes read their key runs from the same cache.
+        to all its brokers so a subscription is decomposed for matching once
+        network-wide); the match indexes read their key runs from it.
     trace:
         Optional shared :class:`~repro.obs.trace.TraceLog` (the network hands
         its brokers the same log it records transport hops into).  When set,
@@ -171,10 +161,10 @@ class Broker:
         if self.config is None:
             self.config = IndexConfig()
         if self.profile_cache is None:
-            self.profile_cache = make_profile_cache(self.covering, self.schema, self.config)
+            self.profile_cache = ProfileCache()
         # After the cache: the routing table's match indexes share it.
         self.routing_table = self._fresh_routing_table()
-        self._store = SubscriptionStore(self.profile_cache)
+        self._store = SubscriptionStore()
         # One record per neighbour, in connection order.
         self._links: Dict[Hashable, LinkState] = {}
         # Local clients' subscriptions by id: (client ordinal, arrival
@@ -200,9 +190,7 @@ class Broker:
 
     def _fresh_link_state(self, neighbor_id: Hashable) -> None:
         """(Re)initialise the link record of ``neighbor_id``."""
-        self._links[neighbor_id] = LinkState(
-            make_covering_strategy(self.covering, self.schema, config=self.config)
-        )
+        self._links[neighbor_id] = LinkState()
 
     def _link(self, neighbor_id: Hashable) -> LinkState:
         """The link record of ``neighbor_id``; ``ValueError`` for a non-neighbour."""
@@ -303,11 +291,11 @@ class Broker:
     def receive_subscription(self, from_interface: Hashable, subscription: Subscription) -> None:
         """Handle a subscription arriving from ``from_interface`` (neighbour or local client)."""
         self.stats.subscriptions_received += 1
-        profile = self._store_subscription(from_interface, subscription)
+        self._store_subscription(from_interface, subscription)
         for neighbor_id, link in self._links.items():
             if neighbor_id == from_interface:
                 continue
-            self._consider_forwarding(neighbor_id, link, subscription, profile)
+            self._consider_forwarding(neighbor_id, link, subscription)
 
     def receive_subscription_batch(
         self, from_interface: Hashable, subscriptions: Sequence[Subscription]
@@ -316,32 +304,29 @@ class Broker:
         for subscription in subscriptions:
             self.receive_subscription(from_interface, subscription)
 
-    def _store_subscription(
-        self, from_interface: Hashable, subscription: Subscription
-    ) -> SubscriptionProfile:
-        """Store an arrival in the interface table; return its shared profile.
-
-        The store mirrors the tables (acquired here, released on removal), so
-        every subscription a table or a link's suppressed set holds has a
-        profile.
-        """
+    def _store_subscription(self, from_interface: Hashable, subscription: Subscription) -> None:
+        """Store an arrival in the interface table (and, once per id, the store)."""
         table = self.routing_table.table(from_interface)
         already_stored = subscription.sub_id in table
         table.add(subscription)
-        if already_stored:
-            return self._store.get(subscription.sub_id)
-        self.stats.subscriptions_stored += 1
-        return self._store.acquire(subscription)
+        if not already_stored:
+            self.stats.subscriptions_stored += 1
+            self._store.acquire(subscription)
 
-    def _covering_check(
-        self,
-        strategy: CoveringStrategy,
-        profile: SubscriptionProfile,
-    ) -> Optional[Hashable]:
-        """One covering query against a link's forwarded set, with accounting."""
+    def _covering_check(self, link: LinkState, ranges: Tuple[Range, ...]) -> Optional[Hashable]:
+        """The first subscription forwarded on ``link`` that covers ``ranges``, or ``None``.
+
+        One exact scan in forwarding order; ``covering_check_runs`` counts
+        the subscriptions it compared.  Under ``covering="none"`` the
+        decision is counted and nothing is compared.
+        """
         self.stats.covering_checks += 1
-        covered_by, work = strategy.find_covering(profile)
-        self.stats.covering_check_runs += work
+        if self.covering == "none":
+            return None
+        covered_by, compared = first_covering(
+            ((sub_id, sub.ranges) for sub_id, sub in link.forwarded.items()), ranges
+        )
+        self.stats.covering_check_runs += compared
         return covered_by
 
     def _record_suppression(
@@ -368,10 +353,8 @@ class Broker:
         neighbor_id: Hashable,
         link: LinkState,
         subscription: Subscription,
-        profile: SubscriptionProfile,
     ) -> None:
         """Add a subscription to a link's forwarded set and send it."""
-        link.covering.add(subscription.sub_id, profile)
         link.forwarded[subscription.sub_id] = subscription
         self.stats.subscriptions_forwarded += 1
         self._send("subscription", self.broker_id, neighbor_id, subscription)
@@ -381,15 +364,13 @@ class Broker:
         neighbor_id: Hashable,
         link: LinkState,
         subscription: Subscription,
-        profile: SubscriptionProfile,
     ) -> None:
         if subscription.sub_id in link.forwarded:
             # Duplicate arrival of a subscription already forwarded on this
-            # link: re-adding it to the strategy and re-sending it would
-            # double-count state downstream and leave a ghost entry behind
-            # after a single withdrawal.
+            # link: re-sending it would double-count state downstream and
+            # leave a ghost entry behind after a single withdrawal.
             return
-        covered_by = self._covering_check(link.covering, profile)
+        covered_by = self._covering_check(link, subscription.ranges)
         if self.trace is not None:
             self.trace.record(
                 Span(
@@ -408,13 +389,13 @@ class Broker:
         if covered_by is not None:
             self._record_suppression(link, subscription, covered_by)
             return
-        # A duplicate arrival of a previously *suppressed* subscription can
-        # reach this point when the (approximate) covering check misses the
-        # cover it found the first time.  Forwarding is then correct, but the
-        # pending entry must go, or a later withdrawal would take the
-        # suppressed early-exit and leave a ghost entry in the strategy.
+        # A suppressed subscription's cover stays forwarded until its
+        # withdrawal re-checks it, so a duplicate arrival is re-suppressed
+        # above.  Should one be forwarded all the same, the pending entry must
+        # go, or a later withdrawal would take the suppressed early-exit and
+        # leave the subscription forwarded for good.
         self._clear_suppression(link, subscription.sub_id)
-        self._install_forward(neighbor_id, link, subscription, profile)
+        self._install_forward(neighbor_id, link, subscription)
 
     def has_forwarded(self, neighbor_id: Hashable, sub_id: Hashable) -> bool:
         """Return True when ``sub_id`` was forwarded to ``neighbor_id`` (test helper)."""
@@ -427,7 +408,7 @@ class Broker:
 
         Locally attached clients, neighbour links and cumulative stats
         survive; everything learnt from the network — interface tables,
-        per-link covering strategies, forwarded/suppressed bookkeeping — is
+        forwarded/suppressed bookkeeping per link — is
         rebuilt from scratch because messages lost while the broker was down
         make the old state untrustworthy.  The profile cache is kept: what it
         memoises is pure geometry, valid whatever was lost.
@@ -487,9 +468,7 @@ class Broker:
                 if subscription.sub_id in seen:
                     continue
                 seen.add(subscription.sub_id)
-                self._consider_forwarding(
-                    neighbor_id, link, subscription, self._store.get(subscription.sub_id)
-                )
+                self._consider_forwarding(neighbor_id, link, subscription)
         return len(seen)
 
     # --------------------------------------------------------- unsubscriptions
@@ -555,8 +534,6 @@ class Broker:
             return
         if link.forwarded.pop(sub_id, None) is None:
             return
-        strategy = link.covering
-        strategy.remove(sub_id)
         self._send("unsubscription", self.broker_id, neighbor_id, sub_id)
         # Subscriptions previously suppressed on this link may have lost their
         # cover; re-run the forwarding decision so downstream brokers keep
@@ -566,15 +543,14 @@ class Broker:
         # forwarded set, so its suppression stays sound.
         for pending_id in link.dependents.pop(sub_id, None) or ():
             pending = suppressed[pending_id][0]
-            profile = self._store.get(pending_id)
-            covered_by = self._covering_check(strategy, profile)
+            covered_by = self._covering_check(link, pending.ranges)
             if covered_by is not None:
                 # Still covered — by a different survivor; re-home it so the
                 # dependants map stays exact.
                 self._record_suppression(link, pending, covered_by)
                 continue
             self._clear_suppression(link, pending_id)
-            self._install_forward(neighbor_id, link, pending, profile)
+            self._install_forward(neighbor_id, link, pending)
             self.stats.promotions += 1
 
     # ------------------------------------------------------------------ events

@@ -14,7 +14,7 @@ inboxes and broker churn (crash / recover / join).
 Beyond simulation the network audits correctness: for every published event it
 computes the ground-truth set of subscribers whose subscriptions match and
 compares it with the deliveries that actually happened, so experiments can
-verify the paper's safety claim: approximate covering never loses events.
+verify the safety claim: covering never loses events.
 Under churn the ground truth is restricted to *surviving, reachable*
 subscribers: clients homed at brokers that are up and connected to the
 publishing broker through up brokers.
@@ -47,9 +47,10 @@ from ..obs.registry import HOP_BUCKETS, MetricsRegistry
 from ..obs.trace import Span, TraceLog, make_detail
 from ..sim.transport import Message, SyncTransport, Transport, recent_window
 from .broker import LOCAL_INTERFACE, Broker
-from .routing_table import make_profile_cache
+from .routing_table import check_covering_kind
 from .schema import AttributeSchema
 from .subscription import Event, Subscription
+from .subscription_store import ProfileCache
 
 __all__ = [
     "BrokerNetwork",
@@ -192,7 +193,7 @@ class BrokerNetwork:
     schema:
         Shared message schema.
     covering:
-        Covering strategy used by every broker
+        Covering kind used by every broker
         (:data:`~repro.pubsub.routing_table.COVERING_KINDS`).
     seed:
         Seed of the default trace log, built when ``tracing`` is not given.
@@ -203,13 +204,13 @@ class BrokerNetwork:
         latency, queueing and churn.
     config:
         The one :class:`~repro.index.config.IndexConfig` every broker is
-        built with (defaults to ``IndexConfig()``): curve, ε, cube and run
-        budgets, precision, match backend and shard count.  Curves and
-        backends change run/segment statistics, never delivery semantics.
-        The network builds one
-        :class:`~repro.pubsub.subscription_store.ProfileCache` under it and
-        hands it to every broker, so each subscription's covering geometry
-        and match-index key runs are computed once network-wide.
+        built with (defaults to ``IndexConfig()``): curve, run budget,
+        precision, match backend and shard count.  Curves and backends
+        change run/segment statistics, never delivery semantics.  The
+        network hands one
+        :class:`~repro.pubsub.subscription_store.ProfileCache` to every
+        broker, so each subscription's match-index key runs are computed
+        once network-wide.
     metrics:
         The :class:`~repro.obs.registry.MetricsRegistry` the network's
         counters are serialised into (defaults to a fresh one, so every
@@ -251,8 +252,9 @@ class BrokerNetwork:
     def __post_init__(self) -> None:
         if self.config is None:
             self.config = IndexConfig()
-        # One cache for every broker; building it checks the covering kind.
-        self.profile_cache = make_profile_cache(self.covering, self.schema, self.config)
+        check_covering_kind(self.covering)
+        # One match-run cache for every broker.
+        self.profile_cache = ProfileCache()
         if self.transport is None:
             self.transport = SyncTransport()
         self.transport.bind(self)
@@ -915,11 +917,9 @@ class BrokerNetwork:
             ("events_delivered", self.audited_delivered),
             ("events_missed", self.audited_missed),
             ("duplicate_deliveries", self.audited_duplicates),
-            ("profile_cache_hits", cache.hits),
-            ("profile_cache_misses", cache.misses),
-            ("match_run_cache_hits", cache.run_hits),
-            ("match_run_cache_misses", cache.run_misses),
-            ("match_run_cache_evictions", cache.run_evictions),
+            ("match_run_cache_hits", cache.hits),
+            ("match_run_cache_misses", cache.misses),
+            ("match_run_cache_evictions", cache.evictions),
         ):
             network_counters.set_total(value, counter=counter_name)
         transport = self.transport.stats

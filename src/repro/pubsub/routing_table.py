@@ -1,4 +1,4 @@
-"""Per-interface routing tables with pluggable covering detection.
+"""Per-interface routing tables, and the covering kinds a broker link can run.
 
 A broker keeps, for every interface (a neighbouring broker or a local client),
 the set of subscriptions it has learnt through that interface.  Event
@@ -7,37 +7,20 @@ when some subscription stored for that interface matches it.
 
 Covering enters when deciding whether an incoming subscription needs to be
 *forwarded* to a neighbour at all: if a subscription already forwarded to that
-neighbour covers the new one, forwarding is redundant.  The covering check is
-delegated to a :class:`CoveringStrategy`, of which three are provided —
-``none`` (always forward), ``exact`` (linear scan), and ``approximate`` (the
-paper's ε-approximate SFC detector above the size of its own probe schedule,
-the same scan below it).  All three are sound: a reported cover really
-covers, so suppression never costs a delivery.  A strategy has one entry
-point per operation, each taking the subscription's shared profile, and
-:func:`make_covering_strategy` / :func:`make_profile_cache` keep the broker
-code independent of which detector is in use.
+neighbour covers the new one, forwarding is redundant.  The broker decides
+that on each link itself (:meth:`~repro.pubsub.broker.Broker._covering_check`)
+by one exact scan of the subscriptions it has forwarded there;
+:data:`COVERING_KINDS` names whether it does.  ``none`` always forwards;
+``exact`` and ``approximate`` run the same scan, which meets the paper's
+ε-approximate contract for every ε.  A reported cover really covers, so
+suppression never costs a delivery.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    Hashable,
-    Iterable,
-    List,
-    Optional,
-    Protocol,
-    Sequence,
-    Tuple,
-)
+from dataclasses import asdict, replace
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .subscription_store import SubscriptionProfile
-
-from ..baselines.linear_scan import LinearScanCoveringDetector
-from ..core.covering import ApproximateCoveringDetector, CoveringProfiler
 from ..geometry.universe import Universe
 from ..index.config import IndexConfig
 from ..index.sfc_array import FlatSegmentStore
@@ -50,174 +33,24 @@ from .subscription import Event, Subscription
 from .subscription_store import ProfileCache
 
 __all__ = [
-    "CoveringStrategy",
-    "NoCoveringStrategy",
-    "ExactCoveringStrategy",
-    "ApproximateCoveringStrategy",
-    "make_covering_strategy",
-    "make_profile_cache",
     "InterfaceTable",
     "RoutingTable",
     "COVERING_KINDS",
     "check_covering_kind",
 ]
 
-#: Covering strategies :func:`make_covering_strategy` can build.
+#: Covering kinds a broker accepts: ``none`` forwards every subscription;
+#: ``exact`` and ``approximate`` suppress one a forwarded subscription covers,
+#: found by the same exact scan.
 COVERING_KINDS = ("none", "exact", "approximate")
 
 
 def check_covering_kind(kind: str) -> None:
-    """Raise ``ValueError`` unless ``kind`` names a covering strategy."""
+    """Raise ``ValueError`` unless ``kind`` names a covering kind."""
     if kind not in COVERING_KINDS:
         raise ValueError(
             f"unknown covering strategy {kind!r}; expected one of {COVERING_KINDS}"
         )
-
-
-class CoveringStrategy(Protocol):
-    """Minimal covering-detector contract the routing layer needs.
-
-    Every operation takes a subscription's
-    :class:`~repro.pubsub.subscription_store.SubscriptionProfile`, so the
-    per-subscription geometry (validation, dominance transform, probe plan)
-    computed once by the broker's store is shared by every link; a strategy
-    without shareable precomputation reads the profile's plain ranges.
-    """
-
-    #: Human-readable strategy name used in experiment reports.
-    name: str
-
-    def add(self, sub_id: Hashable, profile: "SubscriptionProfile") -> None:
-        """Register a subscription that has been forwarded."""
-
-    def remove(self, sub_id: Hashable) -> bool:
-        """Unregister a subscription."""
-
-    def find_covering(self, profile: "SubscriptionProfile") -> Tuple[Optional[Hashable], int]:
-        """A registered subscription covering the profile's ranges (or ``None``), and the check's cost.
-
-        The cost is abstract work units: subscriptions compared (``exact``),
-        or runs probed plus subscriptions compared (``approximate``).
-        """
-
-
-@dataclass
-class NoCoveringStrategy:
-    """Covering disabled: every subscription is always forwarded."""
-
-    name: str = "none"
-
-    def add(self, sub_id: Hashable, profile: "SubscriptionProfile") -> None:
-        return None
-
-    def remove(self, sub_id: Hashable) -> bool:
-        return False
-
-    def find_covering(self, profile: "SubscriptionProfile") -> Tuple[Optional[Hashable], int]:
-        return None, 0
-
-
-class ExactCoveringStrategy:
-    """Exact covering via linear scan over the registered subscriptions."""
-
-    def __init__(self, attributes: int, attribute_order: int) -> None:
-        self.name = "exact"
-        self._detector = LinearScanCoveringDetector(attributes, attribute_order)
-
-    def add(self, sub_id: Hashable, profile: "SubscriptionProfile") -> None:
-        self._detector.add_subscription(sub_id, profile.ranges)
-
-    def remove(self, sub_id: Hashable) -> bool:
-        return self._detector.remove_subscription(sub_id)
-
-    def find_covering(self, profile: "SubscriptionProfile") -> Tuple[Optional[Hashable], int]:
-        stats = self._detector.stats
-        compared = stats.comparisons
-        covering_id = self._detector.find_covering(profile.ranges)
-        return covering_id, stats.comparisons - compared
-
-
-class ApproximateCoveringStrategy:
-    """The paper's ε-approximate covering detector on a broker link.
-
-    Every check goes through the detector's one routing entry point,
-    :meth:`~repro.core.covering.ApproximateCoveringDetector.find_covering_profile`:
-    while the link holds no more forwarded subscriptions than the query's
-    probe schedule has cubes they are compared directly (the ``exact``
-    strategy's answer), above that the schedule is executed against the SFC
-    index.  The crossover is the plan's own size, so ``cube_budget`` bounds it.
-    A profile without a covering half (built by a cache with no profiler) is
-    profiled by the link's detector.
-    """
-
-    def __init__(
-        self,
-        attributes: int,
-        attribute_order: int,
-        config: Optional[IndexConfig] = None,
-    ) -> None:
-        self.config = config = config or IndexConfig()
-        self.name = f"approx(ε={config.epsilon})"
-        self._detector = ApproximateCoveringDetector(
-            attributes=attributes,
-            attribute_order=attribute_order,
-            config=config,
-        )
-
-    def add(self, sub_id: Hashable, profile: "SubscriptionProfile") -> None:
-        detector = self._detector
-        detector.add_subscription_profile(
-            sub_id, profile.covering or detector.profile(profile.ranges)
-        )
-
-    def remove(self, sub_id: Hashable) -> bool:
-        return self._detector.remove_subscription(sub_id)
-
-    def find_covering(self, profile: "SubscriptionProfile") -> Tuple[Optional[Hashable], int]:
-        detector = self._detector
-        result = detector.find_covering_profile(
-            profile.covering or detector.profile(profile.ranges)
-        )
-        return result.covering_id, result.work_units
-
-
-def make_covering_strategy(
-    kind: str,
-    schema: AttributeSchema,
-    config: Optional[IndexConfig] = None,
-) -> CoveringStrategy:
-    """Build a covering strategy by name (:data:`COVERING_KINDS`).
-
-    ``config`` shapes the approximate strategy only (the others use no
-    index): ``cube_budget`` bounds the per-check work — a router would
-    enforce such a bound in practice so a single subscription arrival cannot
-    stall the forwarding path — and with it the size of a link's forwarded
-    set up to which that set is compared directly instead of probed,
-    and ``curve`` keys its dominance index.
-    """
-    check_covering_kind(kind)
-    if kind == "none":
-        return NoCoveringStrategy()
-    if kind == "exact":
-        return ExactCoveringStrategy(schema.num_attributes, schema.order)
-    return ApproximateCoveringStrategy(schema.num_attributes, schema.order, config=config)
-
-
-def make_profile_cache(
-    kind: str, schema: AttributeSchema, config: Optional[IndexConfig] = None
-) -> ProfileCache:
-    """The :class:`ProfileCache` the links of covering strategy ``kind`` share.
-
-    Only the approximate strategy reads a covering profile, so only its
-    cache carries a :class:`~repro.core.covering.CoveringProfiler` (built
-    under ``config``); the others get a cache that holds match runs alone.
-    """
-    check_covering_kind(kind)
-    if kind != "approximate":
-        return ProfileCache(None)
-    return ProfileCache(
-        CoveringProfiler(schema.num_attributes, schema.order, config=config or IndexConfig())
-    )
 
 
 class InterfaceTable:

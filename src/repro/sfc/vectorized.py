@@ -1,8 +1,7 @@
 """Vectorized batch keying kernels for the space filling curves.
 
-The routing layer computes curve keys in batches — all cubes of a
-decomposition, all events of a ``publish_batch``, all anchor cells of a
-covering profile.  The scalar :meth:`SpaceFillingCurve.key` path builds each
+The stack computes curve keys in batches — all cubes of a decomposition,
+all events of a ``publish_batch``, all anchor cells of a dominance plan.  The scalar :meth:`SpaceFillingCurve.key` path builds each
 key with arbitrary-precision Python bit twiddling; at million-subscription
 scale that loop dominates subscribe time.  This module provides numpy kernels
 that key an entire batch with a constant number of vector operations per

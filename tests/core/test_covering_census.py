@@ -15,16 +15,25 @@ read.  Pinned here:
 * **The paranoia guard** — a profile built under another curve, ε, budget or
   attribute order is answered from its ranges by ``find_covering``, and its
   plan is not built.
+* **The census count** — the size a plan announces from the census is the
+  number of cubes an exhausted execution examines.
 """
 
 from __future__ import annotations
+
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.approx_dominance import build_dominance_plan, plan_cubes_floor
+from repro.core.approx_dominance import (
+    ApproximateDominanceIndex,
+    build_dominance_plan,
+    plan_cubes_floor,
+)
 from repro.core.covering import ApproximateCoveringDetector, CoveringProfiler
+from repro.geometry.universe import Universe
 from repro.index.config import IndexConfig
 from repro.pubsub.subscription import Subscription
 from repro.sfc.factory import CURVE_KINDS, make_curve
@@ -173,3 +182,26 @@ def test_a_profile_differing_only_in_storage_knobs_is_compatible():
     assert detector.compatible_profile(profile)
     assert detector.find_covering_profile(profile).query is None
     assert profiler.plans_built == 0
+
+
+@pytest.mark.parametrize("curve_kind", CURVE_KINDS)
+def test_census_count_is_what_an_exhausted_execution_examines(curve_kind):
+    universe = Universe(dims=4, order=5)
+    curve = make_curve(curve_kind, universe)
+    rng = random.Random(9)
+    points = [tuple(rng.randrange(universe.side) for _ in range(universe.dims)) for _ in range(8)]
+    points += [(0,) * universe.dims, (universe.side - 1,) * universe.dims]
+    for budget in (1, 64, 65, 2_000):
+        empty = ApproximateDominanceIndex(
+            universe=universe, curve=curve, cube_budget=budget
+        )
+        for epsilon in (0.0, 0.05, 0.3):
+            for point in points:
+                plan = build_dominance_plan(
+                    universe, point, epsilon=epsilon, cube_budget=budget, curve=curve
+                )
+                assert plan.materialised_steps() == 0
+                assert 1 <= plan.cubes <= budget
+                result = empty.execute_plan(plan)
+                assert result.cubes_examined == plan.cubes
+                assert result.termination == plan.final_termination

@@ -118,7 +118,7 @@ def test_lazy_index_answers_as_an_eager_one(curve, epsilon, cube_budget, operati
         else:
             profile = lazy.profile(operation[1])
             if len(stored) <= profile.plan.cubes:
-                covering_id, compared = first_covering(stored, profile.ranges)
+                covering_id, compared = first_covering(stored.items(), profile.ranges)
                 expected = outcome(covering_id, None, compared)
             else:
                 query = eager.execute_plan(profile.plan)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.geometry.transform import DominanceTransform, dominates, ranges_cover
+from repro.geometry.transform import DominanceTransform, dominates, first_covering, ranges_cover
 
 
 class TestDominates:
@@ -121,3 +121,36 @@ class TestDominanceTransform:
     def test_self_covering(self, ranges):
         t = DominanceTransform(attributes=2, attribute_order=5)
         assert t.covers(ranges, ranges)
+
+
+class TestFirstCovering:
+    """The one comparison loop of the covering layer, over ``(id, ranges)`` pairs."""
+
+    def test_first_cover_in_iteration_order_and_the_comparisons_to_reach_it(self):
+        stored = [("a", ((3, 4), (0, 9))), ("b", ((0, 9), (0, 9))), ("c", ((0, 9), (0, 9)))]
+        assert first_covering(stored, ((2, 5), (1, 2))) == ("b", 2)
+        assert first_covering(reversed(stored), ((2, 5), (1, 2))) == ("c", 1)
+
+    def test_no_cover_compares_everything(self):
+        stored = {"a": ((3, 4),), "b": ((0, 1),)}
+        assert first_covering(stored.items(), ((2, 5),)) == (None, 2)
+        assert first_covering(iter(()), ((2, 5),)) == (None, 0)
+
+    def test_a_miss_on_a_later_attribute_is_no_cover(self):
+        # The first attribute contains the query's; the second does not.
+        assert first_covering([("a", ((0, 9), (4, 6)))], ((2, 5), (3, 5))) == (None, 1)
+
+    def test_exclude_is_skipped_and_not_counted(self):
+        stored = [("self", ((2, 5),)), ("wide", ((0, 9),))]
+        assert first_covering(stored, ((2, 5),), exclude="self") == ("wide", 1)
+
+    @given(
+        stored=st.lists(subscription_strategy(2, 15), max_size=12),
+        query=subscription_strategy(2, 15),
+    )
+    def test_agrees_with_ranges_cover(self, stored, query):
+        pairs = [(i, ranges) for i, ranges in enumerate(stored)]
+        covers = [i for i, ranges in pairs if ranges_cover(ranges, query)]
+        witness, compared = first_covering(pairs, query)
+        assert witness == (covers[0] if covers else None)
+        assert compared == (covers[0] + 1 if covers else len(pairs))

@@ -124,26 +124,17 @@ class TestPrecisionBits:
 
 
 def _constructors():
-    """The eleven constructors and factories that take index knobs, minimally applied."""
+    """The nine constructors that take index knobs, minimally applied."""
     from repro.core.covering import ApproximateCoveringDetector, CoveringProfiler
     from repro.pubsub.broker import Broker
     from repro.pubsub.network import BrokerNetwork
-    from repro.pubsub.routing_table import (
-        ApproximateCoveringStrategy,
-        InterfaceTable,
-        RoutingTable,
-        make_covering_strategy,
-    )
+    from repro.pubsub.routing_table import InterfaceTable, RoutingTable
     from repro.pubsub.sharded_index import ShardedMatchIndex
 
     schema = _schema()
     return {
         "MatchIndex": lambda **kw: MatchIndex(schema, **kw),
         "ShardedMatchIndex": lambda **kw: ShardedMatchIndex(schema, **kw),
-        "ApproximateCoveringStrategy": lambda **kw: ApproximateCoveringStrategy(2, 6, **kw),
-        "make_covering_strategy": lambda **kw: make_covering_strategy(
-            "approximate", schema, **kw
-        ),
         "InterfaceTable": lambda **kw: InterfaceTable("i", schema, **kw),
         "RoutingTable": lambda **kw: RoutingTable(schema, **kw),
         "Broker": lambda **kw: Broker(broker_id=0, schema=schema, **kw),
@@ -176,11 +167,7 @@ def _index_layer_constructors():
     from repro.core.covering import ApproximateCoveringDetector, CoveringProfiler
     from repro.geometry.universe import Universe
     from repro.index.sfc_array import SFCArray
-    from repro.pubsub.routing_table import (
-        ApproximateCoveringStrategy,
-        InterfaceTable,
-        RoutingTable,
-    )
+    from repro.pubsub.routing_table import InterfaceTable, RoutingTable
     from repro.pubsub.sharded_index import ShardedMatchIndex
     from repro.sfc.zorder import ZOrderCurve
 
@@ -191,7 +178,6 @@ def _index_layer_constructors():
         "ApproximateDominanceIndex": lambda **kw: ApproximateDominanceIndex(universe, **kw),
         "ApproximateCoveringDetector": lambda **kw: ApproximateCoveringDetector(2, 6, **kw),
         "CoveringProfiler": lambda **kw: CoveringProfiler(2, 6, **kw),
-        "ApproximateCoveringStrategy": lambda **kw: ApproximateCoveringStrategy(2, 6, **kw),
         "MatchIndex": lambda **kw: MatchIndex(schema, **kw),
         "ShardedMatchIndex": lambda **kw: ShardedMatchIndex(schema, **kw),
         "InterfaceTable": lambda **kw: InterfaceTable("i", schema, **kw),

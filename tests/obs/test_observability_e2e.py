@@ -167,11 +167,11 @@ class TestDeterminism:
         # seeds.  A change that alters the scrape on purpose updates these.
         text = scenario.prometheus_text.encode()
         assert hashlib.sha256(text).hexdigest() == (
-            "21b6916a298bec7e750d55d897c6ec9a8dcc5b76e894da65b785dbf14b4a5806"
+            "67c897b2d3f72ea87a555d40994272040299c46d5495eba98d3b71cfad7ad652"
         )
         written = write_bench_json(tmp_path / "BENCH_metrics.json", scenario.snapshot)
         assert hashlib.sha256(written.read_bytes()).hexdigest() == (
-            "81e65a8f77aa39fe23426fe3818c184f53c44a6341bf08ccfa9449a965414d10"
+            "7c1e0f76372d5addbaabf0e7cfc6d24f9efcf5de425bca93e74f58451b41741f"
         )
 
     def test_different_seed_changes_trace_ids(self, scenario):

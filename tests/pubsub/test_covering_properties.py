@@ -2,14 +2,14 @@
 
 Two families of randomized invariants:
 
-* **Soundness** — on random rectangle workloads, no covering strategy the
-  broker can be configured with (every kind in ``COVERING_KINDS``) ever
-  reports a witness that does not geometrically cover the query.  The oracle
-  is the exact per-attribute containment check (``ranges_cover``) — the same
-  predicate the linear-scan detector uses.  A check through a shared
-  covering profile is additionally pinned to return *exactly* what a link
-  finds by profiling the plain ranges itself, and an unsound kind
-  (``probabilistic``) is pinned to be no kind at all.
+* **Soundness** — on random rectangle workloads, under every covering kind a
+  broker can be configured with (``COVERING_KINDS``), no broker link records
+  a cover that does not geometrically cover the suppressed subscription.  The
+  oracle is the exact per-attribute containment check (``ranges_cover``) —
+  the same predicate the linear-scan detector uses.  A link's witness is
+  additionally pinned to be *exactly* what a stand-alone exact scan of its
+  forwarded set returns, and an unsound kind (``probabilistic``) is pinned to
+  be no kind at all.
 
 * **Lifecycle vs flat oracle** — after any random subscribe/withdraw
   interleaving on a broker tree, each published event must reach exactly the
@@ -25,18 +25,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.cli import main as cli_main
+from repro.baselines.linear_scan import LinearScanCoveringDetector
 from repro.geometry.transform import ranges_cover
 from repro.index.config import IndexConfig
 from repro.pubsub.broker import Broker
 from repro.pubsub.network import BrokerNetwork, tree_topology
-from repro.pubsub.routing_table import (
-    COVERING_KINDS,
-    make_covering_strategy,
-    make_profile_cache,
-)
+from repro.pubsub.routing_table import COVERING_KINDS
 from repro.pubsub.schema import Attribute, AttributeSchema
 from repro.pubsub.subscription import Event, Subscription
-from repro.pubsub.subscription_store import SubscriptionProfile
 
 ORDER = 6
 MAX_CELL = (1 << ORDER) - 1
@@ -73,9 +69,12 @@ def rect_subscription(ranges, sub_id):
     return subscription
 
 
-def profile_of(cache, ranges):
-    """The profile a broker on ``cache`` hands its links for ``ranges``."""
-    return SubscriptionProfile(None, ranges, cache.covering_profile(ranges))
+def link_broker(covering, config=None):
+    """A broker with one neighbour (1); its sends are collected, not delivered."""
+    broker = Broker(broker_id=0, schema=SCHEMA, covering=covering, config=config)
+    broker.connect(1)
+    broker.attach_transport(lambda *message: None, lambda *delivery: None)
+    return broker
 
 
 class TestCoveringSoundness:
@@ -86,55 +85,51 @@ class TestCoveringSoundness:
         kind=st.sampled_from(COVERING_KINDS),
     )
     def test_no_unsound_witness(self, rects, epsilon, kind):
-        """Any witness a routable strategy returns really covers the query rectangle."""
-        config = IndexConfig(epsilon=epsilon, cube_budget=5_000)
-        cache = make_profile_cache(kind, SCHEMA, config)
-        strategy = make_covering_strategy(kind, SCHEMA, config=config)
-        stored = {}
+        """Any cover a broker link records for a suppression really covers it."""
+        broker = link_broker(kind, IndexConfig(epsilon=epsilon, cube_budget=5_000))
+        link = broker._links[1]
         for i, ranges in enumerate(rects):
-            witness, _ = strategy.find_covering(profile_of(cache, ranges))
-            if witness is not None:
-                assert witness in stored
-                assert ranges_cover(stored[witness], ranges), (
-                    f"{kind} returned witness {witness} = {stored[witness]} "
+            broker.subscribe_local(f"c{i}", rect_subscription(ranges, f"s{i}"))
+            entry = link.suppressed.get(f"s{i}")
+            if entry is not None:
+                witness = entry[1]
+                assert witness in link.forwarded
+                assert ranges_cover(link.forwarded[witness].ranges, ranges), (
+                    f"{kind} recorded cover {witness} = {link.forwarded[witness].ranges} "
                     f"which does not cover {ranges}"
                 )
-            stored[f"s{i}"] = ranges
-            strategy.add(f"s{i}", profile_of(cache, ranges))
 
     @settings(deadline=None)
     @given(rects=st.lists(quantised_rect(), min_size=2, max_size=15))
     def test_shared_profile_replays_own_profile(self, rects):
-        """A shared covering profile is a pure amortisation: the witness-or-None
-        a link finds when it profiles the plain ranges itself."""
-        config = IndexConfig(epsilon=0.05, cube_budget=5_000)
-        shared = make_profile_cache("approximate", SCHEMA, config)
-        bare = make_profile_cache("exact", SCHEMA)
-        own = make_covering_strategy("approximate", SCHEMA, config=config)
-        fast = make_covering_strategy("approximate", SCHEMA, config=config)
+        """A link's witness is what a stand-alone exact scan of its forwarded
+        set returns: the first forwarded cover, in forwarding order."""
+        broker = link_broker("approximate")
+        link = broker._links[1]
         for i, ranges in enumerate(rects[:-1]):
-            own.add(f"s{i}", profile_of(bare, ranges))
-            fast.add(f"s{i}", profile_of(shared, ranges))
+            broker.subscribe_local(f"c{i}", rect_subscription(ranges, f"s{i}"))
+        scan = LinearScanCoveringDetector(SCHEMA.num_attributes, SCHEMA.order)
+        for sub_id, subscription in link.forwarded.items():
+            scan.add_subscription(sub_id, subscription.ranges)
         query = rects[-1]
-        assert own.find_covering(profile_of(bare, query))[0] == fast.find_covering(
-            profile_of(shared, query)
-        )[0]
+        expected = scan.find_covering(query)
+        broker.subscribe_local("query", rect_subscription(query, "query"))
+        entry = link.suppressed.get("query")
+        assert (entry[1] if entry is not None else None) == expected
 
     @settings(deadline=None)
     @given(rects=st.lists(quantised_rect(), min_size=1, max_size=12))
     def test_exact_strategy_complete_against_oracle(self, rects):
-        """The exact strategy finds a cover whenever the oracle says one exists."""
-        cache = make_profile_cache("exact", SCHEMA)
-        strategy = make_covering_strategy("exact", SCHEMA)
+        """An exact link suppresses exactly when an earlier subscription covers
+        the arrival (one covering a suppressed one covers it too)."""
+        broker = link_broker("exact")
+        link = broker._links[1]
         stored = {}
         for i, ranges in enumerate(rects):
-            witness, _ = strategy.find_covering(profile_of(cache, ranges))
-            oracle_has_cover = any(
-                ranges_cover(other, ranges) for other in stored.values()
-            )
-            assert (witness is not None) == oracle_has_cover
+            oracle_has_cover = any(ranges_cover(other, ranges) for other in stored.values())
+            broker.subscribe_local(f"c{i}", rect_subscription(ranges, f"s{i}"))
+            assert (f"s{i}" in link.suppressed) == oracle_has_cover
             stored[f"s{i}"] = ranges
-            strategy.add(f"s{i}", profile_of(cache, ranges))
 
 
 def test_only_sound_covering_is_routable():
@@ -146,9 +141,6 @@ def test_only_sound_covering_is_routable():
         "from_topology": lambda **kw: BrokerNetwork.from_topology(
             SCHEMA, tree_topology(3), **kw
         ),
-        "make_covering_strategy": lambda **kw: make_covering_strategy(
-            kw.pop("covering", "approximate"), SCHEMA, **kw
-        ),
     }
     for build in builders.values():
         build()
@@ -156,9 +148,8 @@ def test_only_sound_covering_is_routable():
             build(covering="probabilistic")
         with pytest.raises(TypeError):
             build(samples=8)
-    for name in ("Broker", "make_covering_strategy"):
-        with pytest.raises(TypeError):
-            builders[name](seed=1)
+    with pytest.raises(TypeError):
+        builders["Broker"](seed=1)
     assert BrokerNetwork(SCHEMA, seed=1).seed == 1  # the trace log's seed stays
     with pytest.raises(SystemExit):
         cli_main(["serve", "--covering", "probabilistic"])

@@ -1,7 +1,7 @@
 """Cross-curve differential suite: Z-order, Hilbert and Gray agree on semantics.
 
-The routing stack is curve-pluggable — the match index, the approximate
-covering detector and the shared profile cache are all keyed by a
+The stack is curve-pluggable — the match index, the shared match-run cache
+and the paper's approximate covering detector are all keyed by a
 ``SpaceFillingCurve`` — and the paper's machinery guarantees that the choice
 can only change *statistics* (run counts, segment counts, probe costs), never
 *semantics*: match answers are restored to exactness by the rectangle
@@ -50,7 +50,7 @@ from repro.pubsub.network import (
     star_topology,
     tree_topology,
 )
-from repro.pubsub.routing_table import InterfaceTable, make_covering_strategy
+from repro.pubsub.routing_table import InterfaceTable
 from repro.pubsub.schema import Attribute, AttributeSchema
 from repro.pubsub.subscription import Event, Subscription
 from repro.sfc.factory import CURVE_KINDS, make_curve
@@ -343,7 +343,7 @@ class TestCurveConfigurationErrors:
         with pytest.raises(ValueError, match="unknown curve kind"):
             MatchIndex(schema, config=IndexConfig(curve="peano"))
         with pytest.raises(ValueError, match="unknown curve kind"):
-            make_covering_strategy("approximate", schema, config=IndexConfig(curve="peano"))
+            ApproximateCoveringDetector(2, 5, config=IndexConfig(curve="peano"))
         with pytest.raises(ValueError, match="unknown curve kind"):
             BrokerNetwork.from_topology(
                 schema, tree_topology(2), covering="approximate", config=IndexConfig(curve="peano")

@@ -559,10 +559,10 @@ class TestNetworkMatching:
         assert lookups > 0
 
     def test_forwarding_after_suppression_clears_pending_entry(self, schema):
-        """Regression: a duplicate arrival of a *suppressed* subscription that
-        slips past a (budget-bounded) covering miss is forwarded — it must
-        then leave the suppressed set, or a later withdrawal takes the
-        suppressed early-exit and leaves a ghost entry in the strategy."""
+        """Regression: a duplicate arrival of a *suppressed* subscription whose
+        cover is no longer forwarded is forwarded — it must then leave the
+        suppressed set, or a later withdrawal takes the suppressed early-exit
+        and leaves the subscription forwarded for good."""
         network = BrokerNetwork.from_topology(schema, chain_topology(2), covering="exact")
         broker0 = network.brokers[0]
         wide = Subscription(schema, {"x": (0.0, 90.0)}, sub_id="wide")
@@ -574,17 +574,16 @@ class TestNetworkMatching:
         # suppression counter is not double-incremented.
         broker0.receive_subscription("__local__", narrow)
         assert broker0.stats.subscriptions_suppressed == 1
-        # Emulate the approximate detector missing the cover on a later
-        # duplicate: drop the cover from the strategy's view only, then let
-        # the duplicate arrive.  It is forwarded — and must leave the
-        # suppressed set as it goes.
-        broker0._links[1].covering.remove("wide")
+        # Drop the cover from the link's forwarded set behind the broker's
+        # back (no withdrawal, so no re-check), then let the duplicate
+        # arrive.  The scan finds no cover: it is forwarded — and must leave
+        # the suppressed set as it goes.
         broker0._links[1].forwarded.pop("wide", None)
         broker0.receive_subscription("__local__", narrow)
         assert broker0.has_forwarded(1, "narrow")
         assert "narrow" not in broker0._links[1].suppressed
-        # Withdrawal must now reach the strategy (no suppressed early-exit
-        # hiding the forwarded state), so no ghost cover survives.
+        # Withdrawal must now reach the forwarded set (no suppressed
+        # early-exit hiding the forwarded state), so no ghost cover survives.
         network.unsubscribe("n", "narrow")
         assert not broker0.has_forwarded(1, "narrow")
         later = Subscription(schema, {"x": (12.0, 15.0)}, sub_id="later")

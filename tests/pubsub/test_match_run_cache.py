@@ -103,13 +103,13 @@ def test_cached_index_equals_uncached_index(schema, config, distinct):
     cache = ProfileCache()
     uncached = run_script(MatchIndex(schema, config=config))
     filling = run_script(MatchIndex(schema, config=config, run_cache=cache))
-    misses = cache.run_misses
+    misses = cache.misses
     hitting = run_script(MatchIndex(schema, config=config, run_cache=cache))
 
     # Every distinct (grid, rectangle) pair was decomposed once; the second
     # index found every one of them.
-    assert misses == distinct and cache.run_misses == misses
-    assert cache.run_hits > 0
+    assert misses == distinct and cache.misses == misses
+    assert cache.hits > 0
     assert uncached.stats.coarsened_subscriptions > 0
     for cached in (filling, hitting):
         assert cached.stats == uncached.stats  # before the probes below count lookups
@@ -132,7 +132,7 @@ def test_sharded_index_shares_the_cache_across_shards(schema):
     cache = ProfileCache()
     uncached = run_script(ShardedMatchIndex(schema, config=config))
     cached = run_script(ShardedMatchIndex(schema, config=config, run_cache=cache))
-    assert cache.run_misses == 5 and cache.run_hits > 0
+    assert cache.misses == 5 and cache.hits > 0
     assert cached.stats == uncached.stats
     for x in range(0, 32, 3):
         for y in range(0, 32, 3):
@@ -160,10 +160,10 @@ def test_indexes_whose_runs_differ_never_share_an_entry(schema, first, second):
         alone.add("s", rectangle)
         assert shared._flat.runs_of(0) == alone._flat.runs_of(0)
         assert shared.stats == alone.stats
-    assert (cache.run_hits, cache.run_misses) == (0, 2)
+    assert (cache.hits, cache.misses) == (0, 2)
     # Same config again: now it is a hit.
     MatchIndex(schema, config=second, run_cache=cache).add("s", rectangle)
-    assert (cache.run_hits, cache.run_misses) == (1, 2)
+    assert (cache.hits, cache.misses) == (1, 2)
 
 
 def test_evicted_runs_are_recomputed_equal(schema, monkeypatch):
@@ -173,13 +173,12 @@ def test_evicted_runs_are_recomputed_equal(schema, monkeypatch):
     rectangles = [rect(3, 17, 2, 9), rect(0, 5, 0, 31), rect(20, 30, 20, 30)]
     for i, rectangle in enumerate(rectangles):
         first.add(i, rectangle)
-    assert (cache.run_misses, cache.run_evictions) == (3, 1)
+    assert (cache.misses, cache.evictions) == (3, 1)
     second = MatchIndex(schema, run_cache=cache)
     second.add("again", rectangles[0])  # evicted above: recomputed, evicts another
-    assert (cache.run_hits, cache.run_misses, cache.run_evictions) == (0, 4, 2)
+    assert (cache.hits, cache.misses, cache.evictions) == (0, 4, 2)
     assert second._flat.runs_of(0) == first._flat.runs_of(0)
-    # Covering-profile accounting is a separate ledger.
-    assert (cache.hits, cache.misses, cache.evictions) == (0, 0, 0)
+    assert len(cache) == 2  # the cap holds
 
 
 @pytest.mark.usefixtures("indexed_tables")
@@ -189,10 +188,10 @@ def test_standalone_broker_shares_its_own_cache(schema):
     broker.receive_subscription("left", subscription)
     broker.receive_subscription("right", subscription)
     cache = broker.profile_cache
-    assert (cache.run_hits, cache.run_misses) == (1, 1)
+    assert (cache.hits, cache.misses) == (1, 1)
     broker.reset_routing_state()
     broker.receive_subscription("left", subscription)
-    assert (cache.run_hits, cache.run_misses) == (2, 1)
+    assert (cache.hits, cache.misses) == (2, 1)
 
 
 @pytest.mark.usefixtures("indexed_tables")
@@ -213,7 +212,7 @@ def test_crash_recover_relearns_from_the_cache(schema):
         network.subscribe(i % 7, f"c{i}", subscription)
     network.flush()
     cache = network.profile_cache
-    misses, hits = cache.run_misses, cache.run_hits
+    misses, hits = cache.misses, cache.hits
     # The indexes grew their grids from 1 bit per dimension up to the finest
     # one reached, and every rectangle reached a table on each of them: it
     # was decomposed exactly once per grid, as the rectangle it snaps to
@@ -236,15 +235,15 @@ def test_crash_recover_relearns_from_the_cache(schema):
     network.flush()
 
     # Everything broker 1 re-learns was decomposed before the crash.
-    assert cache.run_misses == misses
-    assert cache.run_hits > hits
+    assert cache.misses == misses
+    assert cache.hits > hits
     for j in range(30):
         event = make_event(schema, f"e{j}", x=(j * 7) % 32, y=(j * 5) % 32)
         assert network.publish_and_audit(j % 7, event) == (set(), set())
 
-    assert cache.run_misses == misses
-    assert cache.run_evictions == 0
+    assert cache.misses == misses
+    assert cache.evictions == 0
     scrape = network.scrape()
     for name in ("hits", "misses", "evictions"):
-        value = getattr(cache, f"run_{name}")
+        value = getattr(cache, name)
         assert f'counter="match_run_cache_{name}"}} {value}\n' in scrape

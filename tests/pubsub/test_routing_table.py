@@ -1,4 +1,4 @@
-"""Tests for routing tables and covering strategies."""
+"""Tests for routing tables and a broker link's covering check."""
 
 from __future__ import annotations
 
@@ -9,19 +9,12 @@ import pytest
 from repro.index.config import IndexConfig
 from repro.index.sfc_array import FlatSegmentStore
 from repro.pubsub.match_index import MatchIndexStats
-from repro.pubsub.routing_table import (
-    ApproximateCoveringStrategy,
-    ExactCoveringStrategy,
-    InterfaceTable,
-    NoCoveringStrategy,
-    RoutingTable,
-    make_covering_strategy,
-    make_profile_cache,
-)
+from repro.pubsub.broker import Broker
+from repro.pubsub.network import BrokerNetwork
+from repro.pubsub.routing_table import InterfaceTable, RoutingTable
 from repro.pubsub.schema import Attribute, AttributeSchema
 from repro.pubsub.subscription import Event, Subscription
 from repro.sfc.factory import CURVE_KINDS
-from test_covering_properties import profile_of
 
 
 @pytest.fixture
@@ -31,63 +24,82 @@ def schema():
     )
 
 
+def link_broker(schema, covering):
+    """A broker with one neighbour (1) whose sends are collected, not delivered."""
+    broker = Broker(broker_id=0, schema=schema, covering=covering)
+    broker.connect(1)
+    sent = []
+    broker.attach_transport(lambda *message: sent.append(message), lambda *delivery: None)
+    return broker, sent
+
+
+def box(schema, sub_id, x, y):
+    return Subscription(schema, {"x": x, "y": y}, sub_id=sub_id)
+
+
 class TestCoveringStrategies:
-    def test_factory_builds_each_kind(self, schema):
-        for kind, cls in [
-            ("none", NoCoveringStrategy),
-            ("exact", ExactCoveringStrategy),
-            ("approximate", ApproximateCoveringStrategy),
-        ]:
-            strategy = make_covering_strategy(kind, schema)
-            assert isinstance(strategy, cls)
-            assert isinstance(strategy.name, str)
+    """The covering check of one broker link, one behaviour per test."""
 
     def test_factory_rejects_unknown(self, schema):
         with pytest.raises(ValueError):
-            make_covering_strategy("magic", schema)
+            Broker(broker_id=0, schema=schema, covering="magic")
         with pytest.raises(ValueError):
-            make_profile_cache("magic", schema)
+            BrokerNetwork(schema, covering="magic")
 
     def test_none_strategy_never_suppresses(self, schema):
-        cache = make_profile_cache("none", schema)
-        strategy = NoCoveringStrategy()
-        strategy.add("a", profile_of(cache, ((0, 255), (0, 255))))
-        assert strategy.find_covering(profile_of(cache, ((10, 20), (10, 20)))) == (None, 0)
-        assert not strategy.remove("a")
+        broker, sent = link_broker(schema, "none")
+        broker.subscribe_local("c", box(schema, "a", (0.0, 100.0), (0.0, 100.0)))
+        broker.subscribe_local("c", box(schema, "b", (10.0, 20.0), (10.0, 20.0)))
+        assert list(broker._links[1].forwarded) == ["a", "b"]
+        assert [message[3].sub_id for message in sent] == ["a", "b"]
+        assert broker.stats.covering_checks == 2  # every decision counts...
+        assert broker.stats.covering_check_runs == 0  # ...and compares nothing
 
     @pytest.mark.parametrize("kind", ["exact", "approximate"])
     def test_wide_subscription_suppresses_narrow(self, schema, kind):
-        config = IndexConfig(epsilon=0.05)
-        cache = make_profile_cache(kind, schema, config)
-        strategy = make_covering_strategy(kind, schema, config=config)
-        strategy.add("wide", profile_of(cache, ((0, 250), (0, 250))))
-        found, work = strategy.find_covering(profile_of(cache, ((40, 60), (40, 60))))
-        assert found == "wide"
-        assert work >= 0
+        broker, sent = link_broker(schema, kind)
+        broker.subscribe_local("c", box(schema, "wide", (0.0, 98.0), (0.0, 98.0)))
+        broker.subscribe_local("c", box(schema, "narrow", (40.0, 60.0), (40.0, 60.0)))
+        link = broker._links[1]
+        assert list(link.forwarded) == ["wide"]
+        assert link.suppressed["narrow"][1] == "wide"
+        assert len(sent) == 1
+        assert broker.stats.covering_check_runs == 1  # one forwarded, one compared
 
     @pytest.mark.parametrize("kind", ["exact", "approximate"])
     def test_sound_strategies_do_not_invent_covers(self, schema, kind):
-        config = IndexConfig(epsilon=0.05)
-        cache = make_profile_cache(kind, schema, config)
-        strategy = make_covering_strategy(kind, schema, config=config)
-        strategy.add("narrow", profile_of(cache, ((40, 60), (40, 60))))
-        assert strategy.find_covering(profile_of(cache, ((0, 200), (0, 200))))[0] is None
+        broker, _ = link_broker(schema, kind)
+        broker.subscribe_local("c", box(schema, "narrow", (40.0, 60.0), (40.0, 60.0)))
+        broker.subscribe_local("c", box(schema, "wide", (0.0, 80.0), (0.0, 80.0)))
+        assert list(broker._links[1].forwarded) == ["narrow", "wide"]
+        assert not broker._links[1].suppressed
 
     def test_remove_reopens_forwarding(self, schema):
-        cache = make_profile_cache("exact", schema)
-        strategy = make_covering_strategy("exact", schema)
-        strategy.add("wide", profile_of(cache, ((0, 250), (0, 250))))
-        assert strategy.find_covering(profile_of(cache, ((10, 20), (10, 20))))[0] == "wide"
-        assert strategy.remove("wide")
-        assert strategy.find_covering(profile_of(cache, ((10, 20), (10, 20))))[0] is None
+        broker, sent = link_broker(schema, "exact")
+        broker.subscribe_local("c", box(schema, "wide", (0.0, 98.0), (0.0, 98.0)))
+        broker.subscribe_local("c", box(schema, "narrow", (10.0, 20.0), (10.0, 20.0)))
+        assert "narrow" in broker._links[1].suppressed
+        assert broker.unsubscribe_local("c", "wide")
+        # The withdrawal goes out, then the dependant it uncovered.
+        assert [(kind, payload) for kind, _, _, payload in sent[1:]] == [
+            ("unsubscription", "wide"),
+            ("subscription", broker._links[1].forwarded["narrow"]),
+        ]
+        assert broker.stats.promotions == 1
+        broker.subscribe_local("c", box(schema, "other", (50.0, 60.0), (50.0, 60.0)))
+        assert list(broker._links[1].forwarded) == ["narrow", "other"]
 
     def test_approximate_tracks_runs(self, schema):
-        config = IndexConfig(epsilon=0.2, cube_budget=500)
-        cache = make_profile_cache("approximate", schema, config)
-        strategy = make_covering_strategy("approximate", schema, config=config)
-        strategy.add("wide", profile_of(cache, ((0, 250), (0, 250))))
-        _, work = strategy.find_covering(profile_of(cache, ((10, 20), (10, 20))))
-        assert work >= 1
+        """``covering_check_runs`` counts the forwarded subscriptions compared."""
+        broker, _ = link_broker(schema, "approximate")
+        for i in range(4):
+            x = (20.0 * i, 20.0 * i + 5.0)
+            broker.subscribe_local("c", box(schema, f"s{i}", x, (0.0, 5.0)))
+        assert broker.stats.covering_check_runs == 0 + 1 + 2 + 3
+        broker.subscribe_local("c", box(schema, "in-s1", (21.0, 23.0), (1.0, 2.0)))
+        assert broker._links[1].suppressed["in-s1"][1] == "s1"
+        assert broker.stats.covering_check_runs == 6 + 2  # stopped at its witness
+        assert broker.stats.covering_checks == 5
 
 
 def strip(schema, i, sub_id=None):
