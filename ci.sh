@@ -55,10 +55,9 @@ stage "benchmark smoke (tiny sizes) + full-size sim tables"
 # bench_curve_ablation's smoke pass asserts the per-event delivery sets are
 # identical under every curve (the driver raises on any divergence) and that
 # Hilbert needs fewer key runs than Z on the Fig. 1-style rectangle family.
-# bench_match_scale's smoke pass still runs the full parity phase: both match
-# stores (flat and sharded, whose shards are in-process flat indexes) under
-# every curve must agree with a brute-force rectangle oracle before anything
-# is timed.
+# bench_match_scale's smoke pass still runs the full parity phase: the match
+# index under every curve must agree with a brute-force rectangle oracle
+# before anything is timed.
 # bench_topology_scale's smoke pass runs the generated internet-scale
 # topology classes (skewed tree / scale-free / grid-of-clusters) at tiny node
 # counts, including the region netsplit -> per-partition traffic -> heal

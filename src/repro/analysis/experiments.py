@@ -1469,39 +1469,36 @@ def run_match_scale_experiment(
     num_delivery_events: int = 200,
     order: int = 10,
     precision_bits: int = 4,
-    shards: int = 4,
     parity_subscriptions: int = 400,
     parity_events: int = 300,
     seed: int = 31,
 ) -> ResultTable:
-    """E-MATCH-SCALE: million-subscription matching on the flat and sharded stores.
+    """E-MATCH-SCALE: million-subscription matching on one :class:`MatchIndex`.
 
     Two phases:
 
-    * **parity** — both stores (``"flat"`` and ``"sharded"``) under every
-      curve must produce delivery sets identical to a brute-force rectangle
-      scan; any disagreement raises instead of producing a row.
+    * **parity** — the index under every curve must produce delivery sets
+      identical to a brute-force rectangle scan; any disagreement raises
+      instead of producing a row.
     * **scale** — for each population: bulk ``add_batch`` build throughput and
-      publish throughput (``any_match_batch`` over ``num_events`` events plus
-      ``matching_ids_batch`` over ``num_delivery_events``) on both stores,
-      with segment counts, flattened member entries and peak RSS.
+      publish throughput, probing event by event as a broker does: the
+      events are keyed once (``curve.keys``), then ``any_match`` runs over
+      ``num_events`` of them and ``matching_ids`` over the first
+      ``num_delivery_events``; with segment counts, flattened member entries
+      and peak RSS.
     """
     import random
     import resource
 
     from ..pubsub.match_index import MatchIndex
-    from ..pubsub.sharded_index import ShardedMatchIndex
     from ..sfc.factory import CURVE_KINDS
 
-    table = ResultTable("E-MATCH-SCALE: million-subscription matching, flat + sharded backends")
+    table = ResultTable("E-MATCH-SCALE: million-subscription matching on one match index")
     schema = _default_schema(order)
     side = 1 << order
 
-    def make_index(backend: str, **knobs):
-        config = IndexConfig(precision_bits=precision_bits, shards=shards, **knobs)
-        if backend == "sharded":
-            return ShardedMatchIndex(schema, config=config)
-        return MatchIndex(schema, config=config)
+    def make_index(**knobs):
+        return MatchIndex(schema, config=IndexConfig(precision_bits=precision_bits, **knobs))
 
     # ---------------------------------------------------------------- parity
     parity_items = _scale_subscriptions(parity_subscriptions, order, seed + 1)
@@ -1517,23 +1514,20 @@ def run_match_scale_experiment(
         )
         for cells in parity_cells
     ]
-    backends = ("flat", "sharded")
     combos = 0
     for curve in CURVE_KINDS:
-        for backend in backends:
-            index = make_index(backend, curve=curve)
-            index.add_batch(parity_items)
-            got = [sorted(ids) for ids in index.matching_ids_batch(parity_cells)]
-            if got != oracle:
-                bad = next(i for i in range(len(oracle)) if got[i] != oracle[i])
-                raise AssertionError(
-                    f"backend {backend!r} under curve {curve!r} disagrees with the "
-                    f"rectangle oracle on event {parity_cells[bad]}"
-                )
-            combos += 1
+        index = make_index(curve=curve)
+        index.add_batch(parity_items)
+        got = [sorted(index.matching_ids(cells)) for cells in parity_cells]
+        if got != oracle:
+            bad = next(i for i in range(len(oracle)) if got[i] != oracle[i])
+            raise AssertionError(
+                f"curve {curve!r} disagrees with the rectangle oracle on event "
+                f"{parity_cells[bad]}"
+            )
+        combos += 1
     table.add(
         phase="parity",
-        backend="all",
         curve="all",
         subscriptions=parity_subscriptions,
         events=parity_events,
@@ -1548,42 +1542,38 @@ def run_match_scale_experiment(
             (event_rng.randrange(side), event_rng.randrange(side))
             for _ in range(num_events)
         ]
-        for backend in backends:
-            index = make_index(backend)
-            start = time.perf_counter()
-            index.add_batch(items)
-            build_seconds = time.perf_counter() - start
-            build_rate = population / build_seconds
+        index = make_index()
+        start = time.perf_counter()
+        index.add_batch(items)
+        build_seconds = time.perf_counter() - start
 
-            start = time.perf_counter()
-            any_results = index.any_match_batch(events)
-            any_seconds = time.perf_counter() - start
+        start = time.perf_counter()
+        keys = index.curve.keys(events)
+        any_results = [index.any_match(cells, key) for cells, key in zip(events, keys)]
+        any_seconds = time.perf_counter() - start
 
-            start = time.perf_counter()
-            deliveries = index.matching_ids_batch(events[:num_delivery_events])
-            delivery_seconds = time.perf_counter() - start
+        start = time.perf_counter()
+        deliveries = [
+            index.matching_ids(cells, key)
+            for cells, key in zip(events[:num_delivery_events], keys)
+        ]
+        delivery_seconds = time.perf_counter() - start
 
-            stores = [
-                shard._flat for shard in (index._indexes if backend == "sharded" else [index])
-            ]
-            table.add(
-                phase="scale",
-                backend=backend,
-                curve="zorder",
-                subscriptions=population,
-                build_seconds=round(build_seconds, 3),
-                inserts_per_second=round(build_rate, 1),
-                any_match_events_per_second=round(num_events / any_seconds, 1),
-                matching_hit_rate=round(sum(any_results) / num_events, 4),
-                delivery_events_per_second=round(
-                    num_delivery_events / delivery_seconds, 1
-                ),
-                delivered_matches=sum(len(ids) for ids in deliveries),
-                segments=index.segment_count(),
-                member_entries=sum(store.member_entries for store in stores),
-                rebuilds=sum(store.rebuilds for store in stores),
-                peak_rss_mb=round(
-                    resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1
-                ),
-            )
+        table.add(
+            phase="scale",
+            curve="zorder",
+            subscriptions=population,
+            build_seconds=round(build_seconds, 3),
+            inserts_per_second=round(population / build_seconds, 1),
+            any_match_events_per_second=round(num_events / any_seconds, 1),
+            matching_hit_rate=round(sum(any_results) / num_events, 4),
+            delivery_events_per_second=round(num_delivery_events / delivery_seconds, 1),
+            delivered_matches=sum(len(ids) for ids in deliveries),
+            segments=index.segment_count(),
+            member_entries=index._flat.member_entries,
+            rebuilds=index._flat.rebuilds,
+            peak_rss_mb=round(
+                resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1
+            ),
+        )
     return table

@@ -155,7 +155,7 @@ class CoveringProfiler:
         so that (in particular) a profile built under another curve is never
         executed against this one's index.  The plan-shaping knobs come from
         the config's covering key, so profilers built from configs differing
-        only in storage knobs (backend, run budget, shards) share a key —
+        only in storage knobs (run budget, precision bits) share a key —
         their profiles are identical.
         """
         return self._cache_key

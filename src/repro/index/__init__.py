@@ -3,11 +3,8 @@
 from .config import (
     DEFAULT_CUBE_BUDGET,
     DEFAULT_EPSILON,
-    DEFAULT_MATCH_BACKEND,
     DEFAULT_PRECISION_BITS,
     DEFAULT_RUN_BUDGET,
-    DEFAULT_SHARDS,
-    INDEX_BACKEND_NAMES,
     PRECISION_BIT_BUDGET,
     IndexConfig,
 )
@@ -17,14 +14,11 @@ from .sfc_array import FlatBackend, FlatSegmentStore, SFCArray, SFCArrayStats, S
 
 __all__ = [
     "IndexConfig",
-    "INDEX_BACKEND_NAMES",
-    "DEFAULT_MATCH_BACKEND",
     "DEFAULT_RUN_BUDGET",
     "DEFAULT_PRECISION_BITS",
     "PRECISION_BIT_BUDGET",
     "DEFAULT_CUBE_BUDGET",
     "DEFAULT_EPSILON",
-    "DEFAULT_SHARDS",
     "FlatBackend",
     "KDTree",
     "KDTreeStats",

@@ -3,9 +3,8 @@
 The paper's matching machinery trades false positives for probe speed through
 a handful of knobs: which space-filling curve keys the space, how many
 precision bits the decomposition snaps to, how many key runs a subscription
-may occupy, how many ε-cubes a dominance plan may spend, whether the runs sit
-in one flat store or are sharded, and how many shards a composite index
-spreads over.
+may occupy, how many ε-cubes a dominance plan may spend and the approximation
+slack ε.
 Historically those knobs travelled as loose keyword arguments and duplicated
 module constants; :class:`IndexConfig` gathers them into one validated,
 hashable value so any layer can describe, compare or cache-key a
@@ -27,22 +26,11 @@ from ..sfc.factory import DEFAULT_CURVE, curve_class
 __all__ = [
     "DEFAULT_CUBE_BUDGET",
     "DEFAULT_EPSILON",
-    "DEFAULT_MATCH_BACKEND",
     "DEFAULT_PRECISION_BITS",
     "DEFAULT_RUN_BUDGET",
-    "DEFAULT_SHARDS",
-    "INDEX_BACKEND_NAMES",
     "PRECISION_BIT_BUDGET",
     "IndexConfig",
 ]
-
-#: Match stores an interface table can hold: one
-#: :class:`~repro.pubsub.match_index.MatchIndex` over a flat segment store, or
-#: the composite shard-parallel index of several.
-INDEX_BACKEND_NAMES = ("flat", "sharded")
-
-#: Default match store — a single flat segment store.
-DEFAULT_MATCH_BACKEND = "flat"
 
 #: Cap on key runs stored per subscription (Sec. 3.2 coarsening).
 DEFAULT_RUN_BUDGET = 64
@@ -61,9 +49,6 @@ DEFAULT_CUBE_BUDGET = 2_000
 
 #: Approximation slack ε of the covering detector (Sec. 4).
 DEFAULT_EPSILON = 0.05
-
-#: Shard count of the composite ``"sharded"`` backend.
-DEFAULT_SHARDS = 4
 
 
 @dataclass(frozen=True)
@@ -86,16 +71,9 @@ class IndexConfig:
     run_budget: int = DEFAULT_RUN_BUDGET
     cube_budget: int = DEFAULT_CUBE_BUDGET
     epsilon: float = DEFAULT_EPSILON
-    backend: str = DEFAULT_MATCH_BACKEND
-    shards: int = DEFAULT_SHARDS
 
     def __post_init__(self) -> None:
         curve_class(self.curve)  # raises the canonical "unknown curve kind" error
-        if self.backend not in INDEX_BACKEND_NAMES:
-            raise ValueError(
-                f"unknown index backend {self.backend!r}; "
-                f"expected one of {INDEX_BACKEND_NAMES}"
-            )
         if self.run_budget < 1:
             raise ValueError(f"run_budget must be >= 1, got {self.run_budget}")
         if self.precision_bits is not None and self.precision_bits < 1:
@@ -107,8 +85,6 @@ class IndexConfig:
             raise ValueError(f"cube_budget must be >= 1, got {self.cube_budget}")
         if not 0.0 <= self.epsilon < 1.0:
             raise ValueError(f"epsilon must be in [0, 1), got {self.epsilon}")
-        if self.shards < 1:
-            raise ValueError(f"shards must be >= 1, got {self.shards}")
 
     # ------------------------------------------------------------- derived
     def effective_precision_bits(self, dims: int) -> int:
@@ -139,14 +115,10 @@ class IndexConfig:
         """The subset of knobs that shape dominance plans / covering profiles.
 
         Two configs with equal covering keys produce interchangeable
-        :class:`~repro.core.approx_dominance.DominancePlan` objects; backend,
-        run budget and shard count only affect how runs are *stored*.
+        :class:`~repro.core.approx_dominance.DominancePlan` objects; the run
+        budget and the precision bits only affect how runs are *stored*.
         """
         return ("covering", self.curve, self.epsilon, self.cube_budget)
-
-    def replace(self, **changes: Any) -> "IndexConfig":
-        """Frozen-dataclass update: a new config with ``changes`` applied."""
-        return dataclasses.replace(self, **changes)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         fields = ", ".join(

@@ -2,8 +2,8 @@
 
 The evaluation questions the paper motivates are answered by counters; the
 scale/scenario work layered on top (simulated transports, churn scripts,
-sharded indexes) needs those counters *live*, uniform and explainable
-hop-by-hop.  This package is that substrate:
+million-subscription match indexes) needs those counters *live*, uniform
+and explainable hop-by-hop.  This package is that substrate:
 
 * :mod:`repro.obs.registry` — a :class:`MetricsRegistry` of labeled
   ``Counter`` / ``Gauge`` / ``Histogram`` metrics, one per

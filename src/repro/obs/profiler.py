@@ -1,13 +1,13 @@
 """Hot-path profiling, wrapped around the broker stack from outside.
 
 The hot paths — match-index probes, the flat store's merge-rebuild, covering
-checks, the sharded index's batch calls — are named once, in
-:data:`HOT_PATHS`, as ``(span name, owner, attribute)``.  Nothing in the stack
-is decorated: :meth:`HotPathProfiler.enable` replaces each attribute on its
-class with a timing wrapper (the way the benchmark's span tracer wraps its
-targets) and :meth:`HotPathProfiler.disable` puts the original functions
-back, so with profiling off — the default — a probe is the plain function and
-pays nothing.  ``PROFILER.enabled = True`` / ``False`` does the same, and
+checks — are named once, in :data:`HOT_PATHS`, as ``(span name, owner,
+attribute)``.  Nothing in the stack is decorated:
+:meth:`HotPathProfiler.enable` replaces each attribute on its class with a
+timing wrapper (the way the benchmark's span tracer wraps its targets) and
+:meth:`HotPathProfiler.disable` puts the original functions back, so with
+profiling off — the default — a probe is the plain function and pays
+nothing.  ``PROFILER.enabled = True`` / ``False`` does the same, and
 ``REPRO_PROF=1`` in the environment enables the process-global
 :data:`PROFILER` when ``repro`` is imported.
 
@@ -48,7 +48,6 @@ class HotPath(NamedTuple):
 
 
 _MATCH_INDEX = "repro.pubsub.match_index.MatchIndex"
-_SHARDED = "repro.pubsub.sharded_index.ShardedMatchIndex"
 
 #: The hot paths :data:`PROFILER` times, by the names :meth:`summary` reports.
 HOT_PATHS: Tuple[HotPath, ...] = (
@@ -56,9 +55,6 @@ HOT_PATHS: Tuple[HotPath, ...] = (
     HotPath("match_index.matching_ids", _MATCH_INDEX, "matching_ids"),
     HotPath("broker.covering_check", "repro.pubsub.broker.Broker", "_covering_check"),
     HotPath("flat_store.rebuild", "repro.index.sfc_array.FlatSegmentStore", "rebuild"),
-    HotPath("sharded.add_batch", _SHARDED, "add_batch"),
-    HotPath("sharded.any_match_batch", _SHARDED, "any_match_batch"),
-    HotPath("sharded.matching_ids_batch", _SHARDED, "matching_ids_batch"),
 )
 
 

@@ -13,7 +13,6 @@ from .network import (
     tree_topology,
 )
 from .match_index import MatchIndex, MatchIndexStats
-from .sharded_index import ShardedMatchIndex
 from .routing_table import COVERING_KINDS, InterfaceTable, RoutingTable
 from .schema import Attribute, AttributeSchema
 from .subscription import Event, Subscription, make_event, make_subscription
@@ -34,7 +33,6 @@ __all__ = [
     "COVERING_KINDS",
     "MatchIndex",
     "MatchIndexStats",
-    "ShardedMatchIndex",
     "InterfaceTable",
     "RoutingTable",
     "Attribute",

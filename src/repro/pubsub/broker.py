@@ -128,9 +128,9 @@ class Broker:
     config:
         The one :class:`~repro.index.config.IndexConfig` of this broker
         (defaults to ``IndexConfig()``), read by the interface tables' match
-        indexes: ``curve``, ``backend`` / ``shards``, ``run_budget`` and
-        ``precision_bits`` (curves change run/segment statistics, never
-        semantics).  No covering decision reads it.
+        indexes: ``curve``, ``run_budget`` and ``precision_bits`` (curves
+        change run/segment statistics, never semantics).  No covering
+        decision reads it.
     profile_cache:
         Optional shared :class:`ProfileCache` (the network passes one cache
         to all its brokers so a subscription is decomposed for matching once

@@ -158,14 +158,12 @@ class MatchIndex:
         (``d = num_attributes`` dimensions, ``2^order`` cells per side).
     config:
         The :class:`~repro.index.config.IndexConfig` (defaults to
-        ``IndexConfig()``).  The index reads four of its fields; ``backend``
-        is not one of them (the disjoint segments always live in one
-        :class:`~repro.index.sfc_array.FlatSegmentStore`: parallel sorted
+        ``IndexConfig()``).  The index reads three of its fields; the
+        disjoint segments live in one
+        :class:`~repro.index.sfc_array.FlatSegmentStore` (parallel sorted
         arrays probed by ``bisect``, with bulk-load construction, a
-        pending-run buffer and amortised merge-rebuilds; ``"sharded"`` is
-        :class:`~repro.pubsub.sharded_index.ShardedMatchIndex` over several
-        of these).  ``run_budget`` caps the key ranges stored per
-        subscription (see module docstring).
+        pending-run buffer and amortised merge-rebuilds).  ``run_budget``
+        caps the key ranges stored per subscription (see module docstring).
         ``precision_bits`` pins the grid resolution (bits per dimension) at
         which rectangles are decomposed; schemas with a larger order have
         their rectangles snapped outward to this grid first.  ``None`` lets
@@ -701,31 +699,6 @@ class MatchIndex:
             if flat.charge(len(staged)):
                 self._flatten_paid()
         return matched
-
-    # ------------------------------------------------------------ batch queries
-    def any_match_batch(
-        self,
-        cells_batch: Sequence[Sequence[int]],
-        keys: Optional[Sequence[int]] = None,
-    ) -> List[bool]:
-        """Per-event :meth:`any_match` for a batch, keyed in one vectorized pass."""
-        if keys is None:
-            keys = self.curve.keys(cells_batch)
-        return [
-            self.any_match(cells, key) for cells, key in zip(cells_batch, keys)
-        ]
-
-    def matching_ids_batch(
-        self,
-        cells_batch: Sequence[Sequence[int]],
-        keys: Optional[Sequence[int]] = None,
-    ) -> List[List[Hashable]]:
-        """Per-event :meth:`matching_ids` for a batch, keyed in one vectorized pass."""
-        if keys is None:
-            keys = self.curve.keys(cells_batch)
-        return [
-            self.matching_ids(cells, key) for cells, key in zip(cells_batch, keys)
-        ]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -204,10 +204,9 @@ class BrokerNetwork:
         latency, queueing and churn.
     config:
         The one :class:`~repro.index.config.IndexConfig` every broker is
-        built with (defaults to ``IndexConfig()``): curve, run budget,
-        precision, match backend and shard count.  Curves and backends
-        change run/segment statistics, never delivery semantics.  The
-        network hands one
+        built with (defaults to ``IndexConfig()``): curve, run budget and
+        precision.  Curves change run/segment statistics, never delivery
+        semantics.  The network hands one
         :class:`~repro.pubsub.subscription_store.ProfileCache` to every
         broker, so each subscription's match-index key runs are computed
         once network-wide.

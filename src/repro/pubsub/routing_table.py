@@ -28,7 +28,6 @@ from ..sfc.base import SpaceFillingCurve
 from ..sfc.factory import make_curve
 from .match_index import MatchIndex, MatchIndexStats
 from .schema import AttributeSchema
-from .sharded_index import ShardedMatchIndex
 from .subscription import Event, Subscription
 from .subscription_store import ProfileCache
 
@@ -97,7 +96,7 @@ class InterfaceTable:
 
     @property
     def match_index(self):
-        """The SFC match index (plain or sharded), or ``None`` while the table scans."""
+        """The SFC match index, or ``None`` while the table scans."""
         return self._index
 
     def __len__(self) -> int:
@@ -128,16 +127,8 @@ class InterfaceTable:
         subscriptions[sub_id] = subscription
 
     def _build_index(self, arriving: Subscription) -> None:
-        """Index every stored subscription plus ``arriving``, in table order, in one bulk load.
-
-        The index is one :class:`MatchIndex`, or a :class:`ShardedMatchIndex`
-        of in-process shards under ``backend="sharded"``.
-        """
-        config = self.config
-        if config.backend == "sharded":
-            index = ShardedMatchIndex(self.schema, config=config, run_cache=self._run_cache)
-        else:
-            index = MatchIndex(self.schema, config=config, run_cache=self._run_cache)
+        """Index every stored subscription plus ``arriving``, in table order, in one bulk load."""
+        index = MatchIndex(self.schema, config=self.config, run_cache=self._run_cache)
         items = [(sub_id, sub.ranges) for sub_id, sub in self._subscriptions.items()]
         items.append((arriving.sub_id, arriving.ranges))
         index.add_batch(items)

@@ -177,7 +177,7 @@ def test_a_foreign_profile_falls_back_to_its_ranges(kind):
 
 def test_a_profile_differing_only_in_storage_knobs_is_compatible():
     detector = ApproximateCoveringDetector(ATTRIBUTES, ORDER, IndexConfig())
-    profiler = CoveringProfiler(ATTRIBUTES, ORDER, IndexConfig(backend="sharded", run_budget=4))
+    profiler = CoveringProfiler(ATTRIBUTES, ORDER, IndexConfig(run_budget=4))
     profile = profiler.profile([(5, 9), (12, 20)])
     assert detector.compatible_profile(profile)
     assert detector.find_covering_profile(profile).query is None

@@ -8,11 +8,8 @@ import pytest
 
 from repro.index.config import (
     DEFAULT_CUBE_BUDGET,
-    DEFAULT_MATCH_BACKEND,
     DEFAULT_PRECISION_BITS,
     DEFAULT_RUN_BUDGET,
-    DEFAULT_SHARDS,
-    INDEX_BACKEND_NAMES,
     PRECISION_BIT_BUDGET,
     IndexConfig,
 )
@@ -30,10 +27,8 @@ class TestValidation:
     def test_defaults_are_valid(self):
         config = IndexConfig()
         assert config.curve == "zorder"
-        assert config.backend == DEFAULT_MATCH_BACKEND
         assert config.run_budget == DEFAULT_RUN_BUDGET
         assert config.cube_budget == DEFAULT_CUBE_BUDGET
-        assert config.shards == DEFAULT_SHARDS
 
     def test_fields_are_pinned(self):
         """A new knob is a deliberate edit here, not a silent addition."""
@@ -43,8 +38,6 @@ class TestValidation:
             "run_budget",
             "cube_budget",
             "epsilon",
-            "backend",
-            "shards",
         ]
 
     def test_covering_stack_defaults_to_the_routing_config(self):
@@ -62,15 +55,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="unknown curve kind"):
             IndexConfig(curve="peano")
 
-    @pytest.mark.parametrize("backend", ["btree", "avl"])
-    def test_unknown_backend(self, backend):
-        with pytest.raises(ValueError, match="backend"):
-            IndexConfig(backend=backend)
-
-    def test_flat_and_sharded_are_the_only_backends(self):
-        assert INDEX_BACKEND_NAMES == ("flat", "sharded")
-        assert IndexConfig(backend="sharded").backend == "sharded"
-
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -79,7 +63,6 @@ class TestValidation:
             {"cube_budget": 0},
             {"epsilon": -0.1},
             {"epsilon": 1.0},
-            {"shards": 0},
         ],
     )
     def test_out_of_range_knobs_raise(self, kwargs):
@@ -124,17 +107,15 @@ class TestPrecisionBits:
 
 
 def _constructors():
-    """The nine constructors that take index knobs, minimally applied."""
+    """The eight constructors that take index knobs, minimally applied."""
     from repro.core.covering import ApproximateCoveringDetector, CoveringProfiler
     from repro.pubsub.broker import Broker
     from repro.pubsub.network import BrokerNetwork
     from repro.pubsub.routing_table import InterfaceTable, RoutingTable
-    from repro.pubsub.sharded_index import ShardedMatchIndex
 
     schema = _schema()
     return {
         "MatchIndex": lambda **kw: MatchIndex(schema, **kw),
-        "ShardedMatchIndex": lambda **kw: ShardedMatchIndex(schema, **kw),
         "InterfaceTable": lambda **kw: InterfaceTable("i", schema, **kw),
         "RoutingTable": lambda **kw: RoutingTable(schema, **kw),
         "Broker": lambda **kw: Broker(broker_id=0, schema=schema, **kw),
@@ -150,7 +131,7 @@ def _constructors():
 class TestConfigIsTheOnlyChannel:
     @pytest.mark.parametrize("name", sorted(_constructors()))
     @pytest.mark.parametrize(
-        "knob", [{"curve": "hilbert"}, {"epsilon": 0.2}, {"run_budget": 8}, {"backend": "sharded"}]
+        "knob", [{"curve": "hilbert"}, {"epsilon": 0.2}, {"run_budget": 8}, {"cube_budget": 99}]
     )
     def test_knob_keywords_are_rejected(self, name, knob):
         """No constructor takes a knob beside ``config=``: the keyword is a TypeError."""
@@ -161,35 +142,35 @@ class TestConfigIsTheOnlyChannel:
 
 
 def _index_layer_constructors():
-    """Every constructor below the broker that builds, wraps or plans probes
-    of an ordered store."""
+    """``IndexConfig`` and every constructor below the broker that builds,
+    wraps or plans probes of an ordered store."""
     from repro.core.approx_dominance import ApproximateDominanceIndex
     from repro.core.covering import ApproximateCoveringDetector, CoveringProfiler
     from repro.geometry.universe import Universe
     from repro.index.sfc_array import SFCArray
     from repro.pubsub.routing_table import InterfaceTable, RoutingTable
-    from repro.pubsub.sharded_index import ShardedMatchIndex
     from repro.sfc.zorder import ZOrderCurve
 
     schema = _schema()
     universe = Universe(2, 6)
     return {
+        "IndexConfig": IndexConfig,
         "SFCArray": lambda **kw: SFCArray(ZOrderCurve(universe), **kw),
         "ApproximateDominanceIndex": lambda **kw: ApproximateDominanceIndex(universe, **kw),
         "ApproximateCoveringDetector": lambda **kw: ApproximateCoveringDetector(2, 6, **kw),
         "CoveringProfiler": lambda **kw: CoveringProfiler(2, 6, **kw),
         "MatchIndex": lambda **kw: MatchIndex(schema, **kw),
-        "ShardedMatchIndex": lambda **kw: ShardedMatchIndex(schema, **kw),
         "InterfaceTable": lambda **kw: InterfaceTable("i", schema, **kw),
         "RoutingTable": lambda **kw: RoutingTable(schema, **kw),
     }
 
 
 @pytest.mark.parametrize("name", sorted(_index_layer_constructors()))
-@pytest.mark.parametrize("knob", ["seed", "backend"])
+@pytest.mark.parametrize("knob", ["seed", "backend", "shards"])
 def test_index_layer_takes_no_seed_and_no_backend_keyword(name, knob):
-    """One ordered store, nothing randomised: neither keyword exists below the
-    broker (``backend`` reaches the match layer only through ``config=``)."""
+    """One ordered store, nothing randomised: none of these keywords exists
+    below the broker, and ``IndexConfig`` has no store choice or shard
+    count to set."""
     build = _index_layer_constructors()[name]
     build()
     with pytest.raises(TypeError):
@@ -205,15 +186,13 @@ class TestKeys:
             IndexConfig(run_budget=8),
             IndexConfig(cube_budget=99),
             IndexConfig(epsilon=0.2),
-            IndexConfig(backend="sharded"),
-            IndexConfig(shards=2),
         ]
         assert len({base, *variants}) == len(variants) + 1
         assert IndexConfig(run_budget=8) in {v: None for v in variants}
 
     def test_covering_key_ignores_storage_knobs(self):
-        a = IndexConfig(backend="flat", run_budget=8, shards=2)
-        b = IndexConfig(backend="sharded", run_budget=64, shards=8)
+        a = IndexConfig(run_budget=8, precision_bits=3)
+        b = IndexConfig(run_budget=64)
         assert a.covering_key() == b.covering_key()
         assert (
             a.covering_key()
@@ -222,11 +201,11 @@ class TestKeys:
 
     def test_replace(self):
         config = IndexConfig()
-        replaced = config.replace(curve="hilbert")
+        replaced = dataclasses.replace(config, curve="hilbert")
         assert replaced.curve == "hilbert"
         assert config.curve == "zorder"
         with pytest.raises(ValueError, match="unknown curve kind"):
-            config.replace(curve="peano")
+            dataclasses.replace(config, curve="peano")
 
     @pytest.mark.parametrize(
         "knob",
@@ -236,17 +215,14 @@ class TestKeys:
             {"run_budget": 8},
             {"cube_budget": 99},
             {"epsilon": 0.2},
-            {"backend": "sharded"},
-            {"shards": 2},
         ],
         ids=lambda knob: next(iter(knob)),
     )
     def test_replace_changes_only_the_named_knob(self, knob):
         config = IndexConfig(
-            curve="gray", precision_bits=5, run_budget=4, cube_budget=123,
-            epsilon=0.3, backend="flat", shards=3,
+            curve="gray", precision_bits=5, run_budget=4, cube_budget=123, epsilon=0.3
         )
-        replaced = config.replace(**knob)
+        replaced = dataclasses.replace(config, **knob)
         assert replaced != config
         for field in dataclasses.fields(IndexConfig):
             expected = knob.get(field.name, getattr(config, field.name))

@@ -23,21 +23,17 @@ from repro.obs.profiler import (
 from repro.obs.registry import MetricsRegistry
 from repro.pubsub.network import BrokerNetwork, tree_topology
 from repro.pubsub.routing_table import InterfaceTable
-from repro.pubsub.sharded_index import ShardedMatchIndex
 from repro.pubsub.subscription import Event, Subscription
 from repro.sim.latency import UniformJitterLatency
 from repro.sim.transport import SimTransport
 from repro.workloads.dynamics import run_scripted_lockstep, subscription_churn_script
 from repro.workloads.scenarios import stock_market_scenario
 
-SEVEN = {
+FOUR = {
     "match_index.any_match",
     "match_index.matching_ids",
     "broker.covering_check",
     "flat_store.rebuild",
-    "sharded.add_batch",
-    "sharded.any_match_batch",
-    "sharded.matching_ids_batch",
 }
 
 
@@ -194,7 +190,7 @@ class TestOutsideWrapping:
 
 
 def _summary_workload():
-    """Touch every hot path at least once: an indexed network plus a sharded index."""
+    """Touch every hot path at least once: an indexed network."""
     scenario = stock_market_scenario(num_subscriptions=24, num_events=6, order=6, seed=3)
     schema = scenario.schema
     subscriptions = [
@@ -212,11 +208,6 @@ def _summary_workload():
             network.subscribe(i % 3, f"c{i}", subscription)
     for i, event in enumerate(events):
         network.publish(i % 3, event)
-    sharded = ShardedMatchIndex(schema, config=IndexConfig(shards=2))
-    sharded.add_batch([(sub.sub_id, sub.ranges) for sub in subscriptions])
-    cells = [event.cells for event in events]
-    sharded.any_match_batch(cells)
-    sharded.matching_ids_batch(cells)
     return network
 
 
@@ -226,9 +217,9 @@ class TestGlobalProfiler:
         assert PROF_ENV == "REPRO_PROF"
         assert PROFILER.hot_paths == HOT_PATHS
 
-    def test_hot_path_table_names_the_seven(self):
-        assert {path.name for path in HOT_PATHS} == SEVEN
-        assert len(HOT_PATHS) == len(SEVEN)
+    def test_hot_path_table_names_the_four(self):
+        assert {path.name for path in HOT_PATHS} == FOUR
+        assert len(HOT_PATHS) == len(FOUR)
 
     def test_off_every_hot_path_is_the_plain_function(self, profiler_off):
         for owner, attr, stored in _owner_attrs():
@@ -246,10 +237,10 @@ class TestGlobalProfiler:
         for (_, attr, original), (_, _, now) in zip(plain, _owner_attrs()):
             assert now is original, attr
 
-    def test_summary_holds_the_seven_names(self, global_profiler):
+    def test_summary_holds_the_four_names(self, global_profiler):
         _summary_workload()
         summary = global_profiler.summary()
-        assert set(summary) == SEVEN
+        assert set(summary) == FOUR
         assert all(row["calls"] > 0 for row in summary.values())
 
     def test_repro_prof_env_enables_at_import(self):
@@ -325,7 +316,7 @@ class TestHotPathScrape:
         network = _summary_workload()
         text = network.scrape()
         summary = global_profiler.summary()
-        for path in SEVEN:
+        for path in FOUR:
             assert f'repro_hot_path_calls_total{{path="{path}"}}' in text
             assert f'repro_hot_path_seconds_total{{path="{path}"}}' in text
         calls = network.metrics.get("hot_path_calls_total")
@@ -348,7 +339,7 @@ class TestHotPathScrape:
         network.publish(0, Event(network.schema, values, event_id="after-clear"))
         text = network.scrape()
         assert 'path="flat_store.rebuild"' not in text
-        assert 'path="sharded.add_batch"' not in text
+        assert 'path="broker.covering_check"' not in text
         calls = network.metrics.get("hot_path_calls_total")
         assert calls.value(path="match_index.any_match") == (
             global_profiler.summary()["match_index.any_match"]["calls"]

@@ -10,14 +10,15 @@ and re-coalescing).
 
 from __future__ import annotations
 
+import inspect
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.geometry.bits import spread_bits
-from repro.index.config import DEFAULT_RUN_BUDGET, INDEX_BACKEND_NAMES, IndexConfig
+from repro.index.config import DEFAULT_RUN_BUDGET, IndexConfig
 from repro.pubsub.broker import Broker
 from repro.pubsub.match_index import MatchIndex
 from repro.pubsub.network import (
@@ -28,7 +29,6 @@ from repro.pubsub.network import (
 )
 from repro.pubsub.routing_table import InterfaceTable, RoutingTable
 from repro.pubsub.schema import Attribute, AttributeSchema
-from repro.pubsub.sharded_index import ShardedMatchIndex
 from repro.pubsub.subscription import Event, Subscription
 from repro.sfc.factory import CURVE_KINDS
 
@@ -92,25 +92,45 @@ class TestMatchIndexUnit:
         assert not index.any_match(Event(schema, {"x": 10.0, "y": 50.0}).cells)
         assert index.any_match(Event(schema, {"x": 70.0, "y": 50.0}).cells)
 
-    @pytest.mark.parametrize("run_budget", [1, 2, 8, 64])
-    def test_equivalence_with_brute_force_under_coarsening(self, schema, run_budget):
+    @pytest.mark.parametrize(
+        "run_budget, subscriptions, removed, bulk",
+        [pytest.param(budget, 40, 10, False, id=str(budget)) for budget in (1, 2, 8, 64)]
+        + [
+            # One coarse run per subscription, flattened by a bulk load.
+            pytest.param(1, 40, 10, True, id="bulk-1"),
+            # Two thirds of a bulk load withdrawn: half-garbage rebuilds.
+            pytest.param(DEFAULT_RUN_BUDGET, 150, 100, True, id="mass-delete"),
+        ],
+    )
+    def test_equivalence_with_brute_force_under_coarsening(
+        self, schema, run_budget, subscriptions, removed, bulk
+    ):
         """Tiny run budgets force heavy over-approximation; the rectangle
-        fallback check must keep answers exact regardless."""
+        fallback check must keep answers exact regardless, through any share
+        of withdrawals and down to an empty index."""
         rng = random.Random(run_budget)
         index = MatchIndex(schema, config=IndexConfig(run_budget=run_budget))
         subs = {}
-        for i in range(40):
+        for i in range(subscriptions):
             sub = random_subscription(schema, rng, f"s{i}")
             subs[sub.sub_id] = sub
-            index.add(sub.sub_id, sub.ranges)
-        for sub_id in list(subs)[::4]:
+            if not bulk:
+                index.add(sub.sub_id, sub.ranges)
+        if bulk:
+            index.add_batch([(sub_id, sub.ranges) for sub_id, sub in subs.items()])
+        for sub_id in rng.sample(list(subs), removed):
             del subs[sub_id]
             assert index.remove(sub_id)
+        assert len(index) == subscriptions - removed
         for _ in range(300):
             event = random_event(schema, rng)
             expected = {sid for sid, sub in subs.items() if sub.matches(event)}
             assert set(index.matching_ids(event.cells)) == expected
             assert index.any_match(event.cells) == bool(expected)
+        for sub_id in subs:
+            assert index.remove(sub_id)
+        assert len(index) == index.segment_count() == 0
+        assert not any(index.any_match(random_event(schema, rng).cells) for _ in range(50))
 
     def test_coarsening_records_stats(self, schema):
         # On the schema's full 6-bit grid (pinned: a one-subscription index
@@ -327,7 +347,7 @@ class TestMatchIndexUnit:
         assert len(index) == len(model)
 
 
-def _replay(schema, backend, curve, run_budget, seed=7):
+def _replay(schema, curve, run_budget, seed=7):
     """Bulk-load 50 subscriptions into a fresh index, probe 120 events.
 
     Returns the index, the answers in probe order and the number of
@@ -336,8 +356,7 @@ def _replay(schema, backend, curve, run_budget, seed=7):
     rng = random.Random(seed)
     subs = [random_subscription(schema, rng, f"s{i}") for i in range(50)]
     events = [random_event(schema, rng) for _ in range(120)]
-    config = IndexConfig(backend=backend, curve=curve, run_budget=run_budget)
-    index = (ShardedMatchIndex if backend == "sharded" else MatchIndex)(schema, config=config)
+    index = MatchIndex(schema, config=IndexConfig(curve=curve, run_budget=run_budget))
     index.add_batch([(sub.sub_id, sub.ranges) for sub in subs])
     answers = [frozenset(index.matching_ids(event.cells)) for event in events]
     scanned = sum(sub.matches(event) for event in events for sub in subs)
@@ -345,7 +364,6 @@ def _replay(schema, backend, curve, run_budget, seed=7):
 
 
 @pytest.mark.parametrize("curve", CURVE_KINDS)
-@pytest.mark.parametrize("backend", INDEX_BACKEND_NAMES)
 class TestRunBudget:
     """What the run budget trades: runs stored against candidates checked.
 
@@ -353,36 +371,184 @@ class TestRunBudget:
     rectangle check has to reject.
     """
 
-    def test_a_budget_of_one_stores_one_run_per_subscription(self, schema, backend, curve):
-        index, _answers, _scanned = _replay(schema, backend, curve, run_budget=1)
+    def test_a_budget_of_one_stores_one_run_per_subscription(self, schema, curve):
+        index, _answers, _scanned = _replay(schema, curve, run_budget=1)
         assert index.stats.runs_stored == len(index) == 50
 
     def test_a_finer_budget_stores_more_runs_and_checks_fewer_candidates(
-        self, schema, backend, curve
+        self, schema, curve
     ):
-        coarse, coarse_answers, _ = _replay(schema, backend, curve, run_budget=1)
-        fine, fine_answers, _ = _replay(schema, backend, curve, run_budget=4)
+        coarse, coarse_answers, _ = _replay(schema, curve, run_budget=1)
+        fine, fine_answers, _ = _replay(schema, curve, run_budget=4)
         assert fine.stats.runs_stored > coarse.stats.runs_stored
         assert fine.stats.candidates_checked < coarse.stats.candidates_checked
         assert fine.stats.false_positives < coarse.stats.false_positives
         assert fine_answers == coarse_answers
 
-    def test_every_candidate_is_a_match_or_a_false_positive(self, schema, backend, curve):
+    def test_every_candidate_is_a_match_or_a_false_positive(self, schema, curve):
         for run_budget in (1, 4, DEFAULT_RUN_BUDGET):
-            index, answers, scanned = _replay(schema, backend, curve, run_budget)
+            index, answers, scanned = _replay(schema, curve, run_budget)
             assert scanned > 0
             assert sum(map(len, answers)) == scanned
             stats = index.stats
             assert stats.candidates_checked - stats.false_positives == scanned
-            # Every shard of a sharded index answers every probe.
-            probed = index.config.shards if backend == "sharded" else 1
-            assert stats.lookups == probed * len(answers)
+            assert stats.lookups == len(answers)
 
-    def test_replaying_a_workload_repeats_every_counter(self, schema, backend, curve):
-        first, first_answers, _ = _replay(schema, backend, curve, run_budget=4)
-        again, again_answers, _ = _replay(schema, backend, curve, run_budget=4)
+    def test_replaying_a_workload_repeats_every_counter(self, schema, curve):
+        first, first_answers, _ = _replay(schema, curve, run_budget=4)
+        again, again_answers, _ = _replay(schema, curve, run_budget=4)
         assert again.stats == first.stats
         assert again_answers == first_answers
+
+
+def _box(lo, hi):
+    """The square of cells ``[lo, hi]`` on both axes."""
+    return ((lo, hi), (lo, hi))
+
+
+def _random_box(rng, side, max_width=20):
+    return tuple(
+        (lo, min(side - 1, lo + rng.randrange(max_width)))
+        for lo in (rng.randrange(side), rng.randrange(side))
+    )
+
+
+def test_match_index_takes_schema_config_and_run_cache_only():
+    assert list(inspect.signature(MatchIndex).parameters) == ["schema", "config", "run_cache"]
+
+
+@pytest.mark.parametrize("load", ["add", "add_batch"])
+@pytest.mark.parametrize("curve", CURVE_KINDS)
+class TestOneIndex:
+    """An interface table's one index, on every curve, whether its
+    subscriptions arrived one ``add`` at a time (staged slots, flattened as
+    the store decides) or in one ``add_batch`` (flattened at once)."""
+
+    @staticmethod
+    def _loaded(schema, curve, load, items, index=None):
+        if index is None:
+            index = MatchIndex(schema, config=IndexConfig(curve=curve))
+        if load == "add":
+            for sub_id, ranges in items:
+                index.add(sub_id, ranges)
+        else:
+            index.add_batch(items)
+        return index
+
+    def test_an_empty_index_matches_nothing(self, schema, curve, load):
+        index = self._loaded(schema, curve, load, [])
+        assert len(index) == index.segment_count() == 0
+        assert not index.any_match((5, 5))
+        assert index.matching_ids((5, 5)) == []
+        assert index.remove("absent") is False
+
+    def test_a_repeated_id_keeps_its_last_rectangle(self, schema, curve, load):
+        index = self._loaded(
+            schema, curve, load, [("a", _box(0, 3)), ("b", _box(10, 12)), ("a", _box(20, 22))]
+        )
+        assert len(index) == 2
+        assert index.matching_ids((1, 1)) == []
+        assert index.matching_ids((21, 21)) == ["a"]
+        assert index.matching_ids((11, 11)) == ["b"]
+
+    def test_a_replaced_rectangle_answers_at_its_new_place(self, schema, curve, load):
+        index = self._loaded(schema, curve, load, [(sid, _box(sid, sid)) for sid in range(4)])
+        self._loaded(schema, curve, load, [(1, _box(60, 63)), (4, _box(4, 4))], index)
+        assert len(index) == 5
+        assert index.matching_ids((1, 1)) == []
+        assert index.matching_ids((61, 62)) == [1]
+        assert index.matching_ids((4, 4)) == [4]
+
+    def test_remove_drops_only_that_entry(self, schema, curve, load):
+        index = self._loaded(schema, curve, load, [("a", _box(0, 10)), ("b", _box(5, 15))])
+        assert index.remove("a") is True
+        assert "a" not in index and len(index) == 1
+        assert index.matching_ids((7, 7)) == ["b"]
+        assert index.matching_ids((2, 2)) == []
+        assert index.remove("a") is False
+
+    def test_a_rejected_write_changes_nothing(self, schema, curve, load):
+        """A bad rectangle — alone, as a replacement, or among good ones in a
+        batch — is rejected before the index changes: not its size, not an
+        answer, not the rectangle it replaces."""
+        rng = random.Random(7)
+        side = 1 << schema.order
+        items = [(sid, _random_box(rng, side)) for sid in range(9)]
+        index = self._loaded(schema, curve, load, items[:7])
+        cells = [(x, y) for x in range(0, side, 3) for y in range(0, side, 3)]
+        answers = [index.matching_ids(c) for c in cells]
+        # Past the grid, too few ranges, inverted, negative.
+        for bad in [((0, 99), (0, 5)), ((0, 5),), ((7, 3), (0, 5)), ((-1, 3), (0, 5))]:
+            with pytest.raises(ValueError):
+                index.add("bad", bad)
+            with pytest.raises(ValueError):
+                index.add(3, bad)
+            with pytest.raises(ValueError):
+                index.add_batch([items[7], ("bad", bad), items[8]])
+        assert len(index) == 7
+        assert "bad" not in index and 7 not in index and 8 not in index
+        assert [index.matching_ids(c) for c in cells] == answers
+
+    def test_removing_an_unknown_id_changes_nothing(self, schema, curve, load):
+        rng = random.Random(6)
+        side = 1 << schema.order
+        index = self._loaded(
+            schema, curve, load, [(sid, _random_box(rng, side)) for sid in range(20)]
+        )
+        cells = [(x, y) for x in range(0, side, 3) for y in range(0, side, 3)]
+        before = [index.matching_ids(c) for c in cells]
+        segments = index.segment_count()
+        assert index.remove("ghost") is False
+        assert len(index) == 20 and index.segment_count() == segments
+        assert [index.matching_ids(c) for c in cells] == before
+
+    def test_answers_equal_a_brute_force_scan(self, schema, curve, load):
+        rng = random.Random(len(curve))
+        side = 1 << schema.order
+        rects = {sid: _random_box(rng, side, max_width=28) for sid in range(80)}
+        index = self._loaded(schema, curve, load, list(rects.items()))
+        for cells in [(x, y) for x in range(0, side, 2) for y in range(0, side, 3)]:
+            matched = index.matching_ids(cells)
+            assert matched == [
+                sid
+                for sid, rect in rects.items()
+                if all(lo <= c <= hi for (lo, hi), c in zip(rect, cells))
+            ]
+            assert index.any_match(cells) is bool(matched)
+
+    def test_keys_computed_once_give_the_same_answers(self, schema, curve, load):
+        """The event path keys an event once and hands the key to every probe."""
+        rng = random.Random(3)
+        side = 1 << schema.order
+        index = self._loaded(
+            schema, curve, load, [(sid, _random_box(rng, side)) for sid in range(30)]
+        )
+        events = [(rng.randrange(side), rng.randrange(side)) for _ in range(60)]
+        keys = index.curve.keys(events)
+        assert keys == [index.event_key(cells) for cells in events]
+        for cells, key in zip(events, keys):
+            assert index.matching_ids(cells, key) == index.matching_ids(cells)
+            assert index.any_match(cells, key) is index.any_match(cells)
+
+    def test_matches_come_in_insertion_order(self, schema, curve, load):
+        order = ["d", "a", "e", "c", "b"]
+        index = self._loaded(schema, curve, load, [(sid, _box(0, 63)) for sid in order])
+        assert index.matching_ids((7, 7)) == order
+        self._loaded(schema, curve, load, [("a", _box(0, 63))], index)
+        assert index.matching_ids((7, 7)) == ["d", "e", "c", "b", "a"]
+
+    def test_counters_count_inserts_removals_and_probes(self, schema, curve, load):
+        rng = random.Random(2)
+        side = 1 << schema.order
+        index = self._loaded(
+            schema, curve, load, [(sid, _random_box(rng, side)) for sid in range(12)]
+        )
+        index.remove(4)
+        probes = [(x, x) for x in range(0, side, 5)]
+        matches = sum(len(index.matching_ids(cells)) for cells in probes)
+        stats = index.stats
+        assert (stats.inserts, stats.removals, stats.lookups) == (12, 1, len(probes))
+        assert stats.candidates_checked - stats.false_positives == matches
 
 
 class TestInterfaceTableMatching:
@@ -612,8 +778,15 @@ def rectangle_and_point(draw):
     return tuple(ranges), tuple(cells)
 
 
-@given(rectangle_and_point())
-def test_rectangle_checks_equal_all_of_the_axis_tests(case):
+@given(rectangle_and_point(), st.integers(1, 4))
+# An enclosure's two corners and a cell just outside each of them; then the
+# same rectangle stored under four ids, every one of them reported.
+@example((((4, 9), (10, 14)), (4, 10)), 1)
+@example((((4, 9), (10, 14)), (9, 14)), 1)
+@example((((4, 9), (10, 14)), (3, 10)), 1)
+@example((((4, 9), (10, 14)), (9, 15)), 1)
+@example((((4, 9), (10, 14)), (6, 12)), 4)
+def test_rectangle_checks_equal_all_of_the_axis_tests(case, copies):
     ranges, cells = case
     expected = all(lo <= c <= hi for (lo, hi), c in zip(ranges, cells))
     # An attribute spanning [0, max cell] quantises every integer to itself.
@@ -629,6 +802,8 @@ def test_rectangle_checks_equal_all_of_the_axis_tests(case):
     assert subscription.ranges == ranges and event.cells == cells
     assert subscription.matches(event) is expected
     index = MatchIndex(schema)
-    index.add("s", ranges)
+    sub_ids = [f"s{i}" for i in range(copies)]
+    for sub_id in sub_ids:
+        index.add(sub_id, ranges)
     assert index.any_match(cells) is expected
-    assert index.matching_ids(cells) == (["s"] if expected else [])
+    assert index.matching_ids(cells) == (sub_ids if expected else [])

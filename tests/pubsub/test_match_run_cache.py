@@ -27,7 +27,6 @@ from repro.pubsub import (
 )
 from repro.pubsub.match_index import MatchIndex
 from repro.pubsub.schema import Attribute, AttributeSchema
-from repro.pubsub.sharded_index import ShardedMatchIndex
 from repro.sim import FixedLatency, SimTransport
 
 ORDER = 5  # 32×32 cells: every key of the universe can be probed
@@ -123,22 +122,6 @@ def test_cached_index_equals_uncached_index(schema, config, distinct):
     # One immutable tuple per rectangle, held by identity in both stores.
     for slot in filling._id_of:
         assert filling._flat.runs_of(slot) is hitting._flat.runs_of(slot)
-
-
-def test_sharded_index_shares_the_cache_across_shards(schema):
-    # Pinned to the schema's whole grid, where the script's five distinct
-    # rectangles are decomposed once between the shards.
-    config = IndexConfig(shards=3, run_budget=2, precision_bits=ORDER)
-    cache = ProfileCache()
-    uncached = run_script(ShardedMatchIndex(schema, config=config))
-    cached = run_script(ShardedMatchIndex(schema, config=config, run_cache=cache))
-    assert cache.misses == 5 and cache.hits > 0
-    assert cached.stats == uncached.stats
-    for x in range(0, 32, 3):
-        for y in range(0, 32, 3):
-            assert sorted(cached.matching_ids((x, y))) == sorted(
-                uncached.matching_ids((x, y))
-            )
 
 
 @pytest.mark.parametrize(
