@@ -4,8 +4,8 @@ Paper reference: the motivation of Section 1 — covering shrinks routing tables
 and subscription traffic while never losing events (a missed cover only
 costs an extra forward; it cannot suppress a needed subscription).  A broker
 link checks covering with one exact scan of the subscriptions it forwarded,
-which meets the paper's ε-approximate contract for every ε, so
-``covering="approximate"`` runs the ``exact`` row's scan and is no row here.
+which meets the paper's ε-approximate contract for every ε: that is the
+``approximate`` row.
 
 Every interface table scans while it is small and builds its Z-order match
 index once it outgrows the flat store's staging buffer, so the delivery audit
@@ -32,9 +32,9 @@ def test_pubsub_propagation(run_once, record_table):
     table = run_once(run_pubsub_experiment, **_SIZES)
     record_table("pubsub_propagation", table)
     rows = {row["strategy"]: row for row in table.rows}
-    assert set(rows) == {"none", "exact"}
+    assert set(rows) == {"none", "approximate"}
     # Covering shrinks routing state and subscription traffic.
-    assert rows["exact"]["routing_table_entries"] < rows["none"]["routing_table_entries"]
-    assert rows["exact"]["subscription_messages"] < rows["none"]["subscription_messages"]
+    assert rows["approximate"]["routing_table_entries"] < rows["none"]["routing_table_entries"]
+    assert rows["approximate"]["subscription_messages"] < rows["none"]["subscription_messages"]
     # No covering kind loses events: a reported cover really covers.
     assert all(row["events_missed"] == 0 for row in table.rows)

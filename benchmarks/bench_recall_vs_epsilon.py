@@ -15,9 +15,7 @@ recall of the plan executed on its own, the ε it actually delivers when the
 budget ends it, and recall of the detector's profile entry point
 (``find_covering_profile``, what a broker link ran before links moved to an
 exact scan) at 20 / 200 / 3,000 stored subscriptions — both sides of its
-compare / probe crossover.  ``median_cubes_floor`` is the profiles'
-census-free bound on a plan's size, and ``census_share`` the share of those
-checks whose store outgrew it, so that the census ran.
+compare / probe crossover.
 """
 
 from __future__ import annotations
@@ -76,14 +74,6 @@ def product_budget_recall(stored_sizes=(20, 200, 3_000), num_queries=100, seed=5
         empty = ApproximateCoveringDetector(schema.num_attributes, schema.order, config=config)
         exhausted = [empty.find_covering(query).query for query in queries]
         alpha = int(statistics.median(result.aspect_ratio for result in exhausted))
-        floor = int(
-            statistics.median(
-                CoveringProfiler(schema.num_attributes, schema.order, config)
-                .profile(query)
-                .cubes_floor
-                for query in queries
-            )
-        )
         for stored in stored_sizes:
             detector = ApproximateCoveringDetector(
                 schema.num_attributes, schema.order, config=config
@@ -94,8 +84,7 @@ def product_budget_recall(stored_sizes=(20, 200, 3_000), num_queries=100, seed=5
                 linear.add_subscription(sub_id, stored_ranges)
             covered = [query for query in queries if linear.find_covering(query) is not None]
             plan_alone = [detector.find_covering(query) for query in covered]
-            # The routing path: profiles from a broker's profiler, each
-            # plan's census built only by a check that needs its size.
+            # The path a broker link took: profiles from one profiler.
             profiler = CoveringProfiler(schema.num_attributes, schema.order, config)
             routed = [
                 detector.find_covering_profile(profiler.profile(query)) for query in covered
@@ -112,8 +101,6 @@ def product_budget_recall(stored_sizes=(20, 200, 3_000), num_queries=100, seed=5
                     sum(r.query is None for r in routed) / len(covered), 4
                 ),
                 median_plan_cubes=int(statistics.median(r.cubes_examined for r in exhausted)),
-                median_cubes_floor=floor,
-                census_share=round(profiler.plans_built / len(covered), 4),
                 delivered_epsilon=round(
                     1.0 - statistics.median(r.coverage for r in exhausted), 4
                 ),
@@ -134,7 +121,5 @@ def test_recall_at_product_budget(run_once, record_table):
         # A link that is compared is searched completely.
         if row["routing_compared_share"] == 1.0:
             assert row["routing_recall"] == 1.0
-        # A link that is probed outgrew the plan, so its check read the census.
-        assert row["census_share"] >= round(1.0 - row["routing_compared_share"], 4)
     # Both sides of the crossover are in the table.
     assert {row["routing_compared_share"] for row in table.rows} >= {0.0, 1.0}

@@ -3,8 +3,8 @@
 
 Builds a 15-broker tree carrying the sensor-network scenario (temperature /
 humidity / battery alerts), replays the same subscription and event stream
-under every covering kind a broker offers — none, exact and approximate,
-the last two one exact scan of what a link forwarded — and reports:
+under every covering kind a broker offers — none, and approximate, one
+exact scan of what a link forwarded — and reports:
 
 * routing-table entries and subscription messages (what covering saves),
 * covering-check work units (what covering costs),

@@ -13,8 +13,8 @@ covering (ICDCS 2007 / JPDC 2012).  The package is layered bottom-up:
   decomposition, ε-approximate point dominance, approximate covering
   detection, and the analytic bounds (Theorems 3.1 and 4.1).
 * :mod:`repro.baselines` — linear-scan, exhaustive-SFC and probabilistic
-  covering detectors (the linear scan is also the ``exact`` routing
-  strategy; the probabilistic one is a recall comparison only).
+  covering detectors (a broker link's ``approximate`` covering check is the
+  linear scan; the probabilistic one is a recall comparison only).
 * :mod:`repro.pubsub` — a content-based publish/subscribe broker network that
   uses sound covering to prune subscription propagation.
 * :mod:`repro.workloads` / :mod:`repro.analysis` — synthetic workloads,

@@ -31,9 +31,7 @@ schedule.  A plan therefore knows its size — :attr:`DominancePlan.cubes`, from
 the census alone — before any cube is built, and
 :meth:`repro.core.covering.ApproximateCoveringDetector.find_covering_profile`
 executes it only against a detector holding more subscriptions than that;
-smaller ones are compared directly and never materialise a schedule.  Below
-:func:`plan_cubes_floor`, a bound on that size read off the region's sides,
-they never run the census either.  The entry
+smaller ones are compared directly and never materialise a schedule.  The entry
 points here serve the paper's own experiments at any size: execution joins
 schedule and stored keys from whichever side is smaller and *reports* the runs
 a probe loop would have issued.
@@ -62,7 +60,6 @@ __all__ = [
     "DominancePlan",
     "ClassTable",
     "build_dominance_plan",
-    "plan_cubes_floor",
 ]
 
 
@@ -180,10 +177,9 @@ class DominancePlan:
     their key runs depends only on the query point, the universe, the curve,
     ε and the cube budget — not on the index contents.  A plan captures that
     schedule once so that the same query point can be probed against many
-    indexes (one covering strategy per broker link) without re-running the
-    decomposition each time.  The key ranges are curve-specific, so the plan
-    records the curve it was built for and can only be executed against an
-    index using the same curve.
+    indexes without re-running the decomposition each time.  The key ranges
+    are curve-specific, so the plan records the curve it was built for and
+    can only be executed against an index using the same curve.
 
     The schedule is held as one key-sorted table per level class
     (:class:`ClassTable`) and nothing else.  Classes are materialised lazily,
@@ -316,26 +312,6 @@ def _coverage_target(region_volume: int, epsilon: float) -> int:
     target exactly when it reaches the target's ceiling.
     """
     return math.ceil((1.0 - epsilon) * region_volume)
-
-
-def plan_cubes_floor(lengths: Sequence[int], *, epsilon: float, cube_budget: int) -> int:
-    """A lower bound on the cubes of the plan for a region of side ``lengths``, without a census.
-
-    No standard cube inside the region is wider than the largest power of two
-    that fits its narrowest side, ``2^(b − 1)`` for a side of ``b`` bits, so
-    the schedule cannot reach its coverage target — the whole volume at
-    ``ε = 0`` — in fewer than ``⌈target / 2^((b − 1)·d)⌉`` cubes, and stops
-    at the budget if it gets there first.
-
-    >>> plan_cubes_floor((4, 4), epsilon=0.0, cube_budget=100)
-    1
-    >>> plan_cubes_floor((5, 3), epsilon=0.0, cube_budget=100)
-    4
-    """
-    volume = math.prod(lengths)
-    target = _coverage_target(volume, epsilon) if epsilon > 0 else volume
-    largest_cube_bits = (min(lengths).bit_length() - 1) * len(lengths)
-    return min(cube_budget, -(-target >> largest_cube_bits))
 
 
 def build_dominance_plan(
@@ -523,10 +499,9 @@ class ApproximateDominanceIndex:
         :meth:`SFCArray.first_probe_hit` joins the class's table against the
         stored keys from whichever side is smaller.  The witness and every
         counter of the result are those of a probe-by-probe walk of the
-        schedule, whichever side drove the join.  Routing calls this only
-        with more stored points than the plan has cubes, hence always on the
-        probe-in-schedule-order side; the keyed side serves offline queries,
-        whose 10^5–10^6-cube schedules dwarf any stored set.  The plan must
+        schedule, whichever side drove the join.  The keyed side serves
+        offline queries, whose 10^5–10^6-cube schedules dwarf any stored
+        set.  The plan must
         have been built for this index's universe *and* curve — a plan's key
         ranges are curve-specific.  The item ``exclude`` names is skipped as
         if it were not stored; the index is not modified.

@@ -10,7 +10,7 @@ from .config import (
 )
 from .kdtree import KDTree, KDTreeStats
 from .range_tree import RangeTree, RangeTreeStats
-from .sfc_array import FlatBackend, FlatSegmentStore, SFCArray, SFCArrayStats, StoredItem
+from .sfc_array import FlatSegmentStore, SFCArray, SFCArrayStats, StoredItem
 
 __all__ = [
     "IndexConfig",
@@ -19,7 +19,6 @@ __all__ = [
     "PRECISION_BIT_BUDGET",
     "DEFAULT_CUBE_BUDGET",
     "DEFAULT_EPSILON",
-    "FlatBackend",
     "KDTree",
     "KDTreeStats",
     "RangeTree",

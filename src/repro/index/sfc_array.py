@@ -8,8 +8,9 @@ number of runs touched rather than the volume covered.
 
 :class:`SFCArray` stores ``(item_id, point)`` pairs under their curve keys.
 Multiple items may share a cell (identical subscriptions map to the same
-point), so each key holds a small bucket.  The buckets live in a
-:class:`FlatBackend`, a flattened sorted key array probed by ``bisect``.
+point), so each key holds a small bucket.  The occupied keys are one sorted
+Python list, probed by ``bisect``: at the few thousand points the paper's
+drivers store, an insertion's ``O(n)`` shift is a C-speed ``memmove``.
 
 Instrumentation: the array counts range probes and items scanned so that
 benchmarks can report the work done by approximate vs exhaustive queries in
@@ -23,17 +24,17 @@ from __future__ import annotations
 
 import bisect
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
-from math import isqrt, sqrt
-from typing import Any, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from math import sqrt
+from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..sfc.base import KeyRange, SpaceFillingCurve
 from ..sfc.runs import merge_key_ranges
 
-__all__ = ["FlatBackend", "SFCArray", "SFCArrayStats", "StoredItem", "FlatSegmentStore"]
+__all__ = ["SFCArray", "SFCArrayStats", "StoredItem", "FlatSegmentStore"]
 
 #: What a sweep of :class:`FlatSegmentStore` produces: segment lower bounds,
 #: segment upper bounds, cuts and members (see the class docstring).
@@ -69,146 +70,20 @@ class SFCArrayStats:
         self.items_scanned = 0
 
 
-@dataclass
-class _Bucket:
-    """All items that map to the same cell (and therefore the same key)."""
-
-    items: Dict[Hashable, StoredItem] = field(default_factory=dict)
-
-
-class FlatBackend:
-    """Flattened sorted-array ordered map with amortised updates.
-
-    Three parallel structures hold the map:
-
-    * ``_main`` — a sorted key array probed by ``bisect`` (may contain
-      tombstoned keys awaiting compaction);
-    * ``_pending`` — a small sorted insert buffer, merged into ``_main`` when
-      it outgrows ``O(√n)`` (the classic logarithmic-method bound: total merge
-      work stays ``O(n√n)`` element moves, all at C speed via ``list.sort``'s
-      run detection);
-    * ``_dead`` — tombstoned keys still physically present in ``_main``;
-      compaction rewrites ``_main`` once tombstones exceed a quarter of it.
-
-    Probes consult both sorted arrays with two binary searches, skipping
-    tombstones, so queries never pay a Python-level linear scan.
-    """
-
-    def __init__(self) -> None:
-        self._main: List[int] = []
-        self._pending: List[int] = []
-        self._values: Dict[int, Any] = {}
-        self._dead: Set[int] = set()
-        self.merges = 0
-
-    def _pending_cap(self) -> int:
-        return 64 + isqrt(len(self._main))
-
-    def _merge(self) -> None:
-        main = self._main
-        if self._dead:
-            dead = self._dead
-            main = [key for key in main if key not in dead]
-            dead.clear()
-        main.extend(self._pending)
-        # Timsort detects the two pre-sorted runs, so this is a C-speed merge.
-        main.sort()
-        self._main = main
-        self._pending.clear()
-        self.merges += 1
-
-    def insert(self, key: int, value: Any) -> None:
-        if key in self._values:
-            self._values[key] = value
-            return
-        self._values[key] = value
-        if key in self._dead:
-            # The key is still physically in _main; resurrect it in place.
-            self._dead.discard(key)
-            return
-        bisect.insort(self._pending, key)
-        if len(self._pending) > self._pending_cap():
-            self._merge()
-
-    def delete(self, key: int) -> bool:
-        if key not in self._values:
-            return False
-        del self._values[key]
-        idx = bisect.bisect_left(self._pending, key)
-        if idx < len(self._pending) and self._pending[idx] == key:
-            self._pending.pop(idx)
-            return True
-        self._dead.add(key)
-        if len(self._dead) * 4 > len(self._main):
-            self._merge()
-        return True
-
-    def get(self, key: int, default: Any = None) -> Any:
-        return self._values.get(key, default)
-
-    def first_in_range(self, low: int, high: int) -> Optional[Tuple[int, Any]]:
-        best: Optional[int] = None
-        main, dead = self._main, self._dead
-        idx = bisect.bisect_left(main, low)
-        while idx < len(main):
-            key = main[idx]
-            if key > high:
-                break
-            if key not in dead:
-                best = key
-                break
-            idx += 1
-        pending = self._pending
-        idx = bisect.bisect_left(pending, low)
-        if idx < len(pending):
-            key = pending[idx]
-            if key <= high and (best is None or key < best):
-                best = key
-        if best is None:
-            return None
-        return (best, self._values[best])
-
-    def items_in_range(self, low: int, high: int) -> Iterator[Tuple[int, Any]]:
-        main, pending, dead = self._main, self._pending, self._dead
-        i = bisect.bisect_left(main, low)
-        j = bisect.bisect_left(pending, low)
-        while True:
-            while i < len(main) and main[i] in dead:
-                i += 1
-            a = main[i] if i < len(main) else None
-            b = pending[j] if j < len(pending) else None
-            if a is None and b is None:
-                return
-            if b is None or (a is not None and a < b):
-                key = a
-                i += 1
-            else:
-                key = b
-                j += 1
-            if key > high:
-                return
-            yield (key, self._values[key])
-
-    def items(self) -> Iterator[Tuple[int, Any]]:
-        if not self._values:
-            return iter(())
-        low = self._main[0] if self._main else self._pending[0]
-        if self._pending and (not self._main or self._pending[0] < low):
-            low = self._pending[0]
-        return self.items_in_range(low, max(self._main[-1] if self._main else low,
-                                            self._pending[-1] if self._pending else low))
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-
 class SFCArray:
-    """Points indexed in SFC key order, buckets kept in a :class:`FlatBackend`."""
+    """Points indexed in SFC key order: one sorted list of occupied keys.
+
+    ``_keys`` holds every occupied curve key once, ascending; ``_buckets``
+    maps each of them to its items (``item_id -> StoredItem``, in insertion
+    order).  A key enters the list when its first item arrives and leaves it
+    when its last one does, so every probe is a ``bisect`` on ``_keys``.
+    """
 
     def __init__(self, curve: SpaceFillingCurve) -> None:
         self.curve = curve
         self.universe = curve.universe
-        self._backend = FlatBackend()
+        self._keys: List[int] = []
+        self._buckets: Dict[int, Dict[Hashable, StoredItem]] = {}
         self._key_of_item: Dict[Hashable, int] = {}
         self.stats = SFCArrayStats()
 
@@ -222,17 +97,18 @@ class SFCArray:
     def add(self, item_id: Hashable, point: Sequence[int]) -> int:
         """Insert an item at ``point``; returns the curve key it was stored under.
 
-        Re-adding an existing ``item_id`` moves it to the new point.
+        Re-adding an existing ``item_id`` moves it to the new point, at the
+        end of that point's bucket.
         """
         pt = self.universe.validate_point(point)
         if item_id in self._key_of_item:
             self.remove(item_id)
         key = self.curve.key(pt)
-        bucket: Optional[_Bucket] = self._backend.get(key)
+        bucket = self._buckets.get(key)
         if bucket is None:
-            bucket = _Bucket()
-            self._backend.insert(key, bucket)
-        bucket.items[item_id] = StoredItem(item_id, pt)
+            bucket = self._buckets[key] = {}
+            bisect.insort(self._keys, key)
+        bucket[item_id] = StoredItem(item_id, pt)
         self._key_of_item[item_id] = key
         self.stats.inserts += 1
         return key
@@ -242,11 +118,11 @@ class SFCArray:
         key = self._key_of_item.pop(item_id, None)
         if key is None:
             return False
-        bucket: Optional[_Bucket] = self._backend.get(key)
-        if bucket is not None:
-            bucket.items.pop(item_id, None)
-            if not bucket.items:
-                self._backend.delete(key)
+        bucket = self._buckets[key]
+        del bucket[item_id]
+        if not bucket:
+            del self._buckets[key]
+            del self._keys[bisect.bisect_left(self._keys, key)]
         self.stats.deletes += 1
         return True
 
@@ -255,27 +131,23 @@ class SFCArray:
         key = self._key_of_item.get(item_id)
         if key is None:
             return None
-        bucket: Optional[_Bucket] = self._backend.get(key)
-        if bucket is None:
-            return None
-        stored = bucket.items.get(item_id)
-        return stored.point if stored is not None else None
+        return self._buckets[key][item_id].point
 
     # ---------------------------------------------------------------- queries
     def first_in_key_range(self, key_range: KeyRange) -> Optional[StoredItem]:
         """Return any one item whose key lies in the inclusive range, or ``None``.
 
-        This is the run-emptiness probe of the paper: two binary searches in
+        This is the run-emptiness probe of the paper: a binary search in
         the ordered structure, independent of how many cells the run spans.
         """
         low, high = key_range
         self.stats.range_probes += 1
-        hit = self._backend.first_in_range(low, high)
-        if hit is None:
+        keys = self._keys
+        i = bisect.bisect_left(keys, low)
+        if i == len(keys) or keys[i] > high:
             return None
-        _, bucket = hit
         # Buckets are never left empty, so next(iter(...)) is safe.
-        return next(iter(bucket.items.values()))
+        return next(iter(self._buckets[keys[i]].values()))
 
     def first_probe_hit(
         self,
@@ -293,14 +165,11 @@ class SFCArray:
         and the advance of ``stats.range_probes``, are those of calling
         :meth:`first_in_key_range` on the rows in search order up to the first
         hit.  It is computed as a join from the smaller side: an array with
-        no more items than the table has rows bisects each stored key into
+        no more items than the table has rows bisects each occupied key into
         the table and keeps the hit with the smallest probe index, then the
         smallest key (what that probe returns); otherwise the rows are probed
-        in order.  Stored keys come from the item map, so the backend's
-        pending and tombstoned keys never matter.  The keyed half is what
-        lets an offline query over a 10^5–10^6-cube schedule finish in
-        milliseconds; routing no longer reaches it (a link holding no more
-        subscriptions than a plan has cubes is compared without a plan).
+        in order.  The keyed half is what lets an offline query over a
+        10^5–10^6-cube schedule finish in milliseconds.
 
         ``exclude`` names a stored item the join treats as absent: the answer
         is that of the array without it, and the array is left untouched (a
@@ -309,42 +178,37 @@ class SFCArray:
         """
         rows = len(los)
         stored = len(self._key_of_item)
+        keys, buckets = self._keys, self._buckets
         # A key whose bucket holds nothing but the excluded item: no probe hits it.
         hidden = -1
         excluded_key = self._key_of_item.get(exclude) if exclude is not None else None
         if excluded_key is not None:
             stored -= 1
-            if len(self._backend.get(excluded_key).items) == 1:
+            if len(buckets[excluded_key]) == 1:
                 hidden = excluded_key
+        probe, key = rows, -1
         if stored <= rows:
-            stored_keys: Iterable[int] = self._key_of_item.values()
-            if hidden >= 0:
-                stored_keys = [stored_key for stored_key in stored_keys if stored_key != hidden]
-            probe, key = rows, -1
-            for stored_key in stored_keys:
+            # Keys ascend, so the first key a probe index is met with is its smallest.
+            for stored_key in keys:
                 row = bisect.bisect_left(his, stored_key)
-                if row < rows and los[row] <= stored_key:
+                if row < rows and los[row] <= stored_key and stored_key != hidden:
                     candidate = probe_of_row[row]
-                    if candidate < probe or (candidate == probe and stored_key < key):
+                    if candidate < probe:
                         probe, key = candidate, stored_key
-            bucket = self._backend.get(key) if probe < rows else None
         else:
-            first_in_range = self._backend.first_in_range
-            bucket = None
-            for probe, row in enumerate(row_of_probe):
-                hit = first_in_range(los[row], his[row])
-                if hit is not None:
-                    if hit[0] == hidden:
-                        hit = first_in_range(hidden + 1, his[row])
-                        if hit is None:
-                            continue
-                    bucket = hit[1]
+            occupied = len(keys)
+            for candidate, row in enumerate(row_of_probe):
+                i = bisect.bisect_left(keys, los[row])
+                if i < occupied and keys[i] == hidden:
+                    i += 1
+                if i < occupied and keys[i] <= his[row]:
+                    probe, key = candidate, keys[i]
                     break
-        if bucket is None:
+        if probe == rows:
             self.stats.range_probes += rows
             return None
         self.stats.range_probes += probe + 1
-        items = iter(bucket.items.values())
+        items = iter(buckets[key].values())
         witness = next(items)
         if excluded_key is not None and witness.item_id == exclude:
             witness = next(items)
@@ -354,8 +218,9 @@ class SFCArray:
         """Yield every item whose key lies in the inclusive range, in key order."""
         low, high = key_range
         self.stats.range_scans += 1
-        for _, bucket in self._backend.items_in_range(low, high):
-            for stored in bucket.items.values():
+        keys = self._keys
+        for key in keys[bisect.bisect_left(keys, low) : bisect.bisect_right(keys, high)]:
+            for stored in self._buckets[key].values():
                 self.stats.items_scanned += 1
                 yield stored
 
@@ -364,14 +229,13 @@ class SFCArray:
         return sum(1 for _ in self.items_in_key_range(key_range))
 
     def items(self) -> Iterator[StoredItem]:
-        """Yield every stored item in curve-key order."""
-        for _, bucket in self._backend.items():
-            yield from bucket.items.values()
+        """Yield every stored item in curve-key order, each bucket in insertion order."""
+        for key in self._keys:
+            yield from self._buckets[key].values()
 
     def keys(self) -> Iterator[int]:
         """Yield the distinct occupied curve keys in ascending order."""
-        for key, _ in self._backend.items():
-            yield key
+        return iter(self._keys)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"SFCArray(curve={self.curve.name}, items={len(self)})"

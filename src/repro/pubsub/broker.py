@@ -124,7 +124,7 @@ class Broker:
     covering:
         Covering kind (:data:`~repro.pubsub.routing_table.COVERING_KINDS`)
         applied independently per outgoing interface: ``"none"`` forwards
-        everything, ``"exact"`` and ``"approximate"`` run the same exact scan.
+        everything, ``"approximate"`` runs one exact scan per link.
     config:
         The one :class:`~repro.index.config.IndexConfig` of this broker
         (defaults to ``IndexConfig()``), read by the interface tables' match

@@ -194,7 +194,8 @@ class BrokerNetwork:
         Shared message schema.
     covering:
         Covering kind used by every broker
-        (:data:`~repro.pubsub.routing_table.COVERING_KINDS`).
+        (:data:`~repro.pubsub.routing_table.COVERING_KINDS`): ``"none"`` or
+        ``"approximate"``.
     seed:
         Seed of the default trace log, built when ``tracing`` is not given.
     transport:

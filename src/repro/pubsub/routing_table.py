@@ -11,9 +11,9 @@ neighbour covers the new one, forwarding is redundant.  The broker decides
 that on each link itself (:meth:`~repro.pubsub.broker.Broker._covering_check`)
 by one exact scan of the subscriptions it has forwarded there;
 :data:`COVERING_KINDS` names whether it does.  ``none`` always forwards;
-``exact`` and ``approximate`` run the same scan, which meets the paper's
-ε-approximate contract for every ε.  A reported cover really covers, so
-suppression never costs a delivery.
+``approximate`` runs the scan, which meets the paper's ε-approximate
+contract for every ε.  A reported cover really covers, so suppression never
+costs a delivery.
 """
 
 from __future__ import annotations
@@ -39,9 +39,9 @@ __all__ = [
 ]
 
 #: Covering kinds a broker accepts: ``none`` forwards every subscription;
-#: ``exact`` and ``approximate`` suppress one a forwarded subscription covers,
-#: found by the same exact scan.
-COVERING_KINDS = ("none", "exact", "approximate")
+#: ``approximate`` suppresses one a forwarded subscription covers, found by an
+#: exact scan.
+COVERING_KINDS = ("none", "approximate")
 
 
 def check_covering_kind(kind: str) -> None:

@@ -90,17 +90,12 @@ class TestSystemExperiments:
             num_brokers=5,
             num_subscriptions=60,
             num_events=15,
-            strategies=("none", "exact", "approximate"),
         )
         rows = {row["strategy"]: row for row in table.rows}
-        none_row = rows["none"]
-        exact_row = rows["exact"]
-        assert exact_row["routing_table_entries"] <= none_row["routing_table_entries"]
-        # One scan behind both kinds: the same tables, messages and work.
-        untimed = (
-            "routing_table_entries", "subscription_messages", "suppressed", "covering_work_units"
-        )
-        assert [rows["approximate"][k] for k in untimed] == [exact_row[k] for k in untimed]
+        assert set(rows) == {"none", "approximate"}
+        none_row, covering_row = rows["none"], rows["approximate"]
+        assert covering_row["routing_table_entries"] < none_row["routing_table_entries"]
+        assert covering_row["suppressed"] > 0 and none_row["covering_work_units"] == 0
         for row in rows.values():
             assert row["events_missed"] == 0
 

@@ -1,13 +1,14 @@
-"""A detector's dominance index, built on first read, answers as one kept up all along.
+"""A covering detector answers as a bare dominance index over the same points.
 
-``ApproximateCoveringDetector`` keeps only the stored ranges until something
-reads its ε-search index (``find_covering``, ``find_covering_exhaustive``,
-``find_covering_profile`` above the crossover, or ``.index``), then inserts
-them in storage order and maintains the index from there.  Here a detector is driven
-through random add / replace / remove / query sequences beside an
-``ApproximateDominanceIndex`` updated on every step, and every check must
-report the same witness and the same cost on both.  A query that excludes an
-id is also held to an index that never stored that id.
+``ApproximateCoveringDetector`` keeps each subscription's ranges (in storage
+order: a replaced id moves to the end) and its dominance point in an
+``ApproximateDominanceIndex``.  Here a detector is driven through random add
+/ replace / remove / query sequences beside a bare index updated on every
+step, and every check must report the same witness and the same cost on
+both: ``find_covering`` / ``find_covering_exhaustive`` the bare index's
+query, ``find_covering_profile`` ``first_covering`` over the stored ranges
+up to the plan's size and the bare index's plan execution above it.  A query
+that excludes an id is also held to an index that never stored that id.
 """
 
 from __future__ import annotations
@@ -78,75 +79,51 @@ def without(index, excluded):
     cube_budget=st.sampled_from([1, 4, 16, 2_000]),
     operations=st.lists(OPERATIONS, max_size=40),
 )
-def test_lazy_index_answers_as_an_eager_one(curve, epsilon, cube_budget, operations):
+def test_detector_answers_as_a_bare_dominance_index(curve, epsilon, cube_budget, operations):
     config = IndexConfig(curve=curve, epsilon=epsilon, cube_budget=cube_budget)
-    lazy = ApproximateCoveringDetector(ATTRIBUTES, ORDER, config)
-    transform = lazy.transform
-    eager = ApproximateDominanceIndex(
+    detector = ApproximateCoveringDetector(ATTRIBUTES, ORDER, config)
+    transform = detector.transform
+    bare = ApproximateDominanceIndex(
         universe=transform.universe,
         epsilon=epsilon,
         curve=make_curve(curve, transform.universe),
         cube_budget=cube_budget,
     )
     stored = {}  # the ranges in storage order: a replaced id moves to the end
-    built = False
     for operation in operations:
         kind = operation[0]
         if kind == "add":
             _, sub_id, ranges = operation
-            lazy.add_subscription(sub_id, ranges)
-            eager.insert(sub_id, transform.to_point(ranges))
+            detector.add_subscription(sub_id, ranges)
+            bare.insert(sub_id, transform.to_point(ranges))
             stored.pop(sub_id, None)
             stored[sub_id] = ranges
         elif kind == "remove":
             sub_id = operation[1]
-            assert lazy.remove_subscription(sub_id) == (sub_id in stored)
-            eager.remove(sub_id)
+            assert detector.remove_subscription(sub_id) == (sub_id in stored)
+            bare.remove(sub_id)
             stored.pop(sub_id, None)
         elif kind == "find":
             _, ranges, exclude, query_epsilon = operation
             point = transform.to_point(ranges)
-            expected = eager.query(point, query_epsilon, exclude)
-            assert expected == without(eager, exclude).query(point, query_epsilon)
+            expected = bare.query(point, query_epsilon, exclude)
+            assert expected == without(bare, exclude).query(point, query_epsilon)
             if query_epsilon == 0.0:
-                result = lazy.find_covering_exhaustive(ranges, exclude=exclude)
+                result = detector.find_covering_exhaustive(ranges, exclude=exclude)
             else:
-                result = lazy.find_covering(ranges, exclude=exclude)
+                result = detector.find_covering(ranges, exclude=exclude)
             witness = expected.item.item_id if expected.item is not None else None
             assert outcome(result.covering_id, result.query) == outcome(witness, expected)
-            built = True
         else:
-            profile = lazy.profile(operation[1])
+            profile = detector.profile(operation[1])
             if len(stored) <= profile.plan.cubes:
                 covering_id, compared = first_covering(stored.items(), profile.ranges)
                 expected = outcome(covering_id, None, compared)
             else:
-                query = eager.execute_plan(profile.plan)
+                query = bare.execute_plan(profile.plan)
                 expected = outcome(query.item.item_id if query.item else None, query)
-                built = True
-            result = lazy.find_covering_profile(profile)
+            result = detector.find_covering_profile(profile)
             assert outcome(result.covering_id, result.query, result.comparisons) == expected
-        assert lazy.subscriptions() == stored
-        assert list(lazy.subscriptions()) == list(stored)
-        assert (lazy._index is not None) == built
-        if built:
-            assert list(lazy.index.array.items()) == list(eager.array.items())
-    # A build from whatever state the sequence left equals the eager index.
-    assert list(lazy.index.array.items()) == list(eager.array.items())
-    assert len(lazy.index) == len(eager)
-
-
-def test_reading_the_index_builds_it_once():
-    detector = ApproximateCoveringDetector(ATTRIBUTES, ORDER, IndexConfig(cube_budget=4))
-    detector.add_subscription("wide", [(0, MAX_VALUE), (0, MAX_VALUE)])
-    detector.add_subscription("narrow", [(3, 4), (3, 4)])
-    profile = detector.profile([(5, 6), (5, 6)])
-    assert detector.compatible_profile(profile)
-    assert detector.find_covering_profile(profile).query is None  # compared
-    assert detector._index is None
-    index = detector.index
-    assert detector.index is index and len(index) == 2
-    detector.add_subscription("late", [(1, 2), (1, 2)])
-    detector.remove_subscription("narrow")
-    assert detector.index is index
-    assert sorted(item.item_id for item in index.array.items()) == ["late", "wide"]
+        assert detector.subscriptions() == stored
+        assert list(detector.subscriptions()) == list(stored)
+        assert list(detector.index.array.items()) == list(bare.array.items())

@@ -88,18 +88,16 @@ def test_unmerged_plan_keeps_grid_order():
 def populate(index, points, shared_cell):
     """Leave ``index`` holding every kind of entry a join must see through.
 
-    Merged keys, tombstones (removed after a merge), a resurrected key
-    (removed, then re-inserted while still physically present), pending keys
-    (inserted after the merge) and several items in one cell.
+    Keys whose cells were emptied, a key removed and inserted again (its
+    item at the end of its bucket), and several items in one cell.
     """
     first, second = points[: len(points) // 2], points[len(points) // 2 :]
     for i, point in enumerate(first):
         index.insert(("a", i), point)
-    index.array._backend._merge()
     for i in range(0, len(first), 3):
         index.remove(("a", i))
     if first:
-        index.insert(("a", 0), first[0])  # resurrected
+        index.insert(("a", 0), first[0])  # inserted again
     for i, point in enumerate(second):
         index.insert(("b", i), point)
     for i in range(3):

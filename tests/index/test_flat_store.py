@@ -1,74 +1,110 @@
-"""Model-based tests for the flattened stores: the SFC array's and the match index's.
+"""Model-based tests for the SFC array and the match index's flat segment store.
 
-:class:`FlatBackend` is differential-tested against a dict + sorted list
-model through random operation sequences, and :class:`FlatSegmentStore`
+:class:`SFCArray` is differential-tested against a dict-per-key model
+through random add / re-add / remove sequences, and :class:`FlatSegmentStore`
 against a brute-force "scan every slot's runs" stab oracle — including the
 paths that only open at scale (merges, tombstone compaction, bulk loads).
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from array import array
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.geometry.universe import Universe
 from repro.index import sfc_array
-from repro.index.sfc_array import FlatBackend, FlatSegmentStore
+from repro.index.sfc_array import FlatSegmentStore, SFCArray
+from repro.sfc.factory import CURVE_KINDS, make_curve
 from repro.sfc.runs import merge_key_ranges
 
-# ------------------------------------------------------------- FlatBackend
+# ------------------------------------------------------------------ SFCArray
 
-_ops = st.lists(
+#: Add / re-add / remove sequences over a few ids and the 64 cells of a 2-d
+#: order-3 universe, so cells are shared, buckets fill and empty, ids move.
+_array_ops = st.lists(
     st.tuples(
-        st.sampled_from(["insert", "delete", "get", "first", "scan"]),
-        st.integers(min_value=0, max_value=120),
-        st.integers(min_value=0, max_value=120),
+        st.sampled_from(["add", "add", "remove"]),
+        st.integers(min_value=0, max_value=9),
+        st.tuples(st.integers(0, 7), st.integers(0, 7)),
     ),
-    max_size=120,
+    max_size=60,
+)
+_key_ranges = st.lists(
+    st.tuples(st.integers(0, 63), st.integers(0, 63)).map(sorted), min_size=1, max_size=4
 )
 
 
-@given(_ops)
-def test_flat_backend_matches_model(ops):
-    backend = FlatBackend()
+def _first_model_hit(model, lo, hi, excluded=None):
+    """The first ``(item_id, point)`` of the model in ``[lo, hi]``: key order, then bucket order."""
+    return next(
+        (
+            (item_id, point)
+            for key in sorted(model)
+            if lo <= key <= hi
+            for item_id, point in model[key].items()
+            if item_id != excluded
+        ),
+        None,
+    )
+
+
+@pytest.mark.parametrize("kind", CURVE_KINDS)
+@settings(deadline=None)
+@given(ops=_array_ops, ranges=_key_ranges)
+def test_sfc_array_matches_a_sorted_dict_model(kind, ops, ranges):
+    """After every step the items (key order, then bucket order), the occupied
+    keys, every range probe and the whole-schedule probe, excluding no item
+    or any stored one, equal a model that keeps one insertion-ordered dict
+    per key."""
+    curve = make_curve(kind, Universe(dims=2, order=3))
+    array = SFCArray(curve)
     model = {}
-    for op, a, b in ops:
-        lo, hi = min(a, b), max(a, b)
-        if op == "insert":
-            backend.insert(a, f"v{a}-{b}")
-            model[a] = f"v{a}-{b}"
-        elif op == "delete":
-            assert backend.delete(a) == (a in model)
-            model.pop(a, None)
-        elif op == "get":
-            assert backend.get(a) == model.get(a)
-        elif op == "first":
-            keys = sorted(k for k in model if lo <= k <= hi)
-            expected = (keys[0], model[keys[0]]) if keys else None
-            assert backend.first_in_range(lo, hi) == expected
+    # The ranges as a probe schedule (search order as drawn), when disjoint.
+    disjoint = not any(
+        a <= d and c <= b for (a, b), (c, d) in itertools.combinations(ranges, 2)
+    )
+    by_key = sorted(range(len(ranges)), key=lambda probe: ranges[probe][0])
+    row_los = [ranges[probe][0] for probe in by_key]
+    row_his = [ranges[probe][1] for probe in by_key]
+    row_of_probe = [by_key.index(probe) for probe in range(len(ranges))]
+    for op, item_id, point in ops:
+        for bucket in model.values():
+            if bucket.pop(item_id, None) is not None:
+                break
+        model = {key: bucket for key, bucket in model.items() if bucket}
+        if op == "add":
+            array.add(item_id, point)
+            model.setdefault(curve.key(point), {})[item_id] = point
         else:
-            expected = [(k, model[k]) for k in sorted(model) if lo <= k <= hi]
-            assert list(backend.items_in_range(lo, hi)) == expected
-        assert len(backend) == len(model)
-    assert list(backend.items()) == [(k, model[k]) for k in sorted(model)]
-
-
-def test_flat_backend_merges_and_compacts():
-    backend = FlatBackend()
-    for k in range(500):
-        backend.insert(k, k)
-    assert backend.merges > 0
-    for k in range(0, 500, 2):
-        backend.delete(k)
-    assert list(backend.items_in_range(0, 10)) == [(1, 1), (3, 3), (5, 5), (7, 7), (9, 9)]
-    # Deleting then re-inserting a key still physically present resurrects it.
-    backend.delete(1)
-    backend.insert(1, "back")
-    assert backend.get(1) == "back"
-    assert backend.first_in_range(0, 2) == (1, "back")
+            array.remove(item_id)
+        assert [(item.item_id, item.point) for item in array.items()] == [
+            (i, p) for key in sorted(model) for i, p in model[key].items()
+        ]
+        assert list(array.keys()) == sorted(model)
+        for lo, hi in ranges:
+            hit = array.first_in_key_range((lo, hi))
+            assert (None if hit is None else (hit.item_id, hit.point)) == _first_model_hit(
+                model, lo, hi
+            )
+        if not disjoint:
+            continue
+        for excluded in [None, *(item.item_id for item in array.items())]:
+            expected = next(
+                (
+                    (probe, hit)
+                    for probe, (lo, hi) in enumerate(ranges)
+                    for hit in [_first_model_hit(model, lo, hi, excluded)]
+                    if hit is not None
+                ),
+                None,
+            )
+            got = array.first_probe_hit(row_los, row_his, by_key, row_of_probe, excluded)
+            assert (None if got is None else (got[0], (got[1].item_id, got[1].point))) == expected
 
 
 # --------------------------------------------------------- FlatSegmentStore

@@ -11,19 +11,35 @@ from repro.index.sfc_array import SFCArray
 from repro.sfc.factory import CURVE_KINDS, make_curve
 
 
-@pytest.fixture(params=["pending", "merged"])
+@pytest.fixture(params=["fresh", "churned"])
 def layout(request):
-    """Where the store keeps its keys: ``pending`` leaves these small arrays
-    in the sorted insert buffer; ``merged`` merges every insert into the main
-    array at once, so removals leave tombstones there for queries to skip."""
+    """The array's history before a test: ``fresh`` is new; ``churned`` has
+    taken ballast adds, removals and a re-add at an occupied cell, every
+    ballast item is gone again and its counters are reset, so the key list
+    and the buckets a test starts from have been through ``del``."""
     return request.param
+
+
+def churn(array):
+    cells = [(i, (7 * i) % 32) for i in range(0, 32, 3)]
+    for i, cell in enumerate(cells):
+        array.add(("ballast", i), cell)
+    array.add(("twin", 0), cells[0])
+    array.add(("ballast", 0), cells[0])  # re-added at its own, occupied cell
+    for i in range(0, len(cells), 2):
+        array.remove(("ballast", i))
+    array.remove(("twin", 0))
+    for i in range(1, len(cells), 2):
+        array.remove(("ballast", i))
+    assert len(array) == 0 and list(array.keys()) == []
+    array.stats.reset()
 
 
 @pytest.fixture(params=CURVE_KINDS)
 def array(request, layout):
     array = SFCArray(make_curve(request.param, Universe(dims=2, order=5)))
-    if layout == "merged":
-        array._backend._pending_cap = lambda: 0
+    if layout == "churned":
+        churn(array)
     return array
 
 
@@ -59,6 +75,21 @@ class TestSFCArrayUpdates:
         array.remove("a")
         assert "b" in array
         assert array.point_of("b") == (5, 5)
+
+    def test_re_add_at_the_same_point_moves_to_the_end_of_its_bucket(self, array):
+        for item_id in "abc":
+            array.add(item_id, (6, 6))
+        array.add("a", (6, 6))
+        assert [item.item_id for item in array.items()] == ["b", "c", "a"]
+        key = array.curve.key((6, 6))
+        assert array.first_in_key_range((key, key)).item_id == "b"
+        assert list(array.keys()) == [key]
+
+    def test_a_re_add_counts_a_delete_and_an_insert(self, array):
+        array.add("a", (1, 2))
+        array.add("a", (3, 4))
+        assert (array.stats.inserts, array.stats.deletes) == (2, 1)
+        assert list(array.keys()) == [array.curve.key((3, 4))]
 
     def test_stats_counters(self, array):
         array.add("a", (1, 2))
@@ -106,6 +137,20 @@ class TestSFCArrayQueries:
             array.add(i, (i, 0))
         total = array.count_in_key_range((0, array.universe.max_key))
         assert total == 8
+
+    def test_an_emptied_cell_leaves_the_key_list(self, array):
+        array.add("a", (4, 4))
+        array.add("b", (4, 4))
+        array.add("c", (9, 9))
+        key = array.curve.key((4, 4))
+        array.remove("a")
+        assert key in list(array.keys())
+        array.remove("b")
+        assert list(array.keys()) == [array.curve.key((9, 9))]
+        assert array.first_in_key_range((key, key)) is None
+        assert list(array.items_in_key_range((key, key))) == []
+        array.add("a", (4, 4))
+        assert array.first_in_key_range((key, key)).item_id == "a"
 
     def test_keys_distinct_and_sorted(self, array):
         array.add("a", (1, 1))
@@ -196,8 +241,8 @@ class TestFirstProbeHit:
 
 @pytest.mark.parametrize("kind", CURVE_KINDS)
 def test_range_scans_equal_a_brute_force_scan(kind):
-    """200 adds and 67 removes (enough to merge the pending buffer and leave
-    tombstones), then 50 range scans against a scan of every live point."""
+    """200 adds and 67 removes, then 50 range scans against a scan of every
+    live point."""
     universe = Universe(dims=2, order=6)
     curve = make_curve(kind, universe)
     rng = random.Random(11)

@@ -30,7 +30,7 @@ class TestScenarioPipelines:
     @pytest.mark.parametrize(
         "factory", [stock_market_scenario, sensor_network_scenario, auction_scenario]
     )
-    @pytest.mark.parametrize("covering", ["exact", "approximate"])
+    @pytest.mark.parametrize("covering", ["none", "approximate"])
     def test_scenario_runs_without_losing_events(self, factory, covering):
         scenario = factory(num_subscriptions=40, num_events=15, order=8, seed=3)
         network = BrokerNetwork.from_topology(
@@ -53,7 +53,7 @@ class TestScenarioPipelines:
     def test_covering_reduces_traffic_on_stock_scenario(self):
         scenario = stock_market_scenario(num_subscriptions=120, num_events=0, order=8, seed=9)
         traffic = {}
-        for covering in ("none", "exact", "approximate"):
+        for covering in ("none", "approximate"):
             network = BrokerNetwork.from_topology(
                 scenario.schema,
                 tree_topology(7),
@@ -66,9 +66,7 @@ class TestScenarioPipelines:
                 sub = Subscription(scenario.schema, constraints, sub_id=f"s{i}")
                 network.subscribe(rng.randrange(7), f"client-{i}", sub)
             traffic[covering] = network.subscription_messages
-        assert traffic["exact"] < traffic["none"]
         assert traffic["approximate"] < traffic["none"]
-        assert traffic["approximate"] >= traffic["exact"]
 
 
 class TestCoveringChainEndToEnd:

@@ -90,7 +90,7 @@ def assert_same_work(sequential, batch):
 
 class TestBatchEquivalence:
     @pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
-    @pytest.mark.parametrize("covering", ["none", "exact", "approximate"])
+    @pytest.mark.parametrize("covering", ["none", "approximate"])
     def test_batch_equals_sequential_state(self, schema, topology, covering):
         """Same arrival order => identical routing state, batch vs sequential."""
         triples = random_workload(schema, 80, seed=5)
@@ -163,7 +163,7 @@ class TestIncrementalPromotion:
         """wide ⊇ mid ⊇ narrow: withdrawing wide promotes mid only; narrow is
         re-homed under mid without a promotion."""
         network = BrokerNetwork.from_topology(
-            schema, chain_topology(3), covering="exact"
+            schema, chain_topology(3), covering="approximate"
         )
         broker0 = network.brokers[0]
         network.subscribe(0, "cw", Subscription(schema, {"x": (0.0, 90.0)}, sub_id="wide"))
@@ -185,7 +185,7 @@ class TestIncrementalPromotion:
     def test_unrelated_withdrawal_triggers_no_rechecks(self, schema):
         """Withdrawing a sub that covers nothing must not re-check suppressed subs."""
         network = BrokerNetwork.from_topology(
-            schema, chain_topology(2), covering="exact"
+            schema, chain_topology(2), covering="approximate"
         )
         broker0 = network.brokers[0]
         network.subscribe(0, "cw", Subscription(schema, {"x": (0.0, 90.0)}, sub_id="wide"))
@@ -220,7 +220,7 @@ class TestIncrementalPromotion:
         """
         triples = random_workload(schema, 70, seed=21)
         network = BrokerNetwork.from_topology(
-            schema, TOPOLOGIES[topology](6), covering="exact"
+            schema, TOPOLOGIES[topology](6), covering="approximate"
         )
         for broker, items in grouped(triples).items():
             for client, sub in items:

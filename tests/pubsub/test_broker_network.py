@@ -30,7 +30,7 @@ def schema():
     )
 
 
-def make_network(schema, covering="exact", num_brokers=5, epsilon=0.1):
+def make_network(schema, covering="approximate", num_brokers=5, epsilon=0.1):
     return BrokerNetwork.from_topology(
         schema, chain_topology(num_brokers), covering=covering,
         config=IndexConfig(epsilon=epsilon), seed=1
@@ -127,15 +127,17 @@ class TestNetworkConstruction:
         assert network.unsubscribe("solo", "s") is True
         assert network.publish(0, Event(schema, {"x": 10.0, "y": 0.0}, event_id="e3")) == set()
 
+    @pytest.mark.parametrize("kind", ["bogus", "exact"])
     @pytest.mark.parametrize("edges", [[], [(0, 1)]], ids=["1-broker", "2-broker"])
-    def test_unknown_covering_kind_rejected_up_front(self, schema, edges):
+    def test_unknown_covering_kind_rejected_up_front(self, schema, edges, kind):
         # Regression: with one broker no covering strategy is ever built, so
         # "bogus" used to subscribe and deliver; with two the ValueError
-        # surfaced from connect() *after* graph.add_edge.
-        with pytest.raises(ValueError, match="unknown covering strategy 'bogus'"):
-            BrokerNetwork.from_topology(schema, edges, covering="bogus")
-        with pytest.raises(ValueError, match="unknown covering strategy 'bogus'"):
-            Broker(broker_id=0, schema=schema, covering="bogus")
+        # surfaced from connect() *after* graph.add_edge.  "exact" ran the
+        # scan "approximate" runs and is no kind any more.
+        with pytest.raises(ValueError, match=f"unknown covering strategy '{kind}'"):
+            BrokerNetwork.from_topology(schema, edges, covering=kind)
+        with pytest.raises(ValueError, match=f"unknown covering strategy '{kind}'"):
+            Broker(broker_id=0, schema=schema, covering=kind)
 
     def test_rejected_broker_leaves_the_graph_unchanged(self, schema):
         network = BrokerNetwork.from_topology(schema, [(0, 1)])
@@ -181,7 +183,7 @@ class TestSubscriptionPropagation:
             assert network.brokers[broker_id].routing_table_size() >= 1
 
     def test_covered_subscription_not_forwarded(self, schema):
-        network = make_network(schema, covering="exact")
+        network = make_network(schema, covering="approximate")
         wide = Subscription(schema, {"x": (0.0, 90.0)}, sub_id="wide")
         narrow = Subscription(schema, {"x": (10.0, 20.0)}, sub_id="narrow")
         network.subscribe(0, "c1", wide)
@@ -193,7 +195,7 @@ class TestSubscriptionPropagation:
         assert network.brokers[0].stats.subscriptions_suppressed >= 1
 
     def test_uncovered_subscription_is_forwarded(self, schema):
-        network = make_network(schema, covering="exact")
+        network = make_network(schema, covering="approximate")
         network.subscribe(0, "c1", Subscription(schema, {"x": (10.0, 20.0)}, sub_id="narrow"))
         before = network.subscription_messages
         network.subscribe(0, "c2", Subscription(schema, {"x": (0.0, 90.0)}, sub_id="wide"))
@@ -202,7 +204,7 @@ class TestSubscriptionPropagation:
 
     def test_covering_spans_record_choices(self, schema):
         network = BrokerNetwork.from_topology(
-            schema, chain_topology(2), covering="exact", tracing=TraceLog(seed=1)
+            schema, chain_topology(2), covering="approximate", tracing=TraceLog(seed=1)
         )
         network.subscribe(0, "c1", Subscription(schema, {"x": (0.0, 90.0)}, sub_id="wide"))
         network.subscribe(0, "c2", Subscription(schema, {"x": (1.0, 2.0)}, sub_id="narrow"))
@@ -227,7 +229,7 @@ class TestSubscriptionPropagation:
             hi = lo + rng.uniform(5, 50)
             subs.append(Subscription(schema, {"x": (lo, min(hi, 100.0))}, sub_id=f"s{i}"))
         sizes = {}
-        for covering in ("none", "exact", "approximate"):
+        for covering in ("none", "approximate"):
             network = BrokerNetwork.from_topology(
                 schema, tree_topology(5), covering=covering,
                 config=IndexConfig(epsilon=0.1, cube_budget=50_000)
@@ -236,15 +238,11 @@ class TestSubscriptionPropagation:
                 fresh = Subscription(schema, sub.constraints, sub_id=sub.sub_id)
                 network.subscribe(i % 5, f"client-{i}", fresh)
             sizes[covering] = network.routing_table_entries()
-        assert sizes["exact"] <= sizes["none"]
         assert sizes["approximate"] <= sizes["none"]
-        # Approximate covering is sound, so it can only miss suppressions, never
-        # suppress more than exact covering does.
-        assert sizes["approximate"] >= sizes["exact"]
 
 
 class TestEventDelivery:
-    @pytest.mark.parametrize("covering", ["none", "exact", "approximate"])
+    @pytest.mark.parametrize("covering", ["none", "approximate"])
     def test_matching_subscriber_receives_event(self, schema, covering):
         network = make_network(schema, covering=covering)
         sub = Subscription(schema, {"x": (0.0, 50.0)}, sub_id="s")
@@ -275,7 +273,7 @@ class TestEventDelivery:
 
     def test_delivery_audit_no_misses_for_sound_strategies(self, schema):
         rng = random.Random(7)
-        for covering in ("none", "exact", "approximate"):
+        for covering in ("none", "approximate"):
             network = BrokerNetwork.from_topology(
                 schema, tree_topology(7), covering=covering,
                 config=IndexConfig(epsilon=0.2, cube_budget=20_000)

@@ -147,7 +147,7 @@ class TestRecoveryFlushesStaleState:
         network = BrokerNetwork.from_topology(
             schema,
             chain_topology(5),
-            covering="exact",
+            covering="approximate",
             transport=make_transport(transport_kind),
         )
         network.subscribe(0, "c", Subscription(schema, {"x": (0.0, 50.0)}, sub_id="S"))
@@ -173,7 +173,7 @@ class TestInternalCrash:
         network = BrokerNetwork.from_topology(
             schema,
             chain_topology(5),
-            covering="exact",
+            covering="approximate",
             transport=make_transport("sim"),
         )
         for i in range(5):

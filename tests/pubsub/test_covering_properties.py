@@ -120,9 +120,10 @@ class TestCoveringSoundness:
     @settings(deadline=None)
     @given(rects=st.lists(quantised_rect(), min_size=1, max_size=12))
     def test_exact_strategy_complete_against_oracle(self, rects):
-        """An exact link suppresses exactly when an earlier subscription covers
-        the arrival (one covering a suppressed one covers it too)."""
-        broker = link_broker("exact")
+        """A covering link (one exact scan) suppresses exactly when an earlier
+        subscription covers the arrival (one covering a suppressed one covers
+        it too)."""
+        broker = link_broker("approximate")
         link = broker._links[1]
         stored = {}
         for i, ranges in enumerate(rects):
@@ -132,9 +133,11 @@ class TestCoveringSoundness:
             stored[f"s{i}"] = ranges
 
 
-def test_only_sound_covering_is_routable():
-    """``probabilistic`` is no covering kind, and its knobs are no parameters."""
-    assert COVERING_KINDS == ("none", "exact", "approximate")
+@pytest.mark.parametrize("kind", ["probabilistic", "exact"])
+def test_only_sound_covering_is_routable(kind):
+    """``probabilistic`` is no covering kind, and its knobs are no parameters;
+    ``exact`` ran the scan ``approximate`` runs and is no kind either."""
+    assert COVERING_KINDS == ("none", "approximate")
     builders = {
         "Broker": lambda **kw: Broker(broker_id=0, schema=SCHEMA, **kw),
         "BrokerNetwork": lambda **kw: BrokerNetwork(SCHEMA, **kw),
@@ -145,14 +148,14 @@ def test_only_sound_covering_is_routable():
     for build in builders.values():
         build()
         with pytest.raises(ValueError, match="unknown covering strategy"):
-            build(covering="probabilistic")
+            build(covering=kind)
         with pytest.raises(TypeError):
             build(samples=8)
     with pytest.raises(TypeError):
         builders["Broker"](seed=1)
     assert BrokerNetwork(SCHEMA, seed=1).seed == 1  # the trace log's seed stays
     with pytest.raises(SystemExit):
-        cli_main(["serve", "--covering", "probabilistic"])
+        cli_main(["serve", "--covering", kind])
 
 
 @st.composite

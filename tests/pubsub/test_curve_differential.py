@@ -147,9 +147,9 @@ class TestScriptedLockstepDifferential:
         ]
 
         results = {}
-        # The flat oracle: every table scanning, exact (linear) covering.
+        # The flat oracle: every table scanning, covering by the link scan.
         for label, curve, covering, limit in [
-            ("oracle", "zorder", "exact", NEVER),
+            ("oracle", "zorder", "approximate", NEVER),
             *[(kind, kind, "approximate", 0) for kind in CURVE_KINDS],
         ]:
             transport = (
@@ -197,7 +197,7 @@ class TestScriptedLockstepDifferential:
         states = {}
         for curve in CURVE_KINDS:
             network = make_network(
-                scenario.schema, topology, "sync", curve, covering="exact"
+                scenario.schema, topology, "sync", curve, covering="approximate"
             )
             with scan_limit(0):
                 run_scripted_lockstep(network, script)

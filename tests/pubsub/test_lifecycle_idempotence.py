@@ -36,7 +36,7 @@ def schema():
     )
 
 
-def make_network(schema, topology, covering="exact"):
+def make_network(schema, topology, covering="approximate"):
     return BrokerNetwork.from_topology(
         schema, TOPOLOGIES[topology](5), covering=covering, config=IndexConfig(epsilon=0.1)
     )
@@ -234,7 +234,7 @@ class TestClientAtSeveralBrokers:
     """
 
     def _network(self, schema):
-        network = BrokerNetwork.from_topology(schema, chain_topology(3), covering="exact")
+        network = BrokerNetwork.from_topology(schema, chain_topology(3), covering="approximate")
         network.subscribe(0, "alice", Subscription(schema, {"x": (0.0, 30.0)}, sub_id="a"))
         network.subscribe(2, "alice", Subscription(schema, {"x": (60.0, 90.0)}, sub_id="b"))
         return network

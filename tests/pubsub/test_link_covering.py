@@ -2,8 +2,8 @@
 
 ``Broker._covering_check`` compares an arrival with the subscriptions
 forwarded on the link, in forwarding order, and stops at the first cover
-(:func:`~repro.geometry.transform.first_covering`).  ``covering="exact"`` and
-``"approximate"`` run that scan; ``"none"`` forwards everything.  Pinned here:
+(:func:`~repro.geometry.transform.first_covering`).  ``covering="approximate"``
+runs that scan; ``"none"`` forwards everything.  Pinned here:
 
 * **Per decision** — on random subscribe / batch / withdraw / crash / recover
   scripts, under every covering kind, on sync and on sim: every witness is
@@ -14,7 +14,7 @@ forwarded on the link, in forwarding order, and stops at the first cover
   it.
 * **ε and the cube budget reach no broker** — networks built with any
   ``epsilon`` / ``cube_budget`` leave the routing state and broker counters
-  of ``IndexConfig()``, and ``approximate`` decides exactly as ``exact``.
+  of ``IndexConfig()``.
 * **The paper's detector is off the routing path** — a lifecycle script with
   promotions runs clean with the covering profiler and the dominance index's
   plan execution patched to raise.
@@ -38,7 +38,6 @@ from repro.pubsub.broker import Broker
 from repro.pubsub.network import BrokerNetwork, tree_topology
 from repro.pubsub.routing_table import COVERING_KINDS
 from repro.pubsub.subscription import Event, Subscription
-from repro.sfc.factory import CURVE_KINDS
 from repro.sim.latency import FixedLatency
 from repro.sim.transport import SimTransport
 from repro.workloads.dynamics import Action, run_scripted_lockstep
@@ -217,44 +216,18 @@ def test_epsilon_and_cube_budget_do_not_move_routing(epsilon, cube_budget):
     assert sum(b.stats.promotions for b in reference.brokers.values()) > 0
 
 
-@pytest.mark.parametrize("curve", CURVE_KINDS)
-@pytest.mark.parametrize("transport_kind", ["sync", "sim"])
-def test_small_links_decide_as_exact_covering(curve, transport_kind):
-    """``approximate`` and ``exact`` run one scan: equal state after every step."""
-    schema, subscriptions = stock_subscriptions()
-    config = IndexConfig(curve=curve)
-    for seed in range(4):
-        script = random_lifecycle_script(subscriptions, seed)
-        assert {action.kind for action in script} >= {
-            "subscribe", "subscribe_batch", "unsubscribe", "unsubscribe_batch",
-            "crash", "recover",
-        }
-        approximate, exact = (
-            tree_network(schema, covering, transport_kind, config=config)
-            for covering in ("approximate", "exact")
-        )
-        for action in script:
-            run_scripted_lockstep(approximate, [action])
-            run_scripted_lockstep(exact, [action])
-            assert approximate.routing_state() == exact.routing_state(), action.kind
-        assert counters(approximate) == counters(exact)
-        assert sum(b.stats.subscriptions_suppressed for b in exact.brokers.values()) > 0
-        assert sum(b.stats.promotions for b in exact.brokers.values()) > 0
-
-
 # ------------------------------------------- (iii) the ε-search is not called
 def _off_the_routing_path(*args, **kwargs):
     raise AssertionError("the paper's covering detector ran on the routing path")
 
 
 @pytest.mark.parametrize("transport_kind", ["sync", "sim"])
-@pytest.mark.parametrize("covering", ["exact", "approximate"])
-def test_lifecycle_runs_without_the_epsilon_search(covering, transport_kind):
+def test_lifecycle_runs_without_the_epsilon_search(transport_kind):
     """Wide subscriptions over narrow ones, the wide ones withdrawn first: promotions
     run, audits stay clean, and no profile or plan execution is asked for."""
     rng = random.Random(5)
     network = tree_network(
-        SCHEMA, covering, transport_kind, config=IndexConfig(cube_budget=8)
+        SCHEMA, "approximate", transport_kind, config=IndexConfig(cube_budget=8)
     )
     with patch.object(CoveringProfiler, "profile", _off_the_routing_path), patch.object(
         ApproximateDominanceIndex, "execute_plan", _off_the_routing_path
@@ -280,11 +253,10 @@ def test_lifecycle_runs_without_the_epsilon_search(covering, transport_kind):
     assert sum(b.stats.promotions for b in network.brokers.values()) > 0
 
 
-@pytest.mark.parametrize("covering", ["exact", "approximate"])
-def test_a_cover_forwarded_again_is_scanned_last(covering):
+def test_a_cover_forwarded_again_is_scanned_last():
     """A withdrawn id subscribed again is forwarded at the end of the link's set,
     so an older cover is the witness, as in ``LinearScanCoveringDetector``."""
-    network = tree_network(SCHEMA, covering, "sync", brokers=2)
+    network = tree_network(SCHEMA, "approximate", "sync", brokers=2)
     link = network.brokers[0]._links[1]
     left = rect_subscription(((0, 40), (0, MAX_CELL)), "left")
     right = rect_subscription(((20, MAX_CELL), (0, MAX_CELL)), "right")

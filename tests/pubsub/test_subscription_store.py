@@ -52,7 +52,7 @@ def test_one_acquire_per_subscription_a_broker_stores():
         acquired.append(subscription.sub_id)
         return acquire(store, subscription)
 
-    network = BrokerNetwork.from_topology(SCHEMA, tree_topology(5), covering="exact")
+    network = BrokerNetwork.from_topology(SCHEMA, tree_topology(5), covering="approximate")
     with patch.object(SubscriptionStore, "acquire", counting):
         network.subscribe(0, "a", rect_subscription(((0, 60), (0, 60)), "wide"))
         network.subscribe(3, "b", rect_subscription(((10, 20), (10, 20)), "narrow"))

@@ -26,7 +26,7 @@ def schema():
     )
 
 
-def make_network(schema, covering="exact", brokers=4):
+def make_network(schema, covering="approximate", brokers=4):
     return BrokerNetwork.from_topology(
         schema, chain_topology(brokers), covering=covering,
         config=IndexConfig(epsilon=0.1, cube_budget=20_000)
@@ -34,7 +34,7 @@ def make_network(schema, covering="exact", brokers=4):
 
 
 class TestBasicUnsubscription:
-    @pytest.mark.parametrize("covering", ["none", "exact", "approximate"])
+    @pytest.mark.parametrize("covering", ["none", "approximate"])
     def test_unsubscribed_client_stops_receiving(self, schema, covering):
         network = make_network(schema, covering)
         sub = Subscription(schema, {"x": (0.0, 50.0)}, sub_id="s")
@@ -69,7 +69,7 @@ class TestBasicUnsubscription:
 
 
 class TestCoveringAwareWithdrawal:
-    @pytest.mark.parametrize("covering", ["exact", "approximate"])
+    @pytest.mark.parametrize("covering", ["none", "approximate"])
     def test_covered_subscription_reforwarded_after_cover_withdrawn(self, schema, covering):
         """The classic hazard: wide sub suppressed narrow sub's propagation; when the
         wide one goes away the narrow one must be re-forwarded so its subscriber
@@ -79,7 +79,7 @@ class TestCoveringAwareWithdrawal:
         narrow = Subscription(schema, {"x": (10.0, 20.0)}, sub_id="narrow")
         network.subscribe(0, "wide-client", wide)
         network.subscribe(0, "narrow-client", narrow)
-        if covering == "exact":
+        if covering == "approximate":
             assert not network.brokers[0].has_forwarded(1, "narrow")
 
         # Both clients currently receive matching events published remotely.
@@ -92,11 +92,11 @@ class TestCoveringAwareWithdrawal:
         delivered = network.publish(3, Event(schema, {"x": 15.0, "y": 5.0}))
         assert "narrow-client" in delivered
         assert "wide-client" not in delivered
-        if covering == "exact":
+        if covering == "approximate":
             assert network.brokers[0].has_forwarded(1, "narrow")
 
     def test_withdrawing_narrow_subscription_leaves_wide_intact(self, schema):
-        network = make_network(schema, covering="exact")
+        network = make_network(schema, covering="approximate")
         network.subscribe(0, "wide-client", Subscription(schema, {"x": (0.0, 90.0)}, sub_id="wide"))
         network.subscribe(0, "narrow-client", Subscription(schema, {"x": (10.0, 20.0)}, sub_id="narrow"))
         assert network.unsubscribe("narrow-client", "narrow")
@@ -105,7 +105,7 @@ class TestCoveringAwareWithdrawal:
 
     def test_chain_of_covers_unwinds_correctly(self, schema):
         """wide ⊇ mid ⊇ narrow: withdrawing wide re-forwards mid (which still covers narrow)."""
-        network = make_network(schema, covering="exact")
+        network = make_network(schema, covering="approximate")
         network.subscribe(0, "c-wide", Subscription(schema, {"x": (0.0, 90.0)}, sub_id="wide"))
         network.subscribe(0, "c-mid", Subscription(schema, {"x": (5.0, 60.0)}, sub_id="mid"))
         network.subscribe(0, "c-narrow", Subscription(schema, {"x": (10.0, 20.0)}, sub_id="narrow"))
@@ -115,7 +115,7 @@ class TestCoveringAwareWithdrawal:
         delivered = network.publish(3, Event(schema, {"x": 15.0, "y": 5.0}))
         assert {"c-mid", "c-narrow"} <= delivered
 
-    @pytest.mark.parametrize("covering", ["exact", "approximate"])
+    @pytest.mark.parametrize("covering", ["none", "approximate"])
     def test_chained_covers_withdraw_outermost(self, schema, covering):
         """A ⊇ B ⊇ C: withdrawing A must re-forward B downstream; C stays
         suppressed because B still covers it, and nobody loses events."""
@@ -124,7 +124,7 @@ class TestCoveringAwareWithdrawal:
         network.subscribe(0, "c-a", Subscription(schema, {"x": (0.0, 90.0)}, sub_id="A"))
         network.subscribe(0, "c-b", Subscription(schema, {"x": (5.0, 60.0)}, sub_id="B"))
         network.subscribe(0, "c-c", Subscription(schema, {"x": (10.0, 20.0)}, sub_id="C"))
-        if covering == "exact":
+        if covering == "approximate":
             assert broker0.has_forwarded(1, "A")
             assert not broker0.has_forwarded(1, "B")
             assert not broker0.has_forwarded(1, "C")
@@ -132,7 +132,7 @@ class TestCoveringAwareWithdrawal:
         assert network.unsubscribe("c-a", "A")
 
         assert not broker0.has_forwarded(1, "A")
-        if covering == "exact":
+        if covering == "approximate":
             assert broker0.has_forwarded(1, "B")
             assert not broker0.has_forwarded(1, "C")
         missed, extra = network.publish_and_audit(3, Event(schema, {"x": 15.0, "y": 5.0}))
@@ -142,7 +142,7 @@ class TestCoveringAwareWithdrawal:
     def test_suppressed_then_reforwarded_stats(self, schema):
         """The suppression and re-forwarding of a covered subscription must be
         visible in the broker counters, and the suppressed set must drain."""
-        network = make_network(schema, covering="exact")
+        network = make_network(schema, covering="approximate")
         broker0 = network.brokers[0]
         network.subscribe(0, "w", Subscription(schema, {"x": (0.0, 90.0)}, sub_id="wide"))
         network.subscribe(0, "n", Subscription(schema, {"x": (10.0, 20.0)}, sub_id="narrow"))
@@ -163,7 +163,7 @@ class TestCoveringAwareWithdrawal:
     def test_duplicate_subscription_arrival_is_idempotent(self, schema):
         """Regression: a duplicate arrival of an already-forwarded sub_id used
         to call strategy.add again and re-send the subscription downstream."""
-        network = make_network(schema, covering="exact", brokers=2)
+        network = make_network(schema, covering="approximate", brokers=2)
         broker0 = network.brokers[0]
         sub = Subscription(schema, {"x": (0.0, 50.0)}, sub_id="dup")
         broker0.receive_subscription(LOCAL_INTERFACE, sub)
@@ -181,7 +181,7 @@ class TestCoveringAwareWithdrawal:
         broker0.receive_subscription(LOCAL_INTERFACE, covered)
         assert broker0.has_forwarded(1, "later")
 
-    @pytest.mark.parametrize("covering", ["exact", "approximate"])
+    @pytest.mark.parametrize("covering", ["none", "approximate"])
     def test_random_churn_never_loses_events(self, schema, covering):
         """Randomised subscribe/unsubscribe churn with delivery audit after every step."""
         rng = random.Random(31)

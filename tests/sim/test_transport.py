@@ -231,7 +231,7 @@ class TestLinkOrdering:
         for seed in range(6):
             transport = SimTransport(UniformJitterLatency(0.1, 1.0), seed=seed)
             network = BrokerNetwork.from_topology(
-                schema, chain_topology(3), covering="exact", transport=transport
+                schema, chain_topology(3), covering="approximate", transport=transport
             )
             network.subscribe(
                 0, "c", Subscription(schema, {"x": (0.0, 50.0)}, sub_id="S")
@@ -309,7 +309,7 @@ class TestCrashLifecycleRegressions:
 
         transport = SimTransport(FixedLatency(0.1), service_time=1.0, seed=0)
         network = BrokerNetwork.from_topology(
-            schema, chain_topology(2), covering="exact", transport=transport
+            schema, chain_topology(2), covering="approximate", transport=transport
         )
         network.subscribe(1, "c", Subscription(schema, {"x": (0.0, 100.0)}, sub_id="s"))
         network.flush()
@@ -339,7 +339,7 @@ class TestCrashLifecycleRegressions:
             FixedLatency(0.1), inbox_capacity=1, service_time=0.5, seed=0
         )
         network = BrokerNetwork.from_topology(
-            schema, chain_topology(3), covering="exact", transport=transport
+            schema, chain_topology(3), covering="approximate", transport=transport
         )
         for i in range(6):
             network.subscribe(

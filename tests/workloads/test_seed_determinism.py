@@ -159,14 +159,14 @@ class TestScriptDigests:
         Hilbert keying path fails loudly.
         """
 
-        def hilbert_state(covering="approximate"):
+        def hilbert_state():
             scenario = stock_market_scenario(
                 num_subscriptions=25, num_events=10, order=7, seed=5
             )
             network = BrokerNetwork.from_topology(
                 scenario.schema,
                 tree_topology(7),
-                covering=covering,
+                covering="approximate",
                 config=IndexConfig(epsilon=0.2, cube_budget=500, curve="hilbert"),
             )
             script = subscription_churn_script(scenario, BROKER_IDS, seed=3)
@@ -176,9 +176,6 @@ class TestScriptDigests:
         first = hilbert_state()
         assert first == hilbert_state()
         assert digest(first) == "c6ad33953fcabcc0"
-        # Links this small are compared directly, not probed: the state is
-        # the one exact covering leaves.
-        assert first == hilbert_state(covering="exact")
 
     def test_scripts_stable_across_calls(self):
         """Two same-seed builds serialize identically (no hidden global state)."""
