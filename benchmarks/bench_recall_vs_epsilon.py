@@ -84,21 +84,22 @@ def product_budget_recall(stored_sizes=(20, 200, 3_000), num_queries=100, seed=5
                 linear.add_subscription(sub_id, stored_ranges)
             covered = [query for query in queries if linear.find_covering(query) is not None]
             plan_alone = [detector.find_covering(query) for query in covered]
-            # The path a broker link took: profiles from one profiler.
+            # The detector's profile entry point, profiles from one profiler
+            # (no broker takes this path: a link scans what it forwarded).
             profiler = CoveringProfiler(schema.num_attributes, schema.order, config)
-            routed = [
+            profiled = [
                 detector.find_covering_profile(profiler.profile(query)) for query in covered
             ]
-            for result, query in zip(plan_alone + routed, covered + covered):
+            for result, query in zip(plan_alone + profiled, covered + covered):
                 assert detector.verify_witness(result, query)
             table.add(
                 scenario=scenario.name,
                 stored=stored,
                 covered_queries=len(covered),
                 plan_alone_recall=round(sum(r.covered for r in plan_alone) / len(covered), 4),
-                routing_recall=round(sum(r.covered for r in routed) / len(covered), 4),
-                routing_compared_share=round(
-                    sum(r.query is None for r in routed) / len(covered), 4
+                profile_recall=round(sum(r.covered for r in profiled) / len(covered), 4),
+                profile_compared_share=round(
+                    sum(r.query is None for r in profiled) / len(covered), 4
                 ),
                 median_plan_cubes=int(statistics.median(r.cubes_examined for r in exhausted)),
                 delivered_epsilon=round(
@@ -117,9 +118,9 @@ def test_recall_at_product_budget(run_once, record_table):
     record_table("recall_at_product_budget", table)
     for row in table.rows:
         # Sound on both sides, and the join never finds fewer covers than the plan alone.
-        assert row["routing_recall"] >= row["plan_alone_recall"]
-        # A link that is compared is searched completely.
-        if row["routing_compared_share"] == 1.0:
-            assert row["routing_recall"] == 1.0
+        assert row["profile_recall"] >= row["plan_alone_recall"]
+        # A profile that is compared is searched completely.
+        if row["profile_compared_share"] == 1.0:
+            assert row["profile_recall"] == 1.0
     # Both sides of the crossover are in the table.
-    assert {row["routing_compared_share"] for row in table.rows} >= {0.0, 1.0}
+    assert {row["profile_compared_share"] for row in table.rows} >= {0.0, 1.0}

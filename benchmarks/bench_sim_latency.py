@@ -11,7 +11,8 @@ latency tail but may not lose an event.
 A second pass runs a rolling-broker-failure script (crash → traffic → recover)
 and asserts the audit stays clean for surviving, reachable subscribers.
 
-Set ``REPRO_BENCH_SMOKE=1`` for a tiny-size smoke pass (used by ci.sh).
+Set ``REPRO_BENCH_SMOKE=1`` for a tiny-size smoke pass; ci.sh runs this
+bench at full size only, where its tables are checked byte for byte.
 """
 
 from __future__ import annotations

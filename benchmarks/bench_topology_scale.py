@@ -12,7 +12,8 @@ scenario on each class and asserts the partition-aware audit is clean in
 every phase: exact delivery inside each live component during the split, and
 clean reconvergence on the healed overlay.
 
-Set ``REPRO_BENCH_SMOKE=1`` for a tiny-size smoke pass (used by ci.sh).
+Set ``REPRO_BENCH_SMOKE=1`` for a tiny-size smoke pass; ci.sh runs this
+bench at full size only, where its tables are checked byte for byte.
 """
 
 from __future__ import annotations

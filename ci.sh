@@ -58,10 +58,6 @@ stage "benchmark smoke (tiny sizes) + full-size sim tables"
 # bench_match_scale's smoke pass still runs the full parity phase: the match
 # index under every curve must agree with a brute-force rectangle oracle
 # before anything is timed.
-# bench_topology_scale's smoke pass runs the generated internet-scale
-# topology classes (skewed tree / scale-free / grid-of-clusters) at tiny node
-# counts, including the region netsplit -> per-partition traffic -> heal
-# scenario, and asserts the partition-aware audit is clean in every phase.
 # The paper-figure benches have no smoke size (each full size takes a few
 # seconds) and assert the paper's claims on what they measure: Fig. 1's run
 # counts, Fig. 2's query regions, Theorem 3.1's bound, Lemma 3.2's retained
@@ -74,11 +70,14 @@ stage "benchmark smoke (tiny sizes) + full-size sim tables"
 # A smoke pass writes its tables to a temporary directory
 # (benchmarks/conftest.py): the tracked full-size tables must come out of it
 # byte-identical, whether or not they carry uncommitted re-recordings.
-# The simulated-transport tables carry no timings, so their benches then run
+# The simulated-transport tables carry no timings, so their benches run only
 # at full size (a few seconds) and rewrite their tracked tables in place
 # (sim_latency, sim_rolling_failures, topology_scale, topology_netsplit and
 # their BENCH_*.json): the same check fails if any of them no longer
-# regenerates byte for byte.
+# regenerates byte for byte.  That run asserts what a smoke pass would: the
+# topology classes (skewed tree / scale-free / grid-of-clusters) including
+# the region netsplit -> per-partition traffic -> heal scenario, with the
+# partition-aware audit clean in every phase.
 results_listing() { find benchmarks/results -type f -exec cksum {} + | sort -k3; }
 RESULTS_BEFORE=$(results_listing)
 REPRO_BENCH_SMOKE=1 python -m pytest -q \
@@ -86,9 +85,7 @@ REPRO_BENCH_SMOKE=1 python -m pytest -q \
     benchmarks/bench_event_matching.py \
     benchmarks/bench_subscription_churn.py \
     benchmarks/bench_curve_ablation.py \
-    benchmarks/bench_sim_latency.py \
     benchmarks/bench_match_scale.py \
-    benchmarks/bench_topology_scale.py \
     benchmarks/bench_fig1_runs_hilbert_vs_z.py \
     benchmarks/bench_fig2_query_examples.py \
     benchmarks/bench_thm31_upper_bound.py \

@@ -12,9 +12,9 @@ covering (ICDCS 2007 / JPDC 2012).  The package is layered bottom-up:
 * :mod:`repro.core` — the paper's contribution: greedy standard-cube
   decomposition, ε-approximate point dominance, approximate covering
   detection, and the analytic bounds (Theorems 3.1 and 4.1).
-* :mod:`repro.baselines` — linear-scan, exhaustive-SFC and probabilistic
-  covering detectors (a broker link's ``approximate`` covering check is the
-  linear scan; the probabilistic one is a recall comparison only).
+* :mod:`repro.baselines` — linear-scan and probabilistic covering detectors
+  (a broker link's ``approximate`` covering check is an exact scan like the
+  linear one; the probabilistic one is a recall comparison only).
 * :mod:`repro.pubsub` — a content-based publish/subscribe broker network that
   uses sound covering to prune subscription propagation.
 * :mod:`repro.workloads` / :mod:`repro.analysis` — synthetic workloads,
@@ -25,8 +25,8 @@ Quickstart::
     from repro import ApproximateCoveringDetector
     from repro.index.config import IndexConfig
 
-    # An offline query states its cube budget; the routing default of 2,000
-    # stops this one before it reaches the witness.
+    # An offline query states its cube budget; the ``IndexConfig()`` default
+    # of 2,000 cubes stops this one before it reaches the witness.
     detector = ApproximateCoveringDetector(
         attributes=2,
         attribute_order=10,

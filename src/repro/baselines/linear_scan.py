@@ -29,10 +29,6 @@ class LinearScanStats:
     queries: int = 0
     comparisons: int = 0
 
-    def reset(self) -> None:
-        self.queries = 0
-        self.comparisons = 0
-
 
 @dataclass
 class LinearScanCoveringDetector:
@@ -80,10 +76,6 @@ class LinearScanCoveringDetector:
         covering_id, compared = first_covering(self._subscriptions.items(), query, exclude)
         self.stats.comparisons += compared
         return covering_id
-
-    def is_covered(self, ranges: Sequence[Range]) -> bool:
-        """Return True when some stored subscription covers ``ranges``."""
-        return self.find_covering(ranges) is not None
 
     def all_covering(self, ranges: Sequence[Range]) -> List[Hashable]:
         """Return every stored subscription covering ``ranges``."""

@@ -35,18 +35,11 @@ __all__ = ["ProbabilisticCoveringDetector", "ProbabilisticStats"]
 
 @dataclass
 class ProbabilisticStats:
-    """Work counters: candidate evaluations and sample-point matches."""
+    """Work counters: candidate evaluations and verified false positives."""
 
     queries: int = 0
     candidate_checks: int = 0
-    sample_matches: int = 0
     false_positives_detected: int = 0
-
-    def reset(self) -> None:
-        self.queries = 0
-        self.candidate_checks = 0
-        self.sample_matches = 0
-        self.false_positives_detected = 0
 
 
 @dataclass
@@ -146,13 +139,8 @@ class ProbabilisticCoveringDetector:
                 continue
             self.stats.candidate_checks += 1
             if all(self._matches(stored, pt) for pt in sample_points):
-                self.stats.sample_matches += 1
                 if self.verify and not self.transform.covers(stored, query):
                     self.stats.false_positives_detected += 1
                     continue
                 return sub_id
         return None
-
-    def is_covered(self, ranges: Sequence[Range]) -> bool:
-        """Return True when the detector believes some stored subscription covers ``ranges``."""
-        return self.find_covering(ranges) is not None

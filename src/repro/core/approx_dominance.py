@@ -467,16 +467,6 @@ class ApproximateDominanceIndex:
         """
         return self.execute_plan(self.plan(point, epsilon), exclude)
 
-    def exhaustive_query(self, point: Sequence[int]) -> DominanceQueryResult:
-        """Answer an exhaustive dominance query (ε = 0), subject to the cube budget."""
-        return self.query(point, epsilon=0.0)
-
-    def find_dominating(
-        self, point: Sequence[int], epsilon: Optional[float] = None
-    ) -> Optional[StoredItem]:
-        """Convenience wrapper returning only the witness item (or ``None``)."""
-        return self.query(point, epsilon=epsilon).item
-
     # ------------------------------------------------------------------ plans
     def plan(self, point: Sequence[int], epsilon: Optional[float] = None) -> DominancePlan:
         """Build a reusable probe schedule for ``point`` (see :class:`DominancePlan`)."""

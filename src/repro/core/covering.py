@@ -75,11 +75,6 @@ class CoveringResult:
         """True when a covering subscription was found."""
         return self.covering_id is not None
 
-    @property
-    def work_units(self) -> int:
-        """Runs probed plus subscriptions compared: what this check cost."""
-        return self.comparisons + (self.query.runs_probed if self.query is not None else 0)
-
 
 @dataclass(frozen=True)
 class CoveringProfile:
@@ -235,10 +230,6 @@ class ApproximateCoveringDetector:
         result = self.index.query(self.transform.to_point(ranges), epsilon, exclude)
         covering_id = result.item.item_id if result.item is not None else None
         return CoveringResult(covering_id=covering_id, query=result)
-
-    def is_covered(self, ranges: Sequence[Range], epsilon: Optional[float] = None) -> bool:
-        """Return True when the approximate search finds a covering subscription."""
-        return self.find_covering(ranges, epsilon=epsilon).covered
 
     # ---------------------------------------------------------------- profiles
     def compatible_profile(self, profile: CoveringProfile) -> bool:

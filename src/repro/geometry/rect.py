@@ -69,14 +69,6 @@ class Rectangle:
             if lo > hi:
                 raise ValueError(f"low bound {lo} exceeds high bound {hi}")
 
-    # ------------------------------------------------------------ constructors
-    @classmethod
-    def from_bounds(cls, bounds: Sequence[Tuple[int, int]]) -> "Rectangle":
-        """Build a rectangle from a sequence of ``(low, high)`` pairs."""
-        lows = tuple(int(lo) for lo, _ in bounds)
-        highs = tuple(int(hi) for _, hi in bounds)
-        return cls(lows, highs)
-
     # ----------------------------------------------------------------- basics
     @property
     def dims(self) -> int:
@@ -129,14 +121,6 @@ class Rectangle:
             olo <= shi and slo <= ohi
             for slo, shi, olo, ohi in zip(self.low, self.high, other.low, other.high)
         )
-
-    def intersection(self, other: "Rectangle") -> "Rectangle | None":
-        """Return the intersection rectangle, or ``None`` when disjoint."""
-        if not self.intersects(other):
-            return None
-        low = tuple(max(a, b) for a, b in zip(self.low, other.low))
-        high = tuple(min(a, b) for a, b in zip(self.high, other.high))
-        return Rectangle(low, high)
 
     # --------------------------------------------------------------- iteration
     def cells(self) -> Iterator[Tuple[int, ...]]:
@@ -231,10 +215,6 @@ class ExtremalRectangle:
             return None
         return ExtremalRectangle(self.universe, lengths)
 
-    def volume_fraction_of(self, other: "ExtremalRectangle") -> float:
-        """Return ``vol(self) / vol(other)``; used to verify Lemma 3.2."""
-        return self.volume / other.volume
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"ExtremalRectangle(ℓ={self.lengths}, α={self.aspect_ratio})"
 
@@ -310,18 +290,6 @@ class StandardCube:
 
     def contains_point(self, point: Sequence[int]) -> bool:
         return all(lo <= x <= lo + self.side - 1 for x, lo in zip(point, self.low))
-
-    def contains_cube(self, other: "StandardCube") -> bool:
-        """Return True when ``other`` lies entirely inside this cube."""
-        return self.as_rectangle().contains_rectangle(other.as_rectangle())
-
-    def is_disjoint_from(self, other: "StandardCube") -> bool:
-        """Return True when the two cubes share no cell.
-
-        By Lemma 2.1, two distinct standard cubes are either nested or
-        disjoint; this method lets tests verify that invariant.
-        """
-        return not self.as_rectangle().intersects(other.as_rectangle())
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"StandardCube(low={self.low}, side={self.side})"

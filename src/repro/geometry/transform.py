@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Optional, Sequence, Tuple
 
-from .rect import ExtremalRectangle
 from .universe import Universe
 
 __all__ = [
@@ -191,15 +190,6 @@ class DominanceTransform:
         return tuple(ranges)
 
     # ---------------------------------------------------------------- queries
-    def covering_query_region(self, ranges: Sequence[Range]) -> ExtremalRectangle:
-        """Return the extremal rectangle containing the points of all covering subscriptions.
-
-        A subscription ``t`` covers the query subscription ``s`` exactly when
-        ``p(t)`` lies in ``[p(s)_1, M] × ... × [p(s)_{2β}, M]``, which is the
-        extremal rectangle anchored at ``p(s)``.
-        """
-        return ExtremalRectangle.from_query_point(self.universe, self.to_point(ranges))
-
     def covers(self, outer: Sequence[Range], inner: Sequence[Range]) -> bool:
         """Ground-truth covering test in subscription space (no index involved)."""
         return ranges_cover(self.validate_ranges(outer), self.validate_ranges(inner))

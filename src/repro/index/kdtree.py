@@ -28,10 +28,6 @@ class KDTreeStats:
     nodes_visited: int = 0
     queries: int = 0
 
-    def reset(self) -> None:
-        self.nodes_visited = 0
-        self.queries = 0
-
 
 class _Node:
     __slots__ = ("point", "item_id", "axis", "left", "right", "bbox_low", "bbox_high", "deleted")

@@ -39,10 +39,6 @@ class RangeTreeStats:
     nodes_visited: int = 0
     queries: int = 0
 
-    def reset(self) -> None:
-        self.nodes_visited = 0
-        self.queries = 0
-
 
 class _LastDimNode:
     """Base case: points sorted by their final coordinate."""

@@ -62,13 +62,6 @@ class SFCArrayStats:
     range_scans: int = 0
     items_scanned: int = 0
 
-    def reset(self) -> None:
-        self.inserts = 0
-        self.deletes = 0
-        self.range_probes = 0
-        self.range_scans = 0
-        self.items_scanned = 0
-
 
 class SFCArray:
     """Points indexed in SFC key order: one sorted list of occupied keys.
@@ -223,10 +216,6 @@ class SFCArray:
             for stored in self._buckets[key].values():
                 self.stats.items_scanned += 1
                 yield stored
-
-    def count_in_key_range(self, key_range: KeyRange) -> int:
-        """Return the number of items stored in the inclusive key range."""
-        return sum(1 for _ in self.items_in_key_range(key_range))
 
     def items(self) -> Iterator[StoredItem]:
         """Yield every stored item in curve-key order, each bucket in insertion order."""

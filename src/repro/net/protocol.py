@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import json
 import struct
-from typing import Dict, Hashable, List, Mapping, Optional, Tuple
+from typing import Dict, Hashable, List, Mapping, Optional
 
 from ..pubsub.schema import AttributeSchema
 from ..pubsub.subscription import Event, Subscription
@@ -125,11 +125,6 @@ class FrameDecoder:
 
     def __init__(self) -> None:
         self._buffer = bytearray()
-
-    @property
-    def buffered(self) -> int:
-        """Bytes received but not yet decoded into a complete frame."""
-        return len(self._buffer)
 
     def feed(self, data: bytes) -> List[Dict[str, object]]:
         """Consume ``data``; return every frame completed by it (in order)."""

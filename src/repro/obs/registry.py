@@ -233,10 +233,6 @@ class MetricsRegistry:
         """Every registered metric, sorted by name (exposition order)."""
         return [self._metrics[name] for name in sorted(self._metrics)]
 
-    def reset(self) -> None:
-        """Drop every registered metric (tests and scrape isolation)."""
-        self._metrics.clear()
-
     def __len__(self) -> int:
         return len(self._metrics)
 

@@ -7,7 +7,6 @@ from .network import (
     BrokerNetwork,
     DeliveryLog,
     DeliveryRecord,
-    PartitionAudit,
     chain_topology,
     star_topology,
     tree_topology,
@@ -26,7 +25,6 @@ __all__ = [
     "BrokerNetwork",
     "DeliveryLog",
     "DeliveryRecord",
-    "PartitionAudit",
     "chain_topology",
     "star_topology",
     "tree_topology",

@@ -47,17 +47,14 @@ class Subscriber:
         """Return the ids of events delivered to this client among the retained deliveries.
 
         In delivery order; the network's :class:`~repro.pubsub.network.DeliveryLog`
-        keeps the most recent :data:`~repro.sim.transport.RETENTION` deliveries.
+        keeps only the most recent :data:`~repro.sim.transport.RETENTION`
+        deliveries, so an older one is not listed.
         """
         return [
             record.event_id
             for record in self.network.deliveries
             if record.client_id == self.client_id
         ]
-
-    def would_match(self, event: Event) -> bool:
-        """Return True when any of this client's subscriptions matches ``event``."""
-        return any(sub.matches(event) for sub in self.subscriptions)
 
 
 @dataclass

@@ -56,7 +56,6 @@ __all__ = [
     "BrokerNetwork",
     "DeliveryLog",
     "DeliveryRecord",
-    "PartitionAudit",
     "tree_topology",
     "chain_topology",
     "star_topology",
@@ -110,12 +109,9 @@ class DeliveryLog:
     """Every delivery a network made, of which the most recent are kept.
 
     ``len`` counts every delivery ever recorded; the log retains the last
-    :data:`~repro.sim.transport.RETENTION` records.  Integer and slice
-    indices are absolute positions in the full history (negative ones count
-    back from its end): a retained position returns its record, a dropped
-    one raises ``IndexError`` — a slice reaching back past the retained
-    records raises too, rather than coming back shorter.  Iteration yields
-    the retained records, oldest first.
+    :data:`~repro.sim.transport.RETENTION` records, and iteration yields
+    them, oldest first.  Who one publish reached, however many records are
+    retained, comes from :meth:`BrokerNetwork.collect_recipients`.
     """
 
     __slots__ = ("_records", "_total")
@@ -134,24 +130,6 @@ class DeliveryLog:
     def __iter__(self) -> Iterator[DeliveryRecord]:
         return iter(self._records)
 
-    def __getitem__(self, position):
-        first = self._total - len(self._records)
-        if isinstance(position, slice):
-            positions = range(*position.indices(self._total))
-            if positions and min(positions) < first:
-                raise IndexError(
-                    f"delivery log positions before {first} have been dropped"
-                )
-            retained = list(self._records) if positions else []
-            return [retained[at - first] for at in positions]
-        at = position + self._total if position < 0 else position
-        if not first <= at < self._total:
-            raise IndexError(
-                f"delivery log position {position} is not retained "
-                f"(retained: {first}..{self._total - 1})"
-            )
-        return self._records[at - first]
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DeliveryLog):
             return NotImplemented
@@ -161,27 +139,6 @@ class DeliveryLog:
 
     def __repr__(self) -> str:
         return f"DeliveryLog(total={self._total}, retained={list(self._records)!r})"
-
-
-@dataclass(frozen=True)
-class PartitionAudit:
-    """Audit outcome for one live component of a (possibly split) overlay.
-
-    ``component`` is the set of live brokers the event could reach,
-    ``origin`` the broker it was published at, and ``missed`` / ``extra``
-    the audit deltas against the component-restricted ground truth — both
-    empty when delivery within the partition was exact.
-    """
-
-    component: frozenset
-    origin: Hashable
-    event_id: Hashable
-    missed: Set[Hashable]
-    extra: Set[Hashable]
-
-    @property
-    def clean(self) -> bool:
-        return not self.missed and not self.extra
 
 
 @dataclass
@@ -819,39 +776,6 @@ class BrokerNetwork:
         self.audited_missed += len(missed)
         self.audited_duplicates += len(extra)
         return missed, extra
-
-    def publish_and_audit_partitions(self, events: Sequence[Event]) -> List[PartitionAudit]:
-        """Audit delivery exactness in *every* live component of the overlay.
-
-        One event is published per live component — at the component's
-        smallest broker (string order) — and audited against the
-        component-restricted ground truth, so a netsplit overlay is checked
-        partition by partition rather than only from one publisher's side.
-        ``events`` supplies the per-component events in component order (see
-        :meth:`live_components`); it must provide at least one event per
-        component, with distinct event ids.  Returns one
-        :class:`PartitionAudit` per component.
-        """
-        components = self.live_components()
-        events = list(events)
-        if len(events) < len(components):
-            raise ValueError(
-                f"need one event per live component ({len(components)}), got {len(events)}"
-            )
-        audits: List[PartitionAudit] = []
-        for component, event in zip(components, events):
-            origin = min(component, key=str)
-            missed, extra = self.publish_and_audit(origin, event)
-            audits.append(
-                PartitionAudit(
-                    component=frozenset(component),
-                    origin=origin,
-                    event_id=event.event_id,
-                    missed=missed,
-                    extra=extra,
-                )
-            )
-        return audits
 
     # ------------------------------------------------------------------- stats
     def routing_state(self) -> Dict[str, Dict[str, Dict[str, List[str]]]]:

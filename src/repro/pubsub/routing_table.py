@@ -186,11 +186,6 @@ class InterfaceTable:
         matched = index.matching_ids(event.cells, key=key)
         return matched, index.stats.candidates_checked - checked
 
-    def matching(self, event: Event, key: Optional[int] = None) -> List[Subscription]:
-        """Return the stored subscriptions matching ``event`` (see :meth:`matching_ids`)."""
-        subscriptions = self._subscriptions
-        return [subscriptions[sub_id] for sub_id in self.matching_ids(event, key)[0]]
-
     def any_match(self, event: Event, key: Optional[int] = None) -> bool:
         """Return True when at least one stored subscription matches ``event``."""
         if self._index is not None:

@@ -136,34 +136,6 @@ class Subscription:
             raise ValueError("subscriptions use different schemas")
         return ranges_cover(self.ranges, other.ranges)
 
-    @property
-    def selectivity(self) -> float:
-        """Fraction of the quantised attribute space this subscription matches."""
-        total = 1.0
-        cells_per_attr = self.schema.max_cell + 1
-        for lo, hi in self.ranges:
-            total *= (hi - lo + 1) / cells_per_attr
-        return total
-
-    def widened(self, factor: float) -> "Subscription":
-        """Return a copy whose every constrained range is widened by ``factor`` (≥ 1).
-
-        Useful for generating workloads with controlled covering density: a
-        widened copy of a subscription always covers the original.
-        """
-        if factor < 1.0:
-            raise ValueError(f"widening factor must be at least 1, got {factor}")
-        new_constraints = {}
-        for name, (low, high) in self.constraints.items():
-            attr = self.schema.attribute(name)
-            centre = (low + high) / 2.0
-            half = (high - low) / 2.0 * factor
-            new_constraints[name] = (
-                max(attr.low, centre - half),
-                min(attr.high, centre + half),
-            )
-        return Subscription(self.schema, new_constraints)
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         body = ", ".join(f"{k}∈[{lo},{hi}]" for k, (lo, hi) in self.constraints.items())
         return f"Subscription({self.sub_id}: {body or 'match-all'})"

@@ -2,8 +2,8 @@
 
 from .base import KeyRange, SpaceFillingCurve
 from .factory import CURVE_KINDS, DEFAULT_CURVE, curve_class, make_curve
-from .gray import GrayCodeCurve, default_gray
-from .hilbert import HilbertCurve, default_hilbert
+from .gray import GrayCodeCurve
+from .hilbert import HilbertCurve
 from .runs import (
     GridRunTable,
     RunProfile,
@@ -12,7 +12,7 @@ from .runs import (
     cube_key_ranges,
     merge_key_ranges,
 )
-from .zorder import ZOrderCurve, default_zorder
+from .zorder import ZOrderCurve
 
 __all__ = [
     "KeyRange",
@@ -24,9 +24,6 @@ __all__ = [
     "GrayCodeCurve",
     "HilbertCurve",
     "ZOrderCurve",
-    "default_gray",
-    "default_hilbert",
-    "default_zorder",
     "GridRunTable",
     "RunProfile",
     "brute_force_run_profile",

@@ -16,9 +16,7 @@ and the generic :meth:`SpaceFillingCurve.cube_key_range` applies unchanged.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
-
-from typing import List
+from typing import List, Sequence, Tuple
 
 from ..geometry.bits import (
     deinterleave_bits,
@@ -27,7 +25,6 @@ from ..geometry.bits import (
     interleave_bits,
     spread_bits,
 )
-from ..geometry.universe import Universe
 from . import vectorized
 from .base import SpaceFillingCurve
 
@@ -83,8 +80,3 @@ class GrayCodeCurve(SpaceFillingCurve):
                 interleaved |= spread
             keys.append(gray_decode(interleaved))
         return keys
-
-
-def default_gray(dims: int, order: int) -> GrayCodeCurve:
-    """Convenience constructor: a Gray-code curve over a fresh ``Universe(dims, order)``."""
-    return GrayCodeCurve(Universe(dims=dims, order=order))

@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 from ..geometry.bits import interleave_bits, deinterleave_bits
-from ..geometry.universe import Universe
 from . import vectorized
 from .base import SpaceFillingCurve
 
@@ -132,8 +131,3 @@ def _transpose_to_axes(x: List[int], bits: int) -> List[int]:
                 x[i] ^= t
         q <<= 1
     return x
-
-
-def default_hilbert(dims: int, order: int) -> HilbertCurve:
-    """Convenience constructor: a Hilbert curve over a fresh ``Universe(dims, order)``."""
-    return HilbertCurve(Universe(dims=dims, order=order))

@@ -127,7 +127,6 @@ class TransportStats:
     backpressure_retries: int = 0
     max_queue_depth: int = 0
     queue_depth_high_water: Dict[Hashable, int] = field(default_factory=dict)
-    backpressure_per_broker: Dict[Hashable, int] = field(default_factory=dict)
     delivery_latencies: Deque[float] = field(default_factory=recent_window)
     hop_counts: Deque[int] = field(default_factory=recent_window)
     #: Per-hop latency (send→arrival, including queue wait) of event messages.
@@ -357,7 +356,7 @@ class SimTransport(Transport):
             return
         if not self._try_enqueue(message):
             self._link_blocked[link] = deque([message])
-            self._count_backpressure(message.receiver)
+            self.stats.backpressure_retries += 1
             self._schedule_retry(link)
 
     def _schedule_retry(self, link: Tuple[Hashable, Hashable]) -> None:
@@ -380,16 +379,11 @@ class SimTransport(Transport):
             return
         while blocked:
             if not self._try_enqueue(blocked[0]):
-                self._count_backpressure(receiver)
+                self.stats.backpressure_retries += 1
                 self._schedule_retry(link)
                 return
             blocked.popleft()
         self._link_blocked.pop(link, None)
-
-    def _count_backpressure(self, receiver: Hashable) -> None:
-        self.stats.backpressure_retries += 1
-        per_broker = self.stats.backpressure_per_broker
-        per_broker[receiver] = per_broker.get(receiver, 0) + 1
 
     def _try_enqueue(self, message: Message) -> bool:
         """Admit a message to the receiver's inbox; False when it is full."""

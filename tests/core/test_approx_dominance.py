@@ -122,7 +122,7 @@ class TestExhaustiveCompleteness:
         index = ApproximateDominanceIndex(universe)
         query = (129, 77)
         index.insert("corner", query)  # dominates itself, sits in the final sliver
-        exhaustive = index.exhaustive_query(query)
+        exhaustive = index.query(query, epsilon=0.0)
         assert exhaustive.found and exhaustive.item.item_id == "corner"
 
     def test_empty_index_reports_not_found(self):
@@ -136,13 +136,13 @@ class TestExhaustiveCompleteness:
         )
         assert result.coverage >= 0.9 - 1e-9
 
-    def test_find_dominating_wrapper(self):
+    def test_witness_follows_insert_and_remove(self):
         universe = Universe(2, 6)
         index = ApproximateDominanceIndex(universe)
         index.insert("w", (60, 60))
-        assert index.find_dominating((10, 10)).item_id == "w"
+        assert index.query((10, 10)).item.item_id == "w"
         index.remove("w")
-        assert index.find_dominating((10, 10)) is None
+        assert index.query((10, 10)).item is None
 
 
 class TestCoverageAccounting:

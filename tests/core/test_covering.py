@@ -35,11 +35,11 @@ class TestBasicAPI:
         assert not det.remove_subscription("wide")
         assert not det.find_covering([(50, 100), (50, 100)]).covered
 
-    def test_is_covered(self):
+    def test_covered(self):
         det = ApproximateCoveringDetector(attributes=1, attribute_order=6)
         det.add_subscription("s", [(10, 50)])
-        assert det.is_covered([(20, 40)])
-        assert not det.is_covered([(5, 40)])
+        assert det.find_covering([(20, 40)]).covered
+        assert not det.find_covering([(5, 40)]).covered
 
     def test_subscriptions_copy(self):
         det = ApproximateCoveringDetector(attributes=1, attribute_order=6)
@@ -53,7 +53,7 @@ class TestBasicAPI:
         det.add_subscription("s", [(0, 255)])
         det.add_subscription("s", [(100, 110)])
         assert len(det) == 1
-        assert not det.is_covered([(0, 200)])
+        assert not det.find_covering([(0, 200)]).covered
 
     def test_a_replaced_id_counts_as_newly_inserted(self):
         """Compare side, ε-search and the exact strategy's scan all report the
@@ -111,7 +111,7 @@ class TestExclusion:
         assert find(query, exclude="a").covering_id == "b"
         assert find(query).covering_id == "a"
         assert find(query, exclude="b").covering_id == "a"
-        assert find(query).work_units == find(query, exclude="b").work_units
+        assert find(query).query.runs_probed == find(query, exclude="b").query.runs_probed
 
 
 class TestSoundnessAndRecall:

@@ -97,12 +97,6 @@ class TestDominanceTransform:
         with pytest.raises(ValueError):
             t.validate_ranges([(-1, 3), (0, 1)])
 
-    def test_covering_query_region_anchor(self):
-        t = DominanceTransform(attributes=1, attribute_order=4)
-        region = t.covering_query_region([(4, 9)])
-        assert region.low == t.to_point([(4, 9)])
-        assert region.high == (15, 15)
-
     @given(subscription_strategy(2, 63), subscription_strategy(2, 63))
     def test_covering_iff_dominance(self, outer, inner):
         """The central equivalence: s1 covers s2 ⇔ p(s1) dominates p(s2)."""

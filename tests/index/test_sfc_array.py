@@ -7,7 +7,7 @@ import random
 import pytest
 
 from repro.geometry.universe import Universe
-from repro.index.sfc_array import SFCArray
+from repro.index.sfc_array import SFCArray, SFCArrayStats
 from repro.sfc.factory import CURVE_KINDS, make_curve
 
 
@@ -32,7 +32,7 @@ def churn(array):
     for i in range(1, len(cells), 2):
         array.remove(("ballast", i))
     assert len(array) == 0 and list(array.keys()) == []
-    array.stats.reset()
+    array.stats = SFCArrayStats()
 
 
 @pytest.fixture(params=CURVE_KINDS)
@@ -102,8 +102,6 @@ class TestSFCArrayUpdates:
         assert array.stats.range_probes == 1
         assert array.stats.range_scans == 1
         assert array.stats.items_scanned == 1
-        array.stats.reset()
-        assert array.stats.inserts == 0
 
 
 class TestSFCArrayQueries:
@@ -125,18 +123,26 @@ class TestSFCArrayQueries:
         found = {item.point for item in array.items_in_key_range((0, array.universe.max_key))}
         assert found == points
 
+    def test_count_in_key_range(self, array):
+        for i in range(8):
+            array.add(i, (i, 0))
+        array.add("twin", (3, 0))  # shares a cell, so one key holds two items
+        total = sum(1 for _ in array.items_in_key_range((0, array.universe.max_key)))
+        assert total == 9
+        keys = sorted(array.curve.key((i, 0)) for i in range(8))
+        for lo in keys:
+            for hi in keys:
+                if hi < lo:
+                    continue
+                expected = sum(1 for item in array.items() if lo <= array.curve.key(item.point) <= hi)
+                assert sum(1 for _ in array.items_in_key_range((lo, hi))) == expected
+
     def test_items_are_in_key_order(self, array):
         rng = random.Random(3)
         for i in range(50):
             array.add(i, (rng.randint(0, 31), rng.randint(0, 31)))
         keys = [array.curve.key(item.point) for item in array.items()]
         assert keys == sorted(keys)
-
-    def test_count_in_key_range(self, array):
-        for i in range(8):
-            array.add(i, (i, 0))
-        total = array.count_in_key_range((0, array.universe.max_key))
-        assert total == 8
 
     def test_an_emptied_cell_leaves_the_key_list(self, array):
         array.add("a", (4, 4))

@@ -112,8 +112,6 @@ class TestKDTree:
         tree.find_dominating((5, 5))
         assert tree.stats.queries == 1
         assert tree.stats.nodes_visited >= 1
-        tree.stats.reset()
-        assert tree.stats.queries == 0
 
 
 class TestRangeTree:

@@ -167,8 +167,8 @@ class TestClientLevelScenario:
         matching = desk.publish({"price": 88.0, "volume": 1000.0, "change_pct": 0.5}, event_id="ibm")
         non_matching = desk.publish({"price": 120.0, "volume": 1000.0, "change_pct": 0.5}, event_id="big")
         assert trader.received_events() == ["ibm"]
-        assert trader.would_match(matching)
-        assert not trader.would_match(non_matching)
+        assert any(sub.matches(matching) for sub in trader.subscriptions)
+        assert not any(sub.matches(non_matching) for sub in trader.subscriptions)
 
 
 def test_package_quickstart_runs():

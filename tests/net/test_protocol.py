@@ -40,7 +40,7 @@ class TestFraming:
         frame = {"type": "ping", "seq": 3}
         decoder = FrameDecoder()
         assert decoder.feed(encode_frame(frame)) == [frame]
-        assert decoder.buffered == 0
+        decoder.eof()  # nothing left over: no partial frame buffered
 
     def test_byte_by_byte_feed(self):
         frame = {"type": "hello", "version": PROTOCOL_VERSION, "role": "client"}

@@ -134,12 +134,6 @@ class TestMetricsRegistry:
             for gone in ("inc", "dec", "observe", "observe_many"):
                 assert not hasattr(metric, gone)
 
-    def test_reset_drops_everything(self):
-        reg = MetricsRegistry()
-        reg.counter("events_total").set_total(1)
-        reg.reset()
-        assert len(reg) == 0
-
     def test_remove_drops_one_metric(self):
         reg = MetricsRegistry()
         reg.counter("events_total").set_total(3)

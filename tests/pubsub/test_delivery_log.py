@@ -58,37 +58,6 @@ class TestDeliveryLog:
             assert len(log) == number + 1
         assert list(log) == [record(n) for n in range(2 * SMALL + 3, 3 * SMALL + 3)]
 
-    def test_positions_are_absolute(self, small_retention):
-        log = DeliveryLog()
-        total = 2 * SMALL + 5
-        for number in range(total):
-            log.append(record(number))
-        first = total - SMALL
-        assert log[first] == record(first)
-        assert log[total - 1] == log[-1] == record(total - 1)
-        assert log[-SMALL] == record(first)
-        assert log[first:] == [record(n) for n in range(first, total)]
-        assert log[first + 2 : first + 5] == [record(n) for n in range(first + 2, first + 5)]
-        assert log[total - 1 : first - 1 : -2] == [
-            record(n) for n in range(total - 1, first - 1, -2)
-        ]
-        assert log[total:] == [] and log[first:first] == []
-
-    def test_dropped_positions_raise(self, small_retention):
-        log = DeliveryLog()
-        total = 2 * SMALL + 5
-        for number in range(total):
-            log.append(record(number))
-        first = total - SMALL
-        for position in (0, first - 1, -SMALL - 1, total, -total - 1):
-            with pytest.raises(IndexError):
-                log[position]
-        # A slice reaching past the retained records raises; it never comes
-        # back shorter than asked.
-        for window in (slice(None), slice(first - 1, None), slice(-SMALL - 1, None)):
-            with pytest.raises(IndexError):
-                log[window]
-
     def test_equality_and_repr_are_deterministic(self, small_retention):
         def filled(count):
             log = DeliveryLog()

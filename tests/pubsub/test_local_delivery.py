@@ -99,7 +99,10 @@ def publish_and_compare(network, model, origin, event) -> int:
     """Publish; the records of each broker reached must be the scan's, in order."""
     before = len(network.deliveries)
     network.publish(origin, event)
-    records = network.deliveries[before:]
+    made = len(network.deliveries) - before
+    retained = list(network.deliveries)
+    assert made <= len(retained)
+    records = retained[len(retained) - made :]
     assert all(record.event_id == event.event_id for record in records)
     homes = [network.subscription_home(record.subscription_id) for record in records]
     # One broker's records are contiguous: it delivers in one receive_event.

@@ -4,10 +4,10 @@ Crashing a cut vertex (the star hub, a chain midpoint) severs the acyclic
 overlay into independent live components.  The paper's safety claim then
 holds *per partition*: within each live component delivery must stay exact,
 and once the crashed broker recovers (flush-and-refill resync) the audit must
-be clean against the whole reconverged network.  Both the origin-restricted
-``publish_and_audit`` and the component-sweeping
-``publish_and_audit_partitions`` are exercised, across the synchronous and
-simulated transports.
+be clean against the whole reconverged network.  Each partition is audited
+with the origin-restricted ``publish_and_audit``, both from chosen brokers and
+swept over ``live_components()`` from each component's smallest broker,
+across the synchronous and simulated transports.
 """
 
 from __future__ import annotations
@@ -64,6 +64,17 @@ def matching_event(schema, event_id):
     return Event(schema, {"x": 25.0, "y": 10.0}, event_id=event_id)
 
 
+def audit_each_component(network, schema, tag):
+    """Publish one event per live component at its smallest broker (string
+    order) and audit it; returns ``(origin, (missed, extra))`` per component."""
+    return [
+        (origin, network.publish_and_audit(origin, matching_event(schema, f"{tag}-{i}")))
+        for i, origin in enumerate(
+            min(component, key=str) for component in network.live_components()
+        )
+    ]
+
+
 @pytest.mark.parametrize("transport_kind", ["sync", "sim"])
 class TestStarHubCrash:
     def test_partition_audit_and_reconvergence(self, schema, transport_kind):
@@ -83,25 +94,16 @@ class TestStarHubCrash:
             assert network.expected_recipients(
                 matching_event(schema, f"gt-{leaf}"), origin=leaf
             ) == {clients[leaf]}
-        # The component sweep audits all partitions in one call.
-        audits = network.publish_and_audit_partitions(
-            [matching_event(schema, f"sweep-{i}") for i in range(len(components))]
-        )
-        assert len(audits) == 4
-        assert all(audit.clean for audit in audits)
+        # The component sweep audits every partition.
+        audits = audit_each_component(network, schema, "sweep")
+        assert [origin for origin, _ in audits] == [1, 2, 3, 4]
+        assert all(deltas == (set(), set()) for _, deltas in audits)
         # Heal: recover the hub, let resync propagate, audit the full overlay.
         network.recover_broker(0)
         network.flush()
         assert network.live_components() == [{0, 1, 2, 3, 4}]
         missed, extra = network.publish_and_audit(1, matching_event(schema, "healed"))
         assert missed == set() and extra == set()
-
-    def test_partition_sweep_requires_enough_events(self, schema, transport_kind):
-        network = build(schema, star_topology(4), transport_kind)
-        subscribe_everywhere(network, schema)
-        network.crash_broker(0)
-        with pytest.raises(ValueError, match="one event per live component"):
-            network.publish_and_audit_partitions([matching_event(schema, "only-one")])
 
 
 @pytest.mark.parametrize("transport_kind", ["sync", "sim"])
@@ -119,11 +121,9 @@ class TestChainMidpointCrash:
             assert network.expected_recipients(event, origin=origin) == expected
             missed, extra = network.publish_and_audit(origin, event)
             assert missed == set() and extra == set()
-        audits = network.publish_and_audit_partitions(
-            [matching_event(schema, "sweep-a"), matching_event(schema, "sweep-b")]
-        )
-        assert [audit.origin for audit in audits] == [0, 4]
-        assert all(audit.clean for audit in audits)
+        audits = audit_each_component(network, schema, "sweep")
+        assert [origin for origin, _ in audits] == [0, 4]
+        assert all(deltas == (set(), set()) for _, deltas in audits)
         # Reconvergence: recover the midpoint and audit end to end — an event
         # published at one end must reach subscribers at the other again.
         network.recover_broker(3)
@@ -139,9 +139,5 @@ class TestChainMidpointCrash:
     def test_full_overlay_is_one_component(self, schema, transport_kind):
         network = build(schema, chain_topology(3), transport_kind)
         subscribe_everywhere(network, schema)
-        audits = network.publish_and_audit_partitions(
-            [matching_event(schema, "whole")]
-        )
-        assert len(audits) == 1
-        assert audits[0].component == frozenset({0, 1, 2})
-        assert audits[0].clean
+        assert network.live_components() == [{0, 1, 2}]
+        assert audit_each_component(network, schema, "whole") == [(0, (set(), set()))]

@@ -116,7 +116,7 @@ class TestInterfaceTable:
         outside = Event(schema, {"x": 80.0, "y": 10.0})
         assert table.any_match(inside)
         assert not table.any_match(outside)
-        assert [s.sub_id for s in table.matching(inside)] == ["s1"]
+        assert table.matching_ids(inside)[0] == ["s1"]
         assert table.remove("s1")
         assert not table.remove("s1")
         assert not table.any_match(inside)
@@ -151,7 +151,7 @@ class TestInterfaceTable:
         assert table.match_index is index
         event = Event(schema, {"x": 12.0, "y": 1.0})
         # s0 was re-added as strip 3 (x 30–45): it no longer holds x = 12.
-        assert {s.sub_id for s in table.matching(event)} == {"s1", "late"}
+        assert set(table.matching_ids(event)[0]) == {"s1", "late"}
 
     def test_a_rejected_arrival_leaves_the_table_scanning(self, schema):
         table = InterfaceTable("i", schema)
@@ -179,7 +179,7 @@ class TestInterfaceTable:
         table.add(Subscription(schema, {"x": (0.0, 50.0)}, sub_id="s0"))
         table.add(Subscription(schema, {"x": (60.0, 70.0)}, sub_id="s1"))
         for value in (10.0, 20.0, 80.0):
-            table.matching(Event(schema, {"x": value, "y": 1.0}))
+            table.matching_ids(Event(schema, {"x": value, "y": 1.0}))
         # Every stored subscription tested per probe, every rejection counted.
         assert table.match_stats() == MatchIndexStats(
             lookups=3, candidates_checked=6, false_positives=4
@@ -193,7 +193,7 @@ class TestInterfaceTable:
             table.add(strip(schema, i, sub_id=f"t{i}"))
         index = table.match_index
         assert index is not None
-        table.matching(Event(schema, {"x": 30.0, "y": 1.0}))
+        table.matching_ids(Event(schema, {"x": 30.0, "y": 1.0}))
         after = table.match_stats()
         assert after.lookups == scanned.lookups + 1 == 6
         assert after.inserts == index.stats.inserts == InterfaceTable.SCAN_LIMIT + 2

@@ -94,23 +94,6 @@ class TestSubscriptionCovering:
                 if s2.matches(event):
                     assert s1.matches(event)
 
-    def test_selectivity(self, schema):
-        everything = Subscription(schema, {})
-        assert everything.selectivity == pytest.approx(1.0)
-        half = Subscription(schema, {"stock": (0.0, 50.0)})
-        assert 0.4 < half.selectivity < 0.6
-
-    def test_widened_copy_covers_original(self, schema):
-        original = Subscription(schema, {"stock": (40.0, 60.0), "current": (80.0, 120.0)})
-        widened = original.widened(1.5)
-        assert widened.covers(original)
-        assert widened.sub_id != original.sub_id
-
-    def test_widened_factor_validation(self, schema):
-        sub = Subscription(schema, {"stock": (40.0, 60.0)})
-        with pytest.raises(ValueError):
-            sub.widened(0.5)
-
     def test_schema_mismatch_rejected(self, schema):
         other_schema = AttributeSchema([Attribute("x", 0.0, 1.0)], order=4)
         sub = Subscription(schema, {})

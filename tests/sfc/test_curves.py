@@ -118,35 +118,48 @@ class TestZOrderSpecifics:
 
     def test_square_a_cube_key(self):
         """Section 5 / Figure 5(c): square 'a' at grid coords (010, 011) has key 13."""
-        curve = ZOrderCurve(Universe(dims=2, order=5))
-        assert curve.cube_key((0b010, 0b011), level=3) == 13
+        universe = Universe(dims=2, order=5)
+        curve = ZOrderCurve(universe)
+        square_a = StandardCube(universe, (0b010 * 4, 0b011 * 4), 4)
+        lo, hi = curve.cube_key_range(square_a)
+        # The level-3 key is the top 2·3 bits shared by the cube's 16 cells.
+        assert lo >> 4 == 13
+        assert hi - lo + 1 == square_a.volume
 
     def test_cube_key_range_from_coords(self):
-        curve = ZOrderCurve(Universe(dims=2, order=3))
-        lo, hi = curve.cube_key_range_from_coords((1, 1), level=1)
+        universe = Universe(dims=2, order=3)
+        curve = ZOrderCurve(universe)
+        lo, hi = curve.cube_key_range(StandardCube(universe, (4, 4), 4))
         # Quadrant (1,1) is the last quarter of the key space.
         assert (lo, hi) == (48, 63)
 
     def test_cube_of_cell(self):
-        curve = ZOrderCurve(Universe(dims=2, order=3))
-        cube = curve.cube_of_cell((5, 6), level=1)
+        universe = Universe(dims=2, order=3)
+        curve = ZOrderCurve(universe)
+        # The level-1 cube holding a cell is named by the top 2·1 bits of its key.
+        cube = curve.cube_from_key_prefix(curve.key((5, 6)) >> 4, level=1)
         assert cube.low == (4, 4)
         assert cube.side == 4
 
     def test_cube_coords_roundtrip(self):
-        curve = ZOrderCurve(Universe(dims=2, order=4))
-        cube = curve.cube_from_coords((2, 3), level=2)
-        assert curve.cube_coords(cube) == (2, 3)
-        assert cube.side == 4
+        universe = Universe(dims=2, order=4)
+        curve = ZOrderCurve(universe)
+        cube = StandardCube(universe, (2 * 4, 3 * 4), 4)  # level-2 grid coords (2, 3)
+        lo, _ = curve.cube_key_range(cube)
+        prefix = lo >> (universe.dims * (universe.order - 2))
+        assert prefix == 0b1101  # interleaving of (10, 11)
+        back = curve.cube_from_key_prefix(prefix, level=2)
+        assert back == cube
+        assert tuple(x // back.side for x in back.low) == (2, 3)
 
     def test_cube_key_validates_inputs(self):
         curve = ZOrderCurve(Universe(dims=2, order=3))
         with pytest.raises(ValueError):
-            curve.cube_key((4, 0), level=2)  # coordinate too large for level grid
+            curve.cube_from_key_prefix(16, level=2)  # prefix too large for the level-2 grid
         with pytest.raises(ValueError):
-            curve.cube_key((0, 0), level=7)
+            curve.cube_from_key_prefix(0, level=7)
         with pytest.raises(ValueError):
-            curve.cube_key((0,), level=1)
+            curve.cube_from_key_prefix(-1, level=1)
 
     @given(st.integers(min_value=2, max_value=4), st.data())
     @settings(max_examples=25, deadline=None)

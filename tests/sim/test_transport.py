@@ -95,7 +95,7 @@ class TestSimTransportDelivery:
         network.flush()
         delivered = network.publish(0, Event(schema, {"x": 10.0, "y": 1.0}, event_id="e"))
         assert delivered == {"alice"}
-        record = network.deliveries[-1]
+        *_, record = network.deliveries
         # Broker 6 is two hops from broker 0 in a 7-node binary tree: the
         # delivery time reflects two link traversals plus service time.
         assert record.time >= 1.0
