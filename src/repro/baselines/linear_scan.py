@@ -62,10 +62,6 @@ class LinearScanCoveringDetector:
         """Remove a subscription; return True when it was present."""
         return self._subscriptions.pop(sub_id, None) is not None
 
-    def subscriptions(self) -> Dict[Hashable, Tuple[Range, ...]]:
-        """Return a copy of all stored subscriptions."""
-        return dict(self._subscriptions)
-
     # ---------------------------------------------------------------- queries
     def find_covering(
         self, ranges: Sequence[Range], exclude: Optional[Hashable] = None

@@ -97,10 +97,6 @@ class ProbabilisticCoveringDetector:
         """Remove a subscription; return True when it was present."""
         return self._subscriptions.pop(sub_id, None) is not None
 
-    def subscriptions(self) -> Dict[Hashable, Tuple[Range, ...]]:
-        """Return a copy of all stored subscriptions."""
-        return dict(self._subscriptions)
-
     # ---------------------------------------------------------------- queries
     def _sample_points(self, ranges: Tuple[Range, ...]) -> List[Tuple[int, ...]]:
         """Draw sample messages uniformly from the query subscription's region.

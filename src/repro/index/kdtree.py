@@ -9,8 +9,7 @@ which is exactly the regime the paper targets; the throughput benchmark
 (experiment E-THROUGHPUT) quantifies the comparison empirically.
 
 The implementation supports dynamic insertion (points are appended without
-rebalancing; an optional periodic rebuild keeps the tree near-balanced) and
-deletion by tombstoning.
+rebalancing; an optional periodic rebuild keeps the tree near-balanced).
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ class KDTreeStats:
 
 
 class _Node:
-    __slots__ = ("point", "item_id", "axis", "left", "right", "bbox_low", "bbox_high", "deleted")
+    __slots__ = ("point", "item_id", "axis", "left", "right", "bbox_low", "bbox_high")
 
     def __init__(self, point: Tuple[int, ...], item_id: Hashable, axis: int) -> None:
         self.point = point
@@ -41,7 +40,6 @@ class _Node:
         # Bounding box of the subtree rooted here (updated on insert).
         self.bbox_low = point
         self.bbox_high = point
-        self.deleted = False
 
 
 @dataclass
@@ -91,35 +89,11 @@ class KDTree:
             node.right = self._insert(node.right, point, item_id, depth + 1)
         return node
 
-    def delete(self, item_id: Hashable, point: Sequence[int]) -> bool:
-        """Tombstone the node holding ``(item_id, point)``; return True when found."""
-        pt = self._validate(point)
-        node = self._find(self._root, pt, item_id)
-        if node is None or node.deleted:
-            return False
-        node.deleted = True
-        self._size -= 1
-        return True
-
-    def _find(
-        self, node: Optional[_Node], point: Tuple[int, ...], item_id: Hashable
-    ) -> Optional[_Node]:
-        if node is None:
-            return None
-        if node.point == point and node.item_id == item_id:
-            return node
-        if point[node.axis] < node.point[node.axis]:
-            return self._find(node.left, point, item_id)
-        found = self._find(node.right, point, item_id)
-        if found is None and point[node.axis] == node.point[node.axis]:
-            found = self._find(node.left, point, item_id)
-        return found
-
     def rebuild(self) -> None:
-        """Rebuild a balanced tree from the live points (median splits)."""
-        live = [(n.item_id, n.point) for n in self._iter_nodes(self._root) if not n.deleted]
-        self._root = self._build_balanced(live, depth=0)
-        self._size = len(live)
+        """Rebuild a balanced tree from the stored points (median splits)."""
+        items = [(n.item_id, n.point) for n in self._iter_nodes(self._root)]
+        self._root = self._build_balanced(items, depth=0)
+        self._size = len(items)
         self._inserts_since_build = 0
 
     def _build_balanced(
@@ -168,7 +142,7 @@ class KDTree:
         # point inside to possibly dominate it.
         if any(hi < q for hi, q in zip(node.bbox_high, query)):
             return None
-        if not node.deleted and all(p >= q for p, q in zip(node.point, query)):
+        if all(p >= q for p, q in zip(node.point, query)):
             return (node.item_id, node.point)
         # Prefer the right child: along the split axis it holds the larger
         # coordinates, which are more likely to dominate.
@@ -176,24 +150,6 @@ class KDTree:
         if found is not None:
             return found
         return self._search(node.left, query)
-
-    def all_dominating(self, query: Sequence[int]) -> List[Tuple[Hashable, Tuple[int, ...]]]:
-        """Return every stored point dominating ``query`` (used as a ground-truth oracle)."""
-        q = self._validate(query)
-        results: List[Tuple[Hashable, Tuple[int, ...]]] = []
-
-        def recurse(node: Optional[_Node]) -> None:
-            if node is None:
-                return
-            if any(hi < qq for hi, qq in zip(node.bbox_high, q)):
-                return
-            if not node.deleted and all(p >= qq for p, qq in zip(node.point, q)):
-                results.append((node.item_id, node.point))
-            recurse(node.left)
-            recurse(node.right)
-
-        recurse(self._root)
-        return results
 
     # -------------------------------------------------------------- internals
     def _validate(self, point: Sequence[int]) -> Tuple[int, ...]:

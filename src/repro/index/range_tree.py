@@ -161,15 +161,6 @@ class RangeTree:
             return found
         return self._query(node.left, query, coord)
 
-    def all_dominating(self, query: Sequence[int]) -> List[Entry]:
-        """Return every stored point dominating ``query`` (brute force; testing oracle)."""
-        q = tuple(int(x) for x in query)
-        return [
-            (item_id, point)
-            for item_id, point in self._entries
-            if all(p >= qq for p, qq in zip(point, q))
-        ]
-
     # ------------------------------------------------------------- accounting
     def storage_cells(self) -> int:
         """Total number of point copies stored across all secondary structures.

@@ -344,7 +344,14 @@ class NetTransport(Transport):
                 break
             dispatched += 1
             if self.is_up(message.receiver):
-                self._deliver(message)
+                self._deliver(
+                    message.kind,
+                    message.sender,
+                    message.receiver,
+                    message.payload,
+                    message.hops,
+                    message.sent_at,
+                )
             else:
                 # Crashed after the frame hit the socket: the arrival is lost
                 # exactly like the simulated transport's inbox wipe.

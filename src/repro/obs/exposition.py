@@ -23,7 +23,7 @@ import json
 import math
 import re
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .registry import NAMESPACE, Counter, Gauge, Histogram, MetricsRegistry
 

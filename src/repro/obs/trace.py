@@ -16,8 +16,8 @@ are counted as dropped, never resized, so memory stays bounded.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 __all__ = ["Span", "TraceLog", "derive_trace_id"]
 

@@ -207,14 +207,17 @@ class Broker:
     def attach_transport(
         self,
         send: Callable[[str, Hashable, Hashable, object], None],
-        deliver: Callable[[Hashable, Hashable, Event], None],
+        deliver: Callable[[Event, List[Hashable], List[Hashable]], None],
     ) -> None:
         """Attach the network's callbacks.
 
         ``send(kind, sender, receiver, payload)`` carries every message to a
         neighbour: a ``"subscription"`` (payload: the subscription), an
         ``"unsubscription"`` (the withdrawn id) or an ``"event"``.
-        ``deliver(client_id, sub_id, event)`` hands an event to a local client.
+        ``deliver(event, clients, sub_ids)`` hands an event to the local
+        clients it reaches, once per visit that delivers at all: ``clients``
+        in first-registration order, one entry each, and ``sub_ids[i]`` the
+        earliest-registered matching subscription of ``clients[i]``.
         Both shadow the methods of the same name on this instance.
         """
         self._send = send
@@ -227,8 +230,8 @@ class Broker:
             f"add it to a BrokerNetwork before sending {kind} messages"
         )
 
-    def _deliver(self, client_id: Hashable, sub_id: Hashable, event: Event) -> None:
-        """Delivery callback of a broker outside any network: the delivery goes nowhere."""
+    def _deliver(self, event: Event, clients: List[Hashable], sub_ids: List[Hashable]) -> None:
+        """Delivery callback of a broker outside any network: the deliveries go nowhere."""
 
     @property
     def neighbors(self) -> List[Hashable]:
@@ -616,8 +619,9 @@ class Broker:
         its match index after) finds the matching ids; the owner map turns
         them into deliveries: one per client per event, carrying the client's
         earliest-registered matching subscription, clients in
-        first-registration order.  A table entry no client owns (one that
-        arrived through :meth:`receive_subscription` alone) delivers nothing.
+        first-registration order, handed over in one ``deliver`` call.  A
+        table entry no client owns (one that arrived through
+        :meth:`receive_subscription` alone) delivers nothing.
         """
         # .get, not .table(): a broker without local clients keeps no local table.
         table = self.routing_table.interface_tables().get(LOCAL_INTERFACE)
@@ -630,14 +634,19 @@ class Broker:
         owned = self._owned
         # (ordinal, arrival) is unique, so the sort never looks further.
         hits = sorted([owned[sub_id] for sub_id in matched if sub_id in owned])
-        delivered = 0
+        clients: List[Hashable] = []
+        sub_ids: List[Hashable] = []
         last_ordinal = -1
         for ordinal, _, client_id, subscription in hits:
             if ordinal == last_ordinal:
                 continue  # one delivery per client per event
             last_ordinal = ordinal
-            delivered += 1
-            self._deliver(client_id, subscription.sub_id, event)
+            clients.append(client_id)
+            sub_ids.append(subscription.sub_id)
+        if not clients:
+            return 0
+        self._deliver(event, clients, sub_ids)
+        delivered = len(clients)
         self.stats.events_delivered_locally += delivered
         return delivered
 

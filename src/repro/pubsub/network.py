@@ -45,7 +45,7 @@ from ..obs.exposition import render_prometheus, snapshot
 from ..obs.profiler import PROFILER
 from ..obs.registry import HOP_BUCKETS, MetricsRegistry
 from ..obs.trace import Span, TraceLog, make_detail
-from ..sim.transport import Message, SyncTransport, Transport, recent_window
+from ..sim.transport import SyncTransport, Transport, recent_window
 from .broker import LOCAL_INTERFACE, Broker
 from .routing_table import check_covering_kind
 from .schema import AttributeSchema
@@ -95,8 +95,8 @@ class DeliveryRecord(NamedTuple):
     """One delivery of an event to a local subscriber.
 
     ``time`` is the simulated delivery time (always 0.0 under the synchronous
-    transport).  A plain named tuple: one is built per delivery, and it
-    carries no instance dict.
+    transport).  A plain named tuple, built when a :class:`DeliveryLog` is
+    read; it carries no instance dict.
     """
 
     client_id: Hashable
@@ -109,36 +109,58 @@ class DeliveryLog:
     """Every delivery a network made, of which the most recent are kept.
 
     ``len`` counts every delivery ever recorded; the log retains the last
-    :data:`~repro.sim.transport.RETENTION` records, and iteration yields
-    them, oldest first.  Who one publish reached, however many records are
-    retained, comes from :meth:`BrokerNetwork.collect_recipients`.
+    :data:`~repro.sim.transport.RETENTION` of them, and iteration yields them
+    as :class:`DeliveryRecord` tuples, oldest first.  Who one publish reached,
+    however many records are retained, comes from
+    :meth:`BrokerNetwork.collect_recipients`.
+
+    The log is four columns (client, subscription id, event id, time), each
+    a window of the same length, filled one broker visit at a time by
+    :meth:`extend`; a record is built only when the log is read.
     """
 
-    __slots__ = ("_records", "_total")
+    __slots__ = ("_clients", "_sub_ids", "_event_ids", "_times", "_total")
 
     def __init__(self) -> None:
-        self._records: Deque[DeliveryRecord] = recent_window()
+        self._clients: Deque[Hashable] = recent_window()
+        self._sub_ids: Deque[Hashable] = recent_window()
+        self._event_ids: Deque[Hashable] = recent_window()
+        self._times: Deque[float] = recent_window()
         self._total = 0
 
-    def append(self, record: DeliveryRecord) -> None:
-        self._total += 1
-        self._records.append(record)
+    def extend(
+        self,
+        clients: Sequence[Hashable],
+        sub_ids: Sequence[Hashable],
+        event_id: Hashable,
+        time: float,
+    ) -> None:
+        """Record one visit: ``clients[i]`` got ``event_id`` through ``sub_ids[i]`` at ``time``."""
+        count = len(clients)
+        self._total += count
+        self._clients.extend(clients)
+        self._sub_ids.extend(sub_ids)
+        self._event_ids.extend((event_id,) * count)
+        self._times.extend((time,) * count)
 
     def __len__(self) -> int:
         return self._total
 
     def __iter__(self) -> Iterator[DeliveryRecord]:
-        return iter(self._records)
+        return map(DeliveryRecord, self._clients, self._sub_ids, self._event_ids, self._times)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DeliveryLog):
             return NotImplemented
-        return self._total == other._total and self._records == other._records
+        return self._total == other._total and self._columns() == other._columns()
+
+    def _columns(self) -> Tuple[Deque, ...]:
+        return (self._clients, self._sub_ids, self._event_ids, self._times)
 
     __hash__ = None  # mutable
 
     def __repr__(self) -> str:
-        return f"DeliveryLog(total={self._total}, retained={list(self._records)!r})"
+        return f"DeliveryLog(total={self._total}, retained={list(self)!r})"
 
 
 @dataclass
@@ -190,9 +212,9 @@ class BrokerNetwork:
     ----------
     deliveries:
         The :class:`DeliveryLog` of every local delivery: ``len`` counts all
-        of them, indexing is by absolute position, and the most recent
-        :data:`~repro.sim.transport.RETENTION` records are retained, so a
-        long run holds bounded memory.  :meth:`publish`,
+        of them, and iteration yields the most recent
+        :data:`~repro.sim.transport.RETENTION` records, oldest first (only
+        those are retained, so a long run holds bounded memory).  :meth:`publish`,
         :meth:`publish_batch` and the scenario runner read their results
         through :meth:`collect_recipients`, never from the log.
     """
@@ -212,13 +234,14 @@ class BrokerNetwork:
         check_covering_kind(self.covering)
         # One match-run cache for every broker.
         self.profile_cache = ProfileCache()
-        if self.transport is None:
-            self.transport = SyncTransport()
-        self.transport.bind(self)
         if self.metrics is None:
             self.metrics = MetricsRegistry()
         if self.tracing is None:
             self.tracing = TraceLog(enabled=False, seed=self.seed)
+        # After the trace log: the transport observes arrivals only if it is enabled.
+        if self.transport is None:
+            self.transport = SyncTransport()
+        self.transport.bind(self)
         # Span timestamps are simulated time, not wall clock — deterministic
         # under a seeded SimTransport, frozen at 0.0 under SyncTransport.
         self.tracing.bind_clock(lambda: self.transport.now)
@@ -255,7 +278,7 @@ class BrokerNetwork:
             trace=self.tracing if self.tracing.enabled else None,
             config=self.config,
         )
-        broker.attach_transport(self._send, self._record_delivery)
+        broker.attach_transport(self._send, self._record_deliveries)
         self.brokers[broker_id] = broker
         self.graph.add_node(broker_id)
         # Transports that maintain per-broker infrastructure (the networked
@@ -357,41 +380,54 @@ class BrokerNetwork:
         else:
             raise ValueError(f"unknown message kind {kind!r}")
 
-    def _observe_arrival(self, message: Message, latency: float) -> None:
-        """Transport callback: one message just reached its receiving broker.
+    def _observe_arrival(
+        self,
+        sender: Hashable,
+        receiver: Hashable,
+        event: Event,
+        hops: int,
+        sent_at: float,
+        latency: float,
+    ) -> None:
+        """Transport callback: one event message just reached its receiving broker.
 
-        Records the per-hop span of event messages — ``start`` is the send
-        time, ``duration`` the hop latency (propagation plus queue wait),
-        ``parent``/``broker_id`` the overlay link it crossed.
+        Records the message's ``hop`` span — ``start`` is the send time,
+        ``duration`` the hop latency (propagation plus queue wait),
+        ``parent``/``broker_id`` the overlay link it crossed.  A transport
+        calls it only while :attr:`tracing` is enabled (see
+        :meth:`~repro.sim.transport.Transport.bind`).
         """
-        if not self.tracing.enabled or message.kind != "event":
-            return
-        event_id = getattr(message.payload, "event_id", None)
+        event_id = event.event_id
         self.tracing.record(
             Span(
                 trace_id=self.tracing.trace_id_for("evt", event_id),
                 kind="hop",
                 name=str(event_id),
-                broker_id=message.receiver,
-                parent=message.sender,
-                start=message.sent_at,
+                broker_id=receiver,
+                parent=sender,
+                start=sent_at,
                 duration=latency,
-                hop=message.hops,
+                hop=hops,
             )
         )
 
-    def _record_delivery(self, client_id: Hashable, subscription_id: Hashable, event: Event) -> None:
+    def _record_deliveries(
+        self, event: Event, clients: List[Hashable], sub_ids: List[Hashable]
+    ) -> None:
+        """Every broker's delivery callback: record one visit's deliveries at once."""
         transport = self.transport
         now = transport.now
         event_id = event.event_id
-        # The end-to-end publish→subscriber latency, into the transport's stats.
+        count = len(clients)
+        # The end-to-end publish→subscriber latency, into the transport's
+        # stats: every delivery of one visit shares it.
         stats = transport.stats
-        stats.deliveries += 1
-        stats.delivery_latencies.append(now - self._publish_times.get(event_id, now))
-        self.deliveries.append(DeliveryRecord(client_id, subscription_id, event_id, now))
+        stats.deliveries += count
+        stats.delivery_latencies.extend((now - self._publish_times.get(event_id, now),) * count)
+        self.deliveries.extend(clients, sub_ids, event_id, now)
         recipients = self._collecting.get(event_id)
         if recipients is not None:
-            recipients.add(client_id)
+            recipients.update(clients)
 
     @contextmanager
     def collect_recipients(self, event_ids: Iterable[Hashable]):

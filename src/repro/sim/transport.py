@@ -26,8 +26,9 @@ hop counts, with percentile helpers for reporting.  The latency and hop
 samples are windows of the most recent :data:`RETENTION`, so a network that
 runs for a day holds no more of them than one that ran for a minute.
 
-A message carries its own hop count.  :meth:`Transport._deliver` makes it
-the hop context while the receiving broker handles the message, so an event
+A message carries its own hop count.  :meth:`Transport._deliver` (and
+:meth:`SyncTransport.send`, where a send is its arrival) makes it the hop
+context while the receiving broker handles the message, so an event
 forwarded then is one hop further; a publish's first hop and every
 subscription or unsubscription message count 1.
 """
@@ -182,16 +183,23 @@ class Transport:
         self._down: set = set()
         # Hop count of the message being delivered; 0 outside any delivery.
         self._hops = 0
-        # The network's per-arrival observer (hop spans), resolved by bind().
-        self._observe_arrival: Optional[Callable[[Message, float], None]] = None
+        # The network's observer of event arrivals (hop spans), set by bind()
+        # only while the network traces: untraced arrivals make no call.
+        self._observe_arrival: Optional[
+            Callable[[Hashable, Hashable, object, int, float, float], None]
+        ] = None
 
     # --------------------------------------------------------------- lifecycle
     def bind(self, network) -> None:
-        """Attach to a broker network (called by ``BrokerNetwork.__post_init__``)."""
+        """Attach to a broker network (called by ``BrokerNetwork.__post_init__``).
+
+        The network's ``_observe_arrival`` is held only if its trace log is
+        enabled at this point.
+        """
         if self.network is not None and self.network is not network:
             raise RuntimeError("transport is already bound to another network")
         self.network = network
-        self._observe_arrival = getattr(network, "_observe_arrival", None)
+        self._observe_arrival = network._observe_arrival if network.tracing.enabled else None
 
     #: Current simulated time: frozen at 0.0 on the synchronous transport, a
     #: plain class attribute so reading it costs no call; the simulated and
@@ -223,39 +231,67 @@ class Transport:
         """Hop count of a message sent now: one past the delivery being handled, for events."""
         return self._hops + 1 if kind == "event" else 1
 
-    def _deliver(self, message: Message) -> None:
-        """Record ``message``'s arrival, then hand it to its broker.
+    def _deliver(
+        self,
+        kind: str,
+        sender: Hashable,
+        receiver: Hashable,
+        payload: object,
+        hops: int,
+        sent_at: float,
+    ) -> None:
+        """Record a message's arrival, then hand it to its broker.
 
-        While the broker handles it, ``message.hops`` is the hop context the
-        broker's own sends count from; the outer context comes back after,
-        because synchronous delivery nests.
+        Takes the message's fields.  While the broker handles it, ``hops``
+        is the hop context the broker's own sends count from; the outer
+        context comes back after, because synchronous delivery nests.
         """
         stats = self.stats
         stats.messages_delivered += 1
-        latency = self.now - message.sent_at
-        if message.kind == "event":
-            stats.hop_counts.append(message.hops)
+        if kind == "event":
+            latency = self.now - sent_at
+            stats.hop_counts.append(hops)
             stats.hop_latencies.append(latency)
-        observe = self._observe_arrival
-        if observe is not None:
-            observe(message, latency)
+            observe = self._observe_arrival
+            if observe is not None:
+                observe(sender, receiver, payload, hops, sent_at, latency)
         outer = self._hops
-        self._hops = message.hops
+        self._hops = hops
         try:
-            self.network._dispatch(message.kind, message.sender, message.receiver, message.payload)
+            self.network._dispatch(kind, sender, receiver, payload)
         finally:
             self._hops = outer
 
 
 class SyncTransport(Transport):
-    """Immediate inline delivery — the zero-latency, failure-free baseline."""
+    """Immediate inline delivery — the zero-latency, failure-free baseline.
+
+    A send is its own arrival: :meth:`Transport._deliver`'s bookkeeping at
+    hop latency 0.0, then the network's dispatch, with no message object.
+    """
 
     def send(self, kind: str, sender: Hashable, receiver: Hashable, payload: object) -> None:
-        self.stats.messages_sent += 1
-        if not self.is_up(receiver):
-            self.stats.messages_dropped += 1
+        stats = self.stats
+        stats.messages_sent += 1
+        if receiver in self._down:
+            stats.messages_dropped += 1
             return
-        self._deliver(Message(kind, sender, receiver, payload, hops=self._next_hops(kind)))
+        stats.messages_delivered += 1
+        if kind == "event":
+            hops = self._hops + 1
+            stats.hop_counts.append(hops)
+            stats.hop_latencies.append(0.0)
+            observe = self._observe_arrival
+            if observe is not None:
+                observe(sender, receiver, payload, hops, 0.0, 0.0)
+        else:
+            hops = 1
+        outer = self._hops
+        self._hops = hops
+        try:
+            self.network._dispatch(kind, sender, receiver, payload)
+        finally:
+            self._hops = outer
 
 
 class SimTransport(Transport):
@@ -416,7 +452,15 @@ class SimTransport(Transport):
         if not inbox or not self.is_up(broker_id):
             self._draining.discard(broker_id)
             return
-        self._deliver(inbox.popleft())
+        message = inbox.popleft()
+        self._deliver(
+            message.kind,
+            message.sender,
+            message.receiver,
+            message.payload,
+            message.hops,
+            message.sent_at,
+        )
         if inbox:
             self._schedule_process(broker_id)
         else:

@@ -20,10 +20,9 @@ benchmark harness records the seed with every result row.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from ..geometry.transform import Range
 

@@ -61,11 +61,6 @@ class TestLinearScan:
         assert det.stats.queries == 1
         assert det.stats.comparisons == 10
 
-    def test_subscriptions_accessor(self):
-        det = LinearScanCoveringDetector(attributes=1, attribute_order=8)
-        det.add_subscription("a", [(0, 5)])
-        assert det.subscriptions() == {"a": ((0, 5),)}
-
 
 def _exhaustive_detector(attributes, attribute_order):
     # A budget no exhaustive search here reaches; the default 2,000 cubes can

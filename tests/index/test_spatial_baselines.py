@@ -50,20 +50,6 @@ class TestKDTree:
         with pytest.raises(ValueError):
             tree.find_dominating((1,))
 
-    def test_delete(self):
-        tree = KDTree(dims=2)
-        tree.insert("a", (5, 5))
-        assert tree.delete("a", (5, 5))
-        assert not tree.delete("a", (5, 5))
-        assert tree.find_dominating((0, 0)) is None
-        assert len(tree) == 0
-
-    def test_delete_nonexistent(self):
-        tree = KDTree(dims=2)
-        tree.insert("a", (5, 5))
-        assert not tree.delete("b", (5, 5))
-        assert not tree.delete("a", (4, 4))
-
     def test_find_matches_brute_force(self):
         rng = random.Random(17)
         entries = random_points(rng, 300, 4, 63)
@@ -75,22 +61,9 @@ class TestKDTree:
             expected = brute_force_dominating(entries, query)
             found = tree.find_dominating(query)
             if expected:
-                assert found is not None
-                assert all(p >= q for p, q in zip(found[1], query))
+                assert found in expected
             else:
                 assert found is None
-
-    def test_all_dominating_matches_brute_force(self):
-        rng = random.Random(23)
-        entries = random_points(rng, 150, 3, 31)
-        tree = KDTree(dims=3)
-        for item_id, point in entries:
-            tree.insert(item_id, point)
-        for _ in range(30):
-            query = tuple(rng.randint(0, 31) for _ in range(3))
-            expected = {i for i, _ in brute_force_dominating(entries, query)}
-            got = {i for i, _ in tree.all_dominating(query)}
-            assert got == expected
 
     def test_rebuild_preserves_answers(self):
         rng = random.Random(31)

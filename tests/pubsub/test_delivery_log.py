@@ -11,8 +11,11 @@ every result must equal the one an unshrunk network returns.
 from __future__ import annotations
 
 import random
+from collections import deque
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import repro.sim.transport as transport_module
 from repro.index.config import IndexConfig
@@ -44,6 +47,24 @@ def record(number: int) -> DeliveryRecord:
     return DeliveryRecord(f"c{number}", f"s{number}", f"e{number}", float(number))
 
 
+def log_one(log: DeliveryLog, number: int) -> None:
+    """Record ``record(number)`` as a visit with one delivery."""
+    log.extend([f"c{number}"], [f"s{number}"], f"e{number}", float(number))
+
+
+#: One visit: the (client, subscription id) pairs it delivers, then its event
+#: id and time.  Small alphabets, so clients and ids repeat across visits.
+visits = st.tuples(
+    st.lists(
+        st.tuples(st.sampled_from("abc"), st.sampled_from(["s1", "s2", "s3"])),
+        min_size=1,
+        max_size=5,
+    ),
+    st.sampled_from(["e1", "e2"]),
+    st.sampled_from([0.0, 0.5, 2.0]),
+)
+
+
 class TestDeliveryLog:
     def test_record_repr_is_the_dataclass_repr(self):
         assert repr(DeliveryRecord("a", "s", "e")) == (
@@ -54,7 +75,7 @@ class TestDeliveryLog:
     def test_len_counts_every_record_and_iteration_keeps_the_newest(self, small_retention):
         log = DeliveryLog()
         for number in range(3 * SMALL + 3):
-            log.append(record(number))
+            log_one(log, number)
             assert len(log) == number + 1
         assert list(log) == [record(n) for n in range(2 * SMALL + 3, 3 * SMALL + 3)]
 
@@ -62,13 +83,43 @@ class TestDeliveryLog:
         def filled(count):
             log = DeliveryLog()
             for number in range(count):
-                log.append(record(number))
+                log_one(log, number)
             return log
 
         assert filled(SMALL + 3) == filled(SMALL + 3)
         assert repr(filled(SMALL + 3)) == repr(filled(SMALL + 3))
         assert filled(2) != filled(3)
         assert repr(filled(SMALL + 3)).startswith(f"DeliveryLog(total={SMALL + 3}, retained=[")
+
+    @settings(
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture]
+    )
+    @given(batches=st.lists(visits, max_size=12))
+    def test_visits_recorded_in_columns_equal_a_window_of_records(
+        self, small_retention, batches
+    ):
+        # Batches of up to 5 against a window of 8: most sequences wrap the
+        # window, many in the middle of a batch.
+        log, twin = DeliveryLog(), DeliveryLog()
+        reference = deque(maxlen=SMALL)
+        total = 0
+        for pairs, event_id, time in batches:
+            clients = [client for client, _ in pairs]
+            sub_ids = [sub_id for _, sub_id in pairs]
+            log.extend(clients, sub_ids, event_id, time)
+            twin.extend(list(clients), list(sub_ids), event_id, time)
+            reference.extend(
+                DeliveryRecord(client, sub_id, event_id, time) for client, sub_id in pairs
+            )
+            total += len(pairs)
+            assert len(log) == total
+            assert list(log) == list(reference)
+            assert log == twin
+            assert repr(log) == f"DeliveryLog(total={total}, retained={list(reference)!r})"
+        if batches:
+            other = DeliveryLog()
+            other.extend(["z"], ["s9"], "e9", 9.0)
+            assert log != other
 
 
 def make_sync_network(seed=5):

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import networkx as nx
 import pytest
 
+import repro.sim.transport as transport_module
 from repro.index.config import IndexConfig
+from repro.obs.trace import TraceLog
 from repro.pubsub import BrokerNetwork, Event, Subscription, tree_topology
 from repro.pubsub.schema import Attribute, AttributeSchema
 from repro.sim import (
@@ -81,6 +84,53 @@ class TestSyncTransport:
         assert stats.messages_sent == stats.messages_delivered > 0
         assert stats.hop_counts and max(stats.hop_counts) >= 2
         assert all(latency == 0.0 for latency in stats.delivery_latencies)
+
+    def test_an_untraced_sync_publish_builds_no_message(self, schema, monkeypatch):
+        def no_message(*args, **kwargs):
+            raise AssertionError("a synchronous hop built a Message")
+
+        network = build_network(schema, SyncTransport())
+        assert network.transport._observe_arrival is None
+        monkeypatch.setattr(transport_module, "Message", no_message)
+        delivered = run_workload(network)
+        assert any(delivered)
+        assert max(network.transport.stats.hop_counts) >= 2
+        assert network.tracing.spans(kind="hop") == []
+
+    def test_a_traced_sync_publish_records_one_hop_span_per_arrival(self, schema):
+        network = build_network(schema, SyncTransport(), tracing=TraceLog(seed=3))
+        assert network.transport._observe_arrival == network._observe_arrival
+        run_workload(network, num_events=0)
+        stats = network.transport.stats
+        remote_arrivals = 0
+        for j in range(12):
+            origin = j % len(network.brokers)
+            event = Event(schema, {"x": (j * 17.0) % 100, "y": 5.0}, event_id=f"e{j}")
+            arrivals = len(stats.hop_counts)
+            assert network.publish_and_audit(origin, event) == (set(), set())
+            # The audited route: the tree paths from the origin to every other
+            # broker holding a subscription the event matches.
+            reached = {
+                broker_id
+                for broker_id, broker in network.brokers.items()
+                for _, subscription in broker.local_subscriptions()
+                if subscription.matches(event)
+            } - {origin}
+            paths = nx.single_source_shortest_path(network.graph, origin)
+            expected = {
+                (path[step - 1], path[step], step)
+                for broker_id in reached
+                for path in [paths[broker_id]]
+                for step in range(1, len(path))
+            }
+            spans = network.tracing.spans(
+                trace_id=network.tracing.trace_id_for("evt", event.event_id), kind="hop"
+            )
+            assert len(spans) == len(stats.hop_counts) - arrivals == len(expected)
+            assert {(span.parent, span.broker_id, span.hop) for span in spans} == expected
+            assert all(span.start == span.duration == 0.0 for span in spans)
+            remote_arrivals += len(spans)
+        assert remote_arrivals > 12
 
 
 class TestSimTransportDelivery:
