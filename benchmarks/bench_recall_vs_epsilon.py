@@ -10,7 +10,7 @@ positives — suppressions that would lose events, which is why no broker
 routes with it — are reported alongside.
 
 A second table reports what the same search delivers at the *product* budget
-(``IndexConfig()``: ε = 0.05, 2,000 cubes) on the stock and sensor scenarios:
+(the detector's defaults: ε = 0.05, 2,000 cubes) on the stock and sensor scenarios:
 recall of the plan executed on its own, the ε it actually delivers when the
 budget ends it, and recall of the detector's profile entry point
 (``find_covering_profile``, what a broker link ran before links moved to an
@@ -26,8 +26,12 @@ from repro.analysis.experiments import run_recall_experiment
 from repro.analysis.reporting import ResultTable
 from repro.baselines.linear_scan import LinearScanCoveringDetector
 from repro.core.bounds import theorem31_run_bound
-from repro.core.covering import ApproximateCoveringDetector, CoveringProfiler
-from repro.index.config import IndexConfig
+from repro.core.covering import (
+    DEFAULT_CUBE_BUDGET,
+    DEFAULT_EPSILON,
+    ApproximateCoveringDetector,
+    CoveringProfiler,
+)
 from repro.pubsub.subscription import Subscription
 from repro.workloads.scenarios import sensor_network_scenario, stock_market_scenario
 
@@ -54,10 +58,9 @@ def test_recall_vs_epsilon(run_once, record_table):
 
 
 def product_budget_recall(stored_sizes=(20, 200, 3_000), num_queries=100, seed=5) -> ResultTable:
-    """Recall and delivered ε of the covering search at ``IndexConfig()``, per scenario and link size."""
-    config = IndexConfig()
+    """Recall and delivered ε of the search at the detector's defaults, per scenario and link size."""
     table = ResultTable(
-        f"E-RECALL at the product budget (ε={config.epsilon}, {config.cube_budget} cubes)"
+        f"E-RECALL at the product budget (ε={DEFAULT_EPSILON}, {DEFAULT_CUBE_BUDGET} cubes)"
     )
     for build in (stock_market_scenario, sensor_network_scenario):
         scenario = build(
@@ -71,13 +74,11 @@ def product_budget_recall(stored_sizes=(20, 200, 3_000), num_queries=100, seed=5
         queries = ranges[-num_queries:]
         # What a schedule delivers when nothing ends it early: run each query's
         # plan against an empty detector.
-        empty = ApproximateCoveringDetector(schema.num_attributes, schema.order, config=config)
+        empty = ApproximateCoveringDetector(schema.num_attributes, schema.order)
         exhausted = [empty.find_covering(query).query for query in queries]
         alpha = int(statistics.median(result.aspect_ratio for result in exhausted))
         for stored in stored_sizes:
-            detector = ApproximateCoveringDetector(
-                schema.num_attributes, schema.order, config=config
-            )
+            detector = ApproximateCoveringDetector(schema.num_attributes, schema.order)
             linear = LinearScanCoveringDetector(schema.num_attributes, schema.order)
             for sub_id, stored_ranges in enumerate(ranges[:stored]):
                 detector.add_subscription(sub_id, stored_ranges)
@@ -86,7 +87,7 @@ def product_budget_recall(stored_sizes=(20, 200, 3_000), num_queries=100, seed=5
             plan_alone = [detector.find_covering(query) for query in covered]
             # The detector's profile entry point, profiles from one profiler
             # (no broker takes this path: a link scans what it forwarded).
-            profiler = CoveringProfiler(schema.num_attributes, schema.order, config)
+            profiler = CoveringProfiler(schema.num_attributes, schema.order)
             profiled = [
                 detector.find_covering_profile(profiler.profile(query)) for query in covered
             ]
@@ -107,7 +108,7 @@ def product_budget_recall(stored_sizes=(20, 200, 3_000), num_queries=100, seed=5
                 ),
                 median_alpha=alpha,
                 thm31_cubes_for_epsilon=(
-                    f"{theorem31_run_bound(2 * schema.num_attributes, alpha, config.epsilon):.1e}"
+                    f"{theorem31_run_bound(2 * schema.num_attributes, alpha, DEFAULT_EPSILON):.1e}"
                 ),
             )
     return table

@@ -23,14 +23,14 @@ covering (ICDCS 2007 / JPDC 2012).  The package is layered bottom-up:
 Quickstart::
 
     from repro import ApproximateCoveringDetector
-    from repro.index.config import IndexConfig
 
-    # An offline query states its cube budget; the ``IndexConfig()`` default
-    # of 2,000 cubes stops this one before it reaches the witness.
+    # An offline query states its cube budget; the detector's default of
+    # 2,000 cubes stops this one before it reaches the witness.
     detector = ApproximateCoveringDetector(
         attributes=2,
         attribute_order=10,
-        config=IndexConfig(epsilon=0.05, cube_budget=1_000_000),
+        epsilon=0.05,
+        cube_budget=1_000_000,
     )
     detector.add_subscription("wide", [(0, 900), (100, 800)])
     result = detector.find_covering([(10, 500), (200, 700)])

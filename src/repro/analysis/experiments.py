@@ -268,7 +268,8 @@ def run_approx_vs_exhaustive_experiment(
     detector = ApproximateCoveringDetector(
         attributes=attributes,
         attribute_order=order,
-        config=IndexConfig(epsilon=0.05, cube_budget=200_000),
+        epsilon=0.05,
+        cube_budget=200_000,
     )
     linear = LinearScanCoveringDetector(attributes, order)
     for spec in stored:
@@ -393,7 +394,8 @@ def run_recall_experiment(
         detector = ApproximateCoveringDetector(
             attributes=attributes,
             attribute_order=order,
-            config=IndexConfig(epsilon=0.05, cube_budget=cube_budget),
+            epsilon=0.05,
+            cube_budget=cube_budget,
         )
         for spec in stored:
             linear.add_subscription(spec.sub_id, spec.ranges)
@@ -860,7 +862,6 @@ def run_event_matching_experiment(
     num_events: int = 400,
     order: int = 8,
     seed: int = 17,
-    run_budget: int = 64,
     curve: str = "zorder",
 ) -> ResultTable:
     """E-MATCH: per-interface event matching, linear scan vs the SFC match index.
@@ -901,9 +902,7 @@ def run_event_matching_experiment(
             seed=seed,
             prefix=f"match-{size}",
         )
-        sfc = InterfaceTable(
-            "bench", schema, config=IndexConfig(run_budget=run_budget, curve=curve)
-        )
+        sfc = InterfaceTable("bench", schema, config=IndexConfig(curve=curve))
         subscriptions = _spec_subscriptions(schema, specs)
 
         def linear_any_match(event: Event) -> bool:
@@ -1175,7 +1174,8 @@ def run_dimensionality_experiment(
             detector = ApproximateCoveringDetector(
                 attributes=attributes,
                 attribute_order=order,
-                config=IndexConfig(epsilon=epsilon, cube_budget=25_000),
+                epsilon=epsilon,
+                cube_budget=25_000,
             )
             for spec in stored:
                 detector.add_subscription(spec.sub_id, spec.ranges)
@@ -1229,7 +1229,8 @@ def run_throughput_experiment(
         approx = ApproximateCoveringDetector(
             attributes=attributes,
             attribute_order=order,
-            config=IndexConfig(epsilon=epsilon, cube_budget=20_000),
+            epsilon=epsilon,
+            cube_budget=20_000,
         )
         linear = LinearScanCoveringDetector(attributes, order)
         kdtree = KDTree(dims=dims)

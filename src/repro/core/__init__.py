@@ -13,7 +13,12 @@ from .bounds import (
     theorem31_run_bound,
     theorem41_lower_bound,
 )
-from .covering import ApproximateCoveringDetector, CoveringResult
+from .covering import (
+    DEFAULT_CUBE_BUDGET,
+    DEFAULT_EPSILON,
+    ApproximateCoveringDetector,
+    CoveringResult,
+)
 from .decomposition import (
     LevelClass,
     count_cubes_extremal,
@@ -35,6 +40,8 @@ __all__ = [
     "lemma37_cube_bound",
     "theorem31_run_bound",
     "theorem41_lower_bound",
+    "DEFAULT_CUBE_BUDGET",
+    "DEFAULT_EPSILON",
     "ApproximateCoveringDetector",
     "CoveringResult",
     "LevelClass",

@@ -32,8 +32,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..geometry.transform import DominanceTransform, Range, first_covering
-from ..index.config import IndexConfig
-from ..sfc.factory import make_curve
+from ..sfc.factory import DEFAULT_CURVE, make_curve
 from .approx_dominance import (
     ApproximateDominanceIndex,
     DominanceQueryResult,
@@ -42,11 +41,21 @@ from .approx_dominance import (
 )
 
 __all__ = [
+    "DEFAULT_CUBE_BUDGET",
+    "DEFAULT_EPSILON",
     "ApproximateCoveringDetector",
     "CoveringProfile",
     "CoveringProfiler",
     "CoveringResult",
 ]
+
+#: Approximation slack ε of a covering detector built without one (Sec. 4).
+DEFAULT_EPSILON = 0.05
+
+#: ε-cube budget of a covering detector built without one; the paper-figure
+#: drivers state their larger offline budgets.
+DEFAULT_CUBE_BUDGET = 2_000
+
 
 @dataclass
 class CoveringResult:
@@ -95,25 +104,28 @@ class CoveringProfile:
 
 
 class CoveringProfiler:
-    """Builds :class:`CoveringProfile` objects compatible with a detector config.
+    """Builds :class:`CoveringProfile` objects compatible with a detector's parameters.
 
-    It mirrors the parameters the :class:`ApproximateCoveringDetector`
-    objects it serves were built with (attribute count/order, ε, cube
-    budget, curve), so its profiles can be handed to any of them.
+    It takes the parameters the :class:`ApproximateCoveringDetector`
+    objects it serves were built with (attribute count/order, curve, ε, cube
+    budget), so its profiles can be handed to any of them.
     """
 
     def __init__(
         self,
         attributes: int,
         attribute_order: int,
-        config: Optional[IndexConfig] = None,
+        curve: str = DEFAULT_CURVE,
+        epsilon: float = DEFAULT_EPSILON,
+        cube_budget: int = DEFAULT_CUBE_BUDGET,
     ) -> None:
-        self.config = config = config or IndexConfig()
         self.attributes = attributes
         self.attribute_order = attribute_order
+        self.epsilon = epsilon
+        self.cube_budget = cube_budget
         self.transform = DominanceTransform(attributes, attribute_order)
-        self.curve = make_curve(config.curve, self.transform.universe)
-        self._cache_key = (config.covering_key(), attributes, attribute_order)
+        self.curve = make_curve(curve, self.transform.universe)
+        self._cache_key = (curve, epsilon, cube_budget, attributes, attribute_order)
 
     @property
     def cache_key(self) -> Tuple:
@@ -122,10 +134,7 @@ class CoveringProfiler:
         Two profilers with equal cache keys produce interchangeable profiles;
         :meth:`ApproximateCoveringDetector.compatible_profile` compares them
         so that (in particular) a profile built under another curve is never
-        executed against this one's index.  The plan-shaping knobs come from
-        the config's covering key, so profilers built from configs differing
-        only in storage knobs (run budget, precision bits) share a key —
-        their profiles are identical.
+        executed against this one's index.
         """
         return self._cache_key
 
@@ -136,8 +145,8 @@ class CoveringProfiler:
         plan = build_dominance_plan(
             self.transform.universe,
             point,
-            epsilon=self.config.epsilon,
-            cube_budget=self.config.cube_budget,
+            epsilon=self.epsilon,
+            cube_budget=self.cube_budget,
             curve=self.curve,
         )
         return CoveringProfile(ranges=validated, point=point, plan=plan, profiler=self)
@@ -153,12 +162,15 @@ class ApproximateCoveringDetector:
         Number of numeric attributes β in every subscription.
     attribute_order:
         Bits per attribute; attribute values lie in ``[0, 2^k − 1]``.
-    config:
-        The :class:`~repro.index.config.IndexConfig` supplying the default
-        approximation parameter ε (0 = exhaustive search), the per-query cap
-        on examined standard cubes, the curve keying the dominance index (any
-        recursive-partitioning curve gives the same answers, only the probe
-        key ranges differ).  Defaults to ``IndexConfig()``.
+    curve:
+        The curve keying the dominance index (any recursive-partitioning
+        curve gives the same answers, only the probe key ranges differ).
+    epsilon:
+        The default approximation parameter ε of a query (0 = exhaustive
+        search); :data:`DEFAULT_EPSILON` unless given.
+    cube_budget:
+        The per-query cap on examined standard cubes;
+        :data:`DEFAULT_CUBE_BUDGET` unless given.
 
     Every stored subscription is kept twice: its ranges, in storage order,
     and its dominance point in :attr:`index`, the ε-search's index.
@@ -166,20 +178,23 @@ class ApproximateCoveringDetector:
 
     attributes: int
     attribute_order: int
-    config: Optional[IndexConfig] = None
+    curve: str = DEFAULT_CURVE
+    epsilon: float = DEFAULT_EPSILON
+    cube_budget: int = DEFAULT_CUBE_BUDGET
     transform: DominanceTransform = field(init=False)
     index: ApproximateDominanceIndex = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self._profiler = CoveringProfiler(self.attributes, self.attribute_order, self.config)
-        self.config = self._profiler.config
+        self._profiler = CoveringProfiler(
+            self.attributes, self.attribute_order, self.curve, self.epsilon, self.cube_budget
+        )
         self.transform = self._profiler.transform
         self._subscriptions: Dict[Hashable, Tuple[Range, ...]] = {}
         self.index = ApproximateDominanceIndex(
             universe=self.transform.universe,
-            epsilon=self.config.epsilon,
+            epsilon=self.epsilon,
             curve=self._profiler.curve,
-            cube_budget=self.config.cube_budget,
+            cube_budget=self.cube_budget,
         )
 
     # ---------------------------------------------------------------- updates
@@ -259,10 +274,9 @@ class ApproximateCoveringDetector:
         :meth:`find_covering` at the default ε would (same plan, here not
         rebuilt).  Sound on both sides: a cover is reported only
         after its ranges were compared or its point found inside the
-        dominance region.  A profile built under different parameters
-        (paranoia guard; brokers share one config) is answered from its
-        ranges under this detector's own.  The recall benchmark measures it;
-        no broker calls it.
+        dominance region.  A profile built under different parameters is
+        answered from its ranges under this detector's own.  The recall
+        benchmark measures it; no broker calls it.
         """
         if not self.compatible_profile(profile):
             return self.find_covering(profile.ranges)

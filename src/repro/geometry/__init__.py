@@ -5,12 +5,9 @@ from .bits import (
     bit_length,
     ceil_log2,
     deinterleave_bits,
-    floor_log2,
     gray_decode,
     gray_encode,
     interleave_bits,
-    is_power_of_two,
-    low_ones,
     suffix_from,
     suffix_vector,
     truncate_to_msb,
@@ -25,12 +22,9 @@ __all__ = [
     "bit_length",
     "ceil_log2",
     "deinterleave_bits",
-    "floor_log2",
     "gray_decode",
     "gray_encode",
     "interleave_bits",
-    "is_power_of_two",
-    "low_ones",
     "suffix_from",
     "suffix_vector",
     "truncate_to_msb",

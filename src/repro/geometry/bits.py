@@ -23,7 +23,7 @@ so no universe size limit is imposed here; the limits live in
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 __all__ = [
     "bit_length",
@@ -33,10 +33,7 @@ __all__ = [
     "interleave_bits",
     "deinterleave_bits",
     "spread_bits",
-    "is_power_of_two",
-    "floor_log2",
     "ceil_log2",
-    "low_ones",
     "truncate_vector",
     "suffix_vector",
     "gray_encode",
@@ -131,44 +128,11 @@ def suffix_vector(lengths: Sequence[int], i: int) -> Tuple[int, ...]:
     return tuple(suffix_from(v, i) for v in lengths)
 
 
-def is_power_of_two(x: int) -> bool:
-    """Return True when ``x`` is a positive power of two.
-
-    >>> is_power_of_two(8)
-    True
-    >>> is_power_of_two(6)
-    False
-    >>> is_power_of_two(0)
-    False
-    """
-    return x > 0 and (x & (x - 1)) == 0
-
-
-def floor_log2(x: int) -> int:
-    """Return ``⌊log2 x⌋`` for a positive integer ``x``."""
-    if x <= 0:
-        raise ValueError(f"floor_log2 requires a positive integer, got {x}")
-    return x.bit_length() - 1
-
-
 def ceil_log2(x: int) -> int:
     """Return ``⌈log2 x⌉`` for a positive integer ``x``."""
     if x <= 0:
         raise ValueError(f"ceil_log2 requires a positive integer, got {x}")
     return (x - 1).bit_length() if x > 1 else 0
-
-
-def low_ones(n: int) -> int:
-    """Return the integer whose ``n`` least significant bits are all ones.
-
-    >>> low_ones(3)
-    7
-    >>> low_ones(0)
-    0
-    """
-    if n < 0:
-        raise ValueError(f"number of bits must be non-negative, got {n}")
-    return (1 << n) - 1
 
 
 #: Per dimension count ``d``: the 256 bytes Morton-spread for ``d`` dimensions,
@@ -286,31 +250,4 @@ def gray_decode(g: int) -> int:
     while g:
         x ^= g
         g >>= 1
-    return x
-
-
-def bits_of(x: int, width: int) -> Tuple[int, ...]:
-    """Return the bits of ``x`` as a tuple, most significant first, padded to ``width``.
-
-    >>> bits_of(5, 4)
-    (0, 1, 0, 1)
-    """
-    if x < 0:
-        raise ValueError(f"bits_of requires a non-negative integer, got {x}")
-    if x.bit_length() > width:
-        raise ValueError(f"{x} does not fit in {width} bits")
-    return tuple((x >> i) & 1 for i in range(width - 1, -1, -1))
-
-
-def from_bits(bits: Iterable[int]) -> int:
-    """Assemble an integer from bits given most-significant first.
-
-    >>> from_bits((0, 1, 0, 1))
-    5
-    """
-    x = 0
-    for b in bits:
-        if b not in (0, 1):
-            raise ValueError(f"bits must be 0 or 1, got {b}")
-        x = (x << 1) | b
     return x

@@ -104,24 +104,6 @@ class Rectangle:
             return False
         return all(lo <= x <= hi for x, lo, hi in zip(point, self.low, self.high))
 
-    def contains_rectangle(self, other: "Rectangle") -> bool:
-        """Return True when ``other`` is entirely inside this rectangle."""
-        if other.dims != self.dims:
-            return False
-        return all(
-            slo <= olo and ohi <= shi
-            for slo, shi, olo, ohi in zip(self.low, self.high, other.low, other.high)
-        )
-
-    def intersects(self, other: "Rectangle") -> bool:
-        """Return True when the two rectangles share at least one cell."""
-        if other.dims != self.dims:
-            return False
-        return all(
-            olo <= shi and slo <= ohi
-            for slo, shi, olo, ohi in zip(self.low, self.high, other.low, other.high)
-        )
-
     # --------------------------------------------------------------- iteration
     def cells(self) -> Iterator[Tuple[int, ...]]:
         """Iterate over every cell in the rectangle (use only for small regions)."""

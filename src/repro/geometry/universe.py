@@ -13,7 +13,7 @@ widths, cell validation and standard-cube arithmetic stay consistent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Tuple
+from typing import Sequence, Tuple
 
 __all__ = ["Universe"]
 
@@ -56,11 +56,6 @@ class Universe:
     def num_cells(self) -> int:
         """Total number of cells in the universe (``2^{kd}``)."""
         return 1 << (self.order * self.dims)
-
-    @property
-    def key_bits(self) -> int:
-        """Number of bits in the SFC key of a single cell (``d·k``)."""
-        return self.dims * self.order
 
     @property
     def max_key(self) -> int:
@@ -109,10 +104,6 @@ class Universe:
         return vec
 
     # ------------------------------------------------------- standard cubes
-    def levels(self) -> Iterator[int]:
-        """Iterate over standard-cube levels ``0..k`` (level ``k`` = individual cells)."""
-        return iter(range(self.order + 1))
-
     def cube_side_at_level(self, level: int) -> int:
         """Side length of a standard cube at recursion ``level`` (``2^{k − level}``)."""
         if not 0 <= level <= self.order:

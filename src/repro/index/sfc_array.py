@@ -119,13 +119,6 @@ class SFCArray:
         self.stats.deletes += 1
         return True
 
-    def point_of(self, item_id: Hashable) -> Optional[Tuple[int, ...]]:
-        """Return the point at which ``item_id`` is stored, or ``None``."""
-        key = self._key_of_item.get(item_id)
-        if key is None:
-            return None
-        return self._buckets[key][item_id].point
-
     # ---------------------------------------------------------------- queries
     def first_in_key_range(self, key_range: KeyRange) -> Optional[StoredItem]:
         """Return any one item whose key lies in the inclusive range, or ``None``.

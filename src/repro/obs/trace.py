@@ -55,9 +55,6 @@ class Span:
     hop: int = 0
     detail: Tuple[Tuple[str, object], ...] = ()
 
-    def detail_dict(self) -> Dict[str, object]:
-        return dict(self.detail)
-
     @property
     def end(self) -> float:
         return self.start + self.duration

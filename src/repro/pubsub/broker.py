@@ -35,7 +35,7 @@ table's :meth:`~repro.pubsub.routing_table.RoutingTable.match_work`, in place.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from ..geometry.transform import Range, first_covering
 from ..index.config import IndexConfig
@@ -44,6 +44,9 @@ from .routing_table import RoutingTable, check_covering_kind
 from .schema import AttributeSchema
 from .subscription import Event, Subscription
 from .subscription_store import ProfileCache, SubscriptionStore
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..sim.transport import Transport
 
 __all__ = ["Broker", "BrokerStats", "LOCAL_INTERFACE"]
 
@@ -102,6 +105,20 @@ class LinkState:
     dependents: Dict[Hashable, Dict[Hashable, None]] = field(default_factory=dict)
 
 
+class _Detached:
+    """The transport of a broker outside any network: every send raises."""
+
+    @staticmethod
+    def send(kind: str, sender: Hashable, receiver: Hashable, payload: object) -> None:
+        raise RuntimeError(
+            f"broker {sender} has no transport attached; "
+            f"add it to a BrokerNetwork before sending {kind} messages"
+        )
+
+
+_DETACHED = _Detached()
+
+
 def _drop_dependent(link: LinkState, cover: Hashable, sub_id: Hashable) -> None:
     """Take ``sub_id`` off ``cover``'s dependants on ``link`` (dropping an emptied entry)."""
     dependents = link.dependents.get(cover)
@@ -128,9 +145,8 @@ class Broker:
     config:
         The one :class:`~repro.index.config.IndexConfig` of this broker
         (defaults to ``IndexConfig()``), read by the interface tables' match
-        indexes: ``curve``, ``run_budget`` and ``precision_bits`` (curves
-        change run/segment statistics, never semantics).  No covering
-        decision reads it.
+        indexes: ``curve`` and ``precision_bits`` (curves change run/segment
+        statistics, never semantics).  No covering decision reads it.
     profile_cache:
         Optional shared :class:`ProfileCache` (the network passes one cache
         to all its brokers so a subscription is decomposed for matching once
@@ -142,7 +158,7 @@ class Broker:
         ``covering`` span per forwarding decision; when ``None`` (the
         default) instrumentation costs a single ``is not None`` test.
 
-    A broker sends and delivers through the two callbacks
+    A broker sends through the transport and delivers through the callback
     :meth:`attach_transport` installs (the network does so when it adds the
     broker).  Until then a send raises ``RuntimeError`` and a local delivery
     is counted but goes nowhere.
@@ -175,6 +191,7 @@ class Broker:
         self._owned: Dict[Hashable, Tuple[int, int, Hashable, Subscription]] = {}
         self._client_ordinal: Dict[Hashable, int] = {}
         self._arrivals = 0
+        self._transport = _DETACHED
 
     # ------------------------------------------------------------------ wiring
     def _fresh_routing_table(self) -> RoutingTable:
@@ -206,29 +223,24 @@ class Broker:
 
     def attach_transport(
         self,
-        send: Callable[[str, Hashable, Hashable, object], None],
+        transport: "Transport",
         deliver: Callable[[Event, List[Hashable], List[Hashable]], None],
     ) -> None:
-        """Attach the network's callbacks.
+        """Attach the network's transport and delivery callback.
 
-        ``send(kind, sender, receiver, payload)`` carries every message to a
-        neighbour: a ``"subscription"`` (payload: the subscription), an
-        ``"unsubscription"`` (the withdrawn id) or an ``"event"``.
-        ``deliver(event, clients, sub_ids)`` hands an event to the local
-        clients it reaches, once per visit that delivers at all: ``clients``
-        in first-registration order, one entry each, and ``sub_ids[i]`` the
-        earliest-registered matching subscription of ``clients[i]``.
-        Both shadow the methods of the same name on this instance.
+        ``transport.send(kind, sender, receiver, payload)`` carries every
+        message to a neighbour: a ``"subscription"`` (payload: the
+        subscription), an ``"unsubscription"`` (the withdrawn id) or an
+        ``"event"``; the broker calls it directly.
+        ``deliver(event, clients, sub_ids)`` hands an event to
+        the local clients it reaches, once per visit that delivers at all:
+        ``clients`` in first-registration order, one entry each, and
+        ``sub_ids[i]`` the earliest-registered matching subscription of
+        ``clients[i]``; it shadows the method of the same name on this
+        instance.
         """
-        self._send = send
+        self._transport = transport
         self._deliver = deliver
-
-    def _send(self, kind: str, sender: Hashable, receiver: Hashable, payload: object) -> None:
-        """Send callback of a broker outside any network."""
-        raise RuntimeError(
-            f"broker {self.broker_id} has no transport attached; "
-            f"add it to a BrokerNetwork before sending {kind} messages"
-        )
 
     def _deliver(self, event: Event, clients: List[Hashable], sub_ids: List[Hashable]) -> None:
         """Delivery callback of a broker outside any network: the deliveries go nowhere."""
@@ -360,7 +372,7 @@ class Broker:
         """Add a subscription to a link's forwarded set and send it."""
         link.forwarded[subscription.sub_id] = subscription
         self.stats.subscriptions_forwarded += 1
-        self._send("subscription", self.broker_id, neighbor_id, subscription)
+        self._transport.send("subscription", self.broker_id, neighbor_id, subscription)
 
     def _consider_forwarding(
         self,
@@ -435,7 +447,7 @@ class Broker:
         """
         forwarded = self._link(neighbor_id).forwarded
         for sub_id in forwarded:
-            self._send("unsubscription", self.broker_id, neighbor_id, sub_id)
+            self._transport.send("unsubscription", self.broker_id, neighbor_id, sub_id)
         return len(forwarded)
 
     def resync_interface(self, neighbor_id: Hashable) -> int:
@@ -449,7 +461,7 @@ class Broker:
         """
         forwarded = self._link(neighbor_id).forwarded
         for subscription in forwarded.values():
-            self._send("subscription", self.broker_id, neighbor_id, subscription)
+            self._transport.send("subscription", self.broker_id, neighbor_id, subscription)
         self.stats.subscriptions_resynced += len(forwarded)
         return len(forwarded)
 
@@ -537,7 +549,7 @@ class Broker:
             return
         if link.forwarded.pop(sub_id, None) is None:
             return
-        self._send("unsubscription", self.broker_id, neighbor_id, sub_id)
+        self._transport.send("unsubscription", self.broker_id, neighbor_id, sub_id)
         # Subscriptions previously suppressed on this link may have lost their
         # cover; re-run the forwarding decision so downstream brokers keep
         # receiving the events those subscribers still need.  Only the
@@ -565,27 +577,24 @@ class Broker:
         """Inject a batch of locally published events.
 
         The events' curve keys are computed in one pass (sharing
-        per-coordinate spreading work across the batch) and threaded through
-        routing, so each key is built once instead of once per interface
-        probe.
+        per-coordinate spreading work across the batch) and remembered on the
+        events, where routing reads them.
         """
         events = list(events)
-        for event, key in zip(events, self.routing_table.event_keys(events)):
-            self.receive_event(LOCAL_INTERFACE, event, key=key)
+        self.routing_table.event_keys(events)
+        for event in events:
+            self.receive_event(LOCAL_INTERFACE, event)
 
-    def receive_event(
-        self, from_interface: Hashable, event: Event, key: Optional[int] = None
-    ) -> None:
+    def receive_event(self, from_interface: Hashable, event: Event) -> None:
         """Deliver an event locally and forward it along matching interfaces.
 
-        ``key`` optionally carries the event's precomputed SFC key (from
-        :meth:`publish_batch`); when absent it is read off the event — or
-        computed, once per ``Event`` object — and shared by the local-delivery
-        probe and every neighbour probe.
+        The event's SFC key is read off the event (remembered there by
+        :meth:`~repro.pubsub.routing_table.RoutingTable.event_key` /
+        ``event_keys``) or computed, once per ``Event`` object, and shared by
+        the local-delivery probe and every neighbour probe.
         """
         self.stats.events_received += 1
-        if key is None:
-            key = self.routing_table.event_key(event)
+        key = self.routing_table.event_key(event)
         delivered = self._deliver_locally(event, key)
         # Neighbour tables only need "does anything match?"; the local-client
         # table was just asked the fuller question by _deliver_locally.
@@ -595,7 +604,7 @@ class Broker:
         ):
             self.stats.events_forwarded += 1
             forwarded_to.append(interface_id)
-            self._send("event", self.broker_id, interface_id, event)
+            self._transport.send("event", self.broker_id, interface_id, event)
         if self.trace is not None:
             self.trace.record(
                 Span(
@@ -612,7 +621,7 @@ class Broker:
                 )
             )
 
-    def _deliver_locally(self, event: Event, key: Optional[int]) -> int:
+    def _deliver_locally(self, event: Event, key: int) -> int:
         """Hand ``event`` to every local client with a matching subscription.
 
         One probe of the local-client table (a scan while the table is small,

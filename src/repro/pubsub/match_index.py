@@ -57,7 +57,8 @@ Three refinements keep the structure bounded and sound:
   insert about what a cached one does.
 * **Run-budget coarsening.**  Thin rectangles can decompose into many runs
   (the aspect-ratio lower bound of Theorem 4.1), so per subscription the run
-  list is over-approximated down to at most ``run_budget`` ranges by closing
+  list is over-approximated down to at most :attr:`MatchIndex.RUN_BUDGET`
+  ranges by closing
   the smallest inter-run gaps.  Again, only ever adds keys, so no matching
   event can be missed.
 * **Rectangle fallback check.**  A candidate produced by the segment probe may
@@ -158,12 +159,11 @@ class MatchIndex:
         (``d = num_attributes`` dimensions, ``2^order`` cells per side).
     config:
         The :class:`~repro.index.config.IndexConfig` (defaults to
-        ``IndexConfig()``).  The index reads three of its fields; the
+        ``IndexConfig()``); the index reads both of its fields.  The
         disjoint segments live in one
         :class:`~repro.index.sfc_array.FlatSegmentStore` (parallel sorted
         arrays probed by ``bisect``, with bulk-load construction, a
-        pending-run buffer and amortised merge-rebuilds).  ``run_budget``
-        caps the key ranges stored per subscription (see module docstring).
+        pending-run buffer and amortised merge-rebuilds).
         ``precision_bits`` pins the grid resolution (bits per dimension) at
         which rectangles are decomposed; schemas with a larger order have
         their rectangles snapped outward to this grid first.  ``None`` lets
@@ -182,7 +182,14 @@ class MatchIndex:
         network share one) decomposes a rectangle once between them and
         stores the same immutable run tuple.  Answers, stored state and
         :attr:`stats` are identical with and without it.
+
+    Each subscription stores at most :attr:`RUN_BUDGET` key runs (see the
+    module docstring); the budget is a class constant, as
+    :attr:`~repro.pubsub.routing_table.InterfaceTable.SCAN_LIMIT` is.
     """
+
+    #: Cap on the key runs stored per subscription (Sec. 3.2 coarsening).
+    RUN_BUDGET = 64
 
     def __init__(
         self,
@@ -195,7 +202,6 @@ class MatchIndex:
         self.schema = schema
         self.universe = Universe(dims=schema.num_attributes, order=schema.order)
         self.curve = make_curve(config.curve, self.universe)
-        self.run_budget = config.run_budget
         self._run_cache = run_cache
         self.stats = MatchIndexStats()
         #: Rectangle tests of staged slots that rejected, so far.
@@ -282,7 +288,7 @@ class MatchIndex:
             universe.dims,
             universe.order,
             effective,
-            self.run_budget,
+            self.RUN_BUDGET,
         )
         # Grids of at most 2^PRECISION_BIT_BUDGET cubes (every derived
         # precision; an explicit ``precision_bits`` may exceed it) read runs
@@ -328,7 +334,7 @@ class MatchIndex:
         when :func:`finer_grid_pays` says so for probes per write over the
         index's life, stab rejections per probe since the grid was set, and
         the runs stored now and on the next bit (``2^(d-1)`` times as many,
-        Fact 2.1, at most ``run_budget`` per subscription).  The step
+        Fact 2.1, at most :attr:`RUN_BUDGET` per subscription).  The step
         re-flattens on the finer grid, so it is still one sweep.
         """
         stats = self.stats
@@ -338,7 +344,7 @@ class MatchIndex:
             runs = stats.runs_stored
             if finer_grid_pays(
                 runs,
-                min(runs << (self.universe.dims - 1), self.run_budget * len(self)),
+                min(runs << (self.universe.dims - 1), self.RUN_BUDGET * len(self)),
                 stats.lookups / max(stats.inserts + stats.removals, 1),
                 (self.stab_rejections() - stab_rejections) / max(stats.lookups - lookups, 1),
             ):
@@ -559,7 +565,7 @@ class MatchIndex:
         return True
 
     def _coarsen(self, runs: List[KeyRange]) -> Tuple[Tuple[KeyRange, ...], bool]:
-        """Over-approximate ``runs`` down to at most ``run_budget`` ranges.
+        """Over-approximate ``runs`` down to at most :attr:`RUN_BUDGET` ranges.
 
         Closes the smallest gaps first, so the number of spurious keys added —
         and with it the false-positive rate the fallback check must absorb —
@@ -567,12 +573,13 @@ class MatchIndex:
         tuple (it may be shared through the run cache) and whether the budget
         forced any gap closed.
         """
-        if len(runs) <= self.run_budget:
+        budget = self.RUN_BUDGET
+        if len(runs) <= budget:
             return tuple(runs), False
         gaps = sorted(
             range(len(runs) - 1), key=lambda i: runs[i + 1][0] - runs[i][1]
         )
-        close = set(gaps[: len(runs) - self.run_budget])
+        close = set(gaps[: len(runs) - budget])
         coarsened: List[KeyRange] = []
         current_lo, current_hi = runs[0]
         for i in range(1, len(runs)):
@@ -703,5 +710,5 @@ class MatchIndex:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"MatchIndex(subscriptions={len(self)}, segments={self.segment_count()}, "
-            f"precision_bits={self.precision_bits}, run_budget={self.run_budget})"
+            f"precision_bits={self.precision_bits})"
         )

@@ -184,9 +184,9 @@ class BrokerNetwork:
         latency, queueing and churn.
     config:
         The one :class:`~repro.index.config.IndexConfig` every broker is
-        built with (defaults to ``IndexConfig()``): curve, run budget and
-        precision.  Curves change run/segment statistics, never delivery
-        semantics.  The network hands one
+        built with (defaults to ``IndexConfig()``): curve and precision.
+        Curves change run/segment statistics, never delivery semantics.  The
+        network hands one
         :class:`~repro.pubsub.subscription_store.ProfileCache` to every
         broker, so each subscription's match-index key runs are computed
         once network-wide.
@@ -194,9 +194,10 @@ class BrokerNetwork:
         The :class:`~repro.obs.registry.MetricsRegistry` the network's
         counters are serialised into (defaults to a fresh one, so every
         network can be scraped).  Every counter lives in one place: each
-        broker's ``stats`` and routing table, this network's message
-        counters and audit tallies, ``profile_cache`` and
-        ``transport.stats``.  :meth:`scrape` / :meth:`metrics_snapshot`
+        broker's ``stats`` and routing table, this network's audit
+        tallies and delivery log, ``profile_cache`` and ``transport.stats``
+        (the message counts by kind are read off the brokers' and the
+        transport's).  :meth:`scrape` / :meth:`metrics_snapshot`
         (through :meth:`publish_metrics`) copy them into the registry at
         scrape time; the hot paths only increment plain attributes, so the
         registry costs nothing per event.
@@ -238,7 +239,9 @@ class BrokerNetwork:
             self.metrics = MetricsRegistry()
         if self.tracing is None:
             self.tracing = TraceLog(enabled=False, seed=self.seed)
-        # After the trace log: the transport observes arrivals only if it is enabled.
+        self.deliveries = DeliveryLog()
+        # After the trace log and the delivery log: the transport observes
+        # arrivals only if tracing is enabled, and counts deliveries by the log.
         if self.transport is None:
             self.transport = SyncTransport()
         self.transport.bind(self)
@@ -246,15 +249,11 @@ class BrokerNetwork:
         # under a seeded SimTransport, frozen at 0.0 under SyncTransport.
         self.tracing.bind_clock(lambda: self.transport.now)
         self.graph = nx.Graph()
-        self.subscription_messages = 0
-        self.unsubscription_messages = 0
-        self.event_messages = 0
         # Running delivery-audit tallies, accumulated by publish_and_audit so
         # scrapes report real delivery counts without a replay.
         self.audited_delivered = 0
         self.audited_missed = 0
         self.audited_duplicates = 0
-        self.deliveries = DeliveryLog()
         # Event id -> the clients it has reached, for the ids a caller is
         # collecting (see collect_recipients).
         self._collecting: Dict[Hashable, Set[Hashable]] = {}
@@ -278,7 +277,7 @@ class BrokerNetwork:
             trace=self.tracing if self.tracing.enabled else None,
             config=self.config,
         )
-        broker.attach_transport(self._send, self._record_deliveries)
+        broker.attach_transport(self.transport, self._record_deliveries)
         self.brokers[broker_id] = broker
         self.graph.add_node(broker_id)
         # Transports that maintain per-broker infrastructure (the networked
@@ -358,15 +357,30 @@ class BrokerNetwork:
         return network
 
     # ---------------------------------------------------------------- transport
-    def _send(self, kind: str, sender: Hashable, receiver: Hashable, payload: object) -> None:
-        """Every broker's send callback: count the message by kind, then hand it to the transport."""
-        if kind == "event":
-            self.event_messages += 1
-        elif kind == "subscription":
-            self.subscription_messages += 1
-        else:
-            self.unsubscription_messages += 1
-        self.transport.send(kind, sender, receiver, payload)
+    @property
+    def event_messages(self) -> int:
+        """Event messages sent between brokers: every broker's ``events_forwarded``."""
+        return sum([broker.stats.events_forwarded for broker in self.brokers.values()])
+
+    @property
+    def subscription_messages(self) -> int:
+        """Subscription messages sent between brokers: forwarded and re-synced."""
+        return sum(
+            [
+                broker.stats.subscriptions_forwarded + broker.stats.subscriptions_resynced
+                for broker in self.brokers.values()
+            ]
+        )
+
+    @property
+    def unsubscription_messages(self) -> int:
+        """Withdrawals sent between brokers: every message the transport was
+        handed that is neither an event nor a subscription."""
+        return (
+            self.transport.stats.messages_sent
+            - self.event_messages
+            - self.subscription_messages
+        )
 
     def _dispatch(self, kind: str, sender: Hashable, receiver: Hashable, payload: object) -> None:
         """Hand a message that has arrived (in simulated time) to its broker."""
@@ -422,7 +436,6 @@ class BrokerNetwork:
         # The end-to-end publish→subscriber latency, into the transport's
         # stats: every delivery of one visit shares it.
         stats = transport.stats
-        stats.deliveries += count
         stats.delivery_latencies.extend((now - self._publish_times.get(event_id, now),) * count)
         self.deliveries.extend(clients, sub_ids, event_id, now)
         recipients = self._collecting.get(event_id)
@@ -836,9 +849,9 @@ class BrokerNetwork:
         """Publish every counter into the metrics registry, collector-style.
 
         Each value is read where it is kept: the brokers' :class:`BrokerStats`
-        and their routing tables' match work, the network's message counters
-        and running audit tallies, the shared profile cache and the
-        transport's stats.  Idempotent: running totals overwrite the previous
+        and their routing tables' match work (the message counts by kind are
+        sums of them and of the transport's), the network's running audit
+        tallies, the shared profile cache and the transport's stats.  Idempotent: running totals overwrite the previous
         scrape's values, so calling this twice never double-counts, and the
         hot paths keep incrementing plain attributes at no registry cost.
         """

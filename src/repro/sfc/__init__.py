@@ -8,7 +8,6 @@ from .runs import (
     GridRunTable,
     RunProfile,
     brute_force_run_profile,
-    count_runs,
     cube_key_ranges,
     merge_key_ranges,
 )
@@ -27,7 +26,6 @@ __all__ = [
     "GridRunTable",
     "RunProfile",
     "brute_force_run_profile",
-    "count_runs",
     "cube_key_ranges",
     "merge_key_ranges",
 ]

@@ -27,7 +27,7 @@ from typing import Iterable, List, Sequence, Tuple
 from ..geometry.rect import Rectangle, StandardCube
 from .base import KeyRange, SpaceFillingCurve
 
-__all__ = ["merge_key_ranges", "cube_key_ranges", "count_runs", "RunProfile", "GridRunTable"]
+__all__ = ["merge_key_ranges", "cube_key_ranges", "RunProfile", "GridRunTable"]
 
 
 def merge_key_ranges(ranges: Iterable[KeyRange]) -> List[KeyRange]:
@@ -59,11 +59,6 @@ def merge_key_ranges(ranges: Iterable[KeyRange]) -> List[KeyRange]:
 def cube_key_ranges(curve: SpaceFillingCurve, cubes: Sequence[StandardCube]) -> List[KeyRange]:
     """Return the key range of each standard cube under ``curve`` (unmerged)."""
     return [curve.cube_key_range(cube) for cube in cubes]
-
-
-def count_runs(curve: SpaceFillingCurve, cubes: Sequence[StandardCube]) -> int:
-    """Return ``runs(T)`` for the region partitioned exactly by ``cubes``."""
-    return len(merge_key_ranges(cube_key_ranges(curve, cubes)))
 
 
 class GridRunTable:

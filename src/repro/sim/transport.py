@@ -39,7 +39,7 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, Hashable, Optional, Sequence, Tuple, Union
+from typing import Callable, Deque, Dict, Hashable, Optional, Sequence, Sized, Tuple, Union
 
 from .kernel import EventKernel
 from .latency import FixedLatency, LatencyModel
@@ -119,7 +119,7 @@ class TransportStats:
     handed to the receiving broker.  These two and ``hop_latencies`` are
     windows of the most recent :data:`RETENTION` samples, and the
     percentiles and histograms built from them describe that window;
-    ``deliveries`` counts every delivery ever recorded.
+    :attr:`deliveries` counts every delivery ever recorded.
     """
 
     messages_sent: int = 0
@@ -132,7 +132,13 @@ class TransportStats:
     hop_counts: Deque[int] = field(default_factory=recent_window)
     #: Per-hop latency (send→arrival, including queue wait) of event messages.
     hop_latencies: Deque[float] = field(default_factory=recent_window)
-    deliveries: int = field(default=0, init=False)
+    #: The bound network's delivery log (empty until :meth:`Transport.bind`).
+    delivery_log: Sized = field(default=(), init=False, repr=False, compare=False)
+
+    @property
+    def deliveries(self) -> int:
+        """Every delivery ever recorded: the length of the network's delivery log."""
+        return len(self.delivery_log)
 
     def latency_percentiles(self, qs: Sequence[float] = (50, 90, 99)) -> Dict[str, float]:
         """Return ``{"p50": ..., ...}`` over the recorded delivery latencies."""
@@ -194,11 +200,13 @@ class Transport:
         """Attach to a broker network (called by ``BrokerNetwork.__post_init__``).
 
         The network's ``_observe_arrival`` is held only if its trace log is
-        enabled at this point.
+        enabled at this point; :attr:`TransportStats.deliveries` reads the
+        network's delivery log from now on.
         """
         if self.network is not None and self.network is not network:
             raise RuntimeError("transport is already bound to another network")
         self.network = network
+        self.stats.delivery_log = network.deliveries
         self._observe_arrival = network._observe_arrival if network.tracing.enabled else None
 
     #: Current simulated time: frozen at 0.0 on the synchronous transport, a

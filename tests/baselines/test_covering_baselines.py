@@ -13,7 +13,6 @@ import pytest
 from repro.baselines.linear_scan import LinearScanCoveringDetector
 from repro.baselines.probabilistic import ProbabilisticCoveringDetector
 from repro.core.covering import ApproximateCoveringDetector
-from repro.index.config import IndexConfig
 
 
 def random_subscription(rng, attributes, max_value, max_width=None):
@@ -68,7 +67,7 @@ def _exhaustive_detector(attributes, attribute_order):
     return ApproximateCoveringDetector(
         attributes=attributes,
         attribute_order=attribute_order,
-        config=IndexConfig(cube_budget=1_000_000),
+        cube_budget=1_000_000,
     )
 
 
@@ -171,7 +170,7 @@ class TestCrossDetectorAgreement:
         linear = LinearScanCoveringDetector(attributes, order)
         approx = ApproximateCoveringDetector(
             attributes=attributes, attribute_order=order,
-            config=IndexConfig(epsilon=0.1, cube_budget=500_000)
+            epsilon=0.1, cube_budget=500_000
         )
         for i in range(120):
             ranges = random_subscription(rng, attributes, 63)

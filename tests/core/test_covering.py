@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from repro.baselines.linear_scan import LinearScanCoveringDetector
 from repro.core.covering import ApproximateCoveringDetector
 from repro.geometry.transform import ranges_cover
-from repro.index.config import IndexConfig
 
 
 def random_subscription(rng, attributes, max_value, max_width=None):
@@ -118,7 +117,7 @@ class TestSoundnessAndRecall:
     def test_witness_is_always_a_true_cover(self):
         rng = random.Random(3)
         det = ApproximateCoveringDetector(
-            attributes=2, attribute_order=8, config=IndexConfig(cube_budget=1_000_000, epsilon=0.1)
+            attributes=2, attribute_order=8, cube_budget=1_000_000, epsilon=0.1
         )
         stored = {}
         for i in range(200):
@@ -135,7 +134,7 @@ class TestSoundnessAndRecall:
     def test_exhaustive_matches_linear_ground_truth(self):
         rng = random.Random(11)
         det = ApproximateCoveringDetector(
-            attributes=1, attribute_order=10, config=IndexConfig(epsilon=0.05, cube_budget=500_000)
+            attributes=1, attribute_order=10, epsilon=0.05, cube_budget=500_000
         )
         for i in range(300):
             det.add_subscription(i, random_subscription(rng, 1, 1023))
@@ -150,7 +149,7 @@ class TestSoundnessAndRecall:
     def test_wider_epsilon_never_finds_nonexistent_cover(self):
         rng = random.Random(17)
         det = ApproximateCoveringDetector(
-            attributes=2, attribute_order=6, config=IndexConfig(cube_budget=1_000_000, epsilon=0.4)
+            attributes=2, attribute_order=6, cube_budget=1_000_000, epsilon=0.4
         )
         for i in range(100):
             det.add_subscription(i, random_subscription(rng, 2, 63))
@@ -167,7 +166,7 @@ class TestSoundnessAndRecall:
         """If we store a strict widening of the query, exhaustive search must find a cover."""
         attributes = data.draw(st.integers(1, 2))
         det = ApproximateCoveringDetector(
-            attributes=attributes, attribute_order=6, config=IndexConfig(cube_budget=200_000)
+            attributes=attributes, attribute_order=6, cube_budget=200_000
         )
         query = []
         outer = []
@@ -199,7 +198,7 @@ class TestSoundnessAndRecall:
 class TestQueryAccounting:
     def test_runs_probed_reported(self):
         det = ApproximateCoveringDetector(
-            attributes=1, attribute_order=10, config=IndexConfig(cube_budget=1_000_000, epsilon=0.05)
+            attributes=1, attribute_order=10, cube_budget=1_000_000, epsilon=0.05
         )
         det.add_subscription("wide", [(0, 1000)])
         result = det.find_covering([(100, 500)])
@@ -209,7 +208,7 @@ class TestQueryAccounting:
 
     def test_epsilon_override_per_query(self):
         det = ApproximateCoveringDetector(
-            attributes=1, attribute_order=10, config=IndexConfig(cube_budget=1_000_000, epsilon=0.5)
+            attributes=1, attribute_order=10, cube_budget=1_000_000, epsilon=0.5
         )
         det.add_subscription("wide", [(0, 1000)])
         strict = det.find_covering([(100, 500)], epsilon=0.01)

@@ -26,7 +26,6 @@ from repro.core.approx_dominance import ApproximateDominanceIndex, build_dominan
 from repro.core.covering import ApproximateCoveringDetector, CoveringProfiler
 from repro.geometry.transform import first_covering
 from repro.geometry.universe import Universe
-from repro.index.config import IndexConfig
 from repro.sfc.factory import CURVE_KINDS, make_curve
 
 ATTRIBUTES = 2
@@ -36,15 +35,15 @@ MAX_VALUE = (1 << ORDER) - 1
 
 # ------------------------------------------------------------------ profiles
 def test_a_profile_carries_its_point_and_its_census_counted_plan():
-    profiler = CoveringProfiler(ATTRIBUTES, ORDER, IndexConfig())
+    profiler = CoveringProfiler(ATTRIBUTES, ORDER)
     profile = profiler.profile([(3, 9), (0, 20)])
     assert profile.ranges == ((3, 9), (0, 20))
     assert profile.point == profiler.transform.to_point(profile.ranges)
     expected = build_dominance_plan(
         profiler.transform.universe,
         profile.point,
-        epsilon=profiler.config.epsilon,
-        cube_budget=profiler.config.cube_budget,
+        epsilon=profiler.epsilon,
+        cube_budget=profiler.cube_budget,
         curve=profiler.curve,
     )
     plan = profile.plan
@@ -61,9 +60,8 @@ def test_profile_check_compares_up_to_the_plan_size_and_probes_above(curve_kind)
     while the detector holds at most ``plan.cubes`` subscriptions and the
     plan's execution against the index above that, at store sizes on both
     sides of every query's crossover."""
-    config = IndexConfig(curve=curve_kind, cube_budget=16)
-    detector = ApproximateCoveringDetector(ATTRIBUTES, ORDER, config)
-    profiler = CoveringProfiler(ATTRIBUTES, ORDER, config)
+    detector = ApproximateCoveringDetector(ATTRIBUTES, ORDER, curve=curve_kind, cube_budget=16)
+    profiler = CoveringProfiler(ATTRIBUTES, ORDER, curve=curve_kind, cube_budget=16)
     rng = random.Random(4)
     stored = {}
     queries = []
@@ -94,20 +92,20 @@ def test_profile_check_compares_up_to_the_plan_size_and_probes_above(curve_kind)
 
 # ---------------------------------------------------------- the paranoia guard
 FOREIGN = {
-    "curve": (ORDER, IndexConfig(curve="hilbert")),
-    "epsilon": (ORDER, IndexConfig(epsilon=0.3)),
-    "budget": (ORDER, IndexConfig(cube_budget=64)),
-    "order": (ORDER + 1, IndexConfig()),
+    "curve": (ORDER, {"curve": "hilbert"}),
+    "epsilon": (ORDER, {"epsilon": 0.3}),
+    "budget": (ORDER, {"cube_budget": 64}),
+    "order": (ORDER + 1, {}),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(FOREIGN))
 def test_a_foreign_profile_falls_back_to_its_ranges(kind):
-    detector = ApproximateCoveringDetector(ATTRIBUTES, ORDER, IndexConfig())
+    detector = ApproximateCoveringDetector(ATTRIBUTES, ORDER)
     for i in range(6):
         detector.add_subscription(i, [(i, MAX_VALUE - i), (2 * i, MAX_VALUE)])
-    order, config = FOREIGN[kind]
-    foreign = CoveringProfiler(ATTRIBUTES, order, config)
+    order, parameters = FOREIGN[kind]
+    foreign = CoveringProfiler(ATTRIBUTES, order, **parameters)
     for ranges in ([(5, 9), (12, 20)], [(0, MAX_VALUE), (0, 3)]):
         profile = foreign.profile(ranges)
         assert not detector.compatible_profile(profile)
@@ -118,9 +116,9 @@ def test_a_foreign_profile_falls_back_to_its_ranges(kind):
         assert result.query.runs_probed == expected.query.runs_probed
 
 
-def test_a_profile_differing_only_in_storage_knobs_is_compatible():
-    detector = ApproximateCoveringDetector(ATTRIBUTES, ORDER, IndexConfig())
-    profiler = CoveringProfiler(ATTRIBUTES, ORDER, IndexConfig(run_budget=4))
+def test_a_profile_from_another_profiler_with_equal_parameters_is_compatible():
+    detector = ApproximateCoveringDetector(ATTRIBUTES, ORDER)
+    profiler = CoveringProfiler(ATTRIBUTES, ORDER)
     profile = profiler.profile([(5, 9), (12, 20)])
     assert detector.compatible_profile(profile)
     assert detector.find_covering_profile(profile).query is None

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from repro.core.approx_dominance import ApproximateDominanceIndex
 from repro.core.covering import ApproximateCoveringDetector
 from repro.geometry.transform import first_covering
-from repro.index.config import IndexConfig
 from repro.sfc.factory import CURVE_KINDS, make_curve
 
 ATTRIBUTES = 2
@@ -80,8 +79,7 @@ def without(index, excluded):
     operations=st.lists(OPERATIONS, max_size=40),
 )
 def test_detector_answers_as_a_bare_dominance_index(curve, epsilon, cube_budget, operations):
-    config = IndexConfig(curve=curve, epsilon=epsilon, cube_budget=cube_budget)
-    detector = ApproximateCoveringDetector(ATTRIBUTES, ORDER, config)
+    detector = ApproximateCoveringDetector(ATTRIBUTES, ORDER, curve, epsilon, cube_budget)
     transform = detector.transform
     bare = ApproximateDominanceIndex(
         universe=transform.universe,

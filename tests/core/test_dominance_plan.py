@@ -23,8 +23,8 @@ from repro.core.approx_dominance import (
     TerminationReason,
     build_dominance_plan,
 )
+from repro.core.covering import DEFAULT_CUBE_BUDGET, DEFAULT_EPSILON
 from repro.geometry.universe import Universe
-from repro.index.config import IndexConfig
 from repro.sfc.factory import CURVE_KINDS, make_curve
 
 EPSILONS = (0.0, 0.05, 0.3)
@@ -187,11 +187,10 @@ def test_a_witness_in_the_first_class_builds_only_that_class():
 def test_materialised_plan_is_no_larger_than_the_step_tuples():
     """The tables replace the ``PlanStep`` tuples; they do not sit beside them.
 
-    A default-config plan over the 6-dimensional universe of a 3-attribute
+    A plan at the detector's defaults over the 6-dimensional universe of a 3-attribute
     schema (up to 2,000 probe ranges) took ~135 bytes per range as a list of
     steps holding ``(lo, hi)`` tuples; the tables take under 100.
     """
-    config = IndexConfig()
     universe = Universe(6, 10)
 
     def traced(build):
@@ -205,7 +204,7 @@ def test_materialised_plan_is_no_larger_than_the_step_tuples():
 
     def materialised(point):
         plan = build_dominance_plan(
-            universe, point, epsilon=config.epsilon, cube_budget=config.cube_budget
+            universe, point, epsilon=DEFAULT_EPSILON, cube_budget=DEFAULT_CUBE_BUDGET
         )
         for _ in plan.tables():
             pass
@@ -215,7 +214,7 @@ def test_materialised_plan_is_no_larger_than_the_step_tuples():
         plan, table_bytes = traced(lambda: materialised(point))
         (steps, _), step_bytes = traced(
             lambda: reference_plan_steps(
-                universe, point, epsilon=config.epsilon, cube_budget=config.cube_budget
+                universe, point, epsilon=DEFAULT_EPSILON, cube_budget=DEFAULT_CUBE_BUDGET
             )
         )
         ranges = sum(len(step.ranges) for step in steps)

@@ -8,16 +8,11 @@ from hypothesis import given, strategies as st
 from repro.geometry.bits import (
     bit_at,
     bit_length,
-    bits_of,
     ceil_log2,
     deinterleave_bits,
-    floor_log2,
-    from_bits,
     gray_decode,
     gray_encode,
     interleave_bits,
-    is_power_of_two,
-    low_ones,
     suffix_from,
     suffix_vector,
     truncate_to_msb,
@@ -133,30 +128,14 @@ class TestSuffixFrom:
 
 
 class TestLogHelpers:
-    def test_is_power_of_two(self):
-        assert is_power_of_two(1)
-        assert is_power_of_two(64)
-        assert not is_power_of_two(0)
-        assert not is_power_of_two(6)
-
-    def test_floor_ceil_log2(self):
-        assert floor_log2(1) == 0
-        assert floor_log2(9) == 3
+    def test_ceil_log2(self):
         assert ceil_log2(1) == 0
         assert ceil_log2(9) == 4
         assert ceil_log2(8) == 3
 
     def test_log_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            floor_log2(0)
-        with pytest.raises(ValueError):
             ceil_log2(0)
-
-    def test_low_ones(self):
-        assert low_ones(0) == 0
-        assert low_ones(3) == 7
-        with pytest.raises(ValueError):
-            low_ones(-1)
 
 
 class TestInterleave:
@@ -261,21 +240,3 @@ class TestGrayCode:
             gray_encode(-1)
         with pytest.raises(ValueError):
             gray_decode(-1)
-
-
-class TestBitsOf:
-    def test_round_trip(self):
-        assert bits_of(5, 4) == (0, 1, 0, 1)
-        assert from_bits((0, 1, 0, 1)) == 5
-
-    def test_width_too_small_rejected(self):
-        with pytest.raises(ValueError):
-            bits_of(9, 3)
-
-    def test_from_bits_rejects_non_binary(self):
-        with pytest.raises(ValueError):
-            from_bits((0, 2, 1))
-
-    @given(st.integers(min_value=0, max_value=2**20), st.integers(min_value=21, max_value=30))
-    def test_roundtrip_property(self, x, width):
-        assert from_bits(bits_of(x, width)) == x

@@ -13,7 +13,6 @@ class TestUniverseBasics:
         assert u.side == 16
         assert u.max_coordinate == 15
         assert u.num_cells == 16**3
-        assert u.key_bits == 12
         assert u.max_key == 16**3 - 1
         assert u.top_corner == (15, 15, 15)
 
@@ -78,10 +77,6 @@ class TestLengthValidation:
 
 
 class TestStandardCubeLevels:
-    def test_levels(self):
-        u = Universe(2, 3)
-        assert list(u.levels()) == [0, 1, 2, 3]
-
     def test_cube_side_at_level(self):
         u = Universe(2, 3)
         assert u.cube_side_at_level(0) == 8
@@ -100,5 +95,5 @@ class TestStandardCubeLevels:
 
     def test_level_roundtrip(self):
         u = Universe(3, 5)
-        for level in u.levels():
+        for level in range(u.order + 1):
             assert u.level_of_cube_side(u.cube_side_at_level(level)) == level

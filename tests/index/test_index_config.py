@@ -1,4 +1,8 @@
-"""IndexConfig: the single source of truth for every index knob."""
+"""IndexConfig: the single source of truth for every match-index knob.
+
+The paper's covering parameters (ε, the cube budget) are the detector's own,
+and the run budget is a class constant of the match index.
+"""
 
 from __future__ import annotations
 
@@ -6,13 +10,13 @@ import dataclasses
 
 import pytest
 
-from repro.index.config import (
+from repro.core.covering import (
     DEFAULT_CUBE_BUDGET,
-    DEFAULT_PRECISION_BITS,
-    DEFAULT_RUN_BUDGET,
-    PRECISION_BIT_BUDGET,
-    IndexConfig,
+    DEFAULT_EPSILON,
+    ApproximateCoveringDetector,
+    CoveringProfiler,
 )
+from repro.index.config import DEFAULT_PRECISION_BITS, PRECISION_BIT_BUDGET, IndexConfig
 from repro.pubsub.schema import Attribute, AttributeSchema
 from repro.pubsub.match_index import MatchIndex
 
@@ -27,29 +31,30 @@ class TestValidation:
     def test_defaults_are_valid(self):
         config = IndexConfig()
         assert config.curve == "zorder"
-        assert config.run_budget == DEFAULT_RUN_BUDGET
-        assert config.cube_budget == DEFAULT_CUBE_BUDGET
+        assert config.precision_bits is None
+        assert MatchIndex.RUN_BUDGET == 64
 
     def test_fields_are_pinned(self):
         """A new knob is a deliberate edit here, not a silent addition."""
         assert [f.name for f in dataclasses.fields(IndexConfig)] == [
             "curve",
             "precision_bits",
-            "run_budget",
-            "cube_budget",
-            "epsilon",
         ]
 
-    def test_covering_stack_defaults_to_the_routing_config(self):
-        """No silent second budget: a detector or profiler built without a
-        config gets the one every other constructor of the stack gets."""
-        from repro.core.covering import ApproximateCoveringDetector, CoveringProfiler
-
-        assert (
-            ApproximateCoveringDetector(2, 6).config
-            == CoveringProfiler(2, 6).config
-            == IndexConfig()
+    def test_covering_stack_defaults_to_one_budget(self):
+        """No silent second budget: a detector and a profiler built without
+        parameters share the curve, ε = 0.05 and 2,000 cubes, so the
+        profiler's profiles are the detector's."""
+        detector = ApproximateCoveringDetector(2, 6)
+        profiler = CoveringProfiler(2, 6)
+        assert (DEFAULT_EPSILON, DEFAULT_CUBE_BUDGET) == (0.05, 2_000)
+        assert (detector.curve, detector.epsilon, detector.cube_budget) == (
+            IndexConfig().curve,
+            DEFAULT_EPSILON,
+            DEFAULT_CUBE_BUDGET,
         )
+        assert (profiler.epsilon, profiler.cube_budget) == (DEFAULT_EPSILON, DEFAULT_CUBE_BUDGET)
+        assert detector.compatible_profile(profiler.profile([(1, 9), (3, 40)]))
 
     def test_unknown_curve_uses_canonical_message(self):
         with pytest.raises(ValueError, match="unknown curve kind"):
@@ -58,16 +63,30 @@ class TestValidation:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"run_budget": 0},
             {"precision_bits": 0},
-            {"cube_budget": 0},
-            {"epsilon": -0.1},
-            {"epsilon": 1.0},
+            {"precision_bits": -1},
         ],
     )
     def test_out_of_range_knobs_raise(self, kwargs):
         with pytest.raises(ValueError):
             IndexConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"cube_budget": 0},
+            {"epsilon": -0.1},
+            {"epsilon": 1.0},
+        ],
+    )
+    def test_out_of_range_covering_parameters_raise(self, kwargs):
+        """The detector's dominance index rejects them when it is built, a
+        profiler's plan builder when it profiles."""
+        with pytest.raises(ValueError):
+            ApproximateCoveringDetector(2, 6, **kwargs)
+        profiler = CoveringProfiler(2, 6, **kwargs)
+        with pytest.raises(ValueError):
+            profiler.profile([(1, 9), (3, 40)])
 
     def test_frozen(self):
         config = IndexConfig()
@@ -107,8 +126,7 @@ class TestPrecisionBits:
 
 
 def _constructors():
-    """The eight constructors that take index knobs, minimally applied."""
-    from repro.core.covering import ApproximateCoveringDetector, CoveringProfiler
+    """The six constructors that take an ``IndexConfig``, minimally applied."""
     from repro.pubsub.broker import Broker
     from repro.pubsub.network import BrokerNetwork
     from repro.pubsub.routing_table import InterfaceTable, RoutingTable
@@ -123,22 +141,42 @@ def _constructors():
         "BrokerNetwork.from_topology": lambda **kw: BrokerNetwork.from_topology(
             schema, [(0, 1)], **kw
         ),
-        "CoveringProfiler": lambda **kw: CoveringProfiler(2, 6, **kw),
-        "ApproximateCoveringDetector": lambda **kw: ApproximateCoveringDetector(2, 6, **kw),
     }
 
 
 class TestConfigIsTheOnlyChannel:
     @pytest.mark.parametrize("name", sorted(_constructors()))
-    @pytest.mark.parametrize(
-        "knob", [{"curve": "hilbert"}, {"epsilon": 0.2}, {"run_budget": 8}, {"cube_budget": 99}]
-    )
+    @pytest.mark.parametrize("knob", [{"curve": "hilbert"}, {"precision_bits": 3}])
     def test_knob_keywords_are_rejected(self, name, knob):
         """No constructor takes a knob beside ``config=``: the keyword is a TypeError."""
         build = _constructors()[name]
         build(config=IndexConfig(**knob))
         with pytest.raises(TypeError):
             build(**knob)
+
+    @pytest.mark.parametrize("name", sorted(_constructors()) + ["IndexConfig"])
+    @pytest.mark.parametrize(
+        "knob", [{"epsilon": 0.2}, {"cube_budget": 99}, {"run_budget": 8}]
+    )
+    def test_no_routing_constructor_takes_a_covering_or_run_budget_knob(self, name, knob):
+        """ε and the cube budget are the paper detector's, the run budget
+        is ``MatchIndex.RUN_BUDGET``: as keywords of ``IndexConfig`` or of any
+        constructor that takes one, they are a TypeError."""
+        build = {**_constructors(), "IndexConfig": IndexConfig}[name]
+        with pytest.raises(TypeError):
+            build(**knob)
+
+    @pytest.mark.parametrize("name", ["ApproximateCoveringDetector", "CoveringProfiler"])
+    def test_the_paper_detector_takes_its_query_parameters_and_no_config(self, name):
+        build = {
+            "ApproximateCoveringDetector": ApproximateCoveringDetector,
+            "CoveringProfiler": CoveringProfiler,
+        }[name]
+        built = build(2, 6, curve="hilbert", epsilon=0.2, cube_budget=99)
+        assert (built.epsilon, built.cube_budget) == (0.2, 99)
+        for knob in ({"config": IndexConfig()}, {"run_budget": 8}, {"precision_bits": 3}):
+            with pytest.raises(TypeError):
+                build(2, 6, **knob)
 
 
 def _index_layer_constructors():
@@ -183,21 +221,24 @@ class TestKeys:
         variants = [
             IndexConfig(curve="hilbert"),
             IndexConfig(precision_bits=3),
-            IndexConfig(run_budget=8),
-            IndexConfig(cube_budget=99),
-            IndexConfig(epsilon=0.2),
         ]
         assert len({base, *variants}) == len(variants) + 1
-        assert IndexConfig(run_budget=8) in {v: None for v in variants}
+        assert IndexConfig(precision_bits=3) in {v: None for v in variants}
 
-    def test_covering_key_ignores_storage_knobs(self):
-        a = IndexConfig(run_budget=8, precision_bits=3)
-        b = IndexConfig(run_budget=64)
-        assert a.covering_key() == b.covering_key()
-        assert (
-            a.covering_key()
-            != IndexConfig(epsilon=0.3).covering_key()
-        )
+    def test_a_profilers_cache_key_is_its_parameters(self):
+        """``(curve, ε, budget, attributes, order)``: equal parameters give
+        equal keys, any difference a different one."""
+        key = CoveringProfiler(2, 6).cache_key
+        assert key == ("zorder", DEFAULT_EPSILON, DEFAULT_CUBE_BUDGET, 2, 6)
+        assert CoveringProfiler(2, 6).cache_key == key
+        others = [
+            CoveringProfiler(2, 6, curve="hilbert"),
+            CoveringProfiler(2, 6, epsilon=0.3),
+            CoveringProfiler(2, 6, cube_budget=99),
+            CoveringProfiler(3, 6),
+            CoveringProfiler(2, 7),
+        ]
+        assert len({key, *(other.cache_key for other in others)}) == len(others) + 1
 
     def test_replace(self):
         config = IndexConfig()
@@ -212,16 +253,11 @@ class TestKeys:
         [
             {"curve": "hilbert"},
             {"precision_bits": 3},
-            {"run_budget": 8},
-            {"cube_budget": 99},
-            {"epsilon": 0.2},
         ],
         ids=lambda knob: next(iter(knob)),
     )
     def test_replace_changes_only_the_named_knob(self, knob):
-        config = IndexConfig(
-            curve="gray", precision_bits=5, run_budget=4, cube_budget=123, epsilon=0.3
-        )
+        config = IndexConfig(curve="gray", precision_bits=5)
         replaced = dataclasses.replace(config, **knob)
         assert replaced != config
         for field in dataclasses.fields(IndexConfig):

@@ -11,6 +11,11 @@ from repro.index.sfc_array import SFCArray, SFCArrayStats
 from repro.sfc.factory import CURVE_KINDS, make_curve
 
 
+def point_of(array, item_id):
+    """The point ``item_id`` is stored at (read off the array's items), or ``None``."""
+    return next((item.point for item in array.items() if item.item_id == item_id), None)
+
+
 @pytest.fixture(params=["fresh", "churned"])
 def layout(request):
     """The array's history before a test: ``fresh`` is new; ``churned`` has
@@ -48,7 +53,7 @@ class TestSFCArrayUpdates:
         key = array.add("a", (3, 4))
         assert "a" in array
         assert len(array) == 1
-        assert array.point_of("a") == (3, 4)
+        assert point_of(array, "a") == (3, 4)
         assert key == array.curve.key((3, 4))
 
     def test_add_validates_point(self, array):
@@ -60,13 +65,13 @@ class TestSFCArrayUpdates:
         assert array.remove("a")
         assert not array.remove("a")
         assert "a" not in array
-        assert array.point_of("a") is None
+        assert point_of(array, "a") is None
 
     def test_re_add_moves_item(self, array):
         array.add("a", (1, 1))
         array.add("a", (9, 9))
         assert len(array) == 1
-        assert array.point_of("a") == (9, 9)
+        assert point_of(array, "a") == (9, 9)
 
     def test_duplicate_points_different_ids(self, array):
         array.add("a", (5, 5))
@@ -74,7 +79,7 @@ class TestSFCArrayUpdates:
         assert len(array) == 2
         array.remove("a")
         assert "b" in array
-        assert array.point_of("b") == (5, 5)
+        assert point_of(array, "b") == (5, 5)
 
     def test_re_add_at_the_same_point_moves_to_the_end_of_its_bucket(self, array):
         for item_id in "abc":
@@ -194,7 +199,7 @@ class TestFirstProbeHit:
         for i in range(0, items, 4):
             array.remove(i)
         for i in range(0, items, 8):
-            array.add(i, array.point_of(i + 1) or (5, 5))  # shares a cell
+            array.add(i, point_of(array, i + 1) or (5, 5))  # shares a cell
         for _ in range(60):
             los, his, probe_of_row, row_of_probe = self.schedule(rng, max_key, 8)
             before = array.stats.range_probes
@@ -218,7 +223,7 @@ class TestFirstProbeHit:
         for i in range(items):
             array.add(i, (rng.randint(0, 31), rng.randint(0, 31)))
         for i in range(0, items, 3):
-            array.add(("twin", i), array.point_of(i))
+            array.add(("twin", i), point_of(array, i))
         before = list(array.items())
         for excluded in [None, "absent", *(item.item_id for item in before)]:
             without = SFCArray(array.curve)

@@ -37,7 +37,7 @@ class TestScenarioPipelines:
             scenario.schema,
             tree_topology(5),
             covering=covering,
-            config=IndexConfig(epsilon=0.2, cube_budget=5_000),
+            config=IndexConfig(),
             seed=1,
         )
         rng = random.Random(11)
@@ -58,7 +58,7 @@ class TestScenarioPipelines:
                 scenario.schema,
                 tree_topology(7),
                 covering=covering,
-                config=IndexConfig(epsilon=0.25, cube_budget=4_000),
+                config=IndexConfig(),
                 seed=1,
             )
             rng = random.Random(5)
@@ -73,7 +73,7 @@ class TestCoveringChainEndToEnd:
     def test_chain_detection_through_all_detectors(self):
         chain = covering_chain(attributes=2, attribute_order=10, depth=10, seed=4)
         approx = ApproximateCoveringDetector(
-            attributes=2, attribute_order=10, config=IndexConfig(epsilon=0.05, cube_budget=200_000)
+            attributes=2, attribute_order=10, epsilon=0.05, cube_budget=200_000
         )
         linear = LinearScanCoveringDetector(attributes=2, attribute_order=10)
         # Insert all but the innermost subscription.
@@ -89,7 +89,7 @@ class TestCoveringChainEndToEnd:
     def test_only_root_is_uncovered(self):
         chain = covering_chain(attributes=1, attribute_order=10, depth=8, seed=6)
         approx = ApproximateCoveringDetector(
-            attributes=1, attribute_order=10, config=IndexConfig(cube_budget=1_000_000, epsilon=0.01)
+            attributes=1, attribute_order=10, cube_budget=1_000_000, epsilon=0.01
         )
         for spec in chain:
             approx.add_subscription(spec.sub_id, spec.ranges)
@@ -106,7 +106,7 @@ class TestDynamicSubscriptionChurn:
     def test_unsubscribe_reopens_forwarding_in_detector(self):
         """Removing the covering subscription makes previously-covered ones visible again."""
         det = ApproximateCoveringDetector(
-            attributes=2, attribute_order=8, config=IndexConfig(cube_budget=1_000_000, epsilon=0.05)
+            attributes=2, attribute_order=8, cube_budget=1_000_000, epsilon=0.05
         )
         det.add_subscription("wide", [(0, 250), (0, 250)])
         det.add_subscription("mid", [(20, 200), (20, 200)])
@@ -123,7 +123,7 @@ class TestDynamicSubscriptionChurn:
     def test_interleaved_adds_removes_match_linear_scan(self):
         rng = random.Random(2)
         approx = ApproximateCoveringDetector(
-            attributes=2, attribute_order=7, config=IndexConfig(epsilon=0.0, cube_budget=500_000)
+            attributes=2, attribute_order=7, epsilon=0.0, cube_budget=500_000
         )
         linear = LinearScanCoveringDetector(attributes=2, attribute_order=7)
         live = {}
@@ -159,7 +159,7 @@ class TestClientLevelScenario:
         schema = scenario.schema
         network = BrokerNetwork.from_topology(
             schema, tree_topology(3), covering="approximate",
-            config=IndexConfig(epsilon=0.1, cube_budget=5_000)
+            config=IndexConfig()
         )
         trader = Subscriber(network, broker_id=2, client_id="trader")
         trader.subscribe({"price": (0.0, 95.0), "volume": (500.0, 1_000_000.0)})

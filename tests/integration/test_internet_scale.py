@@ -45,7 +45,7 @@ def run_netsplit(kind):
         scenario.schema,
         topology.overlay,
         covering="approximate",
-        config=IndexConfig(epsilon=0.2),
+        config=IndexConfig(),
         transport=transport,
         nodes=topology.broker_ids,
     )

@@ -30,7 +30,7 @@ class TestSpan:
     def test_detail_round_trip(self):
         detail = make_detail(decision="suppressed", covered_by="sub-3")
         span = Span("t" * 16, "covering", "check", detail=detail)
-        assert span.detail_dict() == {"decision": "suppressed", "covered_by": "sub-3"}
+        assert dict(span.detail) == {"decision": "suppressed", "covered_by": "sub-3"}
 
     def test_end_property(self):
         span = Span("t" * 16, "hop", "hop", start=2.0, duration=0.5)

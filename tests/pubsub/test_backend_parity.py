@@ -13,12 +13,13 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.index.config import DEFAULT_RUN_BUDGET, IndexConfig
+from repro.index.config import IndexConfig
 from repro.pubsub.match_index import MatchIndex
 from repro.pubsub.network import BrokerNetwork, tree_topology
 from repro.pubsub.schema import Attribute, AttributeSchema
@@ -26,6 +27,8 @@ from repro.pubsub.subscription import make_event, make_subscription
 from repro.sfc.factory import CURVE_KINDS
 from repro.workloads.dynamics import run_scripted_lockstep, subscription_churn_script
 from repro.workloads.scenarios import stock_market_scenario
+
+DEFAULT_RUN_BUDGET = MatchIndex.RUN_BUDGET
 
 
 def _schema(order=5):
@@ -111,15 +114,16 @@ def _digest(payload) -> str:
 
 def _network_state(run_budget: int):
     scenario = stock_market_scenario(num_subscriptions=25, num_events=10, order=7, seed=5)
-    network = BrokerNetwork.from_topology(
-        scenario.schema,
-        tree_topology(7),
-        covering="approximate",
-        config=IndexConfig(epsilon=0.2, cube_budget=500, run_budget=run_budget),
-    )
-    script = subscription_churn_script(scenario, list(range(7)), seed=3)
-    run_scripted_lockstep(network, script)
-    return network.routing_state()
+    with patch.object(MatchIndex, "RUN_BUDGET", run_budget):
+        network = BrokerNetwork.from_topology(
+            scenario.schema,
+            tree_topology(7),
+            covering="approximate",
+            config=IndexConfig(),
+        )
+        script = subscription_churn_script(scenario, list(range(7)), seed=3)
+        run_scripted_lockstep(network, script)
+        return network.routing_state()
 
 
 def test_routing_state_identical_across_run_budgets():
@@ -144,28 +148,29 @@ def _drive(run_budget: int, brokers: int = 4, curve: str = "zorder"):
     they checked."""
     schema = _schema(order=8)
     rng = random.Random(7)
-    network = BrokerNetwork.from_topology(
-        schema,
-        tree_topology(brokers),
-        seed=11,
-        config=IndexConfig(run_budget=run_budget, curve=curve),
-    )
-    for i in range(50):
-        lo_x, lo_y = rng.uniform(0, 70), rng.uniform(0, 70)
-        subscription = make_subscription(
+    with patch.object(MatchIndex, "RUN_BUDGET", run_budget):
+        network = BrokerNetwork.from_topology(
             schema,
-            f"s{i}",
-            x=(lo_x, lo_x + rng.uniform(1, 30)),
-            y=(lo_y, lo_y + rng.uniform(1, 30)),
+            tree_topology(brokers),
+            seed=11,
+            config=IndexConfig(curve=curve),
         )
-        network.subscribe(i % brokers, f"c{i}", subscription)
-    events = [
-        make_event(schema, f"e{j}", x=rng.uniform(0, 100), y=rng.uniform(0, 100))
-        for j in range(120)
-    ]
-    delivered = [
-        frozenset(network.publish(j % brokers, event)) for j, event in enumerate(events)
-    ]
+        for i in range(50):
+            lo_x, lo_y = rng.uniform(0, 70), rng.uniform(0, 70)
+            subscription = make_subscription(
+                schema,
+                f"s{i}",
+                x=(lo_x, lo_x + rng.uniform(1, 30)),
+                y=(lo_y, lo_y + rng.uniform(1, 30)),
+            )
+            network.subscribe(i % brokers, f"c{i}", subscription)
+        events = [
+            make_event(schema, f"e{j}", x=rng.uniform(0, 100), y=rng.uniform(0, 100))
+            for j in range(120)
+        ]
+        delivered = [
+            frozenset(network.publish(j % brokers, event)) for j, event in enumerate(events)
+        ]
     tables = [broker.routing_table for broker in network.brokers.values()]
     segments = sum(table.match_segments() for table in tables)
     candidates = sum(table.match_work()[1] for table in tables)

@@ -102,7 +102,7 @@ class TestBatchEquivalence:
                 schema,
                 TOPOLOGIES[topology](6),
                 covering=covering,
-                config=IndexConfig(epsilon=0.1, cube_budget=5_000),
+                config=IndexConfig(),
             )
 
         sequential = build()
@@ -140,7 +140,7 @@ class TestBatchEquivalence:
             schema,
             tree_topology(6),
             covering="approximate",
-            config=IndexConfig(epsilon=0.1),
+            config=IndexConfig(),
         )
         for broker, items in grouped(triples).items():
             for client, sub in items:

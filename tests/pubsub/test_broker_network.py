@@ -30,10 +30,10 @@ def schema():
     )
 
 
-def make_network(schema, covering="approximate", num_brokers=5, epsilon=0.1):
+def make_network(schema, covering="approximate", num_brokers=5):
     return BrokerNetwork.from_topology(
         schema, chain_topology(num_brokers), covering=covering,
-        config=IndexConfig(epsilon=epsilon), seed=1
+        config=IndexConfig(), seed=1
     )
 
 
@@ -210,7 +210,7 @@ class TestSubscriptionPropagation:
         network.subscribe(0, "c2", Subscription(schema, {"x": (1.0, 2.0)}, sub_id="narrow"))
         decisions = [
             (span.name, span.broker_id, span.parent,
-             span.detail_dict()["decision"], span.detail_dict()["covered_by"])
+             dict(span.detail)["decision"], dict(span.detail)["covered_by"])
             for span in network.tracing.spans(kind="covering")
         ]
         # Broker 1's only link is the one both arrived on: it decides nothing.
@@ -232,7 +232,7 @@ class TestSubscriptionPropagation:
         for covering in ("none", "approximate"):
             network = BrokerNetwork.from_topology(
                 schema, tree_topology(5), covering=covering,
-                config=IndexConfig(epsilon=0.1, cube_budget=50_000)
+                config=IndexConfig()
             )
             for i, sub in enumerate(subs):
                 fresh = Subscription(schema, sub.constraints, sub_id=sub.sub_id)
@@ -276,7 +276,7 @@ class TestEventDelivery:
         for covering in ("none", "approximate"):
             network = BrokerNetwork.from_topology(
                 schema, tree_topology(7), covering=covering,
-                config=IndexConfig(epsilon=0.2, cube_budget=20_000)
+                config=IndexConfig()
             )
             for i in range(30):
                 lo_x, lo_y = rng.uniform(0, 60), rng.uniform(0, 60)
@@ -354,7 +354,7 @@ class TestPublishBatchRegression:
                 schema,
                 tree_topology(7),
                 covering="approximate",
-                config=IndexConfig(epsilon=0.2, cube_budget=20_000),
+                config=IndexConfig(),
                 seed=5,
             )
 

@@ -78,7 +78,7 @@ class TestCrashRecoverLeaf:
             schema,
             TOPOLOGIES[topology](NUM_BROKERS),
             covering="approximate",
-            config=IndexConfig(epsilon=0.2, cube_budget=20_000),
+            config=IndexConfig(),
             transport=make_transport(transport_kind),
         )
         populate(network)
@@ -113,7 +113,7 @@ class TestCrashRecoverLeaf:
             schema,
             TOPOLOGIES[topology](NUM_BROKERS),
             covering="approximate",
-            config=IndexConfig(epsilon=0.2, cube_budget=20_000),
+            config=IndexConfig(),
             transport=make_transport("sim"),
         )
         populate(network, num_subs=7)
@@ -205,7 +205,7 @@ class TestJoin:
             schema,
             tree_topology(5),
             covering="approximate",
-            config=IndexConfig(epsilon=0.2, cube_budget=20_000),
+            config=IndexConfig(),
             transport=make_transport(transport_kind),
         )
         populate(network, num_subs=10, num_brokers=5)

@@ -90,7 +90,7 @@ def make_network(schema, topology, transport_kind, curve, covering="approximate"
         schema,
         TOPOLOGIES[topology](NUM_BROKERS),
         covering=covering,
-        config=IndexConfig(epsilon=0.2, cube_budget=500, curve=curve),
+        config=IndexConfig(curve=curve),
         transport=transport,
     )
 
@@ -161,7 +161,7 @@ class TestScriptedLockstepDifferential:
                 scenario.schema,
                 TOPOLOGIES[topology](NUM_BROKERS),
                 covering=covering,
-                config=IndexConfig(epsilon=0.2, cube_budget=500, curve=curve),
+                config=IndexConfig(curve=curve),
                 transport=transport,
             )
             with scan_limit(limit):
@@ -279,7 +279,7 @@ class TestHypothesisDifferential:
                 _SCHEMA6,
                 tree_topology(4),
                 covering="approximate",
-                config=IndexConfig(epsilon=0.2, cube_budget=300, curve=curve),
+                config=IndexConfig(curve=curve),
             )
             with scan_limit(0):
                 log = self._lifecycle(network, subscriptions, events, withdraw_mask, placements)
@@ -323,16 +323,17 @@ class TestHypothesisDifferential:
         each rectangle contains — no false negatives from decomposition, no
         false positives surviving the rectangle check."""
         for curve in CURVE_KINDS:
-            index = MatchIndex(_SCHEMA6, config=IndexConfig(run_budget=run_budget, curve=curve))
-            for i, rect in enumerate(rects):
-                index.add(f"s{i}", rect)
-            for cell in probes:
-                expected = {
-                    f"s{i}"
-                    for i, ((xlo, xhi), (ylo, yhi)) in enumerate(rects)
-                    if xlo <= cell[0] <= xhi and ylo <= cell[1] <= yhi
-                }
-                assert set(index.matching_ids(cell)) == expected, (curve, cell)
+            with patch.object(MatchIndex, "RUN_BUDGET", run_budget):
+                index = MatchIndex(_SCHEMA6, config=IndexConfig(curve=curve))
+                for i, rect in enumerate(rects):
+                    index.add(f"s{i}", rect)
+                for cell in probes:
+                    expected = {
+                        f"s{i}"
+                        for i, ((xlo, xhi), (ylo, yhi)) in enumerate(rects)
+                        if xlo <= cell[0] <= xhi and ylo <= cell[1] <= yhi
+                    }
+                    assert set(index.matching_ids(cell)) == expected, (curve, cell)
                 assert index.any_match(cell) == bool(expected), (curve, cell)
 
 
@@ -343,7 +344,7 @@ class TestCurveConfigurationErrors:
         with pytest.raises(ValueError, match="unknown curve kind"):
             MatchIndex(schema, config=IndexConfig(curve="peano"))
         with pytest.raises(ValueError, match="unknown curve kind"):
-            ApproximateCoveringDetector(2, 5, config=IndexConfig(curve="peano"))
+            ApproximateCoveringDetector(2, 5, curve="peano")
         with pytest.raises(ValueError, match="unknown curve kind"):
             BrokerNetwork.from_topology(
                 schema, tree_topology(2), covering="approximate", config=IndexConfig(curve="peano")
@@ -382,12 +383,12 @@ class TestCurveConfigurationErrors:
         detector = ApproximateCoveringDetector(
             attributes=1,
             attribute_order=6,
-            config=IndexConfig(cube_budget=1_000_000, epsilon=0.1, curve="zorder"),
+            curve="zorder",
+            epsilon=0.1,
+            cube_budget=1_000_000,
         )
         detector.add_subscription("wide", [(0, 60)])
-        profiler = CoveringProfiler(
-            1, 6, config=IndexConfig(cube_budget=1_000_000, epsilon=0.1, curve="hilbert")
-        )
+        profiler = CoveringProfiler(1, 6, curve="hilbert", epsilon=0.1, cube_budget=1_000_000)
         profile = profiler.profile([(10, 20)])
         assert not detector.compatible_profile(profile)
         result = detector.find_covering_profile(profile)
@@ -397,7 +398,11 @@ class TestCurveConfigurationErrors:
         detector = ApproximateCoveringDetector(
             attributes=1,
             attribute_order=6,
-            config=IndexConfig(cube_budget=1_000_000, epsilon=0.1, curve="hilbert"),
+            curve="hilbert",
+            epsilon=0.1,
+            cube_budget=1_000_000,
         )
-        profiler = CoveringProfiler(1, 6, config=detector.config)
+        profiler = CoveringProfiler(
+            1, 6, curve=detector.curve, epsilon=detector.epsilon, cube_budget=detector.cube_budget
+        )
         assert detector.compatible_profile(profiler.profile([(10, 20)]))

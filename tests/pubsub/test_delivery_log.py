@@ -188,7 +188,7 @@ class TestResultsNeverReadTheLog:
                 scenario.schema,
                 tree_topology(7),
                 covering="approximate",
-                config=IndexConfig(epsilon=0.2, cube_budget=20_000),
+                config=IndexConfig(),
                 transport=SimTransport(
                     UniformJitterLatency(0.2, 0.4), inbox_capacity=8, service_time=0.02, seed=9
                 ),

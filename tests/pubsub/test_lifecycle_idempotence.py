@@ -38,7 +38,7 @@ def schema():
 
 def make_network(schema, topology, covering="approximate"):
     return BrokerNetwork.from_topology(
-        schema, TOPOLOGIES[topology](5), covering=covering, config=IndexConfig(epsilon=0.1)
+        schema, TOPOLOGIES[topology](5), covering=covering, config=IndexConfig()
     )
 
 

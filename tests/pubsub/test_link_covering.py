@@ -12,9 +12,6 @@ runs that scan; ``"none"`` forwards everything.  Pinned here:
   suppressed subscription's recorded cover is forwarded on its link, is still
   held by the broker (live network-wide while every broker is up) and covers
   it.
-* **ε and the cube budget reach no broker** — networks built with any
-  ``epsilon`` / ``cube_budget`` leave the routing state and broker counters
-  of ``IndexConfig()``.
 * **The paper's detector is off the routing path** — a lifecycle script with
   promotions runs clean with the covering profiler and the dominance index's
   plan execution patched to raise.
@@ -33,38 +30,23 @@ from repro.baselines.linear_scan import LinearScanCoveringDetector
 from repro.core.approx_dominance import ApproximateDominanceIndex
 from repro.core.covering import CoveringProfiler
 from repro.geometry.transform import ranges_cover
-from repro.index.config import IndexConfig
 from repro.pubsub.broker import Broker
 from repro.pubsub.network import BrokerNetwork, tree_topology
 from repro.pubsub.routing_table import COVERING_KINDS
-from repro.pubsub.subscription import Event, Subscription
+from repro.pubsub.subscription import Event
 from repro.sim.latency import FixedLatency
 from repro.sim.transport import SimTransport
 from repro.workloads.dynamics import Action, run_scripted_lockstep
-from repro.workloads.scenarios import stock_market_scenario
 from test_covering_properties import MAX_CELL, SCHEMA, quantised_rect, rect_subscription
 
 NUM_BROKERS = 7
 
-#: The ``BrokerStats`` counters a forwarding decision moves.
-LIFECYCLE_COUNTERS = (
-    "subscriptions_received",
-    "subscriptions_stored",
-    "subscriptions_forwarded",
-    "subscriptions_suppressed",
-    "subscriptions_resynced",
-    "promotions",
-    "covering_checks",
-    "covering_check_runs",
-)
 
-
-def tree_network(schema, covering, transport_kind, config=None, brokers=NUM_BROKERS):
+def tree_network(schema, covering, transport_kind, brokers=NUM_BROKERS):
     return BrokerNetwork.from_topology(
         schema,
         tree_topology(brokers),
         covering=covering,
-        config=config,
         transport=SimTransport(FixedLatency(0.05), seed=5) if transport_kind == "sim" else None,
     )
 
@@ -120,21 +102,6 @@ def random_lifecycle_script(subscriptions, seed, brokers=NUM_BROKERS):
     return actions
 
 
-def stock_subscriptions(count=36, seed=11):
-    scenario = stock_market_scenario(num_subscriptions=count, num_events=1, order=7, seed=seed)
-    return scenario.schema, [
-        Subscription(scenario.schema, constraints, sub_id=f"s{i}")
-        for i, constraints in enumerate(scenario.subscriptions)
-    ]
-
-
-def counters(network):
-    return {
-        broker_id: {name: broker.stats.as_dict()[name] for name in LIFECYCLE_COUNTERS}
-        for broker_id, broker in network.brokers.items()
-    }
-
-
 # ------------------------------------------------------- (i) every decision
 @st.composite
 def link_script(draw):
@@ -187,36 +154,7 @@ def test_every_witness_is_the_first_forwarded_cover(covering, transport_kind, sc
         assert not any(link.suppressed for b in network.brokers.values() for link in b._links.values())
 
 
-# ---------------------------------------------- (ii) no ε reaches a broker
-@pytest.mark.parametrize("cube_budget", [8, 2_000])
-@pytest.mark.parametrize("epsilon", [0.0, 0.05, 0.3])
-def test_epsilon_and_cube_budget_do_not_move_routing(epsilon, cube_budget):
-    """Any ε and cube budget leave the state and counters of ``IndexConfig()``.
-
-    With an 8-cube budget these links hold more subscriptions than a plan
-    has cubes, which is where the ε-search used to take over from the scan.
-    """
-    schema, subscriptions = stock_subscriptions(count=60, seed=3)
-    script = random_lifecycle_script(subscriptions, seed=1)
-    reference, configured = (
-        tree_network(schema, "approximate", "sync", config=config)
-        for config in (IndexConfig(), IndexConfig(epsilon=epsilon, cube_budget=cube_budget))
-    )
-    fullest = 0
-    for action in script:
-        run_scripted_lockstep(reference, [action])
-        run_scripted_lockstep(configured, [action])
-        assert configured.routing_state() == reference.routing_state(), action.kind
-        fullest = max(
-            [fullest]
-            + [len(link.forwarded) for b in reference.brokers.values() for link in b._links.values()]
-        )
-    assert counters(configured) == counters(reference)
-    assert fullest > 8
-    assert sum(b.stats.promotions for b in reference.brokers.values()) > 0
-
-
-# ------------------------------------------- (iii) the ε-search is not called
+# -------------------------------------------- (ii) the ε-search is not called
 def _off_the_routing_path(*args, **kwargs):
     raise AssertionError("the paper's covering detector ran on the routing path")
 
@@ -226,9 +164,7 @@ def test_lifecycle_runs_without_the_epsilon_search(transport_kind):
     """Wide subscriptions over narrow ones, the wide ones withdrawn first: promotions
     run, audits stay clean, and no profile or plan execution is asked for."""
     rng = random.Random(5)
-    network = tree_network(
-        SCHEMA, "approximate", transport_kind, config=IndexConfig(cube_budget=8)
-    )
+    network = tree_network(SCHEMA, "approximate", transport_kind)
     with patch.object(CoveringProfiler, "profile", _off_the_routing_path), patch.object(
         ApproximateDominanceIndex, "execute_plan", _off_the_routing_path
     ):

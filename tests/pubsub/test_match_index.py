@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import inspect
 import random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.geometry.bits import spread_bits
-from repro.index.config import DEFAULT_RUN_BUDGET, IndexConfig
+from repro.index.config import IndexConfig
 from repro.pubsub.broker import Broker
 from repro.pubsub.match_index import MatchIndex
 from repro.pubsub.network import (
@@ -31,6 +32,8 @@ from repro.pubsub.routing_table import InterfaceTable, RoutingTable
 from repro.pubsub.schema import Attribute, AttributeSchema
 from repro.pubsub.subscription import Event, Subscription
 from repro.sfc.factory import CURVE_KINDS
+
+DEFAULT_RUN_BUDGET = MatchIndex.RUN_BUDGET
 
 
 @pytest.fixture
@@ -103,13 +106,14 @@ class TestMatchIndexUnit:
         ],
     )
     def test_equivalence_with_brute_force_under_coarsening(
-        self, schema, run_budget, subscriptions, removed, bulk
+        self, schema, monkeypatch, run_budget, subscriptions, removed, bulk
     ):
         """Tiny run budgets force heavy over-approximation; the rectangle
         fallback check must keep answers exact regardless, through any share
         of withdrawals and down to an empty index."""
+        monkeypatch.setattr(MatchIndex, "RUN_BUDGET", run_budget)
         rng = random.Random(run_budget)
-        index = MatchIndex(schema, config=IndexConfig(run_budget=run_budget))
+        index = MatchIndex(schema)
         subs = {}
         for i in range(subscriptions):
             sub = random_subscription(schema, rng, f"s{i}")
@@ -132,12 +136,13 @@ class TestMatchIndexUnit:
         assert len(index) == index.segment_count() == 0
         assert not any(index.any_match(random_event(schema, rng).cells) for _ in range(50))
 
-    def test_coarsening_records_stats(self, schema):
+    def test_coarsening_records_stats(self, schema, monkeypatch):
         # On the schema's full 6-bit grid (pinned: a one-subscription index
         # would otherwise decompose on its coarsest grid) a thin full-width
         # strip decomposes into many runs.  A bulk load flattens it, so a
         # probe reaches it through its one run.
-        index = MatchIndex(schema, config=IndexConfig(run_budget=1, precision_bits=6))
+        monkeypatch.setattr(MatchIndex, "RUN_BUDGET", 1)
+        index = MatchIndex(schema, config=IndexConfig(precision_bits=6))
         strip = Subscription(schema, {"y": (50.0, 51.0)}, sub_id="strip")
         index.add_batch([("strip", strip.ranges)])
         assert index.stats.coarsened_subscriptions == 1
@@ -252,7 +257,8 @@ class TestMatchIndexUnit:
         assert index.any_match(inside.cells)
 
     def test_rejects_bad_run_budget(self, schema):
-        with pytest.raises(ValueError):
+        # The budget is a class constant: no config can set it, to 0 or anything.
+        with pytest.raises(TypeError):
             MatchIndex(schema, config=IndexConfig(run_budget=0))
 
     def test_spread_bits_matches_curve_key(self, schema):
@@ -276,7 +282,7 @@ class TestMatchIndexUnit:
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("curve, run_budget", [("zorder", 64), ("hilbert", 2)])
     def test_queries_equal_a_scan_with_staged_and_tombstoned_slots(
-        self, schema, seed, curve, run_budget
+        self, schema, monkeypatch, seed, curve, run_budget
     ):
         """A seeded walk of ``add`` / ``add_batch`` / ``remove`` (re-adds and
         in-batch replacements included) with probes after every write.  The
@@ -286,8 +292,9 @@ class TestMatchIndexUnit:
         ``matching_ids`` is the linear scan in insertion order, ``any_match``
         its truth value, and ``candidates`` exactly the live subscriptions
         whose stored runs hold the key (every match among them)."""
+        monkeypatch.setattr(MatchIndex, "RUN_BUDGET", run_budget)
         rng = random.Random(seed)
-        index = MatchIndex(schema, config=IndexConfig(curve=curve, run_budget=run_budget))
+        index = MatchIndex(schema, config=IndexConfig(curve=curve))
         side = index.universe.side
         model = {}  # sub_id -> cell ranges, in insertion order
 
@@ -356,9 +363,10 @@ def _replay(schema, curve, run_budget, seed=7):
     rng = random.Random(seed)
     subs = [random_subscription(schema, rng, f"s{i}") for i in range(50)]
     events = [random_event(schema, rng) for _ in range(120)]
-    index = MatchIndex(schema, config=IndexConfig(curve=curve, run_budget=run_budget))
-    index.add_batch([(sub.sub_id, sub.ranges) for sub in subs])
-    answers = [frozenset(index.matching_ids(event.cells)) for event in events]
+    with patch.object(MatchIndex, "RUN_BUDGET", run_budget):
+        index = MatchIndex(schema, config=IndexConfig(curve=curve))
+        index.add_batch([(sub.sub_id, sub.ranges) for sub in subs])
+        answers = [frozenset(index.matching_ids(event.cells)) for event in events]
     scanned = sum(sub.matches(event) for event in events for sub in subs)
     return index, answers, scanned
 
@@ -570,7 +578,7 @@ class TestInterfaceTableMatching:
             BrokerNetwork.from_topology(schema, chain_topology(2), matching="linear")
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_scan_and_index_equal_a_linear_scan_across_the_build(self, schema, seed):
+    def test_scan_and_index_equal_a_linear_scan_across_the_build(self, schema, monkeypatch, seed):
         """A seeded walk of adds, re-adds and removals through the build and
         back down: a table kept scanning, a table crossing the limit and the
         model's scan give the same matches, the scanning ones in table order,
@@ -578,7 +586,8 @@ class TestInterfaceTableMatching:
         rng = random.Random(seed)
         scanning = InterfaceTable("i", schema)
         scanning.SCAN_LIMIT = 1 << 62
-        crossing = InterfaceTable("i", schema, config=IndexConfig(run_budget=4))
+        monkeypatch.setattr(MatchIndex, "RUN_BUDGET", 4)
+        crossing = InterfaceTable("i", schema)
         model = {}  # sub_id -> Subscription, in table order
         largest = 0
         names = [f"s{i}" for i in range(40)]
@@ -661,7 +670,7 @@ class TestNetworkMatching:
             schema,
             TOPOLOGIES[topology],
             covering=covering,
-            config=IndexConfig(epsilon=0.2, cube_budget=10_000),
+            config=IndexConfig(),
         )
         num_brokers = len(network.brokers)
         for i in range(60):

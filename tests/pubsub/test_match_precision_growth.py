@@ -62,7 +62,7 @@ def model_steps(index, runs, grid_mark):
     ``grid_mark`` from before it (a step resets both): probes per write over
     the index's life, stab rejections per probe since its grid was set, runs
     now and on the next bit (``2^(d-1)`` times as many, at most
-    ``run_budget`` each).
+    ``RUN_BUDGET`` each).
     """
     stats = index.stats
     lookups, stab_rejections = grid_mark
@@ -70,7 +70,7 @@ def model_steps(index, runs, grid_mark):
     dims = index.universe.dims
     return finer_grid_pays(
         runs,
-        min(runs << (dims - 1), index.run_budget * len(index)),
+        min(runs << (dims - 1), index.RUN_BUDGET * len(index)),
         stats.lookups / max(stats.inserts + stats.removals, 1),
         rejected / max(stats.lookups - lookups, 1),
     )

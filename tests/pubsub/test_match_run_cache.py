@@ -30,6 +30,7 @@ from repro.pubsub.schema import Attribute, AttributeSchema
 from repro.sim import FixedLatency, SimTransport
 
 ORDER = 5  # 32×32 cells: every key of the universe can be probed
+DEFAULT_RUN_BUDGET = MatchIndex.RUN_BUDGET
 
 
 @pytest.fixture
@@ -88,17 +89,18 @@ def all_candidates(index):
     [
         # On the schema's whole 5-bit grid the script's five distinct
         # rectangles are decomposed once each.
-        (IndexConfig(run_budget=2, precision_bits=ORDER), 5),
+        (IndexConfig(precision_bits=ORDER), 5),
         # A derived grid starts at 1 bit per dimension (two distinct snapped
         # rectangles) and steps to 2 bits when the batch brings the table to
         # five subscriptions: "a", the one stored subscription the batch does
         # not replace, is re-derived, and the batch's four rectangles are
         # three distinct ones at that grid.
-        (IndexConfig(run_budget=2), 2 + 1 + 3),
+        (IndexConfig(), 2 + 1 + 3),
     ],
     ids=["pinned", "derived"],
 )
-def test_cached_index_equals_uncached_index(schema, config, distinct):
+def test_cached_index_equals_uncached_index(schema, monkeypatch, config, distinct):
+    monkeypatch.setattr(MatchIndex, "RUN_BUDGET", 2)
     cache = ProfileCache()
     uncached = run_script(MatchIndex(schema, config=config))
     filling = run_script(MatchIndex(schema, config=config, run_cache=cache))
@@ -127,16 +129,23 @@ def test_cached_index_equals_uncached_index(schema, config, distinct):
 @pytest.mark.parametrize(
     "first, second",
     [
-        (IndexConfig(curve="zorder"), IndexConfig(curve="hilbert")),
-        (IndexConfig(run_budget=1), IndexConfig(run_budget=4)),
-        (IndexConfig(precision_bits=3), IndexConfig(precision_bits=5)),
+        (
+            (IndexConfig(curve="zorder"), DEFAULT_RUN_BUDGET),
+            (IndexConfig(curve="hilbert"), DEFAULT_RUN_BUDGET),
+        ),
+        ((IndexConfig(), 1), (IndexConfig(), 4)),
+        (
+            (IndexConfig(precision_bits=3), DEFAULT_RUN_BUDGET),
+            (IndexConfig(precision_bits=5), DEFAULT_RUN_BUDGET),
+        ),
     ],
     ids=["curve", "run_budget", "precision_bits"],
 )
-def test_indexes_whose_runs_differ_never_share_an_entry(schema, first, second):
+def test_indexes_whose_runs_differ_never_share_an_entry(schema, monkeypatch, first, second):
     cache = ProfileCache()
     rectangle = rect(3, 17, 2, 9)
-    for config in (first, second):
+    for config, run_budget in (first, second):
+        monkeypatch.setattr(MatchIndex, "RUN_BUDGET", run_budget)
         shared = MatchIndex(schema, config=config, run_cache=cache)
         alone = MatchIndex(schema, config=config)
         shared.add("s", rectangle)
@@ -145,7 +154,7 @@ def test_indexes_whose_runs_differ_never_share_an_entry(schema, first, second):
         assert shared.stats == alone.stats
     assert (cache.hits, cache.misses) == (0, 2)
     # Same config again: now it is a hit.
-    MatchIndex(schema, config=second, run_cache=cache).add("s", rectangle)
+    MatchIndex(schema, config=second[0], run_cache=cache).add("s", rectangle)
     assert (cache.hits, cache.misses) == (1, 2)
 
 

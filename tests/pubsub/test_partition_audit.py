@@ -39,7 +39,7 @@ def build(schema, topology, kind):
         schema,
         topology,
         covering="approximate",
-        config=IndexConfig(epsilon=0.1),
+        config=IndexConfig(),
         seed=1,
         transport=make_transport(kind),
     )

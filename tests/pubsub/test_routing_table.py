@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from repro.index.config import IndexConfig
 from repro.index.sfc_array import FlatSegmentStore
-from repro.pubsub.match_index import MatchIndexStats
+from repro.pubsub.match_index import MatchIndex, MatchIndexStats
 from repro.pubsub.broker import Broker
 from repro.pubsub.network import BrokerNetwork
 from repro.pubsub.routing_table import InterfaceTable, RoutingTable
@@ -29,7 +30,9 @@ def link_broker(schema, covering):
     broker = Broker(broker_id=0, schema=schema, covering=covering)
     broker.connect(1)
     sent = []
-    broker.attach_transport(lambda *message: sent.append(message), lambda *delivery: None)
+    broker.attach_transport(
+        SimpleNamespace(send=lambda *message: sent.append(message)), lambda *delivery: None
+    )
     return broker, sent
 
 
@@ -127,11 +130,12 @@ class TestInterfaceTable:
         table.add(Subscription(schema, {}, sub_id="b"))
         assert {s.sub_id for s in table.subscriptions()} == {"a", "b"}
 
-    def test_scans_up_to_the_limit_then_builds_one_index_for_life(self, schema):
+    def test_scans_up_to_the_limit_then_builds_one_index_for_life(self, schema, monkeypatch):
         """The table scans while it holds SCAN_LIMIT subscriptions or fewer
         (a re-add included); the add past the limit builds the index in one
         bulk load, and the table keeps it however small it gets again."""
-        config = IndexConfig(curve="hilbert", run_budget=4)
+        monkeypatch.setattr(MatchIndex, "RUN_BUDGET", 4)
+        config = IndexConfig(curve="hilbert")
         table = InterfaceTable("i", schema, config=config)
         limit = InterfaceTable.SCAN_LIMIT
         assert limit == FlatSegmentStore.PENDING_SLOTS

@@ -50,7 +50,7 @@ def make_network(scenario, topology, transport_kind):
         scenario.schema,
         TOPOLOGIES[topology](NUM_BROKERS),
         covering="approximate",
-        config=IndexConfig(epsilon=0.2, cube_budget=5_000),
+        config=IndexConfig(),
         transport=transport,
     )
 

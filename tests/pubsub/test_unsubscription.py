@@ -29,7 +29,7 @@ def schema():
 def make_network(schema, covering="approximate", brokers=4):
     return BrokerNetwork.from_topology(
         schema, chain_topology(brokers), covering=covering,
-        config=IndexConfig(epsilon=0.1, cube_budget=20_000)
+        config=IndexConfig()
     )
 
 
@@ -187,7 +187,7 @@ class TestCoveringAwareWithdrawal:
         rng = random.Random(31)
         network = BrokerNetwork.from_topology(
             schema, tree_topology(5), covering=covering,
-            config=IndexConfig(epsilon=0.2, cube_budget=10_000)
+            config=IndexConfig()
         )
         live: dict[str, Subscription] = {}
         counter = 0

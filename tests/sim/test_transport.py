@@ -28,7 +28,7 @@ def schema():
 
 def build_network(schema, transport, num_brokers=7, **kwargs):
     kwargs.setdefault("covering", "approximate")
-    kwargs.setdefault("config", IndexConfig(epsilon=0.2, cube_budget=20_000))
+    kwargs.setdefault("config", IndexConfig())
     return BrokerNetwork.from_topology(
         schema, tree_topology(num_brokers), transport=transport, **kwargs
     )
@@ -426,7 +426,7 @@ class TestCrashLifecycleRegressions:
             scenario.schema,
             tree_topology(7),
             covering="approximate",
-            config=IndexConfig(epsilon=0.2, cube_budget=5_000),
+            config=IndexConfig(),
             transport=transport,
         )
         script = rolling_failures_script(

@@ -1,5 +1,5 @@
 """Every name a module under ``repro`` exports in ``__all__`` resolves on import,
-and every name it imports is used.
+every name it imports is used, and every public name it defines has a caller.
 
 One case per package: the package itself and each of its modules are
 imported, and every ``__all__`` entry must be an attribute of its module.  An
@@ -7,11 +7,20 @@ export list that still names a deleted function or class fails here rather
 than at a user's ``from repro.x import *``.  The same modules are parsed with
 :mod:`ast`, and every name an import binds must be read somewhere in the
 module (a string annotation counts) or re-exported through ``__all__``.
+
+Every public function, method and class defined in ``src/`` must be
+referenced outside ``tests/`` — by a name or attribute load or an import in
+``src/``, ``benchmarks/``, ``examples/`` or ``experiments/``, or by an exact
+identifier string there (how the benchmark adapter names its trace
+targets) — or sit on :data:`ALLOWLIST` with its reason.  ``__all__`` entries,
+package ``__init__`` re-exports and docstrings are not references.  The
+check matches by name, so it errs towards keeping code.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
 import importlib
 import pathlib
 
@@ -20,6 +29,9 @@ import pytest
 import repro
 
 ROOT = pathlib.Path(repro.__file__).parent
+REPO = ROOT.parent.parent
+#: Where a reference keeps a public name alive.
+CALLER_DIRECTORIES = ("src", "benchmarks", "examples", "experiments")
 PACKAGES = ["repro"] + sorted(
     f"repro.{path.parent.name}" for path in ROOT.glob("*/__init__.py")
 )
@@ -102,3 +114,138 @@ def test_every_import_is_used_or_exported(package):
             if name not in kept
         ]
     assert unused == []
+
+
+#: Public names with no caller outside ``tests/``, kept on purpose.
+ALLOWLIST = {
+    # Product API the README documents.
+    "repro.net.client.fetch_metrics": "the README's scrape of a serving broker",
+    "repro.pubsub.network.BrokerNetwork.live_components": "the README's partition-aware audit",
+    # Paper formulas.
+    "repro.core.bounds.lemma32_min_volume_fraction": "Lemma 3.2's retained-volume guarantee",
+    "repro.core.decomposition.cumulative_volume_at_level": "the paper's vol(R(S_i(l)))",
+    # Oracles the tests compare production code against.
+    "repro.sfc.runs.brute_force_run_profile": "exhaustive run profile of a rectangle",
+    "repro.geometry.transform.dominates": "point dominance, the transform's ground truth",
+    "repro.workloads.generators.covering_chain": "nested subscriptions, covered by construction",
+    # Kept for the tests that check other code through them.
+    "repro.pubsub.broker.Broker.has_forwarded": "reads a link's forwarded set",
+    "repro.core.approx_dominance.DominancePlan.materialised_steps": "pins the plan's laziness",
+    "repro.index.sfc_array.SFCArray.items_in_key_range": "range scan against a brute force",
+    "repro.sfc.base.SpaceFillingCurve.cube_from_key_prefix": "inverts cube_key_range",
+    "repro.sfc.base.SpaceFillingCurve.walk": "visits every cell in curve order",
+    "repro.geometry.transform.DominanceTransform.from_point": "inverts to_point",
+    "repro.obs.trace.TraceLog.trace_ids": "lists the traces a run recorded",
+    "repro.obs.trace.TraceLog.hop_edges": "a trace's route, against the audited one",
+    "repro.core.covering.ApproximateCoveringDetector.remove_subscription": "detector churn",
+    "repro.baselines.linear_scan.LinearScanCoveringDetector.remove_subscription": (
+        "the linear oracle follows the same churn"
+    ),
+    "repro.baselines.probabilistic.ProbabilisticCoveringDetector.remove_subscription": (
+        "the probabilistic baseline follows the same churn"
+    ),
+    # The lockstep scripts and their runner (sync = sim = net suites).
+    "repro.workloads.dynamics.subscription_churn_script": "churn storm with a join",
+    "repro.workloads.dynamics.rolling_upgrade_script": "every broker restarts in turn",
+    "repro.workloads.dynamics.run_scripted_lockstep": "runs a script action by action",
+}
+
+
+def _docstring_nodes(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            body = node.body
+            if (
+                body
+                and isinstance(body[0], ast.Expr)
+                and isinstance(body[0].value, ast.Constant)
+                and isinstance(body[0].value.value, str)
+            ):
+                yield body[0].value
+
+
+def _all_nodes(tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            yield from ast.walk(node.value)
+
+
+def references(path: pathlib.Path):
+    """The names ``path`` refers to: loads, imports (not in a package
+    ``__init__``) and exact identifier strings (not docstrings or ``__all__``)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    skipped = {id(node) for node in _docstring_nodes(tree)} | {id(node) for node in _all_nodes(tree)}
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and path.name != "__init__.py":
+            found.update(alias.name.split(".")[-1] for alias in node.names)
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and node.value.isidentifier()
+            and id(node) not in skipped
+        ):
+            found.add(node.value)
+    return found
+
+
+@functools.lru_cache(maxsize=None)
+def referenced_outside_tests():
+    found = set()
+    for directory in CALLER_DIRECTORIES:
+        for path in sorted((REPO / directory).rglob("*.py")):
+            found |= references(path)
+    return frozenset(found)
+
+
+def public_definitions(package: str):
+    """``(dotted name, bare name)`` of every public function, class and method
+    the package's modules define at top level or in a top-level class."""
+    for module in modules_of(package):
+        path = ROOT.joinpath(*module.split(".")[1:])
+        path = path / "__init__.py" if path.is_dir() else path.with_suffix(".py")
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("_"):
+                continue
+            yield f"{module}.{node.name}", node.name
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(
+                        item, (ast.FunctionDef, ast.AsyncFunctionDef)
+                    ) and not item.name.startswith("_"):
+                        yield f"{module}.{node.name}.{item.name}", item.name
+
+
+@pytest.mark.parametrize("package", PACKAGES)
+def test_every_public_name_has_a_caller_outside_tests(package):
+    referenced = referenced_outside_tests()
+    uncalled = [
+        dotted
+        for dotted, name in public_definitions(package)
+        if name not in referenced and dotted not in ALLOWLIST
+    ]
+    assert uncalled == []
+
+
+def test_every_allowlisted_name_is_defined_and_still_uncalled():
+    """An entry whose name left ``src/`` or gained a caller leaves the list."""
+    defined = {
+        dotted: name for package in PACKAGES for dotted, name in public_definitions(package)
+    }
+    referenced = referenced_outside_tests()
+    stale = [
+        dotted
+        for dotted in ALLOWLIST
+        if dotted not in defined or defined[dotted] in referenced
+    ]
+    assert stale == []
+    assert all(reason.strip() for reason in ALLOWLIST.values())

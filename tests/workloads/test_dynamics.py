@@ -32,7 +32,7 @@ def make_network(scenario, seed=9):
         scenario.schema,
         tree_topology(NUM_BROKERS),
         covering="approximate",
-        config=IndexConfig(epsilon=0.2, cube_budget=20_000),
+        config=IndexConfig(),
         transport=SimTransport(
             UniformJitterLatency(0.2, 0.4), inbox_capacity=8, service_time=0.02, seed=seed
         ),

@@ -167,7 +167,7 @@ class TestScriptDigests:
                 scenario.schema,
                 tree_topology(7),
                 covering="approximate",
-                config=IndexConfig(epsilon=0.2, cube_budget=500, curve="hilbert"),
+                config=IndexConfig(curve="hilbert"),
             )
             script = subscription_churn_script(scenario, BROKER_IDS, seed=3)
             run_scripted_lockstep(network, script)
