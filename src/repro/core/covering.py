@@ -107,15 +107,15 @@ class CoveringProfiler:
     """Builds :class:`CoveringProfile` objects compatible with a detector's parameters.
 
     It takes the parameters the :class:`ApproximateCoveringDetector`
-    objects it serves were built with (attribute count/order, curve, ε, cube
-    budget), so its profiles can be handed to any of them.
+    objects it serves were built with (attribute count/order, ε, cube
+    budget) and keys on their curve, :attr:`ApproximateCoveringDetector.CURVE`,
+    so its profiles can be handed to any of them.
     """
 
     def __init__(
         self,
         attributes: int,
         attribute_order: int,
-        curve: str = DEFAULT_CURVE,
         epsilon: float = DEFAULT_EPSILON,
         cube_budget: int = DEFAULT_CUBE_BUDGET,
     ) -> None:
@@ -124,8 +124,8 @@ class CoveringProfiler:
         self.epsilon = epsilon
         self.cube_budget = cube_budget
         self.transform = DominanceTransform(attributes, attribute_order)
-        self.curve = make_curve(curve, self.transform.universe)
-        self._cache_key = (curve, epsilon, cube_budget, attributes, attribute_order)
+        self.curve = make_curve(ApproximateCoveringDetector.CURVE, self.transform.universe)
+        self._cache_key = (self.curve.kind, epsilon, cube_budget, attributes, attribute_order)
 
     @property
     def cache_key(self) -> Tuple:
@@ -162,9 +162,6 @@ class ApproximateCoveringDetector:
         Number of numeric attributes β in every subscription.
     attribute_order:
         Bits per attribute; attribute values lie in ``[0, 2^k − 1]``.
-    curve:
-        The curve keying the dominance index (any recursive-partitioning
-        curve gives the same answers, only the probe key ranges differ).
     epsilon:
         The default approximation parameter ε of a query (0 = exhaustive
         search); :data:`DEFAULT_EPSILON` unless given.
@@ -173,12 +170,17 @@ class ApproximateCoveringDetector:
         :data:`DEFAULT_CUBE_BUDGET` unless given.
 
     Every stored subscription is kept twice: its ranges, in storage order,
-    and its dominance point in :attr:`index`, the ε-search's index.
+    and its dominance point in :attr:`index`, the ε-search's index.  The
+    index is keyed on :attr:`CURVE`, a class constant (any
+    recursive-partitioning curve gives the same answers, only the probe key
+    ranges differ).
     """
+
+    #: The curve keying the dominance index: Z-order, the curve the paper analyses.
+    CURVE = DEFAULT_CURVE
 
     attributes: int
     attribute_order: int
-    curve: str = DEFAULT_CURVE
     epsilon: float = DEFAULT_EPSILON
     cube_budget: int = DEFAULT_CUBE_BUDGET
     transform: DominanceTransform = field(init=False)
@@ -186,7 +188,7 @@ class ApproximateCoveringDetector:
 
     def __post_init__(self) -> None:
         self._profiler = CoveringProfiler(
-            self.attributes, self.attribute_order, self.curve, self.epsilon, self.cube_budget
+            self.attributes, self.attribute_order, self.epsilon, self.cube_budget
         )
         self.transform = self._profiler.transform
         self._subscriptions: Dict[Hashable, Tuple[Range, ...]] = {}

@@ -19,6 +19,7 @@ census gives before any cube is built.  Pinned here:
 from __future__ import annotations
 
 import random
+from unittest.mock import patch
 
 import pytest
 
@@ -26,7 +27,7 @@ from repro.core.approx_dominance import ApproximateDominanceIndex, build_dominan
 from repro.core.covering import ApproximateCoveringDetector, CoveringProfiler
 from repro.geometry.transform import first_covering
 from repro.geometry.universe import Universe
-from repro.sfc.factory import CURVE_KINDS, make_curve
+from repro.sfc.factory import CURVE_KINDS, DEFAULT_CURVE, make_curve
 
 ATTRIBUTES = 2
 ORDER = 5
@@ -60,8 +61,9 @@ def test_profile_check_compares_up_to_the_plan_size_and_probes_above(curve_kind)
     while the detector holds at most ``plan.cubes`` subscriptions and the
     plan's execution against the index above that, at store sizes on both
     sides of every query's crossover."""
-    detector = ApproximateCoveringDetector(ATTRIBUTES, ORDER, curve=curve_kind, cube_budget=16)
-    profiler = CoveringProfiler(ATTRIBUTES, ORDER, curve=curve_kind, cube_budget=16)
+    with patch.object(ApproximateCoveringDetector, "CURVE", curve_kind):
+        detector = ApproximateCoveringDetector(ATTRIBUTES, ORDER, cube_budget=16)
+        profiler = CoveringProfiler(ATTRIBUTES, ORDER, cube_budget=16)
     rng = random.Random(4)
     stored = {}
     queries = []
@@ -92,10 +94,10 @@ def test_profile_check_compares_up_to_the_plan_size_and_probes_above(curve_kind)
 
 # ---------------------------------------------------------- the paranoia guard
 FOREIGN = {
-    "curve": (ORDER, {"curve": "hilbert"}),
-    "epsilon": (ORDER, {"epsilon": 0.3}),
-    "budget": (ORDER, {"cube_budget": 64}),
-    "order": (ORDER + 1, {}),
+    "curve": ("hilbert", ORDER, {}),
+    "epsilon": (DEFAULT_CURVE, ORDER, {"epsilon": 0.3}),
+    "budget": (DEFAULT_CURVE, ORDER, {"cube_budget": 64}),
+    "order": (DEFAULT_CURVE, ORDER + 1, {}),
 }
 
 
@@ -104,8 +106,9 @@ def test_a_foreign_profile_falls_back_to_its_ranges(kind):
     detector = ApproximateCoveringDetector(ATTRIBUTES, ORDER)
     for i in range(6):
         detector.add_subscription(i, [(i, MAX_VALUE - i), (2 * i, MAX_VALUE)])
-    order, parameters = FOREIGN[kind]
-    foreign = CoveringProfiler(ATTRIBUTES, order, **parameters)
+    curve_kind, order, parameters = FOREIGN[kind]
+    with patch.object(ApproximateCoveringDetector, "CURVE", curve_kind):
+        foreign = CoveringProfiler(ATTRIBUTES, order, **parameters)
     for ranges in ([(5, 9), (12, 20)], [(0, MAX_VALUE), (0, 3)]):
         profile = foreign.profile(ranges)
         assert not detector.compatible_profile(profile)

@@ -13,6 +13,8 @@ that excludes an id is also held to an index that never stored that id.
 
 from __future__ import annotations
 
+from unittest.mock import patch
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -79,7 +81,8 @@ def without(index, excluded):
     operations=st.lists(OPERATIONS, max_size=40),
 )
 def test_detector_answers_as_a_bare_dominance_index(curve, epsilon, cube_budget, operations):
-    detector = ApproximateCoveringDetector(ATTRIBUTES, ORDER, curve, epsilon, cube_budget)
+    with patch.object(ApproximateCoveringDetector, "CURVE", curve):
+        detector = ApproximateCoveringDetector(ATTRIBUTES, ORDER, epsilon, cube_budget)
     transform = detector.transform
     bare = ApproximateDominanceIndex(
         universe=transform.universe,

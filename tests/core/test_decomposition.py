@@ -8,6 +8,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rect_oracle import contains, intersect
 from repro.core.decomposition import (
     count_cubes_extremal,
     cubes_in_class,
@@ -26,19 +27,6 @@ from repro.sfc.zorder import ZOrderCurve
 
 def random_lengths(rng, universe):
     return tuple(rng.randint(1, universe.side) for _ in range(universe.dims))
-
-
-def contains(outer, inner):
-    """``inner`` lies entirely inside ``outer`` (rectangles, by their corners)."""
-    return all(
-        olo <= ilo and ihi <= ohi
-        for olo, ohi, ilo, ihi in zip(outer.low, outer.high, inner.low, inner.high)
-    )
-
-
-def intersect(a, b):
-    """The two rectangles share at least one cell."""
-    return all(blo <= ahi and alo <= bhi for alo, ahi, blo, bhi in zip(a.low, a.high, b.low, b.high))
 
 
 def reference_decompose_rectangle(universe, rect):

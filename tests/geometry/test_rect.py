@@ -5,21 +5,9 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
+from rect_oracle import contains, intersect
 from repro.geometry.rect import ExtremalRectangle, Rectangle, StandardCube, aspect_ratio
 from repro.geometry.universe import Universe
-
-
-def contains(outer: Rectangle, inner: Rectangle) -> bool:
-    """``inner`` lies entirely inside ``outer`` (the test's containment oracle)."""
-    return all(
-        olo <= ilo and ihi <= ohi
-        for olo, ohi, ilo, ihi in zip(outer.low, outer.high, inner.low, inner.high)
-    )
-
-
-def intersect(a: Rectangle, b: Rectangle) -> bool:
-    """The two rectangles share at least one cell."""
-    return all(blo <= ahi and alo <= bhi for alo, ahi, blo, bhi in zip(a.low, a.high, b.low, b.high))
 
 
 class TestAspectRatio:

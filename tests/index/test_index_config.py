@@ -7,6 +7,7 @@ and the run budget is a class constant of the match index.
 from __future__ import annotations
 
 import dataclasses
+from unittest.mock import patch
 
 import pytest
 
@@ -48,12 +49,17 @@ class TestValidation:
         detector = ApproximateCoveringDetector(2, 6)
         profiler = CoveringProfiler(2, 6)
         assert (DEFAULT_EPSILON, DEFAULT_CUBE_BUDGET) == (0.05, 2_000)
-        assert (detector.curve, detector.epsilon, detector.cube_budget) == (
-            IndexConfig().curve,
+        assert ApproximateCoveringDetector.CURVE == IndexConfig().curve
+        assert (detector.index.curve.kind, detector.epsilon, detector.cube_budget) == (
+            ApproximateCoveringDetector.CURVE,
             DEFAULT_EPSILON,
             DEFAULT_CUBE_BUDGET,
         )
-        assert (profiler.epsilon, profiler.cube_budget) == (DEFAULT_EPSILON, DEFAULT_CUBE_BUDGET)
+        assert (profiler.curve.kind, profiler.epsilon, profiler.cube_budget) == (
+            ApproximateCoveringDetector.CURVE,
+            DEFAULT_EPSILON,
+            DEFAULT_CUBE_BUDGET,
+        )
         assert detector.compatible_profile(profiler.profile([(1, 9), (3, 40)]))
 
     def test_unknown_curve_uses_canonical_message(self):
@@ -168,13 +174,20 @@ class TestConfigIsTheOnlyChannel:
 
     @pytest.mark.parametrize("name", ["ApproximateCoveringDetector", "CoveringProfiler"])
     def test_the_paper_detector_takes_its_query_parameters_and_no_config(self, name):
+        """ε and the cube budget are keywords; the curve is the class constant
+        ``ApproximateCoveringDetector.CURVE``, so ``curve=`` is a TypeError."""
         build = {
             "ApproximateCoveringDetector": ApproximateCoveringDetector,
             "CoveringProfiler": CoveringProfiler,
         }[name]
-        built = build(2, 6, curve="hilbert", epsilon=0.2, cube_budget=99)
+        built = build(2, 6, epsilon=0.2, cube_budget=99)
         assert (built.epsilon, built.cube_budget) == (0.2, 99)
-        for knob in ({"config": IndexConfig()}, {"run_budget": 8}, {"precision_bits": 3}):
+        for knob in (
+            {"config": IndexConfig()},
+            {"curve": "hilbert"},
+            {"run_budget": 8},
+            {"precision_bits": 3},
+        ):
             with pytest.raises(TypeError):
                 build(2, 6, **knob)
 
@@ -231,8 +244,10 @@ class TestKeys:
         key = CoveringProfiler(2, 6).cache_key
         assert key == ("zorder", DEFAULT_EPSILON, DEFAULT_CUBE_BUDGET, 2, 6)
         assert CoveringProfiler(2, 6).cache_key == key
+        with patch.object(ApproximateCoveringDetector, "CURVE", "hilbert"):
+            hilbert = CoveringProfiler(2, 6)
         others = [
-            CoveringProfiler(2, 6, curve="hilbert"),
+            hilbert,
             CoveringProfiler(2, 6, epsilon=0.3),
             CoveringProfiler(2, 6, cube_budget=99),
             CoveringProfiler(3, 6),

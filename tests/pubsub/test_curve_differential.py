@@ -334,7 +334,7 @@ class TestHypothesisDifferential:
                         if xlo <= cell[0] <= xhi and ylo <= cell[1] <= yhi
                     }
                     assert set(index.matching_ids(cell)) == expected, (curve, cell)
-                assert index.any_match(cell) == bool(expected), (curve, cell)
+                    assert index.any_match(cell) == bool(expected), (curve, cell)
 
 
 # ------------------------------------------------------------- configuration
@@ -344,7 +344,8 @@ class TestCurveConfigurationErrors:
         with pytest.raises(ValueError, match="unknown curve kind"):
             MatchIndex(schema, config=IndexConfig(curve="peano"))
         with pytest.raises(ValueError, match="unknown curve kind"):
-            ApproximateCoveringDetector(2, 5, curve="peano")
+            with patch.object(ApproximateCoveringDetector, "CURVE", "peano"):
+                ApproximateCoveringDetector(2, 5)
         with pytest.raises(ValueError, match="unknown curve kind"):
             BrokerNetwork.from_topology(
                 schema, tree_topology(2), covering="approximate", config=IndexConfig(curve="peano")
@@ -381,28 +382,23 @@ class TestCurveConfigurationErrors:
         """A profile built under another curve is incompatible; the detector
         must fall back to the classic search and still answer correctly."""
         detector = ApproximateCoveringDetector(
-            attributes=1,
-            attribute_order=6,
-            curve="zorder",
-            epsilon=0.1,
-            cube_budget=1_000_000,
+            attributes=1, attribute_order=6, epsilon=0.1, cube_budget=1_000_000
         )
         detector.add_subscription("wide", [(0, 60)])
-        profiler = CoveringProfiler(1, 6, curve="hilbert", epsilon=0.1, cube_budget=1_000_000)
+        with patch.object(ApproximateCoveringDetector, "CURVE", "hilbert"):
+            profiler = CoveringProfiler(1, 6, epsilon=0.1, cube_budget=1_000_000)
         profile = profiler.profile([(10, 20)])
         assert not detector.compatible_profile(profile)
         result = detector.find_covering_profile(profile)
         assert result.covering_id == "wide"
 
     def test_matched_curve_profile_is_compatible(self):
-        detector = ApproximateCoveringDetector(
-            attributes=1,
-            attribute_order=6,
-            curve="hilbert",
-            epsilon=0.1,
-            cube_budget=1_000_000,
-        )
-        profiler = CoveringProfiler(
-            1, 6, curve=detector.curve, epsilon=detector.epsilon, cube_budget=detector.cube_budget
-        )
+        with patch.object(ApproximateCoveringDetector, "CURVE", "hilbert"):
+            detector = ApproximateCoveringDetector(
+                attributes=1, attribute_order=6, epsilon=0.1, cube_budget=1_000_000
+            )
+            profiler = CoveringProfiler(
+                1, 6, epsilon=detector.epsilon, cube_budget=detector.cube_budget
+            )
+        assert detector.index.curve.kind == "hilbert"
         assert detector.compatible_profile(profiler.profile([(10, 20)]))
