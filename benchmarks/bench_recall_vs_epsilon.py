@@ -118,7 +118,8 @@ def test_recall_at_product_budget(run_once, record_table):
     table = run_once(product_budget_recall)
     record_table("recall_at_product_budget", table)
     for row in table.rows:
-        # Sound on both sides, and the join never finds fewer covers than the plan alone.
+        # Sound on both sides, and the profile entry point (compare or execute)
+        # never finds fewer covers than the plan alone.
         assert row["profile_recall"] >= row["plan_alone_recall"]
         # A profile that is compared is searched completely.
         if row["profile_compared_share"] == 1.0:

@@ -42,7 +42,8 @@ stage "tier-1 tests (hypothesis profile: ${HYPOTHESIS_PROFILE:-ci})"
 # Profiling is pinned here too (tests/obs/test_profiler.py): with the
 # profiler wrapping its hot paths, sync and sim lockstep scripts deliver and
 # route exactly as without it, and disabling it restores the plain functions.
-HYPOTHESIS_PROFILE="${HYPOTHESIS_PROFILE:-ci}" python -m pytest -x -q tests
+# --durations=5 only adds output: every log names the five slowest tests.
+HYPOTHESIS_PROFILE="${HYPOTHESIS_PROFILE:-ci}" python -m pytest -x -q --durations=5 tests
 
 stage "benchmark smoke (tiny sizes) + full-size sim tables"
 # bench_subscription_churn times the batch subscribe/withdraw APIs (loops

@@ -25,16 +25,14 @@ callers from accidentally launching an astronomically large exhaustive probe.
 
 Steps 1–2 depend on the query alone and are captured as a
 :class:`DominancePlan`; step 3 is :meth:`ApproximateDominanceIndex.execute_plan`,
-the one search implementation.  The paper prices step 3 in runs probed against
-``n`` stored points, a trade that pays when ``n`` is large against the
-schedule.  A plan therefore knows its size — :attr:`DominancePlan.cubes`, from
-the census alone — before any cube is built, and
-:meth:`repro.core.covering.ApproximateCoveringDetector.find_covering_profile`
+the one search implementation: one loop over the plan's probes in schedule
+order, a binary search each, up to the first hit.  The paper prices step 3 in
+runs probed against ``n`` stored points, a trade that pays when ``n`` is large
+against the schedule.  A plan therefore knows its size —
+:attr:`DominancePlan.cubes`, from the census alone — before any cube is built,
+and :meth:`repro.core.covering.ApproximateCoveringDetector.find_covering_profile`
 executes it only against a detector holding more subscriptions than that;
-smaller ones are compared directly and never materialise a schedule.  The entry
-points here serve the paper's own experiments at any size: execution joins
-schedule and stored keys from whichever side is smaller and *reports* the runs
-a probe loop would have issued.
+smaller ones are compared directly and never materialise a schedule.
 """
 
 from __future__ import annotations
@@ -128,21 +126,18 @@ BATCH_CUBES = 64
 
 
 class ClassTable:
-    """The probes of one level class of a plan, as a table sorted by key.
+    """The probes of one level class of a plan, in search order.
 
-    Row ``r`` is the inclusive key range ``[los[r], his[r]]``; a plan's
-    ranges are pairwise disjoint (its cubes partition the region), so a key
-    lies in at most one row and ``bisect`` on ``his`` finds it.
-    ``probe_of_row[r]`` is the row's position in the class's search order,
-    ``row_of_probe`` the inverse.  Batch ``b`` holds the probes up to
-    ``batch_ends[b]``; its cumulative accounting follows from the cubes the
-    class had taken by then.  ``stop`` belongs to the last batch.
+    Probe ``p`` is the inclusive key range ``[los[p], his[p]]``.  Batch ``b``
+    holds the probes up to ``batch_ends[b]``; its cumulative accounting
+    follows from the cubes the class had taken by then.  ``stop`` belongs to
+    the last batch.
     """
 
     def __init__(
         self,
-        probe_los: List[int],
-        probe_his: List[int],
+        los: List[int],
+        his: List[int],
         batch_sizes: List[int],
         cubes_before: int,
         cubes: int,
@@ -151,11 +146,8 @@ class ClassTable:
         classes: int,
         stop: Optional[str],
     ) -> None:
-        by_key = sorted(range(len(probe_los)), key=probe_los.__getitem__)
-        self.los = [probe_los[probe] for probe in by_key]
-        self.his = [probe_his[probe] for probe in by_key]
-        self.probe_of_row = array("l", by_key)
-        self.row_of_probe = array("l", sorted(range(len(by_key)), key=by_key.__getitem__))
+        self.los = los
+        self.his = his
         self.batch_ends = array("l", itertools.accumulate(batch_sizes))
         self.cubes_before = cubes_before
         self.cubes = cubes
@@ -181,7 +173,7 @@ class DominancePlan:
     are curve-specific, so the plan records the curve it was built for and
     can only be executed against an index using the same curve.
 
-    The schedule is held as one key-sorted table per level class
+    The schedule is held as one probe-ordered table per level class
     (:class:`ClassTable`) and nothing else.  Classes are materialised lazily,
     largest cubes first: an execution that finds its witness in an early
     class never builds the later ones — with a six-digit cube budget that is
@@ -486,15 +478,12 @@ class ApproximateDominanceIndex:
         """Search this index along a plan: the first probe, in schedule order, that hits.
 
         Level class by level class (materialising each on first use),
-        :meth:`SFCArray.first_probe_hit` joins the class's table against the
-        stored keys from whichever side is smaller.  The witness and every
-        counter of the result are those of a probe-by-probe walk of the
-        schedule, whichever side drove the join.  The keyed side serves
-        offline queries, whose 10^5–10^6-cube schedules dwarf any stored
-        set.  The plan must
-        have been built for this index's universe *and* curve — a plan's key
-        ranges are curve-specific.  The item ``exclude`` names is skipped as
-        if it were not stored; the index is not modified.
+        :meth:`SFCArray.first_probe_hit` probes the class's key ranges in
+        order and stops at the first that holds a stored key;
+        ``runs_probed`` counts the probes it made.  The plan must have been
+        built for this index's universe *and* curve — a plan's key ranges are
+        curve-specific.  The item ``exclude`` names is skipped as if it were
+        not stored; the index is not modified.
         """
         if plan.universe != self.universe:
             raise ValueError("plan universe does not match the index universe")
@@ -511,9 +500,7 @@ class ApproximateDominanceIndex:
         witness: Optional[StoredItem] = None
         for table in plan.tables():
             classes = table.classes
-            hit = self.array.first_probe_hit(
-                table.los, table.his, table.probe_of_row, table.row_of_probe, exclude
-            )
+            hit = self.array.first_probe_hit(table.los, table.his, exclude)
             if hit is not None:
                 probe, witness = hit
                 runs_probed += probe + 1

@@ -139,66 +139,44 @@ class SFCArray:
         self,
         los: Sequence[int],
         his: Sequence[int],
-        probe_of_row: Sequence[int],
-        row_of_probe: Sequence[int],
         exclude: Optional[Hashable] = None,
     ) -> Optional[Tuple[int, StoredItem]]:
-        """First hit of a whole probe schedule: ``(probe index, item)`` or ``None``.
+        """First hit of a probe schedule: ``(probe index, item)`` or ``None``.
 
-        The schedule is a table of pairwise disjoint inclusive key ranges
-        sorted by key (row ``r`` is ``[los[r], his[r]]``) plus the search
-        order over its rows (``probe_of_row`` and its inverse).  The answer,
-        and the advance of ``stats.range_probes``, are those of calling
-        :meth:`first_in_key_range` on the rows in search order up to the first
-        hit.  It is computed as a join from the smaller side: an array with
-        no more items than the table has rows bisects each occupied key into
-        the table and keeps the hit with the smallest probe index, then the
-        smallest key (what that probe returns); otherwise the rows are probed
-        in order.  The keyed half is what lets an offline query over a
-        10^5–10^6-cube schedule finish in milliseconds.
+        Probe ``p`` is the inclusive key range ``[los[p], his[p]]``; the
+        ranges may overlap and come in any order.  The probes run in
+        order, one ``bisect`` each, up to the first that holds a stored key:
+        the answer, and the advance of ``stats.range_probes`` (``p + 1`` on a
+        hit at probe ``p``, ``len(los)`` on a miss), are those of calling
+        :meth:`first_in_key_range` on each probe in turn.
 
-        ``exclude`` names a stored item the join treats as absent: the answer
+        ``exclude`` names a stored item the loop treats as absent: the answer
         is that of the array without it, and the array is left untouched (a
         removal and re-insertion would move the item to the end of its
         bucket, changing which of two identical points later probes report).
+        A key whose bucket holds nothing but that item is skipped; in a
+        shared bucket the item is passed over.
         """
-        rows = len(los)
-        stored = len(self._key_of_item)
         keys, buckets = self._keys, self._buckets
-        # A key whose bucket holds nothing but the excluded item: no probe hits it.
+        occupied = len(keys)
+        bisect_left = bisect.bisect_left
         hidden = -1
         excluded_key = self._key_of_item.get(exclude) if exclude is not None else None
-        if excluded_key is not None:
-            stored -= 1
-            if len(buckets[excluded_key]) == 1:
-                hidden = excluded_key
-        probe, key = rows, -1
-        if stored <= rows:
-            # Keys ascend, so the first key a probe index is met with is its smallest.
-            for stored_key in keys:
-                row = bisect.bisect_left(his, stored_key)
-                if row < rows and los[row] <= stored_key and stored_key != hidden:
-                    candidate = probe_of_row[row]
-                    if candidate < probe:
-                        probe, key = candidate, stored_key
-        else:
-            occupied = len(keys)
-            for candidate, row in enumerate(row_of_probe):
-                i = bisect.bisect_left(keys, los[row])
-                if i < occupied and keys[i] == hidden:
-                    i += 1
-                if i < occupied and keys[i] <= his[row]:
-                    probe, key = candidate, keys[i]
-                    break
-        if probe == rows:
-            self.stats.range_probes += rows
-            return None
-        self.stats.range_probes += probe + 1
-        items = iter(buckets[key].values())
-        witness = next(items)
-        if excluded_key is not None and witness.item_id == exclude:
-            witness = next(items)
-        return probe, witness
+        if excluded_key is not None and len(buckets[excluded_key]) == 1:
+            hidden = excluded_key
+        for probe, (low, high) in enumerate(zip(los, his)):
+            i = bisect_left(keys, low)
+            if i < occupied and keys[i] == hidden:
+                i += 1
+            if i < occupied and keys[i] <= high:
+                self.stats.range_probes += probe + 1
+                items = iter(buckets[keys[i]].values())
+                witness = next(items)
+                if excluded_key is not None and witness.item_id == exclude:
+                    witness = next(items)
+                return probe, witness
+        self.stats.range_probes += len(los)
+        return None
 
     def items_in_key_range(self, key_range: KeyRange) -> Iterator[StoredItem]:
         """Yield every item whose key lies in the inclusive range, in key order."""

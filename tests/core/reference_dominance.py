@@ -1,13 +1,13 @@
 """Reference oracles for the dominance search: the implementations it replaced.
 
-Until the probe schedule became a per-class key-sorted table, the library
-carried two copies of the Section 5 search: an interleaved
-decompose-and-probe loop behind ``ApproximateDominanceIndex.query`` and a
-generator of ``PlanStep`` batches behind ``build_dominance_plan``, both fed
-by a per-cube Z-order enumerator.  They are kept here, verbatim apart from
-taking the index as an argument, as what the table-driven producer and the
-keyed join are compared against: same steps (``plan_steps`` renders the
-tables in the old form), same witness, same counters.
+Until the probe schedule became a per-class table, the library carried two
+copies of the Section 5 search: an interleaved decompose-and-probe loop
+behind ``ApproximateDominanceIndex.query`` and a generator of ``PlanStep``
+batches behind ``build_dominance_plan``, both fed by a per-cube Z-order
+enumerator.  They are kept here, verbatim apart from taking the index as an
+argument, as what the table-driven producer and the probe loop over its
+tables are compared against: same steps (``plan_steps`` renders the tables
+in the old form), same witness, same counters.
 """
 
 from __future__ import annotations
@@ -59,9 +59,7 @@ def plan_steps(plan: DominancePlan) -> List[PlanStep]:
             cubes, volume = table.accounting(batch)
             steps.append(
                 PlanStep(
-                    ranges=tuple(
-                        (table.los[row], table.his[row]) for row in table.row_of_probe[start:end]
-                    ),
+                    ranges=tuple(zip(table.los[start:end], table.his[start:end])),
                     cubes=cubes,
                     volume=volume,
                     classes=table.classes,

@@ -8,7 +8,6 @@ paths that only open at scale (merges, tombstone compaction, bulk loads).
 
 from __future__ import annotations
 
-import itertools
 import random
 from array import array
 
@@ -58,20 +57,15 @@ def _first_model_hit(model, lo, hi, excluded=None):
 @given(ops=_array_ops, ranges=_key_ranges)
 def test_sfc_array_matches_a_sorted_dict_model(kind, ops, ranges):
     """After every step the items (key order, then bucket order), the occupied
-    keys, every range probe and the whole-schedule probe, excluding no item
-    or any stored one, equal a model that keeps one insertion-ordered dict
-    per key."""
+    keys, every range probe and the whole-schedule probe over the drawn
+    ranges (overlapping or not), excluding no item or any stored one, equal
+    a model that keeps one insertion-ordered dict per key."""
     curve = make_curve(kind, Universe(dims=2, order=3))
     array = SFCArray(curve)
     model = {}
-    # The ranges as a probe schedule (search order as drawn), when disjoint.
-    disjoint = not any(
-        a <= d and c <= b for (a, b), (c, d) in itertools.combinations(ranges, 2)
-    )
-    by_key = sorted(range(len(ranges)), key=lambda probe: ranges[probe][0])
-    row_los = [ranges[probe][0] for probe in by_key]
-    row_his = [ranges[probe][1] for probe in by_key]
-    row_of_probe = [by_key.index(probe) for probe in range(len(ranges))]
+    # The ranges as a probe schedule, in the order drawn (they may overlap).
+    los = [lo for lo, _ in ranges]
+    his = [hi for _, hi in ranges]
     for op, item_id, point in ops:
         for bucket in model.values():
             if bucket.pop(item_id, None) is not None:
@@ -91,8 +85,6 @@ def test_sfc_array_matches_a_sorted_dict_model(kind, ops, ranges):
             assert (None if hit is None else (hit.item_id, hit.point)) == _first_model_hit(
                 model, lo, hi
             )
-        if not disjoint:
-            continue
         for excluded in [None, *(item.item_id for item in array.items())]:
             expected = next(
                 (
@@ -103,7 +95,7 @@ def test_sfc_array_matches_a_sorted_dict_model(kind, ops, ranges):
                 ),
                 None,
             )
-            got = array.first_probe_hit(row_los, row_his, by_key, row_of_probe, excluded)
+            got = array.first_probe_hit(los, his, excluded)
             assert (None if got is None else (got[0], (got[1].item_id, got[1].point))) == expected
 
 

@@ -174,24 +174,22 @@ class TestSFCArrayQueries:
 
 class TestFirstProbeHit:
     """The whole-schedule probe against its definition: first_in_key_range per
-    row in search order, stopping at the first hit."""
+    probe in search order, stopping at the first hit.  The item counts, 0–40
+    against eight probes, select no branch (there is one loop); they vary how
+    full the array is, from empty to denser than the schedule."""
 
     @staticmethod
-    def schedule(rng, max_key, rows):
-        """``rows`` disjoint key ranges sorted by key, and a shuffled search order."""
-        cuts = sorted(rng.sample(range(max_key + 1), 2 * rows))
-        los, his = cuts[0::2], cuts[1::2]
-        probe_of_row = list(range(rows))
-        rng.shuffle(probe_of_row)
-        row_of_probe = [0] * rows
-        for row, probe in enumerate(probe_of_row):
-            row_of_probe[probe] = row
-        return los, his, probe_of_row, row_of_probe
+    def schedule(rng, max_key, probes):
+        """``probes`` disjoint key ranges in a shuffled search order: ``(los, his)``."""
+        cuts = sorted(rng.sample(range(max_key + 1), 2 * probes))
+        ranges = list(zip(cuts[0::2], cuts[1::2]))
+        rng.shuffle(ranges)
+        return [lo for lo, _ in ranges], [hi for _, hi in ranges]
 
     @pytest.mark.parametrize("items", [0, 1, 7, 8, 9, 40])
-    def test_matches_the_probe_loop_in_both_join_directions(self, array, items):
-        """Eight rows against 0–40 items: fewer items than rows walks the stored
-        keys, more walks the rows; the answer and the probe count never differ."""
+    def test_matches_the_probe_loop(self, array, items):
+        """Eight probes against 0–40 items: the answer and the probe count are
+        those of first_in_key_range on each probe in turn."""
         rng = random.Random(items)
         max_key = array.universe.max_key
         for i in range(items):
@@ -201,16 +199,16 @@ class TestFirstProbeHit:
         for i in range(0, items, 8):
             array.add(i, point_of(array, i + 1) or (5, 5))  # shares a cell
         for _ in range(60):
-            los, his, probe_of_row, row_of_probe = self.schedule(rng, max_key, 8)
+            los, his = self.schedule(rng, max_key, 8)
             before = array.stats.range_probes
             expected = None
-            for probe, row in enumerate(row_of_probe):
-                item = array.first_in_key_range((los[row], his[row]))
+            for probe, key_range in enumerate(zip(los, his)):
+                item = array.first_in_key_range(key_range)
                 if item is not None:
                     expected = (probe, item)
                     break
             probes = array.stats.range_probes - before
-            assert array.first_probe_hit(los, his, probe_of_row, row_of_probe) == expected
+            assert array.first_probe_hit(los, his) == expected
             assert array.stats.range_probes - before == 2 * probes
 
     @pytest.mark.parametrize("items", [1, 7, 9, 40])
@@ -231,12 +229,10 @@ class TestFirstProbeHit:
                 if item.item_id != excluded:
                     without.add(item.item_id, item.point)
             for _ in range(10):
-                los, his, probe_of_row, row_of_probe = self.schedule(rng, max_key, 8)
+                los, his = self.schedule(rng, max_key, 8)
                 start, start_without = array.stats.range_probes, without.stats.range_probes
-                expected = without.first_probe_hit(los, his, probe_of_row, row_of_probe)
-                assert array.first_probe_hit(
-                    los, his, probe_of_row, row_of_probe, exclude=excluded
-                ) == expected
+                expected = without.first_probe_hit(los, his)
+                assert array.first_probe_hit(los, his, exclude=excluded) == expected
                 assert (
                     array.stats.range_probes - start
                     == without.stats.range_probes - start_without
@@ -244,9 +240,9 @@ class TestFirstProbeHit:
         assert list(array.items()) == before
 
     def test_empty_schedule_and_empty_array(self, array):
-        assert array.first_probe_hit([], [], [], []) is None
+        assert array.first_probe_hit([], []) is None
         array.add("a", (1, 1))
-        assert array.first_probe_hit([], [], [], []) is None
+        assert array.first_probe_hit([], []) is None
         assert array.stats.range_probes == 0
 
 

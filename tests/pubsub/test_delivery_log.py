@@ -123,6 +123,12 @@ class TestDeliveryLog:
 
 
 def make_sync_network(seed=5):
+    """A 7-broker tree with 40 subscriptions of 17 clients, and 60 events.
+
+    Returns ``(network, events, placements)``; ``placements`` lists each
+    subscription as ``(broker, client, subscription)``.  A client may hold
+    subscriptions at several brokers.
+    """
     schema = AttributeSchema(
         [Attribute("x", 0.0, 100.0), Attribute("y", 0.0, 100.0)], order=6
     )
@@ -130,9 +136,10 @@ def make_sync_network(seed=5):
         schema, tree_topology(7), seed=seed
     )
     rng = random.Random(seed)
+    placements = []
     for number in range(40):
         lo_x, lo_y = rng.uniform(0, 60), rng.uniform(0, 60)
-        network.subscribe(
+        placement = (
             rng.randrange(7),
             f"c{number % 17}",
             Subscription(
@@ -141,11 +148,13 @@ def make_sync_network(seed=5):
                 sub_id=f"s{number}",
             ),
         )
+        network.subscribe(*placement)
+        placements.append(placement)
     events = [
         Event(schema, {"x": rng.uniform(0, 100), "y": rng.uniform(0, 100)}, event_id=f"e{n}")
         for n in range(60)
     ]
-    return network, events
+    return network, events, placements
 
 
 class TestResultsNeverReadTheLog:
@@ -155,9 +164,9 @@ class TestResultsNeverReadTheLog:
         return singles, batch
 
     def test_publish_and_publish_batch_after_the_log_wraps(self, monkeypatch):
-        reference = self._publish_everything(*make_sync_network())
+        reference = self._publish_everything(*make_sync_network()[:2])
         monkeypatch.setattr(transport_module, "RETENTION", SMALL)
-        network, events = make_sync_network()
+        network, events, _ = make_sync_network()
         singles, batch = self._publish_everything(network, events)
         assert len(network.deliveries) > 4 * SMALL
         assert len(list(network.deliveries)) == SMALL
@@ -167,7 +176,7 @@ class TestResultsNeverReadTheLog:
             assert delivered == network.expected_recipients(event, origin=origin)
 
     def test_nested_collection_sees_only_its_own_deliveries(self):
-        network, events = make_sync_network()
+        network, events, _ = make_sync_network()
         event = next(event for event in events if network.expected_recipients(event))
         with network.collect_recipients([event.event_id]) as outer:
             first = network.publish(0, event)
@@ -209,11 +218,19 @@ class TestResultsNeverReadTheLog:
 
 class TestEveryLogIsBounded:
     def test_windows_stay_bounded(self, small_retention):
-        network, events = make_sync_network()
+        network, events, placements = make_sync_network()
+        # A visit delivers once to each client with a matching subscription at
+        # that broker, and every event reaches every broker of the tree; a
+        # client matching at two brokers gets two deliveries, so the returned
+        # recipient sets would undercount.
+        expected = 0
         for n, event in enumerate(events):
             network.publish(n % 7, event)
+            expected += len(
+                {(broker, client) for broker, client, sub in placements if sub.matches(event)}
+            )
         stats = network.transport.stats
-        assert stats.deliveries == len(network.deliveries) > 4 * SMALL
+        assert len(network.deliveries) == expected > 4 * SMALL
         assert stats.as_dict()["deliveries"] == stats.deliveries
         assert len(stats.delivery_latencies) == SMALL
         assert len(stats.hop_counts) == len(stats.hop_latencies) == SMALL
