@@ -8,16 +8,18 @@ Usage::
 
 Each experiment name maps to one driver in :mod:`repro.analysis.experiments`
 (the same drivers the benchmark harness calls), so the CLI is a convenient way
-to regenerate a single table without going through pytest.
+to regenerate a single table without going through pytest.  ``run`` and
+``metrics`` take no curve: their networks run ``IndexConfig()``, and
+``curve-ablation`` sweeps every curve.  ``serve --curve`` sets the served
+network's ``IndexConfig(curve=…)``.
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
 import pathlib
 import sys
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 from ..index.config import IndexConfig
 from ..obs.exposition import validate_prometheus_text, write_bench_json
@@ -28,7 +30,7 @@ from . import experiments
 __all__ = ["main", "EXPERIMENTS"]
 
 
-def _churn_cli_sized(curve: str = "zorder") -> object:
+def _churn_cli_sized() -> object:
     """E-SUB-CHURN: batched subscription churn vs the per-subscription baseline (CLI-sized)."""
     return experiments.run_subscription_churn_experiment(
         sizes=(1_500,),
@@ -36,25 +38,21 @@ def _churn_cli_sized(curve: str = "zorder") -> object:
         audit_events=10,
         max_cover_withdrawals=20,
         narrow_withdrawals=60,
-        curve=curve,
     )
 
 
-def _topology_scale_cli_sized(curve: str = "zorder") -> object:
+def _topology_scale_cli_sized() -> object:
     """E-TOPO-SCALE: latency/hop distributions per generated topology class (CLI-sized)."""
     return experiments.run_topology_scale_experiment(
         num_brokers=80,
         num_subscriptions=40,
         num_events=24,
-        curve=curve,
     )
 
 
-def _curve_ablation_cli_sized(curve: Optional[str] = None) -> object:
+def _curve_ablation_cli_sized() -> object:
     """E-CURVE: Z-order vs Hilbert vs Gray through the full routing stack (CLI-sized)."""
     return experiments.run_curve_ablation_experiment(
-        # The ablation sweeps all curves by default; --curve narrows it.
-        curves=("zorder", "hilbert", "gray") if curve is None else (curve,),
         num_subscriptions=120,
         num_events=60,
         order=7,
@@ -84,17 +82,6 @@ EXPERIMENTS: Dict[str, Callable[..., object]] = {
 }
 
 
-def _accepts_curve(fn: Callable[..., object]) -> bool:
-    """True when the experiment callable takes an explicit ``curve`` axis.
-
-    Deliberately strict — no ``**kwargs`` pass-through counts — so a driver
-    without a curve parameter can never receive (or silently swallow) the
-    ``--curve`` flag; CLI wrappers that forward it declare ``curve``
-    explicitly.
-    """
-    return "curve" in inspect.signature(fn).parameters
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro.analysis.cli",
@@ -109,16 +96,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=pathlib.Path,
         default=None,
         help="directory to also write each table to (one .txt file per experiment)",
-    )
-    run.add_argument(
-        "--curve",
-        choices=CURVE_KINDS,
-        default=None,
-        help=(
-            "space-filling-curve axis for the drivers that take one "
-            "(pubsub, churn, curve-ablation); drivers without a curve axis "
-            "ignore it"
-        ),
     )
     serve = subparsers.add_parser(
         "serve",
@@ -148,7 +125,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     metrics.add_argument("--seed", type=int, default=17)
-    metrics.add_argument("--curve", choices=CURVE_KINDS, default="zorder")
     metrics.add_argument(
         "--output",
         type=pathlib.Path,
@@ -161,10 +137,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_one(name: str, output: pathlib.Path | None, curve: Optional[str] = None) -> None:
-    fn = EXPERIMENTS[name]
-    kwargs = {"curve": curve} if curve is not None and _accepts_curve(fn) else {}
-    table = fn(**kwargs)
+def _run_one(name: str, output: pathlib.Path | None) -> None:
+    table = EXPERIMENTS[name]()
     text = table.to_text()  # type: ignore[attr-defined]
     print(text)
     print()
@@ -173,9 +147,9 @@ def _run_one(name: str, output: pathlib.Path | None, curve: Optional[str] = None
         (output / f"{name}.txt").write_text(text + "\n")
 
 
-def _run_metrics(seed: int, curve: str, output: pathlib.Path | None) -> None:
+def _run_metrics(seed: int, output: pathlib.Path | None) -> None:
     """The ``metrics`` subcommand: scenario → validated exposition + trace tree."""
-    result = experiments.run_metrics_scenario(seed=seed, curve=curve)
+    result = experiments.run_metrics_scenario(seed=seed)
     # Validation before printing: a malformed exposition is a bug, not output.
     validate_prometheus_text(result.prometheus_text)
     print(result.to_text())
@@ -245,11 +219,11 @@ def main(argv: list[str] | None = None) -> int:
             args.topology, args.brokers, args.host, args.covering, args.curve, args.seed
         )
     if args.command == "metrics":
-        _run_metrics(args.seed, args.curve, args.output)
+        _run_metrics(args.seed, args.output)
         return 0
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     for name in names:
-        _run_one(name, args.output, curve=args.curve)
+        _run_one(name, args.output)
     return 0
 
 

@@ -41,6 +41,7 @@ from ..obs.exposition import snapshot as metrics_snapshot
 from ..obs.registry import MetricsRegistry
 from ..obs.trace import TraceLog
 from ..pubsub.network import BrokerNetwork, chain_topology, star_topology, tree_topology
+from ..pubsub.routing_table import COVERING_KINDS
 from ..pubsub.schema import Attribute, AttributeSchema
 from ..pubsub.subscription import Event, Subscription
 from ..sfc.hilbert import HilbertCurve
@@ -485,15 +486,12 @@ def run_pubsub_experiment(
     num_subscriptions: int = 150,
     num_events: int = 40,
     order: int = 9,
-    strategies: Sequence[str] = ("none", "approximate"),
     seed: int = 9,
-    curve: str = "zorder",
 ) -> ResultTable:
     """E-PUBSUB: routing-table size and propagation traffic per covering kind.
 
     The workload mixes narrow subscriptions with a share of broad ones (the
-    regime covering is designed for).  ``curve`` keys the match indexes; the
-    delivery audit runs identically under every curve.
+    regime covering is designed for); one row per kind in ``COVERING_KINDS``.
     """
     import random as _random
 
@@ -516,12 +514,11 @@ def run_pubsub_experiment(
     placements = [rng.randrange(num_brokers) for _ in specs]
     publish_at = [rng.randrange(num_brokers) for _ in event_cells]
 
-    for strategy in strategies:
+    for strategy in COVERING_KINDS:
         network = BrokerNetwork.from_topology(
             schema,
             tree_topology(num_brokers),
             covering=strategy,
-            config=IndexConfig(curve=curve),
             seed=seed,
         )
         start = time.perf_counter()
@@ -541,7 +538,6 @@ def run_pubsub_experiment(
             network.publish_and_audit(publish_at[i], event)
         table.add(
             strategy=strategy,
-            curve=curve,
             routing_table_entries=network.routing_table_entries(),
             subscription_messages=network.subscription_messages,
             suppressed=_broker_total(network, "subscriptions_suppressed"),
@@ -582,9 +578,7 @@ def run_metrics_scenario(
     num_subscriptions: int = 60,
     num_events: int = 20,
     order: int = 8,
-    curve: str = "zorder",
     seed: int = 17,
-    trace_capacity: int = 4096,
 ) -> MetricsScenarioResult:
     """E-METRICS: a seeded tree scenario observed through the full obs layer.
 
@@ -617,11 +611,10 @@ def run_metrics_scenario(
         schema,
         tree_topology(num_brokers),
         covering="approximate",
-        config=IndexConfig(curve=curve),
         seed=seed,
         transport=SimTransport(seed=seed),
         metrics=MetricsRegistry(),
-        tracing=TraceLog(capacity=trace_capacity, seed=seed),
+        tracing=TraceLog(capacity=4096, seed=seed),
     )
     rng = _random.Random(seed + 2)
     placements = [rng.randrange(num_brokers) for _ in specs]
@@ -671,14 +664,10 @@ def run_subscription_churn_experiment(
     sizes: Sequence[int] = (10_000, 50_000),
     num_brokers: int = 15,
     order: int = 8,
-    wide_fraction: float = 0.04,
     max_cover_withdrawals: int = 40,
     narrow_withdrawals: int = 200,
     audit_size: Optional[int] = None,
     audit_events: int = 25,
-    topologies: Sequence[str] = ("tree", "chain", "star"),
-    transports: Sequence[str] = ("sync", "sim"),
-    curve: str = "zorder",
     seed: int = 11,
 ) -> ResultTable:
     """E-SUB-CHURN: subscription churn through the batch and the per-call APIs.
@@ -718,7 +707,7 @@ def run_subscription_churn_experiment(
             attributes=2,
             order=order,
             count=size,
-            narrow_fraction=1.0 - wide_fraction,
+            narrow_fraction=0.96,
             narrow_width=0.04,
             wide_width=0.4,
             seed=seed,
@@ -761,7 +750,6 @@ def run_subscription_churn_experiment(
             schema,
             topology_builders[topology](num_brokers),
             covering="approximate",
-            config=IndexConfig(curve=curve),
             transport=transport_obj,
         )
 
@@ -833,8 +821,8 @@ def run_subscription_churn_experiment(
         for i, cells in enumerate(event_workload.generate(audit_events))
     ]
     rng = _random.Random(seed + 4)
-    for topology in topologies:
-        for transport in transports:
+    for topology in topology_builders:
+        for transport in ("sync", "sim"):
             network = make_network(topology, transport)
             run_batch(network, batches, kills)
             missed_total = extra_total = 0
@@ -862,7 +850,6 @@ def run_event_matching_experiment(
     num_events: int = 400,
     order: int = 8,
     seed: int = 17,
-    curve: str = "zorder",
 ) -> ResultTable:
     """E-MATCH: per-interface event matching, linear scan vs the SFC match index.
 
@@ -902,7 +889,7 @@ def run_event_matching_experiment(
             seed=seed,
             prefix=f"match-{size}",
         )
-        sfc = InterfaceTable("bench", schema, config=IndexConfig(curve=curve))
+        sfc = InterfaceTable("bench", schema)
         subscriptions = _spec_subscriptions(schema, specs)
 
         def linear_any_match(event: Event) -> bool:
@@ -944,7 +931,6 @@ def run_event_matching_experiment(
         table.add(
             subscriptions=size,
             events=num_events,
-            curve=curve,
             linear_seconds=round(linear_seconds, 5),
             sfc_seconds=round(sfc_seconds, 5),
             speedup=round(linear_seconds / sfc_seconds, 2) if sfc_seconds else float("inf"),
@@ -958,16 +944,12 @@ def run_event_matching_experiment(
 
 # ---------------------------------------------------------------- curve ablation
 def run_curve_ablation_experiment(
-    curves: Sequence[str] = ("zorder", "hilbert", "gray"),
-    scenario_names: Sequence[str] = ("stock", "sensor", "auction"),
     num_brokers: int = 7,
     num_subscriptions: int = 240,
     num_events: int = 120,
     order: int = 9,
-    withdraw_fraction: float = 0.5,
     audit_events: int = 12,
     fig1_rectangles: int = 200,
-    fig1_order: int = 6,
     seed: int = 31,
 ) -> ResultTable:
     """E-CURVE: the routing stack under Z-order vs Hilbert vs Gray, end to end.
@@ -977,7 +959,8 @@ def run_curve_ablation_experiment(
     * ``phase="routing"`` — for each application scenario × curve, a broker
       tree runs the full lifecycle with match indexes keyed by that curve:
       batch subscribe (covering path), batch publish (matching path), batch
-      withdrawal (churn/promotion path), then a delivery audit.  Rows report
+      withdrawal of the first half (churn/promotion path), then a delivery
+      audit, on the stock, sensor and auction scenarios.  Rows report
       per-phase throughput plus the structure stats where the curve choice
       shows up — total match-index segments and match false positives — and
       the covering work (subscriptions compared; no curve reaches the
@@ -986,14 +969,15 @@ def run_curve_ablation_experiment(
       identical under every curve (curves may change stats, never semantics),
       and no audited event may miss a subscriber.
     * ``phase="runs"`` — the Fig. 1 claim at workload scale: exact run counts
-      of a seeded family of 2-D rectangles under each curve (the per-curve
-      analogue of ``run_fig1_experiment``'s three hand-picked instances).
+      of a seeded family of 2-D rectangles on a 64 × 64 grid under each curve
+      (the per-curve analogue of ``run_fig1_experiment``'s three hand-picked
+      instances).
       Hilbert is expected to need fewer runs than Z in aggregate.
     """
     import random as _random
 
     from ..core.decomposition import decompose_rectangle
-    from ..sfc.factory import make_curve
+    from ..sfc.factory import CURVE_KINDS, make_curve
     from ..sfc.runs import merge_key_ranges
     from ..workloads.scenarios import (
         auction_scenario,
@@ -1008,8 +992,8 @@ def run_curve_ablation_experiment(
     }
     table = ResultTable("E-CURVE: matching/covering/churn throughput per space filling curve")
 
-    for scenario_name in scenario_names:
-        scenario = scenario_factories[scenario_name](
+    for scenario_name, scenario_factory in scenario_factories.items():
+        scenario = scenario_factory(
             num_subscriptions=num_subscriptions,
             num_events=num_events,
             order=order,
@@ -1035,12 +1019,12 @@ def run_curve_ablation_experiment(
             publish_groups.setdefault(rng.randrange(num_brokers), []).append(event)
         withdrawals = [
             (f"client-{sub.sub_id}", sub.sub_id)
-            for sub in subscriptions[: int(len(subscriptions) * withdraw_fraction)]
+            for sub in subscriptions[: len(subscriptions) // 2]
         ]
         audit_origins = [rng.randrange(num_brokers) for _ in range(audit_events)]
 
         delivered_by_curve: Dict[str, Dict[Hashable, frozenset]] = {}
-        for curve in curves:
+        for curve in CURVE_KINDS:
             network = BrokerNetwork.from_topology(
                 schema,
                 tree_topology(num_brokers),
@@ -1106,8 +1090,8 @@ def run_curve_ablation_experiment(
                 missed=missed_total,
                 extra=extra_total,
             )
-        baseline = delivered_by_curve[curves[0]]
-        for curve in curves[1:]:
+        baseline = delivered_by_curve[CURVE_KINDS[0]]
+        for curve in CURVE_KINDS[1:]:
             if delivered_by_curve[curve] != baseline:
                 differing = [
                     event_id
@@ -1115,22 +1099,22 @@ def run_curve_ablation_experiment(
                     if delivered_by_curve[curve].get(event_id) != baseline[event_id]
                 ]
                 raise AssertionError(
-                    f"delivery sets differ between {curves[0]!r} and {curve!r} on "
+                    f"delivery sets differ between {CURVE_KINDS[0]!r} and {curve!r} on "
                     f"{scenario_name} for events {differing[:5]} — curves must "
                     "never change semantics"
                 )
 
     # Fig. 1 at workload scale: exact run counts for a seeded rectangle family.
-    universe = Universe(dims=2, order=fig1_order)
+    universe = Universe(dims=2, order=6)
     rect_workload = SubscriptionWorkload(
-        attributes=2, attribute_order=fig1_order, width_fraction=0.4, seed=seed + 2
+        attributes=2, attribute_order=6, width_fraction=0.4, seed=seed + 2
     )
     rectangles = [
         Rectangle(tuple(lo for lo, _ in spec.ranges), tuple(hi for _, hi in spec.ranges))
         for spec in rect_workload.generate(fig1_rectangles, prefix="fig1")
     ]
     cube_partitions = [decompose_rectangle(universe, rect) for rect in rectangles]
-    for curve_kind in curves:
+    for curve_kind in CURVE_KINDS:
         curve = make_curve(curve_kind, universe)
         run_counts = [
             len(merge_key_ranges(curve.cube_key_range(cube) for cube in cubes))
@@ -1280,11 +1264,8 @@ def run_sim_latency_experiment(
     num_subscriptions: int = 60,
     num_events: int = 40,
     order: int = 8,
-    latency_models: Sequence[str] = ("fixed", "uniform", "distance"),
-    topologies: Sequence[str] = ("tree", "chain", "star"),
     inbox_capacity: int = 8,
     service_time: float = 0.02,
-    curve: str = "zorder",
     seed: int = 29,
 ) -> ResultTable:
     """E-SIM-LATENCY: flash-crowd delivery latency under simulated transports.
@@ -1311,8 +1292,8 @@ def run_sim_latency_experiment(
         num_subscriptions=num_subscriptions, num_events=num_events, order=order, seed=seed
     )
     broker_ids = list(range(num_brokers))
-    for model_kind in latency_models:
-        for topo_kind in topologies:
+    for model_kind in ("fixed", "uniform", "distance"):
+        for topo_kind in topology_builders:
             if model_kind == "fixed":
                 latency = make_latency_model("fixed", delay=0.5)
             elif model_kind == "uniform":
@@ -1331,7 +1312,6 @@ def run_sim_latency_experiment(
                 scenario.schema,
                 topology_builders[topo_kind](num_brokers),
                 covering="approximate",
-                config=IndexConfig(curve=curve),
                 transport=transport,
             )
             report = run_dynamic_scenario(
@@ -1362,12 +1342,10 @@ def run_topology_scale_experiment(
     num_subscriptions: int = 60,
     num_events: int = 40,
     order: int = 8,
-    topology_classes: Sequence[str] = ("skewed-tree", "scale-free", "grid-cluster"),
     lan: float = 0.02,
     wan: float = 0.25,
     inbox_capacity: int = 64,
     service_time: float = 0.002,
-    curve: str = "zorder",
     seed: int = 29,
 ) -> ResultTable:
     """E-TOPO-SCALE: latency/hop distributions per internet-scale topology class.
@@ -1383,7 +1361,7 @@ def run_topology_scale_experiment(
     from ..sim.transport import SimTransport
     from ..workloads.dynamics import flash_crowd_script, run_dynamic_scenario
     from ..workloads.scenarios import sensor_network_scenario
-    from ..workloads.topologies import make_topology
+    from ..workloads.topologies import TOPOLOGY_CLASSES, make_topology
 
     table = ResultTable(
         "E-TOPO-SCALE: latency/hop distributions per generated topology class"
@@ -1391,7 +1369,7 @@ def run_topology_scale_experiment(
     scenario = sensor_network_scenario(
         num_subscriptions=num_subscriptions, num_events=num_events, order=order, seed=seed
     )
-    for kind in topology_classes:
+    for kind in TOPOLOGY_CLASSES:
         topology = make_topology(kind, num_brokers, seed=seed)
         transport = SimTransport(
             topology.latency_model(lan=lan, wan=wan),
@@ -1403,7 +1381,6 @@ def run_topology_scale_experiment(
             scenario.schema,
             topology.overlay,
             covering="approximate",
-            config=IndexConfig(curve=curve),
             transport=transport,
             nodes=topology.broker_ids,
         )

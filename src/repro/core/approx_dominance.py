@@ -1,4 +1,4 @@
-"""ε-approximate point dominance over a space filling curve (the paper's core index).
+"""ε-approximate point dominance over the Z-order curve (the paper's core index).
 
 Given a set of points in a ``d``-dimensional universe and a query point ``x``,
 an *exhaustive* dominance query asks for any stored point in the extremal
@@ -13,7 +13,7 @@ Algorithm (Section 5 of the paper):
 1. Form the query's extremal rectangle ``R(ℓ)``.
 2. Greedily partition it into a minimum number of standard cubes; the cubes
    come in classes ``D_i`` of side ``2^i`` (Lemma 3.4) and every cube is a
-   single contiguous run of SFC keys (Fact 2.1).
+   single contiguous run of Z-order keys (Fact 2.1).
 3. Probe the cubes in descending order of volume — one ordered-map range
    probe per cube.  Track the searched volume; stop as soon as either a
    dominating point is found or the searched volume reaches
@@ -22,6 +22,11 @@ Algorithm (Section 5 of the paper):
 Setting ``ε = 0`` turns the same machinery into the exhaustive search used as
 the paper's lower-bound comparison (Theorem 4.1); a cube budget protects
 callers from accidentally launching an astronomically large exhaustive probe.
+
+The search runs on the Z curve alone, as the paper's analysis does
+(Theorems 3.1 and 4.1 are stated for it): class keys come straight from
+``zorder_class_keys``.  Curves are compared elsewhere — run counts in Fig. 1
+and E-CURVE, and the match index's ``IndexConfig(curve=…)``.
 
 Steps 1–2 depend on the query alone and are captured as a
 :class:`DominancePlan`; step 3 is :meth:`ApproximateDominanceIndex.execute_plan`,
@@ -47,9 +52,8 @@ from typing import Hashable, Iterator, List, Optional, Sequence, Tuple
 from ..geometry.rect import ExtremalRectangle
 from ..geometry.universe import Universe
 from ..index.sfc_array import SFCArray, StoredItem
-from ..sfc.base import SpaceFillingCurve
 from ..sfc.zorder import ZOrderCurve
-from .decomposition import LevelClass, cubes_in_class, level_census, zorder_class_keys
+from .decomposition import LevelClass, level_census, zorder_class_keys
 
 __all__ = [
     "ApproximateDominanceIndex",
@@ -166,12 +170,11 @@ class DominancePlan:
     """The reusable half of a dominance query: its probe schedule.
 
     Decomposing the query's dominance region into standard cubes and merging
-    their key runs depends only on the query point, the universe, the curve,
-    ε and the cube budget — not on the index contents.  A plan captures that
+    their Z-order key runs depends only on the query point, the universe, ε
+    and the cube budget — not on the index contents.  A plan captures that
     schedule once so that the same query point can be probed against many
-    indexes without re-running the decomposition each time.  The key ranges
-    are curve-specific, so the plan records the curve it was built for and
-    can only be executed against an index using the same curve.
+    indexes without re-running the decomposition each time; it records all
+    three parameters, and executes against any index over its universe.
 
     The schedule is held as one probe-ordered table per level class
     (:class:`ClassTable`) and nothing else.  Classes are materialised lazily,
@@ -188,7 +191,6 @@ class DominancePlan:
         cube_budget: int,
         region_volume: int,
         aspect_ratio: int,
-        curve_kind: str,
         cubes: int,
         final_termination: str,
     ) -> None:
@@ -198,7 +200,6 @@ class DominancePlan:
         self.cube_budget = cube_budget
         self.region_volume = region_volume
         self.aspect_ratio = aspect_ratio
-        self.curve_kind = curve_kind
         #: Cubes the whole schedule takes (``cubes_examined`` of an execution
         #: that finds nothing), known from the census before any is built.
         self.cubes = cubes
@@ -312,13 +313,13 @@ def build_dominance_plan(
     *,
     epsilon: float,
     cube_budget: int,
-    curve: Optional[SpaceFillingCurve] = None,
     merge_adjacent_runs: bool = True,
 ) -> DominancePlan:
     """Build the probe schedule of an ε-approximate dominance query.
 
-    The schedule follows Section 5: level classes largest cubes first, the
-    cubes of a class in grid order in batches of :data:`BATCH_CUBES`, ended
+    The schedule follows Section 5 on the Z curve: level classes largest
+    cubes first, the cubes of a class in grid order in batches of
+    :data:`BATCH_CUBES` (each cube one run of Z keys), ended
     by the cube budget or, for ``ε > 0``, as soon as the enumerated volume
     reaches ``(1 − ε)`` of the region.  How many cubes a class contributes
     follows from Lemma 3.5's count, the budget left and the coverage target
@@ -329,16 +330,6 @@ def build_dominance_plan(
         raise ValueError(f"epsilon must lie in [0, 1), got {epsilon}")
     if cube_budget <= 0:
         raise ValueError(f"cube_budget must be positive, got {cube_budget}")
-    if curve is None:
-        curve = ZOrderCurve(universe)
-    elif curve.universe != universe:
-        # A curve over a different universe (fewer dimensions, or an order
-        # that does not match the universe's bit depth) would produce keys of
-        # the wrong width and silently mis-route every probe.
-        raise ValueError(
-            f"curve universe {curve.universe} does not match the plan universe "
-            f"{universe}; keys would be mis-sized"
-        )
     region = ExtremalRectangle.from_query_point(universe, point)
     region_volume = region.volume
     target_volume = _coverage_target(region_volume, epsilon) if epsilon > 0 else None
@@ -351,7 +342,6 @@ def build_dominance_plan(
         cube_budget=cube_budget,
         region_volume=region_volume,
         aspect_ratio=region.aspect_ratio,
-        curve_kind=curve.kind,
         cubes=sum(take for _, take, _ in schedule),
         final_termination=final_termination,
     )
@@ -361,15 +351,7 @@ def build_dominance_plan(
         cubes = 0
         for classes_examined, (level_class, take, stop) in enumerate(schedule, start=1):
             cube_volume = level_class.cube_volume
-            if isinstance(curve, ZOrderCurve):
-                keys = zorder_class_keys(region, level_class.bit_index, take)
-            else:
-                keys = [
-                    curve.cube_key_range(cube)[0]
-                    for cube in itertools.islice(
-                        cubes_in_class(region, level_class.bit_index), take
-                    )
-                ]
+            keys = zorder_class_keys(region, level_class.bit_index, take)
             # A cube spans as many keys as it has cells.
             los, his, batch_sizes = _batched_ranges(keys, cube_volume, merge_adjacent_runs)
             if stop is not None and take % BATCH_CUBES == 0:
@@ -388,6 +370,9 @@ def build_dominance_plan(
 class ApproximateDominanceIndex:
     """Dynamic index answering exact and ε-approximate point dominance queries.
 
+    Points are stored by their Z-order key (:attr:`array`), the curve the
+    paper's search and its bounds are stated for.
+
     Parameters
     ----------
     universe:
@@ -395,9 +380,6 @@ class ApproximateDominanceIndex:
     epsilon:
         Default approximation parameter used by :meth:`query` when none is
         given; must lie in ``[0, 1)`` (0 = exhaustive).
-    curve:
-        The space filling curve; defaults to the Z-order curve analysed in the
-        paper.  Any recursive-partitioning curve works.
     merge_adjacent_runs:
         When True, key ranges of cubes belonging to the same level class are
         merged before probing, so adjacent cubes cost a single probe
@@ -411,7 +393,6 @@ class ApproximateDominanceIndex:
 
     universe: Universe
     epsilon: float = 0.05
-    curve: Optional[SpaceFillingCurve] = None
     merge_adjacent_runs: bool = True
     cube_budget: int = 1_000_000
     array: SFCArray = field(init=False)
@@ -421,11 +402,7 @@ class ApproximateDominanceIndex:
             raise ValueError(f"epsilon must lie in [0, 1), got {self.epsilon}")
         if self.cube_budget <= 0:
             raise ValueError(f"cube_budget must be positive, got {self.cube_budget}")
-        if self.curve is None:
-            self.curve = ZOrderCurve(self.universe)
-        elif self.curve.universe != self.universe:
-            raise ValueError("curve universe does not match the index universe")
-        self.array = SFCArray(self.curve)
+        self.array = SFCArray(ZOrderCurve(self.universe))
 
     # ---------------------------------------------------------------- updates
     def __len__(self) -> int:
@@ -468,7 +445,6 @@ class ApproximateDominanceIndex:
             point,
             epsilon=eps,
             cube_budget=self.cube_budget,
-            curve=self.curve,
             merge_adjacent_runs=self.merge_adjacent_runs,
         )
 
@@ -481,18 +457,12 @@ class ApproximateDominanceIndex:
         :meth:`SFCArray.first_probe_hit` probes the class's key ranges in
         order and stops at the first that holds a stored key;
         ``runs_probed`` counts the probes it made.  The plan must have been
-        built for this index's universe *and* curve — a plan's key ranges are
-        curve-specific.  The item ``exclude`` names is skipped as if it were
-        not stored; the index is not modified.
+        built for this index's universe: its key ranges are sized by it.  The
+        item ``exclude`` names is skipped as if it were not stored; the index
+        is not modified.
         """
         if plan.universe != self.universe:
             raise ValueError("plan universe does not match the index universe")
-        assert self.curve is not None
-        if plan.curve_kind != self.curve.kind:
-            raise ValueError(
-                f"plan was built for the {plan.curve_kind!r} curve but the index "
-                f"uses {self.curve.kind!r}; its key ranges do not apply"
-            )
         runs_probed = 0
         cubes = 0
         volume = 0

@@ -5,7 +5,10 @@ This module ties together the Edelsbrunner–Overmars transform and the
 ranges) are stored as dominance points in a ``2β``-dimensional universe, and
 ``find_covering`` answers "is this new subscription covered by one that is
 already stored?" by issuing an ε-approximate dominance query anchored at the
-new subscription's point.
+new subscription's point.  The points are keyed on the Z curve, the curve
+the paper's search and bounds are stated for; no detector, profiler or plan
+takes a curve (a curve is chosen only for the match index, through
+``IndexConfig(curve=…)``).
 
 Guarantees mirror Problem 2 of the paper:
 
@@ -32,7 +35,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..geometry.transform import DominanceTransform, Range, first_covering
-from ..sfc.factory import DEFAULT_CURVE, make_curve
 from .approx_dominance import (
     ApproximateDominanceIndex,
     DominanceQueryResult,
@@ -93,14 +95,14 @@ class CoveringProfile:
     which detector answers it: validate the ranges, transform them to a
     dominance point, decompose the point's dominance region into a probe
     schedule.  A profile captures all three so that every detector it is
-    handed to shares one computation.  The plan's level classes are still
+    handed to shares one computation; its plan records the universe, ε and
+    cube budget it was built under.  The plan's level classes are still
     built only when an execution reaches them (:class:`DominancePlan`).
     """
 
     ranges: Tuple[Range, ...]
     point: Tuple[int, ...]
     plan: DominancePlan = field(repr=False)
-    profiler: "CoveringProfiler" = field(repr=False)
 
 
 class CoveringProfiler:
@@ -108,8 +110,7 @@ class CoveringProfiler:
 
     It takes the parameters the :class:`ApproximateCoveringDetector`
     objects it serves were built with (attribute count/order, ε, cube
-    budget) and keys on their curve, :attr:`ApproximateCoveringDetector.CURVE`,
-    so its profiles can be handed to any of them.
+    budget), so its profiles can be handed to any of them.
     """
 
     def __init__(
@@ -124,19 +125,6 @@ class CoveringProfiler:
         self.epsilon = epsilon
         self.cube_budget = cube_budget
         self.transform = DominanceTransform(attributes, attribute_order)
-        self.curve = make_curve(ApproximateCoveringDetector.CURVE, self.transform.universe)
-        self._cache_key = (self.curve.kind, epsilon, cube_budget, attributes, attribute_order)
-
-    @property
-    def cache_key(self) -> Tuple:
-        """Everything that affects the profiles this profiler builds.
-
-        Two profilers with equal cache keys produce interchangeable profiles;
-        :meth:`ApproximateCoveringDetector.compatible_profile` compares them
-        so that (in particular) a profile built under another curve is never
-        executed against this one's index.
-        """
-        return self._cache_key
 
     def profile(self, ranges: Sequence[Range]) -> CoveringProfile:
         """Validate ``ranges`` and build their dominance point and probe schedule."""
@@ -147,9 +135,8 @@ class CoveringProfiler:
             point,
             epsilon=self.epsilon,
             cube_budget=self.cube_budget,
-            curve=self.curve,
         )
-        return CoveringProfile(ranges=validated, point=point, plan=plan, profiler=self)
+        return CoveringProfile(ranges=validated, point=point, plan=plan)
 
 
 @dataclass
@@ -170,14 +157,9 @@ class ApproximateCoveringDetector:
         :data:`DEFAULT_CUBE_BUDGET` unless given.
 
     Every stored subscription is kept twice: its ranges, in storage order,
-    and its dominance point in :attr:`index`, the ε-search's index.  The
-    index is keyed on :attr:`CURVE`, a class constant (any
-    recursive-partitioning curve gives the same answers, only the probe key
-    ranges differ).
+    and its dominance point in :attr:`index`, the ε-search's index, keyed on
+    the Z curve the paper analyses.
     """
-
-    #: The curve keying the dominance index: Z-order, the curve the paper analyses.
-    CURVE = DEFAULT_CURVE
 
     attributes: int
     attribute_order: int
@@ -195,7 +177,6 @@ class ApproximateCoveringDetector:
         self.index = ApproximateDominanceIndex(
             universe=self.transform.universe,
             epsilon=self.epsilon,
-            curve=self._profiler.curve,
             cube_budget=self.cube_budget,
         )
 
@@ -221,10 +202,6 @@ class ApproximateCoveringDetector:
             return False
         self.index.remove(sub_id)
         return True
-
-    def subscription(self, sub_id: Hashable) -> Optional[Tuple[Range, ...]]:
-        """Return the stored ranges of ``sub_id``, or ``None``."""
-        return self._subscriptions.get(sub_id)
 
     def subscriptions(self) -> Dict[Hashable, Tuple[Range, ...]]:
         """Return a copy of all stored subscriptions."""
@@ -252,12 +229,16 @@ class ApproximateCoveringDetector:
     def compatible_profile(self, profile: CoveringProfile) -> bool:
         """True when ``profile`` was built with this detector's parameters.
 
-        Every answer-affecting parameter must match — attribute count and
-        order (the universe), curve, ε and the cube budget (a plan bakes its
-        key ranges and budget cut-off in at build time; ranges from a
-        different curve do not apply): the profilers' cache keys are equal.
+        Every answer-affecting parameter must match, and the plan records
+        each: its universe (attribute count and order), ε and the cube budget
+        (a plan bakes its key ranges and budget cut-off in at build time).
         """
-        return profile.profiler.cache_key == self._profiler.cache_key
+        plan = profile.plan
+        return (plan.universe, plan.epsilon, plan.cube_budget) == (
+            self.transform.universe,
+            self.epsilon,
+            self.cube_budget,
+        )
 
     def profile(self, ranges: Sequence[Range]) -> CoveringProfile:
         """Validate ``ranges`` and profile them for this detector."""

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Tuple
 
-from .bits import bit_length, suffix_vector, truncate_vector
+from .bits import bit_length, truncate_vector
 from .universe import Universe
 
 __all__ = ["Rectangle", "ExtremalRectangle", "StandardCube", "aspect_ratio"]
@@ -92,10 +92,6 @@ class Rectangle:
     def aspect_ratio(self) -> int:
         """The paper's bit-length aspect ratio ``α`` of this rectangle."""
         return aspect_ratio(self.side_lengths)
-
-    def bounds(self) -> Tuple[Tuple[int, int], ...]:
-        """Return the ``(low, high)`` pair per dimension."""
-        return tuple(zip(self.low, self.high))
 
     # ------------------------------------------------------------ set algebra
     def contains_point(self, point: Sequence[int]) -> bool:
@@ -189,13 +185,6 @@ class ExtremalRectangle:
         ``1 − ε`` fraction of the volume is retained).
         """
         return ExtremalRectangle(self.universe, truncate_vector(self.lengths, m))
-
-    def suffix(self, i: int) -> "ExtremalRectangle | None":
-        """Return ``R(S_i(ℓ))``, or ``None`` if some truncated side becomes zero."""
-        lengths = suffix_vector(self.lengths, i)
-        if any(v == 0 for v in lengths):
-            return None
-        return ExtremalRectangle(self.universe, lengths)
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"ExtremalRectangle(ℓ={self.lengths}, α={self.aspect_ratio})"

@@ -94,10 +94,6 @@ class AttributeSchema:
         """Return the attribute named ``name`` (raises ``KeyError`` when unknown)."""
         return self.attributes[self._index[name]]
 
-    def position(self, name: str) -> int:
-        """Return the index of ``name`` within the schema order."""
-        return self._index[name]
-
     # ------------------------------------------------------------ quantisation
     def quantize_value(self, name: str, value: float) -> int:
         """Quantise a single attribute value to its grid cell (clamped to the domain)."""

@@ -19,8 +19,7 @@ objects — subscribe, unsubscribe, publish, crash, recover, join — that
   against the reconverged full network.
 * :func:`region_netsplit_script` — the region-level view of the same:
   netsplit a whole subtree/cluster of a generated
-  :class:`~repro.workloads.topologies.Topology` by crashing its gateways, or
-  black out the entire region at once (a correlated failure).
+  :class:`~repro.workloads.topologies.Topology` by crashing its gateways.
 * :func:`rolling_upgrade_script` — every broker restarts in sequence
   (crash, short downtime, recover) while audited traffic flows from
   whichever brokers are currently up.
@@ -526,27 +525,19 @@ def region_netsplit_script(
     topology: Topology,
     region: Hashable,
     *,
-    blackout: bool = False,
     subscribe_window: float = 5.0,
     settle: float = 5.0,
     downtime: float = 12.0,
     seed: Optional[int] = 0,
 ) -> List[Action]:
-    """Netsplit or black out one whole region of a generated topology.
+    """Netsplit one whole region of a generated topology.
 
-    ``blackout=False`` (the default) crashes only the region's overlay
-    gateways: the region's interior stays up but is cut off from the rest of
-    the network — the crash-based model of a WAN netsplit, and audited
-    traffic continues on *both* sides of the split.  ``blackout=True``
-    crashes every member of the region at once — a correlated failure
-    (rack/datacentre loss) whose subscribers drop out of the ground truth
-    until the region heals.  Both variants delegate to
-    :func:`netsplit_heal_script`.
+    Crashes only the region's overlay gateways: the region's interior stays
+    up but is cut off from the rest of the network — the crash-based model
+    of a WAN netsplit, and audited traffic continues on *both* sides of the
+    split.  Delegates to :func:`netsplit_heal_script`.
     """
-    members = topology.region_members(region)
-    if not members:
-        raise ValueError(f"region {region!r} has no members")
-    down = members if blackout else topology.region_gateways(region)
+    down = topology.region_gateways(region)
     if not down:
         raise ValueError(f"region {region!r} has no overlay gateway to sever")
     return netsplit_heal_script(

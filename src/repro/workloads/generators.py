@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..geometry.transform import Range
 
@@ -41,10 +41,6 @@ class SubscriptionSpec:
 
     sub_id: str
     ranges: Tuple[Range, ...]
-
-    @property
-    def widths(self) -> Tuple[int, ...]:
-        return tuple(hi - lo + 1 for lo, hi in self.ranges)
 
 
 def _zipf_index(rng: random.Random, n: int, skew: float) -> int:
@@ -171,13 +167,6 @@ class SubscriptionWorkload:
             raise ValueError(f"count must be non-negative, got {count}")
         return [self.generate_one(f"{prefix}-{i}") for i in range(count)]
 
-    def stream(self, prefix: str = "sub") -> Iterator[SubscriptionSpec]:
-        """Yield subscriptions indefinitely (for incremental-arrival experiments)."""
-        i = 0
-        while True:
-            yield self.generate_one(f"{prefix}-{i}")
-            i += 1
-
 
 @dataclass
 class EventWorkload:
@@ -264,25 +253,22 @@ def random_extremal_lengths(
     dims: int,
     order: int,
     alpha: int = 0,
-    min_bits: int = 1,
     seed: Optional[int] = None,
 ) -> Tuple[int, ...]:
     """Draw a random extremal-rectangle side-length vector with aspect ratio ≈ ``alpha``.
 
     All sides share the bit length ``b`` drawn uniformly from
-    ``[min_bits + alpha, order]``, except one side whose bit length is
+    ``[1 + alpha, order]``, except one side whose bit length is
     ``b − alpha`` — giving the requested aspect ratio exactly.
     """
     if dims <= 0:
         raise ValueError(f"dims must be positive, got {dims}")
     if alpha < 0:
         raise ValueError(f"alpha must be non-negative, got {alpha}")
-    if min_bits + alpha > order:
-        raise ValueError(
-            f"cannot build aspect ratio {alpha} with min_bits {min_bits} in a 2^{order} universe"
-        )
+    if 1 + alpha > order:
+        raise ValueError(f"cannot build aspect ratio {alpha} in a 2^{order} universe")
     rng = random.Random(seed)
-    long_bits = rng.randint(min_bits + alpha, order)
+    long_bits = rng.randint(1 + alpha, order)
     short_bits = long_bits - alpha
     short_dim = rng.randrange(dims)
     lengths = []

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
 from repro.analysis.cli import EXPERIMENTS, main
@@ -32,6 +34,15 @@ class TestCLI:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_no_experiment_takes_a_curve(self):
+        """``run`` calls every registered driver without arguments; none has a
+        ``curve`` parameter left for a flag to feed (``curve-ablation`` sweeps
+        all three curves)."""
+        for name, fn in EXPERIMENTS.items():
+            parameters = inspect.signature(fn).parameters
+            assert "curve" not in parameters and "curves" not in parameters, name
+            assert all(p.default is not p.empty for p in parameters.values()), name
 
     def test_registry_matches_driver_module(self):
         # Every registered callable is an experiment driver returning a ResultTable.
@@ -69,6 +80,27 @@ class TestMetricsCommand:
         snap = json.loads((tmp_path / "BENCH_metrics.json").read_text())
         assert snap["repro_routing_table_entries"]["series"][0]["value"] > 0
 
-    def test_metrics_rejects_unknown_curve(self):
-        with pytest.raises(SystemExit):
-            main(["metrics", "--curve", "peano"])
+    def test_serve_is_the_subcommand_that_takes_a_curve(self):
+        """``serve`` deploys the product network, so its flags mirror the
+        network's ``IndexConfig``: ``--curve`` is one of the curve kinds."""
+        from repro.analysis.cli import _build_parser
+
+        parser = _build_parser()
+        assert parser.parse_args(["serve"]).curve == "zorder"
+        assert parser.parse_args(["serve", "--curve", "hilbert"]).curve == "hilbert"
+        with pytest.raises(SystemExit) as exit_info:
+            parser.parse_args(["serve", "--curve", "peano"])
+        assert exit_info.value.code == 2
+
+    def test_metrics_rejects_unknown_curve(self, capsys):
+        """``run`` and ``metrics`` take no curve at all: any ``--curve`` is
+        argparse's usage error (exit code 2), a known kind included."""
+        for argv in (
+            ["metrics", "--curve", "peano"],
+            ["metrics", "--curve", "zorder"],
+            ["run", "fig1", "--curve", "zorder"],
+        ):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 2
+            assert "unrecognized arguments: --curve" in capsys.readouterr().err

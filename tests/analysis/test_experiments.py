@@ -8,9 +8,12 @@ grows).
 
 from __future__ import annotations
 
+import pytest
+
 from repro.analysis.experiments import (
     run_approx_vs_exhaustive_experiment,
     run_dimensionality_experiment,
+    run_event_matching_experiment,
     run_fig1_experiment,
     run_fig2_experiment,
     run_lem32_experiment,
@@ -20,6 +23,7 @@ from repro.analysis.experiments import (
     run_thm41_experiment,
     run_throughput_experiment,
 )
+from repro.pubsub.routing_table import COVERING_KINDS
 
 
 class TestFigureExperiments:
@@ -114,3 +118,15 @@ class TestSystemExperiments:
             assert row["linear_qps"] > 0
             assert row["approx_hits"] <= row["exact_hits"]
             assert row["rangetree_storage_cells"] > row["stored"]
+
+    @pytest.mark.parametrize("driver", ["pubsub", "event-matching"])
+    def test_network_tables_carry_no_curve_column(self, driver):
+        """Both drivers run ``IndexConfig()``, so a constant ``curve`` column
+        would say nothing: the curve is compared in E-CURVE and E-MATCH-SCALE."""
+        if driver == "pubsub":
+            table = run_pubsub_experiment(num_brokers=3, num_subscriptions=20, num_events=5)
+            assert [row["strategy"] for row in table.rows] == list(COVERING_KINDS)
+        else:
+            table = run_event_matching_experiment(table_sizes=(40,), num_events=20)
+            assert [row["subscriptions"] for row in table.rows] == [40]
+        assert table.rows and all("curve" not in row for row in table.rows)

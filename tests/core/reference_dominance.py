@@ -5,7 +5,7 @@ copies of the Section 5 search: an interleaved decompose-and-probe loop
 behind ``ApproximateDominanceIndex.query`` and a generator of ``PlanStep``
 batches behind ``build_dominance_plan``, both fed by a per-cube Z-order
 enumerator.  They are kept here, verbatim apart from taking the index as an
-argument, as what the table-driven producer and the probe loop over its
+argument and keying on the Z curve alone, as what the table-driven producer and the probe loop over its
 tables are compared against: same steps (``plan_steps`` renders the tables
 in the old form), same witness, same counters.
 """
@@ -22,12 +22,11 @@ from repro.core.approx_dominance import (
     DominanceQueryResult,
     TerminationReason,
 )
-from repro.core.decomposition import cubes_in_class, level_census
+from repro.core.decomposition import level_census
 from repro.geometry.bits import bit_at, suffix_from
 from repro.geometry.rect import ExtremalRectangle
 from repro.index.sfc_array import StoredItem
 from repro.sfc.runs import merge_key_ranges
-from repro.sfc.zorder import ZOrderCurve
 
 BATCH_LIMIT = 64
 
@@ -131,24 +130,15 @@ def reference_zorder_key_ranges_in_class(
             yield (lo, lo + cube_span - 1)
 
 
-def _class_key_ranges(curve, region: ExtremalRectangle, bit_index: int):
-    if isinstance(curve, ZOrderCurve):
-        return reference_zorder_key_ranges_in_class(region, bit_index)
-    return (curve.cube_key_range(cube) for cube in cubes_in_class(region, bit_index))
-
-
 def reference_plan_steps(
     universe,
     point,
     *,
     epsilon: float,
     cube_budget: int,
-    curve=None,
     merge_adjacent_runs: bool = True,
 ) -> Tuple[List[PlanStep], str]:
     """Every ``PlanStep`` of the generator-driven producer, and its final termination."""
-    if curve is None:
-        curve = ZOrderCurve(universe)
     region = ExtremalRectangle.from_query_point(universe, point)
     target_volume = (1.0 - epsilon) * region.volume
     steps: List[PlanStep] = []
@@ -164,7 +154,7 @@ def reference_plan_steps(
             cube_volume = level_class.cube_volume
             pending: List[Tuple[int, int]] = []
             stop: Optional[str] = None
-            for key_range in _class_key_ranges(curve, region, level_class.bit_index):
+            for key_range in reference_zorder_key_ranges_in_class(region, level_class.bit_index):
                 if cubes >= cube_budget:
                     stop = TerminationReason.CUBE_BUDGET
                     break
@@ -296,7 +286,7 @@ def _search_class(
                 return hit
         return None
 
-    for key_range in _class_key_ranges(index.curve, region, bit_index):
+    for key_range in reference_zorder_key_ranges_in_class(region, bit_index):
         if cubes_so_far + examined >= index.cube_budget:
             witness = flush()
             return witness, probes, examined, volume, (

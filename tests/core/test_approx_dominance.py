@@ -7,11 +7,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.approx_dominance import ApproximateDominanceIndex, TerminationReason
+from repro.core.approx_dominance import (
+    ApproximateDominanceIndex,
+    TerminationReason,
+    build_dominance_plan,
+)
 from repro.geometry.transform import dominates
 from repro.geometry.universe import Universe
-from repro.sfc.factory import CURVE_KINDS, make_curve
-from repro.sfc.hilbert import HilbertCurve
 
 
 def brute_force_dominating(points, query):
@@ -22,8 +24,7 @@ class TestConstruction:
     def test_defaults(self):
         index = ApproximateDominanceIndex(Universe(2, 6))
         assert len(index) == 0
-        assert index.curve is not None
-        assert index.curve.name == "z-order"
+        assert index.array.curve.name == "z-order"
 
     def test_invalid_epsilon(self):
         with pytest.raises(ValueError):
@@ -35,9 +36,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ApproximateDominanceIndex(Universe(2, 4), cube_budget=0)
 
-    def test_curve_universe_mismatch(self):
-        with pytest.raises(ValueError):
-            ApproximateDominanceIndex(Universe(2, 4), curve=HilbertCurve(Universe(2, 5)))
+    def test_plan_of_another_universe_rejected(self):
+        """A plan's key ranges are sized by its universe: executing one built
+        over another order or dimensionality raises instead of mis-probing."""
+        index = ApproximateDominanceIndex(Universe(2, 5))
+        for universe, point in ((Universe(2, 6), (1, 2)), (Universe(3, 5), (1, 2, 3))):
+            plan = build_dominance_plan(universe, point, epsilon=0.1, cube_budget=100)
+            with pytest.raises(ValueError, match="universe"):
+                index.execute_plan(plan)
 
     def test_query_epsilon_validation(self):
         index = ApproximateDominanceIndex(Universe(2, 4))
@@ -65,12 +71,13 @@ class TestUpdates:
 
 
 class TestSoundness:
-    """Any returned witness truly dominates the query — for every ε and curve."""
+    """Any returned witness truly dominates the query — for every ε, with
+    adjacent cubes merged into one probe or not."""
 
-    @pytest.mark.parametrize("kind", CURVE_KINDS)
-    def test_witness_always_dominates(self, kind):
+    @pytest.mark.parametrize("merge", [True, False], ids=["merged", "unmerged"])
+    def test_witness_always_dominates(self, merge):
         universe = Universe(3, 5)
-        index = ApproximateDominanceIndex(universe, curve=make_curve(kind, universe))
+        index = ApproximateDominanceIndex(universe, merge_adjacent_runs=merge)
         rng = random.Random(1)
         points = {}
         for i in range(300):
@@ -221,21 +228,3 @@ class TestMergeAblation:
             assert r_merged.found == r_unmerged.found
             assert r_merged.runs_probed <= r_unmerged.runs_probed
 
-
-class TestOtherCurves:
-    def test_hilbert_backed_index_is_sound_and_exhaustive_complete(self):
-        universe = Universe(2, 5)
-        index = ApproximateDominanceIndex(universe, curve=HilbertCurve(universe))
-        rng = random.Random(9)
-        points = {}
-        for i in range(100):
-            p = (rng.randint(0, 31), rng.randint(0, 31))
-            points[i] = p
-            index.insert(i, p)
-        for _ in range(30):
-            q = (rng.randint(0, 31), rng.randint(0, 31))
-            truth = brute_force_dominating(points, q)
-            result = index.query(q, epsilon=0.0)
-            assert result.found == bool(truth)
-            if result.found:
-                assert dominates(result.item.point, q)

@@ -27,7 +27,7 @@ class TestBasicAPI:
         det.add_subscription("wide", [(0, 250), (10, 240)])
         assert "wide" in det
         assert len(det) == 1
-        assert det.subscription("wide") == ((0, 250), (10, 240))
+        assert det.subscriptions()["wide"] == ((0, 250), (10, 240))
         result = det.find_covering([(50, 100), (50, 100)])
         assert result.covered and result.covering_id == "wide"
         assert det.remove_subscription("wide")

@@ -9,9 +9,10 @@ census gives before any cube is built.  Pinned here:
   class is materialised by building it.
 * **The crossover** — ``find_covering_profile`` compares a store of at most
   ``plan.cubes`` subscriptions with ``first_covering`` and executes the plan
-  against a larger one, on every curve.
-* **The paranoia guard** — a profile built under another curve, ε, budget or
-  attribute order is answered from its ranges by ``find_covering``.
+  against a larger one.
+* **The paranoia guard** — a profile built under another ε, budget or
+  attribute order (its plan records all three) is answered from its ranges
+  by ``find_covering``.
 * **The census count** — the size a plan announces from the census is the
   number of cubes an exhausted execution examines.
 """
@@ -19,7 +20,6 @@ census gives before any cube is built.  Pinned here:
 from __future__ import annotations
 
 import random
-from unittest.mock import patch
 
 import pytest
 
@@ -27,7 +27,6 @@ from repro.core.approx_dominance import ApproximateDominanceIndex, build_dominan
 from repro.core.covering import ApproximateCoveringDetector, CoveringProfiler
 from repro.geometry.transform import first_covering
 from repro.geometry.universe import Universe
-from repro.sfc.factory import CURVE_KINDS, DEFAULT_CURVE, make_curve
 
 ATTRIBUTES = 2
 ORDER = 5
@@ -45,25 +44,22 @@ def test_a_profile_carries_its_point_and_its_census_counted_plan():
         profile.point,
         epsilon=profiler.epsilon,
         cube_budget=profiler.cube_budget,
-        curve=profiler.curve,
     )
     plan = profile.plan
-    assert (plan.point, plan.cubes, plan.final_termination, plan.curve_kind) == (
-        expected.point, expected.cubes, expected.final_termination, expected.curve_kind
+    assert (plan.point, plan.cubes, plan.final_termination) == (
+        expected.point, expected.cubes, expected.final_termination
     )
     assert plan.materialised_steps() == 0  # level classes are built by executions only
 
 
 # ------------------------------------------------------------- the crossover
-@pytest.mark.parametrize("curve_kind", CURVE_KINDS)
-def test_profile_check_compares_up_to_the_plan_size_and_probes_above(curve_kind):
+def test_profile_check_compares_up_to_the_plan_size_and_probes_above():
     """``find_covering_profile`` is ``first_covering`` over the stored ranges
     while the detector holds at most ``plan.cubes`` subscriptions and the
     plan's execution against the index above that, at store sizes on both
     sides of every query's crossover."""
-    with patch.object(ApproximateCoveringDetector, "CURVE", curve_kind):
-        detector = ApproximateCoveringDetector(ATTRIBUTES, ORDER, cube_budget=16)
-        profiler = CoveringProfiler(ATTRIBUTES, ORDER, cube_budget=16)
+    detector = ApproximateCoveringDetector(ATTRIBUTES, ORDER, cube_budget=16)
+    profiler = CoveringProfiler(ATTRIBUTES, ORDER, cube_budget=16)
     rng = random.Random(4)
     stored = {}
     queries = []
@@ -94,10 +90,9 @@ def test_profile_check_compares_up_to_the_plan_size_and_probes_above(curve_kind)
 
 # ---------------------------------------------------------- the paranoia guard
 FOREIGN = {
-    "curve": ("hilbert", ORDER, {}),
-    "epsilon": (DEFAULT_CURVE, ORDER, {"epsilon": 0.3}),
-    "budget": (DEFAULT_CURVE, ORDER, {"cube_budget": 64}),
-    "order": (DEFAULT_CURVE, ORDER + 1, {}),
+    "epsilon": (ORDER, {"epsilon": 0.3}),
+    "budget": (ORDER, {"cube_budget": 64}),
+    "order": (ORDER + 1, {}),
 }
 
 
@@ -106,9 +101,8 @@ def test_a_foreign_profile_falls_back_to_its_ranges(kind):
     detector = ApproximateCoveringDetector(ATTRIBUTES, ORDER)
     for i in range(6):
         detector.add_subscription(i, [(i, MAX_VALUE - i), (2 * i, MAX_VALUE)])
-    curve_kind, order, parameters = FOREIGN[kind]
-    with patch.object(ApproximateCoveringDetector, "CURVE", curve_kind):
-        foreign = CoveringProfiler(ATTRIBUTES, order, **parameters)
+    order, parameters = FOREIGN[kind]
+    foreign = CoveringProfiler(ATTRIBUTES, order, **parameters)
     for ranges in ([(5, 9), (12, 20)], [(0, MAX_VALUE), (0, 3)]):
         profile = foreign.profile(ranges)
         assert not detector.compatible_profile(profile)
@@ -127,21 +121,18 @@ def test_a_profile_from_another_profiler_with_equal_parameters_is_compatible():
     assert detector.find_covering_profile(profile).query is None
 
 
-@pytest.mark.parametrize("curve_kind", CURVE_KINDS)
-def test_census_count_is_what_an_exhausted_execution_examines(curve_kind):
+@pytest.mark.parametrize("merge", [True, False], ids=["merged", "unmerged"])
+def test_census_count_is_what_an_exhausted_execution_examines(merge):
     universe = Universe(dims=4, order=5)
-    curve = make_curve(curve_kind, universe)
     rng = random.Random(9)
     points = [tuple(rng.randrange(universe.side) for _ in range(universe.dims)) for _ in range(8)]
     points += [(0,) * universe.dims, (universe.side - 1,) * universe.dims]
     for budget in (1, 64, 65, 2_000):
-        empty = ApproximateDominanceIndex(
-            universe=universe, curve=curve, cube_budget=budget
-        )
+        empty = ApproximateDominanceIndex(universe=universe, cube_budget=budget)
         for epsilon in (0.0, 0.05, 0.3):
             for point in points:
                 plan = build_dominance_plan(
-                    universe, point, epsilon=epsilon, cube_budget=budget, curve=curve
+                    universe, point, epsilon=epsilon, cube_budget=budget, merge_adjacent_runs=merge
                 )
                 assert plan.materialised_steps() == 0
                 assert 1 <= plan.cubes <= budget

@@ -13,15 +13,12 @@ that excludes an id is also held to an index that never stored that id.
 
 from __future__ import annotations
 
-from unittest.mock import patch
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.approx_dominance import ApproximateDominanceIndex
 from repro.core.covering import ApproximateCoveringDetector
 from repro.geometry.transform import first_covering
-from repro.sfc.factory import CURVE_KINDS, make_curve
 
 ATTRIBUTES = 2
 ORDER = 4
@@ -64,7 +61,6 @@ def without(index, excluded):
     copy = ApproximateDominanceIndex(
         universe=index.universe,
         epsilon=index.epsilon,
-        curve=index.curve,
         cube_budget=index.cube_budget,
     )
     for item in index.array.items():
@@ -75,19 +71,16 @@ def without(index, excluded):
 
 @settings(deadline=None)
 @given(
-    curve=st.sampled_from(CURVE_KINDS),
     epsilon=st.sampled_from([0.0, 0.05, 0.3]),
     cube_budget=st.sampled_from([1, 4, 16, 2_000]),
     operations=st.lists(OPERATIONS, max_size=40),
 )
-def test_detector_answers_as_a_bare_dominance_index(curve, epsilon, cube_budget, operations):
-    with patch.object(ApproximateCoveringDetector, "CURVE", curve):
-        detector = ApproximateCoveringDetector(ATTRIBUTES, ORDER, epsilon, cube_budget)
+def test_detector_answers_as_a_bare_dominance_index(epsilon, cube_budget, operations):
+    detector = ApproximateCoveringDetector(ATTRIBUTES, ORDER, epsilon, cube_budget)
     transform = detector.transform
     bare = ApproximateDominanceIndex(
         universe=transform.universe,
         epsilon=epsilon,
-        curve=make_curve(curve, transform.universe),
         cube_budget=cube_budget,
     )
     stored = {}  # the ranges in storage order: a replaced id moves to the end

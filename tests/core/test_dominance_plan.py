@@ -2,7 +2,7 @@
 
 ``reference_dominance`` keeps the previous implementations — the per-cube
 ``PlanStep`` generator and the interleaved decompose-and-probe search.  These
-tests pin the per-class probe tables, the keyed join that executes them and
+tests pin the per-class probe tables, the probe loop that executes them and
 ``query()`` itself to those references field for field, and pin what the
 rewrite was for: only the classes an execution reaches are built, and a built
 plan is no larger than the step tuples it replaced.
@@ -25,7 +25,6 @@ from repro.core.approx_dominance import (
 )
 from repro.core.covering import DEFAULT_CUBE_BUDGET, DEFAULT_EPSILON
 from repro.geometry.universe import Universe
-from repro.sfc.factory import CURVE_KINDS, make_curve
 
 EPSILONS = (0.0, 0.05, 0.3)
 BUDGETS = (1, 63, 64, 65, 2000)
@@ -52,21 +51,17 @@ def test_plan_steps_equal_the_generator_producer(dims, order):
     """
     universe = Universe(dims, order)
     rng = random.Random(dims * 100 + order)
-    for kind in CURVE_KINDS:
-        curve = make_curve(kind, universe)
-        for _ in range(4):
-            point = corner_biased_point(rng, universe)
-            for epsilon in EPSILONS:
-                for budget in BUDGETS:
-                    plan = build_dominance_plan(
-                        universe, point, epsilon=epsilon, cube_budget=budget, curve=curve
-                    )
-                    steps, final = reference_plan_steps(
-                        universe, point, epsilon=epsilon, cube_budget=budget, curve=curve
-                    )
-                    assert plan_steps(plan) == steps
-                    assert plan.final_termination == final
-                    assert plan.materialised_steps() == len(steps)
+    for _ in range(4):
+        point = corner_biased_point(rng, universe)
+        for epsilon in EPSILONS:
+            for budget in BUDGETS:
+                plan = build_dominance_plan(universe, point, epsilon=epsilon, cube_budget=budget)
+                steps, final = reference_plan_steps(
+                    universe, point, epsilon=epsilon, cube_budget=budget
+                )
+                assert plan_steps(plan) == steps
+                assert plan.final_termination == final
+                assert plan.materialised_steps() == len(steps)
 
 
 def test_unmerged_plan_keeps_grid_order():
@@ -84,9 +79,9 @@ def test_unmerged_plan_keeps_grid_order():
             assert plan_steps(plan) == steps and plan.final_termination == final
 
 
-# ------------------------------------------------------------ keyed join
+# ------------------------------------------------------------ probe loop
 def populate(index, points, shared_cell):
-    """Leave ``index`` holding every kind of entry a join must see through.
+    """Leave ``index`` holding every kind of entry a probe must see through.
 
     Keys whose cells were emptied, a key removed and inserted again (its
     item at the end of its bucket), and several items in one cell.
@@ -121,30 +116,30 @@ def populated_query(draw):
     )
 
 
-@pytest.mark.parametrize("kind", CURVE_KINDS)
+@pytest.mark.parametrize("merge", [True, False], ids=["merged", "unmerged"])
 @settings(deadline=None)
 @given(case=populated_query())
-def test_query_equals_the_interleaved_search(kind, case):
-    """``query()`` — plan tables joined against the stored keys — returns the
-    interleaved search's whole result, and counts the same range probes.
+def test_query_equals_the_interleaved_search(merge, case):
+    """``query()`` — each plan table's ranges probed in order up to the first
+    hit — returns the interleaved search's whole result, and counts the same
+    range probes.
 
-    The index is small, so large classes take the keyed direction and small
-    ones the forward loop; the ballast copy below takes the forward loop on
-    every class.  Both must equal the reference.
+    The index is small next to its classes; the ballast copy below holds
+    more items than any class has ranges.  Both must equal the reference,
+    with adjacent cubes merged into one range or probed one by one.
     """
     universe, points, shared_cell, query, epsilon, budget = case
-    curve = make_curve(kind, universe)
-    index = ApproximateDominanceIndex(universe, curve=curve, cube_budget=budget)
+    index = ApproximateDominanceIndex(universe, cube_budget=budget, merge_adjacent_runs=merge)
     populate(index, points, shared_cell)
 
     stats = index.array.stats
     before = stats.range_probes
     result = index.query(query, epsilon=epsilon)
-    after_join = stats.range_probes
+    after_query = stats.range_probes
     expected = reference_query(index, query, epsilon)
     assert result == expected
-    assert after_join - before == result.runs_probed
-    assert stats.range_probes - after_join == result.runs_probed
+    assert after_query - before == result.runs_probed
+    assert stats.range_probes - after_query == result.runs_probed
 
     # A shared plan executed a second time (now fully or partly built) agrees.
     plan = index.plan(query, epsilon)
@@ -152,7 +147,8 @@ def test_query_equals_the_interleaved_search(kind, case):
     assert index.execute_plan(plan) == expected
 
     # Items that cannot dominate the query lie in no probe range: they change
-    # no answer, only the join direction (more items than any class has rows).
+    # no answer and no probe count, however many there are (more items than
+    # any class has ranges).
     if query[0] > 0:
         for i in range(budget + 1):
             index.insert(("ballast", i), (0,) + query[1:])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rect_oracle import contains, intersect
+from repro.geometry.bits import suffix_vector
 from repro.geometry.rect import ExtremalRectangle, Rectangle, StandardCube, aspect_ratio
 from repro.geometry.universe import Universe
 
@@ -36,7 +37,7 @@ class TestRectangle:
         assert r.dims == 2
         assert r.side_lengths == (4, 2)
         assert r.volume == 8
-        assert r.bounds() == ((1, 4), (2, 3))
+        assert (r.low, r.high) == ((1, 2), (4, 3))
 
     def test_invalid_bounds(self):
         with pytest.raises(ValueError):
@@ -112,9 +113,8 @@ class TestExtremalRectangle:
     def test_suffix_none_when_empty(self):
         u = Universe(2, 4)
         r = ExtremalRectangle(u, (1, 9))
-        assert r.suffix(1) is None  # S_1(1) = 0 → empty
-        s = r.suffix(0)
-        assert s is not None and s.lengths == (1, 9)
+        assert 0 in suffix_vector(r.lengths, 1)  # S_1(1) = 0 → R(S_1(ℓ)) is empty
+        assert suffix_vector(r.lengths, 0) == (1, 9)
 
     @given(
         st.integers(min_value=1, max_value=3),

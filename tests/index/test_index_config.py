@@ -7,16 +7,18 @@ and the run budget is a class constant of the match index.
 from __future__ import annotations
 
 import dataclasses
-from unittest.mock import patch
 
 import pytest
 
+from repro.analysis import experiments
+from repro.core.approx_dominance import ApproximateDominanceIndex, build_dominance_plan
 from repro.core.covering import (
     DEFAULT_CUBE_BUDGET,
     DEFAULT_EPSILON,
     ApproximateCoveringDetector,
     CoveringProfiler,
 )
+from repro.geometry.universe import Universe
 from repro.index.config import DEFAULT_PRECISION_BITS, PRECISION_BIT_BUDGET, IndexConfig
 from repro.pubsub.schema import Attribute, AttributeSchema
 from repro.pubsub.match_index import MatchIndex
@@ -44,22 +46,15 @@ class TestValidation:
 
     def test_covering_stack_defaults_to_one_budget(self):
         """No silent second budget: a detector and a profiler built without
-        parameters share the curve, ε = 0.05 and 2,000 cubes, so the
-        profiler's profiles are the detector's."""
+        parameters share ε = 0.05 and 2,000 cubes, so the profiler's profiles
+        are the detector's; the detector's index is keyed on the Z curve,
+        the default curve of ``IndexConfig``."""
         detector = ApproximateCoveringDetector(2, 6)
         profiler = CoveringProfiler(2, 6)
         assert (DEFAULT_EPSILON, DEFAULT_CUBE_BUDGET) == (0.05, 2_000)
-        assert ApproximateCoveringDetector.CURVE == IndexConfig().curve
-        assert (detector.index.curve.kind, detector.epsilon, detector.cube_budget) == (
-            ApproximateCoveringDetector.CURVE,
-            DEFAULT_EPSILON,
-            DEFAULT_CUBE_BUDGET,
-        )
-        assert (profiler.curve.kind, profiler.epsilon, profiler.cube_budget) == (
-            ApproximateCoveringDetector.CURVE,
-            DEFAULT_EPSILON,
-            DEFAULT_CUBE_BUDGET,
-        )
+        assert detector.index.array.curve.kind == IndexConfig().curve == "zorder"
+        assert (detector.epsilon, detector.cube_budget) == (DEFAULT_EPSILON, DEFAULT_CUBE_BUDGET)
+        assert (profiler.epsilon, profiler.cube_budget) == (DEFAULT_EPSILON, DEFAULT_CUBE_BUDGET)
         assert detector.compatible_profile(profiler.profile([(1, 9), (3, 40)]))
 
     def test_unknown_curve_uses_canonical_message(self):
@@ -150,6 +145,34 @@ def _constructors():
     }
 
 
+def _paper_search():
+    """The paper's covering search, its index and its plan builder, minimally applied."""
+    universe = Universe(4, 6)
+
+    def plan(epsilon=0.05, cube_budget=2_000, **kw):
+        return build_dominance_plan(
+            universe, (1, 2, 3, 4), epsilon=epsilon, cube_budget=cube_budget, **kw
+        )
+
+    return {
+        "ApproximateCoveringDetector": lambda **kw: ApproximateCoveringDetector(2, 6, **kw),
+        "CoveringProfiler": lambda **kw: CoveringProfiler(2, 6, **kw),
+        "ApproximateDominanceIndex": lambda **kw: ApproximateDominanceIndex(universe, **kw),
+        "build_dominance_plan": plan,
+    }
+
+
+#: The drivers whose networks or tables once took ``curve=``.
+NETWORK_DRIVERS = (
+    "run_pubsub_experiment",
+    "run_metrics_scenario",
+    "run_subscription_churn_experiment",
+    "run_event_matching_experiment",
+    "run_sim_latency_experiment",
+    "run_topology_scale_experiment",
+)
+
+
 class TestConfigIsTheOnlyChannel:
     @pytest.mark.parametrize("name", sorted(_constructors()))
     @pytest.mark.parametrize("knob", [{"curve": "hilbert"}, {"precision_bits": 3}])
@@ -172,15 +195,18 @@ class TestConfigIsTheOnlyChannel:
         with pytest.raises(TypeError):
             build(**knob)
 
-    @pytest.mark.parametrize("name", ["ApproximateCoveringDetector", "CoveringProfiler"])
+    @pytest.mark.parametrize("name", sorted(_paper_search()) + list(NETWORK_DRIVERS))
     def test_the_paper_detector_takes_its_query_parameters_and_no_config(self, name):
-        """ε and the cube budget are keywords; the curve is the class constant
-        ``ApproximateCoveringDetector.CURVE``, so ``curve=`` is a TypeError."""
-        build = {
-            "ApproximateCoveringDetector": ApproximateCoveringDetector,
-            "CoveringProfiler": CoveringProfiler,
-        }[name]
-        built = build(2, 6, epsilon=0.2, cube_budget=99)
+        """The paper's search takes ε and the cube budget as keywords and runs
+        on the Z curve, so ``curve=`` is a TypeError there; a network driver
+        builds its network with ``IndexConfig()`` and takes no ``curve=``
+        either (the keyword fails before the driver runs)."""
+        if name in NETWORK_DRIVERS:
+            with pytest.raises(TypeError):
+                getattr(experiments, name)(curve="zorder")
+            return
+        build = _paper_search()[name]
+        built = build(epsilon=0.2, cube_budget=99)
         assert (built.epsilon, built.cube_budget) == (0.2, 99)
         for knob in (
             {"config": IndexConfig()},
@@ -189,7 +215,7 @@ class TestConfigIsTheOnlyChannel:
             {"precision_bits": 3},
         ):
             with pytest.raises(TypeError):
-                build(2, 6, **knob)
+                build(**knob)
 
 
 def _index_layer_constructors():
@@ -237,23 +263,6 @@ class TestKeys:
         ]
         assert len({base, *variants}) == len(variants) + 1
         assert IndexConfig(precision_bits=3) in {v: None for v in variants}
-
-    def test_a_profilers_cache_key_is_its_parameters(self):
-        """``(curve, ε, budget, attributes, order)``: equal parameters give
-        equal keys, any difference a different one."""
-        key = CoveringProfiler(2, 6).cache_key
-        assert key == ("zorder", DEFAULT_EPSILON, DEFAULT_CUBE_BUDGET, 2, 6)
-        assert CoveringProfiler(2, 6).cache_key == key
-        with patch.object(ApproximateCoveringDetector, "CURVE", "hilbert"):
-            hilbert = CoveringProfiler(2, 6)
-        others = [
-            hilbert,
-            CoveringProfiler(2, 6, epsilon=0.3),
-            CoveringProfiler(2, 6, cube_budget=99),
-            CoveringProfiler(3, 6),
-            CoveringProfiler(2, 7),
-        ]
-        assert len({key, *(other.cache_key for other in others)}) == len(others) + 1
 
     def test_replace(self):
         config = IndexConfig()

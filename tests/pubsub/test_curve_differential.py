@@ -1,12 +1,12 @@
 """Cross-curve differential suite: Z-order, Hilbert and Gray agree on semantics.
 
-The stack is curve-pluggable — the match index, the shared match-run cache
-and the paper's approximate covering detector are all keyed by a
-``SpaceFillingCurve`` — and the paper's machinery guarantees that the choice
-can only change *statistics* (run counts, segment counts, probe costs), never
-*semantics*: match answers are restored to exactness by the rectangle
-fallback check, and covering witnesses are verified dominators regardless of
-the probe order that found them.
+The routing stack is curve-pluggable — the match index and the shared
+match-run cache are keyed by the ``SpaceFillingCurve`` that
+``IndexConfig(curve=…)`` names — and the choice can only change
+*statistics* (run counts, segment counts, probe costs), never *semantics*:
+match answers are restored to exactness by the rectangle fallback check, and
+a link's covering check compares ranges, not keys.  (The paper's dominance
+search runs on the Z curve alone and takes no curve.)
 
 This suite pins that claim end to end:
 
@@ -25,8 +25,8 @@ subscription (``SCAN_LIMIT`` 0), so the curve keys every probe however small
 the tables are;
 * the per-curve match index stabs exactly the points each rectangle contains
   even under run-budget coarsening (rectangle-fallback soundness);
-* mis-configuration fails loudly: unknown curve kinds, curves over the wrong
-  universe, and cross-curve plan execution all raise instead of mis-keying.
+* mis-configuration fails loudly: an unknown curve kind raises instead of
+  mis-keying.
 """
 
 from __future__ import annotations
@@ -38,10 +38,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.approx_dominance import ApproximateDominanceIndex, build_dominance_plan
-from repro.core.covering import ApproximateCoveringDetector, CoveringProfiler
 from repro.geometry.transform import ranges_cover
-from repro.geometry.universe import Universe
 from repro.index.config import IndexConfig
 from repro.pubsub.match_index import MatchIndex
 from repro.pubsub.network import (
@@ -53,7 +50,7 @@ from repro.pubsub.network import (
 from repro.pubsub.routing_table import InterfaceTable
 from repro.pubsub.schema import Attribute, AttributeSchema
 from repro.pubsub.subscription import Event, Subscription
-from repro.sfc.factory import CURVE_KINDS, make_curve
+from repro.sfc.factory import CURVE_KINDS
 from repro.sim.latency import FixedLatency
 from repro.sim.transport import SimTransport
 from repro.workloads.dynamics import run_scripted_lockstep, subscription_churn_script
@@ -344,61 +341,6 @@ class TestCurveConfigurationErrors:
         with pytest.raises(ValueError, match="unknown curve kind"):
             MatchIndex(schema, config=IndexConfig(curve="peano"))
         with pytest.raises(ValueError, match="unknown curve kind"):
-            with patch.object(ApproximateCoveringDetector, "CURVE", "peano"):
-                ApproximateCoveringDetector(2, 5)
-        with pytest.raises(ValueError, match="unknown curve kind"):
             BrokerNetwork.from_topology(
                 schema, tree_topology(2), covering="approximate", config=IndexConfig(curve="peano")
             )
-
-    def test_plan_rejects_curve_over_wrong_universe(self):
-        """A curve whose order does not match the universe's bit depth would
-        silently mis-key every probe; the plan builder must refuse it."""
-        universe = Universe(dims=2, order=6)
-        wrong_order = make_curve("hilbert", Universe(dims=2, order=5))
-        wrong_dims = make_curve("zorder", Universe(dims=3, order=6))
-        for curve in (wrong_order, wrong_dims):
-            with pytest.raises(ValueError, match="does not match"):
-                build_dominance_plan(
-                    universe, (1, 2), epsilon=0.1, cube_budget=100, curve=curve
-                )
-
-    def test_execute_plan_rejects_cross_curve_plan(self):
-        universe = Universe(dims=2, order=5)
-        index = ApproximateDominanceIndex(
-            universe=universe, epsilon=0.1, curve=make_curve("zorder", universe)
-        )
-        plan = build_dominance_plan(
-            universe,
-            (3, 4),
-            epsilon=0.1,
-            cube_budget=100,
-            curve=make_curve("hilbert", universe),
-        )
-        with pytest.raises(ValueError, match="hilbert"):
-            index.execute_plan(plan)
-
-    def test_cross_curve_profile_falls_back_to_correct_answer(self):
-        """A profile built under another curve is incompatible; the detector
-        must fall back to the classic search and still answer correctly."""
-        detector = ApproximateCoveringDetector(
-            attributes=1, attribute_order=6, epsilon=0.1, cube_budget=1_000_000
-        )
-        detector.add_subscription("wide", [(0, 60)])
-        with patch.object(ApproximateCoveringDetector, "CURVE", "hilbert"):
-            profiler = CoveringProfiler(1, 6, epsilon=0.1, cube_budget=1_000_000)
-        profile = profiler.profile([(10, 20)])
-        assert not detector.compatible_profile(profile)
-        result = detector.find_covering_profile(profile)
-        assert result.covering_id == "wide"
-
-    def test_matched_curve_profile_is_compatible(self):
-        with patch.object(ApproximateCoveringDetector, "CURVE", "hilbert"):
-            detector = ApproximateCoveringDetector(
-                attributes=1, attribute_order=6, epsilon=0.1, cube_budget=1_000_000
-            )
-            profiler = CoveringProfiler(
-                1, 6, epsilon=detector.epsilon, cube_budget=detector.cube_budget
-            )
-        assert detector.index.curve.kind == "hilbert"
-        assert detector.compatible_profile(profiler.profile([(10, 20)]))

@@ -37,7 +37,6 @@ class TestSchemaConstruction:
         assert schema.num_attributes == 2
         assert schema.max_cell == 255
         assert schema.attribute("volume").high == 1000.0
-        assert schema.position("volume") == 1
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError):

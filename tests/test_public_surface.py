@@ -12,9 +12,12 @@ Every public function, method and class defined in ``src/`` must be
 referenced outside ``tests/`` — by a name or attribute load or an import in
 ``src/``, ``benchmarks/``, ``examples/`` or ``experiments/``, or by an exact
 identifier string there (how the benchmark adapter names its trace
-targets) — or sit on :data:`ALLOWLIST` with its reason.  ``__all__`` entries,
-package ``__init__`` re-exports and docstrings are not references.  The
-check matches by name, so it errs towards keeping code.
+targets) — or sit on :data:`ALLOWLIST` with its reason.  A method is reached
+only through an attribute (``x.name``), so for a method only an attribute
+load or an identifier string counts: a bare name or an import of the same
+spelling does not.  ``__all__`` entries, package ``__init__`` re-exports and
+docstrings are not references.  The check matches by name, so it errs
+towards keeping code.
 """
 
 from __future__ import annotations
@@ -121,6 +124,7 @@ ALLOWLIST = {
     # Product API the README documents.
     "repro.net.client.fetch_metrics": "the README's scrape of a serving broker",
     "repro.pubsub.network.BrokerNetwork.live_components": "the README's partition-aware audit",
+    "repro.pubsub.network.BrokerNetwork.metrics_snapshot": "the README's JSON scrape",
     # Paper formulas.
     "repro.core.bounds.lemma32_min_volume_fraction": "Lemma 3.2's retained-volume guarantee",
     "repro.core.decomposition.cumulative_volume_at_level": "the paper's vol(R(S_i(l)))",
@@ -132,6 +136,8 @@ ALLOWLIST = {
     "repro.pubsub.broker.Broker.has_forwarded": "reads a link's forwarded set",
     "repro.core.approx_dominance.DominancePlan.materialised_steps": "pins the plan's laziness",
     "repro.index.sfc_array.SFCArray.items_in_key_range": "range scan against a brute force",
+    "repro.pubsub.match_index.MatchIndex.candidates": "stored runs against a brute-force stab",
+    "repro.sim.kernel.EventKernel.pending": "the kernel's queue drains",
     "repro.sfc.base.SpaceFillingCurve.cube_from_key_prefix": "inverts cube_key_range",
     "repro.sfc.base.SpaceFillingCurve.walk": "visits every cell in curve order",
     "repro.geometry.transform.DominanceTransform.from_point": "inverts to_point",
@@ -173,40 +179,46 @@ def _all_nodes(tree: ast.Module):
 
 
 def references(path: pathlib.Path):
-    """The names ``path`` refers to: loads, imports (not in a package
-    ``__init__``) and exact identifier strings (not docstrings or ``__all__``)."""
+    """``(names, members)`` ``path`` refers to.  ``names``: loads, imports (not
+    in a package ``__init__``) and exact identifier strings (not docstrings or
+    ``__all__``); ``members``: the attribute loads and identifier strings
+    among them, the only references that can reach a method."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     skipped = {id(node) for node in _docstring_nodes(tree)} | {id(node) for node in _all_nodes(tree)}
-    found = set()
+    names, members = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            found.add(node.id)
+            names.add(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            found.add(node.attr)
+            members.add(node.attr)
         elif isinstance(node, (ast.Import, ast.ImportFrom)) and path.name != "__init__.py":
-            found.update(alias.name.split(".")[-1] for alias in node.names)
+            names.update(alias.name.split(".")[-1] for alias in node.names)
         elif (
             isinstance(node, ast.Constant)
             and isinstance(node.value, str)
             and node.value.isidentifier()
             and id(node) not in skipped
         ):
-            found.add(node.value)
-    return found
+            members.add(node.value)
+    return names | members, members
 
 
 @functools.lru_cache(maxsize=None)
 def referenced_outside_tests():
-    found = set()
+    """``(names, members)`` as :func:`references`, over every caller directory."""
+    names, members = set(), set()
     for directory in CALLER_DIRECTORIES:
         for path in sorted((REPO / directory).rglob("*.py")):
-            found |= references(path)
-    return frozenset(found)
+            found, attributes = references(path)
+            names |= found
+            members |= attributes
+    return frozenset(names), frozenset(members)
 
 
 def public_definitions(package: str):
-    """``(dotted name, bare name)`` of every public function, class and method
-    the package's modules define at top level or in a top-level class."""
+    """``(dotted name, bare name, is a method)`` of every public function,
+    class and method the package's modules define at top level or in a
+    top-level class."""
     for module in modules_of(package):
         path = ROOT.joinpath(*module.split(".")[1:])
         path = path / "__init__.py" if path.is_dir() else path.with_suffix(".py")
@@ -216,22 +228,43 @@ def public_definitions(package: str):
                 continue
             if node.name.startswith("_"):
                 continue
-            yield f"{module}.{node.name}", node.name
+            yield f"{module}.{node.name}", node.name, False
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if isinstance(
                         item, (ast.FunctionDef, ast.AsyncFunctionDef)
                     ) and not item.name.startswith("_"):
-                        yield f"{module}.{node.name}.{item.name}", item.name
+                        yield f"{module}.{node.name}.{item.name}", item.name, True
+
+
+def is_referenced(name: str, is_method: bool) -> bool:
+    """Any reference keeps a top-level name; a method needs a member reference."""
+    names, members = referenced_outside_tests()
+    return name in (members if is_method else names)
+
+
+def test_a_method_counts_only_member_references(tmp_path):
+    """A bare name or an import cannot reach a method of that spelling; an
+    attribute load or an identifier string can."""
+    path = tmp_path / "caller.py"
+    path.write_text(
+        "from elsewhere import bounds\n"
+        "position = bounds()\n"
+        "position\n"
+        "table.suffix\n"
+        "getattr(table, 'stream')\n"
+    )
+    names, members = references(path)
+    assert {"bounds", "position", "suffix", "stream"} <= names
+    assert members == {"suffix", "stream"}
 
 
 @pytest.mark.parametrize("package", PACKAGES)
 def test_every_public_name_has_a_caller_outside_tests(package):
-    referenced = referenced_outside_tests()
     uncalled = [
         dotted
-        for dotted, name in public_definitions(package)
-        if name not in referenced and dotted not in ALLOWLIST
+        for dotted, name, is_method in public_definitions(package)
+        if not is_referenced(name, is_method) and dotted not in ALLOWLIST
     ]
     assert uncalled == []
 
@@ -239,13 +272,14 @@ def test_every_public_name_has_a_caller_outside_tests(package):
 def test_every_allowlisted_name_is_defined_and_still_uncalled():
     """An entry whose name left ``src/`` or gained a caller leaves the list."""
     defined = {
-        dotted: name for package in PACKAGES for dotted, name in public_definitions(package)
+        dotted: (name, is_method)
+        for package in PACKAGES
+        for dotted, name, is_method in public_definitions(package)
     }
-    referenced = referenced_outside_tests()
     stale = [
         dotted
         for dotted in ALLOWLIST
-        if dotted not in defined or defined[dotted] in referenced
+        if dotted not in defined or is_referenced(*defined[dotted])
     ]
     assert stale == []
     assert all(reason.strip() for reason in ALLOWLIST.values())

@@ -9,6 +9,7 @@ from repro.pubsub import BrokerNetwork, tree_topology
 from repro.sim import SimTransport, UniformJitterLatency
 from repro.workloads.dynamics import (
     flash_crowd_script,
+    region_netsplit_script,
     rolling_failures_script,
     run_dynamic_scenario,
     subscription_churn_script,
@@ -185,3 +186,25 @@ class TestExecution:
             return repr(network.deliveries) + repr(sorted(report.summary_row().items()))
 
         assert run() == run()
+
+
+def test_region_netsplit_crashes_exactly_the_region_gateways():
+    """The region's interior stays up: the script crashes (and recovers) its
+    overlay gateways and nothing else; a region with no gateway is refused."""
+    from repro.workloads.topologies import skewed_tree_topology
+
+    scenario = small_scenario(stock_market_scenario)
+    topology = skewed_tree_topology(12, skew=1.0, seed=9)
+    for region in topology.region_ids():
+        gateways = topology.region_gateways(region)
+        if not gateways:
+            with pytest.raises(ValueError, match="no overlay gateway"):
+                region_netsplit_script(scenario, topology, region, seed=3)
+            continue
+        script = region_netsplit_script(scenario, topology, region, seed=3)
+        for kind in ("crash", "recover"):
+            assert sorted(
+                (a.broker_id for a in script if a.kind == kind), key=str
+            ) == gateways, (region, kind)
+    with pytest.raises(ValueError, match="no overlay gateway"):
+        region_netsplit_script(scenario, topology, "no-such-region", seed=3)
