@@ -44,6 +44,9 @@ stage "tier-1 tests (hypothesis profile: ${HYPOTHESIS_PROFILE:-ci})"
 # route exactly as without it, and disabling it restores the plain functions.
 # --durations=5 only adds output: every log names the five slowest tests.
 HYPOTHESIS_PROFILE="${HYPOTHESIS_PROFILE:-ci}" python -m pytest -x -q --durations=5 tests
+# The docstring examples under src/ (among them the packed rectangle tests of
+# repro.geometry.universe and first_covering's scan).
+python -m pytest -q --doctest-modules src
 
 stage "benchmark smoke (tiny sizes) + full-size sim tables"
 # bench_subscription_churn times the batch subscribe/withdraw APIs (loops

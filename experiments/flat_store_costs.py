@@ -53,6 +53,7 @@ if str(ROOT / "src") not in sys.path:
     sys.path.insert(0, str(ROOT / "src"))
 
 from repro.analysis.reporting import format_table  # noqa: E402
+from repro.geometry.universe import pack_point  # noqa: E402
 from repro.index.sfc_array import FlatSegmentStore  # noqa: E402
 from repro.pubsub.match_index import MatchIndex  # noqa: E402
 from repro.pubsub.subscription import Subscription  # noqa: E402
@@ -91,19 +92,23 @@ def stab_ns(store: FlatSegmentStore, keys: Sequence[int], repeat: int) -> float:
     return best_of(repeat, sweep) / len(keys) * 1e9
 
 
-def sweep_s(index: MatchIndex, events: Sequence[Tuple[Sequence[int], int]]) -> float:
+#: An event as a probe gets it: cells, curve key and packed point.
+Probe = Tuple[Sequence[int], int, int]
+
+
+def sweep_s(index: MatchIndex, events: Sequence[Probe]) -> float:
     """Wall-clock of one ``matching_ids`` sweep over ``events``, in seconds."""
     matching_ids = index.matching_ids
     start = time.perf_counter()
-    for cells, key in events:
-        matching_ids(cells, key)
+    for cells, key, point in events:
+        matching_ids(cells, key, point)
     return time.perf_counter() - start
 
 
 def staged_probe_ns(
     index: MatchIndex,
     spare: Sequence[Ranges],
-    events: Sequence[Tuple[Sequence[int], int]],
+    events: Sequence[Probe],
     repeat: int,
 ) -> Tuple[float, List[float]]:
     """A clean probe's cost and what the ``spare`` slots staged add to it, per pair.
@@ -138,13 +143,15 @@ def staged_probe_ns(
         for sub_id, ranges in staged.items():
             index.add(sub_id, ranges)
         staged_matches = 0
-        for cells, key in events:
+        for cells, key, point in events:
             expected = [
                 sub_id
                 for sub_id, ranges in staged.items()
                 if all(lo <= cell <= hi for (lo, hi), cell in zip(ranges, cells))
             ]
-            found = [sub_id for sub_id in index.matching_ids(cells, key) if sub_id in staged]
+            found = [
+                sub_id for sub_id in index.matching_ids(cells, key, point) if sub_id in staged
+            ]
             assert found == expected, "the probe must return every staged match"
             staged_matches += len(found)
         assert staged_matches, "no stock event matched a staged subscription"
@@ -172,7 +179,7 @@ def measure(slots: int, seed: int, repeat: int) -> Dict[str, object]:
     events = []
     for event in scenario.events:
         cells = schema.quantize_event(event)
-        events.append((cells, index.event_key(cells)))
+        events.append((cells, index.event_key(cells), pack_point(cells, schema.order)))
 
     total_runs = sum(len(slot_runs) for slot_runs in runs)
     rebuild_s = best_of(repeat, store.rebuild)

@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..geometry.transform import DominanceTransform, Range, first_covering
+from ..geometry.universe import PackedBox, pack_box, packed_guard, unpack_box
 from .approx_dominance import (
     ApproximateDominanceIndex,
     DominanceQueryResult,
@@ -156,9 +157,10 @@ class ApproximateCoveringDetector:
         The per-query cap on examined standard cubes;
         :data:`DEFAULT_CUBE_BUDGET` unless given.
 
-    Every stored subscription is kept twice: its ranges, in storage order,
-    and its dominance point in :attr:`index`, the ε-search's index, keyed on
-    the Z curve the paper analyses.
+    Every stored subscription is kept twice: its ranges, packed
+    (:func:`~repro.geometry.universe.pack_box`) in storage order for the
+    compare side, and its dominance point in :attr:`index`, the ε-search's
+    index, keyed on the Z curve the paper analyses.
     """
 
     attributes: int
@@ -173,7 +175,8 @@ class ApproximateCoveringDetector:
             self.attributes, self.attribute_order, self.epsilon, self.cube_budget
         )
         self.transform = self._profiler.transform
-        self._subscriptions: Dict[Hashable, Tuple[Range, ...]] = {}
+        self._guard = packed_guard(self.attributes, self.attribute_order)
+        self._subscriptions: Dict[Hashable, PackedBox] = {}
         self.index = ApproximateDominanceIndex(
             universe=self.transform.universe,
             epsilon=self.epsilon,
@@ -193,7 +196,7 @@ class ApproximateCoveringDetector:
         # A replaced id moves to the end, as the index moves it to the end of
         # its key bucket.
         self._subscriptions.pop(sub_id, None)
-        self._subscriptions[sub_id] = validated
+        self._subscriptions[sub_id] = pack_box(validated, self.attribute_order)
         self.index.insert(sub_id, self.transform.to_point(validated))
 
     def remove_subscription(self, sub_id: Hashable) -> bool:
@@ -204,8 +207,11 @@ class ApproximateCoveringDetector:
         return True
 
     def subscriptions(self) -> Dict[Hashable, Tuple[Range, ...]]:
-        """Return a copy of all stored subscriptions."""
-        return dict(self._subscriptions)
+        """Return all stored subscriptions' ranges, in storage order."""
+        return {sub_id: self._ranges(box) for sub_id, box in self._subscriptions.items()}
+
+    def _ranges(self, box: PackedBox) -> Tuple[Range, ...]:
+        return unpack_box(box, self.attributes, self.attribute_order)
 
     # ---------------------------------------------------------------- queries
     def find_covering(
@@ -265,7 +271,11 @@ class ApproximateCoveringDetector:
             return self.find_covering(profile.ranges)
         stored = len(self._subscriptions)
         if stored <= profile.plan.cubes:
-            covering_id, compared = first_covering(self._subscriptions.items(), profile.ranges)
+            covering_id, compared = first_covering(
+                self._subscriptions.items(),
+                pack_box(profile.ranges, self.attribute_order),
+                self._guard,
+            )
             return CoveringResult(covering_id=covering_id, query=None, comparisons=compared)
         result = self.index.execute_plan(profile.plan)
         covering_id = result.item.item_id if result.item is not None else None
@@ -287,8 +297,8 @@ class ApproximateCoveringDetector:
         query = self.transform.validate_ranges(ranges)
         return [
             sub_id
-            for sub_id, stored in self._subscriptions.items()
-            if self.transform.covers(stored, query)
+            for sub_id, box in self._subscriptions.items()
+            if self.transform.covers(self._ranges(box), query)
         ]
 
     def verify_witness(self, result: CoveringResult, ranges: Sequence[Range]) -> bool:
@@ -298,4 +308,4 @@ class ApproximateCoveringDetector:
         stored = self._subscriptions.get(result.covering_id)
         if stored is None:
             return False
-        return self.transform.covers(stored, ranges)
+        return self.transform.covers(self._ranges(stored), ranges)

@@ -15,7 +15,7 @@ from .bits import (
 )
 from .rect import ExtremalRectangle, Rectangle, StandardCube, aspect_ratio
 from .transform import DominanceTransform, dominates, ranges_cover
-from .universe import Universe
+from .universe import Universe, pack_box, pack_point, packed_guard, unpack_box
 
 __all__ = [
     "bit_at",
@@ -37,4 +37,8 @@ __all__ = [
     "dominates",
     "ranges_cover",
     "Universe",
+    "pack_box",
+    "pack_point",
+    "packed_guard",
+    "unpack_box",
 ]

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Optional, Sequence, Tuple
 
-from .universe import Universe
+from .universe import PackedBox, Universe
 
 __all__ = [
     "DominanceTransform",
@@ -70,37 +70,48 @@ def ranges_cover(outer: Sequence[Range], inner: Sequence[Range]) -> bool:
 
 
 def first_covering(
-    stored: Iterable[Tuple[Hashable, Sequence[Range]]],
-    query: Sequence[Range],
+    stored: Iterable[Tuple[Hashable, PackedBox]],
+    query: PackedBox,
+    guard: int,
     exclude: Optional[Hashable] = None,
 ) -> Tuple[Optional[Hashable], int]:
-    """First stored id, in iteration order, whose ranges contain ``query``'s, and how many were compared.
+    """First stored id, in iteration order, whose box contains ``query``, and how many were compared.
 
     The one comparison loop of the covering layer: a broker link's check over
     the subscriptions it has forwarded, the linear-scan detector and the
     compare side of the approximate detector.  ``stored`` yields
-    ``(id, ranges)`` pairs.  Both sides must already be validated range
-    tuples over the same attributes — nothing is re-checked per comparison.
-    ``exclude`` is skipped and not counted.
+    ``(id, box)`` pairs; every box, ``query`` among them, is a
+    :func:`~repro.geometry.universe.pack_box` result over the same attributes
+    and order, and ``guard`` is their
+    :func:`~repro.geometry.universe.packed_guard` — nothing is re-checked per
+    comparison.  Each comparison is the packed covering test (one integer
+    expression whatever the number of attributes, behind two plain integer
+    comparisons; see :mod:`repro.geometry.universe`).  ``exclude`` is skipped
+    and not counted.
 
-    >>> first_covering({"a": ((3, 4),), "b": ((0, 9),), "c": ((0, 9),)}.items(), ((2, 5),))
+    >>> from repro.geometry.universe import pack_box, packed_guard
+    >>> box = lambda lo, hi: pack_box(((lo, hi),), 4)
+    >>> stored = {"a": box(3, 4), "b": box(0, 9), "c": box(0, 9)}
+    >>> first_covering(stored.items(), box(2, 5), packed_guard(1, 4))
     ('b', 2)
     """
-    first_lo, first_hi = query[0]
+    # R covers Q when ((Q.L | G) - R.L) & ((R.H | G) - Q.H) & G == G, behind
+    # its two necessary conditions Q.L >= R.L and R.H | G >= Q.H | G (plain
+    # comparisons, which reject most candidates without building an
+    # integer); the query's operands are fixed for the whole scan.
+    query_lo, query_hi = query
+    guarded_lo = query_lo | guard
+    bare_hi = query_hi ^ guard
     compared = 0
-    for sub_id, ranges in stored:
+    for sub_id, (lo, hi) in stored:
         if sub_id == exclude:
             continue
         compared += 1
-        # Most candidates already fail on one attribute; rejecting on the
-        # first without setting up the pairwise walk is 3–4× cheaper per miss.
-        lo, hi = ranges[0]
-        if lo > first_lo or first_hi > hi:
-            continue
-        for (olo, ohi), (ilo, ihi) in zip(ranges, query):
-            if olo > ilo or ihi > ohi:
-                break
-        else:
+        if (
+            query_lo >= lo
+            and hi >= query_hi
+            and (guarded_lo - lo) & (hi - bare_hi) & guard == guard
+        ):
             return sub_id, compared
     return None, compared
 

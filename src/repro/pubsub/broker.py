@@ -38,6 +38,7 @@ from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from ..geometry.transform import Range, first_covering
+from ..geometry.universe import pack_box, packed_guard
 from ..index.config import IndexConfig
 from ..obs.trace import Span, TraceLog, make_detail
 from .routing_table import RoutingTable, check_covering_kind
@@ -192,6 +193,11 @@ class Broker:
         self._client_ordinal: Dict[Hashable, int] = {}
         self._arrivals = 0
         self._transport = _DETACHED
+        # The covering scan's guard (packed boxes over the schema's grid), and
+        # the ranges object whose box it compares next with that box
+        # (_check_subscription hands a subscription's own box over).
+        self._guard = packed_guard(self.schema.num_attributes, self.schema.order)
+        self._packed: Tuple[Optional[Tuple[Range, ...]], Tuple[int, int]] = (None, (0, 0))
 
     # ------------------------------------------------------------------ wiring
     def _fresh_routing_table(self) -> RoutingTable:
@@ -331,18 +337,35 @@ class Broker:
     def _covering_check(self, link: LinkState, ranges: Tuple[Range, ...]) -> Optional[Hashable]:
         """The first subscription forwarded on ``link`` that covers ``ranges``, or ``None``.
 
-        One exact scan in forwarding order; ``covering_check_runs`` counts
-        the subscriptions it compared.  Under ``covering="none"`` the
-        decision is counted and nothing is compared.
+        One exact scan in forwarding order, of the forwarded subscriptions'
+        packed boxes against the box of ``ranges``: the subscription's own
+        when :meth:`_check_subscription` handed it over, packed here
+        otherwise.  ``covering_check_runs`` counts the subscriptions it
+        compared.  Under ``covering="none"`` the decision is counted and
+        nothing is compared.
         """
         self.stats.covering_checks += 1
         if self.covering == "none":
             return None
+        packed_ranges, box = self._packed
+        if packed_ranges is not ranges:
+            box = pack_box(ranges, self.schema.order)
+            self._packed = (ranges, box)
         covered_by, compared = first_covering(
-            ((sub_id, sub.ranges) for sub_id, sub in link.forwarded.items()), ranges
+            ((sub_id, sub.box) for sub_id, sub in link.forwarded.items()), box, self._guard
         )
         self.stats.covering_check_runs += compared
         return covered_by
+
+    def _check_subscription(self, link: LinkState, subscription: Subscription) -> Optional[Hashable]:
+        """:meth:`_covering_check` of ``subscription``, with its box handed over.
+
+        A subscription reaches every broker with its box already packed;
+        packing its ranges again at every hop would cost a subscribe more
+        than the packed scan saves.
+        """
+        self._packed = (subscription.ranges, subscription.box)
+        return self._covering_check(link, subscription.ranges)
 
     def _record_suppression(
         self, link: LinkState, subscription: Subscription, covered_by: Hashable
@@ -385,7 +408,7 @@ class Broker:
             # link: re-sending it would double-count state downstream and
             # leave a ghost entry behind after a single withdrawal.
             return
-        covered_by = self._covering_check(link, subscription.ranges)
+        covered_by = self._check_subscription(link, subscription)
         if self.trace is not None:
             self.trace.record(
                 Span(
@@ -558,7 +581,7 @@ class Broker:
         # forwarded set, so its suppression stays sound.
         for pending_id in link.dependents.pop(sub_id, None) or ():
             pending = suppressed[pending_id][0]
-            covered_by = self._covering_check(link, pending.ranges)
+            covered_by = self._check_subscription(link, pending)
             if covered_by is not None:
                 # Still covered — by a different survivor; re-home it so the
                 # dependants map stays exact.

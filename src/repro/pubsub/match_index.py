@@ -64,8 +64,13 @@ Three refinements keep the structure bounded and sound:
 * **Rectangle fallback check.**  A candidate produced by the segment probe may
   be a false positive of the coarsening (its over-approximated range contains
   ``key(p)`` but its rectangle does not contain ``p``).  Every candidate is
-  therefore confirmed with a ``d``-comparison per-attribute range check before
-  being reported, which restores exactness.
+  therefore confirmed against its rectangle before being reported, which
+  restores exactness.  The index keeps each rectangle packed
+  (:func:`~repro.geometry.universe.pack_box`) and the event brings its cells
+  packed (:attr:`~repro.pubsub.subscription.Event.point`), so the check is
+  one integer expression, ``((P | G) - L) & ((H | G) - P) & G == G``, behind
+  two plain comparisons that reject most misses; its cost does not grow with
+  ``d`` (:mod:`repro.geometry.universe`).
 
 Together: no false negatives (exact runs cover every matching key and
 coarsening only widens them), no false positives (the rectangle check rejects
@@ -81,7 +86,7 @@ from typing import TYPE_CHECKING, Dict, FrozenSet, Hashable, Iterable, List, Opt
 
 from ..core.decomposition import decompose_rectangle
 from ..geometry.rect import Rectangle, StandardCube
-from ..geometry.universe import Universe
+from ..geometry.universe import PackedBox, Universe, pack_point, packed_guard, unpack_box
 from ..index.config import PRECISION_BIT_BUDGET, IndexConfig
 from ..index.sfc_array import FlatSegmentStore
 from ..sfc.base import KeyRange
@@ -221,7 +226,9 @@ class MatchIndex:
         # tuples.  Slots are never reused.
         self._slot_of: Dict[Hashable, int] = {}
         self._id_of: Dict[int, Hashable] = {}
-        self._rect_of_slot: Dict[int, Tuple[Tuple[int, int], ...]] = {}
+        # Each live slot's rectangle, packed: what the rectangle test reads.
+        self._box_of_slot: Dict[int, PackedBox] = {}
+        self._guard = packed_guard(self.universe.dims, self.universe.order)
         self._next_slot = 0
 
     # ------------------------------------------------------------------ basics
@@ -242,14 +249,20 @@ class MatchIndex:
     # ----------------------------------------------------------------- updates
     def _validate_ranges(
         self, ranges: Sequence[Tuple[int, int]]
-    ) -> Tuple[Tuple[int, int], ...]:
+    ) -> Tuple[Tuple[Tuple[int, int], ...], PackedBox]:
+        """The validated range tuple and its packed box, packed in the validating loop
+        (the body of :func:`~repro.geometry.universe.pack_box`, inlined:
+        a second pass per add is measurable on the subscribe path)."""
         if len(ranges) != self.universe.dims:
             raise ValueError(
                 f"subscription has {len(ranges)} ranges but the schema "
                 f"has {self.universe.dims} attributes"
             )
         max_cell = self.universe.max_coordinate
+        guard_bit = max_cell + 1
+        width = self.universe.order + 1
         out = []
+        lows = highs = 0
         for lo, hi in ranges:
             lo = int(lo)
             hi = int(hi)
@@ -259,7 +272,9 @@ class MatchIndex:
                     f"0 <= lo <= hi <= {max_cell}"
                 )
             out.append((lo, hi))
-        return tuple(out)
+            lows = lows << width | lo
+            highs = highs << width | hi | guard_bit
+        return tuple(out), (lows, highs)
 
     # --------------------------------------------------------------- precision
     def _bits_for(self, live: int) -> int:
@@ -313,11 +328,12 @@ class MatchIndex:
         the store is re-flattened in one sweep.  Slots keep their order.
         """
         self._set_precision(bits)
-        rects = self._rect_of_slot
-        if not rects:
+        boxes = self._box_of_slot
+        if not boxes:
             return
-        entries = self._derive(rects.values())
-        self._flat.reflatten(zip(rects, [runs for runs, _ in entries]))
+        dims, order = self.universe.dims, self.universe.order
+        entries = self._derive([unpack_box(box, dims, order) for box in boxes.values()])
+        self._flat.reflatten(zip(boxes, [runs for runs, _ in entries]))
         self.stats.runs_stored = sum([len(runs) for runs, _ in entries])
         self.stats.coarsened_subscriptions += sum([coarsened for _, coarsened in entries])
 
@@ -460,7 +476,7 @@ class MatchIndex:
         Validation happens before any mutation, so a rejected replace leaves
         the previously stored entry intact.
         """
-        rect_ranges = self._validate_ranges(ranges)
+        rect_ranges, box = self._validate_ranges(ranges)
         if sub_id in self._slot_of:
             self.remove(sub_id)
         if len(self._slot_of) >= self._grow_past:
@@ -472,7 +488,7 @@ class MatchIndex:
         self._next_slot = slot + 1
         self._slot_of[sub_id] = slot
         self._id_of[slot] = sub_id
-        self._rect_of_slot[slot] = rect_ranges
+        self._box_of_slot[slot] = box
         stats.inserts += 1
         stats.runs_stored += len(runs)
         self._flat.add(slot, runs)
@@ -495,11 +511,15 @@ class MatchIndex:
         :meth:`SpaceFillingCurve.cube_key_ranges` call, and the whole batch
         is flattened by a single merge-rebuild.
         """
-        # One fused validate + dedup pass (the body mirrors _validate_ranges;
-        # a million-subscription batch cannot afford a function call per item).
+        # One fused validate + pack + dedup pass (the body mirrors
+        # _validate_ranges; a million-subscription batch cannot afford a
+        # function call per item).
         dims = self.universe.dims
         max_cell = self.universe.max_coordinate
+        guard_bit = max_cell + 1
+        width = self.universe.order + 1
         deduped: Dict[Hashable, Tuple[Tuple[int, int], ...]] = {}
+        boxes: Dict[Hashable, PackedBox] = {}
         for sub_id, ranges in items:
             if len(ranges) != dims:
                 raise ValueError(
@@ -507,6 +527,7 @@ class MatchIndex:
                     f"has {dims} attributes"
                 )
             out = []
+            lows = highs = 0
             for lo, hi in ranges:
                 lo = int(lo)
                 hi = int(hi)
@@ -516,11 +537,14 @@ class MatchIndex:
                         f"0 <= lo <= hi <= {max_cell}"
                     )
                 out.append((lo, hi))
+                lows = lows << width | lo
+                highs = highs << width | hi | guard_bit
             # A later duplicate replaces an earlier one and, as a re-add
             # would, takes its place at the end.
             if sub_id in deduped:
                 del deduped[sub_id]
             deduped[sub_id] = tuple(out)
+            boxes[sub_id] = (lows, highs)
         slot_of = self._slot_of
         for sub_id in deduped:
             if sub_id in slot_of:
@@ -531,16 +555,14 @@ class MatchIndex:
         # add, inlined: the per-call overhead would dominate a bulk load).
         stats = self.stats
         id_of = self._id_of
-        rect_of_slot = self._rect_of_slot
+        box_of_slot = self._box_of_slot
         next_slot = self._next_slot
         runs_stored = coarsened_items = 0
         bulk: List[Tuple[int, Tuple[KeyRange, ...]]] = []
-        for (sub_id, rect_ranges), (runs, coarsened) in zip(
-            deduped.items(), self._derive(deduped.values())
-        ):
+        for sub_id, (runs, coarsened) in zip(deduped, self._derive(deduped.values())):
             slot_of[sub_id] = next_slot
             id_of[next_slot] = sub_id
-            rect_of_slot[next_slot] = rect_ranges
+            box_of_slot[next_slot] = boxes[sub_id]
             bulk.append((next_slot, runs))
             next_slot += 1
             runs_stored += len(runs)
@@ -558,7 +580,7 @@ class MatchIndex:
         if slot is None:
             return False
         del self._id_of[slot]
-        del self._rect_of_slot[slot]
+        del self._box_of_slot[slot]
         removed_runs = self._flat.remove(slot)
         self.stats.removals += 1
         self.stats.runs_stored -= removed_runs
@@ -613,33 +635,44 @@ class MatchIndex:
     # The queries below test the slots of one stab, then every staged slot,
     # each against its rectangle.  A staged slot's runs are not consulted:
     # the rectangle test is exact on its own (the runs cover the rectangle).
-    # A tombstoned slot of the stab is skipped because it has no rectangle
-    # left; a staged slot always has one.  Every test made counts
-    # in ``candidates_checked``, every rejection in ``false_positives``,
-    # tallied in locals and added once per loop.  The test is inlined as an
-    # early-exit ``for ... else`` loop, once per loop: ``all()`` over a
-    # generator costs about twice as much, and chaining the two loops into
-    # one costs a tenth of a probe.  The staged tests are then charged to
-    # the store (:meth:`FlatSegmentStore.charge`), their rejections counted
-    # apart (a finer grid cannot save them), and the probe that pays for a
-    # flatten makes it, after its answer is counted.
-    def any_match(self, cells: Sequence[int], key: Optional[int] = None) -> bool:
+    # A tombstoned slot of the stab is skipped because it has no box left; a
+    # staged slot always has one.  The test is the packed one
+    # (:mod:`repro.geometry.universe`): with the event's packed point ``P``
+    # and its guarded ``P | G`` fixed per probe, a slot's box ``(L, H | G)``
+    # contains the event when ``((P | G) - L) & ((H | G) - P) & G == G`` —
+    # one expression for all ``d`` attributes, inlined once per loop, behind
+    # its two necessary conditions ``P >= L`` and ``H | G >= P | G`` (two
+    # comparisons that allocate nothing and reject most misses).  Every
+    # test made counts in ``candidates_checked``, every rejection in
+    # ``false_positives``, tallied in locals and added once per loop.  The
+    # staged tests are then charged to the store
+    # (:meth:`FlatSegmentStore.charge`), their rejections counted apart (a
+    # finer grid cannot save them), and the probe that pays for a flatten
+    # makes it, after its answer is counted.  ``key`` and ``point``
+    # optionally supply the event's curve key and packed point
+    # (:attr:`~repro.pubsub.subscription.Event.point`); either is derived
+    # from ``cells`` when absent.
+    def any_match(
+        self, cells: Sequence[int], key: Optional[int] = None, point: Optional[int] = None
+    ) -> bool:
         """True when at least one indexed subscription matches the event cells."""
         if key is None:
             key = self.curve.key(cells)
+        if point is None:
+            point = pack_point(cells, self.universe.order)
+        guard = self._guard
+        guarded = point | guard
         stats = self.stats
-        rect_of_slot = self._rect_of_slot
+        box_of_slot = self._box_of_slot
         flat = self._flat
         tested = 0
         for slot in flat.stab(key):
-            rect = rect_of_slot.get(slot)
-            if rect is None:
+            box = box_of_slot.get(slot)
+            if box is None:
                 continue
             tested += 1
-            for (lo, hi), cell in zip(rect, cells):
-                if not lo <= cell <= hi:
-                    break
-            else:
+            lo, hi = box
+            if point >= lo and hi >= guarded and (guarded - lo) & (hi - point) & guard == guard:
                 stats.candidates_checked += tested
                 stats.false_positives += tested - 1
                 stats.lookups += 1
@@ -648,10 +681,8 @@ class MatchIndex:
         found = False
         for slot in flat.staged:
             staged_tests += 1
-            for (lo, hi), cell in zip(rect_of_slot[slot], cells):
-                if not lo <= cell <= hi:
-                    break
-            else:
+            lo, hi = box_of_slot[slot]
+            if point >= lo and hi >= guarded and (guarded - lo) & (hi - point) & guard == guard:
                 found = True
                 break
         tested += staged_tests
@@ -664,7 +695,9 @@ class MatchIndex:
                 self._flatten_paid()
         return found
 
-    def matching_ids(self, cells: Sequence[int], key: Optional[int] = None) -> List[Hashable]:
+    def matching_ids(
+        self, cells: Sequence[int], key: Optional[int] = None, point: Optional[int] = None
+    ) -> List[Hashable]:
         """All indexed subscriptions matching the event cells, in slot order.
 
         The flattened slots come first and then the staged ones, each in the
@@ -673,29 +706,29 @@ class MatchIndex:
         """
         if key is None:
             key = self.curve.key(cells)
+        if point is None:
+            point = pack_point(cells, self.universe.order)
+        guard = self._guard
+        guarded = point | guard
         matched: List[Hashable] = []
         stats = self.stats
-        rect_of_slot = self._rect_of_slot
+        box_of_slot = self._box_of_slot
         id_of = self._id_of
         flat = self._flat
         tested = 0
         for slot in flat.stab(key):
-            rect = rect_of_slot.get(slot)
-            if rect is None:
+            box = box_of_slot.get(slot)
+            if box is None:
                 continue
             tested += 1
-            for (lo, hi), cell in zip(rect, cells):
-                if not lo <= cell <= hi:
-                    break
-            else:
+            lo, hi = box
+            if point >= lo and hi >= guarded and (guarded - lo) & (hi - point) & guard == guard:
                 matched.append(id_of[slot])
         stab_matches = len(matched)
         staged = flat.staged
         for slot in staged:
-            for (lo, hi), cell in zip(rect_of_slot[slot], cells):
-                if not lo <= cell <= hi:
-                    break
-            else:
+            lo, hi = box_of_slot[slot]
+            if point >= lo and hi >= guarded and (guarded - lo) & (hi - point) & guard == guard:
                 matched.append(id_of[slot])
         tested += len(staged)
         stats.candidates_checked += tested

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import asdict, replace
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
-from ..geometry.universe import Universe
+from ..geometry.universe import Universe, packed_guard
 from ..index.config import IndexConfig
 from ..index.sfc_array import FlatSegmentStore
 from ..sfc.base import SpaceFillingCurve
@@ -89,6 +89,7 @@ class InterfaceTable:
         self.config = config or IndexConfig()
         self._run_cache = run_cache
         self._subscriptions: Dict[Hashable, Subscription] = {}
+        self._guard = packed_guard(schema.num_attributes, schema.order)
         self._index = None
         # What the scan has done: counted as the index counts its probes, so
         # match_stats covers the table's whole life.
@@ -112,10 +113,7 @@ class InterfaceTable:
         # leaves table and index consistent.
         sub_id = subscription.sub_id
         subscriptions = self._subscriptions
-        if (
-            subscription.schema is not self.schema
-            and subscription.schema.names != self.schema.names
-        ):
+        if not self.schema.compatible_with(subscription.schema):
             raise ValueError(
                 f"subscription {sub_id!r} is on another schema than interface "
                 f"{self.interface_id!r}"
@@ -154,7 +152,9 @@ class InterfaceTable:
     # --------------------------------------------------------------- queries
     # The scan makes the tests an index of SCAN_LIMIT staged slots makes, in
     # the same order, and counts them the same way: every test in
-    # ``candidates_checked``, every rejection in ``false_positives``.
+    # ``candidates_checked``, every rejection in ``false_positives``.  The
+    # test is the index's packed one, on the subscription's ``box`` and the
+    # event's ``point`` (see ``MatchIndex.any_match``).
     def matching_ids(
         self, event: Event, key: Optional[int] = None
     ) -> Tuple[List[Hashable], int]:
@@ -168,13 +168,13 @@ class InterfaceTable:
         """
         index = self._index
         if index is None:
-            cells = event.cells
+            point = event.point
+            guard = self._guard
+            guarded = point | guard
             matched: List[Hashable] = []
             for sub_id, sub in self._subscriptions.items():
-                for (lo, hi), cell in zip(sub.ranges, cells):
-                    if not lo <= cell <= hi:
-                        break
-                else:
+                lo, hi = sub.box
+                if point >= lo and hi >= guarded and (guarded - lo) & (hi - point) & guard == guard:
                     matched.append(sub_id)
             tested = len(self._subscriptions)
             stats = self._scan_stats
@@ -183,22 +183,22 @@ class InterfaceTable:
             stats.false_positives += tested - len(matched)
             return matched, tested
         checked = index.stats.candidates_checked
-        matched = index.matching_ids(event.cells, key=key)
+        matched = index.matching_ids(event.cells, key, event.point)
         return matched, index.stats.candidates_checked - checked
 
     def any_match(self, event: Event, key: Optional[int] = None) -> bool:
         """Return True when at least one stored subscription matches ``event``."""
         if self._index is not None:
-            return self._index.any_match(event.cells, key)
-        cells = event.cells
+            return self._index.any_match(event.cells, key, event.point)
+        point = event.point
+        guard = self._guard
+        guarded = point | guard
         tested = 0
         found = False
         for sub in self._subscriptions.values():
             tested += 1
-            for (lo, hi), cell in zip(sub.ranges, cells):
-                if not lo <= cell <= hi:
-                    break
-            else:
+            lo, hi = sub.box
+            if point >= lo and hi >= guarded and (guarded - lo) & (hi - point) & guard == guard:
                 found = True
                 break
         stats = self._scan_stats

@@ -90,6 +90,17 @@ class AttributeSchema:
         """Largest quantised value (``2^order − 1``)."""
         return (1 << self.order) - 1
 
+    def compatible_with(self, other: "AttributeSchema") -> bool:
+        """True when ``other`` quantises onto this grid: the same attributes
+        (names and domains) in the same order, at the same order.
+
+        Quantised values, ranges and their packed forms from two compatible
+        schemas compare field for field; from any other pair they do not.
+        """
+        return other is self or (
+            self.attributes == other.attributes and self.order == other.order
+        )
+
     def attribute(self, name: str) -> Attribute:
         """Return the attribute named ``name`` (raises ``KeyError`` when unknown)."""
         return self.attributes[self._index[name]]

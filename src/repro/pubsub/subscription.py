@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Hashable, Mapping, Optional, Tuple
 
 from ..geometry.transform import ranges_cover
+from ..geometry.universe import PackedBox, pack_box, pack_point
 from .schema import AttributeSchema
 
 __all__ = ["Subscription", "Event"]
@@ -36,6 +37,11 @@ class Event:
         Unique identifier (auto-assigned when omitted).
     cells:
         Quantised values, one cell per schema attribute (derived).
+    point:
+        ``cells`` packed into one integer
+        (:func:`~repro.geometry.universe.pack_point`), the operand of the
+        match tables' rectangle test (derived; not compared, not shown, not
+        encoded: a decoded event derives it again).
 
     An event also remembers its space-filling-curve key once a routing table
     has computed it (:meth:`curve_key` / :meth:`remember_curve_key`), so the
@@ -49,13 +55,16 @@ class Event:
     values: Mapping[str, float]
     event_id: Hashable = field(default_factory=lambda: f"event-{next(_event_counter)}")
     cells: Tuple[int, ...] = field(init=False)
+    point: int = field(init=False, compare=False, repr=False)
 
     # ``(curve tag, key)`` of the last keying; unannotated, so not a field.
     _key_memo = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", dict(self.values))
-        object.__setattr__(self, "cells", self.schema.quantize_event(self.values))
+        cells = self.schema.quantize_event(self.values)
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "point", pack_point(cells, self.schema.order))
 
     def value(self, name: str) -> float:
         """Return the event's value for attribute ``name``."""
@@ -103,24 +112,33 @@ class Subscription:
     ranges:
         Quantised ranges, one per schema attribute, full-range for
         unconstrained attributes (derived).
+    box:
+        ``ranges`` packed (:func:`~repro.geometry.universe.pack_box`), the
+        operand of the match tables' rectangle test and of the covering scan
+        (derived; not compared, not shown, not encoded).
     """
 
     schema: AttributeSchema
     constraints: Mapping[str, Tuple[float, float]]
     sub_id: Hashable = field(default_factory=lambda: f"sub-{next(_subscription_counter)}")
     ranges: Tuple[Tuple[int, int], ...] = field(init=False)
+    box: PackedBox = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "constraints", dict(self.constraints))
-        object.__setattr__(self, "ranges", self.schema.quantize_constraints(self.constraints))
+        ranges = self.schema.quantize_constraints(self.constraints)
+        object.__setattr__(self, "ranges", ranges)
+        object.__setattr__(self, "box", pack_box(ranges, self.schema.order))
 
     # --------------------------------------------------------------- matching
     def matches(self, event: Event) -> bool:
         """Return True when the event satisfies every constraint (on the quantised grid)."""
-        if event.schema is not self.schema and event.schema.names != self.schema.names:
+        if not self.schema.compatible_with(event.schema):
             raise ValueError("event and subscription use different schemas")
         # An early-exit loop, not all() over a generator: this is the linear
-        # matcher's and the delivery audit's per-subscription test.
+        # matcher's and the delivery audit's per-subscription test.  It stays
+        # per attribute, independent of the packed test the match tables
+        # make, so the audit checks that test rather than repeating it.
         for (lo, hi), cell in zip(self.ranges, event.cells):
             if not lo <= cell <= hi:
                 return False
@@ -132,7 +150,7 @@ class Subscription:
         Computed on the quantised grid (the same representation the index
         sees), by per-attribute range containment.
         """
-        if other.schema is not self.schema and other.schema.names != self.schema.names:
+        if not self.schema.compatible_with(other.schema):
             raise ValueError("subscriptions use different schemas")
         return ranges_cover(self.ranges, other.ranges)
 

@@ -26,7 +26,7 @@ import pytest
 from repro.core.approx_dominance import ApproximateDominanceIndex, build_dominance_plan
 from repro.core.covering import ApproximateCoveringDetector, CoveringProfiler
 from repro.geometry.transform import first_covering
-from repro.geometry.universe import Universe
+from repro.geometry.universe import Universe, pack_box, packed_guard
 
 ATTRIBUTES = 2
 ORDER = 5
@@ -78,7 +78,9 @@ def test_profile_check_compares_up_to_the_plan_size_and_probes_above():
             if len(stored) <= profile.plan.cubes:
                 assert result.query is None
                 assert (result.covering_id, result.comparisons) == first_covering(
-                    stored.items(), profile.ranges
+                    ((i, pack_box(r, ORDER)) for i, r in stored.items()),
+                    pack_box(profile.ranges, ORDER),
+                    packed_guard(ATTRIBUTES, ORDER),
                 )
             else:
                 query = detector.index.execute_plan(profile.plan)

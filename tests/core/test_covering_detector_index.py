@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from repro.core.approx_dominance import ApproximateDominanceIndex
 from repro.core.covering import ApproximateCoveringDetector
 from repro.geometry.transform import first_covering
+from repro.geometry.universe import pack_box, packed_guard
 
 ATTRIBUTES = 2
 ORDER = 4
@@ -111,7 +112,11 @@ def test_detector_answers_as_a_bare_dominance_index(epsilon, cube_budget, operat
         else:
             profile = detector.profile(operation[1])
             if len(stored) <= profile.plan.cubes:
-                covering_id, compared = first_covering(stored.items(), profile.ranges)
+                covering_id, compared = first_covering(
+                    ((i, pack_box(r, ORDER)) for i, r in stored.items()),
+                    pack_box(profile.ranges, ORDER),
+                    packed_guard(ATTRIBUTES, ORDER),
+                )
                 expected = outcome(covering_id, None, compared)
             else:
                 query = bare.execute_plan(profile.plan)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.geometry.transform import DominanceTransform, dominates, first_covering, ranges_cover
+from repro.geometry.universe import pack_box, packed_guard
 
 
 class TestDominates:
@@ -117,26 +118,39 @@ class TestDominanceTransform:
         assert t.covers(ranges, ranges)
 
 
+def packed_first_covering(stored, query, exclude=None, order=4):
+    """``first_covering`` on ``(id, ranges)`` pairs and a range query, packed at ``order``."""
+    return first_covering(
+        ((sub_id, pack_box(ranges, order)) for sub_id, ranges in stored),
+        pack_box(query, order),
+        packed_guard(len(query), order),
+        exclude,
+    )
+
+
 class TestFirstCovering:
-    """The one comparison loop of the covering layer, over ``(id, ranges)`` pairs."""
+    """The one comparison loop of the covering layer, over ``(id, box)`` pairs.
+
+    The cases are written as ranges of order 4 and packed on the way in.
+    """
 
     def test_first_cover_in_iteration_order_and_the_comparisons_to_reach_it(self):
         stored = [("a", ((3, 4), (0, 9))), ("b", ((0, 9), (0, 9))), ("c", ((0, 9), (0, 9)))]
-        assert first_covering(stored, ((2, 5), (1, 2))) == ("b", 2)
-        assert first_covering(reversed(stored), ((2, 5), (1, 2))) == ("c", 1)
+        assert packed_first_covering(stored, ((2, 5), (1, 2))) == ("b", 2)
+        assert packed_first_covering(reversed(stored), ((2, 5), (1, 2))) == ("c", 1)
 
     def test_no_cover_compares_everything(self):
         stored = {"a": ((3, 4),), "b": ((0, 1),)}
-        assert first_covering(stored.items(), ((2, 5),)) == (None, 2)
-        assert first_covering(iter(()), ((2, 5),)) == (None, 0)
+        assert packed_first_covering(stored.items(), ((2, 5),)) == (None, 2)
+        assert packed_first_covering(iter(()), ((2, 5),)) == (None, 0)
 
     def test_a_miss_on_a_later_attribute_is_no_cover(self):
         # The first attribute contains the query's; the second does not.
-        assert first_covering([("a", ((0, 9), (4, 6)))], ((2, 5), (3, 5))) == (None, 1)
+        assert packed_first_covering([("a", ((0, 9), (4, 6)))], ((2, 5), (3, 5))) == (None, 1)
 
     def test_exclude_is_skipped_and_not_counted(self):
         stored = [("self", ((2, 5),)), ("wide", ((0, 9),))]
-        assert first_covering(stored, ((2, 5),), exclude="self") == ("wide", 1)
+        assert packed_first_covering(stored, ((2, 5),), exclude="self") == ("wide", 1)
 
     @given(
         stored=st.lists(subscription_strategy(2, 15), max_size=12),
@@ -145,6 +159,6 @@ class TestFirstCovering:
     def test_agrees_with_ranges_cover(self, stored, query):
         pairs = [(i, ranges) for i, ranges in enumerate(stored)]
         covers = [i for i, ranges in pairs if ranges_cover(ranges, query)]
-        witness, compared = first_covering(pairs, query)
+        witness, compared = packed_first_covering(pairs, query)
         assert witness == (covers[0] if covers else None)
         assert compared == (covers[0] + 1 if covers else len(pairs))

@@ -19,8 +19,11 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.geometry.bits import spread_bits
+from repro.geometry.rect import Rectangle
+from repro.geometry.transform import first_covering, ranges_cover
+from repro.geometry.universe import pack_box, packed_guard
 from repro.index.config import IndexConfig
-from repro.pubsub.broker import Broker
+from repro.pubsub.broker import Broker, LinkState
 from repro.pubsub.match_index import MatchIndex
 from repro.pubsub.network import (
     BrokerNetwork,
@@ -32,6 +35,7 @@ from repro.pubsub.routing_table import InterfaceTable, RoutingTable
 from repro.pubsub.schema import Attribute, AttributeSchema
 from repro.pubsub.subscription import Event, Subscription
 from repro.sfc.factory import CURVE_KINDS
+from rect_oracle import contains
 
 DEFAULT_RUN_BUDGET = MatchIndex.RUN_BUDGET
 
@@ -766,43 +770,50 @@ class TestNetworkMatching:
         assert broker0.has_forwarded(1, "later")
 
 
-# Point-in-rectangle tests: ``Subscription.matches`` and the match index's
-# queries are early-exit loops; each must answer exactly what
-# ``all(lo <= c <= hi ...)`` answers.
+# Point-in-rectangle tests: ``Subscription.matches`` is an early-exit loop
+# over the attributes; the match index and a scanning table make the packed
+# test (one integer expression over fields of ``order + 1`` bits).  Each
+# must answer exactly what ``all(lo <= c <= hi ...)`` answers, at every order
+# and number of attributes the packing has to keep apart.
 _ORDER = 4
-_MAX_CELL = (1 << _ORDER) - 1
 
 
 @st.composite
 def rectangle_and_point(draw):
-    """Per-axis ``(lo, hi)`` cell ranges and a point often on or beside a boundary."""
-    dims = draw(st.integers(1, 3))
+    """An order, per-axis ``(lo, hi)`` cell ranges and a point often on or beside a boundary."""
+    order = draw(st.integers(1, 20))
+    max_cell = (1 << order) - 1
+    dims = draw(st.integers(1, 8))
     ranges, cells = [], []
     for _ in range(dims):
-        lo = draw(st.integers(0, _MAX_CELL))
-        hi = draw(st.integers(lo, _MAX_CELL))
-        near = [max(lo - 1, 0), lo, hi, min(hi + 1, _MAX_CELL)]
-        cells.append(draw(st.sampled_from(near) | st.integers(0, _MAX_CELL)))
+        lo = draw(st.integers(0, max_cell))
+        hi = draw(st.integers(lo, max_cell))
+        near = [max(lo - 1, 0), lo, hi, min(hi + 1, max_cell), 0, max_cell]
+        cells.append(draw(st.sampled_from(near) | st.integers(0, max_cell)))
         ranges.append((lo, hi))
-    return tuple(ranges), tuple(cells)
+    return tuple(ranges), tuple(cells), order
+
+
+def identity_schema(dims, order):
+    """A schema whose attribute ``i`` spans ``[0, max cell]``: every integer quantises to itself."""
+    return AttributeSchema(
+        [Attribute(f"a{axis}", 0.0, float((1 << order) - 1)) for axis in range(dims)],
+        order=order,
+    )
 
 
 @given(rectangle_and_point(), st.integers(1, 4))
 # An enclosure's two corners and a cell just outside each of them; then the
 # same rectangle stored under four ids, every one of them reported.
-@example((((4, 9), (10, 14)), (4, 10)), 1)
-@example((((4, 9), (10, 14)), (9, 14)), 1)
-@example((((4, 9), (10, 14)), (3, 10)), 1)
-@example((((4, 9), (10, 14)), (9, 15)), 1)
-@example((((4, 9), (10, 14)), (6, 12)), 4)
+@example((((4, 9), (10, 14)), (4, 10), _ORDER), 1)
+@example((((4, 9), (10, 14)), (9, 14), _ORDER), 1)
+@example((((4, 9), (10, 14)), (3, 10), _ORDER), 1)
+@example((((4, 9), (10, 14)), (9, 15), _ORDER), 1)
+@example((((4, 9), (10, 14)), (6, 12), _ORDER), 4)
 def test_rectangle_checks_equal_all_of_the_axis_tests(case, copies):
-    ranges, cells = case
+    ranges, cells, order = case
     expected = all(lo <= c <= hi for (lo, hi), c in zip(ranges, cells))
-    # An attribute spanning [0, max cell] quantises every integer to itself.
-    schema = AttributeSchema(
-        [Attribute(f"a{axis}", 0.0, float(_MAX_CELL)) for axis in range(len(ranges))],
-        order=_ORDER,
-    )
+    schema = identity_schema(len(ranges), order)
     names = schema.names
     subscription = Subscription(
         schema, {name: (float(lo), float(hi)) for name, (lo, hi) in zip(names, ranges)}
@@ -811,8 +822,74 @@ def test_rectangle_checks_equal_all_of_the_axis_tests(case, copies):
     assert subscription.ranges == ranges and event.cells == cells
     assert subscription.matches(event) is expected
     index = MatchIndex(schema)
+    table = InterfaceTable("scan", schema)
     sub_ids = [f"s{i}" for i in range(copies)]
     for sub_id in sub_ids:
         index.add(sub_id, ranges)
+        table.add(Subscription(schema, subscription.constraints, sub_id=sub_id))
     assert index.any_match(cells) is expected
     assert index.matching_ids(cells) == (sub_ids if expected else [])
+    assert index.any_match(cells, None, event.point) is expected
+    assert table.match_index is None
+    assert table.any_match(event) is expected
+    assert table.matching_ids(event) == ((sub_ids if expected else []), copies)
+
+
+@st.composite
+def nested_boxes(draw):
+    """An order and two boxes whose bounds are often equal, touching or one apart."""
+    order = draw(st.integers(1, 20))
+    max_cell = (1 << order) - 1
+    dims = draw(st.integers(1, 8))
+    outer, inner = [], []
+    for _ in range(dims):
+        lo = draw(st.integers(0, max_cell))
+        hi = draw(st.integers(lo, max_cell))
+        lows = [lo, max(lo - 1, 0), min(lo + 1, max_cell), 0, hi]
+        highs = [hi, max(hi - 1, 0), min(hi + 1, max_cell), max_cell, lo]
+        a = draw(st.sampled_from(lows) | st.integers(0, max_cell))
+        b = draw(st.sampled_from(highs) | st.integers(0, max_cell))
+        outer.append((lo, hi))
+        inner.append((min(a, b), max(a, b)))
+    return order, tuple(outer), tuple(inner)
+
+
+@given(nested_boxes(), st.integers(1, 3))
+# Equal boxes, bounds touching and one apart, at 0 and at the top cell, and a
+# miss on the last attribute only.
+@example((4, ((0, 15),), ((0, 15),)), 1)
+@example((4, ((0, 14),), ((0, 15),)), 2)
+@example((4, ((1, 15),), ((0, 15),)), 1)
+@example((4, ((0, 0),), ((0, 0),)), 1)
+@example((4, ((3, 7), (0, 15)), ((7, 7), (15, 15))), 1)
+@example((4, ((3, 7), (0, 15)), ((7, 8), (15, 15))), 1)
+@example((4, ((0, 15), (0, 15), (2, 5)), ((0, 15), (0, 15), (1, 5))), 3)
+@example((20, ((0, (1 << 20) - 1),) * 8, ((0, (1 << 20) - 1),) * 8), 1)
+@example((20, ((0, (1 << 20) - 2),) * 8, ((0, (1 << 20) - 1),) * 8), 1)
+def test_covering_checks_equal_all_of_the_axis_tests(case, copies):
+    """``first_covering`` and a broker link's check answer as ``ranges_cover``
+    and the rectangle oracle do."""
+    order, outer, inner = case
+    expected = ranges_cover(outer, inner)
+    as_rectangle = lambda ranges: Rectangle(  # noqa: E731
+        tuple(lo for lo, _ in ranges), tuple(hi for _, hi in ranges)
+    )
+    assert contains(as_rectangle(outer), as_rectangle(inner)) is expected
+    guard = packed_guard(len(outer), order)
+    sub_ids = [f"s{i}" for i in range(copies)]
+    stored = [(sub_id, pack_box(outer, order)) for sub_id in sub_ids]
+    first = ("s0", 1) if expected else (None, copies)
+    assert first_covering(stored, pack_box(inner, order), guard) == first
+    schema = identity_schema(len(outer), order)
+    names = schema.names
+    constraints = lambda ranges: {  # noqa: E731
+        name: (float(lo), float(hi)) for name, (lo, hi) in zip(names, ranges)
+    }
+    broker = Broker(0, schema)
+    link = LinkState()
+    for sub_id in sub_ids:
+        link.forwarded[sub_id] = Subscription(schema, constraints(outer), sub_id=sub_id)
+    query = Subscription(schema, constraints(inner))
+    assert query.ranges == inner and link.forwarded["s0"].ranges == outer
+    assert broker._covering_check(link, query.ranges) == first[0]
+    assert broker.stats.covering_check_runs == first[1]

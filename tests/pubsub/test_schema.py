@@ -5,7 +5,9 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.pubsub.routing_table import InterfaceTable
 from repro.pubsub.schema import Attribute, AttributeSchema
+from repro.pubsub.subscription import Event, Subscription
 
 
 def make_schema(order=8):
@@ -128,3 +130,39 @@ class TestRangeQuantisation:
         lo_cell, hi_cell = schema.quantize_range("price", low, high)
         mid = (low + high) / 2
         assert lo_cell <= schema.quantize_value("price", mid) <= hi_cell
+
+
+class TestSchemaCompatibility:
+    """Two schemas are compatible only on the same grid: attributes (names and
+    domains, in order) and order.  Names alone are not enough."""
+
+    def test_compatible_with(self):
+        x = Attribute("x", 0.0, 100.0)
+        schema = AttributeSchema([x], order=4)
+        assert schema.compatible_with(schema)
+        assert schema.compatible_with(AttributeSchema([Attribute("x", 0.0, 100.0)], order=4))
+        assert not schema.compatible_with(AttributeSchema([x], order=10))
+        assert not schema.compatible_with(AttributeSchema([Attribute("x", 0.0, 200.0)], order=4))
+        assert not schema.compatible_with(AttributeSchema([Attribute("y", 0.0, 100.0)], order=4))
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            AttributeSchema([Attribute("x", 0.0, 100.0)], order=10),
+            AttributeSchema([Attribute("x", 0.0, 50.0)], order=4),
+        ],
+        ids=["order", "domain"],
+    )
+    def test_every_site_rejects_a_schema_with_the_same_names(self, other):
+        schema = AttributeSchema([Attribute("x", 0.0, 100.0)], order=4)
+        subscription = Subscription(other, {"x": (90.0, 100.0)}, sub_id="s")
+        event = Event(schema, {"x": 95.0})
+        with pytest.raises(ValueError):
+            subscription.matches(event)
+        with pytest.raises(ValueError):
+            subscription.covers(Subscription(schema, {"x": (90.0, 100.0)}))
+        table = InterfaceTable("i", schema)
+        assert table.match_index is None
+        with pytest.raises(ValueError):
+            table.add(subscription)
+        assert len(table) == 0
