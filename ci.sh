@@ -113,6 +113,11 @@ fi
 # sizes: a 1-bit table and a 2-bit one (the gated tables' grid) with slots
 # staged, so the script keeps running against the store's API.
 python experiments/flat_store_costs.py --slots 4 32 --repeat 1 > /dev/null
+# The same-process A/B of subscribes, as an A/A smoke: the committed HEAD
+# (extracted as a second package) against the working tree, two rounds, so
+# the script keeps running; it exits non-zero when the two sides' routing
+# state differs.
+python experiments/op_ab.py --base HEAD --rounds 2 > /dev/null
 # The in-process soak at its smallest size: the warm-up alone wraps the
 # delivery log several times; audits must stay clean, every per-operation log
 # within RETENTION and the traced heap flat (exits non-zero otherwise).

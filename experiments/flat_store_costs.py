@@ -18,9 +18,11 @@ either sign.
 
 Below the table the script prints the unit costs: ``c_test``, the median
 cost of one staged slot to a probe; ``c_fix`` and ``c_run``, the intercept
-and slope of a least-squares line through the rows' (runs, rebuild) points;
-and their ratios ``c_fix / c_test`` and ``c_run / c_test``, which are
+and slope of a least-squares line through the (runs, rebuild) points of the
+rows of at most ``FIT_SLOTS`` slots (printed beside the fit); and their
+ratios ``c_fix / c_test`` and ``c_run / c_test``, which are
 ``FlatSegmentStore.FLATTEN_TESTS`` and ``RUN_TESTS`` (printed beside them).
+A cost that comes out non-positive gets no ratio: ``-`` and the reason.
 Slots hold the key runs the product configuration stores for stock-scenario
 subscriptions (at most 64 each) on the grid an index of that many
 subscriptions decomposes on: ``bits`` per dimension, which grows with the
@@ -60,6 +62,11 @@ from repro.pubsub.subscription import Subscription  # noqa: E402
 from repro.workloads.scenarios import stock_market_scenario  # noqa: E402
 
 SIZES = (4, 8, 20, 32, 128, 1024, 4096)
+#: The largest table whose rebuild enters the ``c_fix`` / ``c_run`` fit.  The
+#: flattens the cost model prices are those of tables about this small; the
+#: 1,024- and 4,096-slot rebuilds (tens of milliseconds) would own a line
+#: through every row and, on a shared host, drag its intercept below zero.
+FIT_SLOTS = 128
 Ranges = Tuple[Tuple[int, int], ...]
 #: Stock events each probe sweep runs through ``MatchIndex.matching_ids``.
 EVENTS = 2000
@@ -237,21 +244,28 @@ def measure(slots: int, seed: int, repeat: int) -> Dict[str, object]:
     }
 
 
-def unit_costs(rows: Sequence[Dict[str, object]]) -> Dict[str, Optional[float]]:
+def unit_costs(
+    rows: Sequence[Dict[str, object]], fit_slots: int = FIT_SLOTS
+) -> Dict[str, Optional[float]]:
     """``c_test``, ``c_fix`` and ``c_run`` (µs) from the table's rows, and their ratios.
 
-    ``c_fix`` and ``c_run`` need two rows of different run counts, ``c_test``
-    one row with staged slots; what cannot be fitted is ``None``.
+    ``c_fix`` and ``c_run`` are fitted through the rows of at most
+    ``fit_slots`` slots and need two of them with different run counts;
+    ``c_test`` needs one row with staged slots.  What cannot be fitted is
+    ``None``, and so is the ratio of a cost that is not positive.
     """
     per_slot = [row["per_pending_slot_ns"] for row in rows if row["staged"]]
     c_test = statistics.median(per_slot) / 1e3 if per_slot else None
     c_fix = c_run = None
-    runs = [row["runs"] for row in rows]
+    fitted = [row for row in rows if row["slots"] <= fit_slots]
+    runs = [row["runs"] for row in fitted]
     if len(set(runs)) >= 2:
-        c_run, c_fix = statistics.linear_regression(runs, [row["rebuild_us"] for row in rows])
+        c_run, c_fix = statistics.linear_regression(runs, [row["rebuild_us"] for row in fitted])
 
     def ratio(cost: Optional[float]) -> Optional[float]:
-        return None if cost is None or not c_test or c_test <= 0 else cost / c_test
+        if cost is None or cost <= 0 or not c_test or c_test <= 0:
+            return None
+        return cost / c_test
 
     return {
         "c_test_us": c_test,
@@ -262,16 +276,25 @@ def unit_costs(rows: Sequence[Dict[str, object]]) -> Dict[str, Optional[float]]:
     }
 
 
-def format_unit_costs(costs: Dict[str, Optional[float]]) -> str:
+def format_unit_costs(costs: Dict[str, Optional[float]], fit_slots: int = FIT_SLOTS) -> str:
     constants = {
         "c_fix/c_test": f"FlatSegmentStore.FLATTEN_TESTS = {FlatSegmentStore.FLATTEN_TESTS}",
         "c_run/c_test": f"FlatSegmentStore.RUN_TESTS = {FlatSegmentStore.RUN_TESTS}",
     }
+    fit = f"fitted through the rows of at most {fit_slots} slots"
+    beside = {"c_fix_us": fit, "c_run_us": fit}
+    for name, constant in constants.items():
+        for part in name.split("/"):
+            cost = costs[f"{part}_us"]
+            if cost is not None and cost <= 0:
+                constant = f"no ratio: {part} is not positive; {constant}"
+                break
+        beside[name] = constant
     lines = ["unit costs of the cost model:"]
     for name, value in costs.items():
         shown = "-" if value is None else f"{value:.3f}"
-        beside = f"   ({constants[name]})" if name in constants else ""
-        lines.append(f"  {name:13s} {shown}{beside}")
+        note = f"   ({beside[name]})" if name in beside else ""
+        lines.append(f"  {name:13s} {shown}{note}")
     return "\n".join(lines) + "\n"
 
 

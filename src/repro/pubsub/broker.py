@@ -37,8 +37,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
-from ..geometry.transform import Range, first_covering
-from ..geometry.universe import pack_box, packed_guard
+from ..geometry.transform import first_covering
+from ..geometry.universe import PackedBox, packed_guard
 from ..index.config import IndexConfig
 from ..obs.trace import Span, TraceLog, make_detail
 from .routing_table import RoutingTable, check_covering_kind
@@ -92,18 +92,35 @@ class LinkState:
     """What a broker knows about forwarding on one neighbour link.
 
     ``forwarded`` holds the subscriptions sent on the link, by id, in
-    forwarding order: the covering check scans it, and the objects are kept
-    so the link can be re-synced after the neighbour loses state.
-    ``suppressed`` maps each subscription held back to ``(subscription,
-    cover)``, the forwarded subscription it was last found covered by, and
-    ``dependents`` is the reverse map, cover id -> suppressed ids.  A
-    withdrawn cover's dependants are re-checked in their insertion order
-    instead of the whole suppressed set.
+    forwarding order, so the link can be re-synced after the neighbour loses
+    state; ``boxes`` holds their packed boxes
+    (:attr:`~repro.pubsub.subscription.Subscription.box`) by the same ids in
+    the same order, and is what the covering check scans.  :meth:`forward`
+    and :meth:`withdraw` are the only writers of either map, so the two
+    cannot diverge.  ``suppressed`` maps each subscription held back to
+    ``(subscription, cover)``, the forwarded subscription it was last found
+    covered by, and ``dependents`` is the reverse map, cover id -> suppressed
+    ids.  A withdrawn cover's dependants are re-checked in their insertion
+    order instead of the whole suppressed set.
     """
 
     forwarded: Dict[Hashable, Subscription] = field(default_factory=dict)
+    boxes: Dict[Hashable, PackedBox] = field(default_factory=dict)
     suppressed: Dict[Hashable, Tuple[Subscription, Hashable]] = field(default_factory=dict)
     dependents: Dict[Hashable, Dict[Hashable, None]] = field(default_factory=dict)
+
+    def forward(self, subscription: Subscription) -> None:
+        """Record ``subscription`` as forwarded, last in forwarding order."""
+        sub_id = subscription.sub_id
+        self.forwarded[sub_id] = subscription
+        self.boxes[sub_id] = subscription.box
+
+    def withdraw(self, sub_id: Hashable) -> Optional[Subscription]:
+        """Forget the forwarded ``sub_id``; the subscription, or ``None`` if it was not forwarded."""
+        subscription = self.forwarded.pop(sub_id, None)
+        if subscription is not None:
+            del self.boxes[sub_id]
+        return subscription
 
 
 class _Detached:
@@ -193,11 +210,8 @@ class Broker:
         self._client_ordinal: Dict[Hashable, int] = {}
         self._arrivals = 0
         self._transport = _DETACHED
-        # The covering scan's guard (packed boxes over the schema's grid), and
-        # the ranges object whose box it compares next with that box
-        # (_check_subscription hands a subscription's own box over).
+        # The covering scan's guard (packed boxes over the schema's grid).
         self._guard = packed_guard(self.schema.num_attributes, self.schema.order)
-        self._packed: Tuple[Optional[Tuple[Range, ...]], Tuple[int, int]] = (None, (0, 0))
 
     # ------------------------------------------------------------------ wiring
     def _fresh_routing_table(self) -> RoutingTable:
@@ -334,38 +348,22 @@ class Broker:
             self.stats.subscriptions_stored += 1
             self._store.acquire(subscription)
 
-    def _covering_check(self, link: LinkState, ranges: Tuple[Range, ...]) -> Optional[Hashable]:
-        """The first subscription forwarded on ``link`` that covers ``ranges``, or ``None``.
+    def _covering_check(self, link: LinkState, subscription: Subscription) -> Optional[Hashable]:
+        """The first subscription forwarded on ``link`` that covers ``subscription``, or ``None``.
 
-        One exact scan in forwarding order, of the forwarded subscriptions'
-        packed boxes against the box of ``ranges``: the subscription's own
-        when :meth:`_check_subscription` handed it over, packed here
-        otherwise.  ``covering_check_runs`` counts the subscriptions it
-        compared.  Under ``covering="none"`` the decision is counted and
-        nothing is compared.
+        One exact scan in forwarding order of the link's packed boxes
+        (:attr:`LinkState.boxes`) against the box the subscription arrived
+        with: nothing is derived per check, as a subscription reaches every
+        hop with its box packed.  ``covering_check_runs`` counts the
+        subscriptions it compared.  Under ``covering="none"`` the decision is
+        counted and nothing is compared.
         """
         self.stats.covering_checks += 1
         if self.covering == "none":
             return None
-        packed_ranges, box = self._packed
-        if packed_ranges is not ranges:
-            box = pack_box(ranges, self.schema.order)
-            self._packed = (ranges, box)
-        covered_by, compared = first_covering(
-            ((sub_id, sub.box) for sub_id, sub in link.forwarded.items()), box, self._guard
-        )
+        covered_by, compared = first_covering(link.boxes.items(), subscription.box, self._guard)
         self.stats.covering_check_runs += compared
         return covered_by
-
-    def _check_subscription(self, link: LinkState, subscription: Subscription) -> Optional[Hashable]:
-        """:meth:`_covering_check` of ``subscription``, with its box handed over.
-
-        A subscription reaches every broker with its box already packed;
-        packing its ranges again at every hop would cost a subscribe more
-        than the packed scan saves.
-        """
-        self._packed = (subscription.ranges, subscription.box)
-        return self._covering_check(link, subscription.ranges)
 
     def _record_suppression(
         self, link: LinkState, subscription: Subscription, covered_by: Hashable
@@ -393,7 +391,7 @@ class Broker:
         subscription: Subscription,
     ) -> None:
         """Add a subscription to a link's forwarded set and send it."""
-        link.forwarded[subscription.sub_id] = subscription
+        link.forward(subscription)
         self.stats.subscriptions_forwarded += 1
         self._transport.send("subscription", self.broker_id, neighbor_id, subscription)
 
@@ -408,7 +406,7 @@ class Broker:
             # link: re-sending it would double-count state downstream and
             # leave a ghost entry behind after a single withdrawal.
             return
-        covered_by = self._check_subscription(link, subscription)
+        covered_by = self._covering_check(link, subscription)
         if self.trace is not None:
             self.trace.record(
                 Span(
@@ -570,7 +568,7 @@ class Broker:
             # Never forwarded there in the first place: just forget it.
             self._clear_suppression(link, sub_id)
             return
-        if link.forwarded.pop(sub_id, None) is None:
+        if link.withdraw(sub_id) is None:
             return
         self._transport.send("unsubscription", self.broker_id, neighbor_id, sub_id)
         # Subscriptions previously suppressed on this link may have lost their
@@ -581,7 +579,7 @@ class Broker:
         # forwarded set, so its suppression stays sound.
         for pending_id in link.dependents.pop(sub_id, None) or ():
             pending = suppressed[pending_id][0]
-            covered_by = self._check_subscription(link, pending)
+            covered_by = self._covering_check(link, pending)
             if covered_by is not None:
                 # Still covered — by a different survivor; re-home it so the
                 # dependants map stays exact.

@@ -470,18 +470,30 @@ class MatchIndex:
                 cache.store_match_runs((run_key, signatures[i]), entry)
         return entries
 
-    def add(self, sub_id: Hashable, ranges: Sequence[Tuple[int, int]]) -> None:
+    def add(
+        self,
+        sub_id: Hashable,
+        ranges: Sequence[Tuple[int, int]],
+        box: Optional[PackedBox] = None,
+    ) -> None:
         """Index a subscription's quantised per-attribute ranges (replacing any previous).
 
         Validation happens before any mutation, so a rejected replace leaves
-        the previously stored entry intact.
+        the previously stored entry intact.  ``box`` optionally hands over
+        the ranges' packed box, as ``key`` and ``point`` hand an event's over
+        to :meth:`matching_ids`: the caller vouches for both (a
+        :class:`~repro.pubsub.subscription.Subscription`'s ``ranges`` and
+        ``box`` on a compatible schema, as
+        :meth:`~repro.pubsub.routing_table.InterfaceTable.add` passes them),
+        and neither is validated or packed again.
         """
-        rect_ranges, box = self._validate_ranges(ranges)
+        if box is None:
+            ranges, box = self._validate_ranges(ranges)
         if sub_id in self._slot_of:
             self.remove(sub_id)
         if len(self._slot_of) >= self._grow_past:
             self._grow(self._bits_for(len(self._slot_of) + 1))
-        [(runs, coarsened)] = self._runs_for([self._snap_signature(rect_ranges)])
+        [(runs, coarsened)] = self._runs_for([self._snap_signature(ranges)])
         stats = self.stats
         stats.coarsened_subscriptions += coarsened
         slot = self._next_slot

@@ -9,11 +9,17 @@ Covering enters when deciding whether an incoming subscription needs to be
 *forwarded* to a neighbour at all: if a subscription already forwarded to that
 neighbour covers the new one, forwarding is redundant.  The broker decides
 that on each link itself (:meth:`~repro.pubsub.broker.Broker._covering_check`)
-by one exact scan of the subscriptions it has forwarded there;
+by one exact scan of the packed boxes of the subscriptions it has forwarded
+there (:attr:`~repro.pubsub.broker.LinkState.boxes`);
 :data:`COVERING_KINDS` names whether it does.  ``none`` always forwards;
 ``approximate`` runs the scan, which meets the paper's ε-approximate
 contract for every ε.  A reported cover really covers, so suppression never
 costs a delivery.
+
+Neither the scan nor a table's store derives anything per hop: a
+:class:`~repro.pubsub.subscription.Subscription` carries its quantised
+ranges and their packed box from construction, a link scans the boxes, and
+:meth:`InterfaceTable.add` hands both to its match index as they are.
 """
 
 from __future__ import annotations
@@ -107,10 +113,10 @@ class InterfaceTable:
         return sub_id in self._subscriptions
 
     def add(self, subscription: Subscription) -> None:
-        # The schema check runs on every add: a match index validates only
-        # the number of ranges and their bounds.  Index next: MatchIndex.add
-        # and add_batch validate before mutating, so a rejected subscription
-        # leaves table and index consistent.
+        # The schema check runs on every add, before anything is mutated.  A
+        # subscription on a compatible schema has valid ranges by
+        # construction, so the index takes its ranges and packed box as they
+        # are (MatchIndex.add with ``box``: no re-validation, no re-packing).
         sub_id = subscription.sub_id
         subscriptions = self._subscriptions
         if not self.schema.compatible_with(subscription.schema):
@@ -119,7 +125,7 @@ class InterfaceTable:
                 f"{self.interface_id!r}"
             )
         if self._index is not None:
-            self._index.add(sub_id, subscription.ranges)
+            self._index.add(sub_id, subscription.ranges, subscription.box)
         elif len(subscriptions) >= self.SCAN_LIMIT and sub_id not in subscriptions:
             self._build_index(subscription)
         subscriptions[sub_id] = subscription

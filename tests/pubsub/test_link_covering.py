@@ -123,6 +123,11 @@ def assert_suppressions_sound(network):
         }
         for neighbor_id, link in broker._links.items():
             assert set(link.forwarded) <= held
+            # The box map the covering check scans is the forwarded set's,
+            # in the same order, holding each subscription's own box.
+            assert list(link.boxes) == list(link.forwarded)
+            for sub_id, subscription in link.forwarded.items():
+                assert link.boxes[sub_id] is subscription.box
             for sub_id, (subscription, cover_id) in link.suppressed.items():
                 cover = link.forwarded.get(cover_id)
                 assert cover is not None, (broker.broker_id, neighbor_id, sub_id, cover_id)
@@ -137,12 +142,12 @@ def assert_suppressions_sound(network):
 def test_every_witness_is_the_first_forwarded_cover(covering, transport_kind, script):
     check = Broker._covering_check
 
-    def scan_checked(broker, link, ranges):
+    def scan_checked(broker, link, subscription):
         scan = LinearScanCoveringDetector(SCHEMA.num_attributes, SCHEMA.order)
-        for sub_id, subscription in link.forwarded.items():
-            scan.add_subscription(sub_id, subscription.ranges)
-        witness = check(broker, link, ranges)
-        assert witness == (None if covering == "none" else scan.find_covering(ranges))
+        for sub_id, forwarded in link.forwarded.items():
+            scan.add_subscription(sub_id, forwarded.ranges)
+        witness = check(broker, link, subscription)
+        assert witness == (None if covering == "none" else scan.find_covering(subscription.ranges))
         return witness
 
     network = tree_network(SCHEMA, covering, transport_kind, brokers=5)

@@ -757,7 +757,7 @@ class TestNetworkMatching:
         # back (no withdrawal, so no re-check), then let the duplicate
         # arrive.  The scan finds no cover: it is forwarded — and must leave
         # the suppressed set as it goes.
-        broker0._links[1].forwarded.pop("wide", None)
+        broker0._links[1].withdraw("wide")
         broker0.receive_subscription("__local__", narrow)
         assert broker0.has_forwarded(1, "narrow")
         assert "narrow" not in broker0._links[1].suppressed
@@ -836,6 +836,71 @@ def test_rectangle_checks_equal_all_of_the_axis_tests(case, copies):
 
 
 @st.composite
+def rectangles_past_the_scan(draw):
+    """``rectangle_and_point``'s order and attributes, with the rectangles a table
+    scans up to ``SCAN_LIMIT``, the one that builds its index, and one to eight
+    adds into that index (some of them replacing an earlier id), plus probe cells."""
+    ranges, cells, order = draw(rectangle_and_point())
+    max_cell = (1 << order) - 1
+
+    def rectangle():
+        bounds = []
+        for _ in ranges:
+            lo = draw(st.integers(0, max_cell))
+            bounds.append((lo, draw(st.integers(lo, max_cell))))
+        return tuple(bounds)
+
+    built = InterfaceTable.SCAN_LIMIT + 1
+    later = draw(st.integers(1, 8))
+    rects = [ranges] + [rectangle() for _ in range(built - 1 + later)]
+    sub_ids = [f"s{i}" for i in range(built)]
+    for i in range(later):
+        sub_ids.append(draw(st.sampled_from(sub_ids) | st.just(f"s{built + i}")))
+    probes = [cells] + [tuple(lo for lo, _ in rect) for rect in rects[::4]]
+    probes += [tuple(draw(st.integers(0, max_cell)) for _ in ranges) for _ in range(3)]
+    return order, list(zip(sub_ids, rects)), probes
+
+
+@given(rectangles_past_the_scan())
+def test_a_handed_over_box_stores_what_validation_stores(case):
+    """A table past ``SCAN_LIMIT`` hands each subscription's ranges and packed box
+    to its index, which validates and packs neither again; a bare index fed the
+    same ranges through the validating ``add`` ends in the same state and
+    answers the same."""
+    order, items, probes = case
+    schema = identity_schema(len(items[0][1]), order)
+    names = schema.names
+
+    def subscription(sub_id, ranges):
+        constraints = {name: (float(lo), float(hi)) for name, (lo, hi) in zip(names, ranges)}
+        made = Subscription(schema, constraints, sub_id=sub_id)
+        assert made.ranges == ranges
+        return made
+
+    events = [Event(schema, {name: float(c) for name, c in zip(names, cells)}) for cells in probes]
+    built = InterfaceTable.SCAN_LIMIT + 1
+    table = InterfaceTable("t", schema)
+    for sub_id, ranges in items[:built]:
+        table.add(subscription(sub_id, ranges))
+    index = table.match_index
+    assert index is not None
+    bare = MatchIndex(schema)
+    bare.add_batch(items[:built])  # what the table's build loads
+    with patch.object(index, "_validate_ranges", side_effect=AssertionError("re-validated")):
+        for sub_id, ranges in items[built:]:
+            table.add(subscription(sub_id, ranges))
+            bare.add(sub_id, ranges)
+            for event in events:
+                assert table.matching_ids(event)[0] == bare.matching_ids(event.cells)
+    assert index._box_of_slot == bare._box_of_slot
+    assert index._slot_of == bare._slot_of
+    assert index.stats == bare.stats
+    assert index.precision_bits == bare.precision_bits
+    for slot in bare._box_of_slot:
+        assert index._flat.runs_of(slot) == bare._flat.runs_of(slot)
+
+
+@st.composite
 def nested_boxes(draw):
     """An order and two boxes whose bounds are often equal, touching or one apart."""
     order = draw(st.integers(1, 20))
@@ -888,8 +953,8 @@ def test_covering_checks_equal_all_of_the_axis_tests(case, copies):
     broker = Broker(0, schema)
     link = LinkState()
     for sub_id in sub_ids:
-        link.forwarded[sub_id] = Subscription(schema, constraints(outer), sub_id=sub_id)
+        link.forward(Subscription(schema, constraints(outer), sub_id=sub_id))
     query = Subscription(schema, constraints(inner))
     assert query.ranges == inner and link.forwarded["s0"].ranges == outer
-    assert broker._covering_check(link, query.ranges) == first[0]
+    assert broker._covering_check(link, query) == first[0]
     assert broker.stats.covering_check_runs == first[1]
