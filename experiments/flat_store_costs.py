@@ -244,20 +244,18 @@ def measure(slots: int, seed: int, repeat: int) -> Dict[str, object]:
     }
 
 
-def unit_costs(
-    rows: Sequence[Dict[str, object]], fit_slots: int = FIT_SLOTS
-) -> Dict[str, Optional[float]]:
+def unit_costs(rows: Sequence[Dict[str, object]]) -> Dict[str, Optional[float]]:
     """``c_test``, ``c_fix`` and ``c_run`` (µs) from the table's rows, and their ratios.
 
     ``c_fix`` and ``c_run`` are fitted through the rows of at most
-    ``fit_slots`` slots and need two of them with different run counts;
+    :data:`FIT_SLOTS` slots and need two of them with different run counts;
     ``c_test`` needs one row with staged slots.  What cannot be fitted is
     ``None``, and so is the ratio of a cost that is not positive.
     """
     per_slot = [row["per_pending_slot_ns"] for row in rows if row["staged"]]
     c_test = statistics.median(per_slot) / 1e3 if per_slot else None
     c_fix = c_run = None
-    fitted = [row for row in rows if row["slots"] <= fit_slots]
+    fitted = [row for row in rows if row["slots"] <= FIT_SLOTS]
     runs = [row["runs"] for row in fitted]
     if len(set(runs)) >= 2:
         c_run, c_fix = statistics.linear_regression(runs, [row["rebuild_us"] for row in fitted])
@@ -276,12 +274,12 @@ def unit_costs(
     }
 
 
-def format_unit_costs(costs: Dict[str, Optional[float]], fit_slots: int = FIT_SLOTS) -> str:
+def format_unit_costs(costs: Dict[str, Optional[float]]) -> str:
     constants = {
         "c_fix/c_test": f"FlatSegmentStore.FLATTEN_TESTS = {FlatSegmentStore.FLATTEN_TESTS}",
         "c_run/c_test": f"FlatSegmentStore.RUN_TESTS = {FlatSegmentStore.RUN_TESTS}",
     }
-    fit = f"fitted through the rows of at most {fit_slots} slots"
+    fit = f"fitted through the rows of at most {FIT_SLOTS} slots"
     beside = {"c_fix_us": fit, "c_run_us": fit}
     for name, constant in constants.items():
         for part in name.split("/"):

@@ -18,7 +18,7 @@ costs a delivery.
 
 Neither the scan nor a table's store derives anything per hop: a
 :class:`~repro.pubsub.subscription.Subscription` carries its quantised
-ranges and their packed box from construction, a link scans the boxes, and
+ranges and their packed box from construction, and
 :meth:`InterfaceTable.add` hands both to its match index as they are.
 """
 

@@ -842,12 +842,15 @@ def rectangles_past_the_scan(draw):
     adds into that index (some of them replacing an earlier id), plus probe cells."""
     ranges, cells, order = draw(rectangle_and_point())
     max_cell = (1 << order) - 1
+    # The other rectangles come from a drawn seed: a few hundred bounds drawn
+    # one by one would make generating an example cost more than checking it.
+    rng = random.Random(draw(st.integers(0, 2**32)))
 
     def rectangle():
         bounds = []
         for _ in ranges:
-            lo = draw(st.integers(0, max_cell))
-            bounds.append((lo, draw(st.integers(lo, max_cell))))
+            lo = rng.randint(0, max_cell)
+            bounds.append((lo, rng.randint(lo, max_cell)))
         return tuple(bounds)
 
     built = InterfaceTable.SCAN_LIMIT + 1
@@ -857,7 +860,7 @@ def rectangles_past_the_scan(draw):
     for i in range(later):
         sub_ids.append(draw(st.sampled_from(sub_ids) | st.just(f"s{built + i}")))
     probes = [cells] + [tuple(lo for lo, _ in rect) for rect in rects[::4]]
-    probes += [tuple(draw(st.integers(0, max_cell)) for _ in ranges) for _ in range(3)]
+    probes += [tuple(rng.randint(0, max_cell) for _ in ranges) for _ in range(3)]
     return order, list(zip(sub_ids, rects)), probes
 
 
