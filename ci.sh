@@ -116,8 +116,11 @@ python experiments/flat_store_costs.py --slots 4 32 --repeat 1 > /dev/null
 # The same-process A/B of subscribes, as an A/A smoke: the committed HEAD
 # (extracted as a second package) against the working tree, two rounds, so
 # the script keeps running; it exits non-zero when the two sides' routing
-# state differs.
+# state differs.  The publish run on grid12 keeps the simulated side going:
+# there the sides must also agree on the kernel's executed steps, the
+# delivered messages and the delivery count after every round.
 python experiments/op_ab.py --base HEAD --rounds 2 > /dev/null
+python experiments/op_ab.py --base HEAD --overlay grid12 --ops pub --rounds 2 > /dev/null
 # The in-process soak at its smallest size: the warm-up alone wraps the
 # delivery log several times; audits must stay clean, every per-operation log
 # within RETENTION and the traced heap flat (exits non-zero otherwise).

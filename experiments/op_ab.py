@@ -26,7 +26,10 @@ per-round ratios ``base time / working-tree time`` (above 1: the working
 tree is faster) with its quartiles, the µs per operation of each side (median
 over rounds) and the round count.  It exits non-zero when the two sides'
 ``routing_table_entries()`` or ``subscription_messages`` differ after any
-round: the sides must do the same work for the ratio to mean anything.
+round, and on the simulated overlay also when the kernel's executed steps,
+the transport's delivered messages or ``len(network.deliveries)`` differ:
+the sides must do the same work, on the same kernel schedule, for the ratio
+to mean anything.
 
 An experiment, not a test.  From the repository root::
 
@@ -123,7 +126,8 @@ class Side:
         self._event = pubsub.Event
         edges, nodes, topology = _overlay(pubsub, workloads, overlay)
         carrier = None
-        if transport == "sim":
+        self.simulated = transport == "sim"
+        if self.simulated:
             carrier = sim.SimTransport(
                 topology.latency_model(lan=SIM_LAN_DELAY, wan=SIM_WAN_DELAY), seed=seed
             )
@@ -174,8 +178,18 @@ class Side:
         finally:
             gc.enable()
 
-    def state(self) -> Tuple[int, int]:
-        return self.network.routing_table_entries(), self.network.subscription_messages
+    def state(self) -> Dict[str, int]:
+        """What both sides must agree on after a round: the same work, the same schedule."""
+        network = self.network
+        state = {
+            "routing entries": network.routing_table_entries(),
+            "subscription messages": network.subscription_messages,
+        }
+        if self.simulated:
+            state["kernel steps"] = network.transport.kernel.executed
+            state["messages delivered"] = network.transport.stats.messages_delivered
+            state["deliveries"] = len(network.deliveries)
+        return state
 
 
 class OpStream:
@@ -255,8 +269,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             states = {name: side.state() for name, side in sides.items()}
             if states["base"] != states["work"]:
                 print(
-                    f"op_ab: the sides diverged in round {turn}: (routing entries, "
-                    f"subscription messages) base {states['base']}, work {states['work']}",
+                    f"op_ab: the sides diverged in round {turn}: "
+                    f"base {states['base']}, work {states['work']}",
                     file=sys.stderr,
                 )
                 return 1
@@ -270,11 +284,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         q1 = median = q3 = ratios[0]
     per_op = {name: statistics.median(spent) / per_window * 1e6 for name, spent in times.items()}
     print(f"op_ab: {args.ops} on {args.overlay}, seed {args.seed}, base {args.base} vs working tree")
-    print(f"  rounds               {len(ratios)} ({per_window} ops each)")
-    print(f"  base / work time     {median:.3f}  (quartiles {q1:.3f} .. {q3:.3f})")
-    print(f"  us per op, base      {per_op['base']:.1f}")
-    print(f"  us per op, work      {per_op['work']:.1f}")
-    print(f"  routing entries      {states['work'][0]} on both sides")
+    print(f"  rounds                {len(ratios)} ({per_window} ops each)")
+    print(f"  base / work time      {median:.3f}  (quartiles {q1:.3f} .. {q3:.3f})")
+    print(f"  us per op, base       {per_op['base']:.1f}")
+    print(f"  us per op, work       {per_op['work']:.1f}")
+    for name, value in states["work"].items():
+        print(f"  {name:22s}{value} on both sides")
     return 0
 
 

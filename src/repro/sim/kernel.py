@@ -32,7 +32,10 @@ class EventKernel:
     scheduling draws exactly one tie-break value per action, in scheduling
     order, and running calls ``callable(*args)``, so a caller schedules a
     bound method and its arguments instead of building a closure per action.
-    :meth:`run` pops and calls entries in one local loop.
+    :meth:`run` pops and calls entries in one local loop.  The simulated
+    transport pushes its two steps per message onto ``_heap`` itself, with
+    ``_rng.random()`` as the draw and ``_seq + 1`` as the sequence, which is
+    the entry :meth:`schedule_at` would push.
 
     Parameters
     ----------
@@ -82,21 +85,31 @@ class EventKernel:
 
         Returns the number of actions executed by this call.  With ``until``
         the clock still advances to ``until`` when earlier actions ran out, so
-        repeated bounded runs observe a monotonic clock.
+        repeated bounded runs observe a monotonic clock.  :attr:`executed`
+        counts the actions of a run when it returns (or an action raises),
+        not step by step.
         """
         heap = self._heap
         pop = heapq.heappop
         steps = 0
-        while heap:
-            if until is not None and heap[0][0] > until:
-                break
-            if max_steps is not None and steps >= max_steps:
-                break
-            time, _tie, _seq, action, args = pop(heap)
-            self.now = time
-            self.executed += 1
-            action(*args)
-            steps += 1
+        try:
+            if until is None and max_steps is None:
+                # The unbounded run, what every flush is: no per-step bound tests.
+                while heap:
+                    self.now, _tie, _seq, action, args = pop(heap)
+                    steps += 1
+                    action(*args)
+                return steps
+            while heap:
+                if until is not None and heap[0][0] > until:
+                    break
+                if max_steps is not None and steps >= max_steps:
+                    break
+                self.now, _tie, _seq, action, args = pop(heap)
+                steps += 1
+                action(*args)
+        finally:
+            self.executed += steps
         if until is not None and self.now < until:
             self.now = until
         return steps

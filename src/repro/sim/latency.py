@@ -140,9 +140,16 @@ class RegionLatency:
         self.jitter = jitter
 
     def sample(self, sender: Hashable, receiver: Hashable, rng: random.Random) -> float:
-        region_a = self.regions.get(sender, ("solo", sender))
-        region_b = self.regions.get(receiver, ("solo", receiver))
-        base = self.lan if region_a == region_b else self.wan
+        regions = self.regions
+        try:
+            same = regions[sender] == regions[receiver]
+        except KeyError:
+            # An unmapped broker is its own region: no default tuples are
+            # built for the (usual) mapped pair.
+            same = regions.get(sender, ("solo", sender)) == regions.get(
+                receiver, ("solo", receiver)
+            )
+        base = self.lan if same else self.wan
         if self.jitter:
             base += rng.uniform(0.0, self.jitter)
         return base

@@ -20,6 +20,20 @@ subscription, unsubscription and event message between brokers through a
   Brokers can crash, recover and join mid-run; while a broker is down,
   messages addressed to it are dropped and counted.
 
+A simulated message is two kernel steps: ``_arrive`` puts it in its
+broker's inbox (or behind its link's blocked queue), and ``_process`` hands
+it to the broker one service time after the inbox's drain loop reaches it.
+Both are pushed straight onto the kernel's heap with the entry
+:meth:`EventKernel.schedule_at` would push, so seeded schedules repeat bit
+for bit.  In flight a message is a plain tuple (:class:`Message` is the TCP
+transport's).  One record per broker inbox and one per directed link hold
+what the transport knows, so a message costs it one dict lookup where it
+used to cost about eight; a crash retires the broker's inbox record, which
+fences every step scheduled for it before the crash.  With a null dispatch
+a message costs 1.9–2.4 µs in the transport and kernel, against 3.5–4.7 µs
+before (same process, 12 brokers, shared 2-core x86_64 host; README,
+"Simulation subsystem").
+
 Both transports share :class:`TransportStats`: message counters, per-broker
 queue depth high-water marks, end-to-end delivery latencies and per-message
 hop counts, with percentile helpers for reporting.  The latency and hop
@@ -39,6 +53,7 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from heapq import heappush
 from typing import Callable, Deque, Dict, Hashable, Optional, Sequence, Sized, Tuple, Union
 
 from .kernel import EventKernel
@@ -302,6 +317,43 @@ class SyncTransport(Transport):
             self._hops = outer
 
 
+class _Inbox:
+    """One broker's inbox: its queue, draining flag and queue-depth high water.
+
+    ``draining`` is set while a ``_process`` step for it is on the heap;
+    ``high`` mirrors the broker's ``TransportStats.queue_depth_high_water``.
+    A crash sets ``retired``: the steps scheduled for the record before it,
+    and the link records pointing at it, are dead from then on.  ``step`` is
+    the ``(record,)`` argument tuple of its ``_process`` steps.
+    """
+
+    __slots__ = ("broker_id", "queue", "draining", "high", "retired", "step")
+
+    def __init__(self, broker_id: Hashable, high: int) -> None:
+        self.broker_id = broker_id
+        self.queue: Deque[tuple] = deque()
+        self.draining = False
+        self.high = high
+        self.retired = False
+        self.step = (self,)
+
+
+class _Link:
+    """One directed overlay link: its FIFO clock, blocked queue and receiver's inbox.
+
+    ``clock`` is the latest arrival scheduled on the link; ``blocked`` is
+    ``None`` or the messages held behind one a full inbox rejected.  A
+    retired ``inbox`` fences the link's pending retry.
+    """
+
+    __slots__ = ("clock", "blocked", "inbox")
+
+    def __init__(self, inbox: _Inbox) -> None:
+        self.clock = -math.inf
+        self.blocked: Optional[Deque[tuple]] = None
+        self.inbox = inbox
+
+
 class SimTransport(Transport):
     """Discrete-event simulated delivery with latency, bounded queues and churn.
 
@@ -324,6 +376,9 @@ class SimTransport(Transport):
 
     An arrival is delivered when its broker serves it, so an event's hop
     count is one past that of the message whose handling forwarded it.
+
+    In flight a message is the tuple ``(kind, sender, receiver, payload,
+    hops, sent_at, link)``: see the module docstring for its two steps.
     """
 
     def __init__(
@@ -345,23 +400,18 @@ class SimTransport(Transport):
         self.retry_delay = max(4 * service_time, 0.05)
         self.kernel = EventKernel(seed=seed)
         self._rng = random.Random(seed)
-        self._inboxes: Dict[Hashable, Deque[Message]] = {}
-        self._draining: set = set()
-        # Crash fencing.  A crash invalidates every callback scheduled on the
-        # broker's behalf before it: the per-broker drain generation fences
-        # stale ``_process`` callbacks (without it, a drain loop surviving a
-        # crash/recover cycle runs *alongside* the post-recovery loop and the
-        # broker serves at twice its service rate), and the per-link retry
-        # generation fences stale ``_retry_link`` callbacks the same way.
-        self._drain_generation: Dict[Hashable, int] = {}
-        self._retry_generation: Dict[Tuple[Hashable, Hashable], int] = {}
-        # Per-link FIFO state.  Overlay links are ordered channels (the broker
-        # protocol relies on a subscription and its later withdrawal arriving
-        # in order), so arrival times are strictly increasing per link and a
-        # message rejected by a full inbox holds back its link's successors
-        # instead of being overtaken.
-        self._link_clock: Dict[Tuple[Hashable, Hashable], float] = {}
-        self._link_blocked: Dict[Tuple[Hashable, Hashable], Deque[Message]] = {}
+        self._inboxes: Dict[Hashable, _Inbox] = {}
+        # Overlay links are ordered channels (the broker protocol relies on a
+        # subscription and its later withdrawal arriving in order), so
+        # arrival times are strictly increasing per link and a message
+        # rejected by a full inbox holds back its link's successors instead
+        # of being overtaken.
+        self._links: Dict[Tuple[Hashable, Hashable], _Link] = {}
+        # Looked up once: the kernel's heap and draw, the two step actions.
+        self._heap = self.kernel._heap
+        self._tie = self.kernel._rng.random
+        self._arrive_step = self._arrive
+        self._process_step = self._process
 
     @property
     def now(self) -> float:
@@ -370,109 +420,125 @@ class SimTransport(Transport):
     # ---------------------------------------------------------------- messaging
     def send(self, kind: str, sender: Hashable, receiver: Hashable, payload: object) -> None:
         self.stats.messages_sent += 1
-        message = Message(
+        kernel = self.kernel
+        now = kernel.now
+        link = self._links.get((sender, receiver)) or self._open_link(sender, receiver)
+        arrival = now + self.latency.sample(sender, receiver, self._rng)
+        if arrival <= link.clock:
+            arrival = math.nextafter(link.clock, math.inf)
+        if arrival < now:
+            raise ValueError(f"cannot schedule at t={arrival} in the past (now={now})")
+        link.clock = arrival
+        message = (
             kind,
             sender,
             receiver,
             payload,
-            hops=self._next_hops(kind),
-            sent_at=self.kernel.now,
+            self._hops + 1 if kind == "event" else 1,
+            now,
+            link,
         )
-        delay = self.latency.sample(sender, receiver, self._rng)
-        link = (sender, receiver)
-        arrival = self.kernel.now + delay
-        floor = self._link_clock.get(link)
-        if floor is not None and arrival <= floor:
-            arrival = math.nextafter(floor, math.inf)
-        self._link_clock[link] = arrival
-        self.kernel.schedule_at(arrival, self._arrive, message)
+        kernel._seq = seq = kernel._seq + 1
+        heappush(self._heap, (arrival, self._tie(), seq, self._arrive_step, (message,)))
 
-    def _arrive(self, message: Message) -> None:
-        if not self.is_up(message.receiver):
+    def _open_link(self, sender: Hashable, receiver: Hashable) -> _Link:
+        """The record of a link with nothing sent on it yet (or since its receiver's crash)."""
+        inbox = self._inboxes.get(receiver)
+        if inbox is None:
+            high = self.stats.queue_depth_high_water.get(receiver, 0)
+            inbox = self._inboxes[receiver] = _Inbox(receiver, high)
+        link = self._links[(sender, receiver)] = _Link(inbox)
+        return link
+
+    def _arrive(self, message: tuple) -> None:
+        if message[2] in self._down:
             self.stats.messages_dropped += 1
             return
-        link = (message.sender, message.receiver)
-        blocked = self._link_blocked.get(link)
-        if blocked:
+        link = message[6]
+        if link.inbox.retired:
+            # Sent before the receiver's crash, arriving after its recovery:
+            # the link's channel is the one opened since.
+            link = self._links.get(message[1:3]) or self._open_link(message[1], message[2])
+        if link.blocked:
             # An earlier message on this link is waiting for inbox space; queue
             # behind it so the link stays FIFO.
-            blocked.append(message)
-            return
-        if not self._try_enqueue(message):
-            self._link_blocked[link] = deque([message])
+            link.blocked.append(message)
+        elif not self._admit(link.inbox, message):
+            link.blocked = deque((message,))
             self.stats.backpressure_retries += 1
-            self._schedule_retry(link)
+            self.kernel.schedule(self.retry_delay, self._retry_link, link)
 
-    def _schedule_retry(self, link: Tuple[Hashable, Hashable]) -> None:
-        generation = self._retry_generation.get(link, 0)
-        self.kernel.schedule(self.retry_delay, self._retry_link, link, generation)
-
-    def _retry_link(self, link: Tuple[Hashable, Hashable], generation: int) -> None:
-        if generation != self._retry_generation.get(link, 0):
-            # Scheduled before a crash purged this link's blocked queue; a
-            # fresh post-recovery queue (if any) has its own retry chain.
+    def _retry_link(self, link: _Link) -> None:
+        inbox = link.inbox
+        if inbox.retired:
+            # Scheduled before the receiver's crash dropped this blocked
+            # queue; a post-recovery queue has its own retry chain.
             return
-        blocked = self._link_blocked.get(link)
-        if not blocked:
-            self._link_blocked.pop(link, None)
-            return
-        receiver = link[1]
-        if not self.is_up(receiver):
-            self.stats.messages_dropped += len(blocked)
-            self._link_blocked.pop(link, None)
-            return
+        blocked = link.blocked
         while blocked:
-            if not self._try_enqueue(blocked[0]):
+            if not self._admit(inbox, blocked[0]):
                 self.stats.backpressure_retries += 1
-                self._schedule_retry(link)
+                self.kernel.schedule(self.retry_delay, self._retry_link, link)
                 return
             blocked.popleft()
-        self._link_blocked.pop(link, None)
+        link.blocked = None
 
-    def _try_enqueue(self, message: Message) -> bool:
-        """Admit a message to the receiver's inbox; False when it is full."""
-        inbox = self._inboxes.setdefault(message.receiver, deque())
-        if len(inbox) >= self.inbox_capacity:
+    def _admit(self, inbox: _Inbox, message: tuple) -> bool:
+        """Append a message to an inbox and start its drain loop; False when it is full."""
+        queue = inbox.queue
+        if len(queue) >= self.inbox_capacity:
             return False
-        inbox.append(message)
-        depth = len(inbox)
-        high_water = self.stats.queue_depth_high_water
-        if depth > high_water.get(message.receiver, 0):
-            high_water[message.receiver] = depth
-        if depth > self.stats.max_queue_depth:
-            self.stats.max_queue_depth = depth
-        if message.receiver not in self._draining:
-            self._draining.add(message.receiver)
-            self._schedule_process(message.receiver)
+        queue.append(message)
+        depth = len(queue)
+        if depth > inbox.high:
+            inbox.high = depth
+            stats = self.stats
+            stats.queue_depth_high_water[inbox.broker_id] = depth
+            if depth > stats.max_queue_depth:
+                stats.max_queue_depth = depth
+        if not inbox.draining:
+            inbox.draining = True
+            kernel = self.kernel
+            kernel._seq = seq = kernel._seq + 1
+            heappush(
+                self._heap,
+                (kernel.now + self.service_time, self._tie(), seq, self._process_step, inbox.step),
+            )
         return True
 
-    def _schedule_process(self, broker_id: Hashable) -> None:
-        generation = self._drain_generation.get(broker_id, 0)
-        self.kernel.schedule(self.service_time, self._process, broker_id, generation)
-
-    def _process(self, broker_id: Hashable, generation: int) -> None:
-        if generation != self._drain_generation.get(broker_id, 0):
+    def _process(self, inbox: _Inbox) -> None:
+        if inbox.retired:
             # Scheduled before a crash: the post-recovery drain loop (if any)
-            # owns the inbox now; a stale loop running alongside it would
-            # serve the broker at a multiple of its service rate.
+            # owns the broker's new inbox; a stale loop running alongside it
+            # would serve the broker at a multiple of its service rate.
             return
-        inbox = self._inboxes.get(broker_id)
-        if not inbox or not self.is_up(broker_id):
-            self._draining.discard(broker_id)
-            return
-        message = inbox.popleft()
-        self._deliver(
-            message.kind,
-            message.sender,
-            message.receiver,
-            message.payload,
-            message.hops,
-            message.sent_at,
-        )
-        if inbox:
-            self._schedule_process(broker_id)
+        queue = inbox.queue
+        kind, sender, receiver, payload, hops, sent_at, _link = queue.popleft()
+        # Transport._deliver, inline.
+        stats = self.stats
+        stats.messages_delivered += 1
+        kernel = self.kernel
+        if kind == "event":
+            latency = kernel.now - sent_at
+            stats.hop_counts.append(hops)
+            stats.hop_latencies.append(latency)
+            observe = self._observe_arrival
+            if observe is not None:
+                observe(sender, receiver, payload, hops, sent_at, latency)
+        outer = self._hops
+        self._hops = hops
+        try:
+            self.network._dispatch(kind, sender, receiver, payload)
+        finally:
+            self._hops = outer
+        if queue:
+            kernel._seq = seq = kernel._seq + 1
+            heappush(
+                self._heap,
+                (kernel.now + self.service_time, self._tie(), seq, self._process_step, inbox.step),
+            )
         else:
-            self._draining.discard(broker_id)
+            inbox.draining = False
 
     def flush(self) -> int:
         """Run the kernel until no message is in flight anywhere."""
@@ -482,24 +548,21 @@ class SimTransport(Transport):
     def mark_down(self, broker_id: Hashable) -> None:
         """Crash a broker: its queued inbox is lost along with future arrivals.
 
-        Every per-broker and per-incoming-link structure is purged, so a
-        broker that never recovers leaves nothing behind (bounded state under
-        churn), and the drain/retry generations are bumped so callbacks
-        scheduled before the crash cannot act after it.  Purging the link
-        clocks means the FIFO guarantee does not span a crash: an incoming
-        link's channel is reset exactly like a dropped TCP connection.
+        The broker's inbox record and every record of a link into it are
+        retired and removed, so a broker that never recovers leaves nothing
+        behind (bounded state under churn) and steps scheduled before the
+        crash cannot act after it.  Dropping the link records means the FIFO
+        guarantee does not span a crash: an incoming link's channel is reset
+        exactly like a dropped TCP connection.
         """
         super().mark_down(broker_id)
+        stats = self.stats
         inbox = self._inboxes.pop(broker_id, None)
-        if inbox:
-            self.stats.messages_dropped += len(inbox)
-        for link in list(self._link_blocked):
-            if link[1] == broker_id:
-                self.stats.messages_dropped += len(self._link_blocked[link])
-                del self._link_blocked[link]
-                self._retry_generation[link] = self._retry_generation.get(link, 0) + 1
-        for link in list(self._link_clock):
-            if link[1] == broker_id:
-                del self._link_clock[link]
-        self._draining.discard(broker_id)
-        self._drain_generation[broker_id] = self._drain_generation.get(broker_id, 0) + 1
+        if inbox is not None:
+            inbox.retired = True
+            stats.messages_dropped += len(inbox.queue)
+            inbox.queue.clear()
+        for key in [key for key in self._links if key[1] == broker_id]:
+            blocked = self._links.pop(key).blocked
+            if blocked:
+                stats.messages_dropped += len(blocked)

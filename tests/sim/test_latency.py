@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from repro.sim.latency import (
     DistanceLatency,
     FixedLatency,
+    RegionLatency,
     UniformJitterLatency,
     make_latency_model,
     random_positions,
@@ -41,6 +43,19 @@ class TestModels:
         assert model.sample("a", "c", rng) == pytest.approx(1.1)
         # Unknown broker falls back to the base delay.
         assert model.sample("a", "ghost", rng) == pytest.approx(0.1)
+
+    def test_region_sample_equals_the_defaulted_lookup(self):
+        # The model looks both brokers up without a default first; every pair
+        # must get what the defaulted lookup it replaced gives, unmapped
+        # brokers, None labels and a label equal to a default included.
+        regions = {0: "eu", 1: "eu", 2: None, 3: None, 4: ("solo", 5), 6: 1.0, 7: 1}
+        model = RegionLatency(regions, lan=0.01, wan=0.4)
+        for sender, receiver in itertools.product(range(9), repeat=2):
+            same = regions.get(sender, ("solo", sender)) == regions.get(
+                receiver, ("solo", receiver)
+            )
+            expected = model.lan if same else model.wan
+            assert model.sample(sender, receiver, random.Random(0)) == expected
 
     def test_random_positions_deterministic(self):
         assert random_positions(range(5), seed=2) == random_positions(range(5), seed=2)

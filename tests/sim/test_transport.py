@@ -404,11 +404,15 @@ class TestCrashLifecycleRegressions:
                 1, Event(schema, {"x": 10.0, "y": 1.0}, event_id=f"e{j}")
             )
         transport.kernel.run(until=transport.now + 0.3)
+        inbox = transport._inboxes[2]
+        assert inbox.draining and transport._links[(1, 2)].blocked
         network.crash_broker(2)
-        assert not any(link[1] == 2 for link in transport._link_blocked)
-        assert not any(link[1] == 2 for link in transport._link_clock)
+        # The link records (clock and blocked queue) and the inbox record
+        # (queue and draining flag) are gone; the retired inbox fences the
+        # steps scheduled for it and the retry of the dropped blocked queue.
+        assert not any(link[1] == 2 for link in transport._links)
         assert 2 not in transport._inboxes
-        assert 2 not in transport._draining
+        assert inbox.retired and not inbox.queue
         network.flush()
 
     def test_link_state_bounded_after_dynamic_churn(self, schema):
@@ -436,7 +440,7 @@ class TestCrashLifecycleRegressions:
         directed_edges = {
             (a, b) for edge in network.graph.edges for (a, b) in (edge, edge[::-1])
         }
-        assert transport._link_blocked == {}
-        assert set(transport._link_clock) <= directed_edges
+        assert all(link.blocked is None for link in transport._links.values())
+        assert set(transport._links) <= directed_edges
         assert set(transport._inboxes) <= set(network.brokers)
-        assert transport._draining == set()
+        assert not any(inbox.draining or inbox.queue for inbox in transport._inboxes.values())
