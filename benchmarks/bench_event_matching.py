@@ -16,12 +16,16 @@ from __future__ import annotations
 import os
 
 from repro.analysis.experiments import run_event_matching_experiment
+from repro.pubsub.routing_table import InterfaceTable
 
 _SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
+#: The smoke sizes: the smallest table that builds its index (a table that
+#: still scans makes the experiment raise) and one three times the scan limit.
+_SMOKE_SIZES = (InterfaceTable.SCAN_LIMIT + 1, 3 * InterfaceTable.SCAN_LIMIT)
 
 
 def test_event_matching_crossover(run_once, record_table):
-    sizes = (50, 150) if _SMOKE else (100, 1_000, 2_000)
+    sizes = _SMOKE_SIZES if _SMOKE else (100, 1_000, 2_000)
     num_events = 40 if _SMOKE else 400
     table = run_once(
         run_event_matching_experiment,

@@ -113,6 +113,10 @@ fi
 # sizes: a 1-bit table and a 2-bit one (the gated tables' grid) with slots
 # staged, so the script keeps running against the store's API.
 python experiments/flat_store_costs.py --slots 4 32 --repeat 1 > /dev/null
+# Where an interface table's index starts to beat its scan (SCAN_LIMIT's
+# crossover), at two small sizes, so the script keeps running against the
+# table's API; tests/index/test_flat_store_costs.py pins its arithmetic.
+python experiments/scan_crossover.py --sizes 8 16 --repeat 1 > /dev/null
 # The same-process A/B of subscribes, as an A/A smoke: the committed HEAD
 # (extracted as a second package) against the working tree, two rounds, so
 # the script keeps running; it exits non-zero when the two sides' routing

@@ -21,10 +21,13 @@ both sides, each turning it into its own package's objects first, untimed:
 
 Inside a timed window the collector is off (it runs, and is collected,
 between windows), and which side runs first alternates from round to round.
-One untimed warm-up round comes first.  The script prints the median of the
-per-round ratios ``base time / working-tree time`` (above 1: the working
-tree is faster) with its quartiles, the µs per operation of each side (median
-over rounds) and the round count.  It exits non-zero when the two sides'
+One untimed warm-up round comes first.  Every operation is timed on its own
+(a subscribe or withdrawal with its flush) and summed per kind.  The script
+prints the median of the per-round ratios ``base time / working-tree time``
+(above 1: the working tree is faster) with its quartiles, for the whole
+window and, under ``--ops sub``, for subscribes and withdrawals apart; the
+µs per operation of each side and kind (median over rounds); and the round
+count.  It exits non-zero when the two sides'
 ``routing_table_entries()`` or ``subscription_messages`` differ after any
 round, and on the simulated overlay also when the kernel's executed steps,
 the transport's delivered messages or ``len(network.deliveries)`` differ:
@@ -152,29 +155,39 @@ class Side:
             )
         self.network.flush()
 
-    def run(self, ops: Sequence[Op]) -> float:
-        """Seconds the window's operations take, with the collector off."""
+    def run(self, ops: Sequence[Op]) -> Dict[str, float]:
+        """Seconds the window's operations take per kind, with the collector off.
+
+        Each operation is timed on its own (a subscribe or withdrawal with its
+        flush), and the times are summed by kind: ``sub``, ``unsub``, ``pub``.
+        """
         network = self.network
         schema = self.schema
-        flush = (network.flush, ())
         calls = []
         for op in ops:
             if op[0] == "sub":
                 _, broker, client, sub_id, constraints = op
                 subscription = self._subscription(schema, constraints, sub_id=sub_id)
-                calls += [(network.subscribe, (broker, client, subscription)), flush]
+                calls.append(("sub", network.subscribe, (broker, client, subscription)))
             elif op[0] == "unsub":
-                calls += [(network.unsubscribe, op[1:]), flush]
+                calls.append(("unsub", network.unsubscribe, op[1:]))
             else:
                 _, broker, event_id, values = op
-                calls.append((network.publish, (broker, self._event(schema, values, event_id))))
+                event = self._event(schema, values, event_id)
+                calls.append(("pub", network.publish, (broker, event)))
+        spent = dict.fromkeys({kind for kind, _, _ in calls}, 0.0)
+        flush = network.flush
+        clock = time.perf_counter
         gc.collect()
         gc.disable()
         try:
-            start = time.perf_counter()
-            for call, args in calls:
+            for kind, call, args in calls:
+                start = clock()
                 call(*args)
-            return time.perf_counter() - start
+                if kind != "pub":
+                    flush()
+                spent[kind] += clock() - start
+            return spent
         finally:
             gc.enable()
 
@@ -241,6 +254,20 @@ class OpStream:
         return [self._subscribe() if kind == "sub" else self._unsubscribe() for kind in kinds]
 
 
+#: Operation kind -> what the report calls one.
+KINDS = {"sub": "subscribe", "unsub": "withdrawal", "pub": "publish"}
+
+
+def _ratio(base: Sequence[float], work: Sequence[float]) -> str:
+    """The median of the per-round ratios ``base / work``, with its quartiles."""
+    ratios = [b / w for b, w in zip(base, work)]
+    if len(ratios) >= 2:
+        q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
+    else:
+        q1 = median = q3 = ratios[0]
+    return f"{median:.3f}  (quartiles {q1:.3f} .. {q3:.3f})"
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="the revision the working tree is compared with")
@@ -259,11 +286,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         stream = OpStream(args.overlay, args.seed, brokers)
         for side in sides.values():
             side.preload(stream.preload)
-        times: Dict[str, List[float]] = {"base": [], "work": []}
-        per_window = 0
+        # side -> operation kind -> seconds per round
+        times: Dict[str, Dict[str, List[float]]] = {"base": {}, "work": {}}
+        counts: Dict[str, int] = {}
         for turn in range(args.rounds + 1):  # the first round warms up, untimed
             ops = stream.window(args.ops)
-            per_window = len(ops)
+            counts = {kind: sum(op[0] == kind for op in ops) for kind in {op[0] for op in ops}}
             order = ("base", "work") if turn % 2 == 0 else ("work", "base")
             took = {name: sides[name].run(ops) for name in order}
             states = {name: side.state() for name, side in sides.items()}
@@ -275,21 +303,25 @@ def main(argv: Sequence[str] | None = None) -> int:
                 )
                 return 1
             if turn:
-                for name in times:
-                    times[name].append(took[name])
-    ratios = [b / w for b, w in zip(times["base"], times["work"])]
-    if len(ratios) >= 2:
-        q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
-    else:
-        q1 = median = q3 = ratios[0]
-    per_op = {name: statistics.median(spent) / per_window * 1e6 for name, spent in times.items()}
+                for name, spent in took.items():
+                    for kind, seconds in spent.items():
+                        times[name].setdefault(kind, []).append(seconds)
+    def line(label: str, value: object) -> None:
+        print(f"  {label:28s}{value}")
+
     print(f"op_ab: {args.ops} on {args.overlay}, seed {args.seed}, base {args.base} vs working tree")
-    print(f"  rounds                {len(ratios)} ({per_window} ops each)")
-    print(f"  base / work time      {median:.3f}  (quartiles {q1:.3f} .. {q3:.3f})")
-    print(f"  us per op, base       {per_op['base']:.1f}")
-    print(f"  us per op, work       {per_op['work']:.1f}")
+    line("rounds", f"{args.rounds} ({sum(counts.values())} ops each)")
+    window = {name: [sum(spent) for spent in zip(*by_kind.values())] for name, by_kind in times.items()}
+    line("base / work time", _ratio(window["base"], window["work"]))
+    for kind in sorted(counts, key=list(KINDS).index):
+        label = KINDS[kind]
+        if len(counts) > 1:
+            line(f"{label}s, base / work", _ratio(times["base"][kind], times["work"][kind]))
+        for name in times:
+            per_op = statistics.median(times[name][kind]) / counts[kind] * 1e6
+            line(f"us per {label}, {name}", f"{per_op:.1f}")
     for name, value in states["work"].items():
-        print(f"  {name:22s}{value} on both sides")
+        line(name, f"{value} on both sides")
     return 0
 
 

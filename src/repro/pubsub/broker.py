@@ -597,31 +597,35 @@ class Broker:
     def publish_batch(self, events: Sequence[Event]) -> None:
         """Inject a batch of locally published events.
 
-        The events' curve keys are computed in one pass (sharing
-        per-coordinate spreading work across the batch) and remembered on the
-        events, where routing reads them.
+        When one of this broker's tables has an index, the events' curve
+        keys are computed in one pass (sharing per-coordinate spreading work
+        across the batch) and remembered on the events, where indexed tables
+        read them; a broker whose tables all scan keys nothing.
         """
         events = list(events)
-        self.routing_table.event_keys(events)
+        tables = self.routing_table.interface_tables().values()
+        if any(table.match_index is not None for table in tables):
+            self.routing_table.event_keys(events)
         for event in events:
             self.receive_event(LOCAL_INTERFACE, event)
 
     def receive_event(self, from_interface: Hashable, event: Event) -> None:
         """Deliver an event locally and forward it along matching interfaces.
 
-        The event's SFC key is read off the event (remembered there by
-        :meth:`~repro.pubsub.routing_table.RoutingTable.event_key` /
-        ``event_keys``) or computed, once per ``Event`` object, and shared by
-        the local-delivery probe and every neighbour probe.
+        No key is computed here: a table that has built its match index asks
+        :meth:`~repro.pubsub.routing_table.RoutingTable.event_key` for the
+        event's SFC key when it probes, which keys the ``Event`` object once
+        and remembers it on the event for every later probe, at this broker
+        and at any other the same object reaches.  A table that scans never
+        asks, so an event that meets only scanning tables is never keyed.
         """
         self.stats.events_received += 1
-        key = self.routing_table.event_key(event)
-        delivered = self._deliver_locally(event, key)
+        delivered = self._deliver_locally(event)
         # Neighbour tables only need "does anything match?"; the local-client
         # table was just asked the fuller question by _deliver_locally.
         forwarded_to: List[Hashable] = []
         for interface_id in self.routing_table.matching_interfaces(
-            event, exclude=from_interface, key=key, among=self._links
+            event, exclude=from_interface, among=self._links
         ):
             self.stats.events_forwarded += 1
             forwarded_to.append(interface_id)
@@ -642,7 +646,7 @@ class Broker:
                 )
             )
 
-    def _deliver_locally(self, event: Event, key: int) -> int:
+    def _deliver_locally(self, event: Event) -> int:
         """Hand ``event`` to every local client with a matching subscription.
 
         One probe of the local-client table (a scan while the table is small,
@@ -657,7 +661,7 @@ class Broker:
         table = self.routing_table.interface_tables().get(LOCAL_INTERFACE)
         if table is None:
             return 0
-        matched, tests = table.matching_ids(event, key)
+        matched, tests = table.matching_ids(event)
         self.stats.match_tests += tests
         if not matched:
             return 0

@@ -16,6 +16,14 @@ there (:attr:`~repro.pubsub.broker.LinkState.boxes`);
 contract for every ε.  A reported cover really covers, so suppression never
 costs a delivery.
 
+A table answers "does anything here match?" by scanning its subscriptions
+while it holds at most :attr:`InterfaceTable.SCAN_LIMIT` of them, and
+through a :class:`~repro.pubsub.match_index.MatchIndex` after: the limit is
+the table size from which an index's cheaper probe pays for its dearer
+writes, as ``experiments/scan_crossover.py`` measures it.  Only an indexed
+table reads an event's curve key, through :meth:`RoutingTable.event_key`,
+so an event that meets only scanning tables is never keyed.
+
 Neither the scan nor a table's store derives anything per hop: a
 :class:`~repro.pubsub.subscription.Subscription` carries its quantised
 ranges and their packed box from construction, and
@@ -25,11 +33,10 @@ ranges and their packed box from construction, and
 from __future__ import annotations
 
 from dataclasses import asdict, replace
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from ..geometry.universe import Universe, packed_guard
 from ..index.config import IndexConfig
-from ..index.sfc_array import FlatSegmentStore
 from ..sfc.base import SpaceFillingCurve
 from ..sfc.factory import make_curve
 from .match_index import MatchIndex, MatchIndexStats
@@ -58,6 +65,11 @@ def check_covering_kind(kind: str) -> None:
         )
 
 
+def _unkeyed(event: Event) -> None:
+    """No shared key: the index of a table outside a routing table keys the cells itself."""
+    return None
+
+
 class InterfaceTable:
     """Subscriptions learnt through a single interface.
 
@@ -65,23 +77,24 @@ class InterfaceTable:
     :meth:`any_match` / :meth:`matching_ids` by scanning them with the
     rectangle test; the add that takes it past builds a
     :class:`~repro.pubsub.match_index.MatchIndex` over all of them in one
-    bulk load, kept for the table's life.  The limit is the flat store's
-    write-side staging ceiling, :data:`FlatSegmentStore.PENDING_SLOTS`: an
-    index that small may hold every subscription staged, testing each by
-    rectangle on every probe, and the scan makes those tests in the same
-    order without the index's keying, interning and staging on every write.
-    An index flattens its staged slots once its probes have paid for the
-    sweep, which a small table probed on every publish would soon do; the
-    scan's limit is left where the ceiling is until that is measured on
-    tables this small (ROADMAP).  The index is built
-    under the routing table's :class:`~repro.index.config.IndexConfig`, so
-    the event key the routing table computes once per event goes straight to
-    its probe.
+    bulk load, kept for the table's life.  The limit is where the index
+    starts to pay for itself, measured (``experiments/scan_crossover.py``):
+    below it a probe of a flattened index costs about what the scan costs,
+    and the index's write side (key runs, slot interning, staging,
+    tombstones, compaction sweeps) costs about 25 times the scan's dict
+    write.  The index is built under the routing table's
+    :class:`~repro.index.config.IndexConfig`, and only an indexed table
+    reads the event's curve key: it asks ``event_key`` (the routing table's
+    :meth:`RoutingTable.event_key`, which keys an ``Event`` object once and
+    remembers it) on each probe; a scanning table never does.  A table made
+    outside a routing table has no such function, and its index keys the
+    event's cells itself.
     """
 
-    #: Subscriptions a table scans before it builds its index (the store's
-    #: write-side staging ceiling).
-    SCAN_LIMIT = FlatSegmentStore.PENDING_SLOTS
+    #: Subscriptions a table scans before it builds its index: the
+    #: ``matching_ids`` crossover ``experiments/scan_crossover.py`` measures
+    #: at 10 probes per write (61–72 over four runs on a 2-core host).
+    SCAN_LIMIT = 64
 
     def __init__(
         self,
@@ -89,11 +102,13 @@ class InterfaceTable:
         schema: AttributeSchema,
         config: Optional[IndexConfig] = None,
         run_cache: Optional[ProfileCache] = None,
+        event_key: Optional[Callable[[Event], Optional[int]]] = None,
     ) -> None:
         self.interface_id = interface_id
         self.schema = schema
         self.config = config or IndexConfig()
         self._run_cache = run_cache
+        self._event_key = event_key or _unkeyed
         self._subscriptions: Dict[Hashable, Subscription] = {}
         self._guard = packed_guard(schema.num_attributes, schema.order)
         self._index = None
@@ -156,21 +171,18 @@ class InterfaceTable:
         return stats
 
     # --------------------------------------------------------------- queries
-    # The scan makes the tests an index of SCAN_LIMIT staged slots makes, in
-    # the same order, and counts them the same way: every test in
-    # ``candidates_checked``, every rejection in ``false_positives``.  The
-    # test is the index's packed one, on the subscription's ``box`` and the
-    # event's ``point`` (see ``MatchIndex.any_match``).
-    def matching_ids(
-        self, event: Event, key: Optional[int] = None
-    ) -> Tuple[List[Hashable], int]:
+    # The scan tests every stored subscription in table order and counts as
+    # an index probe counts: every test in ``candidates_checked``, every
+    # rejection in ``false_positives``.  The test is the index's packed one,
+    # on the subscription's ``box`` and the event's ``point`` (see
+    # ``MatchIndex.any_match``).  Only the index branch reads the event's key.
+    def matching_ids(self, event: Event) -> Tuple[List[Hashable], int]:
         """Ids of the stored subscriptions matching ``event``, and what finding them cost.
 
         The second item is the number of rectangle tests made: every stored
         subscription while the table scans, the candidates of one index
-        probe once it has an index.  ``key`` optionally supplies the event's
-        precomputed SFC key (the scan needs none).  Matches come in table
-        order while the table scans and in the index's slot order after.
+        probe once it has an index.  Matches come in table order while the
+        table scans and in the index's slot order after.
         """
         index = self._index
         if index is None:
@@ -189,13 +201,13 @@ class InterfaceTable:
             stats.false_positives += tested - len(matched)
             return matched, tested
         checked = index.stats.candidates_checked
-        matched = index.matching_ids(event.cells, key, event.point)
+        matched = index.matching_ids(event.cells, self._event_key(event), event.point)
         return matched, index.stats.candidates_checked - checked
 
-    def any_match(self, event: Event, key: Optional[int] = None) -> bool:
+    def any_match(self, event: Event) -> bool:
         """Return True when at least one stored subscription matches ``event``."""
         if self._index is not None:
-            return self._index.any_match(event.cells, key, event.point)
+            return self._index.any_match(event.cells, self._event_key(event), event.point)
         point = event.point
         guard = self._guard
         guarded = point | guard
@@ -217,13 +229,14 @@ class InterfaceTable:
 class RoutingTable:
     """All interface tables of one broker.
 
-    Event routing computes each event's curve key once — per ``Event``
-    object, not per broker: :meth:`event_key` remembers it on the event — and
-    shares it across all interface probes (and, via :meth:`event_keys`,
-    across the events of a batch); a table that still scans ignores it.
-    ``run_cache`` is handed to every index so a rectangle stored on several
-    interfaces — or, with a network-wide cache, at several brokers — is
-    decomposed once.
+    An event's curve key is computed only when an indexed table probes for
+    it, and once per ``Event`` object, not per broker or table:
+    :meth:`event_key` remembers it on the event, and every table this
+    routing table makes is handed :meth:`event_key` to ask for it (a table
+    that still scans never does).  :meth:`event_keys` keys a batch in one
+    pass into the same memo.  ``run_cache`` is handed to every index so a
+    rectangle stored on several interfaces — or, with a network-wide cache,
+    at several brokers — is decomposed once.
     """
 
     def __init__(
@@ -252,6 +265,7 @@ class RoutingTable:
                 self.schema,
                 config=self.config,
                 run_cache=self._run_cache,
+                event_key=self.event_key,
             )
         return self._tables[interface_id]
 
@@ -300,7 +314,6 @@ class RoutingTable:
         self,
         event: Event,
         exclude: Optional[Hashable] = None,
-        key: Optional[int] = None,
         among: Optional[Iterable[Hashable]] = None,
     ) -> List[Hashable]:
         """Interfaces (≠ ``exclude``) holding at least one subscription matching ``event``.
@@ -308,19 +321,17 @@ class RoutingTable:
         ``among`` restricts the probe to the given interfaces (the broker
         passes its neighbours: the local-client table is asked for *which*
         subscriptions match, by local delivery, not merely whether any does).
-        Every table is asked through :meth:`InterfaceTable.any_match` with the
-        shared key, in one loop with no candidate list: this runs once per
-        event per broker.
+        Every table is asked through :meth:`InterfaceTable.any_match`, in one
+        loop with no candidate list: this runs once per event per broker.
+        It computes no key; an indexed table asks for it.
         """
-        if key is None:
-            key = self.event_key(event)
         tables = self._tables
         matched: List[Hashable] = []
         for interface_id in tables if among is None else among:
             if interface_id == exclude:
                 continue
             table = tables.get(interface_id)
-            if table is not None and table.any_match(event, key):
+            if table is not None and table.any_match(event):
                 matched.append(interface_id)
         return matched
 

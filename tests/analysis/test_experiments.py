@@ -23,7 +23,7 @@ from repro.analysis.experiments import (
     run_thm41_experiment,
     run_throughput_experiment,
 )
-from repro.pubsub.routing_table import COVERING_KINDS
+from repro.pubsub.routing_table import COVERING_KINDS, InterfaceTable
 
 
 class TestFigureExperiments:
@@ -127,6 +127,8 @@ class TestSystemExperiments:
             table = run_pubsub_experiment(num_brokers=3, num_subscriptions=20, num_events=5)
             assert [row["strategy"] for row in table.rows] == list(COVERING_KINDS)
         else:
-            table = run_event_matching_experiment(table_sizes=(40,), num_events=20)
-            assert [row["subscriptions"] for row in table.rows] == [40]
+            # The smallest table that builds its index (the experiment raises on one that scans).
+            size = InterfaceTable.SCAN_LIMIT + 1
+            table = run_event_matching_experiment(table_sizes=(size,), num_events=20)
+            assert [row["subscriptions"] for row in table.rows] == [size]
         assert table.rows and all("curve" not in row for row in table.rows)

@@ -1,10 +1,14 @@
-"""The unit costs ``experiments/flat_store_costs.py`` fits for the flat store's cost model.
+"""The arithmetic of the cost experiments, on synthetic rows.
 
-``c_fix`` (a flatten's fixed price) and ``c_run`` (its price per run) are a
-least-squares line through the table's (runs, rebuild) rows.  The cost model
-prices the flattens of small tables, and a single large-table rebuild would
-own a line through every row, so the fit runs through the rows of at most
-``FIT_SLOTS`` slots only.
+``experiments/flat_store_costs.py``: ``c_fix`` (a flatten's fixed price) and
+``c_run`` (its price per run) are a least-squares line through the table's
+(runs, rebuild) rows.  The cost model prices the flattens of small tables,
+and a single large-table rebuild would own a line through every row, so the
+fit runs through the rows of at most ``FIT_SLOTS`` slots only.
+
+``experiments/scan_crossover.py``: the table size from which an interface
+table's index costs less than its scan at r probes per write, which
+``InterfaceTable.SCAN_LIMIT`` is read from.
 """
 
 from __future__ import annotations
@@ -15,15 +19,24 @@ import statistics
 
 import pytest
 
-_SCRIPT = pathlib.Path(__file__).resolve().parents[2] / "experiments" / "flat_store_costs.py"
+_EXPERIMENTS = pathlib.Path(__file__).resolve().parents[2] / "experiments"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, _EXPERIMENTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def costs_script():
-    spec = importlib.util.spec_from_file_location("flat_store_costs", _SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("flat_store_costs")
+
+
+@pytest.fixture(scope="module")
+def crossover_script():
+    return _load("scan_crossover")
 
 
 def row(slots, runs, rebuild_us, per_pending_slot_ns=200.0):
@@ -68,3 +81,68 @@ def test_a_non_positive_fit_prints_no_ratio(costs_script):
     )
     assert line.split()[1] == "-"
     assert "c_run is not positive" in line
+
+
+def crossing_row(n, scan_probe, index_probe, scan_write=0.5, index_write=10.0):
+    """A scan_crossover row, both probe kinds alike; ``*_write`` is the mean of an add and a remove."""
+    row = {"N": n}
+    sides = (("scan", scan_probe, scan_write), ("index", index_probe, index_write))
+    for side, probe, write in sides:
+        for kind in ("matching_ids", "any_match"):
+            row[f"{side}_{kind}_us"] = probe
+        row[f"{side}_add_us"] = write + 1.0
+        row[f"{side}_remove_us"] = write - 1.0
+    return row
+
+
+def test_the_crossover_is_interpolated_between_the_sizes_around_it(crossover_script):
+    # The scan costs N/8 µs a probe, the index 1 + N/16; writes cost 0.5 and
+    # 10 µs.  At r probes per write the index's excess is 9.5 + r (1 - N/16).
+    rows = [crossing_row(n, n / 8, 1 + n / 16) for n in (8, 16, 32, 64, 128, 256)]
+    # r = 10: excess 19.5 - 0.625 N, zero at N = 31.2, between 16 and 32.
+    assert crossover_script.crossover(rows, "matching_ids", 10) == pytest.approx(31.2)
+    # r = 100: 109.5 - 6.25 N, zero at 17.52; r = 1: 10.5 - N/16, zero at 168.
+    assert crossover_script.crossover(rows, "any_match", 100) == pytest.approx(17.52)
+    assert crossover_script.crossover(rows, "matching_ids", 1) == pytest.approx(168.0)
+    # The order of the rows does not matter.
+    assert crossover_script.crossover(rows[::-1], "matching_ids", 10) == pytest.approx(31.2)
+
+
+def test_the_crossover_is_where_the_index_stays_cheaper(crossover_script):
+    # Cheaper at 16, dearer again at 32, cheaper from 64 on: the crossover
+    # lies between 32 and 64, not between 8 and 16.
+    rows = [
+        crossing_row(8, 2.0, 3.0, index_write=0.5),
+        crossing_row(16, 3.0, 2.0, index_write=0.5),
+        crossing_row(32, 4.0, 5.0, index_write=0.5),
+        crossing_row(64, 8.0, 5.0, index_write=0.5),
+    ]
+    # Excess at r = 1: +1, -1, +1, -3; zero a quarter of the way from 32 to 64.
+    assert crossover_script.crossover(rows, "any_match", 1) == pytest.approx(40.0)
+
+
+def test_no_crossing_inside_the_sizes(crossover_script):
+    cheaper = [crossing_row(n, 2.0, 1.0, index_write=0.5) for n in (8, 16)]
+    dearer = [crossing_row(n, 1.0, 2.0) for n in (8, 16)]
+    assert crossover_script.crossover(cheaper, "matching_ids", 10) == 8.0
+    assert crossover_script.crossover(dearer, "matching_ids", 10) is None
+    # Equal costs count as dearer: the index has to win.
+    level = [crossing_row(n, 1.0, 1.0, index_write=0.5) for n in (8, 16)]
+    assert crossover_script.crossover(level, "matching_ids", 10) is None
+
+
+def test_the_printed_crossovers(crossover_script):
+    # matching_ids crosses inside the sizes, any_match never does.
+    rows = [crossing_row(n, n / 8, 1 + n / 16) for n in (8, 16, 32, 64, 128, 256)]
+    for row in rows:
+        row["index_any_match_us"] = row["scan_any_match_us"] + 1.0
+    lines = crossover_script.format_crossovers(rows).splitlines()
+    table = {line.split()[0]: line.split()[1:] for line in lines[2:5]}
+    assert table == {
+        "1": ["168", ">", "256"], "10": ["31", ">", "256"], "100": ["18", ">", "256"]
+    }
+    assert "SCAN_LIMIT = " in lines[5] and "r = 10" in lines[5]
+    cheaper = [crossing_row(n, 2.0, 1.0, index_write=0.5) for n in (8, 16)]
+    assert crossover_script.format_crossovers(cheaper).splitlines()[2].split()[1:] == [
+        "<=", "8", "<=", "8"
+    ]

@@ -167,11 +167,11 @@ class TestDeterminism:
         # seeds.  A change that alters the scrape on purpose updates these.
         text = scenario.prometheus_text.encode()
         assert hashlib.sha256(text).hexdigest() == (
-            "67c897b2d3f72ea87a555d40994272040299c46d5495eba98d3b71cfad7ad652"
+            "6044f23dfc8c4d930de8f102ebfdc88ba09839547be8407277c00422f2dc867f"
         )
         written = write_bench_json(tmp_path / "BENCH_metrics.json", scenario.snapshot)
         assert hashlib.sha256(written.read_bytes()).hexdigest() == (
-            "7c1e0f76372d5addbaabf0e7cfc6d24f9efcf5de425bca93e74f58451b41741f"
+            "02f9ba08d3be5e43c70153e051592b1c6344686969622dc94d0a90f9a73dd91b"
         )
 
     def test_different_seed_changes_trace_ids(self, scenario):

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from repro.index.config import IndexConfig
 from repro.pubsub.match_index import MatchIndex
 from repro.pubsub.network import BrokerNetwork, tree_topology
+from repro.pubsub.routing_table import InterfaceTable
 from repro.pubsub.schema import Attribute, AttributeSchema
 from repro.pubsub.subscription import make_event, make_subscription
 from repro.sfc.factory import CURVE_KINDS
@@ -148,7 +149,10 @@ def _drive(run_budget: int, brokers: int = 4, curve: str = "zorder"):
     they checked."""
     schema = _schema(order=8)
     rng = random.Random(7)
-    with patch.object(MatchIndex, "RUN_BUDGET", run_budget):
+    # Up to 50 subscriptions a table: a limit of 16 has the tables index.
+    with patch.object(MatchIndex, "RUN_BUDGET", run_budget), patch.object(
+        InterfaceTable, "SCAN_LIMIT", 16
+    ):
         network = BrokerNetwork.from_topology(
             schema,
             tree_topology(brokers),

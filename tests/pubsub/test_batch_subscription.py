@@ -26,6 +26,7 @@ from repro.pubsub.network import (
     star_topology,
     tree_topology,
 )
+from repro.pubsub.routing_table import InterfaceTable
 from repro.pubsub.schema import Attribute, AttributeSchema
 from repro.pubsub.subscription import Event, Subscription
 
@@ -127,7 +128,7 @@ class TestBatchEquivalence:
         assert all(flags)
         assert_same_work(sequential, batch)
 
-    def test_shared_profile_path_state_pinned(self, schema):
+    def test_shared_profile_path_state_pinned(self, schema, monkeypatch):
         """The shared-profile path leaves the state the unshared path left.
 
         The digest was recorded at PR 12 (commit 1e86f8c), where this test ran
@@ -136,17 +137,28 @@ class TestBatchEquivalence:
         The unshared arm is gone, the pin keeps its answer.
         """
         triples = random_workload(schema, 60, seed=13)
-        network = BrokerNetwork.from_topology(
-            schema,
-            tree_topology(6),
-            covering="approximate",
-            config=IndexConfig(),
-        )
-        for broker, items in grouped(triples).items():
-            for client, sub in items:
-                network.subscribe(broker, client, sub)
-        for client, sub, _ in triples[::4]:
-            network.unsubscribe(client, sub.sub_id)
+
+        def run():
+            network = BrokerNetwork.from_topology(
+                schema,
+                tree_topology(6),
+                covering="approximate",
+                config=IndexConfig(),
+            )
+            for broker, items in grouped(triples).items():
+                for client, sub in items:
+                    network.subscribe(broker, client, sub)
+            for client, sub, _ in triples[::4]:
+                network.unsubscribe(client, sub.sub_id)
+            return network
+
+        # At the default limit every table scans, and the run cache is idle.
+        network = run()
+        assert state_digest(network) == "d685f5d4cfb82b16"
+        assert (network.profile_cache.misses, network.profile_cache.hits) == (0, 0)
+        # The counts below are of indexed tables: a limit of 16 has seven.
+        monkeypatch.setattr(InterfaceTable, "SCAN_LIMIT", 16)
+        network = run()
         assert state_digest(network) == "d685f5d4cfb82b16"
         # The network's one cache now holds match runs only (the covering
         # profiles it also counted, 60 misses and 288 hits, left with the

@@ -10,8 +10,9 @@ brokers that see the same object.  Three things are pinned here:
   test-local copy of it), on both matching paths and across the build
   between them, under every curve, while local tables grow and shrink and
   brokers crash and recover;
-* counts, never timings: one publish keys its event once, and a broker
-  holding 64 local subscriptions tests fewer than 64 rectangles;
+* counts, never timings: a publish that meets only scanning tables keys
+  nothing, one that meets indexed tables keys its event once, and a broker
+  whose index holds 64 local subscriptions tests fewer than 64 rectangles;
 * the key memo is invisible: equality, hash, pickling, wire bytes and a
   second network under another curve never see it.
 """
@@ -221,15 +222,15 @@ def _delivery_records_equal_the_scan(ops, curve):
 
 @pytest.mark.parametrize("curve", CURVE_KINDS)
 @pytest.mark.parametrize(
-    "scan_limit", [InterfaceTable.SCAN_LIMIT, 0], ids=["scan-then-index", "index"]
+    "scan_limit", [16, 0], ids=["scan-then-index", "index"]
 )
 def test_delivery_records_equal_the_scan_from_empty_to_forty_and_back(
     scan_limit, curve, monkeypatch
 ):
     """One broker's local table walks 0 → 40 → 0 entries, probed at every size.
 
-    Forty crosses the build from scan to index at the default limit, and
-    every regime of the flat store either way (all pending, first rebuild,
+    Forty crosses the build from scan to index at a limit of 16, and every
+    regime of the flat store either way (all pending, first rebuild,
     tombstones, compaction).
     """
     monkeypatch.setattr(InterfaceTable, "SCAN_LIMIT", scan_limit)
@@ -287,8 +288,8 @@ def test_unowned_local_table_entry_delivers_nothing(table_path):
 class TestCounts:
     """Work done per publish, as counts (no timings)."""
 
-    @pytest.fixture
-    def tree(self):
+    @staticmethod
+    def _tree():
         schema = _schema()
         network = BrokerNetwork.from_topology(schema, tree_topology(7), seed=1)
         for broker in range(7):
@@ -301,25 +302,62 @@ class TestCounts:
         assert len(network.brokers[3].routing_table.table(LOCAL_INTERFACE)) == 64
         return schema, network
 
-    def test_one_publish_keys_its_event_once(self, tree, monkeypatch):
-        schema, network = tree
+    @staticmethod
+    def _keyings(network, monkeypatch):
+        """The cells of every curve key computed from here on."""
         calls = []
         curve = curve_class(network.config.curve)
         original = curve.key
         monkeypatch.setattr(
             curve, "key", lambda self, point: calls.append(point) or original(self, point)
         )
+        return calls
+
+    @staticmethod
+    def _publish_reaching_every_broker(schema, network):
         received = sum(broker.stats.events_received for broker in network.brokers.values())
         event = _event(schema, "e", 9, 9)
         delivered = network.publish(0, event)
         assert delivered == network.expected_recipients(event) and len(delivered) == 8
         reached = sum(broker.stats.events_received for broker in network.brokers.values()) - received
         assert reached == 7
+
+    def test_a_publish_through_scanning_tables_keys_nothing(self, monkeypatch):
+        schema, network = self._tree()
+        tables = [
+            table
+            for broker in network.brokers.values()
+            for table in broker.routing_table.interface_tables().values()
+        ]
+        assert tables and all(table.match_index is None for table in tables)
+        calls = self._keyings(network, monkeypatch)
+        self._publish_reaching_every_broker(schema, network)
+        assert calls == []
+
+    def test_a_batch_through_scanning_tables_keys_nothing(self, monkeypatch):
+        schema, network = self._tree()
+        calls = self._keyings(network, monkeypatch)
+        curve = curve_class(network.config.curve)
+        monkeypatch.setattr(curve, "keys", lambda self, points: calls.extend(points) or [])
+        events = [_event(schema, f"e{i}", 9, 9 + i) for i in range(4)]
+        delivered = network.publish_batch(0, events)
+        assert delivered == [network.expected_recipients(event) for event in events]
+        assert all(delivered) and calls == []
+
+    def test_one_publish_keys_its_event_once(self, monkeypatch):
+        # Every table indexes, and the seven brokers share the one key.
+        monkeypatch.setattr(InterfaceTable, "SCAN_LIMIT", 0)
+        schema, network = self._tree()
+        calls = self._keyings(network, monkeypatch)
+        self._publish_reaching_every_broker(schema, network)
         assert len(calls) == 1
 
-    def test_sixty_four_local_subscriptions_take_fewer_than_sixty_four_tests(self, tree):
-        schema, network = tree
+    def test_sixty_four_local_subscriptions_take_fewer_than_sixty_four_tests(self, monkeypatch):
+        # A limit of 16 has broker 3's local table index its 64 subscriptions.
+        monkeypatch.setattr(InterfaceTable, "SCAN_LIMIT", 16)
+        schema, network = self._tree()
         broker = network.brokers[3]
+        assert broker.routing_table.table(LOCAL_INTERFACE).match_index is not None
         before = broker.stats.match_tests
         assert network.publish_and_audit(6, _event(schema, "e", 9, 9)) == (set(), set())
         tests = broker.stats.match_tests - before

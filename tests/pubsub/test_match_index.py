@@ -588,6 +588,8 @@ class TestInterfaceTableMatching:
         model's scan give the same matches, the scanning ones in table order,
         and the cost reported is every stored subscription while scanning."""
         rng = random.Random(seed)
+        # Forty names: a limit of 16 puts the build inside the walk.
+        monkeypatch.setattr(InterfaceTable, "SCAN_LIMIT", 16)
         scanning = InterfaceTable("i", schema)
         scanning.SCAN_LIMIT = 1 << 62
         monkeypatch.setattr(MatchIndex, "RUN_BUDGET", 4)
@@ -617,15 +619,22 @@ class TestInterfaceTableMatching:
         assert crossing.match_index is not None and scanning.match_index is None
         assert len(crossing.match_index) == len(crossing) == len(model)
 
-    def test_routing_table_threads_precomputed_key(self, schema):
+    def test_only_an_indexed_table_keys_the_event(self, schema, monkeypatch):
+        """``matching_interfaces`` computes no key: a scanning table never asks
+        for one, and an indexed table asks the routing table, which keys the
+        event once and remembers it there."""
         routing = RoutingTable(schema)
-        sub = Subscription(schema, {"x": (0.0, 50.0)}, sub_id="s")
-        routing.table("east").add(sub)
+        routing.table("east").add(Subscription(schema, {"x": (0.0, 50.0)}, sub_id="s"))
         event = Event(schema, {"x": 10.0, "y": 10.0})
-        key = routing.event_key(event)
-        assert key is not None
-        assert routing.matching_interfaces(event, key=key) == ["east"]
+        tag = routing._key_tag
         assert routing.matching_interfaces(event) == ["east"]
+        assert event.curve_key(tag) is None
+        monkeypatch.setattr(InterfaceTable, "SCAN_LIMIT", 0)
+        routing.table("west").add(Subscription(schema, {"x": (0.0, 50.0)}, sub_id="w"))
+        assert routing.table("west").match_index is not None
+        assert routing.matching_interfaces(event) == ["east", "west"]
+        key = event.curve_key(tag)
+        assert key == routing._curve.key(event.cells) == routing.event_key(event)
 
     def test_matching_interfaces_among_restricts_probes(self, schema):
         routing = RoutingTable(schema)

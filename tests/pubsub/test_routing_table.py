@@ -8,7 +8,6 @@ from types import SimpleNamespace
 import pytest
 
 from repro.index.config import IndexConfig
-from repro.index.sfc_array import FlatSegmentStore
 from repro.pubsub.match_index import MatchIndex, MatchIndexStats
 from repro.pubsub.broker import Broker
 from repro.pubsub.network import BrokerNetwork
@@ -138,7 +137,6 @@ class TestInterfaceTable:
         config = IndexConfig(curve="hilbert")
         table = InterfaceTable("i", schema, config=config)
         limit = InterfaceTable.SCAN_LIMIT
-        assert limit == FlatSegmentStore.PENDING_SLOTS
         for i in range(limit):
             table.add(strip(schema, i))
         table.add(strip(schema, 3, sub_id="s0"))  # a replacement is no arrival
@@ -250,8 +248,9 @@ class TestRoutingTable:
             key = routing.event_key(event)
             for table in routing.interface_tables().values():
                 assert table.match_index.curve.kind == kind
+                assert table.match_index.event_key(event.cells) == key
                 expected = {s.sub_id for s in table.subscriptions() if s.matches(event)}
-                assert set(table.matching_ids(event, key=key)[0]) == expected
-                assert table.any_match(event, key=key) == bool(expected)
+                assert set(table.matching_ids(event)[0]) == expected
+                assert table.any_match(event) == bool(expected)
                 matched_any = matched_any or bool(expected)
         assert matched_any
