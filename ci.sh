@@ -117,6 +117,10 @@ python experiments/flat_store_costs.py --slots 4 32 --repeat 1 > /dev/null
 # crossover), at two small sizes, so the script keeps running against the
 # table's API; tests/index/test_flat_store_costs.py pins its arithmetic.
 python experiments/scan_crossover.py --sizes 8 16 --repeat 1 > /dev/null
+# The probes per write that crossover is read at, counted on the gated e2e
+# workloads' tables at their smoke sizes, so the script keeps running
+# against the benchmark's runner.
+python experiments/table_traffic.py --smoke --seconds 0 > /dev/null
 # The same-process A/B of subscribes, as an A/A smoke: the committed HEAD
 # (extracted as a second package) against the working tree, two rounds, so
 # the script keeps running; it exits non-zero when the two sides' routing

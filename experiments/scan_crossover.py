@@ -22,14 +22,18 @@ order 10, d = 3), through the table itself:
 Every column is the best of ``--repeat`` turns; in each turn the scan and
 the index run back to back, which goes first alternating, with the collector
 off.  From those rows the script prints, per probe kind and for r = 1, 10
-and 100 probes per write, the crossover: the table size from which
+and 100 probes per write and at ``LIMIT_RATIO``, the crossover: the table size from which
 ``write + r · probe`` is cheaper for the index at every measured size,
 interpolated linearly between the two measured sizes around it (``<= N``
 when the index is cheaper at every size, ``> N`` when it is not at the
 largest).  A write is the mean of one add and one remove.
-``InterfaceTable.SCAN_LIMIT`` is the ``matching_ids`` crossover at r = 10,
-printed below the crossovers (on stock events a scan's ``any_match`` stops
-at an early hit, and the index's does not cross below 256 subscriptions).
+``InterfaceTable.SCAN_LIMIT`` is the ``matching_ids`` crossover at
+``LIMIT_RATIO``, the fewest probes per write ``experiments/table_traffic.py``
+counts for a local-client table (the one local delivery asks
+``matching_ids``) on the benchmark's gated workloads; it is printed below
+the crossovers.  A neighbour table is asked ``any_match``: on stock events
+the scan's stops at an early hit, and the index's does not cross below 256
+subscriptions.
 
 An experiment, not a test: timings are taken on whatever host runs it.
 From the repository root::
@@ -61,10 +65,13 @@ from repro.pubsub.subscription_store import ProfileCache  # noqa: E402
 from repro.workloads.scenarios import stock_market_scenario  # noqa: E402
 
 SIZES = (8, 16, 32, 48, 64, 96, 128, 256)
-#: Probes per write the crossover is computed at.
+#: Probes per write the crossover is computed at, besides ``LIMIT_RATIO``.
 RATIOS = (1, 10, 100)
-#: The ratio ``InterfaceTable.SCAN_LIMIT`` is read at.
-LIMIT_RATIO = 10
+#: The ratio ``InterfaceTable.SCAN_LIMIT`` is read at: the local-client
+#: tables' probes per write on ``sub-tree7-sync``, the fewest of the gated
+#: workloads (``experiments/table_traffic.py``, seeds 1 and 2: 15.4 and 15.5;
+#: ``churn-grid12-sim`` 20.8 / 20.4, ``pub-chain3-sync`` 138 / 137).
+LIMIT_RATIO = 15
 PROBES = ("matching_ids", "any_match")
 SIDES = ("scan", "index")
 WRITES = ("add", "remove")
@@ -216,7 +223,7 @@ def format_crossovers(rows: Sequence[Dict[str, object]]) -> str:
     sizes = sorted(row["N"] for row in rows)
     lines = ["crossover N (index cheaper from here on), by probes per write:"]
     lines.append("  " + "r".rjust(5) + "".join(kind.rjust(16) for kind in PROBES))
-    for ratio in RATIOS:
+    for ratio in sorted(set(RATIOS) | {LIMIT_RATIO}):
         cells = []
         for kind in PROBES:
             at = crossover(rows, kind, ratio)
@@ -229,7 +236,8 @@ def format_crossovers(rows: Sequence[Dict[str, object]]) -> str:
         lines.append("  " + str(ratio).rjust(5) + "".join(cell.rjust(16) for cell in cells))
     lines.append(
         f"  (InterfaceTable.SCAN_LIMIT = {InterfaceTable.SCAN_LIMIT}: "
-        f"the matching_ids crossover at r = {LIMIT_RATIO})"
+        f"the matching_ids crossover at r = {LIMIT_RATIO}, the local tables' "
+        "fewest probes per write on the gated workloads)"
     )
     return "\n".join(lines) + "\n"
 

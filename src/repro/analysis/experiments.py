@@ -858,7 +858,10 @@ def run_event_matching_experiment(
     measured is past the table's scan limit, so it has built its match index.
     The baseline scans the same subscriptions with
     :meth:`Subscription.matches`.  The two must agree on every event; then
-    ``any_match`` is timed over the event stream.  The crossover:
+    ``any_match`` is timed over the event stream.  The agreement pass keys
+    each event once and the key is remembered on it, so the timed probes
+    read it, as every probe after an event's first does in a network.  The
+    crossover:
     at ≥ 1,000 stored subscriptions the single sorted-array probe of the
     index beats scanning the table, and the gap widens with table size.
     """

@@ -597,10 +597,12 @@ class Broker:
     def publish_batch(self, events: Sequence[Event]) -> None:
         """Inject a batch of locally published events.
 
-        When one of this broker's tables has an index, the events' curve
-        keys are computed in one pass (sharing per-coordinate spreading work
-        across the batch) and remembered on the events, where indexed tables
-        read them; a broker whose tables all scan keys nothing.
+        When one of this broker's own tables has an index, the events'
+        curve keys are computed in one pass (sharing per-coordinate
+        spreading work across the batch) and remembered on the events, where
+        indexed tables here and downstream read them.  A broker whose tables
+        all scan keys nothing here; a broker downstream that indexes then
+        keys each event on its own, at its first indexed probe.
         """
         events = list(events)
         tables = self.routing_table.interface_tables().values()
@@ -612,12 +614,12 @@ class Broker:
     def receive_event(self, from_interface: Hashable, event: Event) -> None:
         """Deliver an event locally and forward it along matching interfaces.
 
-        No key is computed here: a table that has built its match index asks
-        :meth:`~repro.pubsub.routing_table.RoutingTable.event_key` for the
-        event's SFC key when it probes, which keys the ``Event`` object once
-        and remembers it on the event for every later probe, at this broker
-        and at any other the same object reaches.  A table that scans never
-        asks, so an event that meets only scanning tables is never keyed.
+        No key is computed here: a table that has built its match index
+        reads the event's SFC key when it probes, keying the ``Event`` object
+        the first time and remembering the key on it for every later probe,
+        at this broker and at any other the same object reaches.  A table
+        that scans never reads it, so an event that meets only scanning
+        tables is never keyed.
         """
         self.stats.events_received += 1
         delivered = self._deliver_locally(event)

@@ -18,11 +18,10 @@ costs a delivery.
 
 A table answers "does anything here match?" by scanning its subscriptions
 while it holds at most :attr:`InterfaceTable.SCAN_LIMIT` of them, and
-through a :class:`~repro.pubsub.match_index.MatchIndex` after: the limit is
-the table size from which an index's cheaper probe pays for its dearer
-writes, as ``experiments/scan_crossover.py`` measures it.  Only an indexed
-table reads an event's curve key, through :meth:`RoutingTable.event_key`,
-so an event that meets only scanning tables is never keyed.
+through a :class:`~repro.pubsub.match_index.MatchIndex` after (see
+:class:`InterfaceTable` for where the limit comes from).  Only an indexed
+table reads an event's curve key, which is remembered on the ``Event``
+object, so an event that meets only scanning tables is never keyed.
 
 Neither the scan nor a table's store derives anything per hop: a
 :class:`~repro.pubsub.subscription.Subscription` carries its quantised
@@ -33,7 +32,7 @@ ranges and their packed box from construction, and
 from __future__ import annotations
 
 from dataclasses import asdict, replace
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from ..geometry.universe import Universe, packed_guard
 from ..index.config import IndexConfig
@@ -65,9 +64,17 @@ def check_covering_kind(kind: str) -> None:
         )
 
 
-def _unkeyed(event: Event) -> None:
-    """No shared key: the index of a table outside a routing table keys the cells itself."""
-    return None
+def _memo_key(event: Event, tag: Hashable, curve: SpaceFillingCurve) -> int:
+    """``event``'s key under ``curve``, read from the event's memo or computed and remembered there.
+
+    ``tag`` names everything the key depends on besides the cells (curve
+    kind, dimensions, order; see :meth:`Event.curve_key`).
+    """
+    key = event.curve_key(tag)
+    if key is None:
+        key = curve.key(event.cells)
+        event.remember_curve_key(tag, key)
+    return key
 
 
 class InterfaceTable:
@@ -77,24 +84,29 @@ class InterfaceTable:
     :meth:`any_match` / :meth:`matching_ids` by scanning them with the
     rectangle test; the add that takes it past builds a
     :class:`~repro.pubsub.match_index.MatchIndex` over all of them in one
-    bulk load, kept for the table's life.  The limit is where the index
-    starts to pay for itself, measured (``experiments/scan_crossover.py``):
-    below it a probe of a flattened index costs about what the scan costs,
-    and the index's write side (key runs, slot interning, staging,
-    tombstones, compaction sweeps) costs about 25 times the scan's dict
-    write.  The index is built under the routing table's
-    :class:`~repro.index.config.IndexConfig`, and only an indexed table
-    reads the event's curve key: it asks ``event_key`` (the routing table's
-    :meth:`RoutingTable.event_key`, which keys an ``Event`` object once and
-    remembers it) on each probe; a scanning table never does.  A table made
-    outside a routing table has no such function, and its index keys the
-    event's cells itself.
+    bulk load, kept for the table's life.  The index is built under the
+    table's :class:`~repro.index.config.IndexConfig`, and only its probes
+    read the event's curve key: the first one keys the ``Event`` object and
+    remembers the key on it, tagged with the curve kind, dimensions and
+    order, so every later probe of the same object under the same curve, at
+    this table or any other, reads it back.  A scanning table never keys.
+
+    The limit trades probe cost against write cost: the index's writes
+    cost about 25 times the scan's dict write, and its ``matching_ids``
+    probe undercuts the scan's from about 48 subscriptions.
+    ``experiments/scan_crossover.py`` prices both per table size and
+    ``experiments/table_traffic.py`` counts the probes per write of the
+    benchmark workloads' tables; the limit is the ``matching_ids``
+    crossover of a local-client table at the fewest probes per write
+    counted.  A neighbour table, asked only ``any_match`` (whose scan
+    stops at the first hit and stays cheaper to 256 subscriptions at 1 to
+    100 probes per write), is held to the same limit and indexes at a loss.
     """
 
-    #: Subscriptions a table scans before it builds its index: the
-    #: ``matching_ids`` crossover ``experiments/scan_crossover.py`` measures
-    #: at 10 probes per write (61–72 over four runs on a 2-core host).
-    SCAN_LIMIT = 64
+    #: Subscriptions a table scans before it builds its index: the median
+    #: over 16 runs of ``scan_crossover.py``'s ``matching_ids`` crossover at
+    #: 15 probes per write (``LIMIT_RATIO``; 37–67 on a 2-core host).
+    SCAN_LIMIT = 60
 
     def __init__(
         self,
@@ -102,13 +114,13 @@ class InterfaceTable:
         schema: AttributeSchema,
         config: Optional[IndexConfig] = None,
         run_cache: Optional[ProfileCache] = None,
-        event_key: Optional[Callable[[Event], Optional[int]]] = None,
     ) -> None:
         self.interface_id = interface_id
         self.schema = schema
         self.config = config or IndexConfig()
         self._run_cache = run_cache
-        self._event_key = event_key or _unkeyed
+        # What the key an Event remembers is tagged with (see _memo_key).
+        self._key_tag = (self.config.curve, schema.num_attributes, schema.order)
         self._subscriptions: Dict[Hashable, Subscription] = {}
         self._guard = packed_guard(schema.num_attributes, schema.order)
         self._index = None
@@ -201,13 +213,16 @@ class InterfaceTable:
             stats.false_positives += tested - len(matched)
             return matched, tested
         checked = index.stats.candidates_checked
-        matched = index.matching_ids(event.cells, self._event_key(event), event.point)
+        key = _memo_key(event, self._key_tag, index.curve)
+        matched = index.matching_ids(event.cells, key, event.point)
         return matched, index.stats.candidates_checked - checked
 
     def any_match(self, event: Event) -> bool:
         """Return True when at least one stored subscription matches ``event``."""
-        if self._index is not None:
-            return self._index.any_match(event.cells, self._event_key(event), event.point)
+        index = self._index
+        if index is not None:
+            key = _memo_key(event, self._key_tag, index.curve)
+            return index.any_match(event.cells, key, event.point)
         point = event.point
         guard = self._guard
         guarded = point | guard
@@ -230,11 +245,10 @@ class RoutingTable:
     """All interface tables of one broker.
 
     An event's curve key is computed only when an indexed table probes for
-    it, and once per ``Event`` object, not per broker or table:
-    :meth:`event_key` remembers it on the event, and every table this
-    routing table makes is handed :meth:`event_key` to ask for it (a table
-    that still scans never does).  :meth:`event_keys` keys a batch in one
-    pass into the same memo.  ``run_cache`` is handed to every index so a
+    it, and once per ``Event`` object, not per broker or table: the key is
+    remembered on the event, where :meth:`event_key` and every table read
+    it back.  :meth:`event_keys` keys a batch in one pass into the same
+    memo.  ``run_cache`` is handed to every index so a
     rectangle stored on several interfaces — or, with a network-wide cache,
     at several brokers — is decomposed once.
     """
@@ -265,7 +279,6 @@ class RoutingTable:
                 self.schema,
                 config=self.config,
                 run_cache=self._run_cache,
-                event_key=self.event_key,
             )
         return self._tables[interface_id]
 
@@ -288,11 +301,7 @@ class RoutingTable:
         reaches (every hop of an in-process transport) reads it back instead
         of re-keying, and a table under another curve computes its own.
         """
-        key = event.curve_key(self._key_tag)
-        if key is None:
-            key = self._curve.key(event.cells)
-            event.remember_curve_key(self._key_tag, key)
-        return key
+        return _memo_key(event, self._key_tag, self._curve)
 
     def event_keys(self, events: Sequence[Event]) -> List[int]:
         """SFC keys for a batch of events, amortising shared work where the curve can.
@@ -323,7 +332,7 @@ class RoutingTable:
         subscriptions match, by local delivery, not merely whether any does).
         Every table is asked through :meth:`InterfaceTable.any_match`, in one
         loop with no candidate list: this runs once per event per broker.
-        It computes no key; an indexed table asks for it.
+        It computes no key; an indexed table keys the event when it probes.
         """
         tables = self._tables
         matched: List[Hashable] = []

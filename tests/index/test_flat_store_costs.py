@@ -137,11 +137,14 @@ def test_the_printed_crossovers(crossover_script):
     for row in rows:
         row["index_any_match_us"] = row["scan_any_match_us"] + 1.0
     lines = crossover_script.format_crossovers(rows).splitlines()
-    table = {line.split()[0]: line.split()[1:] for line in lines[2:5]}
+    table = {line.split()[0]: line.split()[1:] for line in lines[2:6]}
+    # r = 15, the ratio the limit is read at: 24.5 - 0.9375 N, zero at 26.1.
     assert table == {
-        "1": ["168", ">", "256"], "10": ["31", ">", "256"], "100": ["18", ">", "256"]
+        "1": ["168", ">", "256"], "10": ["31", ">", "256"], "15": ["26", ">", "256"],
+        "100": ["18", ">", "256"],
     }
-    assert "SCAN_LIMIT = " in lines[5] and "r = 10" in lines[5]
+    assert crossover_script.LIMIT_RATIO == 15
+    assert "SCAN_LIMIT = " in lines[6] and "r = 15" in lines[6]
     cheaper = [crossing_row(n, 2.0, 1.0, index_write=0.5) for n in (8, 16)]
     assert crossover_script.format_crossovers(cheaper).splitlines()[2].split()[1:] == [
         "<=", "8", "<=", "8"

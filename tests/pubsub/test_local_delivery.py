@@ -323,6 +323,8 @@ class TestCounts:
         assert reached == 7
 
     def test_a_publish_through_scanning_tables_keys_nothing(self, monkeypatch):
+        # A limit of 64 has broker 3's local table scan its 64 subscriptions.
+        monkeypatch.setattr(InterfaceTable, "SCAN_LIMIT", 64)
         schema, network = self._tree()
         tables = [
             table
@@ -335,6 +337,7 @@ class TestCounts:
         assert calls == []
 
     def test_a_batch_through_scanning_tables_keys_nothing(self, monkeypatch):
+        monkeypatch.setattr(InterfaceTable, "SCAN_LIMIT", 64)
         schema, network = self._tree()
         calls = self._keyings(network, monkeypatch)
         curve = curve_class(network.config.curve)

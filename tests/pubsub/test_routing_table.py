@@ -14,7 +14,7 @@ from repro.pubsub.network import BrokerNetwork
 from repro.pubsub.routing_table import InterfaceTable, RoutingTable
 from repro.pubsub.schema import Attribute, AttributeSchema
 from repro.pubsub.subscription import Event, Subscription
-from repro.sfc.factory import CURVE_KINDS
+from repro.sfc.factory import CURVE_KINDS, curve_class
 
 
 @pytest.fixture
@@ -254,3 +254,32 @@ class TestRoutingTable:
                 assert table.any_match(event) == bool(expected)
                 matched_any = matched_any or bool(expected)
         assert matched_any
+
+    def test_standalone_indexed_tables_key_an_event_once_per_curve(self, schema, monkeypatch):
+        """A table outside a routing table reads and fills the event's key memo
+        as a routed one does: two Z tables share one keying, a Hilbert table
+        makes its own, and a scanning table makes none."""
+        monkeypatch.setattr(InterfaceTable, "SCAN_LIMIT", 0)
+        keyed = []
+        for kind in ("zorder", "hilbert"):
+            curve = curve_class(kind)
+            original = curve.key
+            monkeypatch.setattr(
+                curve, "key",
+                lambda self, cells, kind=kind, original=original:
+                    keyed.append(kind) or original(self, cells),
+            )
+        tables = [
+            InterfaceTable(name, schema, config=IndexConfig(curve=kind))
+            for name, kind in (("a", "zorder"), ("b", "zorder"), ("c", "hilbert"))
+        ]
+        scanning = InterfaceTable("d", schema)
+        scanning.SCAN_LIMIT = 1 << 30  # the instance attribute shadows the class constant
+        for table in tables + [scanning]:
+            table.add(box(schema, "s", (10.0, 30.0), (10.0, 30.0)))
+        assert all(table.match_index is not None for table in tables)
+        event = Event(schema, {"x": 20.0, "y": 20.0})
+        assert scanning.any_match(event) and keyed == []
+        assert [table.any_match(event) for table in tables[:2]] == [True, True]
+        assert tables[0].matching_ids(event)[0] == ["s"] and keyed == ["zorder"]
+        assert tables[2].any_match(event) and keyed == ["zorder", "hilbert"]
