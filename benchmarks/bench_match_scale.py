@@ -5,8 +5,8 @@ meant to sustain very large subscription populations because the index is
 "just" points in key order.  This bench builds 10^5- and 10^6-subscription
 indexes through the bulk ``add_batch`` path, measures insert throughput and
 per-event publish throughput (``any_match`` / ``matching_ids``, the calls a
-broker makes), and re-verifies exactness (the index under every curve
-against a brute-force rectangle oracle) before timing anything.
+broker makes), and re-verifies exactness (the index against a brute-force
+rectangle oracle) before timing anything.
 
 Alongside the text table it emits machine-readable
 ``results/BENCH_match_scale.json`` (throughput, segment counts, flattened
@@ -42,9 +42,9 @@ def test_match_scale(run_once, record_table):
     rows = table.rows
     parity = [r for r in rows if r["phase"] == "parity"]
     scale = {r["subscriptions"]: r for r in rows if r["phase"] == "scale"}
-    # Exactness first: all 3 curves matched the rectangle oracle
+    # Exactness first: the index matched the rectangle oracle
     # (run_match_scale_experiment raises on any disagreement first).
-    assert parity and parity[0]["combos_verified"] == 3
+    assert parity
     # Every population completed a bulk build and answered publishes.
     for population in _PARAMS.get("populations"):
         row = scale[population]

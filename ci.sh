@@ -36,9 +36,9 @@ stage() {
 }
 
 stage "tier-1 tests (hypothesis profile: ${HYPOTHESIS_PROFILE:-ci})"
-# Includes the cross-curve differential suite
-# (tests/pubsub/test_curve_differential.py): identical scripted workloads
-# under zorder/hilbert/gray must match the linear-scan flat oracle.
+# Includes the differential suite (tests/pubsub/test_curve_differential.py):
+# scripted workloads on the Z-keyed match index must match the linear-scan
+# flat oracle.
 # Profiling is pinned here too (tests/obs/test_profiler.py): with the
 # profiler wrapping its hot paths, sync and sim lockstep scripts deliver and
 # route exactly as without it, and disabling it restores the plain functions.
@@ -56,12 +56,9 @@ stage "benchmark smoke (tiny sizes) + full-size sim tables"
 # bench_ablation_visit_order and bench_index_throughput have no smoke size
 # (a few seconds each at full size) and run here so their drivers keep
 # running against the covering index's API.
-# bench_curve_ablation's smoke pass asserts the per-event delivery sets are
-# identical under every curve (the driver raises on any divergence) and that
-# Hilbert needs fewer key runs than Z on the Fig. 1-style rectangle family.
 # bench_match_scale's smoke pass still runs the full parity phase: the match
-# index under every curve must agree with a brute-force rectangle oracle
-# before anything is timed.
+# index must agree with a brute-force rectangle oracle before anything is
+# timed.
 # The paper-figure benches have no smoke size (each full size takes a few
 # seconds) and assert the paper's claims on what they measure: Fig. 1's run
 # counts, Fig. 2's query regions, Theorem 3.1's bound, Lemma 3.2's retained
@@ -74,21 +71,21 @@ stage "benchmark smoke (tiny sizes) + full-size sim tables"
 # A smoke pass writes its tables to a temporary directory
 # (benchmarks/conftest.py): the tracked full-size tables must come out of it
 # byte-identical, whether or not they carry uncommitted re-recordings.
-# The simulated-transport tables carry no timings, so their benches run only
-# at full size (a few seconds) and rewrite their tracked tables in place
-# (sim_latency, sim_rolling_failures, topology_scale, topology_netsplit and
-# their BENCH_*.json): the same check fails if any of them no longer
-# regenerates byte for byte.  That run asserts what a smoke pass would: the
-# topology classes (skewed tree / scale-free / grid-of-clusters) including
-# the region netsplit -> per-partition traffic -> heal scenario, with the
-# partition-aware audit clean in every phase.
+# The simulated-transport tables and E-CURVE's run counts carry no timings,
+# so their benches run only at full size (a few seconds) and rewrite their
+# tracked tables in place (sim_latency, sim_rolling_failures, topology_scale,
+# topology_netsplit, curve_ablation and their BENCH_*.json): the same check
+# fails if any of them no longer regenerates byte for byte.  That run asserts
+# what a smoke pass would: the topology classes (skewed tree / scale-free /
+# grid-of-clusters) including the region netsplit -> per-partition traffic ->
+# heal scenario, with the partition-aware audit clean in every phase, and
+# Hilbert needing fewer key runs than Z on the Fig. 1-style rectangle family.
 results_listing() { find benchmarks/results -type f -exec cksum {} + | sort -k3; }
 RESULTS_BEFORE=$(results_listing)
 REPRO_BENCH_SMOKE=1 python -m pytest -q \
     benchmarks/bench_pubsub_propagation.py \
     benchmarks/bench_event_matching.py \
     benchmarks/bench_subscription_churn.py \
-    benchmarks/bench_curve_ablation.py \
     benchmarks/bench_match_scale.py \
     benchmarks/bench_fig1_runs_hilbert_vs_z.py \
     benchmarks/bench_fig2_query_examples.py \
@@ -100,7 +97,8 @@ REPRO_BENCH_SMOKE=1 python -m pytest -q \
     benchmarks/bench_recall_vs_epsilon.py \
     benchmarks/bench_ablation_visit_order.py \
     benchmarks/bench_index_throughput.py
-python -m pytest -q benchmarks/bench_sim_latency.py benchmarks/bench_topology_scale.py
+python -m pytest -q benchmarks/bench_sim_latency.py benchmarks/bench_topology_scale.py \
+    benchmarks/bench_curve_ablation.py
 # The micro-operation benches (the detector's constructor among them), each
 # body run once untimed, so they keep running against the API they time.
 python -m pytest -q benchmarks/bench_micro_ops.py --benchmark-disable

@@ -99,7 +99,7 @@ def stab_ns(store: FlatSegmentStore, keys: Sequence[int], repeat: int) -> float:
     return best_of(repeat, sweep) / len(keys) * 1e9
 
 
-#: An event as a probe gets it: cells, curve key and packed point.
+#: An event as a probe gets it: cells, Z key and packed point.
 Probe = Tuple[Sequence[int], int, int]
 
 

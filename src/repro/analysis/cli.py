@@ -8,10 +8,8 @@ Usage::
 
 Each experiment name maps to one driver in :mod:`repro.analysis.experiments`
 (the same drivers the benchmark harness calls), so the CLI is a convenient way
-to regenerate a single table without going through pytest.  ``run`` and
-``metrics`` take no curve: their networks run ``IndexConfig()``, and
-``curve-ablation`` sweeps every curve.  ``serve --curve`` sets the served
-network's ``IndexConfig(curve=…)``.
+to regenerate a single table without going through pytest.  No subcommand
+takes a curve: every network keys its match indexes on the Z curve.
 """
 
 from __future__ import annotations
@@ -21,10 +19,8 @@ import pathlib
 import sys
 from typing import Callable, Dict
 
-from ..index.config import IndexConfig
 from ..obs.exposition import validate_prometheus_text, write_bench_json
 from ..pubsub.routing_table import COVERING_KINDS
-from ..sfc.factory import CURVE_KINDS
 from . import experiments
 
 __all__ = ["main", "EXPERIMENTS"]
@@ -50,17 +46,6 @@ def _topology_scale_cli_sized() -> object:
     )
 
 
-def _curve_ablation_cli_sized() -> object:
-    """E-CURVE: Z-order vs Hilbert vs Gray through the full routing stack (CLI-sized)."""
-    return experiments.run_curve_ablation_experiment(
-        num_subscriptions=120,
-        num_events=60,
-        order=7,
-        audit_events=8,
-        fig1_rectangles=120,
-    )
-
-
 EXPERIMENTS: Dict[str, Callable[..., object]] = {
     "fig1": experiments.run_fig1_experiment,
     "fig2": experiments.run_fig2_experiment,
@@ -73,8 +58,7 @@ EXPERIMENTS: Dict[str, Callable[..., object]] = {
     # The full 10k-50k churn measurement lives in
     # benchmarks/bench_subscription_churn.py.
     "churn": _churn_cli_sized,
-    # The full-size sweep lives in benchmarks/bench_curve_ablation.py.
-    "curve-ablation": _curve_ablation_cli_sized,
+    "curve-ablation": experiments.run_curve_ablation_experiment,
     # The full-size sweep lives in benchmarks/bench_topology_scale.py.
     "topology-scale": _topology_scale_cli_sized,
     "dimensionality": experiments.run_dimensionality_experiment,
@@ -115,7 +99,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--host", default="127.0.0.1", help="interface to bind (default: loopback)"
     )
     serve.add_argument("--covering", choices=COVERING_KINDS, default="approximate")
-    serve.add_argument("--curve", choices=CURVE_KINDS, default="zorder")
     serve.add_argument("--seed", type=int, default=7)
     metrics = subparsers.add_parser(
         "metrics",
@@ -166,7 +149,7 @@ def _run_metrics(seed: int, output: pathlib.Path | None) -> None:
 
 
 def _run_serve(
-    topology: str, brokers: int, host: str, covering: str, curve: str, seed: int
+    topology: str, brokers: int, host: str, covering: str, seed: int
 ) -> int:
     """The ``serve`` subcommand: boot a topology and serve it until shutdown.
 
@@ -191,7 +174,6 @@ def _run_serve(
         schema,
         builders[topology](brokers),
         covering=covering,
-        config=IndexConfig(curve=curve),
         seed=seed,
         transport=NetTransport(host=host),
     )
@@ -216,7 +198,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     if args.command == "serve":
         return _run_serve(
-            args.topology, args.brokers, args.host, args.covering, args.curve, args.seed
+            args.topology, args.brokers, args.host, args.covering, args.seed
         )
     if args.command == "metrics":
         _run_metrics(args.seed, args.output)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..baselines.linear_scan import LinearScanCoveringDetector
 from ..baselines.probabilistic import ProbabilisticCoveringDetector
@@ -946,168 +946,20 @@ def run_event_matching_experiment(
 
 
 # ---------------------------------------------------------------- curve ablation
-def run_curve_ablation_experiment(
-    num_brokers: int = 7,
-    num_subscriptions: int = 240,
-    num_events: int = 120,
-    order: int = 9,
-    audit_events: int = 12,
-    fig1_rectangles: int = 200,
-    seed: int = 31,
-) -> ResultTable:
-    """E-CURVE: the routing stack under Z-order vs Hilbert vs Gray, end to end.
+def run_curve_ablation_experiment(fig1_rectangles: int = 250, seed: int = 31) -> ResultTable:
+    """E-CURVE: the Fig. 1 claim at workload scale, under Z-order vs Hilbert vs Gray.
 
-    Two row kinds:
-
-    * ``phase="routing"`` — for each application scenario × curve, a broker
-      tree runs the full lifecycle with match indexes keyed by that curve:
-      batch subscribe (covering path), batch publish (matching path), batch
-      withdrawal of the first half (churn/promotion path), then a delivery
-      audit, on the stock, sensor and auction scenarios.  Rows report
-      per-phase throughput plus the structure stats where the curve choice
-      shows up — total match-index segments and match false positives — and
-      the covering work (subscriptions compared; no curve reaches the
-      covering scan).  The driver *asserts* the
-      cross-curve differential inline: per-event delivery sets must be
-      identical under every curve (curves may change stats, never semantics),
-      and no audited event may miss a subscriber.
-    * ``phase="runs"`` — the Fig. 1 claim at workload scale: exact run counts
-      of a seeded family of 2-D rectangles on a 64 × 64 grid under each curve
-      (the per-curve analogue of ``run_fig1_experiment``'s three hand-picked
-      instances).
-      Hilbert is expected to need fewer runs than Z in aggregate.
+    Exact run counts of a seeded family of 2-D rectangles on a 64 × 64 grid
+    under each curve (the per-curve analogue of ``run_fig1_experiment``'s
+    three hand-picked instances); Hilbert is expected to need fewer runs
+    than Z in aggregate.  The rows are ``phase="runs"``.  The routing stack
+    keys on the Z curve alone, so no routing rows compare curves end to end.
     """
-    import random as _random
-
     from ..core.decomposition import decompose_rectangle
     from ..sfc.factory import CURVE_KINDS, make_curve
     from ..sfc.runs import merge_key_ranges
-    from ..workloads.scenarios import (
-        auction_scenario,
-        sensor_network_scenario,
-        stock_market_scenario,
-    )
 
-    scenario_factories = {
-        "stock": stock_market_scenario,
-        "sensor": sensor_network_scenario,
-        "auction": auction_scenario,
-    }
-    table = ResultTable("E-CURVE: matching/covering/churn throughput per space filling curve")
-
-    for scenario_name, scenario_factory in scenario_factories.items():
-        scenario = scenario_factory(
-            num_subscriptions=num_subscriptions,
-            num_events=num_events,
-            order=order,
-            seed=seed,
-        )
-        schema = scenario.schema
-        subscriptions = [
-            Subscription(schema, constraints, sub_id=f"{scenario_name}-sub-{i}")
-            for i, constraints in enumerate(scenario.subscriptions)
-        ]
-        events = [
-            Event(schema, values, event_id=f"{scenario_name}-event-{i}")
-            for i, values in enumerate(scenario.events)
-        ]
-        rng = _random.Random(seed + 1)
-        batches: Dict[int, List[Tuple[str, Subscription]]] = {}
-        for sub in subscriptions:
-            batches.setdefault(rng.randrange(num_brokers), []).append(
-                (f"client-{sub.sub_id}", sub)
-            )
-        publish_groups: Dict[int, List[Event]] = {}
-        for event in events:
-            publish_groups.setdefault(rng.randrange(num_brokers), []).append(event)
-        withdrawals = [
-            (f"client-{sub.sub_id}", sub.sub_id)
-            for sub in subscriptions[: len(subscriptions) // 2]
-        ]
-        audit_origins = [rng.randrange(num_brokers) for _ in range(audit_events)]
-
-        delivered_by_curve: Dict[str, Dict[Hashable, frozenset]] = {}
-        for curve in CURVE_KINDS:
-            network = BrokerNetwork.from_topology(
-                schema,
-                tree_topology(num_brokers),
-                covering="approximate",
-                config=IndexConfig(curve=curve),
-            )
-            start = time.perf_counter()
-            for broker_id, items in batches.items():
-                network.subscribe_batch(broker_id, items)
-            subscribe_seconds = time.perf_counter() - start
-
-            delivered: Dict[Hashable, frozenset] = {}
-            start = time.perf_counter()
-            for broker_id, group in publish_groups.items():
-                for event, clients in zip(group, network.publish_batch(broker_id, group)):
-                    delivered[event.event_id] = frozenset(clients)
-            publish_seconds = time.perf_counter() - start
-            delivered_by_curve[curve] = delivered
-
-            start = time.perf_counter()
-            network.unsubscribe_batch(withdrawals)
-            withdraw_seconds = time.perf_counter() - start
-
-            missed_total = extra_total = 0
-            for event, origin in zip(events[:audit_events], audit_origins):
-                missed, extra = network.publish_and_audit(origin, event)
-                missed_total += len(missed)
-                extra_total += len(extra)
-            if missed_total:
-                raise AssertionError(
-                    f"curve {curve!r} lost {missed_total} deliveries on "
-                    f"{scenario_name} — curves must never change semantics"
-                )
-
-            covering_runs = _broker_total(network, "covering_check_runs")
-            false_positives = sum(
-                broker.routing_table.match_work()[2]
-                for broker in network.brokers.values()
-            )
-            segments = sum(
-                broker.routing_table.match_segments()
-                for broker in network.brokers.values()
-            )
-            table.add(
-                phase="routing",
-                scenario=scenario_name,
-                curve=curve,
-                subscribe_s=round(subscribe_seconds, 4),
-                publish_s=round(publish_seconds, 4),
-                withdraw_s=round(withdraw_seconds, 4),
-                events_per_s=round(num_events / publish_seconds, 1)
-                if publish_seconds
-                else float("inf"),
-                subs_per_s=round(len(subscriptions) / subscribe_seconds, 1)
-                if subscribe_seconds
-                else float("inf"),
-                withdrawals_per_s=round(len(withdrawals) / withdraw_seconds, 1)
-                if withdraw_seconds
-                else float("inf"),
-                segments=segments,
-                match_false_positives=false_positives,
-                covering_runs_probed=covering_runs,
-                missed=missed_total,
-                extra=extra_total,
-            )
-        baseline = delivered_by_curve[CURVE_KINDS[0]]
-        for curve in CURVE_KINDS[1:]:
-            if delivered_by_curve[curve] != baseline:
-                differing = [
-                    event_id
-                    for event_id in baseline
-                    if delivered_by_curve[curve].get(event_id) != baseline[event_id]
-                ]
-                raise AssertionError(
-                    f"delivery sets differ between {CURVE_KINDS[0]!r} and {curve!r} on "
-                    f"{scenario_name} for events {differing[:5]} — curves must "
-                    "never change semantics"
-                )
-
-    # Fig. 1 at workload scale: exact run counts for a seeded rectangle family.
+    table = ResultTable("E-CURVE: key runs per space filling curve (Fig. 1-style rectangles)")
     universe = Universe(dims=2, order=6)
     rect_workload = SubscriptionWorkload(
         attributes=2, attribute_order=6, width_fraction=0.4, seed=seed + 2
@@ -1455,12 +1307,12 @@ def run_match_scale_experiment(
 
     Two phases:
 
-    * **parity** — the index under every curve must produce delivery sets
-      identical to a brute-force rectangle scan; any disagreement raises
-      instead of producing a row.
+    * **parity** — the index must produce delivery sets identical to a
+      brute-force rectangle scan; any disagreement raises instead of
+      producing a row.
     * **scale** — for each population: bulk ``add_batch`` build throughput and
       publish throughput, probing event by event as a broker does: the
-      events are keyed once (``curve.keys``), then ``any_match`` runs over
+      events are keyed once (``ZOrderCurve.keys``), then ``any_match`` runs over
       ``num_events`` of them and ``matching_ids`` over the first
       ``num_delivery_events``; with segment counts, flattened member entries
       and peak RSS.
@@ -1469,14 +1321,13 @@ def run_match_scale_experiment(
     import resource
 
     from ..pubsub.match_index import MatchIndex
-    from ..sfc.factory import CURVE_KINDS
 
     table = ResultTable("E-MATCH-SCALE: million-subscription matching on one match index")
     schema = _default_schema(order)
     side = 1 << order
 
-    def make_index(**knobs):
-        return MatchIndex(schema, config=IndexConfig(precision_bits=precision_bits, **knobs))
+    def make_index():
+        return MatchIndex(schema, config=IndexConfig(precision_bits=precision_bits))
 
     # ---------------------------------------------------------------- parity
     parity_items = _scale_subscriptions(parity_subscriptions, order, seed + 1)
@@ -1492,24 +1343,20 @@ def run_match_scale_experiment(
         )
         for cells in parity_cells
     ]
-    combos = 0
-    for curve in CURVE_KINDS:
-        index = make_index(curve=curve)
-        index.add_batch(parity_items)
-        got = [sorted(index.matching_ids(cells)) for cells in parity_cells]
-        if got != oracle:
-            bad = next(i for i in range(len(oracle)) if got[i] != oracle[i])
-            raise AssertionError(
-                f"curve {curve!r} disagrees with the rectangle oracle on event "
-                f"{parity_cells[bad]}"
-            )
-        combos += 1
+    index = make_index()
+    index.add_batch(parity_items)
+    got = [sorted(index.matching_ids(cells)) for cells in parity_cells]
+    if got != oracle:
+        bad = next(i for i in range(len(oracle)) if got[i] != oracle[i])
+        raise AssertionError(
+            f"the match index disagrees with the rectangle oracle on event "
+            f"{parity_cells[bad]}"
+        )
     table.add(
         phase="parity",
-        curve="all",
+        curve="zorder",
         subscriptions=parity_subscriptions,
         events=parity_events,
-        combos_verified=combos,
     )
 
     # ----------------------------------------------------------------- scale

@@ -25,8 +25,8 @@ callers from accidentally launching an astronomically large exhaustive probe.
 
 The search runs on the Z curve alone, as the paper's analysis does
 (Theorems 3.1 and 4.1 are stated for it): class keys come straight from
-``zorder_class_keys``.  Curves are compared elsewhere — run counts in Fig. 1
-and E-CURVE, and the match index's ``IndexConfig(curve=…)``.
+``zorder_class_keys``.  Curves are compared only by their run counts, in
+Fig. 1 and E-CURVE; the match index keys on Z too.
 
 Steps 1–2 depend on the query alone and are captured as a
 :class:`DominancePlan`; step 3 is :meth:`ApproximateDominanceIndex.execute_plan`,

@@ -7,8 +7,7 @@ ranges) are stored as dominance points in a ``2β``-dimensional universe, and
 already stored?" by issuing an ε-approximate dominance query anchored at the
 new subscription's point.  The points are keyed on the Z curve, the curve
 the paper's search and bounds are stated for; no detector, profiler or plan
-takes a curve (a curve is chosen only for the match index, through
-``IndexConfig(curve=…)``).
+takes a curve (nor does the match index: the product keys on Z alone).
 
 Guarantees mirror Problem 2 of the paper:
 

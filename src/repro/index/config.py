@@ -1,7 +1,7 @@
 """One frozen configuration object for the match indexes of the stack.
 
-A broker's interface tables key their subscriptions on a space-filling curve
-and decompose them on a precision grid; those are the two knobs
+A broker's interface tables key their subscriptions on the Z curve and
+decompose them on a precision grid; that grid is the one knob
 :class:`IndexConfig` carries.  The paper's covering parameters (ε and the
 cube budget) belong to a covering query, and are parameters of
 :class:`~repro.core.covering.ApproximateCoveringDetector`; the run budget is
@@ -17,8 +17,6 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from typing import Optional
-
-from ..sfc.factory import DEFAULT_CURVE, curve_class
 
 __all__ = [
     "DEFAULT_PRECISION_BITS",
@@ -39,18 +37,15 @@ PRECISION_BIT_BUDGET = 2 * DEFAULT_PRECISION_BITS
 class IndexConfig:
     """Validated, immutable description of one match-index configuration.
 
-    ``curve`` names the space-filling curve keying the segments.
     ``precision_bits=None`` means "derive from the budget":
     :meth:`effective_precision_bits` resolves it per universe to the finest
     grid a match index may grow to.  Being frozen and hashable, an
     ``IndexConfig`` can serve as a dictionary key directly.
     """
 
-    curve: str = DEFAULT_CURVE
     precision_bits: Optional[int] = None
 
     def __post_init__(self) -> None:
-        curve_class(self.curve)  # raises the canonical "unknown curve kind" error
         if self.precision_bits is not None and self.precision_bits < 1:
             raise ValueError(
                 f"precision_bits must be >= 1 (or None to derive from the "

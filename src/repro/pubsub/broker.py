@@ -163,8 +163,7 @@ class Broker:
     config:
         The one :class:`~repro.index.config.IndexConfig` of this broker
         (defaults to ``IndexConfig()``), read by the interface tables' match
-        indexes: ``curve`` and ``precision_bits`` (curves change run/segment
-        statistics, never semantics).  No covering decision reads it.
+        indexes: ``precision_bits``.  No covering decision reads it.
     profile_cache:
         Optional shared :class:`ProfileCache` (the network passes one cache
         to all its brokers so a subscription is decomposed for matching once
@@ -590,21 +589,38 @@ class Broker:
             self.stats.promotions += 1
 
     # ------------------------------------------------------------------ events
+    def _check_schema(self, event: Event) -> None:
+        """Raise ``ValueError`` unless ``event`` quantises onto this broker's grid.
+
+        Checked once where an event enters the network, not per hop: the
+        tables' tests and :attr:`Event.key` compare cells field for field,
+        which only means something on a compatible schema.
+        """
+        if not (event.schema is self.schema or self.schema.compatible_with(event.schema)):
+            raise ValueError(
+                f"event {event.event_id!r} is on another schema than broker "
+                f"{self.broker_id!r}"
+            )
+
     def publish_local(self, event: Event) -> None:
         """Inject an event published by a locally attached client."""
+        self._check_schema(event)
         self.receive_event(LOCAL_INTERFACE, event)
 
     def publish_batch(self, events: Sequence[Event]) -> None:
         """Inject a batch of locally published events.
 
-        When one of this broker's own tables has an index, the events'
-        curve keys are computed in one pass (sharing per-coordinate
-        spreading work across the batch) and remembered on the events, where
-        indexed tables here and downstream read them.  A broker whose tables
-        all scan keys nothing here; a broker downstream that indexes then
-        keys each event on its own, at its first indexed probe.
+        Every event's schema is checked before any is routed.  When one of
+        this broker's own tables has an index, the events' Z keys are
+        computed in one pass (sharing per-coordinate spreading work across
+        the batch) and kept on the events, where indexed tables here and
+        downstream read them.  A broker whose tables all scan keys nothing
+        here; a broker downstream that indexes then keys each event on its
+        own, at its first indexed probe.
         """
         events = list(events)
+        for event in events:
+            self._check_schema(event)
         tables = self.routing_table.interface_tables().values()
         if any(table.match_index is not None for table in tables):
             self.routing_table.event_keys(events)
@@ -615,11 +631,12 @@ class Broker:
         """Deliver an event locally and forward it along matching interfaces.
 
         No key is computed here: a table that has built its match index
-        reads the event's SFC key when it probes, keying the ``Event`` object
-        the first time and remembering the key on it for every later probe,
-        at this broker and at any other the same object reaches.  A table
-        that scans never reads it, so an event that meets only scanning
-        tables is never keyed.
+        reads the event's :attr:`~repro.pubsub.subscription.Event.key` when
+        it probes, keying the ``Event`` object the first time for every
+        later probe, at this broker and at any other the same object
+        reaches.  A table that scans never reads it, so an event that meets
+        only scanning tables is never keyed.  The event's schema was checked
+        where it entered (:meth:`publish_local` / :meth:`publish_batch`).
         """
         self.stats.events_received += 1
         delivered = self._deliver_locally(event)

@@ -9,9 +9,8 @@ hot path the same way Section 5 applies it to covering detection.
 
 The idea: a subscription is a rectangle on the quantised attribute grid, and
 by Fact 2.1 a rectangle decomposes into a bounded number of *runs* —
-contiguous key segments under any recursive-partitioning curve (Z-order by
-default; Hilbert and Gray plug in through the same interface).  An event is a
-single cell, i.e. a single key.  "Event matches subscription" is exactly
+contiguous key segments of the Z curve.  An event is a single cell, i.e. a
+single key.  "Event matches subscription" is exactly
 "``key(p)`` lies inside one of the subscription's runs".  The index
 therefore stores the runs of every
 subscription, flattened into *disjoint* key segments each labelled with the
@@ -90,8 +89,8 @@ from ..geometry.universe import PackedBox, Universe, pack_point, packed_guard, u
 from ..index.config import PRECISION_BIT_BUDGET, IndexConfig
 from ..index.sfc_array import FlatSegmentStore
 from ..sfc.base import KeyRange
-from ..sfc.factory import make_curve
 from ..sfc.runs import GridRunTable, merge_key_ranges
+from ..sfc.zorder import ZOrderCurve
 from .schema import AttributeSchema
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -101,9 +100,9 @@ __all__ = ["MatchIndex", "MatchIndexStats", "finer_grid_pays"]
 
 
 @functools.lru_cache(maxsize=64)
-def _grid_run_table(kind: str, dims: int, order: int, bits: int) -> GridRunTable:
-    """The process-wide run table of one (curve, universe, precision grid)."""
-    return GridRunTable(make_curve(kind, Universe(dims=dims, order=order)), bits)
+def _grid_run_table(dims: int, order: int, bits: int) -> GridRunTable:
+    """The process-wide run table of one (universe, precision grid)."""
+    return GridRunTable(ZOrderCurve(Universe(dims=dims, order=order)), bits)
 
 
 #: The share of a probe's rejected candidates one more grid bit is taken to
@@ -164,7 +163,7 @@ class MatchIndex:
         (``d = num_attributes`` dimensions, ``2^order`` cells per side).
     config:
         The :class:`~repro.index.config.IndexConfig` (defaults to
-        ``IndexConfig()``); the index reads both of its fields.  The
+        ``IndexConfig()``); the index reads its one field.  The
         disjoint segments live in one
         :class:`~repro.index.sfc_array.FlatSegmentStore` (parallel sorted
         arrays probed by ``bisect``, with bulk-load construction, a
@@ -176,10 +175,8 @@ class MatchIndex:
         budget-derived ceiling, which scales with dimensionality so the
         total decomposition work stays within :data:`~repro.index.config.PRECISION_BIT_BUDGET`; the
         current grid is :attr:`precision_bits`, and the cost model that
-        moves it reads only :attr:`stats` and :attr:`staged_rejections`.  ``curve``
-        names the space-filling curve (:data:`~repro.sfc.factory.CURVE_KINDS`)
-        keying the segments; curves differ in run counts — and therefore in
-        segment counts and false-positive rates — never in match answers.
+        moves it reads only :attr:`stats` and :attr:`staged_rejections`.
+        The segments are keyed on the Z curve (:attr:`curve`).
     run_cache:
         Optional :class:`~repro.pubsub.subscription_store.ProfileCache`
         memoising each snapped rectangle's key runs.  A rectangle's runs are
@@ -206,7 +203,7 @@ class MatchIndex:
         self.config = config
         self.schema = schema
         self.universe = Universe(dims=schema.num_attributes, order=schema.order)
-        self.curve = make_curve(config.curve, self.universe)
+        self.curve = ZOrderCurve(self.universe)
         self._run_cache = run_cache
         self.stats = MatchIndexStats()
         #: Rectangle tests of staged slots that rejected, so far.
@@ -299,7 +296,6 @@ class MatchIndex:
         # Everything a snapped rectangle's stored runs depend on besides the
         # rectangle itself; namespaces this index's entries in the run cache.
         self._run_key = (
-            self.curve.kind,
             universe.dims,
             universe.order,
             effective,
@@ -447,7 +443,7 @@ class MatchIndex:
         if self._tabulated:
             table = self._grid_runs
             if table is None:
-                table = self._grid_runs = _grid_run_table(*self._run_key[:4])
+                table = self._grid_runs = _grid_run_table(*self._run_key[:3])
             for i in missing:
                 entries[i] = entry = self._coarsen(table.runs(signatures[i]))
                 if cache is not None:
@@ -661,7 +657,7 @@ class MatchIndex:
     # (:meth:`FlatSegmentStore.charge`), their rejections counted apart (a
     # finer grid cannot save them), and the probe that pays for a flatten
     # makes it, after its answer is counted.  ``key`` and ``point``
-    # optionally supply the event's curve key and packed point
+    # optionally supply the event's Z key and packed point
     # (:attr:`~repro.pubsub.subscription.Event.point`); either is derived
     # from ``cells`` when absent.
     def any_match(

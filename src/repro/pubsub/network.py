@@ -184,9 +184,8 @@ class BrokerNetwork:
         latency, queueing and churn.
     config:
         The one :class:`~repro.index.config.IndexConfig` every broker is
-        built with (defaults to ``IndexConfig()``): curve and precision.
-        Curves change run/segment statistics, never delivery semantics.  The
-        network hands one
+        built with (defaults to ``IndexConfig()``): the match indexes'
+        precision grid.  The network hands one
         :class:`~repro.pubsub.subscription_store.ProfileCache` to every
         broker, so each subscription's match-index key runs are computed
         once network-wide.
@@ -754,8 +753,8 @@ class BrokerNetwork:
         """Publish a batch of events at ``broker_id``; return per-event delivery sets.
 
         Equivalent to calling :meth:`publish` per event, but the events'
-        curve keys are computed in one amortised pass at
-        the publishing broker before routing starts.  Recipients are collected
+        Z keys are computed in one amortised pass at the publishing broker
+        before routing starts (when one of its tables has an index).  Recipients are collected
         by event id, so a batch repeating an id is cut into chunks at each
         repeat: each chunk is keyed in one pass and flushed before the next,
         and every position gets the clients its own event reached.

@@ -20,8 +20,9 @@ A table answers "does anything here match?" by scanning its subscriptions
 while it holds at most :attr:`InterfaceTable.SCAN_LIMIT` of them, and
 through a :class:`~repro.pubsub.match_index.MatchIndex` after (see
 :class:`InterfaceTable` for where the limit comes from).  Only an indexed
-table reads an event's curve key, which is remembered on the ``Event``
-object, so an event that meets only scanning tables is never keyed.
+table reads an event's Z key (:attr:`~repro.pubsub.subscription.Event.key`,
+derived on first read and kept on the ``Event`` object), so an event that
+meets only scanning tables is never keyed.
 
 Neither the scan nor a table's store derives anything per hop: a
 :class:`~repro.pubsub.subscription.Subscription` carries its quantised
@@ -36,8 +37,7 @@ from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from ..geometry.universe import Universe, packed_guard
 from ..index.config import IndexConfig
-from ..sfc.base import SpaceFillingCurve
-from ..sfc.factory import make_curve
+from ..sfc.zorder import ZOrderCurve
 from .match_index import MatchIndex, MatchIndexStats
 from .schema import AttributeSchema
 from .subscription import Event, Subscription
@@ -64,19 +64,6 @@ def check_covering_kind(kind: str) -> None:
         )
 
 
-def _memo_key(event: Event, tag: Hashable, curve: SpaceFillingCurve) -> int:
-    """``event``'s key under ``curve``, read from the event's memo or computed and remembered there.
-
-    ``tag`` names everything the key depends on besides the cells (curve
-    kind, dimensions, order; see :meth:`Event.curve_key`).
-    """
-    key = event.curve_key(tag)
-    if key is None:
-        key = curve.key(event.cells)
-        event.remember_curve_key(tag, key)
-    return key
-
-
 class InterfaceTable:
     """Subscriptions learnt through a single interface.
 
@@ -86,10 +73,10 @@ class InterfaceTable:
     :class:`~repro.pubsub.match_index.MatchIndex` over all of them in one
     bulk load, kept for the table's life.  The index is built under the
     table's :class:`~repro.index.config.IndexConfig`, and only its probes
-    read the event's curve key: the first one keys the ``Event`` object and
-    remembers the key on it, tagged with the curve kind, dimensions and
-    order, so every later probe of the same object under the same curve, at
-    this table or any other, reads it back.  A scanning table never keys.
+    read the event's :attr:`~repro.pubsub.subscription.Event.key`: the first
+    one keys the ``Event`` object, and every later probe of the same object,
+    at this table or any other, reads the key back.  A scanning table never
+    keys.
 
     The limit trades probe cost against write cost: the index's writes
     cost about 25 times the scan's dict write, and its ``matching_ids``
@@ -119,8 +106,6 @@ class InterfaceTable:
         self.schema = schema
         self.config = config or IndexConfig()
         self._run_cache = run_cache
-        # What the key an Event remembers is tagged with (see _memo_key).
-        self._key_tag = (self.config.curve, schema.num_attributes, schema.order)
         self._subscriptions: Dict[Hashable, Subscription] = {}
         self._guard = packed_guard(schema.num_attributes, schema.order)
         self._index = None
@@ -213,16 +198,14 @@ class InterfaceTable:
             stats.false_positives += tested - len(matched)
             return matched, tested
         checked = index.stats.candidates_checked
-        key = _memo_key(event, self._key_tag, index.curve)
-        matched = index.matching_ids(event.cells, key, event.point)
+        matched = index.matching_ids(event.cells, event.key, event.point)
         return matched, index.stats.candidates_checked - checked
 
     def any_match(self, event: Event) -> bool:
         """Return True when at least one stored subscription matches ``event``."""
         index = self._index
         if index is not None:
-            key = _memo_key(event, self._key_tag, index.curve)
-            return index.any_match(event.cells, key, event.point)
+            return index.any_match(event.cells, event.key, event.point)
         point = event.point
         guard = self._guard
         guarded = point | guard
@@ -244,13 +227,13 @@ class InterfaceTable:
 class RoutingTable:
     """All interface tables of one broker.
 
-    An event's curve key is computed only when an indexed table probes for
-    it, and once per ``Event`` object, not per broker or table: the key is
-    remembered on the event, where :meth:`event_key` and every table read
-    it back.  :meth:`event_keys` keys a batch in one pass into the same
-    memo.  ``run_cache`` is handed to every index so a
-    rectangle stored on several interfaces — or, with a network-wide cache,
-    at several brokers — is decomposed once.
+    An event's Z key is computed only when an indexed table probes for it,
+    and once per ``Event`` object, not per broker or table: it is
+    :attr:`Event.key <repro.pubsub.subscription.Event.key>`, derived on
+    first read and kept on the event.  :meth:`event_keys` keys a batch in
+    one pass into the same attribute.  ``run_cache`` is handed to every
+    index so a rectangle stored on several interfaces — or, with a
+    network-wide cache, at several brokers — is decomposed once.
     """
 
     def __init__(
@@ -264,12 +247,7 @@ class RoutingTable:
         self.config = config
         self._run_cache = run_cache
         self._tables: Dict[Hashable, InterfaceTable] = {}
-        self._curve: SpaceFillingCurve = make_curve(
-            config.curve, Universe(dims=schema.num_attributes, order=schema.order)
-        )
-        # Everything an event's key depends on besides its cells: what the
-        # key an Event remembers is tagged with (see event_key).
-        self._key_tag = (config.curve, schema.num_attributes, schema.order)
+        self._curve = ZOrderCurve(Universe(dims=schema.num_attributes, order=schema.order))
 
     def table(self, interface_id: Hashable) -> InterfaceTable:
         """Return (creating on demand) the table for ``interface_id``."""
@@ -293,30 +271,19 @@ class RoutingTable:
         """Total number of subscription entries across all interfaces."""
         return sum(len(table) for table in self._tables.values())
 
-    def event_key(self, event: Event) -> int:
-        """SFC key of ``event`` under this table's curve.
-
-        The key is remembered on the event, tagged with this table's curve
-        kind, dimensions and order: the next broker the same ``Event`` object
-        reaches (every hop of an in-process transport) reads it back instead
-        of re-keying, and a table under another curve computes its own.
-        """
-        return _memo_key(event, self._key_tag, self._curve)
-
     def event_keys(self, events: Sequence[Event]) -> List[int]:
-        """SFC keys for a batch of events, amortising shared work where the curve can.
+        """Z keys of a batch of events, keyed in one pass and kept on the events.
 
-        Delegates to :meth:`SpaceFillingCurve.keys`; the Z curve spreads each
-        distinct coordinate value at most once per dimension across the whole
-        batch — batches with recurring attribute values (hot topics, repeated
-        prices) pay far less than per-event key construction — while other
-        curves fall back to per-event keying.  The keys are remembered on the
-        events exactly as :meth:`event_key` would.
+        :meth:`ZOrderCurve.keys <repro.sfc.zorder.ZOrderCurve.keys>` spreads
+        each distinct coordinate value at most once per dimension across the
+        batch (or interleaves it in one numpy pass), where reading
+        :attr:`Event.key <repro.pubsub.subscription.Event.key>` event by
+        event keys each alone.  Each key fills its event's ``key``, so no
+        table keys these events again.
         """
-        tag = self._key_tag
-        keys = list(self._curve.keys([event.cells for event in events]))
+        keys = self._curve.keys([event.cells for event in events])
         for event, key in zip(events, keys):
-            event.remember_curve_key(tag, key)
+            object.__setattr__(event, "key", key)
         return keys
 
     def matching_interfaces(
@@ -348,9 +315,9 @@ class RoutingTable:
         """Total disjoint key segments stored across all match indexes (0 in a scanning table).
 
         The structure-size counterpart of :meth:`match_work`: segment counts
-        are where the choice of curve shows up (fewer runs per rectangle →
-        fewer segments per interface), so the curve-ablation experiment
-        aggregates them per network.
+        are what a rectangle's run count costs (more runs per rectangle →
+        more segments per interface), summed per network by the experiments
+        and the e2e benchmark's ``index.segments``.
         """
         return sum(
             table.match_index.segment_count()

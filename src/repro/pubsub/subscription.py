@@ -9,18 +9,30 @@ integer grid the SFC index uses.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, Mapping, Optional, Tuple
 
 from ..geometry.transform import ranges_cover
-from ..geometry.universe import PackedBox, pack_box, pack_point
+from ..geometry.universe import PackedBox, Universe, pack_box, pack_point
+from ..sfc.zorder import ZOrderCurve
 from .schema import AttributeSchema
 
 __all__ = ["Subscription", "Event"]
 
 _subscription_counter = itertools.count()
 _event_counter = itertools.count()
+
+
+@functools.lru_cache(maxsize=None)
+def _z_curve(dims: int, order: int) -> ZOrderCurve:
+    """The Z curve of one ``(dims, order)`` grid, shared by every event on it.
+
+    Keying through :meth:`ZOrderCurve.key` rather than ``interleave_bits``
+    keeps every event keying inside the e2e trace's ``sfc.key`` span.
+    """
+    return ZOrderCurve(Universe(dims=dims, order=order))
 
 
 @dataclass(frozen=True)
@@ -42,13 +54,15 @@ class Event:
         (:func:`~repro.geometry.universe.pack_point`), the operand of the
         match tables' rectangle test (derived; not compared, not shown, not
         encoded: a decoded event derives it again).
+    key:
+        The Z-order key of ``cells`` (derived on first read, then kept).
 
-    An event also remembers its space-filling-curve key once a routing table
-    has computed it (:meth:`curve_key` / :meth:`remember_curve_key`), so the
-    brokers an in-process transport hands the same object to key it once
-    between them.  The memo is a cache, not state: it is not a field, so
-    ``==``, ``hash`` and ``repr`` ignore it, pickling and copying drop it, and
-    the wire codec never sees it (a decoded event starts without one).
+    :attr:`key` is read only by an indexed table's probe, so an event that
+    meets only scanning tables is never keyed, and the brokers an in-process
+    transport hands the same object to key it once between them.  It is a
+    cache, not state: it is not a field, so ``==``, ``hash`` and ``repr``
+    ignore it, pickling and copying drop it, and the wire codec never sees
+    it (a decoded event keys itself again).
     """
 
     schema: AttributeSchema
@@ -56,9 +70,6 @@ class Event:
     event_id: Hashable = field(default_factory=lambda: f"event-{next(_event_counter)}")
     cells: Tuple[int, ...] = field(init=False)
     point: int = field(init=False, compare=False, repr=False)
-
-    # ``(curve tag, key)`` of the last keying; unannotated, so not a field.
-    _key_memo = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", dict(self.values))
@@ -70,25 +81,15 @@ class Event:
         """Return the event's value for attribute ``name``."""
         return self.values[name]
 
-    def curve_key(self, tag: Hashable) -> Optional[int]:
-        """The key remembered under ``tag``, or ``None``.
-
-        ``tag`` names everything the key depends on besides the cells (curve
-        kind, dimensions, order), so a table keyed by another curve can never
-        read a foreign key.
-        """
-        memo = self._key_memo
-        if memo is not None and memo[0] == tag:
-            return memo[1]
-        return None
-
-    def remember_curve_key(self, tag: Hashable, key: int) -> None:
-        """Remember ``key`` as this event's key under ``tag`` (replacing any other)."""
-        object.__setattr__(self, "_key_memo", (tag, key))
+    @functools.cached_property
+    def key(self) -> int:
+        """The Z-order key of :attr:`cells` on the schema's grid."""
+        schema = self.schema
+        return _z_curve(schema.num_attributes, schema.order).key(self.cells)
 
     def __getstate__(self) -> Dict[str, object]:
         state = dict(self.__dict__)
-        state.pop("_key_memo", None)
+        state.pop("key", None)
         return state
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic

@@ -1,7 +1,7 @@
 """Per-broker subscription profiles, and the match-run memo every broker shares.
 
 Storing a subscription for event matching runs one piece of pure geometry at
-every broker it reaches: the rectangle's decomposition into curve key runs
+every broker it reaches: the rectangle's decomposition into Z key runs
 (Fact 2.1).  This module hoists it out, and keeps the per-broker record of
 what a broker holds:
 
@@ -43,8 +43,8 @@ class SubscriptionProfile:
 class ProfileCache:
     """The match index's key runs, memoised by snapped rectangle (LRU-bounded).
 
-    The caller builds the key from everything the runs depend on — curve
-    kind, universe, precision, run budget and the snapped rectangle — so
+    The caller builds the key from everything the runs depend on — universe,
+    precision, run budget and the snapped rectangle — so
     indexes built on one cache under configs that differ in any of them
     never read each other's runs, and the cache is safely shareable across
     brokers.  :attr:`hits` / :attr:`misses` / :attr:`evictions` count its

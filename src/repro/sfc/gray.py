@@ -25,7 +25,6 @@ from ..geometry.bits import (
     interleave_bits,
     spread_bits,
 )
-from . import vectorized
 from .base import SpaceFillingCurve
 
 __all__ = ["GrayCodeCurve"]
@@ -53,19 +52,11 @@ class GrayCodeCurve(SpaceFillingCurve):
     def keys(self, points: Sequence[Sequence[int]]) -> List[int]:
         """Keys of a batch of cells; identical to ``[self.key(p) for p in points]``.
 
-        When keys fit a machine word the batch is
-        interleaved and Gray-decoded by the vector kernels
-        (:func:`repro.sfc.vectorized.gray_keys`).  The pure-Python fallback
-        reuses the Z curve's trick — each distinct coordinate value is
+        Reuses the Z curve's trick — each distinct coordinate value is
         Morton-spread at most once per dimension — and Gray-decodes each
         interleaved word.
         """
         universe = self.universe
-        fast = vectorized.gray_keys(
-            points, universe.dims, universe.order, universe.max_coordinate
-        )
-        if fast is not None:
-            return fast
         dims = universe.dims
         caches: List[dict] = [{} for _ in range(dims)]
         keys: List[int] = []

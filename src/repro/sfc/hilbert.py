@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 from ..geometry.bits import interleave_bits, deinterleave_bits
-from . import vectorized
 from .base import SpaceFillingCurve
 
 __all__ = ["HilbertCurve"]
@@ -46,18 +45,10 @@ class HilbertCurve(SpaceFillingCurve):
     def keys(self, points: Sequence[Sequence[int]]) -> List[int]:
         """Keys of a batch of cells; identical to ``[self.key(p) for p in points]``.
 
-        When keys fit a machine word, Skilling's
-        transpose runs column-wise over the whole batch
-        (:func:`repro.sfc.vectorized.hilbert_keys`).  The pure-Python fallback
-        memoises the transpose per distinct cell, so batches with recurring
-        cells (hot events, shared cube anchors) pay for each one once.
+        Memoises the transpose per distinct cell, so batches with recurring
+        cells pay for each one once.
         """
         universe = self.universe
-        fast = vectorized.hilbert_keys(
-            points, universe.dims, universe.order, universe.max_coordinate
-        )
-        if fast is not None:
-            return fast
         cache: dict = {}
         keys: List[int] = []
         for point in points:

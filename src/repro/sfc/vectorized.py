@@ -1,29 +1,25 @@
-"""Vectorized batch keying kernels for the space filling curves.
+"""Vectorized batch keying kernel for the Z curve.
 
-The stack computes curve keys in batches — all cubes of a decomposition,
-all events of a ``publish_batch``, all anchor cells of a dominance plan.  The scalar :meth:`SpaceFillingCurve.key` path builds each
-key with arbitrary-precision Python bit twiddling; at million-subscription
-scale that loop dominates subscribe time.  This module provides numpy kernels
-that key an entire batch with a constant number of vector operations per
-coordinate bit:
+The stack computes Z keys in batches — all cubes of a decomposition, all
+events of a ``publish_batch``, all anchor cells of a dominance plan.  The
+scalar :meth:`SpaceFillingCurve.key` path builds each key with
+arbitrary-precision Python bit twiddling; at million-subscription scale that
+loop dominates subscribe time.  :func:`zorder_keys` keys an entire batch with
+a constant number of vector operations per coordinate bit: table-driven bit
+interleaving, each coordinate split into small chunks and spread through a
+per-dimension lookup table (256 entries for order ≥ 8), so a batch of ``n``
+points costs ``O(d · k/8)`` vector ops instead of ``n · d · k`` Python-level
+shifts.  (The Hilbert and Gray curves key only Fig. 1-sized batches, through
+their own pure-Python loops.)
 
-* **Z order** — table-driven bit interleaving: each coordinate is split into
-  small chunks and spread through a per-dimension lookup table (256 entries
-  for order ≥ 8), so a batch of ``n`` points costs ``O(d · k/8)`` vector ops
-  instead of ``n · d · k`` Python-level shifts.
-* **Hilbert** — Skilling's transpose algorithm applied column-wise to the
-  whole coordinate matrix (boolean masks replace the per-cell branches),
-  followed by the Z interleave above.
-* **Gray code** — the Z interleave followed by a vectorized Gray decode
-  (prefix XOR via doubling shifts).
-
-All kernels are *exact*: they return plain Python ints identical to the
-scalar path.  They apply only when every key fits a ``uint64``
-(``dims · order ≤ 63``); wider universes, non-integer input, or coordinates
-outside the universe make the kernels return ``None`` so callers fall back to
-the scalar path (which performs the canonical validation and raises the
-canonical errors).  The per-curve pure-Python batch implementations take
-those inputs, and are the reference the kernels are tested against.
+The kernel is *exact*: it returns plain Python ints identical to the scalar
+path.  It applies only when every key fits a ``uint64`` (``dims · order ≤
+63``); wider universes, non-integer input, or coordinates outside the
+universe make it return ``None`` so callers fall back to the scalar path
+(which performs the canonical validation and raises the canonical errors).
+The pure-Python batch loop of :meth:`ZOrderCurve.keys
+<repro.sfc.zorder.ZOrderCurve.keys>` takes those inputs, and is the
+reference the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -37,8 +33,6 @@ from ..geometry.bits import spread_bits
 __all__ = [
     "MAX_VECTOR_KEY_BITS",
     "zorder_keys",
-    "hilbert_keys",
-    "gray_keys",
 ]
 
 #: Keys wider than this cannot be vectorized (they must fit a ``uint64``
@@ -109,59 +103,3 @@ def zorder_keys(
     if coords is None:
         return None
     return _as_ints(_interleave(coords, dims, order))
-
-
-def hilbert_keys(
-    points: Sequence[Sequence[int]], dims: int, order: int, max_coordinate: int
-) -> Optional[List[int]]:
-    """Batch Hilbert keys (vectorized Skilling transpose), or ``None``."""
-    if dims * order > MAX_VECTOR_KEY_BITS:
-        return None
-    coords = _coords(points, dims, max_coordinate)
-    if coords is None:
-        return None
-    x = coords.copy()
-    # Inverse undo (see sfc.hilbert._axes_to_transpose), applied column-wise:
-    # the per-cell branch on bit q becomes a boolean mask over the batch.
-    q = 1 << (order - 1)
-    while q > 1:
-        p = np.uint64(q - 1)
-        uq = np.uint64(q)
-        for i in range(dims):
-            is_set = (x[:, i] & uq) != 0
-            x[is_set, 0] ^= p
-            t = (x[:, 0] ^ x[:, i]) & p
-            t[is_set] = 0
-            x[:, 0] ^= t
-            x[:, i] ^= t
-        q >>= 1
-    # Gray encode.
-    for i in range(1, dims):
-        x[:, i] ^= x[:, i - 1]
-    t = np.zeros(len(x), dtype=np.uint64)
-    q = 1 << (order - 1)
-    while q > 1:
-        is_set = (x[:, dims - 1] & np.uint64(q)) != 0
-        t[is_set] ^= np.uint64(q - 1)
-        q >>= 1
-    x ^= t[:, None]
-    return _as_ints(_interleave(x, dims, order))
-
-
-def gray_keys(
-    points: Sequence[Sequence[int]], dims: int, order: int, max_coordinate: int
-) -> Optional[List[int]]:
-    """Batch Gray-code keys (interleave + vectorized Gray decode), or ``None``."""
-    if dims * order > MAX_VECTOR_KEY_BITS:
-        return None
-    coords = _coords(points, dims, max_coordinate)
-    if coords is None:
-        return None
-    keys = _interleave(coords, dims, order)
-    # gray_decode: bit j of the rank is the XOR of codeword bits j..msb;
-    # doubling shifts compute the running XOR in O(log key_bits) vector ops.
-    shift = 1
-    while shift < dims * order:
-        keys ^= keys >> np.uint64(shift)
-        shift <<= 1
-    return _as_ints(keys)

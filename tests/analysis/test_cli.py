@@ -37,8 +37,8 @@ class TestCLI:
 
     def test_no_experiment_takes_a_curve(self):
         """``run`` calls every registered driver without arguments; none has a
-        ``curve`` parameter left for a flag to feed (``curve-ablation`` sweeps
-        all three curves)."""
+        ``curve`` parameter left for a flag to feed (``curve-ablation`` counts
+        every curve's runs and takes none)."""
         for name, fn in EXPERIMENTS.items():
             parameters = inspect.signature(fn).parameters
             assert "curve" not in parameters and "curves" not in parameters, name
@@ -80,25 +80,16 @@ class TestMetricsCommand:
         snap = json.loads((tmp_path / "BENCH_metrics.json").read_text())
         assert snap["repro_routing_table_entries"]["series"][0]["value"] > 0
 
-    def test_serve_is_the_subcommand_that_takes_a_curve(self):
-        """``serve`` deploys the product network, so its flags mirror the
-        network's ``IndexConfig``: ``--curve`` is one of the curve kinds."""
-        from repro.analysis.cli import _build_parser
-
-        parser = _build_parser()
-        assert parser.parse_args(["serve"]).curve == "zorder"
-        assert parser.parse_args(["serve", "--curve", "hilbert"]).curve == "hilbert"
-        with pytest.raises(SystemExit) as exit_info:
-            parser.parse_args(["serve", "--curve", "peano"])
-        assert exit_info.value.code == 2
-
     def test_metrics_rejects_unknown_curve(self, capsys):
-        """``run`` and ``metrics`` take no curve at all: any ``--curve`` is
-        argparse's usage error (exit code 2), a known kind included."""
+        """No subcommand takes a curve (every network keys on Z): any
+        ``--curve`` is argparse's usage error (exit code 2), a known kind
+        included, before anything runs or binds a port."""
         for argv in (
             ["metrics", "--curve", "peano"],
             ["metrics", "--curve", "zorder"],
             ["run", "fig1", "--curve", "zorder"],
+            ["serve", "--curve", "zorder"],
+            ["serve", "--curve", "hilbert"],
         ):
             with pytest.raises(SystemExit) as exit_info:
                 main(argv)

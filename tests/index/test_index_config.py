@@ -33,33 +33,30 @@ def _schema(num_attributes: int = 2, order: int = 6) -> AttributeSchema:
 class TestValidation:
     def test_defaults_are_valid(self):
         config = IndexConfig()
-        assert config.curve == "zorder"
         assert config.precision_bits is None
         assert MatchIndex.RUN_BUDGET == 64
 
     def test_fields_are_pinned(self):
         """A new knob is a deliberate edit here, not a silent addition."""
-        assert [f.name for f in dataclasses.fields(IndexConfig)] == [
-            "curve",
-            "precision_bits",
-        ]
+        assert [f.name for f in dataclasses.fields(IndexConfig)] == ["precision_bits"]
 
     def test_covering_stack_defaults_to_one_budget(self):
         """No silent second budget: a detector and a profiler built without
         parameters share ε = 0.05 and 2,000 cubes, so the profiler's profiles
         are the detector's; the detector's index is keyed on the Z curve,
-        the default curve of ``IndexConfig``."""
+        as every match index is."""
         detector = ApproximateCoveringDetector(2, 6)
         profiler = CoveringProfiler(2, 6)
         assert (DEFAULT_EPSILON, DEFAULT_CUBE_BUDGET) == (0.05, 2_000)
-        assert detector.index.array.curve.kind == IndexConfig().curve == "zorder"
+        assert detector.index.array.curve.kind == MatchIndex(_schema()).curve.kind == "zorder"
         assert (detector.epsilon, detector.cube_budget) == (DEFAULT_EPSILON, DEFAULT_CUBE_BUDGET)
         assert (profiler.epsilon, profiler.cube_budget) == (DEFAULT_EPSILON, DEFAULT_CUBE_BUDGET)
         assert detector.compatible_profile(profiler.profile([(1, 9), (3, 40)]))
 
-    def test_unknown_curve_uses_canonical_message(self):
-        with pytest.raises(ValueError, match="unknown curve kind"):
-            IndexConfig(curve="peano")
+    def test_curve_is_no_knob(self):
+        """Every match index keys on the Z curve: ``curve=`` is a TypeError."""
+        with pytest.raises(TypeError):
+            IndexConfig(curve="zorder")
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -92,7 +89,7 @@ class TestValidation:
     def test_frozen(self):
         config = IndexConfig()
         with pytest.raises(dataclasses.FrozenInstanceError):
-            config.curve = "hilbert"
+            config.precision_bits = 3
 
 
 class TestPrecisionBits:
@@ -162,7 +159,7 @@ def _paper_search():
     }
 
 
-#: The drivers whose networks or tables once took ``curve=``.
+#: The drivers whose networks or tables once took ``curve=``; none does now.
 NETWORK_DRIVERS = (
     "run_pubsub_experiment",
     "run_metrics_scenario",
@@ -175,11 +172,12 @@ NETWORK_DRIVERS = (
 
 class TestConfigIsTheOnlyChannel:
     @pytest.mark.parametrize("name", sorted(_constructors()))
-    @pytest.mark.parametrize("knob", [{"curve": "hilbert"}, {"precision_bits": 3}])
+    @pytest.mark.parametrize("knob", [{"curve": "zorder"}, {"precision_bits": 3}])
     def test_knob_keywords_are_rejected(self, name, knob):
-        """No constructor takes a knob beside ``config=``: the keyword is a TypeError."""
+        """No constructor takes a knob beside ``config=`` (and ``curve`` is no
+        knob at all): the keyword is a TypeError."""
         build = _constructors()[name]
-        build(config=IndexConfig(**knob))
+        build(config=IndexConfig(precision_bits=3))
         with pytest.raises(TypeError):
             build(**knob)
 
@@ -257,33 +255,14 @@ def test_index_layer_takes_no_seed_and_no_backend_keyword(name, knob):
 class TestKeys:
     def test_config_is_its_own_key_distinguishing_every_knob(self):
         base = IndexConfig()
-        variants = [
-            IndexConfig(curve="hilbert"),
-            IndexConfig(precision_bits=3),
-        ]
+        variants = [IndexConfig(precision_bits=3), IndexConfig(precision_bits=5)]
         assert len({base, *variants}) == len(variants) + 1
         assert IndexConfig(precision_bits=3) in {v: None for v in variants}
 
     def test_replace(self):
         config = IndexConfig()
-        replaced = dataclasses.replace(config, curve="hilbert")
-        assert replaced.curve == "hilbert"
-        assert config.curve == "zorder"
-        with pytest.raises(ValueError, match="unknown curve kind"):
-            dataclasses.replace(config, curve="peano")
-
-    @pytest.mark.parametrize(
-        "knob",
-        [
-            {"curve": "hilbert"},
-            {"precision_bits": 3},
-        ],
-        ids=lambda knob: next(iter(knob)),
-    )
-    def test_replace_changes_only_the_named_knob(self, knob):
-        config = IndexConfig(curve="gray", precision_bits=5)
-        replaced = dataclasses.replace(config, **knob)
-        assert replaced != config
-        for field in dataclasses.fields(IndexConfig):
-            expected = knob.get(field.name, getattr(config, field.name))
-            assert getattr(replaced, field.name) == expected
+        replaced = dataclasses.replace(config, precision_bits=3)
+        assert replaced.precision_bits == 3
+        assert config.precision_bits is None
+        with pytest.raises(ValueError, match="precision_bits must be >= 1"):
+            dataclasses.replace(config, precision_bits=0)

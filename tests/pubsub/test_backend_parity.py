@@ -25,7 +25,6 @@ from repro.pubsub.network import BrokerNetwork, tree_topology
 from repro.pubsub.routing_table import InterfaceTable
 from repro.pubsub.schema import Attribute, AttributeSchema
 from repro.pubsub.subscription import make_event, make_subscription
-from repro.sfc.factory import CURVE_KINDS
 from repro.workloads.dynamics import run_scripted_lockstep, subscription_churn_script
 from repro.workloads.scenarios import stock_market_scenario
 
@@ -137,13 +136,12 @@ def test_routing_state_identical_across_run_budgets():
     states = {run_budget: _network_state(run_budget) for run_budget in run_budgets}
     reference = states[DEFAULT_RUN_BUDGET]
     assert all(state == reference for state in states.values())
-    # Same digest as the Hilbert-curve pin in test_seed_determinism: routing
-    # state depends on neither curve nor run budget, only on
-    # forwarding decisions, each one exact scan of a link's forwarded set.
+    # Routing state does not depend on the run budget, only on forwarding
+    # decisions, each one exact scan of a link's forwarded set.
     assert _digest(reference) == "c6ad33953fcabcc0"
 
 
-def _drive(run_budget: int, brokers: int = 4, curve: str = "zorder"):
+def _drive(run_budget: int, brokers: int = 4):
     """Subscribe 50 rectangles, publish 120 events; returns the delivery sets,
     the key segments the network's match indexes store and the candidates
     they checked."""
@@ -157,7 +155,6 @@ def _drive(run_budget: int, brokers: int = 4, curve: str = "zorder"):
             schema,
             tree_topology(brokers),
             seed=11,
-            config=IndexConfig(curve=curve),
         )
         for i in range(50):
             lo_x, lo_y = rng.uniform(0, 70), rng.uniform(0, 70)
@@ -191,11 +188,10 @@ def test_run_budget_never_changes_deliveries():
     assert finer == coarse
 
 
-@pytest.mark.parametrize("curve", CURVE_KINDS)
-def test_a_finer_run_budget_checks_fewer_candidates_network_wide(curve):
-    """On every curve the finer decomposition prunes candidates the coarse
-    one leaves to the rectangle check, and delivers the same events."""
-    coarse, _, coarse_candidates = _drive(run_budget=1, curve=curve)
-    finer, _, finer_candidates = _drive(run_budget=4, curve=curve)
+def test_a_finer_run_budget_checks_fewer_candidates_network_wide():
+    """The finer decomposition prunes candidates the coarse one leaves to
+    the rectangle check, and delivers the same events."""
+    coarse, _, coarse_candidates = _drive(run_budget=1)
+    finer, _, finer_candidates = _drive(run_budget=4)
     assert finer_candidates < coarse_candidates
     assert finer == coarse

@@ -314,6 +314,45 @@ class TestEventDelivery:
         assert network.brokers[0].stats.events_delivered_locally == 1
         assert sum(b.stats.events_received for b in network.brokers.values()) > 0
 
+    def test_an_event_on_another_schema_is_rejected_before_routing(self, schema):
+        """An event quantised on another grid (3 attributes at order 6 here)
+        compares garbage against this network's boxes: before the publish
+        check, 9 of these 200 were delivered.  Now ``publish`` and
+        ``publish_batch`` raise, and nothing is delivered or sent."""
+        foreign = AttributeSchema([Attribute(n, 0.0, 100.0) for n in "xyz"], order=6)
+        network = BrokerNetwork.from_topology(schema, chain_topology(3), seed=1)
+        rng = random.Random(3)
+        corners = []
+        for i in range(30):
+            lo_x, lo_y = rng.uniform(0, 80), rng.uniform(0, 80)
+            corners.append({"x": lo_x + 0.5, "y": lo_y + 0.5})
+            network.subscribe(
+                i % 3, f"c{i}",
+                Subscription(
+                    schema,
+                    {"x": (lo_x, lo_x + rng.uniform(1, 20)), "y": (lo_y, lo_y + rng.uniform(1, 20))},
+                    sub_id=f"s{i}",
+                ),
+            )
+        sent = network.transport.stats.messages_sent
+        events = [
+            Event(foreign, {n: rng.uniform(0, 100) for n in "xyz"}, event_id=f"f{j}")
+            for j in range(200)
+        ]
+        for j, event in enumerate(events):
+            with pytest.raises(ValueError, match="another schema"):
+                network.publish(j % 3, event)
+            with pytest.raises(ValueError):
+                network.expected_recipients(event)
+        # One foreign event stops its whole batch, the valid one before it too.
+        valid = Event(schema, corners[0], event_id="valid")
+        assert network.expected_recipients(valid)
+        with pytest.raises(ValueError, match="another schema"):
+            network.publish_batch(0, [valid, events[0]])
+        assert len(network.deliveries) == 0
+        assert network.transport.stats.messages_sent == sent
+        assert sum(b.stats.events_received for b in network.brokers.values()) == 0
+
     def test_publish_unknown_broker_rejected(self, schema):
         network = make_network(schema)
         with pytest.raises(ValueError):

@@ -1,32 +1,27 @@
-"""Cross-curve differential suite: Z-order, Hilbert and Gray agree on semantics.
+"""Differential suite: the Z-keyed match index against the flat oracle.
 
-The routing stack is curve-pluggable — the match index and the shared
-match-run cache are keyed by the ``SpaceFillingCurve`` that
-``IndexConfig(curve=…)`` names — and the choice can only change
-*statistics* (run counts, segment counts, probe costs), never *semantics*:
-match answers are restored to exactness by the rectangle fallback check, and
-a link's covering check compares ranges, not keys.  (The paper's dominance
-search runs on the Z curve alone and takes no curve.)
+The match index keys its segments on the Z curve, and the key can only
+change *statistics* (run counts, segment counts, probe costs), never
+*semantics*: match answers are restored to exactness by the rectangle
+fallback check, and a link's covering check compares ranges, not keys.
 
 This suite pins that claim end to end:
 
 * identical scripted workloads (``run_scripted_lockstep``) on tree/chain/star
-  × sync/sim leave every curve with the same per-event delivery sets as the
-  flat oracle (every table scanning, exact covering), and clean audits;
-* with exact covering, the learnt routing state is byte-identical across
-  curves (the curve then only touches event matching, which is exact);
-* suppression decisions are sound under every curve — each recorded cover
-  really covers its dependant (``ranges_cover`` oracle);
-* a hypothesis harness drives random subscribe/publish/withdraw interleavings
-  through all three curves against the flat oracle;
+  × sync/sim leave the indexed network with the same per-event delivery sets
+  as the flat oracle (every table scanning, exact covering), and clean
+  audits;
+* suppression decisions are sound — each recorded cover really covers its
+  dependant (``ranges_cover`` oracle);
+* a hypothesis harness drives random subscribe/publish/withdraw
+  interleavings through an indexed and a scanning network against the
+  network's own ground-truth audit;
 
-every curve arm builds each interface table's match index on its first
-subscription (``SCAN_LIMIT`` 0), so the curve keys every probe however small
+the indexed arms build each interface table's match index on its first
+subscription (``SCAN_LIMIT`` 0), so the index keys every probe however small
 the tables are;
-* the per-curve match index stabs exactly the points each rectangle contains
-  even under run-budget coarsening (rectangle-fallback soundness);
-* mis-configuration fails loudly: an unknown curve kind raises instead of
-  mis-keying.
+* the match index stabs exactly the points each rectangle contains even
+  under run-budget coarsening (rectangle-fallback soundness).
 """
 
 from __future__ import annotations
@@ -39,7 +34,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry.transform import ranges_cover
-from repro.index.config import IndexConfig
 from repro.pubsub.match_index import MatchIndex
 from repro.pubsub.network import (
     BrokerNetwork,
@@ -50,7 +44,6 @@ from repro.pubsub.network import (
 from repro.pubsub.routing_table import InterfaceTable
 from repro.pubsub.schema import Attribute, AttributeSchema
 from repro.pubsub.subscription import Event, Subscription
-from repro.sfc.factory import CURVE_KINDS
 from repro.sim.latency import FixedLatency
 from repro.sim.transport import SimTransport
 from repro.workloads.dynamics import run_scripted_lockstep, subscription_churn_script
@@ -79,19 +72,6 @@ def scan_limit(limit):
 NEVER = 1 << 62
 
 
-def make_network(schema, topology, transport_kind, curve, covering="approximate"):
-    transport = (
-        SimTransport(FixedLatency(0.05), seed=5) if transport_kind == "sim" else None
-    )
-    return BrokerNetwork.from_topology(
-        schema,
-        TOPOLOGIES[topology](NUM_BROKERS),
-        covering=covering,
-        config=IndexConfig(curve=curve),
-        transport=transport,
-    )
-
-
 def deliveries_by_event(network):
     """Normalised {event_id: frozenset(client_id)} over everything delivered."""
     out = {}
@@ -117,7 +97,7 @@ def assert_suppression_sound(network):
 
 
 class TestScriptedLockstepDifferential:
-    """Identical scripts under every curve ⇒ identical delivery semantics."""
+    """Identical scripts, indexed or scanning ⇒ identical delivery semantics."""
 
     @pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
     @pytest.mark.parametrize("transport_kind", ["sync", "sim"])
@@ -145,10 +125,7 @@ class TestScriptedLockstepDifferential:
 
         results = {}
         # The flat oracle: every table scanning, covering by the link scan.
-        for label, curve, covering, limit in [
-            ("oracle", "zorder", "approximate", NEVER),
-            *[(kind, kind, "approximate", 0) for kind in CURVE_KINDS],
-        ]:
+        for label, limit in [("oracle", NEVER), ("index", 0)]:
             transport = (
                 SimTransport(FixedLatency(0.05), seed=5)
                 if transport_kind == "sim"
@@ -157,8 +134,7 @@ class TestScriptedLockstepDifferential:
             network = BrokerNetwork.from_topology(
                 scenario.schema,
                 TOPOLOGIES[topology](NUM_BROKERS),
-                covering=covering,
-                config=IndexConfig(curve=curve),
+                covering="approximate",
                 transport=transport,
             )
             with scan_limit(limit):
@@ -179,28 +155,10 @@ class TestScriptedLockstepDifferential:
             assert_suppression_sound(network)
             results[label] = delivered
 
-        for kind in CURVE_KINDS:
-            assert results[kind] == results["oracle"], (
-                f"{kind} delivery sets diverged from the flat oracle on "
-                f"{topology}/{transport_kind}"
-            )
-
-    @pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
-    def test_exact_covering_state_identical_across_curves(self, topology):
-        """With exact covering the curve only drives event matching, which is
-        exact — so the learnt routing state must be byte-identical."""
-        scenario = small_scenario()
-        script = subscription_churn_script(scenario, BROKER_IDS, seed=3)
-        states = {}
-        for curve in CURVE_KINDS:
-            network = make_network(
-                scenario.schema, topology, "sync", curve, covering="approximate"
-            )
-            with scan_limit(0):
-                run_scripted_lockstep(network, script)
-            states[curve] = network.routing_state()
-        assert states["hilbert"] == states["zorder"]
-        assert states["gray"] == states["zorder"]
+        assert results["index"] == results["oracle"], (
+            f"indexed delivery sets diverged from the flat oracle on "
+            f"{topology}/{transport_kind}"
+        )
 
 
 # ---------------------------------------------------------------- hypothesis
@@ -251,8 +209,9 @@ class TestHypothesisDifferential:
     @given(workload=_workloads())
     @settings(max_examples=25, deadline=None)
     def test_random_lifecycles_agree_with_flat_oracle(self, workload):
-        """subscribe all → publish → withdraw some → publish, per curve, vs
-        the linear-scan oracle (the network's own ground-truth audit)."""
+        """subscribe all → publish → withdraw some → publish, indexed and
+        scanning, vs the linear-scan oracle (the network's own ground-truth
+        audit)."""
         rects, withdraw_mask, cells, placements = workload
         subscriptions = [
             Subscription(
@@ -271,19 +230,15 @@ class TestHypothesisDifferential:
             for i, (x, y) in enumerate(cells)
         ]
         deliveries = {}
-        for curve in CURVE_KINDS:
+        for limit in (0, NEVER):
             network = BrokerNetwork.from_topology(
-                _SCHEMA6,
-                tree_topology(4),
-                covering="approximate",
-                config=IndexConfig(curve=curve),
+                _SCHEMA6, tree_topology(4), covering="approximate"
             )
-            with scan_limit(0):
+            with scan_limit(limit):
                 log = self._lifecycle(network, subscriptions, events, withdraw_mask, placements)
             assert_suppression_sound(network)
-            deliveries[curve] = log
-        assert deliveries["hilbert"] == deliveries["zorder"]
-        assert deliveries["gray"] == deliveries["zorder"]
+            deliveries[limit] = log
+        assert deliveries[0] == deliveries[NEVER]
 
     @staticmethod
     def _lifecycle(network, subscriptions, events, withdraw_mask, placements):
@@ -313,34 +268,19 @@ class TestHypothesisDifferential:
         run_budget=st.integers(1, 8),
     )
     @settings(max_examples=60, deadline=None)
-    def test_match_index_rectangle_fallback_sound_per_curve(
-        self, rects, probes, run_budget
-    ):
-        """Per curve, the (coarsened) match index stabs exactly the points
-        each rectangle contains — no false negatives from decomposition, no
-        false positives surviving the rectangle check."""
-        for curve in CURVE_KINDS:
-            with patch.object(MatchIndex, "RUN_BUDGET", run_budget):
-                index = MatchIndex(_SCHEMA6, config=IndexConfig(curve=curve))
-                for i, rect in enumerate(rects):
-                    index.add(f"s{i}", rect)
-                for cell in probes:
-                    expected = {
-                        f"s{i}"
-                        for i, ((xlo, xhi), (ylo, yhi)) in enumerate(rects)
-                        if xlo <= cell[0] <= xhi and ylo <= cell[1] <= yhi
-                    }
-                    assert set(index.matching_ids(cell)) == expected, (curve, cell)
-                    assert index.any_match(cell) == bool(expected), (curve, cell)
-
-
-# ------------------------------------------------------------- configuration
-class TestCurveConfigurationErrors:
-    def test_unknown_curve_kind_rejected_everywhere(self):
-        schema = _grid_schema(5)
-        with pytest.raises(ValueError, match="unknown curve kind"):
-            MatchIndex(schema, config=IndexConfig(curve="peano"))
-        with pytest.raises(ValueError, match="unknown curve kind"):
-            BrokerNetwork.from_topology(
-                schema, tree_topology(2), covering="approximate", config=IndexConfig(curve="peano")
-            )
+    def test_match_index_rectangle_fallback_sound(self, rects, probes, run_budget):
+        """The (coarsened) match index stabs exactly the points each
+        rectangle contains — no false negatives from decomposition, no false
+        positives surviving the rectangle check."""
+        with patch.object(MatchIndex, "RUN_BUDGET", run_budget):
+            index = MatchIndex(_SCHEMA6)
+            for i, rect in enumerate(rects):
+                index.add(f"s{i}", rect)
+            for cell in probes:
+                expected = {
+                    f"s{i}"
+                    for i, ((xlo, xhi), (ylo, yhi)) in enumerate(rects)
+                    if xlo <= cell[0] <= xhi and ylo <= cell[1] <= yhi
+                }
+                assert set(index.matching_ids(cell)) == expected, cell
+                assert index.any_match(cell) == bool(expected), cell

@@ -2,19 +2,20 @@
 
 A broker hands an event to its clients by probing the ``LOCAL_INTERFACE``
 table (a scan while it is small, its match index after) and mapping the
-matched ids to their owners, and an :class:`Event` remembers its curve key between the
-brokers that see the same object.  Three things are pinned here:
+matched ids to their owners, and an :class:`Event` keeps its Z key
+(:attr:`Event.key`) between the brokers that see the same object.  Three
+things are pinned here:
 
 * the ``network.deliveries`` sequence equals what the client-by-client scan
   the broker used to run would have produced (:class:`ScanModel` is a
   test-local copy of it), on both matching paths and across the build
-  between them, under every curve, while local tables grow and shrink and
+  between them, while local tables grow and shrink and
   brokers crash and recover;
 * counts, never timings: a publish that meets only scanning tables keys
   nothing, one that meets indexed tables keys its event once, and a broker
   whose index holds 64 local subscriptions tests fewer than 64 rectangles;
-* the key memo is invisible: equality, hash, pickling, wire bytes and a
-  second network under another curve never see it.
+* the kept key is invisible: equality, hash, pickling and wire bytes never
+  see it.
 """
 
 from __future__ import annotations
@@ -29,14 +30,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.index.config import IndexConfig
 from repro.net.protocol import encode_event
 from repro.pubsub import BrokerNetwork, Event, Subscription
 from repro.pubsub.broker import LOCAL_INTERFACE
 from repro.pubsub.network import chain_topology, tree_topology
 from repro.pubsub.routing_table import InterfaceTable
 from repro.pubsub.schema import Attribute, AttributeSchema
-from repro.sfc.factory import CURVE_KINDS, curve_class
+from repro.sfc.zorder import ZOrderCurve
 
 ORDER = 5  # 32 × 32 cells: dense overlap between random rectangles
 BROKERS = 3
@@ -148,18 +148,15 @@ _ops = st.lists(
     ops=_ops,
     # Index from the first subscription, build after four, never build.
     scan_limit=st.sampled_from([0, 4, 1 << 62]),
-    curve=st.sampled_from(CURVE_KINDS),
 )
-def test_delivery_records_equal_the_scan(ops, scan_limit, curve):
+def test_delivery_records_equal_the_scan(ops, scan_limit):
     with patch.object(InterfaceTable, "SCAN_LIMIT", scan_limit):
-        _delivery_records_equal_the_scan(ops, curve)
+        _delivery_records_equal_the_scan(ops)
 
 
-def _delivery_records_equal_the_scan(ops, curve):
+def _delivery_records_equal_the_scan(ops):
     schema = _schema()
-    network = BrokerNetwork.from_topology(
-        schema, chain_topology(BROKERS), config=IndexConfig(curve=curve), seed=3
-    )
+    network = BrokerNetwork.from_topology(schema, chain_topology(BROKERS), seed=3)
     model = ScanModel()
     live: List[Tuple[Hashable, Hashable, Hashable]] = []  # (broker, client, sub_id)
     counter = itertools.count()
@@ -220,13 +217,10 @@ def _delivery_records_equal_the_scan(ops, curve):
             publish_and_compare(network, model, origin, _event(schema, f"e{next(counter)}", x, y))
 
 
-@pytest.mark.parametrize("curve", CURVE_KINDS)
 @pytest.mark.parametrize(
     "scan_limit", [16, 0], ids=["scan-then-index", "index"]
 )
-def test_delivery_records_equal_the_scan_from_empty_to_forty_and_back(
-    scan_limit, curve, monkeypatch
-):
+def test_delivery_records_equal_the_scan_from_empty_to_forty_and_back(scan_limit, monkeypatch):
     """One broker's local table walks 0 → 40 → 0 entries, probed at every size.
 
     Forty crosses the build from scan to index at a limit of 16, and every
@@ -235,9 +229,7 @@ def test_delivery_records_equal_the_scan_from_empty_to_forty_and_back(
     """
     monkeypatch.setattr(InterfaceTable, "SCAN_LIMIT", scan_limit)
     schema = _schema()
-    network = BrokerNetwork.from_topology(
-        schema, chain_topology(BROKERS), config=IndexConfig(curve=curve), seed=3
-    )
+    network = BrokerNetwork.from_topology(schema, chain_topology(BROKERS), seed=3)
     model = ScanModel()
     rng = random.Random(40)
     probes = [(rng.randrange(32), rng.randrange(32)) for _ in range(6)]
@@ -303,13 +295,12 @@ class TestCounts:
         return schema, network
 
     @staticmethod
-    def _keyings(network, monkeypatch):
-        """The cells of every curve key computed from here on."""
+    def _keyings(monkeypatch):
+        """The cells of every Z key computed from here on."""
         calls = []
-        curve = curve_class(network.config.curve)
-        original = curve.key
+        original = ZOrderCurve.key
         monkeypatch.setattr(
-            curve, "key", lambda self, point: calls.append(point) or original(self, point)
+            ZOrderCurve, "key", lambda self, point: calls.append(point) or original(self, point)
         )
         return calls
 
@@ -332,16 +323,15 @@ class TestCounts:
             for table in broker.routing_table.interface_tables().values()
         ]
         assert tables and all(table.match_index is None for table in tables)
-        calls = self._keyings(network, monkeypatch)
+        calls = self._keyings(monkeypatch)
         self._publish_reaching_every_broker(schema, network)
         assert calls == []
 
     def test_a_batch_through_scanning_tables_keys_nothing(self, monkeypatch):
         monkeypatch.setattr(InterfaceTable, "SCAN_LIMIT", 64)
         schema, network = self._tree()
-        calls = self._keyings(network, monkeypatch)
-        curve = curve_class(network.config.curve)
-        monkeypatch.setattr(curve, "keys", lambda self, points: calls.extend(points) or [])
+        calls = self._keyings(monkeypatch)
+        monkeypatch.setattr(ZOrderCurve, "keys", lambda self, points: calls.extend(points) or [])
         events = [_event(schema, f"e{i}", 9, 9 + i) for i in range(4)]
         delivered = network.publish_batch(0, events)
         assert delivered == [network.expected_recipients(event) for event in events]
@@ -351,7 +341,7 @@ class TestCounts:
         # Every table indexes, and the seven brokers share the one key.
         monkeypatch.setattr(InterfaceTable, "SCAN_LIMIT", 0)
         schema, network = self._tree()
-        calls = self._keyings(network, monkeypatch)
+        calls = self._keyings(monkeypatch)
         self._publish_reaching_every_broker(schema, network)
         assert len(calls) == 1
 
@@ -368,41 +358,22 @@ class TestCounts:
 
 
 class TestKeyMemoIsInvisible:
-    def _networks(self, schema, monkeypatch):
+    def _network(self, schema, monkeypatch):
         # Every table indexes, so every probe reads the event's key.
         monkeypatch.setattr(InterfaceTable, "SCAN_LIMIT", 0)
-        networks = {}
-        for curve in ("zorder", "hilbert"):
-            network = BrokerNetwork.from_topology(
-                schema, chain_topology(3), config=IndexConfig(curve=curve)
+        network = BrokerNetwork.from_topology(schema, chain_topology(3))
+        rng = random.Random(11)
+        for i in range(30):
+            network.subscribe(
+                i % 3, f"b{i % 3}/c{i % 7}",
+                _subscription(schema, f"s{i}", rng.randrange(26), rng.randrange(2, 10),
+                              rng.randrange(26), rng.randrange(2, 10)),
             )
-            rng = random.Random(11)
-            for i in range(30):
-                network.subscribe(
-                    i % 3, f"b{i % 3}/c{i % 7}",
-                    _subscription(schema, f"s{i}", rng.randrange(26), rng.randrange(2, 10),
-                                  rng.randrange(26), rng.randrange(2, 10)),
-                )
-            networks[curve] = network
-        return networks
-
-    def test_one_event_object_through_two_curves(self, monkeypatch):
-        """Z and Hilbert keys of a cell differ; each network must read its own."""
-        schema = _schema()
-        networks = self._networks(schema, monkeypatch)
-        rng = random.Random(5)
-        delivered = 0
-        for i in range(60):
-            event = _event(schema, f"e{i}", rng.randrange(32), rng.randrange(32))
-            for curve in ("zorder", "hilbert", "zorder"):
-                missed, extra = networks[curve].publish_and_audit(i % 3, event)
-                assert (missed, extra) == (set(), set()), curve
-            delivered += len(networks["hilbert"].expected_recipients(event))
-        assert delivered > 0
+        return network
 
     def test_equality_hash_pickle_and_wire_bytes_ignore_the_memo(self, monkeypatch):
         schema = _schema()
-        network = self._networks(schema, monkeypatch)["zorder"]
+        network = self._network(schema, monkeypatch)
         event = _event(schema, "e", 7, 21)
         twin = _event(schema, "e", 7, 21)
 
@@ -418,7 +389,7 @@ class TestKeyMemoIsInvisible:
         text = repr(event)
         expected = network.expected_recipients(event)
         assert expected and network.publish(0, event) == expected
-        assert event.curve_key(("zorder", 2, ORDER)) is not None
+        assert "key" in vars(event)
         assert event == twin and repr(event) == text and hashed(event) == hashed(twin)
         assert encode_event(event) == wire
         assert pickle.dumps(event) == pickled
@@ -427,16 +398,15 @@ class TestKeyMemoIsInvisible:
         assert (restored.event_id, restored.values, restored.cells) == (
             event.event_id, event.values, event.cells
         )
-        assert restored.curve_key(("zorder", 2, ORDER)) is None
+        assert "key" not in vars(restored)
         assert network.publish(2, restored) == expected
 
     def test_batch_keying_fills_the_same_memo(self, monkeypatch):
         schema = _schema()
-        network = self._networks(schema, monkeypatch)["hilbert"]
+        network = self._network(schema, monkeypatch)
         events = [_event(schema, f"e{i}", i, 31 - i) for i in range(8)]
         delivered = network.publish_batch(1, events)
-        tag = ("hilbert", 2, ORDER)
         curve = network.brokers[1].routing_table.table(LOCAL_INTERFACE).match_index.curve
         for event, clients in zip(events, delivered):
-            assert event.curve_key(tag) == curve.key(event.cells)
+            assert vars(event)["key"] == curve.key(event.cells)
             assert clients == network.expected_recipients(event)

@@ -34,7 +34,6 @@ from repro.pubsub.network import (
 from repro.pubsub.routing_table import InterfaceTable, RoutingTable
 from repro.pubsub.schema import Attribute, AttributeSchema
 from repro.pubsub.subscription import Event, Subscription
-from repro.sfc.factory import CURVE_KINDS
 from rect_oracle import contains
 
 DEFAULT_RUN_BUDGET = MatchIndex.RUN_BUDGET
@@ -187,16 +186,15 @@ class TestMatchIndexUnit:
             expected = {sid for sid, sub in subs.items() if sub.matches(event)}
             assert set(index.matching_ids(event.cells)) == expected
 
-    @pytest.mark.parametrize("curve", ["zorder", "hilbert", "gray"])
-    def test_tabulated_runs_equal_decomposed_runs(self, curve):
+    def test_tabulated_runs_equal_decomposed_runs(self):
         """Grids within the precision budget read their runs off the shared
         table; the stored runs are those the decomposition would give."""
         schema3 = AttributeSchema(
             [Attribute(name, 0.0, 100.0) for name in "xyz"], order=10
         )
         rng = random.Random(7)
-        tabulated = MatchIndex(schema3, config=IndexConfig(curve=curve))
-        decomposed = MatchIndex(schema3, config=IndexConfig(curve=curve))
+        tabulated = MatchIndex(schema3)
+        decomposed = MatchIndex(schema3)
         assert tabulated._tabulated
         decomposed._tabulated = False
         for _ in range(30):
@@ -284,9 +282,9 @@ class TestMatchIndexUnit:
             index.curve.keys([(0, index.universe.side)])
 
     @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.parametrize("curve, run_budget", [("zorder", 64), ("hilbert", 2)])
+    @pytest.mark.parametrize("run_budget", [64, 2])
     def test_queries_equal_a_scan_with_staged_and_tombstoned_slots(
-        self, schema, monkeypatch, seed, curve, run_budget
+        self, schema, monkeypatch, seed, run_budget
     ):
         """A seeded walk of ``add`` / ``add_batch`` / ``remove`` (re-adds and
         in-batch replacements included) with probes after every write.  The
@@ -298,7 +296,7 @@ class TestMatchIndexUnit:
         whose stored runs hold the key (every match among them)."""
         monkeypatch.setattr(MatchIndex, "RUN_BUDGET", run_budget)
         rng = random.Random(seed)
-        index = MatchIndex(schema, config=IndexConfig(curve=curve))
+        index = MatchIndex(schema)
         side = index.universe.side
         model = {}  # sub_id -> cell ranges, in insertion order
 
@@ -358,7 +356,7 @@ class TestMatchIndexUnit:
         assert len(index) == len(model)
 
 
-def _replay(schema, curve, run_budget, seed=7):
+def _replay(schema, run_budget, seed=7):
     """Bulk-load 50 subscriptions into a fresh index, probe 120 events.
 
     Returns the index, the answers in probe order and the number of
@@ -368,14 +366,13 @@ def _replay(schema, curve, run_budget, seed=7):
     subs = [random_subscription(schema, rng, f"s{i}") for i in range(50)]
     events = [random_event(schema, rng) for _ in range(120)]
     with patch.object(MatchIndex, "RUN_BUDGET", run_budget):
-        index = MatchIndex(schema, config=IndexConfig(curve=curve))
+        index = MatchIndex(schema)
         index.add_batch([(sub.sub_id, sub.ranges) for sub in subs])
         answers = [frozenset(index.matching_ids(event.cells)) for event in events]
     scanned = sum(sub.matches(event) for event in events for sub in subs)
     return index, answers, scanned
 
 
-@pytest.mark.parametrize("curve", CURVE_KINDS)
 class TestRunBudget:
     """What the run budget trades: runs stored against candidates checked.
 
@@ -383,32 +380,32 @@ class TestRunBudget:
     rectangle check has to reject.
     """
 
-    def test_a_budget_of_one_stores_one_run_per_subscription(self, schema, curve):
-        index, _answers, _scanned = _replay(schema, curve, run_budget=1)
+    def test_a_budget_of_one_stores_one_run_per_subscription(self, schema):
+        index, _answers, _scanned = _replay(schema, run_budget=1)
         assert index.stats.runs_stored == len(index) == 50
 
     def test_a_finer_budget_stores_more_runs_and_checks_fewer_candidates(
-        self, schema, curve
+        self, schema
     ):
-        coarse, coarse_answers, _ = _replay(schema, curve, run_budget=1)
-        fine, fine_answers, _ = _replay(schema, curve, run_budget=4)
+        coarse, coarse_answers, _ = _replay(schema, run_budget=1)
+        fine, fine_answers, _ = _replay(schema, run_budget=4)
         assert fine.stats.runs_stored > coarse.stats.runs_stored
         assert fine.stats.candidates_checked < coarse.stats.candidates_checked
         assert fine.stats.false_positives < coarse.stats.false_positives
         assert fine_answers == coarse_answers
 
-    def test_every_candidate_is_a_match_or_a_false_positive(self, schema, curve):
+    def test_every_candidate_is_a_match_or_a_false_positive(self, schema):
         for run_budget in (1, 4, DEFAULT_RUN_BUDGET):
-            index, answers, scanned = _replay(schema, curve, run_budget)
+            index, answers, scanned = _replay(schema, run_budget)
             assert scanned > 0
             assert sum(map(len, answers)) == scanned
             stats = index.stats
             assert stats.candidates_checked - stats.false_positives == scanned
             assert stats.lookups == len(answers)
 
-    def test_replaying_a_workload_repeats_every_counter(self, schema, curve):
-        first, first_answers, _ = _replay(schema, curve, run_budget=4)
-        again, again_answers, _ = _replay(schema, curve, run_budget=4)
+    def test_replaying_a_workload_repeats_every_counter(self, schema):
+        first, first_answers, _ = _replay(schema, run_budget=4)
+        again, again_answers, _ = _replay(schema, run_budget=4)
         assert again.stats == first.stats
         assert again_answers == first_answers
 
@@ -430,16 +427,15 @@ def test_match_index_takes_schema_config_and_run_cache_only():
 
 
 @pytest.mark.parametrize("load", ["add", "add_batch"])
-@pytest.mark.parametrize("curve", CURVE_KINDS)
 class TestOneIndex:
-    """An interface table's one index, on every curve, whether its
+    """An interface table's one index, whether its
     subscriptions arrived one ``add`` at a time (staged slots, flattened as
     the store decides) or in one ``add_batch`` (flattened at once)."""
 
     @staticmethod
-    def _loaded(schema, curve, load, items, index=None):
+    def _loaded(schema, load, items, index=None):
         if index is None:
-            index = MatchIndex(schema, config=IndexConfig(curve=curve))
+            index = MatchIndex(schema)
         if load == "add":
             for sub_id, ranges in items:
                 index.add(sub_id, ranges)
@@ -447,46 +443,46 @@ class TestOneIndex:
             index.add_batch(items)
         return index
 
-    def test_an_empty_index_matches_nothing(self, schema, curve, load):
-        index = self._loaded(schema, curve, load, [])
+    def test_an_empty_index_matches_nothing(self, schema, load):
+        index = self._loaded(schema, load, [])
         assert len(index) == index.segment_count() == 0
         assert not index.any_match((5, 5))
         assert index.matching_ids((5, 5)) == []
         assert index.remove("absent") is False
 
-    def test_a_repeated_id_keeps_its_last_rectangle(self, schema, curve, load):
+    def test_a_repeated_id_keeps_its_last_rectangle(self, schema, load):
         index = self._loaded(
-            schema, curve, load, [("a", _box(0, 3)), ("b", _box(10, 12)), ("a", _box(20, 22))]
+            schema, load, [("a", _box(0, 3)), ("b", _box(10, 12)), ("a", _box(20, 22))]
         )
         assert len(index) == 2
         assert index.matching_ids((1, 1)) == []
         assert index.matching_ids((21, 21)) == ["a"]
         assert index.matching_ids((11, 11)) == ["b"]
 
-    def test_a_replaced_rectangle_answers_at_its_new_place(self, schema, curve, load):
-        index = self._loaded(schema, curve, load, [(sid, _box(sid, sid)) for sid in range(4)])
-        self._loaded(schema, curve, load, [(1, _box(60, 63)), (4, _box(4, 4))], index)
+    def test_a_replaced_rectangle_answers_at_its_new_place(self, schema, load):
+        index = self._loaded(schema, load, [(sid, _box(sid, sid)) for sid in range(4)])
+        self._loaded(schema, load, [(1, _box(60, 63)), (4, _box(4, 4))], index)
         assert len(index) == 5
         assert index.matching_ids((1, 1)) == []
         assert index.matching_ids((61, 62)) == [1]
         assert index.matching_ids((4, 4)) == [4]
 
-    def test_remove_drops_only_that_entry(self, schema, curve, load):
-        index = self._loaded(schema, curve, load, [("a", _box(0, 10)), ("b", _box(5, 15))])
+    def test_remove_drops_only_that_entry(self, schema, load):
+        index = self._loaded(schema, load, [("a", _box(0, 10)), ("b", _box(5, 15))])
         assert index.remove("a") is True
         assert "a" not in index and len(index) == 1
         assert index.matching_ids((7, 7)) == ["b"]
         assert index.matching_ids((2, 2)) == []
         assert index.remove("a") is False
 
-    def test_a_rejected_write_changes_nothing(self, schema, curve, load):
+    def test_a_rejected_write_changes_nothing(self, schema, load):
         """A bad rectangle — alone, as a replacement, or among good ones in a
         batch — is rejected before the index changes: not its size, not an
         answer, not the rectangle it replaces."""
         rng = random.Random(7)
         side = 1 << schema.order
         items = [(sid, _random_box(rng, side)) for sid in range(9)]
-        index = self._loaded(schema, curve, load, items[:7])
+        index = self._loaded(schema, load, items[:7])
         cells = [(x, y) for x in range(0, side, 3) for y in range(0, side, 3)]
         answers = [index.matching_ids(c) for c in cells]
         # Past the grid, too few ranges, inverted, negative.
@@ -501,11 +497,11 @@ class TestOneIndex:
         assert "bad" not in index and 7 not in index and 8 not in index
         assert [index.matching_ids(c) for c in cells] == answers
 
-    def test_removing_an_unknown_id_changes_nothing(self, schema, curve, load):
+    def test_removing_an_unknown_id_changes_nothing(self, schema, load):
         rng = random.Random(6)
         side = 1 << schema.order
         index = self._loaded(
-            schema, curve, load, [(sid, _random_box(rng, side)) for sid in range(20)]
+            schema, load, [(sid, _random_box(rng, side)) for sid in range(20)]
         )
         cells = [(x, y) for x in range(0, side, 3) for y in range(0, side, 3)]
         before = [index.matching_ids(c) for c in cells]
@@ -514,11 +510,11 @@ class TestOneIndex:
         assert len(index) == 20 and index.segment_count() == segments
         assert [index.matching_ids(c) for c in cells] == before
 
-    def test_answers_equal_a_brute_force_scan(self, schema, curve, load):
-        rng = random.Random(len(curve))
+    def test_answers_equal_a_brute_force_scan(self, schema, load):
+        rng = random.Random(6)
         side = 1 << schema.order
         rects = {sid: _random_box(rng, side, max_width=28) for sid in range(80)}
-        index = self._loaded(schema, curve, load, list(rects.items()))
+        index = self._loaded(schema, load, list(rects.items()))
         for cells in [(x, y) for x in range(0, side, 2) for y in range(0, side, 3)]:
             matched = index.matching_ids(cells)
             assert matched == [
@@ -528,12 +524,12 @@ class TestOneIndex:
             ]
             assert index.any_match(cells) is bool(matched)
 
-    def test_keys_computed_once_give_the_same_answers(self, schema, curve, load):
+    def test_keys_computed_once_give_the_same_answers(self, schema, load):
         """The event path keys an event once and hands the key to every probe."""
         rng = random.Random(3)
         side = 1 << schema.order
         index = self._loaded(
-            schema, curve, load, [(sid, _random_box(rng, side)) for sid in range(30)]
+            schema, load, [(sid, _random_box(rng, side)) for sid in range(30)]
         )
         events = [(rng.randrange(side), rng.randrange(side)) for _ in range(60)]
         keys = index.curve.keys(events)
@@ -542,18 +538,18 @@ class TestOneIndex:
             assert index.matching_ids(cells, key) == index.matching_ids(cells)
             assert index.any_match(cells, key) is index.any_match(cells)
 
-    def test_matches_come_in_insertion_order(self, schema, curve, load):
+    def test_matches_come_in_insertion_order(self, schema, load):
         order = ["d", "a", "e", "c", "b"]
-        index = self._loaded(schema, curve, load, [(sid, _box(0, 63)) for sid in order])
+        index = self._loaded(schema, load, [(sid, _box(0, 63)) for sid in order])
         assert index.matching_ids((7, 7)) == order
-        self._loaded(schema, curve, load, [("a", _box(0, 63))], index)
+        self._loaded(schema, load, [("a", _box(0, 63))], index)
         assert index.matching_ids((7, 7)) == ["d", "e", "c", "b", "a"]
 
-    def test_counters_count_inserts_removals_and_probes(self, schema, curve, load):
+    def test_counters_count_inserts_removals_and_probes(self, schema, load):
         rng = random.Random(2)
         side = 1 << schema.order
         index = self._loaded(
-            schema, curve, load, [(sid, _random_box(rng, side)) for sid in range(12)]
+            schema, load, [(sid, _random_box(rng, side)) for sid in range(12)]
         )
         index.remove(4)
         probes = [(x, x) for x in range(0, side, 5)]
@@ -620,21 +616,19 @@ class TestInterfaceTableMatching:
         assert len(crossing.match_index) == len(crossing) == len(model)
 
     def test_only_an_indexed_table_keys_the_event(self, schema, monkeypatch):
-        """``matching_interfaces`` computes no key: a scanning table never asks
-        for one, and an indexed table asks the routing table, which keys the
-        event once and remembers it there."""
+        """``matching_interfaces`` computes no key: a scanning table never reads
+        ``Event.key``, and an indexed table's probe reads it, which keys the
+        event once and keeps the key on it."""
         routing = RoutingTable(schema)
         routing.table("east").add(Subscription(schema, {"x": (0.0, 50.0)}, sub_id="s"))
         event = Event(schema, {"x": 10.0, "y": 10.0})
-        tag = routing._key_tag
         assert routing.matching_interfaces(event) == ["east"]
-        assert event.curve_key(tag) is None
+        assert "key" not in vars(event)
         monkeypatch.setattr(InterfaceTable, "SCAN_LIMIT", 0)
         routing.table("west").add(Subscription(schema, {"x": (0.0, 50.0)}, sub_id="w"))
         assert routing.table("west").match_index is not None
         assert routing.matching_interfaces(event) == ["east", "west"]
-        key = event.curve_key(tag)
-        assert key == routing._curve.key(event.cells) == routing.event_key(event)
+        assert vars(event)["key"] == MatchIndex(schema).event_key(event.cells)
 
     def test_matching_interfaces_among_restricts_probes(self, schema):
         routing = RoutingTable(schema)
@@ -650,16 +644,19 @@ class TestInterfaceTableMatching:
         assert routing.match_work()[0] == lookups_before + 1
 
     def test_event_keys_batch_matches_per_event_keys(self, schema):
+        """The batch keys equal each event's own ``Event.key`` and fill it."""
         routing = RoutingTable(schema)
         rng = random.Random(9)
         events = [random_event(schema, rng) for _ in range(30)]
-        assert routing.event_keys(events) == [routing.event_key(e) for e in events]
+        alone = [Event(schema, e.values, event_id=e.event_id).key for e in events]
+        assert routing.event_keys(events) == alone
+        assert [vars(e)["key"] for e in events] == alone
 
     def test_a_fresh_routing_table_keys_events_and_has_done_no_work(self, schema):
         routing = RoutingTable(schema)
         event = Event(schema, {"x": 1.0, "y": 1.0})
-        assert routing.event_key(event) == routing._curve.key(event.cells)
-        assert routing.event_keys([event]) == [routing.event_key(event)]
+        assert event.key == MatchIndex(schema).event_key(event.cells)
+        assert routing.event_keys([event]) == [event.key]
         assert routing.match_work() == (0, 0, 0)
 
 

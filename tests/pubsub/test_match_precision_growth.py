@@ -103,23 +103,18 @@ def op_strategy(dims, side):
     )
 
 
-@pytest.mark.parametrize("curve", ["zorder", "hilbert"])
 @pytest.mark.parametrize("dims, order", SHAPES, ids=["d2", "d3"])
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
-def test_a_growing_grid_answers_like_a_scan_and_a_pinned_index(curve, dims, order, data):
+def test_a_growing_grid_answers_like_a_scan_and_a_pinned_index(dims, order, data):
     schema = schema_of(dims, order)
     side = 1 << order
     ceiling = min(IndexConfig().effective_precision_bits(dims), order)
     assert ceiling >= 3  # room for two steps
     cache = ProfileCache()
-    grown = MatchIndex(schema, config=IndexConfig(curve=curve), run_cache=cache)
-    pinned = MatchIndex(
-        schema, config=IndexConfig(curve=curve, precision_bits=ceiling), run_cache=cache
-    )
-    coarse = MatchIndex(
-        schema, config=IndexConfig(curve=curve, precision_bits=1), run_cache=cache
-    )
+    grown = MatchIndex(schema, run_cache=cache)
+    pinned = MatchIndex(schema, config=IndexConfig(precision_bits=ceiling), run_cache=cache)
+    coarse = MatchIndex(schema, config=IndexConfig(precision_bits=1), run_cache=cache)
     indexes = (grown, pinned, coarse)
     references = {}
     reference_runs = {}
@@ -129,7 +124,7 @@ def test_a_growing_grid_answers_like_a_scan_and_a_pinned_index(curve, dims, orde
         if (bits, rect) not in reference_runs:
             reference = references.get(bits)
             if reference is None:
-                config = IndexConfig(curve=curve, precision_bits=bits)
+                config = IndexConfig(precision_bits=bits)
                 reference = references[bits] = MatchIndex(schema, config=config)
             [(runs, _)] = reference._runs_for([reference._snap_signature(rect)])
             reference_runs[bits, rect] = runs
@@ -234,17 +229,16 @@ def test_a_growing_grid_answers_like_a_scan_and_a_pinned_index(curve, dims, orde
     assert grown.precision_bits == expected["bits"]
 
 
-@pytest.mark.parametrize("curve", ["zorder", "hilbert"])
 @pytest.mark.parametrize("dims, order", SHAPES, ids=["d2", "d3"])
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
-def test_a_write_only_walk_stays_on_the_size_rule(curve, dims, order, data):
+def test_a_write_only_walk_stays_on_the_size_rule(dims, order, data):
     """No probe between writes, so nothing pays for a flatten: the grid is the
     size rule for the largest live count seen, as before the cost model."""
     schema = schema_of(dims, order)
     side = 1 << order
     ceiling = min(IndexConfig().effective_precision_bits(dims), order)
-    index = MatchIndex(schema, config=IndexConfig(curve=curve))
+    index = MatchIndex(schema)
     model = {}
     largest = 0
     ops = data.draw(st.lists(op_strategy(dims, side), min_size=1, max_size=40))
@@ -271,9 +265,8 @@ def test_a_write_only_walk_stays_on_the_size_rule(curve, dims, order, data):
         assert index.matching_ids(cells) == scan(model, cells)
 
 
-@pytest.mark.parametrize("curve", ["zorder", "hilbert"])
 @pytest.mark.parametrize("seed", range(3))
-def test_a_probe_heavy_table_steps_past_the_size_rule(curve, seed):
+def test_a_probe_heavy_table_steps_past_the_size_rule(seed):
     """A 2-D table of 16 small rectangles sits on 2 bits by size; probed a
     hundred times per write, its rejections pay for finer grids, one bit per
     paid flatten, while every answer stays the scan's."""
@@ -286,7 +279,7 @@ def test_a_probe_heavy_table_steps_past_the_size_rule(curve, seed):
         corner = [rng.randrange(side - 8) for _ in range(dims)]
         return tuple((lo, lo + rng.randrange(8)) for lo in corner)
 
-    index = MatchIndex(schema, config=IndexConfig(curve=curve))
+    index = MatchIndex(schema)
     model = {f"s{i}": small_rect() for i in range(12)}
     index.add_batch(list(model.items()))
     bits = [index.precision_bits]

@@ -6,7 +6,7 @@ A rectangle's coarsened key runs are pure geometry (Fact 2.1), so every
 rectangle once between them.  The contract under test: the cache is
 invisible — stored state, answers and per-insert stats are those of an
 uncached index — entries never leak between indexes whose runs would differ
-(curve, run budget, precision), eviction only costs a recomputation, and the
+(run budget, precision), eviction only costs a recomputation, and the
 cache survives a broker crash because nothing in it was learnt from the
 network.
 """
@@ -129,17 +129,13 @@ def test_cached_index_equals_uncached_index(schema, monkeypatch, config, distinc
 @pytest.mark.parametrize(
     "first, second",
     [
-        (
-            (IndexConfig(curve="zorder"), DEFAULT_RUN_BUDGET),
-            (IndexConfig(curve="hilbert"), DEFAULT_RUN_BUDGET),
-        ),
         ((IndexConfig(), 1), (IndexConfig(), 4)),
         (
             (IndexConfig(precision_bits=3), DEFAULT_RUN_BUDGET),
             (IndexConfig(precision_bits=5), DEFAULT_RUN_BUDGET),
         ),
     ],
-    ids=["curve", "run_budget", "precision_bits"],
+    ids=["run_budget", "precision_bits"],
 )
 def test_indexes_whose_runs_differ_never_share_an_entry(schema, monkeypatch, first, second):
     cache = ProfileCache()

@@ -14,7 +14,7 @@ from repro.pubsub.network import BrokerNetwork
 from repro.pubsub.routing_table import InterfaceTable, RoutingTable
 from repro.pubsub.schema import Attribute, AttributeSchema
 from repro.pubsub.subscription import Event, Subscription
-from repro.sfc.factory import CURVE_KINDS, curve_class
+from repro.sfc.zorder import ZOrderCurve
 
 
 @pytest.fixture
@@ -134,7 +134,7 @@ class TestInterfaceTable:
         (a re-add included); the add past the limit builds the index in one
         bulk load, and the table keeps it however small it gets again."""
         monkeypatch.setattr(MatchIndex, "RUN_BUDGET", 4)
-        config = IndexConfig(curve="hilbert")
+        config = IndexConfig(precision_bits=4)
         table = InterfaceTable("i", schema, config=config)
         limit = InterfaceTable.SCAN_LIMIT
         for i in range(limit):
@@ -146,7 +146,7 @@ class TestInterfaceTable:
         assert index is not None and len(index) == limit + 1
         # One sweep flattened the whole table: nothing is staged.
         assert index._flat.rebuilds == 1 and not index._flat.staged
-        assert table.config == config and index.curve.kind == "hilbert"
+        assert table.config == config and index.config == config
         for i in range(2, limit + 1):
             assert table.remove(f"s{i}")
         table.add(Subscription(schema, {"y": (0.0, 5.0)}, sub_id="late"))
@@ -226,11 +226,10 @@ class TestRoutingTable:
         event = Event(schema, {"x": 5.0, "y": 5.0})
         assert routing.matching_interfaces(event) == ["east"]
 
-    @pytest.mark.parametrize("kind", CURVE_KINDS)
-    def test_routing_key_passes_straight_to_every_interface(self, schema, kind):
-        """An interface's index is keyed under the routing table's curve, so the
-        key the routing table computes once per event answers every probe."""
-        routing = RoutingTable(schema, config=IndexConfig(curve=kind))
+    def test_routing_key_passes_straight_to_every_interface(self, schema):
+        """Every interface's index is keyed on the Z curve, so the one
+        ``Event.key`` answers every probe."""
+        routing = RoutingTable(schema)
         rng = random.Random(5)
         # Past the scan limit on every table, so each one has built its index.
         for i in range(3 * (InterfaceTable.SCAN_LIMIT + 4)):
@@ -245,9 +244,8 @@ class TestRoutingTable:
         matched_any = False
         for _ in range(60):
             event = Event(schema, {"x": rng.uniform(0, 100), "y": rng.uniform(0, 100)})
-            key = routing.event_key(event)
+            key = event.key
             for table in routing.interface_tables().values():
-                assert table.match_index.curve.kind == kind
                 assert table.match_index.event_key(event.cells) == key
                 expected = {s.sub_id for s in table.subscriptions() if s.matches(event)}
                 assert set(table.matching_ids(event)[0]) == expected
@@ -255,24 +253,17 @@ class TestRoutingTable:
                 matched_any = matched_any or bool(expected)
         assert matched_any
 
-    def test_standalone_indexed_tables_key_an_event_once_per_curve(self, schema, monkeypatch):
-        """A table outside a routing table reads and fills the event's key memo
-        as a routed one does: two Z tables share one keying, a Hilbert table
-        makes its own, and a scanning table makes none."""
+    def test_standalone_indexed_tables_key_an_event_once(self, schema, monkeypatch):
+        """A table outside a routing table reads and fills ``Event.key`` as a
+        routed one does: three indexed tables share one keying, and a
+        scanning table makes none."""
         monkeypatch.setattr(InterfaceTable, "SCAN_LIMIT", 0)
         keyed = []
-        for kind in ("zorder", "hilbert"):
-            curve = curve_class(kind)
-            original = curve.key
-            monkeypatch.setattr(
-                curve, "key",
-                lambda self, cells, kind=kind, original=original:
-                    keyed.append(kind) or original(self, cells),
-            )
-        tables = [
-            InterfaceTable(name, schema, config=IndexConfig(curve=kind))
-            for name, kind in (("a", "zorder"), ("b", "zorder"), ("c", "hilbert"))
-        ]
+        original = ZOrderCurve.key
+        monkeypatch.setattr(
+            ZOrderCurve, "key", lambda self, cells: keyed.append(cells) or original(self, cells)
+        )
+        tables = [InterfaceTable(name, schema) for name in "abc"]
         scanning = InterfaceTable("d", schema)
         scanning.SCAN_LIMIT = 1 << 30  # the instance attribute shadows the class constant
         for table in tables + [scanning]:
@@ -281,5 +272,5 @@ class TestRoutingTable:
         event = Event(schema, {"x": 20.0, "y": 20.0})
         assert scanning.any_match(event) and keyed == []
         assert [table.any_match(event) for table in tables[:2]] == [True, True]
-        assert tables[0].matching_ids(event)[0] == ["s"] and keyed == ["zorder"]
-        assert tables[2].any_match(event) and keyed == ["zorder", "hilbert"]
+        assert tables[0].matching_ids(event)[0] == ["s"] and keyed == [event.cells]
+        assert tables[2].any_match(event) and keyed == [event.cells]

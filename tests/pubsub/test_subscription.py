@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
-import pytest
+import copy
+import pickle
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.geometry.universe import Universe
 from repro.pubsub.schema import Attribute, AttributeSchema
 from repro.pubsub.subscription import Event, Subscription, make_event, make_subscription
+from repro.sfc.zorder import ZOrderCurve
 
 
 @pytest.fixture
@@ -38,6 +45,50 @@ class TestEvent:
     def test_make_event_helper(self, schema):
         event = make_event(schema, event_id="e1", stock=5.0, volume=10.0, current=20.0)
         assert event.event_id == "e1"
+
+
+@st.composite
+def order_and_cells(draw):
+    """An order of 1–20 bits and the cells of an event over 1–8 attributes."""
+    order = draw(st.integers(1, 20))
+    max_cell = (1 << order) - 1
+    dims = draw(st.integers(1, 8))
+    cells = tuple(
+        draw(st.sampled_from([0, max_cell]) | st.integers(0, max_cell)) for _ in range(dims)
+    )
+    return order, cells
+
+
+class TestEventKey:
+    @given(order_and_cells())
+    def test_key_is_the_z_key_of_the_cells(self, case):
+        """``Event.key`` is the Z key of the event's cells on its schema's grid:
+        the Z curve's scalar key and a bit-by-bit interleave (most significant
+        bit first, attribute 0 first within a bit) agree with it."""
+        order, cells = case
+        max_cell = (1 << order) - 1
+        dims = len(cells)
+        schema = AttributeSchema(
+            [Attribute(f"a{i}", 0.0, float(max_cell)) for i in range(dims)], order=order
+        )
+        event = Event(schema, {f"a{i}": float(cell) for i, cell in enumerate(cells)})
+        assert event.cells == cells
+        interleaved = 0
+        for bit in reversed(range(order)):
+            for cell in cells:
+                interleaved = interleaved << 1 | (cell >> bit) & 1
+        assert event.key == ZOrderCurve(Universe(dims, order)).key(cells) == interleaved
+
+    def test_key_is_derived_once_and_never_carried(self, schema):
+        """Read once, the key stays on the object; it is no field, so equality,
+        ``repr``, pickling and copying ignore it."""
+        event = Event(schema, {"stock": 10.0, "volume": 1000.0, "current": 88.0}, event_id="e")
+        twin = Event(schema, dict(event.values), event_id="e")
+        assert "key" not in vars(event)
+        key = event.key
+        assert vars(event)["key"] == key and event == twin and repr(event) == repr(twin)
+        for clone in (pickle.loads(pickle.dumps(event)), copy.copy(event), copy.deepcopy(event)):
+            assert "key" not in vars(clone) and clone.key == key
 
 
 class TestSubscriptionMatching:

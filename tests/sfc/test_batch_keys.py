@@ -1,7 +1,7 @@
 """Batch keying: ``keys(pts)`` must equal ``[key(p) for p in pts]`` everywhere.
 
-The vectorized kernels in :mod:`repro.sfc.vectorized` are pure speed — every
-curve's batch entry point must agree bit-for-bit with its scalar bijection,
+The Z curve's vectorized kernel in :mod:`repro.sfc.vectorized` is pure speed —
+every curve's batch entry point must agree bit-for-bit with its scalar bijection,
 fall back to pure Python when a kernel declines a batch, and reject invalid
 points with the same errors as the scalar path.
 """
@@ -32,9 +32,8 @@ def _sample_points(universe: Universe, count: int, seed: int):
 
 def _decline_every_kernel(monkeypatch):
     """Send every batch down the pure-Python keying, as a kernel that cannot
-    vectorise a batch does."""
-    for kernel in ("zorder_keys", "hilbert_keys", "gray_keys"):
-        monkeypatch.setattr(vectorized, kernel, lambda *args: None)
+    vectorise a batch does (only the Z curve has a kernel)."""
+    monkeypatch.setattr(vectorized, "zorder_keys", lambda *args: None)
 
 
 @pytest.mark.parametrize("kind", CURVE_KINDS)

@@ -14,14 +14,11 @@ from __future__ import annotations
 import hashlib
 import json
 
-from repro.index.config import IndexConfig
-from repro.pubsub.network import BrokerNetwork, tree_topology
 from repro.workloads.dynamics import (
     flash_crowd_script,
     region_netsplit_script,
     rolling_failures_script,
     rolling_upgrade_script,
-    run_scripted_lockstep,
     subscription_churn_script,
 )
 from repro.workloads.topologies import skewed_tree_topology
@@ -148,34 +145,6 @@ class TestScriptDigests:
         topology = skewed_tree_topology(12, skew=1.0, seed=9)
         script = rolling_upgrade_script(scenario, topology, seed=3)
         assert digest([action_payload(a) for a in script]) == "4689398016ae7d9a"
-
-    def test_hilbert_network_state_digest(self):
-        """Same-seed Hilbert-curve network runs must be byte-identical.
-
-        The curve-pluggable stack promises determinism under every curve, not
-        just the Z default: a churn-storm script run in lockstep on a Hilbert
-        network (match indexes + approximate covering) pins its normalised
-        routing state to a recorded digest, so drift anywhere along the
-        Hilbert keying path fails loudly.
-        """
-
-        def hilbert_state():
-            scenario = stock_market_scenario(
-                num_subscriptions=25, num_events=10, order=7, seed=5
-            )
-            network = BrokerNetwork.from_topology(
-                scenario.schema,
-                tree_topology(7),
-                covering="approximate",
-                config=IndexConfig(curve="hilbert"),
-            )
-            script = subscription_churn_script(scenario, BROKER_IDS, seed=3)
-            run_scripted_lockstep(network, script)
-            return network.routing_state()
-
-        first = hilbert_state()
-        assert first == hilbert_state()
-        assert digest(first) == "c6ad33953fcabcc0"
 
     def test_scripts_stable_across_calls(self):
         """Two same-seed builds serialize identically (no hidden global state)."""
