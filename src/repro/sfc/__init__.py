@@ -1,7 +1,7 @@
 """Space filling curves: Z-order (Morton), Hilbert and Gray-code, plus run analysis."""
 
 from .base import KeyRange, SpaceFillingCurve
-from .factory import CURVE_KINDS, DEFAULT_CURVE, curve_class, make_curve
+from .factory import CURVE_KINDS, make_curve
 from .gray import GrayCodeCurve
 from .hilbert import HilbertCurve
 from .runs import (
@@ -17,8 +17,6 @@ __all__ = [
     "KeyRange",
     "SpaceFillingCurve",
     "CURVE_KINDS",
-    "DEFAULT_CURVE",
-    "curve_class",
     "make_curve",
     "GrayCodeCurve",
     "HilbertCurve",

@@ -35,10 +35,8 @@ class SpaceFillingCurve(ABC):
     #: Human-readable curve name used in benchmark reports.
     name: str = "sfc"
 
-    #: Canonical configuration identity — the :data:`~repro.sfc.factory.CURVE_KINDS`
-    #: string the factory builds this class from.  Plans, profile-cache keys and
-    #: error messages use this (not :attr:`name`) so the identity an operator
-    #: sees always matches the ``curve=`` value they configured.
+    #: The :data:`~repro.sfc.factory.CURVE_KINDS` string the factory builds
+    #: this class from.
     kind: str = "sfc"
 
     def __init__(self, universe: Universe) -> None:

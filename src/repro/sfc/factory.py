@@ -1,13 +1,9 @@
 """Curve registry: build any supported space filling curve by name.
 
-The broker stack is curve-generic — everything it needs is the
-:class:`~repro.sfc.base.SpaceFillingCurve` interface — but configuration
-travels through dataclass fields and experiment axes as plain strings.  This
-module owns the string ⇄ class mapping so that every layer (match index,
-covering strategies, profiler, network, benchmarks) resolves a curve kind the
-same way; each curve class carries the registry key back as its ``kind``
-attribute, so plans, cache keys and error messages always speak the same
-vocabulary as the ``curve=`` configuration value.
+The routing stack keys on the Z curve alone; the registry serves what still
+compares curves (Fig. 1, E-CURVE's run counts, the curve tests).  Each curve
+class carries its registry key back as its ``kind`` attribute, so tables and
+error messages speak the same vocabulary as the names here.
 """
 
 from __future__ import annotations
@@ -20,13 +16,10 @@ from .gray import GrayCodeCurve
 from .hilbert import HilbertCurve
 from .zorder import ZOrderCurve
 
-__all__ = ["CURVE_KINDS", "DEFAULT_CURVE", "make_curve", "curve_class"]
+__all__ = ["CURVE_KINDS", "make_curve"]
 
-#: Canonical curve kinds accepted everywhere a ``curve=`` parameter appears.
+#: Canonical curve kinds :func:`make_curve` accepts.
 CURVE_KINDS = ("zorder", "hilbert", "gray")
-
-#: The curve the paper analyses and every layer defaults to.
-DEFAULT_CURVE = "zorder"
 
 _REGISTRY: Dict[str, Type[SpaceFillingCurve]] = {
     "zorder": ZOrderCurve,
@@ -39,20 +32,16 @@ assert all(cls.kind == kind for kind, cls in _REGISTRY.items()), (
 )
 
 
-def curve_class(kind: str) -> Type[SpaceFillingCurve]:
-    """Return the curve class registered under ``kind`` (see :data:`CURVE_KINDS`)."""
-    try:
-        return _REGISTRY[kind]
-    except KeyError:
-        raise ValueError(
-            f"unknown curve kind {kind!r}; expected one of {CURVE_KINDS}"
-        ) from None
-
-
 def make_curve(kind: str, universe: Universe) -> SpaceFillingCurve:
     """Build the curve named ``kind`` over ``universe``.
 
     >>> make_curve("hilbert", Universe(dims=2, order=4)).name
     'hilbert'
     """
-    return curve_class(kind)(universe)
+    try:
+        cls = _REGISTRY[kind]
+    except KeyError:
+        raise ValueError(
+            f"unknown curve kind {kind!r}; expected one of {CURVE_KINDS}"
+        ) from None
+    return cls(universe)
