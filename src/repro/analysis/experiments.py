@@ -1349,7 +1349,7 @@ def run_match_scale_experiment(
     if got != oracle:
         bad = next(i for i in range(len(oracle)) if got[i] != oracle[i])
         raise AssertionError(
-            f"the match index disagrees with the rectangle oracle on event "
+            "the match index disagrees with the rectangle oracle on event "
             f"{parity_cells[bad]}"
         )
     table.add(

@@ -156,7 +156,7 @@ class TestScriptedLockstepDifferential:
             results[label] = delivered
 
         assert results["index"] == results["oracle"], (
-            f"indexed delivery sets diverged from the flat oracle on "
+            "indexed delivery sets diverged from the flat oracle on "
             f"{topology}/{transport_kind}"
         )
 
