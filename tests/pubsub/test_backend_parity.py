@@ -188,10 +188,12 @@ def test_run_budget_never_changes_deliveries():
     assert finer == coarse
 
 
-def test_a_finer_run_budget_checks_fewer_candidates_network_wide():
+@pytest.mark.parametrize("brokers", [3, 4, 5])
+def test_a_finer_run_budget_checks_fewer_candidates_network_wide(brokers):
     """The finer decomposition prunes candidates the coarse one leaves to
-    the rectangle check, and delivers the same events."""
-    coarse, _, coarse_candidates = _drive(run_budget=1)
-    finer, _, finer_candidates = _drive(run_budget=4)
+    the rectangle check, and delivers the same events, however the
+    subscriptions spread over the tree."""
+    coarse, _, coarse_candidates = _drive(run_budget=1, brokers=brokers)
+    finer, _, finer_candidates = _drive(run_budget=4, brokers=brokers)
     assert finer_candidates < coarse_candidates
     assert finer == coarse

@@ -353,6 +353,85 @@ class TestEventDelivery:
         assert network.transport.stats.messages_sent == sent
         assert sum(b.stats.events_received for b in network.brokers.values()) == 0
 
+    @pytest.mark.parametrize("entry", ["publish", "publish_batch"])
+    @pytest.mark.parametrize(
+        "attributes, order",
+        [
+            ([("x", 0.0, 100.0), ("y", 0.0, 100.0)], 6),
+            ([("y", 0.0, 100.0), ("x", 0.0, 100.0)], 8),
+            ([("x", 0.0, 50.0), ("y", 0.0, 100.0)], 8),
+            ([("x", 0.0, 100.0)], 8),
+        ],
+        ids=["order", "swapped", "domain", "fewer"],
+    )
+    def test_every_schema_difference_is_rejected_where_the_event_enters(
+        self, schema, entry, attributes, order
+    ):
+        """Another order, the same attributes in another order, another
+        domain, fewer attributes: each alone makes the schema foreign, and
+        neither publishing entry routes such an event anywhere, though a
+        subscription spanning the whole space would match its cells."""
+        foreign = AttributeSchema([Attribute(*spec) for spec in attributes], order=order)
+        network = BrokerNetwork.from_topology(schema, chain_topology(3), seed=1)
+        for broker in range(3):
+            network.subscribe(
+                broker, f"c{broker}",
+                Subscription(schema, {"x": (0.0, 100.0), "y": (0.0, 100.0)}, sub_id=f"s{broker}"),
+            )
+        sent = network.transport.stats.messages_sent
+        event = Event(foreign, {name: 25.0 for name in foreign.names}, event_id="f")
+        with pytest.raises(ValueError, match="another schema"):
+            if entry == "publish":
+                network.publish(1, event)
+            else:
+                network.publish_batch(1, [event])
+        assert len(network.deliveries) == 0
+        assert network.transport.stats.messages_sent == sent
+        assert sum(b.stats.events_received for b in network.brokers.values()) == 0
+
+    @pytest.mark.parametrize("entry", ["publish", "publish_batch"])
+    def test_an_equal_schema_built_apart_is_routed(self, schema, entry):
+        """Compatibility is by value: an event on an equal schema built
+        separately is routed as one on the network's own schema object."""
+        twin = AttributeSchema(
+            [Attribute("x", 0.0, 100.0), Attribute("y", 0.0, 100.0)], order=8
+        )
+        assert twin is not schema
+        network = BrokerNetwork.from_topology(schema, chain_topology(3), seed=1)
+        network.subscribe(2, "far", Subscription(schema, {"x": (10.0, 30.0)}, sub_id="s"))
+        event = Event(twin, {"x": 20.0, "y": 50.0}, event_id="t")
+        if entry == "publish":
+            assert network.publish(0, event) == {"far"}
+        else:
+            network.publish_batch(0, [event])
+        assert [record.client_id for record in network.deliveries] == ["far"]
+
+    def test_the_schema_is_checked_once_per_event_not_per_hop(self, schema, monkeypatch):
+        """An event that crosses every broker of a chain is checked where it
+        enters, once, and never again at the brokers it is forwarded to."""
+        twin = AttributeSchema(
+            [Attribute("x", 0.0, 100.0), Attribute("y", 0.0, 100.0)], order=8
+        )
+        network = BrokerNetwork.from_topology(schema, chain_topology(4), seed=1)
+        for broker in range(4):
+            network.subscribe(
+                broker, f"c{broker}",
+                Subscription(schema, {"x": (0.0, 100.0)}, sub_id=f"s{broker}"),
+            )
+        checks = []
+        original = AttributeSchema.compatible_with
+        monkeypatch.setattr(
+            AttributeSchema, "compatible_with",
+            lambda self, other: checks.append(other) or original(self, other),
+        )
+        assert network.publish(0, Event(twin, {"x": 5.0, "y": 5.0})) == {
+            "c0", "c1", "c2", "c3"
+        }
+        assert checks == [twin]
+        network.publish_batch(3, [Event(twin, {"x": 5.0, "y": 5.0}) for _ in range(3)])
+        assert checks == [twin] * 4
+        assert len(network.deliveries) == 16
+
     def test_publish_unknown_broker_rejected(self, schema):
         network = make_network(schema)
         with pytest.raises(ValueError):

@@ -11,6 +11,8 @@ This suite pins that claim end to end:
   × sync/sim leave the indexed network with the same per-event delivery sets
   as the flat oracle (every table scanning, exact covering), and clean
   audits;
+* with exact covering, the learnt routing state is the same whether the
+  tables index or scan;
 * suppression decisions are sound — each recorded cover really covers its
   dependant (``ranges_cover`` oracle);
 * a hypothesis harness drives random subscribe/publish/withdraw
@@ -159,6 +161,24 @@ class TestScriptedLockstepDifferential:
             "indexed delivery sets diverged from the flat oracle on "
             f"{topology}/{transport_kind}"
         )
+
+    @pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
+    def test_exact_covering_state_identical_indexed_or_scanning(self, topology):
+        """With exact covering the Z keys only drive event matching, which is
+        exact — so the learnt routing state must be identical whether every
+        table indexes from its first subscription or never does."""
+        scenario = small_scenario()
+        script = subscription_churn_script(scenario, BROKER_IDS, seed=3)
+        states = {}
+        for label, limit in [("oracle", NEVER), ("index", 0)]:
+            network = BrokerNetwork.from_topology(
+                scenario.schema, TOPOLOGIES[topology](NUM_BROKERS), covering="approximate"
+            )
+            with scan_limit(limit):
+                run_scripted_lockstep(network, script)
+            states[label] = network.routing_state()
+        assert states["oracle"]
+        assert states["index"] == states["oracle"]
 
 
 # ---------------------------------------------------------------- hypothesis

@@ -220,12 +220,16 @@ def _delivery_records_equal_the_scan(ops):
 @pytest.mark.parametrize(
     "scan_limit", [16, 0], ids=["scan-then-index", "index"]
 )
-def test_delivery_records_equal_the_scan_from_empty_to_forty_and_back(scan_limit, monkeypatch):
+@pytest.mark.parametrize("origin", [0, 1, 2], ids=["far", "middle", "home"])
+def test_delivery_records_equal_the_scan_from_empty_to_forty_and_back(
+    scan_limit, origin, monkeypatch
+):
     """One broker's local table walks 0 → 40 → 0 entries, probed at every size.
 
     Forty crosses the build from scan to index at a limit of 16, and every
     regime of the flat store either way (all pending, first rebuild,
-    tombstones, compaction).
+    tombstones, compaction).  The probes are published two hops away, one
+    hop away, or at the subscribers' own broker.
     """
     monkeypatch.setattr(InterfaceTable, "SCAN_LIMIT", scan_limit)
     schema = _schema()
@@ -238,7 +242,9 @@ def test_delivery_records_equal_the_scan_from_empty_to_forty_and_back(scan_limit
 
     def probe():
         return sum(
-            publish_and_compare(network, model, 0, _event(schema, f"e{next(events)}", x, y))
+            publish_and_compare(
+                network, model, origin, _event(schema, f"e{next(events)}", x, y)
+            )
             for x, y in probes
         )
 

@@ -22,7 +22,7 @@ from repro.geometry.bits import spread_bits
 from repro.geometry.rect import Rectangle
 from repro.geometry.transform import first_covering, ranges_cover
 from repro.geometry.universe import pack_box, packed_guard
-from repro.index.config import IndexConfig
+from repro.index.config import PRECISION_BIT_BUDGET, IndexConfig
 from repro.pubsub.broker import Broker, LinkState
 from repro.pubsub.match_index import MatchIndex
 from repro.pubsub.network import (
@@ -186,26 +186,29 @@ class TestMatchIndexUnit:
             expected = {sid for sid, sub in subs.items() if sub.matches(event)}
             assert set(index.matching_ids(event.cells)) == expected
 
-    def test_tabulated_runs_equal_decomposed_runs(self):
+    @pytest.mark.parametrize("names, order", [("xy", 12), ("xyz", 10), ("wxyz", 8)])
+    def test_tabulated_runs_equal_decomposed_runs(self, names, order):
         """Grids within the precision budget read their runs off the shared
         table; the stored runs are those the decomposition would give."""
-        schema3 = AttributeSchema(
-            [Attribute(name, 0.0, 100.0) for name in "xyz"], order=10
+        schema_d = AttributeSchema(
+            [Attribute(name, 0.0, 100.0) for name in names], order=order
         )
+        top = (1 << order) - 1
         rng = random.Random(7)
-        tabulated = MatchIndex(schema3)
-        decomposed = MatchIndex(schema3)
+        tabulated = MatchIndex(schema_d)
+        decomposed = MatchIndex(schema_d)
         assert tabulated._tabulated
         decomposed._tabulated = False
         for _ in range(30):
             ranges = []
-            for _ in range(3):
-                lo = rng.randint(0, 1023)
-                ranges.append((lo, rng.randint(lo, 1023)))
+            for _ in names:
+                lo = rng.randint(0, top)
+                ranges.append((lo, rng.randint(lo, top)))
             signature = tabulated._snap_signature(tuple(ranges))
             assert tabulated._runs_for([signature]) == decomposed._runs_for([signature])
         # An explicit precision beyond the budget keeps the decomposition.
-        assert not MatchIndex(schema3, config=IndexConfig(precision_bits=6))._tabulated
+        beyond = IndexConfig(precision_bits=PRECISION_BIT_BUDGET // len(names) + 1)
+        assert not MatchIndex(schema_d, config=beyond)._tabulated
 
     @pytest.mark.parametrize("attributes, order", [(4, 16), (8, 8)])
     def test_unconstrained_subscription_survives_a_bulk_load_at_64_bit_keys(
@@ -373,39 +376,41 @@ def _replay(schema, run_budget, seed=7):
     return index, answers, scanned
 
 
+@pytest.mark.parametrize("seed", [7, 8, 9])
 class TestRunBudget:
     """What the run budget trades: runs stored against candidates checked.
 
     The budget never changes an answer, only how many false candidates the
-    rectangle check has to reject.
+    rectangle check has to reject.  Each claim holds on every seeded
+    workload, not on one lucky draw.
     """
 
-    def test_a_budget_of_one_stores_one_run_per_subscription(self, schema):
-        index, _answers, _scanned = _replay(schema, run_budget=1)
+    def test_a_budget_of_one_stores_one_run_per_subscription(self, schema, seed):
+        index, _answers, _scanned = _replay(schema, run_budget=1, seed=seed)
         assert index.stats.runs_stored == len(index) == 50
 
     def test_a_finer_budget_stores_more_runs_and_checks_fewer_candidates(
-        self, schema
+        self, schema, seed
     ):
-        coarse, coarse_answers, _ = _replay(schema, run_budget=1)
-        fine, fine_answers, _ = _replay(schema, run_budget=4)
+        coarse, coarse_answers, _ = _replay(schema, run_budget=1, seed=seed)
+        fine, fine_answers, _ = _replay(schema, run_budget=4, seed=seed)
         assert fine.stats.runs_stored > coarse.stats.runs_stored
         assert fine.stats.candidates_checked < coarse.stats.candidates_checked
         assert fine.stats.false_positives < coarse.stats.false_positives
         assert fine_answers == coarse_answers
 
-    def test_every_candidate_is_a_match_or_a_false_positive(self, schema):
+    def test_every_candidate_is_a_match_or_a_false_positive(self, schema, seed):
         for run_budget in (1, 4, DEFAULT_RUN_BUDGET):
-            index, answers, scanned = _replay(schema, run_budget)
+            index, answers, scanned = _replay(schema, run_budget, seed)
             assert scanned > 0
             assert sum(map(len, answers)) == scanned
             stats = index.stats
             assert stats.candidates_checked - stats.false_positives == scanned
             assert stats.lookups == len(answers)
 
-    def test_replaying_a_workload_repeats_every_counter(self, schema):
-        first, first_answers, _ = _replay(schema, run_budget=4)
-        again, again_answers, _ = _replay(schema, run_budget=4)
+    def test_replaying_a_workload_repeats_every_counter(self, schema, seed):
+        first, first_answers, _ = _replay(schema, run_budget=4, seed=seed)
+        again, again_answers, _ = _replay(schema, run_budget=4, seed=seed)
         assert again.stats == first.stats
         assert again_answers == first_answers
 
@@ -427,15 +432,18 @@ def test_match_index_takes_schema_config_and_run_cache_only():
 
 
 @pytest.mark.parametrize("load", ["add", "add_batch"])
+@pytest.mark.parametrize("precision_bits", [None, 1, 6], ids=["grown", "pinned1", "pinned6"])
 class TestOneIndex:
     """An interface table's one index, whether its
     subscriptions arrived one ``add`` at a time (staged slots, flattened as
-    the store decides) or in one ``add_batch`` (flattened at once)."""
+    the store decides) or in one ``add_batch`` (flattened at once), and
+    whether its grid grows with the table or is pinned at the coarsest or
+    the finest precision (runs a whole quadrant wide, or exact)."""
 
     @staticmethod
-    def _loaded(schema, load, items, index=None):
+    def _loaded(schema, load, precision_bits, items, index=None):
         if index is None:
-            index = MatchIndex(schema)
+            index = MatchIndex(schema, config=IndexConfig(precision_bits=precision_bits))
         if load == "add":
             for sub_id, ranges in items:
                 index.add(sub_id, ranges)
@@ -443,46 +451,51 @@ class TestOneIndex:
             index.add_batch(items)
         return index
 
-    def test_an_empty_index_matches_nothing(self, schema, load):
-        index = self._loaded(schema, load, [])
+    def test_an_empty_index_matches_nothing(self, schema, load, precision_bits):
+        index = self._loaded(schema, load, precision_bits, [])
         assert len(index) == index.segment_count() == 0
         assert not index.any_match((5, 5))
         assert index.matching_ids((5, 5)) == []
         assert index.remove("absent") is False
 
-    def test_a_repeated_id_keeps_its_last_rectangle(self, schema, load):
+    def test_a_repeated_id_keeps_its_last_rectangle(self, schema, load, precision_bits):
         index = self._loaded(
-            schema, load, [("a", _box(0, 3)), ("b", _box(10, 12)), ("a", _box(20, 22))]
+            schema, load, precision_bits,
+            [("a", _box(0, 3)), ("b", _box(10, 12)), ("a", _box(20, 22))],
         )
         assert len(index) == 2
         assert index.matching_ids((1, 1)) == []
         assert index.matching_ids((21, 21)) == ["a"]
         assert index.matching_ids((11, 11)) == ["b"]
 
-    def test_a_replaced_rectangle_answers_at_its_new_place(self, schema, load):
-        index = self._loaded(schema, load, [(sid, _box(sid, sid)) for sid in range(4)])
-        self._loaded(schema, load, [(1, _box(60, 63)), (4, _box(4, 4))], index)
+    def test_a_replaced_rectangle_answers_at_its_new_place(self, schema, load, precision_bits):
+        index = self._loaded(
+            schema, load, precision_bits, [(sid, _box(sid, sid)) for sid in range(4)]
+        )
+        self._loaded(schema, load, precision_bits, [(1, _box(60, 63)), (4, _box(4, 4))], index)
         assert len(index) == 5
         assert index.matching_ids((1, 1)) == []
         assert index.matching_ids((61, 62)) == [1]
         assert index.matching_ids((4, 4)) == [4]
 
-    def test_remove_drops_only_that_entry(self, schema, load):
-        index = self._loaded(schema, load, [("a", _box(0, 10)), ("b", _box(5, 15))])
+    def test_remove_drops_only_that_entry(self, schema, load, precision_bits):
+        index = self._loaded(
+            schema, load, precision_bits, [("a", _box(0, 10)), ("b", _box(5, 15))]
+        )
         assert index.remove("a") is True
         assert "a" not in index and len(index) == 1
         assert index.matching_ids((7, 7)) == ["b"]
         assert index.matching_ids((2, 2)) == []
         assert index.remove("a") is False
 
-    def test_a_rejected_write_changes_nothing(self, schema, load):
+    def test_a_rejected_write_changes_nothing(self, schema, load, precision_bits):
         """A bad rectangle — alone, as a replacement, or among good ones in a
         batch — is rejected before the index changes: not its size, not an
         answer, not the rectangle it replaces."""
         rng = random.Random(7)
         side = 1 << schema.order
         items = [(sid, _random_box(rng, side)) for sid in range(9)]
-        index = self._loaded(schema, load, items[:7])
+        index = self._loaded(schema, load, precision_bits, items[:7])
         cells = [(x, y) for x in range(0, side, 3) for y in range(0, side, 3)]
         answers = [index.matching_ids(c) for c in cells]
         # Past the grid, too few ranges, inverted, negative.
@@ -497,11 +510,11 @@ class TestOneIndex:
         assert "bad" not in index and 7 not in index and 8 not in index
         assert [index.matching_ids(c) for c in cells] == answers
 
-    def test_removing_an_unknown_id_changes_nothing(self, schema, load):
+    def test_removing_an_unknown_id_changes_nothing(self, schema, load, precision_bits):
         rng = random.Random(6)
         side = 1 << schema.order
         index = self._loaded(
-            schema, load, [(sid, _random_box(rng, side)) for sid in range(20)]
+            schema, load, precision_bits, [(sid, _random_box(rng, side)) for sid in range(20)]
         )
         cells = [(x, y) for x in range(0, side, 3) for y in range(0, side, 3)]
         before = [index.matching_ids(c) for c in cells]
@@ -510,11 +523,11 @@ class TestOneIndex:
         assert len(index) == 20 and index.segment_count() == segments
         assert [index.matching_ids(c) for c in cells] == before
 
-    def test_answers_equal_a_brute_force_scan(self, schema, load):
+    def test_answers_equal_a_brute_force_scan(self, schema, load, precision_bits):
         rng = random.Random(6)
         side = 1 << schema.order
         rects = {sid: _random_box(rng, side, max_width=28) for sid in range(80)}
-        index = self._loaded(schema, load, list(rects.items()))
+        index = self._loaded(schema, load, precision_bits, list(rects.items()))
         for cells in [(x, y) for x in range(0, side, 2) for y in range(0, side, 3)]:
             matched = index.matching_ids(cells)
             assert matched == [
@@ -524,12 +537,12 @@ class TestOneIndex:
             ]
             assert index.any_match(cells) is bool(matched)
 
-    def test_keys_computed_once_give_the_same_answers(self, schema, load):
+    def test_keys_computed_once_give_the_same_answers(self, schema, load, precision_bits):
         """The event path keys an event once and hands the key to every probe."""
         rng = random.Random(3)
         side = 1 << schema.order
         index = self._loaded(
-            schema, load, [(sid, _random_box(rng, side)) for sid in range(30)]
+            schema, load, precision_bits, [(sid, _random_box(rng, side)) for sid in range(30)]
         )
         events = [(rng.randrange(side), rng.randrange(side)) for _ in range(60)]
         keys = index.curve.keys(events)
@@ -538,18 +551,18 @@ class TestOneIndex:
             assert index.matching_ids(cells, key) == index.matching_ids(cells)
             assert index.any_match(cells, key) is index.any_match(cells)
 
-    def test_matches_come_in_insertion_order(self, schema, load):
+    def test_matches_come_in_insertion_order(self, schema, load, precision_bits):
         order = ["d", "a", "e", "c", "b"]
-        index = self._loaded(schema, load, [(sid, _box(0, 63)) for sid in order])
+        index = self._loaded(schema, load, precision_bits, [(sid, _box(0, 63)) for sid in order])
         assert index.matching_ids((7, 7)) == order
-        self._loaded(schema, load, [("a", _box(0, 63))], index)
+        self._loaded(schema, load, precision_bits, [("a", _box(0, 63))], index)
         assert index.matching_ids((7, 7)) == ["d", "e", "c", "b", "a"]
 
-    def test_counters_count_inserts_removals_and_probes(self, schema, load):
+    def test_counters_count_inserts_removals_and_probes(self, schema, load, precision_bits):
         rng = random.Random(2)
         side = 1 << schema.order
         index = self._loaded(
-            schema, load, [(sid, _random_box(rng, side)) for sid in range(12)]
+            schema, load, precision_bits, [(sid, _random_box(rng, side)) for sid in range(12)]
         )
         index.remove(4)
         probes = [(x, x) for x in range(0, side, 5)]

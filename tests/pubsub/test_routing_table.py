@@ -226,10 +226,12 @@ class TestRoutingTable:
         event = Event(schema, {"x": 5.0, "y": 5.0})
         assert routing.matching_interfaces(event) == ["east"]
 
-    def test_routing_key_passes_straight_to_every_interface(self, schema):
-        """Every interface's index is keyed on the Z curve, so the one
-        ``Event.key`` answers every probe."""
-        routing = RoutingTable(schema)
+    @pytest.mark.parametrize("precision_bits", [None, 1, 8], ids=["grown", "pinned1", "pinned8"])
+    def test_routing_key_passes_straight_to_every_interface(self, schema, precision_bits):
+        """Every interface's index is keyed on the Z curve of the full grid,
+        whatever grid it decomposes on, so the one ``Event.key`` answers
+        every probe."""
+        routing = RoutingTable(schema, config=IndexConfig(precision_bits=precision_bits))
         rng = random.Random(5)
         # Past the scan limit on every table, so each one has built its index.
         for i in range(3 * (InterfaceTable.SCAN_LIMIT + 4)):

@@ -79,6 +79,28 @@ class TestEventKey:
                 interleaved = interleaved << 1 | (cell >> bit) & 1
         assert event.key == ZOrderCurve(Universe(dims, order)).key(cells) == interleaved
 
+    @given(order_and_cells(), st.data())
+    def test_keys_keep_dominance_and_tell_cells_apart(self, case, data):
+        """Two events on one grid: when one's cells dominate the other's
+        attribute by attribute, so does its key (the Z curve's monotonicity,
+        on which the dominance search rests), and equal keys mean equal
+        cells."""
+        order, cells = case
+        max_cell = (1 << order) - 1
+        schema = AttributeSchema(
+            [Attribute(f"a{i}", 0.0, float(max_cell)) for i in range(len(cells))], order=order
+        )
+        other = tuple(data.draw(st.integers(0, max_cell)) for _ in cells)
+        upper = tuple(data.draw(st.integers(cell, max_cell)) for cell in cells)
+
+        def event(point):
+            return Event(schema, {f"a{i}": float(cell) for i, cell in enumerate(point)})
+
+        low, high = event(cells), event(upper)
+        assert low.key <= high.key
+        assert (low.key == high.key) is (cells == upper)
+        assert (low.key == event(other).key) is (cells == other)
+
     def test_key_is_derived_once_and_never_carried(self, schema):
         """Read once, the key stays on the object; it is no field, so equality,
         ``repr``, pickling and copying ignore it."""
