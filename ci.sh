@@ -47,6 +47,18 @@ HYPOTHESIS_PROFILE="${HYPOTHESIS_PROFILE:-ci}" python -m pytest -x -q --duration
 # The docstring examples under src/ (among them the packed rectangle tests of
 # repro.geometry.universe and first_covering's scan).
 python -m pytest -q --doctest-modules src
+# The product's import footprint in a fresh interpreter: peak RSS, seconds,
+# and whether numpy or networkx came with it (neither should: numpy loads
+# with the first array build, networkx is a test-only oracle).
+python - <<'PY'
+import resource, sys, time
+started = time.perf_counter()
+import repro, repro.analysis.cli, repro.index, repro.net, repro.obs, repro.pubsub, repro.sim, repro.workloads
+took = time.perf_counter() - started
+rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+loaded = [name for name in ("numpy", "networkx") if name in sys.modules]
+print(f"import footprint: {rss:.1f} MB peak RSS, {took:.2f} s; numpy/networkx loaded: {loaded or 'neither'}")
+PY
 
 stage "benchmark smoke (tiny sizes) + full-size sim tables"
 # bench_subscription_churn times the batch subscribe/withdraw APIs (loops
@@ -200,8 +212,29 @@ wait "$SERVE_PID"   # graceful shutdown: serve exits 0 or this line fails CI
 SERVE_PID=""
 
 stage "example smoke (tiny sizes)"
+# Run a script as __main__ with numpy and networkx refused at import: a
+# broker network that only scans needs neither.
+without_numpy_networkx() {
+    python - "$@" <<'PY'
+import runpy, sys
+
+class Refuse:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] in ("numpy", "networkx"):
+            raise ImportError(f"{name} is refused: this run must not load it")
+        return None
+
+sys.meta_path.insert(0, Refuse())
+sys.argv = sys.argv[1:]
+runpy.run_path(sys.argv[0], run_name="__main__")
+PY
+}
 for example in examples/*.py; do
-    REPRO_BENCH_SMOKE=1 python "$example" > /dev/null
+    case "$example" in
+        examples/quickstart.py | examples/sim_latency_churn.py)
+            REPRO_BENCH_SMOKE=1 without_numpy_networkx "$example" > /dev/null ;;
+        *) REPRO_BENCH_SMOKE=1 python "$example" > /dev/null ;;
+    esac
 done
 
 stage ""

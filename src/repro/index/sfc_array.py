@@ -29,8 +29,6 @@ from itertools import chain
 from math import sqrt
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..sfc.base import KeyRange, SpaceFillingCurve
 from ..sfc.runs import merge_key_ranges
 
@@ -389,8 +387,11 @@ class FlatSegmentStore:
         the member order.  ``None`` (the caller sweeps in Python) when a key
         is wider than 64 bits or a run ends at ``2**64 - 1``: the sweep works
         on exclusive ends, and ``uint64`` arithmetic would silently wrap that
-        one to 0.
+        one to 0.  numpy is imported here, on the first sweep, so a process
+        whose tables all scan never loads it.
         """
+        import numpy as np
+
         stored = self._runs
         counts = np.fromiter(map(len, stored.values()), dtype=np.int64, count=len(stored))
         try:

@@ -589,28 +589,12 @@ class Broker:
             self.stats.promotions += 1
 
     # ------------------------------------------------------------------ events
-    def _check_schema(self, event: Event) -> None:
-        """Raise ``ValueError`` unless ``event`` quantises onto this broker's grid.
-
-        Checked once where an event enters the network, not per hop: the
-        tables' tests and :attr:`Event.key` compare cells field for field,
-        which only means something on a compatible schema.
-        """
-        if not (event.schema is self.schema or self.schema.compatible_with(event.schema)):
-            raise ValueError(
-                f"event {event.event_id!r} is on another schema than broker "
-                f"{self.broker_id!r}"
-            )
-
-    def publish_local(self, event: Event) -> None:
-        """Inject an event published by a locally attached client."""
-        self._check_schema(event)
-        self.receive_event(LOCAL_INTERFACE, event)
-
     def publish_batch(self, events: Sequence[Event]) -> None:
         """Inject a batch of locally published events.
 
-        Every event's schema is checked before any is routed.  When one of
+        The network checked every event's schema before any is routed
+        (:meth:`BrokerNetwork.publish_batch
+        <repro.pubsub.network.BrokerNetwork.publish_batch>`).  When one of
         this broker's own tables has an index, the events' Z keys are
         computed in one pass (sharing per-coordinate spreading work across
         the batch) and kept on the events, where indexed tables here and
@@ -619,8 +603,6 @@ class Broker:
         own, at its first indexed probe.
         """
         events = list(events)
-        for event in events:
-            self._check_schema(event)
         tables = self.routing_table.interface_tables().values()
         if any(table.match_index is not None for table in tables):
             self.routing_table.event_keys(events)
@@ -636,7 +618,8 @@ class Broker:
         later probe, at this broker and at any other the same object
         reaches.  A table that scans never reads it, so an event that meets
         only scanning tables is never keyed.  The event's schema was checked
-        where it entered (:meth:`publish_local` / :meth:`publish_batch`).
+        where it entered the network (``BrokerNetwork.publish_async`` /
+        ``publish_batch``).
         """
         self.stats.events_received += 1
         delivered = self._deliver_locally(event)

@@ -25,6 +25,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import (
+    Container,
     Deque,
     Dict,
     Hashable,
@@ -37,8 +38,6 @@ from typing import (
     Set,
     Tuple,
 )
-
-import networkx as nx
 
 from ..index.config import IndexConfig
 from ..obs.exposition import render_prometheus, snapshot
@@ -247,7 +246,8 @@ class BrokerNetwork:
         # Span timestamps are simulated time, not wall clock — deterministic
         # under a seeded SimTransport, frozen at 0.0 under SyncTransport.
         self.tracing.bind_clock(lambda: self.transport.now)
-        self.graph = nx.Graph()
+        # The overlay: broker -> its neighbours.
+        self.graph: Dict[Hashable, Set[Hashable]] = {}
         # Running delivery-audit tallies, accumulated by publish_and_audit so
         # scrapes report real delivery counts without a replay.
         self.audited_delivered = 0
@@ -278,7 +278,7 @@ class BrokerNetwork:
         )
         broker.attach_transport(self.transport, self._record_deliveries)
         self.brokers[broker_id] = broker
-        self.graph.add_node(broker_id)
+        self.graph[broker_id] = set()
         # Transports that maintain per-broker infrastructure (the networked
         # transport runs one TCP server per broker) hook broker creation; the
         # in-process transports simply don't define the attribute.
@@ -295,13 +295,16 @@ class BrokerNetwork:
         """
         if a not in self.brokers or b not in self.brokers:
             raise ValueError(f"both brokers must exist before connecting ({a!r}, {b!r})")
-        if self.graph.has_edge(a, b):
+        if b in self.graph[a]:
             return
-        if nx.has_path(self.graph, a, b):
+        # A broker with no link yet reaches no other: only then is the search
+        # needed, and a tree grown leaf by leaf never pays for it.
+        if a == b or (self.graph[a] and self.graph[b] and b in self._component(a, self.graph)):
             raise ValueError(
                 f"connecting {a!r} and {b!r} would create a cycle; the overlay must be a tree"
             )
-        self.graph.add_edge(a, b)
+        self.graph[a].add(b)
+        self.graph[b].add(a)
         self.brokers[a].connect(b)
         self.brokers[b].connect(a)
 
@@ -548,9 +551,7 @@ class BrokerNetwork:
             raise ValueError(f"unknown broker {origin!r}")
         if not self.transport.is_up(origin):
             return set()
-        live = self.live_brokers()
-        component = nx.node_connected_component(self.graph.subgraph(live), origin)
-        return set(component)
+        return self._component(origin, self.live_brokers())
 
     def live_components(self) -> List[Set[Hashable]]:
         """Connected components of the live overlay, deterministically ordered.
@@ -560,9 +561,27 @@ class BrokerNetwork:
         components are sorted by their smallest member (string order) so two
         same-seed runs enumerate them identically.
         """
-        live = self.graph.subgraph(self.live_brokers())
-        components = [set(component) for component in nx.connected_components(live)]
+        live = self.live_brokers()
+        components: List[Set[Hashable]] = []
+        placed: Set[Hashable] = set()
+        for broker_id in self.graph:
+            if broker_id in live and broker_id not in placed:
+                component = self._component(broker_id, live)
+                placed |= component
+                components.append(component)
         return sorted(components, key=lambda c: min(str(b) for b in c))
+
+    def _component(self, origin: Hashable, allowed: Container[Hashable]) -> Set[Hashable]:
+        """``origin`` and every broker it reaches through brokers in
+        ``allowed``: one breadth-first search."""
+        seen = {origin}
+        frontier = [origin]
+        for broker_id in frontier:
+            for neighbour in self.graph[broker_id]:
+                if neighbour not in seen and neighbour in allowed:
+                    seen.add(neighbour)
+                    frontier.append(neighbour)
+        return seen
 
     # ------------------------------------------------------------------- usage
     def _require_up(self, broker_id: Hashable) -> None:
@@ -711,8 +730,21 @@ class BrokerNetwork:
         :meth:`publish` except for the return value.
         """
         self._require_up(broker_id)
+        self._check_schema(event)
         self._start_publish(broker_id, event)
-        self.brokers[broker_id].publish_local(event)
+        self.brokers[broker_id].receive_event(LOCAL_INTERFACE, event)
+
+    def _check_schema(self, event: Event) -> None:
+        """Raise ``ValueError`` unless ``event`` quantises onto the network's grid.
+
+        Checked once where an event enters the network, before anything is
+        stamped, traced or routed, not per hop: the tables' tests and
+        :attr:`Event.key` compare cells field for field, which only means
+        something on a compatible schema.  Every broker holds the network's
+        schema.
+        """
+        if not (event.schema is self.schema or self.schema.compatible_with(event.schema)):
+            raise ValueError(f"event {event.event_id!r} is on another schema than the network")
 
     def _start_publish(self, broker_id: Hashable, event: Event) -> None:
         """Stamp ``event``'s publish time and record its ``publish`` root span."""
@@ -757,9 +789,13 @@ class BrokerNetwork:
         before routing starts (when one of its tables has an index).  Recipients are collected
         by event id, so a batch repeating an id is cut into chunks at each
         repeat: each chunk is keyed in one pass and flushed before the next,
-        and every position gets the clients its own event reached.
+        and every position gets the clients its own event reached.  Every
+        event's schema is checked before any chunk is stamped or routed.
         """
         self._require_up(broker_id)
+        events = list(events)
+        for event in events:
+            self._check_schema(event)
         results: List[Set[Hashable]] = []
         chunk: List[Event] = []
         chunk_ids: Set[Hashable] = set()

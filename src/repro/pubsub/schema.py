@@ -17,6 +17,7 @@ reading in degrees.  :class:`AttributeSchema` owns that mapping:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Mapping, Sequence, Tuple
 
@@ -142,8 +143,6 @@ class AttributeSchema:
         hi_clamped = min(max(high, attr.low), attr.high)
         lo_fraction = (lo_clamped - attr.low) / attr.span
         hi_fraction = (hi_clamped - attr.low) / attr.span
-        import math
-
         lo_cell = int(math.floor(lo_fraction * self.max_cell))
         hi_cell = int(math.ceil(hi_fraction * self.max_cell))
         lo_cell = min(max(lo_cell, 0), self.max_cell)

@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 from ..geometry.bits import deinterleave_bits, interleave_bits, spread_bits
-from . import vectorized
 from .base import SpaceFillingCurve
 
 __all__ = ["ZOrderCurve"]
@@ -55,8 +54,11 @@ class ZOrderCurve(SpaceFillingCurve):
         is Morton-spread at most once per dimension across the batch, so
         batches with recurring coordinate values pay far less than per-cell
         :meth:`key` calls.  Results are identical to
-        ``[self.key(p) for p in points]``.
+        ``[self.key(p) for p in points]``.  The kernel (and numpy with it) is
+        imported on the first batch, not with the curve.
         """
+        from . import vectorized
+
         universe = self.universe
         fast = vectorized.zorder_keys(
             points, universe.dims, universe.order, universe.max_coordinate

@@ -145,8 +145,8 @@ class TestNetworkConstruction:
         with pytest.raises(ValueError, match="unknown covering strategy"):
             network.join_broker(2, attach_to=0)
         assert set(network.brokers) == {0, 1}
-        assert sorted(network.graph.nodes) == [0, 1]
-        assert list(network.graph.edges) == [(0, 1)]
+        assert sorted(network.graph) == [0, 1]
+        assert network.graph == {0: {1}, 1: {0}}
         assert network.brokers[0].neighbors == [1]
 
     def test_explicit_nodes_precreate_brokers(self, schema):
@@ -405,6 +405,23 @@ class TestEventDelivery:
         else:
             network.publish_batch(0, [event])
         assert [record.client_id for record in network.deliveries] == ["far"]
+
+    def test_a_refused_publish_leaves_no_span_and_no_publish_time(self, schema):
+        """The schema check runs before the publish is stamped: a refused
+        ``publish`` or ``publish_batch`` records no ``publish`` span and keeps
+        no publish time, the valid event ahead of the foreign one included."""
+        foreign = AttributeSchema([Attribute("x", 0.0, 100.0)], order=8)
+        network = BrokerNetwork.from_topology(
+            schema, chain_topology(3), seed=1, tracing=TraceLog(enabled=True)
+        )
+        event = Event(foreign, {"x": 25.0}, event_id="f")
+        with pytest.raises(ValueError, match="another schema"):
+            network.publish(1, event)
+        valid = Event(schema, {"x": 25.0, "y": 25.0}, event_id="valid")
+        with pytest.raises(ValueError, match="another schema"):
+            network.publish_batch(0, [valid, event])
+        assert network.tracing.spans(kind="publish") == []
+        assert network._publish_times == {}
 
     def test_the_schema_is_checked_once_per_event_not_per_hop(self, schema, monkeypatch):
         """An event that crosses every broker of a chain is checked where it

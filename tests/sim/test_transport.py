@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import networkx as nx
 import pytest
 
 import repro.sim.transport as transport_module
@@ -32,6 +31,18 @@ def build_network(schema, transport, num_brokers=7, **kwargs):
     return BrokerNetwork.from_topology(
         schema, tree_topology(num_brokers), transport=transport, **kwargs
     )
+
+
+def tree_paths(graph, origin):
+    """Broker -> the overlay path from ``origin`` to it (both ends included)."""
+    paths = {origin: [origin]}
+    frontier = [origin]
+    for broker_id in frontier:
+        for neighbour in graph[broker_id]:
+            if neighbour not in paths:
+                paths[neighbour] = paths[broker_id] + [neighbour]
+                frontier.append(neighbour)
+    return paths
 
 
 def run_workload(network, num_subs=18, num_events=10):
@@ -116,7 +127,7 @@ class TestSyncTransport:
                 for _, subscription in broker.local_subscriptions()
                 if subscription.matches(event)
             } - {origin}
-            paths = nx.single_source_shortest_path(network.graph, origin)
+            paths = tree_paths(network.graph, origin)
             expected = {
                 (path[step - 1], path[step], step)
                 for broker_id in reached
@@ -438,7 +449,7 @@ class TestCrashLifecycleRegressions:
         )
         run_dynamic_scenario(network, script)
         directed_edges = {
-            (a, b) for edge in network.graph.edges for (a, b) in (edge, edge[::-1])
+            (a, b) for a, neighbours in network.graph.items() for b in neighbours
         }
         assert all(link.blocked is None for link in transport._links.values())
         assert set(transport._links) <= directed_edges

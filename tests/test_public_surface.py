@@ -18,6 +18,11 @@ load or an identifier string counts: a bare name or an import of the same
 spelling does not.  ``__all__`` entries, package ``__init__`` re-exports and
 docstrings are not references.  The check matches by name, so it errs
 towards keeping code.
+
+Every third-party module imported under ``src/`` is in ``pyproject.toml``'s
+``[project].dependencies``; one imported under ``tests/``, ``benchmarks/``
+or ``experiments/`` is there or in the ``test`` extra.  Standard-library
+modules and the repository's own modules do not count.
 """
 
 from __future__ import annotations
@@ -26,6 +31,8 @@ import ast
 import functools
 import importlib
 import pathlib
+import re
+import sys
 
 import pytest
 
@@ -283,3 +290,50 @@ def test_every_allowlisted_name_is_defined_and_still_uncalled():
     ]
     assert stale == []
     assert all(reason.strip() for reason in ALLOWLIST.values())
+
+
+# ------------------------------------------------------------ dependencies
+def third_party_imports(directory: pathlib.Path):
+    """``{top-level module: first file importing it}`` over ``directory``'s
+    absolute imports, less the standard library and the directory's own
+    modules and packages."""
+    paths = sorted(directory.rglob("*.py"))
+    own = {"repro", "tests", "benchmarks", "experiments"}
+    own |= {path.stem for path in paths} | {path.parent.name for path in paths}
+    found = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            for module in modules:
+                top = module.partition(".")[0]
+                if top not in sys.stdlib_module_names and top not in own:
+                    found.setdefault(top, str(path.relative_to(REPO)))
+    return found
+
+
+def declared(requirements):
+    """The importable names of PEP 508 requirement strings."""
+    return {re.split(r"[\s\[<>=!~;]", req, maxsplit=1)[0].replace("-", "_") for req in requirements}
+
+
+@pytest.mark.parametrize(
+    "directory, extras",
+    [("src", ()), ("tests", ("test",)), ("benchmarks", ("test",)), ("experiments", ("test",))],
+)
+def test_every_third_party_import_is_declared(directory, extras):
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((REPO / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    allowed = declared(project["dependencies"])
+    for extra in extras:
+        allowed |= declared(project["optional-dependencies"][extra])
+    undeclared = {
+        module: path
+        for module, path in third_party_imports(REPO / directory).items()
+        if module not in allowed
+    }
+    assert undeclared == {}
