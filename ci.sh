@@ -48,8 +48,10 @@ HYPOTHESIS_PROFILE="${HYPOTHESIS_PROFILE:-ci}" python -m pytest -x -q --duration
 # repro.geometry.universe and first_covering's scan).
 python -m pytest -q --doctest-modules src
 # The product's import footprint in a fresh interpreter: peak RSS, seconds,
-# and whether numpy or networkx came with it (neither should: numpy loads
-# with the first array build, networkx is a test-only oracle).
+# whether numpy or networkx came with it (neither should: numpy loads with
+# the first array build, networkx is a test-only oracle), how many repro
+# modules loaded and which of the paper's layer are among them (none should:
+# tests/test_public_surface.py declares the layers).
 python - <<'PY'
 import resource, sys, time
 started = time.perf_counter()
@@ -57,7 +59,12 @@ import repro, repro.analysis.cli, repro.index, repro.net, repro.obs, repro.pubsu
 took = time.perf_counter() - started
 rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 loaded = [name for name in ("numpy", "networkx") if name in sys.modules]
-print(f"import footprint: {rss:.1f} MB peak RSS, {took:.2f} s; numpy/networkx loaded: {loaded or 'neither'}")
+own = [name for name in sys.modules if name.partition(".")[0] == "repro"]
+sys.path.insert(0, "tests")
+from test_public_surface import PAPER_MODULES
+paper = sorted(set(own) & set(PAPER_MODULES))
+print(f"import footprint: {rss:.1f} MB peak RSS, {took:.2f} s; numpy/networkx loaded: {loaded or 'neither'}; "
+      f"{len(own)} repro modules, paper modules among them: {paper or 'none'}")
 PY
 
 stage "benchmark smoke (tiny sizes) + full-size sim tables"

@@ -16,7 +16,7 @@ Run with:  python examples/quickstart.py
 
 from __future__ import annotations
 
-from repro import ApproximateCoveringDetector
+from repro.core.covering import ApproximateCoveringDetector
 
 
 def main() -> None:

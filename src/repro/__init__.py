@@ -1,28 +1,27 @@
 """repro — Approximate covering detection among content-based subscriptions using SFCs.
 
 A from-scratch reproduction of Shen & Tirthapura's approximate subscription
-covering (ICDCS 2007 / JPDC 2012).  The package is layered bottom-up:
+covering (ICDCS 2007 / JPDC 2012), grown into a content-based
+publish/subscribe broker network.  The package holds two layers:
 
-* :mod:`repro.geometry` — bit utilities, universes, rectangles and the
-  Edelsbrunner–Overmars rectangle-enclosure ⇄ point-dominance transform.
-* :mod:`repro.sfc` — space filling curves (Z-order, Hilbert, Gray-code) and
-  run analysis.
-* :mod:`repro.index` — the SFC array and the flat segment store, plus k-d
-  tree and range-tree baselines.
-* :mod:`repro.core` — the paper's contribution: greedy standard-cube
-  decomposition, ε-approximate point dominance, approximate covering
-  detection, and the analytic bounds (Theorems 3.1 and 4.1).
-* :mod:`repro.baselines` — linear-scan and probabilistic covering detectors
-  (a broker link's ``approximate`` covering check is an exact scan like the
-  linear one; the probabilistic one is a recall comparison only).
-* :mod:`repro.pubsub` — a content-based publish/subscribe broker network that
-  uses sound covering to prune subscription propagation.
-* :mod:`repro.workloads` / :mod:`repro.analysis` — synthetic workloads,
-  experiment drivers and reporting.
+* the product, what a broker runs: :mod:`repro.pubsub` (schema,
+  subscriptions, brokers, the network and its match index), :mod:`repro.sim`
+  and :mod:`repro.net` (transports), :mod:`repro.obs` (metrics, traces,
+  profiler), :mod:`repro.workloads`, :mod:`repro.geometry`, the Z curve and
+  its runs in :mod:`repro.sfc`, the standard-cube decomposition in
+  :mod:`repro.core.decomposition`, the SFC array and flat segment store in
+  :mod:`repro.index`, and the ``repro.analysis.cli`` entry point;
+* the paper, what only its experiments run: the ε-approximate dominance
+  search, covering detector and bounds in :mod:`repro.core`, the Hilbert and
+  Gray curves, the k-d tree and range tree, :mod:`repro.baselines` and the
+  drivers in :mod:`repro.analysis.experiments`.
+
+A package re-exports only its product names, and this one only the
+broker-network API; a paper name is imported from its module.
 
 Quickstart::
 
-    from repro import ApproximateCoveringDetector
+    from repro.core.covering import ApproximateCoveringDetector
 
     # An offline query states its cube budget; the detector's default of
     # 2,000 cubes stops this one before it reaches the witness.
@@ -37,19 +36,9 @@ Quickstart::
     assert result.covered and result.covering_id == "wide"
 """
 
-from .core.approx_dominance import ApproximateDominanceIndex, DominanceQueryResult
-from .core.covering import ApproximateCoveringDetector, CoveringResult
-from .geometry.rect import ExtremalRectangle, Rectangle, StandardCube
-from .geometry.transform import DominanceTransform
-from .geometry.universe import Universe
-from .index.sfc_array import SFCArray
 from .pubsub.network import BrokerNetwork
 from .pubsub.schema import Attribute, AttributeSchema
 from .pubsub.subscription import Event, Subscription
-from .sfc.factory import CURVE_KINDS, make_curve
-from .sfc.gray import GrayCodeCurve
-from .sfc.hilbert import HilbertCurve
-from .sfc.zorder import ZOrderCurve
 from .obs.profiler import PROFILER, profiling_requested
 
 if profiling_requested():
@@ -58,25 +47,10 @@ if profiling_requested():
 __version__ = "1.0.0"
 
 __all__ = [
-    "ApproximateDominanceIndex",
-    "DominanceQueryResult",
-    "ApproximateCoveringDetector",
-    "CoveringResult",
-    "ExtremalRectangle",
-    "Rectangle",
-    "StandardCube",
-    "DominanceTransform",
-    "Universe",
-    "SFCArray",
     "BrokerNetwork",
     "Attribute",
     "AttributeSchema",
     "Event",
     "Subscription",
-    "GrayCodeCurve",
-    "HilbertCurve",
-    "ZOrderCurve",
-    "CURVE_KINDS",
-    "make_curve",
     "__version__",
 ]

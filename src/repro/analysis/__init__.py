@@ -1,32 +1,12 @@
-"""Experiment drivers and plain-text reporting."""
+"""Plain-text reporting and the command-line entry point.
 
-from .experiments import (
-    run_approx_vs_exhaustive_experiment,
-    run_dimensionality_experiment,
-    run_fig1_experiment,
-    run_fig2_experiment,
-    run_lem32_experiment,
-    run_pubsub_experiment,
-    run_recall_experiment,
-    run_sim_latency_experiment,
-    run_thm31_experiment,
-    run_thm41_experiment,
-    run_throughput_experiment,
-)
+The experiment drivers live in :mod:`.experiments`, on the paper's layer;
+the CLI imports them only inside ``list``, ``run`` and ``metrics``.
+"""
+
 from .reporting import ResultTable, format_bar_chart, format_table
 
 __all__ = [
-    "run_approx_vs_exhaustive_experiment",
-    "run_dimensionality_experiment",
-    "run_fig1_experiment",
-    "run_fig2_experiment",
-    "run_lem32_experiment",
-    "run_pubsub_experiment",
-    "run_recall_experiment",
-    "run_sim_latency_experiment",
-    "run_thm31_experiment",
-    "run_thm41_experiment",
-    "run_throughput_experiment",
     "ResultTable",
     "format_bar_chart",
     "format_table",

@@ -9,7 +9,9 @@ Usage::
 Each experiment name maps to one driver in :mod:`repro.analysis.experiments`
 (the same drivers the benchmark harness calls), so the CLI is a convenient way
 to regenerate a single table without going through pytest.  No subcommand
-takes a curve: every network keys its match indexes on the Z curve.
+takes a curve: every network keys its match indexes on the Z curve.  Only
+``list``, ``run`` and ``metrics`` import the driver module, so ``serve`` loads
+none of the paper's code.
 """
 
 from __future__ import annotations
@@ -17,18 +19,19 @@ from __future__ import annotations
 import argparse
 import pathlib
 import sys
-from typing import Callable, Dict
+from typing import Callable, Dict, Union
 
 from ..obs.exposition import validate_prometheus_text, write_bench_json
 from ..pubsub.routing_table import COVERING_KINDS
-from . import experiments
 
-__all__ = ["main", "EXPERIMENTS"]
+__all__ = ["main", "EXPERIMENTS", "driver"]
 
 
 def _churn_cli_sized() -> object:
     """E-SUB-CHURN: batched subscription churn vs the per-subscription baseline (CLI-sized)."""
-    return experiments.run_subscription_churn_experiment(
+    from .experiments import run_subscription_churn_experiment
+
+    return run_subscription_churn_experiment(
         sizes=(1_500,),
         audit_size=800,
         audit_events=10,
@@ -39,31 +42,43 @@ def _churn_cli_sized() -> object:
 
 def _topology_scale_cli_sized() -> object:
     """E-TOPO-SCALE: latency/hop distributions per generated topology class (CLI-sized)."""
-    return experiments.run_topology_scale_experiment(
+    from .experiments import run_topology_scale_experiment
+
+    return run_topology_scale_experiment(
         num_brokers=80,
         num_subscriptions=40,
         num_events=24,
     )
 
 
-EXPERIMENTS: Dict[str, Callable[..., object]] = {
-    "fig1": experiments.run_fig1_experiment,
-    "fig2": experiments.run_fig2_experiment,
-    "thm31": experiments.run_thm31_experiment,
-    "lem32": experiments.run_lem32_experiment,
-    "thm41": experiments.run_thm41_experiment,
-    "cost": experiments.run_approx_vs_exhaustive_experiment,
-    "recall": experiments.run_recall_experiment,
-    "pubsub": experiments.run_pubsub_experiment,
+#: Experiment name -> its driver: a function of
+#: :mod:`repro.analysis.experiments`, by name, or a CLI-sized wrapper.
+EXPERIMENTS: Dict[str, Union[str, Callable[..., object]]] = {
+    "fig1": "run_fig1_experiment",
+    "fig2": "run_fig2_experiment",
+    "thm31": "run_thm31_experiment",
+    "lem32": "run_lem32_experiment",
+    "thm41": "run_thm41_experiment",
+    "cost": "run_approx_vs_exhaustive_experiment",
+    "recall": "run_recall_experiment",
+    "pubsub": "run_pubsub_experiment",
     # The full 10k-50k churn measurement lives in
     # benchmarks/bench_subscription_churn.py.
     "churn": _churn_cli_sized,
-    "curve-ablation": experiments.run_curve_ablation_experiment,
+    "curve-ablation": "run_curve_ablation_experiment",
     # The full-size sweep lives in benchmarks/bench_topology_scale.py.
     "topology-scale": _topology_scale_cli_sized,
-    "dimensionality": experiments.run_dimensionality_experiment,
-    "throughput": experiments.run_throughput_experiment,
+    "dimensionality": "run_dimensionality_experiment",
+    "throughput": "run_throughput_experiment",
 }
+
+
+def driver(name: str) -> Callable[..., object]:
+    """The callable that regenerates experiment ``name``'s table."""
+    from . import experiments
+
+    found = EXPERIMENTS[name]
+    return getattr(experiments, found) if isinstance(found, str) else found
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -121,7 +136,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_one(name: str, output: pathlib.Path | None) -> None:
-    table = EXPERIMENTS[name]()
+    table = driver(name)()
     text = table.to_text()  # type: ignore[attr-defined]
     print(text)
     print()
@@ -132,7 +147,9 @@ def _run_one(name: str, output: pathlib.Path | None) -> None:
 
 def _run_metrics(seed: int, output: pathlib.Path | None) -> None:
     """The ``metrics`` subcommand: scenario → validated exposition + trace tree."""
-    result = experiments.run_metrics_scenario(seed=seed)
+    from .experiments import run_metrics_scenario
+
+    result = run_metrics_scenario(seed=seed)
     # Validation before printing: a malformed exposition is a bug, not output.
     validate_prometheus_text(result.prometheus_text)
     print(result.to_text())
@@ -192,8 +209,8 @@ def main(argv: list[str] | None = None) -> int:
     """Entry point; returns a process exit code."""
     args = _build_parser().parse_args(argv)
     if args.command == "list":
-        for name, fn in sorted(EXPERIMENTS.items()):
-            doc = (fn.__doc__ or "").strip().splitlines()[0]
+        for name in sorted(EXPERIMENTS):
+            doc = (driver(name).__doc__ or "").strip().splitlines()[0]
             print(f"{name:15s} {doc}")
         return 0
     if args.command == "serve":

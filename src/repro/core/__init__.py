@@ -1,24 +1,10 @@
-"""The paper's core contribution: ε-approximate point dominance and subscription covering."""
+"""Greedy standard-cube decomposition, the product's part of the paper's core.
 
-from .approx_dominance import (
-    ApproximateDominanceIndex,
-    DominanceQueryResult,
-    TerminationReason,
-)
-from .bounds import (
-    adversarial_lengths,
-    adversarial_rectangle,
-    lemma32_min_volume_fraction,
-    lemma37_cube_bound,
-    theorem31_run_bound,
-    theorem41_lower_bound,
-)
-from .covering import (
-    DEFAULT_CUBE_BUDGET,
-    DEFAULT_EPSILON,
-    ApproximateCoveringDetector,
-    CoveringResult,
-)
+The paper's ε-approximate point dominance (:mod:`.approx_dominance`), its
+covering detector (:mod:`.covering`) and its bounds (:mod:`.bounds`) run
+only in the experiments; import their names from those modules.
+"""
+
 from .decomposition import (
     LevelClass,
     count_cubes_extremal,
@@ -31,19 +17,6 @@ from .decomposition import (
 )
 
 __all__ = [
-    "ApproximateDominanceIndex",
-    "DominanceQueryResult",
-    "TerminationReason",
-    "adversarial_lengths",
-    "adversarial_rectangle",
-    "lemma32_min_volume_fraction",
-    "lemma37_cube_bound",
-    "theorem31_run_bound",
-    "theorem41_lower_bound",
-    "DEFAULT_CUBE_BUDGET",
-    "DEFAULT_EPSILON",
-    "ApproximateCoveringDetector",
-    "CoveringResult",
     "LevelClass",
     "count_cubes_extremal",
     "cubes_in_class",

@@ -1,9 +1,11 @@
-"""Space filling curves: Z-order (Morton), Hilbert and Gray-code, plus run analysis."""
+"""Space filling curves: the Z-order (Morton) curve every match index keys on, plus run analysis.
+
+The Hilbert and Gray-code curves (:mod:`.hilbert`, :mod:`.gray`, built by
+:mod:`.factory`) serve the paper's curve comparisons only; import them from
+their modules.
+"""
 
 from .base import KeyRange, SpaceFillingCurve
-from .factory import CURVE_KINDS, make_curve
-from .gray import GrayCodeCurve
-from .hilbert import HilbertCurve
 from .runs import (
     GridRunTable,
     RunProfile,
@@ -16,10 +18,6 @@ from .zorder import ZOrderCurve
 __all__ = [
     "KeyRange",
     "SpaceFillingCurve",
-    "CURVE_KINDS",
-    "make_curve",
-    "GrayCodeCurve",
-    "HilbertCurve",
     "ZOrderCurve",
     "GridRunTable",
     "RunProfile",

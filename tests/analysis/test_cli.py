@@ -6,7 +6,7 @@ import inspect
 
 import pytest
 
-from repro.analysis.cli import EXPERIMENTS, main
+from repro.analysis.cli import EXPERIMENTS, driver, main
 
 
 class TestCLI:
@@ -39,8 +39,8 @@ class TestCLI:
         """``run`` calls every registered driver without arguments; none has a
         ``curve`` parameter left for a flag to feed (``curve-ablation`` counts
         every curve's runs and takes none)."""
-        for name, fn in EXPERIMENTS.items():
-            parameters = inspect.signature(fn).parameters
+        for name in EXPERIMENTS:
+            parameters = inspect.signature(driver(name)).parameters
             assert "curve" not in parameters and "curves" not in parameters, name
             assert all(p.default is not p.empty for p in parameters.values()), name
 
@@ -48,7 +48,7 @@ class TestCLI:
         # Every registered callable is an experiment driver returning a ResultTable.
         from repro.analysis.reporting import ResultTable
 
-        table = EXPERIMENTS["fig1"]()
+        table = driver("fig1")()
         assert isinstance(table, ResultTable)
 
 

@@ -5,7 +5,8 @@ batch of Z keys), networkx nowhere in the product.  In a fresh interpreter
 the product packages import, and a network routes subscribes and publishes
 while every table scans, without either module loaded; the first table past
 ``InterfaceTable.SCAN_LIMIT`` builds its match index, which imports numpy,
-and answers as the scan does.
+and answers as the scan does.  No module of the paper's layer
+(``PAPER_MODULES``) loads on the way, the CLI's entry point included.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import subprocess
 import sys
 
 import repro
+from test_public_surface import PAPER_MODULES
 
 SRC = pathlib.Path(repro.__file__).parent.parent
 
@@ -32,6 +34,7 @@ from repro.pubsub import (
 )
 
 HEAVY = ("numpy", "networkx")
+PAPER = sys.argv[1:]
 rng = random.Random(5)
 schema = AttributeSchema([Attribute("x", 0.0, 100.0), Attribute("y", 0.0, 100.0)], order=8)
 network = BrokerNetwork.from_topology(schema, tree_topology(7), seed=1)
@@ -52,7 +55,7 @@ def events(count):
     ]
 
 
-loaded = sorted(name for name in HEAVY if name in sys.modules)
+loaded = sorted(name for name in HEAVY + tuple(PAPER) if name in sys.modules)
 assert loaded == [], f"importing the product loaded {loaded}"
 for i in range(40):
     subscribe(i % 7)
@@ -89,6 +92,8 @@ for event in events(200):
     assert network.publish_and_audit(0, event) == (set(), set())
     matched += len(scanned)
 assert matched > 200
+loaded = sorted(name for name in PAPER if name in sys.modules)
+assert loaded == [], f"building and querying a match index loaded {loaded}"
 print("ok")
 """
 
@@ -97,7 +102,11 @@ def test_a_fresh_interpreter_loads_numpy_only_with_the_first_index():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", SCRIPT], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", SCRIPT, *PAPER_MODULES],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["ok"]

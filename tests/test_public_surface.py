@@ -19,6 +19,12 @@ spelling does not.  ``__all__`` entries, package ``__init__`` re-exports and
 docstrings are not references.  The check matches by name, so it errs
 towards keeping code.
 
+Every module under ``src/repro`` is on exactly one of two layers:
+:data:`PRODUCT_MODULES`, what a broker runs, or :data:`PAPER_MODULES`, what
+only the paper's experiments run.  No import a product module executes when
+it loads names a paper module; an import inside a function (the CLI's
+``list`` / ``run`` / ``metrics``) is not executed by loading.
+
 Every third-party module imported under ``src/`` is in ``pyproject.toml``'s
 ``[project].dependencies``; one imported under ``tests/``, ``benchmarks/``
 or ``experiments/`` is there or in the ``test`` extra.  Standard-library
@@ -74,6 +80,92 @@ def test_all_names_resolve(package):
         unresolved += [f"{name}.{entry}" for entry in exported if not hasattr(module, entry)]
     assert exporting, f"no module of {package} declares __all__"
     assert unresolved == []
+
+
+# ------------------------------------------------------------------ layers
+#: What a broker runs, and the entry point that boots one.  Mixed modules
+#: count as product because product code imports them: ``index.sfc_array``
+#: (``SFCArray`` beside the flat store), ``geometry.transform``
+#: (``DominanceTransform`` beside ``first_covering``) and ``geometry.bits``
+#: (Gray encode / decode beside the Z interleave).
+PRODUCT_MODULES = [
+    "repro",
+    "repro.analysis", "repro.analysis.cli", "repro.analysis.reporting",
+    "repro.core", "repro.core.decomposition",
+    "repro.geometry", "repro.geometry.bits", "repro.geometry.rect",
+    "repro.geometry.transform", "repro.geometry.universe",
+    "repro.index", "repro.index.config", "repro.index.sfc_array",
+    "repro.net", "repro.net.client", "repro.net.net_transport", "repro.net.protocol",
+    "repro.net.server",
+    "repro.obs", "repro.obs.exposition", "repro.obs.profiler", "repro.obs.registry",
+    "repro.obs.trace",
+    "repro.pubsub", "repro.pubsub.broker", "repro.pubsub.client", "repro.pubsub.match_index",
+    "repro.pubsub.network", "repro.pubsub.routing_table", "repro.pubsub.schema",
+    "repro.pubsub.subscription", "repro.pubsub.subscription_store",
+    "repro.sfc", "repro.sfc.base", "repro.sfc.runs", "repro.sfc.vectorized", "repro.sfc.zorder",
+    "repro.sim", "repro.sim.kernel", "repro.sim.latency", "repro.sim.transport",
+    "repro.workloads", "repro.workloads.dynamics", "repro.workloads.generators",
+    "repro.workloads.scenarios", "repro.workloads.topologies",
+]
+#: What only the paper's experiments run: the ε-search, its detector and
+#: bounds, the other curves, the spatial and covering baselines, the drivers.
+PAPER_MODULES = [
+    "repro.analysis.experiments",
+    "repro.baselines", "repro.baselines.linear_scan", "repro.baselines.probabilistic",
+    "repro.core.approx_dominance", "repro.core.bounds", "repro.core.covering",
+    "repro.index.kdtree", "repro.index.range_tree",
+    "repro.sfc.factory", "repro.sfc.gray", "repro.sfc.hilbert",
+]
+
+
+def module_path(module: str) -> pathlib.Path:
+    """The source file of dotted module ``module``."""
+    path = ROOT.joinpath(*module.split(".")[1:])
+    return path / "__init__.py" if path.is_dir() else path.with_suffix(".py")
+
+
+def test_every_module_is_on_exactly_one_layer():
+    every = [module for package in PACKAGES for module in modules_of(package)]
+    layered = PRODUCT_MODULES + PAPER_MODULES
+    assert sorted(layered) == sorted(set(layered)), "a module is on both layers"
+    assert sorted(every) == sorted(layered)
+
+
+def imports_run_on_load(tree: ast.Module):
+    """The import statements of ``tree`` outside function bodies."""
+    pending = list(tree.body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            pending.extend(ast.iter_child_nodes(node))
+
+
+def modules_named(node, module: str):
+    """Every dotted name import ``node`` in ``module`` may load: the module
+    it names and, for a ``from`` import, each name as a submodule of it."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    base = node.module or ""
+    if node.level:
+        package = module if module_path(module).name == "__init__.py" else module.rpartition(".")[0]
+        package = package.rsplit(".", node.level - 1)[0]
+        base = f"{package}.{base}" if base else package
+    return [base] + [f"{base}.{alias.name}" for alias in node.names]
+
+
+@pytest.mark.parametrize("module", PRODUCT_MODULES)
+def test_no_product_module_loads_a_paper_module(module):
+    path = module_path(module)
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    crossing = [
+        f"{path.relative_to(ROOT.parent)}:{node.lineno}: {name}"
+        for node in imports_run_on_load(tree)
+        for name in modules_named(node, module)
+        if name in PAPER_MODULES
+    ]
+    assert crossing == []
 
 
 def imported_names(tree: ast.Module):
@@ -227,8 +319,7 @@ def public_definitions(package: str):
     class and method the package's modules define at top level or in a
     top-level class."""
     for module in modules_of(package):
-        path = ROOT.joinpath(*module.split(".")[1:])
-        path = path / "__init__.py" if path.is_dir() else path.with_suffix(".py")
+        path = module_path(module)
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
