@@ -33,12 +33,19 @@ def test_subscription_churn(run_once, record_table):
             num_brokers=7,
             max_cover_withdrawals=20,
             narrow_withdrawals=30,
+            audit_size=200,
             audit_events=10,
         )
     else:
         # audit_size trims the 6-way topology/transport matrix; the churn
         # comparison itself runs at the full sizes.
-        kwargs = dict(sizes=(10_000, 50_000), audit_size=5_000)
+        kwargs = dict(
+            sizes=(10_000, 50_000),
+            max_cover_withdrawals=40,
+            narrow_withdrawals=200,
+            audit_size=5_000,
+            audit_events=25,
+        )
     table = run_once(run_subscription_churn_experiment, seed=11, **kwargs)
     record_table("subscription_churn", table)
 

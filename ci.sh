@@ -250,6 +250,10 @@ for i in "${!STAGE_NAMES[@]}"; do
     printf '%6d s  %s\n' "${STAGE_TIMES[$i]}" "${STAGE_NAMES[$i]}"
 done
 printf '%6d s  %s\n' "$SECONDS" "total"
-# The size of the product: ROADMAP aim 2 keeps it in view.
+# The size of the product and how many values it lets a caller set: ROADMAP
+# aim 2 keeps both in view (tests/test_public_surface.py counts the options).
 printf '%6d    %s\n' "$(find src -name '*.py' -exec cat {} + | wc -l)" "lines in src/ (*.py)"
+# Assigned first so that a failing count stops the script under set -e.
+options=$(python -c 'import sys; sys.path.insert(0, "tests"); from test_public_surface import options; print(len(options()))')
+printf '%6d    %s\n' "$options" "options in src/ (defaulted parameters and dataclass fields)"
 echo "ci.sh: all checks passed"

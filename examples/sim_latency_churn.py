@@ -25,10 +25,10 @@ import os
 from repro.analysis.reporting import format_table
 from repro.pubsub import BrokerNetwork, tree_topology
 from repro.sim import (
+    DistanceLatency,
     FixedLatency,
     SimTransport,
     UniformJitterLatency,
-    make_latency_model,
     random_positions,
 )
 from repro.workloads.dynamics import (
@@ -56,9 +56,7 @@ def act_one_latency_models(scenario) -> None:
     models = {
         "fixed(0.5)": FixedLatency(0.5),
         "uniform(0.2±0.6)": UniformJitterLatency(0.2, 0.6),
-        "distance": make_latency_model(
-            "distance", positions=random_positions(BROKER_IDS, seed=11), scale=0.1
-        ),
+        "distance": DistanceLatency(random_positions(BROKER_IDS, seed=11), scale=0.1),
     }
     rows = []
     for name, latency in models.items():

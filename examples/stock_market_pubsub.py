@@ -16,14 +16,7 @@ from __future__ import annotations
 import random
 
 from repro.analysis.reporting import format_table
-from repro.pubsub import (
-    BrokerNetwork,
-    Event,
-    Publisher,
-    Subscriber,
-    Subscription,
-    tree_topology,
-)
+from repro.pubsub import BrokerNetwork, Event, Subscription, tree_topology
 from repro.workloads.scenarios import stock_market_scenario
 
 
@@ -33,15 +26,21 @@ def motivating_example() -> None:
     schema = scenario.schema
 
     network = BrokerNetwork.from_topology(schema, tree_topology(5), covering="approximate")
-    trader = Subscriber(network, broker_id=4, client_id="ibm-trader")
-    trader.subscribe({"volume": (500.0, 1_000_000.0), "price": (0.0, 95.0)})
+    interest = {"volume": (500.0, 1_000_000.0), "price": (0.0, 95.0)}
+    network.subscribe(4, "ibm-trader", Subscription(schema, interest))
 
-    desk = Publisher(network, broker_id=0, client_id="trading-desk")
-    desk.publish({"price": 88.0, "volume": 1000.0, "change_pct": 0.3}, event_id="ibm-tick")
-    desk.publish({"price": 120.0, "volume": 50.0, "change_pct": -1.0}, event_id="other-tick")
+    ticks = {
+        "ibm-tick": {"price": 88.0, "volume": 1000.0, "change_pct": 0.3},
+        "other-tick": {"price": 120.0, "volume": 50.0, "change_pct": -1.0},
+    }
+    received = [
+        event_id
+        for event_id, values in ticks.items()
+        if "ibm-trader" in network.publish(0, Event(schema, values, event_id=event_id))
+    ]
 
     print("Motivating example")
-    print(f"  trader received: {trader.received_events()}")
+    print(f"  trader received: {received}")
     print(f"  subscription messages sent between brokers: {network.subscription_messages}")
     print()
 

@@ -19,41 +19,15 @@ from __future__ import annotations
 import argparse
 import pathlib
 import sys
-from typing import Callable, Dict, Union
+from typing import Callable, Dict
 
 from ..obs.exposition import validate_prometheus_text, write_bench_json
-from ..pubsub.routing_table import COVERING_KINDS
 
 __all__ = ["main", "EXPERIMENTS", "driver"]
 
 
-def _churn_cli_sized() -> object:
-    """E-SUB-CHURN: batched subscription churn vs the per-subscription baseline (CLI-sized)."""
-    from .experiments import run_subscription_churn_experiment
-
-    return run_subscription_churn_experiment(
-        sizes=(1_500,),
-        audit_size=800,
-        audit_events=10,
-        max_cover_withdrawals=20,
-        narrow_withdrawals=60,
-    )
-
-
-def _topology_scale_cli_sized() -> object:
-    """E-TOPO-SCALE: latency/hop distributions per generated topology class (CLI-sized)."""
-    from .experiments import run_topology_scale_experiment
-
-    return run_topology_scale_experiment(
-        num_brokers=80,
-        num_subscriptions=40,
-        num_events=24,
-    )
-
-
-#: Experiment name -> its driver: a function of
-#: :mod:`repro.analysis.experiments`, by name, or a CLI-sized wrapper.
-EXPERIMENTS: Dict[str, Union[str, Callable[..., object]]] = {
+#: Experiment name -> the name of its driver in :mod:`repro.analysis.experiments`.
+EXPERIMENTS: Dict[str, str] = {
     "fig1": "run_fig1_experiment",
     "fig2": "run_fig2_experiment",
     "thm31": "run_thm31_experiment",
@@ -62,12 +36,13 @@ EXPERIMENTS: Dict[str, Union[str, Callable[..., object]]] = {
     "cost": "run_approx_vs_exhaustive_experiment",
     "recall": "run_recall_experiment",
     "pubsub": "run_pubsub_experiment",
-    # The full 10k-50k churn measurement lives in
-    # benchmarks/bench_subscription_churn.py.
-    "churn": _churn_cli_sized,
+    # The driver's defaults are CLI-sized; the full 10k-50k churn
+    # measurement lives in benchmarks/bench_subscription_churn.py.
+    "churn": "run_subscription_churn_experiment",
     "curve-ablation": "run_curve_ablation_experiment",
-    # The full-size sweep lives in benchmarks/bench_topology_scale.py.
-    "topology-scale": _topology_scale_cli_sized,
+    # CLI-sized defaults; the full-size sweep lives in
+    # benchmarks/bench_topology_scale.py.
+    "topology-scale": "run_topology_scale_experiment",
     "dimensionality": "run_dimensionality_experiment",
     "throughput": "run_throughput_experiment",
 }
@@ -77,8 +52,7 @@ def driver(name: str) -> Callable[..., object]:
     """The callable that regenerates experiment ``name``'s table."""
     from . import experiments
 
-    found = EXPERIMENTS[name]
-    return getattr(experiments, found) if isinstance(found, str) else found
+    return getattr(experiments, EXPERIMENTS[name])
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -113,8 +87,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--host", default="127.0.0.1", help="interface to bind (default: loopback)"
     )
-    serve.add_argument("--covering", choices=COVERING_KINDS, default="approximate")
-    serve.add_argument("--seed", type=int, default=7)
     metrics = subparsers.add_parser(
         "metrics",
         help=(
@@ -165,9 +137,7 @@ def _run_metrics(seed: int, output: pathlib.Path | None) -> None:
         write_bench_json(output / "BENCH_metrics.json", result.snapshot)
 
 
-def _run_serve(
-    topology: str, brokers: int, host: str, covering: str, seed: int
-) -> int:
+def _run_serve(topology: str, brokers: int, host: str) -> int:
     """The ``serve`` subcommand: boot a topology and serve it until shutdown.
 
     Prints one ``BROKER <id> <host> <port>`` line per broker followed by
@@ -190,8 +160,7 @@ def _run_serve(
     network = BrokerNetwork.from_topology(
         schema,
         builders[topology](brokers),
-        covering=covering,
-        seed=seed,
+        covering="approximate",
         transport=NetTransport(host=host),
     )
 
@@ -214,9 +183,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{name:15s} {doc}")
         return 0
     if args.command == "serve":
-        return _run_serve(
-            args.topology, args.brokers, args.host, args.covering, args.seed
-        )
+        return _run_serve(args.topology, args.brokers, args.host)
     if args.command == "metrics":
         _run_metrics(args.seed, args.output)
         return 0

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..baselines.linear_scan import LinearScanCoveringDetector
 from ..baselines.probabilistic import ProbabilisticCoveringDetector
@@ -135,7 +135,6 @@ def run_thm31_experiment(
     dims: int = 4,
     order: int = 16,
     epsilon: float = 0.05,
-    alpha: int = 0,
     side_bit_lengths: Sequence[int] = (6, 8, 10, 12, 14, 16),
 ) -> ResultTable:
     """THM3.1: approximate-query cost is independent of the query side length.
@@ -146,6 +145,7 @@ def run_thm31_experiment(
     level), and compare with both the exhaustive cube count and the analytic
     Theorem 3.1 bound.
     """
+    alpha = 0
     table = ResultTable("THM3.1: approximate vs exhaustive cube counts as the region grows")
     universe = Universe(dims=dims, order=order)
     m = truncation_bits(dims, epsilon)
@@ -252,10 +252,10 @@ def run_approx_vs_exhaustive_experiment(
     num_subscriptions: int = 2_000,
     num_queries: int = 200,
     epsilons: Sequence[float] = (0.0, 0.01, 0.05, 0.1, 0.2),
-    width_fraction: float = 0.2,
     seed: int = 3,
 ) -> ResultTable:
     """E-COST: runs probed and wall-clock per covering query, approximate vs exhaustive."""
+    width_fraction = 0.2
     table = ResultTable("E-COST: covering-query cost vs epsilon")
     workload = SubscriptionWorkload(
         attributes=attributes,
@@ -485,7 +485,6 @@ def run_pubsub_experiment(
     num_brokers: int = 7,
     num_subscriptions: int = 150,
     num_events: int = 40,
-    order: int = 9,
     seed: int = 9,
 ) -> ResultTable:
     """E-PUBSUB: routing-table size and propagation traffic per covering kind.
@@ -494,6 +493,8 @@ def run_pubsub_experiment(
     regime covering is designed for); one row per kind in ``COVERING_KINDS``.
     """
     import random as _random
+
+    order = 9
 
     table = ResultTable("E-PUBSUB: subscription propagation in a broker tree")
     schema = _default_schema(order)
@@ -577,7 +578,6 @@ def run_metrics_scenario(
     num_brokers: int = 7,
     num_subscriptions: int = 60,
     num_events: int = 20,
-    order: int = 8,
     seed: int = 17,
 ) -> MetricsScenarioResult:
     """E-METRICS: a seeded tree scenario observed through the full obs layer.
@@ -592,6 +592,8 @@ def run_metrics_scenario(
     import random as _random
 
     from ..sim.transport import SimTransport
+
+    order = 8
 
     schema = _default_schema(order)
     specs = _mixed_width_workload(
@@ -661,18 +663,18 @@ def run_metrics_scenario(
 
 # --------------------------------------------------------------------- event matching
 def run_subscription_churn_experiment(
-    sizes: Sequence[int] = (10_000, 50_000),
+    sizes: Sequence[int] = (1_500,),
     num_brokers: int = 15,
-    order: int = 8,
-    max_cover_withdrawals: int = 40,
-    narrow_withdrawals: int = 200,
-    audit_size: Optional[int] = None,
-    audit_events: int = 25,
+    max_cover_withdrawals: int = 20,
+    narrow_withdrawals: int = 60,
+    audit_size: int = 800,
+    audit_events: int = 10,
     seed: int = 11,
 ) -> ResultTable:
-    """E-SUB-CHURN: subscription churn through the batch and the per-call APIs.
+    """E-SUB-CHURN: batched subscription churn vs the per-subscription baseline (CLI-sized).
 
-    Two row kinds:
+    The defaults are the CLI's sizes; ``benchmarks/bench_subscription_churn.py``
+    passes the full 10k-50k ones.  Two row kinds:
 
     * ``phase="churn"`` — for each size, the same wide/narrow workload is
       subscribed and then partially withdrawn (a slice of broad covers plus a
@@ -691,8 +693,10 @@ def run_subscription_churn_experiment(
     """
     import random as _random
 
-    from ..sim.latency import make_latency_model
+    from ..sim.latency import FixedLatency
     from ..sim.transport import SimTransport
+
+    order = 8
 
     topology_builders = {
         "tree": tree_topology,
@@ -741,9 +745,7 @@ def run_subscription_churn_experiment(
 
     def make_network(topology: str, transport: str):
         if transport == "sim":
-            transport_obj = SimTransport(
-                make_latency_model("fixed", delay=0.01), seed=seed
-            )
+            transport_obj = SimTransport(FixedLatency(delay=0.01), seed=seed)
         else:
             transport_obj = None
         return BrokerNetwork.from_topology(
@@ -806,8 +808,7 @@ def run_subscription_churn_experiment(
         )
 
     # ------------------------------------------------------------ audit matrix
-    matrix_size = audit_size if audit_size is not None else min(sizes)
-    batches, kills = build_workload(matrix_size)
+    batches, kills = build_workload(audit_size)
     event_workload = EventWorkload(attributes=2, attribute_order=order, seed=seed + 3)
     events = [
         Event(
@@ -834,7 +835,7 @@ def run_subscription_churn_experiment(
                 extra_total += len(extra)
             table.add(
                 phase="audit",
-                subscriptions=matrix_size,
+                subscriptions=audit_size,
                 topology=topology,
                 transport=transport,
                 withdrawals=len(kills),
@@ -848,7 +849,6 @@ def run_subscription_churn_experiment(
 def run_event_matching_experiment(
     table_sizes: Sequence[int] = (100, 1_000),
     num_events: int = 400,
-    order: int = 8,
     seed: int = 17,
 ) -> ResultTable:
     """E-MATCH: per-interface event matching, linear scan vs the SFC match index.
@@ -866,6 +866,8 @@ def run_event_matching_experiment(
     index beats scanning the table, and the gap widens with table size.
     """
     from ..pubsub.routing_table import InterfaceTable
+
+    order = 8
 
     table = ResultTable("E-MATCH: event matching, linear scan vs SFC match index")
     schema = _default_schema(order)
@@ -956,7 +958,8 @@ def run_curve_ablation_experiment(fig1_rectangles: int = 250, seed: int = 31) ->
     keys on the Z curve alone, so no routing rows compare curves end to end.
     """
     from ..core.decomposition import decompose_rectangle
-    from ..sfc.factory import CURVE_KINDS, make_curve
+    from ..sfc.gray import GrayCodeCurve
+    from ..sfc.hilbert import HilbertCurve
     from ..sfc.runs import merge_key_ranges
 
     table = ResultTable("E-CURVE: key runs per space filling curve (Fig. 1-style rectangles)")
@@ -969,8 +972,8 @@ def run_curve_ablation_experiment(fig1_rectangles: int = 250, seed: int = 31) ->
         for spec in rect_workload.generate(fig1_rectangles, prefix="fig1")
     ]
     cube_partitions = [decompose_rectangle(universe, rect) for rect in rectangles]
-    for curve_kind in CURVE_KINDS:
-        curve = make_curve(curve_kind, universe)
+    for curve_cls in (ZOrderCurve, HilbertCurve, GrayCodeCurve):
+        curve = curve_cls(universe)
         run_counts = [
             len(merge_key_ranges(curve.cube_key_range(cube) for cube in cubes))
             for cubes in cube_partitions
@@ -978,7 +981,7 @@ def run_curve_ablation_experiment(fig1_rectangles: int = 250, seed: int = 31) ->
         table.add(
             phase="runs",
             scenario="fig1-style",
-            curve=curve_kind,
+            curve=curve.kind,
             rectangles=len(rectangles),
             total_runs=sum(run_counts),
             mean_runs=round(sum(run_counts) / len(run_counts), 2),
@@ -990,7 +993,6 @@ def run_curve_ablation_experiment(fig1_rectangles: int = 250, seed: int = 31) ->
 # -------------------------------------------------------------- dimensionality sweep
 def run_dimensionality_experiment(
     attribute_counts: Sequence[int] = (1, 2, 3),
-    order: int = 8,
     epsilon: float = 0.2,
     alphas: Sequence[int] = (0, 2, 4),
     num_subscriptions: int = 400,
@@ -998,6 +1000,7 @@ def run_dimensionality_experiment(
     seed: int = 17,
 ) -> ResultTable:
     """E-DIM: query cost as dimensionality and aspect ratio grow."""
+    order = 8
     table = ResultTable("E-DIM: runs probed vs attributes and aspect ratio")
     for attributes in attribute_counts:
         for alpha in alphas:
@@ -1118,9 +1121,6 @@ def run_sim_latency_experiment(
     num_brokers: int = 9,
     num_subscriptions: int = 60,
     num_events: int = 40,
-    order: int = 8,
-    inbox_capacity: int = 8,
-    service_time: float = 0.02,
     seed: int = 29,
 ) -> ResultTable:
     """E-SIM-LATENCY: flash-crowd delivery latency under simulated transports.
@@ -1132,10 +1132,19 @@ def run_sim_latency_experiment(
     audit outcome, which must be zero missed deliveries for every
     configuration (the safety claim does not bend to timing).
     """
-    from ..sim.latency import make_latency_model, random_positions
+    from ..sim.latency import (
+        DistanceLatency,
+        FixedLatency,
+        UniformJitterLatency,
+        random_positions,
+    )
     from ..sim.transport import SimTransport
     from ..workloads.dynamics import flash_crowd_script, run_dynamic_scenario
     from ..workloads.scenarios import sensor_network_scenario
+
+    order = 8
+    inbox_capacity = 8
+    service_time = 0.02
 
     topology_builders = {
         "tree": tree_topology,
@@ -1150,13 +1159,11 @@ def run_sim_latency_experiment(
     for model_kind in ("fixed", "uniform", "distance"):
         for topo_kind in topology_builders:
             if model_kind == "fixed":
-                latency = make_latency_model("fixed", delay=0.5)
+                latency = FixedLatency(delay=0.5)
             elif model_kind == "uniform":
-                latency = make_latency_model("uniform", base=0.2, jitter=0.6)
+                latency = UniformJitterLatency(base=0.2, jitter=0.6)
             else:
-                latency = make_latency_model(
-                    "distance", positions=random_positions(broker_ids, seed=seed), scale=0.1
-                )
+                latency = DistanceLatency(random_positions(broker_ids, seed=seed), scale=0.1)
             transport = SimTransport(
                 latency,
                 inbox_capacity=inbox_capacity,
@@ -1193,17 +1200,15 @@ def run_sim_latency_experiment(
 
 # --------------------------------------------------------------- topology scale
 def run_topology_scale_experiment(
-    num_brokers: int = 600,
-    num_subscriptions: int = 60,
-    num_events: int = 40,
-    order: int = 8,
-    lan: float = 0.02,
-    wan: float = 0.25,
-    inbox_capacity: int = 64,
-    service_time: float = 0.002,
+    num_brokers: int = 80,
+    num_subscriptions: int = 40,
+    num_events: int = 24,
     seed: int = 29,
 ) -> ResultTable:
-    """E-TOPO-SCALE: latency/hop distributions per internet-scale topology class.
+    """E-TOPO-SCALE: latency/hop distributions per generated topology class (CLI-sized).
+
+    The defaults are the CLI's sizes; ``benchmarks/bench_topology_scale.py``
+    passes the full 600-broker ones.
 
     For every generated topology class (skewed random tree, Barabási–Albert
     scale-free, grid-of-clusters WAN), the class's region metadata prices
@@ -1217,6 +1222,12 @@ def run_topology_scale_experiment(
     from ..workloads.dynamics import flash_crowd_script, run_dynamic_scenario
     from ..workloads.scenarios import sensor_network_scenario
     from ..workloads.topologies import TOPOLOGY_CLASSES, make_topology
+
+    order = 8
+    lan = 0.02
+    wan = 0.25
+    inbox_capacity = 64
+    service_time = 0.002
 
     table = ResultTable(
         "E-TOPO-SCALE: latency/hop distributions per generated topology class"
@@ -1297,8 +1308,6 @@ def run_match_scale_experiment(
     populations: Sequence[int] = (100_000, 1_000_000),
     num_events: int = 20_000,
     num_delivery_events: int = 200,
-    order: int = 10,
-    precision_bits: int = 4,
     parity_subscriptions: int = 400,
     parity_events: int = 300,
     seed: int = 31,
@@ -1322,12 +1331,16 @@ def run_match_scale_experiment(
 
     from ..pubsub.match_index import MatchIndex
 
+    order = 10
+
     table = ResultTable("E-MATCH-SCALE: million-subscription matching on one match index")
     schema = _default_schema(order)
     side = 1 << order
 
     def make_index():
-        return MatchIndex(schema, config=IndexConfig(precision_bits=precision_bits))
+        # A 4-bit grid, not the 6 bits derived at d = 2: the recorded
+        # tables' segment counts and throughputs are taken on it.
+        return MatchIndex(schema, config=IndexConfig(precision_bits=4))
 
     # ---------------------------------------------------------------- parity
     parity_items = _scale_subscriptions(parity_subscriptions, order, seed + 1)

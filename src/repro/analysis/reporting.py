@@ -30,21 +30,15 @@ def _format_value(value: object, precision: int) -> str:
 
 def format_table(
     rows: Sequence[Mapping[str, object]],
-    columns: Optional[Sequence[str]] = None,
     title: Optional[str] = None,
     precision: int = 5,
 ) -> str:
     """Render a list of dict rows as an aligned text table."""
     if not rows:
         return f"{title or 'table'}: (no rows)"
-    if columns is None:
-        # Union of all rows' keys in first-seen order, so tables mixing row
-        # shapes (e.g. measurement rows + audit rows) lose no columns.
-        seen = {}
-        for row in rows:
-            for key in row:
-                seen.setdefault(key, None)
-        columns = list(seen)
+    # Union of all rows' keys in first-seen order, so tables mixing row
+    # shapes (e.g. measurement rows + audit rows) lose no columns.
+    columns = list(dict.fromkeys(key for row in rows for key in row))
     rendered: List[List[str]] = [[str(c) for c in columns]]
     for row in rows:
         rendered.append([_format_value(row.get(c, ""), precision) for c in columns])
@@ -178,9 +172,9 @@ class ResultTable:
         """Return one column as a list (missing cells become ``None``)."""
         return [row.get(name) for row in self.rows]
 
-    def to_text(self, columns: Optional[Sequence[str]] = None) -> str:
+    def to_text(self) -> str:
         """Render the table as aligned text."""
-        return format_table(self.rows, columns=columns, title=self.name)
+        return format_table(self.rows, title=self.name)
 
     def __len__(self) -> int:
         return len(self.rows)

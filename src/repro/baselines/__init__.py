@@ -8,11 +8,10 @@ the same dominance index with the approximation turned off.
 """
 
 from .linear_scan import LinearScanCoveringDetector, LinearScanStats
-from .probabilistic import ProbabilisticCoveringDetector, ProbabilisticStats
+from .probabilistic import ProbabilisticCoveringDetector
 
 __all__ = [
     "LinearScanCoveringDetector",
     "LinearScanStats",
     "ProbabilisticCoveringDetector",
-    "ProbabilisticStats",
 ]

@@ -25,21 +25,12 @@ offers only the sound strategies.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..geometry.transform import DominanceTransform, Range
 
-__all__ = ["ProbabilisticCoveringDetector", "ProbabilisticStats"]
-
-
-@dataclass
-class ProbabilisticStats:
-    """Work counters: candidate evaluations and verified false positives."""
-
-    queries: int = 0
-    candidate_checks: int = 0
-    false_positives_detected: int = 0
+__all__ = ["ProbabilisticCoveringDetector"]
 
 
 @dataclass
@@ -53,27 +44,16 @@ class ProbabilisticCoveringDetector:
     samples:
         Number of random points drawn from the query subscription's region per
         query.  More samples reduce the false-positive probability at a linear
-        cost increase.
-    verify:
-        When True, candidates that match all samples are confirmed with an
-        exact containment test before being returned (turning the detector
-        into an exact one with a sampling pre-filter); false positives that
-        the verification catches are counted in the stats.
-    include_corners:
-        When True, the two extreme corners of the query region are always
-        among the samples.  For conjunctions of range predicates this makes
-        the check exact (covering both corners implies covering the whole
-        box), so the default is False to preserve the probabilistic
-        character the baseline is meant to model.
+        cost increase.  The samples are uniform only: always sampling the two
+        extreme corners would make the check exact for range conjunctions
+        (covering both corners covers the box), and the baseline models the
+        probabilistic check.
     """
 
     attributes: int
     attribute_order: int
     samples: int = 8
-    verify: bool = False
-    include_corners: bool = False
     seed: Optional[int] = None
-    stats: ProbabilisticStats = field(default_factory=ProbabilisticStats)
 
     def __post_init__(self) -> None:
         if self.samples <= 0:
@@ -101,19 +81,13 @@ class ProbabilisticCoveringDetector:
     def _sample_points(self, ranges: Tuple[Range, ...]) -> List[Tuple[int, ...]]:
         """Draw sample messages uniformly from the query subscription's region.
 
-        With ``include_corners`` the two extreme corners are always sampled,
-        which for pure range predicates makes the test exact; by default only
-        uniform samples are drawn, so a candidate that covers most but not all
-        of the query region can slip through (the false-positive mode of a
-        sampling-based subsumption check).
+        A candidate that covers most but not all of the query region can slip
+        through (the false-positive mode of a sampling-based subsumption check).
         """
-        points: List[Tuple[int, ...]] = []
-        if self.include_corners:
-            points.append(tuple(lo for lo, _ in ranges))
-            points.append(tuple(hi for _, hi in ranges))
-        while len(points) < self.samples:
-            points.append(tuple(self._rng.randint(lo, hi) for lo, hi in ranges))
-        return points
+        return [
+            tuple(self._rng.randint(lo, hi) for lo, hi in ranges)
+            for _ in range(self.samples)
+        ]
 
     @staticmethod
     def _matches(ranges: Tuple[Range, ...], point: Tuple[int, ...]) -> bool:
@@ -124,19 +98,14 @@ class ProbabilisticCoveringDetector:
     ) -> Optional[Hashable]:
         """Return a stored subscription believed to cover ``ranges``, or ``None``.
 
-        Without ``verify=True`` the answer may be a false positive with
-        probability decreasing in ``samples``.
+        The answer may be a false positive with probability decreasing in
+        ``samples``.
         """
         query = self.transform.validate_ranges(ranges)
         sample_points = self._sample_points(query)
-        self.stats.queries += 1
         for sub_id, stored in self._subscriptions.items():
             if sub_id == exclude:
                 continue
-            self.stats.candidate_checks += 1
             if all(self._matches(stored, pt) for pt in sample_points):
-                if self.verify and not self.transform.covers(stored, query):
-                    self.stats.false_positives_detected += 1
-                    continue
                 return sub_id
         return None

@@ -258,27 +258,18 @@ def zorder_class_keys(extremal: ExtremalRectangle, bit_index: int, count: int) -
     return keys
 
 
-def greedy_decomposition(
-    extremal: ExtremalRectangle, max_cubes: int | None = None
-) -> List[StandardCube]:
+def greedy_decomposition(extremal: ExtremalRectangle) -> List[StandardCube]:
     """Return the minimum standard-cube partition of ``R(ℓ)``, largest cubes first.
 
     This materialises every cube and is therefore only appropriate when the
     exhaustive decomposition is affordable (its size is what Theorem 4.1 lower
-    bounds).  ``max_cubes`` optionally caps the output; exceeding the cap
-    raises ``ValueError`` so callers cannot silently truncate an exhaustive
-    search.
+    bounds).
     """
-    cubes: List[StandardCube] = []
-    for cls in level_census(extremal):
-        for cube in cubes_in_class(extremal, cls.bit_index):
-            cubes.append(cube)
-            if max_cubes is not None and len(cubes) > max_cubes:
-                raise ValueError(
-                    f"greedy decomposition exceeds the cap of {max_cubes} cubes; "
-                    "the query region is too large for an exhaustive search"
-                )
-    return cubes
+    return [
+        cube
+        for cls in level_census(extremal)
+        for cube in cubes_in_class(extremal, cls.bit_index)
+    ]
 
 
 def decompose_rectangle(universe: Universe, rect: Rectangle) -> List[StandardCube]:

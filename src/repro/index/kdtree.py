@@ -9,23 +9,15 @@ which is exactly the regime the paper targets; the throughput benchmark
 (experiment E-THROUGHPUT) quantifies the comparison empirically.
 
 The implementation supports dynamic insertion (points are appended without
-rebalancing; an optional periodic rebuild keeps the tree near-balanced).
+rebalancing; a periodic rebuild keeps the tree near-balanced).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Hashable, List, Optional, Sequence, Tuple
 
-__all__ = ["KDTree", "KDTreeStats"]
-
-
-@dataclass
-class KDTreeStats:
-    """Counters for nodes visited during queries (work measure for benchmarks)."""
-
-    nodes_visited: int = 0
-    queries: int = 0
+__all__ = ["KDTree"]
 
 
 class _Node:
@@ -47,8 +39,10 @@ class KDTree:
     """A k-d tree over integer points supporting report-any dominance queries."""
 
     dims: int
-    rebuild_threshold: float = 4.0
-    stats: KDTreeStats = field(default_factory=KDTreeStats)
+
+    #: The tree is rebuilt balanced once the inserts since the last build
+    #: exceed this multiple of the size it was built at.
+    REBUILD_FACTOR = 4.0
 
     def __post_init__(self) -> None:
         if self.dims <= 0:
@@ -69,7 +63,7 @@ class KDTree:
         self._inserts_since_build += 1
         if (
             self._size > 16
-            and self._inserts_since_build > self.rebuild_threshold * self._size_at_last_build()
+            and self._inserts_since_build > self.REBUILD_FACTOR * self._size_at_last_build()
         ):
             self.rebuild()
 
@@ -128,16 +122,13 @@ class KDTree:
     # ---------------------------------------------------------------- queries
     def find_dominating(self, query: Sequence[int]) -> Optional[Tuple[Hashable, Tuple[int, ...]]]:
         """Return any stored point that dominates ``query`` coordinate-wise, or ``None``."""
-        q = self._validate(query)
-        self.stats.queries += 1
-        return self._search(self._root, q)
+        return self._search(self._root, self._validate(query))
 
     def _search(
         self, node: Optional[_Node], query: Tuple[int, ...]
     ) -> Optional[Tuple[Hashable, Tuple[int, ...]]]:
         if node is None:
             return None
-        self.stats.nodes_visited += 1
         # Prune: the subtree's upper corner must dominate the query for any
         # point inside to possibly dominate it.
         if any(hi < q for hi, q in zip(node.bbox_high, query)):

@@ -23,21 +23,13 @@ methods are the interesting part for the evaluation.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Hashable, List, Optional, Sequence, Tuple
 
-__all__ = ["RangeTree", "RangeTreeStats"]
+__all__ = ["RangeTree"]
 
 Point = Tuple[int, ...]
 Entry = Tuple[Hashable, Point]
-
-
-@dataclass
-class RangeTreeStats:
-    """Counters for the work and space used by the range tree."""
-
-    nodes_visited: int = 0
-    queries: int = 0
 
 
 class _LastDimNode:
@@ -79,7 +71,6 @@ class RangeTree:
     """Static nested range tree supporting report-any dominance queries."""
 
     dims: int
-    stats: RangeTreeStats = field(default_factory=RangeTreeStats)
 
     def __post_init__(self) -> None:
         if self.dims <= 0:
@@ -138,13 +129,11 @@ class RangeTree:
         q = tuple(int(x) for x in query)
         if len(q) != self.dims:
             raise ValueError(f"query {q} has {len(q)} coordinates, expected {self.dims}")
-        self.stats.queries += 1
         return self._query(self._root, q, coord=0)
 
     def _query(self, node: Optional[object], query: Point, coord: int) -> Optional[Entry]:
         if node is None:
             return None
-        self.stats.nodes_visited += 1
         if isinstance(node, _LastDimNode):
             return node.find_at_least(query[coord])
         assert isinstance(node, _TreeNode)

@@ -61,12 +61,14 @@ class NetClient:
         The broker server to talk to (as printed by the ``serve`` CLI).
     timeout:
         Bound, in seconds, on every socket operation and reply wait.
-    connect_retries / retry_delay:
-        Connection attempts before giving up, and the pause between them —
-        lets a client start concurrently with the server it targets.
-    node:
-        Name announced in the hello handshake (diagnostic only).
+
+    A client connects up to :attr:`CONNECT_RETRIES` times,
+    :attr:`RETRY_DELAY` seconds apart, so it may start concurrently with the
+    server it targets, and announces itself as ``"client"`` in the hello.
     """
+
+    CONNECT_RETRIES = 20
+    RETRY_DELAY = 0.05
 
     def __init__(
         self,
@@ -74,9 +76,6 @@ class NetClient:
         port: int,
         *,
         timeout: float = 10.0,
-        connect_retries: int = 20,
-        retry_delay: float = 0.05,
-        node: str = "client",
     ) -> None:
         self.host = host
         self.port = port
@@ -84,13 +83,14 @@ class NetClient:
         self._decoder = FrameDecoder()
         self._pending: List[Dict[str, object]] = []
         self._seq = 0
-        self._sock = self._connect(connect_retries, retry_delay)
-        self._handshake(node)
+        self._sock = self._connect()
+        self._handshake()
 
     # ------------------------------------------------------------- connection
-    def _connect(self, retries: int, delay: float) -> socket.socket:
+    def _connect(self) -> socket.socket:
         last_error: Optional[Exception] = None
-        for attempt in range(max(1, retries)):
+        retries = self.CONNECT_RETRIES
+        for attempt in range(retries):
             try:
                 sock = socket.create_connection((self.host, self.port), timeout=self.timeout)
                 sock.settimeout(self.timeout)
@@ -98,14 +98,14 @@ class NetClient:
             except OSError as exc:
                 last_error = exc
                 if attempt + 1 < retries:
-                    time.sleep(delay)
+                    time.sleep(self.RETRY_DELAY)
         raise NetError(
             f"could not connect to {self.host}:{self.port} after {retries} attempts: "
             f"{last_error}"
         )
 
-    def _handshake(self, node: str) -> None:
-        self._sock.sendall(encode_frame(hello_frame(ROLE_CLIENT, node)))
+    def _handshake(self) -> None:
+        self._sock.sendall(encode_frame(hello_frame(ROLE_CLIENT, "client")))
         reply = self._read_frame()
         if reply.get("type") == "error":
             raise NetError(f"server rejected handshake: {reply.get('error')}")

@@ -410,17 +410,16 @@ def serve_network(
     network,
     *,
     on_ready: Optional[Callable[[Dict[Hashable, Tuple[str, int]]], None]] = None,
-    poll_interval: float = 0.1,
 ) -> None:
     """Serve a :class:`~repro.pubsub.network.BrokerNetwork` over TCP until shutdown.
 
     The network must be bound to a :class:`NetTransport`.  Every broker's
     server is brought up, ``on_ready`` is called with the address map, and
     the calling thread becomes the single place all broker state mutates:
-    it pops client commands off the transport's queue, executes them against
-    the network (each command drains the transport before its reply), and
-    answers.  A ``shutdown`` command drains in-flight traffic, closes every
-    server and returns.
+    it pops client commands off the transport's queue (waking every 0.1 s
+    while it is empty), executes them against the network (each command
+    drains the transport before its reply), and answers.  A ``shutdown``
+    command drains in-flight traffic, closes every server and returns.
     """
     transport = network.transport
     if not isinstance(transport, NetTransport):
@@ -434,7 +433,7 @@ def serve_network(
     try:
         while True:
             try:
-                broker_id, frame, reply = transport.commands.get(timeout=poll_interval)
+                broker_id, frame, reply = transport.commands.get(timeout=0.1)
             except queue.Empty:
                 continue
             try:

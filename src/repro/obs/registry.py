@@ -16,8 +16,8 @@ metric type has one writer:
   histograms use the fixed log-spaced :data:`LATENCY_BUCKETS` so two runs
   bucket identically regardless of the observed values.
 
-Every metric takes its label *names* at registration; samples are keyed by
-the stringified label values, so exposition is deterministic (samples sort by
+Every metric takes its label *names* at registration (a registry's
+histograms take none); samples are keyed by the stringified label values, so exposition is deterministic (samples sort by
 label tuple).  Every exposed name carries the :data:`NAMESPACE` prefix.
 """
 
@@ -214,13 +214,9 @@ class MetricsRegistry:
         return self._register(Gauge, name, help, labelnames)
 
     def histogram(
-        self,
-        name: str,
-        help: str = "",
-        labelnames: Sequence[str] = (),
-        buckets: Sequence[float] = LATENCY_BUCKETS,
+        self, name: str, help: str = "", buckets: Sequence[float] = LATENCY_BUCKETS
     ) -> Histogram:
-        return self._register(Histogram, name, help, labelnames, buckets=buckets)
+        return self._register(Histogram, name, help, (), buckets=buckets)
 
     def get(self, name: str) -> Optional[_Metric]:
         return self._metrics.get(name)

@@ -1,8 +1,12 @@
-"""Content-based publish/subscribe substrate: schema, subscriptions, brokers, network."""
+"""Content-based publish/subscribe substrate: schema, subscriptions, brokers, network.
+
+A client is an id: it subscribes and publishes through
+:class:`BrokerNetwork` (``subscribe`` / ``publish``) with a
+:class:`Subscription` or :class:`Event` built from the schema.
+"""
 
 from ..sim.transport import TransportStats
 from .broker import LOCAL_INTERFACE, Broker, BrokerStats
-from .client import Publisher, Subscriber
 from .network import (
     BrokerNetwork,
     DeliveryLog,
@@ -14,14 +18,12 @@ from .network import (
 from .match_index import MatchIndex, MatchIndexStats
 from .routing_table import COVERING_KINDS, InterfaceTable, RoutingTable
 from .schema import Attribute, AttributeSchema
-from .subscription import Event, Subscription, make_event, make_subscription
+from .subscription import Event, Subscription
 from .subscription_store import ProfileCache, SubscriptionProfile, SubscriptionStore
 
 __all__ = [
     "LOCAL_INTERFACE",
     "Broker",
-    "Publisher",
-    "Subscriber",
     "BrokerNetwork",
     "DeliveryLog",
     "DeliveryRecord",
@@ -39,8 +41,6 @@ __all__ = [
     "TransportStats",
     "Event",
     "Subscription",
-    "make_event",
-    "make_subscription",
     "ProfileCache",
     "SubscriptionProfile",
     "SubscriptionStore",

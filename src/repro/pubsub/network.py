@@ -66,16 +66,10 @@ def _require_positive_brokers(num_brokers: int) -> None:
         raise ValueError(f"num_brokers must be positive, got {num_brokers}")
 
 
-def tree_topology(num_brokers: int, branching: int = 2) -> List[Tuple[int, int]]:
-    """Return the edge list of a balanced tree with ``num_brokers`` nodes."""
+def tree_topology(num_brokers: int) -> List[Tuple[int, int]]:
+    """Return the edge list of a balanced binary tree with ``num_brokers`` nodes."""
     _require_positive_brokers(num_brokers)
-    if branching < 1:
-        raise ValueError(f"branching must be at least 1, got {branching}")
-    edges = []
-    for child in range(1, num_brokers):
-        parent = (child - 1) // branching
-        edges.append((parent, child))
-    return edges
+    return [((child - 1) // 2, child) for child in range(1, num_brokers)]
 
 
 def chain_topology(num_brokers: int) -> List[Tuple[int, int]]:

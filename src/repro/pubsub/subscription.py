@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Mapping, Optional, Tuple
+from typing import Dict, Hashable, Mapping, Tuple
 
 from ..geometry.transform import ranges_cover
 from ..geometry.universe import PackedBox, Universe, pack_box, pack_point
@@ -159,18 +159,3 @@ class Subscription:
         body = ", ".join(f"{k}∈[{lo},{hi}]" for k, (lo, hi) in self.constraints.items())
         return f"Subscription({self.sub_id}: {body or 'match-all'})"
 
-
-def make_event(schema: AttributeSchema, event_id: Optional[Hashable] = None, **values: float) -> Event:
-    """Convenience constructor: ``make_event(schema, stock=88.0, volume=1000)``."""
-    if event_id is None:
-        return Event(schema, values)
-    return Event(schema, values, event_id=event_id)
-
-
-def make_subscription(
-    schema: AttributeSchema, sub_id: Optional[Hashable] = None, **constraints: Tuple[float, float]
-) -> Subscription:
-    """Convenience constructor: ``make_subscription(schema, price=(0, 95), volume=(500, 1e6))``."""
-    if sub_id is None:
-        return Subscription(schema, constraints)
-    return Subscription(schema, constraints, sub_id=sub_id)

@@ -1,8 +1,7 @@
 """Space filling curves: the Z-order (Morton) curve every match index keys on, plus run analysis.
 
-The Hilbert and Gray-code curves (:mod:`.hilbert`, :mod:`.gray`, built by
-:mod:`.factory`) serve the paper's curve comparisons only; import them from
-their modules.
+The Hilbert and Gray-code curves (:mod:`.hilbert`, :mod:`.gray`) serve the
+paper's curve comparisons only; import their classes from their modules.
 """
 
 from .base import KeyRange, SpaceFillingCurve
@@ -10,7 +9,6 @@ from .runs import (
     GridRunTable,
     RunProfile,
     brute_force_run_profile,
-    cube_key_ranges,
     merge_key_ranges,
 )
 from .zorder import ZOrderCurve
@@ -22,6 +20,5 @@ __all__ = [
     "GridRunTable",
     "RunProfile",
     "brute_force_run_profile",
-    "cube_key_ranges",
     "merge_key_ranges",
 ]

@@ -35,8 +35,8 @@ class SpaceFillingCurve(ABC):
     #: Human-readable curve name used in benchmark reports.
     name: str = "sfc"
 
-    #: The :data:`~repro.sfc.factory.CURVE_KINDS` string the factory builds
-    #: this class from.
+    #: The curve's short name in tables and test ids (``"zorder"``,
+    #: ``"hilbert"``, ``"gray"``).
     kind: str = "sfc"
 
     def __init__(self, universe: Universe) -> None:

@@ -27,7 +27,7 @@ from typing import Iterable, List, Sequence, Tuple
 from ..geometry.rect import Rectangle, StandardCube
 from .base import KeyRange, SpaceFillingCurve
 
-__all__ = ["merge_key_ranges", "cube_key_ranges", "RunProfile", "GridRunTable"]
+__all__ = ["merge_key_ranges", "RunProfile", "GridRunTable"]
 
 
 def merge_key_ranges(ranges: Iterable[KeyRange]) -> List[KeyRange]:
@@ -56,11 +56,6 @@ def merge_key_ranges(ranges: Iterable[KeyRange]) -> List[KeyRange]:
     return merged
 
 
-def cube_key_ranges(curve: SpaceFillingCurve, cubes: Sequence[StandardCube]) -> List[KeyRange]:
-    """Return the key range of each standard cube under ``curve`` (unmerged)."""
-    return [curve.cube_key_range(cube) for cube in cubes]
-
-
 class GridRunTable:
     """Exact key runs of grid-aligned rectangles, read off per-axis bit masks.
 
@@ -74,7 +69,7 @@ class GridRunTable:
     enumerated, nothing is sorted or merged.  The result equals
     ``merge_key_ranges`` over the key ranges of ``decompose_rectangle``'s
     partition of the same rectangle, for every curve whose standard cubes are
-    key prefixes (all of :data:`~repro.sfc.factory.CURVE_KINDS`).
+    key prefixes (Z, Hilbert and Gray alike).
 
     Building the table keys every grid cube once (``2^(bits·d)`` of them), so
     it is meant for the few-thousand-cube grids the match index snaps to.
@@ -174,7 +169,7 @@ class RunProfile:
         claim, otherwise overlapping or colliding cubes would silently corrupt
         ``runs(T)`` and every statistic derived from it.
         """
-        ranges = merge_key_ranges(cube_key_ranges(curve, cubes))
+        ranges = merge_key_ranges(curve.cube_key_ranges(cubes))
         volumes = tuple(sorted((hi - lo + 1 for lo, hi in ranges), reverse=True))
         total = sum(cube.volume for cube in cubes)
         merged_volume = sum(volumes)

@@ -6,6 +6,7 @@ through a :class:`Transport`.  :class:`SyncTransport` preserves the historical
 synchronous inline delivery; :class:`SimTransport` runs messages through a
 deterministic :class:`EventKernel` with per-link latency, bounded per-broker
 inboxes (backpressure, not loss) and broker churn (crash / recover / join).
+A transport's latency model is one of the four classes, built directly.
 """
 
 from .kernel import EventKernel
@@ -15,7 +16,6 @@ from .latency import (
     LatencyModel,
     RegionLatency,
     UniformJitterLatency,
-    make_latency_model,
     random_positions,
 )
 from .transport import (
@@ -36,7 +36,6 @@ __all__ = [
     "DistanceLatency",
     "RegionLatency",
     "random_positions",
-    "make_latency_model",
     "MESSAGE_KINDS",
     "Message",
     "Transport",

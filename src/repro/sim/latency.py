@@ -12,9 +12,9 @@ the overlay link from ``sender`` to ``receiver``?  Three models are provided:
   helper :func:`random_positions` scatters brokers deterministically).
 * :class:`RegionLatency` — two-tier WAN-vs-LAN delays driven by a broker →
   region map: links inside one region pay the LAN delay, links crossing
-  regions pay the WAN delay, each plus optional uniform jitter.  This is the
-  model the internet-scale cluster-of-clusters topologies
-  (:mod:`repro.workloads.topologies`) wire up from their region metadata.
+  regions pay the WAN delay.  This is the model the internet-scale
+  cluster-of-clusters topologies (:mod:`repro.workloads.topologies`) wire up
+  from their region metadata.
 
 All randomness flows through the ``rng`` passed to :meth:`sample`, so a seeded
 transport produces identical delays run over run.
@@ -33,7 +33,6 @@ __all__ = [
     "DistanceLatency",
     "RegionLatency",
     "random_positions",
-    "make_latency_model",
 ]
 
 
@@ -117,10 +116,8 @@ class RegionLatency:
 
     ``regions`` maps each broker id to a region label.  A link whose endpoints
     share a region costs ``lan`` simulated seconds; a link crossing regions
-    costs ``wan``; both get uniform jitter in ``[0, jitter]`` on top (drawn
-    from the transport's seeded RNG, so runs stay deterministic).  Brokers
-    missing from the map are treated as their own singleton region — every
-    link touching them is a WAN link.
+    costs ``wan``.  Brokers missing from the map are treated as their own
+    singleton region — every link touching them is a WAN link.
     """
 
     def __init__(
@@ -128,16 +125,12 @@ class RegionLatency:
         regions: Mapping[Hashable, Hashable],
         lan: float = 0.05,
         wan: float = 0.5,
-        jitter: float = 0.0,
     ) -> None:
-        if lan < 0 or wan < 0 or jitter < 0:
-            raise ValueError(
-                f"lan, wan and jitter must be non-negative, got {lan}, {wan}, {jitter}"
-            )
+        if lan < 0 or wan < 0:
+            raise ValueError(f"lan and wan must be non-negative, got {lan}, {wan}")
         self.regions: Dict[Hashable, Hashable] = dict(regions)
         self.lan = lan
         self.wan = wan
-        self.jitter = jitter
 
     def sample(self, sender: Hashable, receiver: Hashable, rng: random.Random) -> float:
         regions = self.regions
@@ -149,40 +142,17 @@ class RegionLatency:
             same = regions.get(sender, ("solo", sender)) == regions.get(
                 receiver, ("solo", receiver)
             )
-        base = self.lan if same else self.wan
-        if self.jitter:
-            base += rng.uniform(0.0, self.jitter)
-        return base
+        return self.lan if same else self.wan
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"RegionLatency({len(self.regions)} brokers, lan={self.lan}, "
-            f"wan={self.wan}, jitter={self.jitter})"
+            f"RegionLatency({len(self.regions)} brokers, lan={self.lan}, wan={self.wan})"
         )
 
 
 def random_positions(
-    broker_ids: Sequence[Hashable], seed: Optional[int] = 0, extent: float = 10.0
+    broker_ids: Sequence[Hashable], seed: Optional[int] = 0
 ) -> Dict[Hashable, Tuple[float, float]]:
-    """Scatter brokers uniformly over an ``extent`` × ``extent`` square (seeded)."""
+    """Scatter brokers uniformly over a 10 × 10 square (seeded)."""
     rng = random.Random(seed)
-    return {
-        broker: (rng.uniform(0.0, extent), rng.uniform(0.0, extent))
-        for broker in broker_ids
-    }
-
-
-def make_latency_model(kind: str, **kwargs: object) -> LatencyModel:
-    """Build a latency model by name: ``"fixed"``, ``"uniform"``, ``"distance"`` or ``"region"``."""
-    if kind == "fixed":
-        return FixedLatency(**kwargs)  # type: ignore[arg-type]
-    if kind == "uniform":
-        return UniformJitterLatency(**kwargs)  # type: ignore[arg-type]
-    if kind == "distance":
-        return DistanceLatency(**kwargs)  # type: ignore[arg-type]
-    if kind == "region":
-        return RegionLatency(**kwargs)  # type: ignore[arg-type]
-    raise ValueError(
-        f"unknown latency model {kind!r}; expected 'fixed', 'uniform', "
-        "'distance' or 'region'"
-    )
+    return {broker: (rng.uniform(0.0, 10.0), rng.uniform(0.0, 10.0)) for broker in broker_ids}

@@ -1,4 +1,8 @@
-"""Synthetic workload generators, scenarios, topologies and dynamic scripts."""
+"""Synthetic workload generators, scenarios, topologies and dynamic scripts.
+
+Generated subscription centres and events are uniform over the grid, and a
+script's timeline is fixed but for its ``settle`` window.
+"""
 
 from .dynamics import (
     Action,

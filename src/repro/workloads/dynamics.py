@@ -34,9 +34,9 @@ actually delivered once the run drains.  Builders only mark publishes that
 happen after churn has stabilised, where the paper's safety claim must hold
 exactly: for surviving subscribers, no event published after stabilisation may
 be lost.  Stabilisation is a timing precondition, not something the runner can
-enforce: each builder's ``settle`` window must exceed the overlay's worst-case
-propagation time (diameter × per-hop delay); the defaults cover the shipped
-sub-second latency models.
+enforce: each builder's settle window (:data:`SETTLE`, or its ``settle=``)
+must exceed the overlay's worst-case propagation time (diameter × per-hop
+delay); :data:`SETTLE` covers the shipped sub-second latency models.
 
 A :class:`DynamicReport` carries the audit outcome plus the transport's live
 :class:`~repro.sim.transport.TransportStats`; it copies no counter.  Per-broker
@@ -70,6 +70,13 @@ __all__ = [
     "run_dynamic_scenario",
     "run_scripted_lockstep",
 ]
+
+#: Every script registers its subscriptions at seeded times in
+#: ``[0, SUBSCRIBE_WINDOW]`` before anything else happens.
+SUBSCRIBE_WINDOW = 5.0
+#: The quiet time a script leaves after a disturbance before it audits; a
+#: builder that takes ``settle=`` defaults to it.
+SETTLE = 5.0
 
 
 @dataclass(frozen=True)
@@ -178,17 +185,15 @@ def flash_crowd_script(
     scenario: Scenario,
     broker_ids: Sequence[Hashable],
     *,
-    subscribe_window: float = 5.0,
-    settle: float = 5.0,
-    trickle_interval: float = 1.0,
+    settle: float = SETTLE,
     burst_fraction: float = 0.6,
     seed: Optional[int] = 0,
 ) -> List[Action]:
     """Steady publishing, then a flash crowd: a burst of simultaneous events.
 
-    Subscriptions register over ``subscribe_window``; after ``settle`` the
+    Subscriptions register over :data:`SUBSCRIBE_WINDOW`; after ``settle`` the
     first ``1 - burst_fraction`` of the scenario's events trickle out one per
-    ``trickle_interval``, and the rest are all published at the same instant
+    time unit, and the rest are all published at the same instant
     from brokers across the overlay — the moment bounded inboxes and
     backpressure become visible.  Every publish is audited: the network is
     failure-free here, so nothing may be lost even at burst depth.
@@ -206,7 +211,7 @@ def flash_crowd_script(
     for i, subscription in enumerate(_subscriptions_of(scenario, prefix)):
         actions.append(
             Action(
-                time=rng.uniform(0.0, subscribe_window),
+                time=rng.uniform(0.0, SUBSCRIBE_WINDOW),
                 kind="subscribe",
                 broker_id=rng.choice(list(broker_ids)),
                 client_id=f"{prefix}-client-{i}",
@@ -216,13 +221,13 @@ def flash_crowd_script(
     events = _events_of(scenario, prefix)
     burst_start = max(1, int(len(events) * (1.0 - burst_fraction)))
     trickle, burst = events[:burst_start], events[burst_start:]
-    t = subscribe_window + settle
+    t = SUBSCRIBE_WINDOW + settle
     for event in trickle:
         actions.append(
             Action(time=t, kind="publish", broker_id=rng.choice(list(broker_ids)),
                    event=event, audit=True)
         )
-        t += trickle_interval
+        t += 1.0
     burst_at = t + settle
     for event in burst:
         actions.append(
@@ -236,23 +241,18 @@ def subscription_churn_script(
     scenario: Scenario,
     broker_ids: Sequence[Hashable],
     *,
-    subscribe_window: float = 5.0,
-    storm_start: float = 10.0,
-    storm_duration: float = 10.0,
-    settle: float = 5.0,
     join_broker: Optional[Hashable] = None,
-    join_attach_to: Optional[Hashable] = None,
     batch_size: int = 8,
     seed: Optional[int] = 0,
 ) -> List[Action]:
     """A subscription churn storm, optionally with a broker joining mid-run.
 
     The first half of the scenario's subscriptions register up front.  During
-    the storm window the second half subscribes while the first half
-    unsubscribes, interleaved — the covering withdrawal path (re-forwarding
-    subscriptions whose cover disappeared) runs continuously.  When
-    ``join_broker`` is given, a new broker attaches mid-storm and receives a
-    share of the new subscribers.  Probe publishes during the storm are
+    the storm window, time 10 to 20, the second half subscribes while the
+    first half unsubscribes, interleaved — the covering withdrawal path
+    (re-forwarding subscriptions whose cover disappeared) runs continuously.
+    When ``join_broker`` is given, a new broker attaches mid-storm to the
+    first of ``broker_ids`` and receives a share of the new subscribers.  Probe publishes during the storm are
     unaudited (ground truth is ambiguous while subscriptions are in flight);
     after the storm settles every remaining event is published and audited.
 
@@ -266,6 +266,7 @@ def subscription_churn_script(
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be at least 1, got {batch_size}")
+    storm_start, storm_duration = 10.0, 10.0
     rng = random.Random(seed)
     prefix = f"churn-{scenario.name}"
     subscriptions = _subscriptions_of(scenario, prefix)
@@ -275,7 +276,7 @@ def subscription_churn_script(
     for i, subscription in enumerate(initial):
         actions.append(
             Action(
-                time=rng.uniform(0.0, subscribe_window),
+                time=rng.uniform(0.0, SUBSCRIBE_WINDOW),
                 kind="subscribe",
                 broker_id=rng.choice(list(broker_ids)),
                 client_id=f"{prefix}-client-{i}",
@@ -286,7 +287,7 @@ def subscription_churn_script(
         join_time = storm_start + storm_duration / 2.0
         actions.append(
             Action(time=join_time, kind="join", broker_id=join_broker,
-                   attach_to=join_attach_to if join_attach_to is not None else list(broker_ids)[0])
+                   attach_to=list(broker_ids)[0])
         )
     placement_pool = list(broker_ids)
     pending_subscribes: Dict[Hashable, List[Tuple[float, Hashable, Subscription]]] = {}
@@ -355,7 +356,7 @@ def subscription_churn_script(
         actions.append(
             Action(time=t, kind="publish", broker_id=rng.choice(placement_pool), event=event)
         )
-    t = storm_start + storm_duration + settle
+    t = storm_start + storm_duration + SETTLE
     for event in audited:
         actions.append(
             Action(time=t, kind="publish", broker_id=rng.choice(placement_pool),
@@ -370,22 +371,19 @@ def rolling_failures_script(
     broker_ids: Sequence[Hashable],
     crash_ids: Sequence[Hashable],
     *,
-    subscribe_window: float = 5.0,
-    settle: float = 5.0,
-    downtime: float = 4.0,
-    gap: float = 8.0,
     seed: Optional[int] = 0,
 ) -> List[Action]:
     """Brokers crash and recover one after another while traffic continues.
 
     Subscriptions register up front; then each broker in ``crash_ids`` goes
-    down for ``downtime`` and recovers, ``gap`` apart.  Publishes during a
-    downtime window originate at never-crashed brokers and are *audited
+    down for 4 time units and recovers, 8 before the next crash.  Publishes
+    during a downtime window originate at never-crashed brokers and are *audited
     against the survivors reachable at publish time* — the paper's safety
     claim restricted to the partition the publisher can see.  After the last
     recovery settles, the remaining events are published and audited against
     the full (healed) network.
     """
+    downtime = 4.0
     rng = random.Random(seed)
     prefix = f"rolling-{scenario.name}"
     safe_brokers = [b for b in broker_ids if b not in set(crash_ids)]
@@ -395,7 +393,7 @@ def rolling_failures_script(
     for i, subscription in enumerate(_subscriptions_of(scenario, prefix)):
         actions.append(
             Action(
-                time=rng.uniform(0.0, subscribe_window),
+                time=rng.uniform(0.0, SUBSCRIBE_WINDOW),
                 kind="subscribe",
                 broker_id=rng.choice(list(broker_ids)),
                 client_id=f"{prefix}-client-{i}",
@@ -406,7 +404,7 @@ def rolling_failures_script(
     downtime_probes = events[: len(events) // 2]
     healed_probes = events[len(events) // 2:]
     probe_iter = iter(downtime_probes)
-    t = subscribe_window + settle
+    t = SUBSCRIBE_WINDOW + SETTLE
     for crash_id in crash_ids:
         actions.append(Action(time=t, kind="crash", broker_id=crash_id))
         # Publishes while the broker is down: audited against reachable
@@ -422,8 +420,8 @@ def rolling_failures_script(
                            broker_id=rng.choice(safe_brokers), event=event, audit=True)
                 )
         actions.append(Action(time=t + downtime, kind="recover", broker_id=crash_id))
-        t += downtime + gap
-    t += settle
+        t += downtime + 8.0
+    t += SETTLE
     for event in healed_probes:
         actions.append(
             Action(time=t, kind="publish", broker_id=rng.choice(list(broker_ids)),
@@ -438,9 +436,7 @@ def netsplit_heal_script(
     topology: Topology,
     down: Sequence[Hashable],
     *,
-    subscribe_window: float = 5.0,
-    settle: float = 5.0,
-    downtime: float = 12.0,
+    settle: float = SETTLE,
     seed: Optional[int] = 0,
 ) -> List[Action]:
     """Netsplit → per-partition traffic → heal → reconverged traffic.
@@ -453,14 +449,16 @@ def netsplit_heal_script(
     slice of events is published round-robin *inside each live component*
     (planned statically via :meth:`Topology.components_without`), audited
     against the component-restricted ground truth: delivery within each
-    partition must stay exact even though the overlay is broken.  At
-    ``downtime`` the crashed brokers recover (flush-and-refill resync), and
+    partition must stay exact even though the overlay is broken.  12 time
+    units after the split, or once the split-phase publishes have settled if
+    that is later, the crashed brokers recover (flush-and-refill resync), and
     after a final settle the remaining events are published and audited
     against the healed full network — clean reconvergence.
     """
     down = list(down)
     if not down:
         raise ValueError("netsplit_heal_script needs at least one broker to take down")
+    downtime = 12.0
     rng = random.Random(seed)
     prefix = f"netsplit-{scenario.name}"
     broker_ids = topology.broker_ids
@@ -471,7 +469,7 @@ def netsplit_heal_script(
     for i, subscription in enumerate(_subscriptions_of(scenario, prefix)):
         actions.append(
             Action(
-                time=rng.uniform(0.0, subscribe_window),
+                time=rng.uniform(0.0, SUBSCRIBE_WINDOW),
                 kind="subscribe",
                 broker_id=rng.choice(broker_ids),
                 client_id=f"{prefix}-client-{i}",
@@ -481,7 +479,7 @@ def netsplit_heal_script(
     events = _events_of(scenario, prefix)
     third = max(1, len(events) // 3)
     pre, split_events, post = events[:third], events[third : 2 * third], events[2 * third :]
-    t = subscribe_window + settle
+    t = SUBSCRIBE_WINDOW + settle
     for event in pre:
         actions.append(
             Action(time=t, kind="publish", broker_id=rng.choice(broker_ids),
@@ -525,9 +523,7 @@ def region_netsplit_script(
     topology: Topology,
     region: Hashable,
     *,
-    subscribe_window: float = 5.0,
-    settle: float = 5.0,
-    downtime: float = 12.0,
+    settle: float = SETTLE,
     seed: Optional[int] = 0,
 ) -> List[Action]:
     """Netsplit one whole region of a generated topology.
@@ -540,32 +536,19 @@ def region_netsplit_script(
     down = topology.region_gateways(region)
     if not down:
         raise ValueError(f"region {region!r} has no overlay gateway to sever")
-    return netsplit_heal_script(
-        scenario,
-        topology,
-        down,
-        subscribe_window=subscribe_window,
-        settle=settle,
-        downtime=downtime,
-        seed=seed,
-    )
+    return netsplit_heal_script(scenario, topology, down, settle=settle, seed=seed)
 
 
 def rolling_upgrade_script(
     scenario: Scenario,
     topology: Topology,
-    upgrade_ids: Optional[Sequence[Hashable]] = None,
     *,
-    subscribe_window: float = 5.0,
-    settle: float = 5.0,
-    downtime: float = 3.0,
-    gap: float = 6.0,
     seed: Optional[int] = 0,
 ) -> List[Action]:
     """A rolling upgrade: every broker restarts in sequence under traffic.
 
-    Each broker in ``upgrade_ids`` (default: the whole topology, in id
-    order) crashes, stays down for ``downtime`` and recovers, ``gap`` apart —
+    Each broker of the topology, in id order, crashes, stays down for 3 time
+    units and recovers, 6 before the next one goes down —
     the overlay is never missing more than one broker at a time, exactly like
     a one-at-a-time fleet upgrade.  While a broker is down one event is
     published from a surviving broker and audited against the partition the
@@ -573,18 +556,16 @@ def rolling_upgrade_script(
     events are published and audited against the fully-healed network.
     """
     broker_ids = topology.broker_ids
-    upgrades = list(upgrade_ids) if upgrade_ids is not None else list(broker_ids)
-    if not upgrades:
-        raise ValueError("rolling_upgrade_script needs at least one broker to upgrade")
     if len(broker_ids) < 2:
         raise ValueError("rolling_upgrade_script needs a second broker to publish from")
+    downtime = 3.0
     rng = random.Random(seed)
     prefix = f"upgrade-{scenario.name}"
     actions: List[Action] = []
     for i, subscription in enumerate(_subscriptions_of(scenario, prefix)):
         actions.append(
             Action(
-                time=rng.uniform(0.0, subscribe_window),
+                time=rng.uniform(0.0, SUBSCRIBE_WINDOW),
                 kind="subscribe",
                 broker_id=rng.choice(broker_ids),
                 client_id=f"{prefix}-client-{i}",
@@ -592,9 +573,9 @@ def rolling_upgrade_script(
             )
         )
     events = _events_of(scenario, prefix)
-    probe_iter = iter(events[: len(upgrades)])
-    t = subscribe_window + settle
-    for broker_id in upgrades:
+    probe_iter = iter(events[: len(broker_ids)])
+    t = SUBSCRIBE_WINDOW + SETTLE
+    for broker_id in broker_ids:
         actions.append(Action(time=t, kind="crash", broker_id=broker_id))
         event = next(probe_iter, None)
         if event is not None:
@@ -604,9 +585,9 @@ def rolling_upgrade_script(
                        event=event, audit=True)
             )
         actions.append(Action(time=t + downtime, kind="recover", broker_id=broker_id))
-        t += downtime + gap
-    t += settle
-    for event in events[len(upgrades) :]:
+        t += downtime + 6.0
+    t += SETTLE
+    for event in events[len(broker_ids) :]:
         actions.append(
             Action(time=t, kind="publish", broker_id=rng.choice(broker_ids),
                    event=event, audit=True)

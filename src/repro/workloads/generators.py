@@ -6,13 +6,12 @@ relationships occur among the subscriptions a router sees.  The generators
 here control exactly those knobs:
 
 * :class:`SubscriptionWorkload` — draws subscriptions as random range
-  conjunctions; the centre distribution can be uniform, Zipf-skewed (hot
-  attribute values), or clustered around a set of hotspots, and the widths can
-  be drawn to produce low or high aspect ratios.
+  conjunctions with uniform centres; the widths can be drawn to produce low
+  or high aspect ratios.
 * :func:`covering_chain` — a workload with guaranteed nested subscriptions so
   that recall experiments have a known ground truth regardless of randomness.
-* :class:`EventWorkload` — draws events uniformly or near the subscription
-  hotspots so that delivery audits exercise matching paths.
+* :class:`EventWorkload` — draws events uniformly over the grid so that
+  delivery audits exercise matching paths.
 
 All generators take an explicit ``seed`` and are deterministic given it; the
 benchmark harness records the seed with every result row.
@@ -43,21 +42,6 @@ class SubscriptionSpec:
     ranges: Tuple[Range, ...]
 
 
-def _zipf_index(rng: random.Random, n: int, skew: float) -> int:
-    """Draw an index in ``[0, n)`` from a Zipf-like distribution with exponent ``skew``."""
-    if skew <= 0:
-        return rng.randrange(n)
-    weights = [1.0 / ((i + 1) ** skew) for i in range(n)]
-    total = sum(weights)
-    threshold = rng.random() * total
-    acc = 0.0
-    for i, w in enumerate(weights):
-        acc += w
-        if acc >= threshold:
-            return i
-    return n - 1
-
-
 @dataclass
 class SubscriptionWorkload:
     """Random range-subscription generator on the quantised grid.
@@ -68,10 +52,6 @@ class SubscriptionWorkload:
         Number of attributes β per subscription.
     attribute_order:
         Bits per attribute (values in ``[0, 2^k − 1]``).
-    distribution:
-        ``"uniform"`` — centres uniform over the grid;
-        ``"zipf"`` — centres concentrated on low cell indices (hot values);
-        ``"clustered"`` — centres drawn around ``num_clusters`` hotspots.
     width_fraction:
         Mean subscription width as a fraction of the attribute domain.
     width_jitter:
@@ -83,13 +63,9 @@ class SubscriptionWorkload:
 
     attributes: int
     attribute_order: int
-    distribution: str = "uniform"
     width_fraction: float = 0.1
     width_jitter: float = 0.5
     aspect_skew: int = 0
-    zipf_exponent: float = 1.1
-    num_clusters: int = 8
-    cluster_spread: float = 0.05
     seed: Optional[int] = None
     _rng: random.Random = field(init=False, repr=False)
 
@@ -100,17 +76,12 @@ class SubscriptionWorkload:
             raise ValueError(f"attribute_order must be positive, got {self.attribute_order}")
         if not 0 < self.width_fraction <= 1:
             raise ValueError(f"width_fraction must lie in (0, 1], got {self.width_fraction}")
-        if self.distribution not in ("uniform", "zipf", "clustered"):
-            raise ValueError(
-                f"unknown distribution {self.distribution!r}; "
-                "expected 'uniform', 'zipf' or 'clustered'"
-            )
         self._rng = random.Random(self.seed)
-        max_cell = self.max_cell
-        self._cluster_centres = [
-            tuple(self._rng.randint(0, max_cell) for _ in range(self.attributes))
-            for _ in range(self.num_clusters)
-        ]
+        # The generator once drew eight cluster centres here for a clustered
+        # distribution; the draws stay so that every seeded workload (and
+        # every table and digest built from one) draws exactly as before.
+        for _ in range(8 * self.attributes):
+            self._rng.randint(0, self.max_cell)
 
     @property
     def max_cell(self) -> int:
@@ -118,26 +89,7 @@ class SubscriptionWorkload:
 
     # -------------------------------------------------------------- generation
     def _centre(self) -> Tuple[int, ...]:
-        max_cell = self.max_cell
-        if self.distribution == "uniform":
-            return tuple(self._rng.randint(0, max_cell) for _ in range(self.attributes))
-        if self.distribution == "zipf":
-            buckets = 64
-            return tuple(
-                min(
-                    max_cell,
-                    _zipf_index(self._rng, buckets, self.zipf_exponent)
-                    * (max_cell + 1)
-                    // buckets
-                    + self._rng.randint(0, (max_cell + 1) // buckets),
-                )
-                for _ in range(self.attributes)
-            )
-        centre = self._rng.choice(self._cluster_centres)
-        spread = max(1, int(self.cluster_spread * (max_cell + 1)))
-        return tuple(
-            min(max_cell, max(0, c + self._rng.randint(-spread, spread))) for c in centre
-        )
+        return tuple(self._rng.randint(0, self.max_cell) for _ in range(self.attributes))
 
     def _width(self, attribute_index: int, shrink_attribute: int) -> int:
         max_cells = self.max_cell + 1
@@ -174,15 +126,9 @@ class EventWorkload:
 
     attributes: int
     attribute_order: int
-    distribution: str = "uniform"
-    zipf_exponent: float = 1.1
     seed: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.distribution not in ("uniform", "zipf"):
-            raise ValueError(
-                f"unknown distribution {self.distribution!r}; expected 'uniform' or 'zipf'"
-            )
         self._rng = random.Random(self.seed)
 
     @property
@@ -191,19 +137,7 @@ class EventWorkload:
 
     def generate_one(self) -> Tuple[int, ...]:
         """Generate one event as a tuple of attribute cells."""
-        if self.distribution == "uniform":
-            return tuple(self._rng.randint(0, self.max_cell) for _ in range(self.attributes))
-        buckets = 64
-        return tuple(
-            min(
-                self.max_cell,
-                _zipf_index(self._rng, buckets, self.zipf_exponent)
-                * (self.max_cell + 1)
-                // buckets
-                + self._rng.randint(0, (self.max_cell + 1) // buckets),
-            )
-            for _ in range(self.attributes)
-        )
+        return tuple(self._rng.randint(0, self.max_cell) for _ in range(self.attributes))
 
     def generate(self, count: int) -> List[Tuple[int, ...]]:
         """Generate ``count`` events."""
@@ -214,19 +148,16 @@ def covering_chain(
     attributes: int,
     attribute_order: int,
     depth: int,
-    shrink: float = 0.8,
     seed: Optional[int] = None,
 ) -> List[SubscriptionSpec]:
     """Generate a chain ``s_0 ⊇ s_1 ⊇ ... ⊇ s_{depth−1}`` of nested subscriptions.
 
     Each subscription is obtained from its predecessor by shrinking every
-    range towards its centre by ``shrink``; the chain gives recall experiments
+    range to 80 % of its width at a seeded offset; the chain gives recall experiments
     a workload where every non-root subscription is covered by construction.
     """
     if depth <= 0:
         raise ValueError(f"depth must be positive, got {depth}")
-    if not 0 < shrink < 1:
-        raise ValueError(f"shrink must lie strictly between 0 and 1, got {shrink}")
     rng = random.Random(seed)
     max_cell = (1 << attribute_order) - 1
     ranges: List[Range] = []
@@ -241,7 +172,7 @@ def covering_chain(
         nxt: List[Range] = []
         for lo, hi in current:
             width = hi - lo + 1
-            new_width = max(1, int(width * shrink))
+            new_width = max(1, int(width * 0.8))
             slack = width - new_width
             offset = rng.randint(0, slack) if slack > 0 else 0
             nxt.append((lo + offset, lo + offset + new_width - 1))

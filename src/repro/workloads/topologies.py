@@ -14,7 +14,7 @@ routing overlay :class:`~repro.pubsub.network.BrokerNetwork` requires:
   The underlay has cycles; the routing overlay is derived by
   :func:`spanning_tree_overlay`.
 * :func:`grid_cluster_topology` — a cluster-of-clusters WAN: dense LAN
-  clusters (ring plus seeded chords) arranged on a grid, adjacent clusters
+  clusters (ring plus a seeded chord) arranged on a grid, adjacent clusters
   joined by WAN gateway links.  Region metadata feeds
   :class:`~repro.sim.latency.RegionLatency` so intra-cluster links are fast
   and inter-cluster links slow.
@@ -58,17 +58,12 @@ def _adjacency(edges: Sequence[Edge]) -> Dict[Hashable, List[Hashable]]:
     return adjacency
 
 
-def spanning_tree_overlay(
-    edges: Sequence[Edge],
-    seed: Optional[int] = None,
-    root: Optional[Hashable] = None,
-) -> List[Edge]:
+def spanning_tree_overlay(edges: Sequence[Edge], seed: Optional[int] = None) -> List[Edge]:
     """Derive an acyclic routing overlay from any connected underlay graph.
 
-    A breadth-first spanning tree rooted at ``root`` (default: the smallest
-    node in string order): BFS keeps overlay routes as short as the underlay
-    allows, which is what an operator deploying per-source trees over an ISP
-    graph would pick.  Deterministic: each node's neighbours are visited in
+    A breadth-first spanning tree rooted at the smallest node in string
+    order: BFS keeps overlay routes as short as the underlay allows, which is
+    what an operator deploying per-source trees over an ISP graph would pick.  Deterministic: each node's neighbours are visited in
     sorted order, then shuffled by ``seed`` when one is given — same seed,
     same tree; ``seed=None`` is the canonical sorted-order tree.  Raises
     ``ValueError`` when the underlay is disconnected (a spanning tree cannot
@@ -77,11 +72,7 @@ def spanning_tree_overlay(
     adjacency = _adjacency(edges)
     if not adjacency:
         return []
-    nodes = sorted(adjacency, key=str)
-    if root is None:
-        root = nodes[0]
-    if root not in adjacency:
-        raise ValueError(f"root {root!r} is not in the underlay")
+    root = min(adjacency, key=str)
     rng = random.Random(seed) if seed is not None else None
     tree: List[Edge] = []
     seen: Set[Hashable] = {root}
@@ -197,11 +188,10 @@ class Topology:
             components.append(sorted(members, key=str))
         return sorted(components, key=lambda c: str(c[0]))
 
-    def latency_model(
-        self, lan: float = 0.05, wan: float = 0.5, jitter: float = 0.0
-    ) -> RegionLatency:
-        """A WAN-vs-LAN :class:`~repro.sim.latency.RegionLatency` from the region map."""
-        return RegionLatency(self.regions, lan=lan, wan=wan, jitter=jitter)
+    def latency_model(self, lan: float = 0.05, wan: float = 0.5) -> RegionLatency:
+        """A WAN-vs-LAN :class:`~repro.sim.latency.RegionLatency` from the region
+        map, without jitter."""
+        return RegionLatency(self.regions, lan=lan, wan=wan)
 
 
 def _subtree_regions(overlay: Sequence[Edge], root: Hashable) -> Dict[Hashable, Hashable]:
@@ -308,13 +298,12 @@ def grid_cluster_topology(
     grid_rows: int,
     grid_cols: int,
     cluster_size: int,
-    chords: int = 1,
     seed: Optional[int] = 0,
 ) -> Topology:
     """A cluster-of-clusters WAN: LAN clusters on a grid, WAN gateway links.
 
     Each grid cell is one cluster of ``cluster_size`` brokers wired as a ring
-    plus ``chords`` seeded random chords (a dense, redundant LAN).  Adjacent
+    plus, from four brokers up, one seeded random chord (a redundant LAN).  Adjacent
     grid cells are joined by one WAN link between seeded gateway brokers.
     Regions are the clusters, so :meth:`Topology.latency_model` prices
     intra-cluster links at LAN and gateway links at WAN delay.  The underlay
@@ -324,8 +313,6 @@ def grid_cluster_topology(
         raise ValueError(f"grid must be non-empty, got {grid_rows}x{grid_cols}")
     if cluster_size <= 0:
         raise ValueError(f"cluster_size must be positive, got {cluster_size}")
-    if chords < 0:
-        raise ValueError(f"chords must be non-negative, got {chords}")
     rng = random.Random(seed)
     edges: List[Edge] = []
     regions: Dict[Hashable, Hashable] = {}
@@ -342,7 +329,7 @@ def grid_cluster_topology(
             edges.append((member, members[i + 1]))
         if cluster_size > 2:
             edges.append((members[-1], members[0]))
-        for _ in range(chords if cluster_size > 3 else 0):
+        if cluster_size > 3:
             a, b = rng.sample(members, 2)
             if (a, b) not in edges and (b, a) not in edges:
                 edges.append((min(a, b), max(a, b)))

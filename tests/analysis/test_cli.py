@@ -95,3 +95,17 @@ class TestMetricsCommand:
                 main(argv)
             assert exit_info.value.code == 2
             assert "unrecognized arguments: --curve" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["serve", "--seed", "7"], ["serve", "--covering", "none"]],
+        ids=["seed", "covering"],
+    )
+    def test_serve_takes_no_seed_or_covering(self, argv, capsys):
+        """A served network never traces, and its seed only derives trace ids,
+        so ``--seed`` changed nothing; every served broker checks covering.
+        Both are argparse's usage error before anything binds a port."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err

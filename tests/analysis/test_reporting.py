@@ -19,10 +19,11 @@ class TestFormatTable:
         assert "name" in lines[1] and "value" in lines[1]
         assert len(lines) == 2 + 1 + 2  # title + header + separator + 2 rows
 
-    def test_explicit_columns_and_missing_cells(self):
+    def test_columns_are_every_key_and_missing_cells_blank(self):
         rows = [{"a": 1}, {"a": 2, "b": 3}]
-        text = format_table(rows, columns=["a", "b"])
-        assert "3" in text
+        lines = format_table(rows).splitlines()
+        assert lines[0].split() == ["a", "|", "b"]
+        assert lines[2].split() == ["1", "|"] and lines[3].split() == ["2", "|", "3"]
 
     def test_boolean_rendering(self):
         text = format_table([{"ok": True}, {"ok": False}])

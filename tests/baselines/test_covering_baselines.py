@@ -124,39 +124,15 @@ class TestProbabilistic:
                 false_positives += 1
         assert false_positives > 0  # sampling misses the uncovered corner sometimes
 
-    def test_verification_eliminates_false_positives(self):
-        det = ProbabilisticCoveringDetector(
-            attributes=1, attribute_order=10, samples=3, verify=True, seed=3
-        )
-        det.add_subscription("almost", [(1, 1023)])
-        for seed in range(30):
-            det._rng = random.Random(seed)
-            assert det.find_covering([(0, 1000)]) is None
-        assert det.stats.false_positives_detected > 0
-
-    def test_corner_samples_make_range_check_exact(self):
-        """With include_corners, covering both corners of a range box is covering,
-        so the sampling check becomes exact for conjunctive range predicates."""
-        det = ProbabilisticCoveringDetector(
-            attributes=1, attribute_order=10, samples=2, include_corners=True, seed=7
-        )
-        det.add_subscription("almost", [(1, 1023)])  # misses cell 0 of the query
-        for _ in range(20):
-            assert det.find_covering([(0, 1000)]) is None
-        # Sanity: the same candidate is reported for a query it really covers.
-        assert det.find_covering([(200, 300)]) == "almost"
-
     def test_invalid_samples(self):
         with pytest.raises(ValueError):
             ProbabilisticCoveringDetector(attributes=1, attribute_order=4, samples=0)
 
-    def test_add_remove_and_stats(self):
+    def test_add_and_remove(self):
         det = ProbabilisticCoveringDetector(attributes=1, attribute_order=8, seed=1)
         det.add_subscription("a", [(0, 255)])
         assert "a" in det and len(det) == 1
         assert det.find_covering([(5, 10)]) is not None
-        assert det.stats.queries == 1
-        assert det.stats.candidate_checks >= 1
         assert det.remove_subscription("a")
         assert len(det) == 0
 

@@ -201,12 +201,6 @@ class TestGreedyDecomposition:
                 covered.add(cell)
         assert covered == set(region.as_rectangle().cells())
 
-    def test_max_cubes_cap(self):
-        universe = Universe(dims=2, order=9)
-        region = ExtremalRectangle(universe, (257, 257))
-        with pytest.raises(ValueError):
-            greedy_decomposition(region, max_cubes=100)
-
     def test_largest_first_ordering(self):
         universe = Universe(dims=2, order=6)
         region = ExtremalRectangle(universe, (33, 47))

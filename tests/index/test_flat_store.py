@@ -18,8 +18,15 @@ from hypothesis import strategies as st
 from repro.geometry.universe import Universe
 from repro.index import sfc_array
 from repro.index.sfc_array import FlatSegmentStore, SFCArray
-from repro.sfc.factory import CURVE_KINDS, make_curve
+from repro.sfc.gray import GrayCodeCurve
+from repro.sfc.hilbert import HilbertCurve
 from repro.sfc.runs import merge_key_ranges
+from repro.sfc.zorder import ZOrderCurve
+
+#: Every curve, as its ``kind`` in test ids.
+CURVES = (ZOrderCurve, HilbertCurve, GrayCodeCurve)
+CURVE_IDS = [curve.kind for curve in CURVES]
+
 
 # ------------------------------------------------------------------ SFCArray
 
@@ -52,15 +59,15 @@ def _first_model_hit(model, lo, hi, excluded=None):
     )
 
 
-@pytest.mark.parametrize("kind", CURVE_KINDS)
+@pytest.mark.parametrize("curve_cls", CURVES, ids=CURVE_IDS)
 @settings(deadline=None)
 @given(ops=_array_ops, ranges=_key_ranges)
-def test_sfc_array_matches_a_sorted_dict_model(kind, ops, ranges):
+def test_sfc_array_matches_a_sorted_dict_model(curve_cls, ops, ranges):
     """After every step the items (key order, then bucket order), the occupied
     keys, every range probe and the whole-schedule probe over the drawn
     ranges (overlapping or not), excluding no item or any stored one, equal
     a model that keeps one insertion-ordered dict per key."""
-    curve = make_curve(kind, Universe(dims=2, order=3))
+    curve = curve_cls(Universe(dims=2, order=3))
     array = SFCArray(curve)
     model = {}
     # The ranges as a probe schedule, in the order drawn (they may overlap).

@@ -8,7 +8,13 @@ import pytest
 
 from repro.geometry.universe import Universe
 from repro.index.sfc_array import SFCArray, SFCArrayStats
-from repro.sfc.factory import CURVE_KINDS, make_curve
+from repro.sfc.gray import GrayCodeCurve
+from repro.sfc.hilbert import HilbertCurve
+from repro.sfc.zorder import ZOrderCurve
+
+#: Every curve, as its ``kind`` in test ids.
+CURVES = (ZOrderCurve, HilbertCurve, GrayCodeCurve)
+CURVE_IDS = [curve.kind for curve in CURVES]
 
 
 def point_of(array, item_id):
@@ -40,9 +46,9 @@ def churn(array):
     array.stats = SFCArrayStats()
 
 
-@pytest.fixture(params=CURVE_KINDS)
+@pytest.fixture(params=CURVES, ids=CURVE_IDS)
 def array(request, layout):
-    array = SFCArray(make_curve(request.param, Universe(dims=2, order=5)))
+    array = SFCArray(request.param(Universe(dims=2, order=5)))
     if layout == "churned":
         churn(array)
     return array
@@ -246,12 +252,12 @@ class TestFirstProbeHit:
         assert array.stats.range_probes == 0
 
 
-@pytest.mark.parametrize("kind", CURVE_KINDS)
-def test_range_scans_equal_a_brute_force_scan(kind):
+@pytest.mark.parametrize("curve_cls", CURVES, ids=CURVE_IDS)
+def test_range_scans_equal_a_brute_force_scan(curve_cls):
     """200 adds and 67 removes, then 50 range scans against a scan of every
     live point."""
     universe = Universe(dims=2, order=6)
-    curve = make_curve(kind, universe)
+    curve = curve_cls(universe)
     rng = random.Random(11)
     points = [(rng.randint(0, 63), rng.randint(0, 63)) for _ in range(200)]
     ranges = [

@@ -78,14 +78,6 @@ class TestKDTree:
         assert before == after
         assert len(tree) == 200
 
-    def test_stats_counters(self):
-        tree = KDTree(dims=2)
-        for i in range(20):
-            tree.insert(i, (i, i))
-        tree.find_dominating((5, 5))
-        assert tree.stats.queries == 1
-        assert tree.stats.nodes_visited >= 1
-
 
 class TestRangeTree:
     def test_empty(self):
@@ -136,12 +128,6 @@ class TestRangeTree:
         entries = random_points(rng, 400, 3, 255)
         tree = RangeTree.build(3, entries)
         assert tree.storage_cells() > 4 * len(entries)
-
-    def test_stats(self):
-        tree = RangeTree.build(2, [("a", (1, 1)), ("b", (2, 2))])
-        tree.find_dominating((0, 0))
-        assert tree.stats.queries == 1
-        assert tree.stats.nodes_visited >= 1
 
     @settings(max_examples=30, deadline=None)
     @given(

@@ -15,7 +15,6 @@ import pytest
 from repro.baselines.linear_scan import LinearScanCoveringDetector
 from repro.core.covering import ApproximateCoveringDetector
 from repro.index.config import IndexConfig
-from repro.pubsub.client import Publisher, Subscriber
 from repro.pubsub.network import BrokerNetwork, tree_topology
 from repro.pubsub.subscription import Event, Subscription
 from repro.workloads.generators import covering_chain
@@ -161,14 +160,14 @@ class TestClientLevelScenario:
             schema, tree_topology(3), covering="approximate",
             config=IndexConfig()
         )
-        trader = Subscriber(network, broker_id=2, client_id="trader")
-        trader.subscribe({"price": (0.0, 95.0), "volume": (500.0, 1_000_000.0)})
-        desk = Publisher(network, broker_id=0, client_id="desk")
-        matching = desk.publish({"price": 88.0, "volume": 1000.0, "change_pct": 0.5}, event_id="ibm")
-        non_matching = desk.publish({"price": 120.0, "volume": 1000.0, "change_pct": 0.5}, event_id="big")
-        assert trader.received_events() == ["ibm"]
-        assert any(sub.matches(matching) for sub in trader.subscriptions)
-        assert not any(sub.matches(non_matching) for sub in trader.subscriptions)
+        interest = Subscription(schema, {"price": (0.0, 95.0), "volume": (500.0, 1_000_000.0)})
+        network.subscribe(2, "trader", interest)
+        matching = Event(schema, {"price": 88.0, "volume": 1000.0, "change_pct": 0.5}, event_id="ibm")
+        non_matching = Event(schema, {"price": 120.0, "volume": 1000.0, "change_pct": 0.5}, event_id="big")
+        assert network.publish(0, matching) == {"trader"}
+        assert network.publish(0, non_matching) == set()
+        assert [r.event_id for r in network.deliveries if r.client_id == "trader"] == ["ibm"]
+        assert interest.matches(matching) and not interest.matches(non_matching)
 
 
 def test_package_quickstart_runs():

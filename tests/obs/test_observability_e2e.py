@@ -28,7 +28,7 @@ from repro.analysis.experiments import run_metrics_scenario
 from repro.obs.exposition import validate_prometheus_text, write_bench_json
 from repro.obs.profiler import PROFILER
 from repro.obs.registry import MetricsRegistry
-from repro.pubsub import BrokerNetwork, make_event, make_subscription, tree_topology
+from repro.pubsub import BrokerNetwork, Event, Subscription, tree_topology
 from repro.pubsub.routing_table import InterfaceTable
 from repro.pubsub.schema import Attribute, AttributeSchema
 from repro.sim import FixedLatency, SimTransport
@@ -126,7 +126,6 @@ class TestAcceptance:
 
 def _rebuild_event(network, event_id):
     # Events are regenerated from the same seeded workload the driver used.
-    from repro.pubsub.subscription import Event
     from repro.workloads.generators import EventWorkload
 
     schema = network.schema
@@ -193,9 +192,9 @@ def test_scrape_reports_per_interface_series(scan_limit, monkeypatch):
         metrics=MetricsRegistry(),
     )
     network.subscribe(
-        0, "c0", make_subscription(schema, "s0", x=(1.0, 9.0), y=(1.0, 9.0))
+        0, "c0", Subscription(schema, {"x": (1.0, 9.0), "y": (1.0, 9.0)}, sub_id="s0")
     )
-    network.publish(2, make_event(schema, "e0", x=4.0, y=4.0))
+    network.publish(2, Event(schema, {"x": 4.0, "y": 4.0}, event_id="e0"))
     scrape = network.scrape()
     indexed = scan_limit == 0
     assert ("match_interface_total" in scrape) is indexed
@@ -218,10 +217,10 @@ def _small_sfc_network_scrape():
             network.subscribe(
                 i % 3,
                 f"c{i}",
-                make_subscription(schema, f"s{i}", x=(i * 4.0, i * 4.0 + 9.0), y=(1.0, 20.0)),
+                Subscription(schema, {"x": (i * 4.0, i * 4.0 + 9.0), "y": (1.0, 20.0)}, sub_id=f"s{i}"),
             )
     for j in range(6):
-        network.publish(j % 3, make_event(schema, f"e{j}", x=j * 3.0, y=5.0))
+        network.publish(j % 3, Event(schema, {"x": j * 3.0, "y": 5.0}, event_id=f"e{j}"))
     return network.scrape()
 
 
@@ -261,11 +260,11 @@ def _scripted_network(transport_kind, **network_kwargs):
         network.subscribe(
             i % 3,
             f"c{i}",
-            make_subscription(schema, f"s{i}", x=(i * 4.0, i * 4.0 + 9.0), y=(1.0, 20.0)),
+            Subscription(schema, {"x": (i * 4.0, i * 4.0 + 9.0), "y": (1.0, 20.0)}, sub_id=f"s{i}"),
         )
     network.flush()
     for j in range(6):
-        network.publish(j % 3, make_event(schema, f"e{j}", x=j * 3.0, y=5.0))
+        network.publish(j % 3, Event(schema, {"x": j * 3.0, "y": 5.0}, event_id=f"e{j}"))
     return network
 
 

@@ -24,7 +24,7 @@ from repro.pubsub.match_index import MatchIndex
 from repro.pubsub.network import BrokerNetwork, tree_topology
 from repro.pubsub.routing_table import InterfaceTable
 from repro.pubsub.schema import Attribute, AttributeSchema
-from repro.pubsub.subscription import make_event, make_subscription
+from repro.pubsub.subscription import Event, Subscription
 from repro.workloads.dynamics import run_scripted_lockstep, subscription_churn_script
 from repro.workloads.scenarios import stock_market_scenario
 
@@ -158,15 +158,17 @@ def _drive(run_budget: int, brokers: int = 4):
         )
         for i in range(50):
             lo_x, lo_y = rng.uniform(0, 70), rng.uniform(0, 70)
-            subscription = make_subscription(
+            subscription = Subscription(
                 schema,
-                f"s{i}",
-                x=(lo_x, lo_x + rng.uniform(1, 30)),
-                y=(lo_y, lo_y + rng.uniform(1, 30)),
+                {
+                    "x": (lo_x, lo_x + rng.uniform(1, 30)),
+                    "y": (lo_y, lo_y + rng.uniform(1, 30)),
+                },
+                sub_id=f"s{i}",
             )
             network.subscribe(i % brokers, f"c{i}", subscription)
         events = [
-            make_event(schema, f"e{j}", x=rng.uniform(0, 100), y=rng.uniform(0, 100))
+            Event(schema, {"x": rng.uniform(0, 100), "y": rng.uniform(0, 100)}, event_id=f"e{j}")
             for j in range(120)
         ]
         delivered = [

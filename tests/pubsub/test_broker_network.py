@@ -9,7 +9,6 @@ import pytest
 from repro.index.config import IndexConfig
 from repro.obs.trace import TraceLog
 from repro.pubsub.broker import Broker
-from repro.pubsub.client import Publisher, Subscriber
 from repro.pubsub.network import (
     BrokerNetwork,
     chain_topology,
@@ -39,7 +38,7 @@ def make_network(schema, covering="approximate", num_brokers=5):
 
 class TestTopologyHelpers:
     def test_tree(self):
-        edges = tree_topology(7, branching=2)
+        edges = tree_topology(7)
         assert len(edges) == 6
         assert (0, 1) in edges and (0, 2) in edges
 
@@ -60,16 +59,6 @@ class TestTopologyHelpers:
     @pytest.mark.parametrize("builder", [tree_topology, chain_topology, star_topology])
     def test_single_broker_topology_has_no_edges(self, builder):
         assert builder(1) == []
-
-    @pytest.mark.parametrize("branching", [0, -2])
-    def test_tree_rejects_non_positive_branching(self, branching):
-        # Regression: branching=0 used to raise ZeroDivisionError and a
-        # negative branching silently produced bogus parent indices.
-        with pytest.raises(ValueError, match="branching"):
-            tree_topology(7, branching=branching)
-
-    def test_tree_branching_one_is_a_chain(self):
-        assert tree_topology(4, branching=1) == chain_topology(4)
 
 
 class TestNetworkConstruction:
@@ -552,27 +541,25 @@ class TestPublishBatchRegression:
 class TestClients:
     def test_subscriber_and_publisher_flow(self, schema):
         network = make_network(schema)
-        alice = Subscriber(network, broker_id=4, client_id="alice")
-        alice.subscribe({"x": (0.0, 50.0)})
-        publisher = Publisher(network, broker_id=0)
-        event = publisher.publish({"x": 10.0, "y": 10.0}, event_id="e-1")
-        assert alice.received_events() == ["e-1"]
-        assert any(sub.matches(event) for sub in alice.subscriptions)
-        assert publisher.published == [event]
+        subscription = Subscription(schema, {"x": (0.0, 50.0)})
+        network.subscribe(4, "alice", subscription)
+        event = Event(schema, {"x": 10.0, "y": 10.0}, event_id="e-1")
+        assert network.publish(0, event) == {"alice"}
+        assert [r.event_id for r in network.deliveries if r.client_id == "alice"] == ["e-1"]
+        assert subscription.matches(event)
 
     def test_subscriber_multiple_subscriptions_single_delivery(self, schema):
         network = make_network(schema)
-        alice = Subscriber(network, broker_id=2, client_id="alice")
-        alice.subscribe({"x": (0.0, 50.0)})
-        alice.subscribe({"y": (0.0, 50.0)})
-        publisher = Publisher(network, broker_id=0)
-        publisher.publish({"x": 10.0, "y": 10.0}, event_id="both")
+        network.subscribe(2, "alice", Subscription(schema, {"x": (0.0, 50.0)}))
+        network.subscribe(2, "alice", Subscription(schema, {"y": (0.0, 50.0)}))
+        network.publish(0, Event(schema, {"x": 10.0, "y": 10.0}, event_id="both"))
         # The event matches both subscriptions but is delivered once.
-        assert alice.received_events() == ["both"]
+        assert [r.event_id for r in network.deliveries if r.client_id == "alice"] == ["both"]
 
     def test_publisher_event_ids_auto_assigned(self, schema):
         network = make_network(schema)
-        publisher = Publisher(network, broker_id=0)
-        e1 = publisher.publish({"x": 1.0, "y": 1.0})
-        e2 = publisher.publish({"x": 2.0, "y": 2.0})
+        e1 = Event(schema, {"x": 1.0, "y": 1.0})
+        e2 = Event(schema, {"x": 2.0, "y": 2.0})
+        network.publish(0, e1)
+        network.publish(0, e2)
         assert e1.event_id != e2.event_id

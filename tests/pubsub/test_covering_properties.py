@@ -26,7 +26,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.cli import main as cli_main
 from repro.baselines.linear_scan import LinearScanCoveringDetector
 from repro.geometry.transform import ranges_cover
 from repro.index.config import IndexConfig
@@ -155,8 +154,6 @@ def test_only_sound_covering_is_routable(kind):
     with pytest.raises(TypeError):
         builders["Broker"](seed=1)
     assert BrokerNetwork(SCHEMA, seed=1).seed == 1  # the trace log's seed stays
-    with pytest.raises(SystemExit):
-        cli_main(["serve", "--covering", kind])
 
 
 @st.composite

@@ -20,9 +20,9 @@ from repro.obs.registry import MetricsRegistry
 from repro.pubsub import (
     Broker,
     BrokerNetwork,
+    Event,
     ProfileCache,
-    make_event,
-    make_subscription,
+    Subscription,
     tree_topology,
 )
 from repro.pubsub.match_index import MatchIndex
@@ -171,7 +171,7 @@ def test_evicted_runs_are_recomputed_equal(schema, monkeypatch):
 
 @pytest.mark.usefixtures("indexed_tables")
 def test_standalone_broker_shares_its_own_cache(schema):
-    subscription = make_subscription(schema, "s", x=(2.0, 9.0), y=(2.0, 9.0))
+    subscription = Subscription(schema, {"x": (2.0, 9.0), "y": (2.0, 9.0)}, sub_id="s")
     broker = Broker(broker_id=0, schema=schema)
     broker.receive_subscription("left", subscription)
     broker.receive_subscription("right", subscription)
@@ -195,7 +195,7 @@ def test_crash_recover_relearns_from_the_cache(schema):
     subscriptions = []
     for i in range(21):
         lo = float((i * 3) % 20)
-        subscription = make_subscription(schema, f"s{i}", x=(lo, lo + 10.0), y=(1.0, 8.0 + i))
+        subscription = Subscription(schema, {"x": (lo, lo + 10.0), "y": (1.0, 8.0 + i)}, sub_id=f"s{i}")
         subscriptions.append(subscription)
         network.subscribe(i % 7, f"c{i}", subscription)
     network.flush()
@@ -226,7 +226,7 @@ def test_crash_recover_relearns_from_the_cache(schema):
     assert cache.misses == misses
     assert cache.hits > hits
     for j in range(30):
-        event = make_event(schema, f"e{j}", x=(j * 7) % 32, y=(j * 5) % 32)
+        event = Event(schema, {"x": (j * 7) % 32, "y": (j * 5) % 32}, event_id=f"e{j}")
         assert network.publish_and_audit(j % 7, event) == (set(), set())
 
     assert cache.misses == misses

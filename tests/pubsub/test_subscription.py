@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro.geometry.universe import Universe
 from repro.pubsub.schema import Attribute, AttributeSchema
-from repro.pubsub.subscription import Event, Subscription, make_event, make_subscription
+from repro.pubsub.subscription import Event, Subscription
 from repro.sfc.zorder import ZOrderCurve
 
 
@@ -41,10 +41,6 @@ class TestEvent:
         e1 = Event(schema, {"stock": 1.0, "volume": 1.0, "current": 1.0})
         e2 = Event(schema, {"stock": 1.0, "volume": 1.0, "current": 1.0})
         assert e1.event_id != e2.event_id
-
-    def test_make_event_helper(self, schema):
-        event = make_event(schema, event_id="e1", stock=5.0, volume=10.0, current=20.0)
-        assert event.event_id == "e1"
 
 
 @st.composite
@@ -138,11 +134,6 @@ class TestSubscriptionMatching:
         s1 = Subscription(schema, {})
         s2 = Subscription(schema, {})
         assert s1.sub_id != s2.sub_id
-
-    def test_make_subscription_helper(self, schema):
-        sub = make_subscription(schema, sub_id="s1", current=(0.0, 95.0))
-        assert sub.sub_id == "s1"
-        assert sub.constraints["current"] == (0.0, 95.0)
 
 
 class TestSubscriptionCovering:

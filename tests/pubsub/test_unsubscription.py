@@ -13,7 +13,6 @@ import pytest
 
 from repro.index.config import IndexConfig
 from repro.pubsub.broker import LOCAL_INTERFACE
-from repro.pubsub.client import Publisher, Subscriber
 from repro.pubsub.network import BrokerNetwork, chain_topology, tree_topology
 from repro.pubsub.schema import Attribute, AttributeSchema
 from repro.pubsub.subscription import Event, Subscription
@@ -56,16 +55,13 @@ class TestBasicUnsubscription:
         network.unsubscribe("alice", "s")
         assert network.unsubscription_messages == 3  # down the 4-broker chain
 
-    def test_subscriber_client_unsubscribe(self, schema):
+    def test_withdrawn_client_keeps_only_earlier_deliveries(self, schema):
         network = make_network(schema)
-        alice = Subscriber(network, broker_id=3, client_id="alice")
-        sub = alice.subscribe({"x": (0.0, 50.0)})
-        publisher = Publisher(network, broker_id=0)
-        publisher.publish({"x": 10.0, "y": 10.0}, event_id="before")
-        assert alice.unsubscribe(sub)
-        assert alice.subscriptions == []
-        publisher.publish({"x": 10.0, "y": 10.0}, event_id="after")
-        assert alice.received_events() == ["before"]
+        network.subscribe(3, "alice", Subscription(schema, {"x": (0.0, 50.0)}, sub_id="s"))
+        network.publish(0, Event(schema, {"x": 10.0, "y": 10.0}, event_id="before"))
+        assert network.unsubscribe("alice", "s")
+        network.publish(0, Event(schema, {"x": 10.0, "y": 10.0}, event_id="after"))
+        assert [r.event_id for r in network.deliveries if r.client_id == "alice"] == ["before"]
 
 
 class TestCoveringAwareWithdrawal:

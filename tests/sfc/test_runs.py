@@ -16,7 +16,6 @@ from repro.sfc.runs import (
     GridRunTable,
     RunProfile,
     brute_force_run_profile,
-    cube_key_ranges,
     merge_key_ranges,
 )
 from repro.sfc.zorder import ZOrderCurve
@@ -74,7 +73,7 @@ class TestRunCounting:
             x1, y1 = rng.randint(x0, 15), rng.randint(y0, 15)
             rect = Rectangle((x0, y0), (x1, y1))
             cubes = decompose_rectangle(universe, rect)
-            assert len(merge_key_ranges(cube_key_ranges(curve, cubes))) == curve.brute_force_runs(rect)
+            assert len(merge_key_ranges(curve.cube_key_ranges(cubes))) == curve.brute_force_runs(rect)
 
     def test_single_cube_is_one_run(self):
         universe = Universe(dims=2, order=4)
@@ -82,14 +81,14 @@ class TestRunCounting:
         rect = Rectangle((4, 4), (7, 7))  # an aligned 4×4 standard cube
         cubes = decompose_rectangle(universe, rect)
         assert len(cubes) == 1
-        assert len(merge_key_ranges(cube_key_ranges(curve, cubes))) == 1
+        assert len(merge_key_ranges(curve.cube_key_ranges(cubes))) == 1
 
     def test_cube_key_ranges_length(self):
         universe = Universe(dims=2, order=3)
         curve = ZOrderCurve(universe)
         rect = Rectangle((0, 0), (2, 2))
         cubes = decompose_rectangle(universe, rect)
-        assert len(cube_key_ranges(curve, cubes)) == len(cubes)
+        assert len(curve.cube_key_ranges(cubes)) == len(cubes)
 
 
 class TestRunProfile:
@@ -148,7 +147,7 @@ class TestLemma31:
         y1 = data.draw(st.integers(y0, 15))
         rect = Rectangle((x0, y0), (x1, y1))
         cubes = decompose_rectangle(universe, rect)
-        assert len(merge_key_ranges(cube_key_ranges(curve, cubes))) <= len(cubes)
+        assert len(merge_key_ranges(curve.cube_key_ranges(cubes))) <= len(cubes)
 
 
 class TestGridRunTable:

@@ -12,7 +12,6 @@ from repro.sim.latency import (
     FixedLatency,
     RegionLatency,
     UniformJitterLatency,
-    make_latency_model,
     random_positions,
 )
 
@@ -60,16 +59,3 @@ class TestModels:
     def test_random_positions_deterministic(self):
         assert random_positions(range(5), seed=2) == random_positions(range(5), seed=2)
         assert random_positions(range(5), seed=2) != random_positions(range(5), seed=3)
-
-
-class TestFactory:
-    def test_builds_each_kind(self):
-        assert isinstance(make_latency_model("fixed", delay=0.3), FixedLatency)
-        assert isinstance(make_latency_model("uniform", base=0.1), UniformJitterLatency)
-        assert isinstance(
-            make_latency_model("distance", positions={"a": (0, 0)}), DistanceLatency
-        )
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            make_latency_model("warp")

@@ -84,12 +84,11 @@ latencies = st.one_of(
         st.sampled_from([0.0, 0.1, 0.6]),
     ),
     st.builds(
-        lambda lan, wan, jitter: RegionLatency(
-            {b: b % 2 for b in range(INITIAL_BROKERS - 1)}, lan=lan, wan=wan, jitter=jitter
+        lambda lan, wan: RegionLatency(
+            {b: b % 2 for b in range(INITIAL_BROKERS - 1)}, lan=lan, wan=wan
         ),
         st.sampled_from([0.0, 0.05]),
         st.sampled_from([0.2, 0.5]),
-        st.sampled_from([0.0, 0.1]),
     ),
 )
 

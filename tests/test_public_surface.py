@@ -1,5 +1,6 @@
 """Every name a module under ``repro`` exports in ``__all__`` resolves on import,
-every name it imports is used, and every public name it defines has a caller.
+every name it imports is used, every public name it defines has a caller, and
+every option it defines is set by one.
 
 One case per package: the package itself and each of its modules are
 imported, and every ``__all__`` entry must be an attribute of its module.  An
@@ -18,6 +19,19 @@ load or an identifier string counts: a bare name or an import of the same
 spelling does not.  ``__all__`` entries, package ``__init__`` re-exports and
 docstrings are not references.  The check matches by name, so it errs
 towards keeping code.
+
+Every option under ``src/repro`` — a defaulted parameter of a public
+function or method (``__init__`` included), or a defaulted field of a public
+dataclass — must be set outside ``tests/`` and outside its own definition:
+by that keyword or enough positional arguments in a call of its callee's
+name (``cls`` in a classmethod names the class; a call that hands the
+callee on as an argument counts too), by that keyword in a call that cannot
+be resolved by name (a ``**kwargs`` forwarder, ``dict(...)``, a call through
+a registry), or by a ``--flag`` string of that name; or sit on
+:data:`OPTION_ALLOWLIST` with its reason.  State is no option: counter
+blocks (``*Stats``), records (``*State``) and a field holding one are
+skipped.  It matches callees by name, so it errs the same way.
+:func:`options` is the option count ``ci.sh`` prints.
 
 Every module under ``src/repro`` is on exactly one of two layers:
 :data:`PRODUCT_MODULES`, what a broker runs, or :data:`PAPER_MODULES`, what
@@ -39,6 +53,7 @@ import importlib
 import pathlib
 import re
 import sys
+from typing import List, NamedTuple
 
 import pytest
 
@@ -99,7 +114,7 @@ PRODUCT_MODULES = [
     "repro.net.server",
     "repro.obs", "repro.obs.exposition", "repro.obs.profiler", "repro.obs.registry",
     "repro.obs.trace",
-    "repro.pubsub", "repro.pubsub.broker", "repro.pubsub.client", "repro.pubsub.match_index",
+    "repro.pubsub", "repro.pubsub.broker", "repro.pubsub.match_index",
     "repro.pubsub.network", "repro.pubsub.routing_table", "repro.pubsub.schema",
     "repro.pubsub.subscription", "repro.pubsub.subscription_store",
     "repro.sfc", "repro.sfc.base", "repro.sfc.runs", "repro.sfc.vectorized", "repro.sfc.zorder",
@@ -114,7 +129,7 @@ PAPER_MODULES = [
     "repro.baselines", "repro.baselines.linear_scan", "repro.baselines.probabilistic",
     "repro.core.approx_dominance", "repro.core.bounds", "repro.core.covering",
     "repro.index.kdtree", "repro.index.range_tree",
-    "repro.sfc.factory", "repro.sfc.gray", "repro.sfc.hilbert",
+    "repro.sfc.gray", "repro.sfc.hilbert",
 ]
 
 
@@ -381,6 +396,346 @@ def test_every_allowlisted_name_is_defined_and_still_uncalled():
     ]
     assert stale == []
     assert all(reason.strip() for reason in ALLOWLIST.values())
+
+
+# ----------------------------------------------------------------- options
+#: Defaulted parameters that no caller outside ``tests/`` sets, kept on
+#: purpose.  A key is ``module.function(name=)``, ``module.Class.method(name=)``
+#: or, for a constructor parameter or a dataclass field, ``module.Class(name=)``.
+OPTION_ALLOWLIST = {
+    "repro.analysis.cli.main(argv=)": (
+        "None reads sys.argv (the console entry); tests pass a command line"
+    ),
+    "repro.core.covering.ApproximateCoveringDetector.find_covering_exhaustive(exclude=)": (
+        "the exact form of find_covering(exclude=): a stored subscription is"
+        " checked against the others"
+    ),
+    "repro.net.client.NetClient(timeout=)": "a deployment setting: the wait on a slow broker",
+    "repro.net.client.fetch_metrics(timeout=)": "a deployment setting: the wait on a slow broker",
+    "repro.obs.profiler.HotPathProfiler(clock=)": "tests time the profiler on a fake clock",
+    "repro.sim.kernel.EventKernel.run(max_steps=)": (
+        "the seam the transport tests stop a run mid-flight with"
+    ),
+    "repro.workloads.dynamics.subscription_churn_script(join_broker=)": (
+        "the lockstep suites add a broker mid-storm"
+    ),
+    "repro.workloads.dynamics.subscription_churn_script(batch_size=)": (
+        "batch_size=1 pins a storm of single actions against the batched one"
+    ),
+    "repro.workloads.scenarios.auction_scenario(order=)": (
+        "the three scenario builders share one signature; the dynamics tests"
+        " build each on a smaller grid through one helper"
+    ),
+}
+
+
+def is_state(class_name: str) -> bool:
+    """Counter blocks (``BrokerStats``) and records (``LinkState``) hold
+    state, not settings."""
+    return class_name.endswith(("Stats", "State"))
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _parameters(function: ast.FunctionDef, bound: bool):
+    """``(defaulted names, positional names)`` of ``function``, without the
+    bound ``self`` / ``cls`` when ``bound``."""
+    arguments = function.args
+    positional = arguments.posonlyargs + arguments.args
+    if bound:
+        positional = positional[1:]
+    defaulted = positional[len(positional) - len(arguments.defaults):] if arguments.defaults else []
+    defaulted += [a for a, d in zip(arguments.kwonlyargs, arguments.kw_defaults) if d is not None]
+    return [a.arg for a in defaulted], [a.arg for a in positional]
+
+
+def _fields(node: ast.ClassDef):
+    """``(name, default node or None, statement)`` of every ``__init__`` field
+    of a dataclass."""
+    for item in node.body:
+        if not (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)):
+            continue
+        if "ClassVar" in ast.unparse(item.annotation):
+            continue
+        value = item.value
+        if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+            if any(
+                k.arg == "init" and getattr(k.value, "value", True) is False
+                for k in value.keywords
+            ):
+                continue
+        yield item.target.id, value, item
+
+
+def _state_default(value) -> bool:
+    """A default built from a state class (``field(default_factory=BrokerStats)``)."""
+    return any(isinstance(n, ast.Name) and is_state(n.id) for n in ast.walk(value))
+
+
+class Option(NamedTuple):
+    """One settable value: ``key`` names it, ``callee`` is the name a call
+    reaches it by, ``order`` the callee's positional parameters, and
+    ``first``-``last`` the lines of its definition in ``path``."""
+
+    key: str
+    name: str
+    callee: str
+    order: List[str]
+    path: pathlib.Path
+    first: int
+    last: int
+
+
+def options_in(path: pathlib.Path, module: str):
+    """Every :class:`Option` ``path`` defines: each defaulted parameter of a
+    public function, of a public class's public methods and ``__init__``,
+    and each defaulted field of a public dataclass; state classes and state
+    fields excluded."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in tree.body:
+        if getattr(node, "name", "_").startswith("_"):
+            continue
+        span = (path, node.lineno, node.end_lineno)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names, order = _parameters(node, bound=False)
+            for name in names:
+                yield Option(f"{module}.{node.name}({name}=)", name, node.name, order, *span)
+        if not isinstance(node, ast.ClassDef) or is_state(node.name):
+            continue
+        if _is_dataclass(node):
+            fields = list(_fields(node))
+            order = [name for name, _, _ in fields]
+            for name, value, item in fields:
+                if value is not None and not name.startswith("_") and not _state_default(value):
+                    yield Option(
+                        f"{module}.{node.name}({name}=)", name, node.name, order,
+                        path, item.lineno, item.end_lineno,
+                    )
+        for item in node.body:
+            if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if item.name.startswith("_") and item.name != "__init__":
+                continue
+            static = any(getattr(d, "id", None) == "staticmethod" for d in item.decorator_list)
+            names, order = _parameters(item, bound=not static)
+            if item.name == "__init__":
+                owner, callee = f"{module}.{node.name}", node.name
+            else:
+                owner, callee = f"{module}.{node.name}.{item.name}", item.name
+            for name in names:
+                yield Option(
+                    f"{owner}({name}=)", name, callee, order, path, item.lineno, item.end_lineno
+                )
+
+
+def options():
+    """``{key: Option}`` of every option under ``src/repro``: the count
+    ``ci.sh`` prints."""
+    return {
+        option.key: option
+        for package in PACKAGES
+        for module in modules_of(package)
+        for option in options_in(module_path(module), module)
+    }
+
+
+class Settings(NamedTuple):
+    """What one file sets.  ``keywords`` is ``{(callee, name): [line, ...]}``
+    for every keyword argument of a call, ``positionals`` is ``{callee:
+    [(line, positional arguments), ...]}``, and ``flags`` is ``{name: [line,
+    ...]}`` for every ``--name`` string (dashes read as underscores).
+    ``forwarders`` are the functions the file defines with ``**kwargs``,
+    which pass any keyword on."""
+
+    keywords: dict
+    positionals: dict
+    flags: dict
+    forwarders: set
+
+
+#: The callee of a call that cannot be named statically
+#: (``SCENARIOS[kind](order=6)``): its keywords match by name alone.
+DYNAMIC = "<dynamic>"
+
+
+def _calls_of(call: ast.Call, owner):
+    """``(callee, positional arguments)`` pairs ``call`` reaches: the function
+    it calls (``cls`` in a classmethod of ``owner`` is ``owner``), and every
+    function or class it hands on as an argument, with the positional
+    arguments after it (``run_once(driver, rows)``, ``_register(Counter,
+    name, help)``)."""
+    count = 0
+    for argument in call.args:
+        if isinstance(argument, ast.Starred):
+            break
+        count += 1
+    func = call.func
+    if isinstance(func, ast.Name):
+        callee = owner if func.id == "cls" and owner else func.id
+    elif isinstance(func, ast.Attribute):
+        callee = func.attr
+    else:
+        callee = DYNAMIC
+    yield callee, count
+    for index, argument in enumerate(call.args[:count]):
+        name = getattr(argument, "id", getattr(argument, "attr", None))
+        if name is not None:
+            yield name, count - index - 1
+
+
+def settings_in(path: pathlib.Path) -> Settings:
+    """The :class:`Settings` of ``path``."""
+    found = Settings({}, {}, {}, set())
+
+    def visit(node, owner):
+        if isinstance(node, ast.ClassDef):
+            owner = node.name
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.args.kwarg:
+                found.forwarders.add(node.name)
+            if not any(getattr(d, "id", None) == "classmethod" for d in node.decorator_list):
+                owner = None
+        elif isinstance(node, ast.Call):
+            for callee, count in _calls_of(node, owner):
+                for keyword in node.keywords:
+                    if keyword.arg is not None:
+                        found.keywords.setdefault((callee, keyword.arg), []).append(node.lineno)
+                if count:
+                    found.positionals.setdefault(callee, []).append((node.lineno, count))
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and node.value.startswith("--")
+            and node.value[2:].replace("-", "_").isidentifier()
+        ):
+            found.flags.setdefault(node.value[2:].replace("-", "_"), []).append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), None)
+    return found
+
+
+@functools.lru_cache(maxsize=None)
+def settings_outside_tests():
+    """``{path: settings_in(path)}`` over every caller directory."""
+    return {
+        path: settings_in(path)
+        for directory in CALLER_DIRECTORIES
+        for path in sorted((REPO / directory).rglob("*.py"))
+    }
+
+
+def is_set(option: Option, settings) -> bool:
+    """Whether ``settings`` (``{path: settings_in(path)}``) set ``option``
+    outside its own definition: by a keyword in a call of its callee, or of
+    a function that forwards ``**kwargs`` or a ``dict(...)`` of keywords
+    (matched by name alone), by a ``--flag``, or by position."""
+    position = option.order.index(option.name) if option.name in option.order else None
+    forwarders = {"dict", DYNAMIC}.union(*(found.forwarders for found in settings.values()))
+    callees = forwarders | {option.callee}
+    for path, found in settings.items():
+        def outside(line, path=path):
+            return path != option.path or not option.first <= line <= option.last
+
+        lines = [
+            line
+            for callee in callees
+            for line in found.keywords.get((callee, option.name), ())
+        ]
+        if any(outside(line) for line in lines + found.flags.get(option.name, [])):
+            return True
+        if position is not None and any(
+            outside(line) and count > position
+            for line, count in found.positionals.get(option.callee, ())
+        ):
+            return True
+    return False
+
+
+def test_an_option_is_set_by_keyword_flag_or_position(tmp_path):
+    """A keyword to its callee, a ``--flag`` or a positional call sets an
+    option, and so does a keyword to a call that hands the callee on, to a
+    call through a registry or to a ``**kwargs`` forwarder; its own
+    definition, a call that stops short of its position and a keyword of the
+    same name to another callee do not."""
+    source = tmp_path / "source.py"
+    source.write_text(
+        "def scale(rows, factor=2, *, offset=0, fanout=3, depth=1, width=0, limit=0, mode=0):\n"
+        "    return scale(rows, fanout=fanout)\n"
+    )
+    defined = list(options_in(source, "source"))
+    assert [option.key for option in defined] == [
+        "source.scale(factor=)", "source.scale(offset=)", "source.scale(fanout=)",
+        "source.scale(depth=)", "source.scale(width=)", "source.scale(limit=)",
+        "source.scale(mode=)",
+    ]
+    caller = tmp_path / "caller.py"
+    caller.write_text(
+        "scale(rows)\ntable.scale(rows, 3)\nrun(['--offset', '1'], depth=2)\n"
+        "run_once(scale, width=2)\nSCALERS[kind](limit=1)\n"
+        "def forward(**kwargs):\n    return scale(rows, **kwargs)\nforward(mode=1)\n"
+    )
+    settings = {path: settings_in(path) for path in (source, caller)}
+    unset = [option.key for option in defined if not is_set(option, settings)]
+    assert unset == ["source.scale(fanout=)", "source.scale(depth=)"]
+
+
+def test_a_dataclass_field_is_set_by_its_own_classmethod(tmp_path):
+    """``cls(...)`` in a classmethod calls the class; the rest of the class
+    body is not the field's definition."""
+    source = tmp_path / "source.py"
+    source.write_text(
+        "@dataclass\nclass Pool:\n    size: int = 4\n    depth: int = 1\n\n"
+        "    @classmethod\n    def small(cls):\n        return cls(size=2)\n"
+    )
+    defined = list(options_in(source, "source"))
+    settings = {source: settings_in(source)}
+    assert [option.key for option in defined if not is_set(option, settings)] == [
+        "source.Pool(depth=)"
+    ]
+
+
+def test_state_is_no_option(tmp_path):
+    """A counter block, a record, and a field holding one are state."""
+    source = tmp_path / "source.py"
+    source.write_text(
+        "@dataclass\nclass PoolStats:\n    hits: int = 0\n\n"
+        "@dataclass\nclass PeerState:\n    sent: int = 0\n\n"
+        "@dataclass\nclass Pool:\n    size: int = 4\n"
+        "    stats: PoolStats = field(default_factory=PoolStats)\n"
+        "    _cache: dict = field(default_factory=dict)\n"
+        "    slots: list = field(init=False)\n"
+    )
+    assert [option.key for option in options_in(source, "source")] == ["source.Pool(size=)"]
+
+
+@pytest.mark.parametrize("module", sorted(PRODUCT_MODULES + PAPER_MODULES))
+def test_every_option_is_set_outside_tests(module):
+    unset = [
+        option.key
+        for option in options_in(module_path(module), module)
+        if option.key not in OPTION_ALLOWLIST and not is_set(option, settings_outside_tests())
+    ]
+    assert unset == []
+
+
+def test_every_allowlisted_option_is_defined_and_still_unset():
+    """An entry whose option left ``src/`` or gained a caller leaves the list."""
+    defined = options()
+    stale = [
+        key
+        for key in OPTION_ALLOWLIST
+        if key not in defined or is_set(defined[key], settings_outside_tests())
+    ]
+    assert stale == []
+    assert all(reason.strip() for reason in OPTION_ALLOWLIST.values())
 
 
 # ------------------------------------------------------------ dependencies

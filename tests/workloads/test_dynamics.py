@@ -129,7 +129,7 @@ class TestExecution:
         scenario = small_scenario(stock_market_scenario)
         network = make_network(scenario)
         script = subscription_churn_script(
-            scenario, BROKER_IDS, join_broker="late", join_attach_to=0, seed=3
+            scenario, BROKER_IDS, join_broker="late", seed=3
         )
         report = run_dynamic_scenario(network, script, name="churn")
         assert report.clean

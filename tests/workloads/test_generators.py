@@ -65,33 +65,6 @@ class TestSubscriptionWorkload:
             widths = sorted(hi - lo + 1 for lo, hi in spec.ranges)
             assert widths[0] * 8 <= widths[1]
 
-    def test_distributions_accepted(self):
-        for dist in ("uniform", "zipf", "clustered"):
-            workload = SubscriptionWorkload(
-                attributes=2, attribute_order=8, distribution=dist, seed=5
-            )
-            assert len(workload.generate(10)) == 10
-
-    def test_zipf_is_skewed_towards_low_values(self):
-        zipf = SubscriptionWorkload(
-            attributes=1, attribute_order=10, distribution="zipf", seed=6, zipf_exponent=1.5
-        ).generate(300)
-        uniform = SubscriptionWorkload(
-            attributes=1, attribute_order=10, distribution="uniform", seed=6
-        ).generate(300)
-        mean_zipf = sum(s.ranges[0][0] for s in zipf) / 300
-        mean_uniform = sum(s.ranges[0][0] for s in uniform) / 300
-        assert mean_zipf < mean_uniform
-
-    def test_clustered_produces_repeating_neighbourhoods(self):
-        workload = SubscriptionWorkload(
-            attributes=2, attribute_order=10, distribution="clustered", num_clusters=2,
-            cluster_spread=0.01, width_fraction=0.02, seed=7,
-        )
-        centres = {tuple((lo + hi) // 2 // 64 for lo, hi in s.ranges) for s in workload.generate(60)}
-        # With 2 tight clusters the distinct coarse centres are few.
-        assert len(centres) <= 8
-
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             SubscriptionWorkload(attributes=0, attribute_order=8)
@@ -99,8 +72,6 @@ class TestSubscriptionWorkload:
             SubscriptionWorkload(attributes=1, attribute_order=0)
         with pytest.raises(ValueError):
             SubscriptionWorkload(attributes=1, attribute_order=8, width_fraction=0.0)
-        with pytest.raises(ValueError):
-            SubscriptionWorkload(attributes=1, attribute_order=8, distribution="normal")
         with pytest.raises(ValueError):
             SubscriptionWorkload(attributes=1, attribute_order=8).generate(-1)
 
@@ -111,17 +82,6 @@ class TestEventWorkload:
         for cells in workload.generate(100):
             assert len(cells) == 3
             assert all(0 <= c <= 63 for c in cells)
-
-    def test_zipf_distribution(self):
-        workload = EventWorkload(attributes=1, attribute_order=10, distribution="zipf", seed=2)
-        uniform = EventWorkload(attributes=1, attribute_order=10, seed=2)
-        mean_zipf = sum(c[0] for c in workload.generate(300)) / 300
-        mean_uniform = sum(c[0] for c in uniform.generate(300)) / 300
-        assert mean_zipf < mean_uniform
-
-    def test_invalid_distribution(self):
-        with pytest.raises(ValueError):
-            EventWorkload(attributes=1, attribute_order=8, distribution="gaussian")
 
 
 class TestCoveringChain:
@@ -139,8 +99,6 @@ class TestCoveringChain:
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             covering_chain(attributes=2, attribute_order=8, depth=0)
-        with pytest.raises(ValueError):
-            covering_chain(attributes=2, attribute_order=8, depth=3, shrink=1.5)
 
 
 class TestRandomExtremalLengths:

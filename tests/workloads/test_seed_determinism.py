@@ -74,18 +74,16 @@ def action_payload(action):
 
 class TestGeneratorDigests:
     def test_subscription_workload_digest(self):
-        specs = SubscriptionWorkload(
-            attributes=3, attribute_order=8, distribution="clustered", seed=42
-        ).generate(50)
+        specs = SubscriptionWorkload(attributes=3, attribute_order=8, seed=42).generate(50)
         payload = [[spec.sub_id, list(map(list, spec.ranges))] for spec in specs]
-        assert digest(payload) == "80b92c95b8ef6606"
+        assert digest(payload) == "159dbec95dde77e8"
 
-    def test_subscription_workload_zipf_digest(self):
+    def test_subscription_workload_aspect_skew_digest(self):
         specs = SubscriptionWorkload(
-            attributes=2, attribute_order=10, distribution="zipf", aspect_skew=3, seed=7
+            attributes=2, attribute_order=10, aspect_skew=3, seed=7
         ).generate(50)
         payload = [[spec.sub_id, list(map(list, spec.ranges))] for spec in specs]
-        assert digest(payload) == "4add31af6bd06110"
+        assert digest(payload) == "3dddc8eac9ce7a33"
 
     def test_event_workload_digest(self):
         events = EventWorkload(attributes=3, attribute_order=8, seed=42).generate(80)

@@ -10,7 +10,7 @@ import pytest
 
 from repro.pubsub import BrokerNetwork
 from repro.pubsub.schema import Attribute, AttributeSchema
-from repro.sim import RegionLatency, make_latency_model
+from repro.sim import RegionLatency
 from repro.workloads.topologies import (
     TOPOLOGY_CLASSES,
     Topology,
@@ -85,10 +85,6 @@ class TestSpanningTreeOverlay:
         with pytest.raises(ValueError, match="self-loop"):
             spanning_tree_overlay([(0, 0)])
 
-    def test_unknown_root_rejected(self):
-        with pytest.raises(ValueError, match="root"):
-            spanning_tree_overlay([(0, 1)], root=9)
-
     def test_empty_underlay(self):
         assert spanning_tree_overlay([]) == []
 
@@ -140,7 +136,6 @@ class TestGenerators:
             lambda: scale_free_topology(5, attach=0),
             lambda: grid_cluster_topology(0, 2, 4),
             lambda: grid_cluster_topology(2, 2, 0),
-            lambda: grid_cluster_topology(2, 2, 4, chords=-1),
             lambda: make_topology("moebius", 10),
         ],
     )
@@ -211,17 +206,10 @@ class TestRegionLatency:
         # Unknown brokers are singleton regions: always WAN.
         assert model.sample(0, 99, rng) == 0.4
 
-    def test_jitter_bounded_and_seeded(self):
-        model = RegionLatency({0: "eu", 1: "eu"}, lan=0.1, wan=1.0, jitter=0.05)
-        samples = [model.sample(0, 1, random.Random(7)) for _ in range(5)]
-        assert all(0.1 <= s <= 0.15 for s in samples)
-        assert len(set(samples)) == 1  # same rng state, same draw
-
-    def test_factory_and_topology_wiring(self):
-        model = make_latency_model("region", regions={0: 0, 1: 1}, lan=0.02, wan=0.3)
-        assert isinstance(model, RegionLatency)
+    def test_topology_wiring(self):
         topology = make_topology("grid-cluster", 32, seed=1)
         wired = topology.latency_model(lan=0.02, wan=0.3)
+        assert isinstance(wired, RegionLatency)
         assert wired.regions == topology.regions
 
     def test_negative_parameters_rejected(self):
