@@ -15,7 +15,6 @@ from repro.analysis.experiments import run_approx_vs_exhaustive_experiment
 def test_approx_vs_exhaustive(run_once, record_table):
     table = run_once(
         run_approx_vs_exhaustive_experiment,
-        attributes=1,
         order=12,
         num_subscriptions=2_000,
         num_queries=200,

@@ -20,7 +20,7 @@ from repro.analysis.experiments import run_curve_ablation_experiment
 
 
 def test_curve_ablation(run_once, record_table):
-    table = run_once(run_curve_ablation_experiment, seed=31, fig1_rectangles=250)
+    table = run_once(run_curve_ablation_experiment)
     record_table("curve_ablation", table)
 
     run_rows = {row["curve"]: row for row in table.rows}

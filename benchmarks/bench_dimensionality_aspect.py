@@ -18,7 +18,6 @@ def test_dimensionality_and_aspect_ratio(run_once, record_table):
         alphas=(0, 2, 4),
         num_subscriptions=400,
         num_queries=25,
-        epsilon=0.2,
     )
     record_table("dimensionality_aspect", table)
     by_key = {(r["attributes"], r["requested_aspect_skew"]): r for r in table.rows}

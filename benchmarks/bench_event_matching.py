@@ -31,7 +31,6 @@ def test_event_matching_crossover(run_once, record_table):
         run_event_matching_experiment,
         table_sizes=sizes,
         num_events=num_events,
-        seed=17,
     )
     record_table("event_matching", table)
     rows = {row["subscriptions"]: row for row in table.rows}

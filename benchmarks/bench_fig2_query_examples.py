@@ -11,7 +11,7 @@ from repro.analysis.experiments import run_fig2_experiment
 
 
 def test_fig2_query_examples(run_once, record_table):
-    table = run_once(run_fig2_experiment, order=9)
+    table = run_once(run_fig2_experiment)
     record_table("fig2_query_examples", table)
     rows = {row["region"]: row for row in table.rows}
     assert rows["256x256"]["runs"] == 1

@@ -22,11 +22,8 @@ from repro.analysis.experiments import run_throughput_experiment
 def test_index_throughput(run_once, record_table):
     table = run_once(
         run_throughput_experiment,
-        attributes=2,
-        order=10,
         sizes=(500, 1_000, 2_000),
         num_queries=60,
-        epsilon=0.1,
     )
     record_table("index_throughput", table)
     rows = table.rows

@@ -12,7 +12,7 @@ from repro.analysis.experiments import run_lem32_experiment
 
 def test_lem32_volume_coverage(run_once, record_table):
     table = run_once(
-        run_lem32_experiment, dims=4, order=16, epsilons=(0.2, 0.1, 0.05, 0.01), trials=50
+        run_lem32_experiment, dims=4, order=16, trials=50
     )
     record_table("lem32_volume_coverage", table)
     for row in table.rows:

@@ -39,8 +39,6 @@ from repro.workloads.scenarios import sensor_network_scenario, stock_market_scen
 def test_recall_vs_epsilon(run_once, record_table):
     table = run_once(
         run_recall_experiment,
-        attributes=2,
-        order=10,
         num_subscriptions=600,
         num_queries=60,
         epsilons=(0.05, 0.25),

@@ -46,7 +46,7 @@ def test_subscription_churn(run_once, record_table):
             audit_size=5_000,
             audit_events=25,
         )
-    table = run_once(run_subscription_churn_experiment, seed=11, **kwargs)
+    table = run_once(run_subscription_churn_experiment, **kwargs)
     record_table("subscription_churn", table)
 
     audit_rows = [row for row in table.rows if row["phase"] == "audit"]

@@ -15,9 +15,7 @@ from repro.analysis.experiments import run_thm31_experiment
 def test_thm31_upper_bound(run_once, record_table):
     table = run_once(
         run_thm31_experiment,
-        dims=4,
         order=16,
-        epsilon=0.05,
         side_bit_lengths=(6, 8, 10, 12, 14, 16),
     )
     record_table("thm31_upper_bound", table)

@@ -14,7 +14,7 @@ from repro.analysis.experiments import run_thm41_experiment
 
 def test_thm41_lower_bound(run_once, record_table):
     table = run_once(
-        run_thm41_experiment, dims=2, order=14, alpha=1, gammas=(3, 4, 5, 6, 7, 8)
+        run_thm41_experiment, order=14, gammas=(3, 4, 5, 6, 7, 8)
     )
     record_table("thm41_lower_bound", table)
     runs = table.column("exhaustive_runs")

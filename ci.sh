@@ -75,9 +75,9 @@ stage "benchmark smoke (tiny sizes) + full-size sim tables"
 # bench_ablation_visit_order and bench_index_throughput have no smoke size
 # (a few seconds each at full size) and run here so their drivers keep
 # running against the covering index's API.
-# bench_match_scale's smoke pass still runs the full parity phase: the match
-# index must agree with a brute-force rectangle oracle before anything is
-# timed.
+# experiments/match_scale.py --smoke (2,000 subscriptions, writes nothing)
+# still runs the parity phase: the match index must agree with a
+# brute-force rectangle oracle before anything is timed.
 # The paper-figure benches have no smoke size (each full size takes a few
 # seconds) and assert the paper's claims on what they measure: Fig. 1's run
 # counts, Fig. 2's query regions, Theorem 3.1's bound, Lemma 3.2's retained
@@ -91,21 +91,23 @@ stage "benchmark smoke (tiny sizes) + full-size sim tables"
 # (benchmarks/conftest.py): the tracked full-size tables must come out of it
 # byte-identical, whether or not they carry uncommitted re-recordings.
 # The simulated-transport tables and E-CURVE's run counts carry no timings,
-# so their benches run only at full size (a few seconds) and rewrite their
-# tracked tables in place (sim_latency, sim_rolling_failures, topology_scale,
-# topology_netsplit, curve_ablation and their BENCH_*.json): the same check
-# fails if any of them no longer regenerates byte for byte.  That run asserts
-# what a smoke pass would: the topology classes (skewed tree / scale-free /
-# grid-of-clusters) including the region netsplit -> per-partition traffic ->
-# heal scenario, with the partition-aware audit clean in every phase, and
-# Hilbert needing fewer key runs than Z on the Fig. 1-style rectangle family.
+# so experiments/sim_latency.py, experiments/topology_scale.py and
+# bench_curve_ablation run only at full size (a few seconds) and rewrite
+# their tracked tables in place (sim_latency, sim_rolling_failures,
+# topology_scale, topology_netsplit, curve_ablation and their BENCH_*.json):
+# the same check fails if any of them no longer regenerates byte for byte.
+# Each script exits non-zero when a check fails, among them a delivery
+# missed under latency, bounded queues or rolling failures, or on a
+# topology class (skewed tree / scale-free / grid-of-clusters) in the flash
+# crowd or in any phase of the region netsplit -> per-partition traffic ->
+# heal scenario.  The bench asserts Hilbert needing fewer key runs than Z on
+# the Fig. 1-style rectangle family.
 results_listing() { find benchmarks/results -type f -exec cksum {} + | sort -k3; }
 RESULTS_BEFORE=$(results_listing)
 REPRO_BENCH_SMOKE=1 python -m pytest -q \
     benchmarks/bench_pubsub_propagation.py \
     benchmarks/bench_event_matching.py \
     benchmarks/bench_subscription_churn.py \
-    benchmarks/bench_match_scale.py \
     benchmarks/bench_fig1_runs_hilbert_vs_z.py \
     benchmarks/bench_fig2_query_examples.py \
     benchmarks/bench_thm31_upper_bound.py \
@@ -116,8 +118,10 @@ REPRO_BENCH_SMOKE=1 python -m pytest -q \
     benchmarks/bench_recall_vs_epsilon.py \
     benchmarks/bench_ablation_visit_order.py \
     benchmarks/bench_index_throughput.py
-python -m pytest -q benchmarks/bench_sim_latency.py benchmarks/bench_topology_scale.py \
-    benchmarks/bench_curve_ablation.py
+python experiments/match_scale.py --smoke > /dev/null
+python experiments/sim_latency.py > /dev/null
+python experiments/topology_scale.py > /dev/null
+python -m pytest -q benchmarks/bench_curve_ablation.py
 # The micro-operation benches (the detector's constructor among them), each
 # body run once untimed, so they keep running against the API they time.
 python -m pytest -q benchmarks/bench_micro_ops.py --benchmark-disable

@@ -8,7 +8,10 @@ Usage::
 
 Each experiment name maps to one driver in :mod:`repro.analysis.experiments`
 (the same drivers the benchmark harness calls), so the CLI is a convenient way
-to regenerate a single table without going through pytest.  No subcommand
+to regenerate a single table without going through pytest.  The systems
+experiments that own their sizes (E-SIM-LATENCY, E-TOPO-SCALE,
+E-MATCH-SCALE) are scripts under ``experiments/`` instead, which a product
+module may not import.  No subcommand
 takes a curve: every network keys its match indexes on the Z curve.  Only
 ``list``, ``run`` and ``metrics`` import the driver module, so ``serve`` loads
 none of the paper's code.
@@ -40,9 +43,6 @@ EXPERIMENTS: Dict[str, str] = {
     # measurement lives in benchmarks/bench_subscription_churn.py.
     "churn": "run_subscription_churn_experiment",
     "curve-ablation": "run_curve_ablation_experiment",
-    # CLI-sized defaults; the full-size sweep lives in
-    # benchmarks/bench_topology_scale.py.
-    "topology-scale": "run_topology_scale_experiment",
     "dimensionality": "run_dimensionality_experiment",
     "throughput": "run_throughput_experiment",
 }

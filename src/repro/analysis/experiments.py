@@ -5,11 +5,14 @@ Each function here runs one experiment and returns a
 benchmarks" section says how to run them all; the tables they regenerate live
 in ``benchmarks/results/``).  The pytest-benchmark files in ``benchmarks/``
 call these drivers (so that timings and the regenerated tables come from the
-same code), and the examples reuse them for human-readable output.
+same code), and the examples reuse them for human-readable output.  The
+systems experiments E-SIM-LATENCY, E-TOPO-SCALE and E-MATCH-SCALE are not
+here: each is one script under ``experiments/`` that owns its sizes, driver
+and checks.
 
-Every driver takes an explicit ``seed`` so results are reproducible, and keeps
-problem sizes laptop-scale by default; callers can pass larger sizes when more
-fidelity is wanted.
+Every driver is seeded so results are reproducible, and keeps problem sizes
+laptop-scale by default; callers can pass larger sizes when more fidelity is
+wanted.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from ..core.decomposition import (
 )
 from ..geometry.rect import ExtremalRectangle, Rectangle
 from ..geometry.universe import Universe
-from ..index.config import IndexConfig
 from ..index.kdtree import KDTree
 from ..index.range_tree import RangeTree
 from ..obs.exposition import snapshot as metrics_snapshot
@@ -61,11 +63,8 @@ __all__ = [
     "run_approx_vs_exhaustive_experiment",
     "run_recall_experiment",
     "run_pubsub_experiment",
-    "run_sim_latency_experiment",
-    "run_topology_scale_experiment",
     "run_subscription_churn_experiment",
     "run_event_matching_experiment",
-    "run_match_scale_experiment",
     "run_curve_ablation_experiment",
     "run_dimensionality_experiment",
     "run_throughput_experiment",
@@ -109,8 +108,9 @@ def run_fig1_experiment(order: int = 6) -> ResultTable:
 
 
 # --------------------------------------------------------------------------- FIG2
-def run_fig2_experiment(order: int = 9) -> ResultTable:
+def run_fig2_experiment() -> ResultTable:
     """FIG2: the 256×256 vs 257×257 extremal query regions of the paper's Figure 2."""
+    order = 9
     table = ResultTable("FIG2: runs for the two example point-dominance queries (Z curve)")
     universe = Universe(dims=2, order=order)
     z = ZOrderCurve(universe)
@@ -132,9 +132,7 @@ def run_fig2_experiment(order: int = 9) -> ResultTable:
 
 # ------------------------------------------------------------------------- THM3.1
 def run_thm31_experiment(
-    dims: int = 4,
     order: int = 16,
-    epsilon: float = 0.05,
     side_bit_lengths: Sequence[int] = (6, 8, 10, 12, 14, 16),
 ) -> ResultTable:
     """THM3.1: approximate-query cost is independent of the query side length.
@@ -145,6 +143,8 @@ def run_thm31_experiment(
     level), and compare with both the exhaustive cube count and the analytic
     Theorem 3.1 bound.
     """
+    dims = 4
+    epsilon = 0.05
     alpha = 0
     table = ResultTable("THM3.1: approximate vs exhaustive cube counts as the region grows")
     universe = Universe(dims=dims, order=order)
@@ -185,11 +185,11 @@ def run_thm31_experiment(
 def run_lem32_experiment(
     dims: int = 4,
     order: int = 16,
-    epsilons: Sequence[float] = (0.2, 0.1, 0.05, 0.01),
     trials: int = 50,
     seed: int = 1,
 ) -> ResultTable:
     """LEM3.2: measured volume retained by truncation vs the 1 − ε guarantee."""
+    epsilons = (0.2, 0.1, 0.05, 0.01)
     from ..workloads.generators import random_extremal_lengths
 
     table = ResultTable("LEM3.2: volume coverage of the truncated query region")
@@ -217,12 +217,12 @@ def run_lem32_experiment(
 
 # ------------------------------------------------------------------------- THM4.1
 def run_thm41_experiment(
-    dims: int = 2,
     order: int = 14,
-    alpha: int = 1,
     gammas: Sequence[int] = (3, 4, 5, 6, 7, 8),
 ) -> ResultTable:
     """THM4.1: exhaustive run count on the adversarial rectangle vs the lower bound."""
+    dims = 2
+    alpha = 1
     table = ResultTable("THM4.1: exhaustive cost grows with the shortest side (adversarial family)")
     universe = Universe(dims=dims, order=order)
     z = ZOrderCurve(universe)
@@ -247,7 +247,6 @@ def run_thm41_experiment(
 
 # ----------------------------------------------------------------- approx vs exhaustive
 def run_approx_vs_exhaustive_experiment(
-    attributes: int = 1,
     order: int = 12,
     num_subscriptions: int = 2_000,
     num_queries: int = 200,
@@ -255,6 +254,7 @@ def run_approx_vs_exhaustive_experiment(
     seed: int = 3,
 ) -> ResultTable:
     """E-COST: runs probed and wall-clock per covering query, approximate vs exhaustive."""
+    attributes = 1
     width_fraction = 0.2
     table = ResultTable("E-COST: covering-query cost vs epsilon")
     workload = SubscriptionWorkload(
@@ -356,8 +356,6 @@ def _mixed_width_workload(
 
 
 def run_recall_experiment(
-    attributes: int = 2,
-    order: int = 10,
     num_subscriptions: int = 600,
     num_queries: int = 60,
     epsilons: Sequence[float] = (0.05, 0.25),
@@ -376,6 +374,8 @@ def run_recall_experiment(
       the corner of the dominance region that the approximate search visits
       last; recall degrades, quantifying the cost of approximation.
     """
+    attributes = 2
+    order = 10
     table = ResultTable("E-RECALL: covering detection recall vs epsilon")
     regimes = {
         "wide-covers": dict(narrow_fraction=0.85, narrow_width=0.12, wide_width=0.55),
@@ -669,7 +669,6 @@ def run_subscription_churn_experiment(
     narrow_withdrawals: int = 60,
     audit_size: int = 800,
     audit_events: int = 10,
-    seed: int = 11,
 ) -> ResultTable:
     """E-SUB-CHURN: batched subscription churn vs the per-subscription baseline (CLI-sized).
 
@@ -691,6 +690,7 @@ def run_subscription_churn_experiment(
       matching subscribers (``missed`` must be 0 everywhere; covering may
       only ever *suppress more*, never lose).
     """
+    seed = 11
     import random as _random
 
     from ..sim.latency import FixedLatency
@@ -849,7 +849,6 @@ def run_subscription_churn_experiment(
 def run_event_matching_experiment(
     table_sizes: Sequence[int] = (100, 1_000),
     num_events: int = 400,
-    seed: int = 17,
 ) -> ResultTable:
     """E-MATCH: per-interface event matching, linear scan vs the SFC match index.
 
@@ -865,6 +864,7 @@ def run_event_matching_experiment(
     at ≥ 1,000 stored subscriptions the single sorted-array probe of the
     index beats scanning the table, and the gap widens with table size.
     """
+    seed = 17
     from ..pubsub.routing_table import InterfaceTable
 
     order = 8
@@ -948,7 +948,7 @@ def run_event_matching_experiment(
 
 
 # ---------------------------------------------------------------- curve ablation
-def run_curve_ablation_experiment(fig1_rectangles: int = 250, seed: int = 31) -> ResultTable:
+def run_curve_ablation_experiment() -> ResultTable:
     """E-CURVE: the Fig. 1 claim at workload scale, under Z-order vs Hilbert vs Gray.
 
     Exact run counts of a seeded family of 2-D rectangles on a 64 × 64 grid
@@ -957,6 +957,8 @@ def run_curve_ablation_experiment(fig1_rectangles: int = 250, seed: int = 31) ->
     than Z in aggregate.  The rows are ``phase="runs"``.  The routing stack
     keys on the Z curve alone, so no routing rows compare curves end to end.
     """
+    fig1_rectangles = 250
+    seed = 31
     from ..core.decomposition import decompose_rectangle
     from ..sfc.gray import GrayCodeCurve
     from ..sfc.hilbert import HilbertCurve
@@ -993,13 +995,13 @@ def run_curve_ablation_experiment(fig1_rectangles: int = 250, seed: int = 31) ->
 # -------------------------------------------------------------- dimensionality sweep
 def run_dimensionality_experiment(
     attribute_counts: Sequence[int] = (1, 2, 3),
-    epsilon: float = 0.2,
     alphas: Sequence[int] = (0, 2, 4),
     num_subscriptions: int = 400,
     num_queries: int = 25,
     seed: int = 17,
 ) -> ResultTable:
     """E-DIM: query cost as dimensionality and aspect ratio grow."""
+    epsilon = 0.2
     order = 8
     table = ResultTable("E-DIM: runs probed vs attributes and aspect ratio")
     for attributes in attribute_counts:
@@ -1040,14 +1042,14 @@ def run_dimensionality_experiment(
 
 # ------------------------------------------------------------------------ throughput
 def run_throughput_experiment(
-    attributes: int = 2,
-    order: int = 10,
     sizes: Sequence[int] = (500, 1_000, 2_000),
     num_queries: int = 60,
-    epsilon: float = 0.1,
     seed: int = 23,
 ) -> ResultTable:
     """E-THROUGHPUT: queries/second vs table size for each covering index."""
+    attributes = 2
+    order = 10
+    epsilon = 0.1
     table = ResultTable("E-THROUGHPUT: covering-check throughput vs stored subscriptions")
     dims = 2 * attributes
     query_workload = SubscriptionWorkload(
@@ -1113,305 +1115,5 @@ def run_throughput_experiment(
             approx_hits=hits_approx,
             exact_hits=hits_linear,
             rangetree_storage_cells=range_tree.storage_cells(),
-        )
-    return table
-
-
-def run_sim_latency_experiment(
-    num_brokers: int = 9,
-    num_subscriptions: int = 60,
-    num_events: int = 40,
-    seed: int = 29,
-) -> ResultTable:
-    """E-SIM-LATENCY: flash-crowd delivery latency under simulated transports.
-
-    For every (latency model × topology) pair, a sensor-network flash-crowd
-    script runs over a :class:`~repro.sim.transport.SimTransport` with bounded
-    per-broker inboxes, and the row reports the delivery-latency percentiles,
-    hop counts, queue-depth high-water mark, backpressure retries — and the
-    audit outcome, which must be zero missed deliveries for every
-    configuration (the safety claim does not bend to timing).
-    """
-    from ..sim.latency import (
-        DistanceLatency,
-        FixedLatency,
-        UniformJitterLatency,
-        random_positions,
-    )
-    from ..sim.transport import SimTransport
-    from ..workloads.dynamics import flash_crowd_script, run_dynamic_scenario
-    from ..workloads.scenarios import sensor_network_scenario
-
-    order = 8
-    inbox_capacity = 8
-    service_time = 0.02
-
-    topology_builders = {
-        "tree": tree_topology,
-        "chain": chain_topology,
-        "star": star_topology,
-    }
-    table = ResultTable("E-SIM-LATENCY: flash-crowd latency by latency model and topology")
-    scenario = sensor_network_scenario(
-        num_subscriptions=num_subscriptions, num_events=num_events, order=order, seed=seed
-    )
-    broker_ids = list(range(num_brokers))
-    for model_kind in ("fixed", "uniform", "distance"):
-        for topo_kind in topology_builders:
-            if model_kind == "fixed":
-                latency = FixedLatency(delay=0.5)
-            elif model_kind == "uniform":
-                latency = UniformJitterLatency(base=0.2, jitter=0.6)
-            else:
-                latency = DistanceLatency(random_positions(broker_ids, seed=seed), scale=0.1)
-            transport = SimTransport(
-                latency,
-                inbox_capacity=inbox_capacity,
-                service_time=service_time,
-                seed=seed,
-            )
-            network = BrokerNetwork.from_topology(
-                scenario.schema,
-                topology_builders[topo_kind](num_brokers),
-                covering="approximate",
-                transport=transport,
-            )
-            report = run_dynamic_scenario(
-                network,
-                flash_crowd_script(scenario, broker_ids, seed=seed + 1),
-                name=f"{model_kind}/{topo_kind}",
-            )
-            summary = report.transport.as_dict()
-            table.add(
-                latency_model=model_kind,
-                topology=topo_kind,
-                events=report.events_published,
-                missed=report.missed_deliveries,
-                latency_p50=round(summary["latency_p50"], 3),
-                latency_p90=round(summary["latency_p90"], 3),
-                latency_p99=round(summary["latency_p99"], 3),
-                hops_p90=summary["hops_p90"],
-                max_queue_depth=summary["max_queue_depth"],
-                backpressure_retries=summary["backpressure_retries"],
-                messages_sent=summary["messages_sent"],
-            )
-    return table
-
-
-# --------------------------------------------------------------- topology scale
-def run_topology_scale_experiment(
-    num_brokers: int = 80,
-    num_subscriptions: int = 40,
-    num_events: int = 24,
-    seed: int = 29,
-) -> ResultTable:
-    """E-TOPO-SCALE: latency/hop distributions per generated topology class (CLI-sized).
-
-    The defaults are the CLI's sizes; ``benchmarks/bench_topology_scale.py``
-    passes the full 600-broker ones.
-
-    For every generated topology class (skewed random tree, Barabási–Albert
-    scale-free, grid-of-clusters WAN), the class's region metadata prices
-    links LAN-vs-WAN (:class:`~repro.sim.latency.RegionLatency`), a sensor
-    flash-crowd script runs over the spanning-tree overlay, and the row
-    reports per-class delivery-latency and overlay-hop percentiles plus the
-    audit outcome — which must be zero missed deliveries at every scale (the
-    safety claim is size-independent).
-    """
-    from ..sim.transport import SimTransport
-    from ..workloads.dynamics import flash_crowd_script, run_dynamic_scenario
-    from ..workloads.scenarios import sensor_network_scenario
-    from ..workloads.topologies import TOPOLOGY_CLASSES, make_topology
-
-    order = 8
-    lan = 0.02
-    wan = 0.25
-    inbox_capacity = 64
-    service_time = 0.002
-
-    table = ResultTable(
-        "E-TOPO-SCALE: latency/hop distributions per generated topology class"
-    )
-    scenario = sensor_network_scenario(
-        num_subscriptions=num_subscriptions, num_events=num_events, order=order, seed=seed
-    )
-    for kind in TOPOLOGY_CLASSES:
-        topology = make_topology(kind, num_brokers, seed=seed)
-        transport = SimTransport(
-            topology.latency_model(lan=lan, wan=wan),
-            inbox_capacity=inbox_capacity,
-            service_time=service_time,
-            seed=seed,
-        )
-        network = BrokerNetwork.from_topology(
-            scenario.schema,
-            topology.overlay,
-            covering="approximate",
-            transport=transport,
-            nodes=topology.broker_ids,
-        )
-        # The flash-crowd settle must cover the overlay's worst-case
-        # propagation (diameter x WAN delay), which grows with scale.
-        settle = max(5.0, 4 * wan * num_brokers ** 0.5)
-        report = run_dynamic_scenario(
-            network,
-            flash_crowd_script(
-                scenario, topology.broker_ids, settle=settle, seed=seed + 1
-            ),
-            name=f"topo-scale/{kind}",
-        )
-        summary = report.transport.as_dict()
-        table.add(
-            topology=kind,
-            brokers=topology.num_brokers,
-            regions=len(topology.region_ids()),
-            underlay_edges=len(topology.underlay),
-            events=report.events_published,
-            missed=report.missed_deliveries,
-            latency_p50=round(summary["latency_p50"], 3),
-            latency_p90=round(summary["latency_p90"], 3),
-            latency_p99=round(summary["latency_p99"], 3),
-            hops_p50=summary["hops_p50"],
-            hops_p90=summary["hops_p90"],
-            hops_max=summary["hops_max"],
-            max_queue_depth=summary["max_queue_depth"],
-            backpressure_retries=summary["backpressure_retries"],
-            messages_sent=summary["messages_sent"],
-        )
-    return table
-
-
-# ------------------------------------------------------------- match index scale
-def _scale_subscriptions(
-    count: int, order: int, seed: int, max_width: int = 24
-) -> List[Tuple[str, Tuple[Tuple[int, int], ...]]]:
-    """Deterministic ``(sub_id, ranges)`` pairs for the scale phases.
-
-    Plain tuples rather than Subscription objects: at a million entries the
-    object overhead would dominate the build being measured.
-    """
-    import random
-
-    rng = random.Random(seed)
-    side = 1 << order
-    items: List[Tuple[str, Tuple[Tuple[int, int], ...]]] = []
-    for i in range(count):
-        ranges = []
-        for _ in range(2):
-            lo = rng.randrange(side)
-            ranges.append((lo, min(side - 1, lo + rng.randrange(max_width))))
-        items.append((f"s{i}", tuple(ranges)))
-    return items
-
-
-def run_match_scale_experiment(
-    populations: Sequence[int] = (100_000, 1_000_000),
-    num_events: int = 20_000,
-    num_delivery_events: int = 200,
-    parity_subscriptions: int = 400,
-    parity_events: int = 300,
-    seed: int = 31,
-) -> ResultTable:
-    """E-MATCH-SCALE: million-subscription matching on one :class:`MatchIndex`.
-
-    Two phases:
-
-    * **parity** — the index must produce delivery sets identical to a
-      brute-force rectangle scan; any disagreement raises instead of
-      producing a row.
-    * **scale** — for each population: bulk ``add_batch`` build throughput and
-      publish throughput, probing event by event as a broker does: the
-      events are keyed once (``ZOrderCurve.keys``), then ``any_match`` runs over
-      ``num_events`` of them and ``matching_ids`` over the first
-      ``num_delivery_events``; with segment counts, flattened member entries
-      and peak RSS.
-    """
-    import random
-    import resource
-
-    from ..pubsub.match_index import MatchIndex
-
-    order = 10
-
-    table = ResultTable("E-MATCH-SCALE: million-subscription matching on one match index")
-    schema = _default_schema(order)
-    side = 1 << order
-
-    def make_index():
-        # A 4-bit grid, not the 6 bits derived at d = 2: the recorded
-        # tables' segment counts and throughputs are taken on it.
-        return MatchIndex(schema, config=IndexConfig(precision_bits=4))
-
-    # ---------------------------------------------------------------- parity
-    parity_items = _scale_subscriptions(parity_subscriptions, order, seed + 1)
-    rng = random.Random(seed + 2)
-    parity_cells = [
-        (rng.randrange(side), rng.randrange(side)) for _ in range(parity_events)
-    ]
-    oracle = [
-        sorted(
-            sid
-            for sid, rect in parity_items
-            if all(lo <= c <= hi for (lo, hi), c in zip(rect, cells))
-        )
-        for cells in parity_cells
-    ]
-    index = make_index()
-    index.add_batch(parity_items)
-    got = [sorted(index.matching_ids(cells)) for cells in parity_cells]
-    if got != oracle:
-        bad = next(i for i in range(len(oracle)) if got[i] != oracle[i])
-        raise AssertionError(
-            "the match index disagrees with the rectangle oracle on event "
-            f"{parity_cells[bad]}"
-        )
-    table.add(
-        phase="parity",
-        curve="zorder",
-        subscriptions=parity_subscriptions,
-        events=parity_events,
-    )
-
-    # ----------------------------------------------------------------- scale
-    for population in populations:
-        items = _scale_subscriptions(population, order, seed)
-        event_rng = random.Random(seed + 3)
-        events = [
-            (event_rng.randrange(side), event_rng.randrange(side))
-            for _ in range(num_events)
-        ]
-        index = make_index()
-        start = time.perf_counter()
-        index.add_batch(items)
-        build_seconds = time.perf_counter() - start
-
-        start = time.perf_counter()
-        keys = index.curve.keys(events)
-        any_results = [index.any_match(cells, key) for cells, key in zip(events, keys)]
-        any_seconds = time.perf_counter() - start
-
-        start = time.perf_counter()
-        deliveries = [
-            index.matching_ids(cells, key)
-            for cells, key in zip(events[:num_delivery_events], keys)
-        ]
-        delivery_seconds = time.perf_counter() - start
-
-        table.add(
-            phase="scale",
-            curve="zorder",
-            subscriptions=population,
-            build_seconds=round(build_seconds, 3),
-            inserts_per_second=round(population / build_seconds, 1),
-            any_match_events_per_second=round(num_events / any_seconds, 1),
-            matching_hit_rate=round(sum(any_results) / num_events, 4),
-            delivery_events_per_second=round(num_delivery_events / delivery_seconds, 1),
-            delivered_matches=sum(len(ids) for ids in deliveries),
-            segments=index.segment_count(),
-            member_entries=index._flat.member_entries,
-            rebuilds=index._flat.rebuilds,
-            peak_rss_mb=round(
-                resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1
-            ),
         )
     return table

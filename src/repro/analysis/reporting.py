@@ -58,9 +58,9 @@ def format_bar_chart(
     labels: Sequence[object],
     values: Sequence[float],
     title: Optional[str] = None,
-    width: int = 50,
 ) -> str:
-    """Render values as horizontal ASCII bars scaled to ``width`` characters."""
+    """Render values as horizontal ASCII bars, the longest 50 characters."""
+    width = 50
     if len(labels) != len(values):
         raise ValueError("labels and values must have the same length")
     if not values:

@@ -219,7 +219,7 @@ class BrokerNetwork:
     metrics: Optional[MetricsRegistry] = None
     tracing: Optional[TraceLog] = None
     config: Optional[IndexConfig] = None
-    brokers: Dict[Hashable, Broker] = field(default_factory=dict)
+    brokers: Dict[Hashable, Broker] = field(init=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.config is None:

@@ -243,6 +243,9 @@ class RoutingTable:
         run_cache: Optional[ProfileCache] = None,
     ) -> None:
         config = config or IndexConfig()
+        # A table builds its index mid-propagation, when it outgrows its
+        # scan: a grid the budget cannot derive must raise here instead.
+        config.effective_precision_bits(schema.num_attributes)
         self.schema = schema
         self.config = config
         self._run_cache = run_cache

@@ -82,18 +82,15 @@ class DistanceLatency:
     map fall back to ``base`` alone (treated as co-located).
     """
 
-    def __init__(
-        self,
-        positions: Mapping[Hashable, Sequence[float]],
-        base: float = 0.1,
-        scale: float = 1.0,
-    ) -> None:
-        if base < 0 or scale < 0:
-            raise ValueError(f"base and scale must be non-negative, got {base}, {scale}")
+    #: The delay of a link between co-located brokers.
+    base = 0.1
+
+    def __init__(self, positions: Mapping[Hashable, Sequence[float]], scale: float = 1.0) -> None:
+        if scale < 0:
+            raise ValueError(f"scale must be non-negative, got {scale}")
         self.positions: Dict[Hashable, Tuple[float, ...]] = {
             broker: tuple(float(c) for c in coords) for broker, coords in positions.items()
         }
-        self.base = base
         self.scale = scale
 
     def sample(self, sender: Hashable, receiver: Hashable, rng: random.Random) -> float:

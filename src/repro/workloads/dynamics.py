@@ -105,13 +105,14 @@ class Action:
 
 @dataclass
 class AuditEntry:
-    """Ground truth vs. actual deliveries for one audited publish."""
+    """Ground truth vs. actual deliveries for one audited publish; the
+    runner fills ``delivered`` once the run drains."""
 
     event_id: Hashable
     time: float
     origin: Hashable
     expected: Set[Hashable]
-    delivered: Set[Hashable] = field(default_factory=set)
+    delivered: Set[Hashable] = field(init=False, default_factory=set)
 
     @property
     def missed(self) -> Set[Hashable]:

@@ -42,14 +42,6 @@ class Scenario:
     subscriptions: List[Dict[str, Tuple[float, float]]]
     events: List[Dict[str, float]]
 
-    @property
-    def num_subscriptions(self) -> int:
-        return len(self.subscriptions)
-
-    @property
-    def num_events(self) -> int:
-        return len(self.events)
-
 
 def stock_market_scenario(
     num_subscriptions: int = 200,

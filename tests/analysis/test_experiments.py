@@ -43,7 +43,7 @@ class TestFigureExperiments:
 
 class TestBoundExperiments:
     def test_thm31_cost_stabilises_while_exhaustive_grows(self):
-        table = run_thm31_experiment(dims=4, order=14, side_bit_lengths=(8, 10, 12, 14))
+        table = run_thm31_experiment(order=14, side_bit_lengths=(8, 10, 12, 14))
         approx = table.column("approx_cubes")
         exhaustive = table.column("exhaustive_cubes")
         bound = table.column("theorem31_bound")[0]
@@ -61,7 +61,7 @@ class TestBoundExperiments:
             assert row["worst_measured_fraction"] >= row["guaranteed_fraction"] - 1e-9
 
     def test_thm41_measured_runs_meet_lower_bound(self):
-        table = run_thm41_experiment(dims=2, order=12, alpha=1, gammas=(3, 5, 7))
+        table = run_thm41_experiment(order=12, gammas=(3, 5, 7))
         for row in table.rows:
             assert row["exhaustive_runs"] >= row["theorem41_lower_bound"]
         runs = table.column("exhaustive_runs")

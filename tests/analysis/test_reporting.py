@@ -39,10 +39,10 @@ class TestFormatBarChart:
         assert "(no data)" in format_bar_chart([], [], title="none")
 
     def test_scaling(self):
-        text = format_bar_chart(["a", "b"], [1.0, 2.0], width=10)
+        text = format_bar_chart(["a", "b"], [1.0, 2.0])
         lines = text.splitlines()
-        assert lines[0].count("#") == 5
-        assert lines[1].count("#") == 10
+        assert lines[0].count("#") == 25
+        assert lines[1].count("#") == 50
 
     def test_zero_values(self):
         text = format_bar_chart(["a"], [0.0])

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-import random
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -30,21 +29,9 @@ from repro.sfc.zorder import ZOrderCurve
 
 
 @pytest.fixture
-def rng() -> random.Random:
-    """A deterministic random generator for workload-style tests."""
-    return random.Random(0xC0FFEE)
-
-
-@pytest.fixture
 def small_universe_2d() -> Universe:
     """A 2-dimensional 16×16 universe (small enough for brute-force oracles)."""
     return Universe(dims=2, order=4)
-
-
-@pytest.fixture
-def small_universe_3d() -> Universe:
-    """A 3-dimensional 8×8×8 universe."""
-    return Universe(dims=3, order=3)
 
 
 @pytest.fixture(params=["z", "hilbert", "gray"])

@@ -13,30 +13,21 @@ table's index costs less than its scan at r probes per write, which
 
 from __future__ import annotations
 
-import importlib.util
-import pathlib
 import statistics
 
 import pytest
 
-_EXPERIMENTS = pathlib.Path(__file__).resolve().parents[2] / "experiments"
-
-
-def _load(name):
-    spec = importlib.util.spec_from_file_location(name, _EXPERIMENTS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from experiment_loader import load_experiment
 
 
 @pytest.fixture(scope="module")
 def costs_script():
-    return _load("flat_store_costs")
+    return load_experiment("flat_store_costs")
 
 
 @pytest.fixture(scope="module")
 def crossover_script():
-    return _load("scan_crossover")
+    return load_experiment("scan_crossover")
 
 
 def row(slots, runs, rebuild_us, per_pending_slot_ns=200.0):

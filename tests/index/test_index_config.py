@@ -20,8 +20,12 @@ from repro.core.covering import (
 )
 from repro.geometry.universe import Universe
 from repro.index.config import DEFAULT_PRECISION_BITS, PRECISION_BIT_BUDGET, IndexConfig
-from repro.pubsub.schema import Attribute, AttributeSchema
+from repro.pubsub.broker import LOCAL_INTERFACE, Broker
 from repro.pubsub.match_index import MatchIndex
+from repro.pubsub.network import BrokerNetwork, chain_topology
+from repro.pubsub.routing_table import InterfaceTable, RoutingTable
+from repro.pubsub.schema import Attribute, AttributeSchema
+from repro.pubsub.subscription import Event, Subscription
 
 
 def _schema(num_attributes: int = 2, order: int = 6) -> AttributeSchema:
@@ -110,25 +114,36 @@ class TestPrecisionBits:
             config.effective_precision_bits(PRECISION_BIT_BUDGET + 1)
 
     def test_match_index_rejects_budget_exhaustion_loudly(self):
-        """The old behaviour silently clamped to 0 bits; now it must raise."""
-        dims = PRECISION_BIT_BUDGET + 1
-        with pytest.raises(ValueError, match="precision bit budget"):
-            MatchIndex(_schema(num_attributes=dims, order=4))
+        """The old behaviour silently clamped to 0 bits; now it must raise.  A
+        broker or network raises when it is built: its tables ask for their
+        grid only when one outgrows its scan, mid-propagation, and a
+        subscription would be admitted that no table then stores."""
+        schema = _schema(num_attributes=PRECISION_BIT_BUDGET + 1, order=4)
+        for build in (
+            MatchIndex,
+            lambda schema: Broker(broker_id=0, schema=schema),
+            lambda schema: BrokerNetwork.from_topology(schema, chain_topology(2)),
+        ):
+            with pytest.raises(ValueError, match="pass an explicit precision_bits"):
+                build(schema)
 
     def test_match_index_explicit_precision_escape_hatch(self):
-        dims = PRECISION_BIT_BUDGET + 1
-        index = MatchIndex(
-            _schema(num_attributes=dims, order=4), config=IndexConfig(precision_bits=1)
-        )
-        assert index.precision_bits == 1
+        schema = _schema(num_attributes=PRECISION_BIT_BUDGET + 1, order=4)
+        config = IndexConfig(precision_bits=1)
+        assert MatchIndex(schema, config=config).precision_bits == 1
+        # A network on the pinned grid stays clean past the table size at
+        # which its local table builds an index.
+        network = BrokerNetwork.from_topology(schema, chain_topology(2), config=config)
+        for i in range(InterfaceTable.SCAN_LIMIT + 10):
+            subscription = Subscription(schema, {"a0": (i, i + 30.0)}, sub_id=f"s{i}")
+            network.subscribe(0, f"c{i}", subscription)
+        assert network.brokers[0].routing_table.table(LOCAL_INTERFACE).match_index is not None
+        event = Event(schema, {name: 50.0 for name in schema.names})
+        assert network.publish_and_audit(1, event) == (set(), set())
 
 
 def _constructors():
     """The six constructors that take an ``IndexConfig``, minimally applied."""
-    from repro.pubsub.broker import Broker
-    from repro.pubsub.network import BrokerNetwork
-    from repro.pubsub.routing_table import InterfaceTable, RoutingTable
-
     schema = _schema()
     return {
         "MatchIndex": lambda **kw: MatchIndex(schema, **kw),
@@ -165,8 +180,6 @@ NETWORK_DRIVERS = (
     "run_metrics_scenario",
     "run_subscription_churn_experiment",
     "run_event_matching_experiment",
-    "run_sim_latency_experiment",
-    "run_topology_scale_experiment",
 )
 
 
@@ -223,7 +236,6 @@ def _index_layer_constructors():
     from repro.core.covering import ApproximateCoveringDetector, CoveringProfiler
     from repro.geometry.universe import Universe
     from repro.index.sfc_array import SFCArray
-    from repro.pubsub.routing_table import InterfaceTable, RoutingTable
     from repro.sfc.zorder import ZOrderCurve
 
     schema = _schema()

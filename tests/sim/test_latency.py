@@ -36,7 +36,7 @@ class TestModels:
 
     def test_distance_scales_with_separation(self):
         positions = {"a": (0.0, 0.0), "b": (3.0, 4.0), "c": (0.0, 1.0)}
-        model = DistanceLatency(positions, base=0.1, scale=1.0)
+        model = DistanceLatency(positions, scale=1.0)
         rng = random.Random(0)
         assert model.sample("a", "b", rng) == pytest.approx(5.1)
         assert model.sample("a", "c", rng) == pytest.approx(1.1)

@@ -22,16 +22,20 @@ towards keeping code.
 
 Every option under ``src/repro`` — a defaulted parameter of a public
 function or method (``__init__`` included), or a defaulted field of a public
-dataclass — must be set outside ``tests/`` and outside its own definition:
-by that keyword or enough positional arguments in a call of its callee's
-name (``cls`` in a classmethod names the class; a call that hands the
-callee on as an argument counts too), by that keyword in a call that cannot
-be resolved by name (a ``**kwargs`` forwarder, ``dict(...)``, a call through
-a registry), or by a ``--flag`` string of that name; or sit on
-:data:`OPTION_ALLOWLIST` with its reason.  State is no option: counter
-blocks (``*Stats``), records (``*State``) and a field holding one are
-skipped.  It matches callees by name, so it errs the same way.
-:func:`options` is the option count ``ci.sh`` prints.
+dataclass — must be set outside ``tests/`` and outside its own definition,
+and some setting anywhere (``tests/`` included) must pass it another value
+than its default's literal; or it sits on :data:`OPTION_ALLOWLIST` with its
+reason.  A setting is that keyword or enough positional arguments in a call
+of its callee's name (``cls`` in a classmethod names the class; a call that
+hands the callee on as an argument counts too), that keyword in a call of a
+``**kwargs`` function whose body hands ``**kwargs`` on to the callee, or a
+``--flag`` string of that name in a file that calls the callee.  Only where
+none of these is found does a keyword in a call that cannot be named (a
+registry, ``dict(...)``) count, by name alone.  A value that is no literal
+counts as another.  State is no option: counter blocks (``*Stats``),
+records (``*State``) and a field holding one are skipped.  It matches
+callees by name, so it errs towards keeping options.  :func:`options` is the
+option count ``ci.sh`` prints.
 
 Every module under ``src/repro`` is on exactly one of two layers:
 :data:`PRODUCT_MODULES`, what a broker runs, or :data:`PAPER_MODULES`, what
@@ -443,16 +447,33 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
     return False
 
 
+#: The value of a default or a setting that is no literal (a name, a call):
+#: it counts as different from every other.
+UNKNOWN = object()
+
+
+def literal(node):
+    """The value of ``node`` when it is a literal, else :data:`UNKNOWN`."""
+    try:
+        return ast.literal_eval(node)
+    except (ValueError, TypeError, SyntaxError):
+        return UNKNOWN
+
+
 def _parameters(function: ast.FunctionDef, bound: bool):
-    """``(defaulted names, positional names)`` of ``function``, without the
-    bound ``self`` / ``cls`` when ``bound``."""
+    """``([(name, default value)], positional names)`` of ``function``'s
+    defaulted parameters, without the bound ``self`` / ``cls`` when
+    ``bound``."""
     arguments = function.args
     positional = arguments.posonlyargs + arguments.args
     if bound:
         positional = positional[1:]
-    defaulted = positional[len(positional) - len(arguments.defaults):] if arguments.defaults else []
-    defaulted += [a for a, d in zip(arguments.kwonlyargs, arguments.kw_defaults) if d is not None]
-    return [a.arg for a in defaulted], [a.arg for a in positional]
+    first = len(positional) - len(arguments.defaults)
+    defaulted = list(zip(positional[first:], arguments.defaults))
+    defaulted += [
+        (a, d) for a, d in zip(arguments.kwonlyargs, arguments.kw_defaults) if d is not None
+    ]
+    return [(a.arg, literal(d)) for a, d in defaulted], [a.arg for a in positional]
 
 
 def _fields(node: ast.ClassDef):
@@ -480,13 +501,15 @@ def _state_default(value) -> bool:
 
 class Option(NamedTuple):
     """One settable value: ``key`` names it, ``callee`` is the name a call
-    reaches it by, ``order`` the callee's positional parameters, and
-    ``first``-``last`` the lines of its definition in ``path``."""
+    reaches it by, ``order`` the callee's positional parameters, ``default``
+    its default's value, and ``first``-``last`` the lines of its definition
+    in ``path``."""
 
     key: str
     name: str
     callee: str
     order: List[str]
+    default: object
     path: pathlib.Path
     first: int
     last: int
@@ -503,9 +526,11 @@ def options_in(path: pathlib.Path, module: str):
             continue
         span = (path, node.lineno, node.end_lineno)
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            names, order = _parameters(node, bound=False)
-            for name in names:
-                yield Option(f"{module}.{node.name}({name}=)", name, node.name, order, *span)
+            defaults, order = _parameters(node, bound=False)
+            for name, default in defaults:
+                yield Option(
+                    f"{module}.{node.name}({name}=)", name, node.name, order, default, *span
+                )
         if not isinstance(node, ast.ClassDef) or is_state(node.name):
             continue
         if _is_dataclass(node):
@@ -515,7 +540,7 @@ def options_in(path: pathlib.Path, module: str):
                 if value is not None and not name.startswith("_") and not _state_default(value):
                     yield Option(
                         f"{module}.{node.name}({name}=)", name, node.name, order,
-                        path, item.lineno, item.end_lineno,
+                        literal(value), path, item.lineno, item.end_lineno,
                     )
         for item in node.body:
             if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -523,14 +548,15 @@ def options_in(path: pathlib.Path, module: str):
             if item.name.startswith("_") and item.name != "__init__":
                 continue
             static = any(getattr(d, "id", None) == "staticmethod" for d in item.decorator_list)
-            names, order = _parameters(item, bound=not static)
+            defaults, order = _parameters(item, bound=not static)
             if item.name == "__init__":
                 owner, callee = f"{module}.{node.name}", node.name
             else:
                 owner, callee = f"{module}.{node.name}.{item.name}", item.name
-            for name in names:
+            for name, default in defaults:
                 yield Option(
-                    f"{owner}({name}=)", name, callee, order, path, item.lineno, item.end_lineno
+                    f"{owner}({name}=)", name, callee, order, default,
+                    path, item.lineno, item.end_lineno,
                 )
 
 
@@ -546,17 +572,17 @@ def options():
 
 
 class Settings(NamedTuple):
-    """What one file sets.  ``keywords`` is ``{(callee, name): [line, ...]}``
-    for every keyword argument of a call, ``positionals`` is ``{callee:
-    [(line, positional arguments), ...]}``, and ``flags`` is ``{name: [line,
-    ...]}`` for every ``--name`` string (dashes read as underscores).
-    ``forwarders`` are the functions the file defines with ``**kwargs``,
-    which pass any keyword on."""
+    """What one file sets.  ``calls`` is ``{callee: [(line, [value, ...],
+    {name: value}), ...]}``, the positional and keyword arguments of every
+    call that reaches the callee; ``flags`` is ``{name: [line, ...]}`` for
+    every ``--name`` string (dashes read as underscores); a value is a
+    literal's or :data:`UNKNOWN`.  ``forwarders`` maps each function the
+    file defines with ``**kwargs`` to the callees its body hands
+    ``**kwargs`` on to."""
 
-    keywords: dict
-    positionals: dict
+    calls: dict
     flags: dict
-    forwarders: set
+    forwarders: dict
 
 
 #: The callee of a call that cannot be named statically
@@ -570,11 +596,11 @@ def _calls_of(call: ast.Call, owner):
     function or class it hands on as an argument, with the positional
     arguments after it (``run_once(driver, rows)``, ``_register(Counter,
     name, help)``)."""
-    count = 0
+    arguments = []
     for argument in call.args:
         if isinstance(argument, ast.Starred):
             break
-        count += 1
+        arguments.append(argument)
     func = call.func
     if isinstance(func, ast.Name):
         callee = owner if func.id == "cls" and owner else func.id
@@ -582,32 +608,33 @@ def _calls_of(call: ast.Call, owner):
         callee = func.attr
     else:
         callee = DYNAMIC
-    yield callee, count
-    for index, argument in enumerate(call.args[:count]):
+    yield callee, arguments
+    for index, argument in enumerate(arguments):
         name = getattr(argument, "id", getattr(argument, "attr", None))
         if name is not None:
-            yield name, count - index - 1
+            yield name, arguments[index + 1:]
 
 
 def settings_in(path: pathlib.Path) -> Settings:
     """The :class:`Settings` of ``path``."""
-    found = Settings({}, {}, {}, set())
+    found = Settings({}, {}, {})
 
-    def visit(node, owner):
+    def visit(node, owner, forwarder):
         if isinstance(node, ast.ClassDef):
             owner = node.name
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             if node.args.kwarg:
-                found.forwarders.add(node.name)
+                forwarder = node.name
+                found.forwarders.setdefault(forwarder, set())
             if not any(getattr(d, "id", None) == "classmethod" for d in node.decorator_list):
                 owner = None
         elif isinstance(node, ast.Call):
-            for callee, count in _calls_of(node, owner):
-                for keyword in node.keywords:
-                    if keyword.arg is not None:
-                        found.keywords.setdefault((callee, keyword.arg), []).append(node.lineno)
-                if count:
-                    found.positionals.setdefault(callee, []).append((node.lineno, count))
+            keywords = {k.arg: literal(k.value) for k in node.keywords if k.arg is not None}
+            for callee, arguments in _calls_of(node, owner):
+                values = [literal(argument) for argument in arguments]
+                found.calls.setdefault(callee, []).append((node.lineno, values, keywords))
+                if forwarder is not None and len(keywords) < len(node.keywords):
+                    found.forwarders[forwarder].add(callee)
         elif (
             isinstance(node, ast.Constant)
             and isinstance(node.value, str)
@@ -616,55 +643,85 @@ def settings_in(path: pathlib.Path) -> Settings:
         ):
             found.flags.setdefault(node.value[2:].replace("-", "_"), []).append(node.lineno)
         for child in ast.iter_child_nodes(node):
-            visit(child, owner)
+            visit(child, owner, forwarder)
 
-    visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), None)
+    visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), None, None)
     return found
 
 
 @functools.lru_cache(maxsize=None)
-def settings_outside_tests():
-    """``{path: settings_in(path)}`` over every caller directory."""
+def settings_under(directories) -> dict:
+    """``{path: settings_in(path)}`` for every Python file under ``directories``."""
     return {
         path: settings_in(path)
-        for directory in CALLER_DIRECTORIES
+        for directory in directories
         for path in sorted((REPO / directory).rglob("*.py"))
     }
 
 
-def is_set(option: Option, settings) -> bool:
-    """Whether ``settings`` (``{path: settings_in(path)}``) set ``option``
-    outside its own definition: by a keyword in a call of its callee, or of
-    a function that forwards ``**kwargs`` or a ``dict(...)`` of keywords
-    (matched by name alone), by a ``--flag``, or by position."""
+def settings_of(option: Option, files: dict):
+    """``(path, line, value)`` of every setting of ``option`` in ``files``
+    (``{path: settings_in(path)}``) outside its own definition: a keyword in
+    a call of its callee or of a ``**kwargs`` function whose body hands
+    ``**kwargs`` to it, a position in a call of its callee, a ``--flag`` in a
+    file that calls its callee (value :data:`UNKNOWN`).  Only where none is
+    found does a keyword in ``dict(...)`` or a call that cannot be named
+    count, by name alone."""
     position = option.order.index(option.name) if option.name in option.order else None
-    forwarders = {"dict", DYNAMIC}.union(*(found.forwarders for found in settings.values()))
-    callees = forwarders | {option.callee}
-    for path, found in settings.items():
-        def outside(line, path=path):
-            return path != option.path or not option.first <= line <= option.last
+    callees = {option.callee}.union(
+        name
+        for found in files.values()
+        for name, reached in found.forwarders.items()
+        if option.callee in reached
+    )
 
-        lines = [
-            line
-            for callee in callees
-            for line in found.keywords.get((callee, option.name), ())
-        ]
-        if any(outside(line) for line in lines + found.flags.get(option.name, [])):
-            return True
-        if position is not None and any(
-            outside(line) and count > position
-            for line, count in found.positionals.get(option.callee, ())
-        ):
-            return True
-    return False
+    def found_with(callees):
+        for path, found in files.items():
+            here = [
+                (line, keywords[option.name])
+                for callee in callees
+                for line, _, keywords in found.calls.get(callee, ())
+                if option.name in keywords
+            ]
+            if option.callee in callees and option.callee in found.calls:
+                here += [(line, UNKNOWN) for line in found.flags.get(option.name, ())]
+                here += [
+                    (line, values[position])
+                    for line, values, _ in found.calls[option.callee]
+                    if position is not None and len(values) > position
+                ]
+            for line, value in here:
+                if path != option.path or not option.first <= line <= option.last:
+                    yield path, line, value
+
+    return list(found_with(callees)) or list(found_with({"dict", DYNAMIC}))
+
+
+def is_varied(option: Option, files: dict) -> bool:
+    """Whether a setting in ``files`` passes ``option`` a value other than
+    its default's: a literal equal to it is no second value."""
+    return any(
+        value is UNKNOWN or option.default is UNKNOWN or value != option.default
+        for _, _, value in settings_of(option, files)
+    )
+
+
+def is_live(option: Option) -> bool:
+    """Set outside ``tests/``, and to another value than its default somewhere."""
+    return bool(settings_of(option, settings_under(CALLER_DIRECTORIES))) and is_varied(
+        option, settings_under(CALLER_DIRECTORIES + ("tests",))
+    )
 
 
 def test_an_option_is_set_by_keyword_flag_or_position(tmp_path):
-    """A keyword to its callee, a ``--flag`` or a positional call sets an
-    option, and so does a keyword to a call that hands the callee on, to a
-    call through a registry or to a ``**kwargs`` forwarder; its own
-    definition, a call that stops short of its position and a keyword of the
-    same name to another callee do not."""
+    """A keyword to its callee, a ``--flag`` in a file that calls it or a
+    positional call sets an option, and so does a keyword to a call that
+    hands the callee on, to a ``**kwargs`` function whose body hands
+    ``**kwargs`` to it, or, where nothing else sets it, to a registry call;
+    its own definition, a call that stops short of its position, a keyword
+    of the same name to another callee and a ``**kwargs`` function that
+    forwards elsewhere do not.  A setting equal to the default's literal is
+    no second value."""
     source = tmp_path / "source.py"
     source.write_text(
         "def scale(rows, factor=2, *, offset=0, fanout=3, depth=1, width=0, limit=0, mode=0):\n"
@@ -678,13 +735,18 @@ def test_an_option_is_set_by_keyword_flag_or_position(tmp_path):
     ]
     caller = tmp_path / "caller.py"
     caller.write_text(
-        "scale(rows)\ntable.scale(rows, 3)\nrun(['--offset', '1'], depth=2)\n"
-        "run_once(scale, width=2)\nSCALERS[kind](limit=1)\n"
+        "scale(rows)\ntable.scale(rows, 2)\nrun(['--offset', '1'], depth=2)\n"
+        "run_once(scale, width=0)\nSCALERS[kind](limit=1, width=5)\n"
         "def forward(**kwargs):\n    return scale(rows, **kwargs)\nforward(mode=1)\n"
+        "def add(**values):\n    rows.append(values)\nadd(fanout=4)\n"
     )
-    settings = {path: settings_in(path) for path in (source, caller)}
-    unset = [option.key for option in defined if not is_set(option, settings)]
-    assert unset == ["source.scale(fanout=)", "source.scale(depth=)"]
+    (tmp_path / "flags.py").write_text("parser.add_argument('--fanout', type=int)\n")
+    files = {path: settings_in(path) for path in sorted(tmp_path.glob("*.py"))}
+    unset = [option.name for option in defined if not settings_of(option, files)]
+    assert unset == ["fanout", "depth"]
+    assert [option.name for option in defined if is_varied(option, files)] == [
+        "offset", "limit", "mode",
+    ]
 
 
 def test_a_dataclass_field_is_set_by_its_own_classmethod(tmp_path):
@@ -696,8 +758,8 @@ def test_a_dataclass_field_is_set_by_its_own_classmethod(tmp_path):
         "    @classmethod\n    def small(cls):\n        return cls(size=2)\n"
     )
     defined = list(options_in(source, "source"))
-    settings = {source: settings_in(source)}
-    assert [option.key for option in defined if not is_set(option, settings)] == [
+    files = {source: settings_in(source)}
+    assert [option.key for option in defined if not settings_of(option, files)] == [
         "source.Pool(depth=)"
     ]
 
@@ -721,7 +783,7 @@ def test_every_option_is_set_outside_tests(module):
     unset = [
         option.key
         for option in options_in(module_path(module), module)
-        if option.key not in OPTION_ALLOWLIST and not is_set(option, settings_outside_tests())
+        if option.key not in OPTION_ALLOWLIST and not is_live(option)
     ]
     assert unset == []
 
@@ -729,11 +791,7 @@ def test_every_option_is_set_outside_tests(module):
 def test_every_allowlisted_option_is_defined_and_still_unset():
     """An entry whose option left ``src/`` or gained a caller leaves the list."""
     defined = options()
-    stale = [
-        key
-        for key in OPTION_ALLOWLIST
-        if key not in defined or is_set(defined[key], settings_outside_tests())
-    ]
+    stale = [key for key in OPTION_ALLOWLIST if key not in defined or is_live(defined[key])]
     assert stale == []
     assert all(reason.strip() for reason in OPTION_ALLOWLIST.values())
 
