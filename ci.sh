@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 test suite plus a tiny-size smoke pass of the pub/sub benchmarks so
-# the benchmark drivers cannot silently rot between full benchmark runs.
+# Tier-1 test suite plus a pass over every experiments/ script (in place or
+# at smoke size) so the experiments cannot silently rot between full runs.
 #
 # Hypothesis effort is profile-driven (tests/conftest.py): the tier-1 pass
 # digs deep with the "ci" profile; export HYPOTHESIS_PROFILE=smoke for a
@@ -67,64 +67,54 @@ print(f"import footprint: {rss:.1f} MB peak RSS, {took:.2f} s; numpy/networkx lo
       f"{len(own)} repro modules, paper modules among them: {paper or 'none'}")
 PY
 
-stage "benchmark smoke (tiny sizes) + full-size sim tables"
-# bench_subscription_churn times the batch subscribe/withdraw APIs (loops
-# over the per-call path) against sequential calls; the driver raises unless
-# the two leave byte-identical routing state and equal broker counters — any
-# divergence fails CI here.
-# bench_ablation_visit_order and bench_index_throughput have no smoke size
-# (a few seconds each at full size) and run here so their drivers keep
-# running against the covering index's API.
-# experiments/match_scale.py --smoke (2,000 subscriptions, writes nothing)
-# still runs the parity phase: the match index must agree with a
-# brute-force rectangle oracle before anything is timed.
-# The paper-figure benches have no smoke size (each full size takes a few
-# seconds) and assert the paper's claims on what they measure: Fig. 1's run
-# counts, Fig. 2's query regions, Theorem 3.1's bound, Lemma 3.2's retained
-# volume, Theorem 4.1's lower bound, the dimensionality / aspect-ratio sweep,
-# approximate vs exhaustive cost, and recall: the ε-search must stay sound,
-# and at the product budget the detector's profile entry point
-# (find_covering_profile, no longer on any broker's path: a link scans) must
-# find every cover of a store it compares and never fewer than the plan alone
-# where it probes.
-# A smoke pass writes its tables to a temporary directory
-# (benchmarks/conftest.py): the tracked full-size tables must come out of it
-# byte-identical, whether or not they carry uncommitted re-recordings.
-# The simulated-transport tables and E-CURVE's run counts carry no timings,
-# so experiments/sim_latency.py, experiments/topology_scale.py and
-# bench_curve_ablation run only at full size (a few seconds) and rewrite
-# their tracked tables in place (sim_latency, sim_rolling_failures,
-# topology_scale, topology_netsplit, curve_ablation and their BENCH_*.json):
-# the same check fails if any of them no longer regenerates byte for byte.
-# Each script exits non-zero when a check fails, among them a delivery
-# missed under latency, bounded queues or rolling failures, or on a
-# topology class (skewed tree / scale-free / grid-of-clusters) in the flash
-# crowd or in any phase of the region netsplit -> per-partition traffic ->
-# heal scenario.  The bench asserts Hilbert needing fewer key runs than Z on
-# the Fig. 1-style rectangle family.
+stage "experiments: paper and sim tables in place, timed ones at smoke size"
+# Every table under benchmarks/results/ is written by one experiments/ script
+# that holds its sizes and seeds as constants and asserts its claims in
+# check() after writing; a failed claim exits non-zero.  The scripts whose
+# tables carry no timings rewrite them in place at full size (a few seconds
+# each); the ones with a timed column run --smoke (tiny sizes, nothing
+# written, the timing claims of event_matching skipped).
+# - paper.py: the ten paper tables (fig1, fig2, thm31, lem32, thm41,
+#   dimensionality_aspect, recall_vs_epsilon, recall_at_product_budget,
+#   curve_ablation, ablation_run_merging).  Checks Fig. 1's 3 / 2 runs,
+#   Fig. 2's 1 / 385 runs, Theorem 3.1's bound and the approximate cost
+#   levelling off, Lemma 3.2's retained volume, Theorem 4.1's lower bound,
+#   the bound over every dimensionality row, a sound ε-search with recall
+#   >= 0.5, the profile entry point never finding fewer covers than the plan
+#   alone on both sides of its crossover, Hilbert needing fewer runs than Z,
+#   and run merging answering alike with fewer runs.
+# - sim_latency.py, topology_scale.py: the simulated-transport tables.  Check
+#   that no delivery is missed under latency, bounded queues, rolling
+#   failures, or on a topology class in the flash crowd and in every phase
+#   of the region netsplit.
+# - covering_cost.py: E-COST / E-THROUGHPUT at the recorded full sizes
+#   (about 3 s), its check called directly so the timed tables are not
+#   rewritten.  Checks ε = 0.05 probing under a quarter of the exhaustive
+#   runs at recall >= 0.85, the range tree's storage, a sound detector and a
+#   throughput that does not collapse.
+# - pubsub_propagation.py --smoke: covering shrinks routing state and
+#   traffic, and no covering kind misses an audited event.
+# - subscription_churn.py --smoke: the batch APIs leave byte-identical
+#   routing state and equal broker counters to the per-call path, and the
+#   post-churn audit misses nothing on tree / chain / star x sync / sim.
+# - event_matching.py --smoke: the match index agrees with the scan on every
+#   event.
+# - match_scale.py --smoke: the parity phase, the match index against a
+#   brute-force rectangle oracle, before anything is timed.
+# - micro_ops.py --smoke: each primitive's body once, so it keeps running
+#   against the API it times.
+# The checksum check fails if a pass changed a file under
+# benchmarks/results/: a smoke run wrote, or an in-place table no longer
+# regenerates byte for byte.
 results_listing() { find benchmarks/results -type f -exec cksum {} + | sort -k3; }
 RESULTS_BEFORE=$(results_listing)
-REPRO_BENCH_SMOKE=1 python -m pytest -q \
-    benchmarks/bench_pubsub_propagation.py \
-    benchmarks/bench_event_matching.py \
-    benchmarks/bench_subscription_churn.py \
-    benchmarks/bench_fig1_runs_hilbert_vs_z.py \
-    benchmarks/bench_fig2_query_examples.py \
-    benchmarks/bench_thm31_upper_bound.py \
-    benchmarks/bench_lem32_volume_coverage.py \
-    benchmarks/bench_thm41_lower_bound.py \
-    benchmarks/bench_dimensionality_aspect.py \
-    benchmarks/bench_approx_vs_exhaustive.py \
-    benchmarks/bench_recall_vs_epsilon.py \
-    benchmarks/bench_ablation_visit_order.py \
-    benchmarks/bench_index_throughput.py
-python experiments/match_scale.py --smoke > /dev/null
+python experiments/paper.py > /dev/null
 python experiments/sim_latency.py > /dev/null
 python experiments/topology_scale.py > /dev/null
-python -m pytest -q benchmarks/bench_curve_ablation.py
-# The micro-operation benches (the detector's constructor among them), each
-# body run once untimed, so they keep running against the API they time.
-python -m pytest -q benchmarks/bench_micro_ops.py --benchmark-disable
+PYTHONPATH=experiments python -c 'import covering_cost as c; c.check(c.approx_vs_exhaustive(*c.FULL[0]), c.throughput(*c.FULL[1]))'
+for script in pubsub_propagation subscription_churn event_matching match_scale micro_ops; do
+    python "experiments/$script.py" --smoke > /dev/null
+done
 if [ "$RESULTS_BEFORE" != "$(results_listing)" ]; then
     echo "ci.sh: a benchmark pass changed files under benchmarks/results/" \
         "(a smoke table leaked, or a full-size table no longer regenerates)" >&2
@@ -242,9 +232,10 @@ PY
 }
 for example in examples/*.py; do
     case "$example" in
-        examples/quickstart.py | examples/sim_latency_churn.py)
-            REPRO_BENCH_SMOKE=1 without_numpy_networkx "$example" > /dev/null ;;
-        *) REPRO_BENCH_SMOKE=1 python "$example" > /dev/null ;;
+        examples/quickstart.py) without_numpy_networkx "$example" > /dev/null ;;
+        examples/sim_latency_churn.py) without_numpy_networkx "$example" --smoke > /dev/null ;;
+        examples/broker_network_simulation.py) python "$example" --smoke > /dev/null ;;
+        *) python "$example" > /dev/null ;;
     esac
 done
 

@@ -17,12 +17,13 @@ the covering comparison is about routing state, not timing).  See
 ``examples/sim_latency_churn.py`` for the discrete-event simulated transport
 with latency, bounded queues and broker churn.
 
-Run with:  python examples/broker_network_simulation.py
+Run with:  python examples/broker_network_simulation.py [--smoke]
+(``--smoke``: a 7-broker tree and a smaller workload.)
 """
 
 from __future__ import annotations
 
-import os
+import argparse
 import random
 
 from repro.analysis.reporting import format_bar_chart, format_table
@@ -30,14 +31,15 @@ from repro.pubsub import COVERING_KINDS, BrokerNetwork, Event, Subscription, tre
 from repro.sim import SyncTransport
 from repro.workloads.scenarios import sensor_network_scenario
 
-_SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
-NUM_BROKERS = 7 if _SMOKE else 15
+#: ``(brokers, subscriptions, events)``.
+FULL = (15, 250, 80)
+SMOKE = (7, 60, 20)
 
 
-def run_strategy(scenario, covering: str, placements, publish_at) -> dict:
+def run_strategy(scenario, brokers: int, covering: str, placements, publish_at) -> dict:
     network = BrokerNetwork.from_topology(
         scenario.schema,
-        tree_topology(NUM_BROKERS),
+        tree_topology(brokers),
         covering=covering,
         transport=SyncTransport(),
     )
@@ -68,19 +70,22 @@ def run_strategy(scenario, covering: str, placements, publish_at) -> dict:
 
 
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--smoke", action="store_true", help="a small network and workload")
+    brokers, subscriptions, events = SMOKE if parser.parse_args().smoke else FULL
     scenario = sensor_network_scenario(
-        num_subscriptions=60 if _SMOKE else 250,
-        num_events=20 if _SMOKE else 80,
-        order=9,
-        seed=21,
+        num_subscriptions=subscriptions, num_events=events, order=9, seed=21
     )
     rng = random.Random(99)
-    placements = [rng.randrange(NUM_BROKERS) for _ in scenario.subscriptions]
-    publish_at = [rng.randrange(NUM_BROKERS) for _ in scenario.events]
+    placements = [rng.randrange(brokers) for _ in scenario.subscriptions]
+    publish_at = [rng.randrange(brokers) for _ in scenario.events]
 
-    rows = [run_strategy(scenario, covering, placements, publish_at) for covering in COVERING_KINDS]
+    rows = [
+        run_strategy(scenario, brokers, covering, placements, publish_at)
+        for covering in COVERING_KINDS
+    ]
 
-    print(format_table(rows, title="Sensor-network workload on a 15-broker tree"))
+    print(format_table(rows, title=f"Sensor-network workload on a {brokers}-broker tree"))
     print()
     print(
         format_bar_chart(

@@ -15,12 +15,13 @@ inboxes (backpressure, never loss) and broker crash/recover/join.  Three acts:
    flows; for surviving, reachable subscribers the delivery audit stays clean,
    and the recovery resync traffic is reported.
 
-Run with:  python examples/sim_latency_churn.py
+Run with:  python examples/sim_latency_churn.py [--smoke]
+(``--smoke``: 20 subscriptions and 12 events instead of 80 and 48.)
 """
 
 from __future__ import annotations
 
-import os
+import argparse
 
 from repro.analysis.reporting import format_table
 from repro.pubsub import BrokerNetwork, tree_topology
@@ -38,7 +39,9 @@ from repro.workloads.dynamics import (
 )
 from repro.workloads.scenarios import stock_market_scenario
 
-_SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
+#: ``(subscriptions, events)``.
+FULL = (80, 48)
+SMOKE = (20, 12)
 NUM_BROKERS = 9
 BROKER_IDS = list(range(NUM_BROKERS))
 
@@ -123,11 +126,11 @@ def act_three_churn(scenario) -> None:
 
 
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--smoke", action="store_true", help="a smaller workload")
+    subscriptions, events = SMOKE if parser.parse_args().smoke else FULL
     scenario = stock_market_scenario(
-        num_subscriptions=20 if _SMOKE else 80,
-        num_events=12 if _SMOKE else 48,
-        order=8,
-        seed=23,
+        num_subscriptions=subscriptions, num_events=events, order=8, seed=23
     )
     act_one_latency_models(scenario)
     print()

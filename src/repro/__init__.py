@@ -13,8 +13,8 @@ publish/subscribe broker network.  The package holds two layers:
   :mod:`repro.index`, and the ``repro.analysis.cli`` entry point;
 * the paper, what only its experiments run: the ε-approximate dominance
   search, covering detector and bounds in :mod:`repro.core`, the Hilbert and
-  Gray curves, the k-d tree and range tree, :mod:`repro.baselines` and the
-  drivers in :mod:`repro.analysis.experiments`.
+  Gray curves, the k-d tree and range tree and :mod:`repro.baselines`.  The
+  experiments that run it are scripts under ``experiments/``.
 
 A package re-exports only its product names, and this one only the
 broker-network API; a paper name is imported from its module.

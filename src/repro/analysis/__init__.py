@@ -1,7 +1,7 @@
-"""Plain-text reporting and the command-line entry point.
+"""Plain-text reporting and the command-line entry point (``serve``, ``metrics``).
 
-The experiment drivers live in :mod:`.experiments`, on the paper's layer;
-the CLI imports them only inside ``list``, ``run`` and ``metrics``.
+The experiments that write ``benchmarks/results/`` are scripts under
+``experiments/``.
 """
 
 from .reporting import ResultTable, format_bar_chart, format_table

@@ -1,75 +1,152 @@
-"""Command-line interface for the experiment drivers.
+"""Command-line interface: serve a broker network, or observe a seeded one.
 
 Usage::
 
-    python -m repro.analysis.cli list
-    python -m repro.analysis.cli run fig2
-    python -m repro.analysis.cli run all --output results/
+    python -m repro.analysis.cli serve --topology tree --brokers 3
+    python -m repro.analysis.cli metrics --seed 17 --output out/
 
-Each experiment name maps to one driver in :mod:`repro.analysis.experiments`
-(the same drivers the benchmark harness calls), so the CLI is a convenient way
-to regenerate a single table without going through pytest.  The systems
-experiments that own their sizes (E-SIM-LATENCY, E-TOPO-SCALE,
-E-MATCH-SCALE) are scripts under ``experiments/`` instead, which a product
-module may not import.  No subcommand
-takes a curve: every network keys its match indexes on the Z curve.  Only
-``list``, ``run`` and ``metrics`` import the driver module, so ``serve`` loads
-none of the paper's code.
+``serve`` boots a networked topology; ``metrics`` runs E-METRICS, a seeded
+tree scenario observed through the full observability layer
+(:func:`run_metrics_scenario`).  The experiments that regenerate the tables
+in ``benchmarks/results/`` are scripts under ``experiments/`` (the README's
+"Tests and benchmarks" lists them), which a product module may not import.
+No subcommand takes a curve: every network keys its match indexes on the Z
+curve.
 """
 
 from __future__ import annotations
 
 import argparse
 import pathlib
+import random
 import sys
-from typing import Callable, Dict
+from dataclasses import dataclass
+from typing import Dict
 
+from ..obs.exposition import snapshot as metrics_snapshot
 from ..obs.exposition import validate_prometheus_text, write_bench_json
+from ..obs.registry import MetricsRegistry
+from ..obs.trace import TraceLog
+from ..pubsub.network import BrokerNetwork, chain_topology, star_topology, tree_topology
+from ..pubsub.subscription import Event
+from ..sim.transport import SimTransport
+from ..workloads.generators import (
+    EventWorkload,
+    mixed_width_workload,
+    spec_subscription,
+    xy_schema,
+)
+from .reporting import ResultTable, format_critical_path, format_trace_tree
 
-__all__ = ["main", "EXPERIMENTS", "driver"]
+__all__ = ["main", "MetricsScenarioResult", "run_metrics_scenario"]
 
-
-#: Experiment name -> the name of its driver in :mod:`repro.analysis.experiments`.
-EXPERIMENTS: Dict[str, str] = {
-    "fig1": "run_fig1_experiment",
-    "fig2": "run_fig2_experiment",
-    "thm31": "run_thm31_experiment",
-    "lem32": "run_lem32_experiment",
-    "thm41": "run_thm41_experiment",
-    "cost": "run_approx_vs_exhaustive_experiment",
-    "recall": "run_recall_experiment",
-    "pubsub": "run_pubsub_experiment",
-    # The driver's defaults are CLI-sized; the full 10k-50k churn
-    # measurement lives in benchmarks/bench_subscription_churn.py.
-    "churn": "run_subscription_churn_experiment",
-    "curve-ablation": "run_curve_ablation_experiment",
-    "dimensionality": "run_dimensionality_experiment",
-    "throughput": "run_throughput_experiment",
-}
+#: E-METRICS' scenario: brokers in a tree, subscriptions placed on them, events published.
+METRICS_BROKERS, METRICS_SUBSCRIPTIONS, METRICS_EVENTS = 7, 60, 20
 
 
-def driver(name: str) -> Callable[..., object]:
-    """The callable that regenerates experiment ``name``'s table."""
-    from . import experiments
+@dataclass
+class MetricsScenarioResult:
+    """Everything the observability layer produces for one seeded scenario.
 
-    return getattr(experiments, EXPERIMENTS[name])
+    ``table`` holds one row per published event (trace id, hop count,
+    delivery audit); ``prometheus_text`` / ``snapshot`` are the registry's two
+    exposition forms; ``trace_tree`` / ``critical_path`` render the first
+    audited event's trace.  ``network`` is the live network for callers that
+    want to drill further (tests compare its trace hop paths against the
+    overlay routes the delivery audit expects).
+    """
+
+    table: ResultTable
+    prometheus_text: str
+    snapshot: Dict[str, object]
+    trace_tree: str
+    critical_path: str
+    network: BrokerNetwork
+
+
+def run_metrics_scenario(seed: int) -> MetricsScenarioResult:
+    """E-METRICS: a seeded tree scenario observed through the full obs layer.
+
+    Builds a broker tree on a seeded :class:`~repro.sim.transport.SimTransport`
+    with an enabled metrics registry and trace log, runs a mixed-width
+    subscription workload plus a publish stream, and returns the Prometheus
+    text, the JSON snapshot and per-event trace summaries.  Fully
+    deterministic: two calls with the same seed return byte-identical
+    ``prometheus_text`` (pinned by tests).
+    """
+    order = 8
+    schema = xy_schema(order)
+    specs = mixed_width_workload(
+        attributes=2,
+        order=order,
+        count=METRICS_SUBSCRIPTIONS,
+        narrow_fraction=0.8,
+        narrow_width=0.15,
+        wide_width=0.55,
+        seed=seed,
+        prefix="sub",
+    )
+    event_cells = EventWorkload(
+        attributes=2, attribute_order=order, seed=seed + 1
+    ).generate(METRICS_EVENTS)
+    network = BrokerNetwork.from_topology(
+        schema,
+        tree_topology(METRICS_BROKERS),
+        covering="approximate",
+        seed=seed,
+        transport=SimTransport(seed=seed),
+        metrics=MetricsRegistry(),
+        tracing=TraceLog(capacity=4096, seed=seed),
+    )
+    rng = random.Random(seed + 2)
+    placements = [rng.randrange(METRICS_BROKERS) for _ in specs]
+    publish_at = [rng.randrange(METRICS_BROKERS) for _ in event_cells]
+    for spec, broker_id in zip(specs, placements):
+        network.subscribe(broker_id, f"client-{spec.sub_id}", spec_subscription(schema, spec))
+    network.flush()
+
+    table = ResultTable("E-METRICS: traced event routing on a broker tree")
+    for i, cells in enumerate(event_cells):
+        event = Event(
+            schema,
+            {
+                name: schema.dequantize_value(name, cell)
+                for name, cell in zip(schema.names, cells)
+            },
+            event_id=f"event-{i}",
+        )
+        origin = publish_at[i]
+        missed, extra = network.publish_and_audit(origin, event)
+        expected = network.expected_recipients(event, origin=origin)
+        trace_id = network.tracing.trace_id_for("evt", event.event_id)
+        table.add(
+            event_id=event.event_id,
+            origin=origin,
+            trace_id=trace_id,
+            hops=len(network.tracing.hop_spans(trace_id)),
+            delivered=len(expected) - len(missed) + len(extra),
+            missed=len(missed),
+        )
+
+    prometheus_text = network.scrape()
+    first_trace = network.tracing.trace_id_for("evt", "event-0")
+    first_spans = network.tracing.spans(trace_id=first_trace)
+    return MetricsScenarioResult(
+        table=table,
+        prometheus_text=prometheus_text,
+        snapshot=metrics_snapshot(network.metrics),
+        trace_tree=format_trace_tree(first_spans, title="trace event-0"),
+        critical_path=format_critical_path(first_spans, title="event-0"),
+        network=network,
+    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro.analysis.cli",
-        description="Regenerate the paper-reproduction experiment tables.",
+        description="Serve a broker network, or observe a seeded one.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    subparsers.add_parser("list", help="list available experiments")
-    run = subparsers.add_parser("run", help="run one experiment (or 'all')")
-    run.add_argument("experiment", choices=sorted(EXPERIMENTS) + ["all"])
-    run.add_argument(
-        "--output",
-        type=pathlib.Path,
-        default=None,
-        help="directory to also write each table to (one .txt file per experiment)",
-    )
     serve = subparsers.add_parser(
         "serve",
         help=(
@@ -107,24 +184,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_one(name: str, output: pathlib.Path | None) -> None:
-    table = driver(name)()
-    text = table.to_text()  # type: ignore[attr-defined]
-    print(text)
-    print()
-    if output is not None:
-        output.mkdir(parents=True, exist_ok=True)
-        (output / f"{name}.txt").write_text(text + "\n")
-
-
 def _run_metrics(seed: int, output: pathlib.Path | None) -> None:
     """The ``metrics`` subcommand: scenario → validated exposition + trace tree."""
-    from .experiments import run_metrics_scenario
-
-    result = run_metrics_scenario(seed=seed)
+    result = run_metrics_scenario(seed)
     # Validation before printing: a malformed exposition is a bug, not output.
     validate_prometheus_text(result.prometheus_text)
-    print(result.to_text())
+    print(result.table.to_text())
     print()
     print(result.trace_tree)
     print()
@@ -145,12 +210,6 @@ def _run_serve(topology: str, brokers: int, host: str) -> int:
     client sends a ``shutdown`` command (see :class:`repro.net.NetClient`).
     """
     from ..net import NetTransport, serve_network
-    from ..pubsub.network import (
-        BrokerNetwork,
-        chain_topology,
-        star_topology,
-        tree_topology,
-    )
     from ..workloads.scenarios import stock_market_scenario
 
     builders = {"tree": tree_topology, "chain": chain_topology, "star": star_topology}
@@ -177,19 +236,9 @@ def _run_serve(topology: str, brokers: int, host: str) -> int:
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns a process exit code."""
     args = _build_parser().parse_args(argv)
-    if args.command == "list":
-        for name in sorted(EXPERIMENTS):
-            doc = (driver(name).__doc__ or "").strip().splitlines()[0]
-            print(f"{name:15s} {doc}")
-        return 0
     if args.command == "serve":
         return _run_serve(args.topology, args.brokers, args.host)
-    if args.command == "metrics":
-        _run_metrics(args.seed, args.output)
-        return 0
-    names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
-    for name in names:
-        _run_one(name, args.output)
+    _run_metrics(args.seed, args.output)
     return 0
 
 

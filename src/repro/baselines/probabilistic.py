@@ -10,14 +10,13 @@ while subscriptions that truly cover the query always match every sample, so
 there are no false negatives among evaluated candidates.
 
 This reproduction implements the idea over the same range-subscription model
-used everywhere else so the recall experiment (E-RECALL,
-:func:`~repro.analysis.experiments.run_recall_experiment`) can compare three
-covering detectors: exact linear scan, probabilistic sampling, and the
-paper's SFC-based approximate search.  The error direction differs — the
+used everywhere else so the recall experiment (E-RECALL, ``recall`` in
+``experiments/paper.py``) can compare three covering detectors: exact linear
+scan, probabilistic sampling, and the paper's SFC-based approximate search.  The error direction differs — the
 probabilistic detector may *wrongly* report covering (which would suppress a
 subscription that must be forwarded, a correctness hazard for the routing
 layer), whereas the SFC approximate detector can only *miss* covers (a pure
-performance loss).  The benchmark ``bench_recall_vs_epsilon`` quantifies both.
+performance loss).  E-RECALL's table quantifies both.
 For that reason no broker routes with this detector: the pub/sub layer
 offers only the sound strategies.
 """

@@ -24,7 +24,7 @@ The profile entry point, ``find_covering_profile``, is "at least
 ε-approximate": a stored set no larger than the query's probe schedule is
 compared with the query directly — complete, and cheaper than probing the
 schedule — and only a larger one is searched along it.  It serves the
-paper-figure drivers (the recall benchmark among them); a broker link decides
+paper's experiments (E-RECALL in ``experiments/paper.py``); a broker link decides
 covering by an exact scan of its forwarded set and does not use this module.
 """
 
@@ -263,8 +263,8 @@ class ApproximateCoveringDetector:
         rebuilt).  Sound on both sides: a cover is reported only
         after its ranges were compared or its point found inside the
         dominance region.  A profile built under different parameters is
-        answered from its ranges under this detector's own.  The recall
-        benchmark measures it; no broker calls it.
+        answered from its ranges under this detector's own.  E-RECALL
+        (``experiments/paper.py``) measures it; no broker calls it.
         """
         if not self.compatible_profile(profile):
             return self.find_covering(profile.ranges)

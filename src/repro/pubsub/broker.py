@@ -693,7 +693,7 @@ class Broker:
         Interface and subscription identifiers are stringified and sorted so
         dumps from two runs (different transports, batch vs sequential APIs)
         compare with ``==`` regardless of dict iteration history.  Used by
-        the equivalence tests and the benchmark smoke check.
+        the equivalence tests and ``experiments/subscription_churn.py``.
         """
         tables = {
             str(interface_id): sorted(

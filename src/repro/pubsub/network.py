@@ -862,7 +862,7 @@ class BrokerNetwork:
         Two runs that made the same forwarding decisions — whatever the
         transport, API (batch vs sequential) or dict iteration history —
         produce ``==``-comparable dumps.  Used by the cross-transport and
-        batch-equivalence tests and the benchmark smoke check.
+        batch-equivalence tests and ``experiments/subscription_churn.py``.
         """
         return {
             str(broker_id): self.brokers[broker_id].routing_state()

@@ -12,6 +12,9 @@ here control exactly those knobs:
   that recall experiments have a known ground truth regardless of randomness.
 * :class:`EventWorkload` — draws events uniformly over the grid so that
   delivery audits exercise matching paths.
+* :func:`mixed_width_workload` — narrow subscriptions with a share of wide
+  ones, shuffled; :func:`spec_subscription` places a spec on a schema such as
+  :func:`xy_schema`.
 
 All generators take an explicit ``seed`` and are deterministic given it; the
 benchmark harness records the seed with every result row.
@@ -24,6 +27,8 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from ..geometry.transform import Range
+from ..pubsub.schema import Attribute, AttributeSchema
+from ..pubsub.subscription import Subscription
 
 __all__ = [
     "SubscriptionSpec",
@@ -31,6 +36,9 @@ __all__ = [
     "EventWorkload",
     "covering_chain",
     "random_extremal_lengths",
+    "mixed_width_workload",
+    "xy_schema",
+    "spec_subscription",
 ]
 
 
@@ -209,3 +217,51 @@ def random_extremal_lengths(
         high = (1 << bits) - 1
         lengths.append(rng.randint(low, high))
     return tuple(lengths)
+
+
+def mixed_width_workload(
+    attributes: int,
+    order: int,
+    count: int,
+    narrow_fraction: float,
+    narrow_width: float,
+    wide_width: float,
+    seed: int,
+    prefix: str,
+) -> List[SubscriptionSpec]:
+    """Generate a workload mixing narrow subscriptions with a share of wide ones.
+
+    Real routers see both: many specific subscriptions plus a few broad
+    "catch-most" ones, and the broad ones are what covering exploits.  The
+    returned list is shuffled so that broad and narrow subscriptions arrive
+    interleaved — arrival order matters for covering-based suppression.
+    """
+    narrow = SubscriptionWorkload(
+        attributes=attributes, attribute_order=order, width_fraction=narrow_width, seed=seed
+    )
+    wide = SubscriptionWorkload(
+        attributes=attributes,
+        attribute_order=order,
+        width_fraction=wide_width,
+        width_jitter=0.3,
+        seed=seed + 1,
+    )
+    num_narrow = int(count * narrow_fraction)
+    specs = narrow.generate(num_narrow, prefix=f"{prefix}-narrow")
+    specs += wide.generate(count - num_narrow, prefix=f"{prefix}-wide")
+    random.Random(seed + 2).shuffle(specs)
+    return specs
+
+
+def xy_schema(order: int) -> AttributeSchema:
+    """Two attributes, ``x`` and ``y``, on ``[0, 1000]`` at ``order`` bits each."""
+    return AttributeSchema([Attribute("x", 0.0, 1000.0), Attribute("y", 0.0, 1000.0)], order=order)
+
+
+def spec_subscription(schema: AttributeSchema, spec: SubscriptionSpec) -> Subscription:
+    """Materialise one workload spec as a Subscription on ``schema``."""
+    constraints = {
+        name: (schema.dequantize_value(name, lo), schema.dequantize_value(name, hi))
+        for name, (lo, hi) in zip(schema.names, spec.ranges)
+    }
+    return Subscription(schema, constraints, sub_id=spec.sub_id)

@@ -1,55 +1,25 @@
-"""Tests for the experiment command-line interface."""
+"""Tests for the command-line interface: ``serve`` and ``metrics``."""
 
 from __future__ import annotations
 
-import inspect
-
 import pytest
 
-from repro.analysis.cli import EXPERIMENTS, driver, main
+from repro.analysis.cli import main
 
 
 class TestCLI:
-    def test_list_prints_every_experiment(self, capsys):
-        assert main(["list"]) == 0
-        out = capsys.readouterr().out
-        for name in EXPERIMENTS:
-            assert name in out
-
-    def test_run_single_experiment_prints_table(self, capsys):
-        assert main(["run", "fig2"]) == 0
-        out = capsys.readouterr().out
-        assert "256x256" in out and "257x257" in out
-
-    def test_run_writes_output_file(self, tmp_path, capsys):
-        assert main(["run", "fig1", "--output", str(tmp_path)]) == 0
-        capsys.readouterr()
-        written = (tmp_path / "fig1.txt").read_text()
-        assert "hilbert_runs" in written
-
-    def test_unknown_experiment_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["run", "nonexistent"])
-
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])
 
-    def test_no_experiment_takes_a_curve(self):
-        """``run`` calls every registered driver without arguments; none has a
-        ``curve`` parameter left for a flag to feed (``curve-ablation`` counts
-        every curve's runs and takes none)."""
-        for name in EXPERIMENTS:
-            parameters = inspect.signature(driver(name)).parameters
-            assert "curve" not in parameters and "curves" not in parameters, name
-            assert all(p.default is not p.empty for p in parameters.values()), name
-
-    def test_registry_matches_driver_module(self):
-        # Every registered callable is an experiment driver returning a ResultTable.
-        from repro.analysis.reporting import ResultTable
-
-        table = driver("fig1")()
-        assert isinstance(table, ResultTable)
+    @pytest.mark.parametrize("command", ["list", "run"])
+    def test_only_serve_and_metrics_are_commands(self, command, capsys):
+        """The experiments are scripts under ``experiments/``: ``list`` and
+        ``run`` are argparse's usage error (exit code 2)."""
+        with pytest.raises(SystemExit) as exit_info:
+            main([command])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestMetricsCommand:
@@ -87,7 +57,6 @@ class TestMetricsCommand:
         for argv in (
             ["metrics", "--curve", "peano"],
             ["metrics", "--curve", "zorder"],
-            ["run", "fig1", "--curve", "zorder"],
             ["serve", "--curve", "zorder"],
             ["serve", "--curve", "hilbert"],
         ):

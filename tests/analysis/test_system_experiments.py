@@ -1,5 +1,5 @@
-"""The systems experiments at tiny sizes: the three ``experiments/`` scripts
-(E-SIM-LATENCY, E-TOPO-SCALE, E-MATCH-SCALE) and E-SUB-CHURN's audit phase.
+"""The systems experiments at tiny sizes: the ``experiments/`` scripts
+E-SIM-LATENCY, E-TOPO-SCALE, E-MATCH-SCALE and E-SUB-CHURN.
 
 Each script's functions take their sizes; here they run small, and the
 script's ``check`` (the claims its ``main`` asserts) must hold on their
@@ -11,7 +11,6 @@ from __future__ import annotations
 import pytest
 
 from experiment_loader import load_experiment
-from repro.analysis.experiments import run_subscription_churn_experiment
 
 
 def test_sim_latency_loses_nothing_and_resyncs():
@@ -50,11 +49,21 @@ def test_match_scale_agrees_with_the_rectangle_oracle(monkeypatch):
 def test_churn_audit_phase_misses_nothing():
     """After the batch churn, every (topology × transport) pair delivers to
     exactly the surviving matching subscribers."""
-    table = run_subscription_churn_experiment(
-        sizes=(), num_brokers=4, max_cover_withdrawals=3, narrow_withdrawals=6,
-        audit_size=60, audit_events=4,
-    )
+    script = load_experiment("subscription_churn")
+    table = script.churn((), 4, 3, 6, 60, 4)
     audit = [row for row in table.rows if row["phase"] == "audit"]
     expected = [(t, transport) for t in ("tree", "chain", "star") for transport in ("sync", "sim")]
     assert [(row["topology"], row["transport"]) for row in audit] == expected
     assert all(row["missed"] == 0 for row in audit)
+    script.check(table)
+    audit[0]["missed"] = 1
+    with pytest.raises(AssertionError):
+        script.check(table)
+
+
+def test_churn_batch_and_sequential_arms_agree():
+    """The churn phase raises unless the batch calls leave the routing state
+    and broker counters the per-call path leaves."""
+    table = load_experiment("subscription_churn").churn((120,), 4, 3, 6, 0, 0)
+    (row,) = [row for row in table.rows if row["phase"] == "churn"]
+    assert row["subscriptions"] == 120 and row["withdrawals"] == 9

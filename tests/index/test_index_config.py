@@ -10,7 +10,8 @@ import dataclasses
 
 import pytest
 
-from repro.analysis import experiments
+from experiment_loader import load_experiment
+from repro.analysis import cli
 from repro.core.approx_dominance import ApproximateDominanceIndex, build_dominance_plan
 from repro.core.covering import (
     DEFAULT_CUBE_BUDGET,
@@ -174,13 +175,14 @@ def _paper_search():
     }
 
 
-#: The drivers whose networks or tables once took ``curve=``; none does now.
-NETWORK_DRIVERS = (
-    "run_pubsub_experiment",
-    "run_metrics_scenario",
-    "run_subscription_churn_experiment",
-    "run_event_matching_experiment",
-)
+#: The drivers whose networks or tables once took ``curve=``; none does now:
+#: ``(script under experiments/ or None for the CLI, function)``.
+NETWORK_DRIVERS = {
+    "pubsub_propagation.propagation": ("pubsub_propagation", "propagation"),
+    "cli.run_metrics_scenario": (None, "run_metrics_scenario"),
+    "subscription_churn.churn": ("subscription_churn", "churn"),
+    "event_matching.event_matching": ("event_matching", "event_matching"),
+}
 
 
 class TestConfigIsTheOnlyChannel:
@@ -211,10 +213,12 @@ class TestConfigIsTheOnlyChannel:
         """The paper's search takes ε and the cube budget as keywords and runs
         on the Z curve, so ``curve=`` is a TypeError there; a network driver
         builds its network with ``IndexConfig()`` and takes no ``curve=``
-        either (the keyword fails before the driver runs)."""
+        either (the keyword is rejected before the missing sizes are)."""
         if name in NETWORK_DRIVERS:
-            with pytest.raises(TypeError):
-                getattr(experiments, name)(curve="zorder")
+            script, function = NETWORK_DRIVERS[name]
+            owner = cli if script is None else load_experiment(script)
+            with pytest.raises(TypeError, match="unexpected keyword argument 'curve'"):
+                getattr(owner, function)(curve="zorder")
             return
         build = _paper_search()[name]
         built = build(epsilon=0.2, cube_budget=99)

@@ -24,7 +24,7 @@ from unittest.mock import patch
 
 import pytest
 
-from repro.analysis.experiments import run_metrics_scenario
+from repro.analysis.cli import run_metrics_scenario
 from repro.obs.exposition import validate_prometheus_text, write_bench_json
 from repro.obs.profiler import PROFILER
 from repro.obs.registry import MetricsRegistry

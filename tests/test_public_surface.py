@@ -11,7 +11,7 @@ module (a string annotation counts) or re-exported through ``__all__``.
 
 Every public function, method and class defined in ``src/`` must be
 referenced outside ``tests/`` — by a name or attribute load or an import in
-``src/``, ``benchmarks/``, ``examples/`` or ``experiments/``, or by an exact
+``src/``, ``examples/`` or ``experiments/``, or by an exact
 identifier string there (how the benchmark adapter names its trace
 targets) — or sit on :data:`ALLOWLIST` with its reason.  A method is reached
 only through an attribute (``x.name``), so for a method only an attribute
@@ -40,12 +40,12 @@ option count ``ci.sh`` prints.
 Every module under ``src/repro`` is on exactly one of two layers:
 :data:`PRODUCT_MODULES`, what a broker runs, or :data:`PAPER_MODULES`, what
 only the paper's experiments run.  No import a product module executes when
-it loads names a paper module; an import inside a function (the CLI's
-``list`` / ``run`` / ``metrics``) is not executed by loading.
+it loads names a paper module; an import inside a function is not executed
+by loading.
 
 Every third-party module imported under ``src/`` is in ``pyproject.toml``'s
-``[project].dependencies``; one imported under ``tests/``, ``benchmarks/``
-or ``experiments/`` is there or in the ``test`` extra.  Standard-library
+``[project].dependencies``; one imported under ``tests/`` or
+``experiments/`` is there or in the ``test`` extra.  Standard-library
 modules and the repository's own modules do not count.
 """
 
@@ -66,7 +66,7 @@ import repro
 ROOT = pathlib.Path(repro.__file__).parent
 REPO = ROOT.parent.parent
 #: Where a reference keeps a public name alive.
-CALLER_DIRECTORIES = ("src", "benchmarks", "examples", "experiments")
+CALLER_DIRECTORIES = ("src", "examples", "experiments")
 PACKAGES = ["repro"] + sorted(
     f"repro.{path.parent.name}" for path in ROOT.glob("*/__init__.py")
 )
@@ -127,9 +127,8 @@ PRODUCT_MODULES = [
     "repro.workloads.scenarios", "repro.workloads.topologies",
 ]
 #: What only the paper's experiments run: the ε-search, its detector and
-#: bounds, the other curves, the spatial and covering baselines, the drivers.
+#: bounds, the other curves, the spatial and covering baselines.
 PAPER_MODULES = [
-    "repro.analysis.experiments",
     "repro.baselines", "repro.baselines.linear_scan", "repro.baselines.probabilistic",
     "repro.core.approx_dominance", "repro.core.bounds", "repro.core.covering",
     "repro.index.kdtree", "repro.index.range_tree",
@@ -802,7 +801,7 @@ def third_party_imports(directory: pathlib.Path):
     absolute imports, less the standard library and the directory's own
     modules and packages."""
     paths = sorted(directory.rglob("*.py"))
-    own = {"repro", "tests", "benchmarks", "experiments"}
+    own = {"repro", "tests", "experiments"}
     own |= {path.stem for path in paths} | {path.parent.name for path in paths}
     found = {}
     for path in paths:
@@ -827,7 +826,7 @@ def declared(requirements):
 
 @pytest.mark.parametrize(
     "directory, extras",
-    [("src", ()), ("tests", ("test",)), ("benchmarks", ("test",)), ("experiments", ("test",))],
+    [("src", ()), ("tests", ("test",)), ("experiments", ("test",))],
 )
 def test_every_third_party_import_is_declared(directory, extras):
     tomllib = pytest.importorskip("tomllib")
